@@ -20,7 +20,8 @@
 #                 32-node partition-and-heal chaos run with live repair +
 #                 mega scale smoke + 10^5-join flash crowd on mega +
 #                 heterogeneity capacity-class sweep + bench regression
-#                 check (the merge gate; default when no tier is given)
+#                 check + the benchmark/ ledger harness build and unit
+#                 tests (the merge gate; default when no tier is given)
 #
 # Per-stage wall-clock timings are printed at the end of the run and
 # written to target/ci-timings.json. Every stage must finish inside
@@ -310,6 +311,13 @@ if [ "$TIER" = full ]; then
     # 2x is still caught. Correctness fields are always compared exactly.
     stage "bench regression check" \
         cargo run -q --release --offline -p clustream-bench --bin bench_check -- --tolerance 0.5
+    # benchmark/ is its own workspace, so the stages above never compile
+    # it: build it against this tree's public API and run its unit tests,
+    # so a refactor that breaks what benchmark/src calls fails here and
+    # not at the next benchmark run.
+    stage "benchmark harness (ledger build + unit tests)" \
+        env CARGO_TARGET_DIR=benchmark/target \
+        cargo test --release --offline --manifest-path benchmark/Cargo.toml
 fi
 
 # Machine-readable stage timings for trend tracking across runs.

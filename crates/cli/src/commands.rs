@@ -338,7 +338,16 @@ pub fn simulate(args: &ArgMap) -> Result<String, CliError> {
     let horizon = if let Some(trace) = &churn {
         args.u64_or("horizon", trace.config.slots.max(4 * track))?
     } else if let Some(plan) = scenario.as_ref().filter(|_| scenario_eventful) {
-        args.u64_or("horizon", plan.last_event_slot().max(track) + 4 * track)?
+        let drained = track
+            .checked_mul(4)
+            .and_then(|drain| plan.last_event_slot().max(track).checked_add(drain))
+            .ok_or_else(|| {
+                CliError::Usage(format!(
+                    "bad --scenario `{plan}`: its last event slot plus the 4·track drain \
+                     overflows u64"
+                ))
+            })?;
+        args.u64_or("horizon", drained)?
     } else {
         1_000_000
     };
@@ -1231,6 +1240,38 @@ mod tests {
         .unwrap_err()
         .to_string();
         assert!(err.contains("bad --scenario entry `step:x@1`"), "{err}");
+    }
+
+    #[test]
+    fn unbounded_scenario_sizes_are_usage_errors_not_hangs() {
+        let started = std::time::Instant::now();
+        for (spec, needle) in [
+            ("step:18446744073709551615@0", "bad --scenario entry"),
+            ("fail:1-18446744073709551615@3", "bad --scenario entry"),
+            ("spikes:4294967296@0+1=4294967296", "bad --scenario entry"),
+            ("ramp:5@18446744073709551615+50", "bad --scenario entry"),
+            // Parses, but the default horizon would wrap past it.
+            ("step:1@18446744073709551614", "drain overflows u64"),
+        ] {
+            let err = run(&argv(&[
+                "simulate",
+                "--scheme",
+                "multitree",
+                "--n",
+                "20",
+                "--d",
+                "2",
+                "--scenario",
+                spec,
+            ]))
+            .unwrap_err();
+            assert!(matches!(err, crate::CliError::Usage(_)), "{spec}: {err}");
+            assert!(err.to_string().contains(needle), "{spec}: {err}");
+        }
+        assert!(
+            started.elapsed().as_secs() < 5,
+            "rejection must be immediate"
+        );
     }
 
     #[test]

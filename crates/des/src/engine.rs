@@ -58,7 +58,7 @@
 
 use crate::config::{DesConfig, QueueKind};
 use crate::event::{EventKind, EventQueue, HeapQueue, TICKS_PER_SLOT};
-use crate::hot::{ArrivalRing, FxHashMap, SeqSet};
+use crate::hot::{ArrivalRing, FxHashMap};
 use crate::uplink::{UplinkGate, UplinkModel};
 use crate::wheel::{CheckedQueue, WheelQueue};
 use clustream_core::{
@@ -69,7 +69,7 @@ use clustream_recovery::{FailureDetector, NackManager, RepairBuffer, TimeoutVerd
 use clustream_sim::faults::{default_cause, FaultCause, FaultPlan, LossReport};
 use clustream_sim::metrics::TrafficStats;
 use clustream_sim::trace::EventTrace;
-use clustream_sim::{ArrivalTable, ResilienceMetrics, RunResult};
+use clustream_sim::{ArrivalTable, PacketSet, ResilienceMetrics, RunResult};
 use clustream_telemetry::names as tm;
 use clustream_workloads::ResolvedChurnAction;
 use rand::{Rng, SeedableRng};
@@ -106,7 +106,7 @@ pub struct DesStats {
 /// Simulator ground truth exposed to schemes, same shape as the slot
 /// engines'.
 struct DesState {
-    held: Vec<SeqSet>,
+    held: Vec<PacketSet>,
     newest: Vec<Option<u64>>,
     slot: Slot,
     availability: Availability,
@@ -275,7 +275,7 @@ impl DesEngine {
         }
 
         let mut state = DesState {
-            held: vec![SeqSet::default(); n_ids],
+            held: vec![PacketSet::default(); n_ids],
             newest: vec![None; n_ids],
             slot: Slot(0),
             availability: scheme.availability(),

@@ -1,0 +1,652 @@
+//! The slot kernel shared by [`crate::FastEngine`] and
+//! [`crate::MegaEngine`]: one dense-state implementation of the
+//! communication model, split into the phases of a slot.
+//!
+//! A run is `begin`, then per slot `deliver` → `dispatch` → `admit`,
+//! then `flush_ring` and `finish`. [`Kernel`] is the arena reused across
+//! runs, generic over the holdings store ([`Held`], statically
+//! dispatched); [`Run`] is the state of one run. The fast engine is
+//! exactly that driver over `Vec<PacketSet>`; the mega engine runs the
+//! same phases over its columnar store until its steady-state gears take
+//! over. Results and errors are **bit-identical** to the reference
+//! [`crate::Simulator`], which stays a structurally independent
+//! implementation (hash sets and a `BTreeMap`) because it is the oracle
+//! the differential harness in [`crate::diff`] compares against.
+//!
+//! What the kernel uses where the reference uses `std` collections:
+//!
+//! * per-node packet holdings: **bitsets** ([`PacketSet`], or the mega
+//!   engine's columnar words) for `HashSet<u64>`;
+//! * the arrival queue: a **ring buffer** indexed by
+//!   `arrival_slot % window` for the `BTreeMap`, with a per-cell node
+//!   bitmask for the `HashSet<(slot, node)>` collision guard;
+//! * every scratch buffer lives in the arena and is reset, not
+//!   reallocated, by `begin`.
+//!
+//! Determinism mirrors the reference exactly: deliveries flush in queue
+//! order per arrival slot, the final flush walks arrival slots in
+//! ascending order, and the loss RNG consumes one draw per validated
+//! transmission in validation order (only when `loss_rate > 0`).
+
+use crate::engine::{RunResult, SimConfig};
+use crate::faults::{FaultCause, LossReport};
+use crate::metrics::TrafficStats;
+use crate::playback::ArrivalTable;
+use crate::trace::EventTrace;
+use clustream_core::{
+    Availability, CoreError, NodeId, NodeQos, PacketId, QosReport, Scheme, Slot, StateView,
+    Transmission,
+};
+use clustream_telemetry::names as tm;
+use rand::{Rng, SeedableRng};
+use std::collections::HashMap;
+
+/// Sentinel for "no packet yet" in the dense newest-packet array.
+const NO_PACKET: u64 = u64::MAX;
+
+/// A growable bitset over packet sequence numbers: the packets one node
+/// holds. Sequence numbers start at zero and grow with the schedule, so
+/// the word vector stays proportional to the newest packet seen.
+#[derive(Debug, Default, Clone)]
+pub struct PacketSet {
+    pub(crate) words: Vec<u64>,
+}
+
+impl PacketSet {
+    /// Insert `seq`; returns `false` if it was already present (the
+    /// `HashSet::insert` contract the duplicate counters rely on).
+    #[inline]
+    pub fn insert(&mut self, seq: u64) -> bool {
+        let (w, b) = ((seq / 64) as usize, seq % 64);
+        if w >= self.words.len() {
+            self.words.resize(w + 1, 0);
+        }
+        let mask = 1u64 << b;
+        let fresh = self.words[w] & mask == 0;
+        self.words[w] |= mask;
+        fresh
+    }
+
+    /// Whether `seq` is in the set.
+    #[inline]
+    pub fn contains(&self, seq: u64) -> bool {
+        let (w, b) = ((seq / 64) as usize, seq % 64);
+        self.words.get(w).is_some_and(|word| word & (1 << b) != 0)
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.words.clear();
+    }
+}
+
+/// Per-node packet holdings, the one piece of kernel state the engines
+/// lay out differently.
+pub(crate) trait Held {
+    /// Empty the store for a run over `n_ids` nodes expecting seqs up to
+    /// about `hint_seq`.
+    fn reset(&mut self, n_ids: usize, hint_seq: u64);
+    /// Insert `seq` for `node`; `false` if already present.
+    fn insert(&mut self, node: usize, seq: u64) -> bool;
+    /// Whether `node` holds `seq`.
+    fn contains(&self, node: usize, seq: u64) -> bool;
+}
+
+impl Held for Vec<PacketSet> {
+    fn reset(&mut self, n_ids: usize, _hint_seq: u64) {
+        for h in self.iter_mut() {
+            h.clear();
+        }
+        self.resize(n_ids, PacketSet::default());
+    }
+
+    #[inline]
+    fn insert(&mut self, node: usize, seq: u64) -> bool {
+        self[node].insert(seq)
+    }
+
+    #[inline]
+    fn contains(&self, node: usize, seq: u64) -> bool {
+        self[node].contains(seq)
+    }
+}
+
+/// Dense per-run simulation state exposed to schemes through
+/// [`StateView`].
+#[derive(Default)]
+pub(crate) struct State<H> {
+    pub(crate) held: H,
+    /// Highest packet seq held per node; [`NO_PACKET`] = none.
+    newest: Vec<u64>,
+    slot: Slot,
+    availability: Availability,
+}
+
+impl<H: Held> StateView for State<H> {
+    fn holds(&self, node: NodeId, packet: PacketId) -> bool {
+        if node.is_source() {
+            self.availability.produced(packet, self.slot)
+        } else {
+            self.held.contains(node.index(), packet.seq())
+        }
+    }
+
+    fn newest(&self, node: NodeId) -> Option<PacketId> {
+        let v = self.newest[node.index()];
+        (v != NO_PACKET).then_some(PacketId(v))
+    }
+
+    fn slot(&self) -> Slot {
+        self.slot
+    }
+}
+
+/// Ring-buffer arrival queue indexed by `arrival_slot % window`.
+///
+/// Invariant: `window` strictly exceeds the largest in-flight latency, so
+/// at any moment all queued arrival slots map to distinct cells and a
+/// cell's contents all share one arrival slot. Each cell carries a node
+/// bitmask enforcing the one-arrival-per-node-per-slot constraint.
+#[derive(Default)]
+pub(crate) struct ArrivalRing {
+    pub(crate) cells: Vec<Vec<(NodeId, PacketId)>>,
+    /// Per-cell receiver bitmask (`n_words` words per cell).
+    guards: Vec<u64>,
+    pub(crate) window: u64,
+    n_words: usize,
+}
+
+impl ArrivalRing {
+    /// Reset for a run over `n_ids` nodes with an initial window.
+    pub(crate) fn reset(&mut self, n_ids: usize) {
+        self.n_words = n_ids.div_ceil(64);
+        self.window = 64;
+        for c in &mut self.cells {
+            c.clear();
+        }
+        self.cells.resize(self.window as usize, Vec::new());
+        self.guards.clear();
+        self.guards.resize(self.window as usize * self.n_words, 0);
+    }
+
+    /// Grow the window so `latency` fits, re-indexing queued arrivals.
+    /// Outstanding arrival slots all lie in `[cur_slot, cur_slot + old_window)`,
+    /// which makes each old cell's true arrival slot recoverable from its
+    /// index.
+    #[cold]
+    pub(crate) fn grow(&mut self, latency: u64, cur_slot: u64) {
+        let new_window = (latency + 1).next_power_of_two().max(self.window * 2);
+        let mut cells = vec![Vec::new(); new_window as usize];
+        let mut guards = vec![0u64; new_window as usize * self.n_words];
+        for (i, cell) in self.cells.iter_mut().enumerate() {
+            if cell.is_empty() {
+                continue;
+            }
+            let offset = (i as u64 + self.window - cur_slot % self.window) % self.window;
+            let arr = cur_slot + offset;
+            let ni = (arr % new_window) as usize;
+            for &(to, _) in cell.iter() {
+                let w = ni * self.n_words + to.0 as usize / 64;
+                guards[w] |= 1 << (to.0 % 64);
+            }
+            cells[ni] = std::mem::take(cell);
+        }
+        self.cells = cells;
+        self.guards = guards;
+        self.window = new_window;
+    }
+
+    #[inline]
+    pub(crate) fn cell_index(&self, arrival_slot: u64) -> usize {
+        (arrival_slot % self.window) as usize
+    }
+
+    /// Reserve `(arrival_slot, to)`; `false` on a receive collision.
+    #[inline]
+    pub(crate) fn try_reserve(&mut self, arrival_slot: u64, to: NodeId) -> bool {
+        let idx = self.cell_index(arrival_slot);
+        let w = idx * self.n_words + to.0 as usize / 64;
+        let mask = 1u64 << (to.0 % 64);
+        if self.guards[w] & mask != 0 {
+            return false;
+        }
+        self.guards[w] |= mask;
+        true
+    }
+
+    /// Whether `(arrival_slot, to)` is currently reserved — a read-only
+    /// probe used by the mega engine to detect collisions between
+    /// precompiled steady-state sends and ramp-phase in-flight arrivals.
+    #[inline]
+    pub(crate) fn reserved(&self, arrival_slot: u64, to: NodeId) -> bool {
+        let idx = self.cell_index(arrival_slot);
+        let w = idx * self.n_words + to.0 as usize / 64;
+        self.guards[w] & (1u64 << (to.0 % 64)) != 0
+    }
+
+    /// Release the guard bit for one delivered entry.
+    #[inline]
+    pub(crate) fn release(&mut self, cell_idx: usize, to: NodeId) {
+        let w = cell_idx * self.n_words + to.0 as usize / 64;
+        self.guards[w] &= !(1u64 << (to.0 % 64));
+    }
+}
+
+/// The state of one run, created by [`Kernel::begin`] and consumed by
+/// [`Kernel::finish`]. Fields the mega engine's steady-state gears
+/// advance directly are crate-visible.
+pub(crate) struct Run<'a> {
+    cfg: &'a SimConfig,
+    _span: clustream_telemetry::SpanGuard,
+    receivers: Vec<NodeId>,
+    pub(crate) arrivals: ArrivalTable,
+    pub(crate) is_receiver: Vec<bool>,
+    /// Remaining (receiver, tracked packet) firsts before completion.
+    pub(crate) remaining: u64,
+    loss_report: LossReport,
+    /// First cause each (node, packet) copy went missing for; key
+    /// lookups only (never iterated), so a HashMap stays deterministic.
+    taint: HashMap<(u32, u64), FaultCause>,
+    rng: Option<rand_chacha::ChaCha8Rng>,
+    pub(crate) trace: Option<EventTrace>,
+    pub(crate) slots_run: u64,
+}
+
+impl Run<'_> {
+    /// First arrival slot not yet delivered when the slot loop ended.
+    pub(crate) fn first_unflushed(&self) -> u64 {
+        self.slots_run.saturating_sub(1)
+    }
+}
+
+/// Reusable kernel arena. One instance can run many simulations (e.g. a
+/// whole sweep) without re-allocating its internal state.
+#[derive(Default)]
+pub(crate) struct Kernel<H> {
+    pub(crate) state: State<H>,
+    pub(crate) ring: ArrivalRing,
+    pub(crate) stats: TrafficStats,
+    send_counts: Vec<u32>,
+    touched: Vec<usize>,
+    /// The current slot's generated transmissions, between `dispatch`
+    /// and `admit`.
+    pub(crate) out: Vec<Transmission>,
+    pub(crate) batch: Vec<(NodeId, PacketId)>,
+}
+
+impl<H: Held> Kernel<H> {
+    /// Check the scheme's id space, reset the arena and set up the
+    /// per-run state.
+    pub(crate) fn begin<'a>(
+        &mut self,
+        scheme: &dyn Scheme,
+        cfg: &'a SimConfig,
+    ) -> Result<Run<'a>, CoreError> {
+        let span = cfg.telemetry.span(tm::ENGINE_RUN);
+        let n_ids = scheme.id_space();
+        if n_ids == 0 {
+            return Err(CoreError::InvalidConfig("empty id space".into()));
+        }
+        let receivers = scheme.receivers();
+        for r in &receivers {
+            if r.index() >= n_ids {
+                return Err(CoreError::UnknownNode { node: *r });
+            }
+        }
+
+        self.state.held.reset(n_ids, cfg.track_packets);
+        self.state.newest.clear();
+        self.state.newest.resize(n_ids, NO_PACKET);
+        self.state.slot = Slot(0);
+        self.state.availability = scheme.availability();
+        self.ring.reset(n_ids);
+        self.stats.reset(n_ids);
+        self.send_counts.clear();
+        self.send_counts.resize(n_ids, 0);
+        self.touched.clear();
+
+        let mut is_receiver = vec![false; n_ids];
+        for r in &receivers {
+            is_receiver[r.index()] = true;
+        }
+        Ok(Run {
+            cfg,
+            _span: span,
+            arrivals: ArrivalTable::new(n_ids, cfg.track_packets),
+            is_receiver,
+            remaining: receivers.len() as u64 * cfg.track_packets,
+            receivers,
+            loss_report: LossReport::default(),
+            taint: HashMap::new(),
+            rng: cfg
+                .faults
+                .as_ref()
+                .map(|f| rand_chacha::ChaCha8Rng::seed_from_u64(f.seed)),
+            trace: cfg.record_trace.then(EventTrace::default),
+            slots_run: 0,
+        })
+    }
+
+    /// Open slot `t`: deliver the packets whose arrival slot was `t − 1`
+    /// (usable from `t`). Returns `true` when the run is configured to
+    /// stop on completion and every receiver now has every tracked
+    /// packet — the caller stops before this slot's sends.
+    pub(crate) fn deliver(&mut self, run: &mut Run<'_>, t: u64) -> bool {
+        let cfg = run.cfg;
+        self.state.slot = Slot(t);
+        run.slots_run = t + 1;
+
+        let mut slot_deliveries: u64 = 0;
+        if t > 0 {
+            let cell_idx = self.ring.cell_index(t - 1);
+            if !self.ring.cells[cell_idx].is_empty() {
+                std::mem::swap(&mut self.ring.cells[cell_idx], &mut self.batch);
+                for k in 0..self.batch.len() {
+                    let (to, packet) = self.batch[k];
+                    self.ring.release(cell_idx, to);
+                    // Fail-stopped receivers drop arrivals on the floor.
+                    if let Some(f) = &cfg.faults {
+                        if f.stopped(to, t - 1) {
+                            run.loss_report.stopped_receives += 1;
+                            run.taint
+                                .entry((to.0, packet.seq()))
+                                .or_insert(FaultCause::Crash);
+                            continue;
+                        }
+                    }
+                    if !self.state.held.insert(to.index(), packet.seq()) {
+                        self.stats.record_duplicate();
+                        continue;
+                    }
+                    let nw = &mut self.state.newest[to.index()];
+                    if *nw == NO_PACKET || packet.seq() > *nw {
+                        *nw = packet.seq();
+                    }
+                    if packet.seq() < cfg.track_packets
+                        && run.is_receiver[to.index()]
+                        && run.arrivals.usable_slot(to, packet).is_none()
+                    {
+                        run.remaining -= 1;
+                    }
+                    run.arrivals.record(to, packet, Slot(t));
+                    slot_deliveries += 1;
+                }
+                self.batch.clear();
+            }
+        }
+        cfg.telemetry
+            .counter(tm::ENGINE_DELIVERIES, slot_deliveries);
+        cfg.telemetry
+            .observe(tm::ENGINE_SLOT_DELIVERIES, slot_deliveries);
+
+        cfg.stop_when_complete && run.remaining == 0
+    }
+
+    /// Ask the scheme for slot `t`'s transmissions, into `self.out`.
+    pub(crate) fn dispatch(&mut self, scheme: &mut dyn Scheme, t: u64) {
+        self.out.clear();
+        scheme.transmissions(Slot(t), &self.state, &mut self.out);
+    }
+
+    /// Validate slot `t`'s transmissions in generation order and queue
+    /// the ones that go through.
+    pub(crate) fn admit(
+        &mut self,
+        scheme: &dyn Scheme,
+        run: &mut Run<'_>,
+        t: u64,
+    ) -> Result<(), CoreError> {
+        let cfg = run.cfg;
+        let n_ids = run.arrivals.n_ids();
+        for idx in self.touched.drain(..) {
+            self.send_counts[idx] = 0;
+        }
+        for i in 0..self.out.len() {
+            let tx = self.out[i];
+            if tx.from.index() >= n_ids {
+                return Err(CoreError::UnknownNode { node: tx.from });
+            }
+            if tx.to.index() >= n_ids {
+                return Err(CoreError::UnknownNode { node: tx.to });
+            }
+            if tx.latency == 0 {
+                return Err(CoreError::InvalidConfig(format!(
+                    "zero-latency transmission {} → {}",
+                    tx.from, tx.to
+                )));
+            }
+
+            // Crashed senders transmit nothing.
+            if let Some(f) = &cfg.faults {
+                if f.crashed(tx.from, t) {
+                    run.loss_report.crash_suppressed += 1;
+                    run.taint
+                        .entry((tx.to.0, tx.packet.seq()))
+                        .or_insert(FaultCause::Crash);
+                    continue;
+                }
+            }
+
+            // Sender must hold (or, for the source, have produced) it.
+            if tx.from.is_source() {
+                if !self.state.availability.produced(tx.packet, Slot(t)) {
+                    return Err(CoreError::PacketNotProduced {
+                        slot: Slot(t),
+                        packet: tx.packet,
+                    });
+                }
+            } else if !self.state.held.contains(tx.from.index(), tx.packet.seq()) {
+                if let Some(f) = &cfg.faults {
+                    // A fault propagating downstream, attributed to
+                    // whatever first took out the sender's copy.
+                    let cause = run
+                        .taint
+                        .get(&(tx.from.0, tx.packet.seq()))
+                        .copied()
+                        .unwrap_or(crate::faults::default_cause(f));
+                    run.loss_report.propagation_suppressed += 1;
+                    match cause {
+                        FaultCause::Loss => run.loss_report.propagation_from_loss += 1,
+                        FaultCause::Crash => run.loss_report.propagation_from_crash += 1,
+                    }
+                    run.taint.entry((tx.to.0, tx.packet.seq())).or_insert(cause);
+                    continue;
+                }
+                return Err(CoreError::PacketNotHeld {
+                    node: tx.from,
+                    slot: Slot(t),
+                    packet: tx.packet,
+                });
+            }
+
+            // Send capacity.
+            let c = &mut self.send_counts[tx.from.index()];
+            if *c == 0 {
+                self.touched.push(tx.from.index());
+            }
+            *c += 1;
+            let cap = scheme.send_capacity(tx.from);
+            if *c as usize > cap {
+                return Err(CoreError::SendCapacityExceeded {
+                    node: tx.from,
+                    slot: Slot(t),
+                    capacity: cap,
+                });
+            }
+
+            // Link loss: uplink capacity is spent, nothing arrives.
+            if let (Some(f), Some(r)) = (&cfg.faults, run.rng.as_mut()) {
+                if f.loss_rate > 0.0 && r.gen_bool(f.loss_rate) {
+                    run.loss_report.lost_in_flight += 1;
+                    run.taint
+                        .entry((tx.to.0, tx.packet.seq()))
+                        .or_insert(FaultCause::Loss);
+                    continue;
+                }
+            }
+
+            // Receive capacity at the arrival slot.
+            if tx.latency as u64 + 1 > self.ring.window {
+                self.ring.grow(tx.latency as u64, t);
+            }
+            let arrival_slot = t + tx.latency as u64 - 1;
+            let cell_idx = self.ring.cell_index(arrival_slot);
+            if !self.ring.try_reserve(arrival_slot, tx.to) {
+                let other = self.ring.cells[cell_idx]
+                    .iter()
+                    .find(|(to, _)| *to == tx.to)
+                    .map(|&(_, p)| p)
+                    .unwrap_or(tx.packet);
+                return Err(CoreError::ReceiveCollision {
+                    node: tx.to,
+                    slot: Slot(arrival_slot),
+                    packets: (other, tx.packet),
+                });
+            }
+            self.ring.cells[cell_idx].push((tx.to, tx.packet));
+            self.stats.record(&tx);
+            if let Some(tr) = run.trace.as_mut() {
+                tr.push(t, &tx);
+            }
+        }
+        Ok(())
+    }
+
+    /// After the last slot: record the deliveries queued for
+    /// `arrival_slot`, usable one slot later.
+    pub(crate) fn flush_cell(&mut self, run: &mut Run<'_>, arrival_slot: u64) {
+        let cell_idx = self.ring.cell_index(arrival_slot);
+        if self.ring.cells[cell_idx].is_empty() {
+            return;
+        }
+        std::mem::swap(&mut self.ring.cells[cell_idx], &mut self.batch);
+        for &(to, packet) in &self.batch {
+            if let Some(f) = &run.cfg.faults {
+                if f.stopped(to, arrival_slot) {
+                    run.loss_report.stopped_receives += 1;
+                    continue;
+                }
+            }
+            run.arrivals.record(to, packet, Slot(arrival_slot + 1));
+        }
+        self.batch.clear();
+    }
+
+    /// Flush the deliveries completing after the last slot, in ascending
+    /// arrival-slot order (mirrors the reference's `BTreeMap` drain), so
+    /// tight horizons still complete.
+    pub(crate) fn flush_ring(&mut self, run: &mut Run<'_>) {
+        let first = run.first_unflushed();
+        for arrival_slot in first..first + self.ring.window {
+            self.flush_cell(run, arrival_slot);
+        }
+    }
+
+    /// Analyse playback per receiver and assemble the [`RunResult`].
+    /// Fault-free runs fail hard on a missing packet; faulty runs report
+    /// losses instead.
+    pub(crate) fn finish(
+        &mut self,
+        scheme: &dyn Scheme,
+        run: Run<'_>,
+    ) -> Result<RunResult, CoreError> {
+        let Run {
+            cfg,
+            receivers,
+            arrivals,
+            mut loss_report,
+            trace,
+            slots_run,
+            ..
+        } = run;
+        let mut nodes = Vec::with_capacity(receivers.len());
+        for r in &receivers {
+            let (delay, buffer) = if cfg.faults.is_some() {
+                let pb = arrivals.analyze_lossy(*r);
+                if pb.missing > 0 {
+                    loss_report.missing.push((*r, pb.missing));
+                    cfg.telemetry.counter(tm::ENGINE_HICCUPS, 1);
+                }
+                (pb.playback_delay, pb.max_buffer)
+            } else {
+                let pb = arrivals.analyze(*r)?;
+                (pb.playback_delay, pb.max_buffer)
+            };
+            cfg.telemetry.observe(tm::ENGINE_PLAYBACK_DELAY, delay);
+            cfg.telemetry
+                .observe(tm::ENGINE_BUFFER_OCCUPANCY, buffer as u64);
+            nodes.push(NodeQos {
+                node: *r,
+                playback_delay: delay,
+                max_buffer: buffer,
+                out_neighbors: self.stats.out_degree(*r),
+                in_neighbors: self.stats.in_degree(*r),
+                neighbors: self.stats.degree(*r),
+            });
+        }
+
+        cfg.telemetry.counter(tm::ENGINE_SLOTS, slots_run);
+        cfg.telemetry
+            .counter(tm::ENGINE_TRANSMISSIONS, self.stats.total_transmissions());
+
+        let resilience = cfg.faults.as_ref().map(|_| {
+            crate::resilience::ResilienceMetrics::from_missing(loss_report.total_missing() as u64)
+        });
+        Ok(RunResult {
+            scheme: scheme.name(),
+            slots_run,
+            arrivals,
+            qos: QosReport::new(scheme.name(), nodes),
+            total_transmissions: self.stats.total_transmissions(),
+            duplicate_deliveries: self.stats.duplicate_deliveries(),
+            loss: cfg.faults.as_ref().map(|_| loss_report),
+            trace,
+            upload_counts: self.stats.upload_counts().to_vec(),
+            resilience,
+        })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn packet_set_grows_and_dedups() {
+        let mut s = PacketSet::default();
+        assert!(s.insert(0));
+        assert!(!s.insert(0));
+        assert!(s.insert(1000));
+        assert!(s.contains(1000));
+        assert!(!s.contains(999));
+    }
+
+    #[test]
+    fn ring_guard_detects_collision() {
+        let mut r = ArrivalRing::default();
+        r.reset(10);
+        assert!(r.try_reserve(5, NodeId(3)));
+        assert!(!r.try_reserve(5, NodeId(3)));
+        assert!(r.try_reserve(6, NodeId(3)));
+        assert!(r.try_reserve(5, NodeId(4)));
+        let idx = r.cell_index(5);
+        r.release(idx, NodeId(3));
+        assert!(r.try_reserve(5, NodeId(3)));
+    }
+
+    #[test]
+    fn ring_grow_preserves_entries() {
+        let mut r = ArrivalRing::default();
+        r.reset(10);
+        // Queue arrivals at slots 7 and 70 relative to current slot 5.
+        assert!(r.try_reserve(7, NodeId(1)));
+        let i7 = r.cell_index(7);
+        r.cells[i7].push((NodeId(1), PacketId(9)));
+        r.grow(100, 5);
+        assert!(r.window > 100);
+        let i7b = r.cell_index(7);
+        assert_eq!(r.cells[i7b], vec![(NodeId(1), PacketId(9))]);
+        // Guard moved with the entry.
+        assert!(!r.try_reserve(7, NodeId(1)));
+        assert!(r.try_reserve(70, NodeId(1)));
+    }
+}

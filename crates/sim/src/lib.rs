@@ -16,11 +16,13 @@
 //! The simulator is fully deterministic: same scheme, same config, same
 //! result, bit for bit.
 //!
-//! Three engines implement these semantics: the readable reference
-//! ([`Simulator`]), an allocation-light fast path ([`FastEngine`],
-//! module [`fast`]) built on dense bitsets, a ring-buffer arrival queue
-//! and reusable arenas, and a scale-oriented mega engine
-//! ([`MegaEngine`], module [`mega`]) that adds columnar node state,
+//! The semantics are written out twice. The readable reference
+//! ([`Simulator`], hash sets and a `BTreeMap`) is the oracle. The slot
+//! kernel (private module `kernel`: bitset holdings, a ring-buffer
+//! arrival queue, reusable arenas) is the one dense implementation, and
+//! two engines drive it: [`FastEngine`] (module [`fast`]) is the bare
+//! kernel loop over per-node [`PacketSet`]s, and [`MegaEngine`] (module
+//! [`mega`]) runs the same loop over columnar node state and adds
 //! precompiled steady-state transmission tables and in-run sharding for
 //! runs with 10^5–10^6 nodes. All results are bit-identical; the
 //! differential harness in [`diff`] enforces that, and [`parallel`]
@@ -33,6 +35,7 @@ pub mod diff;
 pub mod engine;
 pub mod fast;
 pub mod faults;
+mod kernel;
 pub mod mega;
 pub mod metrics;
 pub mod parallel;
@@ -44,6 +47,7 @@ pub use diff::{diff_fields, DiffHarness};
 pub use engine::{RunResult, SimConfig, Simulator};
 pub use fast::{FastEngine, FastSimulator};
 pub use faults::{FaultCause, FaultPlan, LossReport, LossyPlayback};
+pub use kernel::PacketSet;
 pub use mega::{MegaEngine, MegaSimulator};
 pub use parallel::{sweep, sweep_instrumented, sweep_threads, sweep_with_threads, ClaimCounter};
 pub use playback::{ArrivalTable, PlaybackAnalysis};

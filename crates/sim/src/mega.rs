@@ -42,21 +42,16 @@
 //!    `shards = k` is bit-identical to `shards = 1` at any `k`.
 //!
 //! Ramp slots (before the verified steady state), fault-injection runs,
-//! and schemes without a declared period always run in full mode, which
-//! mirrors [`crate::FastEngine`] operation for operation.
+//! and schemes without a declared period run in full mode: the slot
+//! kernel's phases (module `kernel`), the very code
+//! [`crate::FastEngine`] drives, over the columnar store.
 
 use crate::engine::{RunResult, SimConfig};
-use crate::fast::{ArrivalRing, DenseTraffic, PacketSet};
+use crate::kernel::{Held, Kernel, PacketSet};
 use crate::parallel::ClaimCounter;
 use crate::playback::{ArrivalTable, NEVER};
-use clustream_core::{
-    CoreError, NodeId, NodeQos, PacketId, QosReport, SchedulePeriod, Scheme, Slot, StateView,
-    Transmission,
-};
+use clustream_core::{CoreError, NodeId, PacketId, SchedulePeriod, Scheme, Slot, Transmission};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-/// Sentinel for "no packet yet" in the dense newest-packet array.
-const NO_PACKET: u64 = u64::MAX;
 
 /// Columnar holdings budget: grow the per-node stride only while the
 /// whole array stays under this many words (256 MiB). Beyond it,
@@ -70,6 +65,7 @@ const CHUNK_MIN_SLOTS: u64 = 4096;
 /// Struct-of-arrays packet holdings: `stride` words per node in one
 /// flat `Vec<u64>`, plus per-node spill sets for sequence numbers past
 /// the columnar budget.
+#[derive(Default)]
 struct ColumnarHeld {
     n_ids: usize,
     stride: usize,
@@ -78,15 +74,6 @@ struct ColumnarHeld {
 }
 
 impl ColumnarHeld {
-    fn new() -> ColumnarHeld {
-        ColumnarHeld {
-            n_ids: 0,
-            stride: 0,
-            words: Vec::new(),
-            spill: Vec::new(),
-        }
-    }
-
     /// Largest power-of-two stride the memory budget allows for `n_ids`.
     fn max_stride(n_ids: usize) -> usize {
         let cap = COLUMNAR_WORDS_LIMIT / n_ids.max(1);
@@ -95,21 +82,6 @@ impl ColumnarHeld {
         } else {
             1usize << (usize::BITS - 1 - cap.leading_zeros())
         }
-    }
-
-    /// Reset for a run over `n_ids` nodes expecting seqs up to about
-    /// `hint_seq`.
-    fn reset(&mut self, n_ids: usize, hint_seq: u64) {
-        self.n_ids = n_ids;
-        let want = ((hint_seq / 64) as usize + 1).next_power_of_two();
-        self.stride = want.min(Self::max_stride(n_ids)).max(1);
-        self.words.clear();
-        self.words.resize(n_ids * self.stride, 0);
-        for s in &mut self.spill {
-            s.clear();
-        }
-        self.spill.resize(n_ids, PacketSet::default());
-        self.spill.truncate(n_ids);
     }
 
     /// Grow the stride so `seq` stays columnar if the budget allows.
@@ -147,7 +119,33 @@ impl ColumnarHeld {
         self.stride = new_stride;
     }
 
-    /// Insert `seq` for `node`; `false` if already present.
+    #[cold]
+    fn insert_outlier(&mut self, node: usize, seq: u64) -> bool {
+        if self.ensure_covers(seq) {
+            let idx = node * self.stride + (seq / 64) as usize;
+            let mask = 1u64 << (seq % 64);
+            let fresh = self.words[idx] & mask == 0;
+            self.words[idx] |= mask;
+            fresh
+        } else {
+            self.spill[node].insert(seq)
+        }
+    }
+}
+
+impl Held for ColumnarHeld {
+    fn reset(&mut self, n_ids: usize, hint_seq: u64) {
+        self.n_ids = n_ids;
+        let want = ((hint_seq / 64) as usize + 1).next_power_of_two();
+        self.stride = want.min(Self::max_stride(n_ids)).max(1);
+        self.words.clear();
+        self.words.resize(n_ids * self.stride, 0);
+        for s in &mut self.spill {
+            s.clear();
+        }
+        self.spill.resize(n_ids, PacketSet::default());
+    }
+
     #[inline]
     fn insert(&mut self, node: usize, seq: u64) -> bool {
         let w = seq / 64;
@@ -162,19 +160,6 @@ impl ColumnarHeld {
         }
     }
 
-    #[cold]
-    fn insert_outlier(&mut self, node: usize, seq: u64) -> bool {
-        if self.ensure_covers(seq) {
-            let idx = node * self.stride + (seq / 64) as usize;
-            let mask = 1u64 << (seq % 64);
-            let fresh = self.words[idx] & mask == 0;
-            self.words[idx] |= mask;
-            fresh
-        } else {
-            self.spill[node].insert(seq)
-        }
-    }
-
     #[inline]
     fn contains(&self, node: usize, seq: u64) -> bool {
         let w = seq / 64;
@@ -183,35 +168,6 @@ impl ColumnarHeld {
         } else {
             self.spill[node].contains(seq)
         }
-    }
-}
-
-/// Columnar run state exposed to schemes through [`StateView`] during
-/// full-mode slots.
-struct MegaState {
-    held: ColumnarHeld,
-    /// Highest packet seq held per node; [`NO_PACKET`] = none.
-    newest: Vec<u64>,
-    slot: Slot,
-    availability: clustream_core::Availability,
-}
-
-impl StateView for MegaState {
-    fn holds(&self, node: NodeId, packet: PacketId) -> bool {
-        if node.is_source() {
-            self.availability.produced(packet, self.slot)
-        } else {
-            self.held.contains(node.index(), packet.seq())
-        }
-    }
-
-    fn newest(&self, node: NodeId) -> Option<PacketId> {
-        let v = self.newest[node.index()];
-        (v != NO_PACKET).then_some(PacketId(v))
-    }
-
-    fn slot(&self) -> Slot {
-        self.slot
     }
 }
 
@@ -588,13 +544,7 @@ enum SteadyEnd {
 /// its internal state.
 pub struct MegaEngine {
     shards: usize,
-    state: MegaState,
-    ring: ArrivalRing,
-    stats: DenseTraffic,
-    send_counts: Vec<u32>,
-    touched: Vec<usize>,
-    out: Vec<Transmission>,
-    batch: Vec<(NodeId, PacketId)>,
+    kernel: Kernel<ColumnarHeld>,
     steady_slots: u64,
 }
 
@@ -616,18 +566,7 @@ impl MegaEngine {
     pub fn with_shards(shards: usize) -> MegaEngine {
         MegaEngine {
             shards: shards.max(1),
-            state: MegaState {
-                held: ColumnarHeld::new(),
-                newest: Vec::new(),
-                slot: Slot(0),
-                availability: clustream_core::Availability::PreRecorded,
-            },
-            ring: ArrivalRing::new(),
-            stats: DenseTraffic::new(),
-            send_counts: Vec::new(),
-            touched: Vec::new(),
-            out: Vec::new(),
-            batch: Vec::new(),
+            kernel: Kernel::default(),
             steady_slots: 0,
         }
     }
@@ -653,7 +592,7 @@ impl MegaEngine {
     /// which is exact by construction. Schemes declaring a period must
     /// therefore be replayable from slot 0 — already required by the
     /// [`SchedulePeriod`] contract, which forbids consulting the
-    /// [`StateView`] from `warmup` onward.
+    /// [`clustream_core::StateView`] from `warmup` onward.
     pub fn run(
         &mut self,
         scheme: &mut dyn Scheme,
@@ -668,64 +607,19 @@ impl MegaEngine {
         }
     }
 
-    /// One attempt at running `scheme`: full mode, with lowering into
-    /// steady-state replay permitted when `allow_steady`. `Ok(None)`
-    /// means a replay residual check failed and the caller must re-run
-    /// with `allow_steady = false` (which cannot fail this way).
+    /// One attempt at running `scheme`: the kernel's slot loop, with
+    /// lowering into steady-state replay permitted when `allow_steady`.
+    /// `Ok(None)` means a replay residual check failed and the caller
+    /// must re-run with `allow_steady = false` (which cannot fail this
+    /// way).
     fn run_attempt(
         &mut self,
         scheme: &mut dyn Scheme,
         cfg: &SimConfig,
         allow_steady: bool,
     ) -> Result<Option<RunResult>, CoreError> {
-        use clustream_telemetry::names as tm;
-        let _run_span = cfg.telemetry.span(tm::ENGINE_RUN);
-        let n_ids = scheme.id_space();
-        if n_ids == 0 {
-            return Err(CoreError::InvalidConfig("empty id space".into()));
-        }
-        let receivers = scheme.receivers();
-        for r in &receivers {
-            if r.index() >= n_ids {
-                return Err(CoreError::UnknownNode { node: *r });
-            }
-        }
-
-        // Arena reset.
-        self.state.held.reset(n_ids, cfg.track_packets.max(63));
-        self.state.newest.clear();
-        self.state.newest.resize(n_ids, NO_PACKET);
-        self.state.slot = Slot(0);
-        self.state.availability = scheme.availability();
-        self.ring.reset(n_ids);
-        self.stats.reset(n_ids);
-        self.send_counts.clear();
-        self.send_counts.resize(n_ids, 0);
-        self.touched.clear();
+        let mut run = self.kernel.begin(scheme, cfg)?;
         self.steady_slots = 0;
-
-        let mut arrivals = ArrivalTable::new(n_ids, cfg.track_packets);
-
-        let is_receiver: Vec<bool> = {
-            let mut v = vec![false; n_ids];
-            for r in &receivers {
-                v[r.index()] = true;
-            }
-            v
-        };
-        let mut remaining: u64 = receivers.len() as u64 * cfg.track_packets;
-
-        use rand::{Rng, SeedableRng};
-        let mut loss_report = crate::faults::LossReport::default();
-        // First cause each (node, packet) copy went missing for; key
-        // lookups only (never iterated), so a HashMap stays deterministic.
-        let mut taint: std::collections::HashMap<(u32, u64), crate::faults::FaultCause> =
-            std::collections::HashMap::new();
-        let mut rng = cfg
-            .faults
-            .as_ref()
-            .map(|f| rand_chacha::ChaCha8Rng::seed_from_u64(f.seed));
-        let mut trace = cfg.record_trace.then(crate::trace::EventTrace::default);
 
         // Lowering only arms on clean runs of schemes declaring a period
         // that leaves slots to replay within the horizon.
@@ -740,32 +634,32 @@ impl MegaEngine {
         };
         let mut steady: Option<(SteadyTables, u64)> = None;
 
-        let mut slots_run = 0;
         for t in 0..cfg.max_slots {
             // Hand off to steady-state replay once one recorded period
             // has been verified against a second generated period.
-            if lowering.as_ref().is_some_and(|lw| lw.ready(t)) {
-                let tbl = lowering.as_ref().expect("checked above").compile();
+            if let Some(lw) = lowering.as_ref().filter(|lw| lw.ready(t)) {
+                let tbl = lw.compile();
+                let n_ids = run.arrivals.n_ids();
                 let ranges = shard_ranges(n_ids, self.shards, scheme.shard_boundaries());
-                let end = if ranges.len() > 1 && trace.is_none() {
+                let end = if ranges.len() > 1 && run.trace.is_none() {
                     self.steady_sharded(
                         cfg,
                         &tbl,
                         &ranges,
-                        &mut arrivals,
-                        &mut remaining,
-                        &is_receiver,
-                        &mut slots_run,
+                        &mut run.arrivals,
+                        &mut run.remaining,
+                        &run.is_receiver,
+                        &mut run.slots_run,
                     )
                 } else {
                     self.steady_sequential(
                         cfg,
                         &tbl,
-                        &mut arrivals,
-                        &mut remaining,
-                        &is_receiver,
-                        &mut trace,
-                        &mut slots_run,
+                        &mut run.arrivals,
+                        &mut run.remaining,
+                        &run.is_receiver,
+                        &mut run.trace,
+                        &mut run.slots_run,
                     )
                 };
                 match end {
@@ -775,219 +669,30 @@ impl MegaEngine {
                 break;
             }
 
-            self.state.slot = Slot(t);
-            slots_run = t + 1;
-
-            // 1. Deliver packets whose arrival slot was t − 1.
-            let mut slot_deliveries: u64 = 0;
-            if t > 0 {
-                let cell_idx = self.ring.cell_index(t - 1);
-                if !self.ring.cells[cell_idx].is_empty() {
-                    std::mem::swap(&mut self.ring.cells[cell_idx], &mut self.batch);
-                    for k in 0..self.batch.len() {
-                        let (to, packet) = self.batch[k];
-                        self.ring.release(cell_idx, to);
-                        // Fail-stopped receivers drop arrivals on the floor.
-                        if let Some(f) = &cfg.faults {
-                            if f.stopped(to, t - 1) {
-                                loss_report.stopped_receives += 1;
-                                taint
-                                    .entry((to.0, packet.seq()))
-                                    .or_insert(crate::faults::FaultCause::Crash);
-                                continue;
-                            }
-                        }
-                        if !self.state.held.insert(to.index(), packet.seq()) {
-                            self.stats.duplicate_deliveries += 1;
-                            continue;
-                        }
-                        let nw = &mut self.state.newest[to.index()];
-                        if *nw == NO_PACKET || packet.seq() > *nw {
-                            *nw = packet.seq();
-                        }
-                        if packet.seq() < cfg.track_packets
-                            && is_receiver[to.index()]
-                            && arrivals.usable_slot(to, packet).is_none()
-                        {
-                            remaining -= 1;
-                        }
-                        arrivals.record(to, packet, Slot(t));
-                        slot_deliveries += 1;
-                    }
-                    self.batch.clear();
-                }
-            }
-            cfg.telemetry
-                .counter(tm::ENGINE_DELIVERIES, slot_deliveries);
-            cfg.telemetry
-                .observe(tm::ENGINE_SLOT_DELIVERIES, slot_deliveries);
-
-            if cfg.stop_when_complete && remaining == 0 {
+            if self.kernel.deliver(&mut run, t) {
                 break;
             }
-
-            // 2. Ask the scheme for this slot's transmissions.
-            self.out.clear();
-            let mut out = std::mem::take(&mut self.out);
-            scheme.transmissions(Slot(t), &self.state, &mut out);
-            self.out = out;
-
+            self.kernel.dispatch(scheme, t);
             // Record/verify the declared period. Observing before
             // validation is safe: on a clean run every generated
             // transmission either validates or errors the whole run.
             if let Some(lw) = lowering.as_mut() {
-                lw.observe(t, &self.out);
+                lw.observe(t, &self.kernel.out);
             }
-
-            // 3. Validate and queue.
-            for idx in self.touched.drain(..) {
-                self.send_counts[idx] = 0;
-            }
-            for i in 0..self.out.len() {
-                let tx = self.out[i];
-                if tx.from.index() >= n_ids {
-                    return Err(CoreError::UnknownNode { node: tx.from });
-                }
-                if tx.to.index() >= n_ids {
-                    return Err(CoreError::UnknownNode { node: tx.to });
-                }
-                if tx.latency == 0 {
-                    return Err(CoreError::InvalidConfig(format!(
-                        "zero-latency transmission {} → {}",
-                        tx.from, tx.to
-                    )));
-                }
-
-                if let Some(f) = &cfg.faults {
-                    if f.crashed(tx.from, t) {
-                        loss_report.crash_suppressed += 1;
-                        taint
-                            .entry((tx.to.0, tx.packet.seq()))
-                            .or_insert(crate::faults::FaultCause::Crash);
-                        continue;
-                    }
-                }
-
-                if tx.from.is_source() {
-                    if !self.state.availability.produced(tx.packet, Slot(t)) {
-                        return Err(CoreError::PacketNotProduced {
-                            slot: Slot(t),
-                            packet: tx.packet,
-                        });
-                    }
-                } else if !self.state.held.contains(tx.from.index(), tx.packet.seq()) {
-                    if let Some(f) = &cfg.faults {
-                        let cause = taint
-                            .get(&(tx.from.0, tx.packet.seq()))
-                            .copied()
-                            .unwrap_or(crate::faults::default_cause(f));
-                        loss_report.propagation_suppressed += 1;
-                        match cause {
-                            crate::faults::FaultCause::Loss => {
-                                loss_report.propagation_from_loss += 1
-                            }
-                            crate::faults::FaultCause::Crash => {
-                                loss_report.propagation_from_crash += 1
-                            }
-                        }
-                        taint.entry((tx.to.0, tx.packet.seq())).or_insert(cause);
-                        continue;
-                    }
-                    return Err(CoreError::PacketNotHeld {
-                        node: tx.from,
-                        slot: Slot(t),
-                        packet: tx.packet,
-                    });
-                }
-
-                let c = &mut self.send_counts[tx.from.index()];
-                if *c == 0 {
-                    self.touched.push(tx.from.index());
-                }
-                *c += 1;
-                let cap = scheme.send_capacity(tx.from);
-                if *c as usize > cap {
-                    return Err(CoreError::SendCapacityExceeded {
-                        node: tx.from,
-                        slot: Slot(t),
-                        capacity: cap,
-                    });
-                }
-
-                if let (Some(f), Some(r)) = (&cfg.faults, rng.as_mut()) {
-                    if f.loss_rate > 0.0 && r.gen_bool(f.loss_rate) {
-                        loss_report.lost_in_flight += 1;
-                        taint
-                            .entry((tx.to.0, tx.packet.seq()))
-                            .or_insert(crate::faults::FaultCause::Loss);
-                        continue;
-                    }
-                }
-
-                if tx.latency as u64 + 1 > self.ring.window {
-                    self.ring.grow(tx.latency as u64, t);
-                }
-                let arrival_slot = t + tx.latency as u64 - 1;
-                if !self.ring.try_reserve(arrival_slot, tx.to) {
-                    let cell = &self.ring.cells[self.ring.cell_index(arrival_slot)];
-                    let other = cell
-                        .iter()
-                        .find(|(to, _)| *to == tx.to)
-                        .map(|&(_, p)| p)
-                        .unwrap_or(tx.packet);
-                    return Err(CoreError::ReceiveCollision {
-                        node: tx.to,
-                        slot: Slot(arrival_slot),
-                        packets: (other, tx.packet),
-                    });
-                }
-                let cell_idx = self.ring.cell_index(arrival_slot);
-                self.ring.cells[cell_idx].push((tx.to, tx.packet));
-                self.stats.record(&tx);
-                if let Some(tr) = trace.as_mut() {
-                    tr.push(t, &tx);
-                }
-            }
+            self.kernel.admit(scheme, &mut run, t)?;
         }
 
-        // 4. Flush deliveries completing after the last slot, in
-        //    ascending arrival-slot order.
-        let first_unflushed = slots_run.saturating_sub(1);
         match &steady {
-            None => {
-                for arrival_slot in first_unflushed..first_unflushed + self.ring.window {
-                    let cell_idx = self.ring.cell_index(arrival_slot);
-                    if self.ring.cells[cell_idx].is_empty() {
-                        continue;
-                    }
-                    std::mem::swap(&mut self.ring.cells[cell_idx], &mut self.batch);
-                    for &(to, packet) in &self.batch {
-                        if let Some(f) = &cfg.faults {
-                            if f.stopped(to, arrival_slot) {
-                                loss_report.stopped_receives += 1;
-                                continue;
-                            }
-                        }
-                        arrivals.record(to, packet, Slot(arrival_slot + 1));
-                    }
-                    self.batch.clear();
-                }
-            }
+            None => self.kernel.flush_ring(&mut run),
             Some((tbl, last_send)) => {
-                // No faults possible here (lowering never arms with a
-                // fault plan): ramp leftovers drain from the ring and
-                // in-flight pattern sends re-derive arithmetically.
-                let horizon = self.ring.window.max(tbl.max_latency);
-                for arrival_slot in first_unflushed..first_unflushed + horizon {
-                    if arrival_slot < first_unflushed + self.ring.window {
-                        let cell_idx = self.ring.cell_index(arrival_slot);
-                        if !self.ring.cells[cell_idx].is_empty() {
-                            std::mem::swap(&mut self.ring.cells[cell_idx], &mut self.batch);
-                            for &(to, packet) in &self.batch {
-                                arrivals.record(to, packet, Slot(arrival_slot + 1));
-                            }
-                            self.batch.clear();
-                        }
+                // Ramp leftovers drain from the ring and in-flight
+                // pattern sends re-derive arithmetically, interleaved in
+                // ascending arrival-slot order (first arrival wins).
+                let first = run.first_unflushed();
+                let window = self.kernel.ring.window;
+                for arrival_slot in first..first + window.max(tbl.max_latency) {
+                    if arrival_slot < first + window {
+                        self.kernel.flush_cell(&mut run, arrival_slot);
                     }
                     let ra = ((arrival_slot - tbl.base) % tbl.period) as usize;
                     for e in &tbl.arrs[ra] {
@@ -998,60 +703,18 @@ impl MegaEngine {
                         let s = arrival_slot + 1 - l;
                         if s >= tbl.steady_from && s <= *last_send {
                             let seq = e.packet0 + (s - (tbl.base + e.j));
-                            arrivals.record(NodeId(e.to), PacketId(seq), Slot(arrival_slot + 1));
+                            run.arrivals.record(
+                                NodeId(e.to),
+                                PacketId(seq),
+                                Slot(arrival_slot + 1),
+                            );
                         }
                     }
                 }
             }
         }
 
-        // 5. Analyse playback per receiver (identical tail to the fast
-        //    engine).
-        let mut nodes = Vec::with_capacity(receivers.len());
-        for r in &receivers {
-            let (delay, buffer) = if cfg.faults.is_some() {
-                let pb = arrivals.analyze_lossy(*r);
-                if pb.missing > 0 {
-                    loss_report.missing.push((*r, pb.missing));
-                    cfg.telemetry.counter(tm::ENGINE_HICCUPS, 1);
-                }
-                (pb.playback_delay, pb.max_buffer)
-            } else {
-                let pb = arrivals.analyze(*r)?;
-                (pb.playback_delay, pb.max_buffer)
-            };
-            cfg.telemetry.observe(tm::ENGINE_PLAYBACK_DELAY, delay);
-            cfg.telemetry
-                .observe(tm::ENGINE_BUFFER_OCCUPANCY, buffer as u64);
-            nodes.push(NodeQos {
-                node: *r,
-                playback_delay: delay,
-                max_buffer: buffer,
-                out_neighbors: self.stats.out_nb[r.index()].len(),
-                in_neighbors: self.stats.in_nb[r.index()].len(),
-                neighbors: self.stats.degree(*r),
-            });
-        }
-
-        cfg.telemetry.counter(tm::ENGINE_SLOTS, slots_run);
-        cfg.telemetry
-            .counter(tm::ENGINE_TRANSMISSIONS, self.stats.total_transmissions);
-
-        let resilience = cfg.faults.as_ref().map(|_| {
-            crate::resilience::ResilienceMetrics::from_missing(loss_report.total_missing() as u64)
-        });
-        Ok(Some(RunResult {
-            scheme: scheme.name(),
-            slots_run,
-            arrivals,
-            qos: QosReport::new(scheme.name(), nodes),
-            total_transmissions: self.stats.total_transmissions,
-            duplicate_deliveries: self.stats.duplicate_deliveries,
-            loss: cfg.faults.as_ref().map(|_| loss_report),
-            trace,
-            upload_counts: self.stats.uploads.clone(),
-            resilience,
-        }))
+        self.kernel.finish(scheme, run).map(Some)
     }
 
     /// Sequential steady-state replay from `tbl.steady_from` until the
@@ -1072,7 +735,7 @@ impl MegaEngine {
         let t0 = tbl.steady_from;
         // Past this slot every ramp-phase send has arrived: the ring is
         // empty and the per-send collision probe can be skipped.
-        let ring_live_until = t0 + self.ring.window;
+        let ring_live_until = t0 + self.kernel.ring.window;
         // Past this slot the table is statically self-feeding (see
         // [`SteadyTables::feed_slack`]): the ring is drained, every
         // holding check provably passes, and — untraced — the send loop
@@ -1092,16 +755,19 @@ impl MegaEngine {
             let mut slot_deliveries: u64 = 0;
 
             // Ramp-phase in-flight arrivals still drain from the ring.
-            let cell_idx = self.ring.cell_index(t - 1);
-            if !self.ring.cells[cell_idx].is_empty() {
-                std::mem::swap(&mut self.ring.cells[cell_idx], &mut self.batch);
-                for k in 0..self.batch.len() {
-                    let (to, packet) = self.batch[k];
-                    self.ring.release(cell_idx, to);
+            let cell_idx = self.kernel.ring.cell_index(t - 1);
+            if !self.kernel.ring.cells[cell_idx].is_empty() {
+                std::mem::swap(
+                    &mut self.kernel.ring.cells[cell_idx],
+                    &mut self.kernel.batch,
+                );
+                for k in 0..self.kernel.batch.len() {
+                    let (to, packet) = self.kernel.batch[k];
+                    self.kernel.ring.release(cell_idx, to);
                     deliver_columnar(
-                        &mut self.state.held,
+                        &mut self.kernel.state.held,
                         arrivals.rows_mut(),
-                        &mut self.stats.duplicate_deliveries,
+                        &mut self.kernel.stats.duplicate_deliveries,
                         remaining,
                         is_receiver,
                         track,
@@ -1111,7 +777,7 @@ impl MegaEngine {
                         &mut slot_deliveries,
                     );
                 }
-                self.batch.clear();
+                self.kernel.batch.clear();
             }
 
             // Precompiled deliveries whose arrival slot was t − 1.
@@ -1123,9 +789,9 @@ impl MegaEngine {
                 }
                 let seq = e.packet0 + (s - (tbl.base + e.j));
                 deliver_columnar(
-                    &mut self.state.held,
+                    &mut self.kernel.state.held,
                     arrivals.rows_mut(),
-                    &mut self.stats.duplicate_deliveries,
+                    &mut self.kernel.stats.duplicate_deliveries,
                     remaining,
                     is_receiver,
                     track,
@@ -1154,13 +820,18 @@ impl MegaEngine {
             let probe_ring = t <= ring_live_until;
             for e in &tbl.sends[js] {
                 let seq = e.packet0 + delta;
-                if e.from != 0 && !self.state.held.contains(e.from as usize, seq) {
+                if e.from != 0 && !self.kernel.state.held.contains(e.from as usize, seq) {
                     return SteadyEnd::Anomaly;
                 }
-                if probe_ring && self.ring.reserved(t + e.latency as u64 - 1, NodeId(e.to)) {
+                if probe_ring
+                    && self
+                        .kernel
+                        .ring
+                        .reserved(t + e.latency as u64 - 1, NodeId(e.to))
+                {
                     return SteadyEnd::Anomaly;
                 }
-                self.stats.uploads[e.from as usize] += 1;
+                self.kernel.stats.uploads[e.from as usize] += 1;
                 if let Some(tr) = trace.as_mut() {
                     tr.push(
                         t,
@@ -1173,7 +844,7 @@ impl MegaEngine {
                     );
                 }
             }
-            self.stats.total_transmissions += tbl.sends[js].len() as u64;
+            self.kernel.stats.total_transmissions += tbl.sends[js].len() as u64;
             self.steady_slots += 1;
             last_send = t;
             t += 1;
@@ -1213,9 +884,9 @@ impl MegaEngine {
                 }
                 let seq = e.packet0 + (s - (tbl.base + e.j));
                 deliver_columnar(
-                    &mut self.state.held,
+                    &mut self.kernel.state.held,
                     arrivals.rows_mut(),
-                    &mut self.stats.duplicate_deliveries,
+                    &mut self.kernel.stats.duplicate_deliveries,
                     remaining,
                     is_receiver,
                     track,
@@ -1242,9 +913,9 @@ impl MegaEngine {
                 continue;
             }
             for e in lst {
-                self.stats.uploads[e.from as usize] += cnt;
+                self.kernel.stats.uploads[e.from as usize] += cnt;
             }
-            self.stats.total_transmissions += cnt * lst.len() as u64;
+            self.kernel.stats.total_transmissions += cnt * lst.len() as u64;
         }
         self.steady_slots += t - blaze_start;
         SteadyEnd::Done {
@@ -1366,12 +1037,12 @@ impl MegaEngine {
         if let Some(off) = tbl.off {
             let max_seq = arr_end as i128 - 1 + off;
             if max_seq >= 0 {
-                self.state.held.ensure_covers(max_seq as u64);
+                self.kernel.state.held.ensure_covers(max_seq as u64);
             }
         }
 
-        let held = &mut self.state.held;
-        let dup = &mut self.stats.duplicate_deliveries;
+        let held = &mut self.kernel.state.held;
+        let dup = &mut self.kernel.stats.duplicate_deliveries;
         let rows = arrivals.rows_mut();
         for e in tbl.arrs.iter().flatten() {
             let to = e.to as usize;
@@ -1407,9 +1078,9 @@ impl MegaEngine {
                 continue;
             }
             for e in lst {
-                self.stats.uploads[e.from as usize] += cnt;
+                self.kernel.stats.uploads[e.from as usize] += cnt;
             }
-            self.stats.total_transmissions += cnt * lst.len() as u64;
+            self.kernel.stats.total_transmissions += cnt * lst.len() as u64;
         }
         self.steady_slots += send_end - blaze_start;
         *slots_run = arr_end;
@@ -1440,10 +1111,14 @@ impl MegaEngine {
         use std::sync::{Barrier, Mutex};
 
         let MegaEngine {
-            state,
-            ring,
-            stats,
-            batch,
+            kernel:
+                Kernel {
+                    state,
+                    ring,
+                    stats,
+                    batch,
+                    ..
+                },
             steady_slots,
             ..
         } = self;
@@ -1753,7 +1428,7 @@ mod tests {
     use super::*;
     use crate::diff::diff_fields;
     use crate::FastSimulator;
-    use clustream_core::SOURCE;
+    use clustream_core::{StateView, SOURCE};
 
     /// The engine-test chain, here *declaring* its periodicity so the
     /// steady-state path engages: from slot `n` on, every relay is
@@ -1791,7 +1466,7 @@ mod tests {
 
     #[test]
     fn columnar_held_insert_dedup_and_grow() {
-        let mut h = ColumnarHeld::new();
+        let mut h = ColumnarHeld::default();
         h.reset(3, 63);
         assert_eq!(h.stride, 1);
         assert!(h.insert(1, 5));
@@ -1807,7 +1482,7 @@ mod tests {
 
     #[test]
     fn grow_migrates_spill_bits_into_columns() {
-        let mut h = ColumnarHeld::new();
+        let mut h = ColumnarHeld::default();
         h.reset(2, 63);
         h.spill[1].insert(70);
         h.grow(2);

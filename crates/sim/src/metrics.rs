@@ -14,16 +14,19 @@ use clustream_core::{NodeId, Transmission};
 /// `O(d)` / `O(log N)` by the paper's construction, so a binary-search
 /// insert into a handful of contiguous words beats a hashed probe —
 /// `record` sits on the per-transmission hot path of every engine.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TrafficStats {
     out_neighbors: Vec<Vec<u32>>,
     in_neighbors: Vec<Vec<u32>>,
-    uploads: Vec<u64>,
-    total_transmissions: u64,
-    duplicate_deliveries: u64,
+    // The counters are crate-visible for the mega engine's steady-state
+    // gears, which account replayed sends in bulk.
+    pub(crate) uploads: Vec<u64>,
+    pub(crate) total_transmissions: u64,
+    pub(crate) duplicate_deliveries: u64,
 }
 
 /// Set-insert into a sorted vector.
+#[inline]
 fn insert_sorted(set: &mut Vec<u32>, id: u32) {
     if let Err(at) = set.binary_search(&id) {
         set.insert(at, id);
@@ -42,7 +45,22 @@ impl TrafficStats {
         }
     }
 
+    /// Zero every counter and neighbor set for a new run over `n_ids`
+    /// nodes, keeping the allocations (the slot kernel's arena reset).
+    pub fn reset(&mut self, n_ids: usize) {
+        for v in self.out_neighbors.iter_mut().chain(&mut self.in_neighbors) {
+            v.clear();
+        }
+        self.out_neighbors.resize(n_ids, Vec::new());
+        self.in_neighbors.resize(n_ids, Vec::new());
+        self.uploads.clear();
+        self.uploads.resize(n_ids, 0);
+        self.total_transmissions = 0;
+        self.duplicate_deliveries = 0;
+    }
+
     /// Record one transmission (called once per validated send).
+    #[inline]
     pub fn record(&mut self, tx: &Transmission) {
         insert_sorted(&mut self.out_neighbors[tx.from.index()], tx.to.0);
         insert_sorted(&mut self.in_neighbors[tx.to.index()], tx.from.0);

@@ -87,8 +87,10 @@ impl JoinCurve {
                 duration,
             } => {
                 // The last join lands at the last occupied ramp slot.
-                match ((joins.max(1) - 1) * duration).checked_div(joins) {
-                    Some(off) => start + off,
+                // (u128: JOINS·DUR can exceed u64 for a parsed plan.)
+                let spread = (joins.max(1) - 1) as u128 * duration as u128;
+                match spread.checked_div(joins as u128) {
+                    Some(off) => start + off as u64,
                     None => start,
                 }
             }
@@ -116,13 +118,15 @@ impl JoinCurve {
                 duration,
             } => {
                 // Deterministic even spread: join i lands at
-                // start + ⌊i·duration/joins⌋.
+                // start + ⌊i·duration/joins⌋, in u128: the products can
+                // exceed u64 for a parsed plan.
+                let (n, dur) = (joins as u128, duration as u128);
                 let mut i = 0;
-                while i < joins {
-                    let slot = start + (i * duration) / joins;
-                    let next = ((slot - start + 1) * joins).div_ceil(duration);
-                    let here = next.min(joins) - i;
-                    out.push((slot, here));
+                while i < n {
+                    let off = i * dur / n;
+                    let next = ((off + 1) * n).div_ceil(dur);
+                    let here = next.min(n) - i;
+                    out.push((start + off as u64, here as u64));
                     i += here;
                 }
             }
@@ -185,8 +189,14 @@ impl ScenarioPlan {
     /// Parse a comma-separated `--scenario` spec. Errors name the
     /// offending entry and restate the expected format, matching the
     /// `--kill`/`--chaos` convention.
+    ///
+    /// Sizes are bounded here, so no later stage loops or wraps on a
+    /// hostile spec: total joins and every failed id fit the `u32` node
+    /// id space, and each entry's last slot fits `u64`.
     pub fn parse(s: &str) -> Result<Self, String> {
+        const IDS: u64 = u32::MAX as u64;
         let mut plan = ScenarioPlan::default();
+        let (mut joined, mut failed) = (0u64, 0u64);
         for entry in s.split(',') {
             let entry = entry.trim();
             let Some((kind, rest)) = entry.split_once(':') else {
@@ -204,7 +214,9 @@ impl ScenarioPlan {
                 None => (when, None),
             };
             let start = parse_u64(entry, start, "START")?;
-            match kind {
+            // Per kind: the joins the entry adds and the slots it spans
+            // (`None`: the product overflowed).
+            let (added, span) = match kind {
                 "step" => {
                     let joins = parse_u64(entry, args, "JOINS")?;
                     if joins == 0 {
@@ -214,6 +226,7 @@ impl ScenarioPlan {
                         return Err(bad(entry, "step takes no `+DUR` or `=PARAM`"));
                     }
                     plan.curves.push(JoinCurve::Step { joins, at: start });
+                    (Some(joins), Some(1))
                 }
                 "ramp" => {
                     let joins = parse_u64(entry, args, "JOINS")?;
@@ -233,6 +246,7 @@ impl ScenarioPlan {
                         start,
                         duration,
                     });
+                    (Some(joins), Some(duration))
                 }
                 "spikes" => {
                     let joins = parse_u64(entry, args, "JOINS")?;
@@ -258,6 +272,7 @@ impl ScenarioPlan {
                         period,
                         count,
                     });
+                    (joins.checked_mul(count), period.checked_mul(count))
                 }
                 "fail" => {
                     let Some((lo, hi)) = args.split_once('-') else {
@@ -273,13 +288,27 @@ impl ScenarioPlan {
                     if dur.is_some() || param.is_some() {
                         return Err(bad(entry, "fail takes no `+DUR` or `=PARAM`"));
                     }
+                    if hi > IDS {
+                        return Err(bad(entry, "HI must fit the u32 node id space"));
+                    }
+                    failed = failed
+                        .checked_add(hi - lo + 1)
+                        .ok_or_else(|| bad(entry, "regional failures overflow a u64 count"))?;
                     plan.failures.push(RegionalFailure { lo, hi, at: start });
+                    (Some(0), Some(1))
                 }
                 other => {
                     return Err(format!(
                         "unknown --scenario curve kind `{other}`; valid kinds are: {VALID_KINDS}"
                     ));
                 }
+            };
+            joined = added
+                .and_then(|j| joined.checked_add(j))
+                .filter(|&total| total <= IDS)
+                .ok_or_else(|| bad(entry, "total joins must fit the u32 node id space"))?;
+            if span.and_then(|d| start.checked_add(d)).is_none() {
+                return Err(bad(entry, "START plus the slots spanned overflows u64"));
             }
         }
         Ok(plan)
@@ -340,16 +369,18 @@ impl ScenarioPlan {
                 }
                 ji += 1;
             } else {
+                // The region's present members are one contiguous run of
+                // the sorted membership; each leaves from the run's head.
                 let f = failures[fi];
-                for ext in f.lo..=f.hi {
-                    if let Ok(rank) = members.binary_search(&ext) {
-                        events.push(ChurnEvent {
-                            slot: f.at,
-                            action: ChurnAction::Leave { victim_rank: rank },
-                        });
-                        members.remove(rank);
-                    }
+                let head = members.partition_point(|&m| m < f.lo);
+                let tail = members.partition_point(|&m| m <= f.hi);
+                for _ in head..tail {
+                    events.push(ChurnEvent {
+                        slot: f.at,
+                        action: ChurnAction::Leave { victim_rank: head },
+                    });
                 }
+                members.drain(head..tail);
                 fi += 1;
             }
         }
@@ -530,6 +561,42 @@ mod tests {
             assert!(err.contains("bad --scenario entry"), "{spec}: {err}");
             assert!(err.contains(needle), "{spec}: {err}");
         }
+    }
+
+    #[test]
+    fn hostile_sizes_are_rejected_at_parse() {
+        for (spec, needle) in [
+            // Each of these used to hang `simulate` or wrap its horizon.
+            ("step:18446744073709551615@0", "total joins must fit"),
+            ("fail:1-18446744073709551615@3", "HI must fit"),
+            ("spikes:4294967296@0+1=4294967296", "total joins must fit"),
+            ("spikes:65536@0+1=65536", "total joins must fit"),
+            ("step:4294967295@0,step:1@1", "total joins must fit"),
+            ("step:1@18446744073709551615", "overflows u64"),
+            ("ramp:5@18446744073709551615+50", "overflows u64"),
+            ("spikes:1@5+9223372036854775808=2", "overflows u64"),
+        ] {
+            let err = ScenarioPlan::parse(spec).unwrap_err();
+            assert!(err.contains("bad --scenario entry"), "{spec}: {err}");
+            assert!(err.contains(needle), "{spec}: {err}");
+        }
+        // The bounds themselves are accepted, and a failure region far
+        // wider than the membership compiles in membership time.
+        let plan = ScenarioPlan::parse("step:4294967295@18446744073709551614,fail:1-4294967295@0")
+            .unwrap();
+        assert_eq!(plan.total_joins(), u32::MAX as u64);
+        let wide = ScenarioPlan::parse("fail:2-4294967295@0").unwrap();
+        assert_eq!(wide.compile(5).events.len(), 4);
+    }
+
+    #[test]
+    fn ramp_wider_than_u64_products_spreads_exactly() {
+        // i·DUR overflows u64 from the second join on.
+        let plan = ScenarioPlan::parse("ramp:3@1+18446744073709551613").unwrap();
+        let slots: Vec<u64> = plan.compile(0).events.iter().map(|e| e.slot).collect();
+        let third = 18446744073709551613 / 3;
+        assert_eq!(slots, vec![1, 1 + third, 1 + 2 * third]);
+        assert_eq!(plan.last_event_slot(), 1 + 2 * third);
     }
 
     fn build_curve(kind: u32, joins: u64, start: u64, span: u64, count: u64) -> JoinCurve {

@@ -89,6 +89,11 @@ fn script_parses_and_defines_both_tiers() {
         "--joins 1000 --oracle",
         "--joins 100000 --engine mega",
         "ext_heterogeneity",
+        // The ledger harness is a workspace of its own: the merge gate
+        // builds and unit-tests it against this tree's public API.
+        "stage \"benchmark harness (ledger build + unit tests)\"",
+        "env CARGO_TARGET_DIR=benchmark/target",
+        "cargo test --release --offline --manifest-path benchmark/Cargo.toml",
     ] {
         assert!(text.contains(needle), "ci.sh lost `{needle}`");
     }
