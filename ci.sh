@@ -120,6 +120,14 @@ recovery_smoke() {
             --churn-slots 160 --churn-seed 7 \
             --suspect-timeout 6slots --nack-timeout 4slots
     done
+    # The benchmark's des_recovery command line (jitter + serialized
+    # uplink + churn + repair+nack) at N=500, same lockstep: the heap and
+    # the wheel with its spare-pooled buckets must pop every event of the
+    # workload the ledger times in the same order.
+    cargo run -q --release --offline -p clustream-cli --bin clustream -- \
+        simulate --scheme multitree --n 500 --d 3 --track 128 --runtime des \
+        --queue checked --latency jitter --jitter 0.5 --uplink serialized \
+        --recovery repair+nack --churn-leave 0.0005 --churn-slots 200 --des-seed 7
 }
 
 recovery_off_regression() {

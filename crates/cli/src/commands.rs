@@ -143,7 +143,13 @@ fn parse_recovery(args: &ArgMap) -> Result<RecoveryConfig, CliError> {
     rec.nack_cap_ticks = args.duration_ticks_or("nack-cap", TICKS_PER_SLOT, rec.nack_cap_ticks)?;
     rec.nack_jitter_ticks =
         args.duration_ticks_or("nack-jitter", TICKS_PER_SLOT, rec.nack_jitter_ticks)?;
-    rec.max_retries = args.u64_or("nack-retries", rec.max_retries as u64)? as u32;
+    let retries = args.u64_or("nack-retries", rec.max_retries as u64)?;
+    rec.max_retries = u32::try_from(retries).map_err(|_| {
+        CliError::Usage(format!(
+            "--nack-retries must be at most {}, got {retries}",
+            u32::MAX
+        ))
+    })?;
     rec.repair_buffer = args.usize_or("repair-buffer", rec.repair_buffer)?;
     rec.gap_slack = args.u64_or("gap-slack", rec.gap_slack)?;
     rec.seed = args.u64_or("recovery-seed", rec.seed)?;
@@ -1154,6 +1160,190 @@ mod tests {
         for opt in ["heap", "wheel", "checked"] {
             assert!(err.contains(opt), "missing `{opt}` in: {err}");
         }
+    }
+
+    /// A small recovery run on the N = 60 smoke forest, plus `extra`.
+    fn recovery_smoke(extra: &[&str]) -> Result<String, String> {
+        let mut args = argv(&[
+            "simulate",
+            "--scheme",
+            "multitree",
+            "--n",
+            "60",
+            "--d",
+            "3",
+            "--runtime",
+            "des",
+            "--recovery",
+            "repair+nack",
+            "--churn-leave",
+            "0.002",
+            "--churn-slots",
+            "160",
+            "--churn-seed",
+            "7",
+        ]);
+        args.extend(argv(extra));
+        run(&args).map_err(|e| e.to_string())
+    }
+
+    #[test]
+    fn nack_retries_beyond_u32_is_a_usage_error() {
+        // Used to wrap: 2^32 became 0 retries (every gap abandoned) and
+        // 2^32 + 6 behaved as 6.
+        for wrapped in ["4294967296", "4294967302"] {
+            let err = recovery_smoke(&["--nack-retries", wrapped]).unwrap_err();
+            assert!(
+                err.contains("--nack-retries must be at most 4294967295"),
+                "{err}"
+            );
+            assert!(err.contains(wrapped), "{err}");
+        }
+        let out = recovery_smoke(&["--nack-retries", "4294967295"]).unwrap();
+        assert!(out.contains("285 repaired, 0 abandoned"), "{out}");
+    }
+
+    #[test]
+    fn infinite_recovery_timeouts_park_their_timers_instead_of_wrapping() {
+        // `now + u64::MAX` used to wrap in release (the "infinite"
+        // suspect timeout fired at once, a million probes and no
+        // detection) and panic in this debug profile.
+        let out = recovery_smoke(&["--suspect-timeout", "18446744073709551615ticks"]).unwrap();
+        assert!(out.contains("failures det: 0"), "{out}");
+        // No probe is ever sent: the control plane is NACKs and
+        // retransmissions only.
+        assert!(
+            out.contains("344 sent, 339 retransmissions") && out.contains("control msgs: 683"),
+            "{out}"
+        );
+        // An infinite NACK backoff: one request per gap, never a retry.
+        let out = recovery_smoke(&[
+            "--nack-timeout",
+            "18446744073709551615ticks",
+            "--nack-cap",
+            "18446744073709551615ticks",
+        ])
+        .unwrap();
+        assert!(out.contains("0 abandoned"), "{out}");
+    }
+
+    /// The `des_recovery` benchmark command line at `--n 300` on the
+    /// checked queue, plus `extra`.
+    fn des_recovery_n300(recovery: &str, extra: &[&str]) -> String {
+        let mut args = argv(&[
+            "simulate",
+            "--scheme",
+            "multitree",
+            "--n",
+            "300",
+            "--d",
+            "3",
+            "--track",
+            "128",
+            "--runtime",
+            "des",
+            "--queue",
+            "checked",
+            "--latency",
+            "jitter",
+            "--jitter",
+            "0.5",
+            "--uplink",
+            "serialized",
+            "--recovery",
+            recovery,
+            "--churn-leave",
+            "0.0005",
+            "--churn-slots",
+            "200",
+            "--des-seed",
+            "7",
+        ]);
+        args.extend(argv(extra));
+        run(&args).unwrap()
+    }
+
+    // Printed reports recorded before the DES recovery state went flat
+    // (PR 13); `tests/des_golden.rs` pins the same runs' full counters.
+    #[test]
+    fn des_recovery_golden_repair_nack() {
+        assert_eq!(
+            des_recovery_n300("repair+nack", &[]),
+            "\
+scheme      : self-healing multi-tree(d=3, prerecorded)\n\
+engine      : des (jitter ≤ 0.5 slots, self-healing repair+nack), checked queue\n\
+receivers   : 300\n\
+slots run   : 512\n\
+max delay   : 37 slots\n\
+avg delay   : 30.22 slots\n\
+max buffer  : 30 packets\n\
+max peers   : 36\n\
+transmissions: 132381\n\
+des events  : 451347\n\
+des deferred: 118555 sends (105828 released on arrival)\n\
+missing     : 1936 packets across 25 nodes\n\
+stalls      : 1936\n\
+failures det: 16\n\
+repairs     : 16 committed, 1461 nodes displaced\n\
+recovery lat: 7.65 slots avg, 15.22 slots max\n\
+nacks       : 4627 sent, 4573 retransmissions, 4620 repaired, 0 abandoned\n\
+control msgs: 16237\n\
+"
+        );
+    }
+
+    #[test]
+    fn des_recovery_golden_repair_only() {
+        assert_eq!(
+            des_recovery_n300("repair", &[]),
+            "\
+scheme      : self-healing multi-tree(d=3, prerecorded)\n\
+engine      : des (jitter ≤ 0.5 slots, self-healing repair), checked queue\n\
+receivers   : 300\n\
+slots run   : 512\n\
+max delay   : 17 slots\n\
+avg delay   : 13.20 slots\n\
+max buffer  : 10 packets\n\
+max peers   : 35\n\
+transmissions: 128834\n\
+des events  : 440880\n\
+des deferred: 110727 sends (94044 released on arrival)\n\
+missing     : 5825 packets across 300 nodes\n\
+stalls      : 5825\n\
+failures det: 15\n\
+repairs     : 15 committed, 1177 nodes displaced\n\
+recovery lat: 6.70 slots avg, 7.99 slots max\n\
+nacks       : 0 sent, 0 retransmissions, 0 repaired, 0 abandoned\n\
+control msgs: 28857\n\
+"
+        );
+    }
+
+    #[test]
+    fn des_recovery_golden_with_rejoins() {
+        assert_eq!(
+            des_recovery_n300("repair+nack", &["--churn-rejoin", "0.001"]),
+            "\
+scheme      : self-healing multi-tree(d=3, prerecorded)\n\
+engine      : des (jitter ≤ 0.5 slots, self-healing repair+nack), checked queue\n\
+receivers   : 300\n\
+slots run   : 512\n\
+max delay   : 57 slots\n\
+avg delay   : 29.22 slots\n\
+max buffer  : 48 packets\n\
+max peers   : 40\n\
+transmissions: 112632\n\
+des events  : 393599\n\
+des deferred: 117434 sends (84173 released on arrival)\n\
+missing     : 1538 packets across 20 nodes\n\
+stalls      : 1538\n\
+failures det: 14\n\
+repairs     : 14 committed, 1176 nodes displaced\n\
+recovery lat: 7.06 slots avg, 10.87 slots max\n\
+nacks       : 3651 sent, 3624 retransmissions, 3650 repaired, 0 abandoned\n\
+control msgs: 15857\n\
+"
+        );
     }
 
     #[test]

@@ -17,11 +17,13 @@
 //!   when deciding what to send;
 //! * [`NodeQos`] / [`QosReport`] — per-node and aggregate quality-of-service
 //!   measurements (playback delay, buffer occupancy, neighbor counts);
-//! * [`CoreError`] — model-constraint violations.
+//! * [`CoreError`] — model-constraint violations;
+//! * [`hash`] — the fast hasher behind the runtimes' lookup-only maps.
 
 #![warn(missing_docs)]
 
 pub mod error;
+pub mod hash;
 pub mod ids;
 pub mod qos;
 pub mod scheme;

@@ -51,16 +51,24 @@
 //!    escalation; exhausted retries abandon the packet and record a
 //!    hiccup.
 //!
-//! All recovery state iterates over `BTreeMap`/`BTreeSet` only and draws
-//! randomness from a dedicated seeded stream, so recovery runs are fully
-//! deterministic and recovery-off runs are bit-identical to the
-//! fail-silent engine (enforced by `tests/des_differential.rs`).
+//! Determinism rule for the per-event state: anything *iterated* to
+//! produce output is ordered at the point of iteration; state that is
+//! only ever *looked up* may be dense or hashed. Gap status, repair-buffer
+//! membership, link freshness, the taint map and the parked sends are all
+//! lookup-only while events run (dense rows, hashed sets, an arena — see
+//! [`clustream_recovery`] and [`crate::hot`]); the one walk over parked
+//! sends, the end-of-run leftover attribution, sorts by key first. With
+//! recovery randomness drawn from a dedicated seeded stream, recovery
+//! runs are fully deterministic and recovery-off runs are bit-identical
+//! to the fail-silent engine (enforced by `tests/des_differential.rs`;
+//! `tests/des_golden.rs` pins whole runs).
 
 use crate::config::{DesConfig, QueueKind};
 use crate::event::{EventKind, EventQueue, HeapQueue, TICKS_PER_SLOT};
-use crate::hot::{ArrivalRing, FxHashMap};
+use crate::hot::{ArrivalRing, ParkedSends};
 use crate::uplink::{UplinkGate, UplinkModel};
 use crate::wheel::{CheckedQueue, WheelQueue};
+use clustream_core::hash::FxHashMap;
 use clustream_core::{
     Availability, CoreError, MembershipEvent, NodeId, NodeQos, PacketId, QosReport, Scheme, Slot,
     StateView, Transmission, SOURCE,
@@ -147,6 +155,23 @@ fn event_probe_names(kind: &EventKind) -> (&'static str, &'static str) {
         EventKind::PlaybackTick => ("des.events.playback_tick", "des.service.playback_tick"),
         EventKind::Send(_) => ("des.events.send", "des.service.send"),
     }
+}
+
+/// Count one send suppressed because its sender never got the packet,
+/// blame `cause`, and pass the cause on to the copy `tx` would have
+/// delivered.
+fn attribute_propagation(
+    tx: &Transmission,
+    cause: FaultCause,
+    loss_report: &mut LossReport,
+    taint: &mut FxHashMap<(u32, u64), FaultCause>,
+) {
+    loss_report.propagation_suppressed += 1;
+    match cause {
+        FaultCause::Loss => loss_report.propagation_from_loss += 1,
+        FaultCause::Crash => loss_report.propagation_from_crash += 1,
+    }
+    taint.entry((tx.to.0, tx.packet.seq())).or_insert(cause);
 }
 
 /// Relaxed-mode admission: crash/departure suppression, uplink gating,
@@ -295,9 +320,10 @@ impl DesEngine {
         // senders at the serialized gate.
         let class_caps: Option<Vec<usize>> = cfg.capacity_classes.as_ref().map(|p| p.assign(n_ids));
         // Relaxed mode: calendar entries waiting for their packet, keyed
-        // by (sender, packet). A BTreeMap so the end-of-run leftover
-        // attribution walks entries in a deterministic order.
-        let mut waiting: BTreeMap<(u32, u64), Vec<Transmission>> = BTreeMap::new();
+        // by (sender, packet); `released` is the scratch a delivery drains
+        // its chain into.
+        let mut waiting = ParkedSends::default();
+        let mut released: Vec<Transmission> = Vec::new();
         let mut departed = vec![false; n_ids];
         // First cause that took out each (node, packet) copy; lookup-only
         // (never iterated), so a hash map keeps determinism.
@@ -454,8 +480,11 @@ impl DesEngine {
                         if !from.is_source() {
                             last_sender[to.index()] = from.0;
                             if detector.record(to.0, from.0, ev.time) {
+                                // Saturating, here and at every timer
+                                // below: an "infinite" knob must park the
+                                // timer at the end of time, not wrap.
                                 q.push(
-                                    ev.time + detector.timeout(),
+                                    ev.time.saturating_add(detector.timeout()),
                                     EventKind::SuspectTimeout {
                                         watcher: to,
                                         subject: from,
@@ -505,30 +534,30 @@ impl DesEngine {
                         }
                     }
                     if !strict {
-                        if let Some(txs) = waiting.remove(&(to.0, packet.seq())) {
-                            for tx in txs {
-                                self.stats.released_sends += 1;
-                                let cap = match &class_caps {
-                                    Some(c) if !tx.from.is_source() => c[tx.from.index()],
-                                    _ => scheme.send_capacity(tx.from),
-                                };
-                                admit_relaxed(
-                                    &tx,
-                                    ev.time,
-                                    cap,
-                                    &departed,
-                                    sim.faults.as_ref(),
-                                    &mut loss_rng,
-                                    &mut loss_report,
-                                    &mut taint,
-                                    cfg.uplink,
-                                    &mut gate,
-                                    &mut stats,
-                                    &mut trace,
-                                    &mut self.stats,
-                                    &mut q,
-                                );
-                            }
+                        released.clear();
+                        waiting.release_into(to.0, packet.seq(), &mut released);
+                        for tx in &released {
+                            self.stats.released_sends += 1;
+                            let cap = match &class_caps {
+                                Some(c) if !tx.from.is_source() => c[tx.from.index()],
+                                _ => scheme.send_capacity(tx.from),
+                            };
+                            admit_relaxed(
+                                tx,
+                                ev.time,
+                                cap,
+                                &departed,
+                                sim.faults.as_ref(),
+                                &mut loss_rng,
+                                &mut loss_report,
+                                &mut taint,
+                                cfg.uplink,
+                                &mut gate,
+                                &mut stats,
+                                &mut trace,
+                                &mut self.stats,
+                                &mut q,
+                            );
                         }
                     }
                 }
@@ -597,7 +626,7 @@ impl DesEngine {
                             if alive {
                                 detector.record(watcher.0, subject.0, ev.time);
                                 q.push(
-                                    ev.time + detector.timeout(),
+                                    ev.time.saturating_add(detector.timeout()),
                                     EventKind::SuspectTimeout { watcher, subject },
                                 );
                             } else if detector.confirm(subject.0) {
@@ -692,7 +721,7 @@ impl DesEngine {
                         },
                     );
                     q.push(
-                        ev.time + TICKS_PER_SLOT + nacks.backoff_delay(attempt),
+                        (ev.time + TICKS_PER_SLOT).saturating_add(nacks.backoff_delay(attempt)),
                         EventKind::Nack {
                             node,
                             packet,
@@ -791,14 +820,7 @@ impl DesEngine {
                                         .get(&(tx.from.0, tx.packet.seq()))
                                         .copied()
                                         .unwrap_or(default_cause(f));
-                                    loss_report.propagation_suppressed += 1;
-                                    match cause {
-                                        FaultCause::Loss => loss_report.propagation_from_loss += 1,
-                                        FaultCause::Crash => {
-                                            loss_report.propagation_from_crash += 1
-                                        }
-                                    }
-                                    taint.entry((tx.to.0, tx.packet.seq())).or_insert(cause);
+                                    attribute_propagation(tx, cause, &mut loss_report, &mut taint);
                                     continue;
                                 }
                                 return Err(CoreError::PacketNotHeld {
@@ -856,10 +878,7 @@ impl DesEngine {
                             } else if !state.held[tx.from.index()].contains(tx.packet.seq()) {
                                 // Reactive node: send the moment it arrives.
                                 self.stats.deferred_sends += 1;
-                                waiting
-                                    .entry((tx.from.0, tx.packet.seq()))
-                                    .or_default()
-                                    .push(*tx);
+                                waiting.park(*tx);
                                 continue;
                             }
                             let cap = match &class_caps {
@@ -933,43 +952,39 @@ impl DesEngine {
         // Calendar entries still waiting for a packet that never came are
         // downstream loss propagation, same as the slot engines count it.
         // Attribution chases chains (one leftover may be what starved the
-        // next) to a fixpoint over the deterministic BTreeMap order, then
-        // falls back to the plan's default cause.
+        // next) to a fixpoint over ascending (sender, packet) order, then
+        // falls back to the plan's default cause. A parked chain shares
+        // its key, so it resolves whole; the walk runs in place over the
+        // chain heads, so the run's peak memory is the event loop's.
         let fallback = sim
             .faults
             .as_ref()
             .map(default_cause)
             .unwrap_or(FaultCause::Crash);
-        let mut leftovers: Vec<Transmission> = waiting.into_values().flatten().collect();
+        let mut leftovers = waiting.heads_by_key();
         loop {
-            let mut progressed = false;
-            let mut still_unknown = Vec::new();
-            for tx in leftovers {
-                match taint.get(&(tx.from.0, tx.packet.seq())).copied() {
-                    Some(cause) => {
-                        loss_report.propagation_suppressed += 1;
-                        match cause {
-                            FaultCause::Loss => loss_report.propagation_from_loss += 1,
-                            FaultCause::Crash => loss_report.propagation_from_crash += 1,
-                        }
-                        taint.entry((tx.to.0, tx.packet.seq())).or_insert(cause);
-                        progressed = true;
-                    }
-                    None => still_unknown.push(tx),
+            let before = leftovers.len();
+            leftovers.retain(|&head| {
+                let first = waiting
+                    .chain(head)
+                    .next()
+                    .expect("a parked chain has a head");
+                let Some(&cause) = taint.get(&(first.from.0, first.packet.seq())) else {
+                    return true;
+                };
+                for tx in waiting.chain(head) {
+                    attribute_propagation(tx, cause, &mut loss_report, &mut taint);
                 }
-            }
-            leftovers = still_unknown;
-            if !progressed || leftovers.is_empty() {
+                false
+            });
+            if leftovers.len() == before || leftovers.is_empty() {
                 break;
             }
         }
-        for tx in leftovers {
-            loss_report.propagation_suppressed += 1;
-            match fallback {
-                FaultCause::Loss => loss_report.propagation_from_loss += 1,
-                FaultCause::Crash => loss_report.propagation_from_crash += 1,
+        for head in leftovers {
+            for tx in waiting.chain(head) {
+                attribute_propagation(tx, fallback, &mut loss_report, &mut taint);
             }
-            taint.entry((tx.to.0, tx.packet.seq())).or_insert(fallback);
         }
 
         let lossy = sim.faults.is_some()

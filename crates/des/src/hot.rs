@@ -1,16 +1,17 @@
 //! Hot-path containers for the event loop: the strict-mode arrival
-//! guard ring and a non-cryptographic hasher for the engine's
-//! point-lookup maps. (Per-node packet holdings are
-//! [`clustream_sim::PacketSet`], the slot kernel's bitset.)
+//! guard ring and the relaxed-mode parked-send arena. (Per-node packet
+//! holdings are [`clustream_sim::PacketSet`], the slot kernel's bitset;
+//! the point-lookup maps hash with [`clustream_core::hash`].)
 //!
-//! Both replace `std` defaults that dominated the per-event profile:
-//! SipHash costs ~25ns per probe and the engine makes several probes per
-//! transmission. Neither structure is ever iterated, so determinism is
-//! untouched — every access is a point lookup keyed by values the
-//! simulation already ordered.
+//! Both replace `std` containers that dominated the per-event profile.
+//! Neither is iterated while events run, so determinism is untouched —
+//! every access is a point lookup keyed by values the simulation already
+//! ordered; the one walk that produces output (the end-of-run leftover
+//! attribution) sorts by key first.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use clustream_core::hash::FxHashMap;
+use clustream_core::Transmission;
+use std::collections::hash_map::Entry;
 
 /// The strict-mode receive-capacity guard: at most one pending arrival
 /// per `(arrival slot, node)`.
@@ -97,54 +98,129 @@ impl ArrivalRing {
     }
 }
 
-/// Multiply-xor hasher (the FxHash construction) for the engine's
-/// integer-keyed maps. Not DoS-resistant — fine here, since every key is
-/// generated by the deterministic simulation itself.
-#[derive(Default)]
-pub struct FxHasher {
-    hash: u64,
+/// Relaxed-mode calendar entries parked until their packet arrives at the
+/// sender: a hashed `(sender, packet) → (head, tail)` index over one
+/// free-listed arena of singly linked [`Transmission`]s.
+///
+/// Replaces a `BTreeMap<(u32, u64), Vec<Transmission>>`, which paid an
+/// ordered-map descent and a `Vec` allocation per deferred send. A chain
+/// keeps push order, so a release dispatches exactly what the `Vec` did;
+/// the index is lookup-only until the end-of-run leftover walk, which
+/// sorts the surviving chains by key first ([`ParkedSends::heads_by_key`]).
+#[derive(Debug, Default)]
+pub struct ParkedSends {
+    index: FxHashMap<(u32, u64), (u32, u32)>,
+    /// `(entry, next slot in its chain)`.
+    slots: Vec<(Transmission, u32)>,
+    free: Vec<u32>,
 }
 
-/// Knuth's multiplicative constant, as used by rustc's FxHash.
-const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+/// End-of-chain marker.
+const NIL: u32 = u32::MAX;
 
-impl FxHasher {
-    #[inline]
-    fn add(&mut self, word: u64) {
-        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(SEED);
-    }
-}
-
-impl Hasher for FxHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.add(b as u64);
+impl ParkedSends {
+    /// Park `tx` behind any earlier entries for the same
+    /// `(sender, packet)`.
+    pub fn park(&mut self, tx: Transmission) {
+        let i = match self.free.pop() {
+            Some(i) => {
+                self.slots[i as usize] = (tx, NIL);
+                i
+            }
+            None => {
+                self.slots.push((tx, NIL));
+                (self.slots.len() - 1) as u32
+            }
+        };
+        match self.index.entry((tx.from.0, tx.packet.seq())) {
+            Entry::Occupied(mut e) => {
+                let tail = std::mem::replace(&mut e.get_mut().1, i);
+                self.slots[tail as usize].1 = i;
+            }
+            Entry::Vacant(e) => {
+                e.insert((i, i));
+            }
         }
     }
 
-    #[inline]
-    fn write_u32(&mut self, n: u32) {
-        self.add(n as u64);
+    /// Move the chain parked for `(sender, seq)` onto `out`, in push
+    /// order, recycling its slots.
+    pub fn release_into(&mut self, sender: u32, seq: u64, out: &mut Vec<Transmission>) {
+        let Some((mut at, _)) = self.index.remove(&(sender, seq)) else {
+            return;
+        };
+        while at != NIL {
+            let (tx, next) = self.slots[at as usize];
+            out.push(tx);
+            self.free.push(at);
+            at = next;
+        }
     }
 
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        self.add(n);
+    /// Heads of the chains still parked, in ascending `(sender, packet)`
+    /// order — the order the replaced `BTreeMap` iterated in.
+    pub fn heads_by_key(&self) -> Vec<u32> {
+        let mut heads: Vec<u32> = self.index.values().map(|&(head, _)| head).collect();
+        heads.sort_unstable_by_key(|&h| {
+            let tx = &self.slots[h as usize].0;
+            (tx.from.0, tx.packet.seq())
+        });
+        heads
     }
 
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.hash
+    /// The entries of the chain starting at `head`, in push order.
+    pub fn chain(&self, head: u32) -> impl Iterator<Item = &Transmission> {
+        let mut at = head;
+        std::iter::from_fn(move || {
+            let (tx, next) = self.slots.get(at as usize)?;
+            at = *next;
+            Some(tx)
+        })
     }
 }
-
-/// `HashMap` with the fast hasher; used only for point lookups.
-pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clustream_core::{NodeId, PacketId};
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    proptest! {
+        /// Parks and releases against the ordered map of `Vec`s the arena
+        /// replaced: each release yields the same entries in the same
+        /// order, and the leftover walk visits what `into_values()` did.
+        #[test]
+        fn parked_sends_match_the_ordered_map_model(
+            ops in proptest::collection::vec((any::<bool>(), 1u32..5, 0u64..6, 1u32..40), 1..300),
+        ) {
+            let mut parked = ParkedSends::default();
+            let mut model: BTreeMap<(u32, u64), Vec<Transmission>> = BTreeMap::new();
+            let mut out = Vec::new();
+            let mut high_water = 0;
+            for (park, from, seq, to) in ops {
+                if park {
+                    let tx = Transmission::local(NodeId(from), NodeId(to), PacketId(seq));
+                    parked.park(tx);
+                    model.entry((from, seq)).or_default().push(tx);
+                } else {
+                    out.clear();
+                    parked.release_into(from, seq, &mut out);
+                    prop_assert_eq!(&out, &model.remove(&(from, seq)).unwrap_or_default());
+                }
+                let live: usize = model.values().map(Vec::len).sum();
+                high_water = high_water.max(live);
+                prop_assert!(parked.slots.len() <= high_water, "freed slots are reused");
+            }
+            let walked: Vec<Transmission> = parked
+                .heads_by_key()
+                .into_iter()
+                .flat_map(|head| parked.chain(head).copied())
+                .collect();
+            let want: Vec<Transmission> = model.into_values().flatten().collect();
+            prop_assert_eq!(walked, want);
+        }
+    }
 
     #[test]
     fn arrival_ring_detects_same_slot_collisions() {
@@ -175,15 +251,5 @@ mod tests {
         for slot in 0..40 {
             assert_eq!(r.try_insert(slot, 1, slot + 100, 0), Err(slot));
         }
-    }
-
-    #[test]
-    fn fx_map_behaves_like_a_map() {
-        let mut m: FxHashMap<(u64, u32), u64> = FxHashMap::default();
-        assert!(m.insert((3, 7), 10).is_none());
-        assert_eq!(m.insert((3, 7), 11), Some(10));
-        assert_eq!(m.get(&(3, 7)), Some(&11));
-        assert_eq!(m.remove(&(3, 7)), Some(11));
-        assert!(!m.contains_key(&(3, 7)));
     }
 }

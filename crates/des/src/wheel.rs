@@ -31,6 +31,13 @@
 //! array writes and a bitmap OR — no allocator traffic, no `O(log n)`
 //! sift, no 48-byte `Event` moves through a heap.
 //!
+//! An L0 bucket is revisited every window and keeps its own `Vec`. An
+//! L1/L2 bucket is visited once per 2²⁰ (2³⁰) ticks — once per run, in
+//! practice — so a cascade hands its drained `Vec` to a **spare pool**
+//! and the next empty outer bucket to receive a push draws from it:
+//! bucket memory follows the live event window, not the run length.
+//! Which allocation backs a bucket is invisible to the pop order.
+//!
 //! # Determinism argument
 //!
 //! The engine requires pops in ascending `(time, class, seq)` order. The
@@ -181,6 +188,8 @@ pub struct WheelQueue {
     bitmap: [[u64; WORDS]; LEVELS],
     /// Calendar fallback, keyed by `time >> HORIZON_BITS`.
     overflow: BTreeMap<u64, Vec<Entry>>,
+    /// Drained L1/L2 bucket allocations awaiting reuse (all empty).
+    spare: Vec<Vec<Entry>>,
     batch: Batch,
     live: usize,
     next_seq: u64,
@@ -197,6 +206,7 @@ impl Default for WheelQueue {
             buckets: vec![Vec::new(); LEVELS * BUCKETS],
             bitmap: [[0; WORDS]; LEVELS],
             overflow: BTreeMap::new(),
+            spare: Vec::new(),
             batch: Batch::default(),
             live: 0,
             next_seq: 0,
@@ -235,19 +245,23 @@ impl WheelQueue {
             self.overflow.entry(t >> HORIZON_BITS).or_default().push(e);
             return;
         };
-        self.buckets[level * BUCKETS + bucket].push(e);
+        let slot = &mut self.buckets[level * BUCKETS + bucket];
+        if level > 0 && slot.capacity() == 0 {
+            *slot = self.spare.pop().unwrap_or_default();
+        }
+        slot.push(e);
         self.bitmap[level][bucket >> 6] |= 1 << (bucket & 63);
     }
 
-    /// Redistribute bucket `b` of `level` one level down, leaving its
-    /// allocation in place for reuse.
+    /// Redistribute bucket `b` of `level` one level down, handing its
+    /// allocation to the spare pool.
     fn cascade(&mut self, level: usize, b: usize) {
         self.bitmap[level][b >> 6] &= !(1u64 << (b & 63));
         let mut bucket = std::mem::take(&mut self.buckets[level * BUCKETS + b]);
         for e in bucket.drain(..) {
             self.place(e);
         }
-        self.buckets[level * BUCKETS + b] = bucket;
+        self.spare.push(bucket);
     }
 
     /// Move the cursor to the next occupied tick and load its batch.
@@ -573,6 +587,87 @@ mod tests {
         assert_eq!(
             q.pop().unwrap().kind,
             EventKind::RepairCommit { failed: NodeId(3) }
+        );
+    }
+
+    /// `Entry` capacity held by every bucket and the spare pool.
+    fn retained_entries(q: &WheelQueue) -> usize {
+        let held = |vs: &[Vec<Entry>]| vs.iter().map(Vec::capacity).sum::<usize>();
+        held(&q.buckets) + held(&q.spare)
+    }
+
+    #[test]
+    fn bucket_memory_follows_the_live_window_not_the_run_length() {
+        // 2000 slots of a steady stream: each slot's tick schedules 300
+        // deliveries one to three slots out, so every L1 bucket along the
+        // way is filled and cascaded. Were each to keep the allocation it
+        // grew, the wheel would end up holding half a million entries.
+        let mut q = WheelQueue::new();
+        q.push(0, EventKind::PlaybackTick);
+        let mut popped = 0u64;
+        while let Some(e) = q.pop() {
+            popped += 1;
+            let slot = e.time >> LEVEL_BITS;
+            if e.kind == EventKind::PlaybackTick && slot < 2000 {
+                for i in 0..300u64 {
+                    q.push(e.time + (1 + i % 3) * 1024 + i, deliver(i as u32, slot));
+                }
+                q.push(e.time + 1024, EventKind::PlaybackTick);
+            }
+        }
+        assert_eq!(popped, 2000 * 301 + 1);
+        let live = q.pool_high_water();
+        assert!(live <= 3 * 300 + 2, "live window is three slots: {live}");
+        let retained = retained_entries(&q);
+        assert!(
+            retained <= 4 * live,
+            "{retained} retained entries for a live window of {live}"
+        );
+    }
+
+    #[test]
+    fn cancel_heavy_run_through_a_spare_pool_reuse_cycle_stays_lockstep() {
+        // Three L1 windows back to back, so every L1 bucket is drawn from
+        // the pool, cascaded back into it and drawn again; two thirds of
+        // the events are cancelled, so most cascaded entries are
+        // tombstones the drain must skip without disturbing the order.
+        let mut q = CheckedQueue::new();
+        let mut state = 0x9e3779b97f4a7c15u64;
+        let mut next = |bound: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % bound
+        };
+        let mut now = 0u64;
+        let mut survivors = 0u64;
+        let mut popped = 0u64;
+        for round in 0..4 * 1024u64 {
+            for i in 0..6 {
+                let seq = q.push(now + 1 + next(8 * 1024), deliver(i, round));
+                if i % 3 != 0 {
+                    q.cancel(seq);
+                } else {
+                    survivors += 1;
+                }
+            }
+            while let Some(e) = q.pop() {
+                popped += 1;
+                now = e.time;
+                if q.len() < 24 {
+                    break;
+                }
+            }
+        }
+        while q.pop().is_some() {
+            popped += 1;
+        }
+        assert_eq!(popped, survivors);
+        assert!(q.is_empty());
+        assert!(now >= 3 << (2 * LEVEL_BITS), "only reached tick {now}");
+        assert!(
+            !q.wheel.spare.is_empty(),
+            "the run cascaded through the pool"
         );
     }
 

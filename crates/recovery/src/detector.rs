@@ -8,8 +8,12 @@
 //! (one outstanding timer per link), so the detector adds O(live links)
 //! events, not O(deliveries).
 //!
-//! All state lives in `BTreeMap`/`BTreeSet`, keeping iteration — and
-//! therefore the DES — deterministic.
+//! Link freshness is lookup-only and touched on every delivery, so it
+//! is flat: one short row of `(subject, last heard)` pairs per watcher
+//! (a watcher hears from about `d` live subjects, so a row is a handful
+//! of entries scanned linearly; rows are indexed by watcher id, which
+//! callers keep inside their id space). The suspicion tallies and the
+//! confirmed set are cold and stay in `BTreeMap`/`BTreeSet`.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -28,8 +32,8 @@ pub enum TimeoutVerdict {
 /// The failure detector: link freshness plus suspicion tallies.
 #[derive(Debug, Default, Clone)]
 pub struct FailureDetector {
-    /// Last delivery tick per (watcher, subject) link.
-    last_heard: BTreeMap<(u32, u32), u64>,
+    /// `links[watcher]`: `(subject, last delivery tick)` per live link.
+    links: Vec<Vec<(u32, u64)>>,
     /// Distinct watchers currently suspecting each subject.
     suspicions: BTreeMap<u32, BTreeSet<u32>>,
     /// Subjects whose failure has been confirmed.
@@ -65,7 +69,20 @@ impl FailureDetector {
         if let Some(s) = self.suspicions.get_mut(&subject) {
             s.remove(&watcher);
         }
-        self.last_heard.insert((watcher, subject), now).is_none()
+        if self.links.len() <= watcher as usize {
+            self.links.resize_with(watcher as usize + 1, Vec::new);
+        }
+        let row = &mut self.links[watcher as usize];
+        match row.iter_mut().find(|link| link.0 == subject) {
+            Some(link) => {
+                link.1 = now;
+                false
+            }
+            None => {
+                row.push((subject, now));
+                true
+            }
+        }
     }
 
     /// Evaluate the link timeout for `watcher` on `subject` firing at
@@ -74,11 +91,13 @@ impl FailureDetector {
         if self.confirmed.contains(&subject) {
             return TimeoutVerdict::Drop;
         }
-        let Some(&last) = self.last_heard.get(&(watcher, subject)) else {
+        let row = self.links.get(watcher as usize);
+        let Some(&(_, last)) = row.and_then(|r| r.iter().find(|link| link.0 == subject)) else {
             // Link forgotten (topology changed under us): timer dies.
             return TimeoutVerdict::Drop;
         };
-        let deadline = last + self.timeout;
+        // Saturating: an "infinite" timeout must never fire, not wrap.
+        let deadline = last.saturating_add(self.timeout);
         if deadline > now {
             TimeoutVerdict::Rearm(deadline)
         } else {
@@ -131,7 +150,7 @@ impl FailureDetector {
     /// from whom and stale silence must not confirm healthy nodes.
     /// Outstanding timers then resolve to [`TimeoutVerdict::Drop`].
     pub fn clear_links(&mut self) {
-        self.last_heard.clear();
+        self.links.iter_mut().for_each(Vec::clear);
         self.suspicions.clear();
     }
 
@@ -145,6 +164,85 @@ impl FailureDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The shape the link rows replaced: one ordered map of last-heard
+    /// ticks (suspicion and confirmation state is the detector's own).
+    #[derive(Default)]
+    struct LinkModel(BTreeMap<(u32, u32), u64>);
+
+    impl LinkModel {
+        fn check(
+            &self,
+            d: &FailureDetector,
+            watcher: u32,
+            subject: u32,
+            now: u64,
+        ) -> TimeoutVerdict {
+            if d.is_confirmed(subject) {
+                return TimeoutVerdict::Drop;
+            }
+            match self.0.get(&(watcher, subject)) {
+                None => TimeoutVerdict::Drop,
+                Some(&last) if last + d.timeout() > now => {
+                    TimeoutVerdict::Rearm(last + d.timeout())
+                }
+                Some(_) => TimeoutVerdict::Suspect,
+            }
+        }
+    }
+
+    proptest! {
+        /// Random deliveries, timer firings, repairs (`clear_links`) and
+        /// rejoins (`forget`): every verdict and tally equals the
+        /// map-backed detector's.
+        #[test]
+        fn link_rows_match_the_ordered_map_model(
+            ops in proptest::collection::vec((0u8..8, 0u32..5, 0u32..5, 0u64..60), 1..400),
+        ) {
+            let mut d = FailureDetector::new(2, 100);
+            let mut model = LinkModel::default();
+            let mut now = 0;
+            for (op, watcher, subject, dt) in ops {
+                now += dt;
+                match op {
+                    0..=2 => {
+                        let fresh = model.0.insert((watcher, subject), now).is_none();
+                        prop_assert_eq!(d.record(watcher, subject, now), fresh);
+                    }
+                    3..=5 => {
+                        let want = model.check(&d, watcher, subject, now);
+                        prop_assert_eq!(d.check(watcher, subject, now), want);
+                        if want == TimeoutVerdict::Suspect {
+                            prop_assert!(d.suspicion_count(subject) >= 1);
+                            d.confirm(subject);
+                        }
+                    }
+                    6 => {
+                        d.clear_links();
+                        model.0.clear();
+                        prop_assert_eq!(d.suspicion_count(subject), 0);
+                    }
+                    _ => d.forget(subject),
+                }
+            }
+            // After a repair every outstanding timer dies, whoever armed it.
+            d.clear_links();
+            for watcher in 0..6 {
+                for subject in 0..5 {
+                    prop_assert_eq!(d.check(watcher, subject, now), TimeoutVerdict::Drop);
+                    prop_assert!(d.record(watcher, subject, now), "cleared links re-arm");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_infinite_timeout_rearms_at_the_end_of_time_instead_of_wrapping() {
+        let mut d = FailureDetector::new(1, u64::MAX);
+        d.record(1, 2, 5_000);
+        assert_eq!(d.check(1, 2, 9_000), TimeoutVerdict::Rearm(u64::MAX));
+    }
 
     #[test]
     fn first_record_arms_later_records_do_not() {

@@ -1,13 +1,20 @@
 //! NACK retransmission state: per-gap retry tracking and seeded
 //! exponential backoff.
+//!
+//! Gap status is lookup-only — nothing ever iterates it — so it lives
+//! in dense per-node rows indexed by packet seq rather than an ordered
+//! map: every probe is two array reads. Rows grow only in
+//! [`NackManager::open`]; the DES opens gaps inside its tracked window
+//! (`seq < track_packets`, `node < id_space`), which bounds them.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::collections::BTreeMap;
 
 /// Lifecycle of one NACKed gap packet at one node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum GapStatus {
+    /// Never opened.
+    Untracked,
     /// Retries in flight.
     Open,
     /// Filled by a retransmission (or a late regular delivery).
@@ -20,7 +27,8 @@ enum GapStatus {
 /// capped, jittered exponential backoff between retries.
 #[derive(Debug)]
 pub struct NackManager {
-    gaps: BTreeMap<(u32, u64), GapStatus>,
+    /// `gaps[node][seq]`; cells past a row's end are untracked.
+    gaps: Vec<Vec<GapStatus>>,
     base: u64,
     multiplier: f64,
     cap: u64,
@@ -33,7 +41,7 @@ impl NackManager {
     /// uniform jitter in `[0, jitter)` ticks drawn from `seed`.
     pub fn new(base: u64, multiplier: f64, cap: u64, jitter: u64, seed: u64) -> Self {
         NackManager {
-            gaps: BTreeMap::new(),
+            gaps: Vec::new(),
             base: base.max(1),
             multiplier: multiplier.max(1.0),
             cap: cap.max(1),
@@ -42,42 +50,55 @@ impl NackManager {
         }
     }
 
-    /// Open a gap; `false` if it is already tracked (in any state).
-    pub fn open(&mut self, node: u32, seq: u64) -> bool {
-        match self.gaps.entry((node, seq)) {
-            std::collections::btree_map::Entry::Vacant(e) => {
-                e.insert(GapStatus::Open);
+    fn status(&self, node: u32, seq: u64) -> GapStatus {
+        let row = self.gaps.get(node as usize);
+        let cell = row.and_then(|r| r.get(usize::try_from(seq).ok()?));
+        cell.copied().unwrap_or(GapStatus::Untracked)
+    }
+
+    /// Move an open gap to `to`; `false` (and no change) unless it was
+    /// open.
+    fn close(&mut self, node: u32, seq: u64, to: GapStatus) -> bool {
+        let row = self.gaps.get_mut(node as usize);
+        match row.and_then(|r| r.get_mut(usize::try_from(seq).ok()?)) {
+            Some(status @ GapStatus::Open) => {
+                *status = to;
                 true
             }
-            std::collections::btree_map::Entry::Occupied(_) => false,
+            _ => false,
         }
+    }
+
+    /// Open a gap; `false` if it is already tracked (in any state).
+    pub fn open(&mut self, node: u32, seq: u64) -> bool {
+        if self.status(node, seq) != GapStatus::Untracked {
+            return false;
+        }
+        let (node, seq) = (node as usize, seq as usize);
+        if self.gaps.len() <= node {
+            self.gaps.resize_with(node + 1, Vec::new);
+        }
+        let row = &mut self.gaps[node];
+        if row.len() <= seq {
+            row.resize(seq + 1, GapStatus::Untracked);
+        }
+        row[seq] = GapStatus::Open;
+        true
     }
 
     /// Whether retries for this gap should continue.
     pub fn is_open(&self, node: u32, seq: u64) -> bool {
-        self.gaps.get(&(node, seq)) == Some(&GapStatus::Open)
+        self.status(node, seq) == GapStatus::Open
     }
 
     /// Mark the gap filled; `true` if it was open (a genuine repair).
     pub fn resolve(&mut self, node: u32, seq: u64) -> bool {
-        match self.gaps.get_mut(&(node, seq)) {
-            Some(s @ GapStatus::Open) => {
-                *s = GapStatus::Repaired;
-                true
-            }
-            _ => false,
-        }
+        self.close(node, seq, GapStatus::Repaired)
     }
 
     /// Give up on the gap; `true` if it was open (a fresh abandonment).
     pub fn abandon(&mut self, node: u32, seq: u64) -> bool {
-        match self.gaps.get_mut(&(node, seq)) {
-            Some(s @ GapStatus::Open) => {
-                *s = GapStatus::Abandoned;
-                true
-            }
-            _ => false,
-        }
+        self.close(node, seq, GapStatus::Abandoned)
     }
 
     /// Ticks to wait after retry number `attempt` (0-based):
@@ -91,13 +112,74 @@ impl NackManager {
         } else {
             0
         };
-        capped + jitter
+        capped.saturating_add(jitter)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    proptest! {
+        /// The dense rows against the ordered map they replaced: every
+        /// call returns what the map-backed manager returned.
+        #[test]
+        fn dense_rows_match_the_ordered_map_model(
+            ops in proptest::collection::vec((0u8..4, 0u32..6, 0u64..48), 1..400),
+        ) {
+            let mut dense = NackManager::new(100, 2.0, 1000, 0, 1);
+            let mut model: BTreeMap<(u32, u64), GapStatus> = BTreeMap::new();
+            let close = |model: &mut BTreeMap<(u32, u64), GapStatus>, key, to| {
+                match model.get_mut(&key) {
+                    Some(s @ GapStatus::Open) => {
+                        *s = to;
+                        true
+                    }
+                    _ => false,
+                }
+            };
+            for (op, node, seq) in ops {
+                let key = (node, seq);
+                match op {
+                    0 => {
+                        let fresh = !model.contains_key(&key);
+                        model.entry(key).or_insert(GapStatus::Open);
+                        prop_assert_eq!(dense.open(node, seq), fresh);
+                    }
+                    1 => prop_assert_eq!(
+                        dense.resolve(node, seq),
+                        close(&mut model, key, GapStatus::Repaired)
+                    ),
+                    2 => prop_assert_eq!(
+                        dense.abandon(node, seq),
+                        close(&mut model, key, GapStatus::Abandoned)
+                    ),
+                    _ => {}
+                }
+                prop_assert_eq!(
+                    dense.is_open(node, seq),
+                    model.get(&key) == Some(&GapStatus::Open)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn probes_outside_every_row_are_untracked_and_allocate_nothing() {
+        let mut m = NackManager::new(100, 2.0, 1000, 0, 1);
+        assert!(!m.is_open(u32::MAX, u64::MAX));
+        assert!(!m.resolve(u32::MAX, u64::MAX));
+        assert!(!m.abandon(7, u64::MAX));
+        assert!(m.gaps.is_empty());
+    }
+
+    #[test]
+    fn backoff_with_an_infinite_cap_saturates() {
+        let mut m = NackManager::new(u64::MAX, 2.0, u64::MAX, 256, 1);
+        assert_eq!(m.backoff_delay(3), u64::MAX);
+    }
 
     #[test]
     fn gap_lifecycle() {

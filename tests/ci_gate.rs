@@ -89,6 +89,12 @@ fn script_parses_and_defines_both_tiers() {
         "--joins 1000 --oracle",
         "--joins 100000 --engine mega",
         "ext_heterogeneity",
+        // The recovery fault matrix ends with the benchmark's
+        // des_recovery command line on the checked queue (heap and
+        // spare-pooled wheel in lockstep).
+        "--n 500 --d 3 --track 128 --runtime des",
+        "--queue checked --latency jitter --jitter 0.5 --uplink serialized",
+        "--recovery repair+nack --churn-leave 0.0005 --churn-slots 200 --des-seed 7",
         // The ledger harness is a workspace of its own: the merge gate
         // builds and unit-tests it against this tree's public API.
         "stage \"benchmark harness (ledger build + unit tests)\"",
