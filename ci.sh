@@ -5,8 +5,11 @@
 # Cargo.lock is committed).
 #
 # Tiers:
-#   ci.sh quick   fmt + clippy + build + workspace tests + repro-corpus
-#                 replay + timing-wheel smoke + loopback cluster smoke
+#   ci.sh quick   fmt + clippy + build + workspace tests + CLI flag
+#                 hygiene (unknown flags and out-of-domain scheme
+#                 parameters are errors, not silence or aborts) +
+#                 repro-corpus replay + timing-wheel smoke + loopback
+#                 cluster smoke
 #                 + chaos-transport smoke (5% loss + a gray node), both
 #                 closed by the DES replay oracle + flash-crowd smoke
 #                 (10^3 joins, slot = DES oracle-closed) (the edit loop)
@@ -138,6 +141,30 @@ recovery_off_regression() {
         simulate --scheme multitree --n 40 --d 3 --runtime des-checked
     cargo test -q --test recovery --offline
     cargo test -q --test faults --offline
+}
+
+cli_flag_hygiene() {
+    # The CLI's input boundary through the release binary: a misspelt
+    # flag is a usage error naming it (it used to be ignored, the run
+    # silently falling back to the default), and scheme parameters
+    # outside a family's domain are model errors (they used to reach an
+    # assert in crates/baselines). Status 1 is a reported error; 101
+    # would be a panic.
+    expect_error() {
+        local pattern="$1" out status=0
+        shift
+        out=$(target/release/clustream "$@" 2>&1) || status=$?
+        if [ "$status" -ne 1 ] || ! grep -q "$pattern" <<<"$out"; then
+            echo "ci.sh: \`clustream $*\` must exit 1 with \`$pattern\` (got $status): $out" >&2
+            return 1
+        fi
+    }
+    expect_error 'unknown flag `--trak`' \
+        simulate --scheme multitree --n 30 --trak 64
+    expect_error '^model error: invalid configuration: ' \
+        simulate --scheme chain --n 0
+    expect_error '^model error: invalid configuration: ' \
+        cluster --nodes 4 --scheme singletree --d 0
 }
 
 corpus_replay() {
@@ -281,6 +308,7 @@ stage "fmt" cargo fmt --all --check
 stage "clippy" cargo clippy --workspace --all-targets --offline -- -D warnings
 stage "build (release)" cargo build --workspace --release --offline
 stage "test" cargo test --workspace -q --offline
+stage "cli flag hygiene" cli_flag_hygiene
 stage "repro-corpus replay" corpus_replay
 stage "timing-wheel smoke (wheel queue)" wheel_smoke
 stage "cluster smoke (8 nodes, uds + replay oracle)" cluster_smoke

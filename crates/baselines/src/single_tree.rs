@@ -57,10 +57,16 @@ impl SingleTreeScheme {
 
     /// Depth of node `i` in the BFS layout (root children = 1).
     pub fn depth(&self, i: u32) -> u64 {
+        Self::bfs_depth(self.d, i)
+    }
+
+    /// Depth of node `i` in the BFS layout of any `d`-ary (`d ≥ 1`)
+    /// single tree — a property of the layout, not of an instance.
+    pub fn bfs_depth(d: usize, i: u32) -> u64 {
         let mut depth = 0;
         let mut p = i as u64;
         while p >= 1 {
-            p = (p - 1) / self.d as u64;
+            p = (p - 1) / d as u64;
             depth += 1;
         }
         depth

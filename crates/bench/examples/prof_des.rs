@@ -2,8 +2,7 @@
 //! profiler gets enough hits. Not part of the bench suite.
 
 use clustream_bench::suites::des_workloads;
-use clustream_des::{DesConfig, DesEngine, QueueKind};
-use clustream_sim::SimConfig;
+use clustream_des::{DesEngine, QueueKind};
 
 fn main() {
     let which = std::env::args().nth(1).unwrap_or_else(|| "chain".into());
@@ -19,12 +18,11 @@ fn main() {
         .into_iter()
         .find(|w| w.name.starts_with(&which))
         .expect("workload");
-    let sim = SimConfig::until_complete(w.track, 1_000_000);
-    let cfg = DesConfig::slot_faithful(sim).with_queue(queue);
+    let cfg = w.des(queue);
     let mut engine = DesEngine::new();
     let mut total = 0u64;
     for _ in 0..reps {
-        total += engine.run((w.make)().as_mut(), &cfg).unwrap().slots_run;
+        total += engine.run(w.make().as_mut(), &cfg).unwrap().slots_run;
     }
     println!("{} reps, slots total {total}", reps);
 }

@@ -30,8 +30,8 @@ use clustream_bench::suites::{
     RECOVERY_RATES,
 };
 use clustream_bench::timing::{bench, bench_prepared};
-use clustream_des::{DesConfig, DesEngine};
-use clustream_sim::{diff_fields, FastEngine, MegaEngine, SimConfig, Simulator};
+use clustream_des::DesEngine;
+use clustream_sim::{diff_fields, FastEngine, MegaEngine, Simulator};
 use std::process::ExitCode;
 
 /// Timing samples per workload for the reduced re-run tier.
@@ -99,9 +99,9 @@ fn check_engine(c: &mut Checker, baseline: &EngineReport) {
             c.fail(format!("{ctx}: no baseline row in BENCH_engine.json"));
             continue;
         };
-        let cfg = SimConfig::until_complete(w.track, 1_000_000);
-        let reference = Simulator::run((w.make)().as_mut(), &cfg).unwrap();
-        let fast = engine.run((w.make)().as_mut(), &cfg).unwrap();
+        let cfg = w.sim();
+        let reference = Simulator::run(w.make().as_mut(), &cfg).unwrap();
+        let fast = engine.run(w.make().as_mut(), &cfg).unwrap();
         let diffs = diff_fields(&reference, &fast);
         if !diffs.is_empty() {
             c.fail(format!("{ctx}: engines diverge on {diffs:?}"));
@@ -115,10 +115,10 @@ fn check_engine(c: &mut Checker, baseline: &EngineReport) {
         );
         if c.timing {
             let m_ref = bench(&format!("{}_reference", w.name), REDUCED_SAMPLES, || {
-                Simulator::run((w.make)().as_mut(), &cfg).unwrap().slots_run
+                Simulator::run(w.make().as_mut(), &cfg).unwrap().slots_run
             });
             let m_fast = bench(&format!("{}_fast", w.name), REDUCED_SAMPLES, || {
-                engine.run((w.make)().as_mut(), &cfg).unwrap().slots_run
+                engine.run(w.make().as_mut(), &cfg).unwrap().slots_run
             });
             let slots = reference.slots_run as f64;
             c.floor(
@@ -140,8 +140,8 @@ fn check_engine(c: &mut Checker, baseline: &EngineReport) {
 fn check_des(c: &mut Checker, baseline: &DesReport) {
     let mut fast = FastEngine::new();
     for w in des_workloads() {
-        let sim = SimConfig::until_complete(w.track, 1_000_000);
-        let reference = fast.run((w.make)().as_mut(), &sim).unwrap();
+        let sim = w.sim();
+        let reference = fast.run(w.make().as_mut(), &sim).unwrap();
         for queue in des_queues() {
             let ctx = format!("des/{}/{}", w.name, queue.label());
             let Some(base) = baseline
@@ -152,9 +152,9 @@ fn check_des(c: &mut Checker, baseline: &DesReport) {
                 c.fail(format!("{ctx}: no baseline row in BENCH_des.json"));
                 continue;
             };
-            let des_cfg = DesConfig::slot_faithful(sim.clone()).with_queue(queue);
+            let des_cfg = w.des(queue);
             let mut engine = DesEngine::new();
-            let des = engine.run((w.make)().as_mut(), &des_cfg).unwrap();
+            let des = engine.run(w.make().as_mut(), &des_cfg).unwrap();
             let diffs = diff_fields(&reference, &des);
             if !diffs.is_empty() {
                 c.fail(format!("{ctx}: DES diverges from slot engine on {diffs:?}"));
@@ -166,7 +166,7 @@ fn check_des(c: &mut Checker, baseline: &DesReport) {
                 let m_des = bench(
                     &format!("{}_des_{}", w.name, queue.label()),
                     REDUCED_SAMPLES,
-                    || engine.run((w.make)().as_mut(), &des_cfg).unwrap().slots_run,
+                    || engine.run(w.make().as_mut(), &des_cfg).unwrap().slots_run,
                 );
                 c.floor(
                     &ctx,
@@ -209,8 +209,8 @@ fn check_scale(c: &mut Checker, baseline: &EngineReport) {
             ));
             continue;
         };
-        let cfg = SimConfig::until_complete(w.track, 1_000_000);
-        let mega = MegaEngine::new().run((w.make)().as_mut(), &cfg).unwrap();
+        let cfg = w.sim();
+        let mega = MegaEngine::new().run(w.make().as_mut(), &cfg).unwrap();
         c.exact(&ctx, "slots_run", base.slots_run, mega.slots_run);
         c.exact(
             &ctx,
@@ -224,7 +224,7 @@ fn check_scale(c: &mut Checker, baseline: &EngineReport) {
         // Gated rows additionally cross-check against the fast engine
         // and — in timing builds — hold the mega engine to its speedup
         // floor, engine-only (scheme construction untimed).
-        let fast = FastEngine::new().run((w.make)().as_mut(), &cfg).unwrap();
+        let fast = FastEngine::new().run(w.make().as_mut(), &cfg).unwrap();
         let diffs = diff_fields(&fast, &mega);
         if !diffs.is_empty() {
             c.fail(format!("{ctx}: fast and mega diverge on {diffs:?}"));
@@ -233,13 +233,13 @@ fn check_scale(c: &mut Checker, baseline: &EngineReport) {
             let m_fast = bench_prepared(
                 &format!("{}_fast", w.name),
                 REDUCED_SAMPLES,
-                || (w.make)(),
+                || w.make(),
                 |mut s| FastEngine::new().run(s.as_mut(), &cfg).unwrap().slots_run,
             );
             let m_mega = bench_prepared(
                 &format!("{}_mega", w.name),
                 REDUCED_SAMPLES,
-                || (w.make)(),
+                || w.make(),
                 |mut s| MegaEngine::new().run(s.as_mut(), &cfg).unwrap().slots_run,
             );
             let speedup = m_fast.min().as_secs_f64() / m_mega.min().as_secs_f64();

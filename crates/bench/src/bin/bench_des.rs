@@ -13,8 +13,8 @@ use clustream_bench::ext_jitter_sweep;
 use clustream_bench::render_table;
 use clustream_bench::suites::{des_queues, des_workloads, DesReport, ThroughputRow};
 use clustream_bench::timing::bench;
-use clustream_des::{DesConfig, DesEngine};
-use clustream_sim::{diff_fields, FastEngine, SimConfig};
+use clustream_des::DesEngine;
+use clustream_sim::{diff_fields, FastEngine};
 
 fn main() {
     let build = if cfg!(debug_assertions) {
@@ -30,20 +30,20 @@ fn main() {
     let mut throughput = Vec::new();
     let mut min_wheel_speedup = f64::INFINITY;
     for w in des_workloads() {
-        let sim = SimConfig::until_complete(w.track, 1_000_000);
-        let reference = fast.run((w.make)().as_mut(), &sim).unwrap();
+        let sim = w.sim();
+        let reference = fast.run(w.make().as_mut(), &sim).unwrap();
         let m_fast = bench(&format!("{}_fast", w.name), w.samples, || {
-            fast.run((w.make)().as_mut(), &sim).unwrap().slots_run
+            fast.run(w.make().as_mut(), &sim).unwrap().slots_run
         });
 
         let mut heap_min_ns = 0u64;
         for queue in des_queues() {
-            let des_cfg = DesConfig::slot_faithful(sim.clone()).with_queue(queue);
+            let des_cfg = w.des(queue);
 
             // Correctness first: slot-faithful DES ≡ fast slot engine,
             // whichever queue backs it.
             let mut engine = DesEngine::new();
-            let des = engine.run((w.make)().as_mut(), &des_cfg).unwrap();
+            let des = engine.run(w.make().as_mut(), &des_cfg).unwrap();
             let diffs = diff_fields(&reference, &des);
             assert!(
                 diffs.is_empty(),
@@ -56,7 +56,7 @@ fn main() {
             let m_des = bench(
                 &format!("{}_des_{}", w.name, queue.label()),
                 w.samples,
-                || engine.run((w.make)().as_mut(), &des_cfg).unwrap().slots_run,
+                || engine.run(w.make().as_mut(), &des_cfg).unwrap().slots_run,
             );
 
             let des_min_ns = m_des.min().as_nanos() as u64;

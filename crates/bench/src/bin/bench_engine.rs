@@ -11,7 +11,7 @@ use clustream_bench::suites::{
     engine_workloads, scale_workloads, EngineReport, EngineRow, ScaleRow,
 };
 use clustream_bench::timing::{bench, bench_prepared, peak_rss_bytes};
-use clustream_sim::{diff_fields, FastEngine, MegaEngine, SimConfig, Simulator};
+use clustream_sim::{diff_fields, FastEngine, MegaEngine, Simulator};
 
 fn main() {
     let build = if cfg!(debug_assertions) {
@@ -26,19 +26,19 @@ fn main() {
     let mut engine = FastEngine::new();
     let mut rows = Vec::new();
     for w in engine_workloads() {
-        let cfg = SimConfig::until_complete(w.track, 1_000_000);
+        let cfg = w.sim();
 
         // Correctness first: both engines must agree bit for bit.
-        let reference = Simulator::run((w.make)().as_mut(), &cfg).unwrap();
-        let fast = engine.run((w.make)().as_mut(), &cfg).unwrap();
+        let reference = Simulator::run(w.make().as_mut(), &cfg).unwrap();
+        let fast = engine.run(w.make().as_mut(), &cfg).unwrap();
         let diffs = diff_fields(&reference, &fast);
         assert!(diffs.is_empty(), "{}: engines diverge on {diffs:?}", w.name);
 
         let m_ref = bench(&format!("{}_reference", w.name), w.samples, || {
-            Simulator::run((w.make)().as_mut(), &cfg).unwrap().slots_run
+            Simulator::run(w.make().as_mut(), &cfg).unwrap().slots_run
         });
         let m_fast = bench(&format!("{}_fast", w.name), w.samples, || {
-            engine.run((w.make)().as_mut(), &cfg).unwrap().slots_run
+            engine.run(w.make().as_mut(), &cfg).unwrap().slots_run
         });
 
         let ref_s = m_ref.min().as_secs_f64();
@@ -88,25 +88,25 @@ fn main() {
     // builds its scheme untimed and only the engine run is measured.
     let mut scaling = Vec::new();
     for w in scale_workloads() {
-        let cfg = SimConfig::until_complete(w.track, 1_000_000);
+        let cfg = w.sim();
 
         // Correctness first — every row, including the generate-only
         // ones: fast and mega must agree bit for bit.
-        let fast = FastEngine::new().run((w.make)().as_mut(), &cfg).unwrap();
-        let mega = MegaEngine::new().run((w.make)().as_mut(), &cfg).unwrap();
+        let fast = FastEngine::new().run(w.make().as_mut(), &cfg).unwrap();
+        let mega = MegaEngine::new().run(w.make().as_mut(), &cfg).unwrap();
         let diffs = diff_fields(&fast, &mega);
         assert!(diffs.is_empty(), "{}: engines diverge on {diffs:?}", w.name);
 
         let m_fast = bench_prepared(
             &format!("{}_fast", w.name),
             w.samples,
-            || (w.make)(),
+            || w.make(),
             |mut s| FastEngine::new().run(s.as_mut(), &cfg).unwrap().slots_run,
         );
         let m_mega = bench_prepared(
             &format!("{}_mega", w.name),
             w.samples,
-            || (w.make)(),
+            || w.make(),
             |mut s| MegaEngine::new().run(s.as_mut(), &cfg).unwrap().slots_run,
         );
 
@@ -114,7 +114,7 @@ fn main() {
         let mega_s = m_mega.min().as_secs_f64();
         scaling.push(ScaleRow {
             workload: w.name.to_string(),
-            n: w.n,
+            n: w.plan.scheme.n,
             slots_run: fast.slots_run,
             transmissions: fast.total_transmissions,
             samples: w.samples,

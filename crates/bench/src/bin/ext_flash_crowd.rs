@@ -11,99 +11,70 @@
 //! (slot ≡ event world, bit for bit) — the CI quick-tier gate.
 
 use clustream_bench::render_table;
-use clustream_bench::scenarios::{flash_crowd_oracle, run_flash_crowd};
+use clustream_bench::scenarios::{crowd_plan, flash_crowd_oracle, run_flash_crowd};
+use clustream_plan::{choice, render_usage, ArgMap, CliError, Engine, RunPlan, Usage};
 use clustream_workloads::ScenarioPlan;
 use std::process::ExitCode;
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: ext_flash_crowd [--n0 N] [--d D] [--joins J] [--scenario SPEC] \
-         [--track T] [--horizon H] [--engine reference|fast|mega] [--oracle] [--out PATH]"
-    );
-    ExitCode::from(2)
-}
+const USAGE: Usage = &[
+    "[--n0 <N>] [--d <D>] [--joins <J>] [--scenario <SPEC>] [--track <T>] [--horizon <H>]",
+    "[--engine <reference|fast|mega>] [--oracle] [--out <PATH>]",
+];
 
-fn main() -> ExitCode {
-    let mut n0 = 100usize;
-    let mut d = 3usize;
-    let mut joins = 1_000u64;
-    let mut scenario: Option<String> = None;
+/// The plan, whether to close it against the DES, and the report path.
+fn parse(mut argv: Vec<String>) -> Result<(RunPlan, bool, String), CliError> {
+    // `--oracle` is the one valueless switch; the rest are `--key value`.
+    let oracle = argv.iter().any(|a| a == "--oracle");
+    argv.retain(|a| a != "--oracle");
+    let args = ArgMap::parse(&argv)?;
+    args.check_known(USAGE)?;
+    // Default curve: the whole crowd arrives as a ramp over 200 slots
+    // starting at slot 10 — "10⁵ joins within a few hundred slots".
+    let spec = match args.optional("scenario") {
+        Some(spec) => spec.to_string(),
+        None => format!("ramp:{}@10+200", args.u64_or("joins", 1_000)?),
+    };
+    let engines = [
+        ("reference", Engine::Reference),
+        ("fast", Engine::Fast),
+        ("mega", Engine::Mega),
+    ];
+    let engine = choice(&args, "engine", &engines)?.unwrap_or(Engine::Fast);
     // The tracked window must outlast the join curve (default ramp ends
     // at slot 210): joiners only ever receive packets sent after they
     // arrive, so a shorter window scores late joiners as receiving
     // nothing and the frontier never closes.
-    let mut track = 256u64;
-    let mut horizon = 2_000u64;
-    let mut engine = "fast".to_string();
-    let mut oracle = false;
-    let mut out = "BENCH_flash_crowd.json".to_string();
+    let plan = RunPlan {
+        engine,
+        ..crowd_plan(
+            args.usize_or("n0", 100)?,
+            args.usize_or("d", 3)?,
+            ScenarioPlan::parse(&spec).map_err(CliError::Usage)?,
+            args.u64_or("track", 256)?,
+            args.u64_or("horizon", 2_000)?,
+        )
+    };
+    let out = args.optional("out").unwrap_or("BENCH_flash_crowd.json");
+    Ok((plan, oracle, out.to_string()))
+}
 
-    let mut argv = std::env::args().skip(1);
-    while let Some(arg) = argv.next() {
-        macro_rules! val {
-            () => {
-                match argv.next() {
-                    Some(v) => v,
-                    None => return usage(),
-                }
-            };
-        }
-        match arg.as_str() {
-            "--n0" => {
-                n0 = match val!().parse() {
-                    Ok(v) => v,
-                    Err(_) => return usage(),
-                }
-            }
-            "--d" => {
-                d = match val!().parse() {
-                    Ok(v) => v,
-                    Err(_) => return usage(),
-                }
-            }
-            "--joins" => {
-                joins = match val!().parse() {
-                    Ok(v) => v,
-                    Err(_) => return usage(),
-                }
-            }
-            "--scenario" => scenario = Some(val!()),
-            "--track" => {
-                track = match val!().parse() {
-                    Ok(v) => v,
-                    Err(_) => return usage(),
-                }
-            }
-            "--horizon" => {
-                horizon = match val!().parse() {
-                    Ok(v) => v,
-                    Err(_) => return usage(),
-                }
-            }
-            "--engine" => engine = val!(),
-            "--oracle" => oracle = true,
-            "--out" => out = val!(),
-            _ => return usage(),
-        }
-    }
-    if !["reference", "fast", "mega"].contains(&engine.as_str()) {
-        eprintln!("unknown --engine `{engine}`; valid engines are: reference, fast, mega");
-        return ExitCode::from(2);
-    }
-
-    // Default curve: the whole crowd arrives as a ramp over 200 slots
-    // starting at slot 10 — "10⁵ joins within a few hundred slots".
-    let spec = scenario.unwrap_or_else(|| format!("ramp:{joins}@10+200"));
-    let plan = match ScenarioPlan::parse(&spec) {
-        Ok(p) => p,
+fn main() -> ExitCode {
+    let (plan, oracle, out) = match parse(std::env::args().skip(1).collect()) {
+        Ok(parsed) => parsed,
         Err(e) => {
-            eprintln!("{e}");
+            eprintln!("{e}\nusage:\n{}", render_usage("ext_flash_crowd", USAGE));
             return ExitCode::from(2);
         }
     };
 
-    println!("ext-F — flash crowd: n0 = {n0}, d = {d}, scenario `{spec}`, engine {engine}\n");
-    let rep = match run_flash_crowd(n0, d, &plan, track, horizon, &engine) {
+    println!(
+        "ext-F — flash crowd: n0 = {}, d = {}, scenario `{}`, engine {}\n",
+        plan.scheme.n,
+        plan.scheme.d,
+        plan.scenario.as_ref().expect("a crowd plan"),
+        plan.label()
+    );
+    let rep = match run_flash_crowd(&plan) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("flash-crowd run failed: {e}");
@@ -185,7 +156,7 @@ fn main() -> ExitCode {
 
     if oracle {
         print!("oracle: slot ≡ DES on the same plan ... ");
-        match flash_crowd_oracle(n0, d, &plan, track, horizon) {
+        match flash_crowd_oracle(&plan) {
             Ok(()) => println!("closed"),
             Err(div) => {
                 println!("DIVERGED");

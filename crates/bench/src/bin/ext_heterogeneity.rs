@@ -8,8 +8,9 @@
 //! on top, reusing the `fail:`/`step:` grammar.
 
 use clustream_bench::render_table;
-use clustream_bench::scenarios::{run_heterogeneity, HeterogeneityReport};
-use clustream_des::CapacityClassPlan;
+use clustream_bench::scenarios::{crowd_plan, run_heterogeneity, HeterogeneityReport};
+use clustream_des::{CapacityClassPlan, LatencyModel, UplinkModel};
+use clustream_plan::{render_usage, ArgMap, CliError, RunPlan, Runtime, Usage};
 use clustream_workloads::ScenarioPlan;
 use std::process::ExitCode;
 
@@ -17,130 +18,84 @@ use std::process::ExitCode;
 /// and a mobile-heavy tail.
 const SWEEP: &[&str] = &["fiber", "fiber,cable,mobile", "mobile,cable"];
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: ext_heterogeneity [--n N] [--d D] [--classes SPEC] [--zipf S] [--seed K] \
-         [--jitter J] [--latency-seed K] [--scenario SPEC] [--track T] [--horizon H] [--out PATH]"
-    );
-    ExitCode::from(2)
-}
+const USAGE: Usage = &[
+    "[--n <N>] [--d <D>] [--classes <SPEC>] [--zipf <S>] [--seed <K>] [--jitter <J>]",
+    "[--latency-seed <K>] [--scenario <SPEC>] [--track <T>] [--horizon <H>] [--out <PATH>]",
+];
 
-fn main() -> ExitCode {
-    let mut n = 400usize;
-    let mut d = 3usize;
-    let mut classes: Option<String> = None;
-    let mut zipf = 1.0f64;
-    let mut seed = 7u64;
+/// One plan per class mix (the `--classes` spec, or the default sweep),
+/// and the report path.
+fn parse(argv: &[String]) -> Result<(Vec<RunPlan>, String), CliError> {
+    let args = ArgMap::parse(argv)?;
+    args.check_known(USAGE)?;
+    let scenario = match args.optional("scenario") {
+        None | Some("") => ScenarioPlan::default(),
+        Some(spec) => ScenarioPlan::parse(spec).map_err(CliError::Usage)?,
+    };
     // Jitter is what makes class capacity bite: under fixed latency one
     // send per slot fits even a mobile uplink on time; jitter bunches
     // sends into bursts that only the fat classes absorb.
-    let mut jitter = 0.75f64;
-    let mut latency_seed = 1u64;
-    let mut scenario = String::new();
-    let mut track = 48u64;
-    let mut horizon = 4_000u64;
-    let mut out = "BENCH_heterogeneity.json".to_string();
+    let jitter = args.f64_or("jitter", 0.75)?;
+    let base = RunPlan {
+        runtime: Runtime::Des,
+        uplink: UplinkModel::Serialized,
+        latency: match jitter > 0.0 {
+            true => LatencyModel::UniformJitter { jitter },
+            false => LatencyModel::Fixed,
+        },
+        des_seed: args.u64_or("latency-seed", 1)?,
+        ..crowd_plan(
+            args.usize_or("n", 400)?,
+            args.usize_or("d", 3)?,
+            scenario,
+            args.u64_or("track", 48)?,
+            args.u64_or("horizon", 4_000)?,
+        )
+    };
+    let (zipf, seed) = (args.f64_or("zipf", 1.0)?, args.u64_or("seed", 7)?);
+    let specs = args.optional("classes").map_or(SWEEP.to_vec(), |s| vec![s]);
+    let plans = specs
+        .into_iter()
+        .map(|spec| {
+            let classes = CapacityClassPlan::parse(spec).map_err(CliError::Usage)?;
+            Ok(RunPlan {
+                classes: Some(classes.with_zipf(zipf).seeded(seed)),
+                ..base.clone()
+            })
+        })
+        .collect::<Result<_, CliError>>()?;
+    let out = args.optional("out").unwrap_or("BENCH_heterogeneity.json");
+    Ok((plans, out.to_string()))
+}
 
-    let mut argv = std::env::args().skip(1);
-    while let Some(arg) = argv.next() {
-        macro_rules! val {
-            () => {
-                match argv.next() {
-                    Some(v) => v,
-                    None => return usage(),
-                }
-            };
+fn main() -> ExitCode {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let (plans, out) = match parse(&argv) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("{e}\nusage:\n{}", render_usage("ext_heterogeneity", USAGE));
+            return ExitCode::from(2);
         }
-        match arg.as_str() {
-            "--n" => {
-                n = match val!().parse() {
-                    Ok(v) => v,
-                    Err(_) => return usage(),
-                }
-            }
-            "--d" => {
-                d = match val!().parse() {
-                    Ok(v) => v,
-                    Err(_) => return usage(),
-                }
-            }
-            "--classes" => classes = Some(val!()),
-            "--zipf" => {
-                zipf = match val!().parse() {
-                    Ok(v) => v,
-                    Err(_) => return usage(),
-                }
-            }
-            "--seed" => {
-                seed = match val!().parse() {
-                    Ok(v) => v,
-                    Err(_) => return usage(),
-                }
-            }
-            "--jitter" => {
-                jitter = match val!().parse() {
-                    Ok(v) => v,
-                    Err(_) => return usage(),
-                }
-            }
-            "--latency-seed" => {
-                latency_seed = match val!().parse() {
-                    Ok(v) => v,
-                    Err(_) => return usage(),
-                }
-            }
-            "--scenario" => scenario = val!(),
-            "--track" => {
-                track = match val!().parse() {
-                    Ok(v) => v,
-                    Err(_) => return usage(),
-                }
-            }
-            "--horizon" => {
-                horizon = match val!().parse() {
-                    Ok(v) => v,
-                    Err(_) => return usage(),
-                }
-            }
-            "--out" => out = val!(),
-            _ => return usage(),
-        }
+    };
+
+    // Every plan shares everything but its class mix.
+    fn mix(plan: &RunPlan) -> &CapacityClassPlan {
+        plan.classes.as_ref().expect("one mix per plan")
     }
-
-    let plan = if scenario.is_empty() {
-        ScenarioPlan::default()
-    } else {
-        match ScenarioPlan::parse(&scenario) {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::from(2);
-            }
-        }
-    };
-
-    let specs: Vec<String> = match &classes {
-        Some(s) => vec![s.clone()],
-        None => SWEEP.iter().map(|s| s.to_string()).collect(),
-    };
-
     println!(
-        "ext-G — heterogeneity: N = {n}, d = {d}, zipf s = {zipf}, seed {seed}, \
-         jitter {jitter} slots\n"
+        "ext-G — heterogeneity: N = {}, d = {}, zipf s = {}, seed {}, {}\n",
+        plans[0].scheme.n,
+        plans[0].scheme.d,
+        mix(&plans[0]).zipf_exponent,
+        mix(&plans[0]).seed,
+        plans[0].label()
     );
     let mut reports: Vec<HeterogeneityReport> = Vec::new();
-    for spec in &specs {
-        let plan_c = match CapacityClassPlan::parse(spec) {
-            Ok(p) => p.with_zipf(zipf).seeded(seed),
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::from(2);
-            }
-        };
-        match run_heterogeneity(n, d, &plan_c, &plan, track, horizon, jitter, latency_seed) {
+    for plan in &plans {
+        match run_heterogeneity(plan) {
             Ok(r) => reports.push(r),
             Err(e) => {
-                eprintln!("heterogeneity run `{spec}` failed: {e}");
+                eprintln!("heterogeneity run `{}` failed: {e}", mix(plan));
                 return ExitCode::FAILURE;
             }
         }

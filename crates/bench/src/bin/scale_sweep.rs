@@ -4,9 +4,8 @@
 
 use clustream_analysis as analysis;
 use clustream_bench::{render_table, simulate};
-use clustream_core::Scheme;
-use clustream_hypercube::HypercubeStream;
 use clustream_multitree::{greedy_forest, DelayProfile, MultiTreeScheme, StreamMode};
+use clustream_plan::{Family, SchemeSpec};
 use clustream_sim::{diff_fields, FastEngine, SimConfig};
 use std::time::Instant;
 
@@ -48,24 +47,19 @@ fn main() {
     // readable reference and the allocation-light fast path (identical
     // results, checked field by field on every run).
     let mut engine = FastEngine::new();
-    type SchemeFactory = Box<dyn Fn() -> Box<dyn Scheme>>;
-    let cells: [(&str, u64, SchemeFactory); 2] = [
+    let cells = [
         (
             "multitree",
             48,
-            Box::new(|| {
-                Box::new(MultiTreeScheme::new(
-                    greedy_forest(20_000, 3).unwrap(),
-                    StreamMode::PreRecorded,
-                ))
-            }),
+            SchemeSpec::new(Family::MultiTree, 20_000, 3),
         ),
         (
             "hypercube",
             64,
-            Box::new(|| Box::new(HypercubeStream::new(20_000).unwrap())),
+            SchemeSpec::new(Family::Hypercube, 20_000, 1),
         ),
     ];
+    let cells = cells.map(|(name, track, spec)| (name, track, move || spec.build().unwrap()));
     for (_, track, make) in &cells {
         let t0 = Instant::now();
         let reference = simulate(make().as_mut(), *track);

@@ -1,7 +1,6 @@
 //! One function per reproduced display item.
 
 use clustream_analysis as analysis;
-use clustream_baselines::{ChainScheme, SingleTreeScheme};
 use clustream_core::{NodeId, PacketId, QosReport, Scheme};
 use clustream_hypercube::HypercubeStream;
 use clustream_multitree::{
@@ -9,6 +8,7 @@ use clustream_multitree::{
     MultiTreeScheme, StreamMode,
 };
 use clustream_overlay::{Backbone, ClusterSession, IntraScheme};
+use clustream_plan::{Family, RunPlan, Runtime, SchemeSpec};
 use clustream_sim::{FastEngine, RunResult, SimConfig, Simulator};
 use clustream_workloads::{ChurnAction, ChurnTrace, ChurnTraceConfig};
 use rayon::prelude::*;
@@ -47,6 +47,11 @@ pub fn simulate_fast(
         );
     }
     result
+}
+
+/// A factory of fresh pre-recorded, greedy-forest `family` schemes.
+fn maker(family: Family, n: usize, d: usize) -> impl Fn() -> Box<dyn Scheme> {
+    move || SchemeSpec::new(family, n, d).build().expect("valid")
 }
 
 /// Enough tracked packets to reach steady state for any scheme here.
@@ -127,12 +132,7 @@ pub fn table1(ns: &[usize]) -> Vec<Table1Row> {
         for d in [2usize, 3] {
             let r = simulate_fast(
                 engine,
-                || {
-                    Box::new(MultiTreeScheme::new(
-                        greedy_forest(n, d).expect("valid"),
-                        StreamMode::PreRecorded,
-                    ))
-                },
+                maker(Family::MultiTree, n, d),
                 track_for(analysis::thm2_worst_delay_bound(n, d)),
             );
             rows.push(row_from(&format!("multi-tree d={d}"), n, &r.qos));
@@ -143,7 +143,7 @@ pub fn table1(ns: &[usize]) -> Vec<Table1Row> {
             let n_special = (1usize << k) - 1;
             let r = simulate_fast(
                 engine,
-                || Box::new(HypercubeStream::new(n_special).expect("valid")),
+                maker(Family::Hypercube, n_special, 1),
                 track_for(k as u64 + 1),
             );
             rows.push(row_from("hypercube special", n_special, &r.qos));
@@ -151,17 +151,13 @@ pub fn table1(ns: &[usize]) -> Vec<Table1Row> {
         {
             let r = simulate_fast(
                 engine,
-                || Box::new(HypercubeStream::new(n).expect("valid")),
+                maker(Family::Hypercube, n, 1),
                 track_for(analysis::chained_worst_delay(n)),
             );
             rows.push(row_from("hypercube arbitrary", n, &r.qos));
         }
         {
-            let r = simulate_fast(
-                engine,
-                || Box::new(ChainScheme::new(n)),
-                track_for(n as u64),
-            );
+            let r = simulate_fast(engine, maker(Family::Chain, n, 1), track_for(n as u64));
             rows.push(row_from("chain baseline", n, &r.qos));
         }
         {
@@ -169,7 +165,7 @@ pub fn table1(ns: &[usize]) -> Vec<Table1Row> {
             // (interior upload = d× stream rate).
             let r = simulate_fast(
                 engine,
-                || Box::new(SingleTreeScheme::new(n, 2)),
+                maker(Family::SingleTree, n, 2),
                 track_for(2 * analysis::tree_height(n, 2)),
             );
             rows.push(row_from("single-tree d=2 (d× upload)", n, &r.qos));
@@ -328,7 +324,7 @@ pub fn prop1(ks: &[usize]) -> Vec<Prop1Row> {
         let n = (1usize << k) - 1;
         let r = simulate_fast(
             engine,
-            || Box::new(HypercubeStream::new(n).expect("valid")),
+            maker(Family::Hypercube, n, 1),
             track_for(k as u64 + 1),
         );
         Prop1Row {
@@ -360,11 +356,7 @@ pub fn prop2_thm4(ns: &[usize]) -> Vec<Prop2Row> {
     clustream_sim::sweep(ns, |engine, &n| {
         let cubes = HypercubeStream::new(n).expect("valid").cubes().count();
         let predicted = analysis::chained_worst_delay(n);
-        let r = simulate_fast(
-            engine,
-            || Box::new(HypercubeStream::new(n).expect("valid")),
-            track_for(predicted),
-        );
+        let r = simulate_fast(engine, maker(Family::Hypercube, n, 1), track_for(predicted));
         Prop2Row {
             n,
             cubes,
@@ -588,32 +580,19 @@ pub fn ext_utilization(n: usize, d: usize, track: u64) -> Vec<UtilizationRow> {
         });
     };
     {
-        let r = simulate_fast(
-            &mut engine,
-            || {
-                Box::new(MultiTreeScheme::new(
-                    greedy_forest(n, d).expect("valid"),
-                    StreamMode::PreRecorded,
-                ))
-            },
-            track,
-        );
+        let r = simulate_fast(&mut engine, maker(Family::MultiTree, n, d), track);
         push(&format!("multi-tree d={d}"), &r);
     }
     {
-        let r = simulate_fast(
-            &mut engine,
-            || Box::new(HypercubeStream::new(n).expect("valid")),
-            track,
-        );
+        let r = simulate_fast(&mut engine, maker(Family::Hypercube, n, 1), track);
         push("hypercube", &r);
     }
     {
-        let r = simulate_fast(&mut engine, || Box::new(SingleTreeScheme::new(n, d)), track);
+        let r = simulate_fast(&mut engine, maker(Family::SingleTree, n, d), track);
         push(&format!("single-tree d={d}"), &r);
     }
     {
-        let r = simulate_fast(&mut engine, || Box::new(ChainScheme::new(n)), track);
+        let r = simulate_fast(&mut engine, maker(Family::Chain, n, 1), track);
         push("chain", &r);
     }
     rows
@@ -722,9 +701,9 @@ pub fn ext_crash(n: usize, d: usize, crash_slot: u64, track: u64) -> Vec<CrashRo
     // Single tree (elevated capacity): crash node 1, the root's first
     // child — its whole subtree goes dark.
     {
-        let mut s = SingleTreeScheme::new(n, d);
+        let mut s = maker(Family::SingleTree, n, d)();
         let cfg = SimConfig::with_faults(track, horizon, FaultPlan::crash(NodeId(1), crash_slot));
-        let r = Simulator::run(&mut s, &cfg).expect("model holds");
+        let r = Simulator::run(s.as_mut(), &cfg).expect("model holds");
         let loss = r.loss.as_ref().expect("fault run");
         rows.push(CrashRow {
             scheme: format!("single-tree d={d}"),
@@ -793,15 +772,14 @@ pub fn ext_jitter_sweep(
     track: u64,
     seed: u64,
 ) -> Vec<JitterRow> {
-    use clustream_des::{DesConfig, DesEngine, LatencyModel};
+    use clustream_des::{DesEngine, LatencyModel};
 
-    let make = || {
-        Box::new(MultiTreeScheme::new(
-            greedy_forest(n, d).expect("valid parameters"),
-            StreamMode::PreRecorded,
-        )) as Box<dyn Scheme>
+    let plan = RunPlan {
+        runtime: Runtime::Des,
+        des_seed: seed,
+        ..RunPlan::new(SchemeSpec::new(Family::MultiTree, n, d), track)
     };
-    let sim = SimConfig::until_complete(track, 1_000_000);
+    let make = maker(Family::MultiTree, n, d);
     let baseline = simulate(make().as_mut(), track);
     let base_delay = baseline.qos.max_delay().max(1) as f64;
     let base_buffer = baseline.qos.max_buffer().max(1) as f64;
@@ -815,9 +793,11 @@ pub fn ext_jitter_sweep(
             } else {
                 LatencyModel::UniformJitter { jitter }
             };
-            let cfg = DesConfig::slot_faithful(sim.clone())
-                .with_latency(latency)
-                .seeded(seed);
+            let cfg = RunPlan {
+                latency,
+                ..plan.clone()
+            }
+            .des_config();
             let r = DesEngine::new()
                 .run(make().as_mut(), &cfg)
                 .expect("model holds");

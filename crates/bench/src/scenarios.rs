@@ -12,7 +12,7 @@
 //!   paper's `h·d` worst-delay bound (Theorem 2) at the *final*
 //!   population — the delay budget at which the frontier should flatten.
 //! * **Heterogeneity** — the same overlay replayed through the DES with
-//!   a [`CapacityClassPlan`] over the serialized uplink gate: fiber /
+//!   a [`clustream_des::CapacityClassPlan`] over the serialized uplink gate: fiber /
 //!   cable / mobile nodes drawn by seeded zipf, per-class QoE reported
 //!   side by side.
 //!
@@ -22,37 +22,52 @@
 //! the mega engine in the full tier.
 
 use clustream_analysis::thm2_worst_delay_bound;
-use clustream_core::{CoreError, NodeId, PacketId, Scheme};
-use clustream_des::{CapacityClassPlan, DesConfig, DesEngine, LatencyModel, UplinkModel};
-use clustream_multitree::{Construction, StreamMode};
+use clustream_core::{NodeId, Scheme};
+use clustream_des::LatencyModel;
+use clustream_plan::{member_timelines, CliError, Family, RunPlan, Runtime, SchemeSpec};
 use clustream_recovery::FlashCrowdScheme;
-use clustream_sim::{FastEngine, MegaEngine, RunResult, SimConfig, Simulator};
+use clustream_sim::RunResult;
+use clustream_telemetry::Telemetry;
 use clustream_workloads::{
     initial_buffering_frontier, summarize, throughput_smoothness_frontier, NodeTimeline,
     PlayPolicy, QoeSummary, ScenarioPlan,
 };
 use serde::{Deserialize, Serialize};
 
-/// Per-node arrival timelines for every current member of a finished
-/// run. `join_slots[id]` = slot node `id` joined (0 for incumbents);
-/// nodes that left (regional failures) are excluded — QoE is a
-/// survivors' metric, the departed have no player to stall.
-pub fn member_timelines(r: &RunResult, crowd: &FlashCrowdScheme, track: u64) -> Vec<NodeTimeline> {
-    let join_slots = crowd.join_slots();
-    (1..=crowd.num_receivers() as u64)
-        .filter(|&id| crowd.is_member(NodeId(id as u32)))
-        .map(|id| NodeTimeline {
-            node: id,
-            join_slot: join_slots.get(id as usize).copied().unwrap_or(0),
-            usable: (0..track)
-                .map(|p| {
-                    r.arrivals
-                        .usable_slot(NodeId(id as u32), PacketId(p))
-                        .map(|s| s.t())
-                })
-                .collect(),
-        })
-        .collect()
+/// The plan of one crowd run: `scenario` (an empty one streams the
+/// static forest) over an `n0`-member degree-`d` greedy forest, on the
+/// fast slot engine, in the fault-tolerant regime, for `horizon` slots.
+pub fn crowd_plan(
+    n0: usize,
+    d: usize,
+    scenario: ScenarioPlan,
+    track: u64,
+    horizon: u64,
+) -> RunPlan {
+    RunPlan {
+        horizon: Some(horizon),
+        scenario: Some(scenario),
+        ..RunPlan::new(SchemeSpec::new(Family::MultiTree, n0, d), track)
+    }
+}
+
+/// Validate `plan`, run it on a crowd scheme of its own and keep the
+/// scheme: the reports read its post-run state. Survivors are the
+/// scheme's current members — nodes that left (regional failures) have
+/// no player to stall.
+fn run_crowd(
+    plan: &RunPlan,
+) -> Result<(String, RunResult, FlashCrowdScheme, Vec<NodeTimeline>), CliError> {
+    plan.validate()?;
+    let scenario = plan.scenario.as_ref().ok_or_else(|| {
+        CliError::Usage("a crowd run needs a scenario (an empty one will do)".into())
+    })?;
+    let mut crowd = plan.scheme.crowd(scenario)?;
+    let (engine, r, _) = plan.run_scheme(&mut crowd, &Telemetry::disabled())?;
+    let timelines = member_timelines(&r, &crowd, plan.track, |id| {
+        crowd.is_member(NodeId(id as u32))
+    });
+    Ok((engine, r, crowd, timelines))
 }
 
 /// The delay grid a frontier is swept over: powers of two up to `2·bound`
@@ -112,38 +127,22 @@ fn build_label() -> String {
     .to_string()
 }
 
-/// Run one flash-crowd scenario on the named slot engine
-/// (`reference`, `fast` or `mega`) in the fault-tolerant regime and
-/// score the survivors' QoE.
-pub fn run_flash_crowd(
-    n0: usize,
-    d: usize,
-    plan: &ScenarioPlan,
-    track: u64,
-    horizon: u64,
-    engine: &str,
-) -> Result<FlashCrowdReport, CoreError> {
+/// Run one flash-crowd plan (see [`crowd_plan`]; pick the slot engine
+/// with [`RunPlan::engine`]) and score the survivors' QoE.
+pub fn run_flash_crowd(plan: &RunPlan) -> Result<FlashCrowdReport, CliError> {
     let t0 = std::time::Instant::now();
-    let mut crowd =
-        FlashCrowdScheme::from_plan(n0, d, StreamMode::PreRecorded, Construction::Greedy, plan)?;
-    let cfg = SimConfig::lossy_regime(track, horizon);
-    let r = match engine {
-        "fast" => FastEngine::new().run(&mut crowd, &cfg)?,
-        "mega" => MegaEngine::new().run(&mut crowd, &cfg)?,
-        _ => Simulator::run(&mut crowd, &cfg)?,
-    };
-    let timelines = member_timelines(&r, &crowd, track);
+    let (engine, r, crowd, timelines) = run_crowd(plan)?;
     let final_members = timelines.len() as u64;
-    let bound = thm2_worst_delay_bound(final_members as usize, d);
+    let bound = thm2_worst_delay_bound(final_members as usize, plan.scheme.d);
     let grid = delay_grid(bound);
     Ok(FlashCrowdReport {
         build: build_label(),
-        engine: engine.to_string(),
-        n0,
-        d,
-        scenario: plan.to_string(),
-        track,
-        horizon,
+        engine,
+        n0: plan.scheme.n,
+        d: plan.scheme.d,
+        scenario: plan.scenario.iter().map(|s| s.to_string()).collect(),
+        track: plan.track,
+        horizon: plan.horizon_slots(),
         joins_applied: crowd.joins_applied(),
         leaves_applied: crowd.leaves_applied(),
         final_members,
@@ -178,7 +177,7 @@ pub struct HeterogeneityReport {
     pub n0: usize,
     pub d: usize,
     /// Canonical class spec (round-trips through
-    /// [`CapacityClassPlan::parse`]).
+    /// [`clustream_des::CapacityClassPlan::parse`]).
     pub classes: String,
     pub zipf_exponent: f64,
     pub seed: u64,
@@ -196,45 +195,29 @@ pub struct HeterogeneityReport {
     pub wall_ms: u64,
 }
 
-/// Run one heterogeneity scenario through the DES: the overlay under a
-/// serialized uplink whose per-node credit is drawn from `classes`,
-/// optionally layered with a [`ScenarioPlan`] (regional failures, late
-/// joins). Reports per-class QoE side by side.
+/// Run one heterogeneity plan through the DES: a [`crowd_plan`] on
+/// [`Runtime::Des`] under a serialized uplink whose per-node credit is
+/// drawn from [`RunPlan::classes`], optionally with regional failures
+/// and late joins in its scenario. Reports per-class QoE side by side.
 ///
-/// `jitter` is the [`LatencyModel::UniformJitter`] width in slots
-/// (`0.0` = fixed wire times). It is what makes class capacity *bite*:
-/// under fixed latency every forwarder's demand is exactly one send per
-/// slot, which even a mobile uplink absorbs on time. Jitter bunches a
-/// delayed send against the next slot's, and a burst of two is where a
-/// capacity-4 fiber uplink shrugs and a capacity-1 mobile uplink queues —
-/// the queueing cascades down the mobile node's subtree.
-#[allow(clippy::too_many_arguments)]
-pub fn run_heterogeneity(
-    n0: usize,
-    d: usize,
-    classes: &CapacityClassPlan,
-    plan: &ScenarioPlan,
-    track: u64,
-    horizon: u64,
-    jitter: f64,
-    latency_seed: u64,
-) -> Result<HeterogeneityReport, CoreError> {
+/// Latency jitter ([`LatencyModel::UniformJitter`]) is what makes class
+/// capacity *bite*: under fixed latency every forwarder's demand is
+/// exactly one send per slot, which even a mobile uplink absorbs on
+/// time. Jitter bunches a delayed send against the next slot's, and a
+/// burst of two is where a capacity-4 fiber uplink shrugs and a
+/// capacity-1 mobile uplink queues — the queueing cascades down the
+/// mobile node's subtree.
+pub fn run_heterogeneity(plan: &RunPlan) -> Result<HeterogeneityReport, CliError> {
     let t0 = std::time::Instant::now();
-    let mut crowd =
-        FlashCrowdScheme::from_plan(n0, d, StreamMode::PreRecorded, Construction::Greedy, plan)?;
-    let mut cfg = DesConfig::slot_faithful(SimConfig::lossy_regime(track, horizon))
-        .with_uplink(UplinkModel::Serialized)
-        .with_capacity_classes(classes.clone())
-        .seeded(latency_seed);
-    if jitter > 0.0 {
-        cfg = cfg.with_latency(LatencyModel::UniformJitter { jitter });
-    }
-    cfg.validate().map_err(CoreError::InvalidConfig)?;
+    let classes = plan
+        .classes
+        .as_ref()
+        .filter(|_| plan.runtime == Runtime::Des)
+        .ok_or_else(|| CliError::Usage("a heterogeneity run needs DES capacity classes".into()))?;
+    let (_, r, crowd, timelines) = run_crowd(plan)?;
+    let (n0, d) = (plan.scheme.n, plan.scheme.d);
     let n_ids = crowd.num_receivers() + 1;
-    let r = DesEngine::new().run(&mut crowd, &cfg)?;
-    let timelines = member_timelines(&r, &crowd, track);
-    let final_members = timelines.len();
-    let bound = thm2_worst_delay_bound(final_members, d);
+    let bound = thm2_worst_delay_bound(timelines.len(), d);
     let grid = delay_grid(bound);
 
     // Slice the population by assigned class. The assignment is the
@@ -266,10 +249,13 @@ pub fn run_heterogeneity(
         classes: classes.to_string(),
         zipf_exponent: classes.zipf_exponent,
         seed: classes.seed,
-        jitter,
-        scenario: plan.to_string(),
-        track,
-        horizon,
+        jitter: match plan.latency {
+            LatencyModel::UniformJitter { jitter } => jitter,
+            _ => 0.0,
+        },
+        scenario: plan.scenario.iter().map(|s| s.to_string()).collect(),
+        track: plan.track,
+        horizon: plan.horizon_slots(),
         bound_h_d: bound,
         max_delay: r.qos.max_delay(),
         per_class,
@@ -282,34 +268,28 @@ pub fn run_heterogeneity(
 /// DES must agree bit for bit on the replay. Returns the divergence
 /// description on failure — `ext_flash_crowd --oracle` turns it into a
 /// nonzero exit, which is the CI quick-tier gate.
-pub fn flash_crowd_oracle(
-    n0: usize,
-    d: usize,
-    plan: &ScenarioPlan,
-    track: u64,
-    horizon: u64,
-) -> Result<(), String> {
-    let factory = || -> Box<dyn Scheme> {
-        Box::new(
-            FlashCrowdScheme::from_plan(n0, d, StreamMode::PreRecorded, Construction::Greedy, plan)
-                .expect("plan validated by the caller"),
-        )
+pub fn flash_crowd_oracle(plan: &RunPlan) -> Result<(), String> {
+    let checked = RunPlan {
+        runtime: Runtime::DesChecked,
+        ..plan.clone()
     };
-    let cfg = SimConfig::lossy_regime(track, horizon);
-    match clustream_des::DesOracle::check(factory, &cfg) {
-        Ok(_) | Err(None) => Ok(()),
-        Err(Some(d)) => Err(d),
+    match checked.run(&Telemetry::disabled()) {
+        Ok(_) => Ok(()),
+        Err(e) => Err(e.to_string()),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clustream_des::{CapacityClassPlan, UplinkModel};
+    use clustream_plan::Engine;
 
     #[test]
     fn flash_crowd_report_round_trips_through_json() {
         let plan = ScenarioPlan::parse("step:20@4").unwrap();
-        let rep = run_flash_crowd(10, 2, &plan, 16, 400, "fast").unwrap();
+        let rep = run_flash_crowd(&crowd_plan(10, 2, plan, 16, 400)).unwrap();
+        assert_eq!(rep.engine, "fast");
         assert_eq!(rep.joins_applied, 20);
         assert_eq!(rep.final_members, 30);
         assert_eq!(rep.scenario, "step:20@4");
@@ -332,8 +312,16 @@ mod tests {
     #[test]
     fn engines_agree_on_the_crowd_report() {
         let plan = ScenarioPlan::parse("ramp:30@2+8").unwrap();
-        let fast = run_flash_crowd(8, 3, &plan, 12, 300, "fast").unwrap();
-        let mega = run_flash_crowd(8, 3, &plan, 12, 300, "mega").unwrap();
+        let fast = crowd_plan(8, 3, plan, 12, 300);
+        let mega = RunPlan {
+            engine: Engine::Mega,
+            ..fast.clone()
+        };
+        let (fast, mega) = (
+            run_flash_crowd(&fast).unwrap(),
+            run_flash_crowd(&mega).unwrap(),
+        );
+        assert_eq!(mega.engine, "mega");
         assert_eq!(fast.max_delay, mega.max_delay);
         assert_eq!(fast.qoe_wait_at_bound, mega.qoe_wait_at_bound);
         assert_eq!(fast.initial_buffering, mega.initial_buffering);
@@ -344,8 +332,17 @@ mod tests {
         let classes = CapacityClassPlan::parse("fiber,cable,mobile")
             .unwrap()
             .seeded(3);
-        let rep =
-            run_heterogeneity(40, 2, &classes, &ScenarioPlan::default(), 16, 600, 0.75, 1).unwrap();
+        let plan = RunPlan {
+            runtime: Runtime::Des,
+            uplink: UplinkModel::Serialized,
+            classes: Some(classes),
+            latency: LatencyModel::UniformJitter { jitter: 0.75 },
+            des_seed: 1,
+            ..crowd_plan(40, 2, ScenarioPlan::default(), 16, 600)
+        };
+        let rep = run_heterogeneity(&plan).unwrap();
+        assert_eq!(rep.jitter, 0.75);
+        assert_eq!(rep.scenario, "");
         assert_eq!(rep.classes, "fiber:4,cable:2,mobile:1");
         assert_eq!(rep.per_class.len(), 3);
         assert_eq!(
@@ -362,7 +359,7 @@ mod tests {
     #[test]
     fn small_crowd_is_oracle_closed() {
         let plan = ScenarioPlan::parse("spikes:12@2+3=2").unwrap();
-        flash_crowd_oracle(6, 2, &plan, 12, 300).unwrap();
+        flash_crowd_oracle(&crowd_plan(6, 2, plan, 12, 300)).unwrap();
     }
 
     #[test]

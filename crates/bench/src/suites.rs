@@ -10,12 +10,10 @@
 //! tables and row schemas in one module is what makes that comparison
 //! meaningful: both sides are guaranteed to run the same simulations.
 
-use clustream_baselines::ChainScheme;
 use clustream_core::Scheme;
 use clustream_des::{DesConfig, DesEngine, QueueKind, TICKS_PER_SLOT};
-use clustream_hypercube::HypercubeStream;
-use clustream_multitree::{greedy_forest, Construction, MultiTreeScheme, StreamMode};
-use clustream_recovery::{RecoveryConfig, SelfHealingMultiTree};
+use clustream_plan::{Family, RunPlan, Runtime, SchemeSpec};
+use clustream_recovery::RecoveryConfig;
 use clustream_sim::SimConfig;
 use clustream_workloads::{ChurnAction, ChurnTrace, ChurnTraceConfig};
 use serde::{Deserialize, Serialize};
@@ -25,89 +23,68 @@ use std::time::Instant;
 pub struct Workload {
     /// Stable identifier, the join key against committed baseline rows.
     pub name: &'static str,
-    /// Tracked-packet window.
-    pub track: u64,
     /// Timing samples for the full bench run (reduced by `bench_check`).
     pub samples: usize,
-    /// Fresh-scheme factory (engines mutate schemes, so every run gets
-    /// its own instance).
-    pub make: Box<dyn Fn() -> Box<dyn Scheme>>,
+    /// Scaling suite only: whether `bench_check --suite scale` re-times
+    /// this row and holds it to [`MIN_MEGA_SPEEDUP`]. The largest rows
+    /// are generate-time only — their exact fields are still checked,
+    /// mega-only.
+    pub gate: bool,
+    /// What runs: the scheme and its tracked-packet window.
+    pub plan: RunPlan,
+}
+
+impl Workload {
+    fn new(name: &'static str, family: Family, n: usize, d: usize, track: u64) -> Workload {
+        Workload {
+            name,
+            samples: 5,
+            gate: false,
+            plan: RunPlan::new(SchemeSpec::new(family, n, d), track),
+        }
+    }
+
+    fn samples(mut self, samples: usize) -> Workload {
+        self.samples = samples;
+        self
+    }
+
+    /// A fresh scheme (engines mutate schemes, so every run gets its own
+    /// instance).
+    pub fn make(&self) -> Box<dyn Scheme> {
+        self.plan
+            .scheme
+            .build()
+            .expect("suite parameters are valid")
+    }
+
+    /// The slot-engine configuration.
+    pub fn sim(&self) -> SimConfig {
+        self.plan.sim_config()
+    }
+
+    /// The slot-faithful DES configuration on `queue`.
+    pub fn des(&self, queue: QueueKind) -> DesConfig {
+        RunPlan {
+            runtime: Runtime::Des,
+            queue: Some(queue),
+            ..self.plan.clone()
+        }
+        .des_config()
+    }
 }
 
 /// The reference-vs-fast slot-engine suite (`BENCH_engine.json`).
 pub fn engine_workloads() -> Vec<Workload> {
+    use Family::{Chain, Hypercube, MultiTree};
     vec![
-        Workload {
-            name: "fig4_multitree_n2000_d3_track48",
-            track: 48,
-            samples: 10,
-            make: Box::new(|| {
-                Box::new(MultiTreeScheme::new(
-                    greedy_forest(2000, 3).unwrap(),
-                    StreamMode::PreRecorded,
-                ))
-            }),
-        },
-        Workload {
-            name: "fig4_multitree_n2000_d2_track48",
-            track: 48,
-            samples: 10,
-            make: Box::new(|| {
-                Box::new(MultiTreeScheme::new(
-                    greedy_forest(2000, 2).unwrap(),
-                    StreamMode::PreRecorded,
-                ))
-            }),
-        },
-        Workload {
-            name: "table1_multitree_n1023_d3_track64",
-            track: 64,
-            samples: 10,
-            make: Box::new(|| {
-                Box::new(MultiTreeScheme::new(
-                    greedy_forest(1023, 3).unwrap(),
-                    StreamMode::PreRecorded,
-                ))
-            }),
-        },
-        Workload {
-            name: "table1_hypercube_n1023_track64",
-            track: 64,
-            samples: 10,
-            make: Box::new(|| Box::new(HypercubeStream::new(1023).unwrap())),
-        },
-        Workload {
-            name: "table1_chain_n1023_track8",
-            track: 8,
-            samples: 5,
-            make: Box::new(|| Box::new(ChainScheme::new(1023))),
-        },
-        Workload {
-            name: "scale_hypercube_n20000_track64",
-            track: 64,
-            samples: 3,
-            make: Box::new(|| Box::new(HypercubeStream::new(20_000).unwrap())),
-        },
+        Workload::new("fig4_multitree_n2000_d3_track48", MultiTree, 2000, 3, 48).samples(10),
+        Workload::new("fig4_multitree_n2000_d2_track48", MultiTree, 2000, 2, 48).samples(10),
+        Workload::new("table1_multitree_n1023_d3_track64", MultiTree, 1023, 3, 64).samples(10),
+        Workload::new("table1_hypercube_n1023_track64", Hypercube, 1023, 1, 64).samples(10),
+        Workload::new("table1_chain_n1023_track8", Chain, 1023, 1, 8),
+        Workload::new("scale_hypercube_n20000_track64", Hypercube, 20_000, 1, 64).samples(3),
     ]
-}
-
-/// One workload of the scaling suite: the fast and mega engines on
-/// large multi-tree populations.
-pub struct ScaleWorkload {
-    /// Stable identifier, the join key against committed baseline rows.
-    pub name: &'static str,
-    /// Population size (receivers).
-    pub n: usize,
-    /// Tracked-packet window.
-    pub track: u64,
-    /// Timing samples for the full bench run.
-    pub samples: usize,
-    /// Whether `bench_check --suite scale` re-times this row and holds
-    /// it to [`MIN_MEGA_SPEEDUP`]. The largest rows are generate-time
-    /// only — their exact fields are still checked, mega-only.
-    pub gate: bool,
-    /// Fresh-scheme factory.
-    pub make: Box<dyn Fn() -> Box<dyn Scheme>>,
 }
 
 /// Floor on the mega engine's speedup over the fast engine across the
@@ -115,78 +92,29 @@ pub struct ScaleWorkload {
 /// like the wheel-vs-heap floor, timing-tier only.
 pub const MIN_MEGA_SPEEDUP: f64 = 2.0;
 
-/// The scaling suite (the `scaling` section of `BENCH_engine.json`).
-/// Ordered by increasing `n` so the peak-RSS high-water readings stay
-/// per-row meaningful.
-pub fn scale_workloads() -> Vec<ScaleWorkload> {
-    fn multitree(n: usize) -> Box<dyn Scheme> {
-        Box::new(MultiTreeScheme::new(
-            greedy_forest(n, 3).unwrap(),
-            StreamMode::PreRecorded,
-        ))
-    }
+/// The scaling suite (the `scaling` section of `BENCH_engine.json`): the
+/// fast and mega engines on large multi-tree populations. Ordered by
+/// increasing `n` so the peak-RSS high-water readings stay per-row
+/// meaningful.
+pub fn scale_workloads() -> Vec<Workload> {
+    let row = |name, n, samples| Workload::new(name, Family::MultiTree, n, 3, 256).samples(samples);
     vec![
-        ScaleWorkload {
-            name: "scale_multitree_n1000_d3_track256",
-            n: 1_000,
-            track: 256,
-            samples: 5,
-            gate: false,
-            make: Box::new(|| multitree(1_000)),
-        },
-        ScaleWorkload {
-            name: "scale_multitree_n10000_d3_track256",
-            n: 10_000,
-            track: 256,
-            samples: 4,
-            gate: false,
-            make: Box::new(|| multitree(10_000)),
-        },
-        ScaleWorkload {
-            name: "scale_multitree_n100000_d3_track256",
-            n: 100_000,
-            track: 256,
-            samples: 3,
+        row("scale_multitree_n1000_d3_track256", 1_000, 5),
+        row("scale_multitree_n10000_d3_track256", 10_000, 4),
+        Workload {
             gate: true,
-            make: Box::new(|| multitree(100_000)),
+            ..row("scale_multitree_n100000_d3_track256", 100_000, 3)
         },
-        ScaleWorkload {
-            name: "scale_multitree_n1000000_d3_track256",
-            n: 1_000_000,
-            track: 256,
-            samples: 2,
-            gate: false,
-            make: Box::new(|| multitree(1_000_000)),
-        },
+        row("scale_multitree_n1000000_d3_track256", 1_000_000, 2),
     ]
 }
 
 /// The DES-throughput suite (`BENCH_des.json`).
 pub fn des_workloads() -> Vec<Workload> {
     vec![
-        Workload {
-            name: "multitree_n2000_d3_track48",
-            track: 48,
-            samples: 5,
-            make: Box::new(|| {
-                Box::new(MultiTreeScheme::new(
-                    greedy_forest(2000, 3).unwrap(),
-                    StreamMode::PreRecorded,
-                ))
-            }),
-        },
-        Workload {
-            name: "hypercube_n1023_track64",
-            track: 64,
-            samples: 5,
-            make: Box::new(|| Box::new(HypercubeStream::new(1023).unwrap())),
-        },
-        Workload {
-            name: "chain_n1023_track8",
-            track: 8,
-            samples: 3,
-            make: Box::new(|| Box::new(ChainScheme::new(1023))),
-        },
+        Workload::new("multitree_n2000_d3_track48", Family::MultiTree, 2000, 3, 48),
+        Workload::new("hypercube_n1023_track64", Family::Hypercube, 1023, 1, 64),
+        Workload::new("chain_n1023_track8", Family::Chain, 1023, 1, 8).samples(3),
     ]
 }
 
@@ -360,16 +288,20 @@ pub fn run_recovery_tier(
     mode: &str,
     rec: RecoveryConfig,
 ) -> RecoveryRow {
-    let mut scheme = SelfHealingMultiTree::new(
-        RECOVERY_N,
-        RECOVERY_D,
-        StreamMode::PreRecorded,
-        Construction::Greedy,
-    )
-    .unwrap();
-    let cfg = DesConfig::slot_faithful(SimConfig::until_complete(RECOVERY_TRACK, RECOVERY_HORIZON))
-        .with_churn(trace.clone())
-        .with_recovery(rec);
+    let plan = RunPlan {
+        horizon: Some(RECOVERY_HORIZON),
+        runtime: Runtime::Des,
+        recovery: rec,
+        // Regenerated from its parameters: the same seeded trace.
+        churn: Some(trace.config),
+        ..RunPlan::new(
+            SchemeSpec::new(Family::MultiTree, RECOVERY_N, RECOVERY_D),
+            RECOVERY_TRACK,
+        )
+    };
+    // Every tier, `off` included, streams through the healing wrapper.
+    let mut scheme = plan.scheme.self_healing().unwrap();
+    let cfg = plan.des_config();
     let start = Instant::now();
     let r = DesEngine::new().run(&mut scheme, &cfg).unwrap();
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
@@ -411,25 +343,21 @@ mod tests {
 
     #[test]
     fn workload_names_are_unique() {
-        for suite in [engine_workloads(), des_workloads()] {
+        for suite in [engine_workloads(), des_workloads(), scale_workloads()] {
             let mut names: Vec<&str> = suite.iter().map(|w| w.name).collect();
             names.sort_unstable();
             names.dedup();
             assert_eq!(names.len(), suite.len(), "duplicate workload name");
         }
-        let scale = scale_workloads();
-        let mut names: Vec<&str> = scale.iter().map(|w| w.name).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), scale.len(), "duplicate scale workload name");
     }
 
     #[test]
     fn scale_suite_runs_in_increasing_n_order_and_gates_n100k() {
         let scale = scale_workloads();
-        assert!(scale.windows(2).all(|w| w[0].n < w[1].n));
-        assert!(scale.iter().any(|w| w.n == 100_000 && w.gate));
-        assert!(scale.iter().any(|w| w.n == 1_000_000 && !w.gate));
+        let n = |w: &Workload| w.plan.scheme.n;
+        assert!(scale.windows(2).all(|w| n(&w[0]) < n(&w[1])));
+        assert!(scale.iter().any(|w| n(w) == 100_000 && w.gate));
+        assert!(scale.iter().any(|w| n(w) == 1_000_000 && !w.gate));
     }
 
     #[test]

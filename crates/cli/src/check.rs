@@ -4,15 +4,20 @@
 //! don't fit [`crate::ArgMap`]'s strict `--key value` grammar, so this
 //! subcommand parses its own argument vector.
 
-use crate::args::CliError;
+use crate::args::{flag_list, CliError, Usage};
 use clustream_mc::{
     exhaustive, exhaustive_recovery, explore, replay_dir, ExploreOptions, LatticeOptions,
 };
 use std::fmt::Write as _;
 use std::path::Path;
 
-const VALID_FLAGS: &str =
-    "--exhaustive, --explore, --replay-corpus, --budget, --seed, --corpus, --max-n";
+/// `check`'s usage text (and flag vocabulary); the three modes are
+/// valueless switches.
+pub const CHECK_USAGE: Usage = &[
+    "[--exhaustive] [--explore] [--replay-corpus]",
+    "[--budget <GENOMES>] [--seed <SEED>]",
+    "[--corpus <DIR>] [--max-n <N>]",
+];
 
 #[derive(Debug, Default)]
 struct CheckArgs {
@@ -60,14 +65,16 @@ fn parse(argv: &[String]) -> Result<CheckArgs, CliError> {
             }
             other => {
                 return Err(CliError::Usage(format!(
-                    "unknown flag `{other}`; valid options are: {VALID_FLAGS}"
+                    "unknown flag `{other}`; valid options are: {}",
+                    flag_list(CHECK_USAGE)
                 )));
             }
         }
     }
     if !(args.exhaustive || args.explore || args.replay_corpus) {
         return Err(CliError::Usage(format!(
-            "check needs at least one mode; valid options are: {VALID_FLAGS}"
+            "check needs at least one mode; valid options are: {}",
+            flag_list(CHECK_USAGE)
         )));
     }
     Ok(args)

@@ -1,500 +1,20 @@
 //! The CLI subcommands.
 
-use crate::args::{ArgMap, CliError};
-use clustream_baselines::{ChainScheme, SingleTreeScheme};
-use clustream_core::{NodeId, PacketId, Scheme};
-use clustream_des::{
-    CapacityClassPlan, DesConfig, DesEngine, DesOracle, LatencyModel, QueueKind, UplinkModel,
-    TICKS_PER_SLOT,
-};
-use clustream_hypercube::HypercubeStream;
-use clustream_multitree::{
-    greedy_forest, node_calendar, Construction, MultiTreeScheme, StreamMode,
-};
+use crate::args::{ArgMap, CliError, Usage};
+use clustream_core::{NodeId, PacketId};
+use clustream_des::{DesStats, TICKS_PER_SLOT};
+use clustream_multitree::node_calendar;
 use clustream_overlay::{plan_session, ClusterRequirement, IntraScheme};
-use clustream_recovery::{FlashCrowdScheme, RecoveryConfig, SelfHealingMultiTree};
-use clustream_sim::{DiffHarness, FastSimulator, MegaSimulator, RunResult, SimConfig, Simulator};
-use clustream_telemetry::{from_jsonl, names as tm, to_jsonl, Histogram, MemoryRecorder};
-use clustream_workloads::{
-    summarize, ChurnTrace, ChurnTraceConfig, NodeTimeline, PlayPolicy, ScenarioPlan,
+use clustream_plan::{member_timelines, Family, RunPlan, SchemeSpec, SCHEME_USAGE};
+use clustream_sim::{RunResult, SimConfig, Simulator};
+use clustream_telemetry::{
+    from_jsonl, names as tm, to_jsonl, Histogram, MemoryRecorder, Telemetry,
 };
+use clustream_workloads::{summarize, PlayPolicy};
 use std::fmt::Write as _;
 
-fn parse_mode(args: &ArgMap) -> Result<StreamMode, CliError> {
-    match args.optional("mode").unwrap_or("pre") {
-        "pre" => Ok(StreamMode::PreRecorded),
-        "buffered" => Ok(StreamMode::LivePrebuffered),
-        "pipelined" => Ok(StreamMode::LivePipelined),
-        other => Err(CliError::Usage(format!(
-            "--mode must be pre|buffered|pipelined, got `{other}`"
-        ))),
-    }
-}
-
-/// Which slot engine executes the simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EngineChoice {
-    /// The readable reference engine.
-    Reference,
-    /// The allocation-light fast engine (bit-identical results).
-    Fast,
-    /// The scale-oriented mega engine: columnar state, steady-state
-    /// schedule lowering and optional in-run sharding (`--shards`).
-    Mega,
-    /// Reference, fast and mega together, with a field-by-field
-    /// equality check.
-    Checked,
-}
-
-fn parse_engine(args: &ArgMap) -> Result<EngineChoice, CliError> {
-    match args.optional("engine").unwrap_or("fast") {
-        "reference" => Ok(EngineChoice::Reference),
-        "fast" => Ok(EngineChoice::Fast),
-        "mega" => Ok(EngineChoice::Mega),
-        "checked" => Ok(EngineChoice::Checked),
-        other => Err(CliError::Usage(format!(
-            "unknown --engine `{other}`; valid options are: reference, fast, mega, checked"
-        ))),
-    }
-}
-
-/// Which runtime model drives the run: the synchronous slot engines or
-/// the asynchronous discrete-event simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RuntimeChoice {
-    /// Lockstep slot execution (pick the engine with `--engine`).
-    Slot,
-    /// Discrete-event runtime with pluggable latency/uplink models.
-    Des,
-    /// DES in the slot-faithful configuration, field-checked against the
-    /// fast slot engine.
-    DesChecked,
-}
-
-fn parse_runtime(args: &ArgMap) -> Result<RuntimeChoice, CliError> {
-    match args.optional("runtime").unwrap_or("slot") {
-        "slot" => Ok(RuntimeChoice::Slot),
-        "des" => Ok(RuntimeChoice::Des),
-        "des-checked" => Ok(RuntimeChoice::DesChecked),
-        other => Err(CliError::Usage(format!(
-            "unknown --runtime `{other}`; valid options are: slot, des, des-checked"
-        ))),
-    }
-}
-
-/// Event-queue flag for the DES runtimes: `--queue heap|wheel|checked`.
-/// Result-invariant — every queue pops the identical event sequence — so
-/// it only trades wall clock (wheel) against self-checking (checked runs
-/// heap and wheel in lockstep, asserting identical pop order).
-fn parse_queue(args: &ArgMap) -> Result<QueueKind, CliError> {
-    match args.optional("queue").unwrap_or("heap") {
-        "heap" => Ok(QueueKind::Heap),
-        "wheel" => Ok(QueueKind::Wheel),
-        "checked" => Ok(QueueKind::Checked),
-        other => Err(CliError::Usage(format!(
-            "unknown --queue `{other}`; valid options are: heap, wheel, checked"
-        ))),
-    }
-}
-
-/// Latency-model flags: `--latency fixed|jitter|heavytail` with
-/// `--jitter` (span, slots) or `--scale`/`--alpha`/`--cap`.
-fn parse_latency(args: &ArgMap) -> Result<LatencyModel, CliError> {
-    let model = match args.optional("latency").unwrap_or("fixed") {
-        "fixed" => LatencyModel::Fixed,
-        "jitter" => LatencyModel::UniformJitter {
-            jitter: args.f64_or("jitter", 0.5)?,
-        },
-        "heavytail" => LatencyModel::HeavyTail {
-            scale: args.f64_or("scale", 0.5)?,
-            alpha: args.f64_or("alpha", 1.5)?,
-            cap: args.f64_or("cap", 8.0)?,
-        },
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown --latency `{other}`; valid options are: fixed, jitter, heavytail"
-            )))
-        }
-    };
-    model.validate().map_err(CliError::Usage)?;
-    Ok(model)
-}
-
-/// Recovery-layer flags: `--recovery off|repair|repair+nack` plus the
-/// detection / NACK knobs. Durations take a unit (`--suspect-timeout
-/// 2.5slots`, `--nack-jitter 300ticks`).
-fn parse_recovery(args: &ArgMap) -> Result<RecoveryConfig, CliError> {
-    let mut rec = match args.optional("recovery").unwrap_or("off") {
-        "off" => RecoveryConfig::default(),
-        "repair" => RecoveryConfig::repair(),
-        "repair+nack" => RecoveryConfig::repair_nack(),
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown --recovery `{other}`; valid options are: off, repair, repair+nack"
-            )))
-        }
-    };
-    rec.suspect_timeout_ticks =
-        args.duration_ticks_or("suspect-timeout", TICKS_PER_SLOT, rec.suspect_timeout_ticks)?;
-    rec.suspicion_threshold = args.usize_or("suspect-threshold", rec.suspicion_threshold)?;
-    rec.nack_timeout_ticks =
-        args.duration_ticks_or("nack-timeout", TICKS_PER_SLOT, rec.nack_timeout_ticks)?;
-    rec.nack_backoff = args.f64_or("nack-backoff", rec.nack_backoff)?;
-    rec.nack_cap_ticks = args.duration_ticks_or("nack-cap", TICKS_PER_SLOT, rec.nack_cap_ticks)?;
-    rec.nack_jitter_ticks =
-        args.duration_ticks_or("nack-jitter", TICKS_PER_SLOT, rec.nack_jitter_ticks)?;
-    let retries = args.u64_or("nack-retries", rec.max_retries as u64)?;
-    rec.max_retries = u32::try_from(retries).map_err(|_| {
-        CliError::Usage(format!(
-            "--nack-retries must be at most {}, got {retries}",
-            u32::MAX
-        ))
-    })?;
-    rec.repair_buffer = args.usize_or("repair-buffer", rec.repair_buffer)?;
-    rec.gap_slack = args.u64_or("gap-slack", rec.gap_slack)?;
-    rec.seed = args.u64_or("recovery-seed", rec.seed)?;
-    rec.validate().map_err(CliError::Usage)?;
-    Ok(rec)
-}
-
-/// Churn flags: `--churn-leave/--churn-join/--churn-rejoin` (per-slot
-/// per-member probabilities) generate a seeded trace over
-/// `--churn-slots`. Returns `None` when no churn flag is given.
-fn parse_churn(args: &ArgMap, n: usize) -> Result<Option<ChurnTrace>, CliError> {
-    let leave = args.f64_or("churn-leave", 0.0)?;
-    let join = args.f64_or("churn-join", 0.0)?;
-    let rejoin = args.f64_or("churn-rejoin", 0.0)?;
-    let requested = [leave, join, rejoin].iter().any(|&r| r != 0.0)
-        || args.optional("churn-slots").is_some()
-        || args.optional("churn-seed").is_some();
-    if !requested {
-        return Ok(None);
-    }
-    for (name, r) in [
-        ("churn-leave", leave),
-        ("churn-join", join),
-        ("churn-rejoin", rejoin),
-    ] {
-        if !(r.is_finite() && (0.0..=1.0).contains(&r)) {
-            return Err(CliError::Usage(format!(
-                "--{name} must be a probability in [0, 1], got {r}"
-            )));
-        }
-    }
-    Ok(Some(ChurnTrace::generate(ChurnTraceConfig {
-        initial_members: n,
-        slots: args.u64_or("churn-slots", 200)?,
-        join_rate: join,
-        leave_rate: leave,
-        rejoin_rate: rejoin,
-        seed: args.u64_or("churn-seed", 0)?,
-    })))
-}
-
-fn parse_uplink(args: &ArgMap) -> Result<UplinkModel, CliError> {
-    match args.optional("uplink").unwrap_or("unconstrained") {
-        "unconstrained" => Ok(UplinkModel::Unconstrained),
-        "serialized" => Ok(UplinkModel::Serialized),
-        other => Err(CliError::Usage(format!(
-            "unknown --uplink `{other}`; valid options are: unconstrained, serialized"
-        ))),
-    }
-}
-
-/// `--classes NAME[:CAPACITY],...` — named per-node uplink capacity
-/// classes (heterogeneity), with optional `--classes-zipf` and
-/// `--classes-seed` knobs. DES runtimes only; validation of the
-/// serialized-uplink requirement lives in [`DesConfig::validate`].
-fn parse_classes(args: &ArgMap) -> Result<Option<CapacityClassPlan>, CliError> {
-    let Some(spec) = args.optional("classes") else {
-        return Ok(None);
-    };
-    let plan = CapacityClassPlan::parse(spec)
-        .map_err(CliError::Usage)?
-        .with_zipf(args.f64_or("classes-zipf", 1.0)?)
-        .seeded(args.u64_or("classes-seed", 0)?);
-    plan.validate().map_err(CliError::Usage)?;
-    Ok(Some(plan))
-}
-
-fn build_scheme(args: &ArgMap) -> Result<Box<dyn Scheme>, CliError> {
-    let n = args.required_usize("n")?;
-    Ok(match args.required("scheme")? {
-        "multitree" => {
-            let d = args.usize_or("d", 2)?;
-            match args.optional("scenario") {
-                // A scenario turns the static forest into the online
-                // flash-crowd dynamics (joins + regional failures
-                // scripted by the plan, applied mid-run).
-                Some(spec) => {
-                    let plan = ScenarioPlan::parse(spec).map_err(CliError::Usage)?;
-                    Box::new(FlashCrowdScheme::from_plan(
-                        n,
-                        d,
-                        parse_mode(args)?,
-                        Construction::Greedy,
-                        &plan,
-                    )?)
-                }
-                None => Box::new(MultiTreeScheme::new(
-                    greedy_forest(n, d)?,
-                    parse_mode(args)?,
-                )),
-            }
-        }
-        // Hypercubes default to a single chain (d = 1 source split).
-        "hypercube" => {
-            let d = args.usize_or("d", 1)?;
-            Box::new(HypercubeStream::with_groups(n, d.min(n))?)
-        }
-        "chain" => Box::new(ChainScheme::new(n)),
-        "singletree" => Box::new(SingleTreeScheme::new(n, args.usize_or("d", 2)?)),
-        other => {
-            return Err(CliError::Usage(format!(
-                "--scheme must be multitree|hypercube|chain|singletree, got `{other}`"
-            )))
-        }
-    })
-}
-
-fn run_scheme(scheme: &mut dyn Scheme, track: u64, traced: bool) -> Result<RunResult, CliError> {
-    let mut cfg = SimConfig::until_complete(track, 1_000_000);
-    if traced {
-        cfg = cfg.traced();
-    }
-    Ok(Simulator::run(scheme, &cfg)?)
-}
-
-/// `clustream simulate`.
-pub fn simulate(args: &ArgMap) -> Result<String, CliError> {
-    // Validate the scheme parameters once up front, so the factory used
-    // by the checked engine cannot fail.
-    let _ = build_scheme(args)?;
-    let track = args.usize_or("track", 48)? as u64;
-    let runtime = parse_runtime(args)?;
-    let engine = parse_engine(args)?;
-    let shards = args.usize_or("shards", 1)?;
-    if shards == 0 {
-        return Err(CliError::Usage("--shards must be at least 1".into()));
-    }
-    if args.optional("shards").is_some() && engine != EngineChoice::Mega {
-        return Err(CliError::Usage(
-            "--shards partitions the mega engine's node range; it needs --engine mega".into(),
-        ));
-    }
-    let latency = parse_latency(args)?;
-    let uplink = parse_uplink(args)?;
-    let queue = parse_queue(args)?;
-    let recovery = parse_recovery(args)?;
-    let churn = parse_churn(args, args.required_usize("n")?)?;
-    let scenario = args
-        .optional("scenario")
-        .map(ScenarioPlan::parse)
-        .transpose()
-        .map_err(CliError::Usage)?;
-    if scenario.is_some() {
-        if args.required("scheme")? != "multitree" {
-            return Err(CliError::Usage(
-                "--scenario replays the flash-crowd add dynamics; it requires \
-                 --scheme multitree"
-                    .into(),
-            ));
-        }
-        if churn.is_some() {
-            return Err(CliError::Usage(
-                "--scenario compiles its own churn trace; drop the --churn-* flags".into(),
-            ));
-        }
-    }
-    let classes = parse_classes(args)?;
-    if classes.is_some() && runtime == RuntimeChoice::Slot {
-        return Err(CliError::Usage(
-            "--classes shapes per-node DES uplink credit; it needs --runtime des \
-             (and --uplink serialized)"
-                .into(),
-        ));
-    }
-    if args.optional("queue").is_some() && runtime == RuntimeChoice::Slot {
-        return Err(CliError::Usage(
-            "--queue selects the DES event queue; it needs --runtime des or des-checked".into(),
-        ));
-    }
-    if (recovery.mode.enabled() || churn.is_some()) && runtime != RuntimeChoice::Des {
-        return Err(CliError::Usage(
-            "--recovery/--churn-* need --runtime des (failure detection and churn are \
-             asynchronous processes)"
-                .into(),
-        ));
-    }
-    if recovery.mode.enabled() && args.required("scheme")? != "multitree" {
-        return Err(CliError::Usage(
-            "--recovery repair heals the appendix multi-tree dynamics; it requires \
-             --scheme multitree"
-                .into(),
-        ));
-    }
-    // Churned runs never "complete" (departed members stay incomplete),
-    // so they run to a finite horizon instead. Eventful scenario runs do
-    // the same, and additionally run in the fault-tolerant regime: late
-    // joiners necessarily miss the head of the window, which must be
-    // reported as loss, not a fatal hiccup.
-    let scenario_eventful = scenario
-        .as_ref()
-        .is_some_and(|p| p.total_joins() > 0 || !p.failures.is_empty());
-    let horizon = if let Some(trace) = &churn {
-        args.u64_or("horizon", trace.config.slots.max(4 * track))?
-    } else if let Some(plan) = scenario.as_ref().filter(|_| scenario_eventful) {
-        let drained = track
-            .checked_mul(4)
-            .and_then(|drain| plan.last_event_slot().max(track).checked_add(drain))
-            .ok_or_else(|| {
-                CliError::Usage(format!(
-                    "bad --scenario `{plan}`: its last event slot plus the 4·track drain \
-                     overflows u64"
-                ))
-            })?;
-        args.u64_or("horizon", drained)?
-    } else {
-        1_000_000
-    };
-    let metrics = args
-        .optional("metrics-out")
-        .map(|p| (p.to_string(), MemoryRecorder::handle()));
-    let mut cfg = if scenario_eventful {
-        SimConfig::lossy_regime(track, horizon)
-    } else {
-        SimConfig::until_complete(track, horizon)
-    };
-    if let Some((_, (_, tel))) = &metrics {
-        cfg = cfg.with_telemetry(tel.clone());
-    }
-    let mut des_stats = None;
-    let (engine_name, r) = match runtime {
-        RuntimeChoice::Slot => {
-            if !latency.is_slot_exact() || uplink != UplinkModel::Unconstrained {
-                return Err(CliError::Usage(
-                    "--latency/--uplink models need --runtime des (the slot runtime is \
-                     synchronous by construction)"
-                        .into(),
-                ));
-            }
-            match engine {
-                EngineChoice::Reference => (
-                    "reference".to_string(),
-                    Simulator::run(build_scheme(args)?.as_mut(), &cfg)?,
-                ),
-                EngineChoice::Fast => (
-                    "fast".to_string(),
-                    FastSimulator::run(build_scheme(args)?.as_mut(), &cfg)?,
-                ),
-                EngineChoice::Mega => (
-                    if shards > 1 {
-                        format!("mega ({shards} shards)")
-                    } else {
-                        "mega".to_string()
-                    },
-                    MegaSimulator::run_sharded(build_scheme(args)?.as_mut(), &cfg, shards)?,
-                ),
-                EngineChoice::Checked => {
-                    let r = match DiffHarness::check(
-                        || build_scheme(args).expect("validated above"),
-                        &cfg,
-                    ) {
-                        Ok(r) => r,
-                        Err(Some(divergence)) => {
-                            return Err(CliError::Model(format!(
-                                "differential check failed: {divergence}"
-                            )))
-                        }
-                        // All engines rejected the run identically: surface the
-                        // actual model error.
-                        Err(None) => {
-                            let err = Simulator::run(build_scheme(args)?.as_mut(), &cfg)
-                                .expect_err("all engines failed");
-                            return Err(err.into());
-                        }
-                    };
-                    ("checked (reference ≡ fast ≡ mega)".to_string(), r)
-                }
-            }
-        }
-        RuntimeChoice::Des => {
-            let mut des_cfg = DesConfig::slot_faithful(cfg.clone())
-                .with_latency(latency)
-                .with_uplink(uplink)
-                .seeded(args.u64_or("des-seed", 0)?)
-                .with_recovery(recovery)
-                .with_queue(queue);
-            if let Some(trace) = churn.clone() {
-                des_cfg = des_cfg.with_churn(trace);
-            }
-            if let Some(plan) = classes.clone() {
-                des_cfg = des_cfg.with_capacity_classes(plan);
-            }
-            des_cfg.validate().map_err(CliError::Usage)?;
-            let mut engine = DesEngine::new();
-            let r = if recovery.mode.enabled() {
-                // The recovery layer repairs the tree online — it needs
-                // the self-healing wrapper, not the static scheme.
-                let mut scheme = SelfHealingMultiTree::new(
-                    args.required_usize("n")?,
-                    args.usize_or("d", 2)?,
-                    parse_mode(args)?,
-                    Construction::Greedy,
-                )?;
-                engine.run(&mut scheme, &des_cfg)?
-            } else {
-                engine.run(build_scheme(args)?.as_mut(), &des_cfg)?
-            };
-            des_stats = Some(*engine.stats());
-            let mut label = if recovery.mode.enabled() {
-                format!(
-                    "des ({}, self-healing {})",
-                    describe_latency(&latency),
-                    args.optional("recovery").unwrap_or("off")
-                )
-            } else {
-                format!("des ({})", describe_latency(&latency))
-            };
-            if queue != QueueKind::Heap {
-                label.push_str(&format!(", {} queue", queue.label()));
-            }
-            (label, r)
-        }
-        RuntimeChoice::DesChecked => {
-            if !latency.is_slot_exact() || uplink != UplinkModel::Unconstrained || classes.is_some()
-            {
-                return Err(CliError::Usage(
-                    "--runtime des-checked verifies the slot-faithful configuration; drop \
-                     --latency/--uplink/--classes or use --runtime des"
-                        .into(),
-                ));
-            }
-            let r = match DesOracle::check_with_queue(
-                || build_scheme(args).expect("validated above"),
-                &cfg,
-                queue,
-            ) {
-                Ok(r) => r,
-                Err(Some(divergence)) => {
-                    return Err(CliError::Model(format!(
-                        "slot/DES differential check failed: {divergence}"
-                    )))
-                }
-                Err(None) => {
-                    let err = Simulator::run(build_scheme(args)?.as_mut(), &cfg)
-                        .expect_err("both engines failed");
-                    return Err(err.into());
-                }
-            };
-            let label = if queue == QueueKind::Heap {
-                "des-checked (slot ≡ des)".to_string()
-            } else {
-                format!("des-checked (slot ≡ des, {} queue)", queue.label())
-            };
-            (label, r)
-        }
-    };
+/// The QoS, DES, loss and resilience lines of a finished run.
+fn render_run(engine_name: &str, r: &RunResult, des_stats: Option<DesStats>) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "scheme      : {}", r.scheme);
     let _ = writeln!(out, "engine      : {engine_name}");
@@ -545,42 +65,38 @@ pub fn simulate(args: &ArgMap) -> Result<String, CliError> {
         );
         let _ = writeln!(out, "control msgs: {}", res.control_messages);
     }
-    if let Some(plan) = &scenario {
+    out
+}
+
+/// `clustream simulate`: parse → validate → run → render.
+pub fn simulate(args: &ArgMap) -> Result<String, CliError> {
+    let plan = RunPlan::from_args(args)?;
+    plan.validate()?;
+    let recorder = plan.metrics_out.as_ref().map(|_| MemoryRecorder::handle());
+    let telemetry = recorder
+        .as_ref()
+        .map_or_else(Telemetry::disabled, |(_, tel)| tel.clone());
+    let (engine_name, r, des_stats) = plan.run(&telemetry)?;
+    let mut out = render_run(&engine_name, &r, des_stats);
+    if let Some(scenario) = &plan.scenario {
         // Score the survivors' QoE at the paper's h·d budget. Join slots
-        // and the id space come from a fresh replica of the crowd scheme
-        // (identity assignment is deterministic); survivors are the ids
-        // outside every failure region.
-        let crowd = FlashCrowdScheme::from_plan(
-            args.required_usize("n")?,
-            args.usize_or("d", 2)?,
-            parse_mode(args)?,
-            Construction::Greedy,
-            plan,
-        )?;
-        let join_slots = crowd.join_slots();
-        let failed = |id: u64| plan.failures.iter().any(|f| (f.lo..=f.hi).contains(&id));
-        let timelines: Vec<NodeTimeline> = (1..=crowd.num_receivers() as u64)
-            .filter(|&id| !failed(id))
-            .map(|id| NodeTimeline {
-                node: id,
-                join_slot: join_slots.get(id as usize).copied().unwrap_or(0),
-                usable: (0..track)
-                    .map(|p| {
-                        r.arrivals
-                            .usable_slot(NodeId(id as u32), PacketId(p))
-                            .map(|s| s.t())
-                    })
-                    .collect(),
-            })
-            .collect();
-        let d = args.usize_or("d", 2)?;
-        let bound = clustream_analysis::thm2_worst_delay_bound(timelines.len(), d);
+        // and the id space come from a fresh replica of the crowd scheme;
+        // survivors are the ids outside every failure region.
+        let crowd = plan.scheme.crowd(scenario)?;
+        let failed = |id: u64| {
+            scenario
+                .failures
+                .iter()
+                .any(|f| (f.lo..=f.hi).contains(&id))
+        };
+        let timelines = member_timelines(&r, &crowd, plan.track, |id| !failed(id));
+        let bound = clustream_analysis::thm2_worst_delay_bound(timelines.len(), plan.scheme.d);
         let q = summarize(&timelines, PlayPolicy::Wait, bound);
-        let failures: u64 = plan.failures.iter().map(|f| f.hi - f.lo + 1).sum();
+        let failures: u64 = scenario.failures.iter().map(|f| f.hi - f.lo + 1).sum();
         let _ = writeln!(
             out,
-            "scenario    : `{plan}` ({} joins, {failures} regional departures)",
-            plan.total_joins()
+            "scenario    : `{scenario}` ({} joins, {failures} regional departures)",
+            scenario.total_joins()
         );
         let _ = writeln!(
             out,
@@ -588,20 +104,18 @@ pub fn simulate(args: &ArgMap) -> Result<String, CliError> {
              smoothness {:.4}, throughput {:.4} (wait policy)",
             q.interruption_probability, q.mean_stall_slots, q.smoothness, q.throughput
         );
-        if let Some((_, (_, tel))) = &metrics {
-            tel.counter(tm::SCENARIO_JOINS, plan.total_joins());
-            tel.counter(tm::SCENARIO_FAILURES, failures);
-            tel.gauge(
-                tm::QOE_INTERRUPTED_PER_MILLE,
-                (q.interruption_probability * 1000.0).round() as u64,
-            );
-            tel.gauge(
-                tm::QOE_STALL_SLOTS,
-                (q.mean_stall_slots * q.nodes as f64).round() as u64,
-            );
-        }
+        telemetry.counter(tm::SCENARIO_JOINS, scenario.total_joins());
+        telemetry.counter(tm::SCENARIO_FAILURES, failures);
+        telemetry.gauge(
+            tm::QOE_INTERRUPTED_PER_MILLE,
+            (q.interruption_probability * 1000.0).round() as u64,
+        );
+        telemetry.gauge(
+            tm::QOE_STALL_SLOTS,
+            (q.mean_stall_slots * q.nodes as f64).round() as u64,
+        );
     }
-    if let Some((path, (rec, _))) = &metrics {
+    if let (Some(path), Some((rec, _))) = (&plan.metrics_out, recorder) {
         std::fs::write(path, to_jsonl(&rec.snapshot()))
             .map_err(|e| CliError::Usage(format!("cannot write --metrics-out `{path}`: {e}")))?;
         let _ = writeln!(out, "metrics     : {path}");
@@ -773,19 +287,12 @@ fn render_hist_table(out: &mut String, title: &str, h: &Histogram) {
     }
 }
 
-/// Human-readable latency-model label for the `engine` output line.
-fn describe_latency(latency: &LatencyModel) -> String {
-    match latency {
-        LatencyModel::Fixed => "fixed latency".to_string(),
-        LatencyModel::UniformJitter { jitter } => format!("jitter ≤ {jitter} slots"),
-        LatencyModel::HeavyTail { scale, alpha, cap } => {
-            format!("heavy tail scale={scale} α={alpha} cap={cap}")
-        }
-    }
-}
+/// `analyze`'s usage text (and flag vocabulary).
+pub const ANALYZE_USAGE: Usage = &["--n <N> [--max-d <D>]"];
 
 /// `clustream analyze`.
 pub fn analyze(args: &ArgMap) -> Result<String, CliError> {
+    args.check_known(ANALYZE_USAGE)?;
     let n = args.required_usize("n")?;
     let max_d = args.usize_or("max-d", 5)?.max(2);
     let mut out = String::new();
@@ -818,8 +325,13 @@ pub fn analyze(args: &ArgMap) -> Result<String, CliError> {
     Ok(out)
 }
 
+/// `plan`'s usage text (and flag vocabulary).
+pub const PLAN_USAGE: Usage =
+    &["--clusters <size[:budget],size[:budget],…> [--tc <T>] [--bigd <D>]"];
+
 /// `clustream plan`.
 pub fn plan(args: &ArgMap) -> Result<String, CliError> {
+    args.check_known(PLAN_USAGE)?;
     let spec = args.required("clusters")?;
     let t_c = args.usize_or("tc", 5)? as u32;
     let big_d = args.usize_or("bigd", 3)?;
@@ -879,9 +391,19 @@ pub fn plan(args: &ArgMap) -> Result<String, CliError> {
     Ok(out)
 }
 
+/// `trace`'s usage text: the scheme's flags, then which delivery to
+/// follow.
+pub const TRACE_USAGE: Usage = &[
+    SCHEME_USAGE[0],
+    SCHEME_USAGE[1],
+    "--node <ID> [--packet <P>]",
+];
+
 /// `clustream trace`.
 pub fn trace(args: &ArgMap) -> Result<String, CliError> {
-    let mut scheme = build_scheme(args)?;
+    args.check_known(TRACE_USAGE)?;
+    let spec = SchemeSpec::from_args(args)?;
+    let mut scheme = spec.build()?;
     let node = args.required_usize("node")? as u32;
     let packet = args.usize_or("packet", 0)? as u64;
     if node as usize > scheme.num_receivers() || node == 0 {
@@ -891,7 +413,8 @@ pub fn trace(args: &ArgMap) -> Result<String, CliError> {
         )));
     }
     let track = (packet + 16).max(48);
-    let r = run_scheme(scheme.as_mut(), track, true)?;
+    let cfg = SimConfig::until_complete(track, 1_000_000).traced();
+    let r = Simulator::run(scheme.as_mut(), &cfg)?;
     let tr = r.trace.as_ref().expect("trace requested");
 
     let mut out = String::new();
@@ -917,11 +440,12 @@ pub fn trace(args: &ArgMap) -> Result<String, CliError> {
         let _ = writeln!(out, "usable from slot {}", usable.t());
     }
     // For multi-trees, print the node's Figure-2 style calendar.
-    if args.required("scheme")? == "multitree" {
-        let n = args.required_usize("n")?;
-        let d = args.usize_or("d", 2)?;
-        let s = MultiTreeScheme::new(greedy_forest(n, d)?, parse_mode(args)?);
-        let _ = writeln!(out, "\n{}", node_calendar(&s, node).render());
+    if spec.family == Family::MultiTree {
+        let _ = writeln!(
+            out,
+            "\n{}",
+            node_calendar(&spec.multitree()?, node).render()
+        );
     }
     Ok(out)
 }
@@ -957,6 +481,231 @@ mod tests {
             let out = run(&argv(&["simulate", "--scheme", s, "--n", "12"])).unwrap();
             assert!(out.contains("receivers   : 12"), "{s}: {out}");
         }
+    }
+
+    /// Satellite bugfix 1: scheme parameters outside a family's domain
+    /// used to reach `assert!`s in `crates/baselines` (exit 101) from all
+    /// four entry points; they are model errors now.
+    #[test]
+    fn out_of_domain_scheme_parameters_are_model_errors_on_every_entry_point() {
+        let trace_file = |family: &str, n: u64, d: u64| {
+            let path = std::env::temp_dir().join(format!(
+                "clustream-bad-trace-{family}-{}.json",
+                std::process::id()
+            ));
+            let trace = clustream_net::RunTrace {
+                params: clustream_net::SchemeParams {
+                    family: family.into(),
+                    n,
+                    d,
+                },
+                track: 4,
+                max_slots: 64,
+                slot_micros: 2_000,
+                links: Vec::new(),
+                kills: Vec::new(),
+                chaos: Vec::new(),
+                chaos_seed: 0,
+                deliveries: Vec::new(),
+            };
+            std::fs::write(&path, trace.to_json()).unwrap();
+            path.to_str().unwrap().to_string()
+        };
+        let (chain0, tree0) = (trace_file("chain", 0, 1), trace_file("singletree", 4, 0));
+        let receivers = "model error: invalid configuration: need at least one receiver";
+        let degree = "model error: invalid configuration: tree degree d must be ≥ 1";
+        for (args, want) in [
+            (vec!["simulate", "--scheme", "chain", "--n", "0"], receivers),
+            (
+                vec!["simulate", "--scheme", "singletree", "--n", "0"],
+                receivers,
+            ),
+            (
+                vec!["simulate", "--scheme", "singletree", "--n", "5", "--d", "0"],
+                degree,
+            ),
+            (
+                vec![
+                    "simulate",
+                    "--scheme",
+                    "singletree",
+                    "--n",
+                    "5",
+                    "--d",
+                    "0",
+                    "--engine",
+                    "checked",
+                ],
+                degree,
+            ),
+            (
+                vec![
+                    "simulate",
+                    "--scheme",
+                    "chain",
+                    "--n",
+                    "0",
+                    "--runtime",
+                    "des-checked",
+                ],
+                receivers,
+            ),
+            (
+                vec!["trace", "--scheme", "chain", "--n", "0", "--node", "1"],
+                receivers,
+            ),
+            (
+                vec![
+                    "trace",
+                    "--scheme",
+                    "singletree",
+                    "--n",
+                    "5",
+                    "--d",
+                    "0",
+                    "--node",
+                    "1",
+                ],
+                degree,
+            ),
+            (
+                vec![
+                    "cluster",
+                    "--nodes",
+                    "4",
+                    "--scheme",
+                    "singletree",
+                    "--d",
+                    "0",
+                ],
+                degree,
+            ),
+            (vec!["replay", "--trace", &chain0], receivers),
+            (vec!["replay", "--trace", &tree0], degree),
+        ] {
+            let err = run(&argv(&args)).unwrap_err();
+            assert_eq!(err.to_string(), want, "{args:?}");
+        }
+        for path in [chain0, tree0] {
+            let _ = std::fs::remove_file(path);
+        }
+    }
+
+    /// Satellite bugfix 2: every `ArgMap` subcommand used to ignore flags
+    /// it did not know.
+    #[test]
+    fn unknown_flags_are_usage_errors_naming_the_flag_and_the_vocabulary() {
+        for (args, listed) in [
+            (
+                vec![
+                    "simulate",
+                    "--scheme",
+                    "multitree",
+                    "--n",
+                    "30",
+                    "--trak",
+                    "64",
+                    "--bogus",
+                    "1",
+                ],
+                "--track",
+            ),
+            (vec!["analyze", "--n", "30", "--bogus", "1"], "--max-d"),
+            (vec!["plan", "--clusters", "20", "--bogus", "1"], "--bigd"),
+            (
+                vec![
+                    "trace", "--scheme", "chain", "--n", "5", "--node", "2", "--bogus", "1",
+                ],
+                "--packet",
+            ),
+            // `trace` follows one packet through a static scheme; the
+            // run-shaping flags are not its vocabulary.
+            (
+                vec![
+                    "trace", "--scheme", "chain", "--n", "5", "--node", "2", "--engine", "mega",
+                ],
+                "--packet",
+            ),
+            (
+                vec!["cluster", "--nodes", "4", "--bogus", "1"],
+                "--chaos-seed",
+            ),
+            (
+                vec!["replay", "--trace", "t.json", "--bogus", "1"],
+                "--min-concordance",
+            ),
+        ] {
+            let err = run(&argv(&args)).unwrap_err();
+            assert!(matches!(err, crate::CliError::Usage(_)), "{args:?}: {err}");
+            let err = err.to_string();
+            assert!(err.contains("unknown flag `--"), "{args:?}: {err}");
+            assert!(err.contains("valid options are:"), "{args:?}: {err}");
+            assert!(err.contains(listed), "{args:?}: {err}");
+        }
+        // A known flag's value is checked even when the scheme ignores it.
+        let err = run(&argv(&[
+            "simulate", "--scheme", "chain", "--n", "5", "--mode", "nonsense",
+        ]))
+        .unwrap_err()
+        .to_string();
+        assert!(
+            err.contains("--mode must be pre|buffered|pipelined"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn help_prints_every_flag_the_subcommands_accept() {
+        // The usage text is rendered from the tables `check_known` uses,
+        // so the 21 `simulate` flags it used to omit cannot go missing
+        // again.
+        let help = run(&argv(&["help"])).unwrap();
+        for flag in [
+            "recovery",
+            "suspect-timeout",
+            "suspect-threshold",
+            "nack-timeout",
+            "nack-backoff",
+            "nack-cap",
+            "nack-jitter",
+            "nack-retries",
+            "repair-buffer",
+            "gap-slack",
+            "recovery-seed",
+            "churn-leave",
+            "churn-join",
+            "churn-rejoin",
+            "churn-slots",
+            "churn-seed",
+            "scenario",
+            "classes",
+            "classes-zipf",
+            "classes-seed",
+            "horizon",
+        ] {
+            assert!(
+                help.contains(&format!("[--{flag} <")),
+                "help lacks --{flag}"
+            );
+        }
+        for usage in [
+            clustream_plan::SIMULATE_USAGE,
+            super::ANALYZE_USAGE,
+            super::PLAN_USAGE,
+            super::TRACE_USAGE,
+            crate::check::CHECK_USAGE,
+            crate::net_cmd::CLUSTER_USAGE,
+            crate::net_cmd::REPLAY_USAGE,
+        ] {
+            for line in usage {
+                assert!(help.contains(line), "help lacks `{line}`");
+            }
+        }
+        assert_eq!(
+            clustream_plan::usage_flags(clustream_plan::SIMULATE_USAGE).count(),
+            38
+        );
+        assert!(help.contains("clustream report   <FILE.jsonl>"), "{help}");
     }
 
     #[test]

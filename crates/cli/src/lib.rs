@@ -24,18 +24,18 @@
 
 #![warn(missing_docs)]
 
-pub mod args;
 pub mod check;
 pub mod commands;
 pub mod net_cmd;
 
-pub use args::{ArgMap, CliError};
+pub use clustream_plan::args;
+pub use clustream_plan::{ArgMap, CliError};
+
+use clustream_plan::{render_usage, SIMULATE_USAGE};
 
 /// Entry point shared by `main` and the tests.
 pub fn run(argv: &[String]) -> Result<String, CliError> {
-    let (cmd, rest) = argv
-        .split_first()
-        .ok_or_else(|| CliError::Usage(usage().into()))?;
+    let (cmd, rest) = argv.split_first().ok_or_else(|| CliError::Usage(usage()))?;
     // `report` takes a positional file path, which `ArgMap` (strictly
     // `--key value` pairs) would reject — it parses its own arguments.
     if cmd == "report" {
@@ -54,7 +54,7 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
         "trace" => commands::trace(&args),
         "cluster" => net_cmd::cluster(&args),
         "replay" => net_cmd::replay(&args),
-        "help" | "--help" | "-h" => Ok(usage().into()),
+        "help" | "--help" | "-h" => Ok(usage()),
         other => Err(CliError::Usage(format!(
             "unknown subcommand `{other}`\n\n{}",
             usage()
@@ -62,39 +62,23 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
     }
 }
 
-/// The usage text.
-pub fn usage() -> &'static str {
-    "clustream — streaming overlays with provable delay/buffer tradeoffs
-
-USAGE:
-  clustream simulate --scheme <multitree|hypercube|chain|singletree> --n <N>
-                     [--d <D>] [--mode <pre|buffered|pipelined>] [--track <P>]
-                     [--runtime <slot|des|des-checked>]
-                     [--engine <fast|reference|mega|checked>]  (slot runtime)
-                     [--shards <K>]                            (mega engine)
-                     [--queue <heap|wheel|checked>]            (des runtimes)
-                     [--latency <fixed|jitter|heavytail>]      (des runtime)
-                     [--jitter <SLOTS>] [--scale <S>] [--alpha <A>] [--cap <C>]
-                     [--uplink <unconstrained|serialized>] [--des-seed <SEED>]
-                     [--metrics-out <FILE.jsonl>]
-  clustream report   <FILE.jsonl>
-  clustream analyze  --n <N> [--max-d <D>]
-  clustream plan     --clusters <size[:budget],size[:budget],…> [--tc <T>] [--bigd <D>]
-  clustream trace    --scheme <multitree|hypercube|chain> --n <N> [--d <D>]
-                     --node <ID> [--packet <P>]
-  clustream check    [--exhaustive] [--explore] [--replay-corpus]
-                     [--budget <GENOMES>] [--seed <SEED>]
-                     [--corpus <DIR>] [--max-n <N>]
-  clustream cluster  --nodes <N> [--transport <tcp|uds>] [--scheme <FAMILY>]
-                     [--d <D>] [--track <P>] [--slot-us <MICROS>]
-                     [--kill <NODE@SLOT,…>] [--suspect-timeout-slots <S>]
-                     [--suspect-threshold <W>] [--horizon-slack <S>]
-                     [--chaos <KIND:TARGET@START[+DUR][=PARAM],…>]
-                     [--chaos-seed <SEED>] [--repair <true|false>]
-                     [--retransmit-budget <B>] [--splice-margin-slots <S>]
-                     [--trace-out <FILE.json>] [--metrics-out <FILE.jsonl>]
-                     [--node-bin <PATH>]
-  clustream replay   --trace <FILE.json> [--min-concordance <F>]
-  clustream help
-"
+/// The usage text: each subcommand's own, which is also the vocabulary it
+/// checks its flags against.
+pub fn usage() -> String {
+    let mut out = String::from(
+        "clustream — streaming overlays with provable delay/buffer tradeoffs\n\nUSAGE:\n",
+    );
+    for (cmd, text) in [
+        ("simulate", SIMULATE_USAGE),
+        ("analyze", commands::ANALYZE_USAGE),
+        ("plan", commands::PLAN_USAGE),
+        ("trace", commands::TRACE_USAGE),
+        ("check", check::CHECK_USAGE),
+        ("cluster", net_cmd::CLUSTER_USAGE),
+        ("replay", net_cmd::REPLAY_USAGE),
+    ] {
+        out.push_str(&render_usage(&format!("clustream {cmd:<8}"), text));
+    }
+    out.push_str("  clustream report   <FILE.jsonl>\n  clustream help\n");
+    out
 }

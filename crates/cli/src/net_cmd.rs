@@ -3,7 +3,7 @@
 //! (re-run a recorded cluster trace through the DES and score
 //! delivery-order concordance).
 
-use crate::args::{ArgMap, CliError};
+use crate::args::{ArgMap, CliError, Usage};
 use clustream_net::{
     compare_delivery_order, parse_chaos_spec, parse_kill_spec, replay_in_des, run_cluster,
     ClusterOptions, RunTrace, SchemeParams, Transport,
@@ -23,8 +23,25 @@ fn node_bin(args: &ArgMap) -> Result<PathBuf, CliError> {
     Ok(exe.with_file_name("clustream-node"))
 }
 
+/// `cluster`'s usage text (and flag vocabulary).
+pub const CLUSTER_USAGE: Usage = &[
+    "--nodes <N> [--transport <tcp|uds>] [--scheme <FAMILY>]",
+    "[--d <D>] [--track <P>] [--slot-us <MICROS>]",
+    "[--kill <NODE@SLOT,…>] [--suspect-timeout-slots <S>]",
+    "[--suspect-threshold <W>] [--horizon-slack <S>]",
+    "[--chaos <KIND:TARGET@START[+DUR][=PARAM],…>]",
+    "[--chaos-seed <SEED>] [--repair <true|false>]",
+    "[--retransmit-budget <B>] [--splice-margin-slots <S>]",
+    "[--trace-out <FILE.json>] [--metrics-out <FILE.jsonl>]",
+    "[--node-bin <PATH>]",
+];
+
+/// `replay`'s usage text (and flag vocabulary).
+pub const REPLAY_USAGE: Usage = &["--trace <FILE.json> [--min-concordance <F>]"];
+
 /// `clustream cluster`: run a real networked cluster over loopback.
 pub fn cluster(args: &ArgMap) -> Result<String, CliError> {
+    args.check_known(CLUSTER_USAGE)?;
     let nodes = args.required_usize("nodes")? as u64;
     let mut opts = ClusterOptions::new(nodes, node_bin(args)?);
     opts.transport =
@@ -151,6 +168,7 @@ pub fn cluster(args: &ArgMap) -> Result<String, CliError> {
 
 /// `clustream replay`: DES replay oracle over a recorded cluster trace.
 pub fn replay(args: &ArgMap) -> Result<String, CliError> {
+    args.check_known(REPLAY_USAGE)?;
     let path = args.required("trace")?;
     let min = args.f64_or("min-concordance", 0.9)?;
     let json = std::fs::read_to_string(path)

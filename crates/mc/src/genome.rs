@@ -9,46 +9,12 @@
 //! shim's insertion-ordered objects).
 
 use crate::sabotage::{Sabotage, SabotagedScheme};
-use clustream_baselines::{ChainScheme, SingleTreeScheme};
 use clustream_core::{CoreError, Scheme};
-use clustream_hypercube::HypercubeStream;
-use clustream_multitree::{build_forest, Construction, MultiTreeScheme, StreamMode};
+use clustream_multitree::{Construction, StreamMode};
+pub use clustream_plan::Family;
+use clustream_plan::{RunPlan, SchemeSpec};
 use clustream_sim::{FaultPlan, SimConfig};
 use serde::{Deserialize, Serialize};
-
-/// Which scheme family the genome instantiates (mirrors the CLI
-/// `--scheme` choices).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Family {
-    /// §2 interior-disjoint multi-trees.
-    MultiTree,
-    /// §3 chained hypercubes with a `d`-way source split.
-    Hypercube,
-    /// The chain strawman.
-    Chain,
-    /// The elevated-capacity single tree strawman.
-    SingleTree,
-}
-
-impl Family {
-    /// All four families, in enumeration order.
-    pub const ALL: [Family; 4] = [
-        Family::MultiTree,
-        Family::Hypercube,
-        Family::Chain,
-        Family::SingleTree,
-    ];
-
-    /// Stable lowercase label (matches the CLI `--scheme` spelling).
-    pub fn label(self) -> &'static str {
-        match self {
-            Family::MultiTree => "multitree",
-            Family::Hypercube => "hypercube",
-            Family::Chain => "chain",
-            Family::SingleTree => "singletree",
-        }
-    }
-}
 
 /// Serializable mirror of [`Construction`] (which has no serde derives).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -133,20 +99,19 @@ impl Genome {
         }
     }
 
+    /// The scheme coordinates of this genome.
+    pub fn spec(&self) -> SchemeSpec {
+        SchemeSpec {
+            mode: self.mode.mode(),
+            construction: self.construction.construction(),
+            ..SchemeSpec::new(self.family, self.n, self.d)
+        }
+    }
+
     /// Instantiate the scheme this genome describes (wrapped in the
     /// sabotage layer when one is present).
     pub fn build_scheme(&self) -> Result<Box<dyn Scheme>, CoreError> {
-        let inner: Box<dyn Scheme> = match self.family {
-            Family::MultiTree => Box::new(MultiTreeScheme::new(
-                build_forest(self.n, self.d, self.construction.construction())?,
-                self.mode.mode(),
-            )),
-            Family::Hypercube => {
-                Box::new(HypercubeStream::with_groups(self.n, self.d.min(self.n))?)
-            }
-            Family::Chain => Box::new(ChainScheme::new(self.n)),
-            Family::SingleTree => Box::new(SingleTreeScheme::new(self.n, self.d)),
-        };
+        let inner = self.spec().build()?;
         Ok(match &self.sabotage {
             Some(s) => Box::new(SabotagedScheme::new(inner, *s)),
             None => inner,
@@ -170,8 +135,13 @@ impl Genome {
     pub fn sim_config(&self, delay_bound: u64) -> SimConfig {
         let horizon = self.horizon(delay_bound);
         let cfg = match &self.faults {
+            // Fault plans are no CLI flag, so no `RunPlan` carries one.
             Some(f) => SimConfig::with_faults(self.track, horizon, f.clone()),
-            None => SimConfig::until_complete(self.track, horizon),
+            None => RunPlan {
+                horizon: Some(horizon),
+                ..RunPlan::new(self.spec(), self.track)
+            }
+            .sim_config(),
         };
         cfg.traced()
     }
@@ -216,6 +186,72 @@ mod tests {
             let g = Genome::clean(family, 9, 2, ConstructionChoice::Structured);
             let s = g.build_scheme().unwrap();
             assert_eq!(s.num_receivers(), 9, "{family:?}");
+        }
+    }
+
+    /// The constructor match and config assembly `Genome` carried before
+    /// it delegated to `SchemeSpec` / `RunPlan`, kept as the oracle.
+    fn hand_written(g: &Genome, delay_bound: u64) -> (Box<dyn Scheme>, SimConfig) {
+        use clustream_baselines::{ChainScheme, SingleTreeScheme};
+        use clustream_hypercube::HypercubeStream;
+        use clustream_multitree::{build_forest, MultiTreeScheme};
+        let scheme: Box<dyn Scheme> = match g.family {
+            Family::MultiTree => Box::new(MultiTreeScheme::new(
+                build_forest(g.n, g.d, g.construction.construction()).unwrap(),
+                g.mode.mode(),
+            )),
+            Family::Hypercube => Box::new(HypercubeStream::with_groups(g.n, g.d.min(g.n)).unwrap()),
+            Family::Chain => Box::new(ChainScheme::new(g.n)),
+            Family::SingleTree => Box::new(SingleTreeScheme::new(g.n, g.d)),
+        };
+        let horizon = g.horizon(delay_bound);
+        let cfg = match &g.faults {
+            Some(f) => SimConfig::with_faults(g.track, horizon, f.clone()),
+            None => SimConfig::until_complete(g.track, horizon),
+        };
+        (scheme, cfg.traced())
+    }
+
+    #[test]
+    fn every_lattice_genome_builds_what_the_hand_written_factory_built() {
+        use crate::invariant::bounds_for;
+        use crate::lattice::{enumerate, LatticeOptions};
+        let mut genomes = enumerate(&LatticeOptions::default());
+        // The live modes are off the lattice (the explorer reaches them).
+        for mode in [ModeChoice::Buffered, ModeChoice::Pipelined] {
+            let mut g = Genome::clean(Family::MultiTree, 21, 3, ConstructionChoice::Greedy);
+            g.mode = mode;
+            genomes.push(g);
+        }
+        assert!(genomes.len() > 3000);
+        for g in genomes {
+            let bounds = bounds_for(&g).unwrap();
+            let (want, want_cfg) = hand_written(&g, bounds.delay);
+            let got = g.build_scheme().unwrap();
+            assert_eq!(got.name(), want.name(), "{}", g.to_json());
+            assert_eq!(got.num_receivers(), want.num_receivers());
+            assert_eq!(
+                format!("{:?}", g.sim_config(bounds.delay)),
+                format!("{want_cfg:?}"),
+                "{}",
+                g.to_json()
+            );
+        }
+    }
+
+    #[test]
+    fn out_of_domain_genomes_are_errors_not_asserts() {
+        // The checker's own domain check runs first; the factory must not
+        // depend on it.
+        for (family, n, d, needle) in [
+            (Family::Chain, 0, 2, "need at least one receiver"),
+            (Family::SingleTree, 0, 2, "need at least one receiver"),
+            (Family::SingleTree, 6, 0, "tree degree d must be ≥ 1"),
+        ] {
+            let g = Genome::clean(family, n, d, ConstructionChoice::Greedy);
+            let err = g.build_scheme().map(|_| ()).unwrap_err();
+            assert!(matches!(err, CoreError::InvalidConfig(_)), "{err}");
+            assert!(err.to_string().contains(needle), "{err}");
         }
     }
 

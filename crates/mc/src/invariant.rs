@@ -88,15 +88,12 @@ pub fn bounds_for(g: &Genome) -> Result<Bounds, CoreError> {
             buffer: 2,
             neighbors: 2,
         },
-        Family::SingleTree => {
-            let s = SingleTreeScheme::new(g.n, g.d);
-            Bounds {
-                // BFS layout: the last node is deepest.
-                delay: s.depth(g.n as u32).max(1),
-                buffer: 2,
-                neighbors: g.d as u64 + 1,
-            }
-        }
+        Family::SingleTree => Bounds {
+            // BFS layout: the last node is deepest.
+            delay: SingleTreeScheme::bfs_depth(g.d, g.n as u32).max(1),
+            buffer: 2,
+            neighbors: g.d as u64 + 1,
+        },
     })
 }
 

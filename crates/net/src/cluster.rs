@@ -22,7 +22,7 @@ use crate::schedule::{
 use crate::trace::{KillObs, LinkObs, NodeDeliveries, RunTrace};
 use crate::transport::{Conn, NetListener, Transport};
 use clustream_core::{MembershipEvent, NodeId, Scheme};
-use clustream_multitree::{Construction, StreamMode};
+use clustream_plan::{Family, SchemeSpec};
 use clustream_recovery::{FailureDetector, SelfHealingMultiTree};
 use clustream_telemetry::{names as tm, Telemetry};
 use std::collections::{BTreeMap, BTreeSet};
@@ -517,13 +517,9 @@ fn run_cluster_in(
     // failures compose; `repaired` guards one repair per subject.
     let mut healer: Option<SelfHealingMultiTree> = if opts.repair {
         Some(
-            SelfHealingMultiTree::new(
-                n as usize,
-                opts.params.d as usize,
-                StreamMode::PreRecorded,
-                Construction::Greedy,
-            )
-            .map_err(|e| format!("build healing forest: {e}"))?,
+            SchemeSpec::new(Family::MultiTree, n as usize, opts.params.d as usize)
+                .self_healing()
+                .map_err(|e| format!("build healing forest: {e}"))?,
         )
     } else {
         None

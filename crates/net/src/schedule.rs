@@ -10,10 +10,8 @@
 //! usable replay oracle afterwards: re-running the scheme in-sim
 //! regenerates this identical calendar.
 
-use clustream_baselines::{ChainScheme, SingleTreeScheme};
 use clustream_core::{NodeId, Scheme};
-use clustream_hypercube::HypercubeStream;
-use clustream_multitree::{greedy_forest, MultiTreeScheme, StreamMode};
+use clustream_plan::{Family, SchemeSpec};
 use clustream_sim::{FaultPlan, SimConfig, Simulator};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -32,25 +30,27 @@ pub struct SchemeParams {
 }
 
 impl SchemeParams {
+    /// The typed spec this parameter set names (pre-recorded, greedy
+    /// forest). A hypercube's `d = 0` means "unsplit", as it always has
+    /// in trace files.
+    pub fn spec(&self) -> Result<SchemeSpec, String> {
+        let family = Family::parse(&self.family).ok_or_else(|| {
+            format!(
+                "unknown scheme family `{}`; valid families are: multitree, hypercube, \
+                 chain, singletree",
+                self.family
+            )
+        })?;
+        let d = match family {
+            Family::Hypercube => self.d.max(1),
+            _ => self.d,
+        };
+        Ok(SchemeSpec::new(family, self.n as usize, d as usize))
+    }
+
     /// Construct the scheme this parameter set names.
     pub fn build(&self) -> Result<Box<dyn Scheme>, String> {
-        let n = self.n as usize;
-        let d = self.d as usize;
-        match self.family.as_str() {
-            "multitree" => Ok(Box::new(MultiTreeScheme::new(
-                greedy_forest(n, d).map_err(|e| e.to_string())?,
-                StreamMode::PreRecorded,
-            ))),
-            "hypercube" => Ok(Box::new(
-                HypercubeStream::with_groups(n, d.clamp(1, n.max(1))).map_err(|e| e.to_string())?,
-            )),
-            "chain" => Ok(Box::new(ChainScheme::new(n))),
-            "singletree" => Ok(Box::new(SingleTreeScheme::new(n, d))),
-            other => Err(format!(
-                "unknown scheme family `{other}`; valid families are: multitree, hypercube, \
-                 chain, singletree"
-            )),
-        }
+        self.spec()?.build().map_err(|e| e.to_string())
     }
 }
 
@@ -385,6 +385,79 @@ mod tests {
             err.contains("multitree, hypercube, chain, singletree"),
             "{err}"
         );
+    }
+
+    #[test]
+    fn params_build_what_the_hand_written_factory_built() {
+        // `SchemeParams::build` used to carry its own constructor match;
+        // these are the names and receiver counts it produced.
+        for (family, n, d, name) in [
+            ("multitree", 9, 2, "multi-tree(d=2, prerecorded)"),
+            ("multitree", 40, 3, "multi-tree(d=3, prerecorded)"),
+            ("hypercube", 9, 1, "hypercube(N=9)"),
+            ("hypercube", 9, 2, "hypercube(N=9, d=2)"),
+            // A hypercube split is clamped into 1..=n, as it always was.
+            ("hypercube", 9, 0, "hypercube(N=9)"),
+            ("hypercube", 3, 8, "hypercube(N=3, d=3)"),
+            ("chain", 5, 2, "chain(N=5)"),
+            ("singletree", 7, 2, "single-tree(d=2, elevated)"),
+        ] {
+            let params = SchemeParams {
+                family: family.into(),
+                n,
+                d,
+            };
+            let scheme = params.build().unwrap();
+            assert_eq!(scheme.name(), name, "{params:?}");
+            assert_eq!(scheme.num_receivers() as u64, n, "{params:?}");
+            let spec = params.spec().unwrap();
+            assert_eq!(spec.build().unwrap().name(), name);
+            assert_eq!((spec.family.label(), spec.n as u64), (family, n));
+        }
+    }
+
+    #[test]
+    fn out_of_domain_params_are_errors_not_asserts() {
+        for (family, n, d, want) in [
+            (
+                "chain",
+                0,
+                1,
+                "invalid configuration: need at least one receiver",
+            ),
+            (
+                "singletree",
+                0,
+                2,
+                "invalid configuration: need at least one receiver",
+            ),
+            (
+                "singletree",
+                4,
+                0,
+                "invalid configuration: tree degree d must be ≥ 1",
+            ),
+            (
+                "multitree",
+                4,
+                0,
+                "invalid configuration: tree degree d must be ≥ 1",
+            ),
+            (
+                "hypercube",
+                0,
+                1,
+                "invalid configuration: need at least one receiver",
+            ),
+        ] {
+            let params = SchemeParams {
+                family: family.into(),
+                n,
+                d,
+            };
+            assert_eq!(params.build().map(|_| ()).unwrap_err(), want, "{params:?}");
+            assert_eq!(lower_schedule(&params, 4).map(|_| ()).unwrap_err(), want);
+        }
     }
 
     #[test]

@@ -260,6 +260,26 @@ mod tests {
     }
 
     #[test]
+    fn a_trace_naming_out_of_domain_parameters_replays_as_an_error() {
+        // The trace file is input: `chain` with no receivers and a
+        // degree-0 single tree used to reach the constructors' asserts.
+        for (family, n, d, needle) in [
+            ("chain", 0, 1, "need at least one receiver"),
+            ("singletree", 4, 0, "tree degree d must be ≥ 1"),
+        ] {
+            let mut t = small_trace();
+            t.params = SchemeParams {
+                family: family.into(),
+                n,
+                d,
+            };
+            let t = RunTrace::from_json(&t.to_json()).unwrap();
+            let err = replay_in_des(&t).unwrap_err();
+            assert_eq!(err, format!("invalid configuration: {needle}"));
+        }
+    }
+
+    #[test]
     fn trace_json_roundtrips() {
         let mut t = small_trace();
         t.chaos = crate::faultspec::parse_chaos_spec("drop:1@0+32=0.1").unwrap();

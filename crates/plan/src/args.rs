@@ -1,4 +1,5 @@
-//! Minimal `--key value` argument parsing.
+//! Minimal `--key value` argument parsing, and the usage texts that double
+//! as the flag vocabularies unknown flags are rejected against.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -29,6 +30,34 @@ impl From<clustream_core::CoreError> for CliError {
     }
 }
 
+/// A subcommand's flag vocabulary *is* its usage text: hand-wrapped
+/// lines of `--flag <VALUE>` (required) and `[--flag <VALUE>]` items,
+/// with free-form `(notes)`. [`ArgMap::check_known`] rejects whatever
+/// the text does not name and `clustream help` prints it, so the two
+/// cannot drift apart.
+pub type Usage = &'static [&'static str];
+
+/// The flag names `usage` mentions, in order.
+pub fn usage_flags<'a>(usage: &'a [&'a str]) -> impl Iterator<Item = &'a str> {
+    usage
+        .iter()
+        .flat_map(|line| line.split_whitespace())
+        .filter_map(|word| word.trim_start_matches('[').strip_prefix("--"))
+        .map(|flag| flag.trim_end_matches(']'))
+}
+
+/// `--a, --b, …`: every flag of `usage`, for error messages.
+pub fn flag_list(usage: &[&str]) -> String {
+    let names: Vec<String> = usage_flags(usage).map(|f| format!("--{f}")).collect();
+    names.join(", ")
+}
+
+/// `usage` behind `head` (`clustream simulate`), under a hanging indent.
+pub fn render_usage(head: &str, usage: &[&str]) -> String {
+    let pad = format!("\n{}", " ".repeat(head.len() + 3));
+    format!("  {head} {}\n", usage.join(&pad))
+}
+
 /// Parsed `--key value` pairs.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ArgMap {
@@ -52,6 +81,22 @@ impl ArgMap {
             }
         }
         Ok(ArgMap { map })
+    }
+
+    /// Reject any flag `usage` does not name, naming it and listing the
+    /// valid ones.
+    pub fn check_known(&self, usage: &[&str]) -> Result<(), CliError> {
+        match self
+            .map
+            .keys()
+            .find(|k| !usage_flags(usage).any(|f| f == *k))
+        {
+            None => Ok(()),
+            Some(k) => Err(CliError::Usage(format!(
+                "unknown flag `--{k}`; valid options are: {}",
+                flag_list(usage)
+            ))),
+        }
     }
 
     /// Required string value.
@@ -80,41 +125,42 @@ impl ArgMap {
         }
     }
 
+    /// Optional value of any parseable type; `what` finishes the error
+    /// (`--key must be <what>`).
+    pub fn parsed<T: std::str::FromStr>(
+        &self,
+        key: &str,
+        what: &str,
+    ) -> Result<Option<T>, CliError> {
+        let parse = |v: &str| v.parse().ok();
+        match self.optional(key).map(parse) {
+            Some(None) => Err(CliError::Usage(format!("--{key} must be {what}"))),
+            Some(parsed) => Ok(parsed),
+            None => Ok(None),
+        }
+    }
+
     /// Required integer.
     pub fn required_usize(&self, key: &str) -> Result<usize, CliError> {
-        self.required(key)?
-            .parse()
-            .map_err(|_| CliError::Usage(format!("--{key} must be an integer")))
+        self.required(key)?;
+        self.usize_or(key, 0)
     }
 
     /// Optional integer with default.
     pub fn usize_or(&self, key: &str, default: usize) -> Result<usize, CliError> {
-        match self.optional(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| CliError::Usage(format!("--{key} must be an integer"))),
-        }
+        Ok(self.parsed(key, "an integer")?.unwrap_or(default))
     }
 
     /// Optional `u64` with default (seeds, slot counts).
     pub fn u64_or(&self, key: &str, default: u64) -> Result<u64, CliError> {
-        match self.optional(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| CliError::Usage(format!("--{key} must be a non-negative integer"))),
-        }
+        Ok(self
+            .parsed(key, "a non-negative integer")?
+            .unwrap_or(default))
     }
 
     /// Optional float with default (jitter spans, tail parameters).
     pub fn f64_or(&self, key: &str, default: f64) -> Result<f64, CliError> {
-        match self.optional(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| CliError::Usage(format!("--{key} must be a number"))),
-        }
+        Ok(self.parsed(key, "a number")?.unwrap_or(default))
     }
 
     /// Optional duration with default, returned in DES ticks. Values are

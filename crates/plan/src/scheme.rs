@@ -1,0 +1,189 @@
+//! [`SchemeSpec`]: the workspace's only scheme-family → constructor match.
+
+use crate::args::{ArgMap, CliError};
+use clustream_baselines::{ChainScheme, SingleTreeScheme};
+use clustream_core::{CoreError, Scheme};
+use clustream_hypercube::HypercubeStream;
+use clustream_multitree::{build_forest, Construction, MultiTreeScheme, StreamMode};
+use clustream_recovery::{FlashCrowdScheme, SelfHealingMultiTree};
+use clustream_workloads::ScenarioPlan;
+use serde::{Deserialize, Serialize};
+
+/// The four scheme families (the `--scheme` choices). The serde shape is
+/// the model checker's corpus encoding.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Family {
+    /// §2 interior-disjoint multi-trees.
+    MultiTree,
+    /// §3 chained hypercubes with a `d`-way source split.
+    Hypercube,
+    /// The chain strawman.
+    Chain,
+    /// The elevated-capacity single tree strawman.
+    SingleTree,
+}
+
+impl Family {
+    /// All four families, in enumeration order.
+    pub const ALL: [Family; 4] = [
+        Family::MultiTree,
+        Family::Hypercube,
+        Family::Chain,
+        Family::SingleTree,
+    ];
+
+    /// Stable lowercase label (the `--scheme` spelling).
+    pub fn label(self) -> &'static str {
+        match self {
+            Family::MultiTree => "multitree",
+            Family::Hypercube => "hypercube",
+            Family::Chain => "chain",
+            Family::SingleTree => "singletree",
+        }
+    }
+
+    /// The family `label` names, if any.
+    pub fn parse(label: &str) -> Option<Family> {
+        Family::ALL.into_iter().find(|f| f.label() == label)
+    }
+}
+
+/// The flags a [`SchemeSpec`] is parsed from (the first usage lines of
+/// `simulate` and `trace`).
+pub const SCHEME_USAGE: [&str; 2] = [
+    "--scheme <multitree|hypercube|chain|singletree> --n <N>",
+    "[--d <D>] [--mode <pre|buffered|pipelined>]",
+];
+
+/// Which scheme a run streams through: family, population, degree and
+/// the multi-tree-only mode and construction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SchemeSpec {
+    /// Scheme family.
+    pub family: Family,
+    /// Receiver population.
+    pub n: usize,
+    /// Forest degree (multi-tree, single tree) or source split
+    /// (hypercube, capped at `n`); ignored by the chain.
+    pub d: usize,
+    /// Stream mode (multi-tree only).
+    pub mode: StreamMode,
+    /// Forest construction (multi-tree only).
+    pub construction: Construction,
+}
+
+impl SchemeSpec {
+    /// A pre-recorded, greedy-construction spec.
+    pub fn new(family: Family, n: usize, d: usize) -> SchemeSpec {
+        SchemeSpec {
+            family,
+            n,
+            d,
+            mode: StreamMode::PreRecorded,
+            construction: Construction::Greedy,
+        }
+    }
+
+    /// Parse the [`SCHEME_USAGE`] flags. Every value is checked, whether or not the
+    /// chosen family reads it; `--d` defaults to 1 for hypercubes (a
+    /// single chain) and 2 elsewhere.
+    pub fn from_args(args: &ArgMap) -> Result<SchemeSpec, CliError> {
+        let n = args.required_usize("n")?;
+        let scheme = args.required("scheme")?;
+        let family = Family::parse(scheme).ok_or_else(|| {
+            CliError::Usage(format!(
+                "--scheme must be multitree|hypercube|chain|singletree, got `{scheme}`"
+            ))
+        })?;
+        let d = args.usize_or("d", if family == Family::Hypercube { 1 } else { 2 })?;
+        let mode = match args.optional("mode").unwrap_or("pre") {
+            "pre" => StreamMode::PreRecorded,
+            "buffered" => StreamMode::LivePrebuffered,
+            "pipelined" => StreamMode::LivePipelined,
+            other => {
+                return Err(CliError::Usage(format!(
+                    "--mode must be pre|buffered|pipelined, got `{other}`"
+                )))
+            }
+        };
+        Ok(SchemeSpec {
+            mode,
+            ..SchemeSpec::new(family, n, d)
+        })
+    }
+
+    /// Construct the scheme. Total: parameters outside a family's domain
+    /// are a [`CoreError::InvalidConfig`], never a constructor assert.
+    pub fn build(&self) -> Result<Box<dyn Scheme>, CoreError> {
+        let (n, d) = (self.n, self.d);
+        let invalid = |what: &str| Err(CoreError::InvalidConfig(what.into()));
+        Ok(match self.family {
+            Family::Chain | Family::SingleTree if n == 0 => {
+                return invalid("need at least one receiver")
+            }
+            Family::SingleTree if d == 0 => return invalid("tree degree d must be ≥ 1"),
+            Family::MultiTree => Box::new(self.multitree()?),
+            Family::Hypercube => Box::new(HypercubeStream::with_groups(n, d.min(n))?),
+            Family::Chain => Box::new(ChainScheme::new(n)),
+            Family::SingleTree => Box::new(SingleTreeScheme::new(n, d)),
+        })
+    }
+
+    /// The static multi-tree scheme over this spec's forest.
+    pub fn multitree(&self) -> Result<MultiTreeScheme, CoreError> {
+        let forest = build_forest(self.n, self.d, self.construction)?;
+        Ok(MultiTreeScheme::new(forest, self.mode))
+    }
+
+    /// The flash-crowd dynamics over this spec's forest, scripted by
+    /// `scenario`.
+    pub fn crowd(&self, scenario: &ScenarioPlan) -> Result<FlashCrowdScheme, CoreError> {
+        FlashCrowdScheme::from_plan(self.n, self.d, self.mode, self.construction, scenario)
+    }
+
+    /// The self-healing wrapper the DES recovery layer repairs online.
+    pub fn self_healing(&self) -> Result<SelfHealingMultiTree, CoreError> {
+        SelfHealingMultiTree::new(self.n, self.d, self.mode, self.construction)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_family_builds_and_labels_round_trip() {
+        for family in Family::ALL {
+            assert_eq!(Family::parse(family.label()), Some(family));
+            let s = SchemeSpec::new(family, 9, 2).build().unwrap();
+            assert_eq!(s.num_receivers(), 9, "{family:?}");
+        }
+        assert_eq!(Family::parse("warp"), None);
+    }
+
+    #[test]
+    fn out_of_domain_parameters_are_errors_not_asserts() {
+        for (family, n, d, needle) in [
+            (Family::Chain, 0, 2, "need at least one receiver"),
+            (Family::SingleTree, 0, 2, "need at least one receiver"),
+            (Family::SingleTree, 5, 0, "tree degree d must be ≥ 1"),
+            (Family::MultiTree, 0, 2, "need at least one receiver"),
+            (Family::MultiTree, 5, 0, "tree degree d must be ≥ 1"),
+            (Family::Hypercube, 0, 1, "need at least one receiver"),
+            (Family::Hypercube, 5, 0, "group count d=0"),
+        ] {
+            let err = match SchemeSpec::new(family, n, d).build() {
+                Ok(_) => panic!("{family:?} n={n} d={d} must not build"),
+                Err(e) => e.to_string(),
+            };
+            assert!(err.starts_with("invalid configuration: "), "{err}");
+            assert!(err.contains(needle), "{family:?} n={n} d={d}: {err}");
+        }
+    }
+
+    #[test]
+    fn hypercube_split_is_capped_at_the_population() {
+        let s = SchemeSpec::new(Family::Hypercube, 3, 8).build().unwrap();
+        assert_eq!(s.num_receivers(), 3);
+    }
+}

@@ -95,6 +95,15 @@ fn script_parses_and_defines_both_tiers() {
         "--n 500 --d 3 --track 128 --runtime des",
         "--queue checked --latency jitter --jitter 0.5 --uplink serialized",
         "--recovery repair+nack --churn-leave 0.0005 --churn-slots 200 --des-seed 7",
+        // The CLI input boundary: a misspelt flag is rejected by name,
+        // and out-of-domain scheme parameters exit 1 (a model error),
+        // never 101 (an assert in crates/baselines).
+        "stage \"cli flag hygiene\" cli_flag_hygiene",
+        "simulate --scheme multitree --n 30 --trak 64",
+        "unknown flag `--trak`",
+        "simulate --scheme chain --n 0",
+        "cluster --nodes 4 --scheme singletree --d 0",
+        "[ \"$status\" -ne 1 ]",
         // The ledger harness is a workspace of its own: the merge gate
         // builds and unit-tests it against this tree's public API.
         "stage \"benchmark harness (ledger build + unit tests)\"",
@@ -130,6 +139,24 @@ fn scenario_stages_sit_on_the_right_tiers() {
     assert!(
         crowd > full_gate && hetero > full_gate,
         "the acceptance crowd and heterogeneity sweep are merge-gate-only"
+    );
+}
+
+#[test]
+fn flag_hygiene_runs_in_the_quick_tier() {
+    let text = std::fs::read_to_string(ci_script()).unwrap();
+    let hygiene = text
+        .find("stage \"cli flag hygiene\"")
+        .expect("ci.sh lost the cli flag hygiene stage");
+    let build = text
+        .find("stage \"build (release)\"")
+        .expect("ci.sh lost the release build stage");
+    let full_gate = text
+        .find("[ \"$TIER\" = full ]")
+        .expect("ci.sh lost the full-tier gate");
+    assert!(
+        build < hygiene && hygiene < full_gate,
+        "flag hygiene drives the release binary, in every tier"
     );
 }
 

@@ -1,0 +1,26 @@
+//! Byte-for-byte golden outputs of the CLI.
+//!
+//! `tests/cli_golden/cases.txt` lists command lines; the stdout each
+//! printed at commit 1812eb7 — before `simulate` was rebuilt on
+//! `RunPlan` — is committed next to it. Every refactor of the parse →
+//! validate → run → render path must leave each of them unchanged.
+
+use std::path::Path;
+
+#[test]
+fn every_recorded_command_prints_what_it_printed_before_runplan() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/cli_golden");
+    let cases = std::fs::read_to_string(dir.join("cases.txt")).unwrap();
+    let mut checked = 0;
+    for line in cases.lines().filter(|l| !l.starts_with('#')) {
+        let mut words = line.split_whitespace().map(str::to_string);
+        let name = words.next().expect("a case has a name");
+        let argv: Vec<String> = words.collect();
+        let want = std::fs::read_to_string(dir.join(format!("{name}.txt")))
+            .unwrap_or_else(|e| panic!("{name}: no recorded output: {e}"));
+        let got = clustream_cli::run(&argv).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(got, want, "{name}: `clustream {}`", argv.join(" "));
+        checked += 1;
+    }
+    assert_eq!(checked, 37, "cases.txt lost or gained a line");
+}
