@@ -22,9 +22,11 @@
 #                 explore smoke + 32-node kill-injection cluster smoke +
 #                 32-node partition-and-heal chaos run with live repair +
 #                 mega scale smoke + 10^5-join flash crowd on mega +
-#                 heterogeneity capacity-class sweep + bench regression
-#                 check + the benchmark/ ledger harness build and unit
-#                 tests (the merge gate; default when no tier is given)
+#                 heterogeneity capacity-class sweep + the reproduction
+#                 record (bare `experiments`: every catalog item's
+#                 verdict) + bench regression check + the benchmark/
+#                 ledger harness build and unit tests (the merge gate;
+#                 default when no tier is given)
 #
 # Per-stage wall-clock timings are printed at the end of the run and
 # written to target/ci-timings.json. Every stage must finish inside
@@ -342,6 +344,11 @@ if [ "$TIER" = full ]; then
     stage "cluster partition-and-heal smoke (32 nodes, tcp + live repair)" cluster_chaos_heal_smoke
     stage "flash-crowd acceptance (10^5 joins, mega + QoE frontiers)" flash_crowd_full
     stage "heterogeneity sweep (capacity classes + per-class QoE)" heterogeneity_sweep
+    # Every display item of the paper at its one parameter set (Fig. 4,
+    # Table 1, Thm 1-4, Prop 1-2, the extensions): a verdict that fails
+    # is named and exits non-zero.
+    stage "reproduction record (experiments)" \
+        cargo run -q --release --offline -p clustream-bench --bin experiments
     # Tolerance is wider than the bench_check default: shared-container
     # timing noise of ±30% is routine here, and a real regression past
     # 2x is still caught. Correctness fields are always compared exactly.

@@ -11,94 +11,38 @@
 
 use clustream_bench::ext_jitter_sweep;
 use clustream_bench::render_table;
-use clustream_bench::suites::{des_queues, des_workloads, DesReport, ThroughputRow};
-use clustream_bench::timing::bench;
-use clustream_des::DesEngine;
-use clustream_sim::{diff_fields, FastEngine};
+use clustream_bench::suites::{measure_des, DesReport};
+use clustream_bench::timing::{build_label, write_report};
 
 fn main() {
-    let build = if cfg!(debug_assertions) {
-        "debug"
-    } else {
-        "release"
-    };
-    if build == "debug" {
+    if build_label() == "debug" {
         eprintln!("warning: debug build — throughput is not representative");
     }
 
-    let mut fast = FastEngine::new();
-    let mut throughput = Vec::new();
+    let throughput = measure_des(usize::MAX);
+    // Rows come per workload as a (heap, wheel) pair.
     let mut min_wheel_speedup = f64::INFINITY;
-    for w in des_workloads() {
-        let sim = w.sim();
-        let reference = fast.run(w.make().as_mut(), &sim).unwrap();
-        let m_fast = bench(&format!("{}_fast", w.name), w.samples, || {
-            fast.run(w.make().as_mut(), &sim).unwrap().slots_run
-        });
-
-        let mut heap_min_ns = 0u64;
-        for queue in des_queues() {
-            let des_cfg = w.des(queue);
-
-            // Correctness first: slot-faithful DES ≡ fast slot engine,
-            // whichever queue backs it.
-            let mut engine = DesEngine::new();
-            let des = engine.run(w.make().as_mut(), &des_cfg).unwrap();
-            let diffs = diff_fields(&reference, &des);
-            assert!(
-                diffs.is_empty(),
-                "{}/{}: DES diverges on {diffs:?}",
-                w.name,
-                queue.label()
-            );
-            let events = engine.stats().events_processed;
-
-            let m_des = bench(
-                &format!("{}_des_{}", w.name, queue.label()),
-                w.samples,
-                || engine.run(w.make().as_mut(), &des_cfg).unwrap().slots_run,
-            );
-
-            let des_min_ns = m_des.min().as_nanos() as u64;
-            if queue.label() == "heap" {
-                heap_min_ns = des_min_ns;
-            } else {
-                let speedup = heap_min_ns as f64 / des_min_ns as f64;
-                min_wheel_speedup = min_wheel_speedup.min(speedup);
-                println!("{}: wheel speedup over heap {speedup:.2}x", w.name);
-            }
-            let des_s = m_des.min().as_secs_f64();
-            throughput.push(ThroughputRow {
-                workload: w.name.to_string(),
-                queue: queue.label().to_string(),
-                slots_run: reference.slots_run,
-                events,
-                samples: w.samples,
-                des_min_ns,
-                fast_min_ns: m_fast.min().as_nanos() as u64,
-                events_per_sec: events as f64 / des_s,
-                slowdown_vs_fast: des_s / m_fast.min().as_secs_f64(),
-            });
-        }
+    for pair in throughput.chunks(2) {
+        let speedup = pair[0].des_min_ns as f64 / pair[1].des_min_ns as f64;
+        min_wheel_speedup = min_wheel_speedup.min(speedup);
+        println!(
+            "{}: wheel speedup over heap {speedup:.2}x",
+            pair[0].workload
+        );
     }
 
     println!(
         "\n{}",
         render_table(
-            &["workload", "queue", "slots", "events", "events/s", "vs fast"],
-            &throughput
-                .iter()
-                .map(|r| {
-                    vec![
-                        r.workload.clone(),
-                        r.queue.clone(),
-                        r.slots_run.to_string(),
-                        r.events.to_string(),
-                        format!("{:.0}", r.events_per_sec),
-                        format!("{:.2}x", r.slowdown_vs_fast),
-                    ]
-                })
-                .collect::<Vec<_>>()
+            &throughput,
+            &[
+                ("workload", &|r| r.workload.clone()),
+                ("queue", &|r| r.queue.clone()),
+                ("slots", &|r| r.slots_run.to_string()),
+                ("events", &|r| r.events.to_string()),
+                ("events/s", &|r| format!("{:.0}", r.events_per_sec)),
+                ("vs fast", &|r| format!("{:.2}x", r.slowdown_vs_fast)),
+            ]
         )
     );
     println!("min wheel speedup over heap: {min_wheel_speedup:.2}x");
@@ -113,36 +57,23 @@ fn main() {
     println!(
         "\n{}",
         render_table(
+            &jitter_sweep,
             &[
-                "jitter",
-                "max delay",
-                "thm2 bound",
-                "delay infl",
-                "buffer infl"
-            ],
-            &jitter_sweep
-                .iter()
-                .map(|r| {
-                    vec![
-                        format!("{:.2}", r.jitter_slots),
-                        r.max_delay.to_string(),
-                        r.thm2_bound.to_string(),
-                        format!("{:.2}x", r.delay_inflation),
-                        format!("{:.2}x", r.buffer_inflation),
-                    ]
-                })
-                .collect::<Vec<_>>()
+                ("jitter", &|r| format!("{:.2}", r.jitter_slots)),
+                ("max delay", &|r| r.max_delay.to_string()),
+                ("thm2 bound", &|r| r.thm2_bound.to_string()),
+                ("delay infl", &|r| format!("{:.2}x", r.delay_inflation)),
+                ("buffer infl", &|r| format!("{:.2}x", r.buffer_inflation)),
+            ]
         )
     );
 
     let report = DesReport {
-        build: build.to_string(),
+        build: build_label().to_string(),
         threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
         throughput,
         min_wheel_speedup,
         jitter_sweep,
     };
-    let json = serde_json::to_string_pretty(&report).expect("serializable");
-    std::fs::write("BENCH_des.json", json + "\n").expect("write BENCH_des.json");
-    println!("wrote BENCH_des.json");
+    write_report("BENCH_des.json", &report);
 }

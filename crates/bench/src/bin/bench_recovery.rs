@@ -13,14 +13,10 @@ use clustream_bench::suites::{
     recovery_tiers, recovery_trace_for, run_recovery_tier, RecoveryReport, RECOVERY_D,
     RECOVERY_HORIZON, RECOVERY_N, RECOVERY_RATES, RECOVERY_TRACK,
 };
+use clustream_bench::timing::{build_label, write_report};
 
 fn main() {
-    let build = if cfg!(debug_assertions) {
-        "debug"
-    } else {
-        "release"
-    };
-    if build == "debug" {
+    if build_label() == "debug" {
         eprintln!("warning: debug build — wall times are not representative");
     }
 
@@ -39,43 +35,30 @@ fn main() {
     println!(
         "\n{}",
         render_table(
+            &rows,
             &[
-                "churn",
-                "mode",
-                "leaves",
-                "delivered",
-                "repairs",
-                "lat avg",
-                "nacks",
-                "ctl ovhd"
-            ],
-            &rows
-                .iter()
-                .map(|r| {
-                    vec![
-                        format!("{:.4}", r.churn_rate),
-                        r.mode.clone(),
-                        r.departures.to_string(),
-                        format!("{:.4}", r.delivered_fraction),
-                        r.repairs_committed.to_string(),
-                        format!("{:.1}", r.recovery_latency_avg_slots),
-                        r.nacks_sent.to_string(),
-                        format!("{:.4}", r.control_overhead),
-                    ]
-                })
-                .collect::<Vec<_>>()
+                ("churn", &|r| format!("{:.4}", r.churn_rate)),
+                ("mode", &|r| r.mode.clone()),
+                ("leaves", &|r| r.departures.to_string()),
+                ("delivered", &|r| format!("{:.4}", r.delivered_fraction)),
+                ("repairs", &|r| r.repairs_committed.to_string()),
+                ("lat avg", &|r| format!(
+                    "{:.1}",
+                    r.recovery_latency_avg_slots
+                )),
+                ("nacks", &|r| r.nacks_sent.to_string()),
+                ("ctl ovhd", &|r| format!("{:.4}", r.control_overhead)),
+            ]
         )
     );
 
     let report = RecoveryReport {
-        build: build.to_string(),
+        build: build_label().to_string(),
         n: RECOVERY_N,
         d: RECOVERY_D,
         track: RECOVERY_TRACK,
         horizon: RECOVERY_HORIZON,
         rows,
     };
-    let json = serde_json::to_string_pretty(&report).expect("serializable");
-    std::fs::write("BENCH_recovery.json", json + "\n").expect("write BENCH_recovery.json");
-    println!("wrote BENCH_recovery.json");
+    write_report("BENCH_recovery.json", &report);
 }

@@ -12,6 +12,7 @@
 
 use clustream_bench::render_table;
 use clustream_bench::scenarios::{crowd_plan, flash_crowd_oracle, run_flash_crowd};
+use clustream_bench::timing::write_report;
 use clustream_plan::{choice, render_usage, ArgMap, CliError, Engine, RunPlan, Usage};
 use clustream_workloads::ScenarioPlan;
 use std::process::ExitCode;
@@ -95,64 +96,44 @@ fn main() -> ExitCode {
         rep.wall_ms,
     );
 
+    // Every frontier table pins the paper's h·d budget as a grid row.
+    let delay = |d0: u64| match d0 == rep.bound_h_d {
+        true => format!("{d0} (= h·d)"),
+        false => d0.to_string(),
+    };
     println!("initial buffering vs. interruption (Wait policy):\n");
-    let rows: Vec<Vec<String>> = rep
-        .initial_buffering
-        .iter()
-        .map(|p| {
-            vec![
-                format!(
-                    "{}{}",
-                    p.initial_delay,
-                    if p.initial_delay == rep.bound_h_d {
-                        " (= h·d)"
-                    } else {
-                        ""
-                    }
-                ),
-                format!("{:.4}", p.interruption_probability),
-                format!("{:.2}", p.mean_stall_slots),
-                format!("{:.4}", p.smoothness),
-            ]
-        })
-        .collect();
     println!(
         "{}",
         render_table(
-            &["delay d0", "P(interrupt)", "stall slots", "smoothness"],
-            &rows
+            &rep.initial_buffering,
+            &[
+                ("delay d0", &|p| delay(p.initial_delay)),
+                ("P(interrupt)", &|p| format!(
+                    "{:.4}",
+                    p.interruption_probability
+                )),
+                ("stall slots", &|p| format!("{:.2}", p.mean_stall_slots)),
+                ("smoothness", &|p| format!("{:.4}", p.smoothness)),
+            ]
         )
     );
 
     println!("\nthroughput–smoothness frontier (both policies):\n");
-    let rows: Vec<Vec<String>> = rep
-        .throughput_smoothness
-        .iter()
-        .map(|p| {
-            vec![
-                p.policy.label().to_string(),
-                format!(
-                    "{}{}",
-                    p.initial_delay,
-                    if p.initial_delay == rep.bound_h_d {
-                        " (= h·d)"
-                    } else {
-                        ""
-                    }
-                ),
-                format!("{:.4}", p.throughput),
-                format!("{:.4}", p.smoothness),
-            ]
-        })
-        .collect();
     println!(
         "{}",
-        render_table(&["policy", "delay d0", "throughput", "smoothness"], &rows)
+        render_table(
+            &rep.throughput_smoothness,
+            &[
+                ("policy", &|p| p.policy.label().to_string()),
+                ("delay d0", &|p| delay(p.initial_delay)),
+                ("throughput", &|p| format!("{:.4}", p.throughput)),
+                ("smoothness", &|p| format!("{:.4}", p.smoothness)),
+            ]
+        )
     );
 
-    let json = serde_json::to_string_pretty(&rep).expect("serializable");
-    std::fs::write(&out, json + "\n").unwrap_or_else(|e| panic!("write {out}: {e}"));
-    println!("\nwrote {out}");
+    println!();
+    write_report(&out, &rep);
 
     if oracle {
         print!("oracle: slot ≡ DES on the same plan ... ");

@@ -9,6 +9,7 @@
 
 use clustream_bench::render_table;
 use clustream_bench::scenarios::{crowd_plan, run_heterogeneity, HeterogeneityReport};
+use clustream_bench::timing::write_report;
 use clustream_des::{CapacityClassPlan, LatencyModel, UplinkModel};
 use clustream_plan::{render_usage, ArgMap, CliError, RunPlan, Runtime, Usage};
 use clustream_workloads::ScenarioPlan;
@@ -101,33 +102,29 @@ fn main() -> ExitCode {
         }
     }
 
-    let mut rows: Vec<Vec<String>> = Vec::new();
-    for rep in &reports {
-        for c in &rep.per_class {
-            rows.push(vec![
-                rep.classes.clone(),
-                c.class.clone(),
-                c.capacity.to_string(),
-                c.nodes.to_string(),
-                format!("{:.4}", c.qoe_wait_at_bound.interruption_probability),
-                format!("{:.2}", c.qoe_wait_at_bound.mean_stall_slots),
-                format!("{:.4}", c.qoe_wait_at_bound.smoothness),
-            ]);
-        }
-    }
+    let rows: Vec<_> = reports
+        .iter()
+        .flat_map(|rep| rep.per_class.iter().map(move |c| (rep, c)))
+        .collect();
     println!(
         "{}",
         render_table(
+            &rows,
             &[
-                "mix",
-                "class",
-                "cap",
-                "nodes",
-                "P(interrupt) @ h·d",
-                "stall slots",
-                "smoothness"
-            ],
-            &rows
+                ("mix", &|(rep, _)| rep.classes.clone()),
+                ("class", &|(_, c)| c.class.clone()),
+                ("cap", &|(_, c)| c.capacity.to_string()),
+                ("nodes", &|(_, c)| c.nodes.to_string()),
+                ("P(interrupt) @ h·d", &|(_, c)| {
+                    format!("{:.4}", c.qoe_wait_at_bound.interruption_probability)
+                }),
+                ("stall slots", &|(_, c)| {
+                    format!("{:.2}", c.qoe_wait_at_bound.mean_stall_slots)
+                }),
+                ("smoothness", &|(_, c)| {
+                    format!("{:.4}", c.qoe_wait_at_bound.smoothness)
+                }),
+            ]
         )
     );
     for rep in &reports {
@@ -137,8 +134,7 @@ fn main() -> ExitCode {
         );
     }
 
-    let json = serde_json::to_string_pretty(&reports).expect("serializable");
-    std::fs::write(&out, json + "\n").unwrap_or_else(|e| panic!("write {out}: {e}"));
-    println!("\nwrote {out}");
+    println!();
+    write_report(&out, &reports);
     ExitCode::SUCCESS
 }

@@ -4,15 +4,17 @@ use clustream_analysis as analysis;
 use clustream_core::{NodeId, PacketId, QosReport, Scheme};
 use clustream_hypercube::HypercubeStream;
 use clustream_multitree::{
-    build_forest, greedy_forest, structured_forest, Construction, DelayProfile, DynamicForest,
-    MultiTreeScheme, StreamMode,
+    build_forest, greedy_forest, structured_forest, AdaptiveMultiTree, Construction, DelayProfile,
+    DynamicForest, MultiTreeScheme, StreamMode,
 };
+use clustream_npc::{find_two_interior_disjoint_trees, reduce, E4SetSplitting};
 use clustream_overlay::{Backbone, ClusterSession, IntraScheme};
 use clustream_plan::{Family, RunPlan, Runtime, SchemeSpec};
-use clustream_sim::{FastEngine, RunResult, SimConfig, Simulator};
+use clustream_sim::{FastEngine, FaultPlan, RunResult, SimConfig, Simulator};
 use clustream_workloads::{ChurnAction, ChurnTrace, ChurnTraceConfig};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::time::{Duration, Instant};
 
 /// Run a scheme until `track` packets reached every receiver.
 pub fn simulate(scheme: &mut dyn Scheme, track: u64) -> RunResult {
@@ -25,7 +27,7 @@ pub fn simulate(scheme: &mut dyn Scheme, track: u64) -> RunResult {
 /// Takes a scheme *factory* (schemes are stateful). Debug builds
 /// re-run every simulation through the reference engine and assert the
 /// two results are bit-identical — every `cargo test` / debug invocation
-/// of an experiment binary doubles as a differential check.
+/// of `experiments` doubles as a differential check.
 pub fn simulate_fast(
     engine: &mut FastEngine,
     mut make: impl FnMut() -> Box<dyn Scheme>,
@@ -567,35 +569,26 @@ pub struct UtilizationRow {
 /// nodes idle at unit upload; the hypercube spreads upload evenly.
 pub fn ext_utilization(n: usize, d: usize, track: u64) -> Vec<UtilizationRow> {
     let mut engine = FastEngine::new();
-    let mut rows = Vec::new();
-    let mut push = |name: &str, r: &RunResult| {
+    [
+        (format!("multi-tree d={d}"), Family::MultiTree, d),
+        ("hypercube".into(), Family::Hypercube, 1),
+        (format!("single-tree d={d}"), Family::SingleTree, d),
+        ("chain".into(), Family::Chain, 1),
+    ]
+    .into_iter()
+    .map(|(scheme, family, degree)| {
+        let r = simulate_fast(&mut engine, maker(family, n, degree), track);
         let slots = r.slots_run as f64;
         let uploads = &r.upload_counts[1..=n];
-        rows.push(UtilizationRow {
-            scheme: name.into(),
+        UtilizationRow {
+            scheme,
             n,
             idle_receivers: uploads.iter().filter(|&&u| u == 0).count(),
             mean_upload_rate: uploads.iter().sum::<u64>() as f64 / n as f64 / slots,
             max_upload_rate: uploads.iter().copied().max().unwrap_or(0) as f64 / slots,
-        });
-    };
-    {
-        let r = simulate_fast(&mut engine, maker(Family::MultiTree, n, d), track);
-        push(&format!("multi-tree d={d}"), &r);
-    }
-    {
-        let r = simulate_fast(&mut engine, maker(Family::Hypercube, n, 1), track);
-        push("hypercube", &r);
-    }
-    {
-        let r = simulate_fast(&mut engine, maker(Family::SingleTree, n, d), track);
-        push(&format!("single-tree d={d}"), &r);
-    }
-    {
-        let r = simulate_fast(&mut engine, maker(Family::Chain, n, 1), track);
-        push("chain", &r);
-    }
-    rows
+        }
+    })
+    .collect()
 }
 
 // ------------------------------------------------------ Fault injection
@@ -619,32 +612,17 @@ pub struct LossRow {
 /// retransmission, so any loss becomes a playback gap; this measures how
 /// widely one lost link-crossing spreads in each overlay.
 pub fn ext_loss(n: usize, d: usize, rates: &[f64], track: u64) -> Vec<LossRow> {
-    use clustream_sim::FaultPlan;
     let mut rows = Vec::new();
     for &rate in rates {
-        let horizon = 8 * track;
-        {
-            let forest = greedy_forest(n, d).expect("valid");
-            let mut s = MultiTreeScheme::new(forest, StreamMode::PreRecorded);
-            let cfg = SimConfig::with_faults(track, horizon, FaultPlan::loss(rate, 17));
-            let r = Simulator::run(&mut s, &cfg).expect("model holds");
+        let cfg = SimConfig::with_faults(track, 8 * track, FaultPlan::loss(rate, 17));
+        for (scheme, family, degree) in [
+            (format!("multi-tree d={d}"), Family::MultiTree, d),
+            ("hypercube".into(), Family::Hypercube, 1),
+        ] {
+            let r = Simulator::run(maker(family, n, degree)().as_mut(), &cfg).expect("model holds");
             let loss = r.loss.as_ref().expect("fault run");
             rows.push(LossRow {
-                scheme: format!("multi-tree d={d}"),
-                n,
-                loss_rate: rate,
-                affected_frac: loss.affected_nodes() as f64 / n as f64,
-                avg_missing: loss.total_missing() as f64 / n as f64,
-                lost_in_flight: loss.lost_in_flight,
-            });
-        }
-        {
-            let mut s = HypercubeStream::new(n).expect("valid");
-            let cfg = SimConfig::with_faults(track, horizon, FaultPlan::loss(rate, 17));
-            let r = Simulator::run(&mut s, &cfg).expect("model holds");
-            let loss = r.loss.as_ref().expect("fault run");
-            rows.push(LossRow {
-                scheme: "hypercube".into(),
+                scheme,
                 n,
                 loss_rate: rate,
                 affected_frac: loss.affected_nodes() as f64 / n as f64,
@@ -674,19 +652,21 @@ pub struct CrashRow {
 /// same node is interior in only one of `d` trees, so its subtree loses
 /// only ~`1/d` of the packets.
 pub fn ext_crash(n: usize, d: usize, crash_slot: u64, track: u64) -> Vec<CrashRow> {
-    use clustream_sim::FaultPlan;
-    let horizon = 8 * track;
-    let mut rows = Vec::new();
-
-    // Multi-tree: crash node 1 (interior in T_0, near the root).
-    {
-        let forest = greedy_forest(n, d).expect("valid");
-        let mut s = MultiTreeScheme::new(forest, StreamMode::PreRecorded);
-        let cfg = SimConfig::with_faults(track, horizon, FaultPlan::crash(NodeId(1), crash_slot));
-        let r = Simulator::run(&mut s, &cfg).expect("model holds");
+    let cfg = SimConfig::with_faults(track, 8 * track, FaultPlan::crash(NodeId(1), crash_slot));
+    // Node 1 is interior in T_0 near the root of the multi-tree; the
+    // root's first child in the (elevated-capacity) single tree, whose
+    // whole subtree goes dark; a spare-rotation vertex of the first cube.
+    [
+        (format!("multi-tree d={d}"), Family::MultiTree, d),
+        (format!("single-tree d={d}"), Family::SingleTree, d),
+        ("hypercube".into(), Family::Hypercube, 1),
+    ]
+    .into_iter()
+    .map(|(scheme, family, degree)| {
+        let r = Simulator::run(maker(family, n, degree)().as_mut(), &cfg).expect("model holds");
         let loss = r.loss.as_ref().expect("fault run");
-        rows.push(CrashRow {
-            scheme: format!("multi-tree d={d}"),
+        CrashRow {
+            scheme,
             n,
             crashed: 1,
             starved_nodes: loss.affected_nodes(),
@@ -695,49 +675,170 @@ pub fn ext_crash(n: usize, d: usize, crash_slot: u64, track: u64) -> Vec<CrashRo
                 .iter()
                 .map(|&(_, m)| m as f64 / track as f64)
                 .fold(0.0, f64::max),
-        });
-    }
+        }
+    })
+    .collect()
+}
 
-    // Single tree (elevated capacity): crash node 1, the root's first
-    // child — its whole subtree goes dark.
-    {
-        let mut s = maker(Family::SingleTree, n, d)();
-        let cfg = SimConfig::with_faults(track, horizon, FaultPlan::crash(NodeId(1), crash_slot));
-        let r = Simulator::run(s.as_mut(), &cfg).expect("model holds");
-        let loss = r.loss.as_ref().expect("fault run");
-        rows.push(CrashRow {
-            scheme: format!("single-tree d={d}"),
-            n,
-            crashed: 1,
-            starved_nodes: loss.affected_nodes(),
-            worst_loss_frac: loss
-                .missing
+// ------------------------------------------ Streaming through churn (ext)
+
+/// ext-F: one churn trace streamed *through* by the adaptive multi-tree.
+#[derive(Debug, Clone, Serialize)]
+pub struct AdaptiveChurnRow {
+    pub seed: u64,
+    pub events: usize,
+    pub final_members: usize,
+    pub displacements: usize,
+    /// Final members that missed ≥ 1 packet they were owed.
+    pub survivors_gapped: usize,
+    /// Most owed packets any final member missed.
+    pub worst_gap: u64,
+    /// Whether the last 24 tracked packets reached every final member.
+    pub tail_complete: bool,
+}
+
+/// Stream 360 packets through 300 slots of churn per `(seed, join rate,
+/// leave rate)` cell and measure the actual per-node packet gaps (the
+/// hiccups the paper's appendix discusses qualitatively).
+pub fn ext_adaptive_churn(n0: usize, d: usize, cells: &[(u64, f64, f64)]) -> Vec<AdaptiveChurnRow> {
+    let track = 360u64;
+    // A member is owed the tracked packets *after* its join slot plus a
+    // catch-up margin (pre-join packets were never owed).
+    let margin = 16u64;
+    cells
+        .iter()
+        .map(|&(seed, join_rate, leave_rate)| {
+            let trace = ChurnTrace::generate(ChurnTraceConfig {
+                initial_members: n0,
+                slots: 300,
+                join_rate,
+                leave_rate,
+                rejoin_rate: 0.0,
+                seed,
+            });
+            let mut s = AdaptiveMultiTree::new(n0, d, Construction::Greedy, &trace).unwrap();
+            let cfg = AdaptiveMultiTree::recommended_config(track, 4000);
+            let r = Simulator::run(&mut s, &cfg).unwrap();
+            let missing = |ext: u64, from: u64| {
+                (from.min(track)..track)
+                    .filter(|&p| {
+                        r.arrivals
+                            .usable_slot(NodeId(ext as u32), PacketId(p))
+                            .is_none()
+                    })
+                    .count() as u64
+            };
+            let members = s.members();
+            let gaps: Vec<u64> = members
                 .iter()
-                .map(|&(_, m)| m as f64 / track as f64)
-                .fold(0.0, f64::max),
-        });
-    }
+                .map(|&e| missing(e, s.join_slot(e).unwrap_or(0) + margin))
+                .collect();
+            AdaptiveChurnRow {
+                seed,
+                events: trace.events.len(),
+                final_members: members.len(),
+                displacements: s.displacements().len(),
+                survivors_gapped: gaps.iter().filter(|&&g| g > 0).count(),
+                worst_gap: gaps.iter().max().copied().unwrap_or(0),
+                // Stabilization: the tail of the window is complete for
+                // everyone who joined before the last event.
+                tail_complete: members.iter().all(|&e| missing(e, track - 24) == 0),
+            }
+        })
+        .collect()
+}
 
-    // Hypercube: crash node 1 (a spare-rotation vertex of the first cube).
-    {
-        let mut s = HypercubeStream::new(n).expect("valid");
-        let cfg = SimConfig::with_faults(track, horizon, FaultPlan::crash(NodeId(1), crash_slot));
-        let r = Simulator::run(&mut s, &cfg).expect("model holds");
-        let loss = r.loss.as_ref().expect("fault run");
-        rows.push(CrashRow {
-            scheme: "hypercube".into(),
-            n,
-            crashed: 1,
-            starved_nodes: loss.affected_nodes(),
-            worst_loss_frac: loss
-                .missing
-                .iter()
-                .map(|&(_, m)| m as f64 / track as f64)
-                .fold(0.0, f64::max),
-        });
-    }
+// ------------------------------------------------ NP-completeness (ext)
 
-    rows
+/// ext-C: one E-4 Set Splitting instance and its reduction, both solved
+/// exactly.
+#[derive(Debug, Clone)]
+pub struct NpcRow {
+    pub name: &'static str,
+    /// A splitting `V₁` (bit mask), when one exists.
+    pub split: Option<u32>,
+    /// Interior masks of two interior-disjoint spanning trees of the
+    /// reduced graph, when they exist.
+    pub trees: Option<(u64, u64)>,
+}
+
+/// Reduce three E-4 Set Splitting instances to Two Interior-Disjoint
+/// Trees and solve both sides; the reduction preserves the answer iff
+/// `split.is_some() == trees.is_some()` on every row.
+pub fn ext_npc() -> Vec<NpcRow> {
+    let instances = [
+        ("single set", 4, vec![[0, 1, 2, 3]]),
+        (
+            "overlapping sets",
+            6,
+            vec![[0, 1, 2, 3], [2, 3, 4, 5], [0, 2, 4, 5]],
+        ),
+        (
+            "all 4-subsets of 5",
+            5,
+            vec![
+                [0, 1, 2, 3],
+                [0, 1, 2, 4],
+                [0, 1, 3, 4],
+                [0, 2, 3, 4],
+                [1, 2, 3, 4],
+            ],
+        ),
+    ];
+    instances
+        .into_iter()
+        .map(|(name, universe, sets)| {
+            let inst = E4SetSplitting::new(universe, sets).unwrap();
+            let (g, layout) = reduce(&inst);
+            NpcRow {
+                name,
+                split: inst.solve_brute(),
+                trees: find_two_interior_disjoint_trees(&g, layout.root)
+                    .map(|(t1, t2)| (t1.interior(), t2.interior())),
+            }
+        })
+        .collect()
+}
+
+// ------------------------------------------------------ Scalability (ext)
+
+/// One validated large-N simulation: the reference and fast engines
+/// timed on the same scheme.
+#[derive(Debug, Clone)]
+pub struct ScaleSimRow {
+    pub scheme: String,
+    pub transmissions: u64,
+    /// Fields on which the two engines disagree (empty = bit-identical).
+    pub diffs: Vec<&'static str>,
+    pub reference: Duration,
+    pub fast: Duration,
+}
+
+/// Fully validated simulations at population `n`, multi-tree (`d = 3`)
+/// and hypercube, on both engines: the readable reference and the
+/// allocation-light fast path, diffed field by field.
+pub fn scale_validated(n: usize) -> Vec<ScaleSimRow> {
+    let mut engine = FastEngine::new();
+    [(Family::MultiTree, 3, 48), (Family::Hypercube, 1, 64)]
+        .into_iter()
+        .map(|(family, d, track)| {
+            let make = maker(family, n, d);
+            let t0 = Instant::now();
+            let reference = simulate(make().as_mut(), track);
+            let t_ref = t0.elapsed();
+            let cfg = SimConfig::until_complete(track, 1_000_000);
+            let t0 = Instant::now();
+            let fast = engine.run(make().as_mut(), &cfg).unwrap();
+            let t_fast = t0.elapsed();
+            ScaleSimRow {
+                diffs: clustream_sim::diff_fields(&reference, &fast),
+                scheme: reference.scheme,
+                transmissions: reference.total_transmissions,
+                reference: t_ref,
+                fast: t_fast,
+            }
+        })
+        .collect()
 }
 
 // ----------------------------------------------- DES jitter sweep (ext)
@@ -1075,6 +1176,29 @@ mod tests {
         assert_eq!(at("hypercube", 0.0).avg_missing, 0.0);
         assert!(at("multi-tree", 0.05).avg_missing > 0.0);
         assert!(at("hypercube", 0.05).avg_missing > 0.0);
+    }
+
+    #[test]
+    fn adaptive_churn_restabilizes_on_every_seed() {
+        let rows = ext_adaptive_churn(30, 3, &[1, 2, 3].map(|seed| (seed, 0.03, 0.002)));
+        assert_eq!(rows.len(), 3);
+        for r in &rows {
+            assert!(r.tail_complete, "seed {}: tail incomplete", r.seed);
+            assert!(r.events > 0 && r.worst_gap < 360, "seed {}: {r:?}", r.seed);
+        }
+    }
+
+    #[test]
+    fn npc_reduction_preserves_the_answer() {
+        let rows = ext_npc();
+        assert_eq!(rows.len(), 3);
+        for r in &rows {
+            assert_eq!(r.split.is_some(), r.trees.is_some(), "{}", r.name);
+            // Interior-disjoint: the two trees share no interior vertex.
+            if let Some((t1, t2)) = r.trees {
+                assert_eq!(t1 & t2, 0, "{}", r.name);
+            }
+        }
     }
 
     #[test]

@@ -21,6 +21,7 @@
 //! small oracle-closed crowd in the quick tier plus a 10⁵-join crowd on
 //! the mega engine in the full tier.
 
+use crate::timing::build_label;
 use clustream_analysis::thm2_worst_delay_bound;
 use clustream_core::{NodeId, Scheme};
 use clustream_des::LatencyModel;
@@ -118,15 +119,6 @@ pub struct FlashCrowdReport {
     pub wall_ms: u64,
 }
 
-fn build_label() -> String {
-    if cfg!(debug_assertions) {
-        "debug"
-    } else {
-        "release"
-    }
-    .to_string()
-}
-
 /// Run one flash-crowd plan (see [`crowd_plan`]; pick the slot engine
 /// with [`RunPlan::engine`]) and score the survivors' QoE.
 pub fn run_flash_crowd(plan: &RunPlan) -> Result<FlashCrowdReport, CliError> {
@@ -136,7 +128,7 @@ pub fn run_flash_crowd(plan: &RunPlan) -> Result<FlashCrowdReport, CliError> {
     let bound = thm2_worst_delay_bound(final_members as usize, plan.scheme.d);
     let grid = delay_grid(bound);
     Ok(FlashCrowdReport {
-        build: build_label(),
+        build: build_label().to_string(),
         engine,
         n0: plan.scheme.n,
         d: plan.scheme.d,
@@ -243,7 +235,7 @@ pub fn run_heterogeneity(plan: &RunPlan) -> Result<HeterogeneityReport, CliError
         .collect();
 
     Ok(HeterogeneityReport {
-        build: build_label(),
+        build: build_label().to_string(),
         n0,
         d,
         classes: classes.to_string(),

@@ -3,21 +3,23 @@
 //! The `bench_engine` / `bench_des` / `bench_recovery` binaries measure
 //! these workloads and commit the results (`BENCH_engine.json`,
 //! `BENCH_des.json`, `BENCH_recovery.json` at the repo root);
-//! `bench_check` re-runs a reduced tier of the *same* definitions and
-//! fails when a throughput number regresses past tolerance or a
+//! `bench_check` takes the *same* measurement at a reduced sample count
+//! and fails when a throughput number regresses past tolerance or a
 //! correctness-derived field (slot counts, transmission counts, the
 //! deterministic recovery counters) changes at all. Keeping workload
-//! tables and row schemas in one module is what makes that comparison
-//! meaningful: both sides are guaranteed to run the same simulations.
+//! tables, measurement loops and row schemas in one module is what
+//! makes that comparison meaningful: both sides are guaranteed to run
+//! the same simulations the same way.
 
+use crate::timing::{bench, bench_prepared};
 use clustream_core::Scheme;
 use clustream_des::{DesConfig, DesEngine, QueueKind, TICKS_PER_SLOT};
 use clustream_plan::{Family, RunPlan, Runtime, SchemeSpec};
 use clustream_recovery::RecoveryConfig;
-use clustream_sim::SimConfig;
+use clustream_sim::{diff_fields, FastEngine, MegaEngine, SimConfig, Simulator};
 use clustream_workloads::{ChurnAction, ChurnTrace, ChurnTraceConfig};
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// One named simulation workload of a bench suite.
 pub struct Workload {
@@ -240,6 +242,122 @@ pub struct RecoveryReport {
     pub track: u64,
     pub horizon: u64,
     pub rows: Vec<RecoveryRow>,
+}
+
+// ---------------------------------------------------- measurement loops
+
+/// Measure the engine suite: each workload on both slot engines, first
+/// diffed field by field (a divergence aborts), then timed over at most
+/// `max_samples` samples.
+pub fn measure_engine(max_samples: usize) -> Vec<EngineRow> {
+    let mut engine = FastEngine::new();
+    let mut rows = Vec::new();
+    for w in engine_workloads() {
+        let cfg = w.sim();
+        let samples = w.samples.min(max_samples);
+
+        // Correctness first: both engines must agree bit for bit.
+        let reference = Simulator::run(w.make().as_mut(), &cfg).unwrap();
+        let fast = engine.run(w.make().as_mut(), &cfg).unwrap();
+        let diffs = diff_fields(&reference, &fast);
+        assert!(diffs.is_empty(), "{}: engines diverge on {diffs:?}", w.name);
+
+        let m_ref = bench(&format!("{}_reference", w.name), samples, || {
+            Simulator::run(w.make().as_mut(), &cfg).unwrap().slots_run
+        });
+        let m_fast = bench(&format!("{}_fast", w.name), samples, || {
+            engine.run(w.make().as_mut(), &cfg).unwrap().slots_run
+        });
+
+        let ref_s = m_ref.min().as_secs_f64();
+        let fast_s = m_fast.min().as_secs_f64();
+        rows.push(EngineRow {
+            workload: w.name.to_string(),
+            slots_run: reference.slots_run,
+            transmissions: reference.total_transmissions,
+            samples,
+            reference_min_ns: m_ref.min().as_nanos() as u64,
+            fast_min_ns: m_fast.min().as_nanos() as u64,
+            reference_slots_per_sec: reference.slots_run as f64 / ref_s,
+            fast_slots_per_sec: reference.slots_run as f64 / fast_s,
+            speedup: ref_s / fast_s,
+        });
+    }
+    rows
+}
+
+/// Measure the DES suite: every `(workload, queue)` cell first checked
+/// field by field against the fast slot engine (the correctness anchor;
+/// a divergence aborts), then timed over at most `max_samples` samples.
+/// Rows come per workload in [`des_queues`] order.
+pub fn measure_des(max_samples: usize) -> Vec<ThroughputRow> {
+    let mut fast = FastEngine::new();
+    let mut rows = Vec::new();
+    for w in des_workloads() {
+        let sim = w.sim();
+        let samples = w.samples.min(max_samples);
+        let reference = fast.run(w.make().as_mut(), &sim).unwrap();
+        let m_fast = bench(&format!("{}_fast", w.name), samples, || {
+            fast.run(w.make().as_mut(), &sim).unwrap().slots_run
+        });
+
+        for queue in des_queues() {
+            let des_cfg = w.des(queue);
+
+            // Correctness first: slot-faithful DES ≡ fast slot engine,
+            // whichever queue backs it.
+            let mut engine = DesEngine::new();
+            let des = engine.run(w.make().as_mut(), &des_cfg).unwrap();
+            let diffs = diff_fields(&reference, &des);
+            assert!(
+                diffs.is_empty(),
+                "{}/{}: DES diverges on {diffs:?}",
+                w.name,
+                queue.label()
+            );
+            let events = engine.stats().events_processed;
+
+            let m_des = bench(
+                &format!("{}_des_{}", w.name, queue.label()),
+                samples,
+                || engine.run(w.make().as_mut(), &des_cfg).unwrap().slots_run,
+            );
+            let des_s = m_des.min().as_secs_f64();
+            rows.push(ThroughputRow {
+                workload: w.name.to_string(),
+                queue: queue.label().to_string(),
+                slots_run: reference.slots_run,
+                events,
+                samples,
+                des_min_ns: m_des.min().as_nanos() as u64,
+                fast_min_ns: m_fast.min().as_nanos() as u64,
+                events_per_sec: events as f64 / des_s,
+                slowdown_vs_fast: des_s / m_fast.min().as_secs_f64(),
+            });
+        }
+    }
+    rows
+}
+
+/// Time the fast and the mega engine on one scaling workload,
+/// engine-only: scheme construction dominates wall time at these sizes,
+/// so each sample builds its scheme untimed. Returns the fastest sample
+/// of each.
+pub fn time_fast_and_mega(w: &Workload, samples: usize) -> (Duration, Duration) {
+    let cfg = w.sim();
+    let m_fast = bench_prepared(
+        &format!("{}_fast", w.name),
+        samples,
+        || w.make(),
+        |mut s| FastEngine::new().run(s.as_mut(), &cfg).unwrap().slots_run,
+    );
+    let m_mega = bench_prepared(
+        &format!("{}_mega", w.name),
+        samples,
+        || w.make(),
+        |mut s| MegaEngine::new().run(s.as_mut(), &cfg).unwrap().slots_run,
+    );
+    (m_fast.min(), m_mega.min())
 }
 
 // ------------------------------------------------------- recovery suite

@@ -1,7 +1,26 @@
-//! Dependency-free timing harness used by the `benches/` binaries and the
-//! engine-comparison benchmark (criterion is unavailable offline).
+//! Dependency-free timing harness behind the committed bench suites
+//! (criterion is unavailable offline), and what every recorder shares:
+//! the build label and the JSON report writer.
 
 use std::time::{Duration, Instant};
+
+/// `debug` or `release` — recorded in every report, since only release
+/// timings are representative.
+pub fn build_label() -> &'static str {
+    if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
+    }
+}
+
+/// Write `report` to `path` as pretty, newline-terminated JSON, and say
+/// so.
+pub fn write_report<T: serde::Serialize>(path: &str, report: &T) {
+    let json = serde_json::to_string_pretty(report).expect("serializable");
+    std::fs::write(path, json + "\n").unwrap_or_else(|e| panic!("write {path}: {e}"));
+    println!("wrote {path}");
+}
 
 /// One benchmark measurement: per-iteration wall times over `samples`
 /// runs after a warmup iteration.
@@ -35,25 +54,7 @@ impl Measurement {
 /// The closure's return value is passed through `std::hint::black_box` so
 /// the computation cannot be optimized away.
 pub fn bench<R>(name: &str, samples: usize, mut f: impl FnMut() -> R) -> Measurement {
-    std::hint::black_box(f());
-    let mut times = Vec::with_capacity(samples);
-    for _ in 0..samples.max(1) {
-        let start = Instant::now();
-        std::hint::black_box(f());
-        times.push(start.elapsed());
-    }
-    let m = Measurement {
-        name: name.to_string(),
-        times,
-    };
-    println!(
-        "{:<44} min {:>12?}   mean {:>12?}   ({} samples)",
-        m.name,
-        m.min(),
-        m.mean(),
-        m.times.len()
-    );
-    m
+    bench_prepared(name, samples, || (), |()| f())
 }
 
 /// Like [`bench()`], but each iteration first runs `setup` *untimed* and

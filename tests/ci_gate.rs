@@ -234,3 +234,24 @@ fn mega_scale_smoke_runs_in_scale_and_full_tiers() {
         "the scaling bench gate is scale-tier-only"
     );
 }
+
+#[test]
+fn reproduction_record_gates_the_merge_on_the_whole_catalog() {
+    // Bare `experiments` (no id: every item, non-zero exit on a failed
+    // verdict) runs on the release build, in the full tier only.
+    let text = std::fs::read_to_string(ci_script()).unwrap();
+    let record = text
+        .find("stage \"reproduction record (experiments)\"")
+        .expect("ci.sh lost the reproduction record stage");
+    let full_gate = text
+        .find("[ \"$TIER\" = full ]")
+        .expect("ci.sh lost the full-tier gate");
+    assert!(record > full_gate, "the record is merge-gate-only");
+    assert!(
+        text[record..].starts_with(
+            "stage \"reproduction record (experiments)\" \\\n        \
+             cargo run -q --release --offline -p clustream-bench --bin experiments\n"
+        ),
+        "the stage must run bare `experiments` and gate on its exit status"
+    );
+}
