@@ -11,8 +11,7 @@
 //! (slot ≡ event world, bit for bit) — the CI quick-tier gate.
 
 use clustream_bench::render_table;
-use clustream_bench::scenarios::{crowd_plan, flash_crowd_oracle, run_flash_crowd};
-use clustream_bench::timing::write_report;
+use clustream_bench::scenarios::{crowd_plan, flash_crowd_oracle, run_flash_crowd, write_report};
 use clustream_plan::{choice, render_usage, ArgMap, CliError, Engine, RunPlan, Usage};
 use clustream_workloads::ScenarioPlan;
 use std::process::ExitCode;
@@ -133,7 +132,10 @@ fn main() -> ExitCode {
     );
 
     println!();
-    write_report(&out, &rep);
+    if let Err(e) = write_report(&out, &rep) {
+        eprintln!("cannot write --out `{out}`: {e}");
+        return ExitCode::FAILURE;
+    }
 
     if oracle {
         print!("oracle: slot ≡ DES on the same plan ... ");

@@ -8,8 +8,9 @@
 //! on top, reusing the `fail:`/`step:` grammar.
 
 use clustream_bench::render_table;
-use clustream_bench::scenarios::{crowd_plan, run_heterogeneity, HeterogeneityReport};
-use clustream_bench::timing::write_report;
+use clustream_bench::scenarios::{
+    crowd_plan, run_heterogeneity, write_report, HeterogeneityReport,
+};
 use clustream_des::{CapacityClassPlan, LatencyModel, UplinkModel};
 use clustream_plan::{render_usage, ArgMap, CliError, RunPlan, Runtime, Usage};
 use clustream_workloads::ScenarioPlan;
@@ -135,6 +136,9 @@ fn main() -> ExitCode {
     }
 
     println!();
-    write_report(&out, &reports);
+    if let Err(e) = write_report(&out, &reports) {
+        eprintln!("cannot write --out `{out}`: {e}");
+        return ExitCode::FAILURE;
+    }
     ExitCode::SUCCESS
 }

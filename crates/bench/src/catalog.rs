@@ -16,7 +16,6 @@ use clustream_analysis::{
 use clustream_multitree::{greedy_forest, DelayProfile, MultiTreeScheme, StreamMode};
 use clustream_workloads::{geometric_grid, linear_grid, ChurnTraceConfig};
 use std::fmt::Write;
-use std::time::Instant;
 
 /// What running one catalog item produced.
 pub struct Report {
@@ -75,6 +74,8 @@ pub fn catalog() -> Vec<Item> {
         ext_constructions,
         ext_adaptive_churn,
         ext_utilization,
+        ext_jitter_sweep,
+        ext_recovery_tiers,
         tradeoff_frontier,
         scale_sweep,
     ]
@@ -645,6 +646,96 @@ fn ext_utilization() -> Report {
     )
 }
 
+fn ext_jitter_sweep() -> Report {
+    let rows = ex::ext_jitter_sweep(500, 3, &[0.0, 0.25, 0.5, 1.0, 2.0, 4.0], 48, 1);
+    let table = render_table(
+        &rows,
+        &[
+            ("jitter", &|r| format!("{:.2}", r.jitter_slots)),
+            ("max delay", &|r| r.max_delay.to_string()),
+            ("avg delay", &|r| format!("{:.3}", r.avg_delay)),
+            ("buffer", &|r| r.max_buffer.to_string()),
+            ("thm2 bound", &|r| r.thm2_bound.to_string()),
+            ("delay infl", &|r| format!("{:.4}x", r.delay_inflation)),
+            ("buffer infl", &|r| format!("{:.4}x", r.buffer_inflation)),
+        ],
+    );
+    // Zero jitter is the slot-faithful DES: exactly the slot engine's run.
+    let faithful = rows[0].delay_inflation == 1.0 && rows[0].buffer_inflation == 1.0;
+    let broken = rows.iter().find(|r| r.max_delay > r.thm2_bound);
+    Report::checked(
+        format!(
+            "DES jitter sweep — multi-tree N = 500, d = 3, uniform link jitter (slots), seed 1\n\n\
+             {table}\n"
+        ),
+        faithful,
+        format!(
+            "zero-jitter DES run equals the slot model (inflation exactly 1.0): {faithful}; \
+             h·d = {} first exceeded at jitter {}",
+            rows[0].thm2_bound,
+            broken.map_or("never".into(), |r| format!("{:.2}", r.jitter_slots))
+        ),
+    )
+}
+
+fn ext_recovery_tiers() -> Report {
+    let rows = ex::ext_recovery_tiers(60, 3, 48, 240, 11, &[0.0005, 0.002, 0.005]);
+    let table = render_table(
+        &rows,
+        &[
+            ("churn", &|r| format!("{:.4}", r.churn_rate)),
+            ("mode", &|r| r.mode.into()),
+            ("leaves", &|r| r.departures.to_string()),
+            ("data tx", &|r| r.transmissions.to_string()),
+            ("delivered", &|r| format!("{:.4}", r.delivered_fraction)),
+            ("missing", &|r| r.missing_packets.to_string()),
+            ("detected", &|r| r.res.failures_detected.to_string()),
+            ("repairs", &|r| r.res.repairs_committed.to_string()),
+            ("displaced", &|r| r.res.displaced_total.to_string()),
+            ("lat avg", &|r| {
+                format!("{:.4}", r.recovery_latency_avg_slots)
+            }),
+            ("lat max", &|r| {
+                format!("{:.1}", r.recovery_latency_max_slots)
+            }),
+            ("nacks", &|r| r.res.nacks_sent.to_string()),
+            ("retx", &|r| r.res.retransmissions.to_string()),
+            ("repaired", &|r| r.res.repaired_packets.to_string()),
+            ("abandoned", &|r| r.res.abandoned_packets.to_string()),
+            ("ctl msgs", &|r| r.res.control_messages.to_string()),
+            ("ctl ovhd", &|r| format!("{:.4}", r.control_overhead)),
+        ],
+    );
+    // Rows come three per churn rate: off, repair, repair+nack. Bare
+    // repair may trail `off` by a few packets when departures rejoin
+    // (tests/recovery.rs holds the strict ordering for crashes without
+    // rejoins), so the claim is about the full tier only.
+    let ok = rows.chunks(3).all(|t| {
+        t[0].res.control_messages == 0 && t[2].delivered_fraction > t[0].delivered_fraction
+    });
+    let delivered: Vec<String> = rows
+        .chunks(3)
+        .map(|t| {
+            format!(
+                "{:.4}→{:.4}",
+                t[0].delivered_fraction, t[2].delivered_fraction
+            )
+        })
+        .collect();
+    Report::checked(
+        format!(
+            "Recovery tiers under churn — multi-tree N = 60, d = 3, track 48, horizon 240 slots, \
+             trace seed 11\n\n{table}\n"
+        ),
+        ok,
+        format!(
+            "delivered fraction off→repair+nack per churn rate: {}; fail-silent sends no control \
+             traffic and repair+nack delivers more at every rate: {ok}",
+            delivered.join(", ")
+        ),
+    )
+}
+
 fn tradeoff_frontier() -> Report {
     let mut text = String::new();
     for n in [63usize, 250, 1000, 10_000, 100_000] {
@@ -672,7 +763,7 @@ fn tradeoff_frontier() -> Report {
 
 /// Closed-form predictions for populations far beyond the paper's
 /// 2000-node figures, plus large validated simulations to show the
-/// engines keep up. The only item whose rendering carries wall times.
+/// engines agree there.
 fn scale_sweep() -> Report {
     let table = render_table(
         &[1_000usize, 10_000, 100_000, 1_000_000, 10_000_000],
@@ -689,14 +780,12 @@ fn scale_sweep() -> Report {
     );
     let mut text = format!("closed-form predictions at scale\n\n{table}\n");
 
-    let t0 = Instant::now();
     let s = MultiTreeScheme::new(greedy_forest(100_000, 3).unwrap(), StreamMode::PreRecorded);
     let max_delay = DelayProfile::compute(&s).unwrap().max_delay();
     let bound = thm2_worst_delay_bound(100_000, 3);
     writeln!(
         text,
-        "exact profile, N = 100000, d = 3: max delay {max_delay} (bound {bound}), computed in {:.2?}",
-        t0.elapsed()
+        "exact profile, N = 100000, d = 3: max delay {max_delay} (bound {bound})"
     )
     .unwrap();
 
@@ -704,12 +793,8 @@ fn scale_sweep() -> Report {
     for r in &sims {
         writeln!(
             text,
-            "validated sim, N = 20000 ({}): {} transmissions — reference {:.2?}, fast {:.2?} ({:.2}x)",
-            r.scheme,
-            r.transmissions,
-            r.reference,
-            r.fast,
-            r.reference.as_secs_f64() / r.fast.as_secs_f64()
+            "validated sim, N = 20000 ({}): {} transmissions",
+            r.scheme, r.transmissions
         )
         .unwrap();
     }

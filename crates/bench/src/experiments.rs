@@ -2,6 +2,7 @@
 
 use clustream_analysis as analysis;
 use clustream_core::{NodeId, PacketId, QosReport, Scheme};
+use clustream_des::{DesEngine, LatencyModel, TICKS_PER_SLOT};
 use clustream_hypercube::HypercubeStream;
 use clustream_multitree::{
     build_forest, greedy_forest, structured_forest, AdaptiveMultiTree, Construction, DelayProfile,
@@ -10,11 +11,11 @@ use clustream_multitree::{
 use clustream_npc::{find_two_interior_disjoint_trees, reduce, E4SetSplitting};
 use clustream_overlay::{Backbone, ClusterSession, IntraScheme};
 use clustream_plan::{Family, RunPlan, Runtime, SchemeSpec};
-use clustream_sim::{FastEngine, FaultPlan, RunResult, SimConfig, Simulator};
+use clustream_recovery::RecoveryConfig;
+use clustream_sim::{FastEngine, FaultPlan, ResilienceMetrics, RunResult, SimConfig, Simulator};
 use clustream_workloads::{ChurnAction, ChurnTrace, ChurnTraceConfig};
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
-use std::time::{Duration, Instant};
+use serde::Serialize;
 
 /// Run a scheme until `track` packets reached every receiver.
 pub fn simulate(scheme: &mut dyn Scheme, track: u64) -> RunResult {
@@ -802,16 +803,14 @@ pub fn ext_npc() -> Vec<NpcRow> {
 
 // ------------------------------------------------------ Scalability (ext)
 
-/// One validated large-N simulation: the reference and fast engines
-/// timed on the same scheme.
+/// One validated large-N simulation: the reference and fast engines on
+/// the same scheme.
 #[derive(Debug, Clone)]
 pub struct ScaleSimRow {
     pub scheme: String,
     pub transmissions: u64,
     /// Fields on which the two engines disagree (empty = bit-identical).
     pub diffs: Vec<&'static str>,
-    pub reference: Duration,
-    pub fast: Duration,
 }
 
 /// Fully validated simulations at population `n`, multi-tree (`d = 3`)
@@ -823,19 +822,13 @@ pub fn scale_validated(n: usize) -> Vec<ScaleSimRow> {
         .into_iter()
         .map(|(family, d, track)| {
             let make = maker(family, n, d);
-            let t0 = Instant::now();
             let reference = simulate(make().as_mut(), track);
-            let t_ref = t0.elapsed();
             let cfg = SimConfig::until_complete(track, 1_000_000);
-            let t0 = Instant::now();
             let fast = engine.run(make().as_mut(), &cfg).unwrap();
-            let t_fast = t0.elapsed();
             ScaleSimRow {
                 diffs: clustream_sim::diff_fields(&reference, &fast),
                 scheme: reference.scheme,
                 transmissions: reference.total_transmissions,
-                reference: t_ref,
-                fast: t_fast,
             }
         })
         .collect()
@@ -845,7 +838,7 @@ pub fn scale_validated(n: usize) -> Vec<ScaleSimRow> {
 
 /// One jitter level of the DES sweep: observed playback QoS under
 /// uniform link jitter vs the synchronous Theorem 2 `h·d` bound.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct JitterRow {
     pub jitter_slots: f64,
     pub max_delay: u64,
@@ -873,8 +866,6 @@ pub fn ext_jitter_sweep(
     track: u64,
     seed: u64,
 ) -> Vec<JitterRow> {
-    use clustream_des::{DesEngine, LatencyModel};
-
     let plan = RunPlan {
         runtime: Runtime::Des,
         des_seed: seed,
@@ -913,6 +904,107 @@ pub fn ext_jitter_sweep(
             }
         })
         .collect()
+}
+
+// ------------------------------------------------ Recovery tiers (ext)
+
+/// One (churn rate, recovery tier) cell: what the tier delivered and
+/// what it cost. Every field is deterministic given the seeded trace.
+#[derive(Debug, Clone)]
+pub struct RecoveryRow {
+    pub churn_rate: f64,
+    pub mode: &'static str,
+    pub departures: usize,
+    pub transmissions: u64,
+    /// Fraction of the N·track tracked packets that reached their node.
+    pub delivered_fraction: f64,
+    pub missing_packets: u64,
+    /// The run's detection / repair / NACK counters.
+    pub res: ResilienceMetrics,
+    pub recovery_latency_avg_slots: f64,
+    pub recovery_latency_max_slots: f64,
+    /// Control messages per data transmission (the overhead the
+    /// recovery layer adds to the stream).
+    pub control_overhead: f64,
+}
+
+/// Recovery tiers under churn: per leave rate, one seeded crash trace
+/// (rejoins at half the leave rate, no fresh joins) replayed through the
+/// DES three times — fail-silent (`off`), detection and repair, repair
+/// and NACK retransmission — over `horizon` slots (churned runs never
+/// "complete").
+pub fn ext_recovery_tiers(
+    n: usize,
+    d: usize,
+    track: u64,
+    horizon: u64,
+    seed: u64,
+    leave_rates: &[f64],
+) -> Vec<RecoveryRow> {
+    let tiers = [
+        ("off", RecoveryConfig::default()),
+        ("repair", RecoveryConfig::repair()),
+        ("repair+nack", RecoveryConfig::repair_nack()),
+    ];
+    let mut rows = Vec::new();
+    for &rate in leave_rates {
+        let churn = ChurnTraceConfig {
+            initial_members: n,
+            slots: horizon,
+            join_rate: 0.0,
+            leave_rate: rate,
+            rejoin_rate: rate / 2.0,
+            seed,
+        };
+        let departures = ChurnTrace::generate(churn)
+            .events
+            .iter()
+            .filter(|e| matches!(e.action, ChurnAction::Leave { .. }))
+            .count();
+        for (mode, recovery) in tiers {
+            let plan = RunPlan {
+                horizon: Some(horizon),
+                runtime: Runtime::Des,
+                recovery,
+                churn: Some(churn),
+                ..RunPlan::new(SchemeSpec::new(Family::MultiTree, n, d), track)
+            };
+            rows.push(run_recovery_tier(&plan, rate, mode, departures));
+        }
+    }
+    rows
+}
+
+/// Replay `plan`'s churn trace through its recovery tier and summarize
+/// the outcome.
+fn run_recovery_tier(
+    plan: &RunPlan,
+    churn_rate: f64,
+    mode: &'static str,
+    departures: usize,
+) -> RecoveryRow {
+    // Every tier, `off` included, streams through the healing wrapper.
+    let mut scheme = plan.scheme.self_healing().unwrap();
+    let r = DesEngine::new()
+        .run(&mut scheme, &plan.des_config())
+        .unwrap();
+    let missing = r.loss.as_ref().map_or(0, |l| l.total_missing()) as u64;
+    let expected = plan.scheme.n as u64 * plan.track;
+    let res = r.resilience.unwrap_or_default();
+    RecoveryRow {
+        churn_rate,
+        mode,
+        departures,
+        transmissions: r.total_transmissions,
+        delivered_fraction: 1.0 - missing as f64 / expected as f64,
+        missing_packets: missing,
+        res,
+        recovery_latency_avg_slots: res
+            .avg_recovery_latency_slots(TICKS_PER_SLOT)
+            .unwrap_or(0.0),
+        recovery_latency_max_slots: res.recovery_latency_max_ticks as f64 / TICKS_PER_SLOT as f64,
+        control_overhead: res.control_messages as f64 / r.total_transmissions.max(1) as f64,
+    }
 }
 
 // ------------------------------------------------ Illustration reprints

@@ -21,7 +21,6 @@
 //! small oracle-closed crowd in the quick tier plus a 10⁵-join crowd on
 //! the mega engine in the full tier.
 
-use crate::timing::build_label;
 use clustream_analysis::thm2_worst_delay_bound;
 use clustream_core::{NodeId, Scheme};
 use clustream_des::LatencyModel;
@@ -34,6 +33,25 @@ use clustream_workloads::{
     PlayPolicy, QoeSummary, ScenarioPlan,
 };
 use serde::{Deserialize, Serialize};
+
+/// `debug` or `release` — recorded in every report, since only release
+/// wall times are representative.
+fn build_label() -> &'static str {
+    if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
+    }
+}
+
+/// Write `report` to `path` as pretty, newline-terminated JSON, and say
+/// so.
+pub fn write_report<T: Serialize>(path: &str, report: &T) -> std::io::Result<()> {
+    let json = serde_json::to_string_pretty(report).expect("serializable");
+    std::fs::write(path, json + "\n")?;
+    println!("wrote {path}");
+    Ok(())
+}
 
 /// The plan of one crowd run: `scenario` (an empty one streams the
 /// static forest) over an `n0`-member degree-`d` greedy forest, on the

@@ -1,7 +1,8 @@
-//! Golden stdout: every catalog item must render, byte for byte, what
-//! its per-figure binary printed before the catalog replaced the 22
-//! binaries (`tests/golden/<id>.txt`, captured from their release
-//! builds at 16e974a), and the whole catalog's verdicts must pass.
+//! Golden stdout: every catalog item must render, byte for byte, its
+//! `tests/golden/<id>.txt`, and the whole catalog's verdicts must pass.
+//! Twenty files are what the per-figure binaries printed before the
+//! catalog replaced them (release builds at 16e974a); `scale_sweep`,
+//! `ext_jitter_sweep` and `ext_recovery_tiers` were recorded at 943288e.
 //!
 //! In a debug build every fast-engine run inside is also cross-checked
 //! against the reference engine (`simulate_fast`), so this is the
@@ -17,9 +18,8 @@ fn golden(id: &str) -> String {
 
 #[test]
 fn deterministic_items_render_the_golden_stdout_and_every_verdict_passes() {
-    let mut items = catalog();
-    items.retain(|i| i.id != "scale_sweep");
-    assert_eq!(items.len(), 20);
+    let items = catalog();
+    assert_eq!(items.len(), 23);
     let reports: Vec<_> = items.iter().map(|i| (i.id, (i.run)())).collect();
     for (id, report) in &reports {
         assert_eq!(
@@ -30,24 +30,4 @@ fn deterministic_items_render_the_golden_stdout_and_every_verdict_passes() {
     }
     let (text, failed) = summarize(&reports);
     assert!(failed.is_empty(), "untouched catalog must pass:\n{text}");
-}
-
-/// The one item that prints wall times: its golden file is the
-/// closed-form table, and the deterministic parts of the timed lines
-/// are pinned by hand.
-#[test]
-fn scale_sweep_pins_its_deterministic_parts_and_passes() {
-    let items = catalog();
-    let item = items.iter().find(|i| i.id == "scale_sweep").unwrap();
-    let report = (item.run)();
-    assert!(report.text.starts_with(&golden(item.id)), "{}", report.text);
-    for pin in [
-        "max delay 31 (bound 33)",
-        "1133989 transmissions",
-        "2133619 transmissions",
-    ] {
-        assert!(report.text.contains(pin), "lost `{pin}`:\n{}", report.text);
-    }
-    let (text, failed) = summarize(&[(item.id, report)]);
-    assert!(failed.is_empty(), "{text}");
 }

@@ -53,14 +53,15 @@ fn script_parses_and_defines_both_tiers() {
     for needle in [
         "quick | full | scale)",
         "TIER=\"${1:-full}\"",
-        "bench_check",
         "RUSTDOCFLAGS=\"-D warnings\"",
-        // The scale tier: the mega-engine CLI smoke (sequential and
-        // sharded runs against the fast engine) plus the scaling bench
-        // gate, under the per-stage wall-clock budget with its
-        // machine-readable timing artifact.
+        // The scale smoke: the mega-engine CLI runs (sequential and
+        // sharded) against the fast engine and against the committed
+        // golden stdout — N=10^5 in both tiers that run it, N=10^6 in
+        // the scale tier — under the per-stage wall-clock budget with
+        // its machine-readable timing artifact.
         "--engine mega --shards 4",
-        "--suite scale",
+        "diff \"$golden/scale_n100000_mega.txt\" \"$base-mega.txt\"",
+        "diff \"$golden/scale_n1000000_mega.txt\" \"$base-mega-1m.txt\"",
         "CI_STAGE_BUDGET_SECS",
         "target/ci-timings.json",
         // The model-checker stages: corpus replay guards every tier's
@@ -213,8 +214,8 @@ fn cluster_smokes_sit_on_the_right_tiers() {
 #[test]
 fn mega_scale_smoke_runs_in_scale_and_full_tiers() {
     // The mega smoke is gated on `scale || full`, sitting between the
-    // quick stages and the full-only block; the scaling bench gate is
-    // scale-tier-only.
+    // quick stages and the full-only block; inside it, the N=10^6 run
+    // and its golden diff are scale-tier-only.
     let text = std::fs::read_to_string(ci_script()).unwrap();
     let smoke_gate = text
         .find("[ \"$TIER\" = scale ] || [ \"$TIER\" = full ]")
@@ -225,14 +226,11 @@ fn mega_scale_smoke_runs_in_scale_and_full_tiers() {
     let scale_only = text
         .find("[ \"$TIER\" = scale ];")
         .expect("ci.sh lost the scale-only block");
-    let bench_gate = text
-        .find("stage \"bench scale gate")
-        .expect("ci.sh lost the bench scale gate stage");
+    let million = text
+        .find("--n 1000000 ")
+        .expect("ci.sh lost the N=10^6 run");
     assert!(smoke > smoke_gate, "smoke must sit in the scale/full gate");
-    assert!(
-        bench_gate > scale_only,
-        "the scaling bench gate is scale-tier-only"
-    );
+    assert!(million > scale_only, "the N=10^6 run is scale-tier-only");
 }
 
 #[test]

@@ -2,7 +2,9 @@
 //!
 //! `tests/cli_golden/cases.txt` lists command lines; the stdout each
 //! printed at commit 1812eb7 — before `simulate` was rebuilt on
-//! `RunPlan` — is committed next to it. Every refactor of the parse →
+//! `RunPlan` — is committed next to it (the last block of cases, the
+//! exact slot / transmission / event counts of the engine, DES and
+//! scaling workloads, at 943288e). Every refactor of the parse →
 //! validate → run → render path must leave each of them unchanged.
 
 use std::path::Path;
@@ -22,5 +24,5 @@ fn every_recorded_command_prints_what_it_printed_before_runplan() {
         assert_eq!(got, want, "{name}: `clustream {}`", argv.join(" "));
         checked += 1;
     }
-    assert_eq!(checked, 37, "cases.txt lost or gained a line");
+    assert_eq!(checked, 45, "cases.txt lost or gained a line");
 }
