@@ -173,6 +173,14 @@ cli_flag_hygiene() {
         simulate --scheme chain --n 0
     expect_error '^model error: invalid configuration: ' \
         cluster --nodes 4 --scheme singletree --d 0
+    # `--recovery` with `--scenario` used to pass the rule book and then
+    # panic in the report (101) or silently run no failure at all (0).
+    expect_error '^usage error: --scenario scripts its own joins and repairs' \
+        simulate --scheme multitree --n 40 --d 3 --track 32 --runtime des \
+        --recovery repair --scenario step:10@5
+    expect_error '^usage error: --scenario scripts its own joins and repairs' \
+        simulate --scheme multitree --n 40 --d 3 --track 32 --runtime des \
+        --recovery repair+nack --scenario fail:3-6@40
 }
 
 corpus_replay() {

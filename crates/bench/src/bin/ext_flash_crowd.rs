@@ -1,10 +1,11 @@
 //! ext-F: flash crowd — grow the forest online by a join curve and score
 //! the survivors' QoE (DESIGN.md §15, EXPERIMENTS.md "flash crowd").
 //!
-//! Runs one [`ScenarioPlan`] through [`clustream_recovery::FlashCrowdScheme`]
-//! on the chosen slot engine, prints the initial-buffering and
-//! throughput–smoothness frontiers with the paper's `h·d` bound pinned
-//! as a grid row, and writes the machine-readable
+//! Runs one [`ScenarioPlan`] through a scripted
+//! [`clustream_recovery::DynamicMultiTree`] on the chosen slot engine,
+//! prints the initial-buffering and throughput–smoothness frontiers with
+//! the paper's `h·d` bound pinned as a grid row, and writes the
+//! machine-readable
 //! [`clustream_bench::scenarios::FlashCrowdReport`] as JSON.
 //!
 //! `--oracle` additionally closes the run against the DES

@@ -984,7 +984,7 @@ fn run_recovery_tier(
     departures: usize,
 ) -> RecoveryRow {
     // Every tier, `off` included, streams through the healing wrapper.
-    let mut scheme = plan.scheme.self_healing().unwrap();
+    let mut scheme = plan.scheme.dynamic(None).unwrap();
     let r = DesEngine::new()
         .run(&mut scheme, &plan.des_config())
         .unwrap();

@@ -4,7 +4,7 @@
 //! the static populations of its figures:
 //!
 //! * **Flash crowd** — a [`ScenarioPlan`] join curve grows the forest
-//!   online through [`FlashCrowdScheme`] (the appendix add dynamics),
+//!   online through a scripted [`DynamicMultiTree`] (the appendix add dynamics),
 //!   then every node's arrival timeline is scored with the
 //!   [`clustream_workloads::qoe`] playback model: interruption
 //!   probability, the initial-buffering vs. interruption tradeoff and
@@ -25,7 +25,7 @@ use clustream_analysis::thm2_worst_delay_bound;
 use clustream_core::{NodeId, Scheme};
 use clustream_des::LatencyModel;
 use clustream_plan::{member_timelines, CliError, Family, RunPlan, Runtime, SchemeSpec};
-use clustream_recovery::FlashCrowdScheme;
+use clustream_recovery::DynamicMultiTree;
 use clustream_sim::RunResult;
 use clustream_telemetry::Telemetry;
 use clustream_workloads::{
@@ -76,12 +76,12 @@ pub fn crowd_plan(
 /// no player to stall.
 fn run_crowd(
     plan: &RunPlan,
-) -> Result<(String, RunResult, FlashCrowdScheme, Vec<NodeTimeline>), CliError> {
+) -> Result<(String, RunResult, DynamicMultiTree, Vec<NodeTimeline>), CliError> {
     plan.validate()?;
     let scenario = plan.scenario.as_ref().ok_or_else(|| {
         CliError::Usage("a crowd run needs a scenario (an empty one will do)".into())
     })?;
-    let mut crowd = plan.scheme.crowd(scenario)?;
+    let mut crowd = plan.scheme.dynamic(Some(scenario))?;
     let (engine, r, _) = plan.run_scheme(&mut crowd, &Telemetry::disabled())?;
     let timelines = member_timelines(&r, &crowd, plan.track, |id| {
         crowd.is_member(NodeId(id as u32))

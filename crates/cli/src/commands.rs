@@ -82,7 +82,7 @@ pub fn simulate(args: &ArgMap) -> Result<String, CliError> {
         // Score the survivors' QoE at the paper's h·d budget. Join slots
         // and the id space come from a fresh replica of the crowd scheme;
         // survivors are the ids outside every failure region.
-        let crowd = plan.scheme.crowd(scenario)?;
+        let crowd = plan.scheme.dynamic(Some(scenario))?;
         let failed = |id: u64| {
             scenario
                 .failures

@@ -40,7 +40,7 @@
 //!    [`crate::event::EventKind::RepairCommit`], which invokes the
 //!    scheme's [`clustream_core::Scheme::membership_event`] (the appendix
 //!    delete dynamics for
-//!    [`clustream_recovery::SelfHealingMultiTree`]): an all-leaf node is
+//!    [`clustream_recovery::DynamicMultiTree`]): an all-leaf node is
 //!    promoted into the crashed node's interior positions, the round-robin
 //!    schedule is re-derived mid-run, and at most `d²` members are
 //!    displaced.

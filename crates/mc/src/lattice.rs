@@ -9,17 +9,19 @@
 //! checked twice.
 //!
 //! A companion driver sweeps the recovery layer: canonical membership
-//! event sequences against [`SelfHealingMultiTree`], checking that every
+//! event sequences against [`DynamicMultiTree`], checking that every
 //! repair preserves the interior-disjoint forest shape, keeps surviving
-//! ids stable, and displaces at most `d²` nodes per incremental op.
+//! ids stable, and displaces at most `d²` nodes per incremental op — and
+//! that the same sequence fed as a script builds the same forest.
 
 use crate::checker::check_genome;
 use crate::genome::{ConstructionChoice, Family, Genome};
 use crate::invariant::Violation;
-use clustream_core::{MembershipEvent, NodeId, Scheme, Slot, StateView};
+use clustream_core::{MembershipEvent, NodeId, Scheme, Slot, StateView, Transmission};
 use clustream_multitree::StreamMode;
-use clustream_recovery::SelfHealingMultiTree;
+use clustream_recovery::DynamicMultiTree;
 use clustream_sim::FaultPlan;
+use clustream_workloads::{ResolvedChurnAction, ResolvedChurnEvent};
 
 /// Lattice shape. [`LatticeOptions::default`] is the issue's full lattice.
 #[derive(Debug, Clone)]
@@ -175,9 +177,22 @@ fn canonical_event_sequences(n: usize) -> Vec<Vec<(NodeId, MembershipEvent)>> {
     seqs
 }
 
+/// The schedule of slots `0..3d`, in emission order.
+fn probe(scheme: &mut DynamicMultiTree, d: usize) -> Vec<Vec<Transmission>> {
+    (0..3 * d as u64)
+        .map(|t| {
+            let mut txs = Vec::new();
+            scheme.transmissions(Slot(t), &NoView, &mut txs);
+            txs
+        })
+        .collect()
+}
+
 /// Apply one event sequence, checking the recovery invariants after every
 /// event: forest shape valid, displacement ≤ d² for non-resizing ops,
-/// failed ids absent from (and surviving ids stable in) the schedule.
+/// failed ids absent from (and surviving ids stable in) the schedule, and
+/// the scripted twin — the events so far as a script due at slot 0 —
+/// in the same state emitting the same schedule.
 fn check_recovery_case(
     n: usize,
     d: usize,
@@ -186,11 +201,11 @@ fn check_recovery_case(
     case: &str,
     out: &mut Vec<(String, Violation)>,
 ) -> usize {
-    let Ok(mut scheme) =
-        SelfHealingMultiTree::new(n, d, StreamMode::PreRecorded, construction.construction())
-    else {
+    let (mode, construction) = (StreamMode::PreRecorded, construction.construction());
+    let Ok(mut scheme) = DynamicMultiTree::new(n, d, mode, construction) else {
         return 0;
     };
+    let mut script: Vec<ResolvedChurnEvent> = Vec::new();
     let mut events = 0;
     let mut dead: Vec<NodeId> = Vec::new();
     for &(node, event) in seq {
@@ -227,11 +242,9 @@ fn check_recovery_case(
         }
         // Id stability: dead nodes must vanish from the schedule, live
         // ones keep their original ids (every endpoint stays in range).
-        let mut txs = Vec::new();
-        for t in 0..(3 * d as u64) {
-            txs.clear();
-            scheme.transmissions(Slot(t), &NoView, &mut txs);
-            for tx in &txs {
+        let schedule = probe(&mut scheme, d);
+        for (t, txs) in schedule.iter().enumerate() {
+            for tx in txs {
                 if dead.contains(&tx.from) || dead.contains(&tx.to) {
                     out.push(recovery_violation(
                         case,
@@ -249,6 +262,28 @@ fn check_recovery_case(
                     return events;
                 }
             }
+        }
+        // The other entry point: the same events as a script.
+        let ext = node.0 as u64;
+        script.push(ResolvedChurnEvent {
+            slot: 0,
+            action: match event {
+                MembershipEvent::Failed => ResolvedChurnAction::Leave { ext },
+                MembershipEvent::Rejoined => ResolvedChurnAction::Rejoin { ext },
+            },
+        });
+        let mut twin = DynamicMultiTree::scripted(n, d, mode, construction, script.clone())
+            .expect("the event-driven twin built over the same forest");
+        if probe(&mut twin, d) != schedule
+            || format!("{:?}", twin.forest()) != format!("{:?}", scheme.forest())
+            || twin.total_swaps() != scheme.total_swaps()
+        {
+            out.push(recovery_violation(
+                case,
+                "ScriptEventAgreement",
+                format!("script and events diverge after {event:?} of {node}"),
+            ));
+            return events;
         }
     }
     events

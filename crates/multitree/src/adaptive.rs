@@ -132,7 +132,7 @@ impl AdaptiveMultiTree {
                 // A rejoin gets a fresh external id here: the adaptive
                 // scheme has no identity continuity across departures
                 // (that is the recovery layer's job, see
-                // `clustream_recovery::SelfHealingMultiTree`).
+                // `clustream_recovery::DynamicMultiTree`).
                 ChurnAction::Join | ChurnAction::Rejoin { .. } => {
                     let (ext, rep) = self.forest.add();
                     self.joins.insert(ext, t);

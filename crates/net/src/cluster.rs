@@ -23,7 +23,7 @@ use crate::trace::{KillObs, LinkObs, NodeDeliveries, RunTrace};
 use crate::transport::{Conn, NetListener, Transport};
 use clustream_core::{MembershipEvent, NodeId, Scheme};
 use clustream_plan::{Family, SchemeSpec};
-use clustream_recovery::{FailureDetector, SelfHealingMultiTree};
+use clustream_recovery::{DynamicMultiTree, FailureDetector};
 use clustream_telemetry::{names as tm, Telemetry};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
@@ -71,7 +71,7 @@ pub struct ClusterOptions {
     /// Seed the per-node chaos policies draw their decisions from.
     pub chaos_seed: u64,
     /// Repair confirmed failures live: remove the subject from a
-    /// [`SelfHealingMultiTree`], re-lower the healed forest and ship
+    /// [`DynamicMultiTree`], re-lower the healed forest and ship
     /// [`ScheduleUpdate`] frames to every survivor. Multitree only.
     pub repair: bool,
     /// Per-slot retransmit budget handed to every node (0 = unlimited).
@@ -290,17 +290,8 @@ static RUN_COUNTER: AtomicU64 = AtomicU64::new(0);
 /// One frame read off a node's control connection.
 type ControlEvent = (u32, Frame);
 
-/// Read one frame from `conn` within `timeout`.
-fn read_one_timeout(conn: &mut crate::transport::Conn, timeout: Duration) -> Result<Frame, String> {
-    conn.set_read_timeout(Some(timeout))
-        .map_err(|e| e.to_string())?;
-    let got = read_frame(conn).map_err(|e| e.to_string())?;
-    conn.set_read_timeout(None).map_err(|e| e.to_string())?;
-    match got {
-        Some((frame, _)) => Ok(frame),
-        None => Err("control connection closed".into()),
-    }
-}
+/// What a node's control link that closes during setup reads as.
+const CLOSED: &str = "control connection closed";
 
 /// Run a full orchestrated cluster experiment. See the module docs.
 pub fn run_cluster(opts: &ClusterOptions) -> Result<ClusterOutcome, String> {
@@ -400,7 +391,7 @@ fn run_cluster_in(
     let mut data_addrs: BTreeMap<u32, String> = BTreeMap::new();
     while controls.len() < (n + 1) as usize {
         match control_listener.accept() {
-            Ok(mut conn) => match read_one_timeout(&mut conn, Duration::from_secs(10))? {
+            Ok(mut conn) => match conn.read_frame_within(Duration::from_secs(10), CLOSED)? {
                 Frame::Hello { node, listen_addr } => {
                     data_addrs.insert(node, listen_addr);
                     controls.insert(node, conn);
@@ -472,7 +463,7 @@ fn run_cluster_in(
         write_frame(conn, &Frame::Config { payload }).map_err(|e| e.to_string())?;
     }
     for (node, conn) in controls.iter_mut() {
-        match read_one_timeout(conn, Duration::from_secs(20))? {
+        match conn.read_frame_within(Duration::from_secs(20), CLOSED)? {
             Frame::Ready { node: who } if who == *node => {}
             other => return Err(format!("expected Ready from node {node}, got {other:?}")),
         }
@@ -515,10 +506,10 @@ fn run_cluster_in(
     let mut reports: BTreeMap<u32, NodeReport> = BTreeMap::new();
     // Live repair: the healing forest persists across the run so repeated
     // failures compose; `repaired` guards one repair per subject.
-    let mut healer: Option<SelfHealingMultiTree> = if opts.repair {
+    let mut healer: Option<DynamicMultiTree> = if opts.repair {
         Some(
             SchemeSpec::new(Family::MultiTree, n as usize, opts.params.d as usize)
-                .self_healing()
+                .dynamic(None)
                 .map_err(|e| format!("build healing forest: {e}"))?,
         )
     } else {
@@ -698,7 +689,7 @@ fn run_cluster_in(
 /// dead control connection just lowers `survivors_updated`.
 #[allow(clippy::too_many_arguments)]
 fn dispatch_repair(
-    healer: &mut SelfHealingMultiTree,
+    healer: &mut DynamicMultiTree,
     subject: u32,
     epoch: u64,
     opts: &ClusterOptions,

@@ -682,17 +682,8 @@ impl Node {
     }
 }
 
-/// Read one frame directly (pre-main-loop handshake), with a timeout.
-fn read_one(conn: &mut Conn, timeout: Duration) -> Result<Frame, String> {
-    conn.set_read_timeout(Some(timeout))
-        .map_err(|e| e.to_string())?;
-    let got = read_frame(conn).map_err(|e| e.to_string())?;
-    conn.set_read_timeout(None).map_err(|e| e.to_string())?;
-    match got {
-        Some((frame, _)) => Ok(frame),
-        None => Err("control connection closed during handshake".into()),
-    }
-}
+/// What a control link that closes before `Start` reads as.
+const CLOSED: &str = "control connection closed during handshake";
 
 /// Run one node process to completion. Returns after `Stop`, the slot
 /// horizon, or loss of the control link.
@@ -727,7 +718,7 @@ pub fn run_node(opts: &NodeOptions) -> Result<(), String> {
         },
     )
     .map_err(|e| e.to_string())?;
-    let cfg: NodeConfig = match read_one(&mut control, Duration::from_secs(30))? {
+    let cfg: NodeConfig = match control.read_frame_within(Duration::from_secs(30), CLOSED)? {
         Frame::Config { payload } => {
             serde_json::from_str(&payload).map_err(|e| format!("bad NodeConfig: {e}"))?
         }
@@ -742,7 +733,7 @@ pub fn run_node(opts: &NodeOptions) -> Result<(), String> {
     let mut node = Node::new(cfg, opts.transport, Arc::clone(&counters));
     node.connect_calendar_links()?;
     write_frame(&mut control, &Frame::Ready { node: opts.node }).map_err(|e| e.to_string())?;
-    match read_one(&mut control, Duration::from_secs(60))? {
+    match control.read_frame_within(Duration::from_secs(60), CLOSED)? {
         Frame::Start => {}
         Frame::Stop => return Ok(()), // orchestrator aborted before start
         other => return Err(format!("expected Start, got {other:?}")),

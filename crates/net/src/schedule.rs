@@ -101,7 +101,7 @@ pub fn lower_schedule(params: &SchemeParams, track: u64) -> Result<LoweredSchedu
 }
 
 /// Lower an already-built scheme — the live-repair path re-lowers the
-/// *healed* forest (a [`clustream_recovery::SelfHealingMultiTree`] after
+/// *healed* forest (a [`clustream_recovery::DynamicMultiTree`] after
 /// a membership event), which no [`SchemeParams`] names.
 pub fn lower_scheme(scheme: &mut dyn Scheme, track: u64) -> Result<LoweredSchedule, String> {
     let cfg = SimConfig::until_complete(track, 100_000).traced();

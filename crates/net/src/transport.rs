@@ -8,6 +8,7 @@
 //! SIGKILLed peer produces a real half-closed connection, none of which
 //! the DES models directly.
 
+use crate::frame::{read_frame, Frame};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -71,6 +72,16 @@ impl Conn {
             Conn::Tcp(s) => s.set_read_timeout(t),
             Conn::Uds(s) => s.set_read_timeout(t),
         }
+    }
+
+    /// Read one control frame, waiting at most `timeout` (cleared again
+    /// afterwards). A cleanly closed connection is the error `closed`.
+    pub fn read_frame_within(&mut self, timeout: Duration, closed: &str) -> Result<Frame, String> {
+        self.set_read_timeout(Some(timeout))
+            .map_err(|e| e.to_string())?;
+        let got = read_frame(self).map_err(|e| e.to_string())?;
+        self.set_read_timeout(None).map_err(|e| e.to_string())?;
+        got.map(|(frame, _)| frame).ok_or_else(|| closed.into())
     }
 
     /// Set (or clear) the write timeout — a gray peer that stops reading

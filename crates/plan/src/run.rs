@@ -8,7 +8,7 @@ use clustream_des::{
     CapacityClassPlan, DesConfig, DesEngine, DesOracle, DesStats, LatencyModel, QueueKind,
     UplinkModel, TICKS_PER_SLOT,
 };
-use clustream_recovery::{FlashCrowdScheme, RecoveryConfig, RecoveryMode};
+use clustream_recovery::{DynamicMultiTree, RecoveryConfig, RecoveryMode};
 use clustream_sim::{DiffHarness, FastSimulator, MegaSimulator, RunResult, SimConfig, Simulator};
 use clustream_telemetry::Telemetry;
 use clustream_workloads::{ChurnTrace, ChurnTraceConfig, NodeTimeline, ScenarioPlan};
@@ -241,6 +241,12 @@ impl RunPlan {
         if self.scenario.is_some() && self.churn.is_some() {
             return usage("--scenario compiles its own churn trace; drop the --churn-* flags");
         }
+        if self.scenario.is_some() && self.recovery.mode.enabled() {
+            return usage(
+                "--scenario scripts its own joins and repairs; drop --recovery (detecting \
+                 scripted failures is not modelled)",
+            );
+        }
         if self.classes.is_some() && self.runtime == Runtime::Slot {
             return usage(
                 "--classes shapes per-node DES uplink credit; it needs --runtime des \
@@ -340,14 +346,13 @@ impl RunPlan {
         }
     }
 
-    /// A fresh instance of what the engines drive: the self-healing
-    /// wrapper under recovery (the layer repairs the tree online), the
-    /// crowd dynamics under a scenario, else the static scheme.
+    /// A fresh instance of what the engines drive: the dynamic multi-tree
+    /// under a scenario (scripted) or recovery (repaired online by the
+    /// layer) — the rule book keeps the two apart — else the static scheme.
     pub fn build_scheme(&self) -> Result<Box<dyn Scheme>, CoreError> {
-        match &self.scenario {
-            _ if self.recovery.mode.enabled() => Ok(Box::new(self.scheme.self_healing()?)),
-            Some(scenario) => Ok(Box::new(self.scheme.crowd(scenario)?)),
-            None => self.scheme.build(),
+        match self.scenario.is_some() || self.recovery.mode.enabled() {
+            true => Ok(Box::new(self.scheme.dynamic(self.scenario.as_ref())?)),
+            false => self.scheme.build(),
         }
     }
 
@@ -567,7 +572,7 @@ fn parse_classes(args: &ArgMap) -> Result<Option<CapacityClassPlan>, CliError> {
 /// so a fresh replica serves as well as the instance that ran.
 pub fn member_timelines(
     r: &RunResult,
-    crowd: &FlashCrowdScheme,
+    crowd: &DynamicMultiTree,
     track: u64,
     survivor: impl Fn(u64) -> bool,
 ) -> Vec<NodeTimeline> {
@@ -621,6 +626,11 @@ mod tests {
             (
                 format!("{mt} --scenario step:4@1 --runtime des --churn-leave 0.01"),
                 "--scenario compiles its own churn trace; drop the --churn-* flags",
+            ),
+            (
+                format!("{mt} --scenario step:4@1 --runtime des --recovery repair"),
+                "--scenario scripts its own joins and repairs; drop --recovery (detecting \
+                 scripted failures is not modelled)",
             ),
             (
                 format!("{mt} --classes fiber"),

@@ -5,7 +5,7 @@ use clustream_baselines::{ChainScheme, SingleTreeScheme};
 use clustream_core::{CoreError, Scheme};
 use clustream_hypercube::HypercubeStream;
 use clustream_multitree::{build_forest, Construction, MultiTreeScheme, StreamMode};
-use clustream_recovery::{FlashCrowdScheme, SelfHealingMultiTree};
+use clustream_recovery::DynamicMultiTree;
 use clustream_workloads::ScenarioPlan;
 use serde::{Deserialize, Serialize};
 
@@ -135,15 +135,15 @@ impl SchemeSpec {
         Ok(MultiTreeScheme::new(forest, self.mode))
     }
 
-    /// The flash-crowd dynamics over this spec's forest, scripted by
-    /// `scenario`.
-    pub fn crowd(&self, scenario: &ScenarioPlan) -> Result<FlashCrowdScheme, CoreError> {
-        FlashCrowdScheme::from_plan(self.n, self.d, self.mode, self.construction, scenario)
-    }
-
-    /// The self-healing wrapper the DES recovery layer repairs online.
-    pub fn self_healing(&self) -> Result<SelfHealingMultiTree, CoreError> {
-        SelfHealingMultiTree::new(self.n, self.d, self.mode, self.construction)
+    /// The dynamic multi-tree over this spec's forest: scripted by
+    /// `scenario` (the flash crowd), or with no script — the self-healing
+    /// tree the recovery layer repairs online.
+    pub fn dynamic(&self, scenario: Option<&ScenarioPlan>) -> Result<DynamicMultiTree, CoreError> {
+        let (n, d, mode, construction) = (self.n, self.d, self.mode, self.construction);
+        match scenario {
+            Some(plan) => DynamicMultiTree::from_plan(n, d, mode, construction, plan),
+            None => DynamicMultiTree::new(n, d, mode, construction),
+        }
     }
 }
 

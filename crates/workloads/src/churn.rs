@@ -175,56 +175,47 @@ impl ChurnTrace {
     /// with no eligible victim is dropped. Deterministic: same trace,
     /// same inputs, same resolution.
     pub fn resolve(&self, initial: &[u64], protected: &[u64]) -> Vec<ResolvedChurnEvent> {
-        let mut members: Vec<u64> = initial.to_vec();
-        members.sort_unstable();
-        let mut next = members.last().map_or(1, |m| m + 1);
+        let mut next = initial.iter().max().map_or(1, |m| m + 1);
+        // The members a departure may pick, ascending: kept current across
+        // events instead of re-filtered per `Leave` (protected members
+        // never leave, so nothing else about them is needed).
+        let mut eligible: Vec<u64> = initial.to_vec();
+        eligible.retain(|m| !protected.contains(m));
+        eligible.sort_unstable();
         // Currently departed ids in ascending order; rejoins pick from it.
         let mut gone: Vec<u64> = Vec::new();
         let mut out = Vec::with_capacity(self.events.len());
         for e in &self.events {
-            match e.action {
+            let action = match e.action {
                 ChurnAction::Join => {
-                    // Fresh ids grow monotonically, so pushing keeps the
-                    // member list sorted.
-                    members.push(next);
-                    out.push(ResolvedChurnEvent {
-                        slot: e.slot,
-                        action: ResolvedChurnAction::Join { ext: next },
-                    });
+                    let ext = next;
                     next += 1;
-                }
-                ChurnAction::Leave { victim_rank } => {
-                    let eligible: Vec<usize> = members
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, m)| !protected.contains(m))
-                        .map(|(i, _)| i)
-                        .collect();
-                    if eligible.is_empty() {
-                        continue;
+                    // Fresh ids grow monotonically, so pushing keeps the
+                    // list sorted.
+                    if !protected.contains(&ext) {
+                        eligible.push(ext);
                     }
-                    let idx = eligible[victim_rank % eligible.len()];
-                    let ext = members.remove(idx);
+                    ResolvedChurnAction::Join { ext }
+                }
+                ChurnAction::Leave { .. } if eligible.is_empty() => continue,
+                ChurnAction::Leave { victim_rank } => {
+                    let ext = eligible.remove(victim_rank % eligible.len());
                     let at = gone.binary_search(&ext).unwrap_err();
                     gone.insert(at, ext);
-                    out.push(ResolvedChurnEvent {
-                        slot: e.slot,
-                        action: ResolvedChurnAction::Leave { ext },
-                    });
+                    ResolvedChurnAction::Leave { ext }
                 }
+                ChurnAction::Rejoin { .. } if gone.is_empty() => continue,
                 ChurnAction::Rejoin { departed_rank } => {
-                    if gone.is_empty() {
-                        continue;
-                    }
                     let ext = gone.remove(departed_rank % gone.len());
-                    let at = members.binary_search(&ext).unwrap_err();
-                    members.insert(at, ext);
-                    out.push(ResolvedChurnEvent {
-                        slot: e.slot,
-                        action: ResolvedChurnAction::Rejoin { ext },
-                    });
+                    let at = eligible.binary_search(&ext).unwrap_err();
+                    eligible.insert(at, ext);
+                    ResolvedChurnAction::Rejoin { ext }
                 }
-            }
+            };
+            out.push(ResolvedChurnEvent {
+                slot: e.slot,
+                action,
+            });
         }
         out
     }
@@ -458,6 +449,68 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
+        /// `ChurnTrace::resolve` as it was before the eligible list
+        /// became incremental: every `Leave` re-filters all members
+        /// against `protected`. Kept verbatim as the model.
+        fn resolve_reference(
+            trace: &ChurnTrace,
+            initial: &[u64],
+            protected: &[u64],
+        ) -> Vec<ResolvedChurnEvent> {
+            let mut members: Vec<u64> = initial.to_vec();
+            members.sort_unstable();
+            let mut next = members.last().map_or(1, |m| m + 1);
+            // Currently departed ids in ascending order; rejoins pick from it.
+            let mut gone: Vec<u64> = Vec::new();
+            let mut out = Vec::with_capacity(trace.events.len());
+            for e in &trace.events {
+                match e.action {
+                    ChurnAction::Join => {
+                        // Fresh ids grow monotonically, so pushing keeps the
+                        // member list sorted.
+                        members.push(next);
+                        out.push(ResolvedChurnEvent {
+                            slot: e.slot,
+                            action: ResolvedChurnAction::Join { ext: next },
+                        });
+                        next += 1;
+                    }
+                    ChurnAction::Leave { victim_rank } => {
+                        let eligible: Vec<usize> = members
+                            .iter()
+                            .enumerate()
+                            .filter(|(_, m)| !protected.contains(m))
+                            .map(|(i, _)| i)
+                            .collect();
+                        if eligible.is_empty() {
+                            continue;
+                        }
+                        let idx = eligible[victim_rank % eligible.len()];
+                        let ext = members.remove(idx);
+                        let at = gone.binary_search(&ext).unwrap_err();
+                        gone.insert(at, ext);
+                        out.push(ResolvedChurnEvent {
+                            slot: e.slot,
+                            action: ResolvedChurnAction::Leave { ext },
+                        });
+                    }
+                    ChurnAction::Rejoin { departed_rank } => {
+                        if gone.is_empty() {
+                            continue;
+                        }
+                        let ext = gone.remove(departed_rank % gone.len());
+                        let at = members.binary_search(&ext).unwrap_err();
+                        members.insert(at, ext);
+                        out.push(ResolvedChurnEvent {
+                            slot: e.slot,
+                            action: ResolvedChurnAction::Rejoin { ext },
+                        });
+                    }
+                }
+            }
+            out
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -547,6 +600,48 @@ mod tests {
                 }
                 // Determinism.
                 prop_assert_eq!(resolved, t.resolve(&members, &protected));
+            }
+
+            /// Model-based: the incremental resolution names the same
+            /// victims in the same order as the re-filtering reference,
+            /// over hand-rolled event soups — ranks past the population,
+            /// rejoins with nobody away, leaves with nobody eligible — an
+            /// unsorted initial membership, and protected sets that name
+            /// members, strangers and ids no join has minted yet.
+            fn incremental_resolution_matches_the_refiltering_reference(
+                initial in proptest::collection::vec(1u64..40, 0..12),
+                protected in proptest::collection::vec(0u64..48, 0..6),
+                ops in proptest::collection::vec((0u8..3, 0usize..64), 0..80),
+            ) {
+                let mut initial = initial;
+                initial.sort_unstable();
+                initial.dedup();
+                initial.reverse();
+                let events = ops
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(kind, rank))| ChurnEvent {
+                        slot: i as u64 / 3,
+                        action: match kind {
+                            0 => ChurnAction::Join,
+                            1 => ChurnAction::Leave { victim_rank: rank },
+                            _ => ChurnAction::Rejoin { departed_rank: rank },
+                        },
+                    })
+                    .collect();
+                let config = ChurnTraceConfig {
+                    initial_members: initial.len(),
+                    slots: 30,
+                    join_rate: 0.0,
+                    leave_rate: 0.0,
+                    rejoin_rate: 0.0,
+                    seed: 0,
+                };
+                let t = ChurnTrace { config, events };
+                prop_assert_eq!(
+                    t.resolve(&initial, &protected),
+                    resolve_reference(&t, &initial, &protected)
+                );
             }
         }
     }

@@ -114,8 +114,10 @@ pub mod prelude {
         RunTrace, SchemeParams, Transport,
     };
     pub use clustream_overlay::{Backbone, ClusterSession, IntraScheme};
+    // The last two are aliases of `DynamicMultiTree`, kept until the
+    // frozen `benchmark/` stops naming them.
     pub use clustream_recovery::{
-        FlashCrowdScheme, RecoveryConfig, RecoveryMode, SelfHealingMultiTree,
+        DynamicMultiTree, FlashCrowdScheme, RecoveryConfig, RecoveryMode, SelfHealingMultiTree,
     };
     pub use clustream_sim::{
         diff_fields, sweep, ArrivalTable, DiffHarness, FastEngine, FastSimulator, MegaEngine,

@@ -105,6 +105,10 @@ fn script_parses_and_defines_both_tiers() {
         "simulate --scheme chain --n 0",
         "cluster --nodes 4 --scheme singletree --d 0",
         "[ \"$status\" -ne 1 ]",
+        // …and so is a plan the rule book must refuse: recovery over a
+        // scripted scenario (it used to panic or run another plan).
+        "--recovery repair --scenario step:10@5",
+        "--recovery repair+nack --scenario fail:3-6@40",
         // The ledger harness is a workspace of its own: the merge gate
         // builds and unit-tests it against this tree's public API.
         "stage \"benchmark harness (ledger build + unit tests)\"",
@@ -252,4 +256,14 @@ fn reproduction_record_gates_the_merge_on_the_whole_catalog() {
         ),
         "the stage must run bare `experiments` and gate on its exit status"
     );
+}
+
+#[test]
+fn the_cli_error_table_is_seeded() {
+    // `tests/cli_golden.rs` replays `errors.txt` line by line; an empty
+    // (or comment-only) table would make that replay vacuous.
+    let table = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/cli_golden/errors.txt");
+    let text = std::fs::read_to_string(table).expect("tests/cli_golden/errors.txt exists");
+    let cases = text.lines().filter(|l| !l.starts_with('#'));
+    assert!(cases.count() > 0, "the CLI error table has no cases");
 }

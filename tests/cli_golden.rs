@@ -6,6 +6,9 @@
 //! exact slot / transmission / event counts of the engine, DES and
 //! scaling workloads, at 943288e). Every refactor of the parse →
 //! validate → run → render path must leave each of them unchanged.
+//!
+//! `tests/cli_golden/errors.txt` is the second table: command lines that
+//! must fail, each with the exact `Display` of its `CliError`.
 
 use std::path::Path;
 
@@ -25,4 +28,24 @@ fn every_recorded_command_prints_what_it_printed_before_runplan() {
         checked += 1;
     }
     assert_eq!(checked, 45, "cases.txt lost or gained a line");
+}
+
+#[test]
+fn every_recorded_error_is_reported_in_the_same_words() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/cli_golden");
+    let table = std::fs::read_to_string(dir.join("errors.txt")).unwrap();
+    let mut checked = 0;
+    for line in table.lines().filter(|l| !l.starts_with('#')) {
+        let [name, argv, want] = line.split('\t').collect::<Vec<_>>()[..] else {
+            panic!("an error case is NAME, argv and message between tabs: `{line}`");
+        };
+        let argv: Vec<String> = argv.split_whitespace().map(str::to_string).collect();
+        let got = match clustream_cli::run(&argv) {
+            Ok(out) => panic!("{name}: `clustream {}` succeeded:\n{out}", argv.join(" ")),
+            Err(e) => e.to_string(),
+        };
+        assert_eq!(got, want, "{name}: `clustream {}`", argv.join(" "));
+        checked += 1;
+    }
+    assert_eq!(checked, 17, "errors.txt lost or gained a line");
 }

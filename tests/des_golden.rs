@@ -52,7 +52,7 @@ fn fnv(hash: &mut u64, word: u64) {
 /// Everything the run reports, one line per group.
 fn digest(cfg: DesConfig) -> String {
     let mut scheme =
-        SelfHealingMultiTree::new(N, D, StreamMode::PreRecorded, Construction::Greedy).unwrap();
+        DynamicMultiTree::new(N, D, StreamMode::PreRecorded, Construction::Greedy).unwrap();
     let mut engine = DesEngine::new();
     let r = engine
         .run(&mut scheme, &cfg.with_queue(QueueKind::Checked))

@@ -50,7 +50,7 @@ fn ranks_for(n: usize, victims: &[u64]) -> Vec<usize> {
 /// worst case for downstream starvation.
 fn busiest_relays(n: usize, d: usize, track: u64, how_many: usize) -> Vec<u64> {
     let mut probe =
-        SelfHealingMultiTree::new(n, d, StreamMode::PreRecorded, Construction::Greedy).unwrap();
+        DynamicMultiTree::new(n, d, StreamMode::PreRecorded, Construction::Greedy).unwrap();
     let clean = Simulator::run(&mut probe, &SimConfig::until_complete(track, 100_000)).unwrap();
     let mut by_uploads: Vec<(u64, u64)> = clean
         .upload_counts
@@ -75,7 +75,7 @@ fn run_with_mode(
     recovery: RecoveryConfig,
 ) -> RunResult {
     let mut scheme =
-        SelfHealingMultiTree::new(n, d, StreamMode::PreRecorded, Construction::Greedy).unwrap();
+        DynamicMultiTree::new(n, d, StreamMode::PreRecorded, Construction::Greedy).unwrap();
     let cfg = DesConfig::slot_faithful(SimConfig::until_complete(track, horizon))
         .with_churn(trace.clone())
         .with_recovery(recovery);
@@ -237,10 +237,10 @@ fn recovery_off_knobs_are_inert() {
     // Slot-faithful regime: still matches the slot engine exactly.
     let sim_cfg = SimConfig::until_complete(24, 10_000);
     let mut a =
-        SelfHealingMultiTree::new(20, 3, StreamMode::PreRecorded, Construction::Greedy).unwrap();
+        DynamicMultiTree::new(20, 3, StreamMode::PreRecorded, Construction::Greedy).unwrap();
     let want = Simulator::run(&mut a, &sim_cfg).unwrap();
     let mut b =
-        SelfHealingMultiTree::new(20, 3, StreamMode::PreRecorded, Construction::Greedy).unwrap();
+        DynamicMultiTree::new(20, 3, StreamMode::PreRecorded, Construction::Greedy).unwrap();
     let cfg = DesConfig::slot_faithful(sim_cfg).with_recovery(inert);
     assert!(cfg.is_slot_faithful(), "mode Off must stay slot-faithful");
     let got = DesEngine::new().run(&mut b, &cfg).unwrap();

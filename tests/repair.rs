@@ -13,7 +13,7 @@ use proptest::prelude::*;
 /// `true` = fail the `pick`-th live member, `false` = rejoin the
 /// `pick`-th failed one (no-op when nobody has failed).
 fn apply_ops(
-    s: &mut SelfHealingMultiTree,
+    s: &mut DynamicMultiTree,
     n: usize,
     ops: &[(bool, usize)],
 ) -> Vec<(NodeId, MembershipEvent, Option<RepairOutcome>)> {
@@ -52,7 +52,7 @@ proptest! {
         ops in proptest::collection::vec((any::<bool>(), 0usize..100), 0..12),
     ) {
         let mut s =
-            SelfHealingMultiTree::new(n, d, StreamMode::PreRecorded, Construction::Greedy)
+            DynamicMultiTree::new(n, d, StreamMode::PreRecorded, Construction::Greedy)
                 .unwrap();
         let log = apply_ops(&mut s, n, &ops);
 
@@ -178,7 +178,7 @@ proptest! {
         at in 0u64..10,
     ) {
         let plan = ScenarioPlan::parse(&format!("step:{joins}@{at}")).unwrap();
-        let mut crowd = FlashCrowdScheme::from_plan(
+        let mut crowd = DynamicMultiTree::from_plan(
             n0, d, StreamMode::PreRecorded, Construction::Greedy, &plan,
         ).unwrap();
         let cfg = SimConfig::lossy_regime(12, 500);

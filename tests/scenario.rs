@@ -1,5 +1,5 @@
 //! Flash-crowd scenario differential suite: a [`ScenarioPlan`] compiled
-//! to scripted churn and replayed through [`FlashCrowdScheme`] must
+//! to scripted churn and replayed through [`DynamicMultiTree`] must
 //! produce **bit-identical** results on every engine — reference, fast,
 //! mega (via [`DiffHarness`]) and the DES in slot-faithful mode (via
 //! [`DesOracle`]). The scheme applies its scripted joins and regional
@@ -60,7 +60,7 @@ fn build_curve(kind: u32, joins: u64, start: u64, span: u64, count: u64) -> Join
 fn crowd_factory(n0: usize, d: usize, plan: ScenarioPlan) -> impl FnMut() -> Box<dyn Scheme> {
     move || {
         Box::new(
-            FlashCrowdScheme::from_plan(
+            DynamicMultiTree::from_plan(
                 n0,
                 d,
                 StreamMode::PreRecorded,
@@ -160,7 +160,7 @@ fn join_burst_larger_than_forest_is_engine_agnostic() {
     let r = DesOracle::check(crowd_factory(4, 3, plan.clone()), &cfg).expect("oracle-closed");
     // Every joiner eventually receives the tail of the tracked window.
     let mut crowd =
-        FlashCrowdScheme::from_plan(4, 3, StreamMode::PreRecorded, Construction::Greedy, &plan)
+        DynamicMultiTree::from_plan(4, 3, StreamMode::PreRecorded, Construction::Greedy, &plan)
             .unwrap();
     let _ = Simulator::run(&mut crowd, &cfg).unwrap();
     assert_eq!(crowd.joins_applied(), 100);
