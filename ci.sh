@@ -25,9 +25,9 @@
 #                 mega scale smoke (N=10^5) + 10^5-join flash crowd on
 #                 mega + heterogeneity capacity-class sweep + the
 #                 reproduction record (bare `experiments`: every catalog
-#                 item's verdict) + the benchmark/ ledger harness build
-#                 and unit tests (the merge gate; default when no tier
-#                 is given)
+#                 item's verdict) + the benchmark/ ledger harness build,
+#                 unit tests and one net_framepump correctness run (the
+#                 merge gate; default when no tier is given)
 #
 # No stage compares a measured time or rate against a floor: exact
 # counts are golden files (tests/cli_golden, crates/bench/tests/golden),
@@ -73,6 +73,28 @@ stage() {
         echo "ci.sh: stage \`$name\` exceeded its ${STAGE_BUDGET_SECS}s budget (took ${secs}s)" >&2
         exit 1
     fi
+}
+
+benchmark_harness() {
+    # benchmark/ is its own workspace, so the other stages never compile
+    # it: build it against this tree's public API and run its unit tests,
+    # so a refactor that breaks what benchmark/src calls fails here and
+    # not at the next benchmark run.
+    env CARGO_TARGET_DIR=benchmark/target \
+        cargo test --release --offline --manifest-path benchmark/Cargo.toml
+    # One short pump of 10^6 frames through the buffered Conn, checked
+    # for correctness only: a missed flush shows up here as a short
+    # count, not only as a hung cluster smoke.
+    local line
+    line=$(bash benchmark/run.sh --workload net_framepump --seed 7 --seconds 3 --trace 0 | tail -n 1)
+    echo "$line"
+    case "$line" in
+        *'"correct": true'*'"failed": 0'[,}]*) ;;
+        *)
+            echo "ci.sh: net_framepump lost or reordered frames" >&2
+            return 1
+            ;;
+    esac
 }
 
 des_smoke() {
@@ -364,13 +386,7 @@ if [ "$TIER" = full ]; then
     # is named and exits non-zero.
     stage "reproduction record (experiments)" \
         cargo run -q --release --offline -p clustream-bench --bin experiments
-    # benchmark/ is its own workspace, so the stages above never compile
-    # it: build it against this tree's public API and run its unit tests,
-    # so a refactor that breaks what benchmark/src calls fails here and
-    # not at the next benchmark run.
-    stage "benchmark harness (ledger build + unit tests)" \
-        env CARGO_TARGET_DIR=benchmark/target \
-        cargo test --release --offline --manifest-path benchmark/Cargo.toml
+    stage "benchmark harness (ledger build + unit tests + frame pump)" benchmark_harness
 fi
 
 # Machine-readable stage timings for trend tracking across runs.

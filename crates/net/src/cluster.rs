@@ -13,7 +13,7 @@
 //! must never leak a node process.
 
 use crate::faultspec::{format_chaos_spec, ChaosSpec};
-use crate::frame::{read_frame, write_frame, Frame};
+use crate::frame::{read_frame, Frame};
 use crate::killspec::KillSpec;
 use crate::schedule::{
     lower_schedule, lower_scheme_healed, NodeConfig, NodeReport, PeerAddr, ScheduleUpdate,
@@ -460,7 +460,8 @@ fn run_cluster_in(
         };
         let payload = serde_json::to_string(&cfg).map_err(|e| e.to_string())?;
         let conn = controls.get_mut(&node).expect("accepted above");
-        write_frame(conn, &Frame::Config { payload }).map_err(|e| e.to_string())?;
+        conn.send(&Frame::Config { payload })
+            .map_err(|e| format!("send config to node {node}: {e}"))?;
     }
     for (node, conn) in controls.iter_mut() {
         match conn.read_frame_within(Duration::from_secs(20), CLOSED)? {
@@ -471,8 +472,8 @@ fn run_cluster_in(
 
     // Hand each control conn's read half to a reader thread; release.
     let (ev_tx, ev_rx) = mpsc::channel::<ControlEvent>();
-    for (node, conn) in controls.iter() {
-        let mut rd = conn.try_clone().map_err(|e| e.to_string())?;
+    for (node, conn) in controls.iter_mut() {
+        let mut rd = conn.split().map_err(|e| e.to_string())?;
         let tx = ev_tx.clone();
         let node = *node;
         std::thread::spawn(move || loop {
@@ -491,7 +492,7 @@ fn run_cluster_in(
     let t0 = Instant::now();
     let start_ns = sys_ns();
     for conn in controls.values_mut() {
-        write_frame(conn, &Frame::Start).map_err(|e| e.to_string())?;
+        conn.send(&Frame::Start).map_err(|e| e.to_string())?;
     }
 
     // The stream runs; kills fire at their slot deadlines.
@@ -617,7 +618,7 @@ fn run_cluster_in(
     // Stop everyone still alive and drain their final reports.
     for (node, conn) in controls.iter_mut() {
         if !killed.contains(node) {
-            let _ = write_frame(conn, &Frame::Stop);
+            let _ = conn.send(&Frame::Stop);
         }
     }
     let report_deadline = Instant::now() + Duration::from_secs(10);
@@ -740,7 +741,7 @@ fn dispatch_repair(
         };
         let payload = serde_json::to_string(&upd).map_err(|e| e.to_string())?;
         if let Some(conn) = controls.get_mut(&node) {
-            if write_frame(conn, &Frame::ScheduleUpdate { payload }).is_ok() {
+            if conn.send(&Frame::ScheduleUpdate { payload }).is_ok() {
                 survivors_updated += 1;
             }
         }

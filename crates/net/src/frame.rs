@@ -12,6 +12,18 @@
 //! Decoding never panics: truncated, oversized and corrupt inputs all
 //! surface as typed [`FrameError`]s (pinned by the unit tests below, and
 //! a proptest round-trips every frame shape).
+//!
+//! **Flush contract.** [`write_frame`] hands the writer one whole frame
+//! in a single `write_all` and never flushes: over a buffered writer —
+//! [`crate::transport::Conn`] is one — the frame is on the wire only
+//! after the caller's `flush()` (or the writer's `Drop`). Whoever needs a
+//! frame delivered *now* flushes; see `transport.rs` for who does when.
+//! [`read_frame`] asks its reader for exactly the bytes of one frame, so
+//! whatever a buffered reader fetched beyond them stays in that reader.
+//!
+//! The data path does not touch the heap: a frame whose body fits 64
+//! bytes (every fixed-size frame; a `Packet` is 34) is encoded into and
+//! decoded from a stack array.
 
 use std::io::{self, Read, Write};
 
@@ -19,6 +31,10 @@ use std::io::{self, Read, Write};
 /// schedule for thousands of nodes, small enough that a corrupt length
 /// prefix cannot ask the reader to allocate gigabytes.
 pub const MAX_FRAME: usize = 1 << 22;
+
+/// Largest body [`write_frame`] and [`read_frame`] stage on the stack
+/// instead of the heap. Covers every frame without a string field.
+const SMALL_BODY: usize = 64;
 
 /// A decode failure. Distinct from [`io::Error`]: these are protocol
 /// violations in bytes that did arrive.
@@ -31,7 +47,8 @@ pub enum FrameError {
         /// Bytes actually present.
         got: usize,
     },
-    /// The length prefix exceeds [`MAX_FRAME`].
+    /// The body exceeds [`MAX_FRAME`]: a received length prefix, or a
+    /// frame [`write_frame`] refused to send.
     Oversized {
         /// The advertised body length.
         len: usize,
@@ -160,25 +177,39 @@ const TAG_REPORT: u8 = 10;
 const TAG_SCHEDULE_UPDATE: u8 = 11;
 
 impl Frame {
-    /// Encode the frame body (no length prefix).
+    /// Encode the frame body (no length prefix) into an exactly sized
+    /// `Vec`: one allocation.
     pub fn encode_body(&self) -> Vec<u8> {
-        let mut b = Vec::new();
+        let mut b = Vec::with_capacity(self.body_len());
+        self.encode_to(&mut b);
+        b
+    }
+
+    /// Exact length of the encoded body: the encoder run over a sink
+    /// that only counts, so the layout is written down once.
+    fn body_len(&self) -> usize {
+        let mut n = Count(0);
+        self.encode_to(&mut n);
+        n.0
+    }
+
+    fn encode_to<S: Sink>(&self, b: &mut S) {
         match self {
             Frame::Hello { node, listen_addr } => {
-                b.push(TAG_HELLO);
-                put_u32(&mut b, *node);
-                put_str(&mut b, listen_addr);
+                b.put(&[TAG_HELLO]);
+                put_u32(b, *node);
+                put_str(b, listen_addr);
             }
             Frame::Config { payload } => {
-                b.push(TAG_CONFIG);
-                put_str(&mut b, payload);
+                b.put(&[TAG_CONFIG]);
+                put_str(b, payload);
             }
             Frame::Ready { node } => {
-                b.push(TAG_READY);
-                put_u32(&mut b, *node);
+                b.put(&[TAG_READY]);
+                put_u32(b, *node);
             }
-            Frame::Start => b.push(TAG_START),
-            Frame::Stop => b.push(TAG_STOP),
+            Frame::Start => b.put(&[TAG_START]),
+            Frame::Stop => b.put(&[TAG_STOP]),
             Frame::Packet {
                 from,
                 to,
@@ -187,44 +218,43 @@ impl Frame {
                 sent_ns,
                 retransmit,
             } => {
-                b.push(TAG_PACKET);
-                put_u32(&mut b, *from);
-                put_u32(&mut b, *to);
-                put_u64(&mut b, *packet);
-                put_u64(&mut b, *slot);
-                put_u64(&mut b, *sent_ns);
-                b.push(u8::from(*retransmit));
+                b.put(&[TAG_PACKET]);
+                put_u32(b, *from);
+                put_u32(b, *to);
+                put_u64(b, *packet);
+                put_u64(b, *slot);
+                put_u64(b, *sent_ns);
+                b.put(&[u8::from(*retransmit)]);
             }
             Frame::Nack { from, packet } => {
-                b.push(TAG_NACK);
-                put_u32(&mut b, *from);
-                put_u64(&mut b, *packet);
+                b.put(&[TAG_NACK]);
+                put_u32(b, *from);
+                put_u64(b, *packet);
             }
             Frame::Suspect {
                 watcher,
                 subject,
                 at_ns,
             } => {
-                b.push(TAG_SUSPECT);
-                put_u32(&mut b, *watcher);
-                put_u32(&mut b, *subject);
-                put_u64(&mut b, *at_ns);
+                b.put(&[TAG_SUSPECT]);
+                put_u32(b, *watcher);
+                put_u32(b, *subject);
+                put_u64(b, *at_ns);
             }
             Frame::Complete { node, at_ns } => {
-                b.push(TAG_COMPLETE);
-                put_u32(&mut b, *node);
-                put_u64(&mut b, *at_ns);
+                b.put(&[TAG_COMPLETE]);
+                put_u32(b, *node);
+                put_u64(b, *at_ns);
             }
             Frame::Report { payload } => {
-                b.push(TAG_REPORT);
-                put_str(&mut b, payload);
+                b.put(&[TAG_REPORT]);
+                put_str(b, payload);
             }
             Frame::ScheduleUpdate { payload } => {
-                b.push(TAG_SCHEDULE_UPDATE);
-                put_str(&mut b, payload);
+                b.put(&[TAG_SCHEDULE_UPDATE]);
+                put_str(b, payload);
             }
         }
-        b
     }
 
     /// Decode one frame body (the bytes after the length prefix).
@@ -291,17 +321,51 @@ impl Frame {
     }
 }
 
-fn put_u32(b: &mut Vec<u8>, v: u32) {
-    b.extend_from_slice(&v.to_le_bytes());
+/// Where the encoder puts bytes: a `Vec` that grows, a [`Stack`] that
+/// cannot, or a [`Count`] that only measures.
+trait Sink {
+    fn put(&mut self, bytes: &[u8]);
 }
 
-fn put_u64(b: &mut Vec<u8>, v: u64) {
-    b.extend_from_slice(&v.to_le_bytes());
+impl Sink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
 }
 
-fn put_str(b: &mut Vec<u8>, s: &str) {
+/// Length prefix plus a body of at most [`SMALL_BODY`] bytes, on the
+/// stack. `put` beyond that panics: callers check `body_len` first.
+struct Stack {
+    buf: [u8; 4 + SMALL_BODY],
+    len: usize,
+}
+
+impl Sink for Stack {
+    fn put(&mut self, bytes: &[u8]) {
+        self.buf[self.len..self.len + bytes.len()].copy_from_slice(bytes);
+        self.len += bytes.len();
+    }
+}
+
+struct Count(usize);
+
+impl Sink for Count {
+    fn put(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
+    }
+}
+
+fn put_u32<S: Sink>(b: &mut S, v: u32) {
+    b.put(&v.to_le_bytes());
+}
+
+fn put_u64<S: Sink>(b: &mut S, v: u64) {
+    b.put(&v.to_le_bytes());
+}
+
+fn put_str<S: Sink>(b: &mut S, s: &str) {
     put_u32(b, s.len() as u32);
-    b.extend_from_slice(s.as_bytes());
+    b.put(s.as_bytes());
 }
 
 /// Bounds-checked reader over a frame body.
@@ -347,15 +411,37 @@ impl Cursor<'_> {
     }
 }
 
-/// Write one length-prefixed frame.
+/// Write one length-prefixed frame as a single `write_all`, without
+/// flushing (see the module header). Returns the bytes written. A body
+/// over [`MAX_FRAME`] — which the peer would reject — is refused here
+/// with [`io::ErrorKind::InvalidInput`] wrapping
+/// [`FrameError::Oversized`], and nothing is written.
 pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> io::Result<usize> {
-    let body = frame.encode_body();
-    debug_assert!(body.len() <= MAX_FRAME, "encoder produced oversized frame");
-    let mut msg = Vec::with_capacity(4 + body.len());
-    msg.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    msg.extend_from_slice(&body);
-    w.write_all(&msg)?;
-    Ok(msg.len())
+    let len = frame.body_len();
+    if len > MAX_FRAME {
+        let e = FrameError::Oversized {
+            len,
+            max: MAX_FRAME,
+        };
+        return Err(io::Error::new(io::ErrorKind::InvalidInput, e));
+    }
+    // `len <= MAX_FRAME < 2^32`: the cast cannot truncate.
+    let prefix = (len as u32).to_le_bytes();
+    if len <= SMALL_BODY {
+        let mut msg = Stack {
+            buf: [0; 4 + SMALL_BODY],
+            len: 0,
+        };
+        msg.put(&prefix);
+        frame.encode_to(&mut msg);
+        w.write_all(&msg.buf[..msg.len])?;
+    } else {
+        let mut msg = Vec::with_capacity(4 + len);
+        msg.put(&prefix);
+        frame.encode_to(&mut msg);
+        w.write_all(&msg)?;
+    }
+    Ok(4 + len)
 }
 
 /// Read one length-prefixed frame. Returns `Ok(None)` on a clean EOF at
@@ -387,7 +473,14 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<(Frame, usize)>> {
         }
         .into());
     }
-    let mut body = vec![0u8; len];
+    let mut small = [0u8; SMALL_BODY];
+    let mut large = Vec::new();
+    let body = if len <= SMALL_BODY {
+        &mut small[..len]
+    } else {
+        large.resize(len, 0);
+        &mut large[..]
+    };
     let mut got = 0;
     while got < len {
         let n = r.read(&mut body[got..])?;
@@ -396,17 +489,18 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<(Frame, usize)>> {
         }
         got += n;
     }
-    let frame = Frame::decode_body(&body)?;
+    let frame = Frame::decode_body(body)?;
     Ok(Some((frame, 4 + len)))
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
 
     fn roundtrip(f: &Frame) {
         let body = f.encode_body();
+        assert_eq!(body.capacity(), body.len(), "body_len is exact");
         let back = Frame::decode_body(&body).expect("decodes");
         assert_eq!(*f, back);
         // And through the length-prefixed stream path.
@@ -426,6 +520,48 @@ mod tests {
         bytes.iter().map(|b| (b'!' + b % 90) as char).collect()
     }
 
+    /// One of the eleven frame shapes, its fields filled from the
+    /// sampled values.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn frame_of_shape(
+        shape: usize,
+        a: u32,
+        b: u32,
+        x: u64,
+        y: u64,
+        z: u64,
+        flag: bool,
+        text: &[u8],
+    ) -> Frame {
+        match shape {
+            0 => Frame::Hello {
+                node: a,
+                listen_addr: s(text),
+            },
+            1 => Frame::Config { payload: s(text) },
+            2 => Frame::Ready { node: a },
+            3 => Frame::Start,
+            4 => Frame::Stop,
+            5 => Frame::Packet {
+                from: a,
+                to: b,
+                packet: x,
+                slot: y,
+                sent_ns: z,
+                retransmit: flag,
+            },
+            6 => Frame::Nack { from: a, packet: x },
+            7 => Frame::Suspect {
+                watcher: a,
+                subject: b,
+                at_ns: x,
+            },
+            8 => Frame::Complete { node: a, at_ns: x },
+            9 => Frame::Report { payload: s(text) },
+            _ => Frame::ScheduleUpdate { payload: s(text) },
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(200))]
 
@@ -439,23 +575,7 @@ mod tests {
             flag in any::<bool>(),
             text in proptest::collection::vec(0u8..255, 0..64),
         ) {
-            let frame = match shape {
-                0 => Frame::Hello { node: a, listen_addr: s(&text) },
-                1 => Frame::Config { payload: s(&text) },
-                2 => Frame::Ready { node: a },
-                3 => Frame::Start,
-                4 => Frame::Stop,
-                5 => Frame::Packet {
-                    from: a, to: b, packet: x, slot: y, sent_ns: z,
-                    retransmit: flag,
-                },
-                6 => Frame::Nack { from: a, packet: x },
-                7 => Frame::Suspect { watcher: a, subject: b, at_ns: x },
-                8 => Frame::Complete { node: a, at_ns: x },
-                9 => Frame::Report { payload: s(&text) },
-                _ => Frame::ScheduleUpdate { payload: s(&text) },
-            };
-            roundtrip(&frame);
+            roundtrip(&frame_of_shape(shape, a, b, x, y, z, flag, &text));
         }
 
         /// Truncating a valid body anywhere never panics and never
@@ -550,6 +670,35 @@ mod tests {
         let err = read_frame(&mut wire.as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("oversized frame"), "{err}");
+    }
+
+    /// A body the peer would refuse is refused by the sender, in release
+    /// builds too, before a byte is written.
+    #[test]
+    fn oversized_body_is_refused_by_the_sender_and_nothing_is_written() {
+        let frame = Frame::Config {
+            // tag + string length + payload = MAX_FRAME + 1
+            payload: "x".repeat(MAX_FRAME + 1 - 5),
+        };
+        let mut wire = Vec::new();
+        let err = write_frame(&mut wire, &frame).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        let inner = err.get_ref().and_then(|e| e.downcast_ref::<FrameError>());
+        assert_eq!(
+            inner,
+            Some(&FrameError::Oversized {
+                len: MAX_FRAME + 1,
+                max: MAX_FRAME
+            })
+        );
+        assert!(wire.is_empty(), "wrote {} bytes", wire.len());
+        // One byte less is the largest frame there is, and it goes.
+        let Frame::Config { mut payload } = frame else {
+            unreachable!()
+        };
+        payload.pop();
+        let n = write_frame(&mut io::sink(), &Frame::Config { payload }).unwrap();
+        assert_eq!(n, 4 + MAX_FRAME);
     }
 
     #[test]

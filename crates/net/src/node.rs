@@ -20,14 +20,13 @@
 //! the orchestrator ([`clustream_recovery::WallClockDetector`]).
 
 use crate::chaos::{ChaosPolicy, SendPlan};
-use crate::frame::{read_frame, write_frame, Frame};
+use crate::frame::{read_frame, Frame};
 use crate::schedule::{
     ArrivalObs, CalendarSendObs, LoweredSend, NodeConfig, NodeReport, ScheduleUpdate,
 };
 use crate::transport::{connect_retry, Conn, NetListener, Transport};
 use clustream_recovery::WallClockDetector;
 use std::collections::{BTreeMap, BTreeSet};
-use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -126,25 +125,20 @@ impl Link {
                 if delay_us > 0 {
                     std::thread::sleep(Duration::from_micros(delay_us));
                 }
-                let wrote = write_frame(&mut conn, &frame);
-                let wrote = match wrote {
-                    Ok(n) => Ok(n),
-                    Err(_) => {
-                        // One bounded reconnect attempt: a transient peer
-                        // stall (gray node, TCP reset under load) should
-                        // cost one frame window, not the whole link.
-                        match connect_retry(transport, &addr, Instant::now() + REDIAL_WINDOW) {
-                            Ok((c, f)) => {
-                                let _ = c.set_write_timeout(Some(WRITE_TIMEOUT));
-                                counters.reconnects.fetch_add(f + 1, Ordering::Relaxed);
-                                conn = c;
-                                write_frame(&mut conn, &frame)
-                            }
-                            Err(e) => Err(e),
-                        }
-                    }
-                };
-                match wrote {
+                let sent = conn.send(&frame).or_else(|_| {
+                    // One bounded reconnect attempt: a transient peer
+                    // stall (gray node, TCP reset under load) should
+                    // cost one frame window, not the whole link.
+                    let (fresh, failures) =
+                        connect_retry(transport, &addr, Instant::now() + REDIAL_WINDOW)?;
+                    let _ = fresh.set_write_timeout(Some(WRITE_TIMEOUT));
+                    counters
+                        .reconnects
+                        .fetch_add(failures + 1, Ordering::Relaxed);
+                    conn = fresh;
+                    conn.send(&frame)
+                });
+                match sent {
                     Ok(n) => {
                         counters.frames_sent.fetch_add(1, Ordering::Relaxed);
                         counters.bytes_sent.fetch_add(n as u64, Ordering::Relaxed);
@@ -537,14 +531,11 @@ impl Node {
         };
         for subject in self.detector.poll(now, owes) {
             self.report.suspects_reported += 1;
-            let _ = write_frame(
-                control,
-                &Frame::Suspect {
-                    watcher: self.cfg.node,
-                    subject,
-                    at_ns: now,
-                },
-            );
+            let _ = control.send(&Frame::Suspect {
+                watcher: self.cfg.node,
+                subject,
+                at_ns: now,
+            });
         }
     }
 
@@ -629,13 +620,10 @@ impl Node {
             self.complete = true;
             self.report.complete = true;
             self.report.complete_ns = sys_ns();
-            let _ = write_frame(
-                control,
-                &Frame::Complete {
-                    node: self.cfg.node,
-                    at_ns: self.report.complete_ns,
-                },
-            );
+            let _ = control.send(&Frame::Complete {
+                node: self.cfg.node,
+                at_ns: self.report.complete_ns,
+            });
         }
     }
 
@@ -710,14 +698,12 @@ pub fn run_node(opts: &NodeOptions) -> Result<(), String> {
     let deadline = Instant::now() + Duration::from_secs(20);
     let (mut control, _) = connect_retry(opts.transport, &opts.control_addr, deadline)
         .map_err(|e| format!("dial control plane: {e}"))?;
-    write_frame(
-        &mut control,
-        &Frame::Hello {
+    control
+        .send(&Frame::Hello {
             node: opts.node,
             listen_addr,
-        },
-    )
-    .map_err(|e| e.to_string())?;
+        })
+        .map_err(|e| e.to_string())?;
     let cfg: NodeConfig = match control.read_frame_within(Duration::from_secs(30), CLOSED)? {
         Frame::Config { payload } => {
             serde_json::from_str(&payload).map_err(|e| format!("bad NodeConfig: {e}"))?
@@ -732,14 +718,17 @@ pub fn run_node(opts: &NodeOptions) -> Result<(), String> {
     }
     let mut node = Node::new(cfg, opts.transport, Arc::clone(&counters));
     node.connect_calendar_links()?;
-    write_frame(&mut control, &Frame::Ready { node: opts.node }).map_err(|e| e.to_string())?;
+    control
+        .send(&Frame::Ready { node: opts.node })
+        .map_err(|e| e.to_string())?;
     match control.read_frame_within(Duration::from_secs(60), CLOSED)? {
         Frame::Start => {}
         Frame::Stop => return Ok(()), // orchestrator aborted before start
         other => return Err(format!("expected Start, got {other:?}")),
     }
-    // Hand the control read half to a reader thread; keep the write half.
-    let control_reader = control.try_clone().map_err(|e| e.to_string())?;
+    // Hand the control read half — and whatever arrived coalesced behind
+    // `Start` — to a reader thread; keep the write half.
+    let control_reader = control.split().map_err(|e| e.to_string())?;
     spawn_reader(
         control_reader,
         inbox_tx.clone(),
@@ -798,8 +787,7 @@ pub fn run_node(opts: &NodeOptions) -> Result<(), String> {
 
     node.finalize_report();
     let payload = serde_json::to_string(&node.report).map_err(|e| e.to_string())?;
-    let _ = write_frame(&mut control, &Frame::Report { payload });
-    let _ = control.flush();
+    let _ = control.send(&Frame::Report { payload });
     if !stopped {
         // Horizon reached without Stop: linger briefly so the unsolicited
         // report is read before the socket drops.
@@ -859,7 +847,37 @@ mod tests {
         let (a, b) = std::os::unix::net::UnixStream::pair().unwrap();
         // Leak the far end so suspect writes don't fail with EPIPE.
         std::mem::forget(b);
-        (node, Conn::Uds(a))
+        (node, Conn::from(a))
+    }
+
+    /// A link whose peer hung up redials once and sends the frame again,
+    /// whole, on the new connection; with nobody left to dial it is dead.
+    #[test]
+    fn a_link_redials_once_then_is_dead() {
+        let dir = std::env::temp_dir().join(format!("clustream-link-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (listener, addr) = NetListener::bind(Transport::Uds, &dir, "peer.sock").unwrap();
+        let counters = Arc::new(Counters::default());
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let link = Link::open(Transport::Uds, &addr, Arc::clone(&counters), deadline).unwrap();
+        let nack = Frame::Nack { from: 1, packet: 7 };
+
+        drop(listener.accept().unwrap());
+        link.enqueue(&counters, nack.clone(), 0);
+        let mut redialled = listener.accept().unwrap();
+        let (got, n) = read_frame(&mut redialled).unwrap().unwrap();
+        assert_eq!(got, nack);
+        assert_eq!(counters.reconnects.load(Ordering::Relaxed), 1);
+
+        drop((redialled, listener));
+        std::fs::remove_dir_all(&dir).unwrap();
+        link.enqueue(&counters, nack, 0);
+        while !link.dead.load(Ordering::Relaxed) {
+            assert!(Instant::now() < deadline, "the link never gave up");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert_eq!(counters.frames_sent.load(Ordering::Relaxed), 1);
+        assert_eq!(counters.bytes_sent.load(Ordering::Relaxed), n as u64);
     }
 
     /// The satellite-fix regression: a node burning through a catch-up

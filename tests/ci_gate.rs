@@ -110,10 +110,14 @@ fn script_parses_and_defines_both_tiers() {
         "--recovery repair --scenario step:10@5",
         "--recovery repair+nack --scenario fail:3-6@40",
         // The ledger harness is a workspace of its own: the merge gate
-        // builds and unit-tests it against this tree's public API.
-        "stage \"benchmark harness (ledger build + unit tests)\"",
+        // builds and unit-tests it against this tree's public API, then
+        // pumps 10^6 frames through the buffered `Conn` and fails on a
+        // lost or reordered frame (a missed flush).
+        "stage \"benchmark harness (ledger build + unit tests + frame pump)\" benchmark_harness",
         "env CARGO_TARGET_DIR=benchmark/target",
         "cargo test --release --offline --manifest-path benchmark/Cargo.toml",
+        "bash benchmark/run.sh --workload net_framepump --seed 7 --seconds 3 --trace 0",
+        "*'\"correct\": true'*'\"failed\": 0'[,}]*) ;;",
     ] {
         assert!(text.contains(needle), "ci.sh lost `{needle}`");
     }
