@@ -16,8 +16,9 @@
 #   ci.sh scale   quick + the mega-engine scale smoke through the real
 #                 CLI: at N=10^5 fast = mega = sharded line for line and
 #                 the mega report equals its committed golden stdout;
-#                 at N=10^6 (this tier only: ~25 s, several GiB) the mega
-#                 report equals its golden stdout too
+#                 at N=10^6 (this tier only: 2.5 GiB, and 13-47 s on
+#                 this container, most of it first-touching that memory)
+#                 the mega report equals its golden stdout too
 #   ci.sh full    quick + doc lint + differential oracles + CLI smoke
 #                 matrix + exhaustive invariant lattice + coverage-guided
 #                 explore smoke + 32-node kill-injection cluster smoke +

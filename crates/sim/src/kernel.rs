@@ -31,7 +31,7 @@
 use crate::engine::{RunResult, SimConfig};
 use crate::faults::{FaultCause, LossReport};
 use crate::metrics::TrafficStats;
-use crate::playback::ArrivalTable;
+use crate::playback::{ArrivalTable, PlaybackScratch};
 use crate::trace::EventTrace;
 use clustream_core::{
     Availability, CoreError, NodeId, NodeQos, PacketId, QosReport, Scheme, Slot, StateView,
@@ -146,13 +146,24 @@ impl<H: Held> StateView for State<H> {
 /// at any moment all queued arrival slots map to distinct cells and a
 /// cell's contents all share one arrival slot. Each cell carries a node
 /// bitmask enforcing the one-arrival-per-node-per-slot constraint.
+///
+/// A cell owns a buffer only while it has entries: [`ArrivalRing::take`]
+/// hands the buffer to the caller, [`ArrivalRing::recycle`] parks it on
+/// a spare list, and the next first push into any cell picks it up. The
+/// ring so holds as many buffers as arrival slots were ever queued at
+/// once — one for a unit-latency run, not one per cell it walked through.
 #[derive(Default)]
 pub(crate) struct ArrivalRing {
-    pub(crate) cells: Vec<Vec<(NodeId, PacketId)>>,
+    cells: Vec<Vec<(NodeId, PacketId)>>,
+    /// Emptied cell buffers awaiting reuse.
+    spare: Vec<Vec<(NodeId, PacketId)>>,
     /// Per-cell receiver bitmask (`n_words` words per cell).
     guards: Vec<u64>,
     pub(crate) window: u64,
     n_words: usize,
+    /// One past the largest arrival slot ever reserved (0 = none): no
+    /// queued arrival and no guard bit lies at or beyond it.
+    reserved_end: u64,
 }
 
 impl ArrivalRing {
@@ -160,8 +171,12 @@ impl ArrivalRing {
     pub(crate) fn reset(&mut self, n_ids: usize) {
         self.n_words = n_ids.div_ceil(64);
         self.window = 64;
-        for c in &mut self.cells {
-            c.clear();
+        self.reserved_end = 0;
+        for cell in &mut self.cells {
+            if cell.capacity() > 0 {
+                cell.clear();
+                self.spare.push(std::mem::take(cell));
+            }
         }
         self.cells.resize(self.window as usize, Vec::new());
         self.guards.clear();
@@ -210,7 +225,53 @@ impl ArrivalRing {
             return false;
         }
         self.guards[w] |= mask;
+        self.reserved_end = self.reserved_end.max(arrival_slot + 1);
         true
+    }
+
+    /// Queue a reserved arrival in cell `cell_idx`.
+    #[inline]
+    pub(crate) fn push(&mut self, cell_idx: usize, to: NodeId, packet: PacketId) {
+        let cell = &mut self.cells[cell_idx];
+        if cell.capacity() == 0 {
+            if let Some(buf) = self.spare.pop() {
+                *cell = buf;
+            }
+        }
+        cell.push((to, packet));
+    }
+
+    /// The entries queued in cell `cell_idx`.
+    pub(crate) fn queued(&self, cell_idx: usize) -> &[(NodeId, PacketId)] {
+        &self.cells[cell_idx]
+    }
+
+    /// Empty cell `cell_idx`: its guard bits are cleared and its entries
+    /// (and buffer) handed over.
+    pub(crate) fn take(&mut self, cell_idx: usize) -> Vec<(NodeId, PacketId)> {
+        let batch = std::mem::take(&mut self.cells[cell_idx]);
+        for &(to, _) in &batch {
+            let w = cell_idx * self.n_words + to.0 as usize / 64;
+            self.guards[w] &= !(1u64 << (to.0 % 64));
+        }
+        batch
+    }
+
+    /// Give a [`ArrivalRing::take`]n buffer back for reuse.
+    pub(crate) fn recycle(&mut self, mut buf: Vec<(NodeId, PacketId)>) {
+        if buf.capacity() > 0 {
+            buf.clear();
+            self.spare.push(buf);
+        }
+    }
+
+    /// The last slot at which a run whose final ring-admitted send was
+    /// before `t0` can still find the ring non-empty: the cell of arrival
+    /// slot `a` drains at slot `a + 1`, and nothing was ever reserved at
+    /// or past `reserved_end`. From the slot after, every cell is empty
+    /// and every guard bit clear.
+    pub(crate) fn live_until(&self, t0: u64) -> u64 {
+        t0.max(self.reserved_end)
     }
 
     /// Whether `(arrival_slot, to)` is currently reserved — a read-only
@@ -221,13 +282,6 @@ impl ArrivalRing {
         let idx = self.cell_index(arrival_slot);
         let w = idx * self.n_words + to.0 as usize / 64;
         self.guards[w] & (1u64 << (to.0 % 64)) != 0
-    }
-
-    /// Release the guard bit for one delivered entry.
-    #[inline]
-    pub(crate) fn release(&mut self, cell_idx: usize, to: NodeId) {
-        let w = cell_idx * self.n_words + to.0 as usize / 64;
-        self.guards[w] &= !(1u64 << (to.0 % 64));
     }
 }
 
@@ -270,7 +324,6 @@ pub(crate) struct Kernel<H> {
     /// The current slot's generated transmissions, between `dispatch`
     /// and `admit`.
     pub(crate) out: Vec<Transmission>,
-    pub(crate) batch: Vec<(NodeId, PacketId)>,
 }
 
 impl<H: Held> Kernel<H> {
@@ -338,40 +391,36 @@ impl<H: Held> Kernel<H> {
         let mut slot_deliveries: u64 = 0;
         if t > 0 {
             let cell_idx = self.ring.cell_index(t - 1);
-            if !self.ring.cells[cell_idx].is_empty() {
-                std::mem::swap(&mut self.ring.cells[cell_idx], &mut self.batch);
-                for k in 0..self.batch.len() {
-                    let (to, packet) = self.batch[k];
-                    self.ring.release(cell_idx, to);
-                    // Fail-stopped receivers drop arrivals on the floor.
-                    if let Some(f) = &cfg.faults {
-                        if f.stopped(to, t - 1) {
-                            run.loss_report.stopped_receives += 1;
-                            run.taint
-                                .entry((to.0, packet.seq()))
-                                .or_insert(FaultCause::Crash);
-                            continue;
-                        }
-                    }
-                    if !self.state.held.insert(to.index(), packet.seq()) {
-                        self.stats.record_duplicate();
+            let batch = self.ring.take(cell_idx);
+            for &(to, packet) in &batch {
+                // Fail-stopped receivers drop arrivals on the floor.
+                if let Some(f) = &cfg.faults {
+                    if f.stopped(to, t - 1) {
+                        run.loss_report.stopped_receives += 1;
+                        run.taint
+                            .entry((to.0, packet.seq()))
+                            .or_insert(FaultCause::Crash);
                         continue;
                     }
-                    let nw = &mut self.state.newest[to.index()];
-                    if *nw == NO_PACKET || packet.seq() > *nw {
-                        *nw = packet.seq();
-                    }
-                    if packet.seq() < cfg.track_packets
-                        && run.is_receiver[to.index()]
-                        && run.arrivals.usable_slot(to, packet).is_none()
-                    {
-                        run.remaining -= 1;
-                    }
-                    run.arrivals.record(to, packet, Slot(t));
-                    slot_deliveries += 1;
                 }
-                self.batch.clear();
+                if !self.state.held.insert(to.index(), packet.seq()) {
+                    self.stats.record_duplicate();
+                    continue;
+                }
+                let nw = &mut self.state.newest[to.index()];
+                if *nw == NO_PACKET || packet.seq() > *nw {
+                    *nw = packet.seq();
+                }
+                if packet.seq() < cfg.track_packets
+                    && run.is_receiver[to.index()]
+                    && run.arrivals.usable_slot(to, packet).is_none()
+                {
+                    run.remaining -= 1;
+                }
+                run.arrivals.record(to, packet, Slot(t));
+                slot_deliveries += 1;
             }
+            self.ring.recycle(batch);
         }
         cfg.telemetry
             .counter(tm::ENGINE_DELIVERIES, slot_deliveries);
@@ -491,7 +540,9 @@ impl<H: Held> Kernel<H> {
             let arrival_slot = t + tx.latency as u64 - 1;
             let cell_idx = self.ring.cell_index(arrival_slot);
             if !self.ring.try_reserve(arrival_slot, tx.to) {
-                let other = self.ring.cells[cell_idx]
+                let other = self
+                    .ring
+                    .queued(cell_idx)
                     .iter()
                     .find(|(to, _)| *to == tx.to)
                     .map(|&(_, p)| p)
@@ -502,7 +553,7 @@ impl<H: Held> Kernel<H> {
                     packets: (other, tx.packet),
                 });
             }
-            self.ring.cells[cell_idx].push((tx.to, tx.packet));
+            self.ring.push(cell_idx, tx.to, tx.packet);
             self.stats.record(&tx);
             if let Some(tr) = run.trace.as_mut() {
                 tr.push(t, &tx);
@@ -514,12 +565,8 @@ impl<H: Held> Kernel<H> {
     /// After the last slot: record the deliveries queued for
     /// `arrival_slot`, usable one slot later.
     pub(crate) fn flush_cell(&mut self, run: &mut Run<'_>, arrival_slot: u64) {
-        let cell_idx = self.ring.cell_index(arrival_slot);
-        if self.ring.cells[cell_idx].is_empty() {
-            return;
-        }
-        std::mem::swap(&mut self.ring.cells[cell_idx], &mut self.batch);
-        for &(to, packet) in &self.batch {
+        let batch = self.ring.take(self.ring.cell_index(arrival_slot));
+        for &(to, packet) in &batch {
             if let Some(f) = &run.cfg.faults {
                 if f.stopped(to, arrival_slot) {
                     run.loss_report.stopped_receives += 1;
@@ -528,7 +575,7 @@ impl<H: Held> Kernel<H> {
             }
             run.arrivals.record(to, packet, Slot(arrival_slot + 1));
         }
-        self.batch.clear();
+        self.ring.recycle(batch);
     }
 
     /// Flush the deliveries completing after the last slot, in ascending
@@ -559,16 +606,17 @@ impl<H: Held> Kernel<H> {
             ..
         } = run;
         let mut nodes = Vec::with_capacity(receivers.len());
+        let mut scratch = PlaybackScratch::default();
         for r in &receivers {
             let (delay, buffer) = if cfg.faults.is_some() {
-                let pb = arrivals.analyze_lossy(*r);
+                let pb = arrivals.analyze_lossy_with(*r, &mut scratch);
                 if pb.missing > 0 {
                     loss_report.missing.push((*r, pb.missing));
                     cfg.telemetry.counter(tm::ENGINE_HICCUPS, 1);
                 }
                 (pb.playback_delay, pb.max_buffer)
             } else {
-                let pb = arrivals.analyze(*r)?;
+                let pb = arrivals.analyze_with(*r, &mut scratch)?;
                 (pb.playback_delay, pb.max_buffer)
             };
             cfg.telemetry.observe(tm::ENGINE_PLAYBACK_DELAY, delay);
@@ -628,9 +676,70 @@ mod tests {
         assert!(!r.try_reserve(5, NodeId(3)));
         assert!(r.try_reserve(6, NodeId(3)));
         assert!(r.try_reserve(5, NodeId(4)));
+        // Draining the cell frees its receivers for that slot again.
         let idx = r.cell_index(5);
-        r.release(idx, NodeId(3));
+        r.push(idx, NodeId(3), PacketId(0));
+        assert_eq!(r.take(idx), [(NodeId(3), PacketId(0))]);
         assert!(r.try_reserve(5, NodeId(3)));
+        assert!(!r.try_reserve(5, NodeId(4)));
+    }
+
+    #[test]
+    fn unit_latency_run_keeps_one_ring_buffer_in_circulation() {
+        /// A binary tree over ids `1..=n`: every node relays the packet
+        /// that just arrived to both children, so each slot queues about
+        /// `n` arrivals into a fresh ring cell.
+        struct Fanout {
+            n: u32,
+        }
+        impl Scheme for Fanout {
+            fn name(&self) -> String {
+                "fanout".into()
+            }
+            fn num_receivers(&self) -> usize {
+                self.n as usize
+            }
+            fn send_capacity(&self, _: NodeId) -> usize {
+                2
+            }
+            fn transmissions(
+                &mut self,
+                slot: Slot,
+                view: &dyn StateView,
+                out: &mut Vec<Transmission>,
+            ) {
+                out.push(Transmission::local(
+                    NodeId(0),
+                    NodeId(1),
+                    PacketId(slot.t()),
+                ));
+                for i in 1..=self.n / 2 {
+                    if let Some(p) = view.newest(NodeId(i)) {
+                        for child in (2 * i..=2 * i + 1).filter(|&c| c <= self.n) {
+                            out.push(Transmission::local(NodeId(i), NodeId(child), p));
+                        }
+                    }
+                }
+            }
+        }
+
+        let mut scheme = Fanout { n: 2000 };
+        let cfg = SimConfig::until_complete(8, 100);
+        let mut k: Kernel<Vec<PacketSet>> = Kernel::default();
+        let mut run = k.begin(&scheme, &cfg).unwrap();
+        for t in 0..cfg.max_slots {
+            if k.deliver(&mut run, t) {
+                break;
+            }
+            k.dispatch(&mut scheme, t);
+            k.admit(&scheme, &mut run, t).unwrap();
+        }
+        assert!(run.slots_run > 16, "{} slots", run.slots_run);
+        assert_eq!(run.remaining, 0);
+        // Every slot filled and drained its own cell; the buffer went
+        // round through the spare list instead of staying behind in each.
+        let buffers = k.ring.cells.iter().chain(&k.ring.spare);
+        assert_eq!(buffers.filter(|b| b.capacity() > 0).count(), 1);
     }
 
     #[test]
@@ -640,11 +749,11 @@ mod tests {
         // Queue arrivals at slots 7 and 70 relative to current slot 5.
         assert!(r.try_reserve(7, NodeId(1)));
         let i7 = r.cell_index(7);
-        r.cells[i7].push((NodeId(1), PacketId(9)));
+        r.push(i7, NodeId(1), PacketId(9));
         r.grow(100, 5);
         assert!(r.window > 100);
         let i7b = r.cell_index(7);
-        assert_eq!(r.cells[i7b], vec![(NodeId(1), PacketId(9))]);
+        assert_eq!(r.queued(i7b), [(NodeId(1), PacketId(9))]);
         // Guard moved with the entry.
         assert!(!r.try_reserve(7, NodeId(1)));
         assert!(r.try_reserve(70, NodeId(1)));

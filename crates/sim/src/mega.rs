@@ -49,7 +49,7 @@
 use crate::engine::{RunResult, SimConfig};
 use crate::kernel::{Held, Kernel, PacketSet};
 use crate::parallel::ClaimCounter;
-use crate::playback::{ArrivalTable, NEVER};
+use crate::playback::{cell_of, ArrivalTable, NEVER};
 use clustream_core::{CoreError, NodeId, PacketId, SchedulePeriod, Scheme, Slot, Transmission};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -171,16 +171,6 @@ impl Held for ColumnarHeld {
     }
 }
 
-/// One send in the lowered table. The packet replayed at slot `s`
-/// (where `s ≡ base + j (mod period)`) is `packet0 + (s − (base + j))`.
-#[derive(Clone, Copy)]
-struct SendEntry {
-    from: u32,
-    to: u32,
-    packet0: u64,
-    latency: u32,
-}
-
 /// One delivery in the lowered table, keyed by arrival residue
 /// `(j + latency − 1) mod period`; `j` is the send residue.
 #[derive(Clone, Copy)]
@@ -199,10 +189,17 @@ struct SteadyTables {
     period: u64,
     /// First slot replayed from the table (`warmup + 2·period`).
     steady_from: u64,
-    /// Per send residue: this slot's transmissions, in emission order.
-    sends: Vec<Vec<SendEntry>>,
+    /// Per send residue `j`: the transmissions recorded at slot `base +
+    /// j`, in emission order. The packet replayed at slot `s ≡ base + j
+    /// (mod period)` is the recorded one plus `s − (base + j)`.
+    sends: Vec<Vec<Transmission>>,
     /// Per arrival residue: deliveries landing at that residue.
     arrs: Vec<Vec<ArrEntry>>,
+    /// Every delivery once more, sorted by `(receiver, packet0 mod
+    /// period)`: the order in which the table's static properties are
+    /// derived and in which the analytic gear streams through the
+    /// arrival table.
+    by_recv: Vec<ArrEntry>,
     max_latency: u64,
     /// `max(packet0 − (base + j))` over all sends: the largest seq
     /// replayed at slot `s` is bounded by `s + off`. `None` when the
@@ -277,24 +274,25 @@ impl Lowering {
         self.ok && t == self.steady_from && self.recorded.len() as u64 == self.period
     }
 
-    fn compile(&self) -> SteadyTables {
-        let p = self.period as usize;
-        let mut sends = vec![Vec::new(); p];
-        let mut arrs = vec![Vec::new(); p];
+    /// Lower the verified period; the recorded slots become the send
+    /// table as they are.
+    fn compile(self) -> SteadyTables {
+        let arrival_residue = |j: usize, tx: &Transmission| {
+            ((j as u64 + tx.latency as u64 - 1) % self.period) as usize
+        };
+        let mut sizes = vec![0usize; self.period as usize];
+        for (j, slot) in self.recorded.iter().enumerate() {
+            for tx in slot {
+                sizes[arrival_residue(j, tx)] += 1;
+            }
+        }
+        let mut arrs: Vec<Vec<ArrEntry>> = sizes.into_iter().map(Vec::with_capacity).collect();
         let mut max_latency = 1u64;
         let mut off: Option<i128> = None;
         for (j, slot) in self.recorded.iter().enumerate() {
             for tx in slot {
-                sends[j].push(SendEntry {
-                    from: tx.from.0,
-                    to: tx.to.0,
-                    packet0: tx.packet.seq(),
-                    latency: tx.latency,
-                });
-                let l = tx.latency as u64;
-                max_latency = max_latency.max(l);
-                let ra = ((j as u64 + l - 1) % self.period) as usize;
-                arrs[ra].push(ArrEntry {
+                max_latency = max_latency.max(tx.latency as u64);
+                arrs[arrival_residue(j, tx)].push(ArrEntry {
                     from: tx.from.0,
                     to: tx.to.0,
                     packet0: tx.packet.seq(),
@@ -305,20 +303,18 @@ impl Lowering {
                 off = Some(off.map_or(o, |c| c.max(o)));
             }
         }
-        let feed_slack = Self::feed_slack(&sends, &arrs, self.period);
-        let mut residues: Vec<(u32, u64)> = arrs
-            .iter()
-            .flatten()
-            .map(|a| (a.to, a.packet0 % self.period))
-            .collect();
-        residues.sort_unstable();
-        let collision_free = residues.windows(2).all(|w| w[0] != w[1]);
+        let key = |a: &ArrEntry| (a.to, a.packet0 % self.period);
+        let mut by_recv: Vec<ArrEntry> = arrs.iter().flatten().copied().collect();
+        by_recv.sort_unstable_by_key(key);
+        let collision_free = by_recv.windows(2).all(|w| key(&w[0]) != key(&w[1]));
+        let feed_slack = Self::feed_slack(&self.recorded, &by_recv, self.period);
         SteadyTables {
             base: self.warmup,
             period: self.period,
             steady_from: self.steady_from,
-            sends,
+            sends: self.recorded,
             arrs,
+            by_recv,
             max_latency,
             off,
             feed_slack,
@@ -341,36 +337,29 @@ impl Lowering {
     /// `steady_from + g` on (its feeder is then itself a pattern send),
     /// and the table-wide slack is the max over entries of the best
     /// (smallest) `g`.
-    fn feed_slack(sends: &[Vec<SendEntry>], arrs: &[Vec<ArrEntry>], period: u64) -> Option<u64> {
+    fn feed_slack(sends: &[Vec<Transmission>], by_recv: &[ArrEntry], period: u64) -> Option<u64> {
         let p = period as i128;
-        // (to, packet0, send residue, latency), sorted by receiver so
-        // each send entry scans only its own feeder candidates.
-        let mut feeds: Vec<(u32, u64, u64, u64)> = arrs
-            .iter()
-            .flatten()
-            .map(|a| (a.to, a.packet0, a.j, a.latency as u64))
-            .collect();
-        feeds.sort_unstable_by_key(|f| (f.0, f.1));
         let mut slack: u64 = 0;
         for (js, lst) in sends.iter().enumerate() {
             for e in lst {
-                if e.from == 0 {
+                if e.from.is_source() {
                     // Source sends were validated against availability
                     // during the verified window; the produced check is
                     // slot-invariant (`seq − slot` is constant per
                     // entry), so they stay valid forever.
                     continue;
                 }
-                let lo = feeds.partition_point(|f| f.0 < e.from);
-                let hi = feeds.partition_point(|f| f.0 <= e.from);
+                // Sorted by receiver, so each send entry scans only its
+                // own feeder candidates.
+                let lo = by_recv.partition_point(|f| f.to < e.from.0);
                 let mut best: Option<i128> = None;
-                for f in &feeds[lo..hi] {
-                    let dp = e.packet0 as i128 - f.1 as i128;
+                for f in by_recv[lo..].iter().take_while(|f| f.to == e.from.0) {
+                    let dp = e.packet.seq() as i128 - f.packet0 as i128;
                     if dp.rem_euclid(p) != 0 {
                         continue;
                     }
-                    let g = js as i128 - f.2 as i128 - dp;
-                    if g >= f.3 as i128 {
+                    let g = js as i128 - f.j as i128 - dp;
+                    if g >= f.latency as i128 {
                         best = Some(best.map_or(g, |b| b.min(g)));
                     }
                 }
@@ -450,7 +439,7 @@ fn shard_ranges(n_ids: usize, shards: usize, boundaries: Option<Vec<u32>>) -> Ve
 #[inline]
 fn deliver_columnar(
     held: &mut ColumnarHeld,
-    rows: &mut [Vec<u64>],
+    cells: &mut [u64],
     dup: &mut u64,
     remaining: &mut u64,
     is_receiver: &[bool],
@@ -465,9 +454,9 @@ fn deliver_columnar(
         return;
     }
     if seq < track {
-        let cell = &mut rows[to][seq as usize];
+        let cell = &mut cells[to * track as usize + seq as usize];
         if *cell == NEVER {
-            *cell = t;
+            *cell = cell_of(t);
             if is_receiver[to] {
                 *remaining -= 1;
             }
@@ -481,7 +470,8 @@ struct ShardSlices<'a> {
     start: usize,
     words: &'a mut [u64],
     spill: &'a mut [PacketSet],
-    rows: &'a mut [Vec<u64>],
+    /// The shard's rows of the flat arrival table.
+    cells: &'a mut [u64],
     uploads: &'a mut [u64],
 }
 
@@ -518,9 +508,9 @@ fn deliver_shard(
         return;
     }
     if seq < track {
-        let cell = &mut st.rows[li][seq as usize];
+        let cell = &mut st.cells[li * track as usize + seq as usize];
         if *cell == NEVER {
-            *cell = t;
+            *cell = cell_of(t);
             if is_receiver[to] {
                 remaining.fetch_sub(1, Ordering::Relaxed);
             }
@@ -637,7 +627,7 @@ impl MegaEngine {
         for t in 0..cfg.max_slots {
             // Hand off to steady-state replay once one recorded period
             // has been verified against a second generated period.
-            if let Some(lw) = lowering.as_ref().filter(|lw| lw.ready(t)) {
+            if let Some(lw) = lowering.take_if(|lw| lw.ready(t)) {
                 let tbl = lw.compile();
                 let n_ids = run.arrivals.n_ids();
                 let ranges = shard_ranges(n_ids, self.shards, scheme.shard_boundaries());
@@ -682,7 +672,9 @@ impl MegaEngine {
             self.kernel.admit(scheme, &mut run, t)?;
         }
 
-        match &steady {
+        // By value: the tables are dead weight once the flush is done, and
+        // `finish` allocates the per-receiver report.
+        match steady {
             None => self.kernel.flush_ring(&mut run),
             Some((tbl, last_send)) => {
                 // Ramp leftovers drain from the ring and in-flight
@@ -701,7 +693,7 @@ impl MegaEngine {
                             continue;
                         }
                         let s = arrival_slot + 1 - l;
-                        if s >= tbl.steady_from && s <= *last_send {
+                        if s >= tbl.steady_from && s <= last_send {
                             let seq = e.packet0 + (s - (tbl.base + e.j));
                             run.arrivals.record(
                                 NodeId(e.to),
@@ -735,7 +727,7 @@ impl MegaEngine {
         let t0 = tbl.steady_from;
         // Past this slot every ramp-phase send has arrived: the ring is
         // empty and the per-send collision probe can be skipped.
-        let ring_live_until = t0 + self.kernel.ring.window;
+        let ring_live_until = self.kernel.ring.live_until(t0);
         // Past this slot the table is statically self-feeding (see
         // [`SteadyTables::feed_slack`]): the ring is drained, every
         // holding check provably passes, and — untraced — the send loop
@@ -756,29 +748,22 @@ impl MegaEngine {
 
             // Ramp-phase in-flight arrivals still drain from the ring.
             let cell_idx = self.kernel.ring.cell_index(t - 1);
-            if !self.kernel.ring.cells[cell_idx].is_empty() {
-                std::mem::swap(
-                    &mut self.kernel.ring.cells[cell_idx],
-                    &mut self.kernel.batch,
+            let batch = self.kernel.ring.take(cell_idx);
+            for &(to, packet) in &batch {
+                deliver_columnar(
+                    &mut self.kernel.state.held,
+                    arrivals.cells_mut(),
+                    &mut self.kernel.stats.duplicate_deliveries,
+                    remaining,
+                    is_receiver,
+                    track,
+                    t,
+                    to.index(),
+                    packet.seq(),
+                    &mut slot_deliveries,
                 );
-                for k in 0..self.kernel.batch.len() {
-                    let (to, packet) = self.kernel.batch[k];
-                    self.kernel.ring.release(cell_idx, to);
-                    deliver_columnar(
-                        &mut self.kernel.state.held,
-                        arrivals.rows_mut(),
-                        &mut self.kernel.stats.duplicate_deliveries,
-                        remaining,
-                        is_receiver,
-                        track,
-                        t,
-                        to.index(),
-                        packet.seq(),
-                        &mut slot_deliveries,
-                    );
-                }
-                self.kernel.batch.clear();
             }
+            self.kernel.ring.recycle(batch);
 
             // Precompiled deliveries whose arrival slot was t − 1.
             let ra = ((t - 1 - tbl.base) % tbl.period) as usize;
@@ -790,7 +775,7 @@ impl MegaEngine {
                 let seq = e.packet0 + (s - (tbl.base + e.j));
                 deliver_columnar(
                     &mut self.kernel.state.held,
-                    arrivals.rows_mut(),
+                    arrivals.cells_mut(),
                     &mut self.kernel.stats.duplicate_deliveries,
                     remaining,
                     is_receiver,
@@ -819,27 +804,20 @@ impl MegaEngine {
             let delta = t - (tbl.base + js as u64);
             let probe_ring = t <= ring_live_until;
             for e in &tbl.sends[js] {
-                let seq = e.packet0 + delta;
-                if e.from != 0 && !self.kernel.state.held.contains(e.from as usize, seq) {
+                let seq = e.packet.seq() + delta;
+                if !e.from.is_source() && !self.kernel.state.held.contains(e.from.index(), seq) {
                     return SteadyEnd::Anomaly;
                 }
-                if probe_ring
-                    && self
-                        .kernel
-                        .ring
-                        .reserved(t + e.latency as u64 - 1, NodeId(e.to))
-                {
+                if probe_ring && self.kernel.ring.reserved(t + e.latency as u64 - 1, e.to) {
                     return SteadyEnd::Anomaly;
                 }
-                self.kernel.stats.uploads[e.from as usize] += 1;
+                self.kernel.stats.uploads[e.from.index()] += 1;
                 if let Some(tr) = trace.as_mut() {
                     tr.push(
                         t,
                         &Transmission {
-                            from: NodeId(e.from),
-                            to: NodeId(e.to),
                             packet: PacketId(seq),
-                            latency: e.latency,
+                            ..*e
                         },
                     );
                 }
@@ -885,7 +863,7 @@ impl MegaEngine {
                 let seq = e.packet0 + (s - (tbl.base + e.j));
                 deliver_columnar(
                     &mut self.kernel.state.held,
-                    arrivals.rows_mut(),
+                    arrivals.cells_mut(),
                     &mut self.kernel.stats.duplicate_deliveries,
                     remaining,
                     is_receiver,
@@ -913,7 +891,7 @@ impl MegaEngine {
                 continue;
             }
             for e in lst {
-                self.kernel.stats.uploads[e.from as usize] += cnt;
+                self.kernel.stats.uploads[e.from.index()] += cnt;
             }
             self.kernel.stats.total_transmissions += cnt * lst.len() as u64;
         }
@@ -930,10 +908,10 @@ impl MegaEngine {
     /// deliveries of different slots commute. So instead of walking
     /// slots (two random memory accesses per delivery), walk *entries*:
     /// each entry's deliveries form an arithmetic seq progression with
-    /// stride `period` inside one receiver's rows — streaming access.
-    /// The stop slot is computed up front from the still-needed cells
-    /// (each has exactly one covering entry, hence an exact delivery
-    /// slot), which also removes the per-slot stop check.
+    /// stride `period` inside one receiver's row — streaming access,
+    /// receiver by receiver. The stop slot is computed up front from the
+    /// still-needed cells (each has exactly one covering entry, hence an
+    /// exact delivery slot), which also removes the per-slot stop check.
     #[allow(clippy::too_many_arguments)]
     fn steady_analytic(
         &mut self,
@@ -946,7 +924,8 @@ impl MegaEngine {
         blaze_start: u64,
         last_send: u64,
     ) -> SteadyEnd {
-        let track = arrivals.track_packets();
+        let track = arrivals.track_packets() as usize;
+        let cells = arrivals.cells_mut();
         let t0 = tbl.steady_from;
         let p = tbl.period;
 
@@ -955,72 +934,36 @@ impl MegaEngine {
         let mut arr_end = cfg.max_slots;
         let mut will_stop = false;
         if cfg.stop_when_complete && *remaining > 0 {
-            // An entry delivers seq at slot `t(seq) = base + j + L +
-            // (seq − packet0)` provided its send slot `t − L ≥ t0`. Per
-            // still-needed cell, collision-freedom gives at most one
-            // covering entry, so the slot the run completes is the max
-            // of these per-cell delivery slots — exact, no simulation.
-            let mut ents: Vec<(u32, u64, i128, u64)> = tbl
-                .arrs
-                .iter()
-                .flatten()
-                .map(|a| {
-                    let l = a.latency as u64;
-                    (
-                        a.to,
-                        a.packet0 % p,
-                        (tbl.base + a.j + l) as i128 - a.packet0 as i128,
-                        l,
-                    )
-                })
-                .collect();
-            ents.sort_unstable_by_key(|e| e.0);
-            let rows = arrivals.rows_mut();
+            // An entry's pattern sends leave at slots `base + j + k`,
+            // `k ≡ 0 (mod p)`, from `t0` on, and deliver seq `packet0 +
+            // k` at slot `base + j + L + k`: one residue class of the
+            // receiver's row, later seqs later. Collision-freedom makes
+            // the classes of one receiver's entries disjoint, so the run
+            // completes iff the still-needed cells the entries reach
+            // inside the horizon are all `remaining` of them, and then
+            // at the latest of each entry's last needed cell — exact, no
+            // simulation.
             let mut latest = blaze_start;
-            let mut covered = true;
-            let mut lo = 0usize;
-            'nodes: for (to, row) in rows.iter().enumerate() {
-                while lo < ents.len() && (ents[lo].0 as usize) < to {
-                    lo += 1;
-                }
-                let mut hi = lo;
-                while hi < ents.len() && ents[hi].0 as usize == to {
-                    hi += 1;
-                }
-                let group = &ents[lo..hi];
-                lo = hi;
-                if !is_receiver[to] {
-                    continue;
-                }
-                for (seq, &cell) in row.iter().enumerate() {
-                    if cell != NEVER {
-                        continue;
+            let mut covered = 0u64;
+            for e in tbl.by_recv.iter().filter(|e| is_receiver[e.to as usize]) {
+                let first_send = tbl.base + e.j;
+                let k_lo = (t0 - first_send).next_multiple_of(p);
+                let k_end = cfg.max_slots.saturating_sub(first_send + e.latency as u64);
+                let seq_lo = e.packet0.saturating_add(k_lo).min(track as u64) as usize;
+                let seq_end = e.packet0.saturating_add(k_end).min(track as u64) as usize;
+                let row = &cells[e.to as usize * track..][..track];
+                let mut last = None;
+                for seq in (seq_lo..seq_end).step_by(p as usize) {
+                    if row[seq] == NEVER {
+                        covered += 1;
+                        last = Some(seq as u64);
                     }
-                    let seq = seq as u64;
-                    let mut t_seq: Option<i128> = None;
-                    for g in group {
-                        if seq % p != g.1 {
-                            continue;
-                        }
-                        let tt = g.2 + seq as i128;
-                        if tt - g.3 as i128 >= t0 as i128 {
-                            t_seq = Some(t_seq.map_or(tt, |b: i128| b.min(tt)));
-                        }
-                    }
-                    match t_seq {
-                        Some(tt) if tt < cfg.max_slots as i128 => {
-                            latest = latest.max(tt as u64);
-                        }
-                        _ => {
-                            // Some needed cell is never (in-horizon)
-                            // delivered: the run cannot complete.
-                            covered = false;
-                            break 'nodes;
-                        }
-                    }
+                }
+                if let Some(seq) = last {
+                    latest = latest.max(first_send + e.latency as u64 + (seq - e.packet0));
                 }
             }
-            if covered {
+            if covered == *remaining {
                 arr_end = latest + 1;
                 will_stop = true;
             }
@@ -1043,25 +986,28 @@ impl MegaEngine {
 
         let held = &mut self.kernel.state.held;
         let dup = &mut self.kernel.stats.duplicate_deliveries;
-        let rows = arrivals.rows_mut();
-        for e in tbl.arrs.iter().flatten() {
+        for e in &tbl.by_recv {
             let to = e.to as usize;
             let l = e.latency as u64;
-            // First replayed arrival slot ≥ blaze_start; earlier ones
-            // ran in the careful loop, and `blaze_start > t0 +
-            // max_latency` keeps every send slot ≥ t0 automatically.
+            // First replayed arrival slot ≥ blaze_start; earlier ones ran
+            // in the careful loop. Sends before `t0` went through the
+            // ring and are not the table's to replay: `blaze_start − l`
+            // may lie up to a period below `t0` (the entry's last ramp
+            // send reserved `s′ + l − 1`, and the careful loop only waits
+            // for the ring to drain), hence the clamp.
             let rem = (tbl.base + e.j) % p;
-            let s_min = blaze_start - l;
+            let s_min = blaze_start.saturating_sub(l).max(t0);
             let mut s = s_min + (rem + p - s_min % p) % p;
             let s_end = arr_end.saturating_sub(l);
+            let row = &mut cells[to * track..][..track];
             while s < s_end {
                 let seq = e.packet0 + (s - (tbl.base + e.j));
                 if !held.insert(to, seq) {
                     *dup += 1;
-                } else if seq < track {
-                    let cell = &mut rows[to][seq as usize];
+                } else if seq < track as u64 {
+                    let cell = &mut row[seq as usize];
                     if *cell == NEVER {
-                        *cell = s + l;
+                        *cell = cell_of(s + l);
                         if is_receiver[to] {
                             *remaining -= 1;
                         }
@@ -1078,7 +1024,7 @@ impl MegaEngine {
                 continue;
             }
             for e in lst {
-                self.kernel.stats.uploads[e.from as usize] += cnt;
+                self.kernel.stats.uploads[e.from.index()] += cnt;
             }
             self.kernel.stats.total_transmissions += cnt * lst.len() as u64;
         }
@@ -1111,20 +1057,15 @@ impl MegaEngine {
         use std::sync::{Barrier, Mutex};
 
         let MegaEngine {
-            kernel:
-                Kernel {
-                    state,
-                    ring,
-                    stats,
-                    batch,
-                    ..
-                },
+            kernel: Kernel {
+                state, ring, stats, ..
+            },
             steady_slots,
             ..
         } = self;
         let track = arrivals.track_packets();
         let t0 = tbl.steady_from;
-        let ring_live_until = t0 + ring.window;
+        let ring_live_until = ring.live_until(t0);
         let k = ranges.len();
         let pz = tbl.period as usize;
         let shard_of = |id: u32| ranges.partition_point(|&(_, end)| end <= id as usize);
@@ -1133,12 +1074,12 @@ impl MegaEngine {
         // shard runs on that shard's worker; the rest is exchange-phase
         // work. Sends are grouped by the sender's shard (the holding
         // check and upload counter live there).
-        let mut send_local: Vec<Vec<Vec<SendEntry>>> = vec![vec![Vec::new(); pz]; k];
+        let mut send_local: Vec<Vec<Vec<Transmission>>> = vec![vec![Vec::new(); pz]; k];
         let mut arr_local: Vec<Vec<Vec<ArrEntry>>> = vec![vec![Vec::new(); pz]; k];
         let mut arr_cross: Vec<Vec<ArrEntry>> = vec![Vec::new(); pz];
         for (js, slot) in tbl.sends.iter().enumerate() {
             for e in slot {
-                send_local[shard_of(e.from)][js].push(*e);
+                send_local[shard_of(e.from.0)][js].push(*e);
             }
         }
         for (ra, slot) in tbl.arrs.iter().enumerate() {
@@ -1200,7 +1141,7 @@ impl MegaEngine {
             {
                 let mut words = &mut state.held.words[..];
                 let mut spill = &mut state.held.spill[..];
-                let mut rows = arrivals.rows_mut();
+                let mut cells = arrivals.cells_mut();
                 let mut uploads = &mut stats.uploads[..];
                 for &(s0, s1) in ranges {
                     let n = s1 - s0;
@@ -1208,15 +1149,15 @@ impl MegaEngine {
                     words = wr;
                     let (sp, spr) = spill.split_at_mut(n);
                     spill = spr;
-                    let (rw, rwr) = rows.split_at_mut(n);
-                    rows = rwr;
+                    let (ce, cer) = cells.split_at_mut(n * track as usize);
+                    cells = cer;
                     let (up, upr) = uploads.split_at_mut(n);
                     uploads = upr;
                     shard_states.push(Mutex::new(ShardSlices {
                         start: s0,
                         words: w,
                         spill: sp,
-                        rows: rw,
+                        cells: ce,
                         uploads: up,
                     }));
                 }
@@ -1263,9 +1204,9 @@ impl MegaEngine {
                                 );
                             }
                             for e in &send_local[i][js] {
-                                let seq = e.packet0 + delta;
-                                if e.from != 0 {
-                                    let li = e.from as usize - st.start;
+                                let seq = e.packet.seq() + delta;
+                                if !e.from.is_source() {
+                                    let li = e.from.index() - st.start;
                                     let w = seq / 64;
                                     let held = if w < stride as u64 {
                                         st.words[li * stride + w as usize] & (1u64 << (seq % 64))
@@ -1277,7 +1218,7 @@ impl MegaEngine {
                                         anomaly.store(true, Ordering::Relaxed);
                                     }
                                 }
-                                st.uploads[e.from as usize - st.start] += 1;
+                                st.uploads[e.from.index() - st.start] += 1;
                             }
                         }
                         barrier_end.wait();
@@ -1294,27 +1235,23 @@ impl MegaEngine {
                     // Exchange 1: ramp-phase ring leftovers. Applied
                     // before the round so replayed relays see them.
                     let cell_idx = ring.cell_index(t - 1);
-                    if !ring.cells[cell_idx].is_empty() {
-                        std::mem::swap(&mut ring.cells[cell_idx], batch);
-                        for &(to, packet) in batch.iter() {
-                            ring.release(cell_idx, to);
-                            let mut guard =
-                                shard_states[shard_of(to.0)].lock().expect("shard lock");
-                            deliver_shard(
-                                &mut guard,
-                                stride,
-                                track,
-                                t,
-                                to.index(),
-                                packet.seq(),
-                                is_receiver,
-                                &remaining,
-                                &dup,
-                                &slot_deliv,
-                            );
-                        }
-                        batch.clear();
+                    let batch = ring.take(cell_idx);
+                    for &(to, packet) in &batch {
+                        let mut guard = shard_states[shard_of(to.0)].lock().expect("shard lock");
+                        deliver_shard(
+                            &mut guard,
+                            stride,
+                            track,
+                            t,
+                            to.index(),
+                            packet.seq(),
+                            is_receiver,
+                            &remaining,
+                            &dup,
+                            &slot_deliv,
+                        );
                     }
+                    ring.recycle(batch);
 
                     // Exchange 2: cross-shard precompiled traffic — the
                     // super-node backbone between clusters. Same-slot
@@ -1346,7 +1283,7 @@ impl MegaEngine {
                     if t <= ring_live_until
                         && tbl.sends[js]
                             .iter()
-                            .any(|e| ring.reserved(t + e.latency as u64 - 1, NodeId(e.to)))
+                            .any(|e| ring.reserved(t + e.latency as u64 - 1, e.to))
                     {
                         anomaly.store(true, Ordering::Relaxed);
                         break;
@@ -1392,7 +1329,7 @@ impl MegaEngine {
         *remaining_io = remaining.load(Ordering::Relaxed);
         if let Some(js) = undo_js {
             for e in &tbl.sends[js] {
-                stats.uploads[e.from as usize] -= 1;
+                stats.uploads[e.from.index()] -= 1;
             }
         }
         if anomaly.load(Ordering::Relaxed) {
@@ -1644,6 +1581,184 @@ mod tests {
         let got = MegaSimulator::run(&mut Colliding, &cfg).unwrap_err();
         assert!(matches!(got, CoreError::ReceiveCollision { .. }), "{got}");
         assert_eq!(want.to_string(), got.to_string());
+    }
+
+    /// A genuinely period-3 schedule with ramp sends in flight at the
+    /// hand-off. A chain `S → 1 → … → n` streams one packet per slot
+    /// (first hop latency 1, relays latency 5); next to it, every third
+    /// slot, the source bursts three packets to a leaf `n + 1` at
+    /// latencies 5, 6, 7, which land one per slot. `steady_from` is a
+    /// burst slot, so the last ramp burst left three slots earlier and
+    /// its latency-7 entry is the case where `blaze_start − latency`
+    /// undercuts `steady_from`.
+    #[derive(Clone, Copy)]
+    struct Burst {
+        n: u32,
+        /// Relay `n − 1` drops every packet `≡ 2 (mod 3)`: node `n`
+        /// never completes and no table entry covers its gaps.
+        gap: bool,
+        /// A slot-0 send whose arrival at the leaf coincides with the
+        /// latency-6 packet of the burst at `steady_from`.
+        stray: bool,
+    }
+
+    impl Burst {
+        fn warmup(&self) -> u64 {
+            (5 * self.n as u64).next_multiple_of(3)
+        }
+        fn steady_from(&self) -> u64 {
+            self.warmup() + 6
+        }
+    }
+
+    impl Scheme for Burst {
+        fn name(&self) -> String {
+            format!("burst({})", self.n)
+        }
+        fn num_receivers(&self) -> usize {
+            self.n as usize + 1
+        }
+        fn send_capacity(&self, node: NodeId) -> usize {
+            if node.is_source() {
+                5
+            } else {
+                1
+            }
+        }
+        fn availability(&self) -> clustream_core::Availability {
+            clustream_core::Availability::PreRecorded
+        }
+        fn transmissions(&mut self, slot: Slot, _: &dyn StateView, out: &mut Vec<Transmission>) {
+            let t = slot.t();
+            let leaf = NodeId(self.n + 1);
+            if t == 0 && self.stray {
+                let latency = self.steady_from() as u32 + 6;
+                out.push(Transmission::remote(
+                    SOURCE,
+                    leaf,
+                    PacketId(10_000),
+                    latency,
+                ));
+            }
+            out.push(Transmission::local(SOURCE, NodeId(1), PacketId(t)));
+            for i in 1..self.n {
+                let first = 1 + 5 * (i as u64 - 1);
+                let skip = self.gap && i == self.n - 1 && (t - first.min(t)) % 3 == 2;
+                if t >= first && !skip {
+                    out.push(Transmission::remote(
+                        NodeId(i),
+                        NodeId(i + 1),
+                        PacketId(t - first),
+                        5,
+                    ));
+                }
+            }
+            if t.is_multiple_of(3) {
+                for q in 0..3 {
+                    out.push(Transmission::remote(
+                        SOURCE,
+                        leaf,
+                        PacketId(t + q),
+                        5 + q as u32,
+                    ));
+                }
+            }
+        }
+        fn schedule_period(&self) -> Option<SchedulePeriod> {
+            Some(SchedulePeriod {
+                warmup: self.warmup(),
+                period: 3,
+            })
+        }
+    }
+
+    /// Mega at one and at two shards against the fast engine: the same
+    /// result field for field, or the same error. Returns the outcome
+    /// and the steady slots the one-shard run replayed.
+    fn mega_equals_fast(scheme: Burst, cfg: &SimConfig) -> (Result<RunResult, CoreError>, u64) {
+        let want = FastSimulator::run(&mut scheme.clone(), cfg);
+        let mut steady = 0;
+        for shards in [2, 1] {
+            let mut eng = MegaEngine::with_shards(shards);
+            let got = eng.run(&mut scheme.clone(), cfg);
+            match (&want, &got) {
+                (Ok(w), Ok(g)) => {
+                    assert_eq!(diff_fields(w, g), Vec::<&str>::new(), "shards {shards}")
+                }
+                (Err(w), Err(g)) => assert_eq!(w.to_string(), g.to_string(), "shards {shards}"),
+                _ => panic!("shards {shards}: {:?} vs {:?}", want.is_ok(), got.is_ok()),
+            }
+            steady = eng.steady_slots();
+        }
+        (want, steady)
+    }
+
+    #[test]
+    fn period_three_hand_off_with_ramp_sends_in_flight_matches_fast() {
+        let scheme = Burst {
+            n: 4,
+            gap: false,
+            stray: false,
+        };
+        // To completion, and to a fixed horizon.
+        let t0 = scheme.steady_from();
+        for cfg in [
+            SimConfig::until_complete(60, 400),
+            SimConfig {
+                max_slots: t0 + 20,
+                track_packets: 28,
+                ..SimConfig::default()
+            },
+        ] {
+            let (res, steady) = mega_equals_fast(scheme, &cfg);
+            let res = res.unwrap();
+            assert_eq!(res.duplicate_deliveries, 0);
+            // Everything from the hand-off on was replayed: the ring's
+            // last reservation, not its window, bounds the careful gear.
+            assert_eq!(
+                steady,
+                res.slots_run - 1 - t0 + u64::from(!cfg.stop_when_complete)
+            );
+        }
+    }
+
+    #[test]
+    fn steady_send_colliding_with_a_ramp_arrival_reproduces_fast_error() {
+        let scheme = Burst {
+            n: 4,
+            gap: false,
+            stray: true,
+        };
+        let (res, _) = mega_equals_fast(scheme, &SimConfig::until_complete(60, 400));
+        let leaf = NodeId(5);
+        assert!(
+            matches!(res, Err(CoreError::ReceiveCollision { node, slot, .. })
+                if node == leaf && slot.t() == scheme.steady_from() + 5),
+            "{res:?}"
+        );
+    }
+
+    #[test]
+    fn stop_calc_answers_cannot_complete() {
+        // The horizon ends before the tracked window does…
+        let whole = Burst {
+            n: 4,
+            gap: false,
+            stray: false,
+        };
+        let short = SimConfig::until_complete(60, whole.steady_from() + 20);
+        let (res, steady) = mega_equals_fast(whole, &short);
+        assert!(matches!(res, Err(CoreError::Hiccup { .. })), "{res:?}");
+        assert_eq!(steady, 20);
+        // …or a needed cell is one no table entry ever delivers.
+        let gappy = Burst { gap: true, ..whole };
+        let (res, steady) = mega_equals_fast(gappy, &SimConfig::until_complete(60, 400));
+        assert!(
+            matches!(res, Err(CoreError::Hiccup { node, packet, .. })
+                if node == NodeId(4) && packet == PacketId(2)),
+            "{res:?}"
+        );
+        assert_eq!(steady, 400 - gappy.steady_from());
     }
 
     #[test]

@@ -25,11 +25,42 @@ use serde::{Deserialize, Serialize};
 pub struct ArrivalTable {
     n_ids: usize,
     track_packets: u64,
-    /// `slots[node][packet]`, `u64::MAX` = never arrived.
-    slots: Vec<Vec<u64>>,
+    /// One allocation, `cells[node · track_packets + packet]`, holding
+    /// `usable slot + 1` so that a zeroed cell — what a fresh allocation
+    /// is, at no up-front cost — means "never arrived" ([`NEVER`]).
+    cells: Vec<u64>,
 }
 
-pub(crate) const NEVER: u64 = u64::MAX;
+/// The cell value of a packet that never arrived.
+pub(crate) const NEVER: u64 = 0;
+
+/// The cell value recording `usable` as a first arrival. Slot
+/// `u64::MAX` has no encoding and reads back as "never arrived".
+#[inline]
+pub(crate) fn cell_of(usable: u64) -> u64 {
+    usable.wrapping_add(1)
+}
+
+/// Buffers [`ArrivalTable::playback`] works in; one instance serves any
+/// number of rows, so a per-receiver loop allocates once.
+#[derive(Default)]
+pub(crate) struct PlaybackScratch {
+    /// Dense arm: arrivals per receive slot over the row's slot span.
+    counts: Vec<usize>,
+    /// Sparse arm: the row's receive slots, sorted.
+    recv: Vec<u64>,
+    /// Rows with gaps: `below[k]` = arrived packets with index `< k`.
+    below: Vec<usize>,
+}
+
+/// What one row says about playback, missing packets tolerated.
+struct RowPlayback {
+    /// `a = max_j (usable(j) − j)` over the packets that arrived.
+    delay: u64,
+    max_buffer: usize,
+    missing: usize,
+    first_missing: Option<usize>,
+}
 
 impl ArrivalTable {
     /// An empty table covering `n_ids` node ids and `track_packets` packets.
@@ -37,7 +68,7 @@ impl ArrivalTable {
         ArrivalTable {
             n_ids,
             track_packets,
-            slots: vec![vec![NEVER; track_packets as usize]; n_ids],
+            cells: vec![NEVER; n_ids * track_packets as usize],
         }
     }
 
@@ -57,30 +88,44 @@ impl ArrivalTable {
         if packet.seq() >= self.track_packets {
             return;
         }
-        let cell = &mut self.slots[node.index()][packet.seq() as usize];
+        let track = self.track_packets as usize;
+        let cell = &mut self.cells[node.index() * track + packet.seq() as usize];
         if *cell == NEVER {
-            *cell = usable_from.t();
+            *cell = cell_of(usable_from.t());
         }
     }
 
-    /// Mutable borrow of every per-node arrival row, `u64::MAX` meaning
-    /// "never arrived". The mega engine's columnar steady-state path
-    /// writes first arrivals directly into range-sharded row slices,
-    /// bypassing the per-call logic of [`ArrivalTable::record`]; writers
-    /// must preserve the first-wins rule themselves.
-    pub(crate) fn rows_mut(&mut self) -> &mut [Vec<u64>] {
-        &mut self.slots
+    /// The whole table as one slice, node `i`'s row at
+    /// `[i · track_packets, (i + 1) · track_packets)`, cells as
+    /// [`cell_of`] writes them. The mega engine's steady-state gears
+    /// write first arrivals straight into it (and into `split_at_mut`
+    /// windows of it), bypassing the per-call logic of
+    /// [`ArrivalTable::record`]; writers must preserve the first-wins
+    /// rule themselves.
+    pub(crate) fn cells_mut(&mut self) -> &mut [u64] {
+        &mut self.cells
     }
 
-    /// First slot `packet` is usable at `node`, if it ever arrived.
+    /// `node`'s cells.
+    fn row(&self, node: NodeId) -> &[u64] {
+        let track = self.track_packets as usize;
+        &self.cells[node.index() * track..(node.index() + 1) * track]
+    }
+
+    /// First slot `packet` is usable at `node`, if it ever arrived;
+    /// `None` too for a packet or a node the table does not cover —
+    /// what [`ArrivalTable::record`] ignores was never recorded.
     pub fn usable_slot(&self, node: NodeId, packet: PacketId) -> Option<Slot> {
-        let v = self.slots[node.index()][packet.seq() as usize];
-        (v != NEVER).then_some(Slot(v))
+        if node.index() >= self.n_ids || packet.seq() >= self.track_packets {
+            return None;
+        }
+        let v = self.row(node)[packet.seq() as usize];
+        (v != NEVER).then(|| Slot(v - 1))
     }
 
     /// Whether every tracked packet reached `node`.
     pub fn complete_for(&self, node: NodeId) -> bool {
-        self.slots[node.index()].iter().all(|&s| s != NEVER)
+        self.row(node).iter().all(|&s| s != NEVER)
     }
 
     /// Analyse playback for `node` over the tracked window.
@@ -88,61 +133,28 @@ impl ArrivalTable {
     /// Errors with [`CoreError::Hiccup`] if some tracked packet never
     /// arrived (no finite playback start exists within the horizon).
     pub fn analyze(&self, node: NodeId) -> Result<PlaybackAnalysis, CoreError> {
-        let row = &self.slots[node.index()];
-        if row.is_empty() {
-            return Ok(PlaybackAnalysis {
-                node,
-                playback_delay: 0,
-                max_buffer: 0,
-            });
-        }
-        // a(i) = max_j (usable(j) − j)
-        let mut a: u64 = 0;
-        for (j, &s) in row.iter().enumerate() {
-            if s == NEVER {
-                return Err(CoreError::Hiccup {
-                    node,
-                    packet: PacketId(j as u64),
-                    playback_slot: Slot(NEVER),
-                });
-            }
-            a = a.max(s.saturating_sub(j as u64));
-        }
+        self.analyze_with(node, &mut PlaybackScratch::default())
+    }
 
-        // Buffer high-water mark with playback start a. A packet occupies
-        // the buffer from the slot it is *received* (usable slot − 1) until
-        // it is played; the peak is measured after the slot's reception and
-        // before its playback, matching the paper's §2.3 example where node
-        // 1 receives packets 0, 1, 2 in slots 0, 2, 1 and needs a buffer of
-        // 3. Occupancy before playing in slot t:
-        //   B(t) = #{j : recv(j) ≤ t} − #{j : played strictly before t}
-        //        = #{j : usable(j) ≤ t + 1} − max(0, t − a).
-        // The schedules are periodic, so the maximum is attained inside the
-        // tracked window.
-        let mut by_recv: Vec<u64> = row.iter().map(|&u| u.saturating_sub(1)).collect();
-        by_recv.sort_unstable();
-        let last = *by_recv.last().expect("row nonempty");
-        let mut arrived = 0usize;
-        let mut idx = 0usize;
-        let mut max_buf = 0usize;
-        for t in 0..=last {
-            while idx < by_recv.len() && by_recv[idx] <= t {
-                arrived += 1;
-                idx += 1;
-            }
-            // Packets played strictly before slot t: packets 0..(t − a).
-            let played = if t > a {
-                ((t - a).min(self.track_packets)) as usize
-            } else {
-                0
-            };
-            max_buf = max_buf.max(arrived - played.min(arrived));
+    /// [`ArrivalTable::analyze`] working in the caller's scratch buffers.
+    pub(crate) fn analyze_with(
+        &self,
+        node: NodeId,
+        scratch: &mut PlaybackScratch,
+    ) -> Result<PlaybackAnalysis, CoreError> {
+        let pb = self.playback(node, scratch);
+        match pb.first_missing {
+            Some(j) => Err(CoreError::Hiccup {
+                node,
+                packet: PacketId(j as u64),
+                playback_slot: Slot(u64::MAX),
+            }),
+            None => Ok(PlaybackAnalysis {
+                node,
+                playback_delay: pb.delay,
+                max_buffer: pb.max_buffer,
+            }),
         }
-        Ok(PlaybackAnalysis {
-            node,
-            playback_delay: a,
-            max_buffer: max_buf,
-        })
     }
 
     /// Playback analysis tolerating missing packets (fault-injection
@@ -156,58 +168,120 @@ impl ArrivalTable {
     /// packets that actually arrived. On a loss-free table it therefore
     /// equals `analyze(..).max_buffer` exactly.
     pub fn analyze_lossy(&self, node: NodeId) -> crate::faults::LossyPlayback {
-        let row = &self.slots[node.index()];
-        let mut a = 0u64;
-        let mut missing = 0usize;
-        for (j, &s) in row.iter().enumerate() {
-            if s == NEVER {
-                missing += 1;
-            } else {
-                a = a.max(s.saturating_sub(j as u64));
-            }
-        }
+        self.analyze_lossy_with(node, &mut PlaybackScratch::default())
+    }
 
-        // Occupancy before playing in slot t, over arrived packets only:
-        //   B(t) = #{arrived j : recv(j) ≤ t} − #{arrived j : j < t − a}.
-        // arrived_below[k] = #{arrived j : j < k} turns the second term
-        // into a lookup; the first term sweeps sorted receive slots as in
-        // `analyze`.
-        let mut arrived_below = Vec::with_capacity(row.len() + 1);
-        arrived_below.push(0usize);
-        for &s in row.iter() {
-            arrived_below.push(arrived_below.last().unwrap() + usize::from(s != NEVER));
-        }
-        let mut by_recv: Vec<u64> = row
-            .iter()
-            .filter(|&&s| s != NEVER)
-            .map(|&u| u.saturating_sub(1))
-            .collect();
-        by_recv.sort_unstable();
-        let mut max_buf = 0usize;
-        if let Some(&last) = by_recv.last() {
-            let mut arrived = 0usize;
-            let mut idx = 0usize;
-            for t in 0..=last {
-                while idx < by_recv.len() && by_recv[idx] <= t {
-                    arrived += 1;
-                    idx += 1;
-                }
-                let played_through = if t > a {
-                    ((t - a).min(self.track_packets)) as usize
-                } else {
-                    0
-                };
-                let played = arrived_below[played_through.min(row.len())];
-                max_buf = max_buf.max(arrived - played.min(arrived));
-            }
-        }
-
+    /// [`ArrivalTable::analyze_lossy`] working in the caller's scratch
+    /// buffers.
+    pub(crate) fn analyze_lossy_with(
+        &self,
+        node: NodeId,
+        scratch: &mut PlaybackScratch,
+    ) -> crate::faults::LossyPlayback {
+        let pb = self.playback(node, scratch);
         crate::faults::LossyPlayback {
             node,
-            missing,
-            playback_delay: a,
-            max_buffer: max_buf,
+            missing: pb.missing,
+            playback_delay: pb.delay,
+            max_buffer: pb.max_buffer,
         }
+    }
+
+    /// Delay and buffer high-water mark of `node`'s row.
+    ///
+    /// With playback starting at `a`, a packet occupies the buffer from
+    /// the slot it is *received* (usable slot − 1) until it is played;
+    /// the peak is measured after the slot's reception and before its
+    /// playback, matching the paper's §2.3 example where node 1 receives
+    /// packets 0, 1, 2 in slots 0, 2, 1 and needs a buffer of 3.
+    /// Occupancy before playing in slot `t`, over arrived packets only:
+    ///
+    /// ```text
+    /// B(t) = #{j : recv(j) ≤ t} − #{j : j < t − a}
+    /// ```
+    ///
+    /// Between two receive slots the first term stands still and the
+    /// second only grows, so the maximum sits on a receive slot: the
+    /// cost is per packet, whatever the horizon. `#{j : recv(j) ≤ t}` is
+    /// the rank of `t` among the receive slots — counted into an array
+    /// over the row's receive-slot span when that span is of the order
+    /// of the row (every periodic schedule's is), sorted otherwise (a
+    /// repaired or heavy-tailed straggler far from the rest).
+    fn playback(&self, node: NodeId, scratch: &mut PlaybackScratch) -> RowPlayback {
+        let row = self.row(node);
+        let mut delay = 0u64;
+        let mut missing = 0usize;
+        let mut first_missing = None;
+        let (mut lo, mut hi) = (u64::MAX, 0u64);
+        for (j, &c) in row.iter().enumerate() {
+            if c == NEVER {
+                missing += 1;
+                first_missing.get_or_insert(j);
+                continue;
+            }
+            let usable = c - 1;
+            delay = delay.max(usable.saturating_sub(j as u64));
+            let recv = usable.saturating_sub(1);
+            lo = lo.min(recv);
+            hi = hi.max(recv);
+        }
+        let mut pb = RowPlayback {
+            delay,
+            max_buffer: 0,
+            missing,
+            first_missing,
+        };
+        if missing == row.len() {
+            return pb;
+        }
+
+        // Arrived packets played strictly before slot t: those with
+        // index below min(t − a, track) — that index itself on a row
+        // without gaps, for which `below` stays empty.
+        let below = &mut scratch.below;
+        below.clear();
+        if missing > 0 {
+            below.push(0);
+            for &c in row {
+                below.push(below[below.len() - 1] + usize::from(c != NEVER));
+            }
+        }
+        let played = |t: u64| {
+            let through = t.saturating_sub(delay).min(row.len() as u64) as usize;
+            below.get(through).copied().unwrap_or(through)
+        };
+        let recv_of = |c: u64| (c - 1).saturating_sub(1);
+
+        let span = hi - lo;
+        if span <= 4 * row.len() as u64 {
+            let counts = &mut scratch.counts;
+            counts.clear();
+            counts.resize(span as usize + 1, 0);
+            for &c in row.iter().filter(|&&c| c != NEVER) {
+                counts[(recv_of(c) - lo) as usize] += 1;
+            }
+            let mut arrived = 0usize;
+            for (i, &n) in counts.iter().enumerate() {
+                if n > 0 {
+                    arrived += n;
+                    pb.max_buffer = pb
+                        .max_buffer
+                        .max(arrived.saturating_sub(played(lo + i as u64)));
+                }
+            }
+        } else {
+            let recv = &mut scratch.recv;
+            recv.clear();
+            recv.extend(row.iter().filter(|&&c| c != NEVER).map(|&c| recv_of(c)));
+            recv.sort_unstable();
+            for (i, &t) in recv.iter().enumerate() {
+                // The last of equal receive slots carries their rank.
+                if recv.get(i + 1) != Some(&t) {
+                    pb.max_buffer = pb.max_buffer.max((i + 1).saturating_sub(played(t)));
+                }
+            }
+        }
+        pb
     }
 
     /// Check that the tail of the window does not move `a(i)`: computes the
@@ -215,7 +289,7 @@ impl ArrivalTable {
     /// whole window, returning `true` when they agree. Used by tests and
     /// benches as evidence the tracked window reached steady state.
     pub fn steady_state_for(&self, node: NodeId) -> bool {
-        let row = &self.slots[node.index()];
+        let row = self.row(node);
         if row.len() < 4 || row.contains(&NEVER) {
             return false;
         }
@@ -223,7 +297,7 @@ impl ArrivalTable {
         let a = |r: &[u64]| {
             r.iter()
                 .enumerate()
-                .map(|(j, &s)| s.saturating_sub(j as u64))
+                .map(|(j, &c)| (c - 1).saturating_sub(j as u64))
                 .max()
                 .unwrap_or(0)
         };
@@ -321,6 +395,34 @@ mod tests {
         t.record(NodeId(0), PacketId(5), Slot(1));
         assert_eq!(t.track_packets(), 2);
         assert!(t.usable_slot(NodeId(0), PacketId(0)).is_none());
+    }
+
+    #[test]
+    fn lookups_outside_the_table_are_none() {
+        // What `record` ignores reads back as "never arrived", not as a
+        // panic: a packet past the tracked window, a node past the ids.
+        let mut t = ArrivalTable::new(2, 2);
+        t.record(NodeId(1), PacketId(7), Slot(3));
+        assert_eq!(t.usable_slot(NodeId(1), PacketId(7)), None);
+        assert_eq!(t.usable_slot(NodeId(1), PacketId(2)), None);
+        assert_eq!(t.usable_slot(NodeId(1), PacketId(u64::MAX)), None);
+        assert_eq!(t.usable_slot(NodeId(2), PacketId(0)), None);
+        assert_eq!(t.usable_slot(NodeId(u32::MAX), PacketId(0)), None);
+    }
+
+    #[test]
+    fn one_late_arrival_costs_a_packet_not_a_horizon() {
+        // A repaired or heavy-tailed straggler near a large horizon: a
+        // sweep over every slot up to it would never return.
+        let t = table_from(&[&[1, 1 << 40]]);
+        let a = t.analyze(NodeId(0)).unwrap();
+        assert_eq!(a.playback_delay, (1 << 40) - 1);
+        assert_eq!(a.max_buffer, 2);
+        let l = t.analyze_lossy(NodeId(0));
+        assert_eq!(
+            (l.missing, l.playback_delay, l.max_buffer),
+            (0, a.playback_delay, a.max_buffer)
+        );
     }
 
     #[test]
