@@ -15,7 +15,9 @@
 #                 (10^3 joins, slot = DES oracle-closed) (the edit loop)
 #   ci.sh scale   quick + the mega-engine scale smoke through the real
 #                 CLI: at N=10^5 fast = mega = sharded line for line and
-#                 the mega report equals its committed golden stdout;
+#                 the mega report equals its committed golden stdout,
+#                 with --metrics-out too, whose JSONL equals the fast
+#                 engine's (spans aside);
 #                 at N=10^6 (this tier only: 2.5 GiB, and 13-47 s on
 #                 this container, most of it first-touching that memory)
 #                 the mega report equals its golden stdout too
@@ -316,20 +318,30 @@ mega_scale_smoke() {
     # the ledger's scale_multitree command line: the sequential and
     # 4-shard mega runs must reproduce the fast engine's report line for
     # line (engine label aside), and the mega report its committed
-    # golden stdout (slots run, transmissions and every QoS line).
+    # golden stdout (slots run, transmissions and every QoS line). Then
+    # the ledger's scale_observed command line: asking for --metrics-out
+    # changes nothing mega prints but the `metrics` line, and what it
+    # records is what the fast engine records (wall-clock spans aside).
     local base=target/ci-scale golden=tests/cli_golden
     cargo run -q --release --offline -p clustream-cli --bin clustream -- \
         simulate --scheme multitree --n 100000 --d 3 --track 256 \
-        --engine fast >"$base-fast.txt"
+        --engine fast --metrics-out "$base-fast.jsonl" >"$base-fast.txt"
     cargo run -q --release --offline -p clustream-cli --bin clustream -- \
         simulate --scheme multitree --n 100000 --d 3 --track 256 \
         --engine mega >"$base-mega.txt"
     cargo run -q --release --offline -p clustream-cli --bin clustream -- \
         simulate --scheme multitree --n 100000 --d 3 --track 256 \
         --engine mega --shards 4 >"$base-mega-sharded.txt"
-    diff <(grep -v engine "$base-fast.txt") <(grep -v engine "$base-mega.txt")
+    cargo run -q --release --offline -p clustream-cli --bin clustream -- \
+        simulate --scheme multitree --n 100000 --d 3 --track 256 \
+        --engine mega --metrics-out "$base-mega.jsonl" >"$base-mega-observed.txt"
+    diff <(grep -v -e engine -e '^metrics' "$base-fast.txt") <(grep -v engine "$base-mega.txt")
     diff <(grep -v engine "$base-mega.txt") <(grep -v engine "$base-mega-sharded.txt")
     diff "$golden/scale_n100000_mega.txt" "$base-mega.txt"
+    diff "$golden/scale_n100000_mega.txt" <(grep -v '^metrics' "$base-mega-observed.txt")
+    diff <(grep -v '"span"' "$base-fast.jsonl") <(grep -v '"span"' "$base-mega.jsonl")
+    cargo run -q --release --offline -p clustream-cli --bin clustream -- \
+        report "$base-mega.jsonl" | grep -x 'deliveries  : 26862784'
     if [ "$TIER" = scale ]; then
         cargo run -q --release --offline -p clustream-cli --bin clustream -- \
             simulate --scheme multitree --n 1000000 --d 3 --track 256 \
@@ -414,7 +426,7 @@ for f in target/ci-timings.json target/ci-metrics.jsonl \
     target/ci-cluster-trace.json target/ci-cluster-chaos-trace.json \
     target/ci-cluster-kill-trace.json target/ci-cluster-chaos-heal-trace.json \
     target/ci-scale-fast.txt target/ci-scale-mega.txt target/ci-scale-mega-sharded.txt \
-    target/ci-scale-mega-1m.txt; do
+    target/ci-scale-mega-observed.txt target/ci-scale-mega.jsonl target/ci-scale-mega-1m.txt; do
     [ -f "$f" ] || continue
     printf '  %-48s %8d bytes\n' "$f" "$(wc -c <"$f")"
 done

@@ -38,8 +38,10 @@ pub struct SimConfig {
     /// Record every validated transmission into [`RunResult::trace`].
     pub record_trace: bool,
     /// Instrumentation sink. Disabled by default; engines must produce
-    /// bit-identical [`RunResult`]s whether or not a recorder is attached
-    /// (enforced by `tests/telemetry.rs`).
+    /// bit-identical [`RunResult`]s whether or not a recorder is attached,
+    /// and must not choose an algorithm by it either — the mega engine
+    /// takes the same gears observed or not, and every slot engine
+    /// records the same series (both enforced by `tests/telemetry.rs`).
     pub telemetry: clustream_telemetry::Telemetry,
 }
 

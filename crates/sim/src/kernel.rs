@@ -37,12 +37,24 @@ use clustream_core::{
     Availability, CoreError, NodeId, NodeQos, PacketId, QosReport, Scheme, Slot, StateView,
     Transmission,
 };
-use clustream_telemetry::names as tm;
+use clustream_telemetry::{names as tm, Telemetry};
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 
 /// Sentinel for "no packet yet" in the dense newest-packet array.
 const NO_PACKET: u64 = u64::MAX;
+
+/// Close one slot's delivery accounting: `n` fresh deliveries became
+/// usable in it. The per-slot series is these two probes and nothing
+/// else, whichever loop or gear counted `n` (zeros included: the
+/// histogram's `count` is the number of slots run). Only the reference
+/// engine spells the pair out itself — it is what `tests/telemetry.rs`
+/// compares this with.
+#[inline]
+pub(crate) fn record_slot_deliveries(tel: &Telemetry, n: u64) {
+    tel.counter(tm::ENGINE_DELIVERIES, n);
+    tel.observe(tm::ENGINE_SLOT_DELIVERIES, n);
+}
 
 /// A growable bitset over packet sequence numbers: the packets one node
 /// holds. Sequence numbers start at zero and grow with the schedule, so
@@ -422,10 +434,7 @@ impl<H: Held> Kernel<H> {
             }
             self.ring.recycle(batch);
         }
-        cfg.telemetry
-            .counter(tm::ENGINE_DELIVERIES, slot_deliveries);
-        cfg.telemetry
-            .observe(tm::ENGINE_SLOT_DELIVERIES, slot_deliveries);
+        record_slot_deliveries(&cfg.telemetry, slot_deliveries);
 
         cfg.stop_when_complete && run.remaining == 0
     }

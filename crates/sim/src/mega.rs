@@ -47,7 +47,7 @@
 //! [`crate::FastEngine`] drives, over the columnar store.
 
 use crate::engine::{RunResult, SimConfig};
-use crate::kernel::{Held, Kernel, PacketSet};
+use crate::kernel::{record_slot_deliveries, Held, Kernel, PacketSet};
 use crate::parallel::ClaimCounter;
 use crate::playback::{cell_of, ArrivalTable, NEVER};
 use clustream_core::{CoreError, NodeId, PacketId, SchedulePeriod, Scheme, Slot, Transmission};
@@ -61,6 +61,11 @@ const COLUMNAR_WORDS_LIMIT: usize = 1 << 25;
 /// Minimum number of steady slots a sharded chunk should cover before
 /// the coordinator pauses the workers to re-layout the columnar state.
 const CHUNK_MIN_SLOTS: u64 = 4096;
+
+/// Slots the analytic gear replays per pass over the table: the size of
+/// its per-slot delivery tally (8 KiB), so a fixed-horizon run's tally
+/// does not grow with the horizon.
+const TALLY_WINDOW: usize = 1024;
 
 /// Struct-of-arrays packet holdings: `stride` words per node in one
 /// flat `Vec<u64>`, plus per-node spill sets for sequence numbers past
@@ -722,7 +727,6 @@ impl MegaEngine {
         trace: &mut Option<crate::trace::EventTrace>,
         slots_run: &mut u64,
     ) -> SteadyEnd {
-        use clustream_telemetry::names as tm;
         let track = arrivals.track_packets();
         let t0 = tbl.steady_from;
         // Past this slot every ramp-phase send has arrived: the ring is
@@ -786,10 +790,7 @@ impl MegaEngine {
                     &mut slot_deliveries,
                 );
             }
-            cfg.telemetry
-                .counter(tm::ENGINE_DELIVERIES, slot_deliveries);
-            cfg.telemetry
-                .observe(tm::ENGINE_SLOT_DELIVERIES, slot_deliveries);
+            record_slot_deliveries(&cfg.telemetry, slot_deliveries);
 
             if cfg.stop_when_complete && *remaining == 0 {
                 stopped = true;
@@ -830,10 +831,11 @@ impl MegaEngine {
         if stopped || t >= cfg.max_slots {
             return SteadyEnd::Done { last_send };
         }
-        if tbl.collision_free && !cfg.telemetry.enabled() {
-            // Collision-free deliveries commute across slots, and with
-            // telemetry off no per-slot observation remains: replay the
-            // pattern entry-outer in streaming order instead.
+        if tbl.collision_free {
+            // Collision-free deliveries commute across slots: replay the
+            // pattern entry-outer in streaming order instead. The gear
+            // tallies the per-slot series itself, so whether a recorder
+            // is attached plays no part in the choice.
             return self.steady_analytic(
                 cfg,
                 tbl,
@@ -846,10 +848,13 @@ impl MegaEngine {
             );
         }
 
-        // Blazing phase: the ring is empty and the holding checks are
-        // statically discharged, so each slot is just its deliveries
-        // plus the stop check — the send loop's only residue is its
-        // counters, accumulated in closed form after the loop.
+        // Blazing phase, slot-outer: the exact gear for a table that is
+        // not collision-free (two entries may deliver the same packet to
+        // one receiver, so which copy is first depends on slot order).
+        // The ring is empty and the holding checks are statically
+        // discharged, so each slot is just its deliveries plus the stop
+        // check — the send loop's only residue is its counters,
+        // accumulated in closed form after the loop.
         let blaze_start = t;
         while t < cfg.max_slots {
             *slots_run = t + 1;
@@ -874,10 +879,7 @@ impl MegaEngine {
                     &mut slot_deliveries,
                 );
             }
-            cfg.telemetry
-                .counter(tm::ENGINE_DELIVERIES, slot_deliveries);
-            cfg.telemetry
-                .observe(tm::ENGINE_SLOT_DELIVERIES, slot_deliveries);
+            record_slot_deliveries(&cfg.telemetry, slot_deliveries);
             if cfg.stop_when_complete && *remaining == 0 {
                 break;
             }
@@ -912,6 +914,10 @@ impl MegaEngine {
     /// receiver by receiver. The stop slot is computed up front from the
     /// still-needed cells (each has exactly one covering entry, hence an
     /// exact delivery slot), which also removes the per-slot stop check.
+    /// The one thing a slot loop observes that entries do not — how many
+    /// deliveries each slot saw — is tallied per usable slot on the way
+    /// and emitted through [`record_slot_deliveries`], so the telemetry
+    /// snapshot is the slot-outer loop's.
     #[allow(clippy::too_many_arguments)]
     fn steady_analytic(
         &mut self,
@@ -984,37 +990,55 @@ impl MegaEngine {
             }
         }
 
+        // Window → entry → stride. Each fresh delivery is tallied under
+        // its usable slot `s + l`, and a window's tally is emitted and
+        // zeroed before the next begins — the per-slot series of the
+        // slot-outer loop (counters add and the histogram is order-free)
+        // from `TALLY_WINDOW` words, whatever the horizon.
         let held = &mut self.kernel.state.held;
         let dup = &mut self.kernel.stats.duplicate_deliveries;
-        for e in &tbl.by_recv {
-            let to = e.to as usize;
-            let l = e.latency as u64;
-            // First replayed arrival slot ≥ blaze_start; earlier ones ran
-            // in the careful loop. Sends before `t0` went through the
-            // ring and are not the table's to replay: `blaze_start − l`
-            // may lie up to a period below `t0` (the entry's last ramp
-            // send reserved `s′ + l − 1`, and the careful loop only waits
-            // for the ring to drain), hence the clamp.
-            let rem = (tbl.base + e.j) % p;
-            let s_min = blaze_start.saturating_sub(l).max(t0);
-            let mut s = s_min + (rem + p - s_min % p) % p;
-            let s_end = arr_end.saturating_sub(l);
-            let row = &mut cells[to * track..][..track];
-            while s < s_end {
-                let seq = e.packet0 + (s - (tbl.base + e.j));
-                if !held.insert(to, seq) {
-                    *dup += 1;
-                } else if seq < track as u64 {
-                    let cell = &mut row[seq as usize];
-                    if *cell == NEVER {
-                        *cell = cell_of(s + l);
-                        if is_receiver[to] {
-                            *remaining -= 1;
+        let mut tally = [0u64; TALLY_WINDOW];
+        let mut w_start = blaze_start;
+        while w_start < arr_end {
+            let w_end = arr_end.min(w_start.saturating_add(TALLY_WINDOW as u64));
+            for e in &tbl.by_recv {
+                let to = e.to as usize;
+                let l = e.latency as u64;
+                // First replayed arrival slot ≥ w_start; earlier ones ran
+                // in the careful loop or an earlier window. Sends before
+                // `t0` went through the ring and are not the table's to
+                // replay: `blaze_start − l` may lie up to a period below
+                // `t0` (the entry's last ramp send reserved `s′ + l − 1`,
+                // and the careful loop only waits for the ring to drain),
+                // hence the clamp.
+                let rem = (tbl.base + e.j) % p;
+                let s_min = w_start.saturating_sub(l).max(t0);
+                let mut s = s_min + (rem + p - s_min % p) % p;
+                let s_end = w_end.saturating_sub(l);
+                let row = &mut cells[to * track..][..track];
+                while s < s_end {
+                    let seq = e.packet0 + (s - (tbl.base + e.j));
+                    if !held.insert(to, seq) {
+                        *dup += 1;
+                    } else {
+                        tally[(s + l - w_start) as usize] += 1;
+                        if seq < track as u64 {
+                            let cell = &mut row[seq as usize];
+                            if *cell == NEVER {
+                                *cell = cell_of(s + l);
+                                if is_receiver[to] {
+                                    *remaining -= 1;
+                                }
+                            }
                         }
                     }
+                    s += p;
                 }
-                s += p;
             }
+            for n in &mut tally[..(w_end - w_start) as usize] {
+                record_slot_deliveries(&cfg.telemetry, std::mem::take(n));
+            }
+            w_start = w_end;
         }
         debug_assert!(!will_stop || *remaining == 0);
 
@@ -1053,7 +1077,6 @@ impl MegaEngine {
         is_receiver: &[bool],
         slots_run: &mut u64,
     ) -> SteadyEnd {
-        use clustream_telemetry::names as tm;
         use std::sync::{Barrier, Mutex};
 
         let MegaEngine {
@@ -1297,8 +1320,7 @@ impl MegaEngine {
                     barrier_end.wait();
 
                     let sd = slot_deliv.swap(0, Ordering::Relaxed);
-                    cfg.telemetry.counter(tm::ENGINE_DELIVERIES, sd);
-                    cfg.telemetry.observe(tm::ENGINE_SLOT_DELIVERIES, sd);
+                    record_slot_deliveries(&cfg.telemetry, sd);
                     if anomaly.load(Ordering::Relaxed) {
                         break;
                     }
@@ -1719,6 +1741,78 @@ mod tests {
                 steady,
                 res.slots_run - 1 - t0 + u64::from(!cfg.stop_when_complete)
             );
+        }
+    }
+
+    /// What a recorder attached to `cfg` holds after `run`, the
+    /// wall-clock span aside.
+    fn snapshot_of(
+        cfg: &SimConfig,
+        run: impl FnOnce(&SimConfig),
+    ) -> clustream_telemetry::MetricsSnapshot {
+        let (rec, tel) = clustream_telemetry::MemoryRecorder::handle();
+        run(&cfg.clone().with_telemetry(tel));
+        let mut snap = rec.snapshot();
+        snap.spans.clear();
+        snap
+    }
+
+    /// The per-slot series does not say which gear counted it: reference
+    /// ≡ fast ≡ mega (one shard: the analytic gear's tally; two: the
+    /// sharded loop) on a period-3, latency-5 table whose hand-off has
+    /// ramp sends in flight (the `s_min` clamp) and on the period-1
+    /// chain — to completion, to a horizon that ends mid-replay, and
+    /// over more steady slots than one tally window holds.
+    #[test]
+    fn every_gear_records_the_slot_loops_series() {
+        use clustream_telemetry::names as tm;
+        const BURST: Burst = Burst {
+            n: 4,
+            gap: false,
+            stray: false,
+        };
+        let t0 = BURST.steady_from();
+        let fixed = |max_slots, track_packets| SimConfig {
+            max_slots,
+            track_packets,
+            ..SimConfig::default()
+        };
+        let long = 2 * TALLY_WINDOW as u64 + 500;
+        type Build = fn() -> Box<dyn Scheme>;
+        let burst: Build = || Box::new(BURST);
+        let cases: [(Build, SimConfig); 7] = [
+            (burst, SimConfig::until_complete(60, 400)),
+            (burst, fixed(t0 + 20, 28)),
+            (burst, SimConfig::until_complete(long, 2 * long)),
+            (burst, fixed(t0 + long, 28)),
+            (
+                || Box::new(Chain { n: 6 }),
+                SimConfig::until_complete(40, 500),
+            ),
+            (|| Box::new(Chain { n: 7 }), fixed(60, 50)),
+            (|| Box::new(Chain { n: 3 }), fixed(long, 8)),
+        ];
+        for (scheme, cfg) in &cases {
+            let want = snapshot_of(cfg, |c| {
+                crate::Simulator::run(scheme().as_mut(), c).unwrap();
+            });
+            let fast = snapshot_of(cfg, |c| {
+                FastSimulator::run(scheme().as_mut(), c).unwrap();
+            });
+            assert_eq!(want, fast, "reference vs fast, {cfg:?}");
+            for shards in [1, 2] {
+                let mut steady = 0;
+                let got = snapshot_of(cfg, |c| {
+                    let mut eng = MegaEngine::with_shards(shards);
+                    eng.run(scheme().as_mut(), c).unwrap();
+                    steady = eng.steady_slots();
+                });
+                assert!(steady > 0, "{cfg:?}: the steady table never ran");
+                assert_eq!(want, got, "reference vs mega × {shards}, {cfg:?}");
+            }
+            let h = &want.histograms[tm::ENGINE_SLOT_DELIVERIES];
+            assert_eq!(h.count, want.counter(tm::ENGINE_SLOTS), "one sample a slot");
+            assert_eq!(h.sum, want.counter(tm::ENGINE_DELIVERIES));
         }
     }
 

@@ -111,8 +111,11 @@ pub fn to_jsonl(snapshot: &MetricsSnapshot) -> String {
 /// Parse a JSONL metrics file back into a snapshot.
 ///
 /// Blank lines and lines with an unrecognized `kind` are skipped;
-/// malformed JSON or a known kind with missing fields is an error naming
-/// the offending line number.
+/// malformed JSON, a known kind with missing fields or a histogram whose
+/// fields contradict each other is an error naming the offending line
+/// number. A name may repeat (two exports concatenated): counters add,
+/// histograms and spans merge — all saturating — and the last gauge
+/// wins.
 pub fn from_jsonl(text: &str) -> Result<MetricsSnapshot, String> {
     let mut snap = MetricsSnapshot::default();
     for (lineno, line) in text.lines().enumerate() {
@@ -129,7 +132,8 @@ pub fn from_jsonl(text: &str) -> Result<MetricsSnapshot, String> {
         match kind.as_str() {
             "counter" => {
                 let l = CounterLine::from_value(&raw.0).map_err(|e| at(&e))?;
-                *snap.counters.entry(l.name).or_insert(0) += l.value;
+                let c = snap.counters.entry(l.name).or_insert(0);
+                *c = c.saturating_add(l.value);
             }
             "gauge" => {
                 let l = GaugeLine::from_value(&raw.0).map_err(|e| at(&e))?;
@@ -137,31 +141,27 @@ pub fn from_jsonl(text: &str) -> Result<MetricsSnapshot, String> {
             }
             "histogram" => {
                 let l = HistogramLine::from_value(&raw.0).map_err(|e| at(&e))?;
+                let h = HistogramSnapshot {
+                    count: l.count,
+                    sum: l.sum,
+                    min: l.min,
+                    max: l.max,
+                    buckets: l.buckets,
+                };
+                h.check_coherent().map_err(|e| at(&e))?;
                 // Duplicate lines (concatenated per-worker exports) merge
                 // like counters do, keeping the exact min/max rather than
                 // letting the last line win.
-                snap.histograms
-                    .entry(l.name)
-                    .or_default()
-                    .merge(&HistogramSnapshot {
-                        count: l.count,
-                        sum: l.sum,
-                        min: l.min,
-                        max: l.max,
-                        buckets: l.buckets,
-                    });
+                snap.histograms.entry(l.name).or_default().merge(&h);
             }
             "span" => {
                 let l = SpanLine::from_value(&raw.0).map_err(|e| at(&e))?;
-                snap.spans.insert(
-                    l.name,
-                    SpanStats {
-                        count: l.count,
-                        total_ns: l.total_ns,
-                        min_ns: l.min_ns,
-                        max_ns: l.max_ns,
-                    },
-                );
+                snap.spans.entry(l.name).or_default().merge(&SpanStats {
+                    count: l.count,
+                    total_ns: l.total_ns,
+                    min_ns: l.min_ns,
+                    max_ns: l.max_ns,
+                });
             }
             _ => {} // forward compatibility: ignore unknown kinds
         }
@@ -254,5 +254,89 @@ mod tests {
         assert_eq!(h.min, 4);
         assert_eq!(h.max, 33, "exact max, not the bucket edge 35 or B's 9");
         assert_eq!(h.buckets, vec![(4, 5, 1), (9, 10, 1), (32, 36, 1)]);
+    }
+
+    #[test]
+    fn repeated_lines_saturate_instead_of_overflowing() {
+        // `value: u64::MAX` then `5` used to panic in a debug build and
+        // wrap to 4 in a release one.
+        let counter = |v: u64| format!("{{\"kind\":\"counter\",\"name\":\"c\",\"value\":{v}}}\n");
+        let text = format!("{}{}", counter(u64::MAX), counter(5));
+        assert_eq!(from_jsonl(&text).unwrap().counter("c"), u64::MAX);
+
+        let hist = |count: u64| {
+            format!(
+                "{{\"kind\":\"histogram\",\"name\":\"h\",\"count\":{count},\"sum\":{count},\
+                 \"min\":1,\"max\":1,\"buckets\":[[1,2,{count}]]}}\n"
+            )
+        };
+        let text = format!("{}{}", hist(u64::MAX), hist(5));
+        let snap = from_jsonl(&text).unwrap();
+        let h = &snap.histograms["h"];
+        assert_eq!((h.count, h.sum), (u64::MAX, u64::MAX));
+        assert_eq!(h.buckets, vec![(1, 2, u64::MAX)]);
+        // And the rebuilt histogram answers queries without overflowing.
+        assert_eq!(snap.histogram("h").unwrap().quantile(0.5), 1);
+
+        let span = |n: u64| {
+            format!(
+                "{{\"kind\":\"span\",\"name\":\"s\",\"count\":{n},\"total_ns\":{n},\
+                 \"min_ns\":1,\"max_ns\":1}}\n"
+            )
+        };
+        let text = format!("{}{}", span(u64::MAX), span(5));
+        let s = from_jsonl(&text).unwrap().spans["s"];
+        assert_eq!((s.count, s.total_ns), (u64::MAX, u64::MAX));
+    }
+
+    #[test]
+    fn repeated_span_lines_merge() {
+        // Two exports of one 1-count span each used to report `1 ×`: the
+        // last line overwrote the first while counters added up.
+        let (rec_a, tel_a) = MemoryRecorder::handle();
+        tel_a.span_ns("run", 700);
+        let (rec_b, tel_b) = MemoryRecorder::handle();
+        tel_b.span_ns("run", 200);
+        tel_b.span_ns("run", 900);
+        let text = format!(
+            "{}{}",
+            to_jsonl(&rec_a.snapshot()),
+            to_jsonl(&rec_b.snapshot())
+        );
+        let s = from_jsonl(&text).unwrap().spans["run"];
+        assert_eq!(
+            (s.count, s.total_ns, s.min_ns, s.max_ns),
+            (3, 1_800, 200, 900)
+        );
+    }
+
+    #[test]
+    fn incoherent_histogram_lines_are_rejected_with_their_line_number() {
+        let line = |min: u64, max: u64, count: u64, buckets: &str| {
+            format!(
+                "{{\"kind\":\"histogram\",\"name\":\"h\",\"count\":{count},\"sum\":9,\
+                 \"min\":{min},\"max\":{max},\"buckets\":{buckets}}}\n"
+            )
+        };
+        let good = line(2, 5, 3, "[[2,3,1],[5,6,2]]");
+        assert!(from_jsonl(&good).is_ok());
+        for (bad, why) in [
+            (line(6, 5, 3, "[[2,3,1],[5,6,2]]"), "min 6 > max 5"),
+            (line(2, 5, 3, "[[3,3,1],[5,6,2]]"), "bucket [3, 3) is empty"),
+            (line(2, 5, 3, "[[4,3,1],[5,6,2]]"), "bucket [4, 3) is empty"),
+            // `receivers : 2` above a distribution of 7.
+            (
+                line(2, 5, 2, "[[2,3,4],[5,6,3]]"),
+                "sum to 7, not to count 2",
+            ),
+            (
+                line(2, 5, 3, "[[2,3,18446744073709551615],[5,6,4]]"),
+                "sum to more than u64::MAX",
+            ),
+        ] {
+            let err = from_jsonl(&format!("{good}{bad}")).unwrap_err();
+            assert!(err.starts_with("line 2: "), "{err}");
+            assert!(err.contains(why), "{err} (wanted {why:?})");
+        }
     }
 }

@@ -125,9 +125,9 @@ impl Histogram {
             return 0;
         }
         let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0;
+        let mut seen = 0u64;
         for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
+            seen = seen.saturating_add(c);
             if seen >= rank {
                 return (bucket_hi(i) - 1).min(self.max);
             }
@@ -146,8 +146,9 @@ impl Histogram {
     }
 
     /// Rebuild a histogram from an exported snapshot. Per-bucket counts
-    /// are restored exactly; `min`/`max`/`sum` come from the snapshot's
-    /// exact fields.
+    /// are restored exactly (saturating where an imported snapshot puts
+    /// more than `u64::MAX` into one bucket); `min`/`max`/`sum` come from
+    /// the snapshot's exact fields.
     pub fn from_snapshot(s: &HistogramSnapshot) -> Histogram {
         let mut h = Histogram::new();
         for &(lo, _, c) in &s.buckets {
@@ -155,7 +156,7 @@ impl Histogram {
             if idx >= h.buckets.len() {
                 h.buckets.resize(idx + 1, 0);
             }
-            h.buckets[idx] += c;
+            h.buckets[idx] = h.buckets[idx].saturating_add(c);
         }
         h.count = s.count;
         h.sum = s.sum;
@@ -193,11 +194,38 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
+    /// Whether the fields can describe one set of observations: `min ≤
+    /// max`, every bucket a non-empty range, and the bucket counts
+    /// adding up to `count`. What [`Histogram::snapshot`] exports always
+    /// is; an imported line has to be checked. `Err` names the first
+    /// broken rule.
+    pub fn check_coherent(&self) -> Result<(), String> {
+        if self.min > self.max {
+            return Err(format!("histogram min {} > max {}", self.min, self.max));
+        }
+        let mut total = Some(0u64);
+        for &(lo, hi, c) in &self.buckets {
+            if lo >= hi {
+                return Err(format!("histogram bucket [{lo}, {hi}) is empty"));
+            }
+            total = total.and_then(|t| t.checked_add(c));
+        }
+        if total != Some(self.count) {
+            return Err(format!(
+                "histogram bucket counts sum to {}, not to count {}",
+                total.map_or("more than u64::MAX".to_string(), |t| t.to_string()),
+                self.count
+            ));
+        }
+        Ok(())
+    }
+
     /// Merge `other` into `self`, as if every observation behind both
     /// snapshots had been recorded into one histogram: counts and sums
-    /// add, `min`/`max` stay the **exact** extremes (never re-derived
-    /// from bucket boundaries, which would round a max like 33 up to its
-    /// octave bucket edge), and buckets with equal boundaries combine.
+    /// add (saturating — snapshots come from files), `min`/`max` stay the
+    /// **exact** extremes (never re-derived from bucket boundaries, which
+    /// would round a max like 33 up to its octave bucket edge), and
+    /// buckets with equal boundaries combine.
     pub fn merge(&mut self, other: &HistogramSnapshot) {
         if other.count == 0 {
             return;
@@ -208,11 +236,11 @@ impl HistogramSnapshot {
         }
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
-        self.count += other.count;
+        self.count = self.count.saturating_add(other.count);
         self.sum = self.sum.saturating_add(other.sum);
         for &(lo, hi, c) in &other.buckets {
             match self.buckets.iter_mut().find(|b| b.0 == lo && b.1 == hi) {
-                Some(b) => b.2 += c,
+                Some(b) => b.2 = b.2.saturating_add(c),
                 None => self.buckets.push((lo, hi, c)),
             }
         }

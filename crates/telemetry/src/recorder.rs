@@ -156,6 +156,23 @@ impl SpanStats {
         self.count += 1;
         self.total_ns = self.total_ns.saturating_add(elapsed_ns);
     }
+
+    /// Merge `other` into `self`, as if every span behind both had been
+    /// recorded under one name: counts and totals add (saturating),
+    /// `min_ns`/`max_ns` fold.
+    pub fn merge(&mut self, other: &SpanStats) {
+        if other.count == 0 {
+            return;
+        }
+        if self.count == 0 {
+            *self = *other;
+            return;
+        }
+        self.min_ns = self.min_ns.min(other.min_ns);
+        self.max_ns = self.max_ns.max(other.max_ns);
+        self.count = self.count.saturating_add(other.count);
+        self.total_ns = self.total_ns.saturating_add(other.total_ns);
+    }
 }
 
 /// Everything a recorder accumulated, keyed by metric name. `BTreeMap`s

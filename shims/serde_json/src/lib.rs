@@ -53,6 +53,7 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -171,9 +172,15 @@ fn emit_str(s: &str, out: &mut String) {
 
 // --------------------------------------------------------------- parser
 
+/// Deepest array/object nesting the parser follows (the real crate's
+/// limit): the parser recurses per level, so an input of a million `[`
+/// must be an error, not a stack overflow.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -221,8 +228,8 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true").map(|_| Value::Bool(true)),
             Some(b'f') => self.literal("false").map(|_| Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             other => Err(Error::new(format!(
                 "unexpected {:?} at byte {}",
@@ -230,6 +237,19 @@ impl<'a> Parser<'a> {
                 self.pos
             ))),
         }
+    }
+
+    fn nested(&mut self, container: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::new(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, Error> {
@@ -437,6 +457,15 @@ mod tests {
             from_str::<Vec<u64>>(" [ 1 , 2 , 3 ] ").unwrap(),
             vec![1, 2, 3]
         );
+    }
+
+    #[test]
+    fn runaway_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(1_000_000);
+        let err = from_str::<Vec<u64>>(&deep).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper than 128"), "{err}");
+        let ok = format!("{}1{}", "[".repeat(3), "]".repeat(3));
+        assert_eq!(from_str::<Vec<Vec<Vec<u64>>>>(&ok).unwrap(), [[[1]]]);
     }
 
     #[test]

@@ -62,6 +62,13 @@ fn script_parses_and_defines_both_tiers() {
         "--engine mega --shards 4",
         "diff \"$golden/scale_n100000_mega.txt\" \"$base-mega.txt\"",
         "diff \"$golden/scale_n1000000_mega.txt\" \"$base-mega-1m.txt\"",
+        // …and the observed run: --metrics-out moves no line of mega's
+        // stdout, records what the fast engine records, and `report`
+        // reads the delivery total back.
+        "--engine mega --metrics-out \"$base-mega.jsonl\" >\"$base-mega-observed.txt\"",
+        "diff \"$golden/scale_n100000_mega.txt\" <(grep -v '^metrics' \"$base-mega-observed.txt\")",
+        "diff <(grep -v '\"span\"' \"$base-fast.jsonl\") <(grep -v '\"span\"' \"$base-mega.jsonl\")",
+        "grep -x 'deliveries  : 26862784'",
         "CI_STAGE_BUDGET_SECS",
         "target/ci-timings.json",
         // The model-checker stages: corpus replay guards every tier's

@@ -1,13 +1,18 @@
 //! Zero-cost-off oracle for the telemetry layer: attaching a recorder
 //! must never perturb a simulation. For every scheme family and every
-//! engine (reference slot simulator, fast slot engine, slot-faithful
-//! DES on both the heap and timing-wheel event queues) the
+//! engine (reference slot simulator, fast and mega slot engines,
+//! slot-faithful DES on both the heap and timing-wheel event queues) the
 //! [`RunResult`] of an instrumented run is compared **field for field**
 //! against the bare run, and the recorder is checked to have actually
 //! observed the run (so the equivalence is not vacuous).
+//!
+//! And the other direction: what the recorder saw does not depend on
+//! which slot engine ran — the snapshot, wall-clock spans aside, is
+//! equal across reference, fast and mega, whichever gear mega took.
 
 use clustream::prelude::*;
 use clustream::telemetry::names as tm;
+use clustream::telemetry::MetricsSnapshot;
 use proptest::prelude::*;
 
 /// The four scheme families exercised by the oracle.
@@ -41,10 +46,13 @@ fn run_both(
         1 => FastEngine::new()
             .run(scheme_for(family, n, d).as_mut(), cfg)
             .unwrap(),
+        2 => MegaEngine::new()
+            .run(scheme_for(family, n, d).as_mut(), cfg)
+            .unwrap(),
         e => DesEngine::new()
             .run(
                 scheme_for(family, n, d).as_mut(),
-                &DesConfig::slot_faithful(cfg.clone()).with_queue(if e == 2 {
+                &DesConfig::slot_faithful(cfg.clone()).with_queue(if e == 3 {
                     QueueKind::Heap
                 } else {
                     QueueKind::Wheel
@@ -69,7 +77,7 @@ proptest! {
     #[test]
     fn recorder_never_perturbs_a_run(
         family in 0usize..4,
-        engine in 0usize..4,
+        engine in 0usize..5,
         n in 1usize..60,
         d in 1usize..5,
         track in 4u64..32,
@@ -77,6 +85,93 @@ proptest! {
         let (diffs, observed) = run_both(family, n, d, track, engine);
         prop_assert!(diffs.is_empty(), "telemetry perturbed the run: {diffs:?}");
         prop_assert!(observed > 0, "recorder attached but observed nothing");
+    }
+
+    /// One run, one snapshot, whichever slot engine recorded it.
+    #[test]
+    fn every_slot_engine_records_the_same_snapshot(
+        family in 0usize..4,
+        n in 1usize..60,
+        d in 1usize..5,
+        track in 4u64..96,
+        complete in any::<bool>(),
+    ) {
+        let cfg = if complete {
+            SimConfig::until_complete(track, 100_000)
+        } else {
+            // A fixed horizon: somewhere in the ramp, or mid-replay.
+            SimConfig { max_slots: 3 * track, track_packets: track, ..SimConfig::default() }
+        };
+        snapshots_agree(family, n, d, &cfg);
+    }
+}
+
+/// What a recorder attached to `cfg` holds after `run`, minus the
+/// spans (wall-clock time is the one thing engines are meant to differ
+/// in).
+fn snapshot_of(cfg: &SimConfig, run: impl FnOnce(&SimConfig)) -> MetricsSnapshot {
+    let (recorder, tel) = MemoryRecorder::handle();
+    run(&cfg.clone().with_telemetry(tel));
+    let mut snap = recorder.snapshot();
+    assert!(snap.spans.remove(tm::ENGINE_RUN).is_some(), "run not timed");
+    snap
+}
+
+/// Run `family` under `cfg` on reference, fast and mega; the three
+/// snapshots must be equal. Returns the slots mega replayed from its
+/// steady table. A run that errors (a fixed horizon may end before the
+/// tracked window does) must error on all three, and what was recorded
+/// up to there is compared all the same.
+fn snapshots_agree(family: usize, n: usize, d: usize, cfg: &SimConfig) -> u64 {
+    let scheme = || scheme_for(family, n, d);
+    let mut ok = Vec::new();
+    let reference = snapshot_of(cfg, |c| {
+        ok.push(Simulator::run(scheme().as_mut(), c).is_ok())
+    });
+    let fast = snapshot_of(cfg, |c| {
+        ok.push(FastEngine::new().run(scheme().as_mut(), c).is_ok())
+    });
+    let mut steady = 0;
+    let mega = snapshot_of(cfg, |c| {
+        let mut eng = MegaEngine::new();
+        ok.push(eng.run(scheme().as_mut(), c).is_ok());
+        steady = eng.steady_slots();
+    });
+    let what = format!("family {family}, n {n}, d {d}, {cfg:?}");
+    assert!(ok.iter().all(|&o| o == ok[0]), "{what}: {ok:?}");
+    assert!(reference.counter(tm::ENGINE_SLOTS) > 0 || !ok[0], "{what}");
+    assert_eq!(reference, fast, "reference vs fast: {what}");
+    assert_eq!(fast, mega, "fast vs mega: {what}");
+    steady
+}
+
+/// The families that declare a period, at sizes where most of the run
+/// is replayed from the steady table — so it is the analytic gear's
+/// tally, not the kernel's slot loop, that the reference is compared
+/// with: to completion, to a fixed horizon that ends mid-replay, and
+/// over a replay longer than one tally window (1024 slots; 1024 is not
+/// a multiple of the multi-tree's period 3, so a window boundary cuts
+/// through a period).
+#[test]
+fn the_analytic_gear_records_what_the_slot_loop_records() {
+    for (family, n, d) in [(0, 40, 3), (0, 25, 2), (2, 12, 1)] {
+        let fixed = |max_slots, track_packets| SimConfig {
+            max_slots,
+            track_packets,
+            ..SimConfig::default()
+        };
+        for (cfg, at_least) in [
+            (SimConfig::until_complete(64, 100_000), 1),
+            (fixed(150, 64), 1),
+            (SimConfig::until_complete(2_600, 100_000), 2 * 1024),
+            (fixed(2_500, 16), 2 * 1024),
+        ] {
+            let steady = snapshots_agree(family, n, d, &cfg);
+            assert!(
+                steady >= at_least,
+                "family {family}, {cfg:?}: {steady} steady slots"
+            );
+        }
     }
 }
 
