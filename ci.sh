@@ -164,6 +164,18 @@ recovery_smoke() {
         simulate --scheme multitree --n 500 --d 3 --track 128 --runtime des \
         --queue checked --latency jitter --jitter 0.5 --uplink serialized \
         --recovery repair+nack --churn-leave 0.0005 --churn-slots 200 --des-seed 7
+    # The ledger's des_recovery command line itself, at N=2000 (too slow
+    # for tests/cli_golden's debug build): its stdout is the committed
+    # golden, every count of it, and the heap queue prints the same but
+    # for the engine line.
+    local golden=tests/cli_golden/des_recovery_n2000.txt out=target/ci-des-recovery
+    local des_recovery=(simulate --scheme multitree --n 2000 --d 3 --track 128
+        --runtime des --latency jitter --jitter 0.5 --uplink serialized
+        --recovery repair+nack --churn-leave 0.0005 --churn-slots 200 --des-seed 7)
+    target/release/clustream "${des_recovery[@]}" --queue wheel >"$out-wheel.txt"
+    target/release/clustream "${des_recovery[@]}" --queue heap >"$out-heap.txt"
+    diff "$golden" "$out-wheel.txt"
+    diff <(grep -v '^engine' "$golden") <(grep -v '^engine' "$out-heap.txt")
 }
 
 recovery_off_regression() {
@@ -426,7 +438,8 @@ for f in target/ci-timings.json target/ci-metrics.jsonl \
     target/ci-cluster-trace.json target/ci-cluster-chaos-trace.json \
     target/ci-cluster-kill-trace.json target/ci-cluster-chaos-heal-trace.json \
     target/ci-scale-fast.txt target/ci-scale-mega.txt target/ci-scale-mega-sharded.txt \
-    target/ci-scale-mega-observed.txt target/ci-scale-mega.jsonl target/ci-scale-mega-1m.txt; do
+    target/ci-scale-mega-observed.txt target/ci-scale-mega.jsonl target/ci-scale-mega-1m.txt \
+    target/ci-des-recovery-wheel.txt target/ci-des-recovery-heap.txt; do
     [ -f "$f" ] || continue
     printf '  %-48s %8d bytes\n' "$f" "$(wc -c <"$f")"
 done

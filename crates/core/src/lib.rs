@@ -17,13 +17,11 @@
 //!   when deciding what to send;
 //! * [`NodeQos`] / [`QosReport`] — per-node and aggregate quality-of-service
 //!   measurements (playback delay, buffer occupancy, neighbor counts);
-//! * [`CoreError`] — model-constraint violations;
-//! * [`hash`] — the fast hasher behind the runtimes' lookup-only maps.
+//! * [`CoreError`] — model-constraint violations.
 
 #![warn(missing_docs)]
 
 pub mod error;
-pub mod hash;
 pub mod ids;
 pub mod qos;
 pub mod scheme;

@@ -53,22 +53,25 @@
 //!
 //! Determinism rule for the per-event state: anything *iterated* to
 //! produce output is ordered at the point of iteration; state that is
-//! only ever *looked up* may be dense or hashed. Gap status, repair-buffer
-//! membership, link freshness, the taint map and the parked sends are all
-//! lookup-only while events run (dense rows, hashed sets, an arena — see
-//! [`clustream_recovery`] and [`crate::hot`]); the one walk over parked
-//! sends, the end-of-run leftover attribution, sorts by key first. With
-//! recovery randomness drawn from a dedicated seeded stream, recovery
-//! runs are fully deterministic and recovery-off runs are bit-identical
-//! to the fail-silent engine (enforced by `tests/des_differential.rs`;
-//! `tests/des_golden.rs` pins whole runs).
+//! only ever *looked up* may be laid out any way that answers
+//! identically. Gap status, repair-buffer windows, the detector's links
+//! and tallies, the first-cause table and the parked sends are all
+//! lookup-only while events run, and all dense — rows and cells indexed
+//! by node id and packet seq, nothing hashed, no tree descended (see
+//! [`clustream_recovery`] and [`crate::hot`]). The one walk over parked
+//! sends, the end-of-run leftover attribution, reads them in ascending
+//! key order. With recovery randomness drawn from a dedicated seeded
+//! stream, recovery runs are fully deterministic and recovery-off runs
+//! are bit-identical to the fail-silent engine (enforced by
+//! `tests/des_differential.rs`; `tests/des_golden.rs` pins whole runs).
+//! Recovery tables grow with what a run touches, so a recovery-off run
+//! holds nothing of them but two per-node cursors.
 
 use crate::config::{DesConfig, QueueKind};
 use crate::event::{EventKind, EventQueue, HeapQueue, TICKS_PER_SLOT};
-use crate::hot::{ArrivalRing, ParkedSends};
+use crate::hot::{ArrivalRing, FirstCauses, ParkedSends};
 use crate::uplink::{UplinkGate, UplinkModel};
 use crate::wheel::{CheckedQueue, WheelQueue};
-use clustream_core::hash::FxHashMap;
 use clustream_core::{
     Availability, CoreError, MembershipEvent, NodeId, NodeQos, PacketId, QosReport, Scheme, Slot,
     StateView, Transmission, SOURCE,
@@ -164,14 +167,14 @@ fn attribute_propagation(
     tx: &Transmission,
     cause: FaultCause,
     loss_report: &mut LossReport,
-    taint: &mut FxHashMap<(u32, u64), FaultCause>,
+    taint: &mut FirstCauses,
 ) {
     loss_report.propagation_suppressed += 1;
     match cause {
         FaultCause::Loss => loss_report.propagation_from_loss += 1,
         FaultCause::Crash => loss_report.propagation_from_crash += 1,
     }
-    taint.entry((tx.to.0, tx.packet.seq())).or_insert(cause);
+    taint.note(tx.to.0, tx.packet.seq(), cause);
 }
 
 /// Relaxed-mode admission: crash/departure suppression, uplink gating,
@@ -187,7 +190,7 @@ fn admit_relaxed<Q: EventQueue>(
     faults: Option<&FaultPlan>,
     loss_rng: &mut Option<ChaCha8Rng>,
     loss_report: &mut LossReport,
-    taint: &mut FxHashMap<(u32, u64), FaultCause>,
+    taint: &mut FirstCauses,
     uplink: UplinkModel,
     gate: &mut UplinkGate,
     stats: &mut TrafficStats,
@@ -199,18 +202,14 @@ fn admit_relaxed<Q: EventQueue>(
     if let Some(f) = faults {
         if f.crashed(tx.from, slot) {
             loss_report.crash_suppressed += 1;
-            taint
-                .entry((tx.to.0, tx.packet.seq()))
-                .or_insert(FaultCause::Crash);
+            taint.note(tx.to.0, tx.packet.seq(), FaultCause::Crash);
             return;
         }
     }
     // A departed member is fail-silent, like a crash.
     if departed[tx.from.index()] {
         loss_report.crash_suppressed += 1;
-        taint
-            .entry((tx.to.0, tx.packet.seq()))
-            .or_insert(FaultCause::Crash);
+        taint.note(tx.to.0, tx.packet.seq(), FaultCause::Crash);
         return;
     }
     let dispatch = match uplink {
@@ -221,9 +220,7 @@ fn admit_relaxed<Q: EventQueue>(
     if let (Some(f), Some(r)) = (faults, loss_rng.as_mut()) {
         if f.loss_rate > 0.0 && r.gen_bool(f.loss_rate) {
             loss_report.lost_in_flight += 1;
-            taint
-                .entry((tx.to.0, tx.packet.seq()))
-                .or_insert(FaultCause::Loss);
+            taint.note(tx.to.0, tx.packet.seq(), FaultCause::Loss);
             return;
         }
     }
@@ -326,15 +323,17 @@ impl DesEngine {
         let mut released: Vec<Transmission> = Vec::new();
         let mut departed = vec![false; n_ids];
         // First cause that took out each (node, packet) copy; lookup-only
-        // (never iterated), so a hash map keeps determinism.
-        let mut taint: FxHashMap<(u32, u64), FaultCause> = FxHashMap::default();
+        // (never iterated).
+        let mut taint = FirstCauses::default();
 
-        // Recovery layer. All state is allocated unconditionally (cheap)
+        // Recovery layer. All state is created unconditionally — empty
+        // tables that grow only when touched, plus two per-node cursors —
         // but only touched when `rec_on`; recovery-off runs schedule no
         // recovery events and stay bit-identical to the plain engine.
         let rec = cfg.recovery;
         let rec_on = rec.mode.enabled();
-        let mut detector = FailureDetector::new(rec.suspicion_threshold, rec.suspect_timeout_ticks);
+        let mut detector =
+            FailureDetector::new(n_ids, rec.suspicion_threshold, rec.suspect_timeout_ticks);
         let mut nacks = NackManager::new(
             rec.nack_timeout_ticks,
             rec.nack_backoff,
@@ -452,9 +451,7 @@ impl DesEngine {
                     if let Some(f) = &sim.faults {
                         if f.stopped(to, usable - 1) {
                             loss_report.stopped_receives += 1;
-                            taint
-                                .entry((to.0, packet.seq()))
-                                .or_insert(FaultCause::Crash);
+                            taint.note(to.0, packet.seq(), FaultCause::Crash);
                             continue;
                         }
                     }
@@ -798,9 +795,7 @@ impl DesEngine {
                             if let Some(f) = &sim.faults {
                                 if f.crashed(tx.from, t) {
                                     loss_report.crash_suppressed += 1;
-                                    taint
-                                        .entry((tx.to.0, tx.packet.seq()))
-                                        .or_insert(FaultCause::Crash);
+                                    taint.note(tx.to.0, tx.packet.seq(), FaultCause::Crash);
                                     continue;
                                 }
                             }
@@ -817,8 +812,7 @@ impl DesEngine {
                                     // attribute the suppression to whatever
                                     // first took out the sender's copy.
                                     let cause = taint
-                                        .get(&(tx.from.0, tx.packet.seq()))
-                                        .copied()
+                                        .get(tx.from.0, tx.packet.seq())
                                         .unwrap_or(default_cause(f));
                                     attribute_propagation(tx, cause, &mut loss_report, &mut taint);
                                     continue;
@@ -845,9 +839,7 @@ impl DesEngine {
                             if let (Some(f), Some(r)) = (&sim.faults, loss_rng.as_mut()) {
                                 if f.loss_rate > 0.0 && r.gen_bool(f.loss_rate) {
                                     loss_report.lost_in_flight += 1;
-                                    taint
-                                        .entry((tx.to.0, tx.packet.seq()))
-                                        .or_insert(FaultCause::Loss);
+                                    taint.note(tx.to.0, tx.packet.seq(), FaultCause::Loss);
                                     continue;
                                 }
                             }
@@ -920,9 +912,7 @@ impl DesEngine {
                                 // this copy, so the replay loses it in flight
                                 // at the same position in the link's FIFO.
                                 loss_report.lost_in_flight += 1;
-                                taint
-                                    .entry((tx.to.0, tx.packet.seq()))
-                                    .or_insert(FaultCause::Loss);
+                                taint.note(tx.to.0, tx.packet.seq(), FaultCause::Loss);
                                 continue;
                             }
                         },
@@ -969,7 +959,7 @@ impl DesEngine {
                     .chain(head)
                     .next()
                     .expect("a parked chain has a head");
-                let Some(&cause) = taint.get(&(first.from.0, first.packet.seq())) else {
+                let Some(cause) = taint.get(first.from.0, first.packet.seq()) else {
                     return true;
                 };
                 for tx in waiting.chain(head) {

@@ -1,17 +1,17 @@
 //! Hot-path containers for the event loop: the strict-mode arrival
-//! guard ring and the relaxed-mode parked-send arena. (Per-node packet
-//! holdings are [`clustream_sim::PacketSet`], the slot kernel's bitset;
-//! the point-lookup maps hash with [`clustream_core::hash`].)
+//! guard ring, the relaxed-mode parked-send table and the first-cause
+//! table. (Per-node packet holdings are [`clustream_sim::PacketSet`], the
+//! slot kernel's bitset.)
 //!
-//! Both replace `std` containers that dominated the per-event profile.
-//! Neither is iterated while events run, so determinism is untouched —
-//! every access is a point lookup keyed by values the simulation already
-//! ordered; the one walk that produces output (the end-of-run leftover
-//! attribution) sorts by key first.
+//! Each replaces a `std` container — a hash map or an ordered map — that
+//! dominated the per-event profile; none of them hashes. None is
+//! iterated while events run, so determinism is untouched — every access
+//! is a point lookup keyed by values the simulation already ordered; the
+//! one walk that produces output (the end-of-run leftover attribution)
+//! reads the parked sends in ascending key order.
 
-use clustream_core::hash::FxHashMap;
 use clustream_core::Transmission;
-use std::collections::hash_map::Entry;
+use clustream_sim::faults::FaultCause;
 
 /// The strict-mode receive-capacity guard: at most one pending arrival
 /// per `(arrival slot, node)`.
@@ -99,83 +99,171 @@ impl ArrivalRing {
 }
 
 /// Relaxed-mode calendar entries parked until their packet arrives at the
-/// sender: a hashed `(sender, packet) → (head, tail)` index over one
-/// free-listed arena of singly linked [`Transmission`]s.
+/// sender: a dense `(sender, packet) → (head, tail)` index over one
+/// free-listed arena of blocks, each holding up to `BLOCK` (3) entries of
+/// one chain side by side.
 ///
-/// Replaces a `BTreeMap<(u32, u64), Vec<Transmission>>`, which paid an
-/// ordered-map descent and a `Vec` allocation per deferred send. A chain
-/// keeps push order, so a release dispatches exactly what the `Vec` did;
-/// the index is lookup-only until the end-of-run leftover walk, which
-/// sorts the surviving chains by key first ([`ParkedSends::heads_by_key`]).
+/// Replaces a `BTreeMap<(u32, u64), Vec<Transmission>>` (an ordered-map
+/// descent and a `Vec` allocation per deferred send) and then a hashed
+/// index over an arena of singly linked entries. A chain keeps push
+/// order, so a release dispatches exactly what the `Vec` did. A release
+/// is two array reads and one block per `BLOCK` entries — a forwarder
+/// parks one entry per child, so a chain is typically one block — with
+/// no hashing and no hop per entry.
+///
+/// The index is seq-major, `index[seq][sender]`: the entries parked and
+/// released around the same time are for the same few packets, so their
+/// cells share a few rows. A row grows with the largest sender parked
+/// under it, and there are as many rows as the largest seq parked —
+/// like the held sets, bounded by the packets the calendar names.
+/// Walking the cells sender by sender visits the keys in ascending
+/// `(sender, packet)` order, the order the `BTreeMap` iterated in, with
+/// no sort ([`ParkedSends::heads_by_key`]).
 #[derive(Debug, Default)]
 pub struct ParkedSends {
-    index: FxHashMap<(u32, u64), (u32, u32)>,
-    /// `(entry, next slot in its chain)`.
-    slots: Vec<(Transmission, u32)>,
+    /// `index[seq][sender]`: the chain's `(head, tail)` blocks, or
+    /// `(NIL, NIL)` when nothing is parked under that key.
+    index: Vec<Vec<(u32, u32)>>,
+    /// The block arena.
+    slots: Vec<Block>,
     free: Vec<u32>,
 }
 
-/// End-of-chain marker.
+/// Entries per [`ParkedSends`] block: one per child of a `d = 3`
+/// forwarder, the paper's degree.
+const BLOCK: usize = 3;
+
+/// Up to [`BLOCK`] consecutive entries of one chain.
+#[derive(Debug, Clone, Copy)]
+struct Block {
+    txs: [Transmission; BLOCK],
+    /// Entries in use, `1..=BLOCK`.
+    len: u32,
+    /// The chain's next block.
+    next: u32,
+}
+
+/// End-of-chain marker (and an empty index cell's head and tail).
 const NIL: u32 = u32::MAX;
 
 impl ParkedSends {
     /// Park `tx` behind any earlier entries for the same
     /// `(sender, packet)`.
     pub fn park(&mut self, tx: Transmission) {
-        let i = match self.free.pop() {
-            Some(i) => {
-                self.slots[i as usize] = (tx, NIL);
-                i
+        let (sender, seq) = (tx.from.index(), tx.packet.seq() as usize);
+        if seq >= self.index.len() {
+            self.index.resize_with(seq + 1, Vec::new);
+        }
+        let row = &mut self.index[seq];
+        if sender >= row.len() {
+            row.resize(sender + 1, (NIL, NIL));
+        }
+        let cell = &mut row[sender];
+        if cell.0 != NIL {
+            let tail = &mut self.slots[cell.1 as usize];
+            if (tail.len as usize) < BLOCK {
+                tail.txs[tail.len as usize] = tx;
+                tail.len += 1;
+                return;
+            }
+        }
+        let block = Block {
+            txs: [tx; BLOCK],
+            len: 1,
+            next: NIL,
+        };
+        let b = match self.free.pop() {
+            Some(b) => {
+                self.slots[b as usize] = block;
+                b
             }
             None => {
-                self.slots.push((tx, NIL));
+                self.slots.push(block);
                 (self.slots.len() - 1) as u32
             }
         };
-        match self.index.entry((tx.from.0, tx.packet.seq())) {
-            Entry::Occupied(mut e) => {
-                let tail = std::mem::replace(&mut e.get_mut().1, i);
-                self.slots[tail as usize].1 = i;
-            }
-            Entry::Vacant(e) => {
-                e.insert((i, i));
-            }
+        if cell.0 == NIL {
+            *cell = (b, b);
+        } else {
+            let tail = std::mem::replace(&mut cell.1, b);
+            self.slots[tail as usize].next = b;
         }
     }
 
     /// Move the chain parked for `(sender, seq)` onto `out`, in push
-    /// order, recycling its slots.
+    /// order, recycling its blocks.
     pub fn release_into(&mut self, sender: u32, seq: u64, out: &mut Vec<Transmission>) {
-        let Some((mut at, _)) = self.index.remove(&(sender, seq)) else {
+        let row = usize::try_from(seq)
+            .ok()
+            .and_then(|s| self.index.get_mut(s));
+        let Some(cell) = row.and_then(|row| row.get_mut(sender as usize)) else {
             return;
         };
+        let (mut at, _) = std::mem::replace(cell, (NIL, NIL));
         while at != NIL {
-            let (tx, next) = self.slots[at as usize];
-            out.push(tx);
+            let block = &self.slots[at as usize];
+            out.extend_from_slice(&block.txs[..block.len as usize]);
             self.free.push(at);
-            at = next;
+            at = block.next;
         }
     }
 
     /// Heads of the chains still parked, in ascending `(sender, packet)`
     /// order — the order the replaced `BTreeMap` iterated in.
     pub fn heads_by_key(&self) -> Vec<u32> {
-        let mut heads: Vec<u32> = self.index.values().map(|&(head, _)| head).collect();
-        heads.sort_unstable_by_key(|&h| {
-            let tx = &self.slots[h as usize].0;
-            (tx.from.0, tx.packet.seq())
-        });
-        heads
+        let senders = self.index.iter().map(Vec::len).max().unwrap_or(0);
+        (0..senders)
+            .flat_map(|sender| self.index.iter().filter_map(move |row| row.get(sender)))
+            .filter(|&&(head, _)| head != NIL)
+            .map(|&(head, _)| head)
+            .collect()
     }
 
     /// The entries of the chain starting at `head`, in push order.
     pub fn chain(&self, head: u32) -> impl Iterator<Item = &Transmission> {
         let mut at = head;
         std::iter::from_fn(move || {
-            let (tx, next) = self.slots.get(at as usize)?;
-            at = *next;
-            Some(tx)
+            let block = self.slots.get(at as usize)?;
+            at = block.next;
+            Some(&block.txs[..block.len as usize])
         })
+        .flatten()
+    }
+}
+
+/// The first fault cause that took out each `(node, packet)` copy —
+/// what a downstream suppression of that copy is blamed on.
+///
+/// One row of cells per node, indexed by seq and grown, like the node's
+/// held [`clustream_sim::PacketSet`], up to the largest seq noted for it;
+/// a node never noted has an empty row. Replaces a hashed
+/// `(node, seq) → FaultCause` map filled with `or_insert`: the first
+/// cause noted for a copy wins, and a cell never noted (or past its
+/// row's end) has none.
+#[derive(Debug, Default)]
+pub struct FirstCauses {
+    rows: Vec<Vec<Option<FaultCause>>>,
+}
+
+impl FirstCauses {
+    /// Blame `cause` for `node`'s copy of `seq`, unless an earlier cause
+    /// already is.
+    pub fn note(&mut self, node: u32, seq: u64, cause: FaultCause) {
+        let (node, seq) = (node as usize, seq as usize);
+        if node >= self.rows.len() {
+            self.rows.resize_with(node + 1, Vec::new);
+        }
+        let row = &mut self.rows[node];
+        if seq >= row.len() {
+            row.resize(seq + 1, None);
+        }
+        row[seq].get_or_insert(cause);
+    }
+
+    /// The cause blamed for `node`'s copy of `seq`, if any.
+    pub fn get(&self, node: u32, seq: u64) -> Option<FaultCause> {
+        let row = self.rows.get(node as usize)?;
+        *row.get(usize::try_from(seq).ok()?)?
     }
 }
 
@@ -184,7 +272,7 @@ mod tests {
     use super::*;
     use clustream_core::{NodeId, PacketId};
     use proptest::prelude::*;
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, HashMap};
 
     proptest! {
         /// Parks and releases against the ordered map of `Vec`s the arena
@@ -219,6 +307,32 @@ mod tests {
                 .collect();
             let want: Vec<Transmission> = model.into_values().flatten().collect();
             prop_assert_eq!(walked, want);
+        }
+    }
+
+    proptest! {
+        /// The dense first-cause table against the hash map it replaced
+        /// (`entry(..).or_insert(cause)`): whatever order copies are
+        /// blamed in, the first cause wins, and cells never blamed —
+        /// including seqs past every row and nodes past every row — have
+        /// none.
+        #[test]
+        fn first_causes_match_the_hash_map_model(
+            notes in proptest::collection::vec((0u32..6, 0u64..80, any::<bool>()), 0..300),
+        ) {
+            let mut dense = FirstCauses::default();
+            let mut model: HashMap<(u32, u64), FaultCause> = HashMap::new();
+            for (node, seq, loss) in notes {
+                let cause = if loss { FaultCause::Loss } else { FaultCause::Crash };
+                dense.note(node, seq, cause);
+                model.entry((node, seq)).or_insert(cause);
+            }
+            for node in 0..8 {
+                for seq in (0..100).chain([u64::MAX]) {
+                    prop_assert_eq!(dense.get(node, seq), model.get(&(node, seq)).copied());
+                }
+            }
+            prop_assert_eq!(dense.get(u32::MAX, 0), None);
         }
     }
 

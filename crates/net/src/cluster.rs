@@ -502,7 +502,10 @@ fn run_cluster_in(
     let mut kill_outcomes: Vec<KillOutcome> = Vec::new();
     let killed: BTreeSet<u32> = kill_queue.iter().map(|k| k.node).collect();
     let expected_complete = n - killed.len() as u64;
-    let mut detector = FailureDetector::new(opts.suspect_threshold.max(1) as usize, 0);
+    // Node ids are 0..=n; a `Suspect` frame naming any other subject is
+    // ignored by the detector, never tallied.
+    let mut detector =
+        FailureDetector::new(n as usize + 1, opts.suspect_threshold.max(1) as usize, 0);
     let mut completions: BTreeMap<u32, u64> = BTreeMap::new();
     let mut reports: BTreeMap<u32, NodeReport> = BTreeMap::new();
     // Live repair: the healing forest persists across the run so repeated

@@ -262,7 +262,7 @@ impl Node {
             (0..cfg.track).collect()
         };
         let timeout_ns = cfg.suspect_timeout_slots * cfg.slot_micros * 1_000;
-        let detector = WallClockDetector::new(cfg.node, timeout_ns.max(1));
+        let detector = WallClockDetector::new(timeout_ns.max(1));
         let report = NodeReport {
             node: cfg.node,
             ..NodeReport::default()

@@ -6,19 +6,35 @@
 //! out of every candidate server's buffer, the requester's retries
 //! escalate to the source and, failing that, the packet is abandoned.
 //!
-//! Eviction order is the FIFO's; membership is lookup-only, so it is a
-//! hashed set per node — O(1) whatever the capacity, and never iterated.
+//! Each node's window is one flat ring of seqs plus membership bits
+//! indexed by seq, so `note` and `contains` are array reads — no hashing,
+//! whatever the capacity. The bits are laid out band-major, one 64-bit
+//! word per (64-seq band, node): nodes receiving the same recent packets
+//! — every delivery of a broadcast stream does — share a few hot cache
+//! lines instead of one cold row each. Both grow with what has been
+//! noted, never with the configured capacity: a ring by its node's
+//! arrivals up to `capacity`, the bits (like the held sets) up to the
+//! largest seq noted. An unbounded `--repair-buffer` costs what the
+//! arrivals cost.
 
-use clustream_core::hash::FxHashSet;
-use std::collections::VecDeque;
+/// One node's FIFO window.
+#[derive(Debug, Clone, Default)]
+struct Ring {
+    /// The window's seqs; once it holds `capacity` of them, the oldest
+    /// sits at `head`.
+    seqs: Vec<u64>,
+    /// The cell the next arrival overwrites once the ring is full.
+    head: usize,
+}
 
 /// FIFO repair buffers, one per node, each bounded to `capacity` packets.
 #[derive(Debug, Clone)]
 pub struct RepairBuffer {
-    /// Insertion-ordered window per node.
-    fifo: Vec<VecDeque<u64>>,
-    /// Same contents with O(1) membership.
-    member: Vec<FxHashSet<u64>>,
+    rings: Vec<Ring>,
+    /// Bit `seq % 64` of `bits[(seq / 64) * n_ids + node]` is set iff
+    /// `seq` is in `node`'s ring.
+    bits: Vec<u64>,
+    n_ids: usize,
     capacity: usize,
 }
 
@@ -27,29 +43,66 @@ impl RepairBuffer {
     /// packets.
     pub fn new(n_ids: usize, capacity: usize) -> Self {
         RepairBuffer {
-            fifo: vec![VecDeque::new(); n_ids],
-            member: vec![FxHashSet::default(); n_ids],
+            rings: Vec::new(),
+            bits: Vec::new(),
+            n_ids,
             capacity,
         }
     }
 
+    /// `node`'s membership word for `seq` and the bit within it; no word
+    /// for a node outside the id space.
+    #[inline]
+    fn bit(&self, node: u32, seq: u64) -> (Option<usize>, u64) {
+        let node = node as usize;
+        let word = usize::try_from(seq / 64)
+            .ok()
+            .and_then(|band| band.checked_mul(self.n_ids))
+            .and_then(|base| base.checked_add(node))
+            .filter(|_| node < self.n_ids);
+        (word, 1 << (seq % 64))
+    }
+
     /// Note that `node` received `seq`, evicting the oldest entry when
-    /// full. Duplicate arrivals do not reshuffle the window.
+    /// full. Duplicate arrivals do not reshuffle the window; an evicted
+    /// seq re-enters as the newest when it arrives again. A node outside
+    /// the id space buffers nothing.
     pub fn note(&mut self, node: u32, seq: u64) {
-        if self.capacity == 0 || !self.member[node as usize].insert(seq) {
+        let (Some(word), mask) = self.bit(node, seq) else {
+            return;
+        };
+        if self.capacity == 0 || self.bits.get(word).is_some_and(|w| w & mask != 0) {
             return;
         }
-        let fifo = &mut self.fifo[node as usize];
-        if fifo.len() == self.capacity {
-            let evicted = fifo.pop_front().expect("capacity is positive");
-            self.member[node as usize].remove(&evicted);
+        if word >= self.bits.len() {
+            // Whole bands at a time, so every node's word exists.
+            let bands = word / self.n_ids + 1;
+            self.bits.resize(bands * self.n_ids, 0);
         }
-        fifo.push_back(seq);
+        self.bits[word] |= mask;
+        let node = node as usize;
+        if node >= self.rings.len() {
+            self.rings.resize_with(node + 1, Ring::default);
+        }
+        let ring = &mut self.rings[node];
+        if ring.seqs.len() < self.capacity {
+            ring.seqs.push(seq);
+            return;
+        }
+        let evicted = std::mem::replace(&mut ring.seqs[ring.head], seq);
+        ring.head += 1;
+        if ring.head == ring.seqs.len() {
+            ring.head = 0;
+        }
+        let (word, mask) = self.bit(node as u32, evicted);
+        self.bits[word.expect("an evicted seq was noted")] &= !mask;
     }
 
     /// Whether `node` can still serve `seq` from its repair buffer.
     pub fn contains(&self, node: u32, seq: u64) -> bool {
-        self.member[node as usize].contains(&seq)
+        let (word, mask) = self.bit(node, seq);
+        word.and_then(|w| self.bits.get(w))
+            .is_some_and(|w| w & mask != 0)
     }
 }
 
@@ -59,9 +112,10 @@ mod tests {
     use proptest::prelude::*;
     use std::collections::BTreeSet;
 
-    /// The shape this module replaced: an ordered set beside each FIFO.
+    /// The shape this module replaced, spelt as plainly as possible: an
+    /// ordered set beside each FIFO (a `Vec` popped at the front).
     struct Model {
-        fifo: Vec<VecDeque<u64>>,
+        fifo: Vec<Vec<u64>>,
         member: Vec<BTreeSet<u64>>,
         capacity: usize,
     }
@@ -71,9 +125,9 @@ mod tests {
             if self.capacity == 0 || !self.member[node].insert(seq) {
                 return;
             }
-            self.fifo[node].push_back(seq);
+            self.fifo[node].push(seq);
             if self.fifo[node].len() > self.capacity {
-                let evicted = self.fifo[node].pop_front().unwrap();
+                let evicted = self.fifo[node].remove(0);
                 self.member[node].remove(&evicted);
             }
         }
@@ -84,14 +138,14 @@ mod tests {
     fn assert_matches_model(capacity: usize, ops: impl Iterator<Item = (u32, u64)>) {
         let mut buf = RepairBuffer::new(3, capacity);
         let mut model = Model {
-            fifo: vec![VecDeque::new(); 3],
+            fifo: vec![Vec::new(); 3],
             member: vec![BTreeSet::new(); 3],
             capacity,
         };
         for (node, seq) in ops {
             buf.note(node, seq);
             model.note(node as usize, seq);
-            let oldest = model.fifo[node as usize].front().copied().unwrap_or(0);
+            let oldest = model.fifo[node as usize].first().copied().unwrap_or(0);
             for probe in [
                 seq,
                 seq.wrapping_sub(1),
@@ -105,7 +159,7 @@ mod tests {
                     "capacity {capacity}, node {node}, probe {probe}"
                 );
             }
-            assert!(buf.fifo[node as usize].len() <= capacity);
+            assert!(buf.rings.get(node as usize).map_or(0, |r| r.seqs.len()) <= capacity);
         }
     }
 
@@ -149,6 +203,17 @@ mod tests {
         b.note(0, 2);
         b.note(0, 2);
         assert!(b.contains(0, 1), "duplicate must not push out packet 1");
+    }
+
+    #[test]
+    fn an_evicted_seq_re_enters_as_the_newest() {
+        let mut b = RepairBuffer::new(1, 2);
+        for seq in [1, 2, 3, 1] {
+            b.note(0, seq);
+        }
+        // 1 was evicted by 3, came back and pushed out 2 (the oldest).
+        assert!(b.contains(0, 1) && b.contains(0, 3));
+        assert!(!b.contains(0, 2));
     }
 
     #[test]

@@ -28,6 +28,14 @@
 //! The discrete-event engine (`clustream_des`) wires these together;
 //! with [`RecoveryMode::Off`] none of this machinery is touched and DES
 //! runs stay bit-identical to the fail-silent baseline.
+//!
+//! The state behind all three is probed on every delivery and never
+//! iterated, so it is dense — rows indexed by node id and packet seq —
+//! and nothing in this crate hashes or descends a tree per event. Every
+//! table grows with what it is told, never with a bound it is given: an
+//! id outside a detector's id space is ignored (the networked
+//! orchestrator feeds it ids off the wire), and a repair buffer's
+//! capacity caps its rings without sizing them.
 
 #![warn(missing_docs)]
 

@@ -17,20 +17,23 @@ use std::collections::BTreeSet;
 #[derive(Debug, Clone)]
 pub struct WallClockDetector {
     inner: FailureDetector,
-    watcher: u32,
     watched: BTreeSet<u32>,
     reported: BTreeSet<u32>,
 }
 
+/// The local node's watcher id inside [`WallClockDetector`]'s one-id
+/// detector: there is only ever the one watcher, so its real node id does
+/// not matter, and the detector's rows stay one row long whatever it is.
+const LOCAL: u32 = 0;
+
 impl WallClockDetector {
-    /// A detector for local watcher `watcher` that suspects a subject
-    /// after `timeout_ns` nanoseconds of silence.
-    pub fn new(watcher: u32, timeout_ns: u64) -> Self {
+    /// A detector for the local node that suspects a subject after
+    /// `timeout_ns` nanoseconds of silence.
+    pub fn new(timeout_ns: u64) -> Self {
         WallClockDetector {
             // Threshold 1: locally, one watcher's silence IS the verdict;
             // the cross-watcher tally happens at the orchestrator.
-            inner: FailureDetector::new(1, timeout_ns),
-            watcher,
+            inner: FailureDetector::new(1, 1, timeout_ns),
             watched: BTreeSet::new(),
             reported: BTreeSet::new(),
         }
@@ -50,7 +53,7 @@ impl WallClockDetector {
     /// real traffic from the subject also reaches other watchers).
     pub fn heard(&mut self, subject: u32, now_ns: u64) {
         self.watched.insert(subject);
-        self.inner.record(self.watcher, subject, now_ns);
+        self.inner.record(LOCAL, subject, now_ns);
     }
 
     /// Whether `subject` is on the watch list.
@@ -69,7 +72,7 @@ impl WallClockDetector {
             if self.reported.contains(&subject) || !still_owed(subject) {
                 continue;
             }
-            if let TimeoutVerdict::Suspect = self.inner.check(self.watcher, subject, now_ns) {
+            if let TimeoutVerdict::Suspect = self.inner.check(LOCAL, subject, now_ns) {
                 newly.push(subject);
             }
         }
@@ -88,7 +91,7 @@ mod tests {
 
     #[test]
     fn silence_past_timeout_fires_once() {
-        let mut d = WallClockDetector::new(7, 10 * MS);
+        let mut d = WallClockDetector::new(10 * MS);
         d.watch(2, 0);
         assert!(d.watches(2));
         assert_eq!(d.poll(5 * MS, |_| true), Vec::<u32>::new());
@@ -99,7 +102,7 @@ mod tests {
 
     #[test]
     fn traffic_resets_the_silence_window() {
-        let mut d = WallClockDetector::new(7, 10 * MS);
+        let mut d = WallClockDetector::new(10 * MS);
         d.watch(2, 0);
         d.heard(2, 8 * MS);
         assert_eq!(d.poll(12 * MS, |_| true), Vec::<u32>::new());
@@ -108,7 +111,7 @@ mod tests {
 
     #[test]
     fn subjects_owing_nothing_are_never_suspected() {
-        let mut d = WallClockDetector::new(7, 10 * MS);
+        let mut d = WallClockDetector::new(10 * MS);
         d.watch(2, 0);
         d.watch(3, 0);
         // Node 3's calendar toward us has ended: silence is expected.
@@ -117,7 +120,7 @@ mod tests {
 
     #[test]
     fn multiple_subjects_fire_independently() {
-        let mut d = WallClockDetector::new(1, 10 * MS);
+        let mut d = WallClockDetector::new(10 * MS);
         d.watch(5, 0);
         d.watch(6, 5 * MS);
         assert_eq!(d.poll(11 * MS, |_| true), vec![5]);

@@ -103,6 +103,14 @@ fn script_parses_and_defines_both_tiers() {
         "--n 500 --d 3 --track 128 --runtime des",
         "--queue checked --latency jitter --jitter 0.5 --uplink serialized",
         "--recovery repair+nack --churn-leave 0.0005 --churn-slots 200 --des-seed 7",
+        // …and the ledger's N=2000 des_recovery run in release: its
+        // stdout equals the committed golden, and the heap queue's equals
+        // it but for the engine line.
+        "local golden=tests/cli_golden/des_recovery_n2000.txt out=target/ci-des-recovery",
+        "target/release/clustream \"${des_recovery[@]}\" --queue wheel >\"$out-wheel.txt\"",
+        "target/release/clustream \"${des_recovery[@]}\" --queue heap >\"$out-heap.txt\"",
+        "diff \"$golden\" \"$out-wheel.txt\"",
+        "diff <(grep -v '^engine' \"$golden\") <(grep -v '^engine' \"$out-heap.txt\")",
         // The CLI input boundary: a misspelt flag is rejected by name,
         // and out-of-domain scheme parameters exit 1 (a model error),
         // never 101 (an assert in crates/baselines).
@@ -267,6 +275,31 @@ fn reproduction_record_gates_the_merge_on_the_whole_catalog() {
         ),
         "the stage must run bare `experiments` and gate on its exit status"
     );
+}
+
+#[test]
+fn the_des_recovery_golden_is_the_ledger_run() {
+    // ci.sh runs the ledger's des_recovery command line (the queue flag
+    // aside) against a golden that is not in cases.txt: pin both halves,
+    // so neither can drift into a different run unnoticed.
+    let text = std::fs::read_to_string(ci_script()).unwrap();
+    let argv =
+        "local des_recovery=(simulate --scheme multitree --n 2000 --d 3 --track 128\n        \
+                --runtime des --latency jitter --jitter 0.5 --uplink serialized\n        \
+                --recovery repair+nack --churn-leave 0.0005 --churn-slots 200 --des-seed 7)";
+    assert!(text.contains(argv), "ci.sh lost the des_recovery argv");
+    let golden =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/cli_golden/des_recovery_n2000.txt");
+    let golden = std::fs::read_to_string(golden).expect("the des_recovery golden exists");
+    for line in [
+        "engine      : des (jitter ≤ 0.5 slots, self-healing repair+nack), wheel queue",
+        "des events  : 2598046",
+        "des deferred: 960390 sends (643071 released on arrival)",
+        "nacks       : 71331 sent, 68826 retransmissions, 71247 repaired, 0 abandoned",
+        "control msgs: 283638",
+    ] {
+        assert!(golden.lines().any(|l| l == line), "golden lost `{line}`");
+    }
 }
 
 #[test]

@@ -253,3 +253,23 @@ fn recovery_off_knobs_are_inert() {
     let knobs = run_with_mode(n, d, track, horizon, &trace, inert);
     assert_eq!(diff_fields(&base, &knobs), Vec::<&str>::new());
 }
+
+#[test]
+fn an_unbounded_repair_buffer_runs_like_the_default_one() {
+    // `--repair-buffer` takes any usize; the buffers grow with the
+    // arrivals they hold, never with the bound. This run prints the same
+    // with the default 64-packet buffer and with an unbounded one.
+    let run = |extra: &[&str]| {
+        let argv: Vec<String> = "simulate --scheme multitree --n 200 --d 3 --track 64 \
+             --runtime des --latency jitter --jitter 0.5 --uplink serialized \
+             --recovery repair+nack --churn-leave 0.002 --churn-slots 100 --des-seed 7"
+            .split_whitespace()
+            .chain(extra.iter().copied())
+            .map(String::from)
+            .collect();
+        clustream_cli::run(&argv).unwrap()
+    };
+    let default = run(&[]);
+    assert!(default.contains("control msgs: 12788"), "{default}");
+    assert_eq!(run(&["--repair-buffer", "18446744073709551615"]), default);
+}
