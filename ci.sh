@@ -17,16 +17,15 @@
 #                 CLI: at N=10^5 fast = mega = sharded line for line and
 #                 the mega report equals its committed golden stdout,
 #                 with --metrics-out too, whose JSONL equals the fast
-#                 engine's (spans aside);
-#                 at N=10^6 (this tier only: 2.5 GiB, and 13-47 s on
-#                 this container, most of it first-touching that memory)
-#                 the mega report equals its golden stdout too
+#                 engine's (spans aside); at N=10^6 (1.5 GiB, 6.5-6.6 s
+#                 on a 2-core container) the mega report equals its
+#                 golden stdout too
 #   ci.sh full    quick + doc lint + differential oracles + CLI smoke
 #                 matrix + exhaustive invariant lattice + coverage-guided
 #                 explore smoke + 32-node kill-injection cluster smoke +
 #                 32-node partition-and-heal chaos run with live repair +
-#                 mega scale smoke (N=10^5) + 10^5-join flash crowd on
-#                 mega + heterogeneity capacity-class sweep + the
+#                 mega scale smoke (N=10^5 and 10^6) + 10^5-join flash
+#                 crowd on mega + heterogeneity capacity-class sweep + the
 #                 reproduction record (bare `experiments`: every catalog
 #                 item's verdict) + the benchmark/ ledger harness build,
 #                 unit tests and one net_framepump correctness run (the
@@ -210,6 +209,14 @@ cli_flag_hygiene() {
         simulate --scheme chain --n 0
     expect_error '^model error: invalid configuration: ' \
         cluster --nodes 4 --scheme singletree --d 0
+    # Sizes the id type or the memory cannot hold used to abort in the
+    # allocator (134): a petabyte arrival table, ids past 2^32.
+    expect_error '^model error: ' \
+        simulate --scheme multitree --n 10 --d 2 --track 99999999999999
+    expect_error '^model error: ' \
+        simulate --scheme multitree --n 4294967296 --d 3
+    expect_error '^model error: ' \
+        simulate --scheme chain --n 99999999999
     # `--recovery` with `--scenario` used to pass the rule book and then
     # panic in the report (101) or silently run no failure at all (0).
     expect_error '^usage error: --scenario scripts its own joins and repairs' \
@@ -354,12 +361,11 @@ mega_scale_smoke() {
     diff <(grep -v '"span"' "$base-fast.jsonl") <(grep -v '"span"' "$base-mega.jsonl")
     cargo run -q --release --offline -p clustream-cli --bin clustream -- \
         report "$base-mega.jsonl" | grep -x 'deliveries  : 26862784'
-    if [ "$TIER" = scale ]; then
-        cargo run -q --release --offline -p clustream-cli --bin clustream -- \
-            simulate --scheme multitree --n 1000000 --d 3 --track 256 \
-            --engine mega >"$base-mega-1m.txt"
-        diff "$golden/scale_n1000000_mega.txt" "$base-mega-1m.txt"
-    fi
+    # N=10^6: 32-bit arrival cells keep it at 1.5 GiB.
+    cargo run -q --release --offline -p clustream-cli --bin clustream -- \
+        simulate --scheme multitree --n 1000000 --d 3 --track 256 \
+        --engine mega >"$base-mega-1m.txt"
+    diff "$golden/scale_n1000000_mega.txt" "$base-mega-1m.txt"
 }
 
 cluster_kill_smoke() {

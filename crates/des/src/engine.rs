@@ -296,13 +296,13 @@ impl DesEngine {
             }
         }
 
+        let mut arrivals = ArrivalTable::try_new(n_ids, sim.track_packets)?;
         let mut state = DesState {
             held: vec![PacketSet::default(); n_ids],
             newest: vec![None; n_ids],
             slot: Slot(0),
             availability: scheme.availability(),
         };
-        let mut arrivals = ArrivalTable::new(n_ids, sim.track_packets);
         let mut stats = TrafficStats::new(n_ids);
         let mut gate = UplinkGate::new(n_ids);
 

@@ -39,7 +39,7 @@ impl DelayProfile {
             .unwrap_or(0);
         let track = (max_first + 3 * d as u64 + 1).div_ceil(d as u64) * d as u64;
 
-        let mut table = ArrivalTable::new(n + 1, track);
+        let mut table = ArrivalTable::try_new(n + 1, track)?;
         for node in 1..=n as u32 {
             for k in 0..d {
                 let pos = forest.position(k, node);

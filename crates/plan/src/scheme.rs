@@ -115,6 +115,7 @@ impl SchemeSpec {
     /// Construct the scheme. Total: parameters outside a family's domain
     /// are a [`CoreError::InvalidConfig`], never a constructor assert.
     pub fn build(&self) -> Result<Box<dyn Scheme>, CoreError> {
+        self.check_ids()?;
         let (n, d) = (self.n, self.d);
         let invalid = |what: &str| Err(CoreError::InvalidConfig(what.into()));
         Ok(match self.family {
@@ -129,8 +130,22 @@ impl SchemeSpec {
         })
     }
 
+    /// [`CoreError::InvalidConfig`] unless the ids `0..=n` — the source
+    /// and `n` receivers — fit the 32-bit [`clustream_core::NodeId`].
+    fn check_ids(&self) -> Result<(), CoreError> {
+        if self.n >= u32::MAX as usize {
+            return Err(CoreError::InvalidConfig(format!(
+                "n = {} receivers overflow the 32-bit node id space (n < {} required)",
+                self.n,
+                u32::MAX
+            )));
+        }
+        Ok(())
+    }
+
     /// The static multi-tree scheme over this spec's forest.
     pub fn multitree(&self) -> Result<MultiTreeScheme, CoreError> {
+        self.check_ids()?;
         let forest = build_forest(self.n, self.d, self.construction)?;
         Ok(MultiTreeScheme::new(forest, self.mode))
     }
@@ -139,6 +154,7 @@ impl SchemeSpec {
     /// `scenario` (the flash crowd), or with no script — the self-healing
     /// tree the recovery layer repairs online.
     pub fn dynamic(&self, scenario: Option<&ScenarioPlan>) -> Result<DynamicMultiTree, CoreError> {
+        self.check_ids()?;
         let (n, d, mode, construction) = (self.n, self.d, self.mode, self.construction);
         match scenario {
             Some(plan) => DynamicMultiTree::from_plan(n, d, mode, construction, plan),
@@ -171,7 +187,10 @@ mod tests {
             (Family::MultiTree, 5, 0, "tree degree d must be ≥ 1"),
             (Family::Hypercube, 0, 1, "need at least one receiver"),
             (Family::Hypercube, 5, 0, "group count d=0"),
-        ] {
+        ]
+        .into_iter()
+        .chain(Family::ALL.map(|f| (f, u32::MAX as usize, 3, "32-bit node id space")))
+        {
             let err = match SchemeSpec::new(family, n, d).build() {
                 Ok(_) => panic!("{family:?} n={n} d={d} must not build"),
                 Err(e) => e.to_string(),
@@ -179,6 +198,8 @@ mod tests {
             assert!(err.starts_with("invalid configuration: "), "{err}");
             assert!(err.contains(needle), "{family:?} n={n} d={d}: {err}");
         }
+        let huge = SchemeSpec::new(Family::MultiTree, 1 << 32, 3);
+        assert!(huge.dynamic(None).is_err() && huge.multitree().is_err());
     }
 
     #[test]

@@ -191,13 +191,13 @@ impl Simulator {
             }
         }
 
+        let mut arrivals = ArrivalTable::try_new(n_ids, cfg.track_packets)?;
         let mut state = EngineState {
             held: vec![HashSet::new(); n_ids],
             newest: vec![None; n_ids],
             slot: Slot(0),
             availability: scheme.availability(),
         };
-        let mut arrivals = ArrivalTable::new(n_ids, cfg.track_packets);
         let mut stats = TrafficStats::new(n_ids);
 
         // Arrival queue: arrival slot → (to, packet). A packet queued with

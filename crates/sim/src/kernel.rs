@@ -357,6 +357,7 @@ impl<H: Held> Kernel<H> {
                 return Err(CoreError::UnknownNode { node: *r });
             }
         }
+        let arrivals = ArrivalTable::try_new(n_ids, cfg.track_packets)?;
 
         self.state.held.reset(n_ids, cfg.track_packets);
         self.state.newest.clear();
@@ -376,7 +377,7 @@ impl<H: Held> Kernel<H> {
         Ok(Run {
             cfg,
             _span: span,
-            arrivals: ArrivalTable::new(n_ids, cfg.track_packets),
+            arrivals,
             is_receiver,
             remaining: receivers.len() as u64 * cfg.track_packets,
             receivers,

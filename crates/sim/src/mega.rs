@@ -49,7 +49,7 @@
 use crate::engine::{RunResult, SimConfig};
 use crate::kernel::{record_slot_deliveries, Held, Kernel, PacketSet};
 use crate::parallel::ClaimCounter;
-use crate::playback::{cell_of, ArrivalTable, NEVER};
+use crate::playback::{ArrivalTable, CellsMut};
 use clustream_core::{CoreError, NodeId, PacketId, SchedulePeriod, Scheme, Slot, Transmission};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -198,13 +198,18 @@ struct SteadyTables {
     /// j`, in emission order. The packet replayed at slot `s ≡ base + j
     /// (mod period)` is the recorded one plus `s − (base + j)`.
     sends: Vec<Vec<Transmission>>,
-    /// Per arrival residue: deliveries landing at that residue.
-    arrs: Vec<Vec<ArrEntry>>,
-    /// Every delivery once more, sorted by `(receiver, packet0 mod
-    /// period)`: the order in which the table's static properties are
-    /// derived and in which the analytic gear streams through the
+    /// Every delivery of the period, once, sorted by `(receiver, packet0
+    /// mod period)`: the order in which the table's static properties
+    /// are derived and in which the analytic gear streams through the
     /// arrival table.
-    by_recv: Vec<ArrEntry>,
+    entries: Vec<ArrEntry>,
+    /// Indices into `entries` grouped by arrival residue: residue `r`'s
+    /// deliveries are `by_arrival[arr_start[r]..arr_start[r + 1]]`, in
+    /// receiver order. Which order is unobservable: a receiver takes at
+    /// most one arrival per slot, so one residue's deliveries touch
+    /// distinct rows.
+    by_arrival: Vec<u32>,
+    arr_start: Vec<u32>,
     max_latency: u64,
     /// `max(packet0 − (base + j))` over all sends: the largest seq
     /// replayed at slot `s` is bounded by `s + off`. `None` when the
@@ -226,6 +231,16 @@ struct SteadyTables {
     /// so the blazing phase may replay them entry-outer in streaming
     /// order instead of slot by slot.
     collision_free: bool,
+}
+
+impl SteadyTables {
+    /// The deliveries landing at arrival residue `r`.
+    fn arriving(&self, r: usize) -> impl Iterator<Item = &ArrEntry> {
+        let at = self.arr_start[r] as usize..self.arr_start[r + 1] as usize;
+        self.by_arrival[at]
+            .iter()
+            .map(|&i| &self.entries[i as usize])
+    }
 }
 
 /// Recording/verification state while ramping toward steady mode.
@@ -274,30 +289,27 @@ impl Lowering {
         }
     }
 
-    /// Whether slot `t` is the verified steady entry point.
+    /// Whether slot `t` is the verified steady entry point (with a period
+    /// small enough for `u32` entry indices).
     fn ready(&self, t: u64) -> bool {
-        self.ok && t == self.steady_from && self.recorded.len() as u64 == self.period
+        self.ok
+            && t == self.steady_from
+            && self.recorded.len() as u64 == self.period
+            && self.recorded.iter().map(Vec::len).sum::<usize>() <= u32::MAX as usize
     }
 
     /// Lower the verified period; the recorded slots become the send
-    /// table as they are.
+    /// table as they are, and the deliveries are laid out once — sorted
+    /// in place, indexed by arrival residue.
     fn compile(self) -> SteadyTables {
-        let arrival_residue = |j: usize, tx: &Transmission| {
-            ((j as u64 + tx.latency as u64 - 1) % self.period) as usize
-        };
-        let mut sizes = vec![0usize; self.period as usize];
-        for (j, slot) in self.recorded.iter().enumerate() {
-            for tx in slot {
-                sizes[arrival_residue(j, tx)] += 1;
-            }
-        }
-        let mut arrs: Vec<Vec<ArrEntry>> = sizes.into_iter().map(Vec::with_capacity).collect();
+        let p = self.period;
+        let mut entries = Vec::with_capacity(self.recorded.iter().map(Vec::len).sum());
         let mut max_latency = 1u64;
         let mut off: Option<i128> = None;
         for (j, slot) in self.recorded.iter().enumerate() {
             for tx in slot {
                 max_latency = max_latency.max(tx.latency as u64);
-                arrs[arrival_residue(j, tx)].push(ArrEntry {
+                entries.push(ArrEntry {
                     from: tx.from.0,
                     to: tx.to.0,
                     packet0: tx.packet.seq(),
@@ -308,18 +320,36 @@ impl Lowering {
                 off = Some(off.map_or(o, |c| c.max(o)));
             }
         }
-        let key = |a: &ArrEntry| (a.to, a.packet0 % self.period);
-        let mut by_recv: Vec<ArrEntry> = arrs.iter().flatten().copied().collect();
-        by_recv.sort_unstable_by_key(key);
-        let collision_free = by_recv.windows(2).all(|w| key(&w[0]) != key(&w[1]));
-        let feed_slack = Self::feed_slack(&self.recorded, &by_recv, self.period);
+        let key = |a: &ArrEntry| (a.to, a.packet0 % p);
+        entries.sort_unstable_by_key(key);
+        let collision_free = entries.windows(2).all(|w| key(&w[0]) != key(&w[1]));
+
+        // Counting sort of the entry indices by arrival residue.
+        let residue = |e: &ArrEntry| ((e.j + e.latency as u64 - 1) % p) as usize;
+        let mut arr_start = vec![0u32; p as usize + 1];
+        for e in &entries {
+            arr_start[residue(e) + 1] += 1;
+        }
+        for r in 0..p as usize {
+            arr_start[r + 1] += arr_start[r];
+        }
+        let mut next = arr_start.clone();
+        let mut by_arrival = vec![0u32; entries.len()];
+        for (i, e) in entries.iter().enumerate() {
+            let at = &mut next[residue(e)];
+            by_arrival[*at as usize] = i as u32;
+            *at += 1;
+        }
+
+        let feed_slack = Self::feed_slack(&self.recorded, &entries, p);
         SteadyTables {
             base: self.warmup,
-            period: self.period,
+            period: p,
             steady_from: self.steady_from,
             sends: self.recorded,
-            arrs,
-            by_recv,
+            entries,
+            by_arrival,
+            arr_start,
             max_latency,
             off,
             feed_slack,
@@ -342,7 +372,7 @@ impl Lowering {
     /// `steady_from + g` on (its feeder is then itself a pattern send),
     /// and the table-wide slack is the max over entries of the best
     /// (smallest) `g`.
-    fn feed_slack(sends: &[Vec<Transmission>], by_recv: &[ArrEntry], period: u64) -> Option<u64> {
+    fn feed_slack(sends: &[Vec<Transmission>], entries: &[ArrEntry], period: u64) -> Option<u64> {
         let p = period as i128;
         let mut slack: u64 = 0;
         for (js, lst) in sends.iter().enumerate() {
@@ -356,9 +386,9 @@ impl Lowering {
                 }
                 // Sorted by receiver, so each send entry scans only its
                 // own feeder candidates.
-                let lo = by_recv.partition_point(|f| f.to < e.from.0);
+                let lo = entries.partition_point(|f| f.to < e.from.0);
                 let mut best: Option<i128> = None;
-                for f in by_recv[lo..].iter().take_while(|f| f.to == e.from.0) {
+                for f in entries[lo..].iter().take_while(|f| f.to == e.from.0) {
                     let dp = e.packet.seq() as i128 - f.packet0 as i128;
                     if dp.rem_euclid(p) != 0 {
                         continue;
@@ -444,7 +474,7 @@ fn shard_ranges(n_ids: usize, shards: usize, boundaries: Option<Vec<u32>>) -> Ve
 #[inline]
 fn deliver_columnar(
     held: &mut ColumnarHeld,
-    cells: &mut [u64],
+    cells: &mut CellsMut<'_>,
     dup: &mut u64,
     remaining: &mut u64,
     is_receiver: &[bool],
@@ -458,14 +488,8 @@ fn deliver_columnar(
         *dup += 1;
         return;
     }
-    if seq < track {
-        let cell = &mut cells[to * track as usize + seq as usize];
-        if *cell == NEVER {
-            *cell = cell_of(t);
-            if is_receiver[to] {
-                *remaining -= 1;
-            }
-        }
+    if seq < track && cells.first(to * track as usize + seq as usize, t) && is_receiver[to] {
+        *remaining -= 1;
     }
     *slot_deliveries += 1;
 }
@@ -475,8 +499,8 @@ struct ShardSlices<'a> {
     start: usize,
     words: &'a mut [u64],
     spill: &'a mut [PacketSet],
-    /// The shard's rows of the flat arrival table.
-    cells: &'a mut [u64],
+    /// The shard's rows of the arrival table.
+    cells: CellsMut<'a>,
     uploads: &'a mut [u64],
 }
 
@@ -512,14 +536,8 @@ fn deliver_shard(
         dup.fetch_add(1, Ordering::Relaxed);
         return;
     }
-    if seq < track {
-        let cell = &mut st.cells[li * track as usize + seq as usize];
-        if *cell == NEVER {
-            *cell = cell_of(t);
-            if is_receiver[to] {
-                remaining.fetch_sub(1, Ordering::Relaxed);
-            }
-        }
+    if seq < track && st.cells.first(to * track as usize + seq as usize, t) && is_receiver[to] {
+        remaining.fetch_sub(1, Ordering::Relaxed);
     }
     slot_deliv.fetch_add(1, Ordering::Relaxed);
 }
@@ -692,7 +710,7 @@ impl MegaEngine {
                         self.kernel.flush_cell(&mut run, arrival_slot);
                     }
                     let ra = ((arrival_slot - tbl.base) % tbl.period) as usize;
-                    for e in &tbl.arrs[ra] {
+                    for e in tbl.arriving(ra) {
                         let l = e.latency as u64;
                         if arrival_slot + 1 < l {
                             continue;
@@ -728,6 +746,7 @@ impl MegaEngine {
         slots_run: &mut u64,
     ) -> SteadyEnd {
         let track = arrivals.track_packets();
+        let mut cells = arrivals.cells_mut();
         let t0 = tbl.steady_from;
         // Past this slot every ramp-phase send has arrived: the ring is
         // empty and the per-send collision probe can be skipped.
@@ -756,7 +775,7 @@ impl MegaEngine {
             for &(to, packet) in &batch {
                 deliver_columnar(
                     &mut self.kernel.state.held,
-                    arrivals.cells_mut(),
+                    &mut cells,
                     &mut self.kernel.stats.duplicate_deliveries,
                     remaining,
                     is_receiver,
@@ -771,7 +790,7 @@ impl MegaEngine {
 
             // Precompiled deliveries whose arrival slot was t − 1.
             let ra = ((t - 1 - tbl.base) % tbl.period) as usize;
-            for e in &tbl.arrs[ra] {
+            for e in tbl.arriving(ra) {
                 let s = t - e.latency as u64;
                 if s < t0 {
                     continue;
@@ -779,7 +798,7 @@ impl MegaEngine {
                 let seq = e.packet0 + (s - (tbl.base + e.j));
                 deliver_columnar(
                     &mut self.kernel.state.held,
-                    arrivals.cells_mut(),
+                    &mut cells,
                     &mut self.kernel.stats.duplicate_deliveries,
                     remaining,
                     is_receiver,
@@ -860,7 +879,7 @@ impl MegaEngine {
             *slots_run = t + 1;
             let mut slot_deliveries: u64 = 0;
             let ra = ((t - 1 - tbl.base) % tbl.period) as usize;
-            for e in &tbl.arrs[ra] {
+            for e in tbl.arriving(ra) {
                 let s = t - e.latency as u64;
                 if s < t0 {
                     continue;
@@ -868,7 +887,7 @@ impl MegaEngine {
                 let seq = e.packet0 + (s - (tbl.base + e.j));
                 deliver_columnar(
                     &mut self.kernel.state.held,
-                    arrivals.cells_mut(),
+                    &mut cells,
                     &mut self.kernel.stats.duplicate_deliveries,
                     remaining,
                     is_receiver,
@@ -931,7 +950,7 @@ impl MegaEngine {
         last_send: u64,
     ) -> SteadyEnd {
         let track = arrivals.track_packets() as usize;
-        let cells = arrivals.cells_mut();
+        let mut cells = arrivals.cells_mut();
         let t0 = tbl.steady_from;
         let p = tbl.period;
 
@@ -951,16 +970,16 @@ impl MegaEngine {
             // simulation.
             let mut latest = blaze_start;
             let mut covered = 0u64;
-            for e in tbl.by_recv.iter().filter(|e| is_receiver[e.to as usize]) {
+            for e in tbl.entries.iter().filter(|e| is_receiver[e.to as usize]) {
                 let first_send = tbl.base + e.j;
                 let k_lo = (t0 - first_send).next_multiple_of(p);
                 let k_end = cfg.max_slots.saturating_sub(first_send + e.latency as u64);
                 let seq_lo = e.packet0.saturating_add(k_lo).min(track as u64) as usize;
                 let seq_end = e.packet0.saturating_add(k_end).min(track as u64) as usize;
-                let row = &cells[e.to as usize * track..][..track];
+                let row = e.to as usize * track;
                 let mut last = None;
                 for seq in (seq_lo..seq_end).step_by(p as usize) {
-                    if row[seq] == NEVER {
+                    if cells.is_empty(row + seq) {
                         covered += 1;
                         last = Some(seq as u64);
                     }
@@ -1001,7 +1020,7 @@ impl MegaEngine {
         let mut w_start = blaze_start;
         while w_start < arr_end {
             let w_end = arr_end.min(w_start.saturating_add(TALLY_WINDOW as u64));
-            for e in &tbl.by_recv {
+            for e in &tbl.entries {
                 let to = e.to as usize;
                 let l = e.latency as u64;
                 // First replayed arrival slot ≥ w_start; earlier ones ran
@@ -1015,21 +1034,18 @@ impl MegaEngine {
                 let s_min = w_start.saturating_sub(l).max(t0);
                 let mut s = s_min + (rem + p - s_min % p) % p;
                 let s_end = w_end.saturating_sub(l);
-                let row = &mut cells[to * track..][..track];
+                let row = to * track;
                 while s < s_end {
                     let seq = e.packet0 + (s - (tbl.base + e.j));
                     if !held.insert(to, seq) {
                         *dup += 1;
                     } else {
                         tally[(s + l - w_start) as usize] += 1;
-                        if seq < track as u64 {
-                            let cell = &mut row[seq as usize];
-                            if *cell == NEVER {
-                                *cell = cell_of(s + l);
-                                if is_receiver[to] {
-                                    *remaining -= 1;
-                                }
-                            }
+                        if seq < track as u64
+                            && cells.first(row + seq as usize, s + l)
+                            && is_receiver[to]
+                        {
+                            *remaining -= 1;
                         }
                     }
                     s += p;
@@ -1105,8 +1121,8 @@ impl MegaEngine {
                 send_local[shard_of(e.from.0)][js].push(*e);
             }
         }
-        for (ra, slot) in tbl.arrs.iter().enumerate() {
-            for e in slot {
+        for ra in 0..pz {
+            for e in tbl.arriving(ra) {
                 if shard_of(e.from) == shard_of(e.to) {
                     arr_local[shard_of(e.to)][ra].push(*e);
                 } else {
@@ -1127,6 +1143,10 @@ impl MegaEngine {
         let anomaly = AtomicBool::new(false);
         let slot_cell = AtomicU64::new(0);
         let claim = ClaimCounter::new();
+        // Each shard's rows of the arrival table, and where its writes of
+        // slots too late for a cell go until the run merges them back.
+        let rows: Vec<usize> = ranges.iter().map(|&(s0, s1)| s1 - s0).collect();
+        let mut cell_spills = vec![Vec::new(); k];
 
         let mut t = t0;
         let mut last_send = t0 - 1;
@@ -1164,23 +1184,21 @@ impl MegaEngine {
             {
                 let mut words = &mut state.held.words[..];
                 let mut spill = &mut state.held.spill[..];
-                let mut cells = arrivals.cells_mut();
+                let cells = arrivals.windows(&rows, &mut cell_spills);
                 let mut uploads = &mut stats.uploads[..];
-                for &(s0, s1) in ranges {
+                for (&(s0, s1), cells) in ranges.iter().zip(cells) {
                     let n = s1 - s0;
                     let (w, wr) = words.split_at_mut(n * stride);
                     words = wr;
                     let (sp, spr) = spill.split_at_mut(n);
                     spill = spr;
-                    let (ce, cer) = cells.split_at_mut(n * track as usize);
-                    cells = cer;
                     let (up, upr) = uploads.split_at_mut(n);
                     uploads = upr;
                     shard_states.push(Mutex::new(ShardSlices {
                         start: s0,
                         words: w,
                         spill: sp,
-                        cells: ce,
+                        cells,
                         uploads: up,
                     }));
                 }
@@ -1345,6 +1363,7 @@ impl MegaEngine {
             });
         }
 
+        arrivals.absorb(&mut cell_spills);
         stats.duplicate_deliveries += dup.load(Ordering::Relaxed);
         stats.total_transmissions += total_tx;
         *steady_slots += steady_count;

@@ -120,6 +120,11 @@ fn script_parses_and_defines_both_tiers() {
         "simulate --scheme chain --n 0",
         "cluster --nodes 4 --scheme singletree --d 0",
         "[ \"$status\" -ne 1 ]",
+        // …and so are sizes past the 32-bit id space or the memory (an
+        // allocator abort, 134, before the arrival table was fallible).
+        "simulate --scheme multitree --n 10 --d 2 --track 99999999999999",
+        "simulate --scheme multitree --n 4294967296 --d 3",
+        "simulate --scheme chain --n 99999999999",
         // …and so is a plan the rule book must refuse: recovery over a
         // scripted scenario (it used to panic or run another plan).
         "--recovery repair --scenario step:10@5",
@@ -237,8 +242,8 @@ fn cluster_smokes_sit_on_the_right_tiers() {
 #[test]
 fn mega_scale_smoke_runs_in_scale_and_full_tiers() {
     // The mega smoke is gated on `scale || full`, sitting between the
-    // quick stages and the full-only block; inside it, the N=10^6 run
-    // and its golden diff are scale-tier-only.
+    // quick stages and the full-only block; the N=10^6 run and its golden
+    // diff are part of it, in both tiers (no scale-only block is left).
     let text = std::fs::read_to_string(ci_script()).unwrap();
     let smoke_gate = text
         .find("[ \"$TIER\" = scale ] || [ \"$TIER\" = full ]")
@@ -246,14 +251,20 @@ fn mega_scale_smoke_runs_in_scale_and_full_tiers() {
     let smoke = text
         .find("stage \"mega scale smoke")
         .expect("ci.sh lost the mega scale smoke stage");
-    let scale_only = text
-        .find("[ \"$TIER\" = scale ];")
-        .expect("ci.sh lost the scale-only block");
-    let million = text
-        .find("--n 1000000 ")
-        .expect("ci.sh lost the N=10^6 run");
+    let body = text
+        .find("mega_scale_smoke() {")
+        .expect("ci.sh lost the mega scale smoke function");
+    let body = &text[body..body + text[body..].find("\n}\n").unwrap()];
     assert!(smoke > smoke_gate, "smoke must sit in the scale/full gate");
-    assert!(million > scale_only, "the N=10^6 run is scale-tier-only");
+    assert!(
+        body.contains("--n 1000000 ")
+            && body.contains("diff \"$golden/scale_n1000000_mega.txt\" \"$base-mega-1m.txt\""),
+        "the N=10^6 golden diff is part of the mega smoke"
+    );
+    assert!(
+        !text.contains("[ \"$TIER\" = scale ];"),
+        "no stage is scale-tier-only"
+    );
 }
 
 #[test]
