@@ -12,7 +12,9 @@
 #                 cluster smoke
 #                 + chaos-transport smoke (5% loss + a gray node), both
 #                 closed by the DES replay oracle + flash-crowd smoke
-#                 (10^3 joins, slot = DES oracle-closed) (the edit loop)
+#                 (10^3 joins, slot = DES oracle-closed) + crowd smoke
+#                 (a settled step:1000@20 crowd: mega = fast line for
+#                 line) (the edit loop)
 #   ci.sh scale   quick + the mega-engine scale smoke through the real
 #                 CLI: at N=10^5 fast = mega = sharded line for line and
 #                 the mega report equals its committed golden stdout,
@@ -290,11 +292,26 @@ flash_crowd_smoke() {
         --out target/ci-flash-crowd.json
 }
 
+crowd_mega_smoke() {
+    # The settled flash crowd on mega's steady gears through the real
+    # CLI: the ledger's crowd1000 shape (the forest stops changing at slot
+    # 20 of 480, and the zero-rate loss plan only reports) must print
+    # what the fast engine prints, line for line, engine label aside.
+    local base=target/ci-crowd
+    local crowd=(simulate --scheme multitree --n 2000 --d 3 --scenario step:1000@20 --track 96)
+    target/release/clustream "${crowd[@]}" --engine fast >"$base-fast.txt"
+    target/release/clustream "${crowd[@]}" --engine mega >"$base-mega.txt"
+    diff <(grep -v '^engine' "$base-fast.txt") <(grep -v '^engine' "$base-mega.txt")
+}
+
 flash_crowd_full() {
     # The acceptance-scale crowd: 10^5 joins within a few hundred slots
     # on the mega engine, frontier tables plus the JSON QoE report. The
     # default 256-slot tracked window outlasts the ramp (ends slot 210),
     # so the interruption frontier must close at the paper's h*d bound.
+    # Past the ramp mega replays its steady table: about 5 s on a 2-core
+    # container (it took 13-14 s while the zero-rate loss plan kept the
+    # whole run in full mode).
     cargo run -q --release --offline -p clustream-bench --bin ext_flash_crowd -- \
         --n0 1000 --d 3 --joins 100000 --engine mega \
         --out target/ci-flash-crowd-100k.json
@@ -392,6 +409,7 @@ stage "timing-wheel smoke (wheel queue)" wheel_smoke
 stage "cluster smoke (8 nodes, uds + replay oracle)" cluster_smoke
 stage "cluster chaos smoke (8 nodes, uds + loss/gray + replay oracle)" cluster_chaos_smoke
 stage "flash-crowd smoke (10^3 joins, oracle-closed)" flash_crowd_smoke
+stage "crowd smoke (mega = fast, step:1000@20)" crowd_mega_smoke
 
 if [ "$TIER" = scale ] || [ "$TIER" = full ]; then
     stage "mega scale smoke (fast = mega = sharded = golden)" mega_scale_smoke
@@ -445,7 +463,8 @@ for f in target/ci-timings.json target/ci-metrics.jsonl \
     target/ci-cluster-kill-trace.json target/ci-cluster-chaos-heal-trace.json \
     target/ci-scale-fast.txt target/ci-scale-mega.txt target/ci-scale-mega-sharded.txt \
     target/ci-scale-mega-observed.txt target/ci-scale-mega.jsonl target/ci-scale-mega-1m.txt \
-    target/ci-des-recovery-wheel.txt target/ci-des-recovery-heap.txt; do
+    target/ci-des-recovery-wheel.txt target/ci-des-recovery-heap.txt \
+    target/ci-crowd-fast.txt target/ci-crowd-mega.txt; do
     [ -f "$f" ] || continue
     printf '  %-48s %8d bytes\n' "$f" "$(wc -c <"$f")"
 done

@@ -6,7 +6,7 @@ use clustream_des::{DesStats, TICKS_PER_SLOT};
 use clustream_multitree::node_calendar;
 use clustream_overlay::{plan_session, ClusterRequirement, IntraScheme};
 use clustream_plan::{member_timelines, Family, RunPlan, SchemeSpec, SCHEME_USAGE};
-use clustream_sim::{RunResult, SimConfig, Simulator};
+use clustream_sim::{FastSimulator, RunResult, SimConfig};
 use clustream_telemetry::{
     from_jsonl, names as tm, to_jsonl, Histogram, MemoryRecorder, Telemetry,
 };
@@ -381,7 +381,7 @@ pub fn plan(args: &ArgMap) -> Result<String, CliError> {
             p.predicted_buffer
         );
     }
-    let r = Simulator::run(&mut session, &SimConfig::until_complete(24, 1_000_000))?;
+    let r = FastSimulator::run(&mut session, &SimConfig::until_complete(24, 1_000_000))?;
     let _ = writeln!(
         out,
         "\nsimulated: worst startup {} slots, max buffer {} packets, 0 hiccups",
@@ -414,7 +414,7 @@ pub fn trace(args: &ArgMap) -> Result<String, CliError> {
     }
     let track = (packet + 16).max(48);
     let cfg = SimConfig::until_complete(track, 1_000_000).traced();
-    let r = Simulator::run(scheme.as_mut(), &cfg)?;
+    let r = FastSimulator::run(scheme.as_mut(), &cfg)?;
     let tr = r.trace.as_ref().expect("trace requested");
 
     let mut out = String::new();

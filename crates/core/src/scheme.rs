@@ -129,6 +129,20 @@ pub struct RepairOutcome {
 /// mega engine additionally *verifies* one full repeated period against
 /// generated output before trusting it, so a wrong declaration degrades
 /// performance but never correctness.
+///
+/// Two further obligations come with it:
+///
+/// * **Replayable from slot 0.** An engine may drive the same instance
+///   through a run twice (the mega engine re-runs in full mode after a
+///   failed residual check). A scheme whose state advances with the
+///   slots — a scripted membership — must rewind to its initial state
+///   when asked for a slot below the last one it served.
+/// * **Nothing changes after `warmup` but the slot.** Past the hand-off
+///   an engine stops asking for transmissions, so a declaration must not
+///   begin before the scheme's last self-inflicted change (a scripted
+///   event): the replay would silently run the stale schedule. A
+///   [`Scheme::membership_event`] voids the declaration outright; only
+///   the discrete-event runtime delivers those, and it never reads one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchedulePeriod {
     /// First slot from which the pattern repeats.
@@ -183,8 +197,8 @@ pub trait Scheme {
 
     /// The scheme's steady-state periodicity, if it has one (see
     /// [`SchedulePeriod`] for the exact contract). Defaults to `None`:
-    /// view-dependent, self-mutating or aperiodic schemes simply keep
-    /// the default and engines generate every slot live.
+    /// view-dependent or aperiodic schemes simply keep the default and
+    /// engines generate every slot live.
     fn schedule_period(&self) -> Option<SchedulePeriod> {
         None
     }

@@ -468,7 +468,7 @@ impl Node {
     /// are in flight or delivered — and the healed calendar, lowered
     /// relative to slot 0, replays from the base. Re-sent duplicates are
     /// ignored by receivers, so correctness only needs the healed
-    /// calendar to be complete, which the reference lowering guarantees.
+    /// calendar to be complete, which the lowering guarantees.
     fn apply_update(&mut self, upd: ScheduleUpdate, recv_ns: u64, t: u64) {
         let base = upd.barrier_slot.max(t);
         self.by_slot.split_off(&base);

@@ -2,17 +2,18 @@
 //! calendar to the explicit per-node send/expect lists a
 //! `clustream-node` process executes.
 //!
-//! The lowering runs the *reference* slot simulator once with tracing on
-//! and harvests the validated transmission trace — so a networked run
+//! The lowering runs the fast slot engine once with tracing on and
+//! harvests the validated transmission trace — so a networked run
 //! executes exactly the transmissions the paper's schedule prescribes,
-//! already validated (capacity, holdings, collisions) by the strictest
-//! engine in the workspace. The same determinism is what makes the DES a
-//! usable replay oracle afterwards: re-running the scheme in-sim
+//! already validated (capacity, holdings, collisions) under the contract
+//! the differential harness holds every slot engine to (the reference's
+//! trace and errors, bit for bit). The same determinism is what makes the
+//! DES a usable replay oracle afterwards: re-running the scheme in-sim
 //! regenerates this identical calendar.
 
 use clustream_core::{NodeId, Scheme};
 use clustream_plan::{Family, SchemeSpec};
-use clustream_sim::{FaultPlan, SimConfig, Simulator};
+use clustream_sim::{FastSimulator, FaultPlan, SimConfig};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -82,10 +83,10 @@ pub struct LoweredRecv {
 }
 
 /// The full lowered schedule of one stream: per-node send and expect
-/// calendars plus the slot horizon of the reference run.
+/// calendars plus the slot horizon of the lowering run.
 #[derive(Debug, Clone, Default)]
 pub struct LoweredSchedule {
-    /// Slots the reference run took to deliver the tracked window.
+    /// Slots the lowering run took to deliver the tracked window.
     pub slots_run: u64,
     /// Outgoing calendar per sender.
     pub sends: BTreeMap<u32, Vec<LoweredSend>>,
@@ -93,7 +94,7 @@ pub struct LoweredSchedule {
     pub expects: BTreeMap<u32, Vec<LoweredRecv>>,
 }
 
-/// Lower `params` for a `track`-packet stream by running the reference
+/// Lower `params` for a `track`-packet stream by running the fast
 /// simulator with tracing enabled and splitting the trace per node.
 pub fn lower_schedule(params: &SchemeParams, track: u64) -> Result<LoweredSchedule, String> {
     let mut scheme = params.build()?;
@@ -105,12 +106,12 @@ pub fn lower_schedule(params: &SchemeParams, track: u64) -> Result<LoweredSchedu
 /// a membership event), which no [`SchemeParams`] names.
 pub fn lower_scheme(scheme: &mut dyn Scheme, track: u64) -> Result<LoweredSchedule, String> {
     let cfg = SimConfig::until_complete(track, 100_000).traced();
-    let run = Simulator::run(scheme, &cfg).map_err(|e| e.to_string())?;
+    let run = FastSimulator::run(scheme, &cfg).map_err(|e| e.to_string())?;
     Ok(split_trace(&run, track))
 }
 
 /// Lower an already-built scheme around a set of `dead` nodes. The
-/// healed forest no longer contains them, so the reference simulator
+/// healed forest no longer contains them, so the slot engine
 /// must treat them as crashed from slot 0 (lossy playback analysis)
 /// instead of failing hard on their missing deliveries. Faulty runs
 /// never "complete", so the caller bounds the horizon with `max_slots`
@@ -128,11 +129,11 @@ pub fn lower_scheme_healed(
         stop_crashes: dead.iter().map(|&d| (NodeId(d), 0)).collect(),
     };
     let cfg = SimConfig::with_faults(track, max_slots, plan).traced();
-    let run = Simulator::run(scheme, &cfg).map_err(|e| e.to_string())?;
+    let run = FastSimulator::run(scheme, &cfg).map_err(|e| e.to_string())?;
     Ok(split_trace(&run, track))
 }
 
-/// Split a traced reference run into per-node calendars. Untracked
+/// Split a traced lowering run into per-node calendars. Untracked
 /// packets are skipped: a fixed-horizon (faulty) run may stream past
 /// the tracked window, and nodes only account for packets `0..track`.
 fn split_trace(run: &clustream_sim::RunResult, track: u64) -> LoweredSchedule {

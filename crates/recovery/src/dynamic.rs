@@ -29,6 +29,16 @@
 //! from zero. Displaced nodes may miss packets during the transition;
 //! the NACK layer (or a hiccup) covers those.
 //!
+//! Once the script is spent the schedule is the settled forest's
+//! round-robin, so the scheme declares a [`SchedulePeriod`]: period `d`
+//! from the last scripted slot plus the settled schedule's own warmup.
+//! The sum, not the larger of the two: a member the last event displaced
+//! may be asked for a packet it missed until one tree depth after it, and
+//! a declared warmup never ends before the script does (past the
+//! hand-off an engine stops asking). A run that asks for a slot below
+//! the last one served — the mega engine's full-mode re-run — rewinds
+//! the script to the initial membership first.
+//!
 //! Identity bookkeeping: the engines' node ids are stable forever —
 //! `1..=N₀` for initial members, then the fresh monotone ids
 //! [`clustream_workloads::ChurnTrace::resolve`] hands out per scripted
@@ -42,7 +52,8 @@
 //! design* and run under a zero-rate fault plan.
 
 use clustream_core::{
-    CoreError, MembershipEvent, NodeId, RepairOutcome, Scheme, Slot, StateView, Transmission,
+    CoreError, MembershipEvent, NodeId, RepairOutcome, SchedulePeriod, Scheme, Slot, StateView,
+    Transmission,
 };
 use clustream_multitree::dynamics::{ChurnReport, DynamicForest, ExtId};
 use clustream_multitree::{Construction, MultiTreeScheme, StreamMode};
@@ -57,12 +68,19 @@ pub struct DynamicMultiTree {
     /// The round-robin schedule over the forest's latest snapshot.
     inner: MultiTreeScheme,
     mode: StreamMode,
+    construction: Construction,
     name: String,
+    /// Initial members: engine ids `1..=n0`.
+    n0: usize,
     /// Largest engine id that is ever a member (= engine receiver count).
     max_id: usize,
     /// Slot-sorted script; `cursor` marks the first unapplied event.
     events: Vec<ResolvedChurnEvent>,
     cursor: usize,
+    /// The last slot [`Scheme::transmissions`] served.
+    last_slot: u64,
+    /// The declaration, fixed at construction (see the module docs).
+    period: Option<SchedulePeriod>,
     /// Engine id → slot its scripted join fires (0 for initial members).
     join_slots: Vec<u64>,
     /// Forest external id → engine id; 0 = departed.
@@ -148,14 +166,18 @@ impl DynamicMultiTree {
         let mut orig_to_ext: Vec<ExtId> = (0..=n0 as ExtId).collect();
         orig_to_ext.resize(max_id + 1, 0);
         let (inner, snap_to_orig) = lower(&forest, &ext_to_orig, mode)?;
-        Ok(DynamicMultiTree {
+        let mut s = DynamicMultiTree {
             forest,
             inner,
             mode,
+            construction,
             name: format!("flash-crowd(n0={n0},d={d},joins={joins},fails={fails})"),
+            n0,
             max_id,
             events,
             cursor: 0,
+            last_slot: 0,
+            period: None,
             join_slots,
             ext_to_orig,
             orig_to_ext,
@@ -165,7 +187,35 @@ impl DynamicMultiTree {
             leaves_applied: 0,
             rebuilds: 0,
             total_swaps: 0,
+        };
+        s.period = s.settled_period();
+        Ok(s)
+    }
+
+    /// The settled schedule's declaration shifted past the script: its
+    /// warmup (max first receive + 1) counted from the last scripted
+    /// slot, its period `d`. The script runs once, on a copy, to find the
+    /// settled forest.
+    fn settled_period(&self) -> Option<SchedulePeriod> {
+        let settled = if self.events.is_empty() {
+            self.inner.schedule_period()
+        } else {
+            let mut end = self.clone();
+            end.apply_due(u64::MAX);
+            end.inner.schedule_period()
+        }?;
+        Some(SchedulePeriod {
+            warmup: self.settled_slot().saturating_add(settled.warmup),
+            ..settled
         })
+    }
+
+    /// Back to construction time: the initial membership, the script
+    /// unapplied, every counter zero.
+    fn rewind(&mut self) {
+        let events = std::mem::take(&mut self.events);
+        *self = Self::scripted(self.n0, self.d(), self.mode, self.construction, events)
+            .expect("the script was accepted at construction");
     }
 
     /// Script a crowd from a [`ScenarioPlan`]: compile against `n0`
@@ -318,7 +368,15 @@ impl Scheme for DynamicMultiTree {
         self.mode.availability()
     }
 
+    fn schedule_period(&self) -> Option<SchedulePeriod> {
+        self.period
+    }
+
     fn transmissions(&mut self, slot: Slot, view: &dyn StateView, out: &mut Vec<Transmission>) {
+        if slot.t() < self.last_slot && self.cursor > 0 {
+            self.rewind();
+        }
+        self.last_slot = slot.t();
         self.apply_due(slot.t());
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.clear();
@@ -540,6 +598,62 @@ mod tests {
         assert_eq!(js.len(), 8);
         assert!(js[..5].iter().all(|&s| s == 0));
         assert!(js[5..].iter().all(|&s| s == 9));
+    }
+
+    #[test]
+    fn a_scripted_crowd_replays_from_slot_0() {
+        // The mega engine re-runs the same instance after a steady
+        // anomaly: a second run must start from the initial membership,
+        // not from the settled forest the first one left behind.
+        let cfg = lossy_cfg(16, 120);
+        let scenario = "step:6@4,fail:2-3@9";
+        let want = Simulator::run(&mut crowd(8, 2, scenario), &cfg).unwrap();
+        let mut twice = crowd(8, 2, scenario);
+        let mut eng = clustream_sim::FastEngine::new();
+        for run in 0..2 {
+            assert_eq!(eng.run(&mut twice, &cfg).unwrap(), want, "run {run}");
+            assert_eq!(twice.rebuilds(), 2, "run {run}");
+            assert_eq!(twice.joins_applied(), 6, "run {run}");
+            assert_eq!(twice.leaves_applied(), 2, "run {run}");
+        }
+        // Asking for the same slot again is not a rewind.
+        let at = schedule(&mut twice, 119..120);
+        assert_eq!(schedule(&mut twice, 119..120), at);
+        assert_eq!(twice.rebuilds(), 2);
+    }
+
+    #[test]
+    fn the_declaration_starts_past_the_script_by_the_settled_warmup() {
+        // No script: the static multi-tree's own declaration.
+        let still = healing(27, 3);
+        assert_eq!(
+            still.schedule_period(),
+            static_tree(27, 3).schedule_period()
+        );
+        assert_eq!(
+            crowd(27, 3, "").schedule_period(),
+            static_tree(27, 3).schedule_period()
+        );
+        // A script: the settled forest's warmup, counted from its last
+        // slot — whatever the initial forest's warmup was.
+        let mut c = crowd(9, 3, "ramp:20@5+30,fail:2-4@50");
+        let settled = c.settled_slot();
+        assert_eq!(settled, 50);
+        let decl = c.schedule_period().unwrap();
+        let _ = schedule(&mut c, 0..settled + 1);
+        let w = c.inner.schedule_period().unwrap();
+        assert_eq!(decl.period, 3);
+        assert_eq!(decl.warmup, settled + w.warmup);
+        // From there the emission list repeats with packet delta d.
+        let window = schedule(&mut c, decl.warmup..decl.warmup + 2 * decl.period);
+        let (a, b) = window.split_at(decl.period as usize);
+        for (x, y) in a.iter().zip(b) {
+            assert_eq!(x.len(), y.len());
+            for (p, q) in x.iter().zip(y) {
+                assert_eq!((p.from, p.to), (q.from, q.to));
+                assert_eq!(q.packet.seq(), p.packet.seq() + decl.period);
+            }
+        }
     }
 
     // ---- one type: the two drivers agree ----

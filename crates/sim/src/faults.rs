@@ -84,6 +84,17 @@ impl FaultPlan {
         }
     }
 
+    /// Whether the plan only *reports*: no link loss and no crash of
+    /// either flavor, so nothing is ever dropped and the loss RNG never
+    /// draws. What is left of the fault regime is its bookkeeping — a
+    /// missing packet is a [`LossReport`] line instead of a hiccup error,
+    /// and a sender forwarding what it never received is a counted
+    /// suppression instead of a model violation
+    /// ([`crate::SimConfig::lossy_regime`] is this plan).
+    pub fn reports_only(&self) -> bool {
+        self.loss_rate == 0.0 && self.crashes.is_empty() && self.stop_crashes.is_empty()
+    }
+
     /// Whether `node`'s uplink is dead at `slot` (either crash flavor —
     /// fail-stop implies fail-silent).
     pub fn crashed(&self, node: NodeId, slot: u64) -> bool {
@@ -205,6 +216,23 @@ mod tests {
         let p = FaultPlan::loss(0.05, 7);
         assert_eq!(p.crashes.len(), 0);
         assert!((p.loss_rate - 0.05).abs() < 1e-12);
+    }
+
+    #[test]
+    fn only_a_plan_that_can_drop_nothing_reports_only() {
+        assert!(FaultPlan::loss(0.0, 7).reports_only());
+        assert!(FaultPlan::default().reports_only());
+        assert!(!FaultPlan::loss(0.05, 7).reports_only());
+        assert!(!FaultPlan::loss(f64::MIN_POSITIVE, 7).reports_only());
+        assert!(!FaultPlan::crash(NodeId(3), 10).reports_only());
+        assert!(!FaultPlan::fail_stop(NodeId(5), 4).reports_only());
+        // A crash scheduled past any horizon still disqualifies: the gate
+        // reads the plan, not the run.
+        let late = FaultPlan {
+            crashes: vec![(NodeId(1), u64::MAX)],
+            ..FaultPlan::loss(0.0, 1)
+        };
+        assert!(!late.reports_only());
     }
 
     #[test]

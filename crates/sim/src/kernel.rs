@@ -322,6 +322,14 @@ impl Run<'_> {
     pub(crate) fn first_unflushed(&self) -> u64 {
         self.slots_run.saturating_sub(1)
     }
+
+    /// Generated transmissions the fault regime has kept off the wire so
+    /// far: lost in flight, sent by a crashed node, or forwarded by a
+    /// node that never held the packet.
+    pub(crate) fn dropped(&self) -> u64 {
+        let l = &self.loss_report;
+        l.lost_in_flight + l.crash_suppressed + l.propagation_suppressed
+    }
 }
 
 /// Reusable kernel arena. One instance can run many simulations (e.g. a

@@ -41,12 +41,14 @@
 //!    coordinator-sequential and every shared counter is additive, so
 //!    `shards = k` is bit-identical to `shards = 1` at any `k`.
 //!
-//! Ramp slots (before the verified steady state), fault-injection runs,
-//! and schemes without a declared period run in full mode: the slot
-//! kernel's phases (module `kernel`), the very code
-//! [`crate::FastEngine`] drives, over the columnar store.
+//! Ramp slots (before the verified steady state), runs under a fault
+//! plan that can drop a transmission (anything but
+//! [`FaultPlan::reports_only`]), and schemes without a declared period
+//! run in full mode: the slot kernel's phases (module `kernel`), the very
+//! code [`crate::FastEngine`] drives, over the columnar store.
 
 use crate::engine::{RunResult, SimConfig};
+use crate::faults::FaultPlan;
 use crate::kernel::{record_slot_deliveries, Held, Kernel, PacketSet};
 use crate::parallel::ClaimCounter;
 use crate::playback::{ArrivalTable, CellsMut};
@@ -266,8 +268,17 @@ impl Lowering {
 
     /// Record slots `[warmup, warmup + p)`; verify slots
     /// `[warmup + p, warmup + 2p)` repeat them with packet delta `p`.
-    fn observe(&mut self, t: u64, out: &[Transmission]) {
+    /// `whole` says every transmission of `out` went on the wire: a slot
+    /// the fault regime suppressed part of voids the declaration for the
+    /// run, because the table would replay a send that was never
+    /// validated (its receive slot never reserved, its link never
+    /// counted).
+    fn observe(&mut self, t: u64, out: &[Transmission], whole: bool) {
         if !self.ok || t < self.warmup || t >= self.steady_from {
+            return;
+        }
+        if !whole {
+            self.ok = false;
             return;
         }
         if t < self.warmup + self.period {
@@ -602,10 +613,12 @@ impl MegaEngine {
     /// If a steady-state residual check trips mid-replay (the
     /// periodicity declaration was wrong in a way one verified period
     /// did not expose), the whole simulation is re-run in full mode,
-    /// which is exact by construction. Schemes declaring a period must
-    /// therefore be replayable from slot 0 — already required by the
-    /// [`SchedulePeriod`] contract, which forbids consulting the
-    /// [`clustream_core::StateView`] from `warmup` onward.
+    /// which is exact by construction. The re-run drives the *same*
+    /// instance from slot 0 again, so schemes declaring a period must be
+    /// replayable — required by the [`SchedulePeriod`] contract, which
+    /// forbids consulting the [`clustream_core::StateView`] from `warmup`
+    /// onward and makes a self-mutating scheme rewind when asked for a
+    /// slot below the last one it served.
     pub fn run(
         &mut self,
         scheme: &mut dyn Scheme,
@@ -634,9 +647,14 @@ impl MegaEngine {
         let mut run = self.kernel.begin(scheme, cfg)?;
         self.steady_slots = 0;
 
-        // Lowering only arms on clean runs of schemes declaring a period
-        // that leaves slots to replay within the horizon.
-        let mut lowering = if allow_steady && cfg.faults.is_none() {
+        // Lowering only arms for schemes declaring a period that leaves
+        // slots to replay within the horizon, on runs where nothing is
+        // ever dropped: no fault plan, or one that only reports. Such a
+        // plan draws no loss and crashes no one; its one remaining effect,
+        // a forward of an unheld packet counted instead of fatal, is an
+        // anomaly in the careful gear and a refused window below.
+        let drops_nothing = cfg.faults.as_ref().is_none_or(FaultPlan::reports_only);
+        let mut lowering = if allow_steady && drops_nothing {
             scheme
                 .schedule_period()
                 .filter(|d| d.period >= 1)
@@ -686,13 +704,13 @@ impl MegaEngine {
                 break;
             }
             self.kernel.dispatch(scheme, t);
-            // Record/verify the declared period. Observing before
-            // validation is safe: on a clean run every generated
-            // transmission either validates or errors the whole run.
-            if let Some(lw) = lowering.as_mut() {
-                lw.observe(t, &self.kernel.out);
-            }
+            let dropped = run.dropped();
             self.kernel.admit(scheme, &mut run, t)?;
+            // Record/verify the declared period from what was admitted
+            // whole: every transmission validated, or the run errored.
+            if let Some(lw) = lowering.as_mut() {
+                lw.observe(t, &self.kernel.out, run.dropped() == dropped);
+            }
         }
 
         // By value: the tables are dead weight once the flush is done, and
@@ -1923,15 +1941,141 @@ mod tests {
 
     #[test]
     fn faults_disable_lowering_even_when_declared() {
-        // A declared scheme under a fault plan must run fully live: the
-        // replay cannot model crash suppression.
-        let cfg = SimConfig::with_faults(12, 150, crate::faults::FaultPlan::crash(NodeId(3), 9));
+        // A declared scheme under a plan that can drop a transmission must
+        // run fully live: the replay models neither the loss draws nor
+        // crash suppression.
+        for plan in [
+            FaultPlan::loss(0.15, 7),
+            FaultPlan::crash(NodeId(3), 9),
+            FaultPlan::fail_stop(NodeId(3), 9),
+        ] {
+            let cfg = SimConfig::with_faults(12, 150, plan);
+            let want = FastSimulator::run(&mut Chain { n: 6 }, &cfg).unwrap();
+            let mut eng = MegaEngine::new();
+            let got = eng.run(&mut Chain { n: 6 }, &cfg).unwrap();
+            assert_eq!(eng.steady_slots(), 0, "{:?}", cfg.faults);
+            assert_eq!(diff_fields(&want, &got), Vec::<&str>::new());
+            assert_eq!(want.loss, got.loss);
+        }
+    }
+
+    #[test]
+    fn a_plan_that_only_reports_keeps_the_steady_gears() {
+        let cfg = SimConfig::lossy_regime(12, 150);
         let want = FastSimulator::run(&mut Chain { n: 6 }, &cfg).unwrap();
         let mut eng = MegaEngine::new();
         let got = eng.run(&mut Chain { n: 6 }, &cfg).unwrap();
-        assert_eq!(eng.steady_slots(), 0);
+        assert_eq!(eng.steady_slots(), 150 - 6 - 2);
         assert_eq!(diff_fields(&want, &got), Vec::<&str>::new());
-        assert_eq!(want.loss, got.loss);
+        assert!(got
+            .loss
+            .is_some_and(|l| l == crate::faults::LossReport::default()));
+    }
+
+    /// A period-1 delay line: the source streams packet `t` to node 1,
+    /// which relays packet `t − 4` to node 2 from slot 4 on (the declared
+    /// warmup). Like [`Colliding`], a declaration that verification
+    /// accepts and the steady state contradicts.
+    struct DelayLine {
+        /// Packets the source never sends node 1 (before the warmup, so
+        /// the schedule is periodic from it all the same).
+        holes: std::ops::Range<u64>,
+        /// The source also streams packet `t` straight to node 2, so a
+        /// relay that goes through collides with it.
+        direct: bool,
+    }
+
+    impl Scheme for DelayLine {
+        fn name(&self) -> String {
+            "delay-line".into()
+        }
+        fn num_receivers(&self) -> usize {
+            2
+        }
+        fn send_capacity(&self, node: NodeId) -> usize {
+            if node.is_source() {
+                2
+            } else {
+                1
+            }
+        }
+        fn transmissions(&mut self, slot: Slot, _: &dyn StateView, out: &mut Vec<Transmission>) {
+            let t = slot.t();
+            if !self.holes.contains(&t) {
+                out.push(Transmission::local(SOURCE, NodeId(1), PacketId(t)));
+            }
+            if self.direct {
+                out.push(Transmission::local(SOURCE, NodeId(2), PacketId(t)));
+            }
+            if t >= 4 {
+                out.push(Transmission::local(NodeId(1), NodeId(2), PacketId(t - 4)));
+            }
+        }
+        fn schedule_period(&self) -> Option<SchedulePeriod> {
+            Some(SchedulePeriod {
+                warmup: 4,
+                period: 1,
+            })
+        }
+    }
+
+    #[test]
+    fn a_hole_the_careful_gear_finds_falls_back_and_is_counted() {
+        // Packet 3 never reaches node 1, whose relay of it at slot 7 lies
+        // past the verified periods [4, 6) but inside the careful gear
+        // (the relay's feed slack keeps it checking until slot 10): the
+        // replay aborts, and the full-mode re-run counts the suppression
+        // the fast engine counts.
+        let scheme = || DelayLine {
+            holes: 3..4,
+            direct: false,
+        };
+        let cfg = SimConfig::lossy_regime(8, 40);
+        let want = FastSimulator::run(&mut scheme(), &cfg).unwrap();
+        let mut eng = MegaEngine::new();
+        let got = eng.run(&mut scheme(), &cfg).unwrap();
+        assert_eq!(diff_fields(&want, &got), Vec::<&str>::new());
+        assert_eq!(eng.steady_slots(), 0, "the anomaly re-runs in full mode");
+        let loss = got.loss.unwrap();
+        assert_eq!(
+            (loss.propagation_suppressed, loss.propagation_from_loss),
+            (1, 1)
+        );
+        assert_eq!(loss.missing, [(NodeId(1), 1), (NodeId(2), 1)]);
+
+        // Without the hole the same run stays on the table.
+        let mut whole = DelayLine {
+            holes: 0..0,
+            direct: false,
+        };
+        let want = FastSimulator::run(&mut whole, &cfg).unwrap();
+        let got = eng.run(&mut whole, &cfg).unwrap();
+        assert_eq!(diff_fields(&want, &got), Vec::<&str>::new());
+        assert_eq!(eng.steady_slots(), 40 - 6);
+    }
+
+    #[test]
+    fn a_suppression_inside_the_verified_periods_keeps_full_mode() {
+        // Node 1 misses packets 0 and 1, so both recorded relays are
+        // suppressed; the first one it can make, at slot 6, collides with
+        // the direct stream. Had the table taken the two suppressed slots
+        // as verified, it would replay that relay without a receive check
+        // and finish a run the fast engine fails.
+        let scheme = || DelayLine {
+            holes: 0..2,
+            direct: true,
+        };
+        let cfg = SimConfig::lossy_regime(8, 40);
+        let want = FastSimulator::run(&mut scheme(), &cfg).unwrap_err();
+        let mut eng = MegaEngine::new();
+        let got = eng.run(&mut scheme(), &cfg).unwrap_err();
+        assert!(
+            matches!(got, CoreError::ReceiveCollision { node, slot, .. }
+                if node == NodeId(2) && slot.t() == 6),
+            "{got}"
+        );
+        assert_eq!(want.to_string(), got.to_string());
+        assert_eq!(eng.steady_slots(), 0);
     }
 
     #[test]

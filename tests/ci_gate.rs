@@ -97,6 +97,12 @@ fn script_parses_and_defines_both_tiers() {
         "--joins 1000 --oracle",
         "--joins 100000 --engine mega",
         "ext_heterogeneity",
+        // …and the settled crowd on mega's steady gears: the ledger's
+        // crowd1000 line prints the same on mega as on fast.
+        "local crowd=(simulate --scheme multitree --n 2000 --d 3 --scenario step:1000@20 --track 96)",
+        "target/release/clustream \"${crowd[@]}\" --engine fast >\"$base-fast.txt\"",
+        "target/release/clustream \"${crowd[@]}\" --engine mega >\"$base-mega.txt\"",
+        "diff <(grep -v '^engine' \"$base-fast.txt\") <(grep -v '^engine' \"$base-mega.txt\")",
         // The recovery fault matrix ends with the benchmark's
         // des_recovery command line on the checked queue (heap and
         // spare-pooled wheel in lockstep).
@@ -145,13 +151,20 @@ fn script_parses_and_defines_both_tiers() {
 
 #[test]
 fn scenario_stages_sit_on_the_right_tiers() {
-    // The 10^3-join oracle-closed crowd smoke belongs to the edit loop
-    // (before the full-tier gate); the 10^5-join mega crowd and the
-    // heterogeneity sweep are merge-gate-only (after it).
+    // The 10^3-join oracle-closed crowd smoke and the mega = fast crowd
+    // smoke belong to the edit loop (before the full-tier gate); the
+    // 10^5-join mega crowd and the heterogeneity sweep are merge-gate-only
+    // (after it).
     let text = std::fs::read_to_string(ci_script()).unwrap();
     let smoke = text
         .find("stage \"flash-crowd smoke (10^3 joins, oracle-closed)\"")
         .expect("ci.sh lost the flash-crowd smoke stage");
+    let crowd_mega = text
+        .find("stage \"crowd smoke (mega = fast, step:1000@20)\" crowd_mega_smoke")
+        .expect("ci.sh lost the mega crowd smoke stage");
+    let build = text
+        .find("stage \"build (release)\"")
+        .expect("ci.sh lost the release build stage");
     let crowd = text
         .find("stage \"flash-crowd acceptance (10^5 joins, mega + QoE frontiers)\"")
         .expect("ci.sh lost the 10^5-join flash-crowd stage");
@@ -164,6 +177,10 @@ fn scenario_stages_sit_on_the_right_tiers() {
     assert!(
         smoke < full_gate,
         "the flash-crowd smoke must run in the quick tier"
+    );
+    assert!(
+        build < crowd_mega && crowd_mega < full_gate,
+        "the mega crowd smoke drives the release binary, in the quick tier"
     );
     assert!(
         crowd > full_gate && hetero > full_gate,

@@ -173,6 +173,54 @@ fn join_burst_larger_than_forest_is_engine_agnostic() {
     crowd.forest().validate().unwrap();
 }
 
+/// Mega against fast on one fresh crowd each: the same result field for
+/// field. Returns the slots mega replayed from its steady table.
+fn mega_steady_slots(n0: usize, d: usize, plan: &ScenarioPlan, cfg: &SimConfig) -> u64 {
+    let mut make = crowd_factory(n0, d, plan.clone());
+    let want = FastSimulator::run(make().as_mut(), cfg).unwrap();
+    let mut mega = MegaEngine::new();
+    let got = mega.run(make().as_mut(), cfg).unwrap();
+    assert_eq!(diff_fields(&want, &got), Vec::<&str>::new(), "`{plan}`");
+    mega.steady_slots()
+}
+
+/// Once the script is spent the crowd is a static multi-tree, so mega
+/// replays the rest of a long run from its steady table — under the
+/// zero-rate lossy regime, whose plan only reports, as under the strict
+/// one — and still equals the fast engine.
+#[test]
+fn settled_crowds_replay_on_the_steady_gears() {
+    for spec in [
+        "step:40@10",
+        "ramp:30@5+20",
+        "spikes:8@4+6=4",
+        "ramp:24@2+8,fail:2-4@20",
+    ] {
+        let plan = ScenarioPlan::parse(spec).unwrap();
+        let steady = mega_steady_slots(16, 3, &plan, &SimConfig::lossy_regime(16, 600));
+        assert!(steady > 400, "`{spec}`: {steady} steady slots of 600");
+    }
+    let joined_at_0 = ScenarioPlan::parse("step:6@0").unwrap();
+    let strict = SimConfig::until_complete(48, 10_000);
+    assert!(mega_steady_slots(5, 2, &joined_at_0, &strict) > 0);
+}
+
+/// A plan that can drop a transmission — link loss, a fail-silent or a
+/// fail-stop crash — keeps mega in full mode for the whole crowd.
+#[test]
+fn plans_that_drop_keep_the_crowd_in_full_mode() {
+    use clustream::sim::FaultPlan;
+    let plan = ScenarioPlan::parse("ramp:24@2+8").unwrap();
+    for faults in [
+        FaultPlan::loss(0.05, 3),
+        FaultPlan::crash(NodeId(2), 40),
+        FaultPlan::fail_stop(NodeId(5), 40),
+    ] {
+        let cfg = SimConfig::with_faults(16, 600, faults);
+        assert_eq!(mega_steady_slots(16, 3, &plan, &cfg), 0, "{:?}", cfg.faults);
+    }
+}
+
 /// Regional failures layered on a join wave stay engine-agnostic: the
 /// membership set shrinks mid-run and the survivors' replay must still
 /// be bit-identical everywhere.
