@@ -219,6 +219,13 @@ cli_flag_hygiene() {
         simulate --scheme multitree --n 4294967296 --d 3
     expect_error '^model error: ' \
         simulate --scheme chain --n 99999999999
+    # A node id past u32 used to be truncated (node 4294967297 traced node
+    # 1, exit 0), and a latency the arrival ring cannot grow to aborted in
+    # the allocator (134).
+    expect_error '^usage error: --node must be an integer in 0..=4294967295$' \
+        trace --scheme multitree --n 10 --node 4294967297
+    expect_error '^model error: invalid configuration: a transmission latency of 2000000000 slots' \
+        plan --clusters 5 --tc 2000000000
     # `--recovery` with `--scenario` used to pass the rule book and then
     # panic in the report (101) or silently run no failure at all (0).
     expect_error '^usage error: --scenario scripts its own joins and repairs' \

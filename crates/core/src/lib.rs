@@ -17,7 +17,8 @@
 //!   when deciding what to send;
 //! * [`NodeQos`] / [`QosReport`] — per-node and aggregate quality-of-service
 //!   measurements (playback delay, buffer occupancy, neighbor counts);
-//! * [`CoreError`] — model-constraint violations.
+//! * [`CoreError`] — model-constraint violations;
+//! * [`spec`] — the tokenizer every comma-separated spec flag shares.
 
 #![warn(missing_docs)]
 
@@ -25,6 +26,7 @@ pub mod error;
 pub mod ids;
 pub mod qos;
 pub mod scheme;
+pub mod spec;
 
 pub use error::CoreError;
 pub use ids::{NodeId, PacketId, Slot, SOURCE};

@@ -20,9 +20,11 @@
 //! The source is never reclassified: it keeps the scheme's capacity so
 //! the stream's root uplink stays provisioned.
 //!
-//! The spec grammar follows the `--kill`/`--chaos` family: entries are
-//! comma-separated `NAME[:CAPACITY]`, e.g. `fiber,cable:3,mobile`.
+//! Entries are split by the shared spec tokenizer
+//! ([`clustream_core::spec`]); this grammar is `NAME[:CAPACITY]` with
+//! both parts trimmed, e.g. `fiber,cable:3,mobile`.
 
+use clustream_core::spec;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -63,43 +65,29 @@ pub struct CapacityClassPlan {
     pub seed: u64,
 }
 
-fn bad(entry: &str, why: &str) -> String {
-    format!("bad --classes entry `{entry}`: {why}")
-}
-
 impl CapacityClassPlan {
     /// Parse a comma-separated `NAME[:CAPACITY]` list. Unknown class
-    /// names error listing the valid options, matching the
-    /// `--kill`/`--chaos` convention. Zipf exponent defaults to 1.0 and
-    /// seed to 0; adjust with [`CapacityClassPlan::with_zipf`] /
+    /// names error listing the valid options. Zipf exponent defaults to
+    /// 1.0 and seed to 0; adjust with [`CapacityClassPlan::with_zipf`] /
     /// [`CapacityClassPlan::seeded`].
     pub fn parse(s: &str) -> Result<Self, String> {
         let mut classes = Vec::new();
-        for entry in s.split(',') {
-            let entry = entry.trim();
-            let (name, cap) = match entry.split_once(':') {
-                Some((n, c)) => (n.trim(), Some(c.trim())),
-                None => (entry, None),
-            };
+        for e in spec::entries("classes", s) {
+            let e = e.trim();
+            let name = e.head.trim();
             let Some(default) = default_capacity(name) else {
                 return Err(format!(
                     "unknown --classes capacity class `{name}`; valid classes are: {VALID_CLASSES}"
                 ));
             };
-            let capacity = match cap {
-                Some(c) => {
-                    let c: usize = c
-                        .parse()
-                        .map_err(|_| bad(entry, "CAPACITY must be a positive integer"))?;
-                    if c == 0 {
-                        return Err(bad(entry, "CAPACITY must be at least 1"));
-                    }
-                    c
-                }
+            let capacity = match e.arg.map(|c| c.trim().parse::<usize>()) {
                 None => default,
+                Some(Ok(0)) => return Err(e.bad("CAPACITY must be at least 1")),
+                Some(Ok(c)) => c,
+                Some(Err(_)) => return Err(e.bad("CAPACITY must be a positive integer")),
             };
             if classes.iter().any(|c: &CapacityClass| c.name == name) {
-                return Err(bad(entry, "class declared twice"));
+                return Err(e.bad("class declared twice"));
             }
             classes.push(CapacityClass {
                 name: name.to_string(),
@@ -192,13 +180,11 @@ impl fmt::Display for CapacityClassPlan {
     /// Render the canonical spec; `parse(format!("{plan}"))` round-trips
     /// the class list (exponent and seed travel separately).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (i, c) in self.classes.iter().enumerate() {
-            if i > 0 {
-                write!(f, ",")?;
-            }
-            write!(f, "{}:{}", c.name, c.capacity)?;
+        let mut out = String::new();
+        for c in &self.classes {
+            spec::push_entry(&mut out, &c.name, [Some(&c.capacity), None, None, None]);
         }
-        Ok(())
+        f.write_str(&out)
     }
 }
 

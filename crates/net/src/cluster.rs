@@ -12,7 +12,7 @@
 //! and waited even when the orchestrator panics mid-run — `cargo test`
 //! must never leak a node process.
 
-use crate::faultspec::{format_chaos_spec, ChaosSpec};
+use crate::faultspec::{format_chaos_spec, ChaosKind, ChaosSpec};
 use crate::frame::{read_frame, Frame};
 use crate::killspec::KillSpec;
 use crate::schedule::{
@@ -293,6 +293,14 @@ type ControlEvent = (u32, Frame);
 /// What a node's control link that closes during setup reads as.
 const CLOSED: &str = "control connection closed";
 
+/// `slots` of `slot_us` µs each, in µs; an error naming `what` when the
+/// count (`None`) or the product overflows u64.
+fn wall_us(slots: Option<u64>, slot_us: u64, what: std::fmt::Arguments) -> Result<u64, String> {
+    slots
+        .and_then(|slots| slots.checked_mul(slot_us))
+        .ok_or_else(|| format!("{what} overflows u64 at {slot_us} µs per slot"))
+}
+
 /// Run a full orchestrated cluster experiment. See the module docs.
 pub fn run_cluster(opts: &ClusterOptions) -> Result<ClusterOutcome, String> {
     let n = opts.nodes;
@@ -306,6 +314,19 @@ pub fn run_cluster(opts: &ClusterOptions) -> Result<ClusterOutcome, String> {
         ));
     }
     let lowered = lower_schedule(&opts.params, opts.track)?;
+    // Slot counts become wall time here (the run deadline, 4× the horizon,
+    // which also bounds every kill's due time) and in every node (chaos
+    // delays): each product must fit u64 microseconds.
+    let slot_us = opts.slot_micros.max(1);
+    let horizon = lowered.slots_run.checked_add(opts.horizon_slack);
+    let deadline_us = wall_us(
+        horizon.and_then(|slots| slots.checked_mul(4)),
+        slot_us,
+        format_args!(
+            "the run deadline, 4 × ({} + --horizon-slack {}) slots,",
+            lowered.slots_run, opts.horizon_slack
+        ),
+    )?;
     let max_slots = lowered.slots_run + opts.horizon_slack;
     for k in &opts.kills {
         if u64::from(k.node) > n {
@@ -323,14 +344,23 @@ pub fn run_cluster(opts: &ClusterOptions) -> Result<ClusterOutcome, String> {
         }
     }
     for c in &opts.chaos {
+        let spec = format_chaos_spec(std::slice::from_ref(c));
         for node in c.nodes() {
             if u64::from(node) > n {
                 return Err(format!(
-                    "chaos target {node} in `{}` is outside the population 0..={n}",
-                    format_chaos_spec(std::slice::from_ref(c))
+                    "chaos target {node} in `{spec}` is outside the population 0..={n}"
                 ));
             }
         }
+        let delay = match c.kind {
+            ChaosKind::Delay {
+                slots,
+                jitter_slots,
+            } => slots.checked_add(jitter_slots),
+            ChaosKind::Gray { slots } => Some(slots),
+            _ => Some(0),
+        };
+        wall_us(delay, slot_us, format_args!("the delay of chaos `{spec}`"))?;
     }
     if opts.repair && opts.params.family != "multitree" {
         return Err(format!(
@@ -346,7 +376,7 @@ pub fn run_cluster(opts: &ClusterOptions) -> Result<ClusterOutcome, String> {
         RUN_COUNTER.fetch_add(1, Ordering::Relaxed)
     ));
     std::fs::create_dir_all(&dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
-    let result = run_cluster_in(opts, &lowered, max_slots, &dir);
+    let result = run_cluster_in(opts, &lowered, max_slots, deadline_us, &dir);
     let _ = std::fs::remove_dir_all(&dir);
     result
 }
@@ -355,6 +385,7 @@ fn run_cluster_in(
     opts: &ClusterOptions,
     lowered: &crate::schedule::LoweredSchedule,
     max_slots: u64,
+    deadline_us: u64,
     dir: &std::path::Path,
 ) -> Result<ClusterOutcome, String> {
     let n = opts.nodes;
@@ -495,8 +526,9 @@ fn run_cluster_in(
         conn.send(&Frame::Start).map_err(|e| e.to_string())?;
     }
 
-    // The stream runs; kills fire at their slot deadlines.
-    let slot_dur = Duration::from_micros(opts.slot_micros.max(1));
+    // The stream runs; kills fire at their slot deadlines (a kill slot is
+    // below the horizon, so its product with the slot length fits).
+    let slot_due = |slot: u64| t0 + Duration::from_micros(slot * opts.slot_micros.max(1));
     let mut kill_queue: Vec<KillSpec> = opts.kills.clone();
     kill_queue.sort_by_key(|k| k.slot);
     let mut kill_outcomes: Vec<KillOutcome> = Vec::new();
@@ -522,7 +554,7 @@ fn run_cluster_in(
     let mut repaired: BTreeSet<u32> = BTreeSet::new();
     let mut repair_events: Vec<RepairEvent> = Vec::new();
     // Generous overall deadline: 4× the nominal stream plus repair slack.
-    let overall = Duration::from_secs(10).max(slot_dur * (max_slots as u32) * 4);
+    let overall = Duration::from_secs(10).max(Duration::from_micros(deadline_us));
     let run_deadline = Instant::now() + overall;
     let mut next_kill = 0usize;
 
@@ -536,8 +568,7 @@ fn run_cluster_in(
         // Fire every kill whose slot deadline has passed.
         while next_kill < kill_queue.len() {
             let k = kill_queue[next_kill];
-            let due = t0 + slot_dur * (k.slot as u32);
-            if Instant::now() < due {
+            if Instant::now() < slot_due(k.slot) {
                 break;
             }
             reaper.kill(k.node);
@@ -551,8 +582,8 @@ fn run_cluster_in(
             next_kill += 1;
         }
         let wait = if next_kill < kill_queue.len() {
-            let due = t0 + slot_dur * (kill_queue[next_kill].slot as u32);
-            due.saturating_duration_since(Instant::now())
+            slot_due(kill_queue[next_kill].slot)
+                .saturating_duration_since(Instant::now())
                 .min(Duration::from_millis(50))
         } else {
             Duration::from_millis(50)
@@ -941,6 +972,26 @@ mod tests {
         }];
         let err = run_cluster(&o).unwrap_err();
         assert!(err.contains("past the schedule horizon"), "{err}");
+    }
+
+    #[test]
+    fn slot_counts_whose_wall_time_overflows_are_rejected() {
+        let reject = |edit: &dyn Fn(&mut ClusterOptions), needle: &str| {
+            let mut o = ClusterOptions::new(8, PathBuf::from("/bin/true"));
+            edit(&mut o);
+            let err = run_cluster(&o).unwrap_err();
+            assert!(err.contains(needle), "{err}");
+        };
+        reject(&|o| o.horizon_slack = u64::MAX, "--horizon-slack");
+        reject(&|o| o.slot_micros = u64::MAX / 4, "the run deadline");
+        for chaos in [
+            "delay:1@0=18446744073709551615",
+            "delay:1@0=1~18446744073709551615",
+            "gray:1@0=4611686018427387904",
+        ] {
+            let chaos = crate::faultspec::parse_chaos_spec(chaos).unwrap();
+            reject(&|o| o.chaos = chaos.clone(), "the delay of chaos");
+        }
     }
 
     #[test]

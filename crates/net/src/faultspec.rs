@@ -1,9 +1,9 @@
 //! `--chaos` specification parsing: which faults the chaos layer injects
 //! into the networked data path, where, and when.
 //!
-//! The grammar extends the `--kill` `NODE@SLOT` shape with a fault kind,
-//! an optional duration and a kind-specific parameter. Entries are
-//! comma-separated:
+//! Entries are split by the shared spec tokenizer
+//! ([`clustream_core::spec`]); this grammar adds the fault kinds, the
+//! target shapes and the `SLOTS~JITTER` parameter:
 //!
 //! ```text
 //! KIND:TARGET@START[+DUR][=PARAM]
@@ -23,6 +23,7 @@
 //! parsed entries ship to every node inside its `NodeConfig` and into
 //! the recorded `RunTrace`, so a chaos run documents its own schedule.
 
+use clustream_core::spec::{self, Entry};
 use serde::{Deserialize, Serialize};
 
 /// Which frames a fault applies to.
@@ -129,196 +130,129 @@ impl ChaosSpec {
     }
 }
 
-const VALID_KINDS: &str = "drop, dup, reorder, delay, partition, gray";
-const FORMAT_HINT: &str =
-    "expected KIND:TARGET@START[+DUR][=PARAM] (e.g. drop:3@10+40=0.05, comma-separated)";
-
-fn bad(entry: &str, why: &str) -> String {
-    format!("bad --chaos entry `{entry}`: {why}")
-}
-
-fn parse_node(entry: &str, s: &str, what: &str) -> Result<u32, String> {
-    s.parse()
-        .map_err(|_| bad(entry, &format!("{what} must be a non-negative integer")))
-}
-
-fn parse_rate(entry: &str, s: Option<&str>) -> Result<f64, String> {
-    let s = s.ok_or_else(|| bad(entry, "this kind needs `=RATE`"))?;
-    let rate: f64 = s
-        .parse()
-        .map_err(|_| bad(entry, "RATE must be a number in [0,1]"))?;
-    if !(0.0..=1.0).contains(&rate) {
-        return Err(bad(entry, "RATE must be a number in [0,1]"));
+/// `=RATE`: a probability.
+fn rate(e: &Entry, param: Option<&str>) -> Result<f64, String> {
+    let param = param.ok_or_else(|| e.bad("this kind needs `=RATE`"))?;
+    match param.parse() {
+        Ok(rate) if (0.0..=1.0).contains(&rate) => Ok(rate),
+        _ => Err(e.bad("RATE must be a number in [0,1]")),
     }
-    Ok(rate)
 }
 
-fn parse_slots(entry: &str, s: Option<&str>) -> Result<(u64, u64), String> {
-    let s = s.ok_or_else(|| {
-        bad(
-            entry,
-            "this kind needs `=SLOTS` (optionally `=SLOTS~JITTER`)",
-        )
-    })?;
-    let (fixed, jitter) = match s.split_once('~') {
-        Some((f, j)) => (f, Some(j)),
-        None => (s, None),
-    };
-    let fixed: u64 = fixed
-        .parse()
-        .map_err(|_| bad(entry, "SLOTS must be a non-negative integer"))?;
-    let jitter: u64 = match jitter {
-        Some(j) => j
-            .parse()
-            .map_err(|_| bad(entry, "JITTER must be a non-negative integer"))?,
-        None => 0,
-    };
-    Ok((fixed, jitter))
+/// `=SLOTS[~JITTER]`.
+fn slots(e: &Entry, param: Option<&str>) -> Result<(u64, u64), String> {
+    let param =
+        param.ok_or_else(|| e.bad("this kind needs `=SLOTS` (optionally `=SLOTS~JITTER`)"))?;
+    let (fixed, jitter) = spec::split(param, '~');
+    Ok((
+        e.int(fixed, "SLOTS")?,
+        jitter.map_or(Ok(0), |j| e.int(j, "JITTER"))?,
+    ))
 }
 
 /// Parse a comma-separated `--chaos` fault list. Errors name the
-/// offending entry and restate the expected format, matching the
-/// `--kill`/`--transport` convention.
+/// offending entry and restate the expected format.
 pub fn parse_chaos_spec(s: &str) -> Result<Vec<ChaosSpec>, String> {
-    let mut specs = Vec::new();
-    for entry in s.split(',') {
-        let entry = entry.trim();
-        let Some((kind, rest)) = entry.split_once(':') else {
-            return Err(bad(entry, FORMAT_HINT));
-        };
-        let Some((target, when)) = rest.split_once('@') else {
-            return Err(bad(entry, FORMAT_HINT));
-        };
-        let (when, param) = match when.split_once('=') {
-            Some((w, p)) => (w, Some(p)),
-            None => (when, None),
-        };
-        let (start, duration) = match when.split_once('+') {
-            Some((s, d)) => {
-                let dur: u64 = d
-                    .parse()
-                    .map_err(|_| bad(entry, "DUR must be a non-negative integer"))?;
-                (s, Some(dur))
-            }
-            None => (when, None),
-        };
-        let start: u64 = start
-            .parse()
-            .map_err(|_| bad(entry, "START must be a non-negative integer"))?;
-
-        let pair = |sep: char| -> Option<(&str, &str)> { target.split_once(sep) };
-        let parsed_target = if let Some((a, b)) = pair('/') {
-            ChaosTarget::Pair(
-                parse_node(entry, a, "TARGET")?,
-                parse_node(entry, b, "TARGET")?,
-            )
-        } else if let Some((a, b)) = pair('>') {
-            ChaosTarget::Link(
-                parse_node(entry, a, "TARGET")?,
-                parse_node(entry, b, "TARGET")?,
-            )
-        } else {
-            ChaosTarget::Node(parse_node(entry, target, "TARGET")?)
-        };
-
-        let kind = match kind {
-            "drop" => ChaosKind::Drop {
-                rate: parse_rate(entry, param)?,
-            },
-            "dup" => ChaosKind::Dup {
-                rate: parse_rate(entry, param)?,
-            },
-            "reorder" => ChaosKind::Reorder {
-                rate: parse_rate(entry, param)?,
-            },
-            "delay" => {
-                let (slots, jitter_slots) = parse_slots(entry, param)?;
-                ChaosKind::Delay {
-                    slots,
-                    jitter_slots,
+    spec::entries("chaos", s)
+        .map(|e| {
+            let e = e.trim();
+            let Some(at) = e.arg.and_then(spec::at) else {
+                return Err(e.expected("KIND:TARGET@START[+DUR][=PARAM]", "drop:3@10+40=0.05"));
+            };
+            let duration = at.dur.map(|d| e.int(d, "DUR")).transpose()?;
+            let start = e.int(at.start, "START")?;
+            let node = |s| e.int(s, "TARGET");
+            let target = match (spec::split(at.target, '/'), spec::split(at.target, '>')) {
+                ((a, Some(b)), _) => ChaosTarget::Pair(node(a)?, node(b)?),
+                (_, (a, Some(b))) => ChaosTarget::Link(node(a)?, node(b)?),
+                _ => ChaosTarget::Node(node(at.target)?),
+            };
+            let kind = match e.head {
+                "drop" => ChaosKind::Drop {
+                    rate: rate(&e, at.param)?,
+                },
+                "dup" => ChaosKind::Dup {
+                    rate: rate(&e, at.param)?,
+                },
+                "reorder" => ChaosKind::Reorder {
+                    rate: rate(&e, at.param)?,
+                },
+                "delay" => {
+                    let (slots, jitter_slots) = slots(&e, at.param)?;
+                    ChaosKind::Delay {
+                        slots,
+                        jitter_slots,
+                    }
                 }
-            }
-            "partition" => {
-                if param.is_some() {
-                    return Err(bad(entry, "partition takes no `=PARAM`"));
+                "partition" if at.param.is_some() => {
+                    return Err(e.bad("partition takes no `=PARAM`"));
                 }
-                ChaosKind::Partition
-            }
-            "gray" => {
-                let (slots, jitter) = parse_slots(entry, param)?;
-                if jitter != 0 {
-                    return Err(bad(entry, "gray takes `=SLOTS` with no jitter"));
+                "partition" => ChaosKind::Partition,
+                "gray" => match slots(&e, at.param)? {
+                    (slots, 0) => ChaosKind::Gray { slots },
+                    _ => return Err(e.bad("gray takes `=SLOTS` with no jitter")),
+                },
+                other => {
+                    return Err(format!(
+                        "unknown --chaos fault kind `{other}`; valid kinds are: drop, dup, reorder, delay, \
+                         partition, gray"
+                    ))
                 }
-                ChaosKind::Gray { slots }
+            };
+            let misfit = match (kind, target) {
+                (ChaosKind::Partition, ChaosTarget::Pair(a, b)) => {
+                    (a == b).then_some("partition needs two distinct nodes")
+                }
+                (ChaosKind::Partition, _) => Some("partition takes a node pair A/B"),
+                (_, ChaosTarget::Pair(..)) => Some("only partition takes a node pair A/B"),
+                (ChaosKind::Gray { .. }, ChaosTarget::Link(..)) => {
+                    Some("gray targets a whole node, not a link")
+                }
+                _ => None,
+            };
+            if let Some(why) = misfit {
+                return Err(e.bad(why));
             }
-            other => {
-                return Err(format!(
-                    "unknown --chaos fault kind `{other}`; valid kinds are: {VALID_KINDS}"
-                ))
-            }
-        };
-        match (kind, parsed_target) {
-            (ChaosKind::Partition, ChaosTarget::Pair(a, b)) if a == b => {
-                return Err(bad(entry, "partition needs two distinct nodes"));
-            }
-            (ChaosKind::Partition, ChaosTarget::Pair(..)) => {}
-            (ChaosKind::Partition, _) => {
-                return Err(bad(entry, "partition takes a node pair A/B"));
-            }
-            (_, ChaosTarget::Pair(..)) => {
-                return Err(bad(entry, "only partition takes a node pair A/B"));
-            }
-            (ChaosKind::Gray { .. }, ChaosTarget::Link(..)) => {
-                return Err(bad(entry, "gray targets a whole node, not a link"));
-            }
-            _ => {}
-        }
-        specs.push(ChaosSpec {
-            kind,
-            target: parsed_target,
-            start,
-            duration,
-        });
-    }
-    Ok(specs)
+            Ok(ChaosSpec {
+                kind,
+                target,
+                start,
+                duration,
+            })
+        })
+        .collect()
 }
 
 /// Render a fault list back to the `--chaos` syntax (the proptest
 /// round-trip partner of [`parse_chaos_spec`]).
 pub fn format_chaos_spec(specs: &[ChaosSpec]) -> String {
-    specs
-        .iter()
-        .map(|s| {
-            let target = match s.target {
-                ChaosTarget::Node(n) => format!("{n}"),
-                ChaosTarget::Link(a, b) => format!("{a}>{b}"),
-                ChaosTarget::Pair(a, b) => format!("{a}/{b}"),
-            };
-            let when = match s.duration {
-                Some(d) => format!("{}+{}", s.start, d),
-                None => format!("{}", s.start),
-            };
-            let param = match s.kind {
-                ChaosKind::Drop { rate }
-                | ChaosKind::Dup { rate }
-                | ChaosKind::Reorder { rate } => {
-                    format!("={rate}")
-                }
-                ChaosKind::Delay {
-                    slots,
-                    jitter_slots: 0,
-                } => format!("={slots}"),
-                ChaosKind::Delay {
-                    slots,
-                    jitter_slots,
-                } => format!("={slots}~{jitter_slots}"),
-                ChaosKind::Partition => String::new(),
-                ChaosKind::Gray { slots } => format!("={slots}"),
-            };
-            format!("{}:{target}@{when}{param}", s.kind.label())
-        })
-        .collect::<Vec<_>>()
-        .join(",")
+    let mut out = String::new();
+    for s in specs {
+        let target = match s.target {
+            ChaosTarget::Node(n) => n.to_string(),
+            ChaosTarget::Link(a, b) => format!("{a}>{b}"),
+            ChaosTarget::Pair(a, b) => format!("{a}/{b}"),
+        };
+        let param = match s.kind {
+            ChaosKind::Drop { rate } | ChaosKind::Dup { rate } | ChaosKind::Reorder { rate } => {
+                Some(rate.to_string())
+            }
+            ChaosKind::Delay {
+                slots,
+                jitter_slots: j @ 1..,
+            } => Some(format!("{slots}~{j}")),
+            ChaosKind::Delay { slots, .. } | ChaosKind::Gray { slots } => Some(slots.to_string()),
+            ChaosKind::Partition => None,
+        };
+        let parts = [
+            Some(&target as _),
+            Some(&s.start as _),
+            s.duration.as_ref().map(|d| d as _),
+            param.as_ref().map(|p| p as _),
+        ];
+        spec::push_entry(&mut out, &s.kind.label(), parts);
+    }
+    out
 }
 
 #[cfg(test)]

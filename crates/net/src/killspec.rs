@@ -2,9 +2,12 @@
 //! and at which stream slot.
 //!
 //! The format is a comma-separated list of `NODE@SLOT` entries, e.g.
-//! `5@40` or `5@40,9@60`. Node 0 is the source and cannot be killed (the
-//! stream has nothing to recover from without its producer), and a node
-//! may be killed at most once.
+//! `5@40` or `5@40,9@60`, split by the shared spec tokenizer
+//! ([`clustream_core::spec`]). Node 0 is the source and cannot be killed
+//! (the stream has nothing to recover from without its producer), and a
+//! node may be killed at most once.
+
+use clustream_core::spec;
 
 /// One scheduled kill: SIGKILL `node`'s process when the wall clock
 /// reaches stream slot `slot`.
@@ -20,19 +23,13 @@ pub struct KillSpec {
 /// entry and restate the expected format.
 pub fn parse_kill_spec(s: &str) -> Result<Vec<KillSpec>, String> {
     let mut kills = Vec::new();
-    for entry in s.split(',') {
-        let entry = entry.trim();
-        let Some((node, slot)) = entry.split_once('@') else {
-            return Err(format!(
-                "bad --kill entry `{entry}`: expected NODE@SLOT (e.g. 5@40, comma-separated)"
-            ));
+    for e in spec::entries("kill", s) {
+        let e = e.trim();
+        let (node, Some(slot)) = spec::split(e.text, '@') else {
+            return Err(e.expected("NODE@SLOT", "5@40"));
         };
-        let node: u32 = node.parse().map_err(|_| {
-            format!("bad --kill entry `{entry}`: NODE must be a non-negative integer")
-        })?;
-        let slot: u64 = slot.parse().map_err(|_| {
-            format!("bad --kill entry `{entry}`: SLOT must be a non-negative integer")
-        })?;
+        let node: u32 = e.int(node, "NODE")?;
+        let slot: u64 = e.int(slot, "SLOT")?;
         if node == 0 {
             return Err("bad --kill entry: node 0 is the source and cannot be killed".into());
         }
@@ -47,11 +44,11 @@ pub fn parse_kill_spec(s: &str) -> Result<Vec<KillSpec>, String> {
 /// Render a kill list back to the `--kill` syntax (the proptest
 /// round-trip partner of [`parse_kill_spec`]).
 pub fn format_kill_spec(kills: &[KillSpec]) -> String {
-    kills
-        .iter()
-        .map(|k| format!("{}@{}", k.node, k.slot))
-        .collect::<Vec<_>>()
-        .join(",")
+    let mut out = String::new();
+    for k in kills {
+        spec::push_entry(&mut out, &k.node, [None, Some(&k.slot), None, None]);
+    }
+    out
 }
 
 #[cfg(test)]

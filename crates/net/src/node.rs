@@ -261,7 +261,11 @@ impl Node {
         } else {
             (0..cfg.track).collect()
         };
-        let timeout_ns = cfg.suspect_timeout_slots * cfg.slot_micros * 1_000;
+        // A timeout past u64 nanoseconds never fires.
+        let timeout_ns = cfg
+            .suspect_timeout_slots
+            .saturating_mul(cfg.slot_micros)
+            .saturating_mul(1_000);
         let detector = WallClockDetector::new(timeout_ns.max(1));
         let report = NodeReport {
             node: cfg.node,

@@ -195,15 +195,25 @@ impl ArrivalRing {
         self.guards.resize(self.window as usize * self.n_words, 0);
     }
 
-    /// Grow the window so `latency` fits, re-indexing queued arrivals.
+    /// Grow the window so `latency` fits, re-indexing queued arrivals, or
+    /// [`CoreError::InvalidConfig`] when the allocator refuses the larger
+    /// ring (the ring is left as it was).
     /// Outstanding arrival slots all lie in `[cur_slot, cur_slot + old_window)`,
     /// which makes each old cell's true arrival slot recoverable from its
     /// index.
     #[cold]
-    pub(crate) fn grow(&mut self, latency: u64, cur_slot: u64) {
+    pub(crate) fn grow(&mut self, latency: u64, cur_slot: u64) -> Result<(), CoreError> {
         let new_window = (latency + 1).next_power_of_two().max(self.window * 2);
-        let mut cells = vec![Vec::new(); new_window as usize];
-        let mut guards = vec![0u64; new_window as usize * self.n_words];
+        let ring = usize::try_from(new_window).ok().and_then(|w| {
+            let cells = filled(w, Vec::new())?;
+            Some((cells, filled(w.checked_mul(self.n_words)?, 0)?))
+        });
+        let Some((mut cells, mut guards)) = ring else {
+            return Err(CoreError::InvalidConfig(format!(
+                "a transmission latency of {latency} slots needs an arrival ring of \
+                 {new_window} slots, which does not fit in memory"
+            )));
+        };
         for (i, cell) in self.cells.iter_mut().enumerate() {
             if cell.is_empty() {
                 continue;
@@ -220,6 +230,7 @@ impl ArrivalRing {
         self.cells = cells;
         self.guards = guards;
         self.window = new_window;
+        Ok(())
     }
 
     #[inline]
@@ -295,6 +306,14 @@ impl ArrivalRing {
         let w = idx * self.n_words + to.0 as usize / 64;
         self.guards[w] & (1u64 << (to.0 % 64)) != 0
     }
+}
+
+/// `len` copies of `value`, or `None` when the allocator refuses them.
+fn filled<T: Clone>(len: usize, value: T) -> Option<Vec<T>> {
+    let mut v = Vec::new();
+    v.try_reserve_exact(len).ok()?;
+    v.resize(len, value);
+    Some(v)
 }
 
 /// The state of one run, created by [`Kernel::begin`] and consumed by
@@ -553,7 +572,7 @@ impl<H: Held> Kernel<H> {
 
             // Receive capacity at the arrival slot.
             if tx.latency as u64 + 1 > self.ring.window {
-                self.ring.grow(tx.latency as u64, t);
+                self.ring.grow(tx.latency as u64, t)?;
             }
             let arrival_slot = t + tx.latency as u64 - 1;
             let cell_idx = self.ring.cell_index(arrival_slot);
@@ -768,12 +787,18 @@ mod tests {
         assert!(r.try_reserve(7, NodeId(1)));
         let i7 = r.cell_index(7);
         r.push(i7, NodeId(1), PacketId(9));
-        r.grow(100, 5);
+        r.grow(100, 5).unwrap();
         assert!(r.window > 100);
         let i7b = r.cell_index(7);
         assert_eq!(r.queued(i7b), [(NodeId(1), PacketId(9))]);
         // Guard moved with the entry.
         assert!(!r.try_reserve(7, NodeId(1)));
         assert!(r.try_reserve(70, NodeId(1)));
+        // A ring the allocator refuses is an error, and the ring stays.
+        let window = r.window;
+        let err = r.grow(1 << 62, 5).unwrap_err();
+        assert!(err.to_string().contains("does not fit in memory"), "{err}");
+        assert_eq!(r.window, window);
+        assert_eq!(r.queued(i7b), [(NodeId(1), PacketId(9))]);
     }
 }

@@ -10,8 +10,9 @@
 //! churn traces — the slot engines via the crowd scheme, the DES, the
 //! differential oracles — replays a scenario bit-identically.
 //!
-//! The spec grammar follows the `--kill`/`--chaos` family. Entries are
-//! comma-separated:
+//! Entries are split by the shared spec tokenizer
+//! ([`clustream_core::spec`]); this grammar adds the curve kinds, the
+//! `LO-HI` id range, trimmed numbers and the size bounds:
 //!
 //! ```text
 //! KIND:ARGS@START[+DUR][=PARAM]
@@ -23,6 +24,7 @@
 //! ```
 
 use crate::churn::{ChurnAction, ChurnEvent, ChurnTrace, ChurnTraceConfig};
+use clustream_core::spec;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -158,20 +160,6 @@ pub struct RegionalFailure {
     pub at: u64,
 }
 
-const VALID_KINDS: &str = "step, ramp, spikes, fail";
-const FORMAT_HINT: &str = "expected KIND:ARGS@START[+DUR][=PARAM] \
-     (e.g. step:1000@20, ramp:1000@20+50, spikes:200@10+30=5, fail:3-6@40, comma-separated)";
-
-fn bad(entry: &str, why: &str) -> String {
-    format!("bad --scenario entry `{entry}`: {why}")
-}
-
-fn parse_u64(entry: &str, s: &str, what: &str) -> Result<u64, String> {
-    s.trim()
-        .parse()
-        .map_err(|_| bad(entry, &format!("{what} must be a non-negative integer")))
-}
-
 /// A deterministic scenario script: join curves plus regional failures.
 ///
 /// Compile with [`ScenarioPlan::compile`]; parse from / render to the
@@ -187,8 +175,7 @@ pub struct ScenarioPlan {
 
 impl ScenarioPlan {
     /// Parse a comma-separated `--scenario` spec. Errors name the
-    /// offending entry and restate the expected format, matching the
-    /// `--kill`/`--chaos` convention.
+    /// offending entry and restate the expected format.
     ///
     /// Sizes are bounded here, so no later stage loops or wraps on a
     /// hostile spec: total joins and every failed id fit the `u32` node
@@ -197,49 +184,39 @@ impl ScenarioPlan {
         const IDS: u64 = u32::MAX as u64;
         let mut plan = ScenarioPlan::default();
         let (mut joined, mut failed) = (0u64, 0u64);
-        for entry in s.split(',') {
-            let entry = entry.trim();
-            let Some((kind, rest)) = entry.split_once(':') else {
-                return Err(bad(entry, FORMAT_HINT));
+        for e in spec::entries("scenario", s) {
+            let e = e.trim();
+            let Some(at) = e.arg.and_then(spec::at) else {
+                return Err(e.expected(
+                    "KIND:ARGS@START[+DUR][=PARAM]",
+                    "step:1000@20, ramp:1000@20+50, spikes:200@10+30=5, fail:3-6@40",
+                ));
             };
-            let Some((args, when)) = rest.split_once('@') else {
-                return Err(bad(entry, FORMAT_HINT));
+            let int = |s: &str, what| e.int::<u64>(s.trim(), what);
+            let dur = at.dur.map(|d| int(d, "DUR")).transpose()?;
+            let start = int(at.start, "START")?;
+            let at_least_1 = |n: u64, what: &str| match n {
+                0 => Err(e.bad(&format!("{what} must be at least 1"))),
+                n => Ok(n),
             };
-            let (when, param) = match when.split_once('=') {
-                Some((w, p)) => (w, Some(p)),
-                None => (when, None),
-            };
-            let (start, dur) = match when.split_once('+') {
-                Some((s0, d)) => (s0, Some(parse_u64(entry, d, "DUR")?)),
-                None => (when, None),
-            };
-            let start = parse_u64(entry, start, "START")?;
+            let joins = || at_least_1(int(at.target, "JOINS")?, "JOINS");
             // Per kind: the joins the entry adds and the slots it spans
             // (`None`: the product overflowed).
-            let (added, span) = match kind {
+            let (added, span) = match e.head {
                 "step" => {
-                    let joins = parse_u64(entry, args, "JOINS")?;
-                    if joins == 0 {
-                        return Err(bad(entry, "JOINS must be at least 1"));
-                    }
-                    if dur.is_some() || param.is_some() {
-                        return Err(bad(entry, "step takes no `+DUR` or `=PARAM`"));
+                    let joins = joins()?;
+                    if dur.is_some() || at.param.is_some() {
+                        return Err(e.bad("step takes no `+DUR` or `=PARAM`"));
                     }
                     plan.curves.push(JoinCurve::Step { joins, at: start });
                     (Some(joins), Some(1))
                 }
                 "ramp" => {
-                    let joins = parse_u64(entry, args, "JOINS")?;
-                    if joins == 0 {
-                        return Err(bad(entry, "JOINS must be at least 1"));
-                    }
-                    let duration =
-                        dur.ok_or_else(|| bad(entry, "ramp needs `+DUR` (slots spanned)"))?;
-                    if duration == 0 {
-                        return Err(bad(entry, "DUR must be at least 1"));
-                    }
-                    if param.is_some() {
-                        return Err(bad(entry, "ramp takes no `=PARAM`"));
+                    let joins = joins()?;
+                    let duration = dur.ok_or_else(|| e.bad("ramp needs `+DUR` (slots spanned)"))?;
+                    let duration = at_least_1(duration, "DUR")?;
+                    if at.param.is_some() {
+                        return Err(e.bad("ramp takes no `=PARAM`"));
                     }
                     plan.curves.push(JoinCurve::Ramp {
                         joins,
@@ -249,23 +226,12 @@ impl ScenarioPlan {
                     (Some(joins), Some(duration))
                 }
                 "spikes" => {
-                    let joins = parse_u64(entry, args, "JOINS")?;
-                    if joins == 0 {
-                        return Err(bad(entry, "JOINS must be at least 1"));
-                    }
+                    let joins = joins()?;
                     let period =
-                        dur.ok_or_else(|| bad(entry, "spikes needs `+PERIOD` (slots between)"))?;
-                    if period == 0 {
-                        return Err(bad(entry, "PERIOD must be at least 1"));
-                    }
-                    let count = parse_u64(
-                        entry,
-                        param.ok_or_else(|| bad(entry, "spikes needs `=COUNT`"))?,
-                        "COUNT",
-                    )?;
-                    if count == 0 {
-                        return Err(bad(entry, "COUNT must be at least 1"));
-                    }
+                        dur.ok_or_else(|| e.bad("spikes needs `+PERIOD` (slots between)"))?;
+                    let period = at_least_1(period, "PERIOD")?;
+                    let count = at.param.ok_or_else(|| e.bad("spikes needs `=COUNT`"))?;
+                    let count = at_least_1(int(count, "COUNT")?, "COUNT")?;
                     plan.curves.push(JoinCurve::SpikeTrain {
                         joins,
                         start,
@@ -275,40 +241,40 @@ impl ScenarioPlan {
                     (joins.checked_mul(count), period.checked_mul(count))
                 }
                 "fail" => {
-                    let Some((lo, hi)) = args.split_once('-') else {
-                        return Err(bad(entry, "fail needs an id range `LO-HI`"));
+                    let Some((lo, hi)) = at.target.split_once('-') else {
+                        return Err(e.bad("fail needs an id range `LO-HI`"));
                     };
-                    let (lo, hi) = (parse_u64(entry, lo, "LO")?, parse_u64(entry, hi, "HI")?);
+                    let (lo, hi) = (int(lo, "LO")?, int(hi, "HI")?);
                     if lo == 0 {
-                        return Err(bad(entry, "LO must be at least 1 (node 0 is the source)"));
+                        return Err(e.bad("LO must be at least 1 (node 0 is the source)"));
                     }
                     if lo > hi {
-                        return Err(bad(entry, "LO must not exceed HI"));
+                        return Err(e.bad("LO must not exceed HI"));
                     }
-                    if dur.is_some() || param.is_some() {
-                        return Err(bad(entry, "fail takes no `+DUR` or `=PARAM`"));
+                    if dur.is_some() || at.param.is_some() {
+                        return Err(e.bad("fail takes no `+DUR` or `=PARAM`"));
                     }
                     if hi > IDS {
-                        return Err(bad(entry, "HI must fit the u32 node id space"));
+                        return Err(e.bad("HI must fit the u32 node id space"));
                     }
                     failed = failed
                         .checked_add(hi - lo + 1)
-                        .ok_or_else(|| bad(entry, "regional failures overflow a u64 count"))?;
+                        .ok_or_else(|| e.bad("regional failures overflow a u64 count"))?;
                     plan.failures.push(RegionalFailure { lo, hi, at: start });
                     (Some(0), Some(1))
                 }
                 other => {
                     return Err(format!(
-                        "unknown --scenario curve kind `{other}`; valid kinds are: {VALID_KINDS}"
+                        "unknown --scenario curve kind `{other}`; valid kinds are: step, ramp, spikes, fail"
                     ));
                 }
             };
             joined = added
                 .and_then(|j| joined.checked_add(j))
                 .filter(|&total| total <= IDS)
-                .ok_or_else(|| bad(entry, "total joins must fit the u32 node id space"))?;
+                .ok_or_else(|| e.bad("total joins must fit the u32 node id space"))?;
             if span.and_then(|d| start.checked_add(d)).is_none() {
-                return Err(bad(entry, "START plus the slots spanned overflows u64"));
+                return Err(e.bad("START plus the slots spanned overflows u64"));
             }
         }
         Ok(plan)
@@ -403,36 +369,29 @@ impl fmt::Display for ScenarioPlan {
     /// Render the canonical spec string; `parse(format!("{plan}"))`
     /// round-trips.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut first = true;
-        let mut sep = |f: &mut fmt::Formatter<'_>| -> fmt::Result {
-            if !first {
-                write!(f, ",")?;
-            }
-            first = false;
-            Ok(())
-        };
+        let mut out = String::new();
         for c in &self.curves {
-            sep(f)?;
-            match *c {
-                JoinCurve::Step { joins, at } => write!(f, "step:{joins}@{at}")?,
+            let parts: [Option<&dyn fmt::Display>; 4] = match c {
+                JoinCurve::Step { joins, at } => [Some(joins), Some(at), None, None],
                 JoinCurve::Ramp {
                     joins,
                     start,
                     duration,
-                } => write!(f, "ramp:{joins}@{start}+{duration}")?,
+                } => [Some(joins), Some(start), Some(duration), None],
                 JoinCurve::SpikeTrain {
                     joins,
                     start,
                     period,
                     count,
-                } => write!(f, "spikes:{joins}@{start}+{period}={count}")?,
-            }
+                } => [Some(joins), Some(start), Some(period), Some(count)],
+            };
+            spec::push_entry(&mut out, &c.label(), parts);
         }
         for r in &self.failures {
-            sep(f)?;
-            write!(f, "fail:{}-{}@{}", r.lo, r.hi, r.at)?;
+            let range = format!("{}-{}", r.lo, r.hi);
+            spec::push_entry(&mut out, &"fail", [Some(&range), Some(&r.at), None, None]);
         }
-        Ok(())
+        f.write_str(&out)
     }
 }
 

@@ -131,6 +131,12 @@ fn script_parses_and_defines_both_tiers() {
         "simulate --scheme multitree --n 10 --d 2 --track 99999999999999",
         "simulate --scheme multitree --n 4294967296 --d 3",
         "simulate --scheme chain --n 99999999999",
+        // …and so are a node id past u32 (it used to be truncated) and a
+        // latency the arrival ring cannot grow to (an allocator abort).
+        "trace --scheme multitree --n 10 --node 4294967297",
+        "'^usage error: --node must be an integer in 0..=4294967295$'",
+        "plan --clusters 5 --tc 2000000000",
+        "'^model error: invalid configuration: a transmission latency of 2000000000 slots'",
         // …and so is a plan the rule book must refuse: recovery over a
         // scripted scenario (it used to panic or run another plan).
         "--recovery repair --scenario step:10@5",
