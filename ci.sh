@@ -19,9 +19,10 @@
 #                 CLI: at N=10^5 fast = mega = sharded line for line and
 #                 the mega report equals its committed golden stdout,
 #                 with --metrics-out too, whose JSONL equals the fast
-#                 engine's (spans aside); at N=10^6 (1.5 GiB, 6.5-6.6 s
-#                 on a 2-core container) the mega report equals its
-#                 golden stdout too
+#                 engine's (spans aside); a chain whose rows outgrow a
+#                 byte of lateness prints the same on mega as on fast;
+#                 at N=10^6 (736 MiB, 5.3-5.5 s on a 2-core container)
+#                 the mega report equals its golden stdout too
 #   ci.sh full    quick + doc lint + differential oracles + CLI smoke
 #                 matrix + exhaustive invariant lattice + coverage-guided
 #                 explore smoke + 32-node kill-injection cluster smoke +
@@ -385,7 +386,14 @@ mega_scale_smoke() {
     diff <(grep -v '"span"' "$base-fast.jsonl") <(grep -v '"span"' "$base-mega.jsonl")
     cargo run -q --release --offline -p clustream-cli --bin clustream -- \
         report "$base-mega.jsonl" | grep -x 'deliveries  : 26862784'
-    # N=10^6: 32-bit arrival cells keep it at 1.5 GiB.
+    # A chain plays node i i slots late, so at N=400 the rows past a
+    # byte of lateness (~190) widen, and the steady gears write them:
+    # mega must still print what fast prints, engine label aside.
+    local chain=(simulate --scheme chain --n 400 --track 512)
+    target/release/clustream "${chain[@]}" --engine fast >"$base-chain-fast.txt"
+    target/release/clustream "${chain[@]}" --engine mega >"$base-chain-mega.txt"
+    diff <(grep -v '^engine' "$base-chain-fast.txt") <(grep -v '^engine' "$base-chain-mega.txt")
+    # N=10^6: one-byte arrival cells keep it at 736 MiB.
     cargo run -q --release --offline -p clustream-cli --bin clustream -- \
         simulate --scheme multitree --n 1000000 --d 3 --track 256 \
         --engine mega >"$base-mega-1m.txt"
@@ -470,6 +478,7 @@ for f in target/ci-timings.json target/ci-metrics.jsonl \
     target/ci-cluster-kill-trace.json target/ci-cluster-chaos-heal-trace.json \
     target/ci-scale-fast.txt target/ci-scale-mega.txt target/ci-scale-mega-sharded.txt \
     target/ci-scale-mega-observed.txt target/ci-scale-mega.jsonl target/ci-scale-mega-1m.txt \
+    target/ci-scale-chain-fast.txt target/ci-scale-chain-mega.txt \
     target/ci-des-recovery-wheel.txt target/ci-des-recovery-heap.txt \
     target/ci-crowd-fast.txt target/ci-crowd-mega.txt; do
     [ -f "$f" ] || continue

@@ -499,13 +499,9 @@ impl DesEngine {
                     if nw.is_none_or(|n| packet.seq() > n) {
                         *nw = Some(packet.seq());
                     }
-                    if packet.seq() < sim.track_packets
-                        && is_receiver[to.index()]
-                        && arrivals.usable_slot(to, packet).is_none()
-                    {
+                    if arrivals.record(to, packet, Slot(usable)) && is_receiver[to.index()] {
                         remaining -= 1;
                     }
-                    arrivals.record(to, packet, Slot(usable));
                     if rec_on && rec.mode.nack() && is_receiver[to.index()] {
                         // Scan for gaps that have fallen more than
                         // `gap_slack` behind the newest arrival. The cursor

@@ -263,13 +263,9 @@ impl Simulator {
                     if nw.is_none_or(|n| packet.seq() > n) {
                         *nw = Some(packet.seq());
                     }
-                    if packet.seq() < cfg.track_packets
-                        && is_receiver[to.index()]
-                        && arrivals.usable_slot(to, packet).is_none()
-                    {
+                    if arrivals.record(to, packet, Slot(t)) && is_receiver[to.index()] {
                         remaining -= 1;
                     }
-                    arrivals.record(to, packet, Slot(t));
                     slot_deliveries += 1;
                 }
             }

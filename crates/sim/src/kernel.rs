@@ -451,13 +451,9 @@ impl<H: Held> Kernel<H> {
                 if *nw == NO_PACKET || packet.seq() > *nw {
                     *nw = packet.seq();
                 }
-                if packet.seq() < cfg.track_packets
-                    && run.is_receiver[to.index()]
-                    && run.arrivals.usable_slot(to, packet).is_none()
-                {
+                if run.arrivals.record(to, packet, Slot(t)) && run.is_receiver[to.index()] {
                     run.remaining -= 1;
                 }
-                run.arrivals.record(to, packet, Slot(t));
                 slot_deliveries += 1;
             }
             self.ring.recycle(batch);

@@ -186,7 +186,18 @@ struct ArrEntry {
     to: u32,
     packet0: u64,
     latency: u32,
+    /// `packet0 mod period`, the receiver's residue class this entry
+    /// fills.
+    class: u32,
     j: u64,
+}
+
+impl ArrEntry {
+    /// `(to, class)` packed: the order the table sorts its deliveries
+    /// in, and equal for two entries that may deliver one packet twice.
+    fn key(&self) -> u64 {
+        u64::from(self.to) << 32 | u64::from(self.class)
+    }
 }
 
 /// The precompiled flat transmission table for one verified period.
@@ -301,11 +312,13 @@ impl Lowering {
     }
 
     /// Whether slot `t` is the verified steady entry point (with a period
-    /// small enough for `u32` entry indices).
+    /// and a delivery count small enough for `u32` classes and entry
+    /// indices).
     fn ready(&self, t: u64) -> bool {
         self.ok
             && t == self.steady_from
             && self.recorded.len() as u64 == self.period
+            && self.period <= u32::MAX as u64
             && self.recorded.iter().map(Vec::len).sum::<usize>() <= u32::MAX as usize
     }
 
@@ -325,25 +338,19 @@ impl Lowering {
                     to: tx.to.0,
                     packet0: tx.packet.seq(),
                     latency: tx.latency,
+                    class: (tx.packet.seq() % p) as u32,
                     j: j as u64,
                 });
                 let o = tx.packet.seq() as i128 - (self.warmup + j as u64) as i128;
                 off = Some(off.map_or(o, |c| c.max(o)));
             }
         }
-        let key = |a: &ArrEntry| (a.to, a.packet0 % p);
-        entries.sort_unstable_by_key(key);
-        let collision_free = entries.windows(2).all(|w| key(&w[0]) != key(&w[1]));
+        entries.sort_unstable_by_key(ArrEntry::key);
+        let collision_free = entries.windows(2).all(|w| w[0].key() != w[1].key());
 
         // Counting sort of the entry indices by arrival residue.
         let residue = |e: &ArrEntry| ((e.j + e.latency as u64 - 1) % p) as usize;
-        let mut arr_start = vec![0u32; p as usize + 1];
-        for e in &entries {
-            arr_start[residue(e) + 1] += 1;
-        }
-        for r in 0..p as usize {
-            arr_start[r + 1] += arr_start[r];
-        }
+        let arr_start = bucket_starts(p as usize, entries.iter().map(residue));
         let mut next = arr_start.clone();
         let mut by_arrival = vec![0u32; entries.len()];
         for (i, e) in entries.iter().enumerate() {
@@ -384,7 +391,11 @@ impl Lowering {
     /// and the table-wide slack is the max over entries of the best
     /// (smallest) `g`.
     fn feed_slack(sends: &[Vec<Transmission>], entries: &[ArrEntry], period: u64) -> Option<u64> {
-        let p = period as i128;
+        // Sorted by receiver, so one counting pass finds each receiver's
+        // entries, `entries[to_start[r]..to_start[r + 1]]`, and each send
+        // entry scans only its own feeder candidates.
+        let receivers = entries.last().map_or(0, |e| e.to as usize + 1);
+        let to_start = bucket_starts(receivers, entries.iter().map(|e| e.to as usize));
         let mut slack: u64 = 0;
         for (js, lst) in sends.iter().enumerate() {
             for e in lst {
@@ -395,15 +406,17 @@ impl Lowering {
                     // entry), so they stay valid forever.
                     continue;
                 }
-                // Sorted by receiver, so each send entry scans only its
-                // own feeder candidates.
-                let lo = entries.partition_point(|f| f.to < e.from.0);
+                let feeders = match to_start.get(e.from.index()..e.from.index() + 2) {
+                    Some(&[lo, hi]) => &entries[lo as usize..hi as usize],
+                    _ => &[],
+                };
+                let class = e.packet.seq() % period;
                 let mut best: Option<i128> = None;
-                for f in entries[lo..].iter().take_while(|f| f.to == e.from.0) {
-                    let dp = e.packet.seq() as i128 - f.packet0 as i128;
-                    if dp.rem_euclid(p) != 0 {
+                for f in feeders {
+                    if u64::from(f.class) != class {
                         continue;
                     }
+                    let dp = e.packet.seq() as i128 - f.packet0 as i128;
                     let g = js as i128 - f.j as i128 - dp;
                     if g >= f.latency as i128 {
                         best = Some(best.map_or(g, |b| b.min(g)));
@@ -414,6 +427,19 @@ impl Lowering {
         }
         Some(slack)
     }
+}
+
+/// Where each of `n` buckets starts when `keys` (each `< n`) are laid
+/// out in key order: bucket `k` is `[start[k], start[k + 1])`.
+fn bucket_starts(n: usize, keys: impl Iterator<Item = usize>) -> Vec<u32> {
+    let mut start = vec![0u32; n + 1];
+    for k in keys {
+        start[k + 1] += 1;
+    }
+    for k in 0..n {
+        start[k + 1] += start[k];
+    }
+    start
 }
 
 /// Number of slots `s` in `[a, b)` with `s ≡ base + js (mod p)`.
@@ -499,7 +525,7 @@ fn deliver_columnar(
         *dup += 1;
         return;
     }
-    if seq < track && cells.first(to * track as usize + seq as usize, t) && is_receiver[to] {
+    if seq < track && cells.first(to * track as usize, seq as usize, t) && is_receiver[to] {
         *remaining -= 1;
     }
     *slot_deliveries += 1;
@@ -547,7 +573,7 @@ fn deliver_shard(
         dup.fetch_add(1, Ordering::Relaxed);
         return;
     }
-    if seq < track && st.cells.first(to * track as usize + seq as usize, t) && is_receiver[to] {
+    if seq < track && st.cells.first(to * track as usize, seq as usize, t) && is_receiver[to] {
         remaining.fetch_sub(1, Ordering::Relaxed);
     }
     slot_deliv.fetch_add(1, Ordering::Relaxed);
@@ -997,7 +1023,7 @@ impl MegaEngine {
                 let row = e.to as usize * track;
                 let mut last = None;
                 for seq in (seq_lo..seq_end).step_by(p as usize) {
-                    if cells.is_empty(row + seq) {
+                    if cells.is_empty(row, seq) {
                         covered += 1;
                         last = Some(seq as u64);
                     }
@@ -1060,7 +1086,7 @@ impl MegaEngine {
                     } else {
                         tally[(s + l - w_start) as usize] += 1;
                         if seq < track as u64
-                            && cells.first(row + seq as usize, s + l)
+                            && cells.first(row, seq as usize, s + l)
                             && is_receiver[to]
                         {
                             *remaining -= 1;
@@ -1161,10 +1187,8 @@ impl MegaEngine {
         let anomaly = AtomicBool::new(false);
         let slot_cell = AtomicU64::new(0);
         let claim = ClaimCounter::new();
-        // Each shard's rows of the arrival table, and where its writes of
-        // slots too late for a cell go until the run merges them back.
+        // Each shard's rows of the arrival table.
         let rows: Vec<usize> = ranges.iter().map(|&(s0, s1)| s1 - s0).collect();
-        let mut cell_spills = vec![Vec::new(); k];
 
         let mut t = t0;
         let mut last_send = t0 - 1;
@@ -1202,7 +1226,7 @@ impl MegaEngine {
             {
                 let mut words = &mut state.held.words[..];
                 let mut spill = &mut state.held.spill[..];
-                let cells = arrivals.windows(&rows, &mut cell_spills);
+                let cells = arrivals.windows(&rows);
                 let mut uploads = &mut stats.uploads[..];
                 for (&(s0, s1), cells) in ranges.iter().zip(cells) {
                     let n = s1 - s0;
@@ -1381,7 +1405,6 @@ impl MegaEngine {
             });
         }
 
-        arrivals.absorb(&mut cell_spills);
         stats.duplicate_deliveries += dup.load(Ordering::Relaxed);
         stats.total_transmissions += total_tx;
         *steady_slots += steady_count;

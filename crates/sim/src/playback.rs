@@ -13,14 +13,18 @@
 //! largest number of packets simultaneously held (arrived, not yet played)
 //! when playback starts at `a(i)`.
 //!
-//! The table stores one 32-bit cell per node × tracked packet: at
-//! N = 10⁵ and 256 tracked packets that is 98 MiB, most of a mega run's
-//! memory. A cell holds `usable slot + 1`, which covers every slot up to
-//! `u32::MAX − 2`; a later first arrival (a straggler past 2³² slots)
-//! marks its cell `u32::MAX` and keeps its exact slot in a sorted side
-//! list. Readers decode a row once — the cells as they are, or, when the
-//! row has a spilled cell, widened to 64 bits — so the per-cell loops of
-//! the analysis never test for the sentinel.
+//! The table stores the quantity Theorem 2 bounds rather than the slot
+//! itself: one byte per node × tracked packet holding the packet's
+//! lateness `usable(i, j) − j`, biased so that 0 means "never arrived".
+//! A multi-tree schedule keeps it small (−1…31 at N = 10⁵, d = 3, and
+//! never below `2 − d`), so at N = 10⁵ and 256 tracked packets the table
+//! is 24.5 MiB where 32-bit slots took 98. A row whose first arrival
+//! falls outside a byte — a chain's far end, a repaired straggler, a slot
+//! near 2⁶⁴ — is widened once: its bytes are decoded into a side row of
+//! 64-bit slots, found in O(1) by node, and every byte of the row
+//! becomes the marker 255. A row is therefore read either all narrow or all
+//! wide, so the per-cell loops of the analysis never test for the
+//! marker, and a narrow row's delay is its largest byte minus the bias.
 
 use clustream_core::{CoreError, NodeId, PacketId, Slot};
 use serde::{Deserialize, Serialize};
@@ -31,48 +35,73 @@ use std::alloc::Layout;
 /// `usable_slot(node, packet)` is the first slot in which the node can play
 /// or forward the packet (i.e. *send slot + latency*). `None` means the
 /// packet never arrived within the simulated horizon.
+///
+/// Two tables are equal when they hold the same first arrivals, whatever
+/// order they were recorded — and rows widened — in.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ArrivalTable {
     n_ids: usize,
     track_packets: u64,
-    /// One allocation, `cells[node · track_packets + packet]`, holding
-    /// `usable slot + 1` so that a zeroed cell — what a fresh allocation
-    /// is, at no up-front cost — means "never arrived" ([`NEVER`]). A
-    /// usable slot past [`DIRECT_MAX`] is [`SPILLED`] instead.
-    cells: Vec<u32>,
-    /// The spilled cells, `(cell index, usable slot + 1)`, sorted by
-    /// index: one entry per [`SPILLED`] cell.
-    spill: Vec<(usize, u64)>,
+    /// One allocation, `cells[node · track_packets + packet]`. A narrow
+    /// row's cell holds the packet's lateness as [`narrow`] encodes it,
+    /// so that a zeroed cell — what a fresh allocation is, at no up-front
+    /// cost — means "never arrived" ([`NEVER`]); a widened row's cells
+    /// are all [`WIDE`].
+    cells: Vec<u8>,
+    /// Per node id, its widened row, if one was. Zeroed like `cells`, so
+    /// the index costs address space until a row widens; a row sits
+    /// behind a thin `Box` so that an all-zero entry is a valid `None`.
+    wide: Vec<Option<Box<WideRow>>>,
 }
 
+/// A widened row: `usable slot + 1` per packet, 0 for never, which
+/// covers every slot up to `u64::MAX − 1`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct WideRow(Box<[u64]>);
+
 /// The cell value of a packet that never arrived.
-const NEVER: u32 = 0;
+const NEVER: u8 = 0;
 
-/// The cell value of a first arrival whose slot is in the spill list.
-const SPILLED: u32 = u32::MAX;
+/// The value of every cell of a widened row.
+const WIDE: u8 = u8::MAX;
 
-/// The largest usable slot a cell holds itself (as `u32::MAX − 1`).
-const DIRECT_MAX: u64 = u32::MAX as u64 - 2;
+/// How early a first arrival a narrow cell holds: lateness `−BIAS`
+/// (cell 1) through `253 − BIAS` (cell 254). Pre-recorded multi-tree
+/// packets arrive at most `d − 2` slots early.
+const BIAS: u64 = 64;
 
-/// `len` zeroed cells, or `None` when the allocator refuses them. The
+/// The narrow cell of packet `j`'s first arrival, usable from `usable`:
+/// its lateness `usable − j` plus `BIAS + 1`, or `None` when that is not
+/// strictly between [`NEVER`] and [`WIDE`].
+#[inline]
+fn narrow(usable: u64, j: usize) -> Option<u8> {
+    let c = usable.checked_add(BIAS + 1)?.checked_sub(j as u64)?;
+    u8::try_from(c).ok().filter(|&c| c != NEVER && c != WIDE)
+}
+
+/// `len` all-zero values, or `None` when the allocator refuses them. The
 /// pages come zeroed from the allocator (`alloc_zeroed`: fresh mappings
 /// for a large table), so nothing here touches them — a table pays for
 /// the rows it is written in, not for its size.
-fn zeroed_cells(len: usize) -> Option<Vec<u32>> {
+///
+/// # Safety
+///
+/// `T` is not zero-sized, and all-zero bytes are a valid `T`.
+unsafe fn zeroed<T>(len: usize) -> Option<Vec<T>> {
     if len == 0 {
         return Some(Vec::new());
     }
-    let layout = Layout::array::<u32>(len).ok()?;
-    // SAFETY: `layout` has a non-zero size (`len > 0`, and `u32` is not
-    // zero-sized).
-    let ptr = unsafe { std::alloc::alloc_zeroed(layout) }.cast::<u32>();
+    let layout = Layout::array::<T>(len).ok()?;
+    // SAFETY: `layout` has a non-zero size (`len > 0`, and `T` is not
+    // zero-sized, by the caller's contract).
+    let ptr = unsafe { std::alloc::alloc_zeroed(layout) }.cast::<T>();
     if ptr.is_null() {
         return None;
     }
     // SAFETY: `ptr` comes from the global allocator with the layout of
-    // `[u32; len]` — the layout a `Vec<u32>` of capacity `len` frees with
-    // — and its `len` elements are initialized, all-zero bytes being a
-    // valid `u32`.
+    // `[T; len]` — the layout a `Vec<T>` of capacity `len` frees with —
+    // and its `len` elements are initialized, all-zero bytes being a
+    // valid `T` by the caller's contract.
     Some(unsafe { Vec::from_raw_parts(ptr, len, len) })
 }
 
@@ -80,8 +109,6 @@ fn zeroed_cells(len: usize) -> Option<Vec<u32>> {
 /// number of rows, so a per-receiver loop allocates once.
 #[derive(Default)]
 pub(crate) struct PlaybackScratch {
-    /// A row with a spilled cell, decoded to 64-bit cells.
-    wide: Vec<u64>,
     /// Dense arm: arrivals per receive slot over the row's slot span.
     counts: Vec<usize>,
     /// Sparse arm: the row's receive slots, sorted.
@@ -90,60 +117,138 @@ pub(crate) struct PlaybackScratch {
     below: Vec<usize>,
 }
 
-/// One row's cells, decoded: `usable + 1` per packet, 0 for never.
+/// One row's cells as stored.
 enum Row<'a> {
-    /// No spilled cell: the table's own cells.
-    Narrow(&'a [u32]),
-    /// Widened, spilled slots in place.
+    /// Lateness bytes.
+    Narrow(&'a [u8]),
+    /// The row's [`WideRow`].
     Wide(&'a [u64]),
 }
 
+/// A cell as the analysis reads it, in either form of row.
+trait Cell: Copy {
+    /// The slot packet `j` became usable, if it ever arrived.
+    fn usable(self, j: usize) -> Option<u64>;
+
+    /// `max_j (usable(j) − j)` over the packets of `row` that arrived,
+    /// 0 if none did.
+    fn delay(row: &[Self]) -> u64;
+}
+
+impl Cell for u8 {
+    #[inline]
+    fn usable(self, j: usize) -> Option<u64> {
+        (self != NEVER).then(|| j as u64 + u64::from(self) - (BIAS + 1))
+    }
+
+    fn delay(row: &[u8]) -> u64 {
+        // Every byte is a lateness plus `BIAS + 1`, and never is 0.
+        row.iter()
+            .max()
+            .map_or(0, |&c| u64::from(c).saturating_sub(BIAS + 1))
+    }
+}
+
+impl Cell for u64 {
+    #[inline]
+    fn usable(self, _: usize) -> Option<u64> {
+        self.checked_sub(1)
+    }
+
+    fn delay(row: &[u64]) -> u64 {
+        row.iter()
+            .enumerate()
+            .filter_map(|(j, c)| c.usable(j).map(|u| u.saturating_sub(j as u64)))
+            .max()
+            .unwrap_or(0)
+    }
+}
+
 /// Write access to the cells for the mega engine's steady-state gears,
-/// which bypass [`ArrivalTable::record`]'s per-call logic: indices are
-/// table indices (`node · track_packets + packet`), and a write goes
-/// through [`CellsMut::first`], which keeps the first-wins rule. A
-/// view covers the whole table ([`ArrivalTable::cells_mut`]) or one
-/// window of rows ([`ArrivalTable::windows`]).
+/// which bypass [`ArrivalTable::record`]'s per-call logic: rows are
+/// addressed by the table index of their first cell (`node ·
+/// track_packets`), and a write goes through [`CellsMut::first`], which
+/// keeps the first-wins rule and widens a row when it must. A view
+/// covers the whole table ([`ArrivalTable::cells_mut`]) or one window of
+/// rows ([`ArrivalTable::windows`]).
 pub(crate) struct CellsMut<'a> {
-    cells: &'a mut [u32],
-    /// Table index of `cells[0]`.
+    cells: &'a mut [u8],
+    /// The same rows' wide forms: `wide[0]` is row `start / track`'s.
+    wide: &'a mut [Option<Box<WideRow>>],
+    /// Table index of `cells[0]`, a row start.
     start: usize,
-    /// Where spilled writes go, sorted by index: the table's own list,
-    /// or a window's, merged back by [`ArrivalTable::absorb`].
-    spill: &'a mut Vec<(usize, u64)>,
+    track: usize,
 }
 
 impl CellsMut<'_> {
-    /// Whether table cell `i` has no arrival yet.
+    /// Whether packet `j` of the row starting at table index `row` has
+    /// no arrival yet.
     #[inline]
-    pub(crate) fn is_empty(&self, i: usize) -> bool {
-        self.cells[i - self.start] == NEVER
+    pub(crate) fn is_empty(&self, row: usize, j: usize) -> bool {
+        match self.cells[row + j - self.start] {
+            NEVER => true,
+            WIDE => self.wide_row(row)[j] == 0,
+            _ => false,
+        }
     }
 
-    /// Record `usable` as table cell `i`'s first arrival. `false` (and
-    /// nothing written) when the cell already has one. Slot `u64::MAX`
-    /// has no encoding: the cell reads back as "never arrived".
+    /// Record `usable` as packet `j`'s first arrival in the row starting
+    /// at table index `row`. `false` (and nothing written) when the cell
+    /// already has one. Slot `u64::MAX` has no encoding: the cell reads
+    /// back as "never arrived".
     #[inline]
-    pub(crate) fn first(&mut self, i: usize, usable: u64) -> bool {
-        let cell = &mut self.cells[i - self.start];
-        if *cell != NEVER {
+    pub(crate) fn first(&mut self, row: usize, j: usize, usable: u64) -> bool {
+        let cell = &mut self.cells[row + j - self.start];
+        match *cell {
+            NEVER => {
+                match narrow(usable, j) {
+                    Some(c) => *cell = c,
+                    None => self.widen(row, j, usable),
+                }
+                true
+            }
+            WIDE => self.first_wide(row, j, usable),
+            _ => false,
+        }
+    }
+
+    /// The wide form of the row starting at table index `row`.
+    fn wide_row(&self, row: usize) -> &[u64] {
+        let w = &self.wide[(row - self.start) / self.track];
+        &w.as_ref().expect("a WIDE row has its wide form").0
+    }
+
+    /// Widen a narrow row for a first arrival no byte holds.
+    #[cold]
+    fn widen(&mut self, row: usize, j: usize, usable: u64) {
+        if usable == u64::MAX {
+            return;
+        }
+        let at = row - self.start;
+        let cells = &mut self.cells[at..at + self.track];
+        let mut slots: Box<[u64]> = cells
+            .iter()
+            .enumerate()
+            .map(|(k, &c)| c.usable(k).map_or(0, |u| u + 1))
+            .collect();
+        slots[j] = usable + 1;
+        cells.fill(WIDE);
+        self.wide[at / self.track] = Some(Box::new(WideRow(slots)));
+    }
+
+    /// [`CellsMut::first`] in a widened row.
+    #[cold]
+    fn first_wide(&mut self, row: usize, j: usize, usable: u64) -> bool {
+        let w = &mut self.wide[(row - self.start) / self.track];
+        let slot = &mut w.as_mut().expect("a WIDE row has its wide form").0[j];
+        if *slot != 0 {
             return false;
         }
-        if usable <= DIRECT_MAX {
-            *cell = usable as u32 + 1;
-        } else if usable != u64::MAX {
-            *cell = SPILLED;
-            spill_insert(self.spill, i, usable + 1);
+        if usable != u64::MAX {
+            *slot = usable + 1;
         }
         true
     }
-}
-
-/// Insert `(i, value)` into the sorted spill list; `i` is not in it yet.
-#[cold]
-fn spill_insert(spill: &mut Vec<(usize, u64)>, i: usize, value: u64) {
-    let at = spill.partition_point(|&(j, _)| j < i);
-    spill.insert(at, (i, value));
 }
 
 /// What one row says about playback, missing packets tolerated.
@@ -168,21 +273,26 @@ impl ArrivalTable {
     /// refuses them. The cells are not touched: a fresh table costs
     /// address space, not memory.
     pub fn try_new(n_ids: usize, track_packets: u64) -> Result<Self, CoreError> {
+        let too_large = || {
+            CoreError::InvalidConfig(format!(
+                "an arrival table of {n_ids} node ids × {track_packets} tracked packets \
+                 does not fit in memory"
+            ))
+        };
         let cells = usize::try_from(track_packets)
             .ok()
             .and_then(|track| n_ids.checked_mul(track))
-            .and_then(zeroed_cells)
-            .ok_or_else(|| {
-                CoreError::InvalidConfig(format!(
-                    "an arrival table of {n_ids} node ids × {track_packets} tracked packets \
-                     does not fit in memory"
-                ))
-            })?;
+            // SAFETY: `u8` is not zero-sized, and 0 is a `u8`.
+            .and_then(|len| unsafe { zeroed(len) })
+            .ok_or_else(too_large)?;
+        // SAFETY: an `Option<Box<_>>` of a sized type is a pointer, and
+        // all-zero bytes are its `None`.
+        let wide = unsafe { zeroed(n_ids) }.ok_or_else(too_large)?;
         Ok(ArrivalTable {
             n_ids,
             track_packets,
             cells,
-            spill: Vec::new(),
+            wide,
         })
     }
 
@@ -196,45 +306,47 @@ impl ArrivalTable {
         self.track_packets
     }
 
-    /// Record that `packet` became usable at `node` from `slot` onward.
-    /// Later duplicate deliveries do not overwrite the first arrival.
-    pub fn record(&mut self, node: NodeId, packet: PacketId, usable_from: Slot) {
+    /// Record that `packet` became usable at `node` from `slot` onward;
+    /// `true` when it is the packet's first arrival there. Later
+    /// duplicate deliveries do not overwrite the first arrival, and a
+    /// packet past the tracked window is ignored (`false`).
+    #[inline]
+    pub fn record(&mut self, node: NodeId, packet: PacketId, usable_from: Slot) -> bool {
         if packet.seq() >= self.track_packets {
-            return;
+            return false;
         }
-        let i = node.index() * self.track_packets as usize + packet.seq() as usize;
-        self.cells_mut().first(i, usable_from.t());
+        let row = node.index() * self.track_packets as usize;
+        self.cells_mut()
+            .first(row, packet.seq() as usize, usable_from.t())
     }
 
     /// The whole table, for the mega engine's steady-state gears.
     pub(crate) fn cells_mut(&mut self) -> CellsMut<'_> {
         CellsMut {
             cells: &mut self.cells,
+            wide: &mut self.wide,
             start: 0,
-            spill: &mut self.spill,
+            track: self.track_packets as usize,
         }
     }
 
     /// The table as consecutive windows of `rows[k]` rows each, for
-    /// writers working on disjoint id ranges at once; window `k` spills
-    /// into `spills[k]`, which [`ArrivalTable::absorb`] merges back.
-    pub(crate) fn windows<'a>(
-        &'a mut self,
-        rows: &[usize],
-        spills: &'a mut [Vec<(usize, u64)>],
-    ) -> Vec<CellsMut<'a>> {
+    /// writers working on disjoint id ranges at once. A window widens
+    /// its own rows.
+    pub(crate) fn windows(&mut self, rows: &[usize]) -> Vec<CellsMut<'_>> {
         let track = self.track_packets as usize;
-        let mut rest = &mut self.cells[..];
+        let (mut cells, mut wide) = (&mut self.cells[..], &mut self.wide[..]);
         let mut start = 0;
         rows.iter()
-            .zip(spills)
-            .map(|(&n, spill)| {
-                let (cells, tail) = std::mem::take(&mut rest).split_at_mut(n * track);
-                rest = tail;
+            .map(|&n| {
+                let (c, c_rest) = std::mem::take(&mut cells).split_at_mut(n * track);
+                let (w, w_rest) = std::mem::take(&mut wide).split_at_mut(n);
+                (cells, wide) = (c_rest, w_rest);
                 let window = CellsMut {
-                    cells,
+                    cells: c,
+                    wide: w,
                     start,
-                    spill,
+                    track,
                 };
                 start += n * track;
                 window
@@ -242,38 +354,14 @@ impl ArrivalTable {
             .collect()
     }
 
-    /// Merge the spill lists of [`ArrivalTable::windows`] back in,
-    /// leaving them empty.
-    pub(crate) fn absorb(&mut self, spills: &mut [Vec<(usize, u64)>]) {
-        for s in spills {
-            self.spill.append(s);
-        }
-        self.spill.sort_unstable();
-    }
-
-    /// `node`'s cells, as stored.
-    fn row(&self, node: NodeId) -> &[u32] {
+    /// `node`'s row, in the form it is stored in.
+    fn row(&self, node: NodeId) -> Row<'_> {
         let track = self.track_packets as usize;
-        &self.cells[node.index() * track..(node.index() + 1) * track]
-    }
-
-    /// `node`'s row decoded, widened into `wide` only when one of its
-    /// cells is spilled — one check per row instead of one per cell.
-    fn decode<'a>(&'a self, node: NodeId, wide: &'a mut Vec<u64>) -> Row<'a> {
-        let row = self.row(node);
-        let lo = node.index() * self.track_packets as usize;
-        let from = self.spill.partition_point(|&(i, _)| i < lo);
-        let spilled = &self.spill[from..];
-        let spilled = &spilled[..spilled.partition_point(|&(i, _)| i < lo + row.len())];
-        if spilled.is_empty() {
-            return Row::Narrow(row);
+        let cells = &self.cells[node.index() * track..(node.index() + 1) * track];
+        match &self.wide[node.index()] {
+            Some(w) => Row::Wide(&w.0),
+            None => Row::Narrow(cells),
         }
-        wide.clear();
-        wide.extend(row.iter().map(|&c| u64::from(c)));
-        for &(i, v) in spilled {
-            wide[i - lo] = v;
-        }
-        Row::Wide(wide)
     }
 
     /// First slot `packet` is usable at `node`, if it ever arrived;
@@ -283,20 +371,20 @@ impl ArrivalTable {
         if node.index() >= self.n_ids || packet.seq() >= self.track_packets {
             return None;
         }
-        let i = node.index() * self.track_packets as usize + packet.seq() as usize;
-        match self.cells[i] {
-            NEVER => None,
-            SPILLED => {
-                let at = self.spill.partition_point(|&(j, _)| j < i);
-                Some(Slot(self.spill[at].1 - 1))
-            }
-            c => Some(Slot(u64::from(c) - 1)),
+        let j = packet.seq() as usize;
+        match self.row(node) {
+            Row::Narrow(row) => row[j].usable(j),
+            Row::Wide(row) => row[j].usable(j),
         }
+        .map(Slot)
     }
 
     /// Whether every tracked packet reached `node`.
     pub fn complete_for(&self, node: NodeId) -> bool {
-        self.row(node).iter().all(|&s| s != NEVER)
+        match self.row(node) {
+            Row::Narrow(row) => complete(row),
+            Row::Wide(row) => complete(row),
+        }
     }
 
     /// Analyse playback for `node` over the tracked window.
@@ -379,15 +467,9 @@ impl ArrivalTable {
     /// of the row (every periodic schedule's is), sorted otherwise (a
     /// repaired or heavy-tailed straggler far from the rest).
     fn playback(&self, node: NodeId, scratch: &mut PlaybackScratch) -> RowPlayback {
-        let PlaybackScratch {
-            wide,
-            counts,
-            recv,
-            below,
-        } = scratch;
-        match self.decode(node, wide) {
-            Row::Narrow(row) => playback_of(row, counts, recv, below),
-            Row::Wide(row) => playback_of(row, counts, recv, below),
+        match self.row(node) {
+            Row::Narrow(row) => playback_of(row, scratch),
+            Row::Wide(row) => playback_of(row, scratch),
         }
     }
 
@@ -396,34 +478,35 @@ impl ArrivalTable {
     /// whole window, returning `true` when they agree. Used by tests and
     /// benches as evidence the tracked window reached steady state.
     pub fn steady_state_for(&self, node: NodeId) -> bool {
-        match self.decode(node, &mut Vec::new()) {
+        match self.row(node) {
             Row::Narrow(row) => steady_of(row),
             Row::Wide(row) => steady_of(row),
         }
     }
 }
 
-/// [`ArrivalTable::playback`] over one decoded row, cells `usable + 1`
-/// with 0 for never.
-fn playback_of<C: Copy + Into<u64>>(
-    row: &[C],
-    counts: &mut Vec<usize>,
-    recv: &mut Vec<u64>,
-    below: &mut Vec<usize>,
-) -> RowPlayback {
-    let mut delay = 0u64;
+/// Whether every packet of `row` arrived.
+fn complete<C: Cell>(row: &[C]) -> bool {
+    row.iter().enumerate().all(|(j, c)| c.usable(j).is_some())
+}
+
+/// [`ArrivalTable::playback`] over one row.
+fn playback_of<C: Cell>(row: &[C], scratch: &mut PlaybackScratch) -> RowPlayback {
+    let PlaybackScratch {
+        counts,
+        recv,
+        below,
+    } = scratch;
+    let delay = C::delay(row);
     let mut missing = 0usize;
     let mut first_missing = None;
     let (mut lo, mut hi) = (u64::MAX, 0u64);
     for (j, &c) in row.iter().enumerate() {
-        let c: u64 = c.into();
-        if c == 0 {
+        let Some(usable) = c.usable(j) else {
             missing += 1;
             first_missing.get_or_insert(j);
             continue;
-        }
-        let usable = c - 1;
-        delay = delay.max(usable.saturating_sub(j as u64));
+        };
         let r = usable.saturating_sub(1);
         lo = lo.min(r);
         hi = hi.max(r);
@@ -444,8 +527,8 @@ fn playback_of<C: Copy + Into<u64>>(
     below.clear();
     if missing > 0 {
         below.push(0);
-        for &c in row {
-            below.push(below[below.len() - 1] + usize::from(c.into() != 0));
+        for (j, &c) in row.iter().enumerate() {
+            below.push(below[below.len() - 1] + usize::from(c.usable(j).is_some()));
         }
     }
     let played = |t: u64| {
@@ -454,9 +537,9 @@ fn playback_of<C: Copy + Into<u64>>(
     };
     let recv_slots = row
         .iter()
-        .map(|&c| c.into())
-        .filter(|&c| c != 0)
-        .map(|c| (c - 1).saturating_sub(1));
+        .enumerate()
+        .filter_map(|(j, &c)| c.usable(j))
+        .map(|u| u.saturating_sub(1));
 
     let span = hi - lo;
     if span <= 4 * row.len() as u64 {
@@ -488,19 +571,9 @@ fn playback_of<C: Copy + Into<u64>>(
     pb
 }
 
-/// [`ArrivalTable::steady_state_for`] over one decoded row.
-fn steady_of<C: Copy + Into<u64>>(row: &[C]) -> bool {
-    if row.len() < 4 || row.iter().any(|&c| c.into() == 0) {
-        return false;
-    }
-    let a = |r: &[C]| {
-        r.iter()
-            .enumerate()
-            .map(|(j, &c)| (c.into() - 1).saturating_sub(j as u64))
-            .max()
-            .unwrap_or(0)
-    };
-    a(&row[..row.len() / 2]) == a(row)
+/// [`ArrivalTable::steady_state_for`] over one row.
+fn steady_of<C: Cell>(row: &[C]) -> bool {
+    row.len() >= 4 && complete(row) && C::delay(&row[..row.len() / 2]) == C::delay(row)
 }
 
 /// Result of playback analysis for one node.
@@ -582,15 +655,15 @@ mod tests {
     #[test]
     fn duplicate_record_keeps_first_arrival() {
         let mut t = ArrivalTable::new(1, 1);
-        t.record(NodeId(0), PacketId(0), Slot(4));
-        t.record(NodeId(0), PacketId(0), Slot(2));
+        assert!(t.record(NodeId(0), PacketId(0), Slot(4)));
+        assert!(!t.record(NodeId(0), PacketId(0), Slot(2)));
         assert_eq!(t.usable_slot(NodeId(0), PacketId(0)), Some(Slot(4)));
     }
 
     #[test]
     fn untracked_packets_are_ignored() {
         let mut t = ArrivalTable::new(1, 2);
-        t.record(NodeId(0), PacketId(5), Slot(1));
+        assert!(!t.record(NodeId(0), PacketId(5), Slot(1)));
         assert_eq!(t.track_packets(), 2);
         assert!(t.usable_slot(NodeId(0), PacketId(0)).is_none());
     }
@@ -639,41 +712,47 @@ mod tests {
     }
 
     #[test]
-    fn slots_past_a_cell_spill_exactly() {
-        let big = [DIRECT_MAX - 1, DIRECT_MAX, DIRECT_MAX + 1, 1 << 40];
+    fn late_rows_widen_and_keep_every_slot() {
+        // Row 1 turns wide at its third record; its earlier bytes carry
+        // over, and slots past 2³² and up to u64::MAX − 1 are exact.
+        let big = [3, 4, 1 << 40, u64::MAX - 1];
         let t = table_from(&[&[1, 2, 3, 4], &big]);
         for (p, &s) in big.iter().enumerate() {
             let got = t.usable_slot(NodeId(1), PacketId(p as u64));
             assert_eq!(got, Some(Slot(s)), "packet {p}");
         }
-        assert_eq!(t.spill.len(), 2, "only the two slots past a cell spill");
+        assert!(t.wide[0].is_none() && t.wide[1].is_some());
         assert!(t.steady_state_for(NodeId(0)));
-        assert_eq!(t.analyze(NodeId(1)).unwrap().playback_delay, (1 << 40) - 3);
-        // A spilled first arrival is still the first.
+        assert_eq!(t.analyze(NodeId(1)).unwrap().playback_delay, u64::MAX - 4);
+        // A first arrival in a wide row is still the first.
         let mut t2 = t.clone();
-        t2.record(NodeId(1), PacketId(3), Slot(5));
+        assert!(!t2.record(NodeId(1), PacketId(2), Slot(5)));
         assert_eq!(t2, t);
+        // Slot u64::MAX has no encoding and widens nothing.
+        let mut t3 = ArrivalTable::new(1, 2);
+        assert!(t3.record(NodeId(0), PacketId(1), Slot(u64::MAX)));
+        assert!(t3.wide[0].is_none());
+        assert_eq!(t3.usable_slot(NodeId(0), PacketId(1)), None);
     }
 
     #[test]
-    fn windows_spill_into_their_own_lists_and_merge_back() {
+    fn windows_widen_their_own_rows() {
         let mut t = ArrivalTable::new(3, 2);
-        let mut spills = vec![Vec::new(); 2];
         {
-            let mut w = t.windows(&[1, 2], &mut spills);
-            assert!(w[1].first(5, 1 << 33));
-            assert!(w[0].first(1, 1 << 34));
-            assert!(w[1].first(2, 7));
-            assert!(!w[1].first(2, 1 << 35), "first arrival wins");
-            assert!(!w[1].is_empty(5) && w[1].is_empty(4));
+            let mut w = t.windows(&[1, 2]);
+            assert!(w[1].first(4, 1, 1 << 33));
+            assert!(w[0].first(0, 1, 1 << 34));
+            assert!(w[1].first(2, 0, 7));
+            assert!(!w[1].first(2, 0, 1 << 35), "first arrival wins");
+            assert!(!w[1].is_empty(4, 1) && w[1].is_empty(4, 0));
+            assert!(w[0].is_empty(0, 0) && !w[0].is_empty(0, 1));
         }
-        t.absorb(&mut spills);
-        assert!(spills.iter().all(Vec::is_empty));
         let mut want = ArrivalTable::new(3, 2);
         want.record(NodeId(2), PacketId(1), Slot(1 << 33));
         want.record(NodeId(0), PacketId(1), Slot(1 << 34));
         want.record(NodeId(1), PacketId(0), Slot(7));
         assert_eq!(t, want);
+        assert!(t.wide[1].is_none(), "row 1 stays narrow");
     }
 
     #[test]

@@ -284,6 +284,16 @@ fn mega_scale_smoke_runs_in_scale_and_full_tiers() {
             && body.contains("diff \"$golden/scale_n1000000_mega.txt\" \"$base-mega-1m.txt\""),
         "the N=10^6 golden diff is part of the mega smoke"
     );
+    // …and so is the chain whose far rows outgrow a byte of lateness:
+    // the widening path through the release CLI, mega against fast.
+    for needle in [
+        "local chain=(simulate --scheme chain --n 400 --track 512)",
+        "target/release/clustream \"${chain[@]}\" --engine fast >\"$base-chain-fast.txt\"",
+        "target/release/clustream \"${chain[@]}\" --engine mega >\"$base-chain-mega.txt\"",
+        "diff <(grep -v '^engine' \"$base-chain-fast.txt\") <(grep -v '^engine' \"$base-chain-mega.txt\")",
+    ] {
+        assert!(body.contains(needle), "the mega smoke lost `{needle}`");
+    }
     assert!(
         !text.contains("[ \"$TIER\" = scale ];"),
         "no stage is scale-tier-only"

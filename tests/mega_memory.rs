@@ -1,7 +1,7 @@
 //! What a mega run holds at its peak, under a counting
 //! `#[global_allocator]`: at N = 10⁴, d = 3 and 256 tracked packets the
-//! arrival table's 32-bit cells are 10 MB of it, and a table that widens
-//! them again fails the bound.
+//! arrival table's one-byte cells are 2.6 MB of it, and a table that
+//! widens them again fails the bound.
 
 use clustream::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -74,11 +74,11 @@ fn a_mega_run_at_n_10_4_peaks_under_its_bound() {
     let (peak, res) = peak_bytes(|| mega.run(&mut scheme, &cfg).unwrap());
     assert_eq!(res.qos.nodes.len(), 10_000);
     assert!(mega.steady_slots() > 0, "the steady table never ran");
-    // Measured at 14 839 805 bytes, 10.2 MB of them the arrival cells;
-    // the bound leaves 8 % headroom. With 64-bit cells the same run
-    // peaks at 26.2 MB.
+    // Measured at 7 279 053 bytes, 2.6 MB of them the arrival cells;
+    // the bound leaves 10 % headroom. With 32-bit cells the same run
+    // peaks at 14.8 MB, with 64-bit cells at 26.2 MB.
     assert!(
-        peak < 16_000_000,
+        peak < 8_000_000,
         "a mega run at N = 10⁴ peaked at {peak} bytes"
     );
 }
