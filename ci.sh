@@ -21,7 +21,7 @@
 #                 with --metrics-out too, whose JSONL equals the fast
 #                 engine's (spans aside); a chain whose rows outgrow a
 #                 byte of lateness prints the same on mega as on fast;
-#                 at N=10^6 (736 MiB, 5.3-5.5 s on a 2-core container)
+#                 at N=10^6 (553 MiB, 6.6-9.1 s on a busy 2-core container)
 #                 the mega report equals its golden stdout too
 #   ci.sh full    quick + doc lint + differential oracles + CLI smoke
 #                 matrix + exhaustive invariant lattice + coverage-guided
@@ -305,11 +305,18 @@ crowd_mega_smoke() {
     # CLI: the ledger's crowd1000 shape (the forest stops changing at slot
     # 20 of 480, and the zero-rate loss plan only reports) must print
     # what the fast engine prints, line for line, engine label aside.
+    # Then the same crowd tracking 256 packets to a horizon of 150 slots,
+    # which cuts the analytic gear's periodic rows mid-window (360 211
+    # packets missing): mega = fast again.
     local base=target/ci-crowd
     local crowd=(simulate --scheme multitree --n 2000 --d 3 --scenario step:1000@20 --track 96)
+    local cut=(simulate --scheme multitree --n 2000 --d 3 --scenario step:1000@20 --track 256 --horizon 150)
     target/release/clustream "${crowd[@]}" --engine fast >"$base-fast.txt"
     target/release/clustream "${crowd[@]}" --engine mega >"$base-mega.txt"
     diff <(grep -v '^engine' "$base-fast.txt") <(grep -v '^engine' "$base-mega.txt")
+    target/release/clustream "${cut[@]}" --engine fast >"$base-h150-fast.txt"
+    target/release/clustream "${cut[@]}" --engine mega >"$base-h150-mega.txt"
+    diff <(grep -v '^engine' "$base-h150-fast.txt") <(grep -v '^engine' "$base-h150-mega.txt")
 }
 
 flash_crowd_full() {
@@ -393,7 +400,8 @@ mega_scale_smoke() {
     target/release/clustream "${chain[@]}" --engine fast >"$base-chain-fast.txt"
     target/release/clustream "${chain[@]}" --engine mega >"$base-chain-mega.txt"
     diff <(grep -v '^engine' "$base-chain-fast.txt") <(grep -v '^engine' "$base-chain-mega.txt")
-    # N=10^6: one-byte arrival cells keep it at 736 MiB.
+    # N=10^6: one-byte arrival cells, and periodic rows that store only
+    # their 64-cell heads, keep it at 553 MiB.
     cargo run -q --release --offline -p clustream-cli --bin clustream -- \
         simulate --scheme multitree --n 1000000 --d 3 --track 256 \
         --engine mega >"$base-mega-1m.txt"

@@ -138,6 +138,17 @@ impl ColumnarHeld {
             self.spill[node].insert(seq)
         }
     }
+
+    /// One past the largest seq `node` holds, 0 when it holds none.
+    fn end(&self, node: usize) -> u64 {
+        let top = |words: &[u64]| {
+            words.iter().rposition(|&w| w != 0).map_or(0, |i| {
+                i as u64 * 64 + 64 - u64::from(words[i].leading_zeros())
+            })
+        };
+        let row = &self.words[node * self.stride..(node + 1) * self.stride];
+        top(row).max(top(&self.spill[node].words))
+    }
 }
 
 impl Held for ColumnarHeld {
@@ -525,7 +536,7 @@ fn deliver_columnar(
         *dup += 1;
         return;
     }
-    if seq < track && cells.first(to * track as usize, seq as usize, t) && is_receiver[to] {
+    if seq < track && cells.first(to, seq as usize, t) && is_receiver[to] {
         *remaining -= 1;
     }
     *slot_deliveries += 1;
@@ -573,7 +584,7 @@ fn deliver_shard(
         dup.fetch_add(1, Ordering::Relaxed);
         return;
     }
-    if seq < track && st.cells.first(to * track as usize, seq as usize, t) && is_receiver[to] {
+    if seq < track && st.cells.first(to, seq as usize, t) && is_receiver[to] {
         remaining.fetch_sub(1, Ordering::Relaxed);
     }
     slot_deliv.fetch_add(1, Ordering::Relaxed);
@@ -994,9 +1005,33 @@ impl MegaEngine {
         last_send: u64,
     ) -> SteadyEnd {
         let track = arrivals.track_packets() as usize;
+        arrivals.allow_periodic();
         let mut cells = arrivals.cells_mut();
         let t0 = tbl.steady_from;
         let p = tbl.period;
+        let pz = p as usize;
+
+        // The seq an entry's first send replayed below carries: its first
+        // send at or after `t0` and `blaze_start − L`.
+        let first_replayed = |e: &ArrEntry| {
+            let first_send = tbl.base + e.j;
+            let s_min = blaze_start.saturating_sub(e.latency as u64).max(t0);
+            let s = s_min + (first_send % p + p - s_min % p) % p;
+            e.packet0 + (s - first_send)
+        };
+        // Where a row is empty for good before the replay: past every seq
+        // the node holds (each cell written so far was a fresh insert),
+        // and past each entry's first replayed seq. From there on a
+        // residue class of the row fills only from its entry, at that
+        // entry's one lateness, or never.
+        let held = &self.kernel.state.held;
+        let fresh_from = |group: &[ArrEntry]| {
+            let held_end = held.end(group[0].to as usize);
+            let replayed = group.iter().map(first_replayed);
+            replayed.fold(held_end, u64::max).min(track as u64) as usize
+        };
+        // Entries sorted by `(receiver, class)`: one group per row.
+        let rows = || tbl.entries.chunk_by(|a, b| a.to == b.to);
 
         // Exclusive end of applied arrival slots: stop slot + 1 when the
         // run completes in-horizon, else the horizon itself.
@@ -1011,30 +1046,86 @@ impl MegaEngine {
             // completes iff the still-needed cells the entries reach
             // inside the horizon are all `remaining` of them, and then
             // at the latest of each entry's last needed cell — exact, no
-            // simulation.
+            // simulation. Cells below the row's `fresh_from` are looked
+            // at; those past it are all still needed, so they are
+            // counted, not walked.
             let mut latest = blaze_start;
             let mut covered = 0u64;
-            for e in tbl.entries.iter().filter(|e| is_receiver[e.to as usize]) {
-                let first_send = tbl.base + e.j;
-                let k_lo = (t0 - first_send).next_multiple_of(p);
-                let k_end = cfg.max_slots.saturating_sub(first_send + e.latency as u64);
-                let seq_lo = e.packet0.saturating_add(k_lo).min(track as u64) as usize;
-                let seq_end = e.packet0.saturating_add(k_end).min(track as u64) as usize;
-                let row = e.to as usize * track;
-                let mut last = None;
-                for seq in (seq_lo..seq_end).step_by(p as usize) {
-                    if cells.is_empty(row, seq) {
-                        covered += 1;
-                        last = Some(seq as u64);
+            for group in rows().filter(|g| is_receiver[g[0].to as usize]) {
+                let to = group[0].to as usize;
+                let fresh = fresh_from(group);
+                for e in group {
+                    let first_send = tbl.base + e.j;
+                    let k_lo = (t0 - first_send).next_multiple_of(p);
+                    let k_end = cfg.max_slots.saturating_sub(first_send + e.latency as u64);
+                    let seq_lo = e.packet0.saturating_add(k_lo).min(track as u64) as usize;
+                    let seq_end = e.packet0.saturating_add(k_end).min(track as u64) as usize;
+                    let mut last = None;
+                    for seq in (seq_lo..seq_end.min(fresh)).step_by(pz) {
+                        if cells.is_empty(to, seq) {
+                            covered += 1;
+                            last = Some(seq);
+                        }
                     }
-                }
-                if let Some(seq) = last {
-                    latest = latest.max(first_send + e.latency as u64 + (seq - e.packet0));
+                    let from = seq_lo + fresh.saturating_sub(seq_lo).next_multiple_of(pz);
+                    if from < seq_end {
+                        let n = (seq_end - 1 - from) / pz + 1;
+                        covered += n as u64;
+                        last = Some(from + (n - 1) * pz);
+                    }
+                    if let Some(seq) = last {
+                        let k = seq as u64 - e.packet0;
+                        latest = latest.max(first_send + e.latency as u64 + k);
+                    }
                 }
             }
             if covered == *remaining {
                 arr_end = latest + 1;
                 will_stop = true;
+            }
+        }
+
+        // The replay takes each row over whole: a row turns periodic when
+        // its head holds a whole period past `fresh_from`. Its class-`c`
+        // cells from there on all hold the entry's lateness until the
+        // entry's first seq usable no earlier than `arr_end`, so every
+        // cell past the head and before the first such seq of any class
+        // is implied. The head's cells from `fresh_from` on are seeded
+        // here, the row is marked, and the replay below writes none of
+        // the cells before the implied end; the cells past it it stores.
+        let h = cells.head_len();
+        // The first seq of `e`'s class at or after `from`, and the seqs
+        // of its class in `from..to`.
+        let next =
+            |e: &ArrEntry, from: usize| from + ((e.packet0 % p + p - from as u64 % p) % p) as usize;
+        let class = |e: &ArrEntry, from: usize, to: usize| (next(e, from)..to).step_by(pz);
+        let lateness =
+            |e: &ArrEntry| (tbl.base + e.j + e.latency as u64) as i128 - e.packet0 as i128;
+        for group in rows() {
+            let to = group[0].to as usize;
+            let fresh = fresh_from(group);
+            if fresh + pz > h {
+                continue;
+            }
+            let mut end = track;
+            for e in group {
+                let cut = (arr_end as i128 - lateness(e)).clamp(fresh as i128, track as i128);
+                end = end.min(next(e, cut as usize));
+            }
+            if end <= h {
+                continue;
+            }
+            for e in group {
+                for seq in class(e, fresh, h) {
+                    let usable = (seq as i128 + lateness(e)) as u64;
+                    if cells.first(to, seq, usable) && is_receiver[to] {
+                        *remaining -= 1;
+                    }
+                }
+            }
+            if cells.mark_periodic(to, pz, end) && is_receiver[to] {
+                let implied: usize = group.iter().map(|e| class(e, h, end).len()).sum();
+                *remaining -= implied as u64;
             }
         }
         // Send slots: a stop breaks before the sends of its slot.
@@ -1078,7 +1169,7 @@ impl MegaEngine {
                 let s_min = w_start.saturating_sub(l).max(t0);
                 let mut s = s_min + (rem + p - s_min % p) % p;
                 let s_end = w_end.saturating_sub(l);
-                let row = to * track;
+                let implied = cells.implied(to);
                 while s < s_end {
                     let seq = e.packet0 + (s - (tbl.base + e.j));
                     if !held.insert(to, seq) {
@@ -1086,7 +1177,8 @@ impl MegaEngine {
                     } else {
                         tally[(s + l - w_start) as usize] += 1;
                         if seq < track as u64
-                            && cells.first(row, seq as usize, s + l)
+                            && !implied.contains(&(seq as usize))
+                            && cells.first(to, seq as usize, s + l)
                             && is_receiver[to]
                         {
                             *remaining -= 1;

@@ -17,18 +17,27 @@
 //! itself: one byte per node × tracked packet holding the packet's
 //! lateness `usable(i, j) − j`, biased so that 0 means "never arrived".
 //! A multi-tree schedule keeps it small (−1…31 at N = 10⁵, d = 3, and
-//! never below `2 − d`), so at N = 10⁵ and 256 tracked packets the table
-//! is 24.5 MiB where 32-bit slots took 98. A row whose first arrival
-//! falls outside a byte — a chain's far end, a repaired straggler, a slot
-//! near 2⁶⁴ — is widened once: its bytes are decoded into a side row of
-//! 64-bit slots, found in O(1) by node, and every byte of the row
-//! becomes the marker 255. A row is therefore read either all narrow or all
-//! wide, so the per-cell loops of the analysis never test for the
-//! marker, and a narrow row's delay is its largest byte minus the bias.
+//! never below `2 − d`). A row whose first arrival falls outside a byte —
+//! a chain's far end, a repaired straggler, a slot near 2⁶⁴ — is widened
+//! once: its bytes are decoded into a side row of 64-bit slots, found in
+//! O(1) by node, and every byte of the row becomes the marker 255. A row
+//! is therefore read either all narrow or all wide, so the per-cell loops
+//! of the analysis never test for the marker, and a narrow row's delay is
+//! its largest byte minus the bias.
+//!
+//! A row's first 64 cells, its *head*, are stored with the other rows'
+//! heads, apart from the rest, its *tail*. Once a receiver runs on a
+//! verified periodic schedule its
+//! lateness repeats with the period, and the mega engine marks its row
+//! *periodic*: every tail cell up to an implied end is `cell(j) = cell(j −
+//! p)`, read back from the head and never stored, so its page is never
+//! touched. At N = 10⁵ and 256 tracked packets a run to completion so
+//! keeps 6.1 MiB of heads where every cell took 24.4 MiB.
 
 use clustream_core::{CoreError, NodeId, PacketId, Slot};
 use serde::{Deserialize, Serialize};
 use std::alloc::Layout;
+use std::ops::Range;
 
 /// Per-node arrival slots for the first `track_packets` packets.
 ///
@@ -37,21 +46,31 @@ use std::alloc::Layout;
 /// packet never arrived within the simulated horizon.
 ///
 /// Two tables are equal when they hold the same first arrivals, whatever
-/// order they were recorded — and rows widened — in.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// order they were recorded in and whatever form — narrow, wide or
+/// periodic — their rows are kept in.
+#[derive(Debug, Clone)]
 pub struct ArrivalTable {
     n_ids: usize,
     track_packets: u64,
-    /// One allocation, `cells[node · track_packets + packet]`. A narrow
-    /// row's cell holds the packet's lateness as [`narrow`] encodes it,
-    /// so that a zeroed cell — what a fresh allocation is, at no up-front
-    /// cost — means "never arrived" ([`NEVER`]); a widened row's cells
-    /// are all [`WIDE`].
+    /// Cells per row in its head: `min(track_packets, HEAD)`.
+    head_len: usize,
+    /// Every row's first `head_len` cells, its head, at `node · head_len +
+    /// j`; past all of them ([`ArrivalTable::parts`]) the rest of every
+    /// row, its tail, at `node · (track − head_len) + j − head_len`. A
+    /// narrow row's cell holds the packet's lateness as [`narrow`]
+    /// encodes it, so that a zeroed cell — what a fresh allocation is, at
+    /// no up-front cost — means "never arrived" ([`NEVER`]); a widened
+    /// row's cells are all [`WIDE`]. A periodic row's implied cells have
+    /// a place in the tails that is never written.
     cells: Vec<u8>,
-    /// Per node id, its widened row, if one was. Zeroed like `cells`, so
-    /// the index costs address space until a row widens; a row sits
+    /// Per node id, its widened row, if one was. Zeroed like the cells,
+    /// so the index costs address space until a row widens; a row sits
     /// behind a thin `Box` so that an all-zero entry is a valid `None`.
     wide: Vec<Option<Box<WideRow>>>,
+    /// Per node id, its [`Periodic`] marker as [`Periodic::pack`] packs
+    /// it, 0 for a row that is not periodic. Empty until a writer asks
+    /// for markers ([`ArrivalTable::allow_periodic`]), then zeroed.
+    periodic: Vec<u32>,
 }
 
 /// A widened row: `usable slot + 1` per packet, 0 for never, which
@@ -70,6 +89,12 @@ const WIDE: u8 = u8::MAX;
 /// packets arrive at most `d − 2` slots early.
 const BIAS: u64 = 64;
 
+/// Cells a row keeps in its head.
+const HEAD: usize = 64;
+
+/// Low bits of a packed [`Periodic`] marker that hold its period.
+const PERIOD_BITS: u32 = 6;
+
 /// The narrow cell of packet `j`'s first arrival, usable from `usable`:
 /// its lateness `usable − j` plus `BIAS + 1`, or `None` when that is not
 /// strictly between [`NEVER`] and [`WIDE`].
@@ -77,6 +102,37 @@ const BIAS: u64 = 64;
 fn narrow(usable: u64, j: usize) -> Option<u8> {
     let c = usable.checked_add(BIAS + 1)?.checked_sub(j as u64)?;
     u8::try_from(c).ok().filter(|&c| c != NEVER && c != WIDE)
+}
+
+/// What makes a narrow row periodic: each cell `j` with `head_len ≤ j <
+/// end` is implied, `cell(j) = cell(j − period)`, so it reads back from
+/// the head's last `period` cells.
+#[derive(Clone, Copy)]
+struct Periodic {
+    period: usize,
+    end: usize,
+}
+
+impl Periodic {
+    /// The marker in one word, `end` above the period's bits; `None`
+    /// when either does not fit (a period of 0 or ≥ 64, an end ≥ 2²⁶).
+    fn pack(self) -> Option<u32> {
+        let end = u32::try_from(self.end)
+            .ok()
+            .filter(|&e| e < 1 << (32 - PERIOD_BITS))?;
+        let period = u32::try_from(self.period)
+            .ok()
+            .filter(|p| (1..1 << PERIOD_BITS).contains(p))?;
+        Some(end << PERIOD_BITS | period)
+    }
+
+    /// The marker [`Periodic::pack`] packed, `None` for 0.
+    fn unpack(word: u32) -> Option<Periodic> {
+        (word != 0).then_some(Periodic {
+            period: (word & ((1 << PERIOD_BITS) - 1)) as usize,
+            end: (word >> PERIOD_BITS) as usize,
+        })
+    }
 }
 
 /// `len` all-zero values, or `None` when the allocator refuses them. The
@@ -109,6 +165,8 @@ unsafe fn zeroed<T>(len: usize) -> Option<Vec<T>> {
 /// number of rows, so a per-receiver loop allocates once.
 #[derive(Default)]
 pub(crate) struct PlaybackScratch {
+    /// A narrow row's cells as the analysis reads them.
+    row: Vec<u8>,
     /// Dense arm: arrivals per receive slot over the row's slot span.
     counts: Vec<usize>,
     /// Sparse arm: the row's receive slots, sorted.
@@ -119,10 +177,66 @@ pub(crate) struct PlaybackScratch {
 
 /// One row's cells as stored.
 enum Row<'a> {
-    /// Lateness bytes.
-    Narrow(&'a [u8]),
+    Narrow(NarrowRow<'a>),
     /// The row's [`WideRow`].
     Wide(&'a [u64]),
+}
+
+/// A narrow row: its head, its whole tail and its marker.
+#[derive(Clone, Copy)]
+struct NarrowRow<'a> {
+    head: &'a [u8],
+    tail: &'a [u8],
+    periodic: Option<Periodic>,
+}
+
+impl<'a> NarrowRow<'a> {
+    /// The implied cells and the period they repeat with: an empty range
+    /// for a row that is not periodic.
+    fn implied(&self) -> (Range<usize>, usize) {
+        let h = self.head.len();
+        self.periodic.map_or((h..h, 1), |p| (h..p.end, p.period))
+    }
+
+    /// Cell `j`.
+    #[inline]
+    fn cell(&self, j: usize) -> u8 {
+        let h = self.head.len();
+        let (implied, p) = self.implied();
+        if j < h {
+            self.head[j]
+        } else if implied.contains(&j) {
+            self.head[h - p + (j - h) % p]
+        } else {
+            self.tail[j - h]
+        }
+    }
+
+    /// Every cell of the row, implied ones expanded.
+    fn cells(self) -> impl Iterator<Item = u8> + 'a {
+        let h = self.head.len();
+        let (implied, p) = self.implied();
+        let pattern = &self.head[h.saturating_sub(p)..];
+        self.head
+            .iter()
+            .chain(pattern.iter().cycle().take(implied.len()))
+            .chain(&self.tail[implied.end - h..])
+            .copied()
+    }
+
+    /// Every cell of the row, implied ones expanded, into `buf`: what
+    /// [`NarrowRow::cells`] yields, a period at a time.
+    fn expand(self, buf: &mut Vec<u8>) {
+        let h = self.head.len();
+        let (implied, p) = self.implied();
+        buf.clear();
+        buf.extend_from_slice(self.head);
+        while buf.len() < implied.end {
+            let k = p.min(implied.end - buf.len());
+            buf.extend_from_slice(&self.head[h - p..][..k]);
+        }
+        buf.extend_from_slice(&self.tail[implied.end - h..]);
+    }
 }
 
 /// A cell as the analysis reads it, in either form of row.
@@ -166,81 +280,195 @@ impl Cell for u64 {
 
 /// Write access to the cells for the mega engine's steady-state gears,
 /// which bypass [`ArrivalTable::record`]'s per-call logic: rows are
-/// addressed by the table index of their first cell (`node ·
-/// track_packets`), and a write goes through [`CellsMut::first`], which
-/// keeps the first-wins rule and widens a row when it must. A view
-/// covers the whole table ([`ArrivalTable::cells_mut`]) or one window of
-/// rows ([`ArrivalTable::windows`]).
+/// addressed by node id, and a write goes through [`CellsMut::first`],
+/// which keeps the first-wins rule, widens a row when it must and
+/// respects a periodic row's implied cells. A view covers the whole
+/// table ([`ArrivalTable::cells_mut`]) or one window of rows
+/// ([`ArrivalTable::windows`]).
 pub(crate) struct CellsMut<'a> {
-    cells: &'a mut [u8],
-    /// The same rows' wide forms: `wide[0]` is row `start / track`'s.
+    head: &'a mut [u8],
+    tail: &'a mut [u8],
+    /// The same rows' wide forms and markers: `wide[0]` is row
+    /// `start`'s.
     wide: &'a mut [Option<Box<WideRow>>],
-    /// Table index of `cells[0]`, a row start.
+    periodic: &'a mut [u32],
+    /// Node id of the view's first row.
     start: usize,
+    head_len: usize,
     track: usize,
 }
 
 impl CellsMut<'_> {
-    /// Whether packet `j` of the row starting at table index `row` has
-    /// no arrival yet.
+    /// Cells per row in the head: a periodic row's implied cells start
+    /// here.
+    pub(crate) fn head_len(&self) -> usize {
+        self.head_len
+    }
+
+    /// Row `r` of the view, if narrow.
+    fn row(&self, r: usize) -> NarrowRow<'_> {
+        let (h, t) = (self.head_len, self.track - self.head_len);
+        NarrowRow {
+            head: &self.head[r * h..(r + 1) * h],
+            tail: &self.tail[r * t..(r + 1) * t],
+            periodic: self.periodic.get(r).and_then(|&w| Periodic::unpack(w)),
+        }
+    }
+
+    /// Where cell `j` of row `r` is stored.
     #[inline]
-    pub(crate) fn is_empty(&self, row: usize, j: usize) -> bool {
-        match self.cells[row + j - self.start] {
+    fn stored(&mut self, r: usize, j: usize) -> &mut u8 {
+        let h = self.head_len;
+        match j.checked_sub(h) {
+            None => &mut self.head[r * h + j],
+            Some(k) => &mut self.tail[r * (self.track - h) + k],
+        }
+    }
+
+    /// The cells of `node`'s row that are implied rather than stored:
+    /// empty unless the row is periodic.
+    #[inline]
+    pub(crate) fn implied(&self, node: usize) -> Range<usize> {
+        self.row(node - self.start).implied().0
+    }
+
+    /// Whether packet `j` of `node`'s row has no arrival yet.
+    #[inline]
+    pub(crate) fn is_empty(&self, node: usize, j: usize) -> bool {
+        let r = node - self.start;
+        match self.row(r).cell(j) {
             NEVER => true,
-            WIDE => self.wide_row(row)[j] == 0,
+            WIDE => self.wide_row(r)[j] == 0,
             _ => false,
         }
     }
 
-    /// Record `usable` as packet `j`'s first arrival in the row starting
-    /// at table index `row`. `false` (and nothing written) when the cell
-    /// already has one. Slot `u64::MAX` has no encoding: the cell reads
-    /// back as "never arrived".
+    /// Record `usable` as packet `j`'s first arrival in `node`'s row.
+    /// `false` (and nothing written) when the cell already has one. Slot
+    /// `u64::MAX` has no encoding: the cell reads back as "never
+    /// arrived". In a periodic row, a first arrival in a cell that other
+    /// cells are implied from, or in an implied cell, stores the row's
+    /// implied cells first (the row stops being periodic), so that no
+    /// other cell changes.
     #[inline]
-    pub(crate) fn first(&mut self, row: usize, j: usize, usable: u64) -> bool {
-        let cell = &mut self.cells[row + j - self.start];
-        match *cell {
+    pub(crate) fn first(&mut self, node: usize, j: usize, usable: u64) -> bool {
+        let r = node - self.start;
+        let cell = *self.stored(r, j);
+        match cell {
+            // A table with no periodic rows has no markers to read.
+            NEVER if self.periodic.get(r).is_some_and(|&w| w != 0) => {
+                self.first_periodic(r, j, usable)
+            }
             NEVER => {
-                match narrow(usable, j) {
-                    Some(c) => *cell = c,
-                    None => self.widen(row, j, usable),
-                }
+                self.store(r, j, usable);
                 true
             }
-            WIDE => self.first_wide(row, j, usable),
+            WIDE => self.first_wide(r, j, usable),
             _ => false,
         }
     }
 
-    /// The wide form of the row starting at table index `row`.
-    fn wide_row(&self, row: usize) -> &[u64] {
-        let w = &self.wide[(row - self.start) / self.track];
-        &w.as_ref().expect("a WIDE row has its wide form").0
+    /// [`CellsMut::first`] on an empty stored cell `j` of the periodic
+    /// row `r`.
+    #[cold]
+    fn first_periodic(&mut self, r: usize, j: usize, usable: u64) -> bool {
+        let pr = Periodic::unpack(self.periodic[r]).expect("a periodic row");
+        if self.row(r).cell(j) != NEVER {
+            return false;
+        }
+        if j + pr.period >= self.head_len && j < pr.end {
+            self.materialize(r, pr);
+        }
+        self.store(r, j, usable);
+        true
+    }
+
+    /// Store `usable` in the empty cell `j` of the narrow row `r`.
+    #[inline]
+    fn store(&mut self, r: usize, j: usize, usable: u64) {
+        match narrow(usable, j) {
+            Some(c) => *self.stored(r, j) = c,
+            None => self.widen(r, j, usable),
+        }
+    }
+
+    /// Mark `node`'s row periodic: from now on its cells `head_len ..
+    /// end` are `cell(j) = cell(j − period)` and are not stored. The
+    /// caller vouches that the row's arrivals from the head's last
+    /// `period` cells on, all recorded by now, repeat with `period` up
+    /// to `end`. `false`, and the row left as it is, in a table without
+    /// markers ([`ArrivalTable::allow_periodic`]), for a wide or already
+    /// periodic row, a period of 0 or longer than the head or 63, or an
+    /// end that leaves nothing implied or lies past the row (or past
+    /// 2²⁶).
+    pub(crate) fn mark_periodic(&mut self, node: usize, period: usize, end: usize) -> bool {
+        let r = node - self.start;
+        let h = self.head_len;
+        let free = self.periodic.get(r) == Some(&0);
+        if !free || self.wide[r].is_some() || period > h || end <= h {
+            return false;
+        }
+        let Some(word) = Periodic { period, end }
+            .pack()
+            .filter(|_| end <= self.track)
+        else {
+            return false;
+        };
+        debug_assert!(
+            self.row(r).tail[..end - h].iter().all(|&c| c == NEVER),
+            "an implied cell was stored"
+        );
+        self.periodic[r] = word;
+        true
+    }
+
+    /// The wide form of row `r`.
+    fn wide_row(&self, r: usize) -> &[u64] {
+        &self.wide[r]
+            .as_ref()
+            .expect("a WIDE row has its wide form")
+            .0
+    }
+
+    /// Store a periodic row's implied cells and drop its marker.
+    #[cold]
+    fn materialize(&mut self, r: usize, pr: Periodic) {
+        for j in self.head_len..pr.end {
+            let c = self.row(r).cell(j);
+            *self.stored(r, j) = c;
+        }
+        self.periodic[r] = 0;
     }
 
     /// Widen a narrow row for a first arrival no byte holds.
     #[cold]
-    fn widen(&mut self, row: usize, j: usize, usable: u64) {
+    fn widen(&mut self, r: usize, j: usize, usable: u64) {
         if usable == u64::MAX {
             return;
         }
-        let at = row - self.start;
-        let cells = &mut self.cells[at..at + self.track];
-        let mut slots: Box<[u64]> = cells
-            .iter()
+        let mut slots: Box<[u64]> = self
+            .row(r)
+            .cells()
             .enumerate()
-            .map(|(k, &c)| c.usable(k).map_or(0, |u| u + 1))
+            .map(|(k, c)| c.usable(k).map_or(0, |u| u + 1))
             .collect();
         slots[j] = usable + 1;
-        cells.fill(WIDE);
-        self.wide[at / self.track] = Some(Box::new(WideRow(slots)));
+        let (h, t) = (self.head_len, self.track - self.head_len);
+        self.head[r * h..(r + 1) * h].fill(WIDE);
+        self.tail[r * t..(r + 1) * t].fill(WIDE);
+        if let Some(marker) = self.periodic.get_mut(r) {
+            *marker = 0;
+        }
+        self.wide[r] = Some(Box::new(WideRow(slots)));
     }
 
     /// [`CellsMut::first`] in a widened row.
     #[cold]
-    fn first_wide(&mut self, row: usize, j: usize, usable: u64) -> bool {
-        let w = &mut self.wide[(row - self.start) / self.track];
-        let slot = &mut w.as_mut().expect("a WIDE row has its wide form").0[j];
+    fn first_wide(&mut self, r: usize, j: usize, usable: u64) -> bool {
+        let slot = &mut self.wide[r]
+            .as_mut()
+            .expect("a WIDE row has its wide form")
+            .0[j];
         if *slot != 0 {
             return false;
         }
@@ -279,11 +507,11 @@ impl ArrivalTable {
                  does not fit in memory"
             ))
         };
-        let cells = usize::try_from(track_packets)
-            .ok()
-            .and_then(|track| n_ids.checked_mul(track))
-            // SAFETY: `u8` is not zero-sized, and 0 is a `u8`.
-            .and_then(|len| unsafe { zeroed(len) })
+        let track = usize::try_from(track_packets).map_err(|_| too_large())?;
+        // SAFETY: `u8` is not zero-sized, and 0 is a `u8`.
+        let cells = n_ids
+            .checked_mul(track)
+            .and_then(|len| unsafe { zeroed::<u8>(len) })
             .ok_or_else(too_large)?;
         // SAFETY: an `Option<Box<_>>` of a sized type is a pointer, and
         // all-zero bytes are its `None`.
@@ -291,9 +519,27 @@ impl ArrivalTable {
         Ok(ArrivalTable {
             n_ids,
             track_packets,
+            head_len: track.min(HEAD),
             cells,
             wide,
+            periodic: Vec::new(),
         })
+    }
+
+    /// Every row's head, then every row's tail.
+    fn parts(&self) -> (&[u8], &[u8]) {
+        self.cells.split_at(self.n_ids * self.head_len)
+    }
+
+    /// Give every row a periodic marker, so that rows can be marked
+    /// ([`CellsMut::mark_periodic`]). Until then — and if the markers
+    /// cannot be allocated — no row is periodic and a write reads no
+    /// marker.
+    pub(crate) fn allow_periodic(&mut self) {
+        if self.periodic.is_empty() {
+            // SAFETY: `u32` is not zero-sized, and 0 is a `u32`.
+            self.periodic = unsafe { zeroed(self.n_ids) }.unwrap_or_default();
+        }
     }
 
     /// Number of node ids covered.
@@ -315,17 +561,20 @@ impl ArrivalTable {
         if packet.seq() >= self.track_packets {
             return false;
         }
-        let row = node.index() * self.track_packets as usize;
         self.cells_mut()
-            .first(row, packet.seq() as usize, usable_from.t())
+            .first(node.index(), packet.seq() as usize, usable_from.t())
     }
 
     /// The whole table, for the mega engine's steady-state gears.
     pub(crate) fn cells_mut(&mut self) -> CellsMut<'_> {
+        let (head, tail) = self.cells.split_at_mut(self.n_ids * self.head_len);
         CellsMut {
-            cells: &mut self.cells,
+            head,
+            tail,
             wide: &mut self.wide,
+            periodic: &mut self.periodic,
             start: 0,
+            head_len: self.head_len,
             track: self.track_packets as usize,
         }
     }
@@ -335,33 +584,41 @@ impl ArrivalTable {
     /// its own rows.
     pub(crate) fn windows(&mut self, rows: &[usize]) -> Vec<CellsMut<'_>> {
         let track = self.track_packets as usize;
-        let (mut cells, mut wide) = (&mut self.cells[..], &mut self.wide[..]);
+        let (h, t) = (self.head_len, track - self.head_len);
+        let (mut head, mut tail) = self.cells.split_at_mut(self.n_ids * h);
+        let mut wide = &mut self.wide[..];
+        let markers = usize::from(!self.periodic.is_empty());
+        let mut periodic = &mut self.periodic[..];
         let mut start = 0;
         rows.iter()
             .map(|&n| {
-                let (c, c_rest) = std::mem::take(&mut cells).split_at_mut(n * track);
-                let (w, w_rest) = std::mem::take(&mut wide).split_at_mut(n);
-                (cells, wide) = (c_rest, w_rest);
                 let window = CellsMut {
-                    cells: c,
-                    wide: w,
+                    head: split_off(&mut head, n * h),
+                    tail: split_off(&mut tail, n * t),
+                    wide: split_off(&mut wide, n),
+                    periodic: split_off(&mut periodic, n * markers),
                     start,
+                    head_len: h,
                     track,
                 };
-                start += n * track;
+                start += n;
                 window
             })
             .collect()
     }
 
     /// `node`'s row, in the form it is stored in.
-    fn row(&self, node: NodeId) -> Row<'_> {
-        let track = self.track_packets as usize;
-        let cells = &self.cells[node.index() * track..(node.index() + 1) * track];
-        match &self.wide[node.index()] {
-            Some(w) => Row::Wide(&w.0),
-            None => Row::Narrow(cells),
+    fn row(&self, node: usize) -> Row<'_> {
+        if let Some(w) = &self.wide[node] {
+            return Row::Wide(&w.0);
         }
+        let (h, t) = (self.head_len, self.track_packets as usize - self.head_len);
+        let (head, tail) = self.parts();
+        Row::Narrow(NarrowRow {
+            head: &head[node * h..(node + 1) * h],
+            tail: &tail[node * t..(node + 1) * t],
+            periodic: self.periodic.get(node).and_then(|&w| Periodic::unpack(w)),
+        })
     }
 
     /// First slot `packet` is usable at `node`, if it ever arrived;
@@ -372,8 +629,8 @@ impl ArrivalTable {
             return None;
         }
         let j = packet.seq() as usize;
-        match self.row(node) {
-            Row::Narrow(row) => row[j].usable(j),
+        match self.row(node.index()) {
+            Row::Narrow(row) => row.cell(j).usable(j),
             Row::Wide(row) => row[j].usable(j),
         }
         .map(Slot)
@@ -381,8 +638,8 @@ impl ArrivalTable {
 
     /// Whether every tracked packet reached `node`.
     pub fn complete_for(&self, node: NodeId) -> bool {
-        match self.row(node) {
-            Row::Narrow(row) => complete(row),
+        match self.row(node.index()) {
+            Row::Narrow(row) => row.cells().all(|c| c != NEVER),
             Row::Wide(row) => complete(row),
         }
     }
@@ -466,10 +723,19 @@ impl ArrivalTable {
     /// over the row's receive-slot span when that span is of the order
     /// of the row (every periodic schedule's is), sorted otherwise (a
     /// repaired or heavy-tailed straggler far from the rest).
+    ///
+    /// A narrow row is read from a copy of its cells, a periodic row's
+    /// implied ones expanded.
     fn playback(&self, node: NodeId, scratch: &mut PlaybackScratch) -> RowPlayback {
-        match self.row(node) {
-            Row::Narrow(row) => playback_of(row, scratch),
+        match self.row(node.index()) {
             Row::Wide(row) => playback_of(row, scratch),
+            Row::Narrow(row) => {
+                let mut cells = std::mem::take(&mut scratch.row);
+                row.expand(&mut cells);
+                let pb = playback_of(&cells, scratch);
+                scratch.row = cells;
+                pb
+            }
         }
     }
 
@@ -478,11 +744,37 @@ impl ArrivalTable {
     /// whole window, returning `true` when they agree. Used by tests and
     /// benches as evidence the tracked window reached steady state.
     pub fn steady_state_for(&self, node: NodeId) -> bool {
-        match self.row(node) {
-            Row::Narrow(row) => steady_of(row),
+        match self.row(node.index()) {
+            Row::Narrow(row) => steady_of(&row.cells().collect::<Vec<_>>()),
             Row::Wide(row) => steady_of(row),
         }
     }
+}
+
+impl PartialEq for ArrivalTable {
+    /// Row by row, a narrow row read with its implied cells expanded: a
+    /// periodic row equals the same arrivals written cell by cell.
+    fn eq(&self, other: &Self) -> bool {
+        self.n_ids == other.n_ids
+            && self.track_packets == other.track_packets
+            && (0..self.n_ids).all(|i| match (self.row(i), other.row(i)) {
+                (Row::Wide(a), Row::Wide(b)) => a == b,
+                (Row::Narrow(a), Row::Narrow(b)) => match (a.periodic, b.periodic) {
+                    (None, None) => a.head == b.head && a.tail == b.tail,
+                    _ => a.cells().eq(b.cells()),
+                },
+                _ => false,
+            })
+    }
+}
+
+impl Eq for ArrivalTable {}
+
+/// The first `n` elements of `*rest`, leaving the others there.
+fn split_off<'a, T>(rest: &mut &'a mut [T], n: usize) -> &'a mut [T] {
+    let (first, others) = std::mem::take(rest).split_at_mut(n);
+    *rest = others;
+    first
 }
 
 /// Whether every packet of `row` arrived.
@@ -496,6 +788,7 @@ fn playback_of<C: Cell>(row: &[C], scratch: &mut PlaybackScratch) -> RowPlayback
         counts,
         recv,
         below,
+        ..
     } = scratch;
     let delay = C::delay(row);
     let mut missing = 0usize;
@@ -740,11 +1033,11 @@ mod tests {
         let mut t = ArrivalTable::new(3, 2);
         {
             let mut w = t.windows(&[1, 2]);
-            assert!(w[1].first(4, 1, 1 << 33));
+            assert!(w[1].first(2, 1, 1 << 33));
             assert!(w[0].first(0, 1, 1 << 34));
-            assert!(w[1].first(2, 0, 7));
-            assert!(!w[1].first(2, 0, 1 << 35), "first arrival wins");
-            assert!(!w[1].is_empty(4, 1) && w[1].is_empty(4, 0));
+            assert!(w[1].first(1, 0, 7));
+            assert!(!w[1].first(1, 0, 1 << 35), "first arrival wins");
+            assert!(!w[1].is_empty(2, 1) && w[1].is_empty(2, 0));
             assert!(w[0].is_empty(0, 0) && !w[0].is_empty(0, 1));
         }
         let mut want = ArrivalTable::new(3, 2);
@@ -763,6 +1056,279 @@ mod tests {
                 matches!(&err, CoreError::InvalidConfig(m) if m.contains("does not fit")),
                 "{err}"
             );
+        }
+    }
+
+    #[test]
+    fn a_long_periodic_row_reads_as_written() {
+        // Lateness 2, 1, 3 from packet 0 on over 1064 packets: one table
+        // writes every cell, the other only the head.
+        let track = HEAD + 1000;
+        let lateness = [2, 1, 3];
+        let mut written = ArrivalTable::new(1, track as u64);
+        let mut periodic = ArrivalTable::new(1, track as u64);
+        periodic.allow_periodic();
+        for j in 0..track {
+            let usable = Slot(j as u64 + lateness[j % 3]);
+            written.record(NodeId(0), PacketId(j as u64), usable);
+            if j < HEAD {
+                periodic.record(NodeId(0), PacketId(j as u64), usable);
+            }
+        }
+        assert!(periodic.cells_mut().mark_periodic(0, 3, track));
+        assert_eq!(periodic, written);
+        assert!(periodic.parts().1.iter().all(|&c| c == NEVER));
+        let (a, b) = (
+            periodic.analyze(NodeId(0)).unwrap(),
+            written.analyze(NodeId(0)).unwrap(),
+        );
+        assert_eq!((a.playback_delay, a.max_buffer), (3, b.max_buffer));
+    }
+
+    #[test]
+    fn a_first_arrival_in_a_periodic_rows_pattern_changes_no_other_cell() {
+        // Period 2 with odd packets never arrived: head cell 63 is what
+        // cells 65, 67, … read back. A first arrival there, or in one of
+        // them, must reach no other cell.
+        let track = HEAD + 10;
+        let tables = || {
+            let mut written = ArrivalTable::new(1, track as u64);
+            let mut periodic = ArrivalTable::new(1, track as u64);
+            periodic.allow_periodic();
+            for j in (0..track).step_by(2) {
+                let usable = Slot(j as u64 + 1);
+                written.record(NodeId(0), PacketId(j as u64), usable);
+                if j < HEAD {
+                    periodic.record(NodeId(0), PacketId(j as u64), usable);
+                }
+            }
+            assert!(periodic.cells_mut().mark_periodic(0, 2, track));
+            assert_eq!(periodic, written);
+            (written, periodic)
+        };
+        for j in [HEAD - 1, HEAD + 3] {
+            let (mut written, mut periodic) = tables();
+            for t in [&mut written, &mut periodic] {
+                assert!(t.record(NodeId(0), PacketId(j as u64), Slot(99)));
+            }
+            assert_eq!(periodic, written, "packet {j}");
+            assert_eq!(
+                periodic.usable_slot(NodeId(0), PacketId(HEAD as u64 + 1)),
+                None
+            );
+            assert_eq!(periodic.periodic[0], 0, "the row was stored out");
+        }
+    }
+
+    #[test]
+    fn a_mega_run_at_n_10_4_never_writes_a_receivers_tail() {
+        use clustream_multitree::{greedy_forest, MultiTreeScheme, StreamMode};
+        let scheme =
+            || MultiTreeScheme::new(greedy_forest(10_000, 3).unwrap(), StreamMode::PreRecorded);
+        let cfg = crate::SimConfig::until_complete(256, 100_000);
+        let want = crate::FastSimulator::run(&mut scheme(), &cfg).unwrap();
+        let mut mega = crate::MegaEngine::new();
+        let got = mega.run(&mut scheme(), &cfg).unwrap();
+        assert!(mega.steady_slots() > 0, "the steady table never ran");
+        assert_eq!(crate::diff::diff_fields(&want, &got), Vec::<&str>::new());
+        assert_eq!(want, got);
+        let t = &got.arrivals;
+        let tail = t.track_packets() as usize - t.head_len;
+        for q in &got.qos.nodes {
+            let i = q.node.index();
+            assert!(
+                t.parts().1[i * tail..(i + 1) * tail]
+                    .iter()
+                    .all(|&c| c == NEVER),
+                "receiver {i}'s tail was written"
+            );
+        }
+    }
+
+    /// A periodic row against the plain `Vec<Option<u64>>` model.
+    mod periodic_rows {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// `(kind, x)`: a first arrival's lateness on either side of each
+        /// edge of a byte, small, anywhere between, or none. A `calm` one
+        /// is small or none, so that more rows stay narrow and are marked.
+        fn lateness((kind, x): (u8, i64), calm: bool) -> Option<i64> {
+            let bias = BIAS as i64;
+            match kind % 6 {
+                2 => None,
+                _ if calm => Some(-1 + x.rem_euclid(4)),
+                0 => Some(-bias - 1 + x.rem_euclid(3)),
+                1 => Some(252 - bias + x.rem_euclid(4)),
+                3 | 4 => Some(-1 + x.rem_euclid(4)),
+                _ => Some(-bias - 1 + x.rem_euclid(257)),
+            }
+        }
+
+        fn usable(j: usize, lateness: Option<i64>) -> Option<u64> {
+            lateness.and_then(|l| u64::try_from(j as i64 + l).ok())
+        }
+
+        /// `max_j (usable(j) − j)` over the arrived packets.
+        fn delay_of(row: &[Option<u64>]) -> u64 {
+            row.iter()
+                .enumerate()
+                .filter_map(|(j, u)| u.map(|u| u.saturating_sub(j as u64)))
+                .max()
+                .unwrap_or(0)
+        }
+
+        /// Buffer peak with playback from `a`, over the receive slots.
+        fn buffer_of(row: &[Option<u64>], a: u64) -> usize {
+            let recv: Vec<(usize, u64)> = row
+                .iter()
+                .enumerate()
+                .filter_map(|(j, u)| u.map(|u| (j, u.saturating_sub(1))))
+                .collect();
+            recv.iter()
+                .map(|&(_, t)| {
+                    recv.iter()
+                        .filter(|&&(j, r)| r <= t && j as u64 + a >= t)
+                        .count()
+                })
+                .max()
+                .unwrap_or(0)
+        }
+
+        /// Every accessor and both analyses of node 1 against `model`.
+        fn check(t: &ArrivalTable, model: &[Option<u64>]) -> Result<(), TestCaseError> {
+            let node = NodeId(1);
+            for j in 0..model.len() + 2 {
+                let want = model.get(j).copied().flatten().map(Slot);
+                prop_assert_eq!(
+                    t.usable_slot(node, PacketId(j as u64)),
+                    want,
+                    "packet {}",
+                    j
+                );
+            }
+            prop_assert_eq!(t.complete_for(node), model.iter().all(Option::is_some));
+            let a = delay_of(model);
+            let l = t.analyze_lossy(node);
+            prop_assert_eq!(l.missing, model.iter().filter(|u| u.is_none()).count());
+            prop_assert_eq!(l.playback_delay, a);
+            prop_assert_eq!(l.max_buffer, buffer_of(model, a));
+            match model.iter().position(Option::is_none) {
+                Some(j) => prop_assert!(matches!(
+                    t.analyze(node),
+                    Err(CoreError::Hiccup { packet, .. }) if packet == PacketId(j as u64)
+                )),
+                None => {
+                    let full = t.analyze(node).unwrap();
+                    prop_assert_eq!((full.playback_delay, full.max_buffer), (a, l.max_buffer));
+                }
+            }
+            let steady =
+                model.iter().all(Option::is_some) && delay_of(&model[..model.len() / 2]) == a;
+            prop_assert_eq!(t.steady_state_for(node), steady);
+            Ok(())
+        }
+
+        fn arrival() -> impl Strategy<Value = (u8, i64)> {
+            (any::<u8>(), any::<i64>())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Packets from `j0` to `end` arrive with a period-`p` lateness,
+            /// the others at any; the row is marked periodic when its head
+            /// holds a whole period of it and the rest is recorded. It must
+            /// read as the model, equal the row written cell by cell, and
+            /// keep doing so under records on stored, implied and
+            /// past-the-end cells — one of them continuing the period at
+            /// its implied end, some in the head's last period, some
+            /// widening the row.
+            #[test]
+            fn a_periodic_row_reads_as_its_expansion(
+                p in 1usize..=4,
+                j0 in 0usize..HEAD + 8,
+                extra in 0usize..300,
+                end_off in 0usize..400,
+                pattern in proptest::collection::vec(arrival(), 4),
+                free in proptest::collection::vec(arrival(), HEAD + 8),
+                after in proptest::collection::vec(arrival(), 0..400),
+                calm in any::<bool>(),
+                more in proptest::collection::vec((any::<usize>(), arrival()), 0..8),
+            ) {
+                let track = HEAD + extra;
+                let end = (j0 + end_off).min(track);
+                let lateness_at = |j: usize| {
+                    if j < j0 {
+                        lateness(free[j], calm)
+                    } else if j < end {
+                        lateness(pattern[(j - j0) % p], false)
+                    } else {
+                        after.get(j - end).and_then(|&x| lateness(x, calm))
+                    }
+                };
+                let mut model: Vec<Option<u64>> =
+                    (0..track).map(|j| usable(j, lateness_at(j))).collect();
+                let late = |model: &[Option<u64>], j: usize| {
+                    model[j].map(|u| u as i64 - j as i64)
+                };
+                let periodic = j0 + p <= HEAD
+                    && end > HEAD
+                    && (HEAD..end).all(|j| late(&model, j) == late(&model, j - p));
+
+                let node = NodeId(1);
+                let mut t = ArrivalTable::new(2, track as u64);
+                t.allow_periodic();
+                let mut w = ArrivalTable::new(2, track as u64);
+                for (j, u) in model.iter().enumerate() {
+                    if let Some(u) = *u {
+                        w.record(node, PacketId(j as u64), Slot(u));
+                        if j < HEAD {
+                            t.record(node, PacketId(j as u64), Slot(u));
+                        }
+                    }
+                }
+                // A head arrival past a byte widened the row: no marker.
+                let marked = periodic && t.cells_mut().mark_periodic(1, p, end);
+                prop_assert_eq!(marked, periodic && t.wide[1].is_none());
+                for (j, u) in model.iter().enumerate().skip(HEAD) {
+                    if let Some(u) = *u {
+                        if !(marked && j < end) {
+                            t.record(node, PacketId(j as u64), Slot(u));
+                        }
+                    }
+                }
+                if marked && t.periodic[1] != 0 {
+                    let tail = &t.parts().1[track - HEAD..];
+                    prop_assert!(tail[..end - HEAD].iter().all(|&c| c == NEVER));
+                }
+                check(&t, &model)?;
+                prop_assert_eq!(&t, &w);
+
+                // The period continued at the implied end.
+                let mut records: Vec<(usize, Option<u64>)> = Vec::new();
+                if end < track && end >= p {
+                    records.push((end, usable(end, late(&model, end - p))));
+                }
+                // Half of the others land in the head's last period or
+                // the implied cells right past it.
+                records.extend(more.iter().map(|&(i, x)| {
+                    let j = match i % 2 {
+                        0 => i / 2 % track,
+                        _ => (HEAD - p + i / 2 % (2 * p)).min(track - 1),
+                    };
+                    (j, usable(j, lateness(x, false)))
+                }));
+                for (j, u) in records {
+                    let Some(u) = u else { continue };
+                    let first = model[j].is_none();
+                    prop_assert_eq!(t.record(node, PacketId(j as u64), Slot(u)), first);
+                    w.record(node, PacketId(j as u64), Slot(u));
+                    model[j].get_or_insert(u);
+                    check(&t, &model)?;
+                    prop_assert_eq!(&t, &w);
+                }
+            }
         }
     }
 }

@@ -1,7 +1,14 @@
-//! What a mega run holds at its peak, under a counting
+//! The bytes a mega run has allocated at its peak, under a counting
 //! `#[global_allocator]`: at N = 10⁴, d = 3 and 256 tracked packets the
 //! arrival table's one-byte cells are 2.6 MB of it, and a table that
 //! widens them again fails the bound.
+//!
+//! This counts allocations, not resident memory. The table's cells are
+//! allocated lazily zeroed, so a page nobody writes costs address space
+//! but is counted all the same: the periodic rows' tails, which the run
+//! never touches, do not lower this figure. What they save shows in the
+//! process's peak RSS (the `scale_multitree` row of `benchmark/`), and
+//! that they stay untouched is pinned by the arrival table's own tests.
 
 use clustream::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
