@@ -307,16 +307,22 @@ crowd_mega_smoke() {
     # what the fast engine prints, line for line, engine label aside.
     # Then the same crowd tracking 256 packets to a horizon of 150 slots,
     # which cuts the analytic gear's periodic rows mid-window (360 211
-    # packets missing): mega = fast again.
+    # packets missing): mega = fast again. Last, 1024 tracked packets,
+    # where the analysis cuts most of each periodic row's implied run
+    # (late joiners' rows miss their first packets): mega = fast.
     local base=target/ci-crowd
     local crowd=(simulate --scheme multitree --n 2000 --d 3 --scenario step:1000@20 --track 96)
     local cut=(simulate --scheme multitree --n 2000 --d 3 --scenario step:1000@20 --track 256 --horizon 150)
+    local long=(simulate --scheme multitree --n 2000 --d 3 --scenario step:1000@20 --track 1024)
     target/release/clustream "${crowd[@]}" --engine fast >"$base-fast.txt"
     target/release/clustream "${crowd[@]}" --engine mega >"$base-mega.txt"
     diff <(grep -v '^engine' "$base-fast.txt") <(grep -v '^engine' "$base-mega.txt")
     target/release/clustream "${cut[@]}" --engine fast >"$base-h150-fast.txt"
     target/release/clustream "${cut[@]}" --engine mega >"$base-h150-mega.txt"
     diff <(grep -v '^engine' "$base-h150-fast.txt") <(grep -v '^engine' "$base-h150-mega.txt")
+    target/release/clustream "${long[@]}" --engine fast >"$base-t1024-fast.txt"
+    target/release/clustream "${long[@]}" --engine mega >"$base-t1024-mega.txt"
+    diff <(grep -v '^engine' "$base-t1024-fast.txt") <(grep -v '^engine' "$base-t1024-mega.txt")
 }
 
 flash_crowd_full() {

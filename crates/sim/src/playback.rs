@@ -32,7 +32,9 @@
 //! *periodic*: every tail cell up to an implied end is `cell(j) = cell(j −
 //! p)`, read back from the head and never stored, so its page is never
 //! touched. At N = 10⁵ and 256 tracked packets a run to completion so
-//! keeps 6.1 MiB of heads where every cell took 24.4 MiB.
+//! keeps 6.1 MiB of heads where every cell took 24.4 MiB. The analysis
+//! reads such a row through a window: its head, as many implied cells
+//! as a held packet spans, and its stored tail.
 
 use clustream_core::{CoreError, NodeId, PacketId, Slot};
 use serde::{Deserialize, Serialize};
@@ -224,18 +226,41 @@ impl<'a> NarrowRow<'a> {
             .copied()
     }
 
-    /// Every cell of the row, implied ones expanded, into `buf`: what
-    /// [`NarrowRow::cells`] yields, a period at a time.
-    fn expand(self, buf: &mut Vec<u8>) {
+    /// The row as the analysis reads it, into `buf`: what
+    /// [`NarrowRow::cells`] yields, but for whole periods cut out of the
+    /// implied cells once `a − λ + 1` of them are kept, `a` the row's
+    /// delay and `λ` its smallest lateness. No delay or buffer peak
+    /// moves (DESIGN.md §14.2). Returns where the cut sits in `buf` and
+    /// how many cells it took, a multiple of the period.
+    fn window(self, buf: &mut Vec<u8>) -> (usize, usize) {
         let h = self.head.len();
         let (implied, p) = self.implied();
+        let tail = &self.tail[implied.end - h..];
+        let keep = if implied.is_empty() {
+            0
+        } else {
+            // Implied cells repeat the head's: the head and the stored
+            // tail hold every lateness of the row. `below` is the
+            // smallest arrived cell less one, so that `a − below` is
+            // `a − λ + 1`; a miss wraps round to 255 and is never it.
+            let bytes = || self.head.iter().chain(tail);
+            match bytes().max() {
+                Some(&a) if a != NEVER => {
+                    let below = bytes().map(|c| c.wrapping_sub(1)).min().unwrap_or(0);
+                    usize::from(a.max(BIAS as u8 + 1) - below)
+                }
+                _ => 0,
+            }
+        };
+        let cut = implied.len().saturating_sub(keep) / p * p;
         buf.clear();
         buf.extend_from_slice(self.head);
-        while buf.len() < implied.end {
-            let k = p.min(implied.end - buf.len());
+        while buf.len() < implied.end - cut {
+            let k = p.min(implied.end - cut - buf.len());
             buf.extend_from_slice(&self.head[h - p..][..k]);
         }
-        buf.extend_from_slice(&self.tail[implied.end - h..]);
+        buf.extend_from_slice(tail);
+        (h + keep, cut)
     }
 }
 
@@ -724,16 +749,26 @@ impl ArrivalTable {
     /// of the row (every periodic schedule's is), sorted otherwise (a
     /// repaired or heavy-tailed straggler far from the rest).
     ///
-    /// A narrow row is read from a copy of its cells, a periodic row's
-    /// implied ones expanded.
+    /// A narrow row is read from a copy of its cells; a periodic row's
+    /// copy keeps a window of its implied cells ([`NarrowRow::window`]),
+    /// and the cut cells' misses are added back.
     fn playback(&self, node: NodeId, scratch: &mut PlaybackScratch) -> RowPlayback {
         match self.row(node.index()) {
             Row::Wide(row) => playback_of(row, scratch),
             Row::Narrow(row) => {
                 let mut cells = std::mem::take(&mut scratch.row);
-                row.expand(&mut cells);
-                let pb = playback_of(&cells, scratch);
+                let (at, cut) = row.window(&mut cells);
+                let mut pb = playback_of(&cells, scratch);
                 scratch.row = cells;
+                if cut > 0 {
+                    // The cut cells repeat the head's last period: each
+                    // of their misses has an earlier copy, so the first
+                    // miss moves only if it lies past the cut.
+                    let (_, p) = row.implied();
+                    let pattern = &row.head[row.head.len() - p..];
+                    pb.missing += cut / p * pattern.iter().filter(|&&c| c == NEVER).count();
+                    pb.first_missing = pb.first_missing.map(|j| if j < at { j } else { j + cut });
+                }
                 pb
             }
         }
@@ -1059,24 +1094,51 @@ mod tests {
         }
     }
 
+    /// A one-row table of `track` packets, packet `j` at lateness
+    /// `late(j)` (`None`: never arrived), written cell by cell; and the
+    /// same row marked periodic with period `p` up to `end`, its cells
+    /// `HEAD..end` never written.
+    fn periodic_twins(
+        track: usize,
+        p: usize,
+        end: usize,
+        late: impl Fn(usize) -> Option<i64>,
+    ) -> (ArrivalTable, ArrivalTable) {
+        let mut written = ArrivalTable::new(1, track as u64);
+        let mut periodic = ArrivalTable::new(1, track as u64);
+        periodic.allow_periodic();
+        for j in 0..track {
+            let Some(l) = late(j) else { continue };
+            let usable = Slot(u64::try_from(j as i64 + l).unwrap());
+            written.record(NodeId(0), PacketId(j as u64), usable);
+            if !(HEAD..end).contains(&j) {
+                periodic.record(NodeId(0), PacketId(j as u64), usable);
+            }
+        }
+        assert!(periodic.cells_mut().mark_periodic(0, p, end));
+        assert_eq!(periodic, written);
+        (written, periodic)
+    }
+
+    /// Both analyses of row 0 read the same on either twin, the periodic
+    /// one from a copy of fewer than 200 cells.
+    fn assert_same_playback(written: &ArrivalTable, periodic: &ArrivalTable) {
+        let mut scratch = PlaybackScratch::default();
+        let got = periodic.analyze_with(NodeId(0), &mut scratch);
+        assert!(scratch.row.len() < 200, "read {} cells", scratch.row.len());
+        assert_eq!(got, written.analyze(NodeId(0)));
+        assert_eq!(
+            periodic.analyze_lossy(NodeId(0)),
+            written.analyze_lossy(NodeId(0))
+        );
+    }
+
     #[test]
     fn a_long_periodic_row_reads_as_written() {
         // Lateness 2, 1, 3 from packet 0 on over 1064 packets: one table
         // writes every cell, the other only the head.
         let track = HEAD + 1000;
-        let lateness = [2, 1, 3];
-        let mut written = ArrivalTable::new(1, track as u64);
-        let mut periodic = ArrivalTable::new(1, track as u64);
-        periodic.allow_periodic();
-        for j in 0..track {
-            let usable = Slot(j as u64 + lateness[j % 3]);
-            written.record(NodeId(0), PacketId(j as u64), usable);
-            if j < HEAD {
-                periodic.record(NodeId(0), PacketId(j as u64), usable);
-            }
-        }
-        assert!(periodic.cells_mut().mark_periodic(0, 3, track));
-        assert_eq!(periodic, written);
+        let (written, periodic) = periodic_twins(track, 3, track, |j| Some([2, 1, 3][j % 3]));
         assert!(periodic.parts().1.iter().all(|&c| c == NEVER));
         let (a, b) = (
             periodic.analyze(NodeId(0)).unwrap(),
@@ -1086,28 +1148,93 @@ mod tests {
     }
 
     #[test]
+    fn a_periodic_row_behind_a_ramp_is_read_through_a_window() {
+        // A 40-packet ramp at lateness −1 … 31, then 2, 0, 1 with period
+        // 3 to packet 1064: the delay comes from the ramp, the buffer
+        // peak from where the ramp meets the period.
+        let track = HEAD + 1000;
+        let (written, periodic) = periodic_twins(track, 3, track, |j| {
+            Some(if j < 40 {
+                (j as i64 * 7 + 1) % 33 - 1
+            } else {
+                [2, 0, 1][j % 3]
+            })
+        });
+        assert_eq!(written.analyze(NodeId(0)).unwrap().playback_delay, 31);
+        assert_same_playback(&written, &periodic);
+    }
+
+    #[test]
+    fn the_window_keeps_every_cell_a_held_packet_spans() {
+        // Packets 63 … 963 alone, at one lateness: the buffer peaks only
+        // where a packet overlaps the a − λ + 1 next ones, the head's
+        // last cell and as many implied ones. At lateness −1 the delay
+        // is 0, and a packet is held from two slots early.
+        let track = HEAD + 1000;
+        for lateness in [-1, 0, 5] {
+            let arrived = HEAD - 1..HEAD + 900;
+            let (written, periodic) = periodic_twins(track, 1, arrived.end, |j| {
+                arrived.contains(&j).then_some(lateness)
+            });
+            assert_same_playback(&written, &periodic);
+        }
+    }
+
+    #[test]
+    fn a_late_joiners_periodic_row_is_cut_deeply() {
+        // Nothing before packet 20, and packets ≡ 1 (mod 3) never: the
+        // head's last period holds a miss that the cut takes 331 times.
+        let track = HEAD + 1000;
+        let late = |j: usize| match j % 3 {
+            _ if j < 20 => None,
+            0 => Some(4),
+            1 => None,
+            _ => Some(1),
+        };
+        let (written, periodic) = periodic_twins(track, 3, track, late);
+        let lossy = periodic.analyze_lossy(NodeId(0));
+        assert_eq!(
+            lossy.missing,
+            20 + (20..track).filter(|j| j % 3 == 1).count()
+        );
+        assert!(lossy.max_buffer > 0);
+        assert!(matches!(
+            periodic.analyze(NodeId(0)),
+            Err(CoreError::Hiccup {
+                packet: PacketId(0),
+                ..
+            })
+        ));
+        assert_same_playback(&written, &periodic);
+    }
+
+    #[test]
+    fn a_miss_past_a_cut_is_reported_where_it_is() {
+        // The implied run ends at packet 1000 and nothing arrives past
+        // it: the first miss sits behind the cut, and is packet 1000.
+        let track = HEAD + 1000;
+        let (written, periodic) =
+            periodic_twins(track, 3, 1000, |j| (j < 1000).then_some([1, 2, 0][j % 3]));
+        assert!(matches!(
+            periodic.analyze(NodeId(0)),
+            Err(CoreError::Hiccup {
+                packet: PacketId(1000),
+                ..
+            })
+        ));
+        assert_eq!(periodic.analyze_lossy(NodeId(0)).missing, track - 1000);
+        assert_same_playback(&written, &periodic);
+    }
+
+    #[test]
     fn a_first_arrival_in_a_periodic_rows_pattern_changes_no_other_cell() {
         // Period 2 with odd packets never arrived: head cell 63 is what
         // cells 65, 67, … read back. A first arrival there, or in one of
         // them, must reach no other cell.
         let track = HEAD + 10;
-        let tables = || {
-            let mut written = ArrivalTable::new(1, track as u64);
-            let mut periodic = ArrivalTable::new(1, track as u64);
-            periodic.allow_periodic();
-            for j in (0..track).step_by(2) {
-                let usable = Slot(j as u64 + 1);
-                written.record(NodeId(0), PacketId(j as u64), usable);
-                if j < HEAD {
-                    periodic.record(NodeId(0), PacketId(j as u64), usable);
-                }
-            }
-            assert!(periodic.cells_mut().mark_periodic(0, 2, track));
-            assert_eq!(periodic, written);
-            (written, periodic)
-        };
         for j in [HEAD - 1, HEAD + 3] {
-            let (mut written, mut periodic) = tables();
+            let (mut written, mut periodic) =
+                periodic_twins(track, 2, track, |j| (j % 2 == 0).then_some(1));
             for t in [&mut written, &mut periodic] {
                 assert!(t.record(NodeId(0), PacketId(j as u64), Slot(99)));
             }
@@ -1248,8 +1375,8 @@ mod tests {
             fn a_periodic_row_reads_as_its_expansion(
                 p in 1usize..=4,
                 j0 in 0usize..HEAD + 8,
-                extra in 0usize..300,
-                end_off in 0usize..400,
+                extra in 0usize..1000,
+                end_off in 0usize..1100,
                 pattern in proptest::collection::vec(arrival(), 4),
                 free in proptest::collection::vec(arrival(), HEAD + 8),
                 after in proptest::collection::vec(arrival(), 0..400),
@@ -1262,7 +1389,7 @@ mod tests {
                     if j < j0 {
                         lateness(free[j], calm)
                     } else if j < end {
-                        lateness(pattern[(j - j0) % p], false)
+                        lateness(pattern[(j - j0) % p], calm)
                     } else {
                         after.get(j - end).and_then(|&x| lateness(x, calm))
                     }
