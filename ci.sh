@@ -145,18 +145,17 @@ telemetry_smoke() {
 }
 
 recovery_smoke() {
-    # Every recovery tier across a small churn/loss matrix, plus the
-    # duration-unit flags, through the real CLI — on the checked event
-    # queue, so the binary heap and the timing wheel run the whole fault
-    # matrix in lockstep (the first divergent pop panics).
+    # Every recovery tier across a small churn/loss matrix through the
+    # real CLI — on the checked event queue, so the binary heap and the
+    # timing wheel run the whole fault matrix in lockstep (the first
+    # divergent pop panics).
     local rec
     for rec in off repair repair+nack; do
         cargo run -q --release --offline -p clustream-cli --bin clustream -- \
             simulate --scheme multitree --n 30 --d 3 --track 32 --runtime des \
             --queue checked \
             --recovery "$rec" --churn-leave 0.002 --churn-rejoin 0.001 \
-            --churn-slots 160 --churn-seed 7 \
-            --suspect-timeout 6slots --nack-timeout 4slots
+            --churn-slots 160 --churn-seed 7
     done
     # The benchmark's des_recovery command line (jitter + serialized
     # uplink + churn + repair+nack) at N=500, same lockstep: the heap and
@@ -181,9 +180,8 @@ recovery_smoke() {
 }
 
 recovery_off_regression() {
-    # With recovery off (even with knobs set) the DES must stay
-    # bit-identical to the slot engines; the checked runtime enforces it
-    # field-by-field.
+    # With recovery off the DES must stay bit-identical to the slot
+    # engines; the checked runtime enforces it field-by-field.
     cargo run -q --release --offline -p clustream-cli --bin clustream -- \
         simulate --scheme multitree --n 40 --d 3 --runtime des-checked
     cargo test -q --test recovery --offline

@@ -595,21 +595,10 @@ mod tests {
     #[test]
     fn help_prints_every_flag_the_subcommands_accept() {
         // The usage text is rendered from the tables `check_known` uses,
-        // so the 21 `simulate` flags it used to omit cannot go missing
-        // again.
+        // so the `simulate` flags it used to omit cannot go missing again.
         let help = run(&argv(&["help"])).unwrap();
         for flag in [
             "recovery",
-            "suspect-timeout",
-            "suspect-threshold",
-            "nack-timeout",
-            "nack-backoff",
-            "nack-cap",
-            "nack-jitter",
-            "nack-retries",
-            "repair-buffer",
-            "gap-slack",
-            "recovery-seed",
             "churn-leave",
             "churn-join",
             "churn-rejoin",
@@ -641,7 +630,11 @@ mod tests {
         }
         assert_eq!(
             clustream_plan::usage_flags(clustream_plan::SIMULATE_USAGE).count(),
-            38
+            28
+        );
+        assert_eq!(
+            clustream_plan::usage_flags(crate::net_cmd::CLUSTER_USAGE).count(),
+            14
         );
         assert!(help.contains("clustream report   <FILE.jsonl>"), "{help}");
     }
@@ -769,62 +762,6 @@ mod tests {
             assert!(out.contains("des"), "{rt}: {out}");
             assert_eq!(strip(&slot), strip(&out), "{rt}");
         }
-    }
-
-    /// A small recovery run on the N = 60 smoke forest, plus `extra`.
-    fn recovery_smoke(extra: &[&str]) -> Result<String, String> {
-        let mut args = argv(&[
-            "simulate",
-            "--scheme",
-            "multitree",
-            "--n",
-            "60",
-            "--d",
-            "3",
-            "--runtime",
-            "des",
-            "--recovery",
-            "repair+nack",
-            "--churn-leave",
-            "0.002",
-            "--churn-slots",
-            "160",
-            "--churn-seed",
-            "7",
-        ]);
-        args.extend(argv(extra));
-        run(&args).map_err(|e| e.to_string())
-    }
-
-    #[test]
-    fn nack_retries_up_to_u32_max_run() {
-        // 2^32 and up are usage errors (tests/cli_golden/errors.txt).
-        let out = recovery_smoke(&["--nack-retries", "4294967295"]).unwrap();
-        assert!(out.contains("285 repaired, 0 abandoned"), "{out}");
-    }
-
-    #[test]
-    fn infinite_recovery_timeouts_park_their_timers_instead_of_wrapping() {
-        // `now + u64::MAX` used to wrap in release (the "infinite"
-        // suspect timeout fired at once, a million probes and no
-        // detection) and panic in this debug profile.
-        let out = recovery_smoke(&["--suspect-timeout", "18446744073709551615ticks"]).unwrap();
-        assert!(out.contains("failures det: 0"), "{out}");
-        // No probe is ever sent: the control plane is NACKs and
-        // retransmissions only.
-        assert!(
-            out.contains("344 sent, 339 retransmissions") && out.contains("control msgs: 683"),
-            "{out}"
-        );
-        // An infinite NACK backoff: one request per gap, never a retry.
-        let out = recovery_smoke(&[
-            "--nack-timeout",
-            "18446744073709551615ticks",
-            "--nack-cap",
-            "18446744073709551615ticks",
-        ])
-        .unwrap();
-        assert!(out.contains("0 abandoned"), "{out}");
     }
 
     /// The `des_recovery` benchmark command line at `--n 300` on the
@@ -1104,30 +1041,6 @@ control msgs: 15857\n\
     }
 
     #[test]
-    fn recovery_duration_knobs_parse_with_units() {
-        // `2.5slots` and `300ticks` parse.
-        let out = run(&argv(&[
-            "simulate",
-            "--scheme",
-            "multitree",
-            "--n",
-            "24",
-            "--d",
-            "3",
-            "--runtime",
-            "des",
-            "--recovery",
-            "repair",
-            "--suspect-timeout",
-            "2.5slots",
-            "--nack-jitter",
-            "300ticks",
-        ]))
-        .unwrap();
-        assert!(out.contains("self-healing repair"), "{out}");
-    }
-
-    #[test]
     fn recovery_run_reports_resilience() {
         let out = run(&argv(&[
             "simulate",
@@ -1166,8 +1079,8 @@ control msgs: 15857\n\
 
     #[test]
     fn recovery_off_des_output_is_unchanged() {
-        // `--recovery off` plus knobs is inert: the DES output matches a
-        // run with no recovery flags at all.
+        // `--recovery off` is inert: the DES output matches a run with no
+        // recovery flag at all.
         let base = argv(&[
             "simulate",
             "--scheme",
@@ -1179,16 +1092,9 @@ control msgs: 15857\n\
             "--runtime",
             "des",
         ]);
-        let mut with_knobs = base.clone();
-        with_knobs.extend(argv(&[
-            "--recovery",
-            "off",
-            "--suspect-timeout",
-            "1slot",
-            "--recovery-seed",
-            "99",
-        ]));
-        assert_eq!(run(&base).unwrap(), run(&with_knobs).unwrap());
+        let mut off = base.clone();
+        off.extend(argv(&["--recovery", "off"]));
+        assert_eq!(run(&base).unwrap(), run(&off).unwrap());
     }
 
     #[test]

@@ -28,10 +28,8 @@ pub const CLUSTER_USAGE: Usage = &[
     "--nodes <N> [--transport <tcp|uds>] [--scheme <FAMILY>]",
     "[--d <D>] [--track <P>] [--slot-us <MICROS>]",
     "[--kill <NODE@SLOT,…>] [--suspect-timeout-slots <S>]",
-    "[--suspect-threshold <W>] [--horizon-slack <S>]",
     "[--chaos <KIND:TARGET@START[+DUR][=PARAM],…>]",
     "[--chaos-seed <SEED>] [--repair <true|false>]",
-    "[--retransmit-budget <B>] [--splice-margin-slots <S>]",
     "[--trace-out <FILE.json>] [--metrics-out <FILE.jsonl>]",
     "[--node-bin <PATH>]",
 ];
@@ -55,8 +53,6 @@ pub fn cluster(args: &ArgMap) -> Result<String, CliError> {
     opts.track = args.u64_or("track", 24)?;
     opts.slot_micros = args.u64_or("slot-us", 5_000)?;
     opts.suspect_timeout_slots = args.u64_or("suspect-timeout-slots", 8)?;
-    opts.suspect_threshold = args.u64_or("suspect-threshold", 1)?;
-    opts.horizon_slack = args.u64_or("horizon-slack", 64)?;
     if let Some(spec) = args.optional("kill") {
         opts.kills = parse_kill_spec(spec).map_err(CliError::Usage)?;
     }
@@ -65,8 +61,6 @@ pub fn cluster(args: &ArgMap) -> Result<String, CliError> {
     }
     opts.chaos_seed = args.u64_or("chaos-seed", 0)?;
     opts.repair = args.bool_or("repair", false)?;
-    opts.retransmit_budget_per_slot = args.u64_or("retransmit-budget", 64)?;
-    opts.splice_margin_slots = args.u64_or("splice-margin-slots", 8)?;
     let metrics = args
         .optional("metrics-out")
         .map(|p| (p.to_string(), MemoryRecorder::handle()));

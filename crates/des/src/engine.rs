@@ -45,7 +45,7 @@
 //!    schedule is re-derived mid-run, and at most `d²` members are
 //!    displaced.
 //! 3. **Retransmission** (`RepairNack`) — receivers scan for gap packets
-//!    (sequence holes older than `gap_slack` behind their newest arrival)
+//!    (sequence holes older than `GAP_SLACK` behind their newest arrival)
 //!    and chase each with NACKs under capped, jittered, seeded exponential
 //!    backoff, served from bounded per-node repair buffers with source
 //!    escalation; exhausted retries abandon the packet and record a
@@ -75,6 +75,10 @@ use crate::wheel::{CheckedQueue, WheelQueue};
 use clustream_core::{
     Availability, CoreError, MembershipEvent, NodeId, NodeQos, PacketId, QosReport, Scheme, Slot,
     StateView, Transmission, SOURCE,
+};
+use clustream_recovery::config::{
+    GAP_SLACK, MAX_RETRIES, NACK_BACKOFF, NACK_CAP_TICKS, NACK_JITTER_TICKS, NACK_TIMEOUT_TICKS,
+    RECOVERY_SEED, REPAIR_BUFFER, SUSPECT_TIMEOUT_TICKS, SUSPICION_THRESHOLD,
 };
 use clustream_recovery::{FailureDetector, NackManager, RepairBuffer, TimeoutVerdict};
 use clustream_sim::faults::{default_cause, FaultCause, FaultPlan, LossReport};
@@ -332,16 +336,15 @@ impl DesEngine {
         // recovery events and stay bit-identical to the plain engine.
         let rec = cfg.recovery;
         let rec_on = rec.mode.enabled();
-        let mut detector =
-            FailureDetector::new(n_ids, rec.suspicion_threshold, rec.suspect_timeout_ticks);
+        let mut detector = FailureDetector::new(n_ids, SUSPICION_THRESHOLD, SUSPECT_TIMEOUT_TICKS);
         let mut nacks = NackManager::new(
-            rec.nack_timeout_ticks,
-            rec.nack_backoff,
-            rec.nack_cap_ticks,
-            rec.nack_jitter_ticks,
-            rec.seed,
+            NACK_TIMEOUT_TICKS,
+            NACK_BACKOFF,
+            NACK_CAP_TICKS,
+            NACK_JITTER_TICKS,
+            RECOVERY_SEED,
         );
-        let mut repair_buf = RepairBuffer::new(n_ids, rec.repair_buffer);
+        let mut repair_buf = RepairBuffer::new(n_ids, REPAIR_BUFFER);
         // Most recent non-source sender per node: the first NACK target.
         let mut last_sender: Vec<u32> = vec![0; n_ids];
         // Monotone per-node gap-scan cursor (bounds total scan work).
@@ -351,7 +354,7 @@ impl DesEngine {
         let mut crash_tick: BTreeMap<u32, u64> = BTreeMap::new();
         // Dedicated randomness for repair traffic so enabling recovery
         // never perturbs the main loss process.
-        let mut rec_rng = ChaCha8Rng::seed_from_u64(rec.seed);
+        let mut rec_rng = ChaCha8Rng::seed_from_u64(RECOVERY_SEED);
         let mut resil = ResilienceMetrics::default();
         // Telemetry-only bookkeeping: first NACK send tick per open
         // (node, packet) chase, consumed when the repair lands to observe
@@ -478,8 +481,8 @@ impl DesEngine {
                             last_sender[to.index()] = from.0;
                             if detector.record(to.0, from.0, ev.time) {
                                 // Saturating, here and at every timer
-                                // below: an "infinite" knob must park the
-                                // timer at the end of time, not wrap.
+                                // below: a deadline past the end of time
+                                // parks the timer there, never wraps.
                                 q.push(
                                     ev.time.saturating_add(detector.timeout()),
                                     EventKind::SuspectTimeout {
@@ -504,11 +507,11 @@ impl DesEngine {
                     }
                     if rec_on && rec.mode.nack() && is_receiver[to.index()] {
                         // Scan for gaps that have fallen more than
-                        // `gap_slack` behind the newest arrival. The cursor
+                        // `GAP_SLACK` behind the newest arrival. The cursor
                         // is monotone, so total scan work is O(window).
                         let horizon = state.newest[to.index()]
                             .unwrap_or(0)
-                            .saturating_sub(rec.gap_slack)
+                            .saturating_sub(GAP_SLACK)
                             .min(sim.track_packets);
                         let cur = &mut gap_scan[to.index()];
                         while *cur < horizon {
@@ -673,7 +676,7 @@ impl DesEngine {
                         nacks.abandon(node.0, packet.seq());
                         continue;
                     }
-                    if attempt >= rec.max_retries {
+                    if attempt >= MAX_RETRIES {
                         // Graceful degradation: skip the packet, record the
                         // hiccup, move on.
                         nacks.abandon(node.0, packet.seq());
@@ -1077,10 +1080,7 @@ mod tests {
             DesConfig::slot_faithful(SimConfig::until_complete(16, 200)),
             DesConfig::slot_faithful(SimConfig::with_faults(24, 80, FaultPlan::loss(0.25, 42))),
             DesConfig::slot_faithful(SimConfig::with_faults(24, 200, FaultPlan::loss(0.2, 9)))
-                .with_recovery(clustream_recovery::RecoveryConfig {
-                    mode: clustream_recovery::RecoveryMode::RepairNack,
-                    ..Default::default()
-                }),
+                .with_recovery(clustream_recovery::RecoveryConfig::repair_nack()),
             DesConfig::slot_faithful(SimConfig::until_complete(12, 2000))
                 .with_latency(LatencyModel::UniformJitter { jitter: 3.0 })
                 .seeded(11),
@@ -1342,12 +1342,8 @@ mod tests {
         use clustream_sim::FaultPlan;
         use clustream_telemetry::{MemoryRecorder, Telemetry};
         let mut sim_cfg = SimConfig::with_faults(24, 200, FaultPlan::loss(0.2, 9));
-        let base = DesConfig::slot_faithful(sim_cfg.clone()).with_recovery(
-            clustream_recovery::RecoveryConfig {
-                mode: clustream_recovery::RecoveryMode::RepairNack,
-                ..Default::default()
-            },
-        );
+        let base = DesConfig::slot_faithful(sim_cfg.clone())
+            .with_recovery(clustream_recovery::RecoveryConfig::repair_nack());
         let plain = DesEngine::new().run(&mut Chain { n: 6 }, &base).unwrap();
         let (rec, tel) = MemoryRecorder::handle();
         sim_cfg.telemetry = tel;

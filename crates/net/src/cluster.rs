@@ -6,7 +6,7 @@
 //! source), distribute per-node [`NodeConfig`]s, release the stream with
 //! a synchronized `Start`, SIGKILL the scheduled victims at their slot
 //! deadlines, tally `Suspect` frames into detection wall-clocks
-//! ([`clustream_recovery::FailureDetector`] at the configured watcher
+//! ([`clustream_recovery::FailureDetector`] at a fixed watcher
 //! threshold), and wait for every expected survivor's `Complete`. Child
 //! processes are owned by a [`Reaper`] drop guard, so they are killed
 //! and waited even when the orchestrator panics mid-run — `cargo test`
@@ -34,6 +34,22 @@ use std::time::{Duration, Instant};
 
 use crate::node::sys_ns;
 
+/// Distinct watchers that must suspect a node before the orchestrator
+/// calls it detected.
+const SUSPECT_THRESHOLD: usize = 1;
+/// Extra slots past the lowered horizon the nodes keep running (repair
+/// headroom).
+const HORIZON_SLACK: u64 = 64;
+/// Slots between a node's NACK retries.
+const NACK_RETRY_SLOTS: u64 = 6;
+/// NACK attempts per packet before a node gives up.
+const NACK_MAX_ATTEMPTS: u64 = 12;
+/// Per-slot retransmit budget handed to every node.
+const RETRANSMIT_BUDGET_PER_SLOT: u64 = 64;
+/// Slots of headroom between the estimated current slot and the splice
+/// barrier of a shipped schedule update.
+const SPLICE_MARGIN_SLOTS: u64 = 8;
+
 /// Parameters of one orchestrated cluster run.
 #[derive(Debug, Clone)]
 pub struct ClusterOptions {
@@ -49,22 +65,12 @@ pub struct ClusterOptions {
     pub slot_micros: u64,
     /// Kill schedule (validated against the lowered horizon).
     pub kills: Vec<KillSpec>,
-    /// Distinct watchers that must suspect a node before the
-    /// orchestrator calls it detected.
-    pub suspect_threshold: u64,
     /// Per-node silence horizon before suspecting, in slots.
     pub suspect_timeout_slots: u64,
     /// Slots past the expected arrival before the first NACK.
     pub gap_slack_slots: u64,
-    /// Slots between NACK retries.
-    pub nack_retry_slots: u64,
-    /// NACK attempts per packet before giving up.
-    pub nack_max_attempts: u64,
     /// Path to the `clustream-node` binary.
     pub node_bin: PathBuf,
-    /// Extra slots past the lowered horizon the nodes keep running
-    /// (repair headroom).
-    pub horizon_slack: u64,
     /// Chaos schedule injected into every node's outbound data path
     /// (empty = clean run).
     pub chaos: Vec<ChaosSpec>,
@@ -74,11 +80,6 @@ pub struct ClusterOptions {
     /// [`DynamicMultiTree`], re-lower the healed forest and ship
     /// [`ScheduleUpdate`] frames to every survivor. Multitree only.
     pub repair: bool,
-    /// Per-slot retransmit budget handed to every node (0 = unlimited).
-    pub retransmit_budget_per_slot: u64,
-    /// Slots of headroom between the estimated current slot and the
-    /// splice barrier of a shipped schedule update.
-    pub splice_margin_slots: u64,
     /// Telemetry sink for aggregated transport counters.
     pub telemetry: Telemetry,
 }
@@ -97,18 +98,12 @@ impl ClusterOptions {
             track: 24,
             slot_micros: 5_000,
             kills: Vec::new(),
-            suspect_threshold: 1,
             suspect_timeout_slots: 8,
             gap_slack_slots: 4,
-            nack_retry_slots: 6,
-            nack_max_attempts: 12,
             node_bin,
-            horizon_slack: 64,
             chaos: Vec::new(),
             chaos_seed: 0,
             repair: false,
-            retransmit_budget_per_slot: 64,
-            splice_margin_slots: 8,
             telemetry: Telemetry::disabled(),
         }
     }
@@ -123,7 +118,7 @@ pub struct KillOutcome {
     pub slot: u64,
     /// Wall clock when the SIGKILL was delivered, UNIX nanoseconds.
     pub kill_ns: u64,
-    /// Wall clock when `suspect_threshold` distinct watchers had
+    /// Wall clock when `SUSPECT_THRESHOLD` distinct watchers had
     /// suspected the victim; `None` if never detected.
     pub detection_ns: Option<u64>,
     /// Wall clock of the last survivor `Complete` at or after the kill —
@@ -318,16 +313,15 @@ pub fn run_cluster(opts: &ClusterOptions) -> Result<ClusterOutcome, String> {
     // which also bounds every kill's due time) and in every node (chaos
     // delays): each product must fit u64 microseconds.
     let slot_us = opts.slot_micros.max(1);
-    let horizon = lowered.slots_run.checked_add(opts.horizon_slack);
+    let max_slots = lowered.slots_run + HORIZON_SLACK;
     let deadline_us = wall_us(
-        horizon.and_then(|slots| slots.checked_mul(4)),
+        max_slots.checked_mul(4),
         slot_us,
         format_args!(
-            "the run deadline, 4 × ({} + --horizon-slack {}) slots,",
-            lowered.slots_run, opts.horizon_slack
+            "the run deadline, 4 × ({} + {HORIZON_SLACK}) slots,",
+            lowered.slots_run
         ),
     )?;
-    let max_slots = lowered.slots_run + opts.horizon_slack;
     for k in &opts.kills {
         if u64::from(k.node) > n {
             return Err(format!(
@@ -475,8 +469,8 @@ fn run_cluster_in(
             slot_micros: opts.slot_micros,
             suspect_timeout_slots: opts.suspect_timeout_slots,
             gap_slack_slots: opts.gap_slack_slots,
-            nack_retry_slots: opts.nack_retry_slots,
-            nack_max_attempts: opts.nack_max_attempts,
+            nack_retry_slots: NACK_RETRY_SLOTS,
+            nack_max_attempts: NACK_MAX_ATTEMPTS,
             sends,
             expects,
             peers,
@@ -487,7 +481,7 @@ fn run_cluster_in(
             },
             chaos: opts.chaos.clone(),
             chaos_seed: opts.chaos_seed,
-            retransmit_budget_per_slot: opts.retransmit_budget_per_slot,
+            retransmit_budget_per_slot: RETRANSMIT_BUDGET_PER_SLOT,
         };
         let payload = serde_json::to_string(&cfg).map_err(|e| e.to_string())?;
         let conn = controls.get_mut(&node).expect("accepted above");
@@ -536,8 +530,7 @@ fn run_cluster_in(
     let expected_complete = n - killed.len() as u64;
     // Node ids are 0..=n; a `Suspect` frame naming any other subject is
     // ignored by the detector, never tallied.
-    let mut detector =
-        FailureDetector::new(n as usize + 1, opts.suspect_threshold.max(1) as usize, 0);
+    let mut detector = FailureDetector::new(n as usize + 1, SUSPECT_THRESHOLD, 0);
     let mut completions: BTreeMap<u32, u64> = BTreeMap::new();
     let mut reports: BTreeMap<u32, NodeReport> = BTreeMap::new();
     // Live repair: the healing forest persists across the run so repeated
@@ -744,7 +737,7 @@ fn dispatch_repair(
     // shared Start instant) plus margin for control-plane latency, so
     // all survivors splice at the same calendar position.
     let elapsed_us = t0.elapsed().as_micros() as u64;
-    let barrier_slot = elapsed_us / opts.slot_micros.max(1) + opts.splice_margin_slots;
+    let barrier_slot = elapsed_us / opts.slot_micros.max(1) + SPLICE_MARGIN_SLOTS;
     let mut survivors_updated = 0u64;
     for node in 0..=n as u32 {
         if node != 0 && dead.contains(&node) {
@@ -982,7 +975,6 @@ mod tests {
             let err = run_cluster(&o).unwrap_err();
             assert!(err.contains(needle), "{err}");
         };
-        reject(&|o| o.horizon_slack = u64::MAX, "--horizon-slack");
         reject(&|o| o.slot_micros = u64::MAX / 4, "the run deadline");
         for chaos in [
             "delay:1@0=18446744073709551615",

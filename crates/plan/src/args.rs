@@ -162,40 +162,6 @@ impl ArgMap {
     pub fn f64_or(&self, key: &str, default: f64) -> Result<f64, CliError> {
         Ok(self.parsed(key, "a number")?.unwrap_or(default))
     }
-
-    /// Optional duration with default, returned in DES ticks. Values are
-    /// a number followed by a unit: `2.5slots`, `300ticks` (singular
-    /// forms accepted). The unit is mandatory — a bare number is
-    /// ambiguous between the two clocks.
-    pub fn duration_ticks_or(
-        &self,
-        key: &str,
-        ticks_per_slot: u64,
-        default_ticks: u64,
-    ) -> Result<u64, CliError> {
-        let Some(v) = self.optional(key) else {
-            return Ok(default_ticks);
-        };
-        let split = v.find(|c: char| c.is_ascii_alphabetic()).unwrap_or(v.len());
-        let (num, unit) = v.split_at(split);
-        let x: f64 = num.trim().parse().map_err(|_| {
-            CliError::Usage(format!(
-                "--{key} must be a duration like `2.5slots` or `300ticks`, got `{v}`"
-            ))
-        })?;
-        if !x.is_finite() || x < 0.0 {
-            return Err(CliError::Usage(format!(
-                "--{key} must be a non-negative duration, got `{v}`"
-            )));
-        }
-        match unit {
-            "slots" | "slot" => Ok((x * ticks_per_slot as f64).round() as u64),
-            "ticks" | "tick" => Ok(x.round() as u64),
-            other => Err(CliError::Usage(format!(
-                "--{key} has unknown unit `{other}`; valid units are: slots, ticks"
-            ))),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -236,50 +202,5 @@ mod tests {
         let bad = ArgMap::parse(&argv(&["--seed", "-3", "--jitter", "fast"])).unwrap();
         assert!(bad.u64_or("seed", 0).is_err());
         assert!(bad.f64_or("jitter", 0.0).is_err());
-    }
-
-    #[test]
-    fn durations_parse_slots_and_ticks() {
-        let a = ArgMap::parse(&argv(&[
-            "--suspect-timeout",
-            "2.5slots",
-            "--nack-timeout",
-            "300ticks",
-            "--nack-cap",
-            "1slot",
-        ]))
-        .unwrap();
-        assert_eq!(
-            a.duration_ticks_or("suspect-timeout", 1024, 0).unwrap(),
-            2560
-        );
-        assert_eq!(a.duration_ticks_or("nack-timeout", 1024, 0).unwrap(), 300);
-        assert_eq!(a.duration_ticks_or("nack-cap", 1024, 0).unwrap(), 1024);
-        // Absent key falls back to the default, in ticks.
-        assert_eq!(a.duration_ticks_or("nack-jitter", 1024, 77).unwrap(), 77);
-    }
-
-    #[test]
-    fn duration_unknown_unit_lists_valid_units() {
-        let a = ArgMap::parse(&argv(&["--suspect-timeout", "3yr"])).unwrap();
-        let err = a
-            .duration_ticks_or("suspect-timeout", 1024, 0)
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("unknown unit `yr`"), "{err}");
-        for unit in ["slots", "ticks"] {
-            assert!(err.contains(unit), "missing `{unit}` in: {err}");
-        }
-        // A bare number has no unit — rejected the same way.
-        let bare = ArgMap::parse(&argv(&["--suspect-timeout", "6"])).unwrap();
-        let err = bare
-            .duration_ticks_or("suspect-timeout", 1024, 0)
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("valid units are: slots, ticks"), "{err}");
-        // Negative and garbage numbers are usage errors too.
-        let neg = ArgMap::parse(&argv(&["--x", "-2slots", "--y", "fastslots"])).unwrap();
-        assert!(neg.duration_ticks_or("x", 1024, 0).is_err());
-        assert!(neg.duration_ticks_or("y", 1024, 0).is_err());
     }
 }

@@ -6,7 +6,7 @@ use crate::scheme::{Family, SchemeSpec, SCHEME_USAGE};
 use clustream_core::{CoreError, NodeId, PacketId, Scheme};
 use clustream_des::{
     CapacityClassPlan, DesConfig, DesEngine, DesOracle, DesStats, LatencyModel, QueueKind,
-    UplinkModel, TICKS_PER_SLOT,
+    UplinkModel,
 };
 use clustream_recovery::{DynamicMultiTree, RecoveryConfig, RecoveryMode};
 use clustream_sim::{DiffHarness, FastSimulator, MegaSimulator, RunResult, SimConfig, Simulator};
@@ -51,11 +51,7 @@ pub const SIMULATE_USAGE: Usage = &[
     "[--scale <S>] [--alpha <A>] [--cap <C>] [--des-seed <SEED>]",
     "[--uplink <unconstrained|serialized>] [--classes <NAME[:CAPACITY],…>]",
     "[--classes-zipf <S>] [--classes-seed <SEED>]",
-    "[--recovery <off|repair|repair+nack>] [--recovery-seed <SEED>]    (des runtime, multitree)",
-    "[--suspect-timeout <DURATION>] [--suspect-threshold <W>]    (DURATION: 2.5slots, 300ticks)",
-    "[--nack-timeout <DURATION>] [--nack-backoff <FACTOR>] [--nack-cap <DURATION>]",
-    "[--nack-jitter <DURATION>] [--nack-retries <R>]",
-    "[--repair-buffer <PACKETS>] [--gap-slack <PACKETS>]",
+    "[--recovery <off|repair|repair+nack>]    (des runtime, multitree)",
     "[--churn-leave <PROB>] [--churn-join <PROB>] [--churn-rejoin <PROB>]    (des runtime)",
     "[--churn-slots <SLOTS>] [--churn-seed <SEED>]",
     "[--scenario <KIND:ARGS@START[+DUR][=PARAM],…>]    (multitree, any runtime)",
@@ -112,7 +108,7 @@ pub struct RunPlan {
     pub classes: Option<CapacityClassPlan>,
     /// Seed of the latency model's noise.
     pub des_seed: u64,
-    /// DES recovery tier and knobs.
+    /// DES recovery tier.
     pub recovery: RecoveryConfig,
     /// Parameters of the seeded churn trace the DES replays.
     pub churn: Option<ChurnTraceConfig>,
@@ -487,35 +483,14 @@ fn parse_latency(args: &ArgMap) -> Result<LatencyModel, CliError> {
     Ok(model)
 }
 
-/// `--recovery off|repair|repair+nack` plus the detection / NACK knobs.
-/// Durations take a unit (`--suspect-timeout 2.5slots`, `--nack-jitter
-/// 300ticks`).
+/// `--recovery off|repair|repair+nack`.
 fn parse_recovery(args: &ArgMap) -> Result<RecoveryConfig, CliError> {
     let tiers = [
         ("off", RecoveryConfig::default()),
         ("repair", RecoveryConfig::repair()),
         ("repair+nack", RecoveryConfig::repair_nack()),
     ];
-    let mut rec = choice(args, "recovery", &tiers)?.unwrap_or_default();
-    let ticks = |key: &str, default: u64| args.duration_ticks_or(key, TICKS_PER_SLOT, default);
-    rec.suspect_timeout_ticks = ticks("suspect-timeout", rec.suspect_timeout_ticks)?;
-    rec.suspicion_threshold = args.usize_or("suspect-threshold", rec.suspicion_threshold)?;
-    rec.nack_timeout_ticks = ticks("nack-timeout", rec.nack_timeout_ticks)?;
-    rec.nack_backoff = args.f64_or("nack-backoff", rec.nack_backoff)?;
-    rec.nack_cap_ticks = ticks("nack-cap", rec.nack_cap_ticks)?;
-    rec.nack_jitter_ticks = ticks("nack-jitter", rec.nack_jitter_ticks)?;
-    let retries = args.u64_or("nack-retries", rec.max_retries as u64)?;
-    rec.max_retries = u32::try_from(retries).map_err(|_| {
-        CliError::Usage(format!(
-            "--nack-retries must be at most {}, got {retries}",
-            u32::MAX
-        ))
-    })?;
-    rec.repair_buffer = args.usize_or("repair-buffer", rec.repair_buffer)?;
-    rec.gap_slack = args.u64_or("gap-slack", rec.gap_slack)?;
-    rec.seed = args.u64_or("recovery-seed", rec.seed)?;
-    rec.validate().map_err(CliError::Usage)?;
-    Ok(rec)
+    Ok(choice(args, "recovery", &tiers)?.unwrap_or_default())
 }
 
 /// `--churn-leave/--churn-join/--churn-rejoin` (per-slot per-member

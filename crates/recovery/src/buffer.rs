@@ -14,8 +14,8 @@
 //! lines instead of one cold row each. Both grow with what has been
 //! noted, never with the configured capacity: a ring by its node's
 //! arrivals up to `capacity`, the bits (like the held sets) up to the
-//! largest seq noted. An unbounded `--repair-buffer` costs what the
-//! arrivals cost.
+//! largest seq noted. An unbounded capacity costs what the arrivals
+//! cost.
 
 /// One node's FIFO window.
 #[derive(Debug, Clone, Default)]

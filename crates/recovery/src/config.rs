@@ -1,6 +1,40 @@
-//! Recovery-layer configuration knobs.
+//! Recovery-layer configuration: the tier a run enables, and the fixed
+//! parameters of the detection / repair / NACK machinery.
+//!
+//! Every run varies only the tier; the parameters below are constants.
+//! All times are in DES ticks (`clustream_des::TICKS_PER_SLOT` = 1024
+//! per slot). DESIGN.md §9 gives the reason for each value.
 
 use serde::{Deserialize, Serialize};
+
+/// Silence on a delivering link for this long (6 slots) makes the
+/// watcher suspect the sender.
+pub const SUSPECT_TIMEOUT_TICKS: u64 = 6 * 1024;
+/// Distinct watchers that must suspect a node before its failure is
+/// confirmed and repair triggers.
+pub const SUSPICION_THRESHOLD: usize = 2;
+/// Base NACK retry timeout, 4 slots (backoff starts here).
+pub const NACK_TIMEOUT_TICKS: u64 = 4 * 1024;
+/// Exponential backoff multiplier per retry.
+pub const NACK_BACKOFF: f64 = 2.0;
+/// Hard cap on the backoff delay, 64 slots.
+pub const NACK_CAP_TICKS: u64 = 64 * 1024;
+/// Uniform jitter added to each backoff delay, `[0, jitter)` ticks
+/// (seeded; decorrelates retry storms).
+pub const NACK_JITTER_TICKS: u64 = 256;
+/// Retries per gap packet before giving up (graceful degradation: the
+/// packet is skipped and a hiccup recorded).
+pub const MAX_RETRIES: u32 = 6;
+/// Per-node repair buffer capacity in packets; non-source nodes only
+/// serve retransmissions still in their buffer.
+pub const REPAIR_BUFFER: usize = 64;
+/// A packet is considered a gap once `newest − seq` exceeds this many
+/// packets (absorbs normal round-robin reordering).
+pub const GAP_SLACK: u64 = 16;
+/// Seed for recovery-layer randomness (retransmit loss draws, backoff
+/// jitter); independent of the fault-plan seed so enabling recovery
+/// never perturbs the main loss process.
+pub const RECOVERY_SEED: u64 = 0;
 
 /// Which parts of the recovery layer a run enables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -28,102 +62,26 @@ impl RecoveryMode {
     }
 }
 
-/// Tunable parameters of the detection / repair / NACK machinery. All
-/// times are in DES ticks (see `clustream_des::TICKS_PER_SLOT`); the CLI
-/// accepts them as `2.5slots` / `300ticks` durations.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// The recovery tier of a DES run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct RecoveryConfig {
     /// What to enable.
     pub mode: RecoveryMode,
-    /// Silence on a delivering link for this long makes the watcher
-    /// suspect the sender.
-    pub suspect_timeout_ticks: u64,
-    /// Distinct watchers that must suspect a node before its failure is
-    /// confirmed and repair triggers.
-    pub suspicion_threshold: usize,
-    /// Base NACK retry timeout (backoff starts here).
-    pub nack_timeout_ticks: u64,
-    /// Exponential backoff multiplier per retry.
-    pub nack_backoff: f64,
-    /// Hard cap on the backoff delay.
-    pub nack_cap_ticks: u64,
-    /// Uniform jitter added to each backoff delay, `[0, jitter)` ticks
-    /// (seeded; decorrelates retry storms).
-    pub nack_jitter_ticks: u64,
-    /// Retries per gap packet before giving up (graceful degradation:
-    /// the packet is skipped and a hiccup recorded).
-    pub max_retries: u32,
-    /// Per-node repair buffer capacity in packets; non-source nodes only
-    /// serve retransmissions still in their buffer.
-    pub repair_buffer: usize,
-    /// A packet is considered a gap once `newest − seq` exceeds this
-    /// many packets (absorbs normal round-robin reordering).
-    pub gap_slack: u64,
-    /// Seed for recovery-layer randomness (retransmit loss draws,
-    /// backoff jitter); independent of the fault-plan seed so enabling
-    /// recovery never perturbs the main loss process.
-    pub seed: u64,
-}
-
-impl Default for RecoveryConfig {
-    fn default() -> Self {
-        RecoveryConfig {
-            mode: RecoveryMode::Off,
-            suspect_timeout_ticks: 6 * 1024,
-            suspicion_threshold: 2,
-            nack_timeout_ticks: 4 * 1024,
-            nack_backoff: 2.0,
-            nack_cap_ticks: 64 * 1024,
-            nack_jitter_ticks: 256,
-            max_retries: 6,
-            repair_buffer: 64,
-            gap_slack: 16,
-            seed: 0,
-        }
-    }
 }
 
 impl RecoveryConfig {
-    /// A repair-only configuration with default knobs.
+    /// The repair-only tier.
     pub fn repair() -> Self {
         RecoveryConfig {
             mode: RecoveryMode::Repair,
-            ..RecoveryConfig::default()
         }
     }
 
-    /// A repair + NACK configuration with default knobs.
+    /// The repair + NACK tier.
     pub fn repair_nack() -> Self {
         RecoveryConfig {
             mode: RecoveryMode::RepairNack,
-            ..RecoveryConfig::default()
         }
-    }
-
-    /// Validate parameters, returning a description of the first problem.
-    pub fn validate(&self) -> Result<(), String> {
-        if !self.mode.enabled() {
-            return Ok(());
-        }
-        if self.suspect_timeout_ticks == 0 {
-            return Err("suspect timeout must be positive".into());
-        }
-        if self.suspicion_threshold == 0 {
-            return Err("suspicion threshold must be at least 1".into());
-        }
-        if self.nack_timeout_ticks == 0 {
-            return Err("nack timeout must be positive".into());
-        }
-        if !(self.nack_backoff.is_finite() && self.nack_backoff >= 1.0) {
-            return Err(format!(
-                "nack backoff must be finite and ≥ 1, got {}",
-                self.nack_backoff
-            ));
-        }
-        if self.nack_cap_ticks < self.nack_timeout_ticks {
-            return Err("nack cap must be at least the base timeout".into());
-        }
-        Ok(())
     }
 }
 
@@ -132,11 +90,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_is_off_and_valid() {
+    fn default_is_off() {
         let c = RecoveryConfig::default();
         assert_eq!(c.mode, RecoveryMode::Off);
         assert!(!c.mode.enabled());
-        assert!(c.validate().is_ok());
     }
 
     #[test]
@@ -144,27 +101,5 @@ mod tests {
         assert!(RecoveryConfig::repair().mode.enabled());
         assert!(!RecoveryConfig::repair().mode.nack());
         assert!(RecoveryConfig::repair_nack().mode.nack());
-    }
-
-    #[test]
-    fn validation_rejects_degenerate_knobs() {
-        let mut c = RecoveryConfig::repair();
-        c.suspect_timeout_ticks = 0;
-        assert!(c.validate().is_err());
-
-        let mut c = RecoveryConfig::repair_nack();
-        c.nack_backoff = 0.5;
-        assert!(c.validate().is_err());
-
-        let mut c = RecoveryConfig::repair_nack();
-        c.nack_cap_ticks = c.nack_timeout_ticks - 1;
-        assert!(c.validate().is_err());
-
-        // Off mode never validates its (unused) knobs.
-        let c = RecoveryConfig {
-            suspect_timeout_ticks: 0,
-            ..RecoveryConfig::default()
-        };
-        assert!(c.validate().is_ok());
     }
 }

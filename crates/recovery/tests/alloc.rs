@@ -1,6 +1,6 @@
 //! The recovery layer's boundary under a counting `#[global_allocator]`:
-//! an id or a capacity taken from outside — a `Suspect { subject }` frame
-//! off the wire, a `--repair-buffer` flag — never sizes an allocation.
+//! neither an id taken from outside — a `Suspect { subject }` frame off
+//! the wire — nor a repair buffer's capacity ever sizes an allocation.
 //! Ids outside the detector's id space are ignored, and a repair buffer
 //! grows with what it is told, not with its bound.
 

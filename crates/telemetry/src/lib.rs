@@ -13,7 +13,7 @@
 //! depends on whether a recorder is attached — `RunResult`s are
 //! bit-identical with telemetry off or on, which `tests/telemetry.rs`
 //! enforces with the same differential discipline as
-//! `recovery_off_knobs_are_inert`.
+//! `recovery_off_is_the_fail_silent_des`.
 //!
 //! The in-memory [`MemoryRecorder`] accumulates everything behind a
 //! mutex (it is shared across sweep workers) and exports a

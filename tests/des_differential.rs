@@ -335,7 +335,7 @@ fn regression_des_fail_stop_agrees() {
 /// The recovery layer in mode Off is inert: the slot-faithful oracle must
 /// keep passing with the recovery-enabled engine build (the new event
 /// classes exist but are never scheduled). The relaxed-regime analogue
-/// lives in tests/recovery.rs (`recovery_off_knobs_are_inert`).
+/// lives in tests/recovery.rs (`recovery_off_is_the_fail_silent_des`).
 #[test]
 fn regression_des_recovery_off_stays_slot_faithful() {
     let cfg = DesConfig::slot_faithful(SimConfig::until_complete(16, 100_000));
