@@ -225,6 +225,10 @@ cli_flag_hygiene() {
         trace --scheme multitree --n 10 --node 4294967297
     expect_error '^model error: invalid configuration: a transmission latency of 2000000000 slots' \
         plan --clusters 5 --tc 2000000000
+    # `analyze --n 0` used to hit an assert (101), and `--max-d 10^8`
+    # built 10^8 candidates and ran a quadratic frontier over them.
+    expect_error '^usage error: ' analyze --n 0
+    expect_error '^usage error: ' analyze --n 10 --max-d 100000000
     # `--recovery` with `--scenario` used to pass the rule book and then
     # panic in the report (101) or silently run no failure at all (0).
     expect_error '^usage error: --scenario scripts its own joins and repairs' \

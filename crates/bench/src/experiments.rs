@@ -14,7 +14,6 @@ use clustream_plan::{Family, RunPlan, Runtime, SchemeSpec};
 use clustream_recovery::RecoveryConfig;
 use clustream_sim::{FastEngine, FaultPlan, ResilienceMetrics, RunResult, SimConfig, Simulator};
 use clustream_workloads::{ChurnAction, ChurnTrace, ChurnTraceConfig};
-use rayon::prelude::*;
 use serde::Serialize;
 
 /// Run a scheme until `track` packets reached every receiver.
@@ -82,19 +81,17 @@ pub fn fig4(ns: &[usize], degrees: &[usize]) -> Vec<Fig4Point> {
         .iter()
         .flat_map(|&d| ns.iter().map(move |&n| (d, n)))
         .collect();
-    grid.par_iter()
-        .map(|&(d, n)| {
-            let forest = greedy_forest(n, d).expect("valid parameters");
-            let scheme = MultiTreeScheme::new(forest, StreamMode::PreRecorded);
-            let profile = DelayProfile::compute(&scheme).expect("schedulable");
-            Fig4Point {
-                d,
-                n,
-                max_delay: profile.max_delay(),
-                bound: analysis::thm2_worst_delay_bound(n, d),
-            }
-        })
-        .collect()
+    clustream_sim::sweep(&grid, |_, &(d, n)| {
+        let forest = greedy_forest(n, d).expect("valid parameters");
+        let scheme = MultiTreeScheme::new(forest, StreamMode::PreRecorded);
+        let profile = DelayProfile::compute(&scheme).expect("schedulable");
+        Fig4Point {
+            d,
+            n,
+            max_delay: profile.max_delay(),
+            bound: analysis::thm2_worst_delay_bound(n, d),
+        }
+    })
 }
 
 // ----------------------------------------------------------------- Table 1
@@ -208,32 +205,30 @@ pub fn thm1(
         .iter()
         .flat_map(|&k| t_cs.iter().map(move |&t| (k, t)))
         .collect();
-    grid.par_iter()
-        .map(|&(k, t_c)| {
-            let sizes = vec![cluster_size; k];
-            let mut s = ClusterSession::new(
-                &sizes,
-                big_d,
-                t_c,
-                IntraScheme::MultiTree {
-                    d,
-                    construction: Construction::Greedy,
-                },
-            )
-            .expect("valid session");
-            let bound = analysis::thm1_delay_bound(k, big_d, t_c, d, cluster_size);
-            let r = simulate(&mut s, track_for(bound));
-            Thm1Row {
-                k,
-                t_c,
-                big_d,
+    clustream_sim::sweep(&grid, |_, &(k, t_c)| {
+        let sizes = vec![cluster_size; k];
+        let mut s = ClusterSession::new(
+            &sizes,
+            big_d,
+            t_c,
+            IntraScheme::MultiTree {
                 d,
-                cluster_size,
-                measured: r.qos.max_delay(),
-                bound,
-            }
-        })
-        .collect()
+                construction: Construction::Greedy,
+            },
+        )
+        .expect("valid session");
+        let bound = analysis::thm1_delay_bound(k, big_d, t_c, d, cluster_size);
+        let r = simulate(&mut s, track_for(bound));
+        Thm1Row {
+            k,
+            t_c,
+            big_d,
+            d,
+            cluster_size,
+            measured: r.qos.max_delay(),
+            bound,
+        }
+    })
 }
 
 // ---------------------------------------------------- Theorems 2 & 3, F(d)
@@ -264,23 +259,21 @@ pub fn thm2_thm3(max_h: u32) -> Vec<Thm23Row> {
             grid.push((n, d));
         }
     }
-    grid.par_iter()
-        .map(|&(n, d)| {
-            let forest = greedy_forest(n, d).expect("valid");
-            let scheme = MultiTreeScheme::new(forest, StreamMode::PreRecorded);
-            let p = DelayProfile::compute(&scheme).expect("schedulable");
-            Thm23Row {
-                n,
-                d,
-                h: analysis::tree_height(n, d),
-                measured_max: p.max_delay(),
-                thm2_bound: analysis::thm2_worst_delay_bound(n, d),
-                measured_avg: p.avg_delay(),
-                thm3_lower: analysis::thm3_avg_delay_lower_bound(n, d),
-                measured_buffer: p.max_buffer(),
-            }
-        })
-        .collect()
+    clustream_sim::sweep(&grid, |_, &(n, d)| {
+        let forest = greedy_forest(n, d).expect("valid");
+        let scheme = MultiTreeScheme::new(forest, StreamMode::PreRecorded);
+        let p = DelayProfile::compute(&scheme).expect("schedulable");
+        Thm23Row {
+            n,
+            d,
+            h: analysis::tree_height(n, d),
+            measured_max: p.max_delay(),
+            thm2_bound: analysis::thm2_worst_delay_bound(n, d),
+            measured_avg: p.avg_delay(),
+            thm3_lower: analysis::thm3_avg_delay_lower_bound(n, d),
+            measured_buffer: p.max_buffer(),
+        }
+    })
 }
 
 /// §2.3 degree optimization: the exact-bound-optimal degree per N.
@@ -389,21 +382,19 @@ pub struct IncompleteRow {
 /// The simulation the paper omitted "due to lack of space": delays of
 /// incomplete trees stay below, and often strictly below, `h·d`.
 pub fn ext_incomplete(ns: &[usize], d: usize) -> Vec<IncompleteRow> {
-    ns.par_iter()
-        .map(|&n| {
-            let forest = greedy_forest(n, d).expect("valid");
-            let scheme = MultiTreeScheme::new(forest, StreamMode::PreRecorded);
-            let p = DelayProfile::compute(&scheme).expect("schedulable");
-            let bound = analysis::thm2_worst_delay_bound(n, d);
-            IncompleteRow {
-                n,
-                d,
-                measured: p.max_delay(),
-                bound,
-                slack: bound - p.max_delay(),
-            }
-        })
-        .collect()
+    clustream_sim::sweep(ns, |_, &n| {
+        let forest = greedy_forest(n, d).expect("valid");
+        let scheme = MultiTreeScheme::new(forest, StreamMode::PreRecorded);
+        let p = DelayProfile::compute(&scheme).expect("schedulable");
+        let bound = analysis::thm2_worst_delay_bound(n, d);
+        IncompleteRow {
+            n,
+            d,
+            measured: p.max_delay(),
+            bound,
+            slack: bound - p.max_delay(),
+        }
+    })
 }
 
 /// ext-B: churn — eager vs lazy bookkeeping under one trace.
@@ -490,26 +481,24 @@ pub fn ext_live_modes(ns: &[usize], d: usize) -> Vec<LiveModeRow> {
         (StreamMode::LivePrebuffered, "live-prebuffered"),
         (StreamMode::LivePipelined, "live-pipelined"),
     ];
-    ns.par_iter()
-        .flat_map(|&n| {
-            modes
-                .iter()
-                .map(|&(mode, name)| {
-                    let forest = greedy_forest(n, d).expect("valid");
-                    let p = DelayProfile::compute(&MultiTreeScheme::new(forest, mode))
-                        .expect("schedulable");
-                    LiveModeRow {
-                        n,
-                        d,
-                        mode: name.to_string(),
-                        max_delay: p.max_delay(),
-                        avg_delay: p.avg_delay(),
-                        max_buffer: p.max_buffer(),
-                    }
-                })
-                .collect::<Vec<_>>()
+    clustream_sim::sweep(ns, |_, &n| {
+        modes.map(|(mode, name)| {
+            let forest = greedy_forest(n, d).expect("valid");
+            let p =
+                DelayProfile::compute(&MultiTreeScheme::new(forest, mode)).expect("schedulable");
+            LiveModeRow {
+                n,
+                d,
+                mode: name.to_string(),
+                max_delay: p.max_delay(),
+                avg_delay: p.avg_delay(),
+                max_buffer: p.max_buffer(),
+            }
         })
-        .collect()
+    })
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 /// Construction ablation: structured vs greedy delay profiles.
@@ -525,29 +514,24 @@ pub struct ConstructionRow {
 
 /// Do the two §2.2 constructions differ in delivered QoS?
 pub fn ext_constructions(ns: &[usize], d: usize) -> Vec<ConstructionRow> {
-    ns.par_iter()
-        .flat_map(|&n| {
-            [Construction::Structured, Construction::Greedy]
-                .iter()
-                .map(|&c| {
-                    let forest = build_forest(n, d, c).expect("valid");
-                    let p = DelayProfile::compute(&MultiTreeScheme::new(
-                        forest,
-                        StreamMode::PreRecorded,
-                    ))
-                    .expect("schedulable");
-                    ConstructionRow {
-                        n,
-                        d,
-                        construction: format!("{c:?}"),
-                        max_delay: p.max_delay(),
-                        avg_delay: p.avg_delay(),
-                        max_buffer: p.max_buffer(),
-                    }
-                })
-                .collect::<Vec<_>>()
+    clustream_sim::sweep(ns, |_, &n| {
+        [Construction::Structured, Construction::Greedy].map(|c| {
+            let forest = build_forest(n, d, c).expect("valid");
+            let p = DelayProfile::compute(&MultiTreeScheme::new(forest, StreamMode::PreRecorded))
+                .expect("schedulable");
+            ConstructionRow {
+                n,
+                d,
+                construction: format!("{c:?}"),
+                max_delay: p.max_delay(),
+                avg_delay: p.avg_delay(),
+                max_buffer: p.max_buffer(),
+            }
         })
-        .collect()
+    })
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 // -------------------------------------------------- Upload utilization

@@ -7,7 +7,8 @@
 //! `EXPERIMENTS.md` records the paper-vs-measured comparison.
 //! [`scenarios`] holds the flash-crowd and heterogeneity runs behind the
 //! two JSON-emitting `ext_*` binaries. Nothing here measures speed: that
-//! is `benchmark/`'s ledger. Sweeps run in parallel with rayon.
+//! is `benchmark/`'s ledger. Sweeps run in parallel through
+//! `clustream_sim::sweep`.
 
 // Experiment row structs carry self-describing measurement fields; field-level
 // docs would only repeat the names.

@@ -12,6 +12,7 @@ use clustream_telemetry::{
 };
 use clustream_workloads::{summarize, PlayPolicy};
 use std::fmt::Write as _;
+use std::ops::RangeInclusive;
 
 /// The QoS, DES, loss and resilience lines of a finished run.
 fn render_run(engine_name: &str, r: &RunResult, des_stats: Option<DesStats>) -> String {
@@ -249,19 +250,6 @@ fn render_report(snap: &clustream_telemetry::MetricsSnapshot) -> String {
             );
         }
     }
-    if snap.counters.contains_key(tm::SWEEP_CELLS) {
-        let _ = writeln!(out, "\nsweep cells : {}", snap.counter(tm::SWEEP_CELLS));
-        for (k, v) in &snap.counters {
-            if let Some(w) = k.strip_prefix(tm::SWEEP_WORKER_CLAIMS_PREFIX) {
-                let busy = snap
-                    .spans
-                    .get(&format!("{}{w}", tm::SWEEP_WORKER_BUSY_PREFIX))
-                    .map(|s| format!("  ({:.1} ms busy)", s.total_ns as f64 / 1e6))
-                    .unwrap_or_default();
-                let _ = writeln!(out, "  worker{w:<10} {v} cells{busy}");
-            }
-        }
-    }
     if !snap.spans.is_empty() {
         let _ = writeln!(out, "\nspans:");
         for (name, s) in &snap.spans {
@@ -293,14 +281,16 @@ pub const ANALYZE_USAGE: Usage = &["--n <N> [--max-d <D>]"];
 /// `clustream analyze`.
 pub fn analyze(args: &ArgMap) -> Result<String, CliError> {
     args.check_known(ANALYZE_USAGE)?;
-    let n = args.required_usize("n")?;
-    let max_d = args.usize_or("max-d", 5)?.max(2);
+    // N is a receiver count in the id range; §2.3 proves degree 2 or 3
+    // optimal, so a few dozen candidate degrees is already generous.
+    let n = usize_in("n", args.required("n")?, 1..=u32::MAX as usize)?;
+    let max_d = usize_in("max-d", args.optional("max-d").unwrap_or("5"), 2..=64)?;
     let mut out = String::new();
     let _ = writeln!(out, "population N = {n}\n");
     let _ = writeln!(
         out,
         "optimal tree degree (Theorem 2 argmin): d = {}",
-        clustream_analysis::optimal_degree(n.max(2), max_d.max(3))
+        clustream_analysis::optimal_degree(n, max_d)
     );
     let _ = writeln!(
         out,
@@ -323,6 +313,15 @@ pub fn analyze(args: &ArgMap) -> Result<String, CliError> {
         );
     }
     Ok(out)
+}
+
+/// `--key`'s value `v` as an integer in `range`, else a usage error
+/// naming the range.
+fn usize_in(key: &str, v: &str, range: RangeInclusive<usize>) -> Result<usize, CliError> {
+    v.parse().ok().filter(|v| range.contains(v)).ok_or_else(|| {
+        let (lo, hi) = range.into_inner();
+        CliError::Usage(format!("--{key} must be an integer in {lo}..={hi}"))
+    })
 }
 
 /// `plan`'s usage text (and flag vocabulary).
@@ -1103,6 +1102,20 @@ control msgs: 15857\n\
         assert!(out.contains("Pareto frontier"));
         assert!(out.contains("optimal tree degree"));
         assert!(out.contains("hypercube"));
+    }
+
+    #[test]
+    fn analyze_honours_max_d_on_the_optimal_degree_line() {
+        // N = 39 = 3 + 9 + 27: the exact bound picks d = 3 (9 < 10).
+        let degree = |max_d: &str| {
+            let out = run(&argv(&["analyze", "--n", "39", "--max-d", max_d])).unwrap();
+            out.lines()
+                .find_map(|l| l.strip_prefix("optimal tree degree (Theorem 2 argmin): d = "))
+                .unwrap()
+                .to_string()
+        };
+        assert_eq!(degree("3"), "3");
+        assert_eq!(degree("2"), "2");
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! [`mega`]) runs the same loop over columnar node state and adds
 //! precompiled steady-state transmission tables and in-run sharding for
 //! runs with 10^5–10^6 nodes. All results are bit-identical; the
-//! differential harness in [`diff`] enforces that, and [`parallel`]
+//! differential harness in [`diff`] enforces that, and [`sweep`]
 //! farms experiment grids across worker threads with deterministic
 //! input-order results.
 
@@ -38,7 +38,7 @@ pub mod faults;
 mod kernel;
 pub mod mega;
 pub mod metrics;
-pub mod parallel;
+mod parallel;
 pub mod playback;
 pub mod resilience;
 pub mod trace;
@@ -49,7 +49,7 @@ pub use fast::{FastEngine, FastSimulator};
 pub use faults::{FaultCause, FaultPlan, LossReport, LossyPlayback};
 pub use kernel::PacketSet;
 pub use mega::{MegaEngine, MegaSimulator};
-pub use parallel::{sweep, sweep_instrumented, sweep_threads, sweep_with_threads, ClaimCounter};
+pub use parallel::sweep;
 pub use playback::{ArrivalTable, PlaybackAnalysis};
 pub use resilience::ResilienceMetrics;
 pub use trace::{EventTrace, TraceEvent};

@@ -33,7 +33,7 @@
 //!    partitioned into `k` contiguous id ranges following
 //!    [`Scheme::shard_boundaries`] — for cluster sessions, exactly the
 //!    paper's clusters. Workers claim shards through the same
-//!    [`ClaimCounter`] work-claiming idiom as [`crate::parallel::sweep`];
+//!    `ClaimCounter` work-claiming idiom as [`crate::sweep`];
 //!    traffic whose sender and receiver fall in one shard is applied by
 //!    that shard's worker, and the remainder — the backbone super-node
 //!    traffic — is applied by the coordinator in a sequential exchange

@@ -15,9 +15,7 @@
 //! stalling on a pre-chunked straggler.
 
 use crate::fast::FastEngine;
-use clustream_telemetry::{names, Telemetry};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant;
 
 /// Dynamic work-claiming counter shared by a pool of workers.
 ///
@@ -29,13 +27,13 @@ use std::time::Instant;
 /// synchronisation (the sweep joins its threads, the mega engine sits
 /// between barrier waits).
 #[derive(Debug, Default)]
-pub struct ClaimCounter {
+pub(crate) struct ClaimCounter {
     next: AtomicUsize,
 }
 
 impl ClaimCounter {
     /// A fresh counter starting at unit 0.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         ClaimCounter {
             next: AtomicUsize::new(0),
         }
@@ -44,20 +42,20 @@ impl ClaimCounter {
     /// Claim the next unit index, or `None` once `limit` units have been
     /// handed out.
     #[inline]
-    pub fn claim(&self, limit: usize) -> Option<usize> {
+    pub(crate) fn claim(&self, limit: usize) -> Option<usize> {
         let i = self.next.fetch_add(1, Ordering::Relaxed);
         (i < limit).then_some(i)
     }
 
     /// Rewind to unit 0 for the next round. Callers must ensure no
     /// worker is claiming concurrently (e.g. by a barrier).
-    pub fn reset(&self) {
+    pub(crate) fn reset(&self) {
         self.next.store(0, Ordering::Relaxed);
     }
 }
 
 /// Number of worker threads a sweep will use for `n_cells` cells.
-pub fn sweep_threads(n_cells: usize) -> usize {
+fn sweep_threads(n_cells: usize) -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
@@ -70,7 +68,8 @@ pub fn sweep_threads(n_cells: usize) -> usize {
 /// Each worker thread gets its own [`FastEngine`] arena, reused across
 /// all cells the worker claims — the allocation-light engine amortises
 /// its buffers over the whole sweep. `run_cell` receives the arena and a
-/// reference to the cell.
+/// reference to the cell. A cell that panics re-raises its own panic
+/// here, payload and all.
 pub fn sweep<I, R, F>(cells: &[I], run_cell: F) -> Vec<R>
 where
     I: Sync,
@@ -85,84 +84,27 @@ where
 /// Results are in input order and bit-identical at every pool size —
 /// the property the determinism tests pin down. `threads` is clamped to
 /// at least 1; sizes beyond the cell count just idle.
-pub fn sweep_with_threads<I, R, F>(cells: &[I], threads: usize, run_cell: F) -> Vec<R>
+fn sweep_with_threads<I, R, F>(cells: &[I], threads: usize, run_cell: F) -> Vec<R>
 where
     I: Sync,
     R: Send,
     F: Fn(&mut FastEngine, &I) -> R + Sync,
 {
-    sweep_instrumented(cells, threads, &Telemetry::disabled(), run_cell)
-}
-
-/// [`sweep_with_threads`] with a telemetry sink for scheduler metrics.
-///
-/// With a recorder attached, the sweep records its wall time
-/// ([`names::SWEEP_RUN`]), total cells executed ([`names::SWEEP_CELLS`]),
-/// and per-worker work-claim counts and busy time
-/// (`sweep.claims.worker<w>` / `sweep.busy.worker<w>`), from which
-/// per-worker utilization is `busy / sweep.run`. Scheduling and results
-/// are unaffected: the same cells run in the same dynamic order and the
-/// output is bit-identical with telemetry on or off.
-pub fn sweep_instrumented<I, R, F>(
-    cells: &[I],
-    threads: usize,
-    telemetry: &Telemetry,
-    run_cell: F,
-) -> Vec<R>
-where
-    I: Sync,
-    R: Send,
-    F: Fn(&mut FastEngine, &I) -> R + Sync,
-{
-    let _sweep_span = telemetry.span(names::SWEEP_RUN);
     let threads = threads.max(1).min(cells.len().max(1));
     if threads <= 1 {
         let mut engine = FastEngine::new();
-        let results = if telemetry.enabled() {
-            let mut results = Vec::with_capacity(cells.len());
-            let busy = format!("{}0", names::SWEEP_WORKER_BUSY_PREFIX);
-            let claims = format!("{}0", names::SWEEP_WORKER_CLAIMS_PREFIX);
-            for c in cells {
-                let start = Instant::now();
-                results.push(run_cell(&mut engine, c));
-                telemetry.span_ns(&busy, start.elapsed().as_nanos() as u64);
-            }
-            telemetry.counter(&claims, cells.len() as u64);
-            results
-        } else {
-            cells.iter().map(|c| run_cell(&mut engine, c)).collect()
-        };
-        telemetry.counter(names::SWEEP_CELLS, cells.len() as u64);
-        return results;
+        return cells.iter().map(|c| run_cell(&mut engine, c)).collect();
     }
 
     let next = ClaimCounter::new();
     let mut tagged: Vec<(usize, R)> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
-            .map(|w| {
-                let telemetry = telemetry.clone();
-                let (run_cell, next) = (&run_cell, &next);
-                s.spawn(move || {
+            .map(|_| {
+                s.spawn(|| {
                     let mut engine = FastEngine::new();
                     let mut local = Vec::new();
-                    let probe = telemetry.enabled().then(|| {
-                        (
-                            format!("{}{w}", names::SWEEP_WORKER_BUSY_PREFIX),
-                            format!("{}{w}", names::SWEEP_WORKER_CLAIMS_PREFIX),
-                        )
-                    });
                     while let Some(i) = next.claim(cells.len()) {
-                        match &probe {
-                            Some((busy, _)) => {
-                                let start = Instant::now();
-                                local.push((i, run_cell(&mut engine, &cells[i])));
-                                telemetry.span_ns(busy, start.elapsed().as_nanos() as u64);
-                            }
-                            None => local.push((i, run_cell(&mut engine, &cells[i]))),
-                        }
-                    }
-                    if let Some((_, claims)) = &probe {
-                        telemetry.counter(claims, local.len() as u64);
+                        local.push((i, run_cell(&mut engine, &cells[i])));
                     }
                     local
                 })
@@ -170,10 +112,9 @@ where
             .collect();
         handles
             .into_iter()
-            .flat_map(|h| h.join().expect("sweep worker panicked"))
+            .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
             .collect()
     });
-    telemetry.counter(names::SWEEP_CELLS, tagged.len() as u64);
     tagged.sort_unstable_by_key(|&(i, _)| i);
     tagged.into_iter().map(|(_, r)| r).collect()
 }
@@ -243,37 +184,21 @@ mod tests {
         }
     }
 
+    /// A cell's own panic reaches the caller: the message an experiment's
+    /// `.expect` wrote, not a generic "worker panicked".
     #[test]
-    fn instrumented_sweep_matches_plain_and_records() {
-        use clustream_telemetry::MemoryRecorder;
-        let cells: Vec<usize> = (1..12).collect();
-        let run = |engine: &mut FastEngine, &n: &usize| {
-            let mut s = Chain { n };
-            engine
-                .run(&mut s, &SimConfig::until_complete(6, 200))
-                .unwrap()
-                .qos
-                .max_delay()
-        };
-        let plain = sweep_with_threads(&cells, 2, run);
-        let (rec, tel) = MemoryRecorder::handle();
-        let inst = sweep_instrumented(&cells, 2, &tel, run);
-        assert_eq!(plain, inst, "telemetry must not change results");
-        let snap = rec.snapshot();
-        assert_eq!(snap.counter(names::SWEEP_CELLS), cells.len() as u64);
-        // Every cell was claimed by exactly one worker.
-        let claims: u64 = snap
-            .counters
-            .iter()
-            .filter(|(k, _)| k.starts_with(names::SWEEP_WORKER_CLAIMS_PREFIX))
-            .map(|(_, &v)| v)
-            .sum();
-        assert_eq!(claims, cells.len() as u64);
-        assert!(snap.spans.contains_key(names::SWEEP_RUN));
-        assert!(snap
-            .spans
-            .keys()
-            .any(|k| k.starts_with(names::SWEEP_WORKER_BUSY_PREFIX)));
+    fn a_panicking_cell_re_raises_its_own_panic() {
+        let cells: Vec<usize> = (0..8).collect();
+        let caught = std::panic::catch_unwind(|| {
+            sweep_with_threads(&cells, 2, |_, &i| {
+                if i == 3 {
+                    panic!("cell 3 failed");
+                }
+                i
+            })
+        })
+        .expect_err("the sweep must propagate the cell's panic");
+        assert_eq!(caught.downcast_ref::<&str>(), Some(&"cell 3 failed"));
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The slot kernel's `begin` must reset a reused arena completely:
-//! `sim::parallel::sweep` runs a whole grid through one engine per
+//! `sim::sweep` runs a whole grid through one engine per
 //! worker. Whatever the previous run left behind — an early error at
 //! any validation step, a larger id space, a grown arrival ring — the
 //! next run must equal a fresh arena's, field by field, clean and under

@@ -16,8 +16,8 @@
 //! `recovery_off_is_the_fail_silent_des`.
 //!
 //! The in-memory [`MemoryRecorder`] accumulates everything behind a
-//! mutex (it is shared across sweep workers) and exports a
-//! [`MetricsSnapshot`], which [`export`] maps to and from a
+//! mutex (any clone of its handle may record from any thread) and
+//! exports a [`MetricsSnapshot`], which [`export`] maps to and from a
 //! deterministic JSONL format consumed by `clustream report`.
 //!
 //! Metric names live in [`names`]: one flat registry of `&'static str`
@@ -135,14 +135,4 @@ pub mod names {
     pub const QOE_INTERRUPTED_PER_MILLE: &str = "qoe.interrupted_per_mille";
     /// Gauge: total stall slots at the `h·d` budget (Wait policy).
     pub const QOE_STALL_SLOTS: &str = "qoe.stall_slots";
-
-    // ---------------------------------------------------- parallel sweep
-    /// Span: one full sweep call.
-    pub const SWEEP_RUN: &str = "sweep.run";
-    /// Counter: cells executed across all workers.
-    pub const SWEEP_CELLS: &str = "sweep.cells";
-    /// Counter prefix: cells claimed per worker, e.g. `sweep.claims.worker3`.
-    pub const SWEEP_WORKER_CLAIMS_PREFIX: &str = "sweep.claims.worker";
-    /// Span prefix: busy time per worker, e.g. `sweep.busy.worker3`.
-    pub const SWEEP_WORKER_BUSY_PREFIX: &str = "sweep.busy.worker";
 }

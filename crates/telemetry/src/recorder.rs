@@ -7,8 +7,9 @@ use std::fmt;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// A metrics sink. Implementations must be cheap and thread-safe: the
-/// parallel sweep hands one recorder to every worker.
+/// A metrics sink. Implementations must be cheap and thread-safe: a
+/// [`Telemetry`] handle is `Send + Sync` and its clones share one
+/// recorder, so any clone may record from any thread.
 ///
 /// All methods take `&self`; stateful recorders use interior mutability.
 pub trait Recorder: Send + Sync {

@@ -137,6 +137,9 @@ fn script_parses_and_defines_both_tiers() {
         "'^usage error: --node must be an integer in 0..=4294967295$'",
         "plan --clusters 5 --tc 2000000000",
         "'^model error: invalid configuration: a transmission latency of 2000000000 slots'",
+        // …and so are `analyze` sizes that panicked or ran for minutes.
+        "expect_error '^usage error: ' analyze --n 0",
+        "expect_error '^usage error: ' analyze --n 10 --max-d 100000000",
         // …and so is a plan the rule book must refuse: recovery over a
         // scripted scenario (it used to panic or run another plan).
         "--recovery repair --scenario step:10@5",
