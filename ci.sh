@@ -110,6 +110,17 @@ des_smoke() {
     cargo run -q --release --offline -p clustream-cli --bin clustream -- \
         simulate --scheme chain --n 12 --runtime des \
         --latency jitter --jitter 1.5 --uplink serialized --des-seed 1
+    # The ledger's des_plain command line (too slow for tests/cli_golden's
+    # debug build): one event per delivery and per slot, every count of
+    # it pinned by the golden; the heap queue prints the same but for the
+    # engine line.
+    local golden=tests/cli_golden/des_plain_n20000.txt out=target/ci-des-plain
+    local des_plain=(simulate --scheme multitree --n 20000 --d 3 --track 128
+        --runtime des)
+    target/release/clustream "${des_plain[@]}" --queue wheel >"$out-wheel.txt"
+    target/release/clustream "${des_plain[@]}" --queue heap >"$out-heap.txt"
+    diff "$golden" "$out-wheel.txt"
+    diff <(grep -v '^engine' "$golden") <(grep -v '^engine' "$out-heap.txt")
 }
 
 wheel_smoke() {

@@ -2,10 +2,12 @@
 //!
 //! Instead of iterating lockstep slots, [`DesEngine`] drains an
 //! [`EventQueue`]. The scheme's calendar is still consulted once per slot
-//! (at each [`EventKind::PlaybackTick`]), but every transmission then
-//! lives as explicit `Send` → `Deliver` events whose times need not be
-//! slot-aligned: the latency model can land a packet mid-slot and the
-//! uplink gate can push a send past its calendar slot.
+//! (at each [`EventKind::PlaybackTick`]). In the relaxed regime every
+//! transmission then lives as explicit `Send` → `Deliver` events whose
+//! times need not be slot-aligned: the latency model can land a packet
+//! mid-slot and the uplink gate can push a send past its calendar slot.
+//! In the strict regime the tick pushes each transmission's `Deliver`
+//! directly, one queue event per transmission.
 //!
 //! # Two regimes
 //!
@@ -14,8 +16,12 @@
 //! slot engines' validation sequence verbatim, in the same order (unknown
 //! node, zero latency, crash suppression, holdings, send capacity, loss
 //! draw, receive collision), consumes loss-RNG draws in the same order,
-//! and produces the same errors for the same scheme bugs. Every event
-//! lands on a slot boundary, so the run is field-for-field identical to
+//! and produces the same errors for the same scheme bugs. A validated
+//! transmission's `Deliver` is pushed at its arrival tick right away:
+//! with fixed latency, no replay and no churn a `Send` hop would only
+//! push that same `Deliver`, and `Deliver` being the first class, the
+//! arrivals pop in the same order either way. Every event lands on a
+//! slot boundary, so the run is field-for-field identical to
 //! [`clustream_sim::FastEngine`] — enforced by `tests/des_differential.rs`.
 //!
 //! **Relaxed** — any jitter, uplink serialization, churn, or recovery.
@@ -98,7 +104,9 @@ pub struct DesStats {
     pub events_processed: u64,
     /// Events ever scheduled.
     pub events_scheduled: u64,
-    /// Send events dispatched.
+    /// Transmissions dispatched: validated strict-mode transmissions
+    /// (each pushed straight as its `Deliver`) plus relaxed-mode `Send`
+    /// events.
     pub sends: u64,
     /// Deliver events fired.
     pub deliveries: u64,
@@ -182,7 +190,8 @@ fn attribute_propagation(
 }
 
 /// Relaxed-mode admission: crash/departure suppression, uplink gating,
-/// loss draw, then schedule the `Send` event. Free function so both the
+/// loss draw, then schedule the `Send` event (the only place one is
+/// pushed). Free function so both the
 /// calendar path and the deferred-release path share it without fighting
 /// the borrow checker.
 #[allow(clippy::too_many_arguments)]
@@ -856,8 +865,18 @@ impl DesEngine {
                             if let Some(tr) = trace.as_mut() {
                                 tr.push(t, tx);
                             }
+                            // Fixed latency, no replay, and `stopped` cannot
+                            // change before this tick's sends: the `Send`
+                            // hop would only push this very `Deliver`.
                             self.stats.sends += 1;
-                            q.push(ev.time, EventKind::Send(*tx));
+                            q.push(
+                                ev.time + tx.latency as u64 * TICKS_PER_SLOT,
+                                EventKind::Deliver {
+                                    from: tx.from,
+                                    to: tx.to,
+                                    packet: tx.packet,
+                                },
+                            );
                         } else {
                             if tx.from.is_source() {
                                 if !state.availability.produced(tx.packet, Slot(t)) {
@@ -1376,6 +1395,84 @@ mod tests {
             .filter(|(k, _)| k.starts_with(tm::DES_EVENT_PREFIX))
             .map(|(_, &v)| v)
             .sum()
+    }
+
+    #[test]
+    fn a_strict_run_pops_one_event_per_delivery_and_per_slot() {
+        use clustream_hypercube::HypercubeStream;
+        use clustream_multitree::{greedy_forest, MultiTreeScheme, StreamMode};
+        use clustream_sim::FaultPlan;
+        let multitree = || {
+            let forest = greedy_forest(40, 3).unwrap();
+            Box::new(MultiTreeScheme::new(forest, StreamMode::PreRecorded)) as Box<dyn Scheme>
+        };
+        let lossy = SimConfig::with_faults(
+            24,
+            200,
+            FaultPlan {
+                crashes: vec![(NodeId(2), 10)],
+                ..FaultPlan::loss(0.05, 5)
+            },
+        );
+        let cases: [(Box<dyn Scheme>, SimConfig); 4] = [
+            (multitree(), SimConfig::until_complete(24, 200)),
+            (
+                Box::new(HypercubeStream::new(25).unwrap()),
+                SimConfig::until_complete(24, 200),
+            ),
+            (Box::new(Chain { n: 6 }), SimConfig::until_complete(16, 200)),
+            (multitree(), lossy),
+        ];
+        for (mut scheme, sim_cfg) in cases {
+            let cfg = DesConfig::slot_faithful(sim_cfg);
+            assert!(cfg.is_slot_faithful());
+            let mut engine = DesEngine::new();
+            let run = engine.run(scheme.as_mut(), &cfg).unwrap();
+            let s = engine.stats();
+            assert_eq!(
+                s.events_processed,
+                s.deliveries + run.slots_run,
+                "{}",
+                run.scheme
+            );
+            assert_eq!(s.events_processed, s.events_scheduled, "{}", run.scheme);
+        }
+    }
+
+    #[test]
+    fn only_relaxed_runs_count_send_events() {
+        use clustream_telemetry::MemoryRecorder;
+        let send = "des.events.send";
+        for (cfg, relaxed) in [
+            (
+                DesConfig::slot_faithful(SimConfig::until_complete(16, 200)),
+                false,
+            ),
+            (
+                DesConfig::slot_faithful(SimConfig::until_complete(16, 2000))
+                    .with_latency(LatencyModel::UniformJitter { jitter: 1.5 })
+                    .seeded(3),
+                true,
+            ),
+        ] {
+            let (rec, tel) = MemoryRecorder::handle();
+            let cfg = DesConfig {
+                sim: SimConfig {
+                    telemetry: tel,
+                    ..cfg.sim.clone()
+                },
+                ..cfg
+            };
+            let mut engine = DesEngine::new();
+            engine.run(&mut Chain { n: 6 }, &cfg).unwrap();
+            let snap = rec.snapshot();
+            assert!(engine.stats().sends > 0);
+            if relaxed {
+                assert_eq!(snap.counter(send), engine.stats().sends);
+            } else {
+                assert!(!snap.counters.contains_key(send), "{:?}", snap.counters);
+            }
+        }
     }
 
     #[test]

@@ -25,7 +25,9 @@
 //!    the new slot's transmissions.
 //! 6. [`EventKind::Send`] — a validated transmission leaving a node's
 //!    uplink (possibly later than its calendar slot if the uplink gate
-//!    serialized it behind earlier sends).
+//!    serialized it behind earlier sends). Relaxed runs only: a strict
+//!    (slot-faithful) run's tick pushes each transmission's `Deliver`
+//!    directly.
 //! 7. [`EventKind::Nack`] — a gap-retry timer at a receiver (after the
 //!    slot's regular sends, so a same-tick regular delivery wins).
 //! 8. [`EventKind::Retransmit`] — a repair server answering a NACK.
@@ -90,7 +92,8 @@ pub enum EventKind {
     /// A slot boundary: advance the playback clock and consult the
     /// scheme's calendar for the new slot.
     PlaybackTick,
-    /// A validated transmission dispatches from its sender's uplink.
+    /// A validated transmission dispatches from its sender's uplink
+    /// (relaxed runs only).
     Send(Transmission),
     /// A gap-retry timer: `node` (re)requests `packet` (attempt number
     /// drives the backoff and the source escalation).

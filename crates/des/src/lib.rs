@@ -8,10 +8,10 @@
 //! baselines — anything implementing [`clustream_core::Scheme`]) on an
 //! asynchronous event loop so the gap can be measured:
 //!
-//! * **Event queue** ([`event`], [`wheel`]) — `Send`, `Deliver`,
-//!   `PlaybackTick` and `Churn` events over fixed-point tick time
-//!   ([`TICKS_PER_SLOT`] ticks per slot), deterministically ordered by
-//!   `(time, class, insertion)`. The [`EventQueue`] trait has three
+//! * **Event queue** ([`event`], [`wheel`]) — `Send` (relaxed runs
+//!   only), `Deliver`, `PlaybackTick` and `Churn` events over fixed-point
+//!   tick time ([`TICKS_PER_SLOT`] ticks per slot), deterministically
+//!   ordered by `(time, class, insertion)`. The [`EventQueue`] trait has three
 //!   implementations popping that identical order: [`HeapQueue`] (binary
 //!   min-heap, the reference), [`WheelQueue`] (hierarchical timing wheel
 //!   — O(1) pushes, pooled allocations, batched same-tick drains — an

@@ -59,8 +59,10 @@
 //! * **class within a tick** — draining an L0 bucket splits its (seq-
 //!   sorted) entries into eight per-class FIFO lanes; popping takes the
 //!   lowest occupied class's front. Events pushed *at* the current tick
-//!   while the batch drains (the common case: `PlaybackTick` schedules
-//!   the slot's `Send`s at its own fire time) append to their class lane
+//!   while the batch drains (in relaxed runs: `PlaybackTick` schedules
+//!   the slot's unthrottled `Send`s at its own fire time, recovery its
+//!   `Nack`s and `RepairCommit`s; a strict run's tick pushes only future
+//!   `Deliver`s and the next tick) append to their class lane
 //!   and re-set its bit, which is exactly where the heap would surface
 //!   them: after earlier same-class events, before any higher class.
 //!

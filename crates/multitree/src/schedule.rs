@@ -103,6 +103,7 @@ impl MultiTreeScheme {
                     let t_parent = table[forest.parent_pos(pos) - 1];
                     next_congruent(t_parent + 1, c, d)
                 };
+                debug_assert_eq!(table[pos - 1] % d, c, "tree {k} pos {pos} off its residue");
             }
         }
         MultiTreeScheme {
@@ -179,28 +180,33 @@ impl Scheme for MultiTreeScheme {
         })
     }
 
+    /// §2.2.3's calendar for slot `t`: a parent sends to its child with
+    /// index `c` only in slots `t ≡ c (mod d)`, and `recv0[k][pos−1] ≡
+    /// child_index(pos) = (pos−1) mod d`. So only the positions
+    /// `pos = r+1+j·d` with `r = t mod d` can fire; such a position's
+    /// parent is position `j`, and once active (`t ≥ recv0`) it receives
+    /// packet `k + (t − recv0)`. Each tree walks that stride alone, emitting
+    /// in tree-major, ascending-position order.
     fn transmissions(&mut self, slot: Slot, _view: &dyn StateView, out: &mut Vec<Transmission>) {
-        let d = self.forest.d() as u64;
+        let d = self.forest.d();
         let t = slot.t();
         let n_real = self.forest.n() as u32;
-        for k in 0..self.forest.d() {
-            for pos in 1..=self.forest.n_pad() {
-                let node = self.forest.node_at(k, pos);
-                if node > n_real {
-                    continue; // dummy leaf: removed in the real system
+        let r = (t % d as u64) as usize;
+        for (k, table) in self.recv0.iter().enumerate() {
+            let tree = self.forest.tree(k);
+            // `tree[pos−1]` and `table[pos−1]` for `pos = r+1+j·d`; `N_pad`
+            // is a positive multiple of `d`, so `r < N_pad`.
+            let fired = tree[r..]
+                .iter()
+                .step_by(d)
+                .zip(table[r..].iter().step_by(d));
+            for (j, (&node, &base)) in fired.enumerate() {
+                if node > n_real || t < base {
+                    continue; // dummy leaf, or not yet active
                 }
-                let base = self.recv0[k][pos - 1];
-                if t >= base && (t - base).is_multiple_of(d) {
-                    let m = (t - base) / d;
-                    let packet = PacketId(k as u64 + m * d);
-                    let parent_pos = self.forest.parent_pos(pos);
-                    let from = if parent_pos == 0 {
-                        SOURCE
-                    } else {
-                        NodeId(self.forest.node_at(k, parent_pos))
-                    };
-                    out.push(Transmission::local(from, NodeId(node), packet));
-                }
+                let packet = PacketId(k as u64 + (t - base));
+                let from = if j == 0 { SOURCE } else { NodeId(tree[j - 1]) };
+                out.push(Transmission::local(from, NodeId(node), packet));
             }
         }
     }
@@ -379,6 +385,93 @@ mod tests {
                     "tree {k} pos {pos}"
                 );
                 assert!(pip.recv_slot_at(k, pos, 0) >= pre.recv_slot_at(k, pos, 0));
+            }
+        }
+    }
+
+    /// Every (construction, mode, N, d) the residue tests sweep: complete
+    /// and non-complete forests, and `N < d`.
+    fn sweep() -> Vec<MultiTreeScheme> {
+        let mut schemes = Vec::new();
+        for d in 2..=4usize {
+            for n in [1, d - 1, d, d + 1, d * d + d, 2 * d * d + 3, 40] {
+                for structured in [true, false] {
+                    for mode in [
+                        StreamMode::PreRecorded,
+                        StreamMode::LivePrebuffered,
+                        StreamMode::LivePipelined,
+                    ] {
+                        let f = if structured {
+                            structured_forest(n, d).unwrap()
+                        } else {
+                            greedy_forest(n, d).unwrap()
+                        };
+                        schemes.push(MultiTreeScheme::new(f, mode));
+                    }
+                }
+            }
+        }
+        schemes
+    }
+
+    #[test]
+    fn first_receipts_sit_on_their_child_index_residue() {
+        let schemes = sweep();
+        assert!(schemes.iter().any(|s| s.forest().n() < s.forest().d()));
+        assert!(schemes.iter().any(|s| s.forest().n() < s.forest().n_pad()));
+        for s in &schemes {
+            let d = s.forest().d();
+            for (k, table) in s.recv0.iter().enumerate() {
+                for pos in 1..=s.forest().n_pad() {
+                    assert_eq!(
+                        table[pos - 1] % d as u64,
+                        s.forest().child_index(pos) as u64,
+                        "{} N={} tree {k} pos {pos}",
+                        s.name(),
+                        s.forest().n()
+                    );
+                }
+            }
+        }
+    }
+
+    /// The calendar before the residue walk: every position of every tree,
+    /// kept as the reference the strided walk must reproduce.
+    fn full_scan(s: &MultiTreeScheme, t: u64, out: &mut Vec<Transmission>) {
+        let d = s.forest.d() as u64;
+        let n_real = s.forest.n() as u32;
+        for k in 0..s.forest.d() {
+            for pos in 1..=s.forest.n_pad() {
+                let node = s.forest.node_at(k, pos);
+                if node > n_real {
+                    continue;
+                }
+                let base = s.recv0[k][pos - 1];
+                if t >= base && (t - base).is_multiple_of(d) {
+                    let packet = PacketId(k as u64 + (t - base) / d * d);
+                    let parent_pos = s.forest.parent_pos(pos);
+                    let from = if parent_pos == 0 {
+                        SOURCE
+                    } else {
+                        NodeId(s.forest.node_at(k, parent_pos))
+                    };
+                    out.push(Transmission::local(from, NodeId(node), packet));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_residue_walk_emits_the_full_scan_slot_by_slot() {
+        let (mut fast, mut slow) = (Vec::new(), Vec::new());
+        for mut s in sweep() {
+            let period = s.schedule_period().unwrap();
+            for t in 0..period.warmup + 2 * period.period {
+                fast.clear();
+                slow.clear();
+                s.transmissions(Slot(t), &Probe, &mut fast);
+                full_scan(&s, t, &mut slow);
+                assert_eq!(fast, slow, "{} N={} slot {t}", s.name(), s.forest().n());
             }
         }
     }

@@ -350,6 +350,28 @@ fn the_des_recovery_golden_is_the_ledger_run() {
 }
 
 #[test]
+fn the_des_plain_golden_is_the_ledger_run() {
+    // ci.sh's des_smoke runs the ledger's des_plain command line (the
+    // queue flag aside) against a golden that is not in cases.txt: pin
+    // both halves, as for des_recovery.
+    let text = std::fs::read_to_string(ci_script()).unwrap();
+    let argv = "local des_plain=(simulate --scheme multitree --n 20000 --d 3 --track 128\n        \
+                --runtime des)";
+    assert!(text.contains(argv), "ci.sh lost the des_plain argv");
+    let golden =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/cli_golden/des_plain_n20000.txt");
+    let golden = std::fs::read_to_string(golden).expect("the des_plain golden exists");
+    // 2 753 989 transmissions + 153 slots: one queue event each.
+    for line in [
+        "engine      : des (fixed latency), wheel queue",
+        "transmissions: 2753989",
+        "des events  : 2754142",
+    ] {
+        assert!(golden.lines().any(|l| l == line), "golden lost `{line}`");
+    }
+}
+
+#[test]
 fn the_cli_error_table_is_seeded() {
     // `tests/cli_golden.rs` replays `errors.txt` line by line; an empty
     // (or comment-only) table would make that replay vacuous.

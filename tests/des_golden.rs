@@ -167,7 +167,10 @@ fn loss_plan_on_the_relaxed_path() {
 #[test]
 fn loss_plan_on_the_strict_path() {
     // No churn, no recovery: the slot-faithful regime, where a missing
-    // packet is attributed through the taint map at calendar time.
+    // packet is attributed through the taint map at calendar time. The
+    // tick pushes each transmission's `Deliver` itself, so the run pops
+    // one event per delivery and one per slot (121431 + 512); the pin
+    // dropped by exactly `sends` when the strict path lost its `Send` hop.
     let cfg = DesConfig::slot_faithful(SimConfig::with_faults(
         TRACK,
         HORIZON,
@@ -177,7 +180,7 @@ fn loss_plan_on_the_strict_path() {
         },
     ));
     assert!(cfg.is_slot_faithful());
-    assert_golden("strict + loss + crash", cfg, "DesStats { events_processed: 243374, events_scheduled: 243374, sends: 121431, deliveries: 121431, deferred_sends: 0, released_sends: 0, churn_leaves: 0, churn_joins_ignored: 0, churn_rejoins: 0, deliveries_to_departed: 0 }\n\
+    assert_golden("strict + loss + crash", cfg, "DesStats { events_processed: 121943, events_scheduled: 121943, sends: 121431, deliveries: 121431, deferred_sends: 0, released_sends: 0, churn_leaves: 0, churn_joins_ignored: 0, churn_rejoins: 0, deliveries_to_departed: 0 }\n\
          Some(ResilienceMetrics { stall_events: 6783, stall_slots: 6783, failures_detected: 0, repairs_committed: 0, recovery_latency_total_ticks: 0, recovery_latency_max_ticks: 0, displaced_total: 0, nacks_sent: 0, retransmissions: 0, repaired_packets: 0, abandoned_packets: 0, control_messages: 0 })\n\
          Some(\"lost 2502 crash 472 prop 27224 (9020 loss + 18204 crash) stopped 0 missing 6783/300\")\n\
          slots 512 delay 14/9.6500 buffer 7 peers 6 tx 121431 dup 0 arrivals 5f37d9ee6e8879ba uploads e260442d104393d6");
