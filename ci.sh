@@ -240,6 +240,12 @@ cli_flag_hygiene() {
     # built 10^8 candidates and ran a quadratic frontier over them.
     expect_error '^usage error: ' analyze --n 0
     expect_error '^usage error: ' analyze --n 10 --max-d 100000000
+    # `check --max-n 0` swept an empty lattice and reported it clean (0),
+    # and `--max-n 10^8` aborted in the allocator enumerating it (134).
+    expect_error '^usage error: --max-n must be an integer in 1..=1024$' \
+        check --exhaustive --max-n 100000000
+    expect_error '^usage error: --max-n must be an integer in 1..=1024$' \
+        check --exhaustive --max-n 0
     # `--recovery` with `--scenario` used to pass the rule book and then
     # panic in the report (101) or silently run no failure at all (0).
     expect_error '^usage error: --scenario scripts its own joins and repairs' \
@@ -259,8 +265,8 @@ corpus_replay() {
 
 model_check_exhaustive() {
     # The full bounded lattice: d ∈ {2,3,4}, N ≤ 64, both constructions,
-    # all four families, canonical fault plans, four engine columns
-    # (the timing-wheel DES included) — plus the
+    # all four families, canonical fault plans, the five engine columns
+    # of `Column::ALL` (the timing-wheel DES included) — plus the
     # recovery-repair sweep. Runs in a few seconds in release.
     cargo run -q --release --offline -p clustream-cli --bin clustream -- \
         check --exhaustive

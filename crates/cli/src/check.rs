@@ -5,6 +5,8 @@
 //! subcommand parses its own argument vector.
 
 use crate::args::{flag_list, CliError, Usage};
+use crate::commands::usize_in;
+use clustream_des::Column;
 use clustream_mc::{
     exhaustive, exhaustive_recovery, explore, replay_dir, ExploreOptions, LatticeOptions,
 };
@@ -18,6 +20,10 @@ pub const CHECK_USAGE: Usage = &[
     "[--budget <GENOMES>] [--seed <SEED>]",
     "[--corpus <DIR>] [--max-n <N>]",
 ];
+
+/// The largest `--max-n`: well past the lattice's 64 and the explorer's
+/// 192, well short of a lattice that cannot be allocated.
+const MAX_N: usize = 1024;
 
 #[derive(Debug, Default)]
 struct CheckArgs {
@@ -49,7 +55,9 @@ fn parse(argv: &[String]) -> Result<CheckArgs, CliError> {
             "--budget" => {
                 args.budget = value("budget")?
                     .parse()
-                    .map_err(|_| CliError::Usage("--budget must be a positive integer".into()))?;
+                    .ok()
+                    .filter(|&b| b > 0)
+                    .ok_or_else(|| CliError::Usage("--budget must be a positive integer".into()))?;
             }
             "--seed" => {
                 args.seed = value("seed")?
@@ -57,12 +65,7 @@ fn parse(argv: &[String]) -> Result<CheckArgs, CliError> {
                     .map_err(|_| CliError::Usage("--seed must be an integer".into()))?;
             }
             "--corpus" => args.corpus = value("corpus")?.clone(),
-            "--max-n" => {
-                args.max_n =
-                    Some(value("max-n")?.parse().map_err(|_| {
-                        CliError::Usage("--max-n must be a positive integer".into())
-                    })?);
-            }
+            "--max-n" => args.max_n = Some(usize_in("max-n", value("max-n")?, 1..=MAX_N)?),
             other => {
                 return Err(CliError::Usage(format!(
                     "unknown flag `{other}`; valid options are: {}",
@@ -93,8 +96,11 @@ pub fn check(argv: &[String]) -> Result<String, CliError> {
         let report = exhaustive(&opts);
         let _ = writeln!(
             out,
-            "exhaustive  : {} genomes × 5 engines = {} runs ({} out-of-domain points skipped)",
-            report.genomes, report.runs, report.skipped
+            "exhaustive  : {} genomes × {} engines = {} runs ({} out-of-domain points skipped)",
+            report.genomes,
+            Column::ALL.len(),
+            report.runs,
+            report.skipped
         );
         let recovery = exhaustive_recovery(&opts);
         let _ = writeln!(

@@ -317,7 +317,11 @@ pub fn analyze(args: &ArgMap) -> Result<String, CliError> {
 
 /// `--key`'s value `v` as an integer in `range`, else a usage error
 /// naming the range.
-fn usize_in(key: &str, v: &str, range: RangeInclusive<usize>) -> Result<usize, CliError> {
+pub(crate) fn usize_in(
+    key: &str,
+    v: &str,
+    range: RangeInclusive<usize>,
+) -> Result<usize, CliError> {
     v.parse().ok().filter(|v| range.contains(v)).ok_or_else(|| {
         let (lo, hi) = range.into_inner();
         CliError::Usage(format!("--{key} must be an integer in {lo}..={hi}"))

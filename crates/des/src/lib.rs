@@ -33,7 +33,8 @@
 //! slot boundary and the DES replicates the slot engines' semantics
 //! *exactly* — same validation order, same RNG draw order, same
 //! [`clustream_sim::RunResult`] field for field, same rendered errors.
-//! [`DesOracle`] enforces this continuously (property-based suite in
+//! [`agree`] over a [`Column::Des`] and the fast [`Column`] enforces
+//! this continuously (property-based suite in
 //! `tests/des_differential.rs`, smoke run in `ci.sh`, CLI runtime
 //! `des-checked`), which is what licenses trusting the *relaxed* results:
 //! any delay/buffer inflation measured under jitter or contention is
@@ -57,7 +58,7 @@ pub use config::{DesConfig, QueueKind};
 pub use engine::{DesEngine, DesStats};
 pub use event::{Event, EventKind, EventQueue, HeapQueue, TICKS_PER_SLOT};
 pub use latency::LatencyModel;
-pub use oracle::DesOracle;
+pub use oracle::{agree, disagreement, Column};
 pub use replay::RecordedLatencies;
 pub use uplink::{UplinkGate, UplinkModel};
 pub use wheel::{CheckedQueue, WheelQueue};

@@ -1,136 +1,134 @@
-//! Differential oracle: DES (slot-faithful) vs the fast slot engine.
+//! The differential oracle: one vocabulary for every engine column.
 //!
-//! The same contract [`clustream_sim::DiffHarness`] enforces between the
-//! two slot engines, extended to the third: in the degenerate
-//! configuration ([`DesConfig::slot_faithful`]) a DES run must reproduce
-//! the fast engine's [`RunResult`] **field for field**, or fail with an
-//! identically-rendered error. `tests/des_differential.rs` drives this
-//! over all four scheme families; the CLI's `--runtime des-checked` and
-//! `ci.sh` run it on every gate.
+//! The reference, fast and mega slot engines and the DES in its
+//! degenerate configuration ([`DesConfig::slot_faithful`]) promise the
+//! same [`RunResult`] **field for field**, or the identically-rendered
+//! error. A [`Column`] names one of them; [`agree`] runs a fresh scheme
+//! through each of a set of columns and diffs every outcome against the
+//! first, and [`disagreement`] is that diff for one pair. `--engine
+//! checked`, `--runtime des-checked`, the model checker (`clustream_mc`)
+//! and the differential suites (`tests/differential.rs`,
+//! `tests/des_differential.rs`) all go through these two functions.
 
 use crate::config::{DesConfig, QueueKind};
 use crate::engine::DesEngine;
-use clustream_core::Scheme;
-use clustream_sim::{diff_fields, FastEngine, RunResult, SimConfig};
+use clustream_core::{CoreError, Scheme};
+use clustream_sim::{diff_fields, FastSimulator, MegaSimulator, RunResult, SimConfig, Simulator};
 
-/// The DES-vs-slot differential harness. Stateless; see
-/// [`DesOracle::check`].
-pub struct DesOracle;
+/// One engine column of the oracle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Column {
+    /// The readable reference slot simulator.
+    Reference,
+    /// The fast slot engine.
+    Fast,
+    /// The single-shard mega slot engine.
+    Mega,
+    /// The DES in its slot-faithful configuration, on this event queue.
+    Des(QueueKind),
+}
 
-impl DesOracle {
-    /// Run one fresh scheme from `factory` through the fast slot engine
-    /// and through the DES in slot-faithful mode, demanding identical
-    /// outcomes.
-    ///
-    /// * Both succeed with equal results → `Ok(result)`.
-    /// * Both fail with identically-rendered errors → `Err(None)`.
-    /// * Any divergence → `Err(Some(description))`.
-    #[allow(clippy::type_complexity)]
-    pub fn check<F>(factory: F, cfg: &SimConfig) -> Result<RunResult, Option<String>>
-    where
-        F: FnMut() -> Box<dyn Scheme>,
-    {
-        Self::check_with_queue(factory, cfg, QueueKind::Heap)
-    }
+impl Column {
+    /// The model checker's five columns, in the order it runs them.
+    pub const ALL: [Column; 5] = [
+        Column::Reference,
+        Column::Fast,
+        Column::Mega,
+        Column::Des(QueueKind::Heap),
+        Column::Des(QueueKind::Wheel),
+    ];
 
-    /// [`DesOracle::check`] with an explicit event-queue choice for the
-    /// DES side. `QueueKind::Checked` composes both oracles in one run:
-    /// the queue lockstep asserts wheel ≡ heap pop for pop, and the field
-    /// diff asserts DES ≡ slot engine — which is how the differential
-    /// suite covers the wheel without running every scheme twice.
-    #[allow(clippy::type_complexity)]
-    pub fn check_with_queue<F>(
-        mut factory: F,
-        cfg: &SimConfig,
-        queue: QueueKind,
-    ) -> Result<RunResult, Option<String>>
-    where
-        F: FnMut() -> Box<dyn Scheme>,
-    {
-        // Strip telemetry from the oracle-side run: a checked run should
-        // record its metrics once, not once per engine.
-        let slot = FastEngine::new().run(factory().as_mut(), &cfg.without_telemetry());
-        let des = DesEngine::new().run(
-            factory().as_mut(),
-            &DesConfig::slot_faithful(cfg.clone()).with_queue(queue),
-        );
-        match (slot, des) {
-            (Ok(s), Ok(d)) => {
-                let diffs = diff_fields(&s, &d);
-                if diffs.is_empty() {
-                    Ok(d)
-                } else {
-                    Err(Some(format!(
-                        "slot and DES engines diverge on {} fields {:?} for scheme {} \
-                         (slots {} vs {}, delay {} vs {}, buffer {} vs {})",
-                        diffs.len(),
-                        diffs,
-                        s.scheme,
-                        s.slots_run,
-                        d.slots_run,
-                        s.qos.max_delay(),
-                        d.qos.max_delay(),
-                        s.qos.max_buffer(),
-                        d.qos.max_buffer(),
-                    )))
-                }
-            }
-            (Err(se), Err(de)) => {
-                let (ss, ds) = (se.to_string(), de.to_string());
-                if ss == ds {
-                    Err(None)
-                } else {
-                    Err(Some(format!(
-                        "engines fail differently: slot `{ss}` vs DES `{ds}`"
-                    )))
-                }
-            }
-            (Ok(s), Err(de)) => Err(Some(format!(
-                "slot engine succeeds ({}) but DES errors: {de}",
-                s.scheme
-            ))),
-            (Err(se), Ok(d)) => Err(Some(format!(
-                "DES succeeds ({}) but slot engine errors: {se}",
-                d.scheme
-            ))),
+    /// Stable label, as violations and divergences name the column.
+    pub fn label(self) -> &'static str {
+        match self {
+            Column::Reference => "reference",
+            Column::Fast => "fast",
+            Column::Mega => "mega",
+            Column::Des(QueueKind::Heap) => "des",
+            Column::Des(QueueKind::Wheel) => "des-wheel",
+            Column::Des(QueueKind::Checked) => "des-checked",
         }
     }
 
-    /// Like [`DesOracle::check`] but panics on divergence: the assertion
-    /// form used by tests and the CLI's checked runtime.
-    pub fn run_checked<F>(factory: F, cfg: &SimConfig) -> Result<RunResult, String>
-    where
-        F: FnMut() -> Box<dyn Scheme>,
-    {
-        Self::run_checked_with_queue(factory, cfg, QueueKind::Heap)
-    }
-
-    /// [`DesOracle::run_checked`] with an explicit event-queue choice
-    /// (`--runtime des-checked --queue …` on the CLI).
-    pub fn run_checked_with_queue<F>(
-        factory: F,
-        cfg: &SimConfig,
-        queue: QueueKind,
-    ) -> Result<RunResult, String>
-    where
-        F: FnMut() -> Box<dyn Scheme>,
-    {
-        match Self::check_with_queue(factory, cfg, queue) {
-            Ok(r) => Ok(r),
-            Err(None) => Err("both engines failed identically".into()),
-            Err(Some(divergence)) => panic!("DES differential oracle: {divergence}"),
+    /// Run `scheme` under `cfg` on this column's engine.
+    pub fn run(self, scheme: &mut dyn Scheme, cfg: &SimConfig) -> Result<RunResult, CoreError> {
+        match self {
+            Column::Reference => Simulator::run(scheme, cfg),
+            Column::Fast => FastSimulator::run(scheme, cfg),
+            Column::Mega => MegaSimulator::run(scheme, cfg),
+            Column::Des(queue) => DesEngine::new().run(
+                scheme,
+                &DesConfig::slot_faithful(cfg.clone()).with_queue(queue),
+            ),
         }
     }
+}
+
+/// How the outcomes of two columns differ, or `None` when they agree:
+/// equal results, or errors that render identically.
+pub fn disagreement(
+    (a, ra): (Column, &Result<RunResult, CoreError>),
+    (b, rb): (Column, &Result<RunResult, CoreError>),
+) -> Option<String> {
+    let (a, b) = (a.label(), b.label());
+    match (ra, rb) {
+        (Ok(x), Ok(y)) => {
+            let diffs = diff_fields(x, y);
+            (!diffs.is_empty()).then(|| {
+                format!(
+                    "{a} and {b} diverge on {} for scheme {}",
+                    diffs.join(", "),
+                    x.scheme
+                )
+            })
+        }
+        (Err(x), Err(y)) => {
+            let (x, y) = (x.to_string(), y.to_string());
+            (x != y).then(|| format!("{a} and {b} fail differently: `{x}` vs `{y}`"))
+        }
+        (Ok(x), Err(e)) => Some(format!("{a} succeeds ({}) but {b} errors: {e}", x.scheme)),
+        (Err(e), Ok(y)) => Some(format!("{b} succeeds ({}) but {a} errors: {e}", y.scheme)),
+    }
+}
+
+/// Run one fresh scheme from `factory` on each of `columns` and demand
+/// one outcome. Only `columns[0]` records `cfg`'s telemetry (a checked
+/// run records its metrics once, not once per engine); every other
+/// column runs without it and is diffed against the first.
+///
+/// `Err(description)` on the first divergence; otherwise the shared
+/// outcome — the first column's result, or the error every column
+/// rendered identically.
+pub fn agree(
+    columns: &[Column],
+    mut factory: impl FnMut() -> Box<dyn Scheme>,
+    cfg: &SimConfig,
+) -> Result<Result<RunResult, CoreError>, String> {
+    let (&first, rest) = columns.split_first().expect("agree needs a column");
+    let base = first.run(factory().as_mut(), cfg);
+    let quiet = cfg.without_telemetry();
+    for &column in rest {
+        let other = column.run(factory().as_mut(), &quiet);
+        if let Some(d) = disagreement((first, &base), (column, &other)) {
+            return Err(d);
+        }
+    }
+    Ok(base)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use clustream_core::{NodeId, PacketId, Slot, StateView, Transmission, SOURCE};
+    use clustream_sim::FaultPlan;
+    use clustream_telemetry::names as tm;
+    use clustream_telemetry::MemoryRecorder;
 
+    /// Chain scheme: S → 1 → … → N.
     struct Chain {
         n: usize,
     }
+
     impl Scheme for Chain {
         fn name(&self) -> String {
             format!("chain({})", self.n)
@@ -153,49 +151,117 @@ mod tests {
         }
     }
 
-    #[test]
-    fn chain_clean_runs_agree() {
-        let r = DesOracle::check(
-            || Box::new(Chain { n: 6 }),
-            &SimConfig::until_complete(16, 200),
-        )
-        .expect("engines must agree");
-        assert_eq!(r.qos.max_delay(), 6);
+    /// The column sets the callers run: `--engine checked`, `--runtime
+    /// des-checked` on every queue, and the model checker's five.
+    fn column_sets() -> Vec<Vec<Column>> {
+        let mut sets = vec![
+            vec![Column::Fast, Column::Reference, Column::Mega],
+            Column::ALL.to_vec(),
+        ];
+        for queue in [QueueKind::Heap, QueueKind::Wheel, QueueKind::Checked] {
+            sets.push(vec![Column::Des(queue), Column::Fast]);
+        }
+        sets
     }
 
+    type Expect = fn(&Result<RunResult, CoreError>);
+
     #[test]
-    fn every_queue_kind_passes_the_oracle() {
-        let cfg = SimConfig::with_faults(24, 80, clustream_sim::FaultPlan::loss(0.25, 42));
-        for queue in [QueueKind::Heap, QueueKind::Wheel, QueueKind::Checked] {
-            let r = DesOracle::check_with_queue(|| Box::new(Chain { n: 6 }), &cfg, queue)
-                .unwrap_or_else(|d| panic!("{queue:?}: {d:?}"));
-            assert!(r.loss.as_ref().unwrap().lost_in_flight > 0);
+    fn every_column_set_agrees_on_the_chain() {
+        let rows: [(&str, usize, SimConfig, Expect); 4] = [
+            ("clean", 6, SimConfig::until_complete(16, 200), |r| {
+                assert_eq!(r.as_ref().unwrap().qos.max_delay(), 6)
+            }),
+            (
+                "traced",
+                4,
+                SimConfig::until_complete(10, 200).traced(),
+                |r| {
+                    let r = r.as_ref().unwrap();
+                    assert_eq!(
+                        r.trace.as_ref().unwrap().events.len() as u64,
+                        r.total_transmissions
+                    );
+                },
+            ),
+            (
+                "lossy",
+                6,
+                SimConfig::with_faults(24, 80, FaultPlan::loss(0.25, 42)),
+                |r| assert!(r.as_ref().unwrap().loss.as_ref().unwrap().lost_in_flight > 0),
+            ),
+            // A horizon far too short: every column reports the same
+            // hiccup, which is agreement, not a divergence.
+            (
+                "identical errors",
+                5,
+                SimConfig {
+                    max_slots: 2,
+                    track_packets: 4,
+                    ..SimConfig::default()
+                },
+                |r| assert!(r.is_err(), "{r:?}"),
+            ),
+        ];
+        for columns in column_sets() {
+            for (case, n, cfg, expect) in &rows {
+                let outcome = agree(&columns, || Box::new(Chain { n: *n }), cfg)
+                    .unwrap_or_else(|d| panic!("{case} on {columns:?}: {d}"));
+                expect(&outcome);
+            }
         }
     }
 
     #[test]
-    fn chain_traced_and_lossy_runs_agree() {
-        let cfg = SimConfig::until_complete(10, 200).traced();
-        let r = DesOracle::check(|| Box::new(Chain { n: 4 }), &cfg).expect("engines must agree");
-        assert_eq!(
-            r.trace.as_ref().unwrap().events.len() as u64,
-            r.total_transmissions
-        );
-        let cfg = SimConfig::with_faults(24, 80, clustream_sim::FaultPlan::loss(0.25, 42));
-        let r = DesOracle::check(|| Box::new(Chain { n: 6 }), &cfg).expect("engines must agree");
-        assert!(r.loss.as_ref().unwrap().lost_in_flight > 0);
+    fn only_the_first_column_records_telemetry() {
+        for columns in column_sets() {
+            let (recorder, tel) = MemoryRecorder::handle();
+            let cfg = SimConfig::until_complete(16, 200).with_telemetry(tel);
+            agree(&columns, || Box::new(Chain { n: 6 }), &cfg)
+                .unwrap()
+                .unwrap();
+            let snap = recorder.snapshot();
+            let runs = |name| snap.spans.get(name).map_or(0, |s| s.count);
+            let expected = match columns[0] {
+                Column::Des(_) => (0, 1),
+                _ => (1, 0),
+            };
+            assert_eq!(
+                (runs(tm::ENGINE_RUN), runs(tm::DES_RUN)),
+                expected,
+                "{columns:?}"
+            );
+        }
     }
 
     #[test]
-    fn identical_errors_are_not_a_divergence() {
-        let cfg = SimConfig {
+    fn disagreement_covers_every_arm() {
+        let cfg = SimConfig::until_complete(8, 100);
+        let ok = Simulator::run(&mut Chain { n: 3 }, &cfg);
+        let mut mutated = ok.clone();
+        mutated.as_mut().unwrap().total_transmissions += 1;
+        let short = SimConfig {
             max_slots: 2,
-            track_packets: 4,
-            ..SimConfig::default()
+            ..cfg.clone()
         };
-        match DesOracle::check(|| Box::new(Chain { n: 5 }), &cfg) {
-            Err(None) => {}
-            other => panic!("expected identical failures, got {other:?}"),
+        let err = Simulator::run(&mut Chain { n: 3 }, &short);
+        let other_err = Err(CoreError::InvalidConfig("elsewhere".into()));
+        let (fast, mega) = (Column::Fast, Column::Mega);
+
+        assert_eq!(disagreement((fast, &ok), (mega, &ok)), None);
+        assert_eq!(disagreement((fast, &err), (mega, &err)), None);
+        for (a, b, expected) in [
+            (
+                &ok,
+                &mutated,
+                "fast and mega diverge on total_transmissions for scheme chain(3)",
+            ),
+            (&err, &other_err, "fast and mega fail differently: `"),
+            (&ok, &err, "fast succeeds (chain(3)) but mega errors: "),
+            (&err, &ok, "mega succeeds (chain(3)) but fast errors: "),
+        ] {
+            let d = disagreement((fast, a), (mega, b)).expect("a divergence");
+            assert!(d.starts_with(expected), "{d}");
         }
     }
 }

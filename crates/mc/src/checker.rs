@@ -1,22 +1,10 @@
-//! Running one genome through the engines and the invariant registry.
+//! Running one genome through the engine columns and the invariant
+//! registry.
 
 use crate::genome::Genome;
-use crate::invariant::{bounds_for, check_result, violation_from_error, Bounds, Violation};
-use clustream_core::CoreError;
-use clustream_des::{DesConfig, DesEngine, QueueKind};
-use clustream_sim::{diff_fields, FastSimulator, MegaSimulator, RunResult, Simulator};
+use crate::invariant::{bounds_for, check_result, violation_from_error, Violation};
+use clustream_des::{disagreement, Column};
 use clustream_telemetry::Telemetry;
-
-/// Which engines a check runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Engines {
-    /// Fast engine only (the explorer's and shrinker's inner loop).
-    FastOnly,
-    /// Reference, fast, mega, and slot-faithful DES — the latter twice,
-    /// on the heap and timing-wheel event queues — plus cross-engine
-    /// field-equality (the exhaustive driver and corpus replay).
-    All,
-}
 
 /// Outcome of checking one genome.
 #[derive(Debug, Clone)]
@@ -45,96 +33,48 @@ impl CheckReport {
     }
 }
 
-fn run_one(
-    g: &Genome,
-    bounds: &Bounds,
-    engine: &str,
-    telemetry: Option<&Telemetry>,
-) -> Result<Result<RunResult, CoreError>, CoreError> {
-    let mut scheme = g.build_scheme()?;
-    let mut cfg = g.sim_config(bounds.delay);
-    if let Some(tel) = telemetry {
-        cfg = cfg.with_telemetry(tel.clone());
-    }
-    Ok(match engine {
-        "reference" => Simulator::run(&mut *scheme, &cfg),
-        "fast" => FastSimulator::run(&mut *scheme, &cfg),
-        "mega" => MegaSimulator::run(&mut *scheme, &cfg),
-        "des" => DesEngine::new().run(&mut *scheme, &DesConfig::slot_faithful(cfg)),
-        "des-wheel" => DesEngine::new().run(
-            &mut *scheme,
-            &DesConfig::slot_faithful(cfg).with_queue(QueueKind::Wheel),
-        ),
-        other => unreachable!("unknown engine label {other}"),
-    })
-}
-
-/// Check `g` on the selected engines, optionally recording telemetry
-/// (fast engine only — the coverage signature source).
+/// Check `g` on each of `columns`, optionally recording telemetry on
+/// the first (the explorer's coverage signature source), then diff
+/// every column's outcome against the first's.
 pub fn check_genome_with(
     g: &Genome,
-    engines: Engines,
+    columns: &[Column],
     telemetry: Option<&Telemetry>,
 ) -> CheckReport {
-    let bounds = match bounds_for(g) {
-        Ok(b) => b,
-        Err(_) => {
-            return CheckReport {
-                violations: Vec::new(),
-                skipped: true,
-                runs: 0,
-            }
-        }
+    // Outside the scheme family's domain: not a violation.
+    let skipped = CheckReport {
+        violations: Vec::new(),
+        skipped: true,
+        runs: 0,
     };
-    let labels: &[&str] = match engines {
-        Engines::FastOnly => &["fast"],
-        Engines::All => &["reference", "fast", "mega", "des", "des-wheel"],
+    let Ok(bounds) = bounds_for(g) else {
+        return skipped;
     };
     let mut violations = Vec::new();
-    let mut outcomes: Vec<(&str, Result<RunResult, CoreError>)> = Vec::new();
-    let mut runs = 0;
-    for label in labels {
-        let tel = (*label == "fast").then_some(telemetry).flatten();
-        match run_one(g, &bounds, label, tel) {
-            Ok(outcome) => {
-                runs += 1;
-                match &outcome {
-                    Ok(result) => violations.extend(check_result(g, &bounds, label, result)),
-                    Err(e) => violations.push(violation_from_error(e, label)),
-                }
-                outcomes.push((label, outcome));
-            }
-            Err(_) => {
-                // Build failure: outside the family's domain.
-                return CheckReport {
-                    violations: Vec::new(),
-                    skipped: true,
-                    runs,
-                };
-            }
+    let mut outcomes = Vec::new();
+    for (i, &column) in columns.iter().enumerate() {
+        let Ok(mut scheme) = g.build_scheme() else {
+            return skipped;
+        };
+        let mut cfg = g.sim_config(bounds.delay);
+        if let Some(tel) = telemetry.filter(|_| i == 0) {
+            cfg = cfg.with_telemetry(tel.clone());
         }
+        let outcome = column.run(&mut *scheme, &cfg);
+        match &outcome {
+            Ok(result) => violations.extend(check_result(g, &bounds, column.label(), result)),
+            Err(e) => violations.push(violation_from_error(e, column.label())),
+        }
+        outcomes.push((column, outcome));
     }
-    // Cross-engine agreement: every engine must produce the identical
+    // Cross-engine agreement: every column must produce the identical
     // RunResult (or fail with the identical error).
-    if outcomes.len() > 1 {
-        let (base_label, base) = &outcomes[0];
-        for (label, other) in &outcomes[1..] {
-            let detail = match (base, other) {
-                (Ok(a), Ok(b)) => {
-                    let diffs = diff_fields(a, b);
-                    (!diffs.is_empty()).then(|| format!("fields differ: {}", diffs.join(", ")))
-                }
-                (Err(a), Err(b)) => {
-                    let (a, b) = (a.to_string(), b.to_string());
-                    (a != b).then(|| format!("errors differ: `{a}` vs `{b}`"))
-                }
-                (Ok(_), Err(e)) => Some(format!("{base_label} succeeded, {label} failed: {e}")),
-                (Err(e), Ok(_)) => Some(format!("{base_label} failed ({e}), {label} succeeded")),
-            };
-            if let Some(detail) = detail {
+    if let Some(((base, first), rest)) = outcomes.split_first() {
+        for (column, other) in rest {
+            if let Some(detail) = disagreement((*base, first), (*column, other)) {
                 violations.push(Violation {
                     invariant: "EngineAgreement".to_string(),
-                    engine: format!("{base_label}≡{label}"),
+                    engine: format!("{}≡{}", base.label(), column.label()),
                     detail,
                 });
             }
@@ -143,19 +83,19 @@ pub fn check_genome_with(
     CheckReport {
         violations,
         skipped: false,
-        runs,
+        runs: outcomes.len(),
     }
 }
 
-/// Check `g` on all five engine columns (reference, fast, mega,
+/// Check `g` on every [`Column::ALL`] column (reference, fast, mega,
 /// heap-DES, wheel-DES) with cross-engine agreement.
 pub fn check_genome(g: &Genome) -> CheckReport {
-    check_genome_with(g, Engines::All, None)
+    check_genome_with(g, &Column::ALL, None)
 }
 
 /// Check `g` on the fast engine only.
 pub fn check_genome_fast(g: &Genome) -> CheckReport {
-    check_genome_with(g, Engines::FastOnly, None)
+    check_genome_with(g, &[Column::Fast], None)
 }
 
 #[cfg(test)]
@@ -170,7 +110,7 @@ mod tests {
             let g = Genome::clean(family, 13, 2, ConstructionChoice::Greedy);
             let rep = check_genome(&g);
             assert!(!rep.skipped, "{family:?} skipped");
-            assert_eq!(rep.runs, 5, "reference, fast, mega, des, des-wheel");
+            assert_eq!(rep.runs, Column::ALL.len());
             assert!(
                 rep.violations.is_empty(),
                 "{family:?}: {:?}",

@@ -2,9 +2,11 @@
 //!
 //! Every counterexample the explorer ever shrank (plus hand-written
 //! regression pins) lives in `tests/corpus/*.jsonl`, one entry per line.
-//! `cargo test` replays the whole corpus on every run — reference, fast,
-//! heap-DES and wheel-DES engines with cross-engine agreement — so a bug
+//! `cargo test` replays the whole corpus on every run — every
+//! [`Column::ALL`] engine column with cross-engine agreement — so a bug
 //! caught once stays caught forever.
+//!
+//! [`Column::ALL`]: clustream_des::Column::ALL
 
 use crate::checker::check_genome;
 use crate::genome::Genome;

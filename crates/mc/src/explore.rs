@@ -10,10 +10,11 @@
 //! mutation frontier; violating genomes are shrunk to minimal
 //! counterexamples (see [`mod@crate::shrink`]) for the repro corpus.
 
-use crate::checker::{check_genome_with, Engines};
+use crate::checker::{check_genome_fast, check_genome_with};
 use crate::genome::{ConstructionChoice, Family, Genome, ModeChoice};
 use crate::shrink::shrink;
 use clustream_core::NodeId;
+use clustream_des::Column;
 use clustream_sim::FaultPlan;
 use clustream_telemetry::{MemoryRecorder, MetricsSnapshot};
 use rand::{Rng, SeedableRng};
@@ -160,16 +161,14 @@ pub fn explore(opts: &ExploreOptions) -> ExploreReport {
         let child = mutate(parent, &mut rng, opts.max_n);
         report.executed += 1;
         let (rec, tel) = MemoryRecorder::handle();
-        let rep = check_genome_with(&child, Engines::FastOnly, Some(&tel));
+        let rep = check_genome_with(&child, &[Column::Fast], Some(&tel));
         if rep.skipped {
             report.skipped += 1;
             continue;
         }
         if let Some(v) = rep.violations.first() {
             let invariant = v.invariant.clone();
-            let shrunk = shrink(&child, |g| {
-                check_genome_with(g, Engines::FastOnly, None).violates(Some(&invariant))
-            });
+            let shrunk = shrink(&child, |g| check_genome_fast(g).violates(Some(&invariant)));
             report.counterexamples.push(Counterexample {
                 found: child.clone(),
                 shrunk,

@@ -3,16 +3,19 @@
 //! Enumerates *every* genome in a bounded lattice — all `d ∈ {2,3,4}`,
 //! `N ≤ 64`, both constructions, all four scheme families, and a small
 //! canonical set of crash/loss plans — and checks the full invariant
-//! registry on the reference, fast, mega, heap-DES and wheel-DES
-//! engines, including cross-engine field equality. Degree is skipped for the chain (which ignores it) and
-//! construction for everything but the multi-tree, so no configuration is
-//! checked twice.
+//! registry on every [`Column::ALL`] engine column (reference, fast,
+//! mega, heap-DES and wheel-DES), including cross-engine field equality
+//! ([`clustream_des::disagreement`]). Degree is skipped for the chain
+//! (which ignores it) and construction for everything but the
+//! multi-tree, so no configuration is checked twice.
 //!
 //! A companion driver sweeps the recovery layer: canonical membership
 //! event sequences against [`DynamicMultiTree`], checking that every
 //! repair preserves the interior-disjoint forest shape, keeps surviving
 //! ids stable, and displaces at most `d²` nodes per incremental op — and
 //! that the same sequence fed as a script builds the same forest.
+//!
+//! [`Column::ALL`]: clustream_des::Column::ALL
 
 use crate::checker::check_genome;
 use crate::genome::{ConstructionChoice, Family, Genome};
@@ -49,7 +52,7 @@ impl Default for LatticeOptions {
 pub struct LatticeReport {
     /// Genomes enumerated (excluding skipped out-of-domain points).
     pub genomes: usize,
-    /// Engine runs executed (5 per genome).
+    /// Engine runs executed (one per `Column::ALL` column per genome).
     pub runs: usize,
     /// Out-of-domain lattice points (scheme not buildable there).
     pub skipped: usize,
@@ -310,6 +313,7 @@ pub fn exhaustive_recovery(opts: &LatticeOptions) -> RecoveryReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clustream_des::Column;
 
     #[test]
     fn enumeration_covers_every_axis_once() {
@@ -347,7 +351,7 @@ mod tests {
                 .collect::<Vec<_>>()
         );
         assert!(report.genomes > 0);
-        assert_eq!(report.runs, 5 * report.genomes);
+        assert_eq!(report.runs, Column::ALL.len() * report.genomes);
     }
 
     #[test]

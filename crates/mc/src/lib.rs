@@ -10,8 +10,8 @@
 //!   (plus recovery-layer invariants in [`lattice`]);
 //! - an **exhaustive small-world driver** ([`lattice`]): every genome in
 //!   a bounded lattice (`d ∈ {2,3,4}`, `N ≤ 64`, both constructions,
-//!   all four families, canonical fault plans) through the reference,
-//!   fast and DES engines with cross-engine agreement;
+//!   all four families, canonical fault plans) through every
+//!   [`Column::ALL`] engine column with cross-engine agreement;
 //! - a **coverage-guided explorer** ([`mod@explore`]): seeded genome
 //!   mutation, telemetry-shape novelty, and automatic
 //!   [`shrink`](mod@shrink)ing of violations to 1-minimal
@@ -19,6 +19,7 @@
 //!   by `cargo test`.
 //!
 //! [`RunResult`]: clustream_sim::RunResult
+//! [`Column::ALL`]: clustream_des::Column::ALL
 
 #![warn(missing_docs)]
 
@@ -31,7 +32,7 @@ pub mod lattice;
 pub mod sabotage;
 pub mod shrink;
 
-pub use checker::{check_genome, check_genome_fast, check_genome_with, CheckReport, Engines};
+pub use checker::{check_genome, check_genome_fast, check_genome_with, CheckReport};
 pub use corpus::{load_dir, replay_dir, CorpusEntry, ReplayReport};
 pub use explore::{coverage_signature, explore, Counterexample, ExploreOptions, ExploreReport};
 pub use genome::{ConstructionChoice, Family, Genome, ModeChoice};

@@ -5,11 +5,11 @@ use crate::args::{ArgMap, CliError, Usage};
 use crate::scheme::{Family, SchemeSpec, SCHEME_USAGE};
 use clustream_core::{CoreError, NodeId, PacketId, Scheme};
 use clustream_des::{
-    CapacityClassPlan, DesConfig, DesEngine, DesOracle, DesStats, LatencyModel, QueueKind,
+    agree, CapacityClassPlan, Column, DesConfig, DesEngine, DesStats, LatencyModel, QueueKind,
     UplinkModel,
 };
 use clustream_recovery::{DynamicMultiTree, RecoveryConfig, RecoveryMode};
-use clustream_sim::{DiffHarness, FastSimulator, MegaSimulator, RunResult, SimConfig, Simulator};
+use clustream_sim::{FastSimulator, MegaSimulator, RunResult, SimConfig, Simulator};
 use clustream_telemetry::Telemetry;
 use clustream_workloads::{ChurnTrace, ChurnTraceConfig, NodeTimeline, ScenarioPlan};
 
@@ -389,9 +389,16 @@ impl RunPlan {
     /// per engine that consumes one.
     pub fn run(&self, telemetry: &Telemetry) -> Result<Outcome, CliError> {
         let mut scheme = self.build_scheme()?;
-        let what = match (self.runtime, self.engine) {
-            (Runtime::Slot, Engine::Checked) => "differential check",
-            (Runtime::DesChecked, _) => "slot/DES differential check",
+        // The first column records the telemetry and is the one reported.
+        let (what, columns): (_, &[Column]) = match (self.runtime, self.engine) {
+            (Runtime::Slot, Engine::Checked) => (
+                "differential check",
+                &[Column::Fast, Column::Reference, Column::Mega],
+            ),
+            (Runtime::DesChecked, _) => (
+                "slot/DES differential check",
+                &[Column::Des(self.queue.unwrap_or_default()), Column::Fast],
+            ),
             _ => return self.run_scheme(scheme.as_mut(), telemetry),
         };
         // The checked modes take one fresh instance per engine: the one
@@ -404,18 +411,9 @@ impl RunPlan {
                     .expect("this plan built a scheme a moment ago")
             })
         };
-        let checked = match self.runtime {
-            Runtime::Slot => DiffHarness::check(factory, &cfg),
-            _ => DesOracle::check_with_queue(factory, &cfg, self.queue.unwrap_or_default()),
-        };
-        match checked {
-            Ok(r) => Ok((self.label(), r, None)),
-            Err(Some(divergence)) => Err(CliError::Model(format!("{what} failed: {divergence}"))),
-            // Every engine rejected the run identically: re-run the
-            // reference engine to surface the model error itself.
-            Err(None) => Err(Simulator::run(self.build_scheme()?.as_mut(), &cfg)
-                .expect_err("all engines failed")
-                .into()),
+        match agree(columns, factory, &cfg) {
+            Ok(r) => Ok((self.label(), r?, None)),
+            Err(divergence) => Err(CliError::Model(format!("{what} failed: {divergence}"))),
         }
     }
 

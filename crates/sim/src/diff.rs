@@ -1,29 +1,16 @@
-//! Differential-testing oracle: reference engine vs fast and mega
-//! engines.
+//! Field-by-field comparison of two [`RunResult`]s.
 //!
 //! [`crate::FastEngine`] and [`crate::MegaEngine`] promise
-//! *bit-identical* results to [`crate::Simulator`]. This module holds
-//! all three engines to that contract: run the same scheme under the
-//! same configuration through each, then compare the outcomes **field
-//! by field** — arrivals, QoS, traffic statistics, loss reports,
-//! traces, everything on [`RunResult`] — or, for failing runs, compare
-//! the rendered errors.
-//!
-//! Schemes are stateful (they mutate as slots advance), so the harness
-//! takes a *factory* and builds one fresh scheme instance per engine.
-//!
-//! Used three ways:
-//!
-//! * as the oracle inside the property-based differential suite
-//!   (`tests/differential.rs` at the workspace root);
-//! * as a `#[cfg(debug_assertions)]` cross-check inside the experiment
-//!   binaries (debug builds re-validate every fast-engine result);
-//! * ad hoc, when debugging a divergence.
+//! *bit-identical* results to [`crate::Simulator`], and so does the
+//! DES in its slot-faithful configuration. [`diff_fields`] names every
+//! field on which two results differ — arrivals, QoS, traffic
+//! statistics, loss reports, traces, everything on [`RunResult`]. The
+//! differential oracle that runs the engines side by side
+//! (`clustream_des::oracle`: `Column` and `agree`) and the
+//! `debug_assertions` cross-check in the experiment binaries both diff
+//! through it.
 
-use crate::engine::{RunResult, SimConfig, Simulator};
-use crate::fast::FastEngine;
-use crate::mega::MegaEngine;
-use clustream_core::Scheme;
+use crate::engine::RunResult;
 
 /// Names of [`RunResult`] fields that differ between two results.
 /// Empty iff the results are identical.
@@ -62,96 +49,11 @@ pub fn diff_fields(reference: &RunResult, fast: &RunResult) -> Vec<&'static str>
     d
 }
 
-/// The differential harness. Stateless; see [`DiffHarness::check`].
-pub struct DiffHarness;
-
-impl DiffHarness {
-    /// Run one fresh scheme from `factory` through each engine
-    /// (reference, fast, and single-shard mega) and demand identical
-    /// outcomes.
-    ///
-    /// * All succeed with equal results → `Ok(result)`.
-    /// * All fail with identically-rendered errors → `Ok` is not
-    ///   possible, so the divergence-free failure is reported as
-    ///   `Err(None)`.
-    /// * Any divergence → `Err(Some(description))`.
-    #[allow(clippy::type_complexity)]
-    pub fn check<F>(mut factory: F, cfg: &SimConfig) -> Result<RunResult, Option<String>>
-    where
-        F: FnMut() -> Box<dyn Scheme>,
-    {
-        // Strip telemetry from the oracle-side runs: a checked run
-        // should record its metrics once, not once per engine.
-        let reference = Simulator::run(factory().as_mut(), &cfg.without_telemetry());
-        let fast = FastEngine::new().run(factory().as_mut(), cfg);
-        let mega = MegaEngine::new().run(factory().as_mut(), &cfg.without_telemetry());
-        for (label, candidate) in [("fast", &fast), ("mega", &mega)] {
-            match (&reference, candidate) {
-                (Ok(r), Ok(c)) => {
-                    let diffs = diff_fields(r, c);
-                    if !diffs.is_empty() {
-                        return Err(Some(format!(
-                            "reference and {label} diverge on {} fields {:?} for scheme {} \
-                             (slots {} vs {}, delay {} vs {}, buffer {} vs {})",
-                            diffs.len(),
-                            diffs,
-                            r.scheme,
-                            r.slots_run,
-                            c.slots_run,
-                            r.qos.max_delay(),
-                            c.qos.max_delay(),
-                            r.qos.max_buffer(),
-                            c.qos.max_buffer(),
-                        )));
-                    }
-                }
-                (Err(re), Err(ce)) => {
-                    let (rs, cs) = (re.to_string(), ce.to_string());
-                    if rs != cs {
-                        return Err(Some(format!(
-                            "engines fail differently: reference `{rs}` vs {label} `{cs}`"
-                        )));
-                    }
-                }
-                (Ok(r), Err(ce)) => {
-                    return Err(Some(format!(
-                        "reference succeeds ({}) but {label} errors: {ce}",
-                        r.scheme
-                    )))
-                }
-                (Err(re), Ok(c)) => {
-                    return Err(Some(format!(
-                        "{label} succeeds ({}) but reference errors: {re}",
-                        c.scheme
-                    )))
-                }
-            }
-        }
-        match fast {
-            Ok(f) => Ok(f),
-            Err(_) => Err(None),
-        }
-    }
-
-    /// Like [`DiffHarness::check`] but panics on divergence and unwraps
-    /// the run: the assertion form used by tests and the
-    /// `debug_assertions` cross-check in experiment binaries.
-    pub fn run_checked<F>(factory: F, cfg: &SimConfig) -> Result<RunResult, String>
-    where
-        F: FnMut() -> Box<dyn Scheme>,
-    {
-        match Self::check(factory, cfg) {
-            Ok(r) => Ok(r),
-            Err(None) => Err("all engines failed identically".into()),
-            Err(Some(divergence)) => panic!("differential oracle: {divergence}"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clustream_core::{NodeId, PacketId, Slot, StateView, Transmission, SOURCE};
+    use crate::engine::{SimConfig, Simulator};
+    use clustream_core::{NodeId, PacketId, Scheme, Slot, StateView, Transmission, SOURCE};
 
     /// Chain scheme (same shape as the engine's test scheme): S → 1 → … → N.
     struct Chain {
@@ -177,47 +79,6 @@ mod tests {
                     ));
                 }
             }
-        }
-    }
-
-    #[test]
-    fn chain_clean_runs_agree() {
-        let r = DiffHarness::check(
-            || Box::new(Chain { n: 6 }),
-            &SimConfig::until_complete(16, 200),
-        )
-        .expect("engines must agree");
-        assert_eq!(r.qos.max_delay(), 6);
-    }
-
-    #[test]
-    fn chain_traced_runs_agree() {
-        let cfg = SimConfig::until_complete(10, 200).traced();
-        let r = DiffHarness::check(|| Box::new(Chain { n: 4 }), &cfg).expect("engines must agree");
-        assert_eq!(
-            r.trace.as_ref().unwrap().events.len() as u64,
-            r.total_transmissions
-        );
-    }
-
-    #[test]
-    fn chain_lossy_runs_agree() {
-        let cfg = SimConfig::with_faults(24, 80, crate::FaultPlan::loss(0.25, 42));
-        let r = DiffHarness::check(|| Box::new(Chain { n: 6 }), &cfg).expect("engines must agree");
-        assert!(r.loss.as_ref().unwrap().lost_in_flight > 0);
-    }
-
-    #[test]
-    fn identical_errors_are_not_a_divergence() {
-        // Horizon far too short: both engines report the same hiccup.
-        let cfg = SimConfig {
-            max_slots: 2,
-            track_packets: 4,
-            ..SimConfig::default()
-        };
-        match DiffHarness::check(|| Box::new(Chain { n: 5 }), &cfg) {
-            Err(None) => {}
-            other => panic!("expected identical failures, got {other:?}"),
         }
     }
 

@@ -24,10 +24,11 @@
 //! kernel loop over per-node [`PacketSet`]s, and [`MegaEngine`] (module
 //! [`mega`]) runs the same loop over columnar node state and adds
 //! precompiled steady-state transmission tables and in-run sharding for
-//! runs with 10^5–10^6 nodes. All results are bit-identical; the
-//! differential harness in [`diff`] enforces that, and [`sweep`]
-//! farms experiment grids across worker threads with deterministic
-//! input-order results.
+//! runs with 10^5–10^6 nodes. All results are bit-identical; [`diff`]
+//! names the fields on which two results differ, the differential
+//! oracle (`clustream_des`'s `Column` and `agree`) runs the engines side
+//! by side through it, and [`sweep`] farms experiment grids across
+//! worker threads with deterministic input-order results.
 
 #![warn(missing_docs)]
 
@@ -43,7 +44,7 @@ pub mod playback;
 pub mod resilience;
 pub mod trace;
 
-pub use diff::{diff_fields, DiffHarness};
+pub use diff::diff_fields;
 pub use engine::{RunResult, SimConfig, Simulator};
 pub use fast::{FastEngine, FastSimulator};
 pub use faults::{FaultCause, FaultPlan, LossReport, LossyPlayback};

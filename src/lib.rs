@@ -39,8 +39,9 @@
 //!   trait, QoS types;
 //! * [`sim`](mod@sim) — the validating slot simulator;
 //! * [`des`](mod@des) — the asynchronous discrete-event runtime
-//!   (latency models, uplink gates, churn) with a slot-equivalence
-//!   oracle;
+//!   (latency models, uplink gates, churn) and the differential oracle
+//!   that holds every engine column to one result
+//!   ([`Column`](des::Column), [`agree`](des::agree));
 //! * [`multitree`](mod@multitree) — §2: interior-disjoint trees,
 //!   schedules, churn dynamics;
 //! * [`hypercube`](mod@hypercube) — §3: the `O(1)`-buffer exchange
@@ -98,7 +99,7 @@ pub mod prelude {
         Transmission, SOURCE,
     };
     pub use clustream_des::{
-        CapacityClass, CapacityClassPlan, CheckedQueue, DesConfig, DesEngine, DesOracle, Event,
+        agree, CapacityClass, CapacityClassPlan, CheckedQueue, Column, DesConfig, DesEngine, Event,
         EventKind, EventQueue, HeapQueue, LatencyModel, QueueKind, UplinkModel, WheelQueue,
     };
     pub use clustream_hypercube::HypercubeStream;
@@ -120,8 +121,8 @@ pub mod prelude {
         DynamicMultiTree, FlashCrowdScheme, RecoveryConfig, RecoveryMode, SelfHealingMultiTree,
     };
     pub use clustream_sim::{
-        diff_fields, sweep, ArrivalTable, DiffHarness, FastEngine, FastSimulator, MegaEngine,
-        MegaSimulator, RunResult, SimConfig, Simulator,
+        diff_fields, sweep, ArrivalTable, FastEngine, FastSimulator, MegaEngine, MegaSimulator,
+        RunResult, SimConfig, Simulator,
     };
     pub use clustream_telemetry::{MemoryRecorder, Recorder, Telemetry};
     pub use clustream_workloads::{

@@ -140,6 +140,11 @@ fn script_parses_and_defines_both_tiers() {
         // …and so are `analyze` sizes that panicked or ran for minutes.
         "expect_error '^usage error: ' analyze --n 0",
         "expect_error '^usage error: ' analyze --n 10 --max-d 100000000",
+        // …and so are `check` lattice sizes that reported an empty sweep
+        // clean or aborted in the allocator.
+        "check --exhaustive --max-n 100000000",
+        "check --exhaustive --max-n 0",
+        "'^usage error: --max-n must be an integer in 1..=1024$'",
         // …and so is a plan the rule book must refuse: recovery over a
         // scripted scenario (it used to panic or run another plan).
         "--recovery repair --scenario step:10@5",

@@ -25,10 +25,12 @@ use proptest::prelude::*;
 /// Assertion-friendly wrapper: `None` = slot and DES engines agree (and,
 /// via the checked queue, the wheel agrees with the heap pop for pop).
 fn divergence(factory: impl FnMut() -> Box<dyn Scheme>, cfg: &SimConfig) -> Option<String> {
-    match DesOracle::check_with_queue(factory, cfg, QueueKind::Checked) {
-        Ok(_) | Err(None) => None,
-        Err(Some(d)) => Some(d),
-    }
+    agree(
+        &[Column::Des(QueueKind::Checked), Column::Fast],
+        factory,
+        cfg,
+    )
+    .err()
 }
 
 /// Build the fault plan for a sampled case. `crash_sel` picks none /

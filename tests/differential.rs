@@ -7,10 +7,11 @@
 //! plans. The mega engine's in-run sharding is additionally held to
 //! `--shards 1 ≡ --shards k` bit-determinism at every shard count.
 //!
-//! The oracle is [`DiffHarness::check`]: it runs one fresh scheme
-//! instance per engine and compares the [`RunResult`]s field by field
-//! (arrivals, QoS, traffic stats, loss reports, traces). Two engines
-//! failing with identically-rendered errors also count as agreement.
+//! The oracle is [`agree`] over the fast, reference and mega
+//! [`Column`]s: it runs one fresh scheme instance per engine and
+//! compares the [`RunResult`]s field by field (arrivals, QoS, traffic
+//! stats, loss reports, traces). Two engines failing with
+//! identically-rendered errors also count as agreement.
 //!
 //! Shapes that once needed special care in the fast engine are pinned
 //! as named regression tests at the bottom (ring-buffer growth under
@@ -23,10 +24,12 @@ use proptest::prelude::*;
 
 /// Assertion-friendly wrapper: `None` = engines agree.
 fn divergence(factory: impl FnMut() -> Box<dyn Scheme>, cfg: &SimConfig) -> Option<String> {
-    match DiffHarness::check(factory, cfg) {
-        Ok(_) | Err(None) => None,
-        Err(Some(d)) => Some(d),
-    }
+    agree(
+        &[Column::Fast, Column::Reference, Column::Mega],
+        factory,
+        cfg,
+    )
+    .err()
 }
 
 /// Build the fault plan for a sampled case. `crash_sel` picks none /

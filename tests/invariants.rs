@@ -9,7 +9,7 @@ use clustream::mc::{
     bounds_for, check_genome, check_genome_fast, exhaustive, exhaustive_recovery, load_dir,
     replay_dir, shrink, ConstructionChoice, CorpusEntry, Family, Genome, LatticeOptions, Sabotage,
 };
-use clustream::prelude::{thm2_worst_delay_bound, tree_height};
+use clustream::prelude::{thm2_worst_delay_bound, tree_height, Column};
 use std::path::Path;
 
 const CORPUS_DIR: &str = "tests/corpus";
@@ -41,7 +41,7 @@ fn registry_encodes_theorem2_and_buffer_bounds() {
             assert_eq!(b.buffer, tree_height(n, d) * d as u64 + 1);
             assert_eq!(b.neighbors, 2 * d as u64);
             let rep = check_genome(&g);
-            assert_eq!(rep.runs, 5, "reference, fast, mega, des, des-wheel");
+            assert_eq!(rep.runs, Column::ALL.len());
             assert!(
                 rep.violations.is_empty(),
                 "n={n} d={d} {construction:?}: {:?}",
@@ -76,7 +76,7 @@ fn exhaustive_lattice_slice_is_clean() {
         "lattice too small: {}",
         report.genomes
     );
-    assert_eq!(report.runs, 5 * report.genomes);
+    assert_eq!(report.runs, Column::ALL.len() * report.genomes);
     let recovery = exhaustive_recovery(&opts);
     assert!(
         recovery.violations.is_empty(),
@@ -151,7 +151,7 @@ fn committed_corpus_replays_green() {
         report.failures
     );
     assert!(report.entries >= 5, "corpus shrank to {}", report.entries);
-    assert_eq!(report.runs, 5 * report.entries);
+    assert_eq!(report.runs, Column::ALL.len() * report.entries);
 }
 
 /// The corpus entries, regenerated. Run `cargo test -q --test invariants

@@ -1,8 +1,8 @@
 //! Flash-crowd scenario differential suite: a [`ScenarioPlan`] compiled
 //! to scripted churn and replayed through [`DynamicMultiTree`] must
 //! produce **bit-identical** results on every engine — reference, fast,
-//! mega (via [`DiffHarness`]) and the DES in slot-faithful mode (via
-//! [`DesOracle`]). The scheme applies its scripted joins and regional
+//! mega and the DES in slot-faithful mode, each a [`Column`] of
+//! [`agree`]. The scheme applies its scripted joins and regional
 //! failures at the top of each `transmissions(slot)` call, which every
 //! engine invokes exactly once per slot in order, so growth mid-run is
 //! engine-invisible by construction; this suite enforces that argument
@@ -22,20 +22,20 @@
 use clustream::prelude::*;
 use proptest::prelude::*;
 
+/// The slot engines' columns: fast, reference and mega.
+const SLOT: [Column; 3] = [Column::Fast, Column::Reference, Column::Mega];
+
+/// The slot-faithful DES (heap queue) against the fast slot engine.
+const DES: [Column; 2] = [Column::Des(QueueKind::Heap), Column::Fast];
+
 /// Assertion-friendly wrapper: `None` = reference, fast and mega agree.
 fn divergence(factory: impl FnMut() -> Box<dyn Scheme>, cfg: &SimConfig) -> Option<String> {
-    match DiffHarness::check(factory, cfg) {
-        Ok(_) | Err(None) => None,
-        Err(Some(d)) => Some(d),
-    }
+    agree(&SLOT, factory, cfg).err()
 }
 
 /// Assertion-friendly wrapper: `None` = fast slot engine ≡ DES.
 fn des_divergence(factory: impl FnMut() -> Box<dyn Scheme>, cfg: &SimConfig) -> Option<String> {
-    match DesOracle::check(factory, cfg) {
-        Ok(_) | Err(None) => None,
-        Err(Some(d)) => Some(d),
-    }
+    agree(&DES, factory, cfg).err()
 }
 
 /// Build one sampled join curve from raw draws (the proptest shim has no
@@ -106,7 +106,7 @@ proptest! {
 
     /// The compiled trace is deterministic: compiling and resolving the
     /// same plan twice yields schemes that replay identically (the
-    /// factory contract [`DiffHarness`] and [`DesOracle`] rely on).
+    /// factory contract [`agree`] relies on).
     #[test]
     fn compiled_plans_are_deterministic(
         n0 in 4usize..10,
@@ -133,7 +133,9 @@ fn join_at_slot_0_is_engine_agnostic() {
     let div = divergence(crowd_factory(5, 2, plan.clone()), &cfg);
     assert!(div.is_none(), "slot engines diverge: {}", div.unwrap());
 
-    let r = DesOracle::check(crowd_factory(5, 2, plan), &cfg).expect("oracle-closed");
+    let r = agree(&DES, crowd_factory(5, 2, plan), &cfg)
+        .expect("oracle-closed")
+        .expect("the run succeeds");
     // All 11 receivers (5 incumbents + 6 slot-0 joiners) hold the window.
     for id in 1..=11u32 {
         for p in 0..16u64 {
@@ -157,7 +159,9 @@ fn join_burst_larger_than_forest_is_engine_agnostic() {
     let div = divergence(crowd_factory(4, 3, plan.clone()), &cfg);
     assert!(div.is_none(), "slot engines diverge: {}", div.unwrap());
 
-    let r = DesOracle::check(crowd_factory(4, 3, plan.clone()), &cfg).expect("oracle-closed");
+    let r = agree(&DES, crowd_factory(4, 3, plan.clone()), &cfg)
+        .expect("oracle-closed")
+        .expect("the run succeeds");
     // Every joiner eventually receives the tail of the tracked window.
     let mut crowd =
         DynamicMultiTree::from_plan(4, 3, StreamMode::PreRecorded, Construction::Greedy, &plan)

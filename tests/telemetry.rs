@@ -13,23 +13,19 @@
 use clustream::prelude::*;
 use clustream::telemetry::names as tm;
 use clustream::telemetry::MetricsSnapshot;
+use clustream_plan::{Family, SchemeSpec};
 use proptest::prelude::*;
 
-/// The four scheme families exercised by the oracle.
+/// The four scheme families exercised by the oracle, in
+/// [`Family::ALL`] order; the hypercube is one unsplit chain.
 fn scheme_for(family: usize, n: usize, d: usize) -> Box<dyn Scheme> {
-    match family {
-        0 => Box::new(MultiTreeScheme::new(
-            greedy_forest(n, d).unwrap(),
-            StreamMode::PreRecorded,
-        )),
-        1 => Box::new(HypercubeStream::new(n).unwrap()),
-        2 => Box::new(ChainScheme::new(n)),
-        _ => Box::new(SingleTreeScheme::new(n, d)),
-    }
+    let family = Family::ALL[family];
+    let d = if family == Family::Hypercube { 1 } else { d };
+    SchemeSpec::new(family, n, d).build().unwrap()
 }
 
-/// Run `family` on `engine` twice — bare, then with a live recorder —
-/// and return `(diffs, instrumented_counter)`.
+/// Run `family` on the `engine`-th [`Column`] twice — bare, then with a
+/// live recorder — and return `(diffs, instrumented_counter)`.
 fn run_both(
     family: usize,
     n: usize,
@@ -41,24 +37,10 @@ fn run_both(
     let (recorder, tel) = MemoryRecorder::handle();
     let on_cfg = bare_cfg.clone().with_telemetry(tel);
 
-    let run = |cfg: &SimConfig| match engine {
-        0 => Simulator::run(scheme_for(family, n, d).as_mut(), cfg).unwrap(),
-        1 => FastEngine::new()
+    let run = |cfg: &SimConfig| {
+        Column::ALL[engine]
             .run(scheme_for(family, n, d).as_mut(), cfg)
-            .unwrap(),
-        2 => MegaEngine::new()
-            .run(scheme_for(family, n, d).as_mut(), cfg)
-            .unwrap(),
-        e => DesEngine::new()
-            .run(
-                scheme_for(family, n, d).as_mut(),
-                &DesConfig::slot_faithful(cfg.clone()).with_queue(if e == 3 {
-                    QueueKind::Heap
-                } else {
-                    QueueKind::Wheel
-                }),
-            )
-            .unwrap(),
+            .unwrap()
     };
 
     let bare = run(&bare_cfg);
@@ -77,7 +59,7 @@ proptest! {
     #[test]
     fn recorder_never_perturbs_a_run(
         family in 0usize..4,
-        engine in 0usize..5,
+        engine in 0..Column::ALL.len(),
         n in 1usize..60,
         d in 1usize..5,
         track in 4u64..32,
@@ -126,10 +108,10 @@ fn snapshots_agree(family: usize, n: usize, d: usize, cfg: &SimConfig) -> u64 {
     let scheme = || scheme_for(family, n, d);
     let mut ok = Vec::new();
     let reference = snapshot_of(cfg, |c| {
-        ok.push(Simulator::run(scheme().as_mut(), c).is_ok())
+        ok.push(Column::Reference.run(scheme().as_mut(), c).is_ok())
     });
     let fast = snapshot_of(cfg, |c| {
-        ok.push(FastEngine::new().run(scheme().as_mut(), c).is_ok())
+        ok.push(Column::Fast.run(scheme().as_mut(), c).is_ok())
     });
     let mut steady = 0;
     let mega = snapshot_of(cfg, |c| {
