@@ -254,6 +254,12 @@ cli_flag_hygiene() {
     expect_error '^usage error: --scenario scripts its own joins and repairs' \
         simulate --scheme multitree --n 40 --d 3 --track 32 --runtime des \
         --recovery repair+nack --scenario fail:3-6@40
+    # A malformed value for a flag the slot run does not read used to be
+    # ignored (0); it is refused like the same value where it is read.
+    expect_error '^usage error: --horizon must be a non-negative integer$' \
+        simulate --scheme multitree --n 100 --d 3 --horizon abc
+    expect_error '^usage error: --des-seed must be a non-negative integer$' \
+        simulate --scheme multitree --n 100 --d 3 --des-seed xyz
 }
 
 corpus_replay() {

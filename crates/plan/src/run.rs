@@ -186,16 +186,13 @@ impl RunPlan {
             .transpose()
             .map_err(CliError::Usage)?;
         let classes = parse_classes(args)?;
-        // `--horizon` bounds the runs that never complete, and (today's
-        // behaviour) is not read by the others; likewise `--des-seed`.
-        let horizon = match churn.is_some() || scenario.is_some() {
-            true => args.parsed("horizon", "a non-negative integer")?,
-            false => None,
-        };
-        let des_seed = match runtime {
-            Runtime::Des => args.u64_or("des-seed", 0)?,
-            _ => 0,
-        };
+        // Every valued flag given is parsed, whether or not the run reads
+        // it: `--horizon` bounds only the runs that never complete, and
+        // `--des-seed` seeds only the DES.
+        let horizon = args.parsed("horizon", "a non-negative integer")?;
+        let horizon = horizon.filter(|_| churn.is_some() || scenario.is_some());
+        let des_seed = args.u64_or("des-seed", 0)?;
+        let des_seed = if runtime == Runtime::Des { des_seed } else { 0 };
         Ok(RunPlan {
             horizon,
             runtime,
@@ -453,7 +450,8 @@ impl RunPlan {
 }
 
 /// `--latency fixed|jitter|heavytail` with `--jitter` (span, slots) or
-/// `--scale`/`--alpha`/`--cap`; the table holds the defaults.
+/// `--scale`/`--alpha`/`--cap`; the table holds the defaults. Each knob
+/// given is parsed, whichever model reads it.
 fn parse_latency(args: &ArgMap) -> Result<LatencyModel, CliError> {
     let models = [
         ("fixed", LatencyModel::Fixed),
@@ -468,13 +466,20 @@ fn parse_latency(args: &ArgMap) -> Result<LatencyModel, CliError> {
         ),
     ];
     let mut model = choice(args, "latency", &models)?.unwrap_or(LatencyModel::Fixed);
+    let knob = |name| args.parsed::<f64>(name, "a number");
+    let [jitter_knob, scale_knob, alpha_knob, cap_knob] = [
+        knob("jitter")?,
+        knob("scale")?,
+        knob("alpha")?,
+        knob("cap")?,
+    ];
     match &mut model {
         LatencyModel::Fixed => {}
-        LatencyModel::UniformJitter { jitter } => *jitter = args.f64_or("jitter", *jitter)?,
+        LatencyModel::UniformJitter { jitter } => *jitter = jitter_knob.unwrap_or(*jitter),
         LatencyModel::HeavyTail { scale, alpha, cap } => {
-            *scale = args.f64_or("scale", *scale)?;
-            *alpha = args.f64_or("alpha", *alpha)?;
-            *cap = args.f64_or("cap", *cap)?;
+            *scale = scale_knob.unwrap_or(*scale);
+            *alpha = alpha_knob.unwrap_or(*alpha);
+            *cap = cap_knob.unwrap_or(*cap);
         }
     }
     model.validate().map_err(CliError::Usage)?;
@@ -525,15 +530,18 @@ fn parse_churn(args: &ArgMap, n: usize) -> Result<Option<ChurnTraceConfig>, CliE
 }
 
 /// `--classes NAME[:CAPACITY],…` — named per-node uplink capacity
-/// classes, with the `--classes-zipf` and `--classes-seed` knobs.
+/// classes, with the `--classes-zipf` and `--classes-seed` knobs (parsed
+/// when given, with `--classes` or without).
 fn parse_classes(args: &ArgMap) -> Result<Option<CapacityClassPlan>, CliError> {
+    let zipf = args.f64_or("classes-zipf", 1.0)?;
+    let seed = args.u64_or("classes-seed", 0)?;
     let Some(spec) = args.optional("classes") else {
         return Ok(None);
     };
     let plan = CapacityClassPlan::parse(spec)
         .map_err(CliError::Usage)?
-        .with_zipf(args.f64_or("classes-zipf", 1.0)?)
-        .seeded(args.u64_or("classes-seed", 0)?);
+        .with_zipf(zipf)
+        .seeded(seed);
     plan.validate().map_err(CliError::Usage)?;
     Ok(Some(plan))
 }
@@ -711,6 +719,35 @@ mod tests {
         let plain = plan_of("--scheme chain --n 5 --horizon 3").unwrap();
         assert_eq!(plain.horizon, None);
         assert_eq!(plain.sim_config().max_slots, 1_000_000);
+    }
+
+    #[test]
+    fn a_malformed_value_is_refused_whether_or_not_the_run_reads_it() {
+        let plain = "--scheme multitree --n 100 --d 3";
+        for (flag, value, what) in [
+            ("horizon", "abc", "a non-negative integer"),
+            ("des-seed", "xyz", "a non-negative integer"),
+            ("jitter", "abc", "a number"),
+            ("scale", "abc", "a number"),
+            ("alpha", "abc", "a number"),
+            ("cap", "abc", "a number"),
+            ("classes-seed", "abc", "a non-negative integer"),
+            ("classes-zipf", "abc", "a number"),
+        ] {
+            for runtime in ["", " --runtime des"] {
+                let flags = format!("{plain}{runtime} --{flag} {value}");
+                assert_eq!(
+                    plan_of(&flags).unwrap_err(),
+                    CliError::Usage(format!("--{flag} must be {what}")),
+                    "`{flags}`"
+                );
+            }
+        }
+        // A well-formed value the run ignores is still accepted.
+        for flag in ["horizon 120", "des-seed 7", "jitter 0.5", "classes-seed 3"] {
+            let plan = plan_of(&format!("{plain} --{flag}")).unwrap();
+            assert_eq!((plan.horizon, plan.des_seed), (None, 0), "--{flag}");
+        }
     }
 
     #[test]

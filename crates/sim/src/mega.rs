@@ -191,7 +191,7 @@ impl Held for ColumnarHeld {
 
 /// One delivery in the lowered table, keyed by arrival residue
 /// `(j + latency − 1) mod period`; `j` is the send residue.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 struct ArrEntry {
     from: u32,
     to: u32,
@@ -204,7 +204,7 @@ struct ArrEntry {
 }
 
 impl ArrEntry {
-    /// `(to, class)` packed: the order the table sorts its deliveries
+    /// `(to, class)` packed: the order the table lays its deliveries out
     /// in, and equal for two entries that may deliver one packet twice.
     fn key(&self) -> u64 {
         u64::from(self.to) << 32 | u64::from(self.class)
@@ -334,29 +334,51 @@ impl Lowering {
     }
 
     /// Lower the verified period; the recorded slots become the send
-    /// table as they are, and the deliveries are laid out once — sorted
-    /// in place, indexed by arrival residue.
+    /// table as they are, and the deliveries are laid out once — each
+    /// put straight into its receiver's bucket, the bucket sorted by
+    /// class, then indexed by arrival residue.
     fn compile(self) -> SteadyTables {
         let p = self.period;
-        let mut entries = Vec::with_capacity(self.recorded.iter().map(Vec::len).sum());
+        // One counting pass gives every receiver's bucket end; walking
+        // the period backwards, each delivery goes to the back of its
+        // bucket, which leaves the buckets in emission order and turns
+        // every end into the bucket's start. Each bucket's few entries
+        // are then sorted by class. Ties (a table that is not
+        // collision-free) keep an order nothing observes.
+        let sent = || self.recorded.iter().flatten();
+        let receivers = sent().map(|tx| tx.to.index() + 1).max().unwrap_or(0);
+        let mut to_start = vec![0u32; receivers + 1];
+        for tx in sent() {
+            to_start[tx.to.index()] += 1;
+        }
+        let mut end = 0;
+        for at in &mut to_start {
+            end += *at;
+            *at = end;
+        }
+        let mut entries = vec![ArrEntry::default(); end as usize];
         let mut max_latency = 1u64;
         let mut off: Option<i128> = None;
-        for (j, slot) in self.recorded.iter().enumerate() {
-            for tx in slot {
+        for (j, slot) in self.recorded.iter().enumerate().rev() {
+            for tx in slot.iter().rev() {
                 max_latency = max_latency.max(tx.latency as u64);
-                entries.push(ArrEntry {
+                let at = &mut to_start[tx.to.index()];
+                *at -= 1;
+                entries[*at as usize] = ArrEntry {
                     from: tx.from.0,
                     to: tx.to.0,
                     packet0: tx.packet.seq(),
                     latency: tx.latency,
                     class: (tx.packet.seq() % p) as u32,
                     j: j as u64,
-                });
+                };
                 let o = tx.packet.seq() as i128 - (self.warmup + j as u64) as i128;
                 off = Some(off.map_or(o, |c| c.max(o)));
             }
         }
-        entries.sort_unstable_by_key(ArrEntry::key);
+        for w in to_start.windows(2) {
+            entries[w[0] as usize..w[1] as usize].sort_unstable_by_key(|e| e.class);
+        }
         let collision_free = entries.windows(2).all(|w| w[0].key() != w[1].key());
 
         // Counting sort of the entry indices by arrival residue.
@@ -370,7 +392,7 @@ impl Lowering {
             *at += 1;
         }
 
-        let feed_slack = Self::feed_slack(&self.recorded, &entries, p);
+        let feed_slack = Self::feed_slack(&self.recorded, &entries, &to_start, p);
         SteadyTables {
             base: self.warmup,
             period: p,
@@ -401,12 +423,15 @@ impl Lowering {
     /// `steady_from + g` on (its feeder is then itself a pattern send),
     /// and the table-wide slack is the max over entries of the best
     /// (smallest) `g`.
-    fn feed_slack(sends: &[Vec<Transmission>], entries: &[ArrEntry], period: u64) -> Option<u64> {
-        // Sorted by receiver, so one counting pass finds each receiver's
-        // entries, `entries[to_start[r]..to_start[r + 1]]`, and each send
-        // entry scans only its own feeder candidates.
-        let receivers = entries.last().map_or(0, |e| e.to as usize + 1);
-        let to_start = bucket_starts(receivers, entries.iter().map(|e| e.to as usize));
+    fn feed_slack(
+        sends: &[Vec<Transmission>],
+        entries: &[ArrEntry],
+        to_start: &[u32],
+        period: u64,
+    ) -> Option<u64> {
+        // Sorted by receiver, so each receiver's entries are
+        // `entries[to_start[r]..to_start[r + 1]]`, and each send entry
+        // scans only its own feeder candidates.
         let mut slack: u64 = 0;
         for (js, lst) in sends.iter().enumerate() {
             for e in lst {
@@ -757,12 +782,17 @@ impl MegaEngine {
             Some((tbl, last_send)) => {
                 // Ramp leftovers drain from the ring and in-flight
                 // pattern sends re-derive arithmetically, interleaved in
-                // ascending arrival-slot order (first arrival wins).
+                // ascending arrival-slot order (first arrival wins). No
+                // pattern send lands past `last_send + max_latency − 1`.
                 let first = run.first_unflushed();
-                let window = self.kernel.ring.window;
-                for arrival_slot in first..first + window.max(tbl.max_latency) {
-                    if arrival_slot < first + window {
+                let ring_end = first + self.kernel.ring.window;
+                let pattern_end = last_send + tbl.max_latency;
+                for arrival_slot in first..ring_end.max(pattern_end) {
+                    if arrival_slot < ring_end {
                         self.kernel.flush_cell(&mut run, arrival_slot);
+                    }
+                    if arrival_slot >= pattern_end {
+                        continue;
                     }
                     let ra = ((arrival_slot - tbl.base) % tbl.period) as usize;
                     for e in tbl.arriving(ra) {
@@ -1024,9 +1054,8 @@ impl MegaEngine {
         // and past each entry's first replayed seq. From there on a
         // residue class of the row fills only from its entry, at that
         // entry's one lateness, or never.
-        let held = &self.kernel.state.held;
-        let fresh_from = |group: &[ArrEntry]| {
-            let held_end = held.end(group[0].to as usize);
+        let held = &mut self.kernel.state.held;
+        let fresh_from = |held_end: u64, group: &[ArrEntry]| {
             let replayed = group.iter().map(first_replayed);
             replayed.fold(held_end, u64::max).min(track as u64) as usize
         };
@@ -1053,7 +1082,7 @@ impl MegaEngine {
             let mut covered = 0u64;
             for group in rows().filter(|g| is_receiver[g[0].to as usize]) {
                 let to = group[0].to as usize;
-                let fresh = fresh_from(group);
+                let fresh = fresh_from(held.end(to), group);
                 for e in group {
                     let first_send = tbl.base + e.j;
                     let k_lo = (t0 - first_send).next_multiple_of(p);
@@ -1103,7 +1132,7 @@ impl MegaEngine {
             |e: &ArrEntry| (tbl.base + e.j + e.latency as u64) as i128 - e.packet0 as i128;
         for group in rows() {
             let to = group[0].to as usize;
-            let fresh = fresh_from(group);
+            let fresh = fresh_from(held.end(to), group);
             if fresh + pz > h {
                 continue;
             }
@@ -1135,60 +1164,103 @@ impl MegaEngine {
             cfg.max_slots
         };
 
-        // One up-front stride grow sized for the largest replayed seq
-        // keeps the insert hot path columnar throughout.
-        if let Some(off) = tbl.off {
-            let max_seq = arr_end as i128 - 1 + off;
-            if max_seq >= 0 {
-                self.kernel.state.held.ensure_covers(max_seq as u64);
-            }
-        }
-
-        // Window → entry → stride. Each fresh delivery is tallied under
-        // its usable slot `s + l`, and a window's tally is emitted and
-        // zeroed before the next begins — the per-slot series of the
-        // slot-outer loop (counters add and the histogram is order-free)
-        // from `TALLY_WINDOW` words, whatever the horizon.
-        let held = &mut self.kernel.state.held;
+        // Window → row → entry → stride. Nothing reads the holdings after
+        // this gear (the flush and `finish` read the arrival table and
+        // the stats), and on a collision-free table a replayed seq at or
+        // past its row's held end is a fresh insert: nothing held it, and
+        // no other delivery of the replay carries it. So only the seqs
+        // below the held end go through the held set (and can be
+        // duplicates); the rest are tallied in closed form and write
+        // only the row's stored cells, skipping the seeded and implied
+        // run `[fresh, e)` of a periodic row by range. Each fresh
+        // delivery counts under its usable slot `s + l`: an entry's
+        // usable slots in a window step by `p`, so the tally takes a +1
+        // where the run starts and a −1 where it ends, and one prefix
+        // sum of stride `p` per window turns those into the per-slot
+        // series of the slot-outer loop (counters add and the histogram
+        // is order-free), from `TALLY_WINDOW` words whatever the
+        // horizon.
         let dup = &mut self.kernel.stats.duplicate_deliveries;
-        let mut tally = [0u64; TALLY_WINDOW];
+        let mut tally = [0i64; TALLY_WINDOW];
         let mut w_start = blaze_start;
         while w_start < arr_end {
             let w_end = arr_end.min(w_start.saturating_add(TALLY_WINDOW as u64));
-            for e in &tbl.entries {
-                let to = e.to as usize;
-                let l = e.latency as u64;
-                // First replayed arrival slot ≥ w_start; earlier ones ran
-                // in the careful loop or an earlier window. Sends before
-                // `t0` went through the ring and are not the table's to
-                // replay: `blaze_start − l` may lie up to a period below
-                // `t0` (the entry's last ramp send reserved `s′ + l − 1`,
-                // and the careful loop only waits for the ring to drain),
-                // hence the clamp.
-                let rem = (tbl.base + e.j) % p;
-                let s_min = w_start.saturating_sub(l).max(t0);
-                let mut s = s_min + (rem + p - s_min % p) % p;
-                let s_end = w_end.saturating_sub(l);
+            let len = (w_end - w_start) as usize;
+            // `n` usable slots from window offset `o` on, `p` apart.
+            let mut tally_run = |o: usize, n: u64| {
+                tally[o] += 1;
+                let stop = o as u64 + n * p;
+                if stop < len as u64 {
+                    tally[stop as usize] -= 1;
+                }
+            };
+            for group in rows() {
+                let to = group[0].to as usize;
+                let held_end = held.end(to);
                 let implied = cells.implied(to);
-                while s < s_end {
-                    let seq = e.packet0 + (s - (tbl.base + e.j));
-                    if !held.insert(to, seq) {
-                        *dup += 1;
-                    } else {
-                        tally[(s + l - w_start) as usize] += 1;
-                        if seq < track as u64
-                            && !implied.contains(&(seq as usize))
-                            && cells.first(to, seq as usize, s + l)
-                            && is_receiver[to]
-                        {
-                            *remaining -= 1;
+                let skip = if implied.is_empty() {
+                    track..track
+                } else {
+                    fresh_from(held_end, group)..implied.end
+                };
+                for e in group {
+                    let l = e.latency as u64;
+                    let first_send = tbl.base + e.j;
+                    let usable = |seq: usize| first_send + l + (seq as u64 - e.packet0);
+                    // First replayed arrival slot ≥ w_start; earlier ones
+                    // ran in the careful loop or an earlier window. Sends
+                    // before `t0` went through the ring and are not the
+                    // table's to replay: `blaze_start − l` may lie up to a
+                    // period below `t0` (the entry's last ramp send
+                    // reserved `s′ + l − 1`, and the careful loop only
+                    // waits for the ring to drain), hence the clamp.
+                    let s_min = w_start.saturating_sub(l).max(t0);
+                    let mut s = s_min + (first_send % p + p - s_min % p) % p;
+                    let s_end = w_end.saturating_sub(l);
+                    // Sends from here on carry seqs at or past the held end.
+                    let s_fresh = (held_end + first_send).saturating_sub(e.packet0);
+                    while s < s_end.min(s_fresh) {
+                        let seq = e.packet0 + (s - first_send);
+                        if !held.insert(to, seq) {
+                            *dup += 1;
+                        } else {
+                            // Below the held end, hence below `skip`.
+                            tally_run((s + l - w_start) as usize, 1);
+                            if seq < track as u64
+                                && cells.first(to, seq as usize, s + l)
+                                && is_receiver[to]
+                            {
+                                *remaining -= 1;
+                            }
+                        }
+                        s += p;
+                    }
+                    if s >= s_end {
+                        continue;
+                    }
+                    let n = (s_end - 1 - s) / p + 1;
+                    tally_run((s + l - w_start) as usize, n);
+                    let seq_lo = e.packet0 + (s - first_send);
+                    let seq_end = seq_lo.saturating_add(n * p).min(track as u64) as usize;
+                    let seq_lo = seq_lo.min(track as u64) as usize;
+                    let stored = [
+                        (seq_lo, skip.start.min(seq_end)),
+                        (skip.end.max(seq_lo), seq_end),
+                    ];
+                    for (lo, hi) in stored {
+                        for seq in class(e, lo, hi) {
+                            if cells.first(to, seq, usable(seq)) && is_receiver[to] {
+                                *remaining -= 1;
+                            }
                         }
                     }
-                    s += p;
                 }
             }
-            for n in &mut tally[..(w_end - w_start) as usize] {
-                record_slot_deliveries(&cfg.telemetry, std::mem::take(n));
+            for i in pz..len {
+                tally[i] += tally[i - pz];
+            }
+            for n in &mut tally[..len] {
+                record_slot_deliveries(&cfg.telemetry, std::mem::take(n) as u64);
             }
             w_start = w_end;
         }
@@ -1912,8 +1984,9 @@ mod tests {
     /// The per-slot series does not say which gear counted it: reference
     /// ≡ fast ≡ mega (one shard: the analytic gear's tally; two: the
     /// sharded loop) on a period-3, latency-5 table whose hand-off has
-    /// ramp sends in flight (the `s_min` clamp) and on the period-1
-    /// chain — to completion, to a horizon that ends mid-replay, and
+    /// ramp sends in flight (the `s_min` clamp), on the period-1 chain
+    /// and on a delay line whose receiver holds a packet ahead of the
+    /// replay — to completion, to a horizon that ends mid-replay, and
     /// over more steady slots than one tally window holds.
     #[test]
     fn every_gear_records_the_slot_loops_series() {
@@ -1932,7 +2005,13 @@ mod tests {
         let long = 2 * TALLY_WINDOW as u64 + 500;
         type Build = fn() -> Box<dyn Scheme>;
         let burst: Build = || Box::new(BURST);
-        let cases: [(Build, SimConfig); 7] = [
+        let ahead: Build = || {
+            Box::new(DelayLine {
+                ahead: Some(20),
+                ..DelayLine::plain()
+            })
+        };
+        let cases: [(Build, SimConfig); 9] = [
             (burst, SimConfig::until_complete(60, 400)),
             (burst, fixed(t0 + 20, 28)),
             (burst, SimConfig::until_complete(long, 2 * long)),
@@ -1943,6 +2022,10 @@ mod tests {
             ),
             (|| Box::new(Chain { n: 7 }), fixed(60, 50)),
             (|| Box::new(Chain { n: 3 }), fixed(long, 8)),
+            // A row held past its first replayed seq: the replay's
+            // duplicate-checked deliveries and its closed-form ones.
+            (ahead, SimConfig::until_complete(200, 400)),
+            (ahead, fixed(long, 200)),
         ];
         for (scheme, cfg) in &cases {
             let want = snapshot_of(cfg, |c| {
@@ -2089,8 +2172,9 @@ mod tests {
 
     /// A period-1 delay line: the source streams packet `t` to node 1,
     /// which relays packet `t − 4` to node 2 from slot 4 on (the declared
-    /// warmup). Like [`Colliding`], a declaration that verification
-    /// accepts and the steady state contradicts.
+    /// warmup). With holes or a direct stream, like [`Colliding`], a
+    /// declaration that verification accepts and the steady state
+    /// contradicts.
     struct DelayLine {
         /// Packets the source never sends node 1 (before the warmup, so
         /// the schedule is periodic from it all the same).
@@ -2098,6 +2182,22 @@ mod tests {
         /// The source also streams packet `t` straight to node 2, so a
         /// relay that goes through collides with it.
         direct: bool,
+        /// The relay's latency.
+        latency: u32,
+        /// A packet the source also sends node 2 at slot 1, long before
+        /// the relay brings it.
+        ahead: Option<u64>,
+    }
+
+    impl DelayLine {
+        fn plain() -> DelayLine {
+            DelayLine {
+                holes: 0..0,
+                direct: false,
+                latency: 1,
+                ahead: None,
+            }
+        }
     }
 
     impl Scheme for DelayLine {
@@ -2122,8 +2222,16 @@ mod tests {
             if self.direct {
                 out.push(Transmission::local(SOURCE, NodeId(2), PacketId(t)));
             }
+            if let Some(seq) = self.ahead.filter(|_| t == 1) {
+                out.push(Transmission::local(SOURCE, NodeId(2), PacketId(seq)));
+            }
             if t >= 4 {
-                out.push(Transmission::local(NodeId(1), NodeId(2), PacketId(t - 4)));
+                out.push(Transmission::remote(
+                    NodeId(1),
+                    NodeId(2),
+                    PacketId(t - 4),
+                    self.latency,
+                ));
             }
         }
         fn schedule_period(&self) -> Option<SchedulePeriod> {
@@ -2143,7 +2251,7 @@ mod tests {
         // the fast engine counts.
         let scheme = || DelayLine {
             holes: 3..4,
-            direct: false,
+            ..DelayLine::plain()
         };
         let cfg = SimConfig::lossy_regime(8, 40);
         let want = FastSimulator::run(&mut scheme(), &cfg).unwrap();
@@ -2159,10 +2267,7 @@ mod tests {
         assert_eq!(loss.missing, [(NodeId(1), 1), (NodeId(2), 1)]);
 
         // Without the hole the same run stays on the table.
-        let mut whole = DelayLine {
-            holes: 0..0,
-            direct: false,
-        };
+        let mut whole = DelayLine::plain();
         let want = FastSimulator::run(&mut whole, &cfg).unwrap();
         let got = eng.run(&mut whole, &cfg).unwrap();
         assert_eq!(diff_fields(&want, &got), Vec::<&str>::new());
@@ -2179,6 +2284,7 @@ mod tests {
         let scheme = || DelayLine {
             holes: 0..2,
             direct: true,
+            ..DelayLine::plain()
         };
         let cfg = SimConfig::lossy_regime(8, 40);
         let want = FastSimulator::run(&mut scheme(), &cfg).unwrap_err();
@@ -2207,5 +2313,148 @@ mod tests {
         let got = eng.run(&mut Chain { n: 7 }, &cfg).unwrap();
         assert!(eng.steady_slots() > 0);
         assert_eq!(diff_fields(&want, &got), Vec::<&str>::new());
+    }
+
+    #[test]
+    fn a_row_held_past_its_first_replayed_seq_replays_on_both_sides_of_its_held_end() {
+        // Node 2 holds packet 20 from slot 2 on, so when the analytic gear
+        // takes over (its first replayed seq is 5) its held end is 21: the
+        // seqs below go through the held set, packet 20 a duplicate, and
+        // the seqs from 21 on are fresh by construction.
+        let scheme = || DelayLine {
+            ahead: Some(20),
+            ..DelayLine::plain()
+        };
+        let fixed = SimConfig {
+            max_slots: 300,
+            track_packets: 200,
+            ..SimConfig::default()
+        };
+        for cfg in [SimConfig::until_complete(200, 400), fixed] {
+            let want = FastSimulator::run(&mut scheme(), &cfg).unwrap();
+            let mut eng = MegaEngine::new();
+            let got = eng.run(&mut scheme(), &cfg).unwrap();
+            assert!(eng.steady_slots() > 0, "{cfg:?}");
+            assert_eq!(diff_fields(&want, &got), Vec::<&str>::new(), "{cfg:?}");
+            assert_eq!(got.duplicate_deliveries, 1, "{cfg:?}");
+        }
+    }
+
+    #[test]
+    fn a_fixed_horizon_flush_records_the_last_send_in_flight() {
+        // Relay latency 2: the relay at the last slot, `H − 1`, carries
+        // packet `H − 5`, the last tracked one, and lands at arrival slot
+        // `H = last_send + max_latency − 1` — the flush's last.
+        let h = 40;
+        let cfg = SimConfig {
+            max_slots: h,
+            track_packets: h - 4,
+            ..SimConfig::default()
+        };
+        let scheme = || DelayLine {
+            latency: 2,
+            ..DelayLine::plain()
+        };
+        let want = FastSimulator::run(&mut scheme(), &cfg).unwrap();
+        let mut eng = MegaEngine::new();
+        let got = eng.run(&mut scheme(), &cfg).unwrap();
+        assert!(eng.steady_slots() > 0);
+        assert_eq!(diff_fields(&want, &got), Vec::<&str>::new());
+        assert_eq!(
+            got.arrivals.usable_slot(NodeId(2), PacketId(h - 5)),
+            Some(Slot(h + 1))
+        );
+    }
+
+    #[test]
+    fn a_horizon_that_cuts_periodic_rows_stores_their_tails_as_fast_does() {
+        // A multi-tree row's d classes arrive at d latenesses, so a
+        // horizon inside the tracked window leaves a row's implied run at
+        // its latest class's cut, and the replay stores the cells of the
+        // earlier classes past it (a reports-only plan lists what never
+        // arrived instead of failing).
+        use clustream_multitree::{greedy_forest, MultiTreeScheme, StreamMode};
+        let scheme =
+            || MultiTreeScheme::new(greedy_forest(40, 3).unwrap(), StreamMode::PreRecorded);
+        let cfg = SimConfig::lossy_regime(256, 150);
+        let want = FastSimulator::run(&mut scheme(), &cfg).unwrap();
+        let mut eng = MegaEngine::new();
+        let got = eng.run(&mut scheme(), &cfg).unwrap();
+        assert!(eng.steady_slots() > 0);
+        assert_eq!(diff_fields(&want, &got), Vec::<&str>::new());
+        assert_eq!(want.loss, got.loss);
+    }
+
+    #[test]
+    fn the_analytic_gear_leaves_the_held_set_stride_alone() {
+        // 2548 steady slots of a period-1 chain replay seqs past 2500;
+        // none of them goes into the held set, which keeps the one word
+        // per node that tracking 8 packets sized it to.
+        let cfg = SimConfig {
+            max_slots: 2 * TALLY_WINDOW as u64 + 500,
+            track_packets: 8,
+            ..SimConfig::default()
+        };
+        let mut eng = MegaEngine::new();
+        let got = eng.run(&mut Chain { n: 3 }, &cfg).unwrap();
+        let want = FastSimulator::run(&mut Chain { n: 3 }, &cfg).unwrap();
+        assert_eq!(diff_fields(&want, &got), Vec::<&str>::new());
+        assert!(eng.steady_slots() > 2 * TALLY_WINDOW as u64);
+        let mut fresh = ColumnarHeld::default();
+        fresh.reset(4, 8);
+        assert_eq!(eng.kernel.state.held.stride, fresh.stride);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// `compile` buckets the deliveries by receiver and sorts each
+        /// bucket by class: with distinct `(receiver, class)` keys that is
+        /// the one order a sort of the whole table by key gives.
+        #[test]
+        fn compile_orders_the_entries_by_key(
+            period in 1u64..6,
+            picks in proptest::collection::vec(
+                ((0u32..24, 0u64..6), (0u64..6, 0u64..40), 1u32..4, 0u32..24),
+                0..48,
+            ),
+        ) {
+            let mut recorded = vec![Vec::new(); period as usize];
+            let mut keys = std::collections::HashSet::new();
+            for ((to, class), (j, k), latency, from) in picks {
+                let (to, class) = (to + 1, class % period);
+                if keys.insert((to, class)) {
+                    recorded[(j % period) as usize].push(Transmission::remote(
+                        NodeId(from),
+                        NodeId(to),
+                        PacketId(class + period * k),
+                        latency,
+                    ));
+                }
+            }
+            let mut want: Vec<ArrEntry> = recorded
+                .iter()
+                .enumerate()
+                .flat_map(|(j, slot)| {
+                    slot.iter().map(move |tx| ArrEntry {
+                        from: tx.from.0,
+                        to: tx.to.0,
+                        packet0: tx.packet.seq(),
+                        latency: tx.latency,
+                        class: (tx.packet.seq() % period) as u32,
+                        j: j as u64,
+                    })
+                })
+                .collect();
+            want.sort_unstable_by_key(ArrEntry::key);
+            let lowering = Lowering {
+                warmup: 0,
+                period,
+                steady_from: 2 * period,
+                recorded,
+                ok: true,
+            };
+            proptest::prop_assert_eq!(lowering.compile().entries, want);
+        }
     }
 }

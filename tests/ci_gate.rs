@@ -149,6 +149,12 @@ fn script_parses_and_defines_both_tiers() {
         // scripted scenario (it used to panic or run another plan).
         "--recovery repair --scenario step:10@5",
         "--recovery repair+nack --scenario fail:3-6@40",
+        // …and so is a malformed value for a flag the run does not read
+        // (it used to be ignored).
+        "simulate --scheme multitree --n 100 --d 3 --horizon abc",
+        "'^usage error: --horizon must be a non-negative integer$'",
+        "simulate --scheme multitree --n 100 --d 3 --des-seed xyz",
+        "'^usage error: --des-seed must be a non-negative integer$'",
         // The ledger harness is a workspace of its own: the merge gate
         // builds and unit-tests it against this tree's public API, then
         // pumps 10^6 frames through the buffered `Conn` and fails on a
