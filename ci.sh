@@ -260,6 +260,13 @@ cli_flag_hygiene() {
         simulate --scheme multitree --n 100 --d 3 --horizon abc
     expect_error '^usage error: --des-seed must be a non-negative integer$' \
         simulate --scheme multitree --n 100 --d 3 --des-seed xyz
+    # `trace --packet` sized its table from the flag (10^8 allocated
+    # 1.6 GB and ran 2.8 s to print a hiccup), and `cluster --track 0`
+    # spawned its processes only to report no survivor complete.
+    expect_error '^usage error: --packet must be below 3000000: ' \
+        trace --scheme multitree --n 15 --d 3 --node 6 --packet 100000000
+    expect_error '^usage error: --track must be at least 1' \
+        cluster --nodes 2 --track 0
 }
 
 corpus_replay() {

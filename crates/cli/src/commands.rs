@@ -1,7 +1,7 @@
 //! The CLI subcommands.
 
 use crate::args::{ArgMap, CliError, Usage};
-use clustream_core::{spec, NodeId, PacketId};
+use clustream_core::{spec, NodeId, PacketId, SOURCE};
 use clustream_des::{DesStats, TICKS_PER_SLOT};
 use clustream_multitree::node_calendar;
 use clustream_overlay::{plan_session, ClusterRequirement, IntraScheme};
@@ -416,8 +416,20 @@ pub fn trace(args: &ArgMap) -> Result<String, CliError> {
             scheme.num_receivers()
         )));
     }
+    // The source sends at most its capacity per slot, each packet in
+    // stream order, so a later packet cannot leave it within the horizon:
+    // refuse it before the run sizes its table from it.
+    let horizon = 1_000_000;
+    let cap = scheme.send_capacity(SOURCE) as u64;
+    if packet >= horizon * cap {
+        return Err(CliError::Usage(format!(
+            "--packet must be below {}: the source sends at most {cap} packets per slot, \
+             so packet {packet} cannot leave it within the trace's {horizon}-slot horizon",
+            horizon * cap
+        )));
+    }
     let track = (packet + 16).max(48);
-    let cfg = SimConfig::until_complete(track, 1_000_000).traced();
+    let cfg = SimConfig::until_complete(track, horizon).traced();
     let r = FastSimulator::run(scheme.as_mut(), &cfg)?;
     let tr = r.trace.as_ref().expect("trace requested");
 

@@ -51,6 +51,11 @@ pub fn cluster(args: &ArgMap) -> Result<String, CliError> {
         d: args.u64_or("d", 2)?,
     };
     opts.track = args.u64_or("track", 24)?;
+    if opts.track == 0 {
+        return Err(CliError::Usage(
+            "--track must be at least 1: a cluster streams at least one packet".into(),
+        ));
+    }
     opts.slot_micros = args.u64_or("slot-us", 5_000)?;
     opts.suspect_timeout_slots = args.u64_or("suspect-timeout-slots", 8)?;
     if let Some(spec) = args.optional("kill") {

@@ -53,15 +53,13 @@ pub enum CoreError {
         /// The out-of-range id.
         node: NodeId,
     },
-    /// A node would hiccup: playback reached a packet that never arrived
-    /// within the simulated horizon.
+    /// A node would hiccup: a tracked packet never arrives within the
+    /// run's horizon, so no playback start is safe.
     Hiccup {
         /// The starving receiver.
         node: NodeId,
-        /// The packet that never arrived.
+        /// The first packet that never arrived.
         packet: PacketId,
-        /// When playback needed it.
-        playback_slot: Slot,
     },
     /// Invalid configuration (e.g. `d < 2`, zero receivers).
     InvalidConfig(String),
@@ -91,13 +89,9 @@ impl fmt::Display for CoreError {
                 write!(f, "{packet} is not yet produced at {slot} (live stream)")
             }
             CoreError::UnknownNode { node } => write!(f, "unknown node {node}"),
-            CoreError::Hiccup {
-                node,
-                packet,
-                playback_slot,
-            } => write!(
+            CoreError::Hiccup { node, packet } => write!(
                 f,
-                "{node} hiccups: {packet} missing at playback {playback_slot}"
+                "{node} hiccups: {packet} never arrives within the run's horizon"
             ),
             CoreError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
         }
@@ -133,9 +127,11 @@ mod tests {
         let e = CoreError::Hiccup {
             node: NodeId(9),
             packet: PacketId(11),
-            playback_slot: Slot(30),
         };
-        assert!(e.to_string().contains("hiccup"));
+        assert_eq!(
+            e.to_string(),
+            "n9 hiccups: p11 never arrives within the run's horizon"
+        );
     }
 
     #[test]

@@ -12,17 +12,19 @@
 //! # Two regimes
 //!
 //! **Strict (slot-faithful)** — fixed latencies, unconstrained uplinks,
-//! no churn ([`DesConfig::is_slot_faithful`]). The engine replicates the
-//! slot engines' validation sequence verbatim, in the same order (unknown
-//! node, zero latency, crash suppression, holdings, send capacity, loss
-//! draw, receive collision), consumes loss-RNG draws in the same order,
-//! and produces the same errors for the same scheme bugs. A validated
-//! transmission's `Deliver` is pushed at its arrival tick right away:
-//! with fixed latency, no replay and no churn a `Send` hop would only
-//! push that same `Deliver`, and `Deliver` being the first class, the
-//! arrivals pop in the same order either way. Every event lands on a
-//! slot boundary, so the run is field-for-field identical to
-//! [`clustream_sim::FastEngine`] — enforced by `tests/des_differential.rs`.
+//! no churn ([`DesConfig::is_slot_faithful`]). The engine drives the slot
+//! kernel ([`clustream_sim::kernel`]): each tick opens its slot there and
+//! admits the calendar through the kernel's one admission rule, so
+//! validation order, receive guard, loss draws, fault attribution and
+//! errors are the slot engines' own, not a copy of them. The rule's hook
+//! pushes each admitted transmission's `Deliver` at its arrival tick
+//! right away: with fixed latency, no replay and no churn a `Send` hop
+//! would only push that same `Deliver`, and `Deliver` being the first
+//! class, the arrivals pop in the same order either way. Every event
+//! lands on a slot boundary and every delivery goes through
+//! [`clustream_sim::kernel::Kernel::store`], so the run is field-for-field
+//! identical to [`clustream_sim::FastEngine`] — enforced by
+//! `tests/des_differential.rs`.
 //!
 //! **Relaxed** — any jitter, uplink serialization, churn, or recovery.
 //! Capacity and receive-collision *errors* stop making sense (the network
@@ -61,10 +63,11 @@
 //! produce output is ordered at the point of iteration; state that is
 //! only ever *looked up* may be laid out any way that answers
 //! identically. Gap status, repair-buffer windows, the detector's links
-//! and tallies, the first-cause table and the parked sends are all
-//! lookup-only while events run, and all dense — rows and cells indexed
-//! by node id and packet seq, nothing hashed, no tree descended (see
-//! [`clustream_recovery`] and [`crate::hot`]). The one walk over parked
+//! and tallies, the kernel's first-cause table and the parked sends are
+//! all lookup-only while events run, and all dense — rows and cells
+//! indexed by node id and packet seq, nothing hashed, no tree descended
+//! (see [`clustream_recovery`], [`clustream_sim::faults::FaultLedger`]
+//! and [`crate::hot`]). The one walk over parked
 //! sends, the end-of-run leftover attribution, reads them in ascending
 //! key order. With recovery randomness drawn from a dedicated seeded
 //! stream, recovery runs are fully deterministic and recovery-off runs
@@ -75,22 +78,20 @@
 
 use crate::config::{DesConfig, QueueKind};
 use crate::event::{EventKind, EventQueue, HeapQueue, TICKS_PER_SLOT};
-use crate::hot::{ArrivalRing, FirstCauses, ParkedSends};
+use crate::hot::ParkedSends;
 use crate::uplink::{UplinkGate, UplinkModel};
 use crate::wheel::{CheckedQueue, WheelQueue};
 use clustream_core::{
-    Availability, CoreError, MembershipEvent, NodeId, NodeQos, PacketId, QosReport, Scheme, Slot,
-    StateView, Transmission, SOURCE,
+    CoreError, MembershipEvent, NodeId, PacketId, Scheme, Slot, StateView, Transmission, SOURCE,
 };
 use clustream_recovery::config::{
     GAP_SLACK, MAX_RETRIES, NACK_BACKOFF, NACK_CAP_TICKS, NACK_JITTER_TICKS, NACK_TIMEOUT_TICKS,
     RECOVERY_SEED, REPAIR_BUFFER, SUSPECT_TIMEOUT_TICKS, SUSPICION_THRESHOLD,
 };
 use clustream_recovery::{FailureDetector, NackManager, RepairBuffer, TimeoutVerdict};
-use clustream_sim::faults::{default_cause, FaultCause, FaultPlan, LossReport};
+use clustream_sim::kernel::{check_ends, Kernel, Run};
 use clustream_sim::metrics::TrafficStats;
-use clustream_sim::trace::EventTrace;
-use clustream_sim::{ArrivalTable, PacketSet, ResilienceMetrics, RunResult};
+use clustream_sim::{PacketSet, ResilienceMetrics, RunResult};
 use clustream_telemetry::names as tm;
 use clustream_workloads::ResolvedChurnAction;
 use rand::{Rng, SeedableRng};
@@ -126,33 +127,6 @@ pub struct DesStats {
     pub deliveries_to_departed: u64,
 }
 
-/// Simulator ground truth exposed to schemes, same shape as the slot
-/// engines'.
-struct DesState {
-    held: Vec<PacketSet>,
-    newest: Vec<Option<u64>>,
-    slot: Slot,
-    availability: Availability,
-}
-
-impl StateView for DesState {
-    fn holds(&self, node: NodeId, packet: PacketId) -> bool {
-        if node.is_source() {
-            self.availability.produced(packet, self.slot)
-        } else {
-            self.held[node.index()].contains(packet.seq())
-        }
-    }
-
-    fn newest(&self, node: NodeId) -> Option<PacketId> {
-        self.newest[node.index()].map(PacketId)
-    }
-
-    fn slot(&self) -> Slot {
-        self.slot
-    }
-}
-
 /// Telemetry names for one event class: the per-class counter
 /// (under [`tm::DES_EVENT_PREFIX`]) and service-time span (under
 /// [`tm::DES_SERVICE_PREFIX`]). Static strings so the disabled path
@@ -172,26 +146,9 @@ fn event_probe_names(kind: &EventKind) -> (&'static str, &'static str) {
     }
 }
 
-/// Count one send suppressed because its sender never got the packet,
-/// blame `cause`, and pass the cause on to the copy `tx` would have
-/// delivered.
-fn attribute_propagation(
-    tx: &Transmission,
-    cause: FaultCause,
-    loss_report: &mut LossReport,
-    taint: &mut FirstCauses,
-) {
-    loss_report.propagation_suppressed += 1;
-    match cause {
-        FaultCause::Loss => loss_report.propagation_from_loss += 1,
-        FaultCause::Crash => loss_report.propagation_from_crash += 1,
-    }
-    taint.note(tx.to.0, tx.packet.seq(), cause);
-}
-
 /// Relaxed-mode admission: crash/departure suppression, uplink gating,
-/// loss draw, then schedule the `Send` event (the only place one is
-/// pushed). Free function so both the
+/// loss draw — booked in the run's fault ledger — then schedule the
+/// `Send` event (the only place one is pushed). Free function so both the
 /// calendar path and the deferred-release path share it without fighting
 /// the borrow checker.
 #[allow(clippy::too_many_arguments)]
@@ -200,29 +157,19 @@ fn admit_relaxed<Q: EventQueue>(
     now: u64,
     capacity: usize,
     departed: &[bool],
-    faults: Option<&FaultPlan>,
-    loss_rng: &mut Option<ChaCha8Rng>,
-    loss_report: &mut LossReport,
-    taint: &mut FirstCauses,
+    run: &mut Run<'_>,
     uplink: UplinkModel,
     gate: &mut UplinkGate,
     stats: &mut TrafficStats,
-    trace: &mut Option<EventTrace>,
     des_stats: &mut DesStats,
     q: &mut Q,
 ) {
-    let slot = now / TICKS_PER_SLOT;
-    if let Some(f) = faults {
-        if f.crashed(tx.from, slot) {
-            loss_report.crash_suppressed += 1;
-            taint.note(tx.to.0, tx.packet.seq(), FaultCause::Crash);
-            return;
-        }
+    if run.ledger.crash_suppress(tx, now / TICKS_PER_SLOT) {
+        return;
     }
     // A departed member is fail-silent, like a crash.
     if departed[tx.from.index()] {
-        loss_report.crash_suppressed += 1;
-        taint.note(tx.to.0, tx.packet.seq(), FaultCause::Crash);
+        run.ledger.suppress(tx);
         return;
     }
     let dispatch = match uplink {
@@ -230,15 +177,11 @@ fn admit_relaxed<Q: EventQueue>(
         UplinkModel::Serialized => gate.admit(tx.from, capacity, now),
     };
     // The uplink time is spent whether or not the packet survives.
-    if let (Some(f), Some(r)) = (faults, loss_rng.as_mut()) {
-        if f.loss_rate > 0.0 && r.gen_bool(f.loss_rate) {
-            loss_report.lost_in_flight += 1;
-            taint.note(tx.to.0, tx.packet.seq(), FaultCause::Loss);
-            return;
-        }
+    if run.ledger.lose_in_flight(tx) {
+        return;
     }
     stats.record(tx);
-    if let Some(tr) = trace.as_mut() {
+    if let Some(tr) = run.trace.as_mut() {
         tr.push(dispatch / TICKS_PER_SLOT, tx);
     }
     des_stats.sends += 1;
@@ -298,33 +241,15 @@ impl DesEngine {
         let _run_span = tel.span(tm::DES_RUN);
         let strict = cfg.is_slot_faithful();
 
+        // The slot kernel holds the run's state: holdings, the strict
+        // receive guard, traffic counters, the fault ledger, the arrival
+        // table and the completion count.
+        let mut kernel = Kernel::<Vec<PacketSet>>::default();
+        let mut run = kernel.begin(scheme, sim)?;
         let n_ids = scheme.id_space();
-        if n_ids == 0 {
-            return Err(CoreError::InvalidConfig("empty id space".into()));
-        }
-        let receivers = scheme.receivers();
-        for r in &receivers {
-            if r.index() >= n_ids {
-                return Err(CoreError::UnknownNode { node: *r });
-            }
-        }
-
-        let mut arrivals = ArrivalTable::try_new(n_ids, sim.track_packets)?;
-        let mut state = DesState {
-            held: vec![PacketSet::default(); n_ids],
-            newest: vec![None; n_ids],
-            slot: Slot(0),
-            availability: scheme.availability(),
-        };
-        let mut stats = TrafficStats::new(n_ids);
+        let availability = scheme.availability();
         let mut gate = UplinkGate::new(n_ids);
 
-        // Strict mode: one pending arrival per (arrival slot, node), the
-        // value being the occupying packet — the receive-capacity guard,
-        // mirroring the slot engines' `scheduled_arrivals` set. Arrival
-        // slots never repeat, so claims are never released; see
-        // [`ArrivalRing`] for why a ring replaces a hash map here.
-        let mut occupied = ArrivalRing::new(n_ids);
         // Heterogeneity: per-node uplink capacities from the class plan,
         // overriding the scheme's uniform capacity for non-source
         // senders at the serialized gate.
@@ -335,9 +260,6 @@ impl DesEngine {
         let mut waiting = ParkedSends::default();
         let mut released: Vec<Transmission> = Vec::new();
         let mut departed = vec![false; n_ids];
-        // First cause that took out each (node, packet) copy; lookup-only
-        // (never iterated).
-        let mut taint = FirstCauses::default();
 
         // Recovery layer. All state is created unconditionally — empty
         // tables that grow only when touched, plus two per-node cursors —
@@ -377,24 +299,6 @@ impl DesEngine {
             }
         }
 
-        let is_receiver: Vec<bool> = {
-            let mut v = vec![false; n_ids];
-            for r in &receivers {
-                v[r.index()] = true;
-            }
-            v
-        };
-        let mut remaining: u64 = receivers.len() as u64 * sim.track_packets;
-
-        let mut out: Vec<Transmission> = Vec::new();
-        let mut send_counts: Vec<u32> = vec![0; n_ids];
-        let mut touched: Vec<usize> = Vec::new();
-
-        let mut loss_report = LossReport::default();
-        let mut loss_rng = sim
-            .faults
-            .as_ref()
-            .map(|f| ChaCha8Rng::seed_from_u64(f.seed));
         let mut lat_rng = cfg
             .latency
             .needs_rng()
@@ -402,14 +306,14 @@ impl DesEngine {
         // Networked replay: per-link recorded samples override the
         // parametric latency model, consumed FIFO per link.
         let mut replay = cfg.recorded.as_ref().map(crate::replay::ReplayCursor::new);
-        let mut trace = sim.record_trace.then(EventTrace::default);
 
         if sim.max_slots > 0 {
             q.push(0, EventKind::PlaybackTick);
         }
         if let Some(churn) = &cfg.churn {
-            let initial: Vec<u64> = receivers.iter().map(|r| r.0 as u64).collect();
-            let protected: Vec<u64> = receivers
+            let initial: Vec<u64> = run.receivers().iter().map(|r| r.0 as u64).collect();
+            let protected: Vec<u64> = run
+                .receivers()
                 .iter()
                 .filter(|r| scheme.send_capacity(**r) > 1)
                 .map(|r| r.0 as u64)
@@ -421,7 +325,6 @@ impl DesEngine {
             }
         }
 
-        let mut slots_run = 0u64;
         let mut stopped = false;
 
         while let Some(ev) = q.pop() {
@@ -447,25 +350,12 @@ impl DesEngine {
                         // The playback loop never reaches this slot: record
                         // the arrival only, exactly like the slot engines'
                         // post-loop flush of the pending queue.
-                        if let Some(f) = &sim.faults {
-                            if f.stopped(to, usable.saturating_sub(1)) {
-                                loss_report.stopped_receives += 1;
-                                continue;
-                            }
-                        }
-                        arrivals.record(to, packet, Slot(usable));
+                        run.record_late(to, packet, usable);
                         continue;
                     }
-                    // The `occupied` claim for this arrival needs no
-                    // release: arrival slots are strictly in the past of
-                    // every later send, so the cell can never match again.
                     // Fail-stopped receivers drop arrivals on the floor.
-                    if let Some(f) = &sim.faults {
-                        if f.stopped(to, usable - 1) {
-                            loss_report.stopped_receives += 1;
-                            taint.note(to.0, packet.seq(), FaultCause::Crash);
-                            continue;
-                        }
+                    if run.ledger.drop_at_stopped(to, packet, usable - 1) {
+                        continue;
                     }
                     if !strict && departed[to.index()] {
                         self.stats.deliveries_to_departed += 1;
@@ -502,31 +392,24 @@ impl DesEngine {
                             }
                         }
                     }
-                    let cell = &mut state.held[to.index()];
-                    if !cell.insert(packet.seq()) {
-                        stats.record_duplicate();
+                    if !kernel.store(&mut run, to, packet, usable) {
                         continue;
                     }
-                    let nw = &mut state.newest[to.index()];
-                    if nw.is_none_or(|n| packet.seq() > n) {
-                        *nw = Some(packet.seq());
-                    }
-                    if arrivals.record(to, packet, Slot(usable)) && is_receiver[to.index()] {
-                        remaining -= 1;
-                    }
-                    if rec_on && rec.mode.nack() && is_receiver[to.index()] {
+                    if rec_on && rec.mode.nack() && run.is_receiver(to) {
                         // Scan for gaps that have fallen more than
                         // `GAP_SLACK` behind the newest arrival. The cursor
                         // is monotone, so total scan work is O(window).
-                        let horizon = state.newest[to.index()]
-                            .unwrap_or(0)
+                        let state = kernel.state();
+                        let horizon = state
+                            .newest(to)
+                            .map_or(0, PacketId::seq)
                             .saturating_sub(GAP_SLACK)
                             .min(sim.track_packets);
                         let cur = &mut gap_scan[to.index()];
                         while *cur < horizon {
                             let s = *cur;
                             *cur += 1;
-                            if !state.held[to.index()].contains(s) && nacks.open(to.0, s) {
+                            if !state.holds(to, PacketId(s)) && nacks.open(to.0, s) {
                                 q.push(
                                     ev.time,
                                     EventKind::Nack {
@@ -552,14 +435,10 @@ impl DesEngine {
                                 ev.time,
                                 cap,
                                 &departed,
-                                sim.faults.as_ref(),
-                                &mut loss_rng,
-                                &mut loss_report,
-                                &mut taint,
+                                &mut run,
                                 cfg.uplink,
                                 &mut gate,
-                                &mut stats,
-                                &mut trace,
+                                kernel.stats_mut(),
                                 &mut self.stats,
                                 &mut q,
                             );
@@ -741,7 +620,7 @@ impl DesEngine {
                     let slot_now = ev.time / TICKS_PER_SLOT;
                     // The server must still be able to serve.
                     if from.is_source() {
-                        if !state.availability.produced(packet, Slot(slot_now)) {
+                        if !availability.produced(packet, Slot(slot_now)) {
                             continue;
                         }
                     } else {
@@ -774,101 +653,18 @@ impl DesEngine {
                         continue;
                     }
                     let t = ev.time / TICKS_PER_SLOT;
-                    slots_run = t + 1;
-                    if sim.stop_when_complete && remaining == 0 {
+                    if kernel.open(&mut run, t) {
                         stopped = true;
                         continue;
                     }
-                    state.slot = Slot(t);
-                    out.clear();
-                    scheme.transmissions(Slot(t), &state, &mut out);
-                    for idx in touched.drain(..) {
-                        send_counts[idx] = 0;
-                    }
-                    for tx in &out {
-                        if tx.from.index() >= n_ids {
-                            return Err(CoreError::UnknownNode { node: tx.from });
-                        }
-                        if tx.to.index() >= n_ids {
-                            return Err(CoreError::UnknownNode { node: tx.to });
-                        }
-                        if tx.latency == 0 {
-                            return Err(CoreError::InvalidConfig(format!(
-                                "zero-latency transmission {} → {}",
-                                tx.from, tx.to
-                            )));
-                        }
-
-                        if strict {
-                            if let Some(f) = &sim.faults {
-                                if f.crashed(tx.from, t) {
-                                    loss_report.crash_suppressed += 1;
-                                    taint.note(tx.to.0, tx.packet.seq(), FaultCause::Crash);
-                                    continue;
-                                }
-                            }
-                            if tx.from.is_source() {
-                                if !state.availability.produced(tx.packet, Slot(t)) {
-                                    return Err(CoreError::PacketNotProduced {
-                                        slot: Slot(t),
-                                        packet: tx.packet,
-                                    });
-                                }
-                            } else if !state.held[tx.from.index()].contains(tx.packet.seq()) {
-                                if let Some(f) = &sim.faults {
-                                    // A fault propagating downstream:
-                                    // attribute the suppression to whatever
-                                    // first took out the sender's copy.
-                                    let cause = taint
-                                        .get(tx.from.0, tx.packet.seq())
-                                        .unwrap_or(default_cause(f));
-                                    attribute_propagation(tx, cause, &mut loss_report, &mut taint);
-                                    continue;
-                                }
-                                return Err(CoreError::PacketNotHeld {
-                                    node: tx.from,
-                                    slot: Slot(t),
-                                    packet: tx.packet,
-                                });
-                            }
-                            let c = &mut send_counts[tx.from.index()];
-                            if *c == 0 {
-                                touched.push(tx.from.index());
-                            }
-                            *c += 1;
-                            let cap = scheme.send_capacity(tx.from);
-                            if *c as usize > cap {
-                                return Err(CoreError::SendCapacityExceeded {
-                                    node: tx.from,
-                                    slot: Slot(t),
-                                    capacity: cap,
-                                });
-                            }
-                            if let (Some(f), Some(r)) = (&sim.faults, loss_rng.as_mut()) {
-                                if f.loss_rate > 0.0 && r.gen_bool(f.loss_rate) {
-                                    loss_report.lost_in_flight += 1;
-                                    taint.note(tx.to.0, tx.packet.seq(), FaultCause::Loss);
-                                    continue;
-                                }
-                            }
-                            let arrival_slot = t + tx.latency as u64 - 1;
-                            if let Err(other) =
-                                occupied.try_insert(arrival_slot, tx.to.0, tx.packet.seq(), t)
-                            {
-                                return Err(CoreError::ReceiveCollision {
-                                    node: tx.to,
-                                    slot: Slot(arrival_slot),
-                                    packets: (PacketId(other), tx.packet),
-                                });
-                            }
-                            stats.record(tx);
-                            if let Some(tr) = trace.as_mut() {
-                                tr.push(t, tx);
-                            }
-                            // Fixed latency, no replay, and `stopped` cannot
-                            // change before this tick's sends: the `Send`
-                            // hop would only push this very `Deliver`.
-                            self.stats.sends += 1;
+                    kernel.dispatch(scheme, t);
+                    if strict {
+                        // Fixed latency, no replay, and `stopped` cannot
+                        // change before this tick's sends: the `Send` hop
+                        // would only push this very `Deliver`.
+                        let sends = &mut self.stats.sends;
+                        kernel.admit_with(&*scheme, &mut run, t, |tx| {
+                            *sends += 1;
                             q.push(
                                 ev.time + tx.latency as u64 * TICKS_PER_SLOT,
                                 EventKind::Deliver {
@@ -877,18 +673,15 @@ impl DesEngine {
                                     packet: tx.packet,
                                 },
                             );
-                        } else {
-                            if tx.from.is_source() {
-                                if !state.availability.produced(tx.packet, Slot(t)) {
-                                    return Err(CoreError::PacketNotProduced {
-                                        slot: Slot(t),
-                                        packet: tx.packet,
-                                    });
-                                }
-                            } else if !state.held[tx.from.index()].contains(tx.packet.seq()) {
+                        })?;
+                    } else {
+                        for i in 0..kernel.generated().len() {
+                            let tx = kernel.generated()[i];
+                            check_ends(&tx, n_ids)?;
+                            if !kernel.sender_has(&tx, t)? {
                                 // Reactive node: send the moment it arrives.
                                 self.stats.deferred_sends += 1;
-                                waiting.park(*tx);
+                                waiting.park(tx);
                                 continue;
                             }
                             let cap = match &class_caps {
@@ -896,18 +689,14 @@ impl DesEngine {
                                 _ => scheme.send_capacity(tx.from),
                             };
                             admit_relaxed(
-                                tx,
+                                &tx,
                                 ev.time,
                                 cap,
                                 &departed,
-                                sim.faults.as_ref(),
-                                &mut loss_rng,
-                                &mut loss_report,
-                                &mut taint,
+                                &mut run,
                                 cfg.uplink,
                                 &mut gate,
-                                &mut stats,
-                                &mut trace,
+                                kernel.stats_mut(),
                                 &mut self.stats,
                                 &mut q,
                             );
@@ -929,8 +718,7 @@ impl DesEngine {
                                 // partition blackout): the networked wire ate
                                 // this copy, so the replay loses it in flight
                                 // at the same position in the link's FIFO.
-                                loss_report.lost_in_flight += 1;
-                                taint.note(tx.to.0, tx.packet.seq(), FaultCause::Loss);
+                                run.ledger.lost(&tx);
                                 continue;
                             }
                         },
@@ -961,14 +749,9 @@ impl DesEngine {
         // downstream loss propagation, same as the slot engines count it.
         // Attribution chases chains (one leftover may be what starved the
         // next) to a fixpoint over ascending (sender, packet) order, then
-        // falls back to the plan's default cause. A parked chain shares
+        // falls back to the ledger's default cause. A parked chain shares
         // its key, so it resolves whole; the walk runs in place over the
         // chain heads, so the run's peak memory is the event loop's.
-        let fallback = sim
-            .faults
-            .as_ref()
-            .map(default_cause)
-            .unwrap_or(FaultCause::Crash);
         let mut leftovers = waiting.heads_by_key();
         loop {
             let before = leftovers.len();
@@ -977,11 +760,11 @@ impl DesEngine {
                     .chain(head)
                     .next()
                     .expect("a parked chain has a head");
-                let Some(cause) = taint.get(first.from.0, first.packet.seq()) else {
+                let Some(cause) = run.ledger.cause(first.from, first.packet) else {
                     return true;
                 };
                 for tx in waiting.chain(head) {
-                    attribute_propagation(tx, cause, &mut loss_report, &mut taint);
+                    run.ledger.propagate_from(tx, cause);
                 }
                 false
             });
@@ -989,59 +772,20 @@ impl DesEngine {
                 break;
             }
         }
+        let fallback = run.ledger.fallback();
         for head in leftovers {
             for tx in waiting.chain(head) {
-                attribute_propagation(tx, fallback, &mut loss_report, &mut taint);
+                run.ledger.propagate_from(tx, fallback);
             }
-        }
-
-        let lossy = sim.faults.is_some()
-            || cfg.churn.is_some()
-            || cfg.recorded.as_ref().is_some_and(|r| r.drop_count() > 0);
-        let mut nodes = Vec::with_capacity(receivers.len());
-        for r in &receivers {
-            let (delay, buffer) = if lossy {
-                let pb = arrivals.analyze_lossy(*r);
-                if pb.missing > 0 {
-                    loss_report.missing.push((*r, pb.missing));
-                }
-                (pb.playback_delay, pb.max_buffer)
-            } else {
-                let pb = arrivals.analyze(*r)?;
-                (pb.playback_delay, pb.max_buffer)
-            };
-            nodes.push(NodeQos {
-                node: *r,
-                playback_delay: delay,
-                max_buffer: buffer,
-                out_neighbors: stats.out_degree(*r),
-                in_neighbors: stats.in_degree(*r),
-                neighbors: stats.degree(*r),
-            });
         }
 
         // Resilience: slot engines report Some iff faults are installed
         // (stall counters only); the DES also reports under churn and
         // fills the recovery counters when the recovery layer ran.
-        let resilience = (lossy || rec_on).then(|| {
-            let total = loss_report.total_missing() as u64;
-            resil.stall_events = total;
-            resil.stall_slots = total;
-            resil
-        });
-
-        Ok(RunResult {
-            scheme: scheme.name(),
-            slots_run,
-            arrivals,
-            qos: QosReport::new(scheme.name(), nodes),
-            total_transmissions: stats.total_transmissions(),
-            duplicate_deliveries: stats.duplicate_deliveries(),
-            loss: lossy.then_some(loss_report),
-            trace,
-            upload_counts: stats.upload_counts().to_vec(),
-            resilience,
-        })
+        let lossy = sim.faults.is_some()
+            || cfg.churn.is_some()
+            || cfg.recorded.as_ref().is_some_and(|r| r.drop_count() > 0);
+        kernel.result(scheme, run, lossy, (lossy || rec_on).then_some(resil))
     }
 }
 
@@ -1131,20 +875,37 @@ mod tests {
     }
 
     #[test]
-    fn slot_faithful_reproduces_validation_errors() {
-        struct Collide;
-        impl Scheme for Collide {
+    fn every_admission_failure_is_one_error_on_every_column() {
+        use crate::oracle::{agree, Column};
+        use clustream_core::Availability;
+
+        /// Three receivers; the source sends `cap` per slot; slot 0 sends
+        /// `script` and nothing else ever does.
+        #[derive(Clone)]
+        struct Script {
+            live: bool,
+            cap: usize,
+            script: Vec<Transmission>,
+        }
+        impl Scheme for Script {
             fn name(&self) -> String {
-                "collide".into()
+                "script".into()
             }
             fn num_receivers(&self) -> usize {
                 3
             }
             fn send_capacity(&self, node: NodeId) -> usize {
                 if node.is_source() {
-                    2
+                    self.cap
                 } else {
                     1
+                }
+            }
+            fn availability(&self) -> Availability {
+                if self.live {
+                    Availability::Live
+                } else {
+                    Availability::PreRecorded
                 }
             }
             fn transmissions(
@@ -1154,17 +915,83 @@ mod tests {
                 out: &mut Vec<Transmission>,
             ) {
                 if slot.t() == 0 {
-                    out.push(Transmission::local(SOURCE, NodeId(1), PacketId(0)));
-                    out.push(Transmission::local(SOURCE, NodeId(1), PacketId(1)));
+                    out.extend_from_slice(&self.script);
                 }
             }
         }
-        let sim_cfg = SimConfig::until_complete(1, 10);
-        let want = Simulator::run(&mut Collide, &sim_cfg).unwrap_err();
-        let got = DesEngine::new()
-            .run(&mut Collide, &DesConfig::slot_faithful(sim_cfg))
-            .unwrap_err();
-        assert_eq!(want.to_string(), got.to_string());
+        let tx = |from: u32, to: u32, seq: u64| {
+            Transmission::local(NodeId(from), NodeId(to), PacketId(seq))
+        };
+        let latency = |latency: u32| Transmission {
+            latency,
+            ..tx(0, 1, 0)
+        };
+        let script = |cap: usize, script: Vec<Transmission>| Script {
+            live: false,
+            cap,
+            script,
+        };
+        let rows = [
+            (
+                "unknown sender",
+                script(1, vec![tx(9, 1, 0)]),
+                "unknown node n9",
+            ),
+            (
+                "unknown receiver",
+                script(1, vec![tx(0, 9, 0)]),
+                "unknown node n9",
+            ),
+            (
+                "zero latency",
+                script(1, vec![latency(0)]),
+                "zero-latency transmission",
+            ),
+            (
+                "not produced",
+                Script {
+                    live: true,
+                    ..script(1, vec![tx(0, 1, 5)])
+                },
+                "p5 is not yet produced at t0",
+            ),
+            (
+                "not held",
+                script(1, vec![tx(1, 2, 0)]),
+                "n1 does not hold p0 at t0",
+            ),
+            (
+                "send capacity",
+                script(1, vec![tx(0, 1, 0), tx(0, 2, 0)]),
+                "exceeded send capacity 1 in t0",
+            ),
+            (
+                "receive collision",
+                script(2, vec![tx(0, 1, 0), tx(0, 1, 1)]),
+                "n1 scheduled to receive both p0 and p1 in t0",
+            ),
+            (
+                "ring refusal",
+                script(1, vec![latency(2_000_000_000)]),
+                "an arrival ring of 2147483648 slots, which does not fit in memory",
+            ),
+        ];
+        let cfg = SimConfig::until_complete(2, 10);
+        let des = [QueueKind::Heap, QueueKind::Wheel, QueueKind::Checked].map(Column::Des);
+        for (case, scheme, message) in rows {
+            // The reference holds its queue in a `BTreeMap`, which never
+            // refuses a latency: only the dense columns can.
+            let reference = (case != "ring refusal").then_some(Column::Reference);
+            let columns: Vec<Column> = reference
+                .into_iter()
+                .chain([Column::Fast, Column::Mega])
+                .chain(des)
+                .collect();
+            let outcome = agree(&columns, || Box::new(scheme.clone()), &cfg)
+                .unwrap_or_else(|d| panic!("{case}: {d}"));
+            let err = outcome.map(|r| r.scheme).unwrap_err().to_string();
+            assert!(err.contains(message), "{case}: {err}");
+        }
     }
 
     #[test]

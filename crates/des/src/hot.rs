@@ -1,102 +1,17 @@
-//! Hot-path containers for the event loop: the strict-mode arrival
-//! guard ring, the relaxed-mode parked-send table and the first-cause
-//! table. (Per-node packet holdings are [`clustream_sim::PacketSet`], the
-//! slot kernel's bitset.)
+//! Hot-path containers for the event loop's relaxed regime: the parked
+//! sends. (Everything the strict regime touches — holdings, the receive
+//! guard, the first-cause table — is the slot kernel's, in
+//! [`clustream_sim::kernel`].)
 //!
-//! Each replaces a `std` container — a hash map or an ordered map — that
-//! dominated the per-event profile; none of them hashes. None is
-//! iterated while events run, so determinism is untouched — every access
-//! is a point lookup keyed by values the simulation already ordered; the
-//! one walk that produces output (the end-of-run leftover attribution)
-//! reads the parked sends in ascending key order.
+//! [`ParkedSends`] replaces `std` containers — an ordered map, then a
+//! hashed index — that dominated the per-event profile; it does not
+//! hash. It is not iterated while events run, so determinism is
+//! untouched — every access is a point lookup keyed by values the
+//! simulation already ordered; the one walk that produces output (the
+//! end-of-run leftover attribution) reads the parked sends in ascending
+//! key order.
 
 use clustream_core::Transmission;
-use clustream_sim::faults::FaultCause;
-
-/// The strict-mode receive-capacity guard: at most one pending arrival
-/// per `(arrival slot, node)`.
-///
-/// Replaces a `HashMap<(u64, u32), PacketId>`, which spent most of the
-/// DES hot loop churning tombstones — every slot inserts and removes one
-/// entry per transmission, so the map rehashed continuously. The ring
-/// exploits two monotonicity facts instead:
-///
-/// * arrival slots never repeat — a send from playback slot `t` targets
-///   an arrival slot `≥ t`, and `t` has already passed every slot whose
-///   deliveries fired — so an entry never needs removal: a stale cell
-///   can never match a live query's slot;
-/// * pending arrivals span at most the largest in-flight latency, so a
-///   ring of `width >` that span never aliases two live entries.
-///
-/// Cells are keyed by their exact slot, making overwrite-on-stale safe,
-/// and the ring grows (re-seating live cells, no hashing anywhere) when
-/// a latency outgrows the current width.
-#[derive(Debug)]
-pub struct ArrivalRing {
-    /// `width × n_ids` cells, slot-major: `(slot, packet)`, slot
-    /// `u64::MAX` when vacant.
-    cells: Vec<(u64, PacketId2)>,
-    n_ids: usize,
-    /// Power of two, strictly greater than any in-flight latency span.
-    width: u64,
-}
-
-/// The packet payload stored in a ring cell. A plain `u64` (the packet
-/// seq) keeps the cell `Copy` without importing core types here.
-type PacketId2 = u64;
-
-/// Vacant-cell marker; real slots are bounded by `SimConfig::max_slots`.
-const VACANT: u64 = u64::MAX;
-
-impl ArrivalRing {
-    /// A ring for `n_ids` nodes with the minimum width.
-    pub fn new(n_ids: usize) -> ArrivalRing {
-        let width = 8;
-        ArrivalRing {
-            cells: vec![(VACANT, 0); width as usize * n_ids],
-            n_ids,
-            width,
-        }
-    }
-
-    /// Claim `(arrival_slot, node)` for packet seq `packet`. Returns the
-    /// already-pending packet seq on a collision. `now_slot` is the
-    /// current playback slot (the live-window floor, needed on growth).
-    #[inline]
-    pub fn try_insert(
-        &mut self,
-        arrival_slot: u64,
-        node: u32,
-        packet: u64,
-        now_slot: u64,
-    ) -> Result<(), u64> {
-        debug_assert!(arrival_slot >= now_slot);
-        if arrival_slot - now_slot + 2 > self.width {
-            self.grow(arrival_slot - now_slot + 2, now_slot);
-        }
-        let cell = &mut self.cells
-            [(arrival_slot & (self.width - 1)) as usize * self.n_ids + node as usize];
-        if cell.0 == arrival_slot {
-            return Err(cell.1);
-        }
-        *cell = (arrival_slot, packet);
-        Ok(())
-    }
-
-    /// Re-seat every live cell (slot ≥ `now_slot`) into a wider ring.
-    fn grow(&mut self, need: u64, now_slot: u64) {
-        let width = need.next_power_of_two();
-        let mut cells = vec![(VACANT, 0); width as usize * self.n_ids];
-        for (i, &(slot, packet)) in self.cells.iter().enumerate() {
-            if slot != VACANT && slot >= now_slot {
-                let node = i % self.n_ids;
-                cells[(slot & (width - 1)) as usize * self.n_ids + node] = (slot, packet);
-            }
-        }
-        self.cells = cells;
-        self.width = width;
-    }
-}
 
 /// Relaxed-mode calendar entries parked until their packet arrives at the
 /// sender: a dense `(sender, packet) → (head, tail)` index over one
@@ -231,48 +146,12 @@ impl ParkedSends {
     }
 }
 
-/// The first fault cause that took out each `(node, packet)` copy —
-/// what a downstream suppression of that copy is blamed on.
-///
-/// One row of cells per node, indexed by seq and grown, like the node's
-/// held [`clustream_sim::PacketSet`], up to the largest seq noted for it;
-/// a node never noted has an empty row. Replaces a hashed
-/// `(node, seq) → FaultCause` map filled with `or_insert`: the first
-/// cause noted for a copy wins, and a cell never noted (or past its
-/// row's end) has none.
-#[derive(Debug, Default)]
-pub struct FirstCauses {
-    rows: Vec<Vec<Option<FaultCause>>>,
-}
-
-impl FirstCauses {
-    /// Blame `cause` for `node`'s copy of `seq`, unless an earlier cause
-    /// already is.
-    pub fn note(&mut self, node: u32, seq: u64, cause: FaultCause) {
-        let (node, seq) = (node as usize, seq as usize);
-        if node >= self.rows.len() {
-            self.rows.resize_with(node + 1, Vec::new);
-        }
-        let row = &mut self.rows[node];
-        if seq >= row.len() {
-            row.resize(seq + 1, None);
-        }
-        row[seq].get_or_insert(cause);
-    }
-
-    /// The cause blamed for `node`'s copy of `seq`, if any.
-    pub fn get(&self, node: u32, seq: u64) -> Option<FaultCause> {
-        let row = self.rows.get(node as usize)?;
-        *row.get(usize::try_from(seq).ok()?)?
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use clustream_core::{NodeId, PacketId};
     use proptest::prelude::*;
-    use std::collections::{BTreeMap, HashMap};
+    use std::collections::BTreeMap;
 
     proptest! {
         /// Parks and releases against the ordered map of `Vec`s the arena
@@ -307,63 +186,6 @@ mod tests {
                 .collect();
             let want: Vec<Transmission> = model.into_values().flatten().collect();
             prop_assert_eq!(walked, want);
-        }
-    }
-
-    proptest! {
-        /// The dense first-cause table against the hash map it replaced
-        /// (`entry(..).or_insert(cause)`): whatever order copies are
-        /// blamed in, the first cause wins, and cells never blamed —
-        /// including seqs past every row and nodes past every row — have
-        /// none.
-        #[test]
-        fn first_causes_match_the_hash_map_model(
-            notes in proptest::collection::vec((0u32..6, 0u64..80, any::<bool>()), 0..300),
-        ) {
-            let mut dense = FirstCauses::default();
-            let mut model: HashMap<(u32, u64), FaultCause> = HashMap::new();
-            for (node, seq, loss) in notes {
-                let cause = if loss { FaultCause::Loss } else { FaultCause::Crash };
-                dense.note(node, seq, cause);
-                model.entry((node, seq)).or_insert(cause);
-            }
-            for node in 0..8 {
-                for seq in (0..100).chain([u64::MAX]) {
-                    prop_assert_eq!(dense.get(node, seq), model.get(&(node, seq)).copied());
-                }
-            }
-            prop_assert_eq!(dense.get(u32::MAX, 0), None);
-        }
-    }
-
-    #[test]
-    fn arrival_ring_detects_same_slot_collisions() {
-        let mut r = ArrivalRing::new(4);
-        assert_eq!(r.try_insert(5, 2, 10, 5), Ok(()));
-        assert_eq!(r.try_insert(5, 2, 11, 5), Err(10), "same (slot, node)");
-        assert_eq!(r.try_insert(5, 3, 11, 5), Ok(()), "other node is free");
-        assert_eq!(r.try_insert(6, 2, 12, 5), Ok(()), "other slot is free");
-    }
-
-    #[test]
-    fn arrival_ring_stale_cells_never_match() {
-        let mut r = ArrivalRing::new(2);
-        assert_eq!(r.try_insert(3, 1, 7, 3), Ok(()));
-        // Slot 3's delivery has fired; slot 11 aliases it (mod 8) and
-        // must overwrite the stale cell, not report a collision.
-        assert_eq!(r.try_insert(11, 1, 8, 10), Ok(()));
-        assert_eq!(r.try_insert(11, 1, 9, 10), Err(8));
-    }
-
-    #[test]
-    fn arrival_ring_grows_past_long_latencies() {
-        let mut r = ArrivalRing::new(3);
-        for slot in 0..40 {
-            assert_eq!(r.try_insert(slot, 1, slot, 0), Ok(()));
-        }
-        // Every claim survives the growth re-seat.
-        for slot in 0..40 {
-            assert_eq!(r.try_insert(slot, 1, slot + 100, 0), Err(slot));
         }
     }
 }

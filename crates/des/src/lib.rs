@@ -30,9 +30,11 @@
 //!
 //! In the degenerate configuration ([`DesConfig::slot_faithful`]: fixed
 //! latencies, unconstrained uplinks, no churn) every event lands on a
-//! slot boundary and the DES replicates the slot engines' semantics
-//! *exactly* — same validation order, same RNG draw order, same
-//! [`clustream_sim::RunResult`] field for field, same rendered errors.
+//! slot boundary and the DES drives the slot engines' own kernel
+//! ([`clustream_sim::kernel`]): each tick admits its calendar through the
+//! kernel's admission rule, receive guard and fault ledger, so validation
+//! order, RNG draw order, rendered errors and the
+//! [`clustream_sim::RunResult`], field for field, are the slot engines'.
 //! [`agree`] over a [`Column::Des`] and the fast [`Column`] enforces
 //! this continuously (property-based suite in
 //! `tests/des_differential.rs`, smoke run in `ci.sh`, CLI runtime

@@ -11,6 +11,7 @@
 use crate::engine::{RunResult, SimConfig};
 use crate::kernel::{Kernel, PacketSet};
 use clustream_core::{CoreError, Scheme};
+use clustream_telemetry::names as tm;
 
 /// Reusable fast-engine arena. One instance can run many simulations
 /// (e.g. a whole sweep) without re-allocating its internal state.
@@ -32,6 +33,7 @@ impl FastEngine {
         scheme: &mut dyn Scheme,
         cfg: &SimConfig,
     ) -> Result<RunResult, CoreError> {
+        let _span = cfg.telemetry.span(tm::ENGINE_RUN);
         let k = &mut self.kernel;
         let mut run = k.begin(scheme, cfg)?;
         for t in 0..cfg.max_slots {

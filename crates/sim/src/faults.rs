@@ -32,7 +32,9 @@
 //! * reports per-node missing packets instead of failing playback
 //!   analysis.
 
-use clustream_core::NodeId;
+use clustream_core::{NodeId, PacketId, Transmission};
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
 /// Deterministic fault schedule for one run.
@@ -186,9 +188,223 @@ impl LossReport {
     }
 }
 
+/// The first fault cause that took out each `(node, packet)` copy —
+/// what a downstream suppression of that copy is blamed on.
+///
+/// One row of cells per node, indexed by seq and grown, like the node's
+/// held [`crate::PacketSet`], up to the largest seq noted for it; a node
+/// never noted has an empty row. It answers as a hashed
+/// `(node, seq) → FaultCause` map filled with `or_insert` would: the
+/// first cause noted for a copy wins, and a cell never noted (or past
+/// its row's end) has none. Lookup-only, so the layout cannot reach the
+/// results.
+#[derive(Debug, Default)]
+struct FirstCauses {
+    /// The ids a run can name: the first note sizes `rows` to them at
+    /// once, so the row table is one allocation, not a doubling chain.
+    n_ids: usize,
+    rows: Vec<Vec<Option<FaultCause>>>,
+}
+
+impl FirstCauses {
+    /// Blame `cause` for `node`'s copy of `seq`, unless an earlier cause
+    /// already is.
+    fn note(&mut self, node: u32, seq: u64, cause: FaultCause) {
+        let (node, seq) = (node as usize, seq as usize);
+        if node >= self.rows.len() {
+            self.rows.resize_with(self.n_ids.max(node + 1), Vec::new);
+        }
+        let row = &mut self.rows[node];
+        if seq >= row.len() {
+            row.resize(seq + 1, None);
+        }
+        row[seq].get_or_insert(cause);
+    }
+
+    /// The cause blamed for `node`'s copy of `seq`, if any.
+    fn get(&self, node: u32, seq: u64) -> Option<FaultCause> {
+        let row = self.rows.get(node as usize)?;
+        *row.get(usize::try_from(seq).ok()?)?
+    }
+}
+
+/// The fault regime of one run in one place: the plan, the seeded loss
+/// process, the [`LossReport`] they fill and the first cause behind each
+/// missing copy. Every engine but the reference books its faults here,
+/// one step per way a copy goes missing, so a step and its blame cannot
+/// drift apart between them.
+///
+/// Without a plan every step is a no-op that answers "not dropped",
+/// except `propagate`, which refuses: forwarding an unheld
+/// packet is then a model error, not a fault.
+#[derive(Debug)]
+pub struct FaultLedger<'a> {
+    plan: Option<&'a FaultPlan>,
+    /// The loss process: one draw per transmission that reaches it, and
+    /// only when `loss_rate > 0`.
+    rng: Option<ChaCha8Rng>,
+    report: LossReport,
+    causes: FirstCauses,
+}
+
+impl<'a> FaultLedger<'a> {
+    /// An empty ledger for a run over `n_ids` ids under `plan`.
+    pub(crate) fn new(plan: Option<&'a FaultPlan>, n_ids: usize) -> Self {
+        FaultLedger {
+            plan,
+            rng: plan.map(|f| ChaCha8Rng::seed_from_u64(f.seed)),
+            report: LossReport::default(),
+            causes: FirstCauses {
+                n_ids,
+                ..FirstCauses::default()
+            },
+        }
+    }
+
+    /// Crash-suppress: whether `tx`'s sender has crashed by `slot`, in
+    /// which case the send is counted as suppressed.
+    #[inline]
+    pub fn crash_suppress(&mut self, tx: &Transmission, slot: u64) -> bool {
+        let crashed = self.plan.is_some_and(|f| f.crashed(tx.from, slot));
+        if crashed {
+            self.suppress(tx);
+        }
+        crashed
+    }
+
+    /// Count `tx` as a send its fail-silent sender never made, blamed on
+    /// a crash.
+    pub fn suppress(&mut self, tx: &Transmission) {
+        self.report.crash_suppressed += 1;
+        self.causes
+            .note(tx.to.0, tx.packet.seq(), FaultCause::Crash);
+    }
+
+    /// Lose in flight: draw from the loss process, and count `tx` as lost
+    /// when the draw says so. The sender's uplink is spent either way.
+    #[inline]
+    pub fn lose_in_flight(&mut self, tx: &Transmission) -> bool {
+        let lost = match (self.plan, self.rng.as_mut()) {
+            (Some(f), Some(r)) => f.loss_rate > 0.0 && r.gen_bool(f.loss_rate),
+            _ => false,
+        };
+        if lost {
+            self.lost(tx);
+        }
+        lost
+    }
+
+    /// Count `tx` as lost in flight without a draw (a drop recorded
+    /// elsewhere, such as a networked trace's).
+    pub fn lost(&mut self, tx: &Transmission) {
+        self.report.lost_in_flight += 1;
+        self.causes.note(tx.to.0, tx.packet.seq(), FaultCause::Loss);
+    }
+
+    /// Propagate an unheld forward: with a plan, count `tx` as a
+    /// downstream suppression blamed on whatever first took out the
+    /// sender's copy (the plan's [`default_cause`] when nothing did) and
+    /// return `true`; without one return `false` — the caller's model
+    /// error.
+    pub(crate) fn propagate(&mut self, tx: &Transmission) -> bool {
+        let Some(f) = self.plan else {
+            return false;
+        };
+        let cause = self.cause(tx.from, tx.packet).unwrap_or(default_cause(f));
+        self.propagate_from(tx, cause);
+        true
+    }
+
+    /// Count `tx` as a downstream suppression blamed on `cause`, and pass
+    /// the cause on to the copy it would have delivered.
+    pub fn propagate_from(&mut self, tx: &Transmission, cause: FaultCause) {
+        self.report.propagation_suppressed += 1;
+        match cause {
+            FaultCause::Loss => self.report.propagation_from_loss += 1,
+            FaultCause::Crash => self.report.propagation_from_crash += 1,
+        }
+        self.causes.note(tx.to.0, tx.packet.seq(), cause);
+    }
+
+    /// Drop at a stopped receiver: whether `to` has fail-stopped by
+    /// `arrival_slot`, in which case the arrival is counted as dropped
+    /// and the lost copy blamed on a crash.
+    #[inline]
+    pub fn drop_at_stopped(&mut self, to: NodeId, packet: PacketId, arrival_slot: u64) -> bool {
+        let stopped = self.drop_late_at_stopped(to, arrival_slot);
+        if stopped {
+            self.causes.note(to.0, packet.seq(), FaultCause::Crash);
+        }
+        stopped
+    }
+
+    /// [`FaultLedger::drop_at_stopped`] for an arrival the slot loop
+    /// never reaches: counted, but blamed on nothing, since nothing sends
+    /// after it.
+    pub(crate) fn drop_late_at_stopped(&mut self, to: NodeId, arrival_slot: u64) -> bool {
+        let stopped = self.plan.is_some_and(|f| f.stopped(to, arrival_slot));
+        if stopped {
+            self.report.stopped_receives += 1;
+        }
+        stopped
+    }
+
+    /// The cause blamed for `node`'s copy of `packet`, if any.
+    pub fn cause(&self, node: NodeId, packet: PacketId) -> Option<FaultCause> {
+        self.causes.get(node.0, packet.seq())
+    }
+
+    /// What a suppression nothing else explains is blamed on: the plan's
+    /// [`default_cause`], or a crash when there is no plan (a departure).
+    pub fn fallback(&self) -> FaultCause {
+        self.plan.map_or(FaultCause::Crash, default_cause)
+    }
+
+    /// Generated transmissions kept off the wire so far: lost in flight,
+    /// sent by a crashed node, or forwarded by one that never held the
+    /// packet.
+    pub(crate) fn dropped(&self) -> u64 {
+        let l = &self.report;
+        l.lost_in_flight + l.crash_suppressed + l.propagation_suppressed
+    }
+
+    /// The report, for the run's result.
+    pub(crate) fn into_report(self) -> LossReport {
+        self.report
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
+
+    proptest! {
+        /// The dense first-cause table against the hash map it replaced
+        /// (`entry(..).or_insert(cause)`): whatever order copies are
+        /// blamed in, the first cause wins, and cells never blamed —
+        /// including seqs past every row and nodes past every row — have
+        /// none.
+        #[test]
+        fn first_causes_match_the_hash_map_model(
+            notes in proptest::collection::vec((0u32..6, 0u64..80, any::<bool>()), 0..300),
+        ) {
+            let mut dense = FirstCauses::default();
+            let mut model: HashMap<(u32, u64), FaultCause> = HashMap::new();
+            for (node, seq, loss) in notes {
+                let cause = if loss { FaultCause::Loss } else { FaultCause::Crash };
+                dense.note(node, seq, cause);
+                model.entry((node, seq)).or_insert(cause);
+            }
+            for node in 0..8 {
+                for seq in (0..100).chain([u64::MAX]) {
+                    prop_assert_eq!(dense.get(node, seq), model.get(&(node, seq)).copied());
+                }
+            }
+            prop_assert_eq!(dense.get(u32::MAX, 0), None);
+        }
+    }
 
     #[test]
     fn crash_predicate() {

@@ -1,6 +1,7 @@
-//! The slot kernel shared by [`crate::FastEngine`] and
-//! [`crate::MegaEngine`]: one dense-state implementation of the
-//! communication model, split into the phases of a slot.
+//! The slot kernel: the one dense-state implementation of the
+//! communication model, split into the phases of a slot. The fast and
+//! mega engines drive it slot by slot, and so does the DES's strict
+//! (slot-faithful) tick.
 //!
 //! A run is `begin`, then per slot `deliver` → `dispatch` → `admit`,
 //! then `flush_ring` and `finish`. [`Kernel`] is the arena reused across
@@ -8,7 +9,11 @@
 //! dispatched); [`Run`] is the state of one run. The fast engine is
 //! exactly that driver over `Vec<PacketSet>`; the mega engine runs the
 //! same phases over its columnar store until its steady-state gears take
-//! over. Results and errors are **bit-identical** to the reference
+//! over. The DES opens each slot with [`Kernel::open`] instead of
+//! `deliver` (its `Deliver` events hand each arrival to
+//! [`Kernel::store`]) and admits through [`Kernel::admit_with`], whose
+//! hook turns every admitted transmission into a `Deliver` event.
+//! Results and errors are **bit-identical** to the reference
 //! [`crate::Simulator`], which stays a structurally independent
 //! implementation (hash sets and a `BTreeMap`) because it is the oracle
 //! the differential harness in [`crate::diff`] compares against.
@@ -20,6 +25,8 @@
 //! * the arrival queue: a **ring buffer** indexed by
 //!   `arrival_slot % window` for the `BTreeMap`, with a per-cell node
 //!   bitmask for the `HashSet<(slot, node)>` collision guard;
+//! * the first-cause table: dense rows in the run's
+//!   [`FaultLedger`] for a `HashMap`;
 //! * every scratch buffer lives in the arena and is reset, not
 //!   reallocated, by `begin`.
 //!
@@ -29,17 +36,16 @@
 //! transmission in validation order (only when `loss_rate > 0`).
 
 use crate::engine::{RunResult, SimConfig};
-use crate::faults::{FaultCause, LossReport};
+use crate::faults::FaultLedger;
 use crate::metrics::TrafficStats;
 use crate::playback::{ArrivalTable, PlaybackScratch};
+use crate::resilience::ResilienceMetrics;
 use crate::trace::EventTrace;
 use clustream_core::{
     Availability, CoreError, NodeId, NodeQos, PacketId, QosReport, Scheme, Slot, StateView,
     Transmission,
 };
 use clustream_telemetry::{names as tm, Telemetry};
-use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 
 /// Sentinel for "no packet yet" in the dense newest-packet array.
 const NO_PACKET: u64 = u64::MAX;
@@ -93,7 +99,7 @@ impl PacketSet {
 
 /// Per-node packet holdings, the one piece of kernel state the engines
 /// lay out differently.
-pub(crate) trait Held {
+pub trait Held {
     /// Empty the store for a run over `n_ids` nodes expecting seqs up to
     /// about `hint_seq`.
     fn reset(&mut self, n_ids: usize, hint_seq: u64);
@@ -125,7 +131,7 @@ impl Held for Vec<PacketSet> {
 /// Dense per-run simulation state exposed to schemes through
 /// [`StateView`].
 #[derive(Default)]
-pub(crate) struct State<H> {
+pub struct State<H> {
     pub(crate) held: H,
     /// Highest packet seq held per node; [`NO_PACKET`] = none.
     newest: Vec<u64>,
@@ -280,6 +286,14 @@ impl ArrivalRing {
         batch
     }
 
+    /// Empty cell `cell_idx` unread: its guard words are zeroed whole and
+    /// its buffer parked for reuse.
+    pub(crate) fn discard(&mut self, cell_idx: usize) {
+        let buf = std::mem::take(&mut self.cells[cell_idx]);
+        self.recycle(buf);
+        self.guards[cell_idx * self.n_words..(cell_idx + 1) * self.n_words].fill(0);
+    }
+
     /// Give a [`ArrivalRing::take`]n buffer back for reuse.
     pub(crate) fn recycle(&mut self, mut buf: Vec<(NodeId, PacketId)>) {
         if buf.capacity() > 0 {
@@ -317,22 +331,19 @@ fn filled<T: Clone>(len: usize, value: T) -> Option<Vec<T>> {
 }
 
 /// The state of one run, created by [`Kernel::begin`] and consumed by
-/// [`Kernel::finish`]. Fields the mega engine's steady-state gears
+/// [`Kernel::result`]. Fields the mega engine's steady-state gears
 /// advance directly are crate-visible.
-pub(crate) struct Run<'a> {
+pub struct Run<'a> {
     cfg: &'a SimConfig,
-    _span: clustream_telemetry::SpanGuard,
     receivers: Vec<NodeId>,
     pub(crate) arrivals: ArrivalTable,
     pub(crate) is_receiver: Vec<bool>,
     /// Remaining (receiver, tracked packet) firsts before completion.
     pub(crate) remaining: u64,
-    loss_report: LossReport,
-    /// First cause each (node, packet) copy went missing for; key
-    /// lookups only (never iterated), so a HashMap stays deterministic.
-    taint: HashMap<(u32, u64), FaultCause>,
-    rng: Option<rand_chacha::ChaCha8Rng>,
-    pub(crate) trace: Option<EventTrace>,
+    /// The run's faults: what went missing, why, and the loss process.
+    pub ledger: FaultLedger<'a>,
+    /// The transmission trace, when the config records one.
+    pub trace: Option<EventTrace>,
     pub(crate) slots_run: u64,
 }
 
@@ -342,19 +353,52 @@ impl Run<'_> {
         self.slots_run.saturating_sub(1)
     }
 
-    /// Generated transmissions the fault regime has kept off the wire so
-    /// far: lost in flight, sent by a crashed node, or forwarded by a
-    /// node that never held the packet.
-    pub(crate) fn dropped(&self) -> u64 {
-        let l = &self.loss_report;
-        l.lost_in_flight + l.crash_suppressed + l.propagation_suppressed
+    /// The nodes whose playback the run measures.
+    pub fn receivers(&self) -> &[NodeId] {
+        &self.receivers
     }
+
+    /// Whether `node` is one of [`Run::receivers`].
+    pub fn is_receiver(&self, node: NodeId) -> bool {
+        self.is_receiver[node.index()]
+    }
+
+    /// Record an arrival, usable from slot `usable`, that the slot loop
+    /// never reaches: the table notes it (unless the receiver has
+    /// fail-stopped), nothing holds it.
+    pub fn record_late(&mut self, to: NodeId, packet: PacketId, usable: u64) {
+        if !self
+            .ledger
+            .drop_late_at_stopped(to, usable.saturating_sub(1))
+        {
+            self.arrivals.record(to, packet, Slot(usable));
+        }
+    }
+}
+
+/// The sender and receiver of `tx` exist among `n_ids` ids, and the
+/// packet takes at least one slot.
+#[inline]
+pub fn check_ends(tx: &Transmission, n_ids: usize) -> Result<(), CoreError> {
+    if tx.from.index() >= n_ids {
+        return Err(CoreError::UnknownNode { node: tx.from });
+    }
+    if tx.to.index() >= n_ids {
+        return Err(CoreError::UnknownNode { node: tx.to });
+    }
+    if tx.latency == 0 {
+        return Err(CoreError::InvalidConfig(format!(
+            "zero-latency transmission {} → {}",
+            tx.from, tx.to
+        )));
+    }
+    Ok(())
 }
 
 /// Reusable kernel arena. One instance can run many simulations (e.g. a
 /// whole sweep) without re-allocating its internal state.
 #[derive(Default)]
-pub(crate) struct Kernel<H> {
+pub struct Kernel<H> {
     pub(crate) state: State<H>,
     pub(crate) ring: ArrivalRing,
     pub(crate) stats: TrafficStats,
@@ -368,12 +412,11 @@ pub(crate) struct Kernel<H> {
 impl<H: Held> Kernel<H> {
     /// Check the scheme's id space, reset the arena and set up the
     /// per-run state.
-    pub(crate) fn begin<'a>(
+    pub fn begin<'a>(
         &mut self,
         scheme: &dyn Scheme,
         cfg: &'a SimConfig,
     ) -> Result<Run<'a>, CoreError> {
-        let span = cfg.telemetry.span(tm::ENGINE_RUN);
         let n_ids = scheme.id_space();
         if n_ids == 0 {
             return Err(CoreError::InvalidConfig("empty id space".into()));
@@ -403,17 +446,11 @@ impl<H: Held> Kernel<H> {
         }
         Ok(Run {
             cfg,
-            _span: span,
             arrivals,
             is_receiver,
             remaining: receivers.len() as u64 * cfg.track_packets,
             receivers,
-            loss_report: LossReport::default(),
-            taint: HashMap::new(),
-            rng: cfg
-                .faults
-                .as_ref()
-                .map(|f| rand_chacha::ChaCha8Rng::seed_from_u64(f.seed)),
+            ledger: FaultLedger::new(cfg.faults.as_ref(), n_ids),
             trace: cfg.record_trace.then(EventTrace::default),
             slots_run: 0,
         })
@@ -424,113 +461,130 @@ impl<H: Held> Kernel<H> {
     /// stop on completion and every receiver now has every tracked
     /// packet — the caller stops before this slot's sends.
     pub(crate) fn deliver(&mut self, run: &mut Run<'_>, t: u64) -> bool {
-        let cfg = run.cfg;
         self.state.slot = Slot(t);
         run.slots_run = t + 1;
-
         let mut slot_deliveries: u64 = 0;
         if t > 0 {
-            let cell_idx = self.ring.cell_index(t - 1);
-            let batch = self.ring.take(cell_idx);
+            let batch = self.ring.take(self.ring.cell_index(t - 1));
             for &(to, packet) in &batch {
                 // Fail-stopped receivers drop arrivals on the floor.
-                if let Some(f) = &cfg.faults {
-                    if f.stopped(to, t - 1) {
-                        run.loss_report.stopped_receives += 1;
-                        run.taint
-                            .entry((to.0, packet.seq()))
-                            .or_insert(FaultCause::Crash);
-                        continue;
-                    }
+                if !run.ledger.drop_at_stopped(to, packet, t - 1) && self.store(run, to, packet, t)
+                {
+                    slot_deliveries += 1;
                 }
-                if !self.state.held.insert(to.index(), packet.seq()) {
-                    self.stats.record_duplicate();
-                    continue;
-                }
-                let nw = &mut self.state.newest[to.index()];
-                if *nw == NO_PACKET || packet.seq() > *nw {
-                    *nw = packet.seq();
-                }
-                if run.arrivals.record(to, packet, Slot(t)) && run.is_receiver[to.index()] {
-                    run.remaining -= 1;
-                }
-                slot_deliveries += 1;
             }
             self.ring.recycle(batch);
         }
-        record_slot_deliveries(&cfg.telemetry, slot_deliveries);
-
-        cfg.stop_when_complete && run.remaining == 0
+        record_slot_deliveries(&run.cfg.telemetry, slot_deliveries);
+        run.cfg.stop_when_complete && run.remaining == 0
     }
 
-    /// Ask the scheme for slot `t`'s transmissions, into `self.out`.
-    pub(crate) fn dispatch(&mut self, scheme: &mut dyn Scheme, t: u64) {
+    /// Open slot `t` for a driver that delivers through
+    /// [`Kernel::store`] itself: the ring keeps only the receive guards
+    /// of what was admitted, and those of arrival slot `t − 1` are freed.
+    /// Returns `true` when the run stops here, as `deliver` does.
+    pub fn open(&mut self, run: &mut Run<'_>, t: u64) -> bool {
+        self.state.slot = Slot(t);
+        run.slots_run = t + 1;
+        if t > 0 {
+            self.ring.discard(self.ring.cell_index(t - 1));
+        }
+        run.cfg.stop_when_complete && run.remaining == 0
+    }
+
+    /// Hand `packet` to `to`, usable from slot `usable`: it joins `to`'s
+    /// holdings and the arrival table. `false` for a duplicate (counted,
+    /// otherwise ignored).
+    #[inline]
+    pub fn store(&mut self, run: &mut Run<'_>, to: NodeId, packet: PacketId, usable: u64) -> bool {
+        if !self.state.held.insert(to.index(), packet.seq()) {
+            self.stats.record_duplicate();
+            return false;
+        }
+        let nw = &mut self.state.newest[to.index()];
+        if *nw == NO_PACKET || packet.seq() > *nw {
+            *nw = packet.seq();
+        }
+        if run.arrivals.record(to, packet, Slot(usable)) && run.is_receiver[to.index()] {
+            run.remaining -= 1;
+        }
+        true
+    }
+
+    /// Ask the scheme for slot `t`'s transmissions (read back with
+    /// [`Kernel::generated`]).
+    pub fn dispatch(&mut self, scheme: &mut dyn Scheme, t: u64) {
         self.out.clear();
         scheme.transmissions(Slot(t), &self.state, &mut self.out);
     }
 
+    /// The transmissions the last [`Kernel::dispatch`] generated, in
+    /// generation order.
+    pub fn generated(&self) -> &[Transmission] {
+        &self.out
+    }
+
+    /// Whether `tx`'s sender has its packet at slot `t`: the source once
+    /// the packet is produced ([`CoreError::PacketNotProduced`] before),
+    /// any other node once it holds it.
+    #[inline]
+    pub fn sender_has(&self, tx: &Transmission, t: u64) -> Result<bool, CoreError> {
+        if !tx.from.is_source() {
+            return Ok(self.state.held.contains(tx.from.index(), tx.packet.seq()));
+        }
+        if self.state.availability.produced(tx.packet, Slot(t)) {
+            Ok(true)
+        } else {
+            Err(CoreError::PacketNotProduced {
+                slot: Slot(t),
+                packet: tx.packet,
+            })
+        }
+    }
+
     /// Validate slot `t`'s transmissions in generation order and queue
     /// the ones that go through.
+    #[inline]
     pub(crate) fn admit(
         &mut self,
         scheme: &dyn Scheme,
         run: &mut Run<'_>,
         t: u64,
     ) -> Result<(), CoreError> {
-        let cfg = run.cfg;
+        self.admit_with(scheme, run, t, |_| {})
+    }
+
+    /// The admission rule. Validates slot `t`'s transmissions in
+    /// generation order — ids and latency, crash suppression, holdings
+    /// (or loss propagation), send capacity, the loss draw, receive
+    /// capacity — and queues each one that goes through in the ring, its
+    /// traffic counted and traced; `admitted` then sees it, in the same
+    /// order.
+    #[inline]
+    pub fn admit_with(
+        &mut self,
+        scheme: &dyn Scheme,
+        run: &mut Run<'_>,
+        t: u64,
+        mut admitted: impl FnMut(&Transmission),
+    ) -> Result<(), CoreError> {
         let n_ids = run.arrivals.n_ids();
         for idx in self.touched.drain(..) {
             self.send_counts[idx] = 0;
         }
         for i in 0..self.out.len() {
             let tx = self.out[i];
-            if tx.from.index() >= n_ids {
-                return Err(CoreError::UnknownNode { node: tx.from });
-            }
-            if tx.to.index() >= n_ids {
-                return Err(CoreError::UnknownNode { node: tx.to });
-            }
-            if tx.latency == 0 {
-                return Err(CoreError::InvalidConfig(format!(
-                    "zero-latency transmission {} → {}",
-                    tx.from, tx.to
-                )));
-            }
+            check_ends(&tx, n_ids)?;
 
             // Crashed senders transmit nothing.
-            if let Some(f) = &cfg.faults {
-                if f.crashed(tx.from, t) {
-                    run.loss_report.crash_suppressed += 1;
-                    run.taint
-                        .entry((tx.to.0, tx.packet.seq()))
-                        .or_insert(FaultCause::Crash);
-                    continue;
-                }
+            if run.ledger.crash_suppress(&tx, t) {
+                continue;
             }
 
-            // Sender must hold (or, for the source, have produced) it.
-            if tx.from.is_source() {
-                if !self.state.availability.produced(tx.packet, Slot(t)) {
-                    return Err(CoreError::PacketNotProduced {
-                        slot: Slot(t),
-                        packet: tx.packet,
-                    });
-                }
-            } else if !self.state.held.contains(tx.from.index(), tx.packet.seq()) {
-                if let Some(f) = &cfg.faults {
-                    // A fault propagating downstream, attributed to
-                    // whatever first took out the sender's copy.
-                    let cause = run
-                        .taint
-                        .get(&(tx.from.0, tx.packet.seq()))
-                        .copied()
-                        .unwrap_or(crate::faults::default_cause(f));
-                    run.loss_report.propagation_suppressed += 1;
-                    match cause {
-                        FaultCause::Loss => run.loss_report.propagation_from_loss += 1,
-                        FaultCause::Crash => run.loss_report.propagation_from_crash += 1,
-                    }
-                    run.taint.entry((tx.to.0, tx.packet.seq())).or_insert(cause);
+            // Sender must hold (or, for the source, have produced) it —
+            // unless a fault is propagating downstream.
+            if !self.sender_has(&tx, t)? {
+                if run.ledger.propagate(&tx) {
                     continue;
                 }
                 return Err(CoreError::PacketNotHeld {
@@ -556,14 +610,8 @@ impl<H: Held> Kernel<H> {
             }
 
             // Link loss: uplink capacity is spent, nothing arrives.
-            if let (Some(f), Some(r)) = (&cfg.faults, run.rng.as_mut()) {
-                if f.loss_rate > 0.0 && r.gen_bool(f.loss_rate) {
-                    run.loss_report.lost_in_flight += 1;
-                    run.taint
-                        .entry((tx.to.0, tx.packet.seq()))
-                        .or_insert(FaultCause::Loss);
-                    continue;
-                }
+            if run.ledger.lose_in_flight(&tx) {
+                continue;
             }
 
             // Receive capacity at the arrival slot.
@@ -591,6 +639,7 @@ impl<H: Held> Kernel<H> {
             if let Some(tr) = run.trace.as_mut() {
                 tr.push(t, &tx);
             }
+            admitted(&tx);
         }
         Ok(())
     }
@@ -600,13 +649,7 @@ impl<H: Held> Kernel<H> {
     pub(crate) fn flush_cell(&mut self, run: &mut Run<'_>, arrival_slot: u64) {
         let batch = self.ring.take(self.ring.cell_index(arrival_slot));
         for &(to, packet) in &batch {
-            if let Some(f) = &run.cfg.faults {
-                if f.stopped(to, arrival_slot) {
-                    run.loss_report.stopped_receives += 1;
-                    continue;
-                }
-            }
-            run.arrivals.record(to, packet, Slot(arrival_slot + 1));
+            run.record_late(to, packet, arrival_slot + 1);
         }
         self.ring.recycle(batch);
     }
@@ -621,40 +664,62 @@ impl<H: Held> Kernel<H> {
         }
     }
 
-    /// Analyse playback per receiver and assemble the [`RunResult`].
-    /// Fault-free runs fail hard on a missing packet; faulty runs report
-    /// losses instead.
-    pub(crate) fn finish(
-        &mut self,
+    /// The slot engines' end of a run: [`Kernel::result`] under the
+    /// config's fault regime, recorded as the `engine.*` series.
+    pub(crate) fn finish(&self, scheme: &dyn Scheme, run: Run<'_>) -> Result<RunResult, CoreError> {
+        let cfg = run.cfg;
+        let faulty = cfg.faults.is_some();
+        let r = self.result(scheme, run, faulty, faulty.then(ResilienceMetrics::default))?;
+        let tel = &cfg.telemetry;
+        let hiccups = r.loss.as_ref().map_or(0, |l| l.missing.len() as u64);
+        if hiccups > 0 {
+            tel.counter(tm::ENGINE_HICCUPS, hiccups);
+        }
+        for q in &r.qos.nodes {
+            tel.observe(tm::ENGINE_PLAYBACK_DELAY, q.playback_delay);
+            tel.observe(tm::ENGINE_BUFFER_OCCUPANCY, q.max_buffer as u64);
+        }
+        tel.counter(tm::ENGINE_SLOTS, r.slots_run);
+        tel.counter(tm::ENGINE_TRANSMISSIONS, r.total_transmissions);
+        Ok(r)
+    }
+}
+
+impl<H> Kernel<H> {
+    /// Analyse playback per receiver and assemble the [`RunResult`]. A
+    /// `lossy` run reports each receiver's missing packets in its loss
+    /// report; any other run fails hard on the first missing packet.
+    /// `resilience`, when given, takes its stall counters from the
+    /// missing total.
+    pub fn result(
+        &self,
         scheme: &dyn Scheme,
         run: Run<'_>,
+        lossy: bool,
+        mut resilience: Option<ResilienceMetrics>,
     ) -> Result<RunResult, CoreError> {
         let Run {
-            cfg,
             receivers,
             arrivals,
-            mut loss_report,
+            ledger,
             trace,
             slots_run,
             ..
         } = run;
+        let mut loss_report = ledger.into_report();
         let mut nodes = Vec::with_capacity(receivers.len());
         let mut scratch = PlaybackScratch::default();
         for r in &receivers {
-            let (delay, buffer) = if cfg.faults.is_some() {
+            let (delay, buffer) = if lossy {
                 let pb = arrivals.analyze_lossy_with(*r, &mut scratch);
                 if pb.missing > 0 {
                     loss_report.missing.push((*r, pb.missing));
-                    cfg.telemetry.counter(tm::ENGINE_HICCUPS, 1);
                 }
                 (pb.playback_delay, pb.max_buffer)
             } else {
                 let pb = arrivals.analyze_with(*r, &mut scratch)?;
                 (pb.playback_delay, pb.max_buffer)
             };
-            cfg.telemetry.observe(tm::ENGINE_PLAYBACK_DELAY, delay);
-            cfg.telemetry
-                .observe(tm::ENGINE_BUFFER_OCCUPANCY, buffer as u64);
             nodes.push(NodeQos {
                 node: *r,
                 playback_delay: delay,
@@ -664,14 +729,11 @@ impl<H: Held> Kernel<H> {
                 neighbors: self.stats.degree(*r),
             });
         }
-
-        cfg.telemetry.counter(tm::ENGINE_SLOTS, slots_run);
-        cfg.telemetry
-            .counter(tm::ENGINE_TRANSMISSIONS, self.stats.total_transmissions());
-
-        let resilience = cfg.faults.as_ref().map(|_| {
-            crate::resilience::ResilienceMetrics::from_missing(loss_report.total_missing() as u64)
-        });
+        if let Some(m) = resilience.as_mut() {
+            let total = loss_report.total_missing() as u64;
+            m.stall_events = total;
+            m.stall_slots = total;
+        }
         Ok(RunResult {
             scheme: scheme.name(),
             slots_run,
@@ -679,11 +741,22 @@ impl<H: Held> Kernel<H> {
             qos: QosReport::new(scheme.name(), nodes),
             total_transmissions: self.stats.total_transmissions(),
             duplicate_deliveries: self.stats.duplicate_deliveries(),
-            loss: cfg.faults.as_ref().map(|_| loss_report),
+            loss: lossy.then_some(loss_report),
             trace,
             upload_counts: self.stats.upload_counts().to_vec(),
             resilience,
         })
+    }
+
+    /// The run's traffic counters, for a driver that admits some
+    /// transmissions outside [`Kernel::admit_with`].
+    pub fn stats_mut(&mut self) -> &mut TrafficStats {
+        &mut self.stats
+    }
+
+    /// The state schemes see.
+    pub fn state(&self) -> &State<H> {
+        &self.state
     }
 }
 
@@ -715,6 +788,10 @@ mod tests {
         assert_eq!(r.take(idx), [(NodeId(3), PacketId(0))]);
         assert!(r.try_reserve(5, NodeId(3)));
         assert!(!r.try_reserve(5, NodeId(4)));
+        // Discarding frees every receiver of the cell, queued or not.
+        r.discard(idx);
+        assert!(r.try_reserve(5, NodeId(3)) && r.try_reserve(5, NodeId(4)));
+        assert!(!r.try_reserve(6, NodeId(3)), "other cells keep theirs");
     }
 
     #[test]

@@ -16,15 +16,17 @@
 //! The simulator is fully deterministic: same scheme, same config, same
 //! result, bit for bit.
 //!
-//! The semantics are written out twice. The readable reference
-//! ([`Simulator`], hash sets and a `BTreeMap`) is the oracle. The slot
-//! kernel (private module `kernel`: bitset holdings, a ring-buffer
-//! arrival queue, reusable arenas) is the one dense implementation, and
-//! two engines drive it: [`FastEngine`] (module [`fast`]) is the bare
-//! kernel loop over per-node [`PacketSet`]s, and [`MegaEngine`] (module
-//! [`mega`]) runs the same loop over columnar node state and adds
-//! precompiled steady-state transmission tables and in-run sharding for
-//! runs with 10^5–10^6 nodes. All results are bit-identical; [`diff`]
+//! The semantics are written out twice, both here. The readable
+//! reference ([`Simulator`], hash sets and a `BTreeMap`) is the oracle.
+//! The slot kernel ([`kernel`]: bitset holdings, a ring-buffer arrival
+//! queue, a [`faults::FaultLedger`], reusable arenas) is the one dense
+//! implementation, and three drivers run it: [`FastEngine`] (module
+//! [`fast`]) is the bare kernel loop over per-node [`PacketSet`]s,
+//! [`MegaEngine`] (module [`mega`]) runs the same loop over columnar
+//! node state and adds precompiled steady-state transmission tables and
+//! in-run sharding for runs with 10^5–10^6 nodes, and `clustream_des`'s
+//! strict tick admits through it and turns each admitted transmission
+//! into a `Deliver` event. All results are bit-identical; [`diff`]
 //! names the fields on which two results differ, the differential
 //! oracle (`clustream_des`'s `Column` and `agree`) runs the engines side
 //! by side through it, and [`sweep`] farms experiment grids across
@@ -36,7 +38,7 @@ pub mod diff;
 pub mod engine;
 pub mod fast;
 pub mod faults;
-mod kernel;
+pub mod kernel;
 pub mod mega;
 pub mod metrics;
 mod parallel;

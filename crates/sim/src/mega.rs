@@ -53,6 +53,7 @@ use crate::kernel::{record_slot_deliveries, Held, Kernel, PacketSet};
 use crate::parallel::ClaimCounter;
 use crate::playback::{ArrivalTable, CellsMut};
 use clustream_core::{CoreError, NodeId, PacketId, SchedulePeriod, Scheme, Slot, Transmission};
+use clustream_telemetry::names as tm;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Columnar holdings budget: grow the per-node stride only while the
@@ -706,6 +707,7 @@ impl MegaEngine {
         cfg: &SimConfig,
         allow_steady: bool,
     ) -> Result<Option<RunResult>, CoreError> {
+        let _span = cfg.telemetry.span(tm::ENGINE_RUN);
         let mut run = self.kernel.begin(scheme, cfg)?;
         self.steady_slots = 0;
 
@@ -766,12 +768,12 @@ impl MegaEngine {
                 break;
             }
             self.kernel.dispatch(scheme, t);
-            let dropped = run.dropped();
+            let dropped = run.ledger.dropped();
             self.kernel.admit(scheme, &mut run, t)?;
             // Record/verify the declared period from what was admitted
             // whole: every transmission validated, or the run errored.
             if let Some(lw) = lowering.as_mut() {
-                lw.observe(t, &self.kernel.out, run.dropped() == dropped);
+                lw.observe(t, &self.kernel.out, run.ledger.dropped() == dropped);
             }
         }
 

@@ -688,7 +688,6 @@ impl ArrivalTable {
             Some(j) => Err(CoreError::Hiccup {
                 node,
                 packet: PacketId(j as u64),
-                playback_slot: Slot(u64::MAX),
             }),
             None => Ok(PlaybackAnalysis {
                 node,

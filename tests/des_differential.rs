@@ -205,6 +205,40 @@ fn regression_des_large_latency_agrees() {
     }
 }
 
+/// An inter-cluster latency the arrival ring cannot grow to: the DES
+/// claims receive slots through the slot kernel's ring, so it refuses the
+/// latency with the kernel's typed error on every queue (its own guard
+/// used to abort in the allocator).
+#[test]
+fn regression_des_unfittable_latency_agrees() {
+    let des = [QueueKind::Heap, QueueKind::Wheel, QueueKind::Checked].map(Column::Des);
+    let outcome = agree(
+        &[&[Column::Fast, Column::Mega], &des[..]].concat(),
+        || {
+            Box::new(
+                ClusterSession::new(
+                    &[5],
+                    3,
+                    2_000_000_000,
+                    IntraScheme::MultiTree {
+                        d: 2,
+                        construction: Construction::Greedy,
+                    },
+                )
+                .unwrap(),
+            )
+        },
+        &SimConfig::until_complete(16, 100_000),
+    )
+    .unwrap_or_else(|d| panic!("{d}"));
+    let err = outcome.map(|r| r.scheme).unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        "invalid configuration: a transmission latency of 2000000000 slots needs an \
+         arrival ring of 2147483648 slots, which does not fit in memory"
+    );
+}
+
 /// Total loss: every transmission is dropped; both engines must report
 /// the identical degenerate result.
 #[test]

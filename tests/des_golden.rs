@@ -167,7 +167,8 @@ fn loss_plan_on_the_relaxed_path() {
 #[test]
 fn loss_plan_on_the_strict_path() {
     // No churn, no recovery: the slot-faithful regime, where a missing
-    // packet is attributed through the taint map at calendar time. The
+    // packet is attributed through the kernel's fault ledger at calendar
+    // time. The
     // tick pushes each transmission's `Deliver` itself, so the run pops
     // one event per delivery and one per slot (121431 + 512); the pin
     // dropped by exactly `sends` when the strict path lost its `Send` hop.

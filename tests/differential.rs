@@ -258,6 +258,33 @@ fn regression_total_loss_engines_agree() {
     assert!(div.is_none(), "{div:?}");
 }
 
+/// A lost send still spends its sender's uplink: under total loss a
+/// source of capacity 1 that sends two packets a slot is over capacity,
+/// on every engine column, exactly as without loss. (Drawing the loss
+/// before counting the send would let every lost send through.)
+#[test]
+fn regression_a_lost_send_still_spends_capacity() {
+    /// S sends packet `t` to both receivers each slot, at capacity 1.
+    struct Burst;
+    impl Scheme for Burst {
+        fn name(&self) -> String {
+            "burst".into()
+        }
+        fn num_receivers(&self) -> usize {
+            2
+        }
+        fn transmissions(&mut self, slot: Slot, _: &dyn StateView, out: &mut Vec<Transmission>) {
+            for to in [NodeId(1), NodeId(2)] {
+                out.push(Transmission::local(SOURCE, to, PacketId(slot.t())));
+            }
+        }
+    }
+    let cfg = SimConfig::with_faults(4, 20, FaultPlan::loss(1.0, 3));
+    let outcome = agree(&Column::ALL, || Box::new(Burst), &cfg).unwrap_or_else(|d| panic!("{d}"));
+    let err = outcome.map(|r| r.scheme).unwrap_err();
+    assert_eq!(err.to_string(), "S exceeded send capacity 1 in t0");
+}
+
 /// Crash of the source-adjacent node from slot 0: nothing it relays is
 /// ever sent, the largest possible crash blast radius.
 #[test]
