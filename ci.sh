@@ -267,6 +267,20 @@ cli_flag_hygiene() {
         trace --scheme multitree --n 15 --d 3 --node 6 --packet 100000000
     expect_error '^usage error: --track must be at least 1' \
         cluster --nodes 2 --track 0
+    # Under a 2 GB address-space cap, a scenario script that does not fit
+    # and a corpus genome of 4·10^9 receivers are model errors; both used
+    # to abort in the allocator (134).
+    local corpus=target/ci-corpus-out-of-domain
+    mkdir -p "$corpus"
+    printf '%s\n' '{"id":"huge","note":"n past MAX_N","invariant":null,"expect_violation":false,"genome":{"family":"MultiTree","n":4000000000,"d":2,"construction":"Greedy","mode":"Pre","track":10,"faults":null,"sabotage":null}}' \
+        >"$corpus/huge.jsonl"
+    (
+        ulimit -v 2000000
+        expect_error '^model error: invalid configuration: a scenario of 100 initial members and 100000000 joins does not fit in memory$' \
+            simulate --scheme multitree --n 100 --d 3 --scenario step:100000000@5
+        expect_error "^model error: $corpus/huge.jsonl:1: genome outside the checker's domain: n = 4000000000" \
+            check --replay-corpus --corpus "$corpus"
+    )
 }
 
 corpus_replay() {

@@ -2,16 +2,16 @@
 
 use clustream_analysis as analysis;
 use clustream_core::{NodeId, PacketId, QosReport, Scheme};
-use clustream_des::{DesEngine, LatencyModel, TICKS_PER_SLOT};
+use clustream_des::{agree, Column, DesEngine, LatencyModel, QueueKind, TICKS_PER_SLOT};
 use clustream_hypercube::HypercubeStream;
 use clustream_multitree::{
-    build_forest, greedy_forest, structured_forest, AdaptiveMultiTree, Construction, DelayProfile,
-    DynamicForest, MultiTreeScheme, StreamMode,
+    build_forest, greedy_forest, structured_forest, Construction, DelayProfile, DynamicForest,
+    MultiTreeScheme, StreamMode,
 };
 use clustream_npc::{find_two_interior_disjoint_trees, reduce, E4SetSplitting};
 use clustream_overlay::{Backbone, ClusterSession, IntraScheme};
 use clustream_plan::{Family, RunPlan, Runtime, SchemeSpec};
-use clustream_recovery::RecoveryConfig;
+use clustream_recovery::{DynamicMultiTree, RecoveryConfig};
 use clustream_sim::{FastEngine, FaultPlan, ResilienceMetrics, RunResult, SimConfig, Simulator};
 use clustream_workloads::{ChurnAction, ChurnTrace, ChurnTraceConfig};
 use serde::Serialize;
@@ -667,13 +667,16 @@ pub fn ext_crash(n: usize, d: usize, crash_slot: u64, track: u64) -> Vec<CrashRo
 
 // ------------------------------------------ Streaming through churn (ext)
 
-/// ext-F: one churn trace streamed *through* by the adaptive multi-tree.
+/// ext-F: one churn trace streamed *through* by the dynamic multi-tree.
 #[derive(Debug, Clone, Serialize)]
-pub struct AdaptiveChurnRow {
+pub struct ChurnThroughRow {
     pub seed: u64,
     pub events: usize,
+    pub joins: u64,
+    pub leaves: u64,
     pub final_members: usize,
-    pub displacements: usize,
+    /// Forest label swaps across every applied change.
+    pub swaps: usize,
     /// Final members that missed ≥ 1 packet they were owed.
     pub survivors_gapped: usize,
     /// Most owed packets any final member missed.
@@ -683,13 +686,23 @@ pub struct AdaptiveChurnRow {
 }
 
 /// Stream 360 packets through 300 slots of churn per `(seed, join rate,
-/// leave rate)` cell and measure the actual per-node packet gaps (the
-/// hiccups the paper's appendix discusses qualitatively).
-pub fn ext_adaptive_churn(n0: usize, d: usize, cells: &[(u64, f64, f64)]) -> Vec<AdaptiveChurnRow> {
+/// leave rate)` cell on the shipped [`DynamicMultiTree`], on the
+/// reference, fast, mega and wheel-DES columns, and measure the actual
+/// per-node packet gaps (the hiccups the paper's appendix discusses
+/// qualitatively). `Err` names the first divergence between the columns.
+pub fn ext_adaptive_churn(
+    n0: usize,
+    d: usize,
+    cells: &[(u64, f64, f64)],
+) -> Result<Vec<ChurnThroughRow>, String> {
+    use Column::{Des, Fast, Mega, Reference};
+    let columns = [Reference, Fast, Mega, Des(QueueKind::Wheel)];
     let track = 360u64;
     // A member is owed the tracked packets *after* its join slot plus a
     // catch-up margin (pre-join packets were never owed).
     let margin = 16u64;
+    let initial: Vec<u64> = (1..=n0 as u64).collect();
+    let cfg = SimConfig::lossy_regime(track, 4000);
     cells
         .iter()
         .map(|&(seed, join_rate, leave_rate)| {
@@ -701,34 +714,43 @@ pub fn ext_adaptive_churn(n0: usize, d: usize, cells: &[(u64, f64, f64)]) -> Vec
                 rejoin_rate: 0.0,
                 seed,
             });
-            let mut s = AdaptiveMultiTree::new(n0, d, Construction::Greedy, &trace).unwrap();
-            let cfg = AdaptiveMultiTree::recommended_config(track, 4000);
-            let r = Simulator::run(&mut s, &cfg).unwrap();
-            let missing = |ext: u64, from: u64| {
+            let mut s = DynamicMultiTree::scripted(
+                n0,
+                d,
+                StreamMode::PreRecorded,
+                Construction::Greedy,
+                trace.resolve(&initial, &[]),
+            )
+            .unwrap();
+            let r = agree(&columns, || Box::new(s.clone()), &cfg)?
+                .expect("a scripted churn run is a valid model");
+            // `s` never ran: bring it to where every column's instance ended.
+            s.replay_script(r.slots_run);
+            let missing = |id: u32, from: u64| {
                 (from.min(track)..track)
-                    .filter(|&p| {
-                        r.arrivals
-                            .usable_slot(NodeId(ext as u32), PacketId(p))
-                            .is_none()
-                    })
+                    .filter(|&p| r.arrivals.usable_slot(NodeId(id), PacketId(p)).is_none())
                     .count() as u64
             };
-            let members = s.members();
+            let members: Vec<u32> = (1..=s.num_receivers() as u32)
+                .filter(|&id| s.is_member(NodeId(id)))
+                .collect();
             let gaps: Vec<u64> = members
                 .iter()
-                .map(|&e| missing(e, s.join_slot(e).unwrap_or(0) + margin))
+                .map(|&id| missing(id, s.join_slots()[id as usize] + margin))
                 .collect();
-            AdaptiveChurnRow {
+            Ok(ChurnThroughRow {
                 seed,
                 events: trace.events.len(),
+                joins: s.joins_applied(),
+                leaves: s.leaves_applied(),
                 final_members: members.len(),
-                displacements: s.displacements().len(),
+                swaps: s.total_swaps(),
                 survivors_gapped: gaps.iter().filter(|&&g| g > 0).count(),
                 worst_gap: gaps.iter().max().copied().unwrap_or(0),
                 // Stabilization: the tail of the window is complete for
                 // everyone who joined before the last event.
-                tail_complete: members.iter().all(|&e| missing(e, track - 24) == 0),
-            }
+                tail_complete: members.iter().all(|&id| missing(id, track - 24) == 0),
+            })
         })
         .collect()
 }
@@ -1256,11 +1278,23 @@ mod tests {
 
     #[test]
     fn adaptive_churn_restabilizes_on_every_seed() {
-        let rows = ext_adaptive_churn(30, 3, &[1, 2, 3].map(|seed| (seed, 0.03, 0.002)));
+        let rows = ext_adaptive_churn(30, 3, &[1, 2, 3].map(|seed| (seed, 0.03, 0.002))).unwrap();
         assert_eq!(rows.len(), 3);
         for r in &rows {
             assert!(r.tail_complete, "seed {}: tail incomplete", r.seed);
             assert!(r.events > 0 && r.worst_gap < 360, "seed {}: {r:?}", r.seed);
+            assert_eq!(
+                r.joins + r.leaves,
+                r.events as u64,
+                "seed {}: {r:?}",
+                r.seed
+            );
+            assert_eq!(
+                r.final_members as u64,
+                30 + r.joins - r.leaves,
+                "seed {}",
+                r.seed
+            );
         }
     }
 

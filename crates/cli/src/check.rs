@@ -8,7 +8,7 @@ use crate::args::{flag_list, CliError, Usage};
 use crate::commands::usize_in;
 use clustream_des::Column;
 use clustream_mc::{
-    exhaustive, exhaustive_recovery, explore, replay_dir, ExploreOptions, LatticeOptions,
+    exhaustive, exhaustive_recovery, explore, replay_dir, ExploreOptions, LatticeOptions, MAX_N,
 };
 use std::fmt::Write as _;
 use std::path::Path;
@@ -20,10 +20,6 @@ pub const CHECK_USAGE: Usage = &[
     "[--budget <GENOMES>] [--seed <SEED>]",
     "[--corpus <DIR>] [--max-n <N>]",
 ];
-
-/// The largest `--max-n`: well past the lattice's 64 and the explorer's
-/// 192, well short of a lattice that cannot be allocated.
-const MAX_N: usize = 1024;
 
 #[derive(Debug, Default)]
 struct CheckArgs {

@@ -80,24 +80,21 @@ pub fn simulate(args: &ArgMap) -> Result<String, CliError> {
     let (engine_name, r, des_stats) = plan.run(&telemetry)?;
     let mut out = render_run(&engine_name, &r, des_stats);
     if let Some(scenario) = &plan.scenario {
-        // Score the survivors' QoE at the paper's h·d budget. Join slots
-        // and the id space come from a fresh replica of the crowd scheme;
-        // survivors are the ids outside every failure region.
-        let crowd = plan.scheme.dynamic(Some(scenario))?;
-        let failed = |id: u64| {
-            scenario
-                .failures
-                .iter()
-                .any(|f| (f.lo..=f.hi).contains(&id))
-        };
-        let timelines = member_timelines(&r, &crowd, plan.track, |id| !failed(id));
+        // Score the survivors' QoE at the paper's h·d budget. A replica of
+        // the crowd scheme, brought to where the run ended, says what the
+        // script applied: its members are the survivors (at least one —
+        // the dynamics never empty the forest), its counts the report's.
+        let mut crowd = plan.scheme.dynamic(Some(scenario))?;
+        crowd.replay_script(r.slots_run);
+        let timelines = member_timelines(&r, &crowd, plan.track, |id| {
+            crowd.is_member(NodeId(id as u32))
+        });
         let bound = clustream_analysis::thm2_worst_delay_bound(timelines.len(), plan.scheme.d);
         let q = summarize(&timelines, PlayPolicy::Wait, bound);
-        let failures: u64 = scenario.failures.iter().map(|f| f.hi - f.lo + 1).sum();
+        let (joins, failures) = (crowd.joins_applied(), crowd.leaves_applied());
         let _ = writeln!(
             out,
-            "scenario    : `{scenario}` ({} joins, {failures} regional departures)",
-            scenario.total_joins()
+            "scenario    : `{scenario}` ({joins} joins, {failures} regional departures)"
         );
         let _ = writeln!(
             out,
@@ -105,7 +102,7 @@ pub fn simulate(args: &ArgMap) -> Result<String, CliError> {
              smoothness {:.4}, throughput {:.4} (wait policy)",
             q.interruption_probability, q.mean_stall_slots, q.smoothness, q.throughput
         );
-        telemetry.counter(tm::SCENARIO_JOINS, scenario.total_joins());
+        telemetry.counter(tm::SCENARIO_JOINS, joins);
         telemetry.counter(tm::SCENARIO_FAILURES, failures);
         telemetry.gauge(
             tm::QOE_INTERRUPTED_PER_MILLE,

@@ -37,9 +37,14 @@ impl CorpusEntry {
 }
 
 /// Load every `*.jsonl` corpus file under `dir` (sorted by file name for
-/// determinism). Errors name the offending file and line. An unreadable
-/// or empty corpus (no files, or no entries across all files) is an
-/// error: a silently-vanished corpus must not look like a passing replay.
+/// determinism). Loading is total: a line that is not UTF-8, not an
+/// entry, or whose genome lies outside the checker's domain
+/// ([`Genome::check_domain`]) is an error naming its file and line. An
+/// unreadable or empty corpus (no files, or no entries across all files)
+/// is an error too: a silently-vanished corpus must not look like a
+/// passing replay.
+///
+/// [`Genome::check_domain`]: crate::Genome::check_domain
 pub fn load_dir(dir: &Path) -> Result<Vec<(PathBuf, usize, CorpusEntry)>, String> {
     let listing = std::fs::read_dir(dir)
         .map_err(|e| format!("cannot read corpus directory `{}`: {e}", dir.display()))?;
@@ -50,20 +55,19 @@ pub fn load_dir(dir: &Path) -> Result<Vec<(PathBuf, usize, CorpusEntry)>, String
     files.sort();
     let mut entries = Vec::new();
     for file in files {
-        let text = std::fs::read_to_string(&file)
+        let bytes = std::fs::read(&file)
             .map_err(|e| format!("cannot read corpus file `{}`: {e}", file.display()))?;
-        for (lineno, line) in text.lines().enumerate() {
-            let line = line.trim();
+        for (lineno, line) in bytes.split(|&b| b == b'\n').enumerate() {
+            let at = |what: String| format!("{}:{}: {what}", file.display(), lineno + 1);
+            let line = std::str::from_utf8(line)
+                .map_err(|e| at(format!("corpus line is not UTF-8: {e}")))?
+                .trim();
             if line.is_empty() || line.starts_with('#') {
                 continue;
             }
-            let entry: CorpusEntry = serde_json::from_str(line).map_err(|e| {
-                format!(
-                    "{}:{}: corrupt corpus line: {e}",
-                    file.display(),
-                    lineno + 1
-                )
-            })?;
+            let entry: CorpusEntry =
+                serde_json::from_str(line).map_err(|e| at(format!("corrupt corpus line: {e}")))?;
+            entry.genome.check_domain().map_err(at)?;
             entries.push((file.clone(), lineno + 1, entry));
         }
     }
@@ -125,16 +129,22 @@ pub fn replay_dir(dir: &Path) -> Result<ReplayReport, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::genome::{ConstructionChoice, Family};
+    use crate::genome::{ConstructionChoice, Family, MAX_D, MAX_N, MAX_TRACK};
     use crate::sabotage::Sabotage;
 
     fn write(dir: &Path, name: &str, text: &str) {
         std::fs::write(dir.join(name), text).unwrap();
     }
 
+    /// A fresh directory per tag, process and thread (the test harness
+    /// may run one test on two threads at once).
     fn tmpdir(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("clustream-mc-corpus-{tag}-{}", std::process::id()));
+        let thread = format!("{:?}", std::thread::current().id());
+        let thread: String = thread.chars().filter(char::is_ascii_digit).collect();
+        let dir = std::env::temp_dir().join(format!(
+            "clustream-mc-corpus-{tag}-{}-{thread}",
+            std::process::id()
+        ));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
@@ -147,6 +157,103 @@ mod tests {
         let err = load_dir(&dir).unwrap_err();
         assert!(err.contains("a.jsonl:2"), "{err}");
         assert!(err.contains("corrupt corpus line"), "{err}");
+    }
+
+    #[test]
+    fn genomes_past_the_domain_bounds_error_with_file_and_line() {
+        let dir = tmpdir("domain");
+        let mut g = Genome::clean(Family::MultiTree, 13, 2, ConstructionChoice::Greedy);
+        let entry = |g: &Genome| CorpusEntry {
+            id: "big".into(),
+            note: "test".into(),
+            invariant: None,
+            expect_violation: false,
+            genome: g.clone(),
+        };
+        for (field, set) in [
+            (
+                "n = 4000000000",
+                (|g: &mut Genome| g.n = 4_000_000_000) as fn(&mut Genome),
+            ),
+            ("d = 100000", |g| g.d = 100_000),
+            ("track = 257", |g| g.track = MAX_TRACK + 1),
+        ] {
+            let mut big = g.clone();
+            set(&mut big);
+            write(
+                &dir,
+                "a.jsonl",
+                &format!("# pinned\n{}\n", entry(&big).to_json()),
+            );
+            let err = load_dir(&dir).unwrap_err();
+            assert!(err.contains("a.jsonl:2: genome outside"), "{err}");
+            assert!(err.contains(field), "{err}");
+            assert!(err.contains("n ≤ 1024, d ≤ 64, track ≤ 256"), "{err}");
+        }
+        // The bounds themselves are inside.
+        (g.n, g.d, g.track) = (MAX_N, MAX_D, MAX_TRACK);
+        write(&dir, "a.jsonl", &entry(&g).to_json());
+        assert_eq!(load_dir(&dir).unwrap().len(), 1);
+    }
+
+    /// Whether `load_dir`'s outcome on a corpus of one file `a.jsonl` is
+    /// total: entries, or an error naming a line of the file (or an
+    /// empty corpus).
+    fn loads_or_names_its_line(dir: &Path) -> Result<(), String> {
+        match load_dir(dir) {
+            Ok(_) => Ok(()),
+            Err(e) if e.contains("a.jsonl:") || e.contains("no corpus entries") => Ok(()),
+            Err(e) => Err(e),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn arbitrary_bytes_load_or_name_their_line(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..512),
+        ) {
+            // The raw bytes, then the same bytes over JSON's alphabet so
+            // that most lines reach the parser instead of the UTF-8 check.
+            const JSON: &[u8] = b"{}[]\":,0123456789-.eE \ntruefalsnl\\u\"genome";
+            let json: Vec<u8> = bytes.iter().map(|&b| JSON[b as usize % JSON.len()]).collect();
+            let dir = tmpdir("bytes");
+            for text in [&bytes, &json] {
+                std::fs::write(dir.join("a.jsonl"), text).unwrap();
+                proptest::prop_assert!(
+                    loads_or_names_its_line(&dir).is_ok(),
+                    "{:?}",
+                    load_dir(&dir)
+                );
+            }
+        }
+
+        #[test]
+        fn truncated_seed_lines_load_or_name_their_line(
+            pick in 0usize..64,
+            cut in 0usize..4096,
+            rest in proptest::prelude::any::<bool>(),
+        ) {
+            let seed = std::fs::read(
+                Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/corpus/seed.jsonl"),
+            )
+            .unwrap();
+            let lines: Vec<&[u8]> = seed.split(|&b| b == b'\n').collect();
+            let i = pick % lines.len();
+            // One seed line cut at any byte (possibly inside a UTF-8
+            // sequence), alone or followed by the intact lines after it.
+            let mut text = lines[i][..cut.min(lines[i].len())].to_vec();
+            if rest {
+                for line in &lines[i + 1..] {
+                    text.push(b'\n');
+                    text.extend_from_slice(line);
+                }
+            }
+            let dir = tmpdir("truncated");
+            std::fs::write(dir.join("a.jsonl"), &text).unwrap();
+            proptest::prop_assert!(loads_or_names_its_line(&dir).is_ok(), "{:?}", load_dir(&dir));
+        }
     }
 
     #[test]

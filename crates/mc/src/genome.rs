@@ -16,6 +16,19 @@ use clustream_plan::{RunPlan, SchemeSpec};
 use clustream_sim::{FaultPlan, SimConfig};
 use serde::{Deserialize, Serialize};
 
+/// The largest receiver count the checker takes (`check --max-n` and
+/// corpus genomes): well past the lattice's 64 and the explorer's 192,
+/// well short of a lattice that cannot be allocated.
+pub const MAX_N: usize = 1024;
+
+/// The largest tree degree a corpus genome may carry: the lattice
+/// enumerates `d ≤ 4` and the explorer draws `d ≤ 6`.
+pub const MAX_D: usize = 64;
+
+/// The longest tracked window a corpus genome may carry: the lattice's
+/// windows stay below 16 and the explorer draws at most 48.
+pub const MAX_TRACK: u64 = 256;
+
 /// Serializable mirror of [`Construction`] (which has no serde derives).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ConstructionChoice {
@@ -84,6 +97,20 @@ pub struct Genome {
 }
 
 impl Genome {
+    /// `Err` naming the bounds when `n`, `d` or `track` lies past
+    /// [`MAX_N`], [`MAX_D`] or [`MAX_TRACK`] — sizes the checker never
+    /// generates and could not replay in bounded time and memory.
+    pub fn check_domain(&self) -> Result<(), String> {
+        if self.n <= MAX_N && self.d <= MAX_D && self.track <= MAX_TRACK {
+            return Ok(());
+        }
+        Err(format!(
+            "genome outside the checker's domain: n = {}, d = {}, track = {} \
+             (n ≤ {MAX_N}, d ≤ {MAX_D}, track ≤ {MAX_TRACK} required)",
+            self.n, self.d, self.track
+        ))
+    }
+
     /// A clean (fault-free, unsabotaged) genome with a family-appropriate
     /// tracked window.
     pub fn clean(family: Family, n: usize, d: usize, construction: ConstructionChoice) -> Genome {

@@ -35,7 +35,7 @@ pub mod shrink;
 pub use checker::{check_genome, check_genome_fast, check_genome_with, CheckReport};
 pub use corpus::{load_dir, replay_dir, CorpusEntry, ReplayReport};
 pub use explore::{coverage_signature, explore, Counterexample, ExploreOptions, ExploreReport};
-pub use genome::{ConstructionChoice, Family, Genome, ModeChoice};
+pub use genome::{ConstructionChoice, Family, Genome, ModeChoice, MAX_D, MAX_N, MAX_TRACK};
 pub use invariant::{
     bounds_for, check_result, registry, Bounds, CheckContext, Invariant, Violation,
 };

@@ -174,16 +174,6 @@ impl DynamicForest {
         m
     }
 
-    /// Internal handle at position `pos ∈ 1..=n_pad` of tree `k`.
-    pub fn handle_at(&self, k: usize, pos: usize) -> Option<u32> {
-        self.trees.get(k).and_then(|t| t.get(pos - 1)).copied()
-    }
-
-    /// External id of internal handle `h` (`None` for dummies).
-    pub fn ext_of(&self, h: u32) -> Option<ExtId> {
-        self.labels.get(h as usize - 1).copied().flatten()
-    }
-
     fn interior_positions(&self) -> usize {
         self.n_pad() / self.d - 1
     }

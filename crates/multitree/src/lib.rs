@@ -27,7 +27,6 @@
 
 #![warn(missing_docs)]
 
-pub mod adaptive;
 pub mod calendar;
 pub mod delay;
 pub mod dynamics;
@@ -38,7 +37,6 @@ pub mod schedule;
 pub mod structured;
 pub mod tree;
 
-pub use adaptive::AdaptiveMultiTree;
 pub use calendar::{node_calendar, NodeCalendar};
 pub use delay::DelayProfile;
 pub use dynamics::DynamicForest;

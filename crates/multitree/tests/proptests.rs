@@ -123,80 +123,6 @@ proptest! {
         prop_assert_eq!(f.members(), before);
     }
 
-    /// Adaptive streaming through random small churn scripts: the engine
-    /// validates every slot, the forest stays invariant-clean, and the
-    /// stream stabilizes (tail of the window complete for all members).
-    #[test]
-    fn adaptive_stream_survives_random_churn(
-        n0 in 6usize..16,
-        d in 2usize..4,
-        script in proptest::collection::vec((5u64..30, any::<bool>(), 0usize..100), 0..5),
-    ) {
-        use clustream_multitree::AdaptiveMultiTree;
-        use clustream_workloads::{ChurnAction, ChurnEvent, ChurnTrace, ChurnTraceConfig};
-        let mut events: Vec<ChurnEvent> = script
-            .iter()
-            .map(|&(slot, join, pick)| ChurnEvent {
-                slot,
-                action: if join {
-                    ChurnAction::Join
-                } else {
-                    ChurnAction::Leave { victim_rank: pick }
-                },
-            })
-            .collect();
-        events.sort_by_key(|e| e.slot);
-        // Keep leave ranks valid and never drop below 2 members.
-        let mut members = n0;
-        events.retain_mut(|e| match &mut e.action {
-            ChurnAction::Join | ChurnAction::Rejoin { .. } => {
-                members += 1;
-                true
-            }
-            ChurnAction::Leave { victim_rank } => {
-                if members <= 2 {
-                    false
-                } else {
-                    *victim_rank %= members;
-                    members -= 1;
-                    true
-                }
-            }
-        });
-        let trace = ChurnTrace {
-            config: ChurnTraceConfig {
-                initial_members: n0,
-                slots: 40,
-                join_rate: 0.0,
-                leave_rate: 0.0,
-                rejoin_rate: 0.0,
-                seed: 0,
-            },
-            events,
-        };
-        let mut s = AdaptiveMultiTree::new(n0, d, Construction::Greedy, &trace).unwrap();
-        let track = 90u64;
-        let cfg = AdaptiveMultiTree::recommended_config(track, 1200);
-        let r = clustream_sim::Simulator::run(&mut s, &cfg).unwrap();
-        prop_assert_eq!(r.duplicate_deliveries, 0);
-        s.forest().validate().unwrap();
-        // Stabilization: everyone present at the end receives the tail.
-        for &ext in &s.members() {
-            let from = s.join_slot(ext).unwrap_or(0) + 40;
-            for p in from.max(track - 20)..track {
-                prop_assert!(
-                    r.arrivals
-                        .usable_slot(
-                            clustream_core::NodeId(ext as u32),
-                            clustream_core::PacketId(p)
-                        )
-                        .is_some(),
-                    "member {} missing tail packet {}", ext, p
-                );
-            }
-        }
-    }
-
     /// Snapshots after arbitrary single ops stay schedulable and keep all
     /// member external ids.
     #[test]

@@ -115,7 +115,7 @@ impl SchemeSpec {
     /// Construct the scheme. Total: parameters outside a family's domain
     /// are a [`CoreError::InvalidConfig`], never a constructor assert.
     pub fn build(&self) -> Result<Box<dyn Scheme>, CoreError> {
-        self.check_ids()?;
+        self.check_ids(0)?;
         let (n, d) = (self.n, self.d);
         let invalid = |what: &str| Err(CoreError::InvalidConfig(what.into()));
         Ok(match self.family {
@@ -130,22 +130,27 @@ impl SchemeSpec {
         })
     }
 
-    /// [`CoreError::InvalidConfig`] unless the ids `0..=n` — the source
-    /// and `n` receivers — fit the 32-bit [`clustream_core::NodeId`].
-    fn check_ids(&self) -> Result<(), CoreError> {
-        if self.n >= u32::MAX as usize {
-            return Err(CoreError::InvalidConfig(format!(
-                "n = {} receivers overflow the 32-bit node id space (n < {} required)",
-                self.n,
-                u32::MAX
-            )));
-        }
-        Ok(())
+    /// [`CoreError::InvalidConfig`] unless the ids `0..=n + joins` — the
+    /// source, `n` receivers and a scenario's joiners — fit the 32-bit
+    /// [`clustream_core::NodeId`].
+    fn check_ids(&self, joins: u64) -> Result<(), CoreError> {
+        let (n, max) = (self.n, u32::MAX);
+        let overflow = match joins {
+            _ if (n as u64).saturating_add(joins) < max as u64 => return Ok(()),
+            0 => {
+                format!("n = {n} receivers overflow the 32-bit node id space (n < {max} required)")
+            }
+            j => format!(
+                "n = {n} receivers plus {j} scenario joins overflow the 32-bit node id space \
+                 (n + joins < {max} required)"
+            ),
+        };
+        Err(CoreError::InvalidConfig(overflow))
     }
 
     /// The static multi-tree scheme over this spec's forest.
     pub fn multitree(&self) -> Result<MultiTreeScheme, CoreError> {
-        self.check_ids()?;
+        self.check_ids(0)?;
         let forest = build_forest(self.n, self.d, self.construction)?;
         Ok(MultiTreeScheme::new(forest, self.mode))
     }
@@ -154,7 +159,9 @@ impl SchemeSpec {
     /// `scenario` (the flash crowd), or with no script — the self-healing
     /// tree the recovery layer repairs online.
     pub fn dynamic(&self, scenario: Option<&ScenarioPlan>) -> Result<DynamicMultiTree, CoreError> {
-        self.check_ids()?;
+        // The parser bounds a scenario's joins alone; the ids they mint
+        // must fit with `n`'s, checked before the script is compiled.
+        self.check_ids(scenario.map_or(0, ScenarioPlan::total_joins))?;
         let (n, d, mode, construction) = (self.n, self.d, self.mode, self.construction);
         match scenario {
             Some(plan) => DynamicMultiTree::from_plan(n, d, mode, construction, plan),

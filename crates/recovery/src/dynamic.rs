@@ -229,7 +229,7 @@ impl DynamicMultiTree {
         plan: &ScenarioPlan,
     ) -> Result<Self, CoreError> {
         let initial: Vec<u64> = (1..=n0 as u64).collect();
-        let resolved = plan.compile(n0).resolve(&initial, &[]);
+        let resolved = plan.compile(n0)?.resolve(&initial, &[]);
         Self::scripted(n0, d, mode, construction, resolved)
     }
 
@@ -289,6 +289,18 @@ impl DynamicMultiTree {
         if self.cursor != before {
             self.rebuild()
                 .expect("snapshot of a non-empty valid forest cannot fail");
+        }
+    }
+
+    /// Apply every scripted event a run of `slots` slots applied (those
+    /// due before slot `slots`), so a fresh replica reads as the instance
+    /// that ran did at its end: membership, join slots and every counter
+    /// but [`DynamicMultiTree::rebuilds`] (one rebuild here, one per
+    /// eventful slot in a run). Engines ask for transmissions once per
+    /// slot in increasing order, so this does not depend on the engine.
+    pub fn replay_script(&mut self, slots: u64) {
+        if let Some(last) = slots.checked_sub(1) {
+            self.apply_due(last);
         }
     }
 

@@ -24,8 +24,9 @@
 //! ```
 
 use crate::churn::{ChurnAction, ChurnEvent, ChurnTrace, ChurnTraceConfig};
-use clustream_core::spec;
+use clustream_core::{spec, CoreError};
 use serde::{Deserialize, Serialize};
+use std::collections::TryReserveError;
 use std::fmt;
 
 /// One join-rate curve: when the crowd arrives and how it is shaped.
@@ -106,11 +107,13 @@ impl JoinCurve {
     }
 
     /// Expand the curve into per-slot join counts, appended to `out`
-    /// as `(slot, joins_in_slot)` pairs in ascending slot order.
-    fn expand(&self, out: &mut Vec<(u64, u64)>) {
+    /// as `(slot, joins_in_slot)` pairs in ascending slot order; `out`
+    /// grows fallibly (a spike train's count is the spec's to choose).
+    fn expand(&self, out: &mut Vec<(u64, u64)>) -> Result<(), TryReserveError> {
         match *self {
             JoinCurve::Step { joins, at } => {
                 if joins > 0 {
+                    out.try_reserve(1)?;
                     out.push((at, joins));
                 }
             }
@@ -128,6 +131,7 @@ impl JoinCurve {
                     let off = i * dur / n;
                     let next = ((off + 1) * n).div_ceil(dur);
                     let here = next.min(n) - i;
+                    out.try_reserve(1)?;
                     out.push((start + off as u64, here as u64));
                     i += here;
                 }
@@ -140,11 +144,13 @@ impl JoinCurve {
             } => {
                 for k in 0..count {
                     if joins > 0 {
+                        out.try_reserve(1)?;
                         out.push((start + k * period, joins));
                     }
                 }
             }
         }
+        Ok(())
     }
 }
 
@@ -301,12 +307,20 @@ impl ScenarioPlan {
     /// victim *rank* computed against the membership the trace itself
     /// produces — so `ChurnTrace::resolve(&[1..=n0], &[])` maps every
     /// `Leave` back to exactly the region's external ids. Within a
-    /// slot, joins land before failures.
-    pub fn compile(&self, initial_members: usize) -> ChurnTrace {
+    /// slot, joins land before failures. A script whose events do not fit
+    /// in memory is an `InvalidConfig` error, not an allocator abort.
+    pub fn compile(&self, initial_members: usize) -> Result<ChurnTrace, CoreError> {
+        let oom = |_: TryReserveError| {
+            CoreError::InvalidConfig(format!(
+                "a scenario of {initial_members} initial members and {} joins does not fit in \
+                 memory",
+                self.total_joins()
+            ))
+        };
         // Per-slot join totals, merged across curves.
         let mut joins: Vec<(u64, u64)> = Vec::new();
         for c in &self.curves {
-            c.expand(&mut joins);
+            c.expand(&mut joins).map_err(oom)?;
         }
         joins.sort_by_key(|&(slot, _)| slot);
 
@@ -315,7 +329,9 @@ impl ScenarioPlan {
 
         // Membership simulation mirroring `ChurnTrace::resolve`: sorted
         // external ids, fresh joins take max + 1.
-        let mut members: Vec<u64> = (1..=initial_members as u64).collect();
+        let mut members: Vec<u64> = Vec::new();
+        members.try_reserve_exact(initial_members).map_err(oom)?;
+        members.extend(1..=initial_members as u64);
         let mut next = initial_members as u64 + 1;
         let mut events = Vec::new();
         let (mut ji, mut fi) = (0usize, 0usize);
@@ -325,6 +341,8 @@ impl ScenarioPlan {
             // Joins land before failures within the same slot.
             if js <= fs {
                 let (slot, n) = joins[ji];
+                events.try_reserve(n as usize).map_err(oom)?;
+                members.try_reserve(n as usize).map_err(oom)?;
                 for _ in 0..n {
                     events.push(ChurnEvent {
                         slot,
@@ -340,6 +358,7 @@ impl ScenarioPlan {
                 let f = failures[fi];
                 let head = members.partition_point(|&m| m < f.lo);
                 let tail = members.partition_point(|&m| m <= f.hi);
+                events.try_reserve(tail - head).map_err(oom)?;
                 for _ in head..tail {
                     events.push(ChurnEvent {
                         slot: f.at,
@@ -351,7 +370,7 @@ impl ScenarioPlan {
             }
         }
 
-        ChurnTrace {
+        Ok(ChurnTrace {
             config: ChurnTraceConfig {
                 initial_members,
                 slots: self.last_event_slot() + 1,
@@ -361,7 +380,7 @@ impl ScenarioPlan {
                 seed: 0,
             },
             events,
-        }
+        })
     }
 }
 
@@ -404,7 +423,7 @@ mod tests {
     #[test]
     fn step_compiles_to_joins_in_one_slot() {
         let plan = ScenarioPlan::parse("step:5@20").unwrap();
-        let trace = plan.compile(4);
+        let trace = plan.compile(4).unwrap();
         assert_eq!(trace.events.len(), 5);
         assert!(trace
             .events
@@ -418,7 +437,7 @@ mod tests {
     #[test]
     fn ramp_spreads_joins_evenly() {
         let plan = ScenarioPlan::parse("ramp:10@5+5").unwrap();
-        let trace = plan.compile(2);
+        let trace = plan.compile(2).unwrap();
         assert_eq!(trace.events.len(), 10);
         for slot in 5..10 {
             assert_eq!(
@@ -429,7 +448,13 @@ mod tests {
         }
         // Sparse ramp: fewer joins than slots still lands every join.
         let plan = ScenarioPlan::parse("ramp:3@0+10").unwrap();
-        let slots: Vec<u64> = plan.compile(2).events.iter().map(|e| e.slot).collect();
+        let slots: Vec<u64> = plan
+            .compile(2)
+            .unwrap()
+            .events
+            .iter()
+            .map(|e| e.slot)
+            .collect();
         assert_eq!(slots, vec![0, 3, 6]);
         assert_eq!(plan.last_event_slot(), 6);
     }
@@ -437,7 +462,7 @@ mod tests {
     #[test]
     fn spike_train_fires_on_the_period() {
         let plan = ScenarioPlan::parse("spikes:2@10+30=3").unwrap();
-        let trace = plan.compile(2);
+        let trace = plan.compile(2).unwrap();
         assert_eq!(trace.events.len(), 6);
         let slots: Vec<u64> = trace.events.iter().map(|e| e.slot).collect();
         assert_eq!(slots, vec![10, 10, 40, 40, 70, 70]);
@@ -447,7 +472,7 @@ mod tests {
     #[test]
     fn regional_failure_resolves_to_the_region_ids() {
         let plan = ScenarioPlan::parse("step:3@1,fail:2-3@4").unwrap();
-        let trace = plan.compile(4);
+        let trace = plan.compile(4).unwrap();
         let initial: Vec<u64> = (1..=4).collect();
         let resolved = trace.resolve(&initial, &[]);
         let left: Vec<u64> = resolved
@@ -473,7 +498,7 @@ mod tests {
     fn failure_region_covering_joiners_resolves_to_them() {
         // Region 5-6 only exists because the step created ids 5..=7.
         let plan = ScenarioPlan::parse("step:3@0,fail:5-6@2").unwrap();
-        let trace = plan.compile(4);
+        let trace = plan.compile(4).unwrap();
         let resolved = trace.resolve(&(1..=4).collect::<Vec<_>>(), &[]);
         let left: Vec<u64> = resolved
             .iter()
@@ -489,7 +514,7 @@ mod tests {
     fn absent_region_members_are_skipped() {
         // Ids 9..12 never exist: the failure compiles to zero events.
         let plan = ScenarioPlan::parse("fail:9-12@4").unwrap();
-        assert!(plan.compile(4).events.is_empty());
+        assert!(plan.compile(4).unwrap().events.is_empty());
     }
 
     #[test]
@@ -545,14 +570,20 @@ mod tests {
             .unwrap();
         assert_eq!(plan.total_joins(), u32::MAX as u64);
         let wide = ScenarioPlan::parse("fail:2-4294967295@0").unwrap();
-        assert_eq!(wide.compile(5).events.len(), 4);
+        assert_eq!(wide.compile(5).unwrap().events.len(), 4);
     }
 
     #[test]
     fn ramp_wider_than_u64_products_spreads_exactly() {
         // i·DUR overflows u64 from the second join on.
         let plan = ScenarioPlan::parse("ramp:3@1+18446744073709551613").unwrap();
-        let slots: Vec<u64> = plan.compile(0).events.iter().map(|e| e.slot).collect();
+        let slots: Vec<u64> = plan
+            .compile(0)
+            .unwrap()
+            .events
+            .iter()
+            .map(|e| e.slot)
+            .collect();
         let third = 18446744073709551613 / 3;
         assert_eq!(slots, vec![1, 1 + third, 1 + 2 * third]);
         assert_eq!(plan.last_event_slot(), 1 + 2 * third);
@@ -611,7 +642,7 @@ mod tests {
                     .collect(),
                 failures: vec![],
             };
-            let trace = plan.compile(n0);
+            let trace = plan.compile(n0).unwrap();
             prop_assert_eq!(trace.events.len() as u64, plan.total_joins());
             // Events are slot-sorted, none past the advertised last slot.
             let slots: Vec<u64> = trace.events.iter().map(|e| e.slot).collect();

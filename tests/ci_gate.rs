@@ -398,3 +398,134 @@ fn the_cli_error_table_is_seeded() {
     let cases = text.lines().filter(|l| !l.starts_with('#'));
     assert!(cases.count() > 0, "the CLI error table has no cases");
 }
+
+/// The intra-workspace edges of each `crates/*/Cargo.toml`
+/// `[dependencies]` table (dev-dependencies aside), crate by directory.
+/// A new edge needs an edit here; `multitree` sits on `core` and `sim`
+/// only, so the dynamics cannot come to depend on the workloads again.
+const CRATE_GRAPH: &[(&str, &[&str])] = &[
+    ("analysis", &["core"]),
+    ("baselines", &["core", "sim"]),
+    (
+        "bench",
+        &[
+            "analysis",
+            "baselines",
+            "core",
+            "des",
+            "hypercube",
+            "multitree",
+            "npc",
+            "overlay",
+            "plan",
+            "recovery",
+            "sim",
+            "telemetry",
+            "workloads",
+        ],
+    ),
+    (
+        "cli",
+        &[
+            "analysis",
+            "core",
+            "des",
+            "mc",
+            "multitree",
+            "net",
+            "overlay",
+            "plan",
+            "sim",
+            "telemetry",
+            "workloads",
+        ],
+    ),
+    ("core", &[]),
+    (
+        "des",
+        &["core", "recovery", "sim", "telemetry", "workloads"],
+    ),
+    ("hypercube", &["core", "sim"]),
+    (
+        "mc",
+        &[
+            "analysis",
+            "baselines",
+            "core",
+            "des",
+            "hypercube",
+            "multitree",
+            "plan",
+            "recovery",
+            "sim",
+            "telemetry",
+            "workloads",
+        ],
+    ),
+    ("multitree", &["core", "sim"]),
+    (
+        "net",
+        &["core", "des", "plan", "recovery", "sim", "telemetry"],
+    ),
+    ("npc", &["core"]),
+    (
+        "overlay",
+        &["analysis", "core", "hypercube", "multitree", "sim"],
+    ),
+    (
+        "plan",
+        &[
+            "baselines",
+            "core",
+            "des",
+            "hypercube",
+            "multitree",
+            "recovery",
+            "sim",
+            "telemetry",
+            "workloads",
+        ],
+    ),
+    ("recovery", &["core", "multitree", "workloads"]),
+    ("sim", &["core", "telemetry"]),
+    ("telemetry", &[]),
+    ("workloads", &["core"]),
+];
+
+#[test]
+fn the_crate_graph_is_the_documented_one() {
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
+    let mut graph: Vec<(String, Vec<String>)> = std::fs::read_dir(&crates)
+        .expect("crates/ is readable")
+        .map(|e| e.unwrap().path())
+        .filter(|dir| dir.join("Cargo.toml").is_file())
+        .map(|dir| {
+            let manifest = std::fs::read_to_string(dir.join("Cargo.toml")).unwrap();
+            let mut section = "";
+            let mut deps: Vec<String> = manifest
+                .lines()
+                .map(str::trim)
+                .filter(|line| {
+                    if line.starts_with('[') {
+                        section = line;
+                    }
+                    section == "[dependencies]"
+                })
+                .filter_map(|line| line.strip_prefix("clustream-"))
+                .map(|dep| dep.split(['.', ' ', '=']).next().unwrap().to_string())
+                .collect();
+            deps.sort();
+            let name = dir.file_name().unwrap().to_string_lossy().into_owned();
+            (name, deps)
+        })
+        .collect();
+    graph.sort();
+    let want: Vec<(String, Vec<String>)> = CRATE_GRAPH
+        .iter()
+        .map(|(c, deps)| (c.to_string(), deps.iter().map(|d| d.to_string()).collect()))
+        .collect();
+    assert_eq!(
+        graph, want,
+        "the crate graph moved; update CRATE_GRAPH and DESIGN.md §3"
+    );
+}

@@ -7,6 +7,7 @@
 
 use clustream::core::{MembershipEvent, RepairOutcome};
 use clustream::prelude::*;
+use clustream::workloads::ChurnEvent;
 use proptest::prelude::*;
 
 /// Replay `ops` as membership events against a self-healing scheme.
@@ -195,5 +196,81 @@ proptest! {
             );
         }
         crowd.forest().validate().unwrap();
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Streaming through random small join/leave scripts on the scheme
+    /// that ships: the script goes through `ChurnTrace::resolve` (the one
+    /// victim rule) and `DynamicMultiTree::scripted`, the engine validates
+    /// every slot, the forest stays invariant-clean, and once the churn
+    /// has settled every member holds the tail of the window. Transient
+    /// duplicates to displaced nodes are allowed: they are the cost
+    /// `settled_join_storms_leave_no_survivor_behind` documents.
+    #[test]
+    fn settled_mixed_churn_leaves_no_member_missing_the_tail(
+        n0 in 6usize..16,
+        d in 2usize..4,
+        script in proptest::collection::vec((5u64..30, any::<bool>(), 0usize..100), 0..5),
+    ) {
+        let mut events: Vec<ChurnEvent> = script
+            .iter()
+            .map(|&(slot, join, pick)| ChurnEvent {
+                slot,
+                action: if join {
+                    ChurnAction::Join
+                } else {
+                    ChurnAction::Leave { victim_rank: pick }
+                },
+            })
+            .collect();
+        events.sort_by_key(|e| e.slot);
+        // Never drop below 2 members.
+        let mut members = n0;
+        events.retain(|e| match e.action {
+            ChurnAction::Join | ChurnAction::Rejoin { .. } => {
+                members += 1;
+                true
+            }
+            ChurnAction::Leave { .. } if members > 2 => {
+                members -= 1;
+                true
+            }
+            ChurnAction::Leave { .. } => false,
+        });
+        let trace = ChurnTrace {
+            config: ChurnTraceConfig {
+                initial_members: n0,
+                slots: 40,
+                join_rate: 0.0,
+                leave_rate: 0.0,
+                rejoin_rate: 0.0,
+                seed: 0,
+            },
+            events,
+        };
+        let initial: Vec<u64> = (1..=n0 as u64).collect();
+        let mut s = DynamicMultiTree::scripted(
+            n0,
+            d,
+            StreamMode::PreRecorded,
+            Construction::Greedy,
+            trace.resolve(&initial, &[]),
+        )
+        .unwrap();
+        let track = 90u64;
+        let r = Simulator::run(&mut s, &SimConfig::lossy_regime(track, 1200)).unwrap();
+        s.forest().validate().unwrap();
+        for id in (1..=s.num_receivers() as u32).filter(|&id| s.is_member(NodeId(id))) {
+            let from = s.join_slots()[id as usize] + 40;
+            for p in from.max(track - 20)..track {
+                prop_assert!(
+                    r.arrivals.usable_slot(NodeId(id), PacketId(p)).is_some(),
+                    "member {id} missing tail packet {p}"
+                );
+            }
+        }
     }
 }

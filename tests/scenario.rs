@@ -114,8 +114,8 @@ proptest! {
         at in 0u64..8,
     ) {
         let plan = ScenarioPlan::parse(&format!("step:{joins}@{at}")).unwrap();
-        let a = plan.compile(n0);
-        let b = plan.compile(n0);
+        let a = plan.compile(n0).unwrap();
+        let b = plan.compile(n0).unwrap();
         let initial: Vec<u64> = (1..=n0 as u64).collect();
         prop_assert_eq!(a.resolve(&initial, &[]), b.resolve(&initial, &[]));
     }
