@@ -263,7 +263,7 @@ cli_flag_hygiene() {
     # `trace --packet` sized its table from the flag (10^8 allocated
     # 1.6 GB and ran 2.8 s to print a hiccup), and `cluster --track 0`
     # spawned its processes only to report no survivor complete.
-    expect_error '^usage error: --packet must be below 3000000: ' \
+    expect_error '^usage error: --packet 100000000 is too late to trace: ' \
         trace --scheme multitree --n 15 --d 3 --node 6 --packet 100000000
     expect_error '^usage error: --track must be at least 1' \
         cluster --nodes 2 --track 0

@@ -59,10 +59,11 @@ pub fn thm4_avg_bound(n: usize) -> f64 {
 }
 
 /// §3.2 end: with a `d`-capable source and `d` balanced groups, the worst
-/// delay is that of a chain over `⌈N/d⌉` nodes.
+/// delay is the slower of the chains over `⌈N/d⌉` and `⌊N/d⌋` nodes (a
+/// smaller chain can decompose into more cubes: 6 = 3 + 3 against 7).
 pub fn grouped_worst_delay(n: usize, d: usize) -> u64 {
     assert!(d >= 1 && d <= n);
-    chained_worst_delay(n.div_ceil(d))
+    chained_worst_delay(n / d).max(chained_worst_delay(n.div_ceil(d)))
 }
 
 #[cfg(test)]
@@ -129,6 +130,9 @@ mod tests {
     fn grouping_reduces_worst_delay() {
         assert!(grouped_worst_delay(1000, 4) <= chained_worst_delay(1000));
         assert_eq!(grouped_worst_delay(28, 4), chained_worst_delay(7));
+        // 13 = 7 + 6 receivers: the 6-chain's two 2-cubes are slower.
+        assert_eq!((chained_worst_delay(7), chained_worst_delay(6)), (4, 6));
+        assert_eq!(grouped_worst_delay(13, 2), 6);
     }
 
     #[test]

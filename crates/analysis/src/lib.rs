@@ -16,7 +16,7 @@ pub mod multitree;
 pub mod overlay;
 pub mod tradeoff;
 
-pub use hypercube::{chained_avg_delay, chained_worst_delay, thm4_avg_bound};
+pub use hypercube::{chained_avg_delay, chained_worst_delay, grouped_worst_delay, thm4_avg_bound};
 pub use multitree::{
     optimal_degree, thm2_worst_delay_bound, thm3_avg_delay_lower_bound, tree_height,
 };

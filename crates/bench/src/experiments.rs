@@ -10,50 +10,43 @@ use clustream_multitree::{
 };
 use clustream_npc::{find_two_interior_disjoint_trees, reduce, E4SetSplitting};
 use clustream_overlay::{Backbone, ClusterSession, IntraScheme};
-use clustream_plan::{Family, RunPlan, Runtime, SchemeSpec};
+use clustream_plan::{DelayBound, Family, RunPlan, Runtime, SchemeSpec};
 use clustream_recovery::{DynamicMultiTree, RecoveryConfig};
 use clustream_sim::{FastEngine, FaultPlan, ResilienceMetrics, RunResult, SimConfig, Simulator};
 use clustream_workloads::{ChurnAction, ChurnTrace, ChurnTraceConfig};
 use serde::Serialize;
 
-/// Run a scheme until `track` packets reached every receiver.
-pub fn simulate(scheme: &mut dyn Scheme, track: u64) -> RunResult {
-    Simulator::run(scheme, &SimConfig::until_complete(track, 1_000_000))
-        .expect("scheme violates the communication model")
+/// Run `scheme` on the reference engine until `track` packets reached
+/// every receiver, on the completion horizon of its delay `bound`.
+pub fn simulate(scheme: &mut dyn Scheme, track: u64, bound: DelayBound) -> RunResult {
+    let cfg = SimConfig::until_complete(track, bound.completion_horizon(track));
+    let run = Simulator::run(scheme, &cfg).map_err(|e| bound.blame(e));
+    run.expect("scheme violates the communication model")
 }
 
-/// Like [`simulate`], on the fast engine with a reusable arena.
+/// Like [`simulate`], for `spec`'s scheme on the fast engine with a
+/// reusable arena.
 ///
-/// Takes a scheme *factory* (schemes are stateful). Debug builds
-/// re-run every simulation through the reference engine and assert the
-/// two results are bit-identical — every `cargo test` / debug invocation
-/// of `experiments` doubles as a differential check.
-pub fn simulate_fast(
-    engine: &mut FastEngine,
-    mut make: impl FnMut() -> Box<dyn Scheme>,
-    track: u64,
-) -> RunResult {
-    let cfg = SimConfig::until_complete(track, 1_000_000);
-    let result = engine
-        .run(make().as_mut(), &cfg)
-        .expect("scheme violates the communication model");
+/// Debug builds also run the reference and fast engines through the
+/// differential oracle and demand the reused arena's result bit for bit
+/// — every `cargo test` / debug invocation of `experiments` doubles as a
+/// differential check.
+pub fn simulate_fast(engine: &mut FastEngine, spec: SchemeSpec, track: u64) -> RunResult {
+    let bound = spec.worst_delay_bound();
+    let cfg = SimConfig::until_complete(track, bound.completion_horizon(track));
+    let make = || spec.build().expect("valid");
+    let run = engine.run(make().as_mut(), &cfg);
     #[cfg(debug_assertions)]
     {
-        let reference =
-            Simulator::run(make().as_mut(), &cfg).expect("scheme violates the communication model");
-        let diffs = clustream_sim::diff_fields(&reference, &result);
-        assert!(
-            diffs.is_empty(),
-            "fast engine diverges from reference on {diffs:?} ({})",
-            result.scheme
-        );
+        let oracle = agree(&[Column::Reference, Column::Fast], make, &cfg);
+        let oracle = oracle.unwrap_or_else(|d| panic!("{d}"));
+        let fast = (Column::Fast, &run);
+        if let Some(d) = clustream_des::disagreement((Column::Reference, &oracle), fast) {
+            panic!("the reused arena: {d}");
+        }
     }
-    result
-}
-
-/// A factory of fresh pre-recorded, greedy-forest `family` schemes.
-fn maker(family: Family, n: usize, d: usize) -> impl Fn() -> Box<dyn Scheme> {
-    move || SchemeSpec::new(family, n, d).build().expect("valid")
+    run.map_err(|e| bound.blame(e))
+        .expect("scheme violates the communication model")
 }
 
 /// Enough tracked packets to reach steady state for any scheme here.
@@ -132,7 +125,7 @@ pub fn table1(ns: &[usize]) -> Vec<Table1Row> {
         for d in [2usize, 3] {
             let r = simulate_fast(
                 engine,
-                maker(Family::MultiTree, n, d),
+                SchemeSpec::new(Family::MultiTree, n, d),
                 track_for(analysis::thm2_worst_delay_bound(n, d)),
             );
             rows.push(row_from(&format!("multi-tree d={d}"), n, &r.qos));
@@ -143,7 +136,7 @@ pub fn table1(ns: &[usize]) -> Vec<Table1Row> {
             let n_special = (1usize << k) - 1;
             let r = simulate_fast(
                 engine,
-                maker(Family::Hypercube, n_special, 1),
+                SchemeSpec::new(Family::Hypercube, n_special, 1),
                 track_for(k as u64 + 1),
             );
             rows.push(row_from("hypercube special", n_special, &r.qos));
@@ -151,13 +144,17 @@ pub fn table1(ns: &[usize]) -> Vec<Table1Row> {
         {
             let r = simulate_fast(
                 engine,
-                maker(Family::Hypercube, n, 1),
+                SchemeSpec::new(Family::Hypercube, n, 1),
                 track_for(analysis::chained_worst_delay(n)),
             );
             rows.push(row_from("hypercube arbitrary", n, &r.qos));
         }
         {
-            let r = simulate_fast(engine, maker(Family::Chain, n, 1), track_for(n as u64));
+            let r = simulate_fast(
+                engine,
+                SchemeSpec::new(Family::Chain, n, 1),
+                track_for(n as u64),
+            );
             rows.push(row_from("chain baseline", n, &r.qos));
         }
         {
@@ -165,7 +162,7 @@ pub fn table1(ns: &[usize]) -> Vec<Table1Row> {
             // (interior upload = d× stream rate).
             let r = simulate_fast(
                 engine,
-                maker(Family::SingleTree, n, 2),
+                SchemeSpec::new(Family::SingleTree, n, 2),
                 track_for(2 * analysis::tree_height(n, 2)),
             );
             rows.push(row_from("single-tree d=2 (d× upload)", n, &r.qos));
@@ -218,7 +215,8 @@ pub fn thm1(
         )
         .expect("valid session");
         let bound = analysis::thm1_delay_bound(k, big_d, t_c, d, cluster_size);
-        let r = simulate(&mut s, track_for(bound));
+        let session_bound = DelayBound::session(s.worst_delay_bound());
+        let r = simulate(&mut s, track_for(bound), session_bound);
         Thm1Row {
             k,
             t_c,
@@ -320,7 +318,7 @@ pub fn prop1(ks: &[usize]) -> Vec<Prop1Row> {
         let n = (1usize << k) - 1;
         let r = simulate_fast(
             engine,
-            maker(Family::Hypercube, n, 1),
+            SchemeSpec::new(Family::Hypercube, n, 1),
             track_for(k as u64 + 1),
         );
         Prop1Row {
@@ -352,7 +350,11 @@ pub fn prop2_thm4(ns: &[usize]) -> Vec<Prop2Row> {
     clustream_sim::sweep(ns, |engine, &n| {
         let cubes = HypercubeStream::new(n).expect("valid").cubes().count();
         let predicted = analysis::chained_worst_delay(n);
-        let r = simulate_fast(engine, maker(Family::Hypercube, n, 1), track_for(predicted));
+        let r = simulate_fast(
+            engine,
+            SchemeSpec::new(Family::Hypercube, n, 1),
+            track_for(predicted),
+        );
         Prop2Row {
             n,
             cubes,
@@ -562,7 +564,7 @@ pub fn ext_utilization(n: usize, d: usize, track: u64) -> Vec<UtilizationRow> {
     ]
     .into_iter()
     .map(|(scheme, family, degree)| {
-        let r = simulate_fast(&mut engine, maker(family, n, degree), track);
+        let r = simulate_fast(&mut engine, SchemeSpec::new(family, n, degree), track);
         let slots = r.slots_run as f64;
         let uploads = &r.upload_counts[1..=n];
         UtilizationRow {
@@ -604,7 +606,8 @@ pub fn ext_loss(n: usize, d: usize, rates: &[f64], track: u64) -> Vec<LossRow> {
             (format!("multi-tree d={d}"), Family::MultiTree, d),
             ("hypercube".into(), Family::Hypercube, 1),
         ] {
-            let r = Simulator::run(maker(family, n, degree)().as_mut(), &cfg).expect("model holds");
+            let mut built = SchemeSpec::new(family, n, degree).build().expect("valid");
+            let r = Simulator::run(built.as_mut(), &cfg).expect("model holds");
             let loss = r.loss.as_ref().expect("fault run");
             rows.push(LossRow {
                 scheme,
@@ -648,7 +651,8 @@ pub fn ext_crash(n: usize, d: usize, crash_slot: u64, track: u64) -> Vec<CrashRo
     ]
     .into_iter()
     .map(|(scheme, family, degree)| {
-        let r = Simulator::run(maker(family, n, degree)().as_mut(), &cfg).expect("model holds");
+        let mut built = SchemeSpec::new(family, n, degree).build().expect("valid");
+        let r = Simulator::run(built.as_mut(), &cfg).expect("model holds");
         let loss = r.loss.as_ref().expect("fault run");
         CrashRow {
             scheme,
@@ -719,7 +723,7 @@ pub fn ext_adaptive_churn(
                 d,
                 StreamMode::PreRecorded,
                 Construction::Greedy,
-                trace.resolve(&initial, &[]),
+                trace.resolve(&initial, &[]).expect("small script"),
             )
             .unwrap();
             let r = agree(&columns, || Box::new(s.clone()), &cfg)?
@@ -827,9 +831,11 @@ pub fn scale_validated(n: usize) -> Vec<ScaleSimRow> {
     [(Family::MultiTree, 3, 48), (Family::Hypercube, 1, 64)]
         .into_iter()
         .map(|(family, d, track)| {
-            let make = maker(family, n, d);
-            let reference = simulate(make().as_mut(), track);
-            let cfg = SimConfig::until_complete(track, 1_000_000);
+            let spec = SchemeSpec::new(family, n, d);
+            let make = || spec.build().expect("valid");
+            let bound = spec.worst_delay_bound();
+            let reference = simulate(make().as_mut(), track, bound);
+            let cfg = SimConfig::until_complete(track, bound.completion_horizon(track));
             let fast = engine.run(make().as_mut(), &cfg).unwrap();
             ScaleSimRow {
                 diffs: clustream_sim::diff_fields(&reference, &fast),
@@ -877,8 +883,8 @@ pub fn ext_jitter_sweep(
         des_seed: seed,
         ..RunPlan::new(SchemeSpec::new(Family::MultiTree, n, d), track)
     };
-    let make = maker(Family::MultiTree, n, d);
-    let baseline = simulate(make().as_mut(), track);
+    let make = || plan.scheme.build().expect("valid");
+    let baseline = simulate(make().as_mut(), track, plan.scheme.worst_delay_bound());
     let base_delay = baseline.qos.max_delay().max(1) as f64;
     let base_buffer = baseline.qos.max_buffer().max(1) as f64;
     let bound = analysis::thm2_worst_delay_bound(n, d);
@@ -1101,7 +1107,8 @@ pub fn fig2_node_schedule(id: u32) -> String {
 pub fn fig5_hypercube_state(slots: u64) -> String {
     let n = 7usize;
     let mut s = HypercubeStream::new(n).unwrap();
-    let r = simulate(&mut s, slots + 4);
+    let bound = SchemeSpec::new(Family::Hypercube, n, 1).worst_delay_bound();
+    let r = simulate(&mut s, slots + 4, bound);
     let mut out = String::new();
     out.push_str("slot | nodes holding packet p by end of slot (N=7, k=3)\n");
     for t in 0..slots {

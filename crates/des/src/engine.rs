@@ -318,7 +318,7 @@ impl DesEngine {
                 .filter(|r| scheme.send_capacity(**r) > 1)
                 .map(|r| r.0 as u64)
                 .collect();
-            for ev in churn.resolve(&initial, &protected) {
+            for ev in churn.resolve(&initial, &protected)? {
                 if ev.slot < sim.max_slots {
                     q.push(ev.slot * TICKS_PER_SLOT, EventKind::Churn(ev.action));
                 }

@@ -56,7 +56,7 @@ pub fn check_genome_with(
         let Ok(mut scheme) = g.build_scheme() else {
             return skipped;
         };
-        let mut cfg = g.sim_config(bounds.delay);
+        let mut cfg = g.sim_config();
         if let Some(tel) = telemetry.filter(|_| i == 0) {
             cfg = cfg.with_telemetry(tel.clone());
         }

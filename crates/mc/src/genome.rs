@@ -145,11 +145,15 @@ impl Genome {
         })
     }
 
-    /// The slot horizon the checker runs this genome for: generous enough
-    /// that a correct scheme always completes, scaled up when sabotage
-    /// stretches latencies.
-    pub fn horizon(&self, delay_bound: u64) -> u64 {
-        let base = delay_bound + self.track + 64;
+    /// The slot horizon the checker runs this genome for: its scheme's
+    /// [`SchemeSpec::completion_horizon`] plus 64 slots of slack, scaled
+    /// up when sabotage stretches latencies. A correct scheme completes
+    /// inside the completion horizon; the slack lets a run that breaks its
+    /// delay bound by a little complete too, so `DelayBound` measures the
+    /// violation instead of a hiccup cutting it off. The corpus records
+    /// those measurements, so its bytes depend on the slack.
+    pub fn horizon(&self) -> u64 {
+        let base = self.spec().completion_horizon(self.track) + 64;
         match self.sabotage {
             Some(Sabotage::DelaySkew(extra)) => base * (extra as u64 + 1),
             _ => base,
@@ -159,8 +163,8 @@ impl Genome {
     /// The [`SimConfig`] the checker runs this genome under. The trace is
     /// always recorded so `CollisionFree` can be re-validated
     /// independently of the engine's own checks.
-    pub fn sim_config(&self, delay_bound: u64) -> SimConfig {
-        let horizon = self.horizon(delay_bound);
+    pub fn sim_config(&self) -> SimConfig {
+        let horizon = self.horizon();
         let cfg = match &self.faults {
             // Fault plans are no CLI flag, so no `RunPlan` carries one.
             Some(f) => SimConfig::with_faults(self.track, horizon, f.clone()),
@@ -218,7 +222,7 @@ mod tests {
 
     /// The constructor match and config assembly `Genome` carried before
     /// it delegated to `SchemeSpec` / `RunPlan`, kept as the oracle.
-    fn hand_written(g: &Genome, delay_bound: u64) -> (Box<dyn Scheme>, SimConfig) {
+    fn hand_written(g: &Genome) -> (Box<dyn Scheme>, SimConfig) {
         use clustream_baselines::{ChainScheme, SingleTreeScheme};
         use clustream_hypercube::HypercubeStream;
         use clustream_multitree::{build_forest, MultiTreeScheme};
@@ -231,7 +235,7 @@ mod tests {
             Family::Chain => Box::new(ChainScheme::new(g.n)),
             Family::SingleTree => Box::new(SingleTreeScheme::new(g.n, g.d)),
         };
-        let horizon = g.horizon(delay_bound);
+        let horizon = g.horizon();
         let cfg = match &g.faults {
             Some(f) => SimConfig::with_faults(g.track, horizon, f.clone()),
             None => SimConfig::until_complete(g.track, horizon),
@@ -241,7 +245,6 @@ mod tests {
 
     #[test]
     fn every_lattice_genome_builds_what_the_hand_written_factory_built() {
-        use crate::invariant::bounds_for;
         use crate::lattice::{enumerate, LatticeOptions};
         let mut genomes = enumerate(&LatticeOptions::default());
         // The live modes are off the lattice (the explorer reaches them).
@@ -252,13 +255,12 @@ mod tests {
         }
         assert!(genomes.len() > 3000);
         for g in genomes {
-            let bounds = bounds_for(&g).unwrap();
-            let (want, want_cfg) = hand_written(&g, bounds.delay);
+            let (want, want_cfg) = hand_written(&g);
             let got = g.build_scheme().unwrap();
             assert_eq!(got.name(), want.name(), "{}", g.to_json());
             assert_eq!(got.num_receivers(), want.num_receivers());
             assert_eq!(
-                format!("{:?}", g.sim_config(bounds.delay)),
+                format!("{:?}", g.sim_config()),
                 format!("{want_cfg:?}"),
                 "{}",
                 g.to_json()
@@ -285,8 +287,9 @@ mod tests {
     #[test]
     fn sabotage_horizon_is_stretched() {
         let mut g = Genome::clean(Family::Chain, 5, 2, ConstructionChoice::Greedy);
-        let clean = g.horizon(10);
+        let clean = g.horizon();
+        assert_eq!(clean, g.track + 5 + 64, "track + the chain's N + slack");
         g.sabotage = Some(Sabotage::DelaySkew(3));
-        assert!(g.horizon(10) >= 4 * clean);
+        assert!(g.horizon() >= 4 * clean);
     }
 }

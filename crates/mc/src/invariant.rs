@@ -8,9 +8,10 @@
 //! * `CollisionFree` — ≤ 1 arrival per node per slot, re-derived from the
 //!   transmission trace independently of the engine's own collision
 //!   check;
-//! * `DelayBound` — worst-case playback delay within the family's bound
-//!   (Theorem 2 `h·d` for multi-trees, the chained-cube prediction for
-//!   hypercubes, `N` for the chain, BFS depth for the single tree);
+//! * `DelayBound` — worst-case playback delay within the scheme's own
+//!   proven bound, `SchemeSpec::worst_delay_bound` (Theorem 2 `h·d` for
+//!   multi-trees, the chained-cube prediction for hypercubes, `N` for the
+//!   chain, BFS depth for the single tree);
 //! * `BufferBound` — buffer occupancy within the family's bound (`h·d+1`
 //!   for multi-trees, 3 for hypercubes, 2 for the chains);
 //! * `InOrderPlayback` — every tracked packet arrives (or is accounted as
@@ -24,19 +25,16 @@
 //! schedule the engine rejects outright and one that merely degrades QoS
 //! surface through one reporting channel.
 
-use crate::genome::{Family, Genome, ModeChoice};
-use clustream_analysis::{thm2_worst_delay_bound, tree_height};
-use clustream_baselines::SingleTreeScheme;
+use crate::genome::{Family, Genome};
 use clustream_core::CoreError;
 use clustream_hypercube::HypercubeStream;
 use clustream_sim::RunResult;
 use std::collections::HashMap;
 
-/// Closed-form per-family QoS bounds for one genome.
+/// Closed-form per-family buffer and neighbor bounds for one genome. The
+/// delay bound is the scheme's own, [`clustream_plan::SchemeSpec::worst_delay_bound`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Bounds {
-    /// Worst-case playback delay (slots).
-    pub delay: u64,
     /// Worst-case resident buffer (packets).
     pub buffer: u64,
     /// Worst-case neighbor count.
@@ -55,42 +53,27 @@ pub fn bounds_for(g: &Genome) -> Result<Bounds, CoreError> {
         )));
     }
     Ok(match g.family {
-        Family::MultiTree => {
-            let hd = thm2_worst_delay_bound(g.n, g.d);
-            // Live modes shift the schedule: prebuffered by exactly d,
-            // pipelined by at most 2d (pinned by tests/properties.rs).
-            let mode_extra = match g.mode {
-                ModeChoice::Pre => 0,
-                ModeChoice::Buffered => g.d as u64,
-                ModeChoice::Pipelined => 2 * g.d as u64,
-            };
-            Bounds {
-                delay: hd + mode_extra,
-                buffer: tree_height(g.n, g.d) * g.d as u64 + 1 + mode_extra,
-                neighbors: 2 * g.d as u64,
-            }
-        }
+        // `h·d + 1`, shifted by the live modes as the delay bound is.
+        Family::MultiTree => Bounds {
+            buffer: g.spec().worst_delay_bound().slots + 1,
+            neighbors: 2 * g.d as u64,
+        },
         Family::Hypercube => {
             let s = HypercubeStream::with_groups(g.n, g.d.min(g.n))?;
-            let delay = s.cubes().map(|c| c.predicted_delay()).max().unwrap_or(1);
             let max_cube = s.cubes().map(|c| c.size()).max().unwrap_or(1);
             // A node in a cube of size 2^k − 1 exchanges with ≤ k cube
             // partners plus the inter-cube chain links.
             let k = (usize::BITS - (max_cube + 1).leading_zeros()) as u64;
             Bounds {
-                delay,
                 buffer: 3,
                 neighbors: 3 * k + 4,
             }
         }
         Family::Chain => Bounds {
-            delay: g.n as u64,
             buffer: 2,
             neighbors: 2,
         },
         Family::SingleTree => Bounds {
-            // BFS layout: the last node is deepest.
-            delay: SingleTreeScheme::bfs_depth(g.d, g.n as u32).max(1),
             buffer: 2,
             neighbors: g.d as u64 + 1,
         },
@@ -162,7 +145,8 @@ impl Invariant for CollisionFree {
     }
 }
 
-/// Worst-case playback delay within the family bound.
+/// Worst-case playback delay within the scheme's proven bound
+/// ([`clustream_plan::SchemeSpec::worst_delay_bound`]).
 pub struct DelayBound;
 
 impl Invariant for DelayBound {
@@ -171,11 +155,14 @@ impl Invariant for DelayBound {
     }
 
     fn check(&self, ctx: &CheckContext<'_>) -> Result<(), String> {
-        let measured = ctx.result.qos.max_delay();
-        if measured > ctx.bounds.delay {
+        let (measured, bound) = (
+            ctx.result.qos.max_delay(),
+            ctx.genome.spec().worst_delay_bound(),
+        );
+        if measured > bound.slots {
             return Err(format!(
                 "max playback delay {measured} exceeds bound {}",
-                ctx.bounds.delay
+                bound.slots
             ));
         }
         Ok(())
@@ -338,13 +325,15 @@ pub fn violation_from_error(e: &CoreError, engine: &str) -> Violation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::genome::ConstructionChoice;
+    use crate::genome::{ConstructionChoice, ModeChoice};
+    use clustream_analysis::{thm2_worst_delay_bound, tree_height};
 
     #[test]
     fn multitree_bounds_match_theorem2() {
         let g = Genome::clean(Family::MultiTree, 40, 3, ConstructionChoice::Greedy);
         let b = bounds_for(&g).unwrap();
-        assert_eq!(b.delay, thm2_worst_delay_bound(40, 3));
+        let delay = g.spec().worst_delay_bound().slots;
+        assert_eq!(delay, thm2_worst_delay_bound(40, 3));
         assert_eq!(b.buffer, tree_height(40, 3) * 3 + 1);
         assert_eq!(b.neighbors, 6);
     }
@@ -352,17 +341,20 @@ mod tests {
     #[test]
     fn live_modes_widen_the_delay_bound() {
         let mut g = Genome::clean(Family::MultiTree, 40, 3, ConstructionChoice::Greedy);
-        let pre = bounds_for(&g).unwrap().delay;
+        let delay = |g: &Genome| g.spec().worst_delay_bound().slots;
+        let buffer = |g: &Genome| bounds_for(g).unwrap().buffer;
+        let (pre, pre_buffer) = (delay(&g), buffer(&g));
         g.mode = ModeChoice::Buffered;
-        assert_eq!(bounds_for(&g).unwrap().delay, pre + 3);
+        assert_eq!((delay(&g), buffer(&g)), (pre + 3, pre_buffer + 3));
         g.mode = ModeChoice::Pipelined;
-        assert_eq!(bounds_for(&g).unwrap().delay, pre + 6);
+        assert_eq!((delay(&g), buffer(&g)), (pre + 6, pre_buffer + 6));
     }
 
     #[test]
     fn chain_bounds_are_tight() {
         let g = Genome::clean(Family::Chain, 12, 2, ConstructionChoice::Greedy);
         let b = bounds_for(&g).unwrap();
-        assert_eq!((b.delay, b.buffer, b.neighbors), (12, 2, 2));
+        let delay = g.spec().worst_delay_bound().slots;
+        assert_eq!((delay, b.buffer, b.neighbors), (12, 2, 2));
     }
 }

@@ -403,6 +403,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(192))]
 
         /// format → parse is the identity on any valid chaos list.
+        #[test]
         fn roundtrips(
             raw in proptest::collection::vec(
                 ((0u32..6, 0u32..300, 0u32..300, 0u64..10_000),

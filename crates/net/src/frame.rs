@@ -565,6 +565,7 @@ pub(crate) mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(200))]
 
+        #[test]
         fn any_frame_roundtrips(
             shape in 0usize..11,
             a in 0u32..u32::MAX,
@@ -580,6 +581,7 @@ pub(crate) mod tests {
 
         /// Truncating a valid body anywhere never panics and never
         /// decodes to a frame that re-encodes differently.
+        #[test]
         fn truncation_is_detected_or_harmless(
             a in 0u32..u32::MAX,
             x in 0u64..u64::MAX,

@@ -94,6 +94,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
         /// format → parse is the identity on any valid kill list.
+        #[test]
         fn roundtrips(
             raw in proptest::collection::vec((1u32..500, 0u64..10_000), 1..6),
         ) {

@@ -49,8 +49,8 @@ pub use frame::{read_frame, write_frame, Frame, FrameError, MAX_FRAME};
 pub use killspec::{format_kill_spec, parse_kill_spec, KillSpec};
 pub use node::{run_node, NodeOptions};
 pub use schedule::{
-    lower_schedule, lower_scheme, lower_scheme_healed, CalendarSendObs, LoweredSchedule,
-    NodeConfig, NodeReport, ScheduleUpdate, SchemeParams,
+    lower_schedule, lower_scheme_healed, CalendarSendObs, LoweredSchedule, NodeConfig, NodeReport,
+    ScheduleUpdate, SchemeParams,
 };
 pub use trace::{compare_delivery_order, replay_in_des, ReplayComparison, RunTrace};
 pub use transport::{connect_retry, Conn, NetListener, Transport};

@@ -95,18 +95,14 @@ pub struct LoweredSchedule {
 }
 
 /// Lower `params` for a `track`-packet stream by running the fast
-/// simulator with tracing enabled and splitting the trace per node.
+/// simulator with tracing enabled, on the scheme's completion horizon,
+/// and splitting the trace per node.
 pub fn lower_schedule(params: &SchemeParams, track: u64) -> Result<LoweredSchedule, String> {
-    let mut scheme = params.build()?;
-    lower_scheme(scheme.as_mut(), track)
-}
-
-/// Lower an already-built scheme — the live-repair path re-lowers the
-/// *healed* forest (a [`clustream_recovery::DynamicMultiTree`] after
-/// a membership event), which no [`SchemeParams`] names.
-pub fn lower_scheme(scheme: &mut dyn Scheme, track: u64) -> Result<LoweredSchedule, String> {
-    let cfg = SimConfig::until_complete(track, 100_000).traced();
-    let run = FastSimulator::run(scheme, &cfg).map_err(|e| e.to_string())?;
+    let spec = params.spec()?;
+    let mut scheme = spec.build().map_err(|e| e.to_string())?;
+    let bound = spec.worst_delay_bound();
+    let cfg = SimConfig::until_complete(track, bound.completion_horizon(track)).traced();
+    let run = FastSimulator::run(scheme.as_mut(), &cfg).map_err(|e| bound.blame(e).to_string())?;
     Ok(split_trace(&run, track))
 }
 
@@ -370,6 +366,24 @@ mod tests {
                     "expect {e:?} at node {node} has no matching send"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn a_long_stream_lowers_within_its_completion_horizon() {
+        // `cluster --nodes 2 --track 200000`: the lowering run used to
+        // stop at a fixed 100 000 slots and fail with a hiccup.
+        let params = SchemeParams {
+            family: "multitree".into(),
+            n: 2,
+            d: 2,
+        };
+        let track = 200_000;
+        let lowered = lower_schedule(&params, track).unwrap();
+        let bound = params.spec().unwrap().worst_delay_bound().slots;
+        assert!(lowered.slots_run <= track + bound, "{}", lowered.slots_run);
+        for node in 1..=2 {
+            assert_eq!(lowered.expects[&node].len() as u64, track, "n{node}");
         }
     }
 

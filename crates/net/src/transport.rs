@@ -457,6 +457,7 @@ mod tests {
         /// the bytes are cut up on their way to the reader, every frame
         /// arrives equal and in order, and the byte count is the sum of
         /// the frame sizes.
+        #[test]
         fn any_frames_any_flush_points_any_chunking_arrive_in_order(
             specs in proptest::collection::vec(
                 (0usize..11, 0u64..u64::MAX, 0usize..400, any::<bool>()),

@@ -44,10 +44,11 @@ pub fn plan_cluster(req: ClusterRequirement) -> Result<PlannedCluster, CoreError
     }
     let d = analysis::optimal_degree(req.size.max(2), 8);
     let mt_buffer = analysis::multitree::buffer_bound(req.size, d);
-    // Intra delay includes the live-prebuffer shift (+d) used inside
-    // sessions.
-    let mt_delay = analysis::thm2_worst_delay_bound(req.size, d) + d as u64;
-    let hc_delay = analysis::chained_worst_delay(req.size);
+    let construction = Construction::Greedy;
+    let mt = IntraScheme::MultiTree { d, construction };
+    let hc = IntraScheme::Hypercube { d: 1 };
+    let mt_delay = mt.worst_delay_bound(req.size);
+    let hc_delay = hc.worst_delay_bound(req.size);
 
     let fits_multitree = req.buffer_budget.is_none_or(|b| b as u64 >= mt_buffer);
     // Prefer the lower predicted delay among feasible options; hypercube
@@ -55,17 +56,14 @@ pub fn plan_cluster(req: ClusterRequirement) -> Result<PlannedCluster, CoreError
     if fits_multitree && (mt_delay <= hc_delay || req.buffer_budget.is_none()) {
         Ok(PlannedCluster {
             requirement: req,
-            scheme: IntraScheme::MultiTree {
-                d,
-                construction: Construction::Greedy,
-            },
+            scheme: mt,
             predicted_intra_delay: mt_delay,
             predicted_buffer: mt_buffer,
         })
     } else if req.buffer_budget.is_none_or(|b| b >= 2) {
         Ok(PlannedCluster {
             requirement: req,
-            scheme: IntraScheme::Hypercube { d: 1 },
+            scheme: hc,
             predicted_intra_delay: hc_delay,
             predicted_buffer: 2,
         })

@@ -16,6 +16,7 @@
 //!   mode so the local schedule never outruns the backbone feed.
 
 use crate::supertree::Backbone;
+use clustream_analysis::{grouped_worst_delay, thm2_worst_delay_bound};
 use clustream_core::{
     Availability, CoreError, NodeId, PacketId, SchedulePeriod, Scheme, Slot, StateView,
     Transmission, SOURCE,
@@ -40,6 +41,18 @@ pub enum IntraScheme {
     },
 }
 
+impl IntraScheme {
+    /// The scheme's worst playback delay over `n` members, counted from
+    /// the slot it starts: Theorem 2's `h·d` plus the live prebuffer `d`,
+    /// or Proposition 2 over the source's groups.
+    pub fn worst_delay_bound(self, n: usize) -> u64 {
+        match self {
+            IntraScheme::MultiTree { d, .. } => thm2_worst_delay_bound(n, d) + d as u64,
+            IntraScheme::Hypercube { d } => grouped_worst_delay(n, d.min(n)),
+        }
+    }
+}
+
 struct ClusterInst {
     s_i: u32,
     s_prime: u32,
@@ -47,6 +60,8 @@ struct ClusterInst {
     n_members: usize,
     /// `S'_i`'s send capacity: this cluster's `d`.
     intra_d: usize,
+    /// The intra-cluster scheme's worst-delay bound, counted from `sigma`.
+    intra_bound: u64,
     /// Slot from which `S_i` holds (and can forward) packet 0.
     u: u64,
     /// Slot from which the intra-cluster scheme runs (local slot 0).
@@ -69,7 +84,7 @@ struct ClusterInst {
 ///     5, // T_c
 ///     IntraScheme::MultiTree { d: 2, construction: Construction::Greedy },
 /// )?;
-/// let predicted = session.predicted_max_delay()?;
+/// let predicted = session.worst_delay_bound();
 /// let run = Simulator::run(&mut session, &SimConfig::until_complete(16, 100_000))?;
 /// assert!(run.qos.max_delay() <= predicted); // Theorem 1 in action
 /// # Ok::<(), clustream_core::CoreError>(())
@@ -147,6 +162,7 @@ impl ClusterSession {
                 member_base,
                 n_members: n_i,
                 intra_d,
+                intra_bound: intra.worst_delay_bound(n_i),
                 u,
                 sigma: u + 1,
                 backbone_children: backbone.children(i),
@@ -195,46 +211,11 @@ impl ClusterSession {
         self.clusters[i].sigma
     }
 
-    /// Exact predicted worst-case playback delay of cluster `i`'s members:
-    /// `σ_i` plus the intra-cluster scheme's own worst delay (closed form
-    /// for multi-trees, chain prediction for hypercubes).
-    pub fn predicted_cluster_delay(&self, i: usize) -> Result<u64, CoreError> {
-        let c = &self.clusters[i];
-        // Downcast-free: recompute the intra profile from the cluster's
-        // parameters. Multi-tree inners are `MultiTreeScheme`s whose
-        // closed-form profile is exact; hypercube inners carry their own
-        // prediction.
-        let inner_any: &dyn Scheme = c.inner.as_ref();
-        // We cannot downcast `dyn Scheme`; instead, probe by name.
-        let name = inner_any.name();
-        let intra_worst = if name.starts_with("multi-tree") {
-            // Recreate the profile: mode and d are recoverable from the
-            // cluster spec; the forest is deterministic per (n, d,
-            // construction), but we do not know the construction here, so
-            // we conservatively take the max of both.
-            let d = c.intra_d;
-            let mut worst = 0u64;
-            for cons in [Construction::Structured, Construction::Greedy] {
-                let forest = build_forest(c.n_members, d, cons)?;
-                let p = clustream_multitree::DelayProfile::compute(&MultiTreeScheme::new(
-                    forest,
-                    StreamMode::LivePrebuffered,
-                ))?;
-                worst = worst.max(p.max_delay());
-            }
-            worst
-        } else {
-            let s = HypercubeStream::with_groups(c.n_members, c.intra_d.min(c.n_members))?;
-            s.cubes().map(|cb| cb.predicted_delay()).max().unwrap_or(0)
-        };
-        Ok(c.sigma + intra_worst)
-    }
-
-    /// Exact predicted worst-case playback delay over the whole session.
-    pub fn predicted_max_delay(&self) -> Result<u64, CoreError> {
-        (0..self.k())
-            .map(|i| self.predicted_cluster_delay(i))
-            .try_fold(0u64, |acc, d| Ok(acc.max(d?)))
+    /// Theorem 1's bound on the session's worst playback delay: over the
+    /// clusters, `σ_i` plus the intra-cluster scheme's bound.
+    pub fn worst_delay_bound(&self) -> u64 {
+        let bounds = self.clusters.iter().map(|c| c.sigma + c.intra_bound);
+        bounds.max().unwrap_or(0)
     }
 }
 
@@ -559,7 +540,7 @@ mod tests {
             IntraScheme::Hypercube { d: 1 },
         ] {
             let mut s = ClusterSession::new(&[11, 9, 13], 3, 6, intra).unwrap();
-            let predicted = s.predicted_max_delay().unwrap();
+            let predicted = s.worst_delay_bound();
             let r = run(&mut s, 2 * predicted + 8);
             assert!(
                 r.qos.max_delay() <= predicted,

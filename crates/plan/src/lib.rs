@@ -9,6 +9,9 @@
 //! * [`SchemeSpec`] holds the workspace's only family → constructor
 //!   match; [`SchemeSpec::build`] is total (out-of-domain parameters are
 //!   a [`clustream_core::CoreError::InvalidConfig`], never an assert).
+//!   Its [`SchemeSpec::worst_delay_bound`] is the only family → theorem
+//!   match, and sizes every completing run's horizon
+//!   ([`DelayBound::completion_horizon`]).
 //! * [`RunPlan`] is one `simulate` run as data: [`RunPlan::from_args`]
 //!   parses it, [`RunPlan::validate`] owns every cross-field rule,
 //!   [`RunPlan::sim_config`] / [`RunPlan::des_config`] lower it and
@@ -16,7 +19,7 @@
 //! * [`args`] is the `--key value` parser; a subcommand's usage text is
 //!   also the vocabulary its unknown flags are rejected against.
 //!
-//! It sits above `des`, `recovery`, `hypercube` and `baselines` and below
+//! It sits above `analysis`, `des`, `recovery`, `hypercube` and `baselines` and below
 //! `net`, `mc`, `cli` and `bench`: `des` is the lowest crate those four
 //! share, but it should not learn about slot-engine dispatch.
 
@@ -28,4 +31,4 @@ pub mod scheme;
 
 pub use args::{flag_list, render_usage, usage_flags, ArgMap, CliError, Usage};
 pub use run::{choice, member_timelines, Engine, Outcome, RunPlan, Runtime, SIMULATE_USAGE};
-pub use scheme::{Family, SchemeSpec, SCHEME_USAGE};
+pub use scheme::{DelayBound, Family, SchemeSpec, SCHEME_USAGE};

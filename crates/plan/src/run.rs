@@ -2,7 +2,7 @@
 //! validated by one rule book, dispatched by one `match`.
 
 use crate::args::{ArgMap, CliError, Usage};
-use crate::scheme::{Family, SchemeSpec, SCHEME_USAGE};
+use crate::scheme::{DelayBound, Family, SchemeSpec, SCHEME_USAGE};
 use clustream_core::{CoreError, NodeId, PacketId, Scheme};
 use clustream_des::{
     agree, CapacityClassPlan, Column, DesConfig, DesEngine, DesStats, LatencyModel, QueueKind,
@@ -12,6 +12,11 @@ use clustream_recovery::{DynamicMultiTree, RecoveryConfig, RecoveryMode};
 use clustream_sim::{FastSimulator, MegaSimulator, RunResult, SimConfig, Simulator};
 use clustream_telemetry::Telemetry;
 use clustream_workloads::{ChurnTrace, ChurnTraceConfig, NodeTimeline, ScenarioPlan};
+
+/// The horizon of a run that should complete but that no proven delay
+/// bound covers (see [`RunPlan::delay_bound`]): far past any delay such a
+/// run shows.
+const UNPROVEN_HORIZON: u64 = 1_000_000;
 
 /// Which runtime model drives the run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -216,8 +221,7 @@ impl RunPlan {
     pub fn validate(&self) -> Result<(), CliError> {
         let usage = |msg: &str| Err(CliError::Usage(msg.into()));
         let multitree = self.scheme.family == Family::MultiTree;
-        let relaxed_net =
-            !self.latency.is_slot_exact() || self.uplink != UplinkModel::Unconstrained;
+        let relaxed_net = self.relaxed_net();
         if self.shards == Some(0) {
             return usage("--shards must be at least 1");
         }
@@ -301,14 +305,43 @@ impl RunPlan {
 
     /// The slot horizon: [`RunPlan::horizon`] when set; else the churn
     /// trace's length or a scenario's drained end (churned and crowd runs
-    /// never "complete"), else a bound no completing run reaches.
+    /// never "complete"); else, for a run the paper's bound covers, its
+    /// [`DelayBound::completion_horizon`]; else 10⁶ slots.
     pub fn horizon_slots(&self) -> u64 {
         self.horizon
             .unwrap_or_else(|| match (&self.churn, &self.scenario) {
                 (Some(churn), _) => churn.slots.max(self.track.saturating_mul(4)),
                 (None, Some(s)) => self.drained(s).unwrap_or(u64::MAX),
-                (None, None) => 1_000_000,
+                (None, None) => self
+                    .delay_bound()
+                    .map_or(UNPROVEN_HORIZON, |b| b.completion_horizon(self.track)),
             })
+    }
+
+    /// The scheme's [`SchemeSpec::worst_delay_bound`] when this run is one
+    /// it covers: a completing run in the paper's synchronous model, on
+    /// the derived horizon. `None` for runs with their own horizon, for
+    /// churn, scenarios and recovery (membership changes the bound does
+    /// not cover) and for relaxed DES runs (latency or uplink models,
+    /// capacity classes: Theorem 2 assumes unit-latency slots).
+    fn delay_bound(&self) -> Option<DelayBound> {
+        let relaxed = self.relaxed_net() || self.classes.is_some() || self.recovery.mode.enabled();
+        let own_horizon = self.horizon.is_some() || self.churn.is_some() || self.scenario.is_some();
+        (!relaxed && !own_horizon).then(|| self.scheme.worst_delay_bound())
+    }
+
+    /// Whether a latency or uplink model relaxes the synchronous slot.
+    fn relaxed_net(&self) -> bool {
+        !self.latency.is_slot_exact() || self.uplink != UplinkModel::Unconstrained
+    }
+
+    /// A run error, blamed on the broken bound when the run was sized by
+    /// one (see [`DelayBound::blame`]).
+    fn blame(&self, e: CoreError) -> CliError {
+        let Some(bound) = self.delay_bound() else {
+            return e.into();
+        };
+        bound.blame(e)
     }
 
     /// The slot-engine configuration. A scenario runs in the
@@ -409,7 +442,7 @@ impl RunPlan {
             })
         };
         match agree(columns, factory, &cfg) {
-            Ok(r) => Ok((self.label(), r?, None)),
+            Ok(r) => Ok((self.label(), r.map_err(|e| self.blame(e))?, None)),
             Err(divergence) => Err(CliError::Model(format!("{what} failed: {divergence}"))),
         }
     }
@@ -425,15 +458,15 @@ impl RunPlan {
         let cfg = self.sim_config().with_telemetry(telemetry.clone());
         let mut des_stats = None;
         let r = match (self.runtime, self.engine) {
-            (Runtime::Slot, Engine::Reference) => Simulator::run(scheme, &cfg)?,
-            (Runtime::Slot, Engine::Fast) => FastSimulator::run(scheme, &cfg)?,
+            (Runtime::Slot, Engine::Reference) => Simulator::run(scheme, &cfg),
+            (Runtime::Slot, Engine::Fast) => FastSimulator::run(scheme, &cfg),
             (Runtime::Slot, Engine::Mega) => {
-                MegaSimulator::run_sharded(scheme, &cfg, self.shards.unwrap_or(1))?
+                MegaSimulator::run_sharded(scheme, &cfg, self.shards.unwrap_or(1))
             }
             (Runtime::Des, _) => {
                 let mut engine = DesEngine::new();
                 let des_cfg = self.des_config_over(cfg, self.churn.map(ChurnTrace::generate));
-                let r = engine.run(scheme, &des_cfg)?;
+                let r = engine.run(scheme, &des_cfg);
                 des_stats = Some(*engine.stats());
                 r
             }
@@ -445,7 +478,7 @@ impl RunPlan {
                 ))
             }
         };
-        Ok((self.label(), r, des_stats))
+        Ok((self.label(), r.map_err(|e| self.blame(e))?, des_stats))
     }
 }
 
@@ -715,10 +748,43 @@ mod tests {
         let short = plan_of("--scheme multitree --n 12 --scenario step:6@50 --horizon 70").unwrap();
         assert_eq!(short.horizon_slots(), 70);
 
-        // Plain runs ignore --horizon, as they always have.
+        // Plain runs ignore --horizon, as they always have, and stop at
+        // the default 48 tracked packets plus the chain's bound N = 5.
         let plain = plan_of("--scheme chain --n 5 --horizon 3").unwrap();
         assert_eq!(plain.horizon, None);
-        assert_eq!(plain.sim_config().max_slots, 1_000_000);
+        assert_eq!(plain.sim_config().max_slots, 53);
+    }
+
+    #[test]
+    fn only_runs_the_bound_covers_get_its_horizon() {
+        let mt = "--scheme multitree --n 40 --d 3 --track 32";
+        let covered = plan_of(mt).unwrap();
+        let bound = covered.scheme.worst_delay_bound();
+        assert_eq!((bound.theorem, bound.slots), ("Theorem 2's h·d", 12));
+        assert_eq!(covered.delay_bound(), Some(bound));
+        assert_eq!(covered.horizon_slots(), 32 + 12);
+        for runtime in ["--engine mega", "--runtime des", "--runtime des-checked"] {
+            let plan = plan_of(&format!("{mt} {runtime}")).unwrap();
+            assert_eq!(plan.horizon_slots(), 44, "{runtime}");
+        }
+        // Runs whose bound the paper does not prove keep the fallback:
+        // relaxed DES timing and recovery. Churn and scenarios size their
+        // own horizon.
+        for flags in [
+            "--runtime des --latency jitter",
+            "--runtime des --uplink serialized",
+            "--runtime des --uplink serialized --classes fiber",
+            "--runtime des --recovery repair",
+        ] {
+            let plan = plan_of(&format!("{mt} {flags}")).unwrap();
+            assert_eq!(plan.delay_bound(), None, "{flags}");
+            assert_eq!(plan.horizon_slots(), UNPROVEN_HORIZON, "{flags}");
+        }
+        for flags in ["--runtime des --churn-slots 160", "--scenario step:6@50"] {
+            let plan = plan_of(&format!("{mt} {flags}")).unwrap();
+            assert_eq!(plan.delay_bound(), None, "{flags}");
+            assert_ne!(plan.horizon_slots(), UNPROVEN_HORIZON, "{flags}");
+        }
     }
 
     #[test]
@@ -847,6 +913,7 @@ mod tests {
         /// labels and lowers to a slot config without one either. No
         /// flag value sizes an allocation on the way (a `--n` or
         /// `--churn-slots` of `u64::MAX` would abort right here).
+        #[test]
         fn from_args_is_total_over_flag_soup(
             picks in proptest::collection::vec((0usize..64, 0usize..64, any::<bool>()), 0..12),
             anchor in any::<bool>(),

@@ -1,6 +1,8 @@
-//! [`SchemeSpec`]: the workspace's only scheme-family → constructor match.
+//! [`SchemeSpec`]: the workspace's only scheme-family → constructor match,
+//! and its only family → delay-theorem match ([`DelayBound`]).
 
 use crate::args::{ArgMap, CliError};
+use clustream_analysis::{grouped_worst_delay, thm2_worst_delay_bound};
 use clustream_baselines::{ChainScheme, SingleTreeScheme};
 use clustream_core::{CoreError, Scheme};
 use clustream_hypercube::HypercubeStream;
@@ -54,6 +56,53 @@ pub const SCHEME_USAGE: [&str; 2] = [
     "--scheme <multitree|hypercube|chain|singletree> --n <N>",
     "[--d <D>] [--mode <pre|buffered|pipelined>]",
 ];
+
+/// A proven bound on a scheme's worst playback delay: its value and the
+/// result that proves it.
+///
+/// Playback delay is `max_j (usable(i, j) − j)`, so under a bound `B`
+/// packet `j` is usable by slot `j + B`, the last of `track` tracked
+/// packets by `track − 1 + B`, and a run that stops once every receiver
+/// holds them stops within [`DelayBound::completion_horizon`] slots.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DelayBound {
+    /// The result that proves the bound.
+    pub theorem: &'static str,
+    /// The bound, in slots.
+    pub slots: u64,
+}
+
+impl DelayBound {
+    /// Theorem 1's bound on a multi-cluster session: `slots` is the
+    /// backbone's hops times `T_c`, the `S_i → S'_i` hop and the worst
+    /// intra-cluster delay.
+    pub fn session(slots: u64) -> DelayBound {
+        DelayBound {
+            theorem: "Theorem 1's session delay",
+            slots,
+        }
+    }
+
+    /// The slot horizon of a run that stops once every receiver holds
+    /// `track` packets: exactly enough for the last one under the bound.
+    pub fn completion_horizon(self, track: u64) -> u64 {
+        track.saturating_add(self.slots)
+    }
+
+    /// What a run on [`DelayBound::completion_horizon`] failing with `e`
+    /// means: a packet that never arrived within it broke the bound,
+    /// which the error names. Every other error passes through.
+    pub fn blame(self, e: CoreError) -> CliError {
+        let CoreError::Hiccup { node, packet } = e else {
+            return e.into();
+        };
+        let (theorem, bound) = (self.theorem, self.slots);
+        let usable = packet.seq().saturating_add(bound);
+        CliError::Model(format!(
+            "{node} breaks {theorem} = {bound} slots: {packet} is not usable by slot {usable}"
+        ))
+    }
+}
 
 /// Which scheme a run streams through: family, population, degree and
 /// the multi-tree-only mode and construction.
@@ -128,6 +177,43 @@ impl SchemeSpec {
             Family::Chain => Box::new(ChainScheme::new(n)),
             Family::SingleTree => Box::new(SingleTreeScheme::new(n, d)),
         })
+    }
+
+    /// The paper's bound on this scheme's worst playback delay. Total: a
+    /// spec [`SchemeSpec::build`] refuses (`n` or `d` zero) gets its
+    /// family's bound at 1.
+    pub fn worst_delay_bound(&self) -> DelayBound {
+        let (n, d) = (self.n.max(1), self.d.max(1));
+        let bound = |theorem, slots| DelayBound { theorem, slots };
+        match self.family {
+            // Live modes shift the schedule: prebuffered by exactly d,
+            // pipelined by at most 2d (pinned by tests/properties.rs).
+            Family::MultiTree => {
+                let (theorem, shift) = match self.mode {
+                    StreamMode::PreRecorded => ("Theorem 2's h·d", 0),
+                    StreamMode::LivePrebuffered => ("Theorem 2's h·d + d (prebuffered)", d),
+                    StreamMode::LivePipelined => ("Theorem 2's h·d + 2d (pipelined)", 2 * d),
+                };
+                bound(theorem, thm2_worst_delay_bound(n, d) + shift as u64)
+            }
+            // Proposition 2 per source group (`HypercubeStream::with_groups`).
+            Family::Hypercube => bound(
+                "Proposition 2's chained-cube delay",
+                grouped_worst_delay(n, d.min(n)),
+            ),
+            Family::Chain => bound("the chain's N", n as u64),
+            // BFS layout: the last node is deepest.
+            Family::SingleTree => bound(
+                "the single tree's depth",
+                SingleTreeScheme::bfs_depth(d, u32::try_from(n).unwrap_or(u32::MAX)).max(1),
+            ),
+        }
+    }
+
+    /// The slot horizon of a completing run of this scheme:
+    /// `track` + [`SchemeSpec::worst_delay_bound`].
+    pub fn completion_horizon(&self, track: u64) -> u64 {
+        self.worst_delay_bound().completion_horizon(track)
     }
 
     /// [`CoreError::InvalidConfig`] unless the ids `0..=n + joins` — the
@@ -207,6 +293,68 @@ mod tests {
         }
         let huge = SchemeSpec::new(Family::MultiTree, 1 << 32, 3);
         assert!(huge.dynamic(None).is_err() && huge.multitree().is_err());
+    }
+
+    #[test]
+    fn the_hypercube_bound_is_the_built_chains_prediction() {
+        for n in 1..=200 {
+            for d in 1..=8 {
+                let built = HypercubeStream::with_groups(n, d.min(n)).unwrap();
+                let predicted = built.cubes().map(|c| c.predicted_delay()).max();
+                let bound = SchemeSpec::new(Family::Hypercube, n, d).worst_delay_bound();
+                assert_eq!(Some(bound.slots), predicted, "n={n} d={d}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_family_states_its_theorem_and_a_horizon() {
+        for (family, n, d, theorem, slots) in [
+            (Family::MultiTree, 40, 3, "Theorem 2's h·d", 12),
+            (
+                Family::Hypercube,
+                100,
+                1,
+                "Proposition 2's chained-cube delay",
+                19,
+            ),
+            (Family::Chain, 12, 2, "the chain's N", 12),
+            (Family::SingleTree, 12, 2, "the single tree's depth", 3),
+        ] {
+            let spec = SchemeSpec::new(family, n, d);
+            assert_eq!(spec.worst_delay_bound(), DelayBound { theorem, slots });
+            assert_eq!(spec.completion_horizon(48), 48 + slots);
+        }
+        let live = |mode| SchemeSpec {
+            mode,
+            ..SchemeSpec::new(Family::MultiTree, 40, 3)
+        };
+        assert_eq!(
+            live(StreamMode::LivePrebuffered).worst_delay_bound().slots,
+            15
+        );
+        assert_eq!(
+            live(StreamMode::LivePipelined).worst_delay_bound().slots,
+            18
+        );
+        // Total where `build` refuses, and saturating past u64.
+        for family in Family::ALL {
+            for (n, d) in [(0, 2), (5, 0), (u32::MAX as usize + 9, 3)] {
+                let _ = SchemeSpec::new(family, n, d).completion_horizon(u64::MAX);
+            }
+        }
+    }
+
+    #[test]
+    fn only_a_hiccup_is_blamed_on_the_bound() {
+        let bound = DelayBound::session(30);
+        let (node, packet) = (clustream_core::NodeId(4), clustream_core::PacketId(7));
+        assert_eq!(
+            bound.blame(CoreError::Hiccup { node, packet }).to_string(),
+            "model error: n4 breaks Theorem 1's session delay = 30 slots: p7 is not usable by slot 37"
+        );
+        let other = CoreError::UnknownNode { node };
+        assert_eq!(bound.blame(other.clone()), other.into());
     }
 
     #[test]

@@ -97,6 +97,14 @@ pub struct DynamicMultiTree {
     total_swaps: usize,
 }
 
+/// `len` zeros, or `None` when they do not fit in memory.
+fn zeroed<T: Copy + Default>(len: usize) -> Option<Vec<T>> {
+    let mut v = Vec::new();
+    v.try_reserve_exact(len).ok()?;
+    v.resize(len, T::default());
+    Some(v)
+}
+
 /// The schedule over `forest`'s compact snapshot and its id translation.
 fn lower(
     forest: &DynamicForest,
@@ -153,7 +161,12 @@ impl DynamicMultiTree {
             }
         }
         let max_id = max_id as usize;
-        let mut join_slots = vec![0u64; max_id + 1];
+        let oom = || {
+            CoreError::InvalidConfig(format!(
+                "a crowd of {n0} initial members and {joins} joins does not fit in memory"
+            ))
+        };
+        let mut join_slots = zeroed(max_id + 1).ok_or_else(oom)?;
         for e in &events {
             if let ResolvedChurnAction::Join { ext } = e.action {
                 join_slots[ext as usize] = e.slot;
@@ -163,8 +176,10 @@ impl DynamicMultiTree {
         // the engines' ids exactly — and monotonically from there.
         let forest = DynamicForest::new(n0, d, construction, true)?;
         let ext_to_orig: Vec<u32> = (0..=n0 as u32).collect();
-        let mut orig_to_ext: Vec<ExtId> = (0..=n0 as ExtId).collect();
-        orig_to_ext.resize(max_id + 1, 0);
+        let mut orig_to_ext: Vec<ExtId> = zeroed(max_id + 1).ok_or_else(oom)?;
+        for (id, ext) in orig_to_ext[..=n0].iter_mut().enumerate() {
+            *ext = id as ExtId;
+        }
         let (inner, snap_to_orig) = lower(&forest, &ext_to_orig, mode)?;
         let mut s = DynamicMultiTree {
             forest,
@@ -229,7 +244,7 @@ impl DynamicMultiTree {
         plan: &ScenarioPlan,
     ) -> Result<Self, CoreError> {
         let initial: Vec<u64> = (1..=n0 as u64).collect();
-        let resolved = plan.compile(n0)?.resolve(&initial, &[]);
+        let resolved = plan.compile(n0)?.resolve(&initial, &[])?;
         Self::scripted(n0, d, mode, construction, resolved)
     }
 
@@ -711,6 +726,7 @@ mod tests {
         /// forest (position tables, labels, swap count: its whole `Debug`
         /// rendering), the same counters and membership, and the same
         /// transmissions from the next slot on.
+        #[test]
         fn a_script_and_the_same_events_build_the_same_forest(
             n0 in 4usize..15,
             d in 2usize..4,

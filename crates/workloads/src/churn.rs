@@ -6,6 +6,7 @@
 //! order), so a trace replays identically against any membership-tracking
 //! structure regardless of how it assigns identities.
 
+use clustream_core::CoreError;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -173,8 +174,13 @@ impl ChurnTrace {
     /// chosen as departure victims: the victim is picked among the
     /// unprotected members by `victim_rank % eligible`, and a `Leave`
     /// with no eligible victim is dropped. Deterministic: same trace,
-    /// same inputs, same resolution.
-    pub fn resolve(&self, initial: &[u64], protected: &[u64]) -> Vec<ResolvedChurnEvent> {
+    /// same inputs, same resolution. [`CoreError::InvalidConfig`] when the
+    /// resolved script does not fit in memory.
+    pub fn resolve(
+        &self,
+        initial: &[u64],
+        protected: &[u64],
+    ) -> Result<Vec<ResolvedChurnEvent>, CoreError> {
         let mut next = initial.iter().max().map_or(1, |m| m + 1);
         // The members a departure may pick, ascending: kept current across
         // events instead of re-filtered per `Leave` (protected members
@@ -184,7 +190,12 @@ impl ChurnTrace {
         eligible.sort_unstable();
         // Currently departed ids in ascending order; rejoins pick from it.
         let mut gone: Vec<u64> = Vec::new();
-        let mut out = Vec::with_capacity(self.events.len());
+        let (mut out, events) = (Vec::new(), self.events.len());
+        out.try_reserve_exact(events).map_err(|_| {
+            CoreError::InvalidConfig(format!(
+                "a churn script of {events} events does not fit in memory"
+            ))
+        })?;
         for e in &self.events {
             let action = match e.action {
                 ChurnAction::Join => {
@@ -217,7 +228,7 @@ impl ChurnTrace {
                 action,
             });
         }
-        out
+        Ok(out)
     }
 
     /// Net membership at the end of the trace.
@@ -358,7 +369,7 @@ mod tests {
                 },
             ],
         };
-        let resolved = t.resolve(&[1, 2, 3, 4], &[]);
+        let resolved = t.resolve(&[1, 2, 3, 4], &[]).unwrap();
         assert_eq!(
             resolved,
             vec![
@@ -378,7 +389,7 @@ mod tests {
         );
         // Protecting id 2 deflects the first departure to the next
         // eligible member.
-        let shielded = t.resolve(&[1, 2, 3, 4], &[2]);
+        let shielded = t.resolve(&[1, 2, 3, 4], &[2]).unwrap();
         assert_eq!(
             shielded[0].action,
             ResolvedChurnAction::Leave { ext: 3 },
@@ -409,7 +420,7 @@ mod tests {
                 mk(ChurnAction::Rejoin { departed_rank: 0 }, 6),
             ],
         };
-        let resolved = t.resolve(&[1, 2, 3, 4], &[]);
+        let resolved = t.resolve(&[1, 2, 3, 4], &[]).unwrap();
         let actions: Vec<ResolvedChurnAction> = resolved.iter().map(|e| e.action).collect();
         assert_eq!(
             actions,
@@ -567,7 +578,7 @@ mod tests {
                 let members: Vec<u64> = (1..=initial as u64).collect();
                 let mut protected: Vec<u64> = vec![0];
                 protected.extend(1..=(n_protected.min(initial) as u64));
-                let resolved = t.resolve(&members, &protected);
+                let resolved = t.resolve(&members, &protected).unwrap();
 
                 let mut away = std::collections::HashSet::new();
                 let mut last_slot = 0u64;
@@ -599,7 +610,7 @@ mod tests {
                     }
                 }
                 // Determinism.
-                prop_assert_eq!(resolved, t.resolve(&members, &protected));
+                prop_assert_eq!(resolved, t.resolve(&members, &protected).unwrap());
             }
 
             /// Model-based: the incremental resolution names the same
@@ -608,6 +619,7 @@ mod tests {
             /// rejoins with nobody away, leaves with nobody eligible — an
             /// unsorted initial membership, and protected sets that name
             /// members, strangers and ids no join has minted yet.
+            #[test]
             fn incremental_resolution_matches_the_refiltering_reference(
                 initial in proptest::collection::vec(1u64..40, 0..12),
                 protected in proptest::collection::vec(0u64..48, 0..6),
@@ -639,7 +651,7 @@ mod tests {
                 };
                 let t = ChurnTrace { config, events };
                 prop_assert_eq!(
-                    t.resolve(&initial, &protected),
+                    t.resolve(&initial, &protected).unwrap(),
                     resolve_reference(&t, &initial, &protected)
                 );
             }

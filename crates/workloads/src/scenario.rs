@@ -474,7 +474,7 @@ mod tests {
         let plan = ScenarioPlan::parse("step:3@1,fail:2-3@4").unwrap();
         let trace = plan.compile(4).unwrap();
         let initial: Vec<u64> = (1..=4).collect();
-        let resolved = trace.resolve(&initial, &[]);
+        let resolved = trace.resolve(&initial, &[]).unwrap();
         let left: Vec<u64> = resolved
             .iter()
             .filter_map(|e| match e.action {
@@ -499,7 +499,7 @@ mod tests {
         // Region 5-6 only exists because the step created ids 5..=7.
         let plan = ScenarioPlan::parse("step:3@0,fail:5-6@2").unwrap();
         let trace = plan.compile(4).unwrap();
-        let resolved = trace.resolve(&(1..=4).collect::<Vec<_>>(), &[]);
+        let resolved = trace.resolve(&(1..=4).collect::<Vec<_>>(), &[]).unwrap();
         let left: Vec<u64> = resolved
             .iter()
             .filter_map(|e| match e.action {

@@ -227,7 +227,9 @@ pub mod prelude {
 }
 
 /// Define property tests: each `fn name(arg in strategy, ...) { body }`
-/// becomes a `#[test]` running the body over sampled inputs.
+/// becomes a function running the body over sampled inputs. As in the
+/// real crate, the caller's attributes are kept and none is added: a
+/// property is a test when it carries `#[test]`.
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($cfg:expr)] $($rest:tt)*) => {
@@ -248,7 +250,6 @@ macro_rules! __proptest_items {
      fn $name:ident($($arg:ident in $strat:expr),+ $(,)?) $body:block
      $($rest:tt)*) => {
         $(#[$meta])*
-        #[test]
         fn $name() {
             $crate::run_proptest($cfg, stringify!($name), |__rng, __inputs| {
                 $(let $arg = $crate::Strategy::sample(&($strat), __rng);)+
@@ -354,11 +355,13 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
+        #[test]
         fn ranges_respected(n in 1usize..50, b in any::<bool>()) {
             prop_assert!(n >= 1 && n < 50);
             let _ = b;
         }
 
+        #[test]
         fn tuples_and_vecs(
             pairs in crate::collection::vec((0u64..10, any::<bool>()), 0..6),
             fixed in crate::collection::vec(0usize..5, 3),
@@ -370,6 +373,7 @@ mod tests {
             }
         }
 
+        #[test]
         fn assume_filters(n in 0u32..100) {
             prop_assume!(n % 2 == 0);
             prop_assert_eq!(n % 2, 0);

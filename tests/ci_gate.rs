@@ -155,11 +155,11 @@ fn script_parses_and_defines_both_tiers() {
         "'^usage error: --horizon must be a non-negative integer$'",
         "simulate --scheme multitree --n 100 --d 3 --des-seed xyz",
         "'^usage error: --des-seed must be a non-negative integer$'",
-        // …and so are a traced packet past what the horizon can carry and
-        // a cluster streaming nothing (an oversized table, spawned
+        // …and so are a traced packet past what a trace keeps and a
+        // cluster streaming nothing (an oversized table, spawned
         // processes).
         "trace --scheme multitree --n 15 --d 3 --node 6 --packet 100000000",
-        "'^usage error: --packet must be below 3000000: '",
+        "'^usage error: --packet 100000000 is too late to trace: '",
         "cluster --nodes 2 --track 0",
         "'^usage error: --track must be at least 1'",
         // The ledger harness is a workspace of its own: the merge gate
@@ -475,6 +475,7 @@ const CRATE_GRAPH: &[(&str, &[&str])] = &[
     (
         "plan",
         &[
+            "analysis",
             "baselines",
             "core",
             "des",

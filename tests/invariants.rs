@@ -37,7 +37,10 @@ fn registry_encodes_theorem2_and_buffer_bounds() {
         for construction in ConstructionChoice::ALL {
             let g = Genome::clean(Family::MultiTree, n, d, construction);
             let b = bounds_for(&g).unwrap();
-            assert_eq!(b.delay, thm2_worst_delay_bound(n, d));
+            assert_eq!(
+                g.spec().worst_delay_bound().slots,
+                thm2_worst_delay_bound(n, d)
+            );
             assert_eq!(b.buffer, tree_height(n, d) * d as u64 + 1);
             assert_eq!(b.neighbors, 2 * d as u64);
             let rep = check_genome(&g);

@@ -257,7 +257,7 @@ proptest! {
             d,
             StreamMode::PreRecorded,
             Construction::Greedy,
-            trace.resolve(&initial, &[]),
+            trace.resolve(&initial, &[]).unwrap(),
         )
         .unwrap();
         let track = 90u64;

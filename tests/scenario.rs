@@ -117,7 +117,7 @@ proptest! {
         let a = plan.compile(n0).unwrap();
         let b = plan.compile(n0).unwrap();
         let initial: Vec<u64> = (1..=n0 as u64).collect();
-        prop_assert_eq!(a.resolve(&initial, &[]), b.resolve(&initial, &[]));
+        prop_assert_eq!(a.resolve(&initial, &[]).unwrap(), b.resolve(&initial, &[]).unwrap());
     }
 }
 

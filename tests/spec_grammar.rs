@@ -617,30 +617,35 @@ fn inputs(seed: u64, shape: &Shape) -> [String; 2] {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(1024))]
 
+    #[test]
     fn kill_matches_the_reference(seed in any::<u64>()) {
         for s in inputs(seed, &KILL) {
             prop_assert_eq!(parse_kill_spec(&s), kill::parse_kill_spec(&s), "`{}`", s);
         }
     }
 
+    #[test]
     fn chaos_matches_the_reference(seed in any::<u64>()) {
         for s in inputs(seed, &CHAOS) {
             prop_assert_eq!(parse_chaos_spec(&s), chaos::parse_chaos_spec(&s), "`{}`", s);
         }
     }
 
+    #[test]
     fn scenario_matches_the_reference(seed in any::<u64>()) {
         for s in inputs(seed, &SCENARIO) {
             prop_assert_eq!(ScenarioPlan::parse(&s), scenario::parse(&s), "`{}`", s);
         }
     }
 
+    #[test]
     fn classes_match_the_reference(seed in any::<u64>()) {
         for s in inputs(seed, &CLASSES) {
             prop_assert_eq!(CapacityClassPlan::parse(&s), capacity::parse(&s), "`{}`", s);
         }
     }
 
+    #[test]
     fn clusters_match_the_reference(seed in any::<u64>()) {
         for s in inputs(seed, &CLUSTERS) {
             let reference = clusters::parse(&s).map_err(|e| e.to_string());
