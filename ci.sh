@@ -5,7 +5,8 @@
 # Cargo.lock is committed).
 #
 # Tiers:
-#   ci.sh quick   fmt + clippy + build + workspace tests + CLI flag
+#   ci.sh quick   fmt + loc (prints the source line count, gates
+#                 nothing) + clippy + build + workspace tests + CLI flag
 #                 hygiene (unknown flags and out-of-domain scheme
 #                 parameters are errors, not silence or aborts) +
 #                 repro-corpus replay + timing-wheel smoke + loopback
@@ -100,6 +101,14 @@ benchmark_harness() {
             return 1
             ;;
     esac
+}
+
+loc() {
+    # Informational, never a gate: the non-blank, non-comment lines of
+    # crates/*/src outside #[cfg(test)] tails, the one size metric
+    # change notes quote.
+    find crates/*/src -name '*.rs' -print0 | sort -z |
+        xargs -0 awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && !/^[[:space:]]*$/ && !/^[[:space:]]*\/\// {n++} END{print n}'
 }
 
 des_smoke() {
@@ -475,6 +484,7 @@ cluster_kill_smoke() {
 }
 
 stage "fmt" cargo fmt --all --check
+stage "loc (informational)" loc
 stage "clippy" cargo clippy --workspace --all-targets --offline -- -D warnings
 stage "build (release)" cargo build --workspace --release --offline
 stage "test" cargo test --workspace -q --offline

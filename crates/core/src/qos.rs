@@ -75,25 +75,9 @@ impl QosReport {
         self.nodes.iter().map(|q| q.max_buffer).max().unwrap_or(0)
     }
 
-    /// Average buffer occupancy over receivers.
-    pub fn avg_buffer(&self) -> f64 {
-        if self.nodes.is_empty() {
-            return 0.0;
-        }
-        self.nodes.iter().map(|q| q.max_buffer as f64).sum::<f64>() / self.nodes.len() as f64
-    }
-
     /// Worst-case neighbor count (paper: "Num of Neighbors").
     pub fn max_neighbors(&self) -> usize {
         self.nodes.iter().map(|q| q.neighbors).max().unwrap_or(0)
-    }
-
-    /// Average neighbor count over receivers.
-    pub fn avg_neighbors(&self) -> f64 {
-        if self.nodes.is_empty() {
-            return 0.0;
-        }
-        self.nodes.iter().map(|q| q.neighbors as f64).sum::<f64>() / self.nodes.len() as f64
     }
 
     /// Record for one node, if present.
@@ -113,15 +97,6 @@ impl QosReport {
         delays.sort_unstable();
         let rank = ((p / 100.0) * delays.len() as f64).ceil() as usize;
         delays[rank.clamp(1, delays.len()) - 1]
-    }
-
-    /// Histogram of playback delays: `(delay, node count)` ascending.
-    pub fn delay_histogram(&self) -> Vec<(u64, usize)> {
-        let mut map = std::collections::BTreeMap::new();
-        for q in &self.nodes {
-            *map.entry(q.playback_delay).or_insert(0usize) += 1;
-        }
-        map.into_iter().collect()
     }
 }
 
@@ -150,9 +125,7 @@ mod tests {
         assert_eq!(r.max_delay(), 6);
         assert!((r.avg_delay() - 4.0).abs() < 1e-12);
         assert_eq!(r.max_buffer(), 5);
-        assert!((r.avg_buffer() - 8.0 / 3.0).abs() < 1e-12);
         assert_eq!(r.max_neighbors(), 3);
-        assert!((r.avg_neighbors() - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -169,7 +142,6 @@ mod tests {
         assert_eq!(r.max_delay(), 0);
         assert_eq!(r.avg_delay(), 0.0);
         assert_eq!(r.max_buffer(), 0);
-        assert_eq!(r.avg_neighbors(), 0.0);
     }
 
     #[test]
@@ -179,15 +151,6 @@ mod tests {
         assert_eq!(r.delay_percentile(95.0), 10);
         assert_eq!(r.delay_percentile(10.0), 1);
         assert_eq!(r.delay_percentile(100.0), 10);
-    }
-
-    #[test]
-    fn histogram_counts_nodes_per_delay() {
-        let r = QosReport::new(
-            "h".into(),
-            vec![q(1, 3, 1, 1), q(2, 3, 1, 1), q(3, 7, 1, 1)],
-        );
-        assert_eq!(r.delay_histogram(), vec![(3, 2), (7, 1)]);
     }
 
     #[test]

@@ -91,7 +91,7 @@ use clustream_recovery::config::{
 use clustream_recovery::{FailureDetector, NackManager, RepairBuffer, TimeoutVerdict};
 use clustream_sim::kernel::{check_ends, Kernel, Run};
 use clustream_sim::metrics::TrafficStats;
-use clustream_sim::{PacketSet, ResilienceMetrics, RunResult};
+use clustream_sim::{ResilienceMetrics, RunResult};
 use clustream_telemetry::names as tm;
 use clustream_workloads::ResolvedChurnAction;
 use rand::{Rng, SeedableRng};
@@ -244,7 +244,7 @@ impl DesEngine {
         // The slot kernel holds the run's state: holdings, the strict
         // receive guard, traffic counters, the fault ledger, the arrival
         // table and the completion count.
-        let mut kernel = Kernel::<Vec<PacketSet>>::default();
+        let mut kernel = Kernel::default();
         let mut run = kernel.begin(scheme, sim)?;
         let n_ids = scheme.id_space();
         let availability = scheme.availability();

@@ -56,11 +56,6 @@ impl WallClockDetector {
         self.inner.record(LOCAL, subject, now_ns);
     }
 
-    /// Whether `subject` is on the watch list.
-    pub fn watches(&self, subject: u32) -> bool {
-        self.watched.contains(&subject)
-    }
-
     /// Evaluate every watched subject at `now_ns`, returning the
     /// subjects that crossed the silence horizon **this poll** (each
     /// fires exactly once). `still_owed` filters the scan: a subject
@@ -93,7 +88,6 @@ mod tests {
     fn silence_past_timeout_fires_once() {
         let mut d = WallClockDetector::new(10 * MS);
         d.watch(2, 0);
-        assert!(d.watches(2));
         assert_eq!(d.poll(5 * MS, |_| true), Vec::<u32>::new());
         assert_eq!(d.poll(10 * MS, |_| true), vec![2]);
         // Fired once; later polls stay quiet even under more silence.

@@ -1,15 +1,14 @@
-//! The fast slot engine: the slot kernel (module `kernel`) over
-//! per-node [`PacketSet`] bitsets, and nothing else.
+//! The fast slot engine: the slot kernel (module `kernel`) driven slot
+//! by slot, and nothing else.
 //!
 //! Produces **bit-identical** [`RunResult`]s (and identical errors) to
 //! [`crate::Simulator::run`] — the differential harness in
 //! [`crate::diff`] holds the engines to that contract. The kernel's
-//! module docs say what it does differently underneath. Holdings stay
-//! per-node growable bitsets here, not the mega engine's pre-sized
-//! columns, so a short run touches only the words it uses.
+//! module docs say what it does differently underneath, holdings
+//! included: the same columnar rows the mega engine replays into.
 
 use crate::engine::{RunResult, SimConfig};
-use crate::kernel::{Kernel, PacketSet};
+use crate::kernel::Kernel;
 use clustream_core::{CoreError, Scheme};
 use clustream_telemetry::names as tm;
 
@@ -17,7 +16,7 @@ use clustream_telemetry::names as tm;
 /// (e.g. a whole sweep) without re-allocating its internal state.
 #[derive(Default)]
 pub struct FastEngine {
-    kernel: Kernel<Vec<PacketSet>>,
+    kernel: Kernel,
 }
 
 impl FastEngine {

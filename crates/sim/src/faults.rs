@@ -191,13 +191,12 @@ impl LossReport {
 /// The first fault cause that took out each `(node, packet)` copy —
 /// what a downstream suppression of that copy is blamed on.
 ///
-/// One row of cells per node, indexed by seq and grown, like the node's
-/// held [`crate::PacketSet`], up to the largest seq noted for it; a node
-/// never noted has an empty row. It answers as a hashed
-/// `(node, seq) → FaultCause` map filled with `or_insert` would: the
-/// first cause noted for a copy wins, and a cell never noted (or past
-/// its row's end) has none. Lookup-only, so the layout cannot reach the
-/// results.
+/// One row of cells per node, indexed by seq and grown up to the
+/// largest seq noted for it; a node never noted has an empty row. It
+/// answers as a hashed `(node, seq) → FaultCause` map filled with
+/// `or_insert` would: the first cause noted for a copy wins, and a cell
+/// never noted (or past its row's end) has none. Lookup-only, so the
+/// layout cannot reach the results.
 #[derive(Debug, Default)]
 struct FirstCauses {
     /// The ids a run can name: the first note sizes `rows` to them at

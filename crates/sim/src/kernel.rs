@@ -5,14 +5,13 @@
 //!
 //! A run is `begin`, then per slot `deliver` → `dispatch` → `admit`,
 //! then `flush_ring` and `finish`. [`Kernel`] is the arena reused across
-//! runs, generic over the holdings store ([`Held`], statically
-//! dispatched); [`Run`] is the state of one run. The fast engine is
-//! exactly that driver over `Vec<PacketSet>`; the mega engine runs the
-//! same phases over its columnar store until its steady-state gears take
-//! over. The DES opens each slot with [`Kernel::open`] instead of
-//! `deliver` (its `Deliver` events hand each arrival to
-//! [`Kernel::store`]) and admits through [`Kernel::admit_with`], whose
-//! hook turns every admitted transmission into a `Deliver` event.
+//! runs; [`Run`] is the state of one run. The fast engine is exactly
+//! that driver; the mega engine runs the same phases until its
+//! steady-state gears take over, on the same holdings rows. The DES
+//! opens each slot with [`Kernel::open`] instead of `deliver` (its
+//! `Deliver` events hand each arrival to [`Kernel::store`]) and admits
+//! through [`Kernel::admit_with`], whose hook turns every admitted
+//! transmission into a `Deliver` event.
 //! Results and errors are **bit-identical** to the reference
 //! [`crate::Simulator`], which stays a structurally independent
 //! implementation (hash sets and a `BTreeMap`) because it is the oracle
@@ -20,8 +19,9 @@
 //!
 //! What the kernel uses where the reference uses `std` collections:
 //!
-//! * per-node packet holdings: **bitsets** ([`PacketSet`], or the mega
-//!   engine's columnar words) for `HashSet<u64>`;
+//! * per-node packet holdings: one **columnar bitset** (a fixed number
+//!   of words per node in one flat array, spill rows past its memory
+//!   budget) for `HashSet<u64>`;
 //! * the arrival queue: a **ring buffer** indexed by
 //!   `arrival_slot % window` for the `BTreeMap`, with a per-cell node
 //!   bitmask for the `HashSet<(slot, node)>` collision guard;
@@ -62,11 +62,15 @@ pub(crate) fn record_slot_deliveries(tel: &Telemetry, n: u64) {
     tel.observe(tm::ENGINE_SLOT_DELIVERIES, n);
 }
 
-/// A growable bitset over packet sequence numbers: the packets one node
-/// holds. Sequence numbers start at zero and grow with the schedule, so
-/// the word vector stays proportional to the newest packet seen.
+/// Columnar holdings budget: grow the per-node stride only while the
+/// whole array stays under this many words (256 MiB). Beyond it,
+/// out-of-range seqs go to the per-node spill rows.
+const COLUMNAR_WORDS_LIMIT: usize = 1 << 25;
+
+/// A growable bitset over packet sequence numbers: one node's spill row
+/// for the seqs past the columnar budget.
 #[derive(Debug, Default, Clone)]
-pub struct PacketSet {
+pub(crate) struct PacketSet {
     pub(crate) words: Vec<u64>,
 }
 
@@ -74,7 +78,7 @@ impl PacketSet {
     /// Insert `seq`; returns `false` if it was already present (the
     /// `HashSet::insert` contract the duplicate counters rely on).
     #[inline]
-    pub fn insert(&mut self, seq: u64) -> bool {
+    pub(crate) fn insert(&mut self, seq: u64) -> bool {
         let (w, b) = ((seq / 64) as usize, seq % 64);
         if w >= self.words.len() {
             self.words.resize(w + 1, 0);
@@ -87,59 +91,153 @@ impl PacketSet {
 
     /// Whether `seq` is in the set.
     #[inline]
-    pub fn contains(&self, seq: u64) -> bool {
+    pub(crate) fn contains(&self, seq: u64) -> bool {
         let (w, b) = ((seq / 64) as usize, seq % 64);
         self.words.get(w).is_some_and(|word| word & (1 << b) != 0)
     }
 
-    pub(crate) fn clear(&mut self) {
+    fn clear(&mut self) {
         self.words.clear();
     }
 }
 
-/// Per-node packet holdings, the one piece of kernel state the engines
-/// lay out differently.
-pub trait Held {
-    /// Empty the store for a run over `n_ids` nodes expecting seqs up to
-    /// about `hint_seq`.
-    fn reset(&mut self, n_ids: usize, hint_seq: u64);
-    /// Insert `seq` for `node`; `false` if already present.
-    fn insert(&mut self, node: usize, seq: u64) -> bool;
-    /// Whether `node` holds `seq`.
-    fn contains(&self, node: usize, seq: u64) -> bool;
+/// The per-node packet holdings: `stride` words per node in one flat
+/// struct-of-arrays `Vec<u64>`, plus per-node spill rows for sequence
+/// numbers past the columnar budget. Inserts and membership tests are
+/// single word operations, growth is one bulk re-layout, and mega's
+/// range-sharded workers borrow disjoint row windows with
+/// `split_at_mut`.
+#[derive(Default)]
+pub(crate) struct ColumnarHeld {
+    n_ids: usize,
+    pub(crate) stride: usize,
+    pub(crate) words: Vec<u64>,
+    pub(crate) spill: Vec<PacketSet>,
 }
 
-impl Held for Vec<PacketSet> {
-    fn reset(&mut self, n_ids: usize, _hint_seq: u64) {
-        for h in self.iter_mut() {
-            h.clear();
+impl ColumnarHeld {
+    /// Empty the store for a run over `n_ids` nodes expecting seqs up to
+    /// about `hint_seq`.
+    pub(crate) fn reset(&mut self, n_ids: usize, hint_seq: u64) {
+        self.n_ids = n_ids;
+        let want = ((hint_seq / 64) as usize + 1).next_power_of_two();
+        self.stride = want.min(Self::max_stride(n_ids)).max(1);
+        self.words.clear();
+        self.words.resize(n_ids * self.stride, 0);
+        for s in &mut self.spill {
+            s.clear();
         }
-        self.resize(n_ids, PacketSet::default());
+        self.spill.resize(n_ids, PacketSet::default());
     }
 
+    /// Insert `seq` for `node`; `false` if already present.
     #[inline]
-    fn insert(&mut self, node: usize, seq: u64) -> bool {
-        self[node].insert(seq)
+    pub(crate) fn insert(&mut self, node: usize, seq: u64) -> bool {
+        let w = seq / 64;
+        if w < self.stride as u64 {
+            let idx = node * self.stride + w as usize;
+            let mask = 1u64 << (seq % 64);
+            let fresh = self.words[idx] & mask == 0;
+            self.words[idx] |= mask;
+            fresh
+        } else {
+            self.insert_outlier(node, seq)
+        }
     }
 
+    /// Whether `node` holds `seq`.
     #[inline]
-    fn contains(&self, node: usize, seq: u64) -> bool {
-        self[node].contains(seq)
+    pub(crate) fn contains(&self, node: usize, seq: u64) -> bool {
+        let w = seq / 64;
+        if w < self.stride as u64 {
+            self.words[node * self.stride + w as usize] & (1u64 << (seq % 64)) != 0
+        } else {
+            self.spill[node].contains(seq)
+        }
+    }
+
+    /// Largest power-of-two stride the memory budget allows for `n_ids`.
+    fn max_stride(n_ids: usize) -> usize {
+        let cap = COLUMNAR_WORDS_LIMIT / n_ids.max(1);
+        if cap == 0 {
+            1
+        } else {
+            1usize << (usize::BITS - 1 - cap.leading_zeros())
+        }
+    }
+
+    /// Grow the stride so `seq` stays columnar if the budget allows.
+    /// Returns whether `seq` is now covered by the columnar rows.
+    pub(crate) fn ensure_covers(&mut self, seq: u64) -> bool {
+        let w = seq / 64;
+        if w < self.stride as u64 {
+            return true;
+        }
+        let cap = Self::max_stride(self.n_ids) as u64;
+        let new = (w + 1).next_power_of_two().min(cap);
+        if new > self.stride as u64 {
+            self.grow(new as usize);
+        }
+        w < self.stride as u64
+    }
+
+    /// Bulk re-layout to a larger stride; spilled seqs that now fit
+    /// move back into the columnar rows (word-level ORs).
+    #[cold]
+    fn grow(&mut self, new_stride: usize) {
+        let mut words = vec![0u64; self.n_ids * new_stride];
+        for n in 0..self.n_ids {
+            words[n * new_stride..n * new_stride + self.stride]
+                .copy_from_slice(&self.words[n * self.stride..(n + 1) * self.stride]);
+        }
+        self.words = words;
+        let (words, spill) = (&mut self.words, &mut self.spill);
+        for (n, sp) in spill.iter_mut().enumerate() {
+            for (w, word) in sp.words.iter_mut().enumerate().take(new_stride) {
+                words[n * new_stride + w] |= *word;
+                *word = 0;
+            }
+        }
+        self.stride = new_stride;
+    }
+
+    #[cold]
+    fn insert_outlier(&mut self, node: usize, seq: u64) -> bool {
+        if self.ensure_covers(seq) {
+            let idx = node * self.stride + (seq / 64) as usize;
+            let mask = 1u64 << (seq % 64);
+            let fresh = self.words[idx] & mask == 0;
+            self.words[idx] |= mask;
+            fresh
+        } else {
+            self.spill[node].insert(seq)
+        }
+    }
+
+    /// One past the largest seq `node` holds, 0 when it holds none.
+    pub(crate) fn end(&self, node: usize) -> u64 {
+        let top = |words: &[u64]| {
+            words.iter().rposition(|&w| w != 0).map_or(0, |i| {
+                i as u64 * 64 + 64 - u64::from(words[i].leading_zeros())
+            })
+        };
+        let row = &self.words[node * self.stride..(node + 1) * self.stride];
+        top(row).max(top(&self.spill[node].words))
     }
 }
 
 /// Dense per-run simulation state exposed to schemes through
 /// [`StateView`].
 #[derive(Default)]
-pub struct State<H> {
-    pub(crate) held: H,
+pub struct State {
+    pub(crate) held: ColumnarHeld,
     /// Highest packet seq held per node; [`NO_PACKET`] = none.
     newest: Vec<u64>,
     slot: Slot,
     availability: Availability,
 }
 
-impl<H: Held> StateView for State<H> {
+impl StateView for State {
     fn holds(&self, node: NodeId, packet: PacketId) -> bool {
         if node.is_source() {
             self.availability.produced(packet, self.slot)
@@ -398,8 +496,8 @@ pub fn check_ends(tx: &Transmission, n_ids: usize) -> Result<(), CoreError> {
 /// Reusable kernel arena. One instance can run many simulations (e.g. a
 /// whole sweep) without re-allocating its internal state.
 #[derive(Default)]
-pub struct Kernel<H> {
-    pub(crate) state: State<H>,
+pub struct Kernel {
+    pub(crate) state: State,
     pub(crate) ring: ArrivalRing,
     pub(crate) stats: TrafficStats,
     send_counts: Vec<u32>,
@@ -409,7 +507,7 @@ pub struct Kernel<H> {
     pub(crate) out: Vec<Transmission>,
 }
 
-impl<H: Held> Kernel<H> {
+impl Kernel {
     /// Check the scheme's id space, reset the arena and set up the
     /// per-run state.
     pub fn begin<'a>(
@@ -683,9 +781,7 @@ impl<H: Held> Kernel<H> {
         tel.counter(tm::ENGINE_TRANSMISSIONS, r.total_transmissions);
         Ok(r)
     }
-}
 
-impl<H> Kernel<H> {
     /// Analyse playback per receiver and assemble the [`RunResult`]. A
     /// `lossy` run reports each receiver's missing packets in its loss
     /// report; any other run fails hard on the first missing packet.
@@ -755,7 +851,7 @@ impl<H> Kernel<H> {
     }
 
     /// The state schemes see.
-    pub fn state(&self) -> &State<H> {
+    pub fn state(&self) -> &State {
         &self.state
     }
 }
@@ -772,6 +868,33 @@ mod tests {
         assert!(s.insert(1000));
         assert!(s.contains(1000));
         assert!(!s.contains(999));
+    }
+
+    #[test]
+    fn columnar_held_insert_dedup_and_grow() {
+        let mut h = ColumnarHeld::default();
+        h.reset(3, 63);
+        assert_eq!(h.stride, 1);
+        assert!(h.insert(1, 5));
+        assert!(!h.insert(1, 5), "duplicate insert must report stale");
+        assert!(h.contains(1, 5));
+        assert!(!h.contains(2, 5));
+        // An out-of-range seq triggers a columnar re-layout.
+        assert!(h.insert(2, 1000));
+        assert!(h.contains(2, 1000));
+        assert!(h.contains(1, 5), "grow must preserve existing bits");
+        assert!(h.stride >= 16);
+    }
+
+    #[test]
+    fn grow_migrates_spill_bits_into_columns() {
+        let mut h = ColumnarHeld::default();
+        h.reset(2, 63);
+        h.spill[1].insert(70);
+        h.grow(2);
+        assert!(h.contains(1, 70), "spilled bit must move into the columns");
+        assert!(h.spill[1].words.iter().all(|&w| w == 0));
+        assert!(!h.contains(0, 70));
     }
 
     #[test]
@@ -835,7 +958,7 @@ mod tests {
 
         let mut scheme = Fanout { n: 2000 };
         let cfg = SimConfig::until_complete(8, 100);
-        let mut k: Kernel<Vec<PacketSet>> = Kernel::default();
+        let mut k = Kernel::default();
         let mut run = k.begin(&scheme, &cfg).unwrap();
         for t in 0..cfg.max_slots {
             if k.deliver(&mut run, t) {

@@ -18,19 +18,19 @@
 //!
 //! The semantics are written out twice, both here. The readable
 //! reference ([`Simulator`], hash sets and a `BTreeMap`) is the oracle.
-//! The slot kernel ([`kernel`]: bitset holdings, a ring-buffer arrival
-//! queue, a [`faults::FaultLedger`], reusable arenas) is the one dense
-//! implementation, and three drivers run it: [`FastEngine`] (module
-//! [`fast`]) is the bare kernel loop over per-node [`PacketSet`]s,
-//! [`MegaEngine`] (module [`mega`]) runs the same loop over columnar
-//! node state and adds precompiled steady-state transmission tables and
-//! in-run sharding for runs with 10^5–10^6 nodes, and `clustream_des`'s
-//! strict tick admits through it and turns each admitted transmission
-//! into a `Deliver` event. All results are bit-identical; [`diff`]
-//! names the fields on which two results differ, the differential
-//! oracle (`clustream_des`'s `Column` and `agree`) runs the engines side
-//! by side through it, and [`sweep`] farms experiment grids across
-//! worker threads with deterministic input-order results.
+//! The slot kernel ([`kernel`]: columnar bitset holdings, a ring-buffer
+//! arrival queue, a [`faults::FaultLedger`], reusable arenas) is the one
+//! dense implementation, and three drivers run it: [`FastEngine`]
+//! (module [`fast`]) is the bare kernel loop, [`MegaEngine`] (module
+//! [`mega`]) runs the same loop and adds precompiled steady-state
+//! transmission tables and in-run sharding for runs with 10^5–10^6
+//! nodes, and `clustream_des`'s strict tick admits through it and turns
+//! each admitted transmission into a `Deliver` event. All results are
+//! bit-identical; [`diff`] names the fields on which two results
+//! differ, the differential oracle (`clustream_des`'s `Column` and
+//! `agree`) runs the engines side by side through it, and [`sweep`]
+//! farms experiment grids across worker threads with deterministic
+//! input-order results.
 
 #![warn(missing_docs)]
 
@@ -50,7 +50,6 @@ pub use diff::diff_fields;
 pub use engine::{RunResult, SimConfig, Simulator};
 pub use fast::{FastEngine, FastSimulator};
 pub use faults::{FaultCause, FaultPlan, LossReport, LossyPlayback};
-pub use kernel::PacketSet;
 pub use mega::{MegaEngine, MegaSimulator};
 pub use parallel::sweep;
 pub use playback::{ArrivalTable, PlaybackAnalysis};

@@ -1,21 +1,18 @@
-//! Scale-oriented execution mode: columnar state, precompiled
-//! transmission tables, in-run sharding.
+//! Scale-oriented execution mode: precompiled transmission tables and
+//! in-run sharding over the kernel's columnar holdings.
 //!
 //! [`MegaEngine`] targets runs with 10^5–10^6 nodes. It produces
 //! **bit-identical** [`RunResult`]s (and identical errors) to
 //! [`crate::FastEngine`] — the differential harness in [`crate::diff`]
 //! holds all three engines to one contract — while restructuring the
-//! hot loop around three ideas:
+//! hot loop around two ideas. Both work on the slot kernel's one
+//! holdings store (module `kernel`): `stride` words per node in one
+//! flat array, with per-node spill rows for sequence numbers past its
+//! memory budget, so a steady-state delivery is one word operation and
+//! range-sharded workers borrow disjoint row windows with
+//! `split_at_mut`.
 //!
-//! 1. **Columnar node state.** Holdings live in one flat
-//!    struct-of-arrays `Vec<u64>` with a fixed number of words per node
-//!    (`ColumnarHeld`) instead of per-node containers: inserts and
-//!    membership tests are single word operations, growth is one bulk
-//!    re-layout, and range-sharded workers can borrow disjoint row
-//!    windows with `split_at_mut`. Adversarial out-of-range sequence
-//!    numbers overflow into per-node `PacketSet` spill sets, keeping
-//!    memory behavior aligned with the fast engine.
-//! 2. **Precompiled flat transmission tables.** A scheme declaring
+//! 1. **Precompiled flat transmission tables.** A scheme declaring
 //!    [`SchedulePeriod`] has its steady-state schedule lowered once
 //!    into dense per-residue `(sender, receiver, packet, latency)`
 //!    arrays. The engine runs the first `warmup + 2·period` slots in
@@ -29,7 +26,7 @@
 //!    violation aborts the replay and re-runs the whole simulation in
 //!    full mode, so a wrong declaration that slips past verification
 //!    but trips a check degrades performance, never correctness.
-//! 3. **In-run sharding.** With `shards = k`, steady-state slots are
+//! 2. **In-run sharding.** With `shards = k`, steady-state slots are
 //!    partitioned into `k` contiguous id ranges following
 //!    [`Scheme::shard_boundaries`] — for cluster sessions, exactly the
 //!    paper's clusters. Workers claim shards through the same
@@ -45,21 +42,16 @@
 //! plan that can drop a transmission (anything but
 //! [`FaultPlan::reports_only`]), and schemes without a declared period
 //! run in full mode: the slot kernel's phases (module `kernel`), the very
-//! code [`crate::FastEngine`] drives, over the columnar store.
+//! code [`crate::FastEngine`] drives.
 
 use crate::engine::{RunResult, SimConfig};
 use crate::faults::FaultPlan;
-use crate::kernel::{record_slot_deliveries, Held, Kernel, PacketSet};
+use crate::kernel::{record_slot_deliveries, ColumnarHeld, Kernel, PacketSet};
 use crate::parallel::ClaimCounter;
 use crate::playback::{ArrivalTable, CellsMut};
 use clustream_core::{CoreError, NodeId, PacketId, SchedulePeriod, Scheme, Slot, Transmission};
 use clustream_telemetry::names as tm;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-/// Columnar holdings budget: grow the per-node stride only while the
-/// whole array stays under this many words (256 MiB). Beyond it,
-/// out-of-range seqs go to the per-node spill sets.
-const COLUMNAR_WORDS_LIMIT: usize = 1 << 25;
 
 /// Minimum number of steady slots a sharded chunk should cover before
 /// the coordinator pauses the workers to re-layout the columnar state.
@@ -69,126 +61,6 @@ const CHUNK_MIN_SLOTS: u64 = 4096;
 /// its per-slot delivery tally (8 KiB), so a fixed-horizon run's tally
 /// does not grow with the horizon.
 const TALLY_WINDOW: usize = 1024;
-
-/// Struct-of-arrays packet holdings: `stride` words per node in one
-/// flat `Vec<u64>`, plus per-node spill sets for sequence numbers past
-/// the columnar budget.
-#[derive(Default)]
-struct ColumnarHeld {
-    n_ids: usize,
-    stride: usize,
-    words: Vec<u64>,
-    spill: Vec<PacketSet>,
-}
-
-impl ColumnarHeld {
-    /// Largest power-of-two stride the memory budget allows for `n_ids`.
-    fn max_stride(n_ids: usize) -> usize {
-        let cap = COLUMNAR_WORDS_LIMIT / n_ids.max(1);
-        if cap == 0 {
-            1
-        } else {
-            1usize << (usize::BITS - 1 - cap.leading_zeros())
-        }
-    }
-
-    /// Grow the stride so `seq` stays columnar if the budget allows.
-    /// Returns whether `seq` is now covered by the columnar rows.
-    fn ensure_covers(&mut self, seq: u64) -> bool {
-        let w = seq / 64;
-        if w < self.stride as u64 {
-            return true;
-        }
-        let cap = Self::max_stride(self.n_ids) as u64;
-        let new = (w + 1).next_power_of_two().min(cap);
-        if new > self.stride as u64 {
-            self.grow(new as usize);
-        }
-        w < self.stride as u64
-    }
-
-    /// Bulk re-layout to a larger stride; spilled seqs that now fit
-    /// move back into the columnar rows (word-level ORs).
-    #[cold]
-    fn grow(&mut self, new_stride: usize) {
-        let mut words = vec![0u64; self.n_ids * new_stride];
-        for n in 0..self.n_ids {
-            words[n * new_stride..n * new_stride + self.stride]
-                .copy_from_slice(&self.words[n * self.stride..(n + 1) * self.stride]);
-        }
-        self.words = words;
-        let (words, spill) = (&mut self.words, &mut self.spill);
-        for (n, sp) in spill.iter_mut().enumerate() {
-            for (w, word) in sp.words.iter_mut().enumerate().take(new_stride) {
-                words[n * new_stride + w] |= *word;
-                *word = 0;
-            }
-        }
-        self.stride = new_stride;
-    }
-
-    #[cold]
-    fn insert_outlier(&mut self, node: usize, seq: u64) -> bool {
-        if self.ensure_covers(seq) {
-            let idx = node * self.stride + (seq / 64) as usize;
-            let mask = 1u64 << (seq % 64);
-            let fresh = self.words[idx] & mask == 0;
-            self.words[idx] |= mask;
-            fresh
-        } else {
-            self.spill[node].insert(seq)
-        }
-    }
-
-    /// One past the largest seq `node` holds, 0 when it holds none.
-    fn end(&self, node: usize) -> u64 {
-        let top = |words: &[u64]| {
-            words.iter().rposition(|&w| w != 0).map_or(0, |i| {
-                i as u64 * 64 + 64 - u64::from(words[i].leading_zeros())
-            })
-        };
-        let row = &self.words[node * self.stride..(node + 1) * self.stride];
-        top(row).max(top(&self.spill[node].words))
-    }
-}
-
-impl Held for ColumnarHeld {
-    fn reset(&mut self, n_ids: usize, hint_seq: u64) {
-        self.n_ids = n_ids;
-        let want = ((hint_seq / 64) as usize + 1).next_power_of_two();
-        self.stride = want.min(Self::max_stride(n_ids)).max(1);
-        self.words.clear();
-        self.words.resize(n_ids * self.stride, 0);
-        for s in &mut self.spill {
-            s.clear();
-        }
-        self.spill.resize(n_ids, PacketSet::default());
-    }
-
-    #[inline]
-    fn insert(&mut self, node: usize, seq: u64) -> bool {
-        let w = seq / 64;
-        if w < self.stride as u64 {
-            let idx = node * self.stride + w as usize;
-            let mask = 1u64 << (seq % 64);
-            let fresh = self.words[idx] & mask == 0;
-            self.words[idx] |= mask;
-            fresh
-        } else {
-            self.insert_outlier(node, seq)
-        }
-    }
-
-    #[inline]
-    fn contains(&self, node: usize, seq: u64) -> bool {
-        let w = seq / 64;
-        if w < self.stride as u64 {
-            self.words[node * self.stride + w as usize] & (1u64 << (seq % 64)) != 0
-        } else {
-            self.spill[node].contains(seq)
-        }
-    }
-}
 
 /// One delivery in the lowered table, keyed by arrival residue
 /// `(j + latency − 1) mod period`; `j` is the send residue.
@@ -631,7 +503,7 @@ enum SteadyEnd {
 /// its internal state.
 pub struct MegaEngine {
     shards: usize,
-    kernel: Kernel<ColumnarHeld>,
+    kernel: Kernel,
     steady_slots: u64,
 }
 
@@ -1647,33 +1519,6 @@ mod tests {
                 period: 1,
             })
         }
-    }
-
-    #[test]
-    fn columnar_held_insert_dedup_and_grow() {
-        let mut h = ColumnarHeld::default();
-        h.reset(3, 63);
-        assert_eq!(h.stride, 1);
-        assert!(h.insert(1, 5));
-        assert!(!h.insert(1, 5), "duplicate insert must report stale");
-        assert!(h.contains(1, 5));
-        assert!(!h.contains(2, 5));
-        // An out-of-range seq triggers a columnar re-layout.
-        assert!(h.insert(2, 1000));
-        assert!(h.contains(2, 1000));
-        assert!(h.contains(1, 5), "grow must preserve existing bits");
-        assert!(h.stride >= 16);
-    }
-
-    #[test]
-    fn grow_migrates_spill_bits_into_columns() {
-        let mut h = ColumnarHeld::default();
-        h.reset(2, 63);
-        h.spill[1].insert(70);
-        h.grow(2);
-        assert!(h.contains(1, 70), "spilled bit must move into the columns");
-        assert!(h.spill[1].words.iter().all(|&w| w == 0));
-        assert!(!h.contains(0, 70));
     }
 
     #[test]

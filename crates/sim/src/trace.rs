@@ -43,11 +43,6 @@ impl EventTrace {
         });
     }
 
-    /// Events sent during `slot`.
-    pub fn in_slot(&self, slot: u64) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter().filter(move |e| e.slot == slot)
-    }
-
     /// Events sent by `node`.
     pub fn sent_by(&self, node: NodeId) -> impl Iterator<Item = &TraceEvent> {
         self.events.iter().filter(move |e| e.from == node.0)
@@ -56,11 +51,6 @@ impl EventTrace {
     /// Events received by `node`.
     pub fn received_by(&self, node: NodeId) -> impl Iterator<Item = &TraceEvent> {
         self.events.iter().filter(move |e| e.to == node.0)
-    }
-
-    /// All events carrying `packet`.
-    pub fn of_packet(&self, packet: PacketId) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter().filter(move |e| e.packet == packet.seq())
     }
 
     /// The delivery path of `packet` to `node`, reconstructed backwards
@@ -125,10 +115,8 @@ mod tests {
         t.push(0, &tx(0, 1, 0));
         t.push(1, &tx(1, 2, 0));
         t.push(1, &tx(0, 3, 1));
-        assert_eq!(t.in_slot(1).count(), 2);
         assert_eq!(t.sent_by(SOURCE).count(), 2);
         assert_eq!(t.received_by(NodeId(2)).count(), 1);
-        assert_eq!(t.of_packet(PacketId(0)).count(), 2);
     }
 
     #[test]

@@ -234,6 +234,27 @@ fn flag_hygiene_runs_in_the_quick_tier() {
 }
 
 #[test]
+fn the_loc_metric_prints_in_the_quick_tier() {
+    // One command for the size metric change notes quote: it runs in
+    // every tier, and its pipeline is the one the notes have used since
+    // it was introduced (test tails and comments excluded).
+    let text = std::fs::read_to_string(ci_script()).unwrap();
+    let loc = text
+        .find("stage \"loc (informational)\" loc")
+        .expect("ci.sh lost the loc stage");
+    let full_gate = text
+        .find("[ \"$TIER\" = full ]")
+        .expect("ci.sh lost the full-tier gate");
+    assert!(loc < full_gate, "the loc stage must run in the quick tier");
+    for needle in [
+        "find crates/*/src -name '*.rs' -print0 | sort -z |",
+        r"xargs -0 awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && !/^[[:space:]]*$/ && !/^[[:space:]]*\/\// {n++} END{print n}'",
+    ] {
+        assert!(text.contains(needle), "ci.sh's loc stage lost `{needle}`");
+    }
+}
+
+#[test]
 fn corpus_replay_runs_in_the_quick_tier() {
     // The replay stage must sit outside the full-tier block so `ci.sh
     // quick` exercises it: it appears before the `[ "$TIER" = full ]`

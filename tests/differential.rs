@@ -15,8 +15,8 @@
 //!
 //! Shapes that once needed special care in the fast engine are pinned
 //! as named regression tests at the bottom (ring-buffer growth under
-//! large latencies, loss_rate = 1.0, crashes from slot 0, single-node
-//! populations).
+//! large latencies, holdings rows growing mid-run, loss_rate = 1.0,
+//! crashes from slot 0, single-node populations).
 
 use clustream::prelude::*;
 use clustream::sim::FaultPlan;
@@ -411,4 +411,63 @@ fn regression_fixed_fault_seeds_engines_agree() {
         );
         assert!(div.is_none(), "n={n} d={d} seed={seed}: {div:?}");
     }
+}
+
+/// The holdings rows start one word wide for a track of 8 and must grow
+/// while a run is in flight, keeping the bits they already hold. A
+/// 300-node chain keeps its source sending until the last receiver has
+/// packet 7, so seqs cross 64, 128 and 256 and every driver of the
+/// kernel re-lays its rows out 1 → 2 → 4 → 8 words mid-run; a chain
+/// only ever relays what arrived the slot before, so a multi-tree over a
+/// fixed 300-slot horizon, whose interior nodes relay packets they have
+/// held for up to d slots, reads bits from before each re-layout.
+#[test]
+fn regression_holdings_stride_grows_mid_run() {
+    stride_growth_agrees(
+        "chain",
+        || Box::new(ChainScheme::new(300)),
+        SimConfig::until_complete(8, 1_000),
+    );
+    stride_growth_agrees(
+        "multitree",
+        || {
+            Box::new(MultiTreeScheme::new(
+                greedy_forest(100, 3).unwrap(),
+                StreamMode::PreRecorded,
+            ))
+        },
+        SimConfig {
+            max_slots: 300,
+            track_packets: 8,
+            ..SimConfig::default()
+        },
+    );
+}
+
+fn stride_growth_agrees(name: &str, factory: fn() -> Box<dyn Scheme>, cfg: SimConfig) {
+    let outcome = agree(&Column::ALL, factory, &cfg).unwrap_or_else(|d| panic!("{name}: {d}"));
+    let strict = outcome.unwrap();
+    assert!(
+        strict.slots_run > 4 * 64,
+        "{name}: {} slots never crossed seq 256",
+        strict.slots_run
+    );
+
+    // A relaxed (jittered) DES run relays through the same rows. A lost
+    // bit parks a send for good; the only sends a correct run may leave
+    // parked are those whose packet arrives past the horizon, under half
+    // a slot of jitter less than one slot's worth.
+    let des = DesConfig::slot_faithful(cfg)
+        .with_latency(LatencyModel::UniformJitter { jitter: 0.5 })
+        .seeded(7)
+        .with_queue(QueueKind::Checked);
+    let relaxed = DesEngine::new().run(factory().as_mut(), &des).unwrap();
+    let per_slot = strict.total_transmissions / strict.slots_run;
+    assert!(
+        relaxed.total_transmissions + per_slot > strict.total_transmissions,
+        "{name}: relaxed sent {} of {}",
+        relaxed.total_transmissions,
+        strict.total_transmissions
+    );
+    assert_eq!(relaxed.duplicate_deliveries, 0, "{name}");
 }
