@@ -22,8 +22,10 @@
 #                 with --metrics-out too, whose JSONL equals the fast
 #                 engine's (spans aside); a chain whose rows outgrow a
 #                 byte of lateness prints the same on mega as on fast;
-#                 at N=10^6 (553 MiB, 6.6-9.1 s on a busy 2-core container)
-#                 the mega report equals its golden stdout too
+#                 a hypercube whose link rows spill (N=2000) runs
+#                 checked against the reference; at N=10^6 (485 MiB,
+#                 6.6-9.1 s on a busy 2-core container) the mega report
+#                 equals its golden stdout too
 #   ci.sh full    quick + doc lint + differential oracles + CLI smoke
 #                 matrix + exhaustive invariant lattice + coverage-guided
 #                 explore smoke + 32-node kill-injection cluster smoke +
@@ -461,8 +463,13 @@ mega_scale_smoke() {
     target/release/clustream "${chain[@]}" --engine fast >"$base-chain-fast.txt"
     target/release/clustream "${chain[@]}" --engine mega >"$base-chain-mega.txt"
     diff <(grep -v '^engine' "$base-chain-fast.txt") <(grep -v '^engine' "$base-chain-mega.txt")
-    # N=10^6: one-byte arrival cells, and periodic rows that store only
-    # their 64-cell heads, keep it at 553 MiB.
+    # Hypercube vertices at N=2000 send along ten dimensions, past the
+    # seven receivers a link row keeps inline: the checked engine holds
+    # the spilled rows' neighbor counts to the reference's link set.
+    target/release/clustream simulate --scheme hypercube --n 2000 --engine checked >/dev/null
+    # N=10^6: one-byte arrival cells, periodic rows that store only
+    # their 64-cell heads, and one 32-byte link row per sender keep it
+    # at 485 MiB.
     cargo run -q --release --offline -p clustream-cli --bin clustream -- \
         simulate --scheme multitree --n 1000000 --d 3 --track 256 \
         --engine mega >"$base-mega-1m.txt"

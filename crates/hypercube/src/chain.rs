@@ -18,14 +18,14 @@
 //!   `c + s + k + 1`, i.e. playback begins `k + 1` slots after the cube's
 //!   logical source starts (Proposition 1).
 //!
-//! The scheme mirrors the nodes' buffers internally (pruned to the `O(1)`
-//! live window) so the transmission rule is deterministic; the simulator
-//! independently validates every send against its own ground truth.
+//! The scheme mirrors the nodes' buffers internally (one 64-bit window
+//! per node over the `O(1)` live window of `k + 2 ≤ 34` packets) so the
+//! transmission rule is deterministic; the simulator independently
+//! validates every send against its own ground truth.
 
 use clustream_core::{
     Availability, CoreError, NodeId, PacketId, Scheme, Slot, StateView, Transmission, SOURCE,
 };
-use std::collections::BTreeSet;
 
 /// One hypercube in a chain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,8 +82,12 @@ pub fn decompose(n: usize) -> Vec<usize> {
 pub struct HypercubeStream {
     n: usize,
     chains: Vec<Vec<CubeSpec>>,
-    /// Mirrored buffers, indexed by global node id (entry 0 unused).
-    held: Vec<BTreeSet<u64>>,
+    /// Mirrored buffers, indexed by global node id (entry 0 unused): bit
+    /// `i` of a node's window is packet `floor + i`, where `floor` is
+    /// the live-window floor its cube was last advanced to.
+    held: Vec<u64>,
+    /// Each cube's window floor (chain-major, like [`Self::cubes`]).
+    floors: Vec<u64>,
 }
 
 impl HypercubeStream {
@@ -122,10 +126,12 @@ impl HypercubeStream {
             chains.push(chain);
         }
         debug_assert_eq!(offset as usize, n);
+        let cubes = chains.iter().map(Vec::len).sum();
         Ok(HypercubeStream {
             n,
             chains,
-            held: vec![BTreeSet::new(); n + 1],
+            held: vec![0; n + 1],
+            floors: vec![0; cubes],
         })
     }
 
@@ -161,15 +167,11 @@ impl HypercubeStream {
         total as f64 / self.n as f64
     }
 
-    /// Largest packet in `held[a]` that `b` lacks and is still in the live
-    /// window (≥ `floor`), if any.
+    /// Largest packet in `a`'s window that `b` lacks, if any, for a
+    /// cube whose window starts at `floor`.
     fn newest_lacking(&self, a: u32, b: u32, floor: u64) -> Option<u64> {
-        self.held[a as usize]
-            .iter()
-            .rev()
-            .take_while(|&&p| p >= floor)
-            .find(|&&p| !self.held[b as usize].contains(&p))
-            .copied()
+        let lacking = self.held[a as usize] & !self.held[b as usize];
+        (lacking != 0).then(|| floor + u64::from(63 - lacking.leading_zeros()))
     }
 }
 
@@ -201,15 +203,28 @@ impl Scheme for HypercubeStream {
 
     fn transmissions(&mut self, slot: Slot, _view: &dyn StateView, out: &mut Vec<Transmission>) {
         let t = slot.t();
-        let first = out.len();
+        let mut first_cube = 0;
         for ci in 0..self.chains.len() {
             for m in 0..self.chains[ci].len() {
                 let cube = self.chains[ci][m];
                 if t < cube.start {
                     break; // later cubes start even later
                 }
+                let ix = first_cube + m;
                 let j = (t % cube.k as u64) as usize;
                 let bit = 1u32 << j;
+
+                // Packets below the consumption point are dead: advance
+                // the cube's windows to this slot's floor.
+                let floor = (t - cube.start).saturating_sub(cube.k as u64 + 1);
+                let shift = floor - self.floors[ix];
+                if shift > 0 {
+                    for id in cube.offset + 1..=cube.offset + cube.size() as u32 {
+                        let w = &mut self.held[id as usize];
+                        *w = if shift < 64 { *w >> shift } else { 0 };
+                    }
+                    self.floors[ix] = floor;
+                }
 
                 // Injection from the logical source to vertex 2^j.
                 let target = NodeId(cube.offset + bit);
@@ -223,9 +238,9 @@ impl Scheme for HypercubeStream {
                 };
                 out.push(Transmission::local(from, target, packet));
 
-                // Intra-cube exchanges along dimension j. Packets below the
-                // consumption point are dead; `floor` prunes them.
-                let floor = (t - cube.start).saturating_sub(cube.k as u64 + 1);
+                // Intra-cube exchanges along dimension j, both read before
+                // either lands. Vertex 2^j pairs with the logical source,
+                // so no exchange reads the injected packet's target.
                 for a_local in 1u32..(1u32 << cube.k) {
                     if a_local & bit != 0 {
                         continue;
@@ -233,30 +248,22 @@ impl Scheme for HypercubeStream {
                     let b_local = a_local | bit;
                     let a = cube.offset + a_local;
                     let b = cube.offset + b_local;
-                    if let Some(p) = self.newest_lacking(a, b, floor) {
+                    let to_b = self.newest_lacking(a, b, floor);
+                    let to_a = self.newest_lacking(b, a, floor);
+                    if let Some(p) = to_b {
                         out.push(Transmission::local(NodeId(a), NodeId(b), PacketId(p)));
+                        self.held[b as usize] |= 1 << (p - floor);
                     }
-                    if let Some(p) = self.newest_lacking(b, a, floor) {
+                    if let Some(p) = to_a {
                         out.push(Transmission::local(NodeId(b), NodeId(a), PacketId(p)));
+                        self.held[a as usize] |= 1 << (p - floor);
                     }
                 }
-
-                // Prune mirrored buffers to the live window.
-                for id in cube.offset + 1..=cube.offset + cube.size() as u32 {
-                    let set = &mut self.held[id as usize];
-                    while let Some(&lo) = set.first() {
-                        if lo < floor {
-                            set.remove(&lo);
-                        } else {
-                            break;
-                        }
-                    }
-                }
+                // Mirror the injection (usable from t + 1, i.e. any later
+                // slot).
+                self.held[target.index()] |= 1 << (packet.seq() - floor);
             }
-        }
-        // Mirror the deliveries (usable from t + 1, i.e. any later slot).
-        for tx in out.iter().skip(first) {
-            self.held[tx.to.index()].insert(tx.packet.seq());
+            first_cube += self.chains[ci].len();
         }
     }
 }

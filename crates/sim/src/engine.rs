@@ -13,12 +13,11 @@
 //!   source holds every *produced* packet (see
 //!   [`clustream_core::Availability`]).
 
-use crate::metrics::TrafficStats;
 use crate::playback::ArrivalTable;
 use clustream_core::{
     CoreError, NodeId, NodeQos, PacketId, QosReport, Scheme, Slot, StateView, Transmission,
 };
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 /// Simulation parameters.
 #[derive(Debug, Clone, Default)]
@@ -198,7 +197,12 @@ impl Simulator {
             slot: Slot(0),
             availability: scheme.availability(),
         };
-        let mut stats = TrafficStats::new(n_ids);
+        // Traffic, counted here on its own rather than through the
+        // kernel's `TrafficStats`, so the oracle checks those link rows.
+        let mut links: BTreeSet<(NodeId, NodeId)> = BTreeSet::new();
+        let mut uploads: Vec<u64> = vec![0; n_ids];
+        let mut total_transmissions: u64 = 0;
+        let mut duplicate_deliveries: u64 = 0;
 
         // Arrival queue: arrival slot → (to, packet). A packet queued with
         // arrival slot `s` becomes usable at `s + 1`.
@@ -256,7 +260,7 @@ impl Simulator {
                     }
                     let cell = &mut state.held[to.index()];
                     if !cell.insert(packet.seq()) {
-                        stats.record_duplicate();
+                        duplicate_deliveries += 1;
                         continue;
                     }
                     let nw = &mut state.newest[to.index()];
@@ -393,7 +397,9 @@ impl Simulator {
                     .entry(arrival_slot)
                     .or_default()
                     .push((tx.to, tx.packet));
-                stats.record(tx);
+                links.insert((tx.from, tx.to));
+                uploads[tx.from.index()] += 1;
+                total_transmissions += 1;
                 if let Some(tr) = trace.as_mut() {
                     tr.push(t, tx);
                 }
@@ -415,7 +421,23 @@ impl Simulator {
             }
         }
 
-        // 5. Analyse playback per receiver. Fault-free runs fail hard on a
+        // 5. Neighbor counts from the link set: out, in, and either
+        //    direction (a link seen both ways, or a self-link, once).
+        let mut out_deg = vec![0usize; n_ids];
+        let mut in_deg = vec![0usize; n_ids];
+        let mut either = vec![0usize; n_ids];
+        for &(a, b) in &links {
+            out_deg[a.index()] += 1;
+            in_deg[b.index()] += 1;
+            if a == b {
+                either[a.index()] += 1;
+            } else if a < b || !links.contains(&(b, a)) {
+                either[a.index()] += 1;
+                either[b.index()] += 1;
+            }
+        }
+
+        // 6. Analyse playback per receiver. Fault-free runs fail hard on a
         //    missing packet; faulty runs report losses instead.
         let mut nodes = Vec::with_capacity(receivers.len());
         for r in &receivers {
@@ -437,15 +459,15 @@ impl Simulator {
                 node: *r,
                 playback_delay: delay,
                 max_buffer: buffer,
-                out_neighbors: stats.out_degree(*r),
-                in_neighbors: stats.in_degree(*r),
-                neighbors: stats.degree(*r),
+                out_neighbors: out_deg[r.index()],
+                in_neighbors: in_deg[r.index()],
+                neighbors: either[r.index()],
             });
         }
 
         cfg.telemetry.counter(tm::ENGINE_SLOTS, slots_run);
         cfg.telemetry
-            .counter(tm::ENGINE_TRANSMISSIONS, stats.total_transmissions());
+            .counter(tm::ENGINE_TRANSMISSIONS, total_transmissions);
 
         let resilience = cfg.faults.as_ref().map(|_| {
             crate::resilience::ResilienceMetrics::from_missing(loss_report.total_missing() as u64)
@@ -455,11 +477,11 @@ impl Simulator {
             slots_run,
             arrivals,
             qos: QosReport::new(scheme.name(), nodes),
-            total_transmissions: stats.total_transmissions(),
-            duplicate_deliveries: stats.duplicate_deliveries(),
+            total_transmissions,
+            duplicate_deliveries,
             loss: cfg.faults.as_ref().map(|_| loss_report),
             trace,
-            upload_counts: stats.upload_counts().to_vec(),
+            upload_counts: uploads,
             resilience,
         })
     }

@@ -11,26 +11,26 @@
 //!   node;
 //! * from the arrival table, [`playback`] derives each node's minimal safe
 //!   playback start `a(i)`, its buffer high-water mark, and hiccup-freedom;
-//! * [`metrics`] accumulates neighbor sets and traffic counters.
+//! * [`metrics`] accumulates per-sender link rows and traffic counters.
 //!
 //! The simulator is fully deterministic: same scheme, same config, same
 //! result, bit for bit.
 //!
 //! The semantics are written out twice, both here. The readable
-//! reference ([`Simulator`], hash sets and a `BTreeMap`) is the oracle.
-//! The slot kernel ([`kernel`]: columnar bitset holdings, a ring-buffer
-//! arrival queue, a [`faults::FaultLedger`], reusable arenas) is the one
-//! dense implementation, and three drivers run it: [`FastEngine`]
-//! (module [`fast`]) is the bare kernel loop, [`MegaEngine`] (module
-//! [`mega`]) runs the same loop and adds precompiled steady-state
-//! transmission tables and in-run sharding for runs with 10^5–10^6
-//! nodes, and `clustream_des`'s strict tick admits through it and turns
-//! each admitted transmission into a `Deliver` event. All results are
-//! bit-identical; [`diff`] names the fields on which two results
-//! differ, the differential oracle (`clustream_des`'s `Column` and
-//! `agree`) runs the engines side by side through it, and [`sweep`]
-//! farms experiment grids across worker threads with deterministic
-//! input-order results.
+//! reference ([`Simulator`], hash sets, a link set and a `BTreeMap`) is
+//! the oracle. The slot kernel ([`kernel`]: columnar bitset holdings,
+//! a ring-buffer arrival queue, a [`faults::FaultLedger`], per-sender
+//! link rows, reusable arenas) is the one dense implementation, and
+//! three drivers run it: [`FastEngine`] (module [`fast`]) is the bare
+//! kernel loop, [`MegaEngine`] (module [`mega`]) runs the same loop
+//! and adds precompiled steady-state transmission tables and in-run
+//! sharding for runs with 10^5–10^6 nodes, and `clustream_des`'s
+//! strict tick admits through it and turns each admitted transmission
+//! into a `Deliver` event. All results are bit-identical; [`diff`]
+//! names the fields on which two results differ, the differential
+//! oracle (`clustream_des`'s `Column` and `agree`) runs the engines
+//! side by side through it, and [`sweep`] farms experiment grids
+//! across worker threads with deterministic input-order results.
 
 #![warn(missing_docs)]
 

@@ -8,16 +8,34 @@
 
 use clustream_core::{NodeId, Transmission};
 
-/// Accumulates per-node neighbor sets and global traffic counters.
+/// Receivers a sender's link row keeps inline before it spills.
+const INLINE: usize = 7;
+
+/// Accumulates per-node link counts and global traffic counters.
 ///
-/// Neighbor sets are sorted `Vec<u32>`s, not hash sets: degrees are
-/// `O(d)` / `O(log N)` by the paper's construction, so a binary-search
-/// insert into a handful of contiguous words beats a hashed probe —
-/// `record` sits on the per-transmission hot path of every engine.
+/// Each sender owns one 32-byte row: `row[0]` is its out-link count,
+/// and up to seven receivers follow in first-send order. Past that,
+/// `row[1]` indexes the sender's sorted list in `spill`, which only
+/// high-degree senders (the source, hypercube vertices) ever need.
+/// Beside the rows sit two counters per node: `in_deg`, and `mutual`,
+/// the links that exist in both directions (a self-link counts once),
+/// so every degree is `O(1)` and `degree = out + in − mutual`.
+///
+/// `record` sits on the per-transmission hot path of every engine, and
+/// schemes emit sender by sender, so the sender's row is already in
+/// cache; only a link's first transmission touches the receiver's
+/// counters and looks up the reverse link. An open-addressing hash set
+/// keyed by `(from, to)` was measured against this layout and lost
+/// (+7.5 % CPU on the 20 000-node DES run, +23.9 % on the N = 10⁵ mega
+/// run): hashing throws that sender locality away.
 #[derive(Debug, Clone, Default)]
 pub struct TrafficStats {
-    out_neighbors: Vec<Vec<u32>>,
-    in_neighbors: Vec<Vec<u32>>,
+    links: Vec<[u32; INLINE + 1]>,
+    spill: Vec<Vec<u32>>,
+    /// Lists of `spill` in use this run; the rest are kept for reuse.
+    spilled: usize,
+    in_deg: Vec<u32>,
+    mutual: Vec<u32>,
     // The counters are crate-visible for the mega engine's steady-state
     // gears, which account replayed sends in bulk.
     pub(crate) uploads: Vec<u64>,
@@ -25,46 +43,92 @@ pub struct TrafficStats {
     pub(crate) duplicate_deliveries: u64,
 }
 
-/// Set-insert into a sorted vector.
-#[inline]
-fn insert_sorted(set: &mut Vec<u32>, id: u32) {
-    if let Err(at) = set.binary_search(&id) {
-        set.insert(at, id);
-    }
-}
-
 impl TrafficStats {
     /// Stats for an id space of `n_ids` nodes.
     pub fn new(n_ids: usize) -> Self {
-        TrafficStats {
-            out_neighbors: vec![Vec::new(); n_ids],
-            in_neighbors: vec![Vec::new(); n_ids],
-            uploads: vec![0; n_ids],
-            total_transmissions: 0,
-            duplicate_deliveries: 0,
-        }
+        let mut s = TrafficStats::default();
+        s.reset(n_ids);
+        s
     }
 
-    /// Zero every counter and neighbor set for a new run over `n_ids`
+    /// Zero every counter and link row for a new run over `n_ids`
     /// nodes, keeping the allocations (the slot kernel's arena reset).
     pub fn reset(&mut self, n_ids: usize) {
-        for v in self.out_neighbors.iter_mut().chain(&mut self.in_neighbors) {
-            v.clear();
+        self.links.clear();
+        self.links.resize(n_ids, [0; INLINE + 1]);
+        for list in &mut self.spill[..self.spilled] {
+            list.clear();
         }
-        self.out_neighbors.resize(n_ids, Vec::new());
-        self.in_neighbors.resize(n_ids, Vec::new());
+        self.spilled = 0;
+        for v in [&mut self.in_deg, &mut self.mutual] {
+            v.clear();
+            v.resize(n_ids, 0);
+        }
         self.uploads.clear();
         self.uploads.resize(n_ids, 0);
         self.total_transmissions = 0;
         self.duplicate_deliveries = 0;
     }
 
+    /// Whether `from` has sent to `to`.
+    fn has_link(&self, from: usize, to: u32) -> bool {
+        let row = &self.links[from];
+        let n = row[0] as usize;
+        if n <= INLINE {
+            row[1..=n].contains(&to)
+        } else {
+            self.spill[row[1] as usize].binary_search(&to).is_ok()
+        }
+    }
+
+    /// Add `from → to` to the sender's row; false if it was there.
+    #[inline]
+    fn insert_link(&mut self, from: usize, to: u32) -> bool {
+        let row = &mut self.links[from];
+        let n = row[0] as usize;
+        if n < INLINE {
+            if row[1..=n].contains(&to) {
+                return false;
+            }
+            row[n + 1] = to;
+        } else if n == INLINE {
+            if row[1..].contains(&to) {
+                return false;
+            }
+            if self.spilled == self.spill.len() {
+                self.spill.push(Vec::new());
+            }
+            let list = &mut self.spill[self.spilled];
+            list.extend_from_slice(&row[1..]);
+            list.push(to);
+            list.sort_unstable();
+            row[1] = self.spilled as u32;
+            self.spilled += 1;
+        } else {
+            let list = &mut self.spill[row[1] as usize];
+            match list.binary_search(&to) {
+                Ok(_) => return false,
+                Err(at) => list.insert(at, to),
+            }
+        }
+        row[0] += 1;
+        true
+    }
+
     /// Record one transmission (called once per validated send).
     #[inline]
     pub fn record(&mut self, tx: &Transmission) {
-        insert_sorted(&mut self.out_neighbors[tx.from.index()], tx.to.0);
-        insert_sorted(&mut self.in_neighbors[tx.to.index()], tx.from.0);
-        self.uploads[tx.from.index()] += 1;
+        let (from, to) = (tx.from.index(), tx.to.index());
+        if self.insert_link(from, tx.to.0) {
+            self.in_deg[to] += 1;
+            if from == to {
+                self.mutual[to] += 1;
+            } else if self.has_link(to, tx.from.0) {
+                self.mutual[from] += 1;
+                self.mutual[to] += 1;
+            }
+        }
+        self.uploads[from] += 1;
         self.total_transmissions += 1;
     }
 
@@ -87,34 +151,17 @@ impl TrafficStats {
 
     /// Number of distinct nodes `node` sent to.
     pub fn out_degree(&self, node: NodeId) -> usize {
-        self.out_neighbors[node.index()].len()
+        self.links[node.index()][0] as usize
     }
 
     /// Number of distinct nodes `node` received from.
     pub fn in_degree(&self, node: NodeId) -> usize {
-        self.in_neighbors[node.index()].len()
+        self.in_deg[node.index()] as usize
     }
 
-    /// Distinct nodes communicated with in either direction: two-pointer
-    /// merge count over the sorted adjacency vectors.
+    /// Distinct nodes communicated with in either direction.
     pub fn degree(&self, node: NodeId) -> usize {
-        let (a, b) = (
-            &self.out_neighbors[node.index()],
-            &self.in_neighbors[node.index()],
-        );
-        let (mut i, mut j, mut count) = (0usize, 0usize, 0usize);
-        while i < a.len() && j < b.len() {
-            count += 1;
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        count + (a.len() - i) + (b.len() - j)
+        self.out_degree(node) + self.in_degree(node) - self.mutual[node.index()] as usize
     }
 
     /// Total validated transmissions over the run.
@@ -134,6 +181,80 @@ impl TrafficStats {
 mod tests {
     use super::*;
     use clustream_core::{PacketId, Transmission};
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
+
+    /// Feed `links` to `s` and hold its degrees to a link-set model.
+    fn check_against_model(
+        s: &mut TrafficStats,
+        n_ids: u32,
+        links: &[(u32, u32)],
+    ) -> Result<(), TestCaseError> {
+        let mut model = BTreeSet::new();
+        for (seq, &(from, to)) in links.iter().enumerate() {
+            let tx = Transmission::local(NodeId(from), NodeId(to), PacketId(seq as u64));
+            s.record(&tx);
+            model.insert((from, to));
+        }
+        for n in 0..n_ids {
+            let out = model.iter().filter(|&&(a, _)| a == n).count();
+            let inn = model.iter().filter(|&&(_, b)| b == n).count();
+            let either: BTreeSet<u32> = model
+                .iter()
+                .filter_map(|&(a, b)| match (a == n, b == n) {
+                    (true, _) => Some(b),
+                    (_, true) => Some(a),
+                    _ => None,
+                })
+                .collect();
+            prop_assert_eq!(s.out_degree(NodeId(n)), out, "out-degree of {}", n);
+            prop_assert_eq!(s.in_degree(NodeId(n)), inn, "in-degree of {}", n);
+            prop_assert_eq!(s.degree(NodeId(n)), either.len(), "degree of {}", n);
+        }
+        prop_assert_eq!(s.total_transmissions(), links.len() as u64);
+        Ok(())
+    }
+
+    proptest! {
+        /// The link rows against a `BTreeSet` of links. Twelve ids and
+        /// streams of up to 300 sends cover self-links, repeats, links
+        /// in both directions and senders past the seven inline
+        /// receivers; the second stream runs on the same stats after a
+        /// `reset` to another id space, reusing the spill lists the
+        /// first one left behind.
+        #[test]
+        fn degrees_match_a_link_set_model(
+            first in proptest::collection::vec((0u32..12, 0u32..12), 0..300),
+            second in proptest::collection::vec((0u32..12, 0u32..12), 0..300),
+            n2 in 1u32..=12,
+        ) {
+            let mut s = TrafficStats::new(12);
+            check_against_model(&mut s, 12, &first)?;
+            s.reset(n2 as usize);
+            let second: Vec<(u32, u32)> = second.iter().map(|&(a, b)| (a % n2, b % n2)).collect();
+            check_against_model(&mut s, n2, &second)?;
+        }
+    }
+
+    #[test]
+    fn a_hub_spills_past_its_inline_row() {
+        // The source sends to 20 receivers, some twice, and hears back
+        // from every third one: its row spills at the eighth.
+        let mut s = TrafficStats::new(21);
+        for round in 0..2 {
+            for to in (1..=20).rev() {
+                s.record(&Transmission::local(NodeId(0), NodeId(to), PacketId(round)));
+            }
+        }
+        for from in (3..=20).step_by(3) {
+            s.record(&Transmission::local(NodeId(from), NodeId(0), PacketId(0)));
+        }
+        assert_eq!(s.out_degree(NodeId(0)), 20);
+        assert_eq!(s.in_degree(NodeId(0)), 6);
+        assert_eq!(s.degree(NodeId(0)), 20);
+        assert_eq!(s.degree(NodeId(3)), 1);
+        assert_eq!(s.total_transmissions(), 46);
+    }
 
     #[test]
     fn neighbor_sets_deduplicate() {

@@ -333,6 +333,9 @@ fn mega_scale_smoke_runs_in_scale_and_full_tiers() {
         "target/release/clustream \"${chain[@]}\" --engine fast >\"$base-chain-fast.txt\"",
         "target/release/clustream \"${chain[@]}\" --engine mega >\"$base-chain-mega.txt\"",
         "diff <(grep -v '^engine' \"$base-chain-fast.txt\") <(grep -v '^engine' \"$base-chain-mega.txt\")",
+        // …and a hypercube whose ten-dimension link rows spill past the
+        // inline row, held to the reference by the checked engine.
+        "target/release/clustream simulate --scheme hypercube --n 2000 --engine checked >/dev/null",
     ] {
         assert!(body.contains(needle), "the mega smoke lost `{needle}`");
     }

@@ -15,8 +15,9 @@
 //!
 //! Shapes that once needed special care in the fast engine are pinned
 //! as named regression tests at the bottom (ring-buffer growth under
-//! large latencies, holdings rows growing mid-run, loss_rate = 1.0,
-//! crashes from slot 0, single-node populations).
+//! large latencies, holdings rows growing mid-run, link rows spilling
+//! past their inline receivers, loss_rate = 1.0, crashes from slot 0,
+//! single-node populations).
 
 use clustream::prelude::*;
 use clustream::sim::FaultPlan;
@@ -470,4 +471,38 @@ fn stride_growth_agrees(name: &str, factory: fn() -> Box<dyn Scheme>, cfg: SimCo
         strict.total_transmissions
     );
     assert_eq!(relaxed.duplicate_deliveries, 0, "{name}");
+}
+
+/// A sender's link row keeps seven receivers inline and spills the rest
+/// into a sorted list; the reference counts links in a plain set. Every
+/// hypercube vertex at N = 511 sends along nine dimensions, and every
+/// interior node of a degree-10 single tree or multi-tree (whose source
+/// also feeds ten roots) has ten children, so each schedule runs rows
+/// past the spill on every engine.
+#[test]
+fn regression_link_rows_spill_past_the_inline_row() {
+    spilled_rows_agree("hypercube N=511", || {
+        Box::new(HypercubeStream::new(511).unwrap())
+    });
+    spilled_rows_agree("single tree d=10", || {
+        Box::new(SingleTreeScheme::new(400, 10))
+    });
+    spilled_rows_agree("multitree d=10", || {
+        Box::new(MultiTreeScheme::new(
+            greedy_forest(200, 10).unwrap(),
+            StreamMode::PreRecorded,
+        ))
+    });
+}
+
+fn spilled_rows_agree(name: &str, factory: fn() -> Box<dyn Scheme>) {
+    let run = agree(
+        &Column::ALL,
+        factory,
+        &SimConfig::until_complete(16, 10_000),
+    )
+    .unwrap_or_else(|d| panic!("{name}: {d}"))
+    .unwrap();
+    let widest = run.qos.nodes.iter().map(|q| q.out_neighbors).max();
+    assert!(widest > Some(7), "{name}: no row spilled ({widest:?})");
 }
