@@ -34,8 +34,9 @@
 #                 crowd on mega + heterogeneity capacity-class sweep + the
 #                 reproduction record (bare `experiments`: every catalog
 #                 item's verdict) + the benchmark/ ledger harness build,
-#                 unit tests and one net_framepump correctness run (the
-#                 merge gate; default when no tier is given)
+#                 unit tests, one net_framepump correctness run and one
+#                 des_recovery run checked for correctness and a 30 MiB
+#                 peak RSS (the merge gate; default when no tier is given)
 #
 # No stage compares a measured time or rate against a floor: exact
 # counts are golden files (tests/cli_golden, crates/bench/tests/golden),
@@ -103,6 +104,26 @@ benchmark_harness() {
             return 1
             ;;
     esac
+    # One short des_recovery pass, checked for correctness and for peak
+    # RSS: the DES's wheel buckets and parked sends hold memory in
+    # proportion to their live entries (≈ 18 MiB here); a container that
+    # keeps its largest past size instead shows up as a peak past 30 MiB
+    # (51 MiB while drained wheel buckets were pooled).
+    line=$(bash benchmark/run.sh --workload des_recovery --seed 7 --seconds 3 --trace 0 | tail -n 1)
+    echo "$line"
+    case "$line" in
+        *'"correct": true'*'"failed": 0'[,}]*) ;;
+        *)
+            echo "ci.sh: des_recovery failed an invocation" >&2
+            return 1
+            ;;
+    esac
+    local rss
+    rss=$(sed -n 's/.*"peak_rss_mib": {"value": \([0-9.]*\).*/\1/p' <<<"$line")
+    if [ -z "$rss" ] || ! awk -v rss="$rss" 'BEGIN { exit !(rss <= 30) }'; then
+        echo "ci.sh: des_recovery peaked at ${rss:-?} MiB of RSS (bound 30 MiB)" >&2
+        return 1
+    fi
 }
 
 loc() {
@@ -181,8 +202,8 @@ recovery_smoke() {
     done
     # The benchmark's des_recovery command line (jitter + serialized
     # uplink + churn + repair+nack) at N=500, same lockstep: the heap and
-    # the wheel with its spare-pooled buckets must pop every event of the
-    # workload the ledger times in the same order.
+    # the wheel must pop every event of the workload the ledger times in
+    # the same order.
     cargo run -q --release --offline -p clustream-cli --bin clustream -- \
         simulate --scheme multitree --n 500 --d 3 --track 128 --runtime des \
         --queue checked --latency jitter --jitter 0.5 --uplink serialized \
@@ -527,7 +548,7 @@ if [ "$TIER" = full ]; then
     # is named and exits non-zero.
     stage "reproduction record (experiments)" \
         cargo run -q --release --offline -p clustream-bench --bin experiments
-    stage "benchmark harness (ledger build + unit tests + frame pump)" benchmark_harness
+    stage "benchmark harness (ledger build + unit tests + frame pump + des_recovery peak)" benchmark_harness
 fi
 
 # Machine-readable stage timings for trend tracking across runs.

@@ -751,20 +751,16 @@ impl DesEngine {
         // next) to a fixpoint over ascending (sender, packet) order, then
         // falls back to the ledger's default cause. A parked chain shares
         // its key, so it resolves whole; the walk runs in place over the
-        // chain heads, so the run's peak memory is the event loop's.
-        let mut leftovers = waiting.heads_by_key();
+        // chain keys, so the run's peak memory is the event loop's.
+        let mut leftovers = waiting.keys();
         loop {
             let before = leftovers.len();
-            leftovers.retain(|&head| {
-                let first = waiting
-                    .chain(head)
-                    .next()
-                    .expect("a parked chain has a head");
-                let Some(cause) = run.ledger.cause(first.from, first.packet) else {
+            leftovers.retain(|&(sender, seq)| {
+                let Some(cause) = run.ledger.cause(NodeId(sender), PacketId(seq)) else {
                     return true;
                 };
-                for tx in waiting.chain(head) {
-                    run.ledger.propagate_from(tx, cause);
+                for tx in waiting.chain((sender, seq)) {
+                    run.ledger.propagate_from(&tx, cause);
                 }
                 false
             });
@@ -773,9 +769,9 @@ impl DesEngine {
             }
         }
         let fallback = run.ledger.fallback();
-        for head in leftovers {
-            for tx in waiting.chain(head) {
-                run.ledger.propagate_from(tx, fallback);
+        for key in leftovers {
+            for tx in waiting.chain(key) {
+                run.ledger.propagate_from(&tx, fallback);
             }
         }
 

@@ -11,12 +11,12 @@
 //! end-of-run leftover attribution) reads the parked sends in ascending
 //! key order.
 
-use clustream_core::Transmission;
+use clustream_core::{NodeId, PacketId, Transmission};
 
 /// Relaxed-mode calendar entries parked until their packet arrives at the
-/// sender: a dense `(sender, packet) → (head, tail)` index over one
-/// free-listed arena of blocks, each holding up to `BLOCK` (3) entries of
-/// one chain side by side.
+/// sender: a dense `(sender, packet) → head` index over one free-listed
+/// arena of blocks, each holding up to `BLOCK` (3) entries of one chain
+/// side by side.
 ///
 /// Replaces a `BTreeMap<(u32, u64), Vec<Transmission>>` (an ordered-map
 /// descent and a `Vec` allocation per deferred send) and then a hashed
@@ -26,19 +26,27 @@ use clustream_core::Transmission;
 /// parks one entry per child, so a chain is typically one block — with
 /// no hashing and no hop per entry.
 ///
+/// The key fixes every entry's `from` and `packet`, so a block stores
+/// only what it does not say — each entry's `to` and `latency`, 8 bytes
+/// of the 24 a [`Transmission`] takes — and a release rebuilds the rest
+/// from the key: a 32-byte block for 3 entries, where whole
+/// transmissions took 80.
+///
 /// The index is seq-major, `index[seq][sender]`: the entries parked and
 /// released around the same time are for the same few packets, so their
-/// cells share a few rows. A row grows with the largest sender parked
-/// under it, and there are as many rows as the largest seq parked —
-/// like the held sets, bounded by the packets the calendar names.
-/// Walking the cells sender by sender visits the keys in ascending
-/// `(sender, packet)` order, the order the `BTreeMap` iterated in, with
-/// no sort ([`ParkedSends::heads_by_key`]).
+/// cells share a few rows. A cell is the chain's head block, 4 bytes; a
+/// park walks the chain to its tail, which for a `d = 3` forwarder is the
+/// head. A row grows with the largest sender parked under it, and there
+/// are as many rows as the largest seq parked — like the held sets,
+/// bounded by the packets the calendar names. Walking the cells sender
+/// by sender visits the keys in ascending `(sender, packet)` order, the
+/// order the `BTreeMap` iterated in, with no sort
+/// ([`ParkedSends::keys`]).
 #[derive(Debug, Default)]
 pub struct ParkedSends {
-    /// `index[seq][sender]`: the chain's `(head, tail)` blocks, or
-    /// `(NIL, NIL)` when nothing is parked under that key.
-    index: Vec<Vec<(u32, u32)>>,
+    /// `index[seq][sender]`: the chain's head block, or `NIL` when
+    /// nothing is parked under that key.
+    index: Vec<Vec<u32>>,
     /// The block arena.
     slots: Vec<Block>,
     free: Vec<u32>,
@@ -48,17 +56,23 @@ pub struct ParkedSends {
 /// forwarder, the paper's degree.
 const BLOCK: usize = 3;
 
-/// Up to [`BLOCK`] consecutive entries of one chain.
+/// Up to [`BLOCK`] consecutive entries of one chain, as what their key
+/// does not fix: 32 bytes.
 #[derive(Debug, Clone, Copy)]
 struct Block {
-    txs: [Transmission; BLOCK],
+    /// Each entry's receiver.
+    to: [u32; BLOCK],
+    /// Each entry's latency in slots.
+    latency: [u32; BLOCK],
     /// Entries in use, `1..=BLOCK`.
     len: u32,
     /// The chain's next block.
     next: u32,
 }
 
-/// End-of-chain marker (and an empty index cell's head and tail).
+const _: () = assert!(std::mem::size_of::<Block>() == 32);
+
+/// End-of-chain marker (and an empty index cell).
 const NIL: u32 = u32::MAX;
 
 impl ParkedSends {
@@ -71,19 +85,26 @@ impl ParkedSends {
         }
         let row = &mut self.index[seq];
         if sender >= row.len() {
-            row.resize(sender + 1, (NIL, NIL));
+            row.resize(sender + 1, NIL);
         }
-        let cell = &mut row[sender];
-        if cell.0 != NIL {
-            let tail = &mut self.slots[cell.1 as usize];
-            if (tail.len as usize) < BLOCK {
-                tail.txs[tail.len as usize] = tx;
-                tail.len += 1;
+        let head = row[sender];
+        let mut tail = head;
+        if tail != NIL {
+            while self.slots[tail as usize].next != NIL {
+                tail = self.slots[tail as usize].next;
+            }
+            let block = &mut self.slots[tail as usize];
+            let at = block.len as usize;
+            if at < BLOCK {
+                block.to[at] = tx.to.0;
+                block.latency[at] = tx.latency;
+                block.len += 1;
                 return;
             }
         }
         let block = Block {
-            txs: [tx; BLOCK],
+            to: [tx.to.0; BLOCK],
+            latency: [tx.latency; BLOCK],
             len: 1,
             next: NIL,
         };
@@ -97,10 +118,9 @@ impl ParkedSends {
                 (self.slots.len() - 1) as u32
             }
         };
-        if cell.0 == NIL {
-            *cell = (b, b);
+        if head == NIL {
+            self.index[seq][sender] = b;
         } else {
-            let tail = std::mem::replace(&mut cell.1, b);
             self.slots[tail as usize].next = b;
         }
     }
@@ -114,36 +134,60 @@ impl ParkedSends {
         let Some(cell) = row.and_then(|row| row.get_mut(sender as usize)) else {
             return;
         };
-        let (mut at, _) = std::mem::replace(cell, (NIL, NIL));
+        let mut at = std::mem::replace(cell, NIL);
         while at != NIL {
             let block = &self.slots[at as usize];
-            out.extend_from_slice(&block.txs[..block.len as usize]);
+            out.extend(entries(block, sender, seq));
             self.free.push(at);
             at = block.next;
         }
     }
 
-    /// Heads of the chains still parked, in ascending `(sender, packet)`
+    /// The `(sender, seq)` keys with a chain still parked, in ascending
     /// order — the order the replaced `BTreeMap` iterated in.
-    pub fn heads_by_key(&self) -> Vec<u32> {
+    pub fn keys(&self) -> Vec<(u32, u64)> {
         let senders = self.index.iter().map(Vec::len).max().unwrap_or(0);
         (0..senders)
-            .flat_map(|sender| self.index.iter().filter_map(move |row| row.get(sender)))
-            .filter(|&&(head, _)| head != NIL)
-            .map(|&(head, _)| head)
+            .flat_map(|sender| {
+                self.index.iter().enumerate().filter_map(move |(seq, row)| {
+                    row.get(sender)
+                        .is_some_and(|&head| head != NIL)
+                        .then_some((sender as u32, seq as u64))
+                })
+            })
             .collect()
     }
 
-    /// The entries of the chain starting at `head`, in push order.
-    pub fn chain(&self, head: u32) -> impl Iterator<Item = &Transmission> {
-        let mut at = head;
+    /// The entries parked under `(sender, seq)`, in push order.
+    pub fn chain(&self, (sender, seq): (u32, u64)) -> impl Iterator<Item = Transmission> + '_ {
+        let mut at = usize::try_from(seq)
+            .ok()
+            .and_then(|s| self.index.get(s))
+            .and_then(|row| row.get(sender as usize))
+            .copied()
+            .unwrap_or(NIL);
         std::iter::from_fn(move || {
             let block = self.slots.get(at as usize)?;
             at = block.next;
-            Some(&block.txs[..block.len as usize])
+            Some(entries(block, sender, seq))
         })
         .flatten()
     }
+}
+
+/// `block`'s entries as the transmissions they stand for under the key
+/// `(sender, seq)`.
+fn entries(block: &Block, sender: u32, seq: u64) -> impl Iterator<Item = Transmission> + '_ {
+    let len = block.len as usize;
+    block.to[..len]
+        .iter()
+        .zip(&block.latency[..len])
+        .map(move |(&to, &latency)| Transmission {
+            from: NodeId(sender),
+            to: NodeId(to),
+            packet: PacketId(seq),
+            latency,
+        })
 }
 
 #[cfg(test)]
@@ -157,19 +201,35 @@ mod tests {
         /// Parks and releases against the ordered map of `Vec`s the arena
         /// replaced: each release yields the same entries in the same
         /// order, and the leftover walk visits what `into_values()` did.
+        /// Senders, receivers and latencies range widely, since a block
+        /// stores some of them and the key implies the rest; a park op
+        /// parks up to 4 entries under one of four senders, so chains run
+        /// past a block and past two.
         #[test]
         fn parked_sends_match_the_ordered_map_model(
-            ops in proptest::collection::vec((any::<bool>(), 1u32..5, 0u64..6, 1u32..40), 1..300),
+            senders in proptest::collection::vec(0u32..4000, 4),
+            ops in proptest::collection::vec(
+                ((0u8..4, 0usize..4, 0u64..6), (0u32..4000, 1u32..1000, 1usize..5)),
+                1..200,
+            ),
         ) {
             let mut parked = ParkedSends::default();
             let mut model: BTreeMap<(u32, u64), Vec<Transmission>> = BTreeMap::new();
             let mut out = Vec::new();
             let mut high_water = 0;
-            for (park, from, seq, to) in ops {
-                if park {
-                    let tx = Transmission::local(NodeId(from), NodeId(to), PacketId(seq));
-                    parked.park(tx);
-                    model.entry((from, seq)).or_default().push(tx);
+            for ((op, who, seq), (to, latency, count)) in ops {
+                let from = senders[who];
+                if op > 0 {
+                    for k in 0..count as u32 {
+                        let tx = Transmission {
+                            from: NodeId(from),
+                            to: NodeId(to + k),
+                            packet: PacketId(seq),
+                            latency: latency + k,
+                        };
+                        parked.park(tx);
+                        model.entry((from, seq)).or_default().push(tx);
+                    }
                 } else {
                     out.clear();
                     parked.release_into(from, seq, &mut out);
@@ -180,9 +240,9 @@ mod tests {
                 prop_assert!(parked.slots.len() <= high_water, "freed slots are reused");
             }
             let walked: Vec<Transmission> = parked
-                .heads_by_key()
+                .keys()
                 .into_iter()
-                .flat_map(|head| parked.chain(head).copied())
+                .flat_map(|key| parked.chain(key))
                 .collect();
             let want: Vec<Transmission> = model.into_values().flatten().collect();
             prop_assert_eq!(walked, want);

@@ -14,7 +14,7 @@
 //!   ordered by `(time, class, insertion)`. The [`EventQueue`] trait has three
 //!   implementations popping that identical order: [`HeapQueue`] (binary
 //!   min-heap, the reference), [`WheelQueue`] (hierarchical timing wheel
-//!   — O(1) pushes, pooled allocations, batched same-tick drains — an
+//!   — O(1) pushes, recycled payload slots, batched same-tick drains — an
 //!   order of magnitude faster at scale), and [`CheckedQueue`] (both in
 //!   lockstep, asserting identical pops), selected by
 //!   [`config::QueueKind`].

@@ -23,20 +23,25 @@
 //! L2). An L0 bucket holds exactly one tick, so draining it yields the
 //! whole same-tick batch at once.
 //!
-//! # Allocation-free hot loop
+//! # Allocation
 //!
 //! Event payloads live in a free-list **arena** (`Vec<EventKind>` slots +
-//! recycled indices): a push in steady state reuses a freed slot and a
-//! bucket `Vec` that has already grown, so the per-event cost is two
-//! array writes and a bitmap OR — no allocator traffic, no `O(log n)`
-//! sift, no 48-byte `Event` moves through a heap.
+//! recycled indices), and an L0 bucket, revisited every window, keeps its
+//! `Vec`: a push into the current slot window reuses a freed slot and a
+//! bucket that has already grown, so its cost is two array writes and a
+//! bitmap OR — no allocator traffic, no `O(log n)` sift, no 48-byte
+//! `Event` moves through a heap.
 //!
-//! An L0 bucket is revisited every window and keeps its own `Vec`. An
-//! L1/L2 bucket is visited once per 2²⁰ (2³⁰) ticks — once per run, in
-//! practice — so a cascade hands its drained `Vec` to a **spare pool**
-//! and the next empty outer bucket to receive a push draws from it:
-//! bucket memory follows the live event window, not the run length.
-//! Which allocation backs a bucket is invisible to the pop order.
+//! An L1/L2 bucket is visited once per 2²⁰ (2³⁰) ticks — once per run, in
+//! practice — so a cascade frees its drained `Vec`, and an outer bucket
+//! allocates on its first push: one allocation per occupied outer bucket
+//! per visit, sized by what that bucket holds, so bucket memory follows
+//! the live entries, not the run length. Handing drained `Vec`s on to
+//! whichever empty outer bucket asks next would not: each reused `Vec`
+//! grows to the largest one-slot batch, and one is held per outer bucket
+//! open at once, so a few timers spread far ahead keep the capacity of
+//! as many full slots. Which allocation backs a bucket is invisible to
+//! the pop order.
 //!
 //! # Determinism argument
 //!
@@ -190,8 +195,6 @@ pub struct WheelQueue {
     bitmap: [[u64; WORDS]; LEVELS],
     /// Calendar fallback, keyed by `time >> HORIZON_BITS`.
     overflow: BTreeMap<u64, Vec<Entry>>,
-    /// Drained L1/L2 bucket allocations awaiting reuse (all empty).
-    spare: Vec<Vec<Entry>>,
     batch: Batch,
     live: usize,
     next_seq: u64,
@@ -208,7 +211,6 @@ impl Default for WheelQueue {
             buckets: vec![Vec::new(); LEVELS * BUCKETS],
             bitmap: [[0; WORDS]; LEVELS],
             overflow: BTreeMap::new(),
-            spare: Vec::new(),
             batch: Batch::default(),
             live: 0,
             next_seq: 0,
@@ -247,23 +249,17 @@ impl WheelQueue {
             self.overflow.entry(t >> HORIZON_BITS).or_default().push(e);
             return;
         };
-        let slot = &mut self.buckets[level * BUCKETS + bucket];
-        if level > 0 && slot.capacity() == 0 {
-            *slot = self.spare.pop().unwrap_or_default();
-        }
-        slot.push(e);
+        self.buckets[level * BUCKETS + bucket].push(e);
         self.bitmap[level][bucket >> 6] |= 1 << (bucket & 63);
     }
 
-    /// Redistribute bucket `b` of `level` one level down, handing its
-    /// allocation to the spare pool.
+    /// Redistribute bucket `b` of `level` one level down, freeing its
+    /// allocation.
     fn cascade(&mut self, level: usize, b: usize) {
         self.bitmap[level][b >> 6] &= !(1u64 << (b & 63));
-        let mut bucket = std::mem::take(&mut self.buckets[level * BUCKETS + b]);
-        for e in bucket.drain(..) {
+        for e in std::mem::take(&mut self.buckets[level * BUCKETS + b]) {
             self.place(e);
         }
-        self.spare.push(bucket);
     }
 
     /// Move the cursor to the next occupied tick and load its batch.
@@ -592,10 +588,9 @@ mod tests {
         );
     }
 
-    /// `Entry` capacity held by every bucket and the spare pool.
+    /// `Entry` capacity held by every bucket.
     fn retained_entries(q: &WheelQueue) -> usize {
-        let held = |vs: &[Vec<Entry>]| vs.iter().map(Vec::capacity).sum::<usize>();
-        held(&q.buckets) + held(&q.spare)
+        q.buckets.iter().map(Vec::capacity).sum()
     }
 
     #[test]
@@ -628,11 +623,50 @@ mod tests {
     }
 
     #[test]
-    fn cancel_heavy_run_through_a_spare_pool_reuse_cycle_stays_lockstep() {
-        // Three L1 windows back to back, so every L1 bucket is drawn from
-        // the pool, cascaded back into it and drawn again; two thirds of
-        // the events are cancelled, so most cascaded entries are
-        // tombstones the drain must skip without disturbing the order.
+    fn bucket_memory_follows_the_live_entries_not_the_largest_bucket() {
+        // The `des_recovery` shape: each slot's tick schedules one large
+        // batch of deliveries one slot out, spread over that slot's
+        // ticks, and a few timers 50 to 150 slots ahead. Every outer
+        // bucket a timer opens must cost what the timer holds, not what
+        // the largest one-slot batch once needed.
+        let mut q = WheelQueue::new();
+        q.push(0, EventKind::PlaybackTick);
+        let mut retained = 0;
+        while let Some(e) = q.pop() {
+            let slot = e.time >> LEVEL_BITS;
+            if e.kind == EventKind::PlaybackTick && slot < 600 {
+                let next = e.time + 1024;
+                for i in 0..2000u64 {
+                    q.push(next + i % 512, deliver(i as u32, slot));
+                }
+                for k in 0..3u64 {
+                    let ahead = 50 + (slot * 37 + k * 31) % 100;
+                    let timer = EventKind::SuspectTimeout {
+                        watcher: NodeId(k as u32),
+                        subject: NodeId(slot as u32),
+                    };
+                    q.push(e.time + ahead * 1024 + k, timer);
+                }
+                q.push(next, EventKind::PlaybackTick);
+                retained = retained.max(retained_entries(&q));
+            }
+        }
+        let live = q.pool_high_water();
+        // Two batches overlap: a slot's tick schedules the next one
+        // before its own deliveries past tick 0 have fired.
+        assert!(live <= 2 * 2000 + 3 * 150 + 2, "live window: {live}");
+        assert!(
+            retained <= 4 * live,
+            "{retained} retained entries for a live window of {live}"
+        );
+    }
+
+    #[test]
+    fn cancel_heavy_run_across_three_l1_windows_stays_lockstep() {
+        // Three L1 windows back to back, so every L1 bucket is filled,
+        // cascaded and filled again; two thirds of the events are
+        // cancelled, so most cascaded entries are tombstones the drain
+        // must skip without disturbing the order.
         let mut q = CheckedQueue::new();
         let mut state = 0x9e3779b97f4a7c15u64;
         let mut next = |bound: u64| {
@@ -667,10 +701,6 @@ mod tests {
         assert_eq!(popped, survivors);
         assert!(q.is_empty());
         assert!(now >= 3 << (2 * LEVEL_BITS), "only reached tick {now}");
-        assert!(
-            !q.wheel.spare.is_empty(),
-            "the run cascaded through the pool"
-        );
     }
 
     #[test]

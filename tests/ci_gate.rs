@@ -105,7 +105,7 @@ fn script_parses_and_defines_both_tiers() {
         "diff <(grep -v '^engine' \"$base-fast.txt\") <(grep -v '^engine' \"$base-mega.txt\")",
         // The recovery fault matrix ends with the benchmark's
         // des_recovery command line on the checked queue (heap and
-        // spare-pooled wheel in lockstep).
+        // wheel in lockstep).
         "--n 500 --d 3 --track 128 --runtime des",
         "--queue checked --latency jitter --jitter 0.5 --uplink serialized",
         "--recovery repair+nack --churn-leave 0.0005 --churn-slots 200 --des-seed 7",
@@ -165,12 +165,18 @@ fn script_parses_and_defines_both_tiers() {
         // The ledger harness is a workspace of its own: the merge gate
         // builds and unit-tests it against this tree's public API, then
         // pumps 10^6 frames through the buffered `Conn` and fails on a
-        // lost or reordered frame (a missed flush).
-        "stage \"benchmark harness (ledger build + unit tests + frame pump)\" benchmark_harness",
+        // lost or reordered frame (a missed flush)…
+        "stage \"benchmark harness (ledger build + unit tests + frame pump + des_recovery peak)\" benchmark_harness",
         "env CARGO_TARGET_DIR=benchmark/target",
         "cargo test --release --offline --manifest-path benchmark/Cargo.toml",
         "bash benchmark/run.sh --workload net_framepump --seed 7 --seconds 3 --trace 0",
         "*'\"correct\": true'*'\"failed\": 0'[,}]*) ;;",
+        // …and runs des_recovery once, failing on a failed invocation or
+        // a peak RSS past 30 MiB (the DES's event-loop containers holding
+        // more than their live entries).
+        "bash benchmark/run.sh --workload des_recovery --seed 7 --seconds 3 --trace 0",
+        "rss=$(sed -n 's/.*\"peak_rss_mib\": {\"value\": \\([0-9.]*\\).*/\\1/p' <<<\"$line\")",
+        "awk -v rss=\"$rss\" 'BEGIN { exit !(rss <= 30) }'",
     ] {
         assert!(text.contains(needle), "ci.sh lost `{needle}`");
     }

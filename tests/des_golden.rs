@@ -1,11 +1,12 @@
 //! Golden DES runs, recorded on the commit *before* the recovery and
 //! deferral state went flat (ordered maps → dense rows, hashed indexes
-//! and a parked-send arena; wheel buckets → spare pool).
+//! and a parked-send arena).
 //!
 //! That change was allowed to make each event cheaper and nothing else:
 //! no event elided, no draw moved, no iteration order changed. These
-//! pins hold it — and every later change to the per-event state — to
-//! that: the `des_recovery` benchmark command line at `--n 300`, on the
+//! pins hold it — and every later change to the per-event state, such
+//! as outer wheel buckets freed on cascade and parked sends that keep
+//! only what their key does not fix — to that: the `des_recovery` benchmark command line at `--n 300`, on the
 //! checked queue (so heap and wheel pop the whole run in lockstep),
 //! plus the variants that reach the code the base run does not (repair
 //! without NACKs, rejoins → `clear_links`/`forget`, a loss plan on the
