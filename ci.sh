@@ -9,8 +9,7 @@
 #                 nothing) + clippy + build + workspace tests + CLI flag
 #                 hygiene (unknown flags and out-of-domain scheme
 #                 parameters are errors, not silence or aborts) +
-#                 repro-corpus replay + timing-wheel smoke + loopback
-#                 cluster smoke
+#                 repro-corpus replay + loopback cluster smoke
 #                 + chaos-transport smoke (5% loss + a gray node), both
 #                 closed by the DES replay oracle + flash-crowd smoke
 #                 (10^3 joins, slot = DES oracle-closed) + crowd smoke
@@ -135,13 +134,8 @@ loc() {
 }
 
 des_smoke() {
-    cargo run -q --release --offline -p clustream-cli --bin clustream -- \
-        simulate --scheme multitree --n 30 --d 3 --runtime des-checked
-    cargo run -q --release --offline -p clustream-cli --bin clustream -- \
-        simulate --scheme hypercube --n 25 --runtime des-checked
-    cargo run -q --release --offline -p clustream-cli --bin clustream -- \
-        simulate --scheme chain --n 12 --runtime des \
-        --latency jitter --jitter 1.5 --uplink serialized --des-seed 1
+    # The small DES runs (des-checked, jittered, serialized) are
+    # tests/cli_golden cases, checked byte for byte by the test stage.
     # The ledger's des_plain command line (too slow for tests/cli_golden's
     # debug build): one event per delivery and per slot, every count of
     # it pinned by the golden; the heap queue prints the same but for the
@@ -153,18 +147,6 @@ des_smoke() {
     target/release/clustream "${des_plain[@]}" --queue heap >"$out-heap.txt"
     diff "$golden" "$out-wheel.txt"
     diff <(grep -v '^engine' "$golden") <(grep -v '^engine' "$out-heap.txt")
-}
-
-wheel_smoke() {
-    # The timing-wheel event queue end to end through the CLI: a
-    # wheel-backed DES run must stay field-identical to the slot engines
-    # (des-checked), and a jittered, uplink-serialized run must hold off
-    # slot-aligned ticks too.
-    cargo run -q --release --offline -p clustream-cli --bin clustream -- \
-        simulate --scheme multitree --n 30 --d 3 --runtime des-checked --queue wheel
-    cargo run -q --release --offline -p clustream-cli --bin clustream -- \
-        simulate --scheme chain --n 12 --runtime des --queue wheel \
-        --latency jitter --jitter 1.5 --uplink serialized --des-seed 1
 }
 
 telemetry_smoke() {
@@ -224,9 +206,8 @@ recovery_smoke() {
 
 recovery_off_regression() {
     # With recovery off the DES must stay bit-identical to the slot
-    # engines; the checked runtime enforces it field-by-field.
-    cargo run -q --release --offline -p clustream-cli --bin clustream -- \
-        simulate --scheme multitree --n 40 --d 3 --runtime des-checked
+    # engines (the recovery_off_regression case of tests/cli_golden runs
+    # the checked runtime, which enforces it field by field).
     cargo test -q --test recovery --offline
     cargo test -q --test faults --offline
 }
@@ -299,6 +280,14 @@ cli_flag_hygiene() {
         trace --scheme multitree --n 15 --d 3 --node 6 --packet 100000000
     expect_error '^usage error: --track must be at least 1' \
         cluster --nodes 2 --track 0
+    # The node binary parses with the same grammar: an unknown flag is a
+    # usage error naming it, exit 2.
+    local node_out node_status=0
+    node_out=$(target/release/clustream-node --bogus 1 2>&1) || node_status=$?
+    if [ "$node_status" -ne 2 ] || ! grep -q 'unknown flag `--bogus`' <<<"$node_out"; then
+        echo "ci.sh: \`clustream-node --bogus 1\` must exit 2 naming the flag (got $node_status): $node_out" >&2
+        return 1
+    fi
     # Under a 2 GB address-space cap, a scenario script that does not fit
     # and a corpus genome of 4·10^9 receivers are model errors; both used
     # to abort in the allocator (134).
@@ -442,7 +431,7 @@ cluster_chaos_heal_smoke() {
     cargo run -q --release --offline -p clustream-cli --bin clustream -- \
         cluster --nodes 32 --transport tcp --track 24 --slot-us 20000 \
         --chaos partition:0/1@2+4,partition:0/2@4+4 --chaos-seed 11 \
-        --kill 5@2 --suspect-timeout-slots 12 --repair true \
+        --kill 5@2 --suspect-timeout-slots 12 --repair \
         --trace-out "$trace"
     cargo run -q --release --offline -p clustream-cli --bin clustream -- \
         replay --trace "$trace" --min-concordance 0.85
@@ -518,7 +507,6 @@ stage "build (release)" cargo build --workspace --release --offline
 stage "test" cargo test --workspace -q --offline
 stage "cli flag hygiene" cli_flag_hygiene
 stage "repro-corpus replay" corpus_replay
-stage "timing-wheel smoke (wheel queue)" wheel_smoke
 stage "cluster smoke (8 nodes, uds + replay oracle)" cluster_smoke
 stage "cluster chaos smoke (8 nodes, uds + loss/gray + replay oracle)" cluster_chaos_smoke
 stage "flash-crowd smoke (10^3 joins, oracle-closed)" flash_crowd_smoke
@@ -533,7 +521,7 @@ if [ "$TIER" = full ]; then
         env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline -q
     stage "differential oracle" cargo test -q --test differential --offline
     stage "slot/DES differential oracle" cargo test -q --test des_differential --offline
-    stage "DES smoke (slot-faithful equivalence, checked mode)" des_smoke
+    stage "DES smoke (des_plain golden, wheel and heap)" des_smoke
     stage "telemetry smoke (metrics-out + report)" telemetry_smoke
     stage "recovery fault-matrix smoke" recovery_smoke
     stage "recovery-off DES equivalence regression" recovery_off_regression

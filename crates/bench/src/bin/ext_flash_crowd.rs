@@ -23,10 +23,7 @@ const USAGE: Usage = &[
 ];
 
 /// The plan, whether to close it against the DES, and the report path.
-fn parse(mut argv: Vec<String>) -> Result<(RunPlan, bool, String), CliError> {
-    // `--oracle` is the one valueless switch; the rest are `--key value`.
-    let oracle = argv.iter().any(|a| a == "--oracle");
-    argv.retain(|a| a != "--oracle");
+fn parse(argv: Vec<String>) -> Result<(RunPlan, bool, String), CliError> {
     let args = ArgMap::parse(&argv)?;
     args.check_known(USAGE)?;
     // Default curve: the whole crowd arrives as a ramp over 200 slots
@@ -56,7 +53,7 @@ fn parse(mut argv: Vec<String>) -> Result<(RunPlan, bool, String), CliError> {
         )
     };
     let out = args.optional("out").unwrap_or("BENCH_flash_crowd.json");
-    Ok((plan, oracle, out.to_string()))
+    Ok((plan, args.switch("oracle"), out.to_string()))
 }
 
 fn main() -> ExitCode {

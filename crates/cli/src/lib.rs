@@ -19,8 +19,10 @@
 //! * `replay` — re-run a recorded cluster trace through the DES under
 //!   the observed link latencies and score delivery-order concordance.
 //!
-//! Argument parsing is hand-rolled (`--key value` pairs) to keep the
-//! dependency surface at zero beyond the workspace itself.
+//! Every subcommand but `report` parses its flags with one grammar,
+//! [`ArgMap`]: `--key value` pairs and valueless `--switch`es, checked
+//! against the subcommand's usage text, which names each flag and its
+//! arity. `report` takes one positional file path.
 
 #![warn(missing_docs)]
 
@@ -36,18 +38,13 @@ use clustream_plan::{render_usage, SIMULATE_USAGE};
 /// Entry point shared by `main` and the tests.
 pub fn run(argv: &[String]) -> Result<String, CliError> {
     let (cmd, rest) = argv.split_first().ok_or_else(|| CliError::Usage(usage()))?;
-    // `report` takes a positional file path, which `ArgMap` (strictly
-    // `--key value` pairs) would reject — it parses its own arguments.
+    // `report` takes a positional file path, not flags.
     if cmd == "report" {
         return commands::report(rest);
     }
-    // `check` mixes boolean mode flags with valued ones, which `ArgMap`
-    // cannot express either.
-    if cmd == "check" {
-        return check::check(rest);
-    }
     let args = ArgMap::parse(rest)?;
     match cmd.as_str() {
+        "check" => check::check(&args),
         "simulate" => commands::simulate(&args),
         "analyze" => commands::analyze(&args),
         "plan" => commands::plan(&args),
@@ -81,4 +78,43 @@ pub fn usage() -> String {
     }
     out.push_str("  clustream report   <FILE.jsonl>\n  clustream help\n");
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use clustream_plan::usage_flags;
+
+    #[test]
+    fn help_prints_every_flag_the_subcommands_accept() {
+        // The usage text is rendered from the tables `check_known` uses,
+        // so the `simulate` flags it used to omit cannot go missing again.
+        let help = run(&["help".to_string()]).unwrap();
+        for usage in [
+            SIMULATE_USAGE,
+            commands::ANALYZE_USAGE,
+            commands::PLAN_USAGE,
+            commands::TRACE_USAGE,
+            check::CHECK_USAGE,
+            net_cmd::CLUSTER_USAGE,
+            net_cmd::REPLAY_USAGE,
+        ] {
+            for line in usage {
+                assert!(help.contains(line), "help lacks `{line}`");
+            }
+        }
+        assert_eq!(usage_flags(SIMULATE_USAGE).count(), 28);
+        assert_eq!(usage_flags(net_cmd::CLUSTER_USAGE).count(), 14);
+        assert!(help.contains("clustream report   <FILE.jsonl>"), "{help}");
+    }
+
+    #[test]
+    fn unknown_subcommand_is_reported_with_the_usage() {
+        // The one error message of more than one line: not a table row.
+        let err = run(&["nope".to_string()]).unwrap_err().to_string();
+        assert_eq!(
+            err,
+            format!("usage error: unknown subcommand `nope`\n\n{}", usage())
+        );
+    }
 }

@@ -29,7 +29,7 @@ pub const CLUSTER_USAGE: Usage = &[
     "[--d <D>] [--track <P>] [--slot-us <MICROS>]",
     "[--kill <NODE@SLOT,…>] [--suspect-timeout-slots <S>]",
     "[--chaos <KIND:TARGET@START[+DUR][=PARAM],…>]",
-    "[--chaos-seed <SEED>] [--repair <true|false>]",
+    "[--chaos-seed <SEED>] [--repair]",
     "[--trace-out <FILE.json>] [--metrics-out <FILE.jsonl>]",
     "[--node-bin <PATH>]",
 ];
@@ -65,7 +65,7 @@ pub fn cluster(args: &ArgMap) -> Result<String, CliError> {
         opts.chaos = parse_chaos_spec(spec).map_err(CliError::Usage)?;
     }
     opts.chaos_seed = args.u64_or("chaos-seed", 0)?;
-    opts.repair = args.bool_or("repair", false)?;
+    opts.repair = args.switch("repair");
     let metrics = args
         .optional("metrics-out")
         .map(|p| (p.to_string(), MemoryRecorder::handle()));

@@ -2,51 +2,12 @@
 //! cluster. Spawned by the orchestrator (`clustream cluster`); not meant
 //! to be driven by hand, though it can be for debugging.
 
-use clustream_net::{run_node, NodeOptions, Transport};
-use std::path::PathBuf;
-
-fn parse_args(args: &[String]) -> Result<NodeOptions, String> {
-    let mut node: Option<u32> = None;
-    let mut control: Option<String> = None;
-    let mut transport = Transport::Tcp;
-    let mut socket_dir = std::env::temp_dir();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--node" => {
-                node = Some(
-                    value("--node")?
-                        .parse()
-                        .map_err(|e| format!("bad --node: {e}"))?,
-                )
-            }
-            "--control" => control = Some(value("--control")?),
-            "--transport" => transport = Transport::parse(&value("--transport")?)?,
-            "--socket-dir" => socket_dir = PathBuf::from(value("--socket-dir")?),
-            other => {
-                return Err(format!(
-                    "unknown flag `{other}`; valid flags are: --node, --control, \
-                     --transport, --socket-dir"
-                ))
-            }
-        }
-    }
-    Ok(NodeOptions {
-        node: node.ok_or("--node is required")?,
-        transport,
-        control_addr: control.ok_or("--control is required")?,
-        socket_dir,
-    })
-}
+use clustream_net::{run_node, NodeOptions};
+use clustream_plan::ArgMap;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match parse_args(&args) {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let opts = match ArgMap::parse(&argv).and_then(|args| NodeOptions::from_args(&args)) {
         Ok(opts) => opts,
         Err(e) => {
             eprintln!("clustream-node: {e}");

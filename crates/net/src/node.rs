@@ -25,6 +25,7 @@ use crate::schedule::{
     ArrivalObs, CalendarSendObs, LoweredSend, NodeConfig, NodeReport, ScheduleUpdate,
 };
 use crate::transport::{connect_retry, Conn, NetListener, Transport};
+use clustream_plan::{ArgMap, CliError, Usage};
 use clustream_recovery::WallClockDetector;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
@@ -44,6 +45,29 @@ pub struct NodeOptions {
     pub control_addr: String,
     /// Directory for Unix sockets (unused under TCP).
     pub socket_dir: PathBuf,
+}
+
+/// `clustream-node`'s usage text (and flag vocabulary).
+pub const NODE_USAGE: Usage = &[
+    "--node <ID> --control <ADDR>",
+    "[--transport <tcp|uds>] [--socket-dir <DIR>]",
+];
+
+impl NodeOptions {
+    /// Parse `clustream-node`'s flags.
+    pub fn from_args(args: &ArgMap) -> Result<NodeOptions, CliError> {
+        args.check_known(NODE_USAGE)?;
+        args.required("node")?;
+        Ok(NodeOptions {
+            node: args.int_in("node", 0..=u32::MAX)?.unwrap_or(0),
+            transport: Transport::parse(args.optional("transport").unwrap_or("tcp"))
+                .map_err(CliError::Usage)?,
+            control_addr: args.required("control")?.to_string(),
+            socket_dir: args
+                .optional("socket-dir")
+                .map_or_else(std::env::temp_dir, PathBuf::from),
+        })
+    }
 }
 
 /// Wall clock in UNIX nanoseconds — comparable across processes on the
@@ -812,6 +836,47 @@ pub fn run_node(opts: &NodeOptions) -> Result<(), String> {
 mod tests {
     use super::*;
     use crate::schedule::LoweredRecv;
+
+    fn node_options(argv: &str) -> Result<NodeOptions, String> {
+        let argv: Vec<String> = argv.split_whitespace().map(str::to_string).collect();
+        ArgMap::parse(&argv)
+            .and_then(|args| NodeOptions::from_args(&args))
+            .map_err(|e| e.to_string())
+    }
+
+    #[test]
+    fn node_options_parse_from_the_orchestrator_command_line() {
+        let opts =
+            node_options("--node 3 --control 127.0.0.1:9 --transport uds --socket-dir /d").unwrap();
+        assert_eq!(opts.node, 3);
+        assert_eq!(opts.transport, Transport::Uds);
+        assert_eq!(opts.control_addr, "127.0.0.1:9");
+        assert_eq!(opts.socket_dir, PathBuf::from("/d"));
+        let opts = node_options("--node 1 --control 127.0.0.1:9").unwrap();
+        assert_eq!(opts.transport, Transport::Tcp);
+        assert_eq!(opts.socket_dir, std::env::temp_dir());
+    }
+
+    #[test]
+    fn node_options_errors_name_the_flag() {
+        for (argv, want) in [
+            (
+                "--control 127.0.0.1:9",
+                "usage error: missing required --node",
+            ),
+            (
+                "--node 1 --control 127.0.0.1:9 --bogus 1",
+                "usage error: unknown flag `--bogus`; valid options are: \
+                 --node, --control, --transport, --socket-dir",
+            ),
+            (
+                "--node 1 --control 127.0.0.1:9 --transport carrier-pigeon",
+                "usage error: unknown --transport `carrier-pigeon`; valid options are: tcp, uds",
+            ),
+        ] {
+            assert_eq!(node_options(argv).unwrap_err(), want, "{argv}");
+        }
+    }
 
     fn test_cfg(node: u32) -> NodeConfig {
         NodeConfig {

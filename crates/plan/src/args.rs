@@ -1,8 +1,10 @@
-//! Minimal `--key value` argument parsing, and the usage texts that double
-//! as the flag vocabularies unknown flags are rejected against.
+//! Minimal `--key value` / `--switch` argument parsing, and the usage
+//! texts that double as the flag vocabularies (names and arities) flags
+//! are checked against.
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::RangeInclusive;
 
 /// CLI failure: bad usage or a propagated model error.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,18 +34,30 @@ impl From<clustream_core::CoreError> for CliError {
 
 /// A subcommand's flag vocabulary *is* its usage text: hand-wrapped
 /// lines of `--flag <VALUE>` (required) and `[--flag <VALUE>]` items,
-/// with free-form `(notes)`. [`ArgMap::check_known`] rejects whatever
-/// the text does not name and `clustream help` prints it, so the two
-/// cannot drift apart.
+/// with free-form `(notes)`. An item with no `<VALUE>` after its name,
+/// `[--flag]`, is a switch. [`ArgMap::check_known`] rejects whatever the
+/// text does not name, or gives the wrong arity, and `clustream help`
+/// prints it, so the two cannot drift apart.
 pub type Usage = &'static [&'static str];
+
+/// The flags `usage` mentions, in order, each with whether it is a
+/// switch (no `<VALUE>` follows its name).
+fn usage_items<'a>(usage: &'a [&'a str]) -> impl Iterator<Item = (&'a str, bool)> {
+    usage.iter().flat_map(|line| {
+        let next = line.split_whitespace().skip(1).map(Some).chain([None]);
+        line.split_whitespace()
+            .zip(next)
+            .filter_map(|(word, next)| {
+                let flag = word.trim_start_matches('[').strip_prefix("--")?;
+                let switch = word.ends_with(']') || !next.is_some_and(|v| v.starts_with('<'));
+                Some((flag.trim_end_matches(']'), switch))
+            })
+    })
+}
 
 /// The flag names `usage` mentions, in order.
 pub fn usage_flags<'a>(usage: &'a [&'a str]) -> impl Iterator<Item = &'a str> {
-    usage
-        .iter()
-        .flat_map(|line| line.split_whitespace())
-        .filter_map(|word| word.trim_start_matches('[').strip_prefix("--"))
-        .map(|flag| flag.trim_end_matches(']'))
+    usage_items(usage).map(|(flag, _)| flag)
 }
 
 /// `--a, --b, …`: every flag of `usage`, for error messages.
@@ -58,25 +72,26 @@ pub fn render_usage(head: &str, usage: &[&str]) -> String {
     format!("  {head} {}\n", usage.join(&pad))
 }
 
-/// Parsed `--key value` pairs.
+/// Parsed `--key value` pairs and valueless `--switch`es.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ArgMap {
-    map: BTreeMap<String, String>,
+    /// Each flag given, with its value; `None` for a switch.
+    map: BTreeMap<String, Option<String>>,
 }
 
 impl ArgMap {
-    /// Parse `["--key", "value", …]`.
+    /// Parse `["--key", "value", "--switch", …]`. A `--key` followed by
+    /// nothing or by another `--…` token is a switch; which flags may be
+    /// switches is the usage text's to say ([`ArgMap::check_known`]).
     pub fn parse(argv: &[String]) -> Result<Self, CliError> {
         let mut map = BTreeMap::new();
-        let mut it = argv.iter();
+        let mut it = argv.iter().peekable();
         while let Some(k) = it.next() {
             let key = k
                 .strip_prefix("--")
                 .ok_or_else(|| CliError::Usage(format!("expected --flag, got `{k}`")))?;
-            let v = it
-                .next()
-                .ok_or_else(|| CliError::Usage(format!("--{key} requires a value")))?;
-            if map.insert(key.to_string(), v.clone()).is_some() {
+            let value = it.next_if(|v| !v.starts_with("--")).cloned();
+            if map.insert(key.to_string(), value).is_some() {
                 return Err(CliError::Usage(format!("--{key} given twice")));
             }
         }
@@ -84,45 +99,41 @@ impl ArgMap {
     }
 
     /// Reject any flag `usage` does not name, naming it and listing the
-    /// valid ones.
+    /// valid ones, and any flag given with the wrong arity: a valued flag
+    /// with no value, a switch with one.
     pub fn check_known(&self, usage: &[&str]) -> Result<(), CliError> {
-        match self
-            .map
-            .keys()
-            .find(|k| !usage_flags(usage).any(|f| f == *k))
-        {
-            None => Ok(()),
-            Some(k) => Err(CliError::Usage(format!(
-                "unknown flag `--{k}`; valid options are: {}",
-                flag_list(usage)
-            ))),
+        for (key, value) in &self.map {
+            let msg = match usage_items(usage).find(|(f, _)| f == key) {
+                None => format!(
+                    "unknown flag `--{key}`; valid options are: {}",
+                    flag_list(usage)
+                ),
+                Some((_, false)) if value.is_none() => format!("--{key} requires a value"),
+                Some((_, true)) if value.is_some() => format!("--{key} takes no value"),
+                Some(_) => continue,
+            };
+            return Err(CliError::Usage(msg));
         }
+        Ok(())
+    }
+
+    /// Whether the switch `--key` was given.
+    pub fn switch(&self, key: &str) -> bool {
+        matches!(self.map.get(key), Some(None))
     }
 
     /// Required string value.
     pub fn required(&self, key: &str) -> Result<&str, CliError> {
-        self.map
-            .get(key)
-            .map(|s| s.as_str())
-            .ok_or_else(|| CliError::Usage(format!("missing required --{key}")))
+        match self.map.get(key) {
+            Some(Some(v)) => Ok(v),
+            Some(None) => Err(CliError::Usage(format!("--{key} requires a value"))),
+            None => Err(CliError::Usage(format!("missing required --{key}"))),
+        }
     }
 
     /// Optional string value.
     pub fn optional(&self, key: &str) -> Option<&str> {
-        self.map.get(key).map(|s| s.as_str())
-    }
-
-    /// Optional boolean with default (`--key true|false` — every flag
-    /// takes a value in this grammar, booleans included).
-    pub fn bool_or(&self, key: &str, default: bool) -> Result<bool, CliError> {
-        match self.optional(key) {
-            None => Ok(default),
-            Some("true") => Ok(true),
-            Some("false") => Ok(false),
-            Some(other) => Err(CliError::Usage(format!(
-                "--{key} must be `true` or `false`, got `{other}`"
-            ))),
-        }
+        self.map.get(key)?.as_deref()
     }
 
     /// Optional value of any parseable type; `what` finishes the error
@@ -137,6 +148,21 @@ impl ArgMap {
             Some(None) => Err(CliError::Usage(format!("--{key} must be {what}"))),
             Some(parsed) => Ok(parsed),
             None => Ok(None),
+        }
+    }
+
+    /// Optional integer in `range`; anything else is `--key must be an
+    /// integer in LO..=HI`.
+    pub fn int_in<T>(&self, key: &str, range: RangeInclusive<T>) -> Result<Option<T>, CliError>
+    where
+        T: std::str::FromStr + PartialOrd + fmt::Display,
+    {
+        let what = format!("an integer in {}..={}", range.start(), range.end());
+        match self.parsed(key, &what)? {
+            Some(v) if !range.contains(&v) => {
+                Err(CliError::Usage(format!("--{key} must be {what}")))
+            }
+            v => Ok(v),
         }
     }
 
@@ -184,11 +210,66 @@ mod tests {
     #[test]
     fn rejects_malformed() {
         assert!(ArgMap::parse(&argv(&["n", "100"])).is_err());
-        assert!(ArgMap::parse(&argv(&["--n"])).is_err());
+        assert!(ArgMap::parse(&argv(&["--n", "1", "2"])).is_err());
         assert!(ArgMap::parse(&argv(&["--n", "1", "--n", "2"])).is_err());
         let a = ArgMap::parse(&argv(&["--n", "abc"])).unwrap();
         assert!(a.required_usize("n").is_err());
         assert!(a.required("d").is_err());
+    }
+
+    #[test]
+    fn the_usage_text_gives_each_flag_its_arity() {
+        const USAGE: Usage = &["--n <N> [--d <D>] [--quiet]", "[--fast] --verbose (a note)"];
+        let items: Vec<_> = usage_items(USAGE).collect();
+        assert_eq!(
+            items,
+            [
+                ("n", false),
+                ("d", false),
+                ("quiet", true),
+                ("fast", true),
+                ("verbose", true)
+            ]
+        );
+        let check = |s: &[&str]| {
+            ArgMap::parse(&argv(s))
+                .and_then(|a| a.check_known(USAGE).map(|()| a))
+                .map_err(|e| e.to_string())
+        };
+        let a = check(&["--quiet", "--n", "5", "--fast"]).unwrap();
+        assert!(a.switch("quiet") && a.switch("fast") && !a.switch("verbose"));
+        assert_eq!(a.optional("n"), Some("5"));
+        assert_eq!(
+            check(&["--n", "5", "--d"]).unwrap_err(),
+            "usage error: --d requires a value"
+        );
+        assert_eq!(
+            check(&["--n", "--quiet"]).unwrap_err(),
+            "usage error: --n requires a value"
+        );
+        assert_eq!(
+            check(&["--quiet", "yes"]).unwrap_err(),
+            "usage error: --quiet takes no value"
+        );
+        // Unchecked, a valued flag given bare holds no value.
+        let bare = ArgMap::parse(&argv(&["--n"])).unwrap();
+        assert!(bare.required("n").is_err());
+        assert_eq!(bare.optional("n"), None);
+    }
+
+    #[test]
+    fn ranged_integers_name_their_range() {
+        let a = ArgMap::parse(&argv(&["--k", "7", "--big", "4294967296"])).unwrap();
+        assert_eq!(a.int_in("k", 1..=7usize).unwrap(), Some(7));
+        assert_eq!(a.int_in("absent", 1..=7usize).unwrap(), None);
+        assert_eq!(
+            a.int_in("k", 1..=6usize).unwrap_err().to_string(),
+            "usage error: --k must be an integer in 1..=6"
+        );
+        assert_eq!(
+            a.int_in("big", 0..=u32::MAX).unwrap_err().to_string(),
+            "usage error: --big must be an integer in 0..=4294967295"
+        );
     }
 
     #[test]

@@ -16,8 +16,9 @@
 //!   parses it, [`RunPlan::validate`] owns every cross-field rule,
 //!   [`RunPlan::sim_config`] / [`RunPlan::des_config`] lower it and
 //!   [`RunPlan::run`] dispatches it.
-//! * [`args`] is the `--key value` parser; a subcommand's usage text is
-//!   also the vocabulary its unknown flags are rejected against.
+//! * [`args`] is the `--key value` / `--switch` parser; a subcommand's
+//!   usage text is also the vocabulary (names and arities) its flags are
+//!   checked against.
 //!
 //! It sits above `analysis`, `des`, `recovery`, `hypercube` and `baselines` and below
 //! `net`, `mc`, `cli` and `bench`: `des` is the lowest crate those four

@@ -89,7 +89,7 @@ fn script_parses_and_defines_both_tiers() {
         // in-network repair in the merge gate.
         "--chaos drop:0@0=0.05,gray:2@0=1",
         "--chaos partition:0/1@2+4,partition:0/2@4+4",
-        "--repair true",
+        "--repair",
         // The scenario-suite stages: a 10^3-join flash crowd closed by
         // the slot/DES oracle in every tier, and the 10^5-join crowd on
         // the mega engine plus the capacity-class heterogeneity sweep

@@ -2,10 +2,11 @@
 //!
 //! `tests/cli_golden/cases.txt` lists command lines; the stdout each
 //! printed at commit 1812eb7 — before `simulate` was rebuilt on
-//! `RunPlan` — is committed next to it (the last block of cases, the
-//! exact slot / transmission / event counts of the engine, DES and
-//! scaling workloads, at 943288e). Every refactor of the parse →
-//! validate → run → render path must leave each of them unchanged.
+//! `RunPlan` — is committed next to it (the block of exact slot /
+//! transmission / event counts of the engine, DES and scaling workloads
+//! at 943288e; the comments in cases.txt date the later blocks). Every
+//! refactor of the parse → validate → run → render path must leave each
+//! of them unchanged.
 //!
 //! `tests/cli_golden/errors.txt` is the second table: command lines that
 //! must fail, each with the exact `Display` of its `CliError`.
@@ -27,7 +28,7 @@ fn every_recorded_command_prints_what_it_printed_before_runplan() {
         assert_eq!(got, want, "{name}: `clustream {}`", argv.join(" "));
         checked += 1;
     }
-    assert_eq!(checked, 50, "cases.txt lost or gained a line");
+    assert_eq!(checked, 57, "cases.txt lost or gained a line");
 }
 
 #[test]
@@ -47,5 +48,5 @@ fn every_recorded_error_is_reported_in_the_same_words() {
         assert_eq!(got, want, "{name}: `clustream {}`", argv.join(" "));
         checked += 1;
     }
-    assert_eq!(checked, 132, "errors.txt lost or gained a line");
+    assert_eq!(checked, 149, "errors.txt lost or gained a line");
 }

@@ -1,9 +1,11 @@
 //! Totality of the metrics import boundary: `telemetry::from_jsonl`
 //! reads files (`clustream report FILE`), so whatever the bytes it
 //! returns a snapshot or an error naming a line — it never panics — and
-//! what `to_jsonl` wrote it reads back exactly.
+//! what `to_jsonl` wrote it reads back exactly. The last tests close the
+//! loop through the CLI: `simulate --metrics-out` writes the file and
+//! `report` reads it back into the run's own summary lines.
 
-use clustream::telemetry::{from_jsonl, to_jsonl, MemoryRecorder, MetricsSnapshot};
+use clustream::telemetry::{from_jsonl, names as tm, to_jsonl, MemoryRecorder, MetricsSnapshot};
 use proptest::prelude::*;
 
 /// A snapshot as a recorder would hold it: a few series of every kind
@@ -152,4 +154,106 @@ fn runaway_nesting_is_an_error() {
     let text = format!("\n{}\n", "[".repeat(1_000_000));
     let err = from_jsonl(&text).unwrap_err();
     assert!(err.starts_with("line 2: "), "{}", &err[..err.len().min(80)]);
+}
+
+fn cli(args: &[&str]) -> String {
+    let argv: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+    clustream_cli::run(&argv).unwrap_or_else(|e| panic!("`clustream {}`: {e}", args.join(" ")))
+}
+
+/// A per-process file under the temp dir, for one test's metrics.
+fn metrics_path(tag: &str) -> String {
+    let name = format!("clustream-{tag}-{}.jsonl", std::process::id());
+    std::env::temp_dir()
+        .join(name)
+        .to_str()
+        .unwrap()
+        .to_string()
+}
+
+#[test]
+fn metrics_out_writes_file_and_report_reproduces_the_summary() {
+    let path = metrics_path("metrics-roundtrip");
+    let sim = cli(&[
+        "simulate",
+        "--scheme",
+        "chain",
+        "--n",
+        "5",
+        "--metrics-out",
+        &path,
+    ]);
+    assert!(sim.contains(&format!("metrics     : {path}")), "{sim}");
+    let rep = cli(&["report", &path]);
+    // The report of the run's metrics file reproduces the run's own
+    // delay/buffer summary lines, verbatim.
+    for label in ["max delay", "avg delay", "max buffer"] {
+        let line = sim
+            .lines()
+            .find(|l| l.starts_with(label))
+            .unwrap_or_else(|| panic!("simulate lacks `{label}`: {sim}"));
+        assert!(rep.contains(line), "report lacks `{line}`:\n{rep}");
+    }
+    // The metrics file does not perturb the run itself.
+    let plain = cli(&["simulate", "--scheme", "chain", "--n", "5"]);
+    let strip = |s: &str| {
+        s.lines()
+            .filter(|l| !l.starts_with("metrics"))
+            .collect::<Vec<_>>()
+            .join("\n")
+    };
+    assert_eq!(strip(&sim), strip(&plain));
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn report_pins_hand_computed_summary() {
+    let (rec, tel) = MemoryRecorder::handle();
+    // A hand-built run: 5 receivers with delays 1..=5 slots, buffer
+    // occupancies peaking at 2, 9 slots, 25 transmissions.
+    for d in 1..=5u64 {
+        tel.observe(tm::ENGINE_PLAYBACK_DELAY, d);
+    }
+    for b in [1u64, 2, 2, 1, 1] {
+        tel.observe(tm::ENGINE_BUFFER_OCCUPANCY, b);
+    }
+    tel.counter(tm::ENGINE_SLOTS, 9);
+    tel.counter(tm::ENGINE_TRANSMISSIONS, 25);
+    tel.counter(tm::ENGINE_DELIVERIES, 25);
+    let path = metrics_path("report-pinned");
+    std::fs::write(&path, to_jsonl(&rec.snapshot())).unwrap();
+    let rep = cli(&["report", &path]);
+    for line in [
+        "receivers   : 5",
+        "slots run   : 9",
+        "max delay   : 5 slots",
+        "avg delay   : 3.00 slots",
+        "delay p50/90: 3 / 5 slots",
+        "max buffer  : 2 packets",
+        "avg buffer  : 1.40 packets",
+        "transmissions: 25",
+        "deliveries  : 25",
+    ] {
+        assert!(rep.contains(line), "missing `{line}` in:\n{rep}");
+    }
+    // The delay distribution table lists the five unit buckets.
+    for row in ["[     1,      2)  1", "[     5,      6)  1"] {
+        assert!(rep.contains(row), "missing `{row}` in:\n{rep}");
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn metrics_out_covers_des_and_recovery_series() {
+    let path = metrics_path("metrics-des");
+    let run = "simulate --scheme multitree --n 30 --d 3 --track 32 --runtime des \
+               --recovery repair+nack --churn-leave 0.002 --churn-slots 160 --churn-seed 7";
+    let mut argv: Vec<&str> = run.split_whitespace().collect();
+    argv.extend(["--metrics-out", &path]);
+    cli(&argv);
+    let rep = cli(&["report", &path]);
+    for part in ["des events", "playback_tick", "recovery:", "control msgs"] {
+        assert!(rep.contains(part), "missing `{part}` in:\n{rep}");
+    }
+    let _ = std::fs::remove_file(&path);
 }
