@@ -64,12 +64,14 @@
 //! only ever *looked up* may be laid out any way that answers
 //! identically. Gap status, repair-buffer windows, the detector's links
 //! and tallies, the kernel's first-cause table and the parked sends are
-//! all lookup-only while events run, and all dense — rows and cells
-//! indexed by node id and packet seq, nothing hashed, no tree descended
-//! (see [`clustream_recovery`], [`clustream_sim::faults::FaultLedger`]
-//! and [`crate::hot`]). The one walk over parked
-//! sends, the end-of-run leftover attribution, reads them in ascending
-//! key order. With recovery randomness drawn from a dedicated seeded
+//! all lookup-only while events run, and all indexed by node id and
+//! packet seq, nothing hashed, no tree descended (see
+//! [`clustream_recovery`], [`clustream_sim::faults::FaultLedger`] and
+//! [`crate::hot`]): dense rows and cells, except the parked sends' rows
+//! the run has moved past, which keep their live chains as sorted
+//! pairs. The one walk over parked sends, the end-of-run leftover
+//! attribution, reads them seq by seq, each row in ascending sender
+//! order. With recovery randomness drawn from a dedicated seeded
 //! stream, recovery runs are fully deterministic and recovery-off runs
 //! are bit-identical to the fail-silent engine (enforced by
 //! `tests/des_differential.rs`; `tests/des_golden.rs` pins whole runs).
@@ -89,6 +91,7 @@ use clustream_recovery::config::{
     RECOVERY_SEED, REPAIR_BUFFER, SUSPECT_TIMEOUT_TICKS, SUSPICION_THRESHOLD,
 };
 use clustream_recovery::{FailureDetector, NackManager, RepairBuffer, TimeoutVerdict};
+use clustream_sim::faults::FaultLedger;
 use clustream_sim::kernel::{check_ends, Kernel, Run};
 use clustream_sim::metrics::TrafficStats;
 use clustream_sim::{ResilienceMetrics, RunResult};
@@ -675,6 +678,7 @@ impl DesEngine {
                             );
                         })?;
                     } else {
+                        waiting.slide();
                         for i in 0..kernel.generated().len() {
                             let tx = kernel.generated()[i];
                             check_ends(&tx, n_ids)?;
@@ -748,32 +752,17 @@ impl DesEngine {
         // Calendar entries still waiting for a packet that never came are
         // downstream loss propagation, same as the slot engines count it.
         // Attribution chases chains (one leftover may be what starved the
-        // next) to a fixpoint over ascending (sender, packet) order, then
-        // falls back to the ledger's default cause. A parked chain shares
-        // its key, so it resolves whole; the walk runs in place over the
-        // chain keys, so the run's peak memory is the event loop's.
-        let mut leftovers = waiting.keys();
-        loop {
-            let before = leftovers.len();
-            leftovers.retain(|&(sender, seq)| {
-                let Some(cause) = run.ledger.cause(NodeId(sender), PacketId(seq)) else {
-                    return true;
-                };
-                for tx in waiting.chain((sender, seq)) {
-                    run.ledger.propagate_from(&tx, cause);
-                }
-                false
-            });
-            if leftovers.len() == before || leftovers.is_empty() {
-                break;
-            }
-        }
+        // next) to a fixpoint, then falls back to the ledger's default
+        // cause. A parked chain shares its key, so it resolves whole; the
+        // walk runs seq by seq and frees each row once it is done, so it
+        // never holds more than one row's chains beside the parked sends.
         let fallback = run.ledger.fallback();
-        for key in leftovers {
-            for tx in waiting.chain(key) {
-                run.ledger.propagate_from(&tx, fallback);
-            }
-        }
+        waiting.settle(
+            &mut run.ledger,
+            FaultLedger::cause,
+            FaultLedger::propagate_from,
+            fallback,
+        );
 
         // Resilience: slot engines report Some iff faults are installed
         // (stall counters only); the DES also reports under churn and

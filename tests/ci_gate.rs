@@ -172,11 +172,11 @@ fn script_parses_and_defines_both_tiers() {
         "bash benchmark/run.sh --workload net_framepump --seed 7 --seconds 3 --trace 0",
         "*'\"correct\": true'*'\"failed\": 0'[,}]*) ;;",
         // …and runs des_recovery once, failing on a failed invocation or
-        // a peak RSS past 30 MiB (the DES's event-loop containers holding
+        // a peak RSS past 17 MiB (the DES's event-loop containers holding
         // more than their live entries).
         "bash benchmark/run.sh --workload des_recovery --seed 7 --seconds 3 --trace 0",
         "rss=$(sed -n 's/.*\"peak_rss_mib\": {\"value\": \\([0-9.]*\\).*/\\1/p' <<<\"$line\")",
-        "awk -v rss=\"$rss\" 'BEGIN { exit !(rss <= 30) }'",
+        "awk -v rss=\"$rss\" 'BEGIN { exit !(rss <= 17) }'",
     ] {
         assert!(text.contains(needle), "ci.sh lost `{needle}`");
     }

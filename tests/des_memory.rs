@@ -4,7 +4,9 @@
 //! repair+nack) on the timing wheel, the ledger's queue. The event
 //! loop's two containers, the wheel's buckets and the parked sends, are
 //! most of it; either one holding memory for more than its live entries
-//! fails the bound.
+//! — a wheel that pools drained buckets, parked-send rows kept dense
+//! after the run has moved past them, a leftover walk that copies every
+//! parked key — fails the bound.
 
 mod counting;
 
@@ -35,12 +37,14 @@ fn a_des_recovery_run_at_n_300_peaks_under_its_bound() {
     // The run `des_golden` pins on the checked queue.
     assert_eq!(res.total_transmissions, 132_381);
     assert_eq!(engine.stats().events_processed, 451_347);
-    // Measured at 2 186 098 bytes; the bound leaves 10 % headroom. With
-    // drained outer wheel buckets pooled for reuse and whole
-    // transmissions parked under (head, tail) index cells, the same run
-    // peaked at 4 492 130 bytes; with the pool gone alone, at 3 089 762.
+    // Measured at 1 428 276 bytes; the bound leaves 10 % headroom. With
+    // every parked-send row kept dense for the whole run and the
+    // leftover walk copying every parked key into one buffer, the same
+    // run peaked at 2 186 098 bytes; with drained outer wheel buckets
+    // pooled for reuse and whole transmissions parked under (head, tail)
+    // index cells, at 4 492 130; with the pool gone alone, at 3 089 762.
     assert!(
-        peak < 2_405_000,
+        peak < 1_571_000,
         "a des_recovery run at N = 300 peaked at {peak} bytes"
     );
 }
