@@ -122,21 +122,29 @@ pub struct RepairOutcome {
 /// `t ≥ warmup`, the transmission list of slot `t + period` equals the
 /// list of slot `t` with every packet id advanced by exactly `period`
 /// (same senders, receivers, latencies and emission order), that it
-/// never consults the [`StateView`] from `warmup` onward, and that
+/// never consults the [`StateView`] — its lists depend on the slot
+/// alone, so an engine may ask for them ahead of the run — and that
 /// send capacities and availability are time-invariant. Engines may
 /// exploit the declaration by lowering one period of the schedule into
-/// a flat table and replaying it without per-slot scheme dispatch; the
-/// mega engine additionally *verifies* one full repeated period against
-/// generated output before trusting it, so a wrong declaration degrades
-/// performance but never correctness.
+/// a flat table and replaying it without per-slot scheme dispatch. The
+/// mega engine generates the period ahead of the run with a view that
+/// answers only [`StateView::slot`] and drops the lowering on any other
+/// call, *verifies* one full repeated period against it, and then
+/// compares each slot before `warmup` with the table *clipped at packet
+/// 0* (the sends that would carry a negative packet id removed): the
+/// run replays the table from slot 0 when every one of them is the
+/// clipped table, from `warmup` otherwise. So a wrong declaration
+/// degrades performance but never correctness.
 ///
 /// Two further obligations come with it:
 ///
-/// * **Replayable from slot 0.** An engine may drive the same instance
-///   through a run twice (the mega engine re-runs in full mode after a
-///   failed residual check). A scheme whose state advances with the
-///   slots — a scripted membership — must rewind to its initial state
-///   when asked for a slot below the last one it served.
+/// * **Replayable from slot 0.** An engine may ask for slots out of
+///   order (the mega engine generates `[warmup, warmup + 2·period)`
+///   and then the ramp from slot 0 before the run, and runs everything
+///   again from slot 0 when a check in its replay fails).
+///   A scheme whose state advances with the slots — a scripted
+///   membership — must rewind to its initial state when asked for a
+///   slot below the last one it served.
 /// * **Nothing changes after `warmup` but the slot.** Past the hand-off
 ///   an engine stops asking for transmissions, so a declaration must not
 ///   begin before the scheme's last self-inflicted change (a scripted

@@ -16,10 +16,12 @@
 //!   list of resolved churn events (a scenario's join curves and regional
 //!   failures). At the top of each [`Scheme::transmissions`] call every
 //!   event due at or before the slot is applied and the schedule is
-//!   re-derived **once** per eventful slot. Every engine (reference,
-//!   fast, mega, slot-faithful DES) asks for transmissions exactly once
-//!   per slot in increasing order, so the growth replays bit-identically
-//!   with no engine-loop support; `tests/scenario.rs` closes the loop. A
+//!   re-derived **once** per eventful slot. Every engine's slot loop
+//!   (reference, fast, mega, slot-faithful DES) asks for transmissions
+//!   exactly once per slot in increasing order, and an engine that asks
+//!   out of order (the mega engine's lowering) makes the script rewind
+//!   first, so the growth replays bit-identically with no engine-loop
+//!   support; `tests/scenario.rs` closes the loop. A
 //!   scheme that never hears a `membership_event` is exactly this *flash
 //!   crowd*.
 //!
@@ -36,8 +38,9 @@
 //! may be asked for a packet it missed until one tree depth after it, and
 //! a declared warmup never ends before the script does (past the
 //! hand-off an engine stops asking). A run that asks for a slot below
-//! the last one served — the mega engine's full-mode re-run — rewinds
-//! the script to the initial membership first.
+//! the last one served — the mega engine's ramp after it generated the
+//! settled period ahead, or its full-mode re-run — rewinds the script to
+//! the initial membership first.
 //!
 //! Identity bookkeeping: the engines' node ids are stable forever —
 //! `1..=N₀` for initial members, then the fresh monotone ids
@@ -142,6 +145,20 @@ impl DynamicMultiTree {
         d: usize,
         mode: StreamMode,
         construction: Construction,
+        events: Vec<ResolvedChurnEvent>,
+    ) -> Result<Self, CoreError> {
+        let mut s = Self::unsettled(n0, d, mode, construction, events)?;
+        s.period = s.settled_period();
+        Ok(s)
+    }
+
+    /// [`DynamicMultiTree::scripted`] without its declaration, which
+    /// takes running the script on a copy.
+    fn unsettled(
+        n0: usize,
+        d: usize,
+        mode: StreamMode,
+        construction: Construction,
         mut events: Vec<ResolvedChurnEvent>,
     ) -> Result<Self, CoreError> {
         events.sort_by_key(|e| e.slot);
@@ -181,7 +198,7 @@ impl DynamicMultiTree {
             *ext = id as ExtId;
         }
         let (inner, snap_to_orig) = lower(&forest, &ext_to_orig, mode)?;
-        let mut s = DynamicMultiTree {
+        Ok(DynamicMultiTree {
             forest,
             inner,
             mode,
@@ -202,9 +219,7 @@ impl DynamicMultiTree {
             leaves_applied: 0,
             rebuilds: 0,
             total_swaps: 0,
-        };
-        s.period = s.settled_period();
-        Ok(s)
+        })
     }
 
     /// The settled schedule's declaration shifted past the script: its
@@ -226,11 +241,14 @@ impl DynamicMultiTree {
     }
 
     /// Back to construction time: the initial membership, the script
-    /// unapplied, every counter zero.
+    /// unapplied, every counter zero. The declaration is the script's,
+    /// so it is kept rather than derived again.
     fn rewind(&mut self) {
         let events = std::mem::take(&mut self.events);
-        *self = Self::scripted(self.n0, self.d(), self.mode, self.construction, events)
+        let (period, name) = (self.period, std::mem::take(&mut self.name));
+        *self = Self::unsettled(self.n0, self.d(), self.mode, self.construction, events)
             .expect("the script was accepted at construction");
+        (self.period, self.name) = (period, name);
     }
 
     /// Script a crowd from a [`ScenarioPlan`]: compile against `n0`
@@ -311,8 +329,10 @@ impl DynamicMultiTree {
     /// due before slot `slots`), so a fresh replica reads as the instance
     /// that ran did at its end: membership, join slots and every counter
     /// but [`DynamicMultiTree::rebuilds`] (one rebuild here, one per
-    /// eventful slot in a run). Engines ask for transmissions once per
-    /// slot in increasing order, so this does not depend on the engine.
+    /// eventful slot in a run). Every engine's slot loop asks for
+    /// transmissions once per slot in increasing order, so this does not
+    /// depend on the engine; the mega engine also asks for slots ahead of
+    /// its slot loop, so read the replica, not the instance that ran.
     pub fn replay_script(&mut self, slots: u64) {
         if let Some(last) = slots.checked_sub(1) {
             self.apply_due(last);

@@ -359,14 +359,6 @@ impl<'a> FaultLedger<'a> {
         self.plan.map_or(FaultCause::Crash, default_cause)
     }
 
-    /// Generated transmissions kept off the wire so far: lost in flight,
-    /// sent by a crashed node, or forwarded by one that never held the
-    /// packet.
-    pub(crate) fn dropped(&self) -> u64 {
-        let l = &self.report;
-        l.lost_in_flight + l.crash_suppressed + l.propagation_suppressed
-    }
-
     /// The report, for the run's result.
     pub(crate) fn into_report(self) -> LossReport {
         self.report

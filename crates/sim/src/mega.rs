@@ -15,14 +15,20 @@
 //! 1. **Precompiled flat transmission tables.** A scheme declaring
 //!    [`SchedulePeriod`] has its steady-state schedule lowered once
 //!    into dense per-residue `(sender, receiver, packet, latency)`
-//!    arrays. The engine runs the first `warmup + 2·period` slots in
-//!    full (fast-engine-equivalent) mode, records one period of
-//!    generated output and **verifies** that the next period repeats it
-//!    with the declared packet delta; only then does it replay the
-//!    table with no per-slot scheme dispatch, no per-transmission
-//!    validation and no arrival-ring traffic. Two residual word-level
-//!    checks remain per replayed send (the sender still holds the
-//!    packet; no collision with a ramp-phase in-flight arrival); any
+//!    arrays. Before the run, the engine generates one period of the
+//!    schedule ahead (`[warmup, warmup + period)`), **verifies** that
+//!    the next period repeats it with the declared packet delta, and
+//!    proves statically what admitting it would check. It then
+//!    generates the ramp `0..warmup` and compares each slot with its
+//!    residue's list *clipped at packet 0* (the sends that would carry
+//!    a negative packet id removed): the run hands off at `h = 0` when
+//!    every ramp slot is the clipped table, at `h = warmup` otherwise.
+//!    Slots `[0, h)` run in full (fast-engine-equivalent) mode; from
+//!    `h` on the table is replayed with no per-slot scheme dispatch, no
+//!    per-transmission validation and no arrival-ring traffic. Two
+//!    residual word-level checks remain per replayed send (the sender
+//!    still holds the packet; no collision with a ramp-phase in-flight
+//!    arrival); any
 //!    violation aborts the replay and re-runs the whole simulation in
 //!    full mode, so a wrong declaration that slips past verification
 //!    but trips a check degrades performance, never correctness.
@@ -38,19 +44,24 @@
 //!    coordinator-sequential and every shared counter is additive, so
 //!    `shards = k` is bit-identical to `shards = 1` at any `k`.
 //!
-//! Ramp slots (before the verified steady state), runs under a fault
-//! plan that can drop a transmission (anything but
-//! [`FaultPlan::reports_only`]), and schemes without a declared period
-//! run in full mode: the slot kernel's phases (module `kernel`), the very
-//! code [`crate::FastEngine`] drives.
+//! Ramp slots before the hand-off, runs under a fault plan that can
+//! drop a transmission (anything but [`FaultPlan::reports_only`]), and
+//! schemes without a declared period run in full mode: the slot
+//! kernel's phases (module `kernel`), the very code
+//! [`crate::FastEngine`] drives.
 
 use crate::engine::{RunResult, SimConfig};
 use crate::faults::FaultPlan;
-use crate::kernel::{record_slot_deliveries, ColumnarHeld, Kernel, PacketSet};
+use crate::kernel::{check_ends, record_slot_deliveries, ColumnarHeld, Kernel, PacketSet, Run};
+use crate::metrics::TrafficStats;
 use crate::parallel::ClaimCounter;
 use crate::playback::{ArrivalTable, CellsMut};
-use clustream_core::{CoreError, NodeId, PacketId, SchedulePeriod, Scheme, Slot, Transmission};
+use clustream_core::{
+    CoreError, NodeId, PacketId, SchedulePeriod, Scheme, Slot, StateView, Transmission,
+};
 use clustream_telemetry::names as tm;
+use std::cell::Cell;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Minimum number of steady slots a sharded chunk should cover before
@@ -82,6 +93,66 @@ impl ArrEntry {
     fn key(&self) -> u64 {
         u64::from(self.to) << 32 | u64::from(self.class)
     }
+
+    /// The seq this entry sends at slot `s` of its progression (`s ≡
+    /// base + j`), or `None` where the send is clipped: it would carry
+    /// a packet below 0, so nothing goes on the wire.
+    fn seq_at(&self, base: u64, s: u64) -> Option<u64> {
+        (self.packet0 + s).checked_sub(base + self.j)
+    }
+
+    /// The seq this entry delivers usable from slot `t` (one of its
+    /// arrival slots plus one), when the send behind it left in `sent`
+    /// and was not clipped.
+    fn delivers(&self, base: u64, sent: Range<u64>, t: u64) -> Option<u64> {
+        let s = t.checked_sub(self.latency as u64)?;
+        sent.contains(&s).then(|| self.seq_at(base, s)).flatten()
+    }
+
+    /// The entry's first send at or after slot `from` that is not
+    /// clipped, as `(slot, seq)`.
+    fn first_send(&self, base: u64, p: u64, from: u64) -> (u64, u64) {
+        let at = base + self.j;
+        let from = from.max(at.saturating_sub(self.packet0));
+        let s = from + (at % p + p - from % p) % p;
+        (s, self.packet0 + s - at)
+    }
+}
+
+/// The view a scheme sees while the engine generates its declared
+/// period ahead of the run: the slot, and nothing else. A scheme that
+/// declares a period never reads the holdings ([`SchedulePeriod`]), so
+/// a read means the generated lists say nothing about the run, and
+/// the lowering is dropped.
+#[derive(Default)]
+struct Ahead {
+    slot: Cell<Slot>,
+    read: Cell<bool>,
+}
+
+impl StateView for Ahead {
+    fn holds(&self, _: NodeId, _: PacketId) -> bool {
+        self.read.set(true);
+        false
+    }
+
+    fn newest(&self, _: NodeId) -> Option<PacketId> {
+        self.read.set(true);
+        None
+    }
+
+    fn slot(&self) -> Slot {
+        self.slot.get()
+    }
+}
+
+impl Ahead {
+    /// Slot `t`'s transmissions, into `out`.
+    fn generate(&self, scheme: &mut dyn Scheme, t: u64, out: &mut Vec<Transmission>) {
+        self.slot.set(Slot(t));
+        out.clear();
+        scheme.transmissions(Slot(t), self, out);
+    }
 }
 
 /// The precompiled flat transmission table for one verified period.
@@ -89,11 +160,13 @@ struct SteadyTables {
     /// Slot of send residue 0 (the scheme's declared warmup).
     base: u64,
     period: u64,
-    /// First slot replayed from the table (`warmup + 2·period`).
-    steady_from: u64,
+    /// First slot replayed from the table, `h`: 0 when every ramp slot
+    /// generates the table clipped at packet 0, `base` otherwise.
+    hand_off: u64,
     /// Per send residue `j`: the transmissions recorded at slot `base +
     /// j`, in emission order. The packet replayed at slot `s ≡ base + j
-    /// (mod period)` is the recorded one plus `s − (base + j)`.
+    /// (mod period)` is the recorded one plus `s − (base + j)`; a send
+    /// whose packet that puts below 0 is clipped (it is not sent).
     sends: Vec<Vec<Transmission>>,
     /// Every delivery of the period, once, sorted by `(receiver, packet0
     /// mod period)`: the order in which the table's static properties
@@ -113,8 +186,8 @@ struct SteadyTables {
     /// table is empty.
     off: Option<i128>,
     /// Static feed closure: when `Some(g)`, every non-source send at
-    /// slot `s ≥ steady_from + g` is fed by an in-pattern arrival that
-    /// the replay itself applies no later than `s` — so the per-send
+    /// slot `s ≥ hand_off + g` is fed by an in-pattern arrival that the
+    /// replay itself applies no later than `s` — so the per-send
     /// holding check provably never fires from that slot on and the
     /// send loop can be replaced by closed-form accounting. `None` when
     /// some send is not covered by any pattern arrival (its holdings
@@ -138,78 +211,119 @@ impl SteadyTables {
             .iter()
             .map(|&i| &self.entries[i as usize])
     }
+
+    /// The residue of slot `t`: `t ≡ base + r (mod period)`. Send
+    /// residue `r` sends at such a slot, arrival residue `r` arrives.
+    fn residue(&self, t: u64) -> usize {
+        let p = self.period;
+        ((t % p + p - self.base % p) % p) as usize
+    }
+
+    /// The seq send `tx` of residue `js` carries at slot `t` (a slot of
+    /// that residue), `None` where it is clipped.
+    fn seq_sent(&self, tx: &Transmission, js: usize, t: u64) -> Option<u64> {
+        (tx.packet.seq() + t).checked_sub(self.base + js as u64)
+    }
+
+    /// The pattern deliveries usable from slot `t`, as `(receiver,
+    /// seq)`: arrival residue `t − 1`'s entries, less the sends before
+    /// the hand-off (they went through the ring) and the clipped ones.
+    fn arrivals_at(&self, t: u64) -> impl Iterator<Item = (usize, u64)> + '_ {
+        let r = t.checked_sub(1).map(|a| self.residue(a));
+        let sent = self.hand_off..u64::MAX;
+        let entries = r.into_iter().flat_map(|r| self.arriving(r));
+        entries.filter_map(move |e| Some((e.to as usize, e.delivers(self.base, sent.clone(), t)?)))
+    }
+
+    /// What the table replays at slot `t`: its residue's sends in
+    /// emission order, each packet moved to `t`, less the clipped ones.
+    fn clipped(&self, t: u64) -> impl Iterator<Item = Transmission> + '_ {
+        let js = self.residue(t);
+        self.sends[js].iter().filter_map(move |tx| {
+            let seq = self.seq_sent(tx, js, t)?;
+            Some(Transmission {
+                packet: PacketId(seq),
+                ..*tx
+            })
+        })
+    }
+
+    /// Whether `out`, generated for slot `t`, is [`SteadyTables::clipped`].
+    fn replays(&self, t: u64, out: &[Transmission]) -> bool {
+        let mut want = self.clipped(t);
+        out.iter().all(|got| want.next().as_ref() == Some(got)) && want.next().is_none()
+    }
+
+    /// Whether every replayed slot passes what admission checks besides
+    /// holdings and ramp collisions, proven once from the table with
+    /// the kernel's own predicates. A replayed slot sends its residue's
+    /// list or less and arrives its arrival residue's entries or fewer,
+    /// so per residue: each sender within its send capacity, and at
+    /// most one arrival per receiver (a residue lists its entries in
+    /// receiver order). A source send's `seq − slot` is the same at
+    /// every slot, so passing the production rule at its recorded slot
+    /// passes it everywhere. And the arrival ring, which admission
+    /// grows to fit each latency, must fit the longest one. Ids and
+    /// latencies were checked as the period was recorded.
+    fn admissible(&self, scheme: &dyn Scheme, kernel: &mut Kernel, n_ids: usize) -> bool {
+        let mut sent = vec![0u32; n_ids];
+        for lst in &self.sends {
+            for tx in lst {
+                let c = &mut sent[tx.from.index()];
+                *c += 1;
+                if *c as usize > scheme.send_capacity(tx.from) {
+                    return false;
+                }
+            }
+            for tx in lst {
+                sent[tx.from.index()] = 0;
+            }
+        }
+        let collides = (0..self.period as usize).any(|r| {
+            let next = self.arriving(r).skip(1);
+            self.arriving(r).zip(next).any(|(a, b)| a.to == b.to)
+        });
+        let produced = self.sends.iter().enumerate().all(|(js, lst)| {
+            let at = self.base + js as u64;
+            let mut source = lst.iter().filter(|tx| tx.from.is_source());
+            source.all(|tx| kernel.sender_has(tx, at).is_ok())
+        });
+        let ring = &mut kernel.ring;
+        !collides
+            && produced
+            && (self.max_latency < ring.window || ring.grow(self.max_latency, 0).is_ok())
+    }
+
+    /// Book the sends replayed in slots `[hand_off, end)`: each one's
+    /// uploads and transmissions, and its link once it went on the
+    /// wire at all.
+    fn book_sends(&self, stats: &mut TrafficStats, end: u64) {
+        for (js, lst) in self.sends.iter().enumerate() {
+            let at = self.base + js as u64;
+            for tx in lst {
+                let from = self.hand_off.max(at.saturating_sub(tx.packet.seq()));
+                let n = phase_count(from, end, self.base, js as u64, self.period);
+                if n > 0 {
+                    stats.record_many(tx, n);
+                }
+            }
+        }
+    }
 }
 
-/// Recording/verification state while ramping toward steady mode.
+/// One period of a declared schedule, generated ahead of the run.
 struct Lowering {
     warmup: u64,
     period: u64,
-    steady_from: u64,
     /// Generated output of slots `[warmup, warmup + period)`.
     recorded: Vec<Vec<Transmission>>,
-    ok: bool,
 }
 
 impl Lowering {
-    fn new(decl: SchedulePeriod) -> Lowering {
-        Lowering {
-            warmup: decl.warmup,
-            period: decl.period,
-            steady_from: decl.warmup.saturating_add(decl.period.saturating_mul(2)),
-            recorded: Vec::new(),
-            ok: true,
-        }
-    }
-
-    /// Record slots `[warmup, warmup + p)`; verify slots
-    /// `[warmup + p, warmup + 2p)` repeat them with packet delta `p`.
-    /// `whole` says every transmission of `out` went on the wire: a slot
-    /// the fault regime suppressed part of voids the declaration for the
-    /// run, because the table would replay a send that was never
-    /// validated (its receive slot never reserved, its link never
-    /// counted).
-    fn observe(&mut self, t: u64, out: &[Transmission], whole: bool) {
-        if !self.ok || t < self.warmup || t >= self.steady_from {
-            return;
-        }
-        if !whole {
-            self.ok = false;
-            return;
-        }
-        if t < self.warmup + self.period {
-            self.recorded.push(out.to_vec());
-            return;
-        }
-        let idx = ((t - self.warmup) % self.period) as usize;
-        let verified = self.recorded.get(idx).is_some_and(|want| {
-            want.len() == out.len()
-                && want.iter().zip(out).all(|(a, b)| {
-                    a.from == b.from
-                        && a.to == b.to
-                        && a.latency == b.latency
-                        && b.packet.seq() == a.packet.seq().wrapping_add(self.period)
-                })
-        });
-        if !verified {
-            self.ok = false;
-        }
-    }
-
-    /// Whether slot `t` is the verified steady entry point (with a period
-    /// and a delivery count small enough for `u32` classes and entry
-    /// indices).
-    fn ready(&self, t: u64) -> bool {
-        self.ok
-            && t == self.steady_from
-            && self.recorded.len() as u64 == self.period
-            && self.period <= u32::MAX as u64
-            && self.recorded.iter().map(Vec::len).sum::<usize>() <= u32::MAX as usize
-    }
-
-    /// Lower the verified period; the recorded slots become the send
-    /// table as they are, and the deliveries are laid out once — each
-    /// put straight into its receiver's bucket, the bucket sorted by
-    /// class, then indexed by arrival residue.
+    /// Lower the period; the recorded slots become the send table as
+    /// they are, and the deliveries are laid out once — each put
+    /// straight into its receiver's bucket, the bucket sorted by class,
+    /// then indexed by arrival residue. The hand-off is left at 0.
     fn compile(self) -> SteadyTables {
         let p = self.period;
         // One counting pass gives every receiver's bucket end; walking
@@ -269,7 +383,7 @@ impl Lowering {
         SteadyTables {
             base: self.warmup,
             period: p,
-            steady_from: self.steady_from,
+            hand_off: 0,
             sends: self.recorded,
             entries,
             by_arrival,
@@ -287,15 +401,16 @@ impl Lowering {
     /// base − js)` at slots `s ≡ base + js (mod period)`. An arrival
     /// entry `(to, packet0_a, j_a, L_a)` delivers `packet0_a + (s_a −
     /// base − j_a)` usable from slot `s_a + L_a`, for pattern send slots
-    /// `s_a ≥ steady_from`. Matching the two: the feeding send slot is
+    /// `s_a ≥ hand_off`. Matching the two: the feeding send slot is
     /// `s_a = s − g` with constant `g = (js − j_a) + (packet0_a −
     /// packet0)`, valid iff the packet offsets agree mod `period` and
     /// `g ≥ L_a` (the copy arrives no later than it is needed). Every
     /// quantity is slot-independent, so "is this send fed forever?"
     /// reduces to per-entry arithmetic: the send is self-feeding from
-    /// `steady_from + g` on (its feeder is then itself a pattern send),
-    /// and the table-wide slack is the max over entries of the best
-    /// (smallest) `g`.
+    /// `hand_off + g` on (its feeder is then itself a pattern send, and
+    /// carries the same seq, so it is not clipped when the fed send is
+    /// not), and the table-wide slack is the max over entries of the
+    /// best (smallest) `g`.
     fn feed_slack(
         sends: &[Vec<Transmission>],
         entries: &[ArrEntry],
@@ -309,10 +424,9 @@ impl Lowering {
         for (js, lst) in sends.iter().enumerate() {
             for e in lst {
                 if e.from.is_source() {
-                    // Source sends were validated against availability
-                    // during the verified window; the produced check is
-                    // slot-invariant (`seq − slot` is constant per
-                    // entry), so they stay valid forever.
+                    // Source sends passed the production rule once in
+                    // `admissible`; it is slot-invariant (`seq − slot`
+                    // is constant per entry), so they stay valid forever.
                     continue;
                 }
                 let feeders = match to_start.get(e.from.index()..e.from.index() + 2) {
@@ -447,7 +561,6 @@ struct ShardSlices<'a> {
     spill: &'a mut [PacketSet],
     /// The shard's rows of the arrival table.
     cells: CellsMut<'a>,
-    uploads: &'a mut [u64],
 }
 
 /// Apply one steady-state delivery to a shard's state window. Counter
@@ -490,11 +603,12 @@ fn deliver_shard(
 
 /// How a steady-state replay ended.
 enum SteadyEnd {
-    /// Replay ran to the stop condition; `last_send` is the last slot
-    /// whose sends were executed (for flush reconstruction).
-    Done { last_send: u64 },
-    /// A residual check failed: the periodicity declaration was wrong.
-    /// The caller discards everything and re-runs in full mode.
+    /// Replay ran to the stop condition; the sends of slots `[hand_off,
+    /// send_end)` went out (for their booking and the flush).
+    Done { send_end: u64 },
+    /// A residual check failed: the declaration was wrong in a way the
+    /// verified periods and the static checks did not expose. The
+    /// caller discards everything and re-runs in full mode.
     Anomaly,
 }
 
@@ -546,14 +660,15 @@ impl MegaEngine {
     /// for how the work is executed.
     ///
     /// If a steady-state residual check trips mid-replay (the
-    /// periodicity declaration was wrong in a way one verified period
-    /// did not expose), the whole simulation is re-run in full mode,
-    /// which is exact by construction. The re-run drives the *same*
-    /// instance from slot 0 again, so schemes declaring a period must be
-    /// replayable — required by the [`SchedulePeriod`] contract, which
-    /// forbids consulting the [`clustream_core::StateView`] from `warmup`
-    /// onward and makes a self-mutating scheme rewind when asked for a
-    /// slot below the last one it served.
+    /// periodicity declaration was wrong in a way the verified periods
+    /// and the static checks did not expose), the whole simulation is
+    /// re-run in full mode, which is exact by construction. Lowering
+    /// asks for slots ahead of the run and the re-run drives the *same*
+    /// instance from slot 0 again, so schemes declaring a period must
+    /// be replayable — required by the [`SchedulePeriod`] contract,
+    /// which forbids consulting the [`StateView`] and makes a
+    /// self-mutating scheme rewind when asked for a slot below the last
+    /// one it served.
     pub fn run(
         &mut self,
         scheme: &mut dyn Scheme,
@@ -568,11 +683,11 @@ impl MegaEngine {
         }
     }
 
-    /// One attempt at running `scheme`: the kernel's slot loop, with
-    /// lowering into steady-state replay permitted when `allow_steady`.
-    /// `Ok(None)` means a replay residual check failed and the caller
-    /// must re-run with `allow_steady = false` (which cannot fail this
-    /// way).
+    /// One attempt at running `scheme`: the kernel's slot loop up to
+    /// the hand-off, with lowering into steady-state replay permitted
+    /// when `allow_steady`. `Ok(None)` means a replay residual check
+    /// failed and the caller must re-run with `allow_steady = false`
+    /// (which cannot fail this way).
     fn run_attempt(
         &mut self,
         scheme: &mut dyn Scheme,
@@ -583,178 +698,193 @@ impl MegaEngine {
         let mut run = self.kernel.begin(scheme, cfg)?;
         self.steady_slots = 0;
 
-        // Lowering only arms for schemes declaring a period that leaves
-        // slots to replay within the horizon, on runs where nothing is
-        // ever dropped: no fault plan, or one that only reports. Such a
-        // plan draws no loss and crashes no one; its one remaining effect,
-        // a forward of an unheld packet counted instead of fatal, is an
-        // anomaly in the careful gear and a refused window below.
+        // Lowering only arms for schemes declaring a period whose two
+        // verified periods end within the horizon, on runs where nothing
+        // is ever dropped: no fault plan, or one that only reports. Such
+        // a plan draws no loss and crashes no one; its one remaining
+        // effect, a forward of an unheld packet counted instead of
+        // fatal, is an anomaly in the careful gear.
         let drops_nothing = cfg.faults.as_ref().is_none_or(FaultPlan::reports_only);
-        let mut lowering = if allow_steady && drops_nothing {
+        let tbl = if allow_steady && drops_nothing {
             scheme
                 .schedule_period()
                 .filter(|d| d.period >= 1)
-                .map(Lowering::new)
-                .filter(|lw| lw.steady_from < cfg.max_slots)
+                .filter(|d| d.warmup.saturating_add(d.period.saturating_mul(2)) < cfg.max_slots)
+                .and_then(|d| self.lower(scheme, d, run.arrivals.n_ids()))
         } else {
             None
         };
-        let mut steady: Option<(SteadyTables, u64)> = None;
 
-        for t in 0..cfg.max_slots {
-            // Hand off to steady-state replay once one recorded period
-            // has been verified against a second generated period.
-            if let Some(lw) = lowering.take_if(|lw| lw.ready(t)) {
-                let tbl = lw.compile();
-                let n_ids = run.arrivals.n_ids();
-                let ranges = shard_ranges(n_ids, self.shards, scheme.shard_boundaries());
-                let end = if ranges.len() > 1 && run.trace.is_none() {
-                    self.steady_sharded(
-                        cfg,
-                        &tbl,
-                        &ranges,
-                        &mut run.arrivals,
-                        &mut run.remaining,
-                        &run.is_receiver,
-                        &mut run.slots_run,
-                    )
-                } else {
-                    self.steady_sequential(
-                        cfg,
-                        &tbl,
-                        &mut run.arrivals,
-                        &mut run.remaining,
-                        &run.is_receiver,
-                        &mut run.trace,
-                        &mut run.slots_run,
-                    )
-                };
-                match end {
-                    SteadyEnd::Anomaly => return Ok(None),
-                    SteadyEnd::Done { last_send } => steady = Some((tbl, last_send)),
-                }
-                break;
-            }
-
+        // Full mode up to the hand-off (the whole run when nothing was
+        // lowered); the scheme rewinds when asked for slot 0 again.
+        let hand_off = tbl.as_ref().map_or(cfg.max_slots, |l| l.hand_off);
+        let mut stopped = false;
+        for t in 0..hand_off {
             if self.kernel.deliver(&mut run, t) {
+                stopped = true;
                 break;
             }
             self.kernel.dispatch(scheme, t);
-            let dropped = run.ledger.dropped();
             self.kernel.admit(scheme, &mut run, t)?;
-            // Record/verify the declared period from what was admitted
-            // whole: every transmission validated, or the run errored.
-            if let Some(lw) = lowering.as_mut() {
-                lw.observe(t, &self.kernel.out, run.ledger.dropped() == dropped);
-            }
         }
+        let Some(tbl) = tbl.filter(|_| !stopped) else {
+            self.kernel.flush_ring(&mut run);
+            return self.kernel.finish(scheme, run).map(Some);
+        };
+        let ranges = shard_ranges(run.arrivals.n_ids(), self.shards, scheme.shard_boundaries());
+        let end = if ranges.len() > 1 && run.trace.is_none() {
+            self.steady_sharded(cfg, &tbl, &ranges, &mut run)
+        } else {
+            self.steady_sequential(cfg, &tbl, &mut run)
+        };
+        let SteadyEnd::Done { send_end } = end else {
+            return Ok(None);
+        };
+        self.steady_slots = run.slots_run - tbl.hand_off;
+        tbl.book_sends(&mut self.kernel.stats, send_end);
 
-        // By value: the tables are dead weight once the flush is done, and
-        // `finish` allocates the per-receiver report.
-        match steady {
-            None => self.kernel.flush_ring(&mut run),
-            Some((tbl, last_send)) => {
-                // Ramp leftovers drain from the ring and in-flight
-                // pattern sends re-derive arithmetically, interleaved in
-                // ascending arrival-slot order (first arrival wins). No
-                // pattern send lands past `last_send + max_latency − 1`.
-                let first = run.first_unflushed();
-                let ring_end = first + self.kernel.ring.window;
-                let pattern_end = last_send + tbl.max_latency;
-                for arrival_slot in first..ring_end.max(pattern_end) {
-                    if arrival_slot < ring_end {
-                        self.kernel.flush_cell(&mut run, arrival_slot);
-                    }
-                    if arrival_slot >= pattern_end {
-                        continue;
-                    }
-                    let ra = ((arrival_slot - tbl.base) % tbl.period) as usize;
-                    for e in tbl.arriving(ra) {
-                        let l = e.latency as u64;
-                        if arrival_slot + 1 < l {
-                            continue;
-                        }
-                        let s = arrival_slot + 1 - l;
-                        if s >= tbl.steady_from && s <= last_send {
-                            let seq = e.packet0 + (s - (tbl.base + e.j));
-                            run.arrivals.record(
-                                NodeId(e.to),
-                                PacketId(seq),
-                                Slot(arrival_slot + 1),
-                            );
-                        }
-                    }
+        // Ramp leftovers drain from the ring and in-flight pattern sends
+        // re-derive arithmetically, interleaved in ascending arrival-slot
+        // order (first arrival wins). No pattern send lands past
+        // `send_end + max_latency − 2`.
+        let first = run.first_unflushed();
+        let ring_end = first + self.kernel.ring.window;
+        let pattern_end = send_end + tbl.max_latency - 1;
+        for arrival_slot in first..ring_end.max(pattern_end) {
+            if arrival_slot < ring_end {
+                self.kernel.flush_cell(&mut run, arrival_slot);
+            }
+            if arrival_slot >= pattern_end {
+                continue;
+            }
+            let usable = arrival_slot + 1;
+            for e in tbl.arriving(tbl.residue(arrival_slot)) {
+                if let Some(seq) = e.delivers(tbl.base, tbl.hand_off..send_end, usable) {
+                    run.arrivals
+                        .record(NodeId(e.to), PacketId(seq), Slot(usable));
                 }
             }
         }
-
+        // By value: the tables are dead weight once the flush is done, and
+        // `finish` allocates the per-receiver report.
+        drop(tbl);
         self.kernel.finish(scheme, run).map(Some)
     }
 
-    /// Sequential steady-state replay from `tbl.steady_from` until the
+    /// Generate `scheme`'s declared period ahead of the run and lower
+    /// it: record `[warmup, warmup + p)`, compile it, and check that
+    /// `[warmup + p, warmup + 2p)` repeats it and that it is
+    /// [`SteadyTables::admissible`]. Then place the hand-off: slot 0
+    /// when every ramp slot `0..warmup` generates the table clipped at
+    /// packet 0, the declared warmup otherwise. `None` — full mode for
+    /// the whole run — when any check fails or the scheme reads the
+    /// view.
+    fn lower(
+        &mut self,
+        scheme: &mut dyn Scheme,
+        decl: SchedulePeriod,
+        n_ids: usize,
+    ) -> Option<SteadyTables> {
+        let SchedulePeriod { warmup, period } = decl;
+        if period > u32::MAX as u64 {
+            return None;
+        }
+        let view = Ahead::default();
+        let mut out = Vec::new();
+        let mut recorded = Vec::new();
+        let mut size = 0;
+        for t in warmup..warmup + period {
+            view.generate(scheme, t, &mut out);
+            if out.iter().any(|tx| check_ends(tx, n_ids).is_err()) {
+                return None;
+            }
+            size += out.len();
+            recorded.push(out.clone());
+        }
+        if size > u32::MAX as usize {
+            return None;
+        }
+        let mut tbl = Lowering {
+            warmup,
+            period,
+            recorded,
+        }
+        .compile();
+        for t in warmup + period..warmup + 2 * period {
+            view.generate(scheme, t, &mut out);
+            if !tbl.replays(t, &out) {
+                return None;
+            }
+        }
+        if !tbl.admissible(scheme, &mut self.kernel, n_ids) {
+            return None;
+        }
+        let clipped = (0..warmup).all(|t| {
+            view.generate(scheme, t, &mut out);
+            tbl.replays(t, &out)
+        });
+        tbl.hand_off = if clipped { 0 } else { warmup };
+        (!view.read.get()).then_some(tbl)
+    }
+
+    /// Sequential steady-state replay from `tbl.hand_off` until the
     /// stop condition, updating `slots_run` per slot like the full loop.
-    #[allow(clippy::too_many_arguments)]
     fn steady_sequential(
         &mut self,
         cfg: &SimConfig,
         tbl: &SteadyTables,
-        arrivals: &mut ArrivalTable,
-        remaining: &mut u64,
-        is_receiver: &[bool],
-        trace: &mut Option<crate::trace::EventTrace>,
-        slots_run: &mut u64,
+        run: &mut Run<'_>,
     ) -> SteadyEnd {
+        let Run {
+            arrivals,
+            remaining,
+            is_receiver,
+            trace,
+            slots_run,
+            ..
+        } = run;
         let track = arrivals.track_packets();
         let mut cells = arrivals.cells_mut();
-        let t0 = tbl.steady_from;
+        let t0 = tbl.hand_off;
         // Past this slot every ramp-phase send has arrived: the ring is
         // empty and the per-send collision probe can be skipped.
         let ring_live_until = self.kernel.ring.live_until(t0);
         // Past this slot the table is statically self-feeding (see
         // [`SteadyTables::feed_slack`]): the ring is drained, every
         // holding check provably passes, and — untraced — the send loop
-        // has no observable effect beyond its counters, which the
-        // blazing loop below accumulates in closed form instead.
+        // has no observable effect beyond its counters, which
+        // `book_sends` accumulates in closed form for every gear.
         let check_free_from = match tbl.feed_slack {
             Some(slack) if trace.is_none() => t0
                 .saturating_add(slack)
                 .max(ring_live_until.saturating_add(1)),
             _ => u64::MAX,
         };
-        let mut last_send = t0 - 1;
-        let mut stopped = false;
         let mut t = t0;
         while t < cfg.max_slots && t < check_free_from {
             *slots_run = t + 1;
             let mut slot_deliveries: u64 = 0;
 
             // Ramp-phase in-flight arrivals still drain from the ring.
-            let cell_idx = self.kernel.ring.cell_index(t - 1);
-            let batch = self.kernel.ring.take(cell_idx);
-            for &(to, packet) in &batch {
-                deliver_columnar(
-                    &mut self.kernel.state.held,
-                    &mut cells,
-                    &mut self.kernel.stats.duplicate_deliveries,
-                    remaining,
-                    is_receiver,
-                    track,
-                    t,
-                    to.index(),
-                    packet.seq(),
-                    &mut slot_deliveries,
-                );
-            }
-            self.kernel.ring.recycle(batch);
-
-            // Precompiled deliveries whose arrival slot was t − 1.
-            let ra = ((t - 1 - tbl.base) % tbl.period) as usize;
-            for e in tbl.arriving(ra) {
-                let s = t - e.latency as u64;
-                if s < t0 {
-                    continue;
+            if t > 0 {
+                let batch = self.kernel.ring.take(self.kernel.ring.cell_index(t - 1));
+                for &(to, packet) in &batch {
+                    deliver_columnar(
+                        &mut self.kernel.state.held,
+                        &mut cells,
+                        &mut self.kernel.stats.duplicate_deliveries,
+                        remaining,
+                        is_receiver,
+                        track,
+                        t,
+                        to.index(),
+                        packet.seq(),
+                        &mut slot_deliveries,
+                    );
                 }
-                let seq = e.packet0 + (s - (tbl.base + e.j));
+                self.kernel.ring.recycle(batch);
+            }
+            for (to, seq) in tbl.arrivals_at(t) {
                 deliver_columnar(
                     &mut self.kernel.state.held,
                     &mut cells,
@@ -763,7 +893,7 @@ impl MegaEngine {
                     is_receiver,
                     track,
                     t,
-                    e.to as usize,
+                    to,
                     seq,
                     &mut slot_deliveries,
                 );
@@ -771,59 +901,44 @@ impl MegaEngine {
             record_slot_deliveries(&cfg.telemetry, slot_deliveries);
 
             if cfg.stop_when_complete && *remaining == 0 {
-                stopped = true;
-                break;
+                return SteadyEnd::Done { send_end: t };
             }
 
             // Replayed sends: residual holding check plus (while ramp
             // arrivals are in flight) a collision probe — everything
             // else the full loop validates is statically impossible for
-            // a verified table.
-            let js = ((t - tbl.base) % tbl.period) as usize;
-            let delta = t - (tbl.base + js as u64);
+            // an admissible table. The slot is traced once all passed.
+            let js = tbl.residue(t);
             let probe_ring = t <= ring_live_until;
-            for e in &tbl.sends[js] {
-                let seq = e.packet.seq() + delta;
+            let sent = || {
+                let sends = tbl.sends[js].iter();
+                sends.filter_map(move |e| Some((e, tbl.seq_sent(e, js, t)?)))
+            };
+            for (e, seq) in sent() {
                 if !e.from.is_source() && !self.kernel.state.held.contains(e.from.index(), seq) {
                     return SteadyEnd::Anomaly;
                 }
                 if probe_ring && self.kernel.ring.reserved(t + e.latency as u64 - 1, e.to) {
                     return SteadyEnd::Anomaly;
                 }
-                self.kernel.stats.uploads[e.from.index()] += 1;
-                if let Some(tr) = trace.as_mut() {
-                    tr.push(
-                        t,
-                        &Transmission {
-                            packet: PacketId(seq),
-                            ..*e
-                        },
-                    );
+            }
+            if let Some(tr) = trace.as_mut() {
+                for (e, seq) in sent() {
+                    let packet = PacketId(seq);
+                    tr.push(t, &Transmission { packet, ..*e });
                 }
             }
-            self.kernel.stats.total_transmissions += tbl.sends[js].len() as u64;
-            self.steady_slots += 1;
-            last_send = t;
             t += 1;
         }
-        if stopped || t >= cfg.max_slots {
-            return SteadyEnd::Done { last_send };
+        if t >= cfg.max_slots {
+            return SteadyEnd::Done { send_end: t };
         }
         if tbl.collision_free {
             // Collision-free deliveries commute across slots: replay the
             // pattern entry-outer in streaming order instead. The gear
             // tallies the per-slot series itself, so whether a recorder
             // is attached plays no part in the choice.
-            return self.steady_analytic(
-                cfg,
-                tbl,
-                arrivals,
-                remaining,
-                is_receiver,
-                slots_run,
-                t,
-                last_send,
-            );
+            return self.steady_analytic(cfg, tbl, arrivals, remaining, is_receiver, slots_run, t);
         }
 
         // Blazing phase, slot-outer: the exact gear for a table that is
@@ -831,19 +946,12 @@ impl MegaEngine {
         // one receiver, so which copy is first depends on slot order).
         // The ring is empty and the holding checks are statically
         // discharged, so each slot is just its deliveries plus the stop
-        // check — the send loop's only residue is its counters,
-        // accumulated in closed form after the loop.
-        let blaze_start = t;
+        // check (a stop breaks before the sends of its slot, exactly
+        // like the loop above).
         while t < cfg.max_slots {
             *slots_run = t + 1;
             let mut slot_deliveries: u64 = 0;
-            let ra = ((t - 1 - tbl.base) % tbl.period) as usize;
-            for e in tbl.arriving(ra) {
-                let s = t - e.latency as u64;
-                if s < t0 {
-                    continue;
-                }
-                let seq = e.packet0 + (s - (tbl.base + e.j));
+            for (to, seq) in tbl.arrivals_at(t) {
                 deliver_columnar(
                     &mut self.kernel.state.held,
                     &mut cells,
@@ -852,7 +960,7 @@ impl MegaEngine {
                     is_receiver,
                     track,
                     t,
-                    e.to as usize,
+                    to,
                     seq,
                     &mut slot_deliveries,
                 );
@@ -863,22 +971,7 @@ impl MegaEngine {
             }
             t += 1;
         }
-        // Send slots blaze_start..t completed in full (a stop breaks
-        // before the sends of its slot, exactly like the loops above).
-        for (js, lst) in tbl.sends.iter().enumerate() {
-            let cnt = phase_count(blaze_start, t, tbl.base, js as u64, tbl.period);
-            if cnt == 0 {
-                continue;
-            }
-            for e in lst {
-                self.kernel.stats.uploads[e.from.index()] += cnt;
-            }
-            self.kernel.stats.total_transmissions += cnt * lst.len() as u64;
-        }
-        self.steady_slots += t - blaze_start;
-        SteadyEnd::Done {
-            last_send: t.saturating_sub(1).max(last_send),
-        }
+        SteadyEnd::Done { send_end: t }
     }
 
     /// Entry-outer blazing phase: once the careful loop has discharged
@@ -906,31 +999,33 @@ impl MegaEngine {
         is_receiver: &[bool],
         slots_run: &mut u64,
         blaze_start: u64,
-        last_send: u64,
     ) -> SteadyEnd {
         let track = arrivals.track_packets() as usize;
         arrivals.allow_periodic();
         let mut cells = arrivals.cells_mut();
-        let t0 = tbl.steady_from;
+        let t0 = tbl.hand_off;
         let p = tbl.period;
         let pz = p as usize;
 
         // The seq an entry's first send replayed below carries: its first
-        // send at or after `t0` and `blaze_start − L`.
+        // unclipped send at or after `t0` and `blaze_start − L`.
         let first_replayed = |e: &ArrEntry| {
-            let first_send = tbl.base + e.j;
             let s_min = blaze_start.saturating_sub(e.latency as u64).max(t0);
-            let s = s_min + (first_send % p + p - s_min % p) % p;
-            e.packet0 + (s - first_send)
+            e.first_send(tbl.base, p, s_min).1
         };
         // Where a row is empty for good before the replay: past every seq
         // the node holds (each cell written so far was a fresh insert),
-        // and past each entry's first replayed seq. From there on a
-        // residue class of the row fills only from its entry, at that
-        // entry's one lateness, or never.
+        // and past each entry's first replayed seq rounded down to a
+        // whole period (no seq of the entry's class lies in between, so
+        // a row nothing reached before the replay starts at 0). From
+        // there on a residue class of the row fills only from its entry,
+        // at that entry's one lateness, or never.
         let held = &mut self.kernel.state.held;
         let fresh_from = |held_end: u64, group: &[ArrEntry]| {
-            let replayed = group.iter().map(first_replayed);
+            let replayed = group.iter().map(|e| {
+                let seq = first_replayed(e);
+                seq - seq % p
+            });
             replayed.fold(held_end, u64::max).min(track as u64) as usize
         };
         // Entries sorted by `(receiver, class)`: one group per row.
@@ -942,8 +1037,9 @@ impl MegaEngine {
         let mut will_stop = false;
         if cfg.stop_when_complete && *remaining > 0 {
             // An entry's pattern sends leave at slots `base + j + k`,
-            // `k ≡ 0 (mod p)`, from `t0` on, and deliver seq `packet0 +
-            // k` at slot `base + j + L + k`: one residue class of the
+            // `k ≡ 0 (mod p)`, from `t0` on and unclipped (`packet0 + k ≥
+            // 0`), and deliver seq `packet0 + k` at slot `base + j + L +
+            // k`: one residue class of the
             // receiver's row, later seqs later. Collision-freedom makes
             // the classes of one receiver's entries disjoint, so the run
             // completes iff the still-needed cells the entries reach
@@ -959,10 +1055,10 @@ impl MegaEngine {
                 let fresh = fresh_from(held.end(to), group);
                 for e in group {
                     let first_send = tbl.base + e.j;
-                    let k_lo = (t0 - first_send).next_multiple_of(p);
-                    let k_end = cfg.max_slots.saturating_sub(first_send + e.latency as u64);
-                    let seq_lo = e.packet0.saturating_add(k_lo).min(track as u64) as usize;
-                    let seq_end = e.packet0.saturating_add(k_end).min(track as u64) as usize;
+                    let l = e.latency as u64;
+                    let seq_lo = e.first_send(tbl.base, p, t0).1.min(track as u64) as usize;
+                    let seq_end = (e.packet0 + cfg.max_slots).saturating_sub(first_send + l);
+                    let seq_end = seq_end.min(track as u64) as usize;
                     let mut last = None;
                     for seq in (seq_lo..seq_end.min(fresh)).step_by(pz) {
                         if cells.is_empty(to, seq) {
@@ -977,8 +1073,7 @@ impl MegaEngine {
                         last = Some(from + (n - 1) * pz);
                     }
                     if let Some(seq) = last {
-                        let k = seq as u64 - e.packet0;
-                        latest = latest.max(first_send + e.latency as u64 + k);
+                        latest = latest.max(seq as u64 + first_send + l - e.packet0);
                     }
                 }
             }
@@ -1019,11 +1114,9 @@ impl MegaEngine {
                 continue;
             }
             for e in group {
-                for seq in class(e, fresh, h) {
-                    let usable = (seq as i128 + lateness(e)) as u64;
-                    if cells.first(to, seq, usable) && is_receiver[to] {
-                        *remaining -= 1;
-                    }
+                let seeded = cells.fill(to, (next(e, fresh), h, pz), lateness(e));
+                if is_receiver[to] {
+                    *remaining -= seeded as u64;
                 }
             }
             if cells.mark_periodic(to, pz, end) && is_receiver[to] {
@@ -1080,21 +1173,23 @@ impl MegaEngine {
                 for e in group {
                     let l = e.latency as u64;
                     let first_send = tbl.base + e.j;
-                    let usable = |seq: usize| first_send + l + (seq as u64 - e.packet0);
+                    let usable = |seq: usize| seq as u64 + first_send + l - e.packet0;
                     // First replayed arrival slot ≥ w_start; earlier ones
                     // ran in the careful loop or an earlier window. Sends
                     // before `t0` went through the ring and are not the
                     // table's to replay: `blaze_start − l` may lie up to a
                     // period below `t0` (the entry's last ramp send
                     // reserved `s′ + l − 1`, and the careful loop only
-                    // waits for the ring to drain), hence the clamp.
+                    // waits for the ring to drain), hence the clamp. Nor
+                    // are the clipped ones, before the entry's first
+                    // packet.
                     let s_min = w_start.saturating_sub(l).max(t0);
-                    let mut s = s_min + (first_send % p + p - s_min % p) % p;
+                    let (mut s, _) = e.first_send(tbl.base, p, s_min);
                     let s_end = w_end.saturating_sub(l);
                     // Sends from here on carry seqs at or past the held end.
                     let s_fresh = (held_end + first_send).saturating_sub(e.packet0);
                     while s < s_end.min(s_fresh) {
-                        let seq = e.packet0 + (s - first_send);
+                        let seq = e.packet0 + s - first_send;
                         if !held.insert(to, seq) {
                             *dup += 1;
                         } else {
@@ -1114,7 +1209,7 @@ impl MegaEngine {
                     }
                     let n = (s_end - 1 - s) / p + 1;
                     tally_run((s + l - w_start) as usize, n);
-                    let seq_lo = e.packet0 + (s - first_send);
+                    let seq_lo = e.packet0 + s - first_send;
                     let seq_end = seq_lo.saturating_add(n * p).min(track as u64) as usize;
                     let seq_lo = seq_lo.min(track as u64) as usize;
                     let stored = [
@@ -1139,22 +1234,8 @@ impl MegaEngine {
             w_start = w_end;
         }
         debug_assert!(!will_stop || *remaining == 0);
-
-        for (js, lst) in tbl.sends.iter().enumerate() {
-            let cnt = phase_count(blaze_start, send_end, tbl.base, js as u64, p);
-            if cnt == 0 {
-                continue;
-            }
-            for e in lst {
-                self.kernel.stats.uploads[e.from.index()] += cnt;
-            }
-            self.kernel.stats.total_transmissions += cnt * lst.len() as u64;
-        }
-        self.steady_slots += send_end - blaze_start;
         *slots_run = arr_end;
-        SteadyEnd::Done {
-            last_send: send_end.saturating_sub(1).max(last_send),
-        }
+        SteadyEnd::Done { send_end }
     }
 
     /// Sharded steady-state replay: id-range shards process their own
@@ -1164,28 +1245,28 @@ impl MegaEngine {
     /// [`MegaEngine::steady_sequential`] at every shard count: every
     /// write lands in exactly one shard's window or in the coordinator's
     /// exchange phase, and all shared counters are additive.
-    #[allow(clippy::too_many_arguments)]
     fn steady_sharded(
         &mut self,
         cfg: &SimConfig,
         tbl: &SteadyTables,
         ranges: &[(usize, usize)],
-        arrivals: &mut ArrivalTable,
-        remaining_io: &mut u64,
-        is_receiver: &[bool],
-        slots_run: &mut u64,
+        run: &mut Run<'_>,
     ) -> SteadyEnd {
         use std::sync::{Barrier, Mutex};
 
-        let MegaEngine {
-            kernel: Kernel {
-                state, ring, stats, ..
-            },
-            steady_slots,
+        let Run {
+            arrivals,
+            remaining: remaining_io,
+            is_receiver,
+            slots_run,
             ..
-        } = self;
+        } = run;
+        let is_receiver = &is_receiver[..];
+        let Kernel {
+            state, ring, stats, ..
+        } = &mut self.kernel;
         let track = arrivals.track_packets();
-        let t0 = tbl.steady_from;
+        let t0 = tbl.hand_off;
         let ring_live_until = ring.live_until(t0);
         let k = ranges.len();
         let pz = tbl.period as usize;
@@ -1194,7 +1275,7 @@ impl MegaEngine {
         // Split the table: traffic whose sender and receiver share a
         // shard runs on that shard's worker; the rest is exchange-phase
         // work. Sends are grouped by the sender's shard (the holding
-        // check and upload counter live there).
+        // check lives there).
         let mut send_local: Vec<Vec<Vec<Transmission>>> = vec![vec![Vec::new(); pz]; k];
         let mut arr_local: Vec<Vec<Vec<ArrEntry>>> = vec![vec![Vec::new(); pz]; k];
         let mut arr_cross: Vec<Vec<ArrEntry>> = vec![Vec::new(); pz];
@@ -1229,10 +1310,6 @@ impl MegaEngine {
         let rows: Vec<usize> = ranges.iter().map(|&(s0, s1)| s1 - s0).collect();
 
         let mut t = t0;
-        let mut last_send = t0 - 1;
-        let mut total_tx = 0u64;
-        let mut steady_count = 0u64;
-        let mut undo_js: Option<usize> = None;
         let mut stopped = false;
 
         while t < cfg.max_slots && !stopped && !anomaly.load(Ordering::Relaxed) {
@@ -1265,21 +1342,17 @@ impl MegaEngine {
                 let mut words = &mut state.held.words[..];
                 let mut spill = &mut state.held.spill[..];
                 let cells = arrivals.windows(&rows);
-                let mut uploads = &mut stats.uploads[..];
                 for (&(s0, s1), cells) in ranges.iter().zip(cells) {
                     let n = s1 - s0;
                     let (w, wr) = words.split_at_mut(n * stride);
                     words = wr;
                     let (sp, spr) = spill.split_at_mut(n);
                     spill = spr;
-                    let (up, upr) = uploads.split_at_mut(n);
-                    uploads = upr;
                     shard_states.push(Mutex::new(ShardSlices {
                         start: s0,
                         words: w,
                         spill: sp,
                         cells,
-                        uploads: up,
                     }));
                 }
             }
@@ -1299,18 +1372,15 @@ impl MegaEngine {
                         if ts == u64::MAX {
                             break;
                         }
-                        let ra = ((ts - 1 - tbl.base) % tbl.period) as usize;
-                        let js = ((ts - tbl.base) % tbl.period) as usize;
-                        let delta = ts - (tbl.base + js as u64);
+                        let ra = ts.checked_sub(1).map(|a| tbl.residue(a));
+                        let js = tbl.residue(ts);
                         while let Some(i) = claim.claim(k) {
                             let mut guard = shard_states[i].lock().expect("shard lock");
                             let st = &mut *guard;
-                            for e in &arr_local[i][ra] {
-                                let s = ts - e.latency as u64;
-                                if s < t0 {
+                            for e in ra.map_or(&[][..], |ra| &arr_local[i][ra]) {
+                                let Some(seq) = e.delivers(tbl.base, t0..u64::MAX, ts) else {
                                     continue;
-                                }
-                                let seq = e.packet0 + (s - (tbl.base + e.j));
+                                };
                                 deliver_shard(
                                     st,
                                     stride,
@@ -1325,7 +1395,9 @@ impl MegaEngine {
                                 );
                             }
                             for e in &send_local[i][js] {
-                                let seq = e.packet.seq() + delta;
+                                let Some(seq) = tbl.seq_sent(e, js, ts) else {
+                                    continue;
+                                };
                                 if !e.from.is_source() {
                                     let li = e.from.index() - st.start;
                                     let w = seq / 64;
@@ -1339,7 +1411,6 @@ impl MegaEngine {
                                         anomaly.store(true, Ordering::Relaxed);
                                     }
                                 }
-                                st.uploads[e.from.index() - st.start] += 1;
                             }
                         }
                         barrier_end.wait();
@@ -1347,16 +1418,18 @@ impl MegaEngine {
                 }
 
                 // Coordinator: per slot, sequential exchange phase, one
-                // parallel round, then accounting.
+                // parallel round, then the stop check.
                 while t < chunk_end {
                     *slots_run = t + 1;
-                    let ra = ((t - 1 - tbl.base) % tbl.period) as usize;
-                    let js = ((t - tbl.base) % tbl.period) as usize;
+                    let ra = t.checked_sub(1).map(|a| tbl.residue(a));
+                    let js = tbl.residue(t);
 
                     // Exchange 1: ramp-phase ring leftovers. Applied
                     // before the round so replayed relays see them.
-                    let cell_idx = ring.cell_index(t - 1);
-                    let batch = ring.take(cell_idx);
+                    let batch = match t.checked_sub(1) {
+                        Some(a) => ring.take(ring.cell_index(a)),
+                        None => Vec::new(),
+                    };
                     for &(to, packet) in &batch {
                         let mut guard = shard_states[shard_of(to.0)].lock().expect("shard lock");
                         deliver_shard(
@@ -1378,12 +1451,10 @@ impl MegaEngine {
                     // super-node backbone between clusters. Same-slot
                     // relays inside the receiving shard depend on these,
                     // so they land before the parallel round.
-                    for e in &arr_cross[ra] {
-                        let s = t - e.latency as u64;
-                        if s < t0 {
+                    for e in ra.map_or(&[][..], |ra| &arr_cross[ra]) {
+                        let Some(seq) = e.delivers(tbl.base, t0..u64::MAX, t) else {
                             continue;
-                        }
-                        let seq = e.packet0 + (s - (tbl.base + e.j));
+                        };
                         let mut guard = shard_states[shard_of(e.to)].lock().expect("shard lock");
                         deliver_shard(
                             &mut guard,
@@ -1399,19 +1470,8 @@ impl MegaEngine {
                         );
                     }
 
-                    // Residual collision probe while ramp arrivals are
-                    // still in flight.
-                    if t <= ring_live_until
-                        && tbl.sends[js]
-                            .iter()
-                            .any(|e| ring.reserved(t + e.latency as u64 - 1, e.to))
-                    {
-                        anomaly.store(true, Ordering::Relaxed);
-                        break;
-                    }
-
                     // Parallel round: workers claim shards and apply
-                    // shard-local deliveries then sends.
+                    // shard-local deliveries, then check the sends.
                     slot_cell.store(t, Ordering::Release);
                     claim.reset();
                     barrier_start.wait();
@@ -1419,20 +1479,26 @@ impl MegaEngine {
 
                     let sd = slot_deliv.swap(0, Ordering::Relaxed);
                     record_slot_deliveries(&cfg.telemetry, sd);
-                    if anomaly.load(Ordering::Relaxed) {
-                        break;
-                    }
                     if cfg.stop_when_complete && remaining.load(Ordering::Relaxed) == 0 {
                         // The tracked window completed during this slot's
                         // deliveries; the full loop stops before this
-                        // slot's sends, so un-account them afterwards.
-                        undo_js = Some(js);
+                        // slot's sends, which are not booked.
                         stopped = true;
                         break;
                     }
-                    total_tx += tbl.sends[js].len() as u64;
-                    steady_count += 1;
-                    last_send = t;
+                    // Residual collision probe while ramp arrivals are
+                    // still in flight.
+                    if t <= ring_live_until
+                        && tbl.sends[js].iter().any(|e| {
+                            tbl.seq_sent(e, js, t).is_some()
+                                && ring.reserved(t + e.latency as u64 - 1, e.to)
+                        })
+                    {
+                        anomaly.store(true, Ordering::Relaxed);
+                    }
+                    if anomaly.load(Ordering::Relaxed) {
+                        break;
+                    }
                     t += 1;
                 }
 
@@ -1444,18 +1510,13 @@ impl MegaEngine {
         }
 
         stats.duplicate_deliveries += dup.load(Ordering::Relaxed);
-        stats.total_transmissions += total_tx;
-        *steady_slots += steady_count;
         *remaining_io = remaining.load(Ordering::Relaxed);
-        if let Some(js) = undo_js {
-            for e in &tbl.sends[js] {
-                stats.uploads[e.from.index()] -= 1;
-            }
-        }
-        if anomaly.load(Ordering::Relaxed) {
+        // A stop slot's sends never go out, so a holding check the
+        // workers failed on them is no anomaly.
+        if anomaly.load(Ordering::Relaxed) && !stopped {
             return SteadyEnd::Anomaly;
         }
-        SteadyEnd::Done { last_send }
+        SteadyEnd::Done { send_end: t }
     }
 }
 
@@ -1676,14 +1737,13 @@ mod tests {
         assert_eq!(want.to_string(), got.to_string());
     }
 
-    /// A genuinely period-3 schedule with ramp sends in flight at the
-    /// hand-off. A chain `S → 1 → … → n` streams one packet per slot
-    /// (first hop latency 1, relays latency 5); next to it, every third
-    /// slot, the source bursts three packets to a leaf `n + 1` at
-    /// latencies 5, 6, 7, which land one per slot. `steady_from` is a
-    /// burst slot, so the last ramp burst left three slots earlier and
-    /// its latency-7 entry is the case where `blaze_start − latency`
-    /// undercuts `steady_from`.
+    /// A genuinely period-3 schedule. A chain `S → 1 → … → n` streams
+    /// one packet per slot (first hop latency 1, relays latency 5); next
+    /// to it, every third slot, the source bursts three packets to a
+    /// leaf `n + 1` at latencies 5, 6, 7, which land one per slot. Each
+    /// relay starts with packet 0, so the ramp is the table clipped at
+    /// packet 0 and the run hands off at slot 0; [`LateHandOff`] keeps
+    /// ramp sends in flight at the hand-off.
     #[derive(Clone, Copy)]
     struct Burst {
         n: u32,
@@ -1699,6 +1759,8 @@ mod tests {
         fn warmup(&self) -> u64 {
             (5 * self.n as u64).next_multiple_of(3)
         }
+        /// The end of the two verified periods: the first slot a
+        /// declaration that runs full mode over its whole ramp replays.
         fn steady_from(&self) -> u64 {
             self.warmup() + 6
         }
@@ -1765,10 +1827,51 @@ mod tests {
         }
     }
 
+    /// [`Burst`] with its relays emitted last to first before the
+    /// warmup: the same sends, so the same run, but no ramp slot with
+    /// two relays is the table's. The run hands off at the warmup, a
+    /// burst slot, with the burst of three slots earlier in flight: its
+    /// latency-7 entry is the case where `blaze_start − latency`
+    /// undercuts the hand-off.
+    #[derive(Clone, Copy)]
+    struct LateHandOff(Burst);
+
+    impl Scheme for LateHandOff {
+        fn name(&self) -> String {
+            self.0.name()
+        }
+        fn num_receivers(&self) -> usize {
+            self.0.num_receivers()
+        }
+        fn send_capacity(&self, node: NodeId) -> usize {
+            self.0.send_capacity(node)
+        }
+        fn availability(&self) -> clustream_core::Availability {
+            self.0.availability()
+        }
+        fn transmissions(&mut self, slot: Slot, view: &dyn StateView, out: &mut Vec<Transmission>) {
+            self.0.transmissions(slot, view, out);
+            if slot.t() < self.0.warmup() {
+                let relay = |tx: &Transmission| !tx.from.is_source();
+                if let (Some(a), Some(b)) =
+                    (out.iter().position(relay), out.iter().rposition(relay))
+                {
+                    out[a..=b].reverse();
+                }
+            }
+        }
+        fn schedule_period(&self) -> Option<SchedulePeriod> {
+            self.0.schedule_period()
+        }
+    }
+
     /// Mega at one and at two shards against the fast engine: the same
     /// result field for field, or the same error. Returns the outcome
     /// and the steady slots the one-shard run replayed.
-    fn mega_equals_fast(scheme: Burst, cfg: &SimConfig) -> (Result<RunResult, CoreError>, u64) {
+    fn mega_equals_fast<S: Scheme + Clone>(
+        scheme: S,
+        cfg: &SimConfig,
+    ) -> (Result<RunResult, CoreError>, u64) {
         let want = FastSimulator::run(&mut scheme.clone(), cfg);
         let mut steady = 0;
         for shards in [2, 1] {
@@ -1803,15 +1906,17 @@ mod tests {
                 ..SimConfig::default()
             },
         ] {
+            // The ramp is the clipped table: every slot is replayed.
             let (res, steady) = mega_equals_fast(scheme, &cfg);
             let res = res.unwrap();
             assert_eq!(res.duplicate_deliveries, 0);
-            // Everything from the hand-off on was replayed: the ring's
-            // last reservation, not its window, bounds the careful gear.
-            assert_eq!(
-                steady,
-                res.slots_run - 1 - t0 + u64::from(!cfg.stop_when_complete)
-            );
+            assert_eq!(steady, res.slots_run);
+            // Handing off at the warmup, every slot from there on was
+            // replayed: the ring's last reservation, not its window,
+            // bounds the careful gear.
+            let (late, steady) = mega_equals_fast(LateHandOff(scheme), &cfg);
+            assert_eq!(diff_fields(&res, &late.unwrap()), Vec::<&str>::new());
+            assert_eq!(steady, res.slots_run - scheme.warmup());
         }
     }
 
@@ -1830,8 +1935,9 @@ mod tests {
 
     /// The per-slot series does not say which gear counted it: reference
     /// ≡ fast ≡ mega (one shard: the analytic gear's tally; two: the
-    /// sharded loop) on a period-3, latency-5 table whose hand-off has
-    /// ramp sends in flight (the `s_min` clamp), on the period-1 chain
+    /// sharded loop) on a period-3, latency-5 table handing off at slot
+    /// 0 and at a slot with ramp sends in flight (the `s_min` clamp),
+    /// on the period-1 chain
     /// and on a delay line whose receiver holds a packet ahead of the
     /// replay — to completion, to a horizon that ends mid-replay, and
     /// over more steady slots than one tally window holds.
@@ -1858,8 +1964,10 @@ mod tests {
                 ..DelayLine::plain()
             })
         };
-        let cases: [(Build, SimConfig); 9] = [
+        let late: Build = || Box::new(LateHandOff(BURST));
+        let cases: [(Build, SimConfig); 10] = [
             (burst, SimConfig::until_complete(60, 400)),
+            (late, SimConfig::until_complete(60, 400)),
             (burst, fixed(t0 + 20, 28)),
             (burst, SimConfig::until_complete(long, 2 * long)),
             (burst, fixed(t0 + long, 28)),
@@ -1925,7 +2033,7 @@ mod tests {
         let short = SimConfig::until_complete(60, whole.steady_from() + 20);
         let (res, steady) = mega_equals_fast(whole, &short);
         assert!(matches!(res, Err(CoreError::Hiccup { .. })), "{res:?}");
-        assert_eq!(steady, 20);
+        assert_eq!(steady, short.max_slots);
         // …or a needed cell is one no table entry ever delivers.
         let gappy = Burst { gap: true, ..whole };
         let (res, steady) = mega_equals_fast(gappy, &SimConfig::until_complete(60, 400));
@@ -1934,7 +2042,7 @@ mod tests {
                 if node == NodeId(4) && packet == PacketId(2)),
             "{res:?}"
         );
-        assert_eq!(steady, 400 - gappy.steady_from());
+        assert_eq!(steady, 400);
     }
 
     #[test]
@@ -2010,7 +2118,7 @@ mod tests {
         let want = FastSimulator::run(&mut Chain { n: 6 }, &cfg).unwrap();
         let mut eng = MegaEngine::new();
         let got = eng.run(&mut Chain { n: 6 }, &cfg).unwrap();
-        assert_eq!(eng.steady_slots(), 150 - 6 - 2);
+        assert_eq!(eng.steady_slots(), 150);
         assert_eq!(diff_fields(&want, &got), Vec::<&str>::new());
         assert!(got
             .loss
@@ -2091,34 +2199,64 @@ mod tests {
 
     #[test]
     fn a_hole_the_careful_gear_finds_falls_back_and_is_counted() {
-        // Packet 3 never reaches node 1, whose relay of it at slot 7 lies
-        // past the verified periods [4, 6) but inside the careful gear
-        // (the relay's feed slack keeps it checking until slot 10): the
-        // replay aborts, and the full-mode re-run counts the suppression
-        // the fast engine counts.
-        let scheme = || DelayLine {
-            holes: 3..4,
-            ..DelayLine::plain()
-        };
+        // Packet 3 never reaches node 1: slot 3 is not the table, so the
+        // run hands off at the warmup, 4, and the relay of packet 3 at
+        // slot 7 lies inside the careful gear (the relay's feed slack
+        // keeps it checking until slot 8): the replay aborts, and the
+        // full-mode re-run counts the suppression the fast engine
+        // counts. At relay latency 3 the relays of slots 4 to 6 are
+        // still in flight when the replay aborts.
         let cfg = SimConfig::lossy_regime(8, 40);
-        let want = FastSimulator::run(&mut scheme(), &cfg).unwrap();
         let mut eng = MegaEngine::new();
-        let got = eng.run(&mut scheme(), &cfg).unwrap();
-        assert_eq!(diff_fields(&want, &got), Vec::<&str>::new());
-        assert_eq!(eng.steady_slots(), 0, "the anomaly re-runs in full mode");
-        let loss = got.loss.unwrap();
-        assert_eq!(
-            (loss.propagation_suppressed, loss.propagation_from_loss),
-            (1, 1)
-        );
-        assert_eq!(loss.missing, [(NodeId(1), 1), (NodeId(2), 1)]);
+        for latency in [1, 3] {
+            let scheme = || DelayLine {
+                holes: 3..4,
+                latency,
+                ..DelayLine::plain()
+            };
+            let want = FastSimulator::run(&mut scheme(), &cfg).unwrap();
+            let got = eng.run(&mut scheme(), &cfg).unwrap();
+            assert_eq!(diff_fields(&want, &got), Vec::<&str>::new(), "{latency}");
+            assert_eq!(eng.steady_slots(), 0, "the anomaly re-runs in full mode");
+            let loss = got.loss.unwrap();
+            assert_eq!(
+                (loss.propagation_suppressed, loss.propagation_from_loss),
+                (1, 1)
+            );
+            assert_eq!(loss.missing, [(NodeId(1), 1), (NodeId(2), 1)]);
+        }
 
         // Without the hole the same run stays on the table.
         let mut whole = DelayLine::plain();
         let want = FastSimulator::run(&mut whole, &cfg).unwrap();
         let got = eng.run(&mut whole, &cfg).unwrap();
         assert_eq!(diff_fields(&want, &got), Vec::<&str>::new());
-        assert_eq!(eng.steady_slots(), 40 - 6);
+        assert_eq!(eng.steady_slots(), 40);
+    }
+
+    #[test]
+    fn a_hole_past_the_window_at_the_stop_slot_is_no_anomaly() {
+        // Node 1 misses packet 3, one past the tracked window. Node 2
+        // completes the window with packet 2 at slot 7, the slot node 1
+        // would relay packet 3: the run stops before that send, in fast
+        // and at every shard count, so the replay runs to the stop.
+        let cfg = SimConfig::until_complete(3, 40);
+        let scheme = || DelayLine {
+            holes: 3..4,
+            ..DelayLine::plain()
+        };
+        let want = FastSimulator::run(&mut scheme(), &cfg).unwrap();
+        assert_eq!(want.slots_run, 8);
+        for shards in [2, 1] {
+            let mut eng = MegaEngine::with_shards(shards);
+            let got = eng.run(&mut scheme(), &cfg).unwrap();
+            assert_eq!(
+                diff_fields(&want, &got),
+                Vec::<&str>::new(),
+                "shards {shards}"
+            );
+            assert_eq!(eng.steady_slots(), 8 - 4, "shards {shards}");
+        }
     }
 
     #[test]
@@ -2252,6 +2390,213 @@ mod tests {
         assert_eq!(eng.kernel.state.held.stride, fresh.stride);
     }
 
+    /// A live line `S → 1 → 2`, node 3 an id no receiver, declaring
+    /// period 2 from slot 12 on; each knob adds what the lowering must
+    /// catch. A knob's sends carry packets from 0 up from the slot they
+    /// start at (`eager`'s from 1 up from slot 0), so they are in the
+    /// table and, but for `spur`, the ramp is the table clipped at
+    /// packet 0.
+    #[derive(Clone, Copy, Default)]
+    struct Line {
+        /// At slot 5 only, one more send to node 3: `(sender, packet)`.
+        spur: Option<(u32, u64)>,
+        /// Asks whether node 1 holds packet 0 at slot 1.
+        peeks: bool,
+        /// At odd slots from 11 on, node 1 also sends node 3 packet
+        /// `t − 10`: two sends at its capacity of one.
+        overrun: bool,
+        /// At even slots from 10 on, the source also sends node 2
+        /// packet `t − 10`, arriving with the relay.
+        collide: bool,
+        /// At every slot the source also sends node 3 packet `t + 1`,
+        /// which the live stream has not produced yet.
+        eager: bool,
+    }
+
+    impl Scheme for Line {
+        fn name(&self) -> String {
+            "line".into()
+        }
+        fn num_receivers(&self) -> usize {
+            2
+        }
+        fn id_space(&self) -> usize {
+            4
+        }
+        fn send_capacity(&self, node: NodeId) -> usize {
+            if node.is_source() {
+                2
+            } else {
+                1
+            }
+        }
+        fn availability(&self) -> clustream_core::Availability {
+            clustream_core::Availability::Live
+        }
+        fn transmissions(&mut self, slot: Slot, view: &dyn StateView, out: &mut Vec<Transmission>) {
+            let t = slot.t();
+            if self.peeks && t == 1 {
+                let _ = view.holds(NodeId(1), PacketId(0));
+            }
+            out.push(Transmission::local(SOURCE, NodeId(1), PacketId(t)));
+            if self.eager {
+                out.push(Transmission::local(SOURCE, NodeId(3), PacketId(t + 1)));
+            }
+            if t >= 1 {
+                out.push(Transmission::local(NodeId(1), NodeId(2), PacketId(t - 1)));
+            }
+            if self.overrun && t % 2 == 1 && t >= 11 {
+                out.push(Transmission::local(NodeId(1), NodeId(3), PacketId(t - 10)));
+            }
+            if self.collide && t.is_multiple_of(2) && t >= 10 {
+                out.push(Transmission::local(SOURCE, NodeId(2), PacketId(t - 10)));
+            }
+            if let Some((from, packet)) = self.spur.filter(|_| t == 5) {
+                out.push(Transmission::local(
+                    NodeId(from),
+                    NodeId(3),
+                    PacketId(packet),
+                ));
+            }
+        }
+        fn schedule_period(&self) -> Option<SchedulePeriod> {
+            Some(SchedulePeriod {
+                warmup: 12,
+                period: 2,
+            })
+        }
+    }
+
+    #[test]
+    fn a_ramp_off_the_clipped_table_hands_off_at_the_warmup() {
+        let cfg = SimConfig::until_complete(24, 200);
+        let line = Line::default();
+        let (res, steady) = mega_equals_fast(line, &cfg);
+        assert_eq!(
+            steady,
+            res.unwrap().slots_run,
+            "the plain line hands off at 0"
+        );
+        // One more send at ramp slot 5 moves the hand-off to the
+        // warmup…
+        let spur = Line {
+            spur: Some((0, 5)),
+            ..line
+        };
+        let (res, steady) = mega_equals_fast(spur, &cfg);
+        assert_eq!(steady, res.unwrap().slots_run - 12);
+        // …and one of a packet its sender does not hold fails in the
+        // full-mode ramp, as in fast.
+        let unheld = Line {
+            spur: Some((2, 99)),
+            ..line
+        };
+        let (res, steady) = mega_equals_fast(unheld, &cfg);
+        assert!(
+            matches!(res, Err(CoreError::PacketNotHeld { node, slot, .. })
+                if node == NodeId(2) && slot.t() == 5),
+            "{res:?}"
+        );
+        assert_eq!(steady, 0);
+    }
+
+    #[test]
+    fn a_scheme_that_reads_the_view_is_not_lowered() {
+        let cfg = SimConfig::until_complete(24, 200);
+        let peeks = Line {
+            peeks: true,
+            ..Line::default()
+        };
+        let (res, steady) = mega_equals_fast(peeks, &cfg);
+        res.unwrap();
+        assert_eq!(steady, 0, "a read of the holdings voids the lowering");
+    }
+
+    #[test]
+    fn a_table_failing_a_static_check_runs_full_mode_into_fasts_error() {
+        // Each fault lies in a table every ramp slot matches, so the run
+        // would hand off at 0 and no slot would be admitted: only the
+        // static checks can see it.
+        let cfg = SimConfig::until_complete(24, 200);
+        let line = Line::default();
+        let cases = [
+            (
+                Line {
+                    overrun: true,
+                    ..line
+                },
+                "send capacity",
+                11,
+            ),
+            (
+                Line {
+                    collide: true,
+                    ..line
+                },
+                "receive collision",
+                10,
+            ),
+            (
+                Line {
+                    eager: true,
+                    ..line
+                },
+                "not yet produced",
+                0,
+            ),
+        ];
+        for (scheme, what, at) in cases {
+            let (res, steady) = mega_equals_fast(scheme, &cfg);
+            let err = res.unwrap_err();
+            let slot = match err {
+                CoreError::SendCapacityExceeded { slot, .. } => slot,
+                CoreError::ReceiveCollision { slot, .. } => slot,
+                CoreError::PacketNotProduced { slot, .. } => slot,
+                _ => panic!("{what}: {err}"),
+            };
+            assert_eq!(slot.t(), at, "{what}: {err}");
+            assert_eq!(steady, 0, "{what}");
+        }
+    }
+
+    #[test]
+    fn every_multi_tree_hands_off_at_slot_0() {
+        use clustream_multitree::{build_forest, Construction, MultiTreeScheme, StreamMode};
+        let fixed = SimConfig {
+            max_slots: 60,
+            track_packets: 32,
+            ..SimConfig::default()
+        };
+        // The last: a run that completes inside what used to be the
+        // full-mode ramp (the two verified periods past the warmup).
+        let horizons = [
+            SimConfig::until_complete(32, 10_000),
+            fixed,
+            SimConfig::until_complete(1, 10_000),
+        ];
+        for d in [2, 3] {
+            for construction in [Construction::Greedy, Construction::Structured] {
+                for mode in [
+                    StreamMode::PreRecorded,
+                    StreamMode::LivePrebuffered,
+                    StreamMode::LivePipelined,
+                ] {
+                    let forest = build_forest(40, d, construction).unwrap();
+                    let scheme = MultiTreeScheme::new(forest, mode);
+                    let ramp_end = scheme.schedule_period().unwrap().warmup + 2 * d as u64;
+                    for cfg in &horizons {
+                        let (res, steady) = mega_equals_fast(scheme.clone(), cfg);
+                        let res = res.unwrap();
+                        assert_eq!(steady, res.slots_run, "d {d} {construction:?} {mode:?}");
+                        if cfg.track_packets == 1 {
+                            assert!(res.slots_run < ramp_end, "d {d} {mode:?}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(256))]
 
@@ -2297,9 +2642,7 @@ mod tests {
             let lowering = Lowering {
                 warmup: 0,
                 period,
-                steady_from: 2 * period,
                 recorded,
-                ok: true,
             };
             proptest::prop_assert_eq!(lowering.compile().entries, want);
         }

@@ -36,10 +36,10 @@ pub struct TrafficStats {
     spilled: usize,
     in_deg: Vec<u32>,
     mutual: Vec<u32>,
-    // The counters are crate-visible for the mega engine's steady-state
-    // gears, which account replayed sends in bulk.
-    pub(crate) uploads: Vec<u64>,
-    pub(crate) total_transmissions: u64,
+    uploads: Vec<u64>,
+    total_transmissions: u64,
+    // Crate-visible for the mega engine's steady-state gears, which
+    // count their deliveries' duplicates themselves.
     pub(crate) duplicate_deliveries: u64,
 }
 
@@ -130,6 +130,16 @@ impl TrafficStats {
         }
         self.uploads[from] += 1;
         self.total_transmissions += 1;
+    }
+
+    /// Record `n ≥ 1` transmissions over `tx`'s link: the mega engine's
+    /// steady-state gears book each replayed send once for the run. Kept
+    /// apart from [`TrafficStats::record`], which every engine's
+    /// admission calls per send.
+    pub(crate) fn record_many(&mut self, tx: &Transmission, n: u64) {
+        self.record(tx);
+        self.uploads[tx.from.index()] += n - 1;
+        self.total_transmissions += n - 1;
     }
 
     /// Packets uploaded by `node` over the whole run — the paper's

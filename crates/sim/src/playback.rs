@@ -393,6 +393,34 @@ impl CellsMut<'_> {
         }
     }
 
+    /// [`CellsMut::first`] on each cell `j` of `node`'s row in `from..to`
+    /// by steps of `step`, each usable `lateness` slots after its packet
+    /// (`usable = j + lateness`); returns how many were first arrivals.
+    /// The cells all hold one byte, so on a narrow row that is not
+    /// periodic, with `to` inside the head, this is one strided pass.
+    pub(crate) fn fill(
+        &mut self,
+        node: usize,
+        (from, to, step): (usize, usize, usize),
+        lateness: i128,
+    ) -> usize {
+        let r = node - self.start;
+        let usable = |j: usize| (j as i128 + lateness) as u64;
+        let plain = self.wide[r].is_none() && self.periodic.get(r).is_none_or(|&w| w == 0);
+        match narrow(usable(from), from).filter(|_| plain && from < to && to <= self.head_len) {
+            Some(c) => {
+                let h = self.head_len;
+                let cells = &mut self.head[r * h + from..r * h + to];
+                let empty = cells.iter_mut().step_by(step).filter(|c| **c == NEVER);
+                empty.map(|cell| *cell = c).count()
+            }
+            None => (from..to)
+                .step_by(step)
+                .filter(|&j| self.first(node, j, usable(j)))
+                .count(),
+        }
+    }
+
     /// [`CellsMut::first`] on an empty stored cell `j` of the periodic
     /// row `r`.
     #[cold]
@@ -927,6 +955,33 @@ mod tests {
             }
         }
         t
+    }
+
+    #[test]
+    fn fill_is_first_cell_by_cell() {
+        // Row 0 takes the strided pass; row 1 holds a cell already; row 2
+        // is wide; a lateness of 400 needs a wide row; a stride that
+        // reaches past the head goes cell by cell.
+        for (lateness, range) in [
+            (3, (2, 64, 3)),
+            (-1, (1, 64, 2)),
+            (400, (0, 64, 3)),
+            (5, (40, 100, 7)),
+        ] {
+            let mut want = ArrivalTable::new(3, 256);
+            want.record(NodeId(1), PacketId(8), Slot(2));
+            want.record(NodeId(2), PacketId(0), Slot(1000));
+            let mut got = want.clone();
+            for node in 0..3 {
+                let (from, to, step) = range;
+                let mut cells = want.cells_mut();
+                let firsts = (from..to).step_by(step);
+                let usable = |j: usize| (j as i128 + lateness) as u64;
+                let n = firsts.filter(|&j| cells.first(node, j, usable(j))).count();
+                assert_eq!(got.cells_mut().fill(node, range, lateness), n, "{range:?}");
+            }
+            assert_eq!(got, want, "lateness {lateness}, {range:?}");
+        }
     }
 
     #[test]

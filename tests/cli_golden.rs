@@ -28,7 +28,7 @@ fn every_recorded_command_prints_what_it_printed_before_runplan() {
         assert_eq!(got, want, "{name}: `clustream {}`", argv.join(" "));
         checked += 1;
     }
-    assert_eq!(checked, 57, "cases.txt lost or gained a line");
+    assert_eq!(checked, 58, "cases.txt lost or gained a line");
 }
 
 #[test]

@@ -506,3 +506,72 @@ fn spilled_rows_agree(name: &str, factory: fn() -> Box<dyn Scheme>) {
     let widest = run.qos.nodes.iter().map(|q| q.out_neighbors).max();
     assert!(widest > Some(7), "{name}: no row spilled ({widest:?})");
 }
+
+/// A declared schedule whose ramp is its table clipped at packet 0 —
+/// every multi-tree (both constructions, all three stream modes) and
+/// the chain — replays from slot 0: mega's steady slots are all the
+/// run's slots, and the run still agrees with fast and the reference.
+/// The horizons: to completion; the smallest fixed horizon that arms
+/// the lowering (its two verified periods end one slot before it); and
+/// a run that completes before them, inside what used to be the
+/// full-mode ramp.
+#[test]
+fn clipped_ramps_hand_off_at_slot_0() {
+    type Build = Box<dyn Fn() -> Box<dyn Scheme>>;
+    let mut cases: Vec<(String, Build)> =
+        vec![("chain".into(), Box::new(|| Box::new(ChainScheme::new(50))))];
+    for d in [2, 3] {
+        for c in [Construction::Greedy, Construction::Structured] {
+            for mode in [
+                StreamMode::PreRecorded,
+                StreamMode::LivePrebuffered,
+                StreamMode::LivePipelined,
+            ] {
+                cases.push((
+                    format!("multitree d={d} {c:?} {mode:?}"),
+                    Box::new(move || {
+                        Box::new(MultiTreeScheme::new(build_forest(100, d, c).unwrap(), mode))
+                    }),
+                ));
+            }
+        }
+    }
+    for (name, build) in &cases {
+        let decl = build().schedule_period().unwrap();
+        let verified_end = decl.warmup + 2 * decl.period;
+        for cfg in [
+            SimConfig::until_complete(24, 100_000),
+            SimConfig::lossy_regime(8, verified_end + 1),
+            SimConfig::until_complete(1, 100_000),
+        ] {
+            let div = divergence(build, &cfg);
+            assert!(div.is_none(), "{name}, {cfg:?}: {div:?}");
+            let mut mega = MegaEngine::new();
+            let res = mega.run(build().as_mut(), &cfg).unwrap();
+            assert_eq!(mega.steady_slots(), res.slots_run, "{name}, {cfg:?}");
+            if cfg.track_packets == 1 {
+                assert!(res.slots_run <= verified_end, "{name}: {}", res.slots_run);
+            }
+        }
+    }
+}
+
+/// A scripted crowd changes its forest until its last event, so its
+/// ramp is not the settled table clipped at packet 0: it hands off at
+/// its declared warmup, past slot 0, and still equals fast.
+#[test]
+fn a_scripted_crowd_hands_off_after_its_script() {
+    let plan = ScenarioPlan::parse("step:40@10").unwrap();
+    let make = || {
+        DynamicMultiTree::from_plan(16, 3, StreamMode::PreRecorded, Construction::Greedy, &plan)
+            .unwrap()
+    };
+    let warmup = make().schedule_period().unwrap().warmup;
+    let cfg = SimConfig::lossy_regime(16, 300);
+    let want = FastSimulator::run(&mut make(), &cfg).unwrap();
+    let mut mega = MegaEngine::new();
+    let got = mega.run(&mut make(), &cfg).unwrap();
+    assert_eq!(diff_fields(&want, &got), Vec::<&str>::new());
+    assert!(warmup > 10, "{warmup}");
+    assert_eq!(mega.steady_slots(), got.slots_run - warmup);
+}
