@@ -13,14 +13,14 @@
 #                 + chaos-transport smoke (5% loss + a gray node), both
 #                 closed by the DES replay oracle + flash-crowd smoke
 #                 (10^3 joins, slot = DES oracle-closed) + crowd smoke
-#                 (a settled step:1000@20 crowd: mega = fast line for
-#                 line) (the edit loop)
+#                 (a settled step:1000@20 crowd on mega: checked against
+#                 the reference and equal to its goldens) (the edit loop)
 #   ci.sh scale   quick + the mega-engine scale smoke through the real
-#                 CLI: at N=10^5 fast = mega = sharded line for line and
-#                 the mega report equals its committed golden stdout,
-#                 with --metrics-out too, whose JSONL equals the fast
-#                 engine's (spans aside); a chain whose rows outgrow a
-#                 byte of lateness prints the same on mega as on fast;
+#                 CLI: at N=10^5 the mega report, sequential and
+#                 sharded, equals its committed golden stdout, with
+#                 --metrics-out too, whose JSONL equals its committed
+#                 golden (spans aside); a chain whose rows outgrow a
+#                 byte of lateness runs checked against the reference;
 #                 a hypercube whose link rows spill (N=2000) runs
 #                 checked against the reference; at N=10^6 (485 MiB,
 #                 6.6-9.1 s on a busy 2-core container) the mega report
@@ -139,15 +139,15 @@ des_smoke() {
     # tests/cli_golden cases, checked byte for byte by the test stage.
     # The ledger's des_plain command line (too slow for tests/cli_golden's
     # debug build): one event per delivery and per slot, every count of
-    # it pinned by the golden; the heap queue prints the same but for the
-    # engine line.
+    # it pinned by the golden; the checked queue (the heap beside the
+    # wheel, pop for pop) prints the same but for the engine line.
     local golden=tests/cli_golden/des_plain_n20000.txt out=target/ci-des-plain
     local des_plain=(simulate --scheme multitree --n 20000 --d 3 --track 128
         --runtime des)
     target/release/clustream "${des_plain[@]}" --queue wheel >"$out-wheel.txt"
-    target/release/clustream "${des_plain[@]}" --queue heap >"$out-heap.txt"
+    target/release/clustream "${des_plain[@]}" --queue checked >"$out-checked.txt"
     diff "$golden" "$out-wheel.txt"
-    diff <(grep -v '^engine' "$golden") <(grep -v '^engine' "$out-heap.txt")
+    diff <(grep -v '^engine' "$golden") <(grep -v '^engine' "$out-checked.txt")
 }
 
 telemetry_smoke() {
@@ -193,16 +193,16 @@ recovery_smoke() {
         --recovery repair+nack --churn-leave 0.0005 --churn-slots 200 --des-seed 7
     # The ledger's des_recovery command line itself, at N=2000 (too slow
     # for tests/cli_golden's debug build): its stdout is the committed
-    # golden, every count of it, and the heap queue prints the same but
-    # for the engine line.
+    # golden, every count of it, and the checked queue prints the same
+    # but for the engine line.
     local golden=tests/cli_golden/des_recovery_n2000.txt out=target/ci-des-recovery
     local des_recovery=(simulate --scheme multitree --n 2000 --d 3 --track 128
         --runtime des --latency jitter --jitter 0.5 --uplink serialized
         --recovery repair+nack --churn-leave 0.0005 --churn-slots 200 --des-seed 7)
     target/release/clustream "${des_recovery[@]}" --queue wheel >"$out-wheel.txt"
-    target/release/clustream "${des_recovery[@]}" --queue heap >"$out-heap.txt"
+    target/release/clustream "${des_recovery[@]}" --queue checked >"$out-checked.txt"
     diff "$golden" "$out-wheel.txt"
-    diff <(grep -v '^engine' "$golden") <(grep -v '^engine' "$out-heap.txt")
+    diff <(grep -v '^engine' "$golden") <(grep -v '^engine' "$out-checked.txt")
 }
 
 recovery_off_regression() {
@@ -307,15 +307,15 @@ cli_flag_hygiene() {
 
 corpus_replay() {
     # Every counterexample ever shrunk into tests/corpus/ must keep
-    # reproducing exactly as recorded, on all four engine columns.
+    # reproducing exactly as recorded, on every engine column.
     cargo run -q --release --offline -p clustream-cli --bin clustream -- \
         check --replay-corpus --corpus tests/corpus
 }
 
 model_check_exhaustive() {
     # The full bounded lattice: d ∈ {2,3,4}, N ≤ 64, both constructions,
-    # all four families, canonical fault plans, the five engine columns
-    # of `Column::ALL` (the timing-wheel DES included) — plus the
+    # all four families, canonical fault plans, the three engine columns
+    # of `Column::ALL` (reference, mega, timing-wheel DES) — plus the
     # recovery-repair sweep. Runs in a few seconds in release.
     cargo run -q --release --offline -p clustream-cli --bin clustream -- \
         check --exhaustive
@@ -371,26 +371,25 @@ flash_crowd_smoke() {
 crowd_mega_smoke() {
     # The settled flash crowd on mega's steady gears through the real
     # CLI: the ledger's crowd1000 shape (the forest stops changing at slot
-    # 20 of 480, and the zero-rate loss plan only reports) must print
-    # what the fast engine prints, line for line, engine label aside.
-    # Then the same crowd tracking 256 packets to a horizon of 150 slots,
-    # which cuts the analytic gear's periodic rows mid-window (360 211
-    # packets missing): mega = fast again. Last, 1024 tracked packets,
-    # where the analysis cuts most of each periodic row's implied run
-    # (late joiners' rows miss their first packets): mega = fast.
-    local base=target/ci-crowd
+    # 20 of 480, and the zero-rate loss plan only reports) runs checked
+    # (mega against the reference, field by field, in-process) and prints
+    # its committed golden, engine label aside. Then the same crowd
+    # tracking 256 packets to a horizon of 150 slots, which cuts the
+    # analytic gear's periodic rows mid-window (360 211 packets missing):
+    # checked again. Last, 1024 tracked packets, where the analysis cuts
+    # most of each periodic row's implied run (late joiners' rows miss
+    # their first packets): the reference takes ≈ 15 s there, so mega
+    # meets the golden alone.
+    local base=target/ci-crowd golden=tests/cli_golden
     local crowd=(simulate --scheme multitree --n 2000 --d 3 --scenario step:1000@20 --track 96)
     local cut=(simulate --scheme multitree --n 2000 --d 3 --scenario step:1000@20 --track 256 --horizon 150)
     local long=(simulate --scheme multitree --n 2000 --d 3 --scenario step:1000@20 --track 1024)
-    target/release/clustream "${crowd[@]}" --engine fast >"$base-fast.txt"
-    target/release/clustream "${crowd[@]}" --engine mega >"$base-mega.txt"
-    diff <(grep -v '^engine' "$base-fast.txt") <(grep -v '^engine' "$base-mega.txt")
-    target/release/clustream "${cut[@]}" --engine fast >"$base-h150-fast.txt"
-    target/release/clustream "${cut[@]}" --engine mega >"$base-h150-mega.txt"
-    diff <(grep -v '^engine' "$base-h150-fast.txt") <(grep -v '^engine' "$base-h150-mega.txt")
-    target/release/clustream "${long[@]}" --engine fast >"$base-t1024-fast.txt"
-    target/release/clustream "${long[@]}" --engine mega >"$base-t1024-mega.txt"
-    diff <(grep -v '^engine' "$base-t1024-fast.txt") <(grep -v '^engine' "$base-t1024-mega.txt")
+    target/release/clustream "${crowd[@]}" --engine checked >"$base-checked.txt"
+    diff <(grep -v '^engine' "$golden/crowd1000.txt") <(grep -v '^engine' "$base-checked.txt")
+    target/release/clustream "${cut[@]}" --engine checked >"$base-h150-checked.txt"
+    diff <(grep -v '^engine' "$golden/crowd_h150.txt") <(grep -v '^engine' "$base-h150-checked.txt")
+    target/release/clustream "${long[@]}" >"$base-t1024.txt"
+    diff "$golden/crowd_t1024.txt" "$base-t1024.txt"
 }
 
 flash_crowd_full() {
@@ -402,7 +401,7 @@ flash_crowd_full() {
     # container (it took 13-14 s while the zero-rate loss plan kept the
     # whole run in full mode).
     cargo run -q --release --offline -p clustream-bench --bin ext_flash_crowd -- \
-        --n0 1000 --d 3 --joins 100000 --engine mega \
+        --n0 1000 --d 3 --joins 100000 \
         --out target/ci-flash-crowd-100k.json
 }
 
@@ -440,17 +439,15 @@ cluster_chaos_heal_smoke() {
 
 mega_scale_smoke() {
     # The scale-oriented mega engine at N=10^5 through the real CLI, on
-    # the ledger's scale_multitree command line: the sequential and
-    # 4-shard mega runs must reproduce the fast engine's report line for
-    # line (engine label aside), and the mega report its committed
-    # golden stdout (slots run, transmissions and every QoS line). Then
-    # the ledger's scale_observed command line: asking for --metrics-out
-    # changes nothing mega prints but the `metrics` line, and what it
-    # records is what the fast engine records (wall-clock spans aside).
+    # the ledger's scale_multitree command line: the mega report is its
+    # committed golden stdout (slots run, transmissions and every QoS
+    # line, recorded before mega was the default), and the 4-shard run
+    # prints the same but the engine label. Then the ledger's
+    # scale_observed command line: asking for --metrics-out changes
+    # nothing mega prints but the `metrics` line, and what it records is
+    # its committed golden (wall-clock spans aside; recorded from the
+    # bare kernel loop, and the reference records the same).
     local base=target/ci-scale golden=tests/cli_golden
-    cargo run -q --release --offline -p clustream-cli --bin clustream -- \
-        simulate --scheme multitree --n 100000 --d 3 --track 256 \
-        --engine fast --metrics-out "$base-fast.jsonl" >"$base-fast.txt"
     cargo run -q --release --offline -p clustream-cli --bin clustream -- \
         simulate --scheme multitree --n 100000 --d 3 --track 256 \
         --engine mega >"$base-mega.txt"
@@ -460,20 +457,16 @@ mega_scale_smoke() {
     cargo run -q --release --offline -p clustream-cli --bin clustream -- \
         simulate --scheme multitree --n 100000 --d 3 --track 256 \
         --engine mega --metrics-out "$base-mega.jsonl" >"$base-mega-observed.txt"
-    diff <(grep -v -e engine -e '^metrics' "$base-fast.txt") <(grep -v engine "$base-mega.txt")
-    diff <(grep -v engine "$base-mega.txt") <(grep -v engine "$base-mega-sharded.txt")
     diff "$golden/scale_n100000_mega.txt" "$base-mega.txt"
+    diff <(grep -v engine "$base-mega.txt") <(grep -v engine "$base-mega-sharded.txt")
     diff "$golden/scale_n100000_mega.txt" <(grep -v '^metrics' "$base-mega-observed.txt")
-    diff <(grep -v '"span"' "$base-fast.jsonl") <(grep -v '"span"' "$base-mega.jsonl")
+    diff "$golden/scale_n100000_metrics.jsonl" <(grep -v '"span"' "$base-mega.jsonl")
     cargo run -q --release --offline -p clustream-cli --bin clustream -- \
         report "$base-mega.jsonl" | grep -x 'deliveries  : 26862784'
     # A chain plays node i i slots late, so at N=400 the rows past a
     # byte of lateness (~190) widen, and the steady gears write them:
-    # mega must still print what fast prints, engine label aside.
-    local chain=(simulate --scheme chain --n 400 --track 512)
-    target/release/clustream "${chain[@]}" --engine fast >"$base-chain-fast.txt"
-    target/release/clustream "${chain[@]}" --engine mega >"$base-chain-mega.txt"
-    diff <(grep -v '^engine' "$base-chain-fast.txt") <(grep -v '^engine' "$base-chain-mega.txt")
+    # the checked engine holds mega to the reference field by field.
+    target/release/clustream simulate --scheme chain --n 400 --track 512 --engine checked >/dev/null
     # Hypercube vertices at N=2000 send along ten dimensions, past the
     # seven receivers a link row keeps inline: the checked engine holds
     # the spilled rows' neighbor counts to the reference's link set.
@@ -511,10 +504,10 @@ stage "repro-corpus replay" corpus_replay
 stage "cluster smoke (8 nodes, uds + replay oracle)" cluster_smoke
 stage "cluster chaos smoke (8 nodes, uds + loss/gray + replay oracle)" cluster_chaos_smoke
 stage "flash-crowd smoke (10^3 joins, oracle-closed)" flash_crowd_smoke
-stage "crowd smoke (mega = fast, step:1000@20)" crowd_mega_smoke
+stage "crowd smoke (mega = reference = golden, step:1000@20)" crowd_mega_smoke
 
 if [ "$TIER" = scale ] || [ "$TIER" = full ]; then
-    stage "mega scale smoke (fast = mega = sharded = golden)" mega_scale_smoke
+    stage "mega scale smoke (mega = sharded = golden)" mega_scale_smoke
 fi
 
 if [ "$TIER" = full ]; then
@@ -522,7 +515,7 @@ if [ "$TIER" = full ]; then
         env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline -q
     stage "differential oracle" cargo test -q --test differential --offline
     stage "slot/DES differential oracle" cargo test -q --test des_differential --offline
-    stage "DES smoke (des_plain golden, wheel and heap)" des_smoke
+    stage "DES smoke (des_plain golden, wheel and checked queue)" des_smoke
     stage "telemetry smoke (metrics-out + report)" telemetry_smoke
     stage "recovery fault-matrix smoke" recovery_smoke
     stage "recovery-off DES equivalence regression" recovery_off_regression
@@ -563,11 +556,10 @@ echo "artifacts:"
 for f in target/ci-timings.json target/ci-metrics.jsonl \
     target/ci-cluster-trace.json target/ci-cluster-chaos-trace.json \
     target/ci-cluster-kill-trace.json target/ci-cluster-chaos-heal-trace.json \
-    target/ci-scale-fast.txt target/ci-scale-mega.txt target/ci-scale-mega-sharded.txt \
+    target/ci-scale-mega.txt target/ci-scale-mega-sharded.txt \
     target/ci-scale-mega-observed.txt target/ci-scale-mega.jsonl target/ci-scale-mega-1m.txt \
-    target/ci-scale-chain-fast.txt target/ci-scale-chain-mega.txt \
-    target/ci-des-recovery-wheel.txt target/ci-des-recovery-heap.txt \
-    target/ci-crowd-fast.txt target/ci-crowd-mega.txt; do
+    target/ci-des-recovery-wheel.txt target/ci-des-recovery-checked.txt \
+    target/ci-crowd-checked.txt target/ci-crowd-t1024.txt; do
     [ -f "$f" ] || continue
     printf '  %-48s %8d bytes\n' "$f" "$(wc -c <"$f")"
 done

@@ -2,7 +2,7 @@
 //! the survivors' QoE (DESIGN.md §15, EXPERIMENTS.md "flash crowd").
 //!
 //! Runs one [`ScenarioPlan`] through a scripted
-//! [`clustream_recovery::DynamicMultiTree`] on the chosen slot engine,
+//! [`clustream_recovery::DynamicMultiTree`] on the mega slot engine,
 //! prints the initial-buffering and throughput–smoothness frontiers with
 //! the paper's `h·d` bound pinned as a grid row, and writes the
 //! machine-readable
@@ -13,13 +13,13 @@
 
 use clustream_bench::render_table;
 use clustream_bench::scenarios::{crowd_plan, flash_crowd_oracle, run_flash_crowd, write_report};
-use clustream_plan::{choice, render_usage, ArgMap, CliError, Engine, RunPlan, Usage};
+use clustream_plan::{render_usage, ArgMap, CliError, RunPlan, Usage};
 use clustream_workloads::ScenarioPlan;
 use std::process::ExitCode;
 
 const USAGE: Usage = &[
     "[--n0 <N>] [--d <D>] [--joins <J>] [--scenario <SPEC>] [--track <T>] [--horizon <H>]",
-    "[--engine <reference|fast|mega>] [--oracle] [--out <PATH>]",
+    "[--oracle] [--out <PATH>]",
 ];
 
 /// The plan, whether to close it against the DES, and the report path.
@@ -32,26 +32,17 @@ fn parse(argv: Vec<String>) -> Result<(RunPlan, bool, String), CliError> {
         Some(spec) => spec.to_string(),
         None => format!("ramp:{}@10+200", args.u64_or("joins", 1_000)?),
     };
-    let engines = [
-        ("reference", Engine::Reference),
-        ("fast", Engine::Fast),
-        ("mega", Engine::Mega),
-    ];
-    let engine = choice(&args, "engine", &engines)?.unwrap_or(Engine::Fast);
     // The tracked window must outlast the join curve (default ramp ends
     // at slot 210): joiners only ever receive packets sent after they
     // arrive, so a shorter window scores late joiners as receiving
     // nothing and the frontier never closes.
-    let plan = RunPlan {
-        engine,
-        ..crowd_plan(
-            args.usize_or("n0", 100)?,
-            args.usize_or("d", 3)?,
-            ScenarioPlan::parse(&spec).map_err(CliError::Usage)?,
-            args.u64_or("track", 256)?,
-            args.u64_or("horizon", 2_000)?,
-        )
-    };
+    let plan = crowd_plan(
+        args.usize_or("n0", 100)?,
+        args.usize_or("d", 3)?,
+        ScenarioPlan::parse(&spec).map_err(CliError::Usage)?,
+        args.u64_or("track", 256)?,
+        args.u64_or("horizon", 2_000)?,
+    );
     let out = args.optional("out").unwrap_or("BENCH_flash_crowd.json");
     Ok((plan, args.switch("oracle"), out.to_string()))
 }

@@ -597,7 +597,7 @@ fn ext_adaptive_churn() -> Report {
         stable,
         format!(
             "worst real gap per trace: {} packets; tail complete for every member of all {} \
-             traces: {stable}; reference, fast, mega and des-wheel agree on every trace",
+             traces: {stable}; reference, mega and des-wheel agree on every trace",
             gaps.join(", "),
             rows.len()
         ),
@@ -806,7 +806,7 @@ fn scale_sweep() -> Report {
         text,
         max_delay <= bound && identical,
         format!(
-            "N=100000 exact profile: max delay {max_delay} ≤ bound {bound}; fast ≡ reference \
+            "N=100000 exact profile: max delay {max_delay} ≤ bound {bound}; mega ≡ reference \
              at N=20000: {identical}"
         ),
     )

@@ -2,7 +2,7 @@
 
 use clustream_analysis as analysis;
 use clustream_core::{NodeId, PacketId, QosReport, Scheme};
-use clustream_des::{agree, Column, DesEngine, LatencyModel, QueueKind, TICKS_PER_SLOT};
+use clustream_des::{agree, Column, DesEngine, LatencyModel, TICKS_PER_SLOT};
 use clustream_hypercube::HypercubeStream;
 use clustream_multitree::{
     build_forest, greedy_forest, structured_forest, Construction, DelayProfile, DynamicForest,
@@ -12,7 +12,7 @@ use clustream_npc::{find_two_interior_disjoint_trees, reduce, E4SetSplitting};
 use clustream_overlay::{Backbone, ClusterSession, IntraScheme};
 use clustream_plan::{DelayBound, Family, RunPlan, Runtime, SchemeSpec};
 use clustream_recovery::{DynamicMultiTree, RecoveryConfig};
-use clustream_sim::{FastEngine, FaultPlan, ResilienceMetrics, RunResult, SimConfig, Simulator};
+use clustream_sim::{FaultPlan, MegaEngine, ResilienceMetrics, RunResult, SimConfig, Simulator};
 use clustream_workloads::{ChurnAction, ChurnTrace, ChurnTraceConfig};
 use serde::Serialize;
 
@@ -24,24 +24,24 @@ pub fn simulate(scheme: &mut dyn Scheme, track: u64, bound: DelayBound) -> RunRe
     run.expect("scheme violates the communication model")
 }
 
-/// Like [`simulate`], for `spec`'s scheme on the fast engine with a
+/// Like [`simulate`], for `spec`'s scheme on the mega engine with a
 /// reusable arena.
 ///
-/// Debug builds also run the reference and fast engines through the
+/// Debug builds also run the reference and mega engines through the
 /// differential oracle and demand the reused arena's result bit for bit
 /// — every `cargo test` / debug invocation of `experiments` doubles as a
 /// differential check.
-pub fn simulate_fast(engine: &mut FastEngine, spec: SchemeSpec, track: u64) -> RunResult {
+pub fn simulate_mega(engine: &mut MegaEngine, spec: SchemeSpec, track: u64) -> RunResult {
     let bound = spec.worst_delay_bound();
     let cfg = SimConfig::until_complete(track, bound.completion_horizon(track));
     let make = || spec.build().expect("valid");
     let run = engine.run(make().as_mut(), &cfg);
     #[cfg(debug_assertions)]
     {
-        let oracle = agree(&[Column::Reference, Column::Fast], make, &cfg);
+        let oracle = agree(&[Column::Reference, Column::Mega], make, &cfg);
         let oracle = oracle.unwrap_or_else(|d| panic!("{d}"));
-        let fast = (Column::Fast, &run);
-        if let Some(d) = clustream_des::disagreement((Column::Reference, &oracle), fast) {
+        let mega = (Column::Mega, &run);
+        if let Some(d) = clustream_des::disagreement((Column::Reference, &oracle), mega) {
             panic!("the reused arena: {d}");
         }
     }
@@ -123,7 +123,7 @@ pub fn table1(ns: &[usize]) -> Vec<Table1Row> {
     clustream_sim::sweep(ns, |engine, &n| {
         let mut rows = Vec::new();
         for d in [2usize, 3] {
-            let r = simulate_fast(
+            let r = simulate_mega(
                 engine,
                 SchemeSpec::new(Family::MultiTree, n, d),
                 track_for(analysis::thm2_worst_delay_bound(n, d)),
@@ -134,7 +134,7 @@ pub fn table1(ns: &[usize]) -> Vec<Table1Row> {
             // Special N: largest 2^k − 1 ≤ N.
             let k = usize::BITS as usize - 1 - (n + 1).leading_zeros() as usize;
             let n_special = (1usize << k) - 1;
-            let r = simulate_fast(
+            let r = simulate_mega(
                 engine,
                 SchemeSpec::new(Family::Hypercube, n_special, 1),
                 track_for(k as u64 + 1),
@@ -142,7 +142,7 @@ pub fn table1(ns: &[usize]) -> Vec<Table1Row> {
             rows.push(row_from("hypercube special", n_special, &r.qos));
         }
         {
-            let r = simulate_fast(
+            let r = simulate_mega(
                 engine,
                 SchemeSpec::new(Family::Hypercube, n, 1),
                 track_for(analysis::chained_worst_delay(n)),
@@ -150,7 +150,7 @@ pub fn table1(ns: &[usize]) -> Vec<Table1Row> {
             rows.push(row_from("hypercube arbitrary", n, &r.qos));
         }
         {
-            let r = simulate_fast(
+            let r = simulate_mega(
                 engine,
                 SchemeSpec::new(Family::Chain, n, 1),
                 track_for(n as u64),
@@ -160,7 +160,7 @@ pub fn table1(ns: &[usize]) -> Vec<Table1Row> {
         {
             // Elevated-capacity single tree: the paper's §1 strawman
             // (interior upload = d× stream rate).
-            let r = simulate_fast(
+            let r = simulate_mega(
                 engine,
                 SchemeSpec::new(Family::SingleTree, n, 2),
                 track_for(2 * analysis::tree_height(n, 2)),
@@ -316,7 +316,7 @@ pub struct Prop1Row {
 pub fn prop1(ks: &[usize]) -> Vec<Prop1Row> {
     clustream_sim::sweep(ks, |engine, &k| {
         let n = (1usize << k) - 1;
-        let r = simulate_fast(
+        let r = simulate_mega(
             engine,
             SchemeSpec::new(Family::Hypercube, n, 1),
             track_for(k as u64 + 1),
@@ -350,7 +350,7 @@ pub fn prop2_thm4(ns: &[usize]) -> Vec<Prop2Row> {
     clustream_sim::sweep(ns, |engine, &n| {
         let cubes = HypercubeStream::new(n).expect("valid").cubes().count();
         let predicted = analysis::chained_worst_delay(n);
-        let r = simulate_fast(
+        let r = simulate_mega(
             engine,
             SchemeSpec::new(Family::Hypercube, n, 1),
             track_for(predicted),
@@ -555,7 +555,7 @@ pub struct UtilizationRow {
 /// interior; the interior-disjoint multi-trees leave only the `d` all-leaf
 /// nodes idle at unit upload; the hypercube spreads upload evenly.
 pub fn ext_utilization(n: usize, d: usize, track: u64) -> Vec<UtilizationRow> {
-    let mut engine = FastEngine::new();
+    let mut engine = MegaEngine::new();
     [
         (format!("multi-tree d={d}"), Family::MultiTree, d),
         ("hypercube".into(), Family::Hypercube, 1),
@@ -564,7 +564,7 @@ pub fn ext_utilization(n: usize, d: usize, track: u64) -> Vec<UtilizationRow> {
     ]
     .into_iter()
     .map(|(scheme, family, degree)| {
-        let r = simulate_fast(&mut engine, SchemeSpec::new(family, n, degree), track);
+        let r = simulate_mega(&mut engine, SchemeSpec::new(family, n, degree), track);
         let slots = r.slots_run as f64;
         let uploads = &r.upload_counts[1..=n];
         UtilizationRow {
@@ -690,8 +690,8 @@ pub struct ChurnThroughRow {
 }
 
 /// Stream 360 packets through 300 slots of churn per `(seed, join rate,
-/// leave rate)` cell on the shipped [`DynamicMultiTree`], on the
-/// reference, fast, mega and wheel-DES columns, and measure the actual
+/// leave rate)` cell on the shipped [`DynamicMultiTree`], on every
+/// oracle column ([`Column::ALL`]), and measure the actual
 /// per-node packet gaps (the hiccups the paper's appendix discusses
 /// qualitatively). `Err` names the first divergence between the columns.
 pub fn ext_adaptive_churn(
@@ -699,8 +699,7 @@ pub fn ext_adaptive_churn(
     d: usize,
     cells: &[(u64, f64, f64)],
 ) -> Result<Vec<ChurnThroughRow>, String> {
-    use Column::{Des, Fast, Mega, Reference};
-    let columns = [Reference, Fast, Mega, Des(QueueKind::Wheel)];
+    let columns = Column::ALL;
     let track = 360u64;
     // A member is owed the tracked packets *after* its join slot plus a
     // catch-up margin (pre-join packets were never owed).
@@ -813,7 +812,7 @@ pub fn ext_npc() -> Vec<NpcRow> {
 
 // ------------------------------------------------------ Scalability (ext)
 
-/// One validated large-N simulation: the reference and fast engines on
+/// One validated large-N simulation: the reference and mega engines on
 /// the same scheme.
 #[derive(Debug, Clone)]
 pub struct ScaleSimRow {
@@ -825,9 +824,9 @@ pub struct ScaleSimRow {
 
 /// Fully validated simulations at population `n`, multi-tree (`d = 3`)
 /// and hypercube, on both engines: the readable reference and the
-/// allocation-light fast path, diffed field by field.
+/// production engine, diffed field by field.
 pub fn scale_validated(n: usize) -> Vec<ScaleSimRow> {
-    let mut engine = FastEngine::new();
+    let mut engine = MegaEngine::new();
     [(Family::MultiTree, 3, 48), (Family::Hypercube, 1, 64)]
         .into_iter()
         .map(|(family, d, track)| {
@@ -836,9 +835,9 @@ pub fn scale_validated(n: usize) -> Vec<ScaleSimRow> {
             let bound = spec.worst_delay_bound();
             let reference = simulate(make().as_mut(), track, bound);
             let cfg = SimConfig::until_complete(track, bound.completion_horizon(track));
-            let fast = engine.run(make().as_mut(), &cfg).unwrap();
+            let mega = engine.run(make().as_mut(), &cfg).unwrap();
             ScaleSimRow {
-                diffs: clustream_sim::diff_fields(&reference, &fast),
+                diffs: clustream_sim::diff_fields(&reference, &mega),
                 scheme: reference.scheme,
                 transmissions: reference.total_transmissions,
             }

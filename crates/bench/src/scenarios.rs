@@ -55,7 +55,7 @@ pub fn write_report<T: Serialize>(path: &str, report: &T) -> std::io::Result<()>
 
 /// The plan of one crowd run: `scenario` (an empty one streams the
 /// static forest) over an `n0`-member degree-`d` greedy forest, on the
-/// fast slot engine, in the fault-tolerant regime, for `horizon` slots.
+/// mega slot engine, in the fault-tolerant regime, for `horizon` slots.
 pub fn crowd_plan(
     n0: usize,
     d: usize,
@@ -274,7 +274,7 @@ pub fn run_heterogeneity(plan: &RunPlan) -> Result<HeterogeneityReport, CliError
     })
 }
 
-/// Oracle closure for a crowd plan: the slot world (fast engine) and the
+/// Oracle closure for a crowd plan: the slot world (mega engine) and the
 /// DES must agree bit for bit on the replay. Returns the divergence
 /// description on failure — `ext_flash_crowd --oracle` turns it into a
 /// nonzero exit, which is the CI quick-tier gate.
@@ -299,7 +299,7 @@ mod tests {
     fn flash_crowd_report_round_trips_through_json() {
         let plan = ScenarioPlan::parse("step:20@4").unwrap();
         let rep = run_flash_crowd(&crowd_plan(10, 2, plan, 16, 400)).unwrap();
-        assert_eq!(rep.engine, "fast");
+        assert_eq!(rep.engine, "mega");
         assert_eq!(rep.joins_applied, 20);
         assert_eq!(rep.final_members, 30);
         assert_eq!(rep.scenario, "step:20@4");
@@ -322,19 +322,19 @@ mod tests {
     #[test]
     fn engines_agree_on_the_crowd_report() {
         let plan = ScenarioPlan::parse("ramp:30@2+8").unwrap();
-        let fast = crowd_plan(8, 3, plan, 12, 300);
-        let mega = RunPlan {
-            engine: Engine::Mega,
-            ..fast.clone()
+        let mega = crowd_plan(8, 3, plan, 12, 300);
+        let reference = RunPlan {
+            engine: Engine::Reference,
+            ..mega.clone()
         };
-        let (fast, mega) = (
-            run_flash_crowd(&fast).unwrap(),
+        let (mega, reference) = (
             run_flash_crowd(&mega).unwrap(),
+            run_flash_crowd(&reference).unwrap(),
         );
-        assert_eq!(mega.engine, "mega");
-        assert_eq!(fast.max_delay, mega.max_delay);
-        assert_eq!(fast.qoe_wait_at_bound, mega.qoe_wait_at_bound);
-        assert_eq!(fast.initial_buffering, mega.initial_buffering);
+        assert_eq!(reference.engine, "reference");
+        assert_eq!(reference.max_delay, mega.max_delay);
+        assert_eq!(reference.qoe_wait_at_bound, mega.qoe_wait_at_bound);
+        assert_eq!(reference.initial_buffering, mega.initial_buffering);
     }
 
     #[test]

@@ -6,7 +6,7 @@ use clustream_des::{DesStats, TICKS_PER_SLOT};
 use clustream_multitree::node_calendar;
 use clustream_overlay::{plan_session, ClusterRequirement, IntraScheme};
 use clustream_plan::{member_timelines, DelayBound, Family, RunPlan, SchemeSpec, SCHEME_USAGE};
-use clustream_sim::{FastSimulator, RunResult, SimConfig};
+use clustream_sim::{MegaSimulator, RunResult, SimConfig};
 use clustream_telemetry::{
     from_jsonl, names as tm, to_jsonl, Histogram, MemoryRecorder, Telemetry,
 };
@@ -367,7 +367,7 @@ pub fn plan(args: &ArgMap) -> Result<String, CliError> {
     }
     let bound = DelayBound::session(session.worst_delay_bound());
     let cfg = SimConfig::until_complete(24, bound.completion_horizon(24));
-    let r = FastSimulator::run(&mut session, &cfg).map_err(|e| bound.blame(e))?;
+    let r = MegaSimulator::run(&mut session, &cfg).map_err(|e| bound.blame(e))?;
     let _ = writeln!(
         out,
         "\nsimulated: worst startup {} slots, max buffer {} packets, 0 hiccups",
@@ -420,7 +420,7 @@ pub fn trace(args: &ArgMap) -> Result<String, CliError> {
     let (bound, track) = (spec.worst_delay_bound(), (packet + 16).max(48));
     let horizon = bound.completion_horizon(track);
     let cfg = SimConfig::until_complete(track, horizon).traced();
-    let r = FastSimulator::run(scheme.as_mut(), &cfg).map_err(|e| bound.blame(e))?;
+    let r = MegaSimulator::run(scheme.as_mut(), &cfg).map_err(|e| bound.blame(e))?;
     let tr = r.trace.as_ref().expect("trace requested");
 
     let mut out = String::new();

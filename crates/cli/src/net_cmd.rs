@@ -170,6 +170,12 @@ pub fn replay(args: &ArgMap) -> Result<String, CliError> {
     args.check_known(REPLAY_USAGE)?;
     let path = args.required("trace")?;
     let min = args.f64_or("min-concordance", 0.9)?;
+    // A NaN floor would pass every comparison below, checking nothing.
+    if !(0.0..=1.0).contains(&min) {
+        return Err(CliError::Usage(format!(
+            "--min-concordance must be a number in [0, 1], got {min}"
+        )));
+    }
     let json = std::fs::read_to_string(path)
         .map_err(|e| CliError::Usage(format!("cannot read --trace `{path}`: {e}")))?;
     let trace = RunTrace::from_json(&json).map_err(CliError::Model)?;

@@ -11,17 +11,18 @@ use clustream_workloads::ChurnTrace;
 /// Which [`crate::EventQueue`] implementation the engine drains.
 ///
 /// Every choice pops the identical `(time, class, seq)` event sequence,
-/// so the [`clustream_sim::RunResult`] is bit-identical across kinds —
-/// the knob trades wall clock (wheel ≫ heap at scale) against the
-/// lockstep self-check (`Checked` runs both and asserts agreement).
+/// so the [`clustream_sim::RunResult`] is bit-identical across kinds.
+/// The wheel is the runtime's queue; the heap is its obviously correct
+/// counterpart, run beside it by `Checked` (the CLI offers `wheel` and
+/// `checked` only).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QueueKind {
     /// Binary min-heap ([`crate::HeapQueue`]): the original, obviously
-    /// correct `O(log n)` queue. The default.
-    #[default]
+    /// correct `O(log n)` queue; the oracle half of `Checked`.
     Heap,
     /// Hierarchical timing wheel ([`crate::WheelQueue`]): O(1) pushes,
-    /// batched same-tick drains, allocation-free hot loop.
+    /// batched same-tick drains, allocation-free hot loop. The default.
+    #[default]
     Wheel,
     /// Both in lockstep ([`crate::CheckedQueue`]), panicking on any pop
     /// divergence: the queue-level differential oracle.
@@ -45,8 +46,8 @@ impl QueueKind {
 /// tracing) and adds the knobs the slot model cannot express: a per-link
 /// [`LatencyModel`], an uplink contention model, and an optional churn
 /// trace. The degenerate combination — fixed latency, unconstrained
-/// uplinks, no churn — is **slot-faithful**: the DES reproduces the fast
-/// engine's [`clustream_sim::RunResult`] field for field (see the crate
+/// uplinks, no churn — is **slot-faithful**: the DES reproduces the slot
+/// engines' [`clustream_sim::RunResult`] field for field (see the crate
 /// docs for the argument, and `tests/des_differential.rs` for the
 /// enforcement).
 #[derive(Debug, Clone)]
@@ -232,7 +233,7 @@ mod tests {
             assert!(cfg.is_slot_faithful(), "{queue:?}");
             assert!(cfg.validate().is_ok());
         }
-        assert_eq!(QueueKind::default(), QueueKind::Heap);
+        assert_eq!(QueueKind::default(), QueueKind::Wheel);
         assert_eq!(QueueKind::Wheel.label(), "wheel");
     }
 

@@ -23,7 +23,7 @@
 //! class, the arrivals pop in the same order either way. Every event
 //! lands on a slot boundary and every delivery goes through
 //! [`clustream_sim::kernel::Kernel::store`], so the run is field-for-field
-//! identical to [`clustream_sim::FastEngine`] — enforced by
+//! identical to [`clustream_sim::MegaEngine`] — enforced by
 //! `tests/des_differential.rs`.
 //!
 //! **Relaxed** — any jitter, uplink serialization, churn, or recovery.
@@ -969,7 +969,7 @@ mod tests {
             let reference = (case != "ring refusal").then_some(Column::Reference);
             let columns: Vec<Column> = reference
                 .into_iter()
-                .chain([Column::Fast, Column::Mega])
+                .chain([Column::Mega])
                 .chain(des)
                 .collect();
             let outcome = agree(&columns, || Box::new(scheme.clone()), &cfg)

@@ -17,7 +17,7 @@
 //!   — O(1) pushes, recycled payload slots, batched same-tick drains — an
 //!   order of magnitude faster at scale), and [`CheckedQueue`] (both in
 //!   lockstep, asserting identical pops), selected by
-//!   [`config::QueueKind`].
+//!   [`config::QueueKind`] (the wheel by default).
 //! * **Latency models** ([`latency`]) — fixed (the paper's model),
 //!   uniform jitter, shifted-heavy-tail; seeded and reproducible.
 //! * **Uplink gates** ([`uplink`]) — per-node serialization: capacity-`c`
@@ -35,7 +35,7 @@
 //! kernel's admission rule, receive guard and fault ledger, so validation
 //! order, RNG draw order, rendered errors and the
 //! [`clustream_sim::RunResult`], field for field, are the slot engines'.
-//! [`agree`] over a [`Column::Des`] and the fast [`Column`] enforces
+//! [`agree`] over a [`Column::Des`] and [`Column::Mega`] enforces
 //! this continuously (property-based suite in
 //! `tests/des_differential.rs`, smoke run in `ci.sh`, CLI runtime
 //! `des-checked`), which is what licenses trusting the *relaxed* results:

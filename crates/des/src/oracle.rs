@@ -1,6 +1,6 @@
 //! The differential oracle: one vocabulary for every engine column.
 //!
-//! The reference, fast and mega slot engines and the DES in its
+//! The reference and mega slot engines and the DES in its
 //! degenerate configuration ([`DesConfig::slot_faithful`]) promise the
 //! same [`RunResult`] **field for field**, or the identically-rendered
 //! error. A [`Column`] names one of them; [`agree`] runs a fresh scheme
@@ -13,15 +13,13 @@
 use crate::config::{DesConfig, QueueKind};
 use crate::engine::DesEngine;
 use clustream_core::{CoreError, Scheme};
-use clustream_sim::{diff_fields, FastSimulator, MegaSimulator, RunResult, SimConfig, Simulator};
+use clustream_sim::{diff_fields, MegaSimulator, RunResult, SimConfig, Simulator};
 
 /// One engine column of the oracle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Column {
     /// The readable reference slot simulator.
     Reference,
-    /// The fast slot engine.
-    Fast,
     /// The single-shard mega slot engine.
     Mega,
     /// The DES in its slot-faithful configuration, on this event queue.
@@ -29,12 +27,11 @@ pub enum Column {
 }
 
 impl Column {
-    /// The model checker's five columns, in the order it runs them.
-    pub const ALL: [Column; 5] = [
+    /// The model checker's three columns, in the order it runs them:
+    /// the oracle, the slot engine and the event runtime.
+    pub const ALL: [Column; 3] = [
         Column::Reference,
-        Column::Fast,
         Column::Mega,
-        Column::Des(QueueKind::Heap),
         Column::Des(QueueKind::Wheel),
     ];
 
@@ -42,7 +39,6 @@ impl Column {
     pub fn label(self) -> &'static str {
         match self {
             Column::Reference => "reference",
-            Column::Fast => "fast",
             Column::Mega => "mega",
             Column::Des(QueueKind::Heap) => "des",
             Column::Des(QueueKind::Wheel) => "des-wheel",
@@ -54,7 +50,6 @@ impl Column {
     pub fn run(self, scheme: &mut dyn Scheme, cfg: &SimConfig) -> Result<RunResult, CoreError> {
         match self {
             Column::Reference => Simulator::run(scheme, cfg),
-            Column::Fast => FastSimulator::run(scheme, cfg),
             Column::Mega => MegaSimulator::run(scheme, cfg),
             Column::Des(queue) => DesEngine::new().run(
                 scheme,
@@ -152,14 +147,11 @@ mod tests {
     }
 
     /// The column sets the callers run: `--engine checked`, `--runtime
-    /// des-checked` on every queue, and the model checker's five.
+    /// des-checked` on every queue, and the model checker's three.
     fn column_sets() -> Vec<Vec<Column>> {
-        let mut sets = vec![
-            vec![Column::Fast, Column::Reference, Column::Mega],
-            Column::ALL.to_vec(),
-        ];
+        let mut sets = vec![vec![Column::Mega, Column::Reference], Column::ALL.to_vec()];
         for queue in [QueueKind::Heap, QueueKind::Wheel, QueueKind::Checked] {
-            sets.push(vec![Column::Des(queue), Column::Fast]);
+            sets.push(vec![Column::Des(queue), Column::Mega]);
         }
         sets
     }
@@ -246,21 +238,21 @@ mod tests {
         };
         let err = Simulator::run(&mut Chain { n: 3 }, &short);
         let other_err = Err(CoreError::InvalidConfig("elsewhere".into()));
-        let (fast, mega) = (Column::Fast, Column::Mega);
+        let (reference, mega) = (Column::Reference, Column::Mega);
 
-        assert_eq!(disagreement((fast, &ok), (mega, &ok)), None);
-        assert_eq!(disagreement((fast, &err), (mega, &err)), None);
+        assert_eq!(disagreement((reference, &ok), (mega, &ok)), None);
+        assert_eq!(disagreement((reference, &err), (mega, &err)), None);
         for (a, b, expected) in [
             (
                 &ok,
                 &mutated,
-                "fast and mega diverge on total_transmissions for scheme chain(3)",
+                "reference and mega diverge on total_transmissions for scheme chain(3)",
             ),
-            (&err, &other_err, "fast and mega fail differently: `"),
-            (&ok, &err, "fast succeeds (chain(3)) but mega errors: "),
-            (&err, &ok, "mega succeeds (chain(3)) but fast errors: "),
+            (&err, &other_err, "reference and mega fail differently: `"),
+            (&ok, &err, "reference succeeds (chain(3)) but mega errors: "),
+            (&err, &ok, "mega succeeds (chain(3)) but reference errors: "),
         ] {
-            let d = disagreement((fast, a), (mega, b)).expect("a divergence");
+            let d = disagreement((reference, a), (mega, b)).expect("a divergence");
             assert!(d.starts_with(expected), "{d}");
         }
     }

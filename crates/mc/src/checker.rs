@@ -87,15 +87,15 @@ pub fn check_genome_with(
     }
 }
 
-/// Check `g` on every [`Column::ALL`] column (reference, fast, mega,
-/// heap-DES, wheel-DES) with cross-engine agreement.
+/// Check `g` on every [`Column::ALL`] column (reference, mega,
+/// wheel-DES) with cross-engine agreement.
 pub fn check_genome(g: &Genome) -> CheckReport {
     check_genome_with(g, &Column::ALL, None)
 }
 
-/// Check `g` on the fast engine only.
-pub fn check_genome_fast(g: &Genome) -> CheckReport {
-    check_genome_with(g, &[Column::Fast], None)
+/// Check `g` on the mega engine only.
+pub fn check_genome_mega(g: &Genome) -> CheckReport {
+    check_genome_with(g, &[Column::Mega], None)
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 //! mutation frontier; violating genomes are shrunk to minimal
 //! counterexamples (see [`mod@crate::shrink`]) for the repro corpus.
 
-use crate::checker::{check_genome_fast, check_genome_with};
+use crate::checker::{check_genome_mega, check_genome_with};
 use crate::genome::{ConstructionChoice, Family, Genome, ModeChoice};
 use crate::shrink::shrink;
 use clustream_core::NodeId;
@@ -161,14 +161,14 @@ pub fn explore(opts: &ExploreOptions) -> ExploreReport {
         let child = mutate(parent, &mut rng, opts.max_n);
         report.executed += 1;
         let (rec, tel) = MemoryRecorder::handle();
-        let rep = check_genome_with(&child, &[Column::Fast], Some(&tel));
+        let rep = check_genome_with(&child, &[Column::Mega], Some(&tel));
         if rep.skipped {
             report.skipped += 1;
             continue;
         }
         if let Some(v) = rep.violations.first() {
             let invariant = v.invariant.clone();
-            let shrunk = shrink(&child, |g| check_genome_fast(g).violates(Some(&invariant)));
+            let shrunk = shrink(&child, |g| check_genome_mega(g).violates(Some(&invariant)));
             report.counterexamples.push(Counterexample {
                 found: child.clone(),
                 shrunk,

@@ -103,7 +103,7 @@ pub struct CheckContext<'a> {
     pub genome: &'a Genome,
     /// Closed-form bounds for the genome's family.
     pub bounds: &'a Bounds,
-    /// Engine label (`"reference"`, `"fast"`, `"des"`).
+    /// Engine label (`"reference"`, `"mega"`, `"des-wheel"`).
     pub engine: &'a str,
     /// The finished run.
     pub result: &'a RunResult,

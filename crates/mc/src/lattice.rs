@@ -3,8 +3,8 @@
 //! Enumerates *every* genome in a bounded lattice — all `d ∈ {2,3,4}`,
 //! `N ≤ 64`, both constructions, all four scheme families, and a small
 //! canonical set of crash/loss plans — and checks the full invariant
-//! registry on every [`Column::ALL`] engine column (reference, fast,
-//! mega, heap-DES and wheel-DES), including cross-engine field equality
+//! registry on every [`Column::ALL`] engine column (reference, mega and
+//! wheel-DES), including cross-engine field equality
 //! ([`clustream_des::disagreement`]). Degree is skipped for the chain
 //! (which ignores it) and construction for everything but the
 //! multi-tree, so no configuration is checked twice.

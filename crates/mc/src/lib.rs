@@ -32,7 +32,7 @@ pub mod lattice;
 pub mod sabotage;
 pub mod shrink;
 
-pub use checker::{check_genome, check_genome_fast, check_genome_with, CheckReport};
+pub use checker::{check_genome, check_genome_mega, check_genome_with, CheckReport};
 pub use corpus::{load_dir, replay_dir, CorpusEntry, ReplayReport};
 pub use explore::{coverage_signature, explore, Counterexample, ExploreOptions, ExploreReport};
 pub use genome::{ConstructionChoice, Family, Genome, ModeChoice, MAX_D, MAX_N, MAX_TRACK};

@@ -108,7 +108,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checker::check_genome_fast;
+    use crate::checker::check_genome_mega;
     use crate::genome::{ConstructionChoice, Family};
 
     fn violating_genome() -> Genome {
@@ -120,7 +120,7 @@ mod tests {
     #[test]
     fn shrink_reaches_a_one_minimal_fixpoint() {
         let g = violating_genome();
-        let pred = |c: &Genome| check_genome_fast(c).violates(Some("DelayBound"));
+        let pred = |c: &Genome| check_genome_mega(c).violates(Some("DelayBound"));
         assert!(pred(&g), "starting genome must violate");
         let min = shrink(&g, pred);
         assert!(pred(&min), "shrunk genome still violates");
@@ -142,7 +142,7 @@ mod tests {
     #[test]
     fn shrink_is_deterministic() {
         let g = violating_genome();
-        let pred = |c: &Genome| check_genome_fast(c).violates(Some("DelayBound"));
+        let pred = |c: &Genome| check_genome_mega(c).violates(Some("DelayBound"));
         let a = shrink(&g, pred);
         let b = shrink(&g, pred);
         assert_eq!(a.to_json(), b.to_json());

@@ -2,7 +2,7 @@
 //! control plane, inject kills, and collect the run trace.
 //!
 //! One `run_cluster` call is a full experiment: lower the schedule
-//! (fast slot engine), spawn `n + 1` local processes (node 0 is the
+//! (mega slot engine), spawn `n + 1` local processes (node 0 is the
 //! source), distribute per-node [`NodeConfig`]s, release the stream with
 //! a synchronized `Start`, SIGKILL the scheduled victims at their slot
 //! deadlines, tally `Suspect` frames into detection wall-clocks

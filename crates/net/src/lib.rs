@@ -9,7 +9,7 @@
 //!
 //! The pipeline, end to end:
 //!
-//! 1. **Lowering** ([`schedule`]) — run the fast slot engine once
+//! 1. **Lowering** ([`schedule`]) — run the mega slot engine once
 //!    with tracing on; split the validated transmission trace into
 //!    per-node send/expect calendars ([`NodeConfig`]).
 //! 2. **Transport** ([`frame`], [`transport`]) — length-prefixed binary

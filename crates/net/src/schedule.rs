@@ -2,7 +2,7 @@
 //! calendar to the explicit per-node send/expect lists a
 //! `clustream-node` process executes.
 //!
-//! The lowering runs the fast slot engine once with tracing on and
+//! The lowering runs the mega slot engine once with tracing on and
 //! harvests the validated transmission trace — so a networked run
 //! executes exactly the transmissions the paper's schedule prescribes,
 //! already validated (capacity, holdings, collisions) under the contract
@@ -13,7 +13,7 @@
 
 use clustream_core::{NodeId, Scheme};
 use clustream_plan::{Family, SchemeSpec};
-use clustream_sim::{FastSimulator, FaultPlan, SimConfig};
+use clustream_sim::{FaultPlan, MegaSimulator, SimConfig};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -94,15 +94,15 @@ pub struct LoweredSchedule {
     pub expects: BTreeMap<u32, Vec<LoweredRecv>>,
 }
 
-/// Lower `params` for a `track`-packet stream by running the fast
-/// simulator with tracing enabled, on the scheme's completion horizon,
+/// Lower `params` for a `track`-packet stream by running the slot
+/// engine with tracing enabled, on the scheme's completion horizon,
 /// and splitting the trace per node.
 pub fn lower_schedule(params: &SchemeParams, track: u64) -> Result<LoweredSchedule, String> {
     let spec = params.spec()?;
     let mut scheme = spec.build().map_err(|e| e.to_string())?;
     let bound = spec.worst_delay_bound();
     let cfg = SimConfig::until_complete(track, bound.completion_horizon(track)).traced();
-    let run = FastSimulator::run(scheme.as_mut(), &cfg).map_err(|e| bound.blame(e).to_string())?;
+    let run = MegaSimulator::run(scheme.as_mut(), &cfg).map_err(|e| bound.blame(e).to_string())?;
     Ok(split_trace(&run, track))
 }
 
@@ -125,7 +125,7 @@ pub fn lower_scheme_healed(
         stop_crashes: dead.iter().map(|&d| (NodeId(d), 0)).collect(),
     };
     let cfg = SimConfig::with_faults(track, max_slots, plan).traced();
-    let run = FastSimulator::run(scheme, &cfg).map_err(|e| e.to_string())?;
+    let run = MegaSimulator::run(scheme, &cfg).map_err(|e| e.to_string())?;
     Ok(split_trace(&run, track))
 }
 
@@ -335,6 +335,75 @@ pub struct NodeReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clustream_plan::ArgMap;
+    use clustream_sim::Simulator;
+
+    /// Every family, and the multi-tree in each stream mode, as the CLI
+    /// spells them.
+    const LOWERED: [&str; 6] = [
+        "--scheme multitree --n 13 --d 3",
+        "--scheme multitree --n 13 --d 3 --mode buffered",
+        "--scheme multitree --n 13 --d 3 --mode pipelined",
+        "--scheme hypercube --n 13 --d 2",
+        "--scheme chain --n 13",
+        "--scheme singletree --n 13 --d 3",
+    ];
+
+    fn spec_of(flags: &str) -> SchemeSpec {
+        let argv: Vec<String> = flags.split_whitespace().map(str::to_string).collect();
+        SchemeSpec::from_args(&ArgMap::parse(&argv).unwrap()).unwrap()
+    }
+
+    /// The reference engine's traced run of `spec` under `cfg`, split
+    /// per node the way the lowering splits its own run.
+    fn reference_split(spec: SchemeSpec, cfg: &SimConfig, track: u64) -> LoweredSchedule {
+        let run = Simulator::run(spec.build().unwrap().as_mut(), cfg).unwrap();
+        split_trace(&run, track)
+    }
+
+    fn assert_same(got: &LoweredSchedule, want: &LoweredSchedule, what: &str) {
+        assert_eq!(got.slots_run, want.slots_run, "{what}");
+        assert_eq!(got.sends, want.sends, "{what}");
+        assert_eq!(got.expects, want.expects, "{what}");
+    }
+
+    /// The lowering's engine against the reference: the plain lowering
+    /// runs mega's traced gear, the healed one its full mode under a
+    /// stop-crash plan (and, with nobody dead, under a plan that only
+    /// reports). Both must split into the reference's calendars.
+    #[test]
+    fn lowerings_split_what_the_reference_engine_traces() {
+        let track = 20;
+        for flags in LOWERED {
+            let spec = spec_of(flags);
+            let horizon = spec.worst_delay_bound().completion_horizon(track);
+            // `SchemeParams` names pre-recorded schemes only.
+            if !flags.contains("--mode") {
+                let params = SchemeParams {
+                    family: spec.family.label().into(),
+                    n: spec.n as u64,
+                    d: spec.d as u64,
+                };
+                assert_eq!(params.spec().unwrap(), spec, "{flags}");
+                let cfg = SimConfig::until_complete(track, horizon).traced();
+                let want = reference_split(spec, &cfg, track);
+                assert_same(&lower_schedule(&params, track).unwrap(), &want, flags);
+            }
+            for dead in [&[][..], &[4], &[2, 9]] {
+                let plan = FaultPlan {
+                    loss_rate: 0.0,
+                    seed: 0,
+                    crashes: Vec::new(),
+                    stop_crashes: dead.iter().map(|&d| (NodeId(d), 0)).collect(),
+                };
+                let cfg = SimConfig::with_faults(track, horizon, plan).traced();
+                let want = reference_split(spec, &cfg, track);
+                let mut scheme = spec.build().unwrap();
+                let got = lower_scheme_healed(scheme.as_mut(), track, dead, horizon).unwrap();
+                assert_same(&got, &want, &format!("{flags}, dead {dead:?}"));
+            }
+        }
+    }
 
     #[test]
     fn lowering_covers_every_tracked_packet_for_every_receiver() {

@@ -9,7 +9,7 @@ use clustream_des::{
     UplinkModel,
 };
 use clustream_recovery::{DynamicMultiTree, RecoveryConfig, RecoveryMode};
-use clustream_sim::{FastSimulator, MegaSimulator, RunResult, SimConfig, Simulator};
+use clustream_sim::{MegaSimulator, RunResult, SimConfig, Simulator};
 use clustream_telemetry::Telemetry;
 use clustream_workloads::{ChurnTrace, ChurnTraceConfig, NodeTimeline, ScenarioPlan};
 
@@ -26,7 +26,7 @@ pub enum Runtime {
     /// Discrete-event runtime with pluggable latency/uplink models.
     Des,
     /// DES in the slot-faithful configuration, field-checked against the
-    /// fast slot engine.
+    /// mega slot engine.
     DesChecked,
 }
 
@@ -35,13 +35,11 @@ pub enum Runtime {
 pub enum Engine {
     /// The readable reference engine.
     Reference,
-    /// The allocation-light fast engine (bit-identical results).
-    Fast,
-    /// The scale-oriented mega engine: columnar state, steady-state
-    /// schedule lowering and optional in-run sharding.
+    /// The default: the slot kernel with steady-state schedule lowering
+    /// and optional in-run sharding (bit-identical results).
     Mega,
-    /// Reference, fast and mega together, with a field-by-field
-    /// equality check.
+    /// Mega and the reference together, with a field-by-field equality
+    /// check.
     Checked,
 }
 
@@ -50,8 +48,8 @@ pub const SIMULATE_USAGE: Usage = &[
     SCHEME_USAGE[0],
     SCHEME_USAGE[1],
     "[--track <P>] [--runtime <slot|des|des-checked>] [--metrics-out <FILE.jsonl>]",
-    "[--engine <fast|reference|mega|checked>] [--shards <K>]    (slot runtime; shards: mega)",
-    "[--queue <heap|wheel|checked>]    (des and des-checked runtimes)",
+    "[--engine <mega|reference|checked>] [--shards <K>]    (slot runtime; shards: mega)",
+    "[--queue <wheel|checked>]    (des and des-checked runtimes)",
     "[--latency <fixed|jitter|heavytail>] [--jitter <SLOTS>]    (des runtime)",
     "[--scale <S>] [--alpha <A>] [--cap <C>] [--des-seed <SEED>]",
     "[--uplink <unconstrained|serialized>] [--classes <NAME[:CAPACITY],…>]",
@@ -99,11 +97,12 @@ pub struct RunPlan {
     pub horizon: Option<u64>,
     /// Runtime model.
     pub runtime: Runtime,
-    /// Slot engine.
+    /// Slot engine (mega unless `--engine` says otherwise).
     pub engine: Engine,
     /// In-run shards of the mega engine; `None` = not asked for.
     pub shards: Option<usize>,
-    /// DES event queue; `None` = not asked for (the heap).
+    /// DES event queue; `None` = not asked for (the wheel, unnamed in
+    /// the `engine` line).
     pub queue: Option<QueueKind>,
     /// DES per-link latency model.
     pub latency: LatencyModel,
@@ -128,7 +127,7 @@ pub struct RunPlan {
 pub type Outcome = (String, RunResult, Option<DesStats>);
 
 impl RunPlan {
-    /// The default run of `scheme`: fast slot engine, fixed latency, no
+    /// The default run of `scheme`: mega slot engine, fixed latency, no
     /// recovery, churn or scenario.
     pub fn new(scheme: SchemeSpec, track: u64) -> RunPlan {
         RunPlan {
@@ -136,7 +135,7 @@ impl RunPlan {
             track,
             horizon: None,
             runtime: Runtime::Slot,
-            engine: Engine::Fast,
+            engine: Engine::Mega,
             shards: None,
             queue: None,
             latency: LatencyModel::Fixed,
@@ -165,11 +164,10 @@ impl RunPlan {
         let runtime = choice(args, "runtime", &runtimes)?.unwrap_or(Runtime::Slot);
         let engines = [
             ("reference", Engine::Reference),
-            ("fast", Engine::Fast),
             ("mega", Engine::Mega),
             ("checked", Engine::Checked),
         ];
-        let engine = choice(args, "engine", &engines)?.unwrap_or(Engine::Fast);
+        let engine = choice(args, "engine", &engines)?.unwrap_or(Engine::Mega);
         let shards = args.parsed("shards", "an integer")?;
         let latency = parse_latency(args)?;
         let uplinks = [
@@ -177,11 +175,7 @@ impl RunPlan {
             ("serialized", UplinkModel::Serialized),
         ];
         let uplink = choice(args, "uplink", &uplinks)?.unwrap_or(UplinkModel::Unconstrained);
-        let queues = [
-            ("heap", QueueKind::Heap),
-            ("wheel", QueueKind::Wheel),
-            ("checked", QueueKind::Checked),
-        ];
+        let queues = [("wheel", QueueKind::Wheel), ("checked", QueueKind::Checked)];
         let queue = choice(args, "queue", &queues)?;
         let recovery = parse_recovery(args)?;
         let churn = parse_churn(args, scheme.n)?;
@@ -384,18 +378,17 @@ impl RunPlan {
 
     /// The `engine` line of the report.
     pub fn label(&self) -> String {
-        let queue = match self.queue.unwrap_or_default() {
-            QueueKind::Heap => String::new(),
-            q => format!(", {} queue", q.label()),
+        let queue = match self.queue {
+            Some(q) => format!(", {} queue", q.label()),
+            None => String::new(),
         };
         match (self.runtime, self.engine) {
             (Runtime::Slot, Engine::Reference) => "reference".into(),
-            (Runtime::Slot, Engine::Fast) => "fast".into(),
             (Runtime::Slot, Engine::Mega) => match self.shards {
                 Some(k) if k > 1 => format!("mega ({k} shards)"),
                 _ => "mega".into(),
             },
-            (Runtime::Slot, Engine::Checked) => "checked (reference ≡ fast ≡ mega)".into(),
+            (Runtime::Slot, Engine::Checked) => "checked (reference ≡ mega)".into(),
             (Runtime::DesChecked, _) => format!("des-checked (slot ≡ des{queue})"),
             (Runtime::Des, _) => {
                 let latency = match self.latency {
@@ -421,13 +414,12 @@ impl RunPlan {
         let mut scheme = self.build_scheme()?;
         // The first column records the telemetry and is the one reported.
         let (what, columns): (_, &[Column]) = match (self.runtime, self.engine) {
-            (Runtime::Slot, Engine::Checked) => (
-                "differential check",
-                &[Column::Fast, Column::Reference, Column::Mega],
-            ),
+            (Runtime::Slot, Engine::Checked) => {
+                ("differential check", &[Column::Mega, Column::Reference])
+            }
             (Runtime::DesChecked, _) => (
                 "slot/DES differential check",
-                &[Column::Des(self.queue.unwrap_or_default()), Column::Fast],
+                &[Column::Des(self.queue.unwrap_or_default()), Column::Mega],
             ),
             _ => return self.run_scheme(scheme.as_mut(), telemetry),
         };
@@ -459,7 +451,6 @@ impl RunPlan {
         let mut des_stats = None;
         let r = match (self.runtime, self.engine) {
             (Runtime::Slot, Engine::Reference) => Simulator::run(scheme, &cfg),
-            (Runtime::Slot, Engine::Fast) => FastSimulator::run(scheme, &cfg),
             (Runtime::Slot, Engine::Mega) => {
                 MegaSimulator::run_sharded(scheme, &cfg, self.shards.unwrap_or(1))
             }
@@ -630,7 +621,7 @@ mod tests {
                 "--shards must be at least 1",
             ),
             (
-                format!("{chain} --shards 2"),
+                format!("{chain} --engine reference --shards 2"),
                 "--shards partitions the mega engine's node range; it needs --engine mega",
             ),
             (
@@ -708,6 +699,24 @@ mod tests {
                 Err(CliError::Usage(message.to_string())),
                 "{flags}"
             );
+        }
+    }
+
+    #[test]
+    fn shards_need_the_mega_engine_which_is_the_default() {
+        for engine in ["", " --engine mega"] {
+            let plan = plan_of(&format!("--scheme chain --n 8{engine} --shards 2")).unwrap();
+            plan.validate().unwrap();
+            assert_eq!(
+                (plan.engine, plan.label()),
+                (Engine::Mega, "mega (2 shards)".into())
+            );
+        }
+        for engine in ["reference", "checked"] {
+            let plan = plan_of(&format!(
+                "--scheme chain --n 8 --engine {engine} --shards 2"
+            ));
+            assert!(plan.unwrap().validate().is_err(), "{engine}");
         }
     }
 

@@ -17,7 +17,7 @@
 //!   failures). At the top of each [`Scheme::transmissions`] call every
 //!   event due at or before the slot is applied and the schedule is
 //!   re-derived **once** per eventful slot. Every engine's slot loop
-//!   (reference, fast, mega, slot-faithful DES) asks for transmissions
+//!   (reference, mega, slot-faithful DES) asks for transmissions
 //!   exactly once per slot in increasing order, and an engine that asks
 //!   out of order (the mega engine's lowering) makes the script rewind
 //!   first, so the growth replays bit-identically with no engine-loop

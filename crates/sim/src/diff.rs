@@ -1,8 +1,8 @@
 //! Field-by-field comparison of two [`RunResult`]s.
 //!
-//! [`crate::FastEngine`] and [`crate::MegaEngine`] promise
-//! *bit-identical* results to [`crate::Simulator`], and so does the
-//! DES in its slot-faithful configuration. [`diff_fields`] names every
+//! [`crate::MegaEngine`] promises *bit-identical* results to
+//! [`crate::Simulator`], and so does the DES in its slot-faithful
+//! configuration. [`diff_fields`] names every
 //! field on which two results differ — arrivals, QoS, traffic
 //! statistics, loss reports, traces, everything on [`RunResult`]. The
 //! differential oracle that runs the engines side by side
@@ -14,36 +14,36 @@ use crate::engine::RunResult;
 
 /// Names of [`RunResult`] fields that differ between two results.
 /// Empty iff the results are identical.
-pub fn diff_fields(reference: &RunResult, fast: &RunResult) -> Vec<&'static str> {
+pub fn diff_fields(reference: &RunResult, other: &RunResult) -> Vec<&'static str> {
     let mut d = Vec::new();
-    if reference.scheme != fast.scheme {
+    if reference.scheme != other.scheme {
         d.push("scheme");
     }
-    if reference.slots_run != fast.slots_run {
+    if reference.slots_run != other.slots_run {
         d.push("slots_run");
     }
-    if reference.arrivals != fast.arrivals {
+    if reference.arrivals != other.arrivals {
         d.push("arrivals");
     }
-    if reference.qos != fast.qos {
+    if reference.qos != other.qos {
         d.push("qos");
     }
-    if reference.total_transmissions != fast.total_transmissions {
+    if reference.total_transmissions != other.total_transmissions {
         d.push("total_transmissions");
     }
-    if reference.duplicate_deliveries != fast.duplicate_deliveries {
+    if reference.duplicate_deliveries != other.duplicate_deliveries {
         d.push("duplicate_deliveries");
     }
-    if reference.loss != fast.loss {
+    if reference.loss != other.loss {
         d.push("loss");
     }
-    if reference.trace != fast.trace {
+    if reference.trace != other.trace {
         d.push("trace");
     }
-    if reference.upload_counts != fast.upload_counts {
+    if reference.upload_counts != other.upload_counts {
         d.push("upload_counts");
     }
-    if reference.resilience != fast.resilience {
+    if reference.resilience != other.resilience {
         d.push("resilience");
     }
     d

@@ -77,7 +77,7 @@ impl SimConfig {
     /// configuration for runs that are lossy *by design* — flash-crowd
     /// scenarios where joiners miss every pre-join packet, or repair
     /// interleavings where departed members stay in the id space — and
-    /// it behaves identically on the reference, fast, mega and
+    /// it behaves identically on the reference, mega and
     /// slot-faithful DES engines.
     pub fn lossy_regime(track_packets: u64, max_slots: u64) -> Self {
         Self::with_faults(

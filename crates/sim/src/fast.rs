@@ -1,19 +1,20 @@
-//! The fast slot engine: the slot kernel (module `kernel`) driven slot
-//! by slot, and nothing else.
+//! The bare kernel loop as an engine of its own: `Kernel::run_slots`
+//! over the whole horizon, then the flush and the result — mega's full
+//! mode with no steady-state gears.
 //!
-//! Produces **bit-identical** [`RunResult`]s (and identical errors) to
-//! [`crate::Simulator::run`] — the differential harness in
-//! [`crate::diff`] holds the engines to that contract. The kernel's
-//! module docs say what it does differently underneath, holdings
-//! included: the same columnar rows the mega engine replays into.
+//! No production path runs it: the CLI, the experiments, the sweep and
+//! the oracle columns all run [`crate::MegaEngine`]. It is kept only
+//! because the performance ledger times it (`sim.fast.run`) and because
+//! tests compare mega with the plain loop; it goes once the ledger
+//! stops calling it. Results and errors are bit-identical to
+//! [`crate::Simulator::run`].
 
 use crate::engine::{RunResult, SimConfig};
 use crate::kernel::Kernel;
 use clustream_core::{CoreError, Scheme};
 use clustream_telemetry::names as tm;
 
-/// Reusable fast-engine arena. One instance can run many simulations
-/// (e.g. a whole sweep) without re-allocating its internal state.
+/// Reusable arena for the bare kernel loop.
 #[derive(Default)]
 pub struct FastEngine {
     kernel: Kernel,
@@ -35,13 +36,7 @@ impl FastEngine {
         let _span = cfg.telemetry.span(tm::ENGINE_RUN);
         let k = &mut self.kernel;
         let mut run = k.begin(scheme, cfg)?;
-        for t in 0..cfg.max_slots {
-            if k.deliver(&mut run, t) {
-                break;
-            }
-            k.dispatch(scheme, t);
-            k.admit(scheme, &mut run, t)?;
-        }
+        k.run_slots(scheme, &mut run, cfg.max_slots)?;
         k.flush_ring(&mut run);
         k.finish(scheme, run)
     }

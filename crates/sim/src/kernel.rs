@@ -1,17 +1,17 @@
 //! The slot kernel: the one dense-state implementation of the
-//! communication model, split into the phases of a slot. The fast and
-//! mega engines drive it slot by slot, and so does the DES's strict
+//! communication model, split into the phases of a slot. The mega
+//! engine drives it slot by slot, and so does the DES's strict
 //! (slot-faithful) tick.
 //!
-//! A run is `begin`, then per slot `deliver` → `dispatch` → `admit`,
-//! then `flush_ring` and `finish`. [`Kernel`] is the arena reused across
-//! runs; [`Run`] is the state of one run. The fast engine is exactly
-//! that driver; the mega engine runs the same phases until its
-//! steady-state gears take over, on the same holdings rows. The DES
-//! opens each slot with [`Kernel::open`] instead of `deliver` (its
-//! `Deliver` events hand each arrival to [`Kernel::store`]) and admits
-//! through [`Kernel::admit_with`], whose hook turns every admitted
-//! transmission into a `Deliver` event.
+//! A run is `begin`, then per slot `deliver` → `dispatch` → `admit`
+//! (`Kernel::run_slots` is that loop), then `flush_ring` and `finish`.
+//! [`Kernel`] is the arena reused across runs; [`Run`] is the state of
+//! one run. Mega's full mode is exactly that loop, up to the hand-off
+//! where its steady-state gears take over on the same holdings rows.
+//! The DES opens each slot with [`Kernel::open`] instead of `deliver`
+//! (its `Deliver` events hand each arrival to [`Kernel::store`]) and
+//! admits through [`Kernel::admit_with`], whose hook turns every
+//! admitted transmission into a `Deliver` event.
 //! Results and errors are **bit-identical** to the reference
 //! [`crate::Simulator`], which stays a structurally independent
 //! implementation (hash sets and a `BTreeMap`) because it is the oracle
@@ -609,6 +609,26 @@ impl Kernel {
         true
     }
 
+    /// Slots `0..end`, each `deliver` → `dispatch` → `admit`: a whole
+    /// run when `end` is the horizon, mega's full mode up to its
+    /// hand-off otherwise. `Ok(true)` when the run stopped on completion
+    /// before `end`.
+    pub(crate) fn run_slots(
+        &mut self,
+        scheme: &mut dyn Scheme,
+        run: &mut Run<'_>,
+        end: u64,
+    ) -> Result<bool, CoreError> {
+        for t in 0..end {
+            if self.deliver(run, t) {
+                return Ok(true);
+            }
+            self.dispatch(scheme, t);
+            self.admit(scheme, run, t)?;
+        }
+        Ok(false)
+    }
+
     /// Ask the scheme for slot `t`'s transmissions (read back with
     /// [`Kernel::generated`]).
     pub fn dispatch(&mut self, scheme: &mut dyn Scheme, t: u64) {
@@ -960,13 +980,7 @@ mod tests {
         let cfg = SimConfig::until_complete(8, 100);
         let mut k = Kernel::default();
         let mut run = k.begin(&scheme, &cfg).unwrap();
-        for t in 0..cfg.max_slots {
-            if k.deliver(&mut run, t) {
-                break;
-            }
-            k.dispatch(&mut scheme, t);
-            k.admit(&scheme, &mut run, t).unwrap();
-        }
+        assert!(k.run_slots(&mut scheme, &mut run, cfg.max_slots).unwrap());
         assert!(run.slots_run > 16, "{} slots", run.slots_run);
         assert_eq!(run.remaining, 0);
         // Every slot filled and drained its own cell; the buffer went

@@ -21,12 +21,13 @@
 //! the oracle. The slot kernel ([`kernel`]: columnar bitset holdings,
 //! a ring-buffer arrival queue, a [`faults::FaultLedger`], per-sender
 //! link rows, reusable arenas) is the one dense implementation, and
-//! three drivers run it: [`FastEngine`] (module [`fast`]) is the bare
-//! kernel loop, [`MegaEngine`] (module [`mega`]) runs the same loop
-//! and adds precompiled steady-state transmission tables and in-run
-//! sharding for runs with 10^5–10^6 nodes, and `clustream_des`'s
-//! strict tick admits through it and turns each admitted transmission
-//! into a `Deliver` event. All results are bit-identical; [`diff`]
+//! two drivers run it: [`MegaEngine`] (module [`mega`]), the slot
+//! engine, runs the kernel's slot loop and adds precompiled
+//! steady-state transmission tables and in-run sharding for runs with
+//! 10^5–10^6 nodes, and `clustream_des`'s strict tick admits through it
+//! and turns each admitted transmission into a `Deliver` event. (Module
+//! [`fast`] is the bare loop, kept for the performance ledger and for
+//! tests.) All results are bit-identical; [`diff`]
 //! names the fields on which two results differ, the differential
 //! oracle (`clustream_des`'s `Column` and `agree`) runs the engines
 //! side by side through it, and [`sweep`] farms experiment grids
@@ -48,7 +49,8 @@ pub mod trace;
 
 pub use diff::diff_fields;
 pub use engine::{RunResult, SimConfig, Simulator};
-pub use fast::{FastEngine, FastSimulator};
+// The performance ledger calls the bare loop by its crate-root name.
+pub use fast::*;
 pub use faults::{FaultCause, FaultPlan, LossReport, LossyPlayback};
 pub use mega::{MegaEngine, MegaSimulator};
 pub use parallel::sweep;

@@ -1,16 +1,16 @@
 //! Scale-oriented execution mode: precompiled transmission tables and
 //! in-run sharding over the kernel's columnar holdings.
 //!
-//! [`MegaEngine`] targets runs with 10^5–10^6 nodes. It produces
-//! **bit-identical** [`RunResult`]s (and identical errors) to
-//! [`crate::FastEngine`] — the differential harness in [`crate::diff`]
-//! holds all three engines to one contract — while restructuring the
-//! hot loop around two ideas. Both work on the slot kernel's one
-//! holdings store (module `kernel`): `stride` words per node in one
-//! flat array, with per-node spill rows for sequence numbers past its
-//! memory budget, so a steady-state delivery is one word operation and
-//! range-sharded workers borrow disjoint row windows with
-//! `split_at_mut`.
+//! [`MegaEngine`] is the production slot engine, built for runs with
+//! 10^5–10^6 nodes. It produces **bit-identical** [`RunResult`]s (and
+//! identical errors) to the reference [`crate::Simulator`] — the
+//! differential harness in [`crate::diff`] holds the engines to one
+//! contract — while restructuring the hot loop around two ideas. Both
+//! work on the slot kernel's one holdings store (module `kernel`):
+//! `stride` words per node in one flat array, with per-node spill rows
+//! for sequence numbers past its memory budget, so a steady-state
+//! delivery is one word operation and range-sharded workers borrow
+//! disjoint row windows with `split_at_mut`.
 //!
 //! 1. **Precompiled flat transmission tables.** A scheme declaring
 //!    [`SchedulePeriod`] has its steady-state schedule lowered once
@@ -23,7 +23,7 @@
 //!    residue's list *clipped at packet 0* (the sends that would carry
 //!    a negative packet id removed): the run hands off at `h = 0` when
 //!    every ramp slot is the clipped table, at `h = warmup` otherwise.
-//!    Slots `[0, h)` run in full (fast-engine-equivalent) mode; from
+//!    Slots `[0, h)` run in full mode (the kernel's slot loop); from
 //!    `h` on the table is replayed with no per-slot scheme dispatch, no
 //!    per-transmission validation and no arrival-ring traffic. Two
 //!    residual word-level checks remain per replayed send (the sender
@@ -47,8 +47,7 @@
 //! Ramp slots before the hand-off, runs under a fault plan that can
 //! drop a transmission (anything but [`FaultPlan::reports_only`]), and
 //! schemes without a declared period run in full mode: the slot
-//! kernel's phases (module `kernel`), the very code
-//! [`crate::FastEngine`] drives.
+//! kernel's `deliver` → `dispatch` → `admit` loop (module `kernel`).
 
 use crate::engine::{RunResult, SimConfig};
 use crate::faults::FaultPlan;
@@ -656,7 +655,7 @@ impl MegaEngine {
     }
 
     /// Run `scheme` under `cfg`. Semantics, results and errors are
-    /// bit-identical to [`crate::FastEngine::run`]; see the module docs
+    /// bit-identical to [`crate::Simulator::run`]; see the module docs
     /// for how the work is executed.
     ///
     /// If a steady-state residual check trips mid-replay (the
@@ -718,15 +717,7 @@ impl MegaEngine {
         // Full mode up to the hand-off (the whole run when nothing was
         // lowered); the scheme rewinds when asked for slot 0 again.
         let hand_off = tbl.as_ref().map_or(cfg.max_slots, |l| l.hand_off);
-        let mut stopped = false;
-        for t in 0..hand_off {
-            if self.kernel.deliver(&mut run, t) {
-                stopped = true;
-                break;
-            }
-            self.kernel.dispatch(scheme, t);
-            self.kernel.admit(scheme, &mut run, t)?;
-        }
+        let stopped = self.kernel.run_slots(scheme, &mut run, hand_off)?;
         let Some(tbl) = tbl.filter(|_| !stopped) else {
             self.kernel.flush_ring(&mut run);
             return self.kernel.finish(scheme, run).map(Some);
@@ -1521,7 +1512,7 @@ impl MegaEngine {
 }
 
 /// Stateless façade over [`MegaEngine`] matching the
-/// [`crate::FastSimulator`] API shape.
+/// [`crate::Simulator`] API shape.
 pub struct MegaSimulator;
 
 impl MegaSimulator {

@@ -3,7 +3,7 @@
 //! Experiment grids — `(N, d, seed)` cells for the paper's figures and
 //! tables — are embarrassingly parallel: every cell is an independent
 //! simulation. [`sweep`] farms the cells out to worker threads, each
-//! owning one reusable [`FastEngine`] arena, and returns results **in
+//! owning one reusable [`MegaEngine`] arena, and returns results **in
 //! input order** regardless of which worker finished which cell when:
 //! workers tag each result with its cell index and the results are
 //! sorted by that index at the end. Because each cell's simulation is
@@ -14,7 +14,7 @@
 //! `N = 100` and `N = 20 000` cells keeps all workers busy instead of
 //! stalling on a pre-chunked straggler.
 
-use crate::fast::FastEngine;
+use crate::mega::MegaEngine;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Dynamic work-claiming counter shared by a pool of workers.
@@ -65,16 +65,16 @@ fn sweep_threads(n_cells: usize) -> usize {
 /// Run `run_cell` over every cell, in parallel, with deterministic
 /// input-order results.
 ///
-/// Each worker thread gets its own [`FastEngine`] arena, reused across
-/// all cells the worker claims — the allocation-light engine amortises
-/// its buffers over the whole sweep. `run_cell` receives the arena and a
+/// Each worker thread gets its own single-shard [`MegaEngine`] arena,
+/// reused across all cells the worker claims, so the kernel's buffers
+/// are amortised over the whole sweep. `run_cell` receives the arena and a
 /// reference to the cell. A cell that panics re-raises its own panic
 /// here, payload and all.
 pub fn sweep<I, R, F>(cells: &[I], run_cell: F) -> Vec<R>
 where
     I: Sync,
     R: Send,
-    F: Fn(&mut FastEngine, &I) -> R + Sync,
+    F: Fn(&mut MegaEngine, &I) -> R + Sync,
 {
     sweep_with_threads(cells, sweep_threads(cells.len()), run_cell)
 }
@@ -88,11 +88,11 @@ fn sweep_with_threads<I, R, F>(cells: &[I], threads: usize, run_cell: F) -> Vec<
 where
     I: Sync,
     R: Send,
-    F: Fn(&mut FastEngine, &I) -> R + Sync,
+    F: Fn(&mut MegaEngine, &I) -> R + Sync,
 {
     let threads = threads.max(1).min(cells.len().max(1));
     if threads <= 1 {
-        let mut engine = FastEngine::new();
+        let mut engine = MegaEngine::new();
         return cells.iter().map(|c| run_cell(&mut engine, c)).collect();
     }
 
@@ -101,7 +101,7 @@ where
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 s.spawn(|| {
-                    let mut engine = FastEngine::new();
+                    let mut engine = MegaEngine::new();
                     let mut local = Vec::new();
                     while let Some(i) = next.claim(cells.len()) {
                         local.push((i, run_cell(&mut engine, &cells[i])));
@@ -214,7 +214,7 @@ mod tests {
     #[test]
     fn results_are_deterministic_across_pool_sizes() {
         let cells: Vec<(usize, u64)> = (1..24).map(|n| (n, 4 + (n as u64 % 7))).collect();
-        let run = |engine: &mut FastEngine, &(n, track): &(usize, u64)| {
+        let run = |engine: &mut MegaEngine, &(n, track): &(usize, u64)| {
             let mut s = Chain { n };
             engine
                 .run(&mut s, &SimConfig::until_complete(track, 500))

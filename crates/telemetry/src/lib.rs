@@ -43,7 +43,7 @@ pub use recorder::{MemoryRecorder, MetricsSnapshot, Recorder, SpanGuard, SpanSta
 /// event, not a silent decode-to-zero.
 pub mod names {
     // ----------------------------------------------------- slot engines
-    /// Span: one full engine run (reference or fast).
+    /// Span: one full slot-engine run (reference or mega).
     pub const ENGINE_RUN: &str = "engine.run";
     /// Counter: slots executed.
     pub const ENGINE_SLOTS: &str = "engine.slots";

@@ -121,8 +121,8 @@ pub mod prelude {
         DynamicMultiTree, FlashCrowdScheme, RecoveryConfig, RecoveryMode, SelfHealingMultiTree,
     };
     pub use clustream_sim::{
-        diff_fields, sweep, ArrivalTable, FastEngine, FastSimulator, MegaEngine, MegaSimulator,
-        RunResult, SimConfig, Simulator,
+        diff_fields, sweep, ArrivalTable, MegaEngine, MegaSimulator, RunResult, SimConfig,
+        Simulator,
     };
     pub use clustream_telemetry::{MemoryRecorder, Recorder, Telemetry};
     pub use clustream_workloads::{

@@ -4,10 +4,12 @@
 //! agrees with a plain `Vec<Option<u64>>` model on slots from small to
 //! past 2³² and on lateness drawn from both sides of each edge of a byte,
 //! equality ignores the order rows widened in, and the mega engine's
-//! steady gears still engage — and still match the fast engine — when the
-//! horizon itself is past 2³² and when the rows they write are wide.
+//! steady gears still engage — and still match the plain kernel loop
+//! (`sim::fast`) — when the horizon itself is past 2³² and when the rows
+//! they write are wide.
 
 use clustream::prelude::*;
+use clustream::sim::FastSimulator;
 use proptest::prelude::*;
 
 const NODES: usize = 3;

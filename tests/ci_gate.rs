@@ -55,19 +55,18 @@ fn script_parses_and_defines_both_tiers() {
         "TIER=\"${1:-full}\"",
         "RUSTDOCFLAGS=\"-D warnings\"",
         // The scale smoke: the mega-engine CLI runs (sequential and
-        // sharded) against the fast engine and against the committed
-        // golden stdout — N=10^5 in both tiers that run it, N=10^6 in
-        // the scale tier — under the per-stage wall-clock budget with
-        // its machine-readable timing artifact.
+        // sharded) against the committed golden stdout — N=10^5 and
+        // N=10^6 in both tiers that run it — under the per-stage
+        // wall-clock budget with its machine-readable timing artifact.
         "--engine mega --shards 4",
         "diff \"$golden/scale_n100000_mega.txt\" \"$base-mega.txt\"",
         "diff \"$golden/scale_n1000000_mega.txt\" \"$base-mega-1m.txt\"",
         // …and the observed run: --metrics-out moves no line of mega's
-        // stdout, records what the fast engine records, and `report`
-        // reads the delivery total back.
+        // stdout, records its committed golden (which the reference
+        // records too), and `report` reads the delivery total back.
         "--engine mega --metrics-out \"$base-mega.jsonl\" >\"$base-mega-observed.txt\"",
         "diff \"$golden/scale_n100000_mega.txt\" <(grep -v '^metrics' \"$base-mega-observed.txt\")",
-        "diff <(grep -v '\"span\"' \"$base-fast.jsonl\") <(grep -v '\"span\"' \"$base-mega.jsonl\")",
+        "diff \"$golden/scale_n100000_metrics.jsonl\" <(grep -v '\"span\"' \"$base-mega.jsonl\")",
         "grep -x 'deliveries  : 26862784'",
         "CI_STAGE_BUDGET_SECS",
         "target/ci-timings.json",
@@ -92,17 +91,18 @@ fn script_parses_and_defines_both_tiers() {
         "--repair",
         // The scenario-suite stages: a 10^3-join flash crowd closed by
         // the slot/DES oracle in every tier, and the 10^5-join crowd on
-        // the mega engine plus the capacity-class heterogeneity sweep
-        // in the merge gate.
+        // the mega engine (the default) plus the capacity-class
+        // heterogeneity sweep in the merge gate.
         "--joins 1000 --oracle",
-        "--joins 100000 --engine mega",
+        "--n0 1000 --d 3 --joins 100000 \\\n",
         "ext_heterogeneity",
         // …and the settled crowd on mega's steady gears: the ledger's
-        // crowd1000 line prints the same on mega as on fast.
+        // crowd1000 line runs checked against the reference and prints
+        // its golden; the 1024-packet crowd meets its golden.
         "local crowd=(simulate --scheme multitree --n 2000 --d 3 --scenario step:1000@20 --track 96)",
-        "target/release/clustream \"${crowd[@]}\" --engine fast >\"$base-fast.txt\"",
-        "target/release/clustream \"${crowd[@]}\" --engine mega >\"$base-mega.txt\"",
-        "diff <(grep -v '^engine' \"$base-fast.txt\") <(grep -v '^engine' \"$base-mega.txt\")",
+        "target/release/clustream \"${crowd[@]}\" --engine checked >\"$base-checked.txt\"",
+        "diff <(grep -v '^engine' \"$golden/crowd1000.txt\") <(grep -v '^engine' \"$base-checked.txt\")",
+        "diff \"$golden/crowd_t1024.txt\" \"$base-t1024.txt\"",
         // The recovery fault matrix ends with the benchmark's
         // des_recovery command line on the checked queue (heap and
         // wheel in lockstep).
@@ -110,13 +110,13 @@ fn script_parses_and_defines_both_tiers() {
         "--queue checked --latency jitter --jitter 0.5 --uplink serialized",
         "--recovery repair+nack --churn-leave 0.0005 --churn-slots 200 --des-seed 7",
         // …and the ledger's N=2000 des_recovery run in release: its
-        // stdout equals the committed golden, and the heap queue's equals
-        // it but for the engine line.
+        // stdout equals the committed golden, and the checked queue's
+        // (heap and wheel in lockstep) equals it but for the engine line.
         "local golden=tests/cli_golden/des_recovery_n2000.txt out=target/ci-des-recovery",
         "target/release/clustream \"${des_recovery[@]}\" --queue wheel >\"$out-wheel.txt\"",
-        "target/release/clustream \"${des_recovery[@]}\" --queue heap >\"$out-heap.txt\"",
+        "target/release/clustream \"${des_recovery[@]}\" --queue checked >\"$out-checked.txt\"",
         "diff \"$golden\" \"$out-wheel.txt\"",
-        "diff <(grep -v '^engine' \"$golden\") <(grep -v '^engine' \"$out-heap.txt\")",
+        "diff <(grep -v '^engine' \"$golden\") <(grep -v '^engine' \"$out-checked.txt\")",
         // The CLI input boundary: a misspelt flag is rejected by name,
         // and out-of-domain scheme parameters exit 1 (a model error),
         // never 101 (an assert in crates/baselines).
@@ -184,7 +184,7 @@ fn script_parses_and_defines_both_tiers() {
 
 #[test]
 fn scenario_stages_sit_on_the_right_tiers() {
-    // The 10^3-join oracle-closed crowd smoke and the mega = fast crowd
+    // The 10^3-join oracle-closed crowd smoke and the checked mega crowd
     // smoke belong to the edit loop (before the full-tier gate); the
     // 10^5-join mega crowd and the heterogeneity sweep are merge-gate-only
     // (after it).
@@ -193,7 +193,7 @@ fn scenario_stages_sit_on_the_right_tiers() {
         .find("stage \"flash-crowd smoke (10^3 joins, oracle-closed)\"")
         .expect("ci.sh lost the flash-crowd smoke stage");
     let crowd_mega = text
-        .find("stage \"crowd smoke (mega = fast, step:1000@20)\" crowd_mega_smoke")
+        .find("stage \"crowd smoke (mega = reference = golden, step:1000@20)\" crowd_mega_smoke")
         .expect("ci.sh lost the mega crowd smoke stage");
     let build = text
         .find("stage \"build (release)\"")
@@ -333,12 +333,10 @@ fn mega_scale_smoke_runs_in_scale_and_full_tiers() {
         "the N=10^6 golden diff is part of the mega smoke"
     );
     // …and so is the chain whose far rows outgrow a byte of lateness:
-    // the widening path through the release CLI, mega against fast.
+    // the widening path through the release CLI, mega against the
+    // reference.
     for needle in [
-        "local chain=(simulate --scheme chain --n 400 --track 512)",
-        "target/release/clustream \"${chain[@]}\" --engine fast >\"$base-chain-fast.txt\"",
-        "target/release/clustream \"${chain[@]}\" --engine mega >\"$base-chain-mega.txt\"",
-        "diff <(grep -v '^engine' \"$base-chain-fast.txt\") <(grep -v '^engine' \"$base-chain-mega.txt\")",
+        "target/release/clustream simulate --scheme chain --n 400 --track 512 --engine checked >/dev/null",
         // …and a hypercube whose ten-dimension link rows spill past the
         // inline row, held to the reference by the checked engine.
         "target/release/clustream simulate --scheme hypercube --n 2000 --engine checked >/dev/null",

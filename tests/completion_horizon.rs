@@ -28,15 +28,10 @@ fn clean_cells(family: Family, construction: Construction, mode: StreamMode) -> 
     cells
 }
 
-/// Every cell of one lattice group completes on the reference, fast,
-/// mega and wheel-DES engines alike, within `track` + its bound.
+/// Every cell of one lattice group completes on the reference, mega
+/// and wheel-DES engines alike, within `track` + its bound.
 fn every_cell_completes_within_track_plus_its_bound(cells: Vec<SchemeSpec>) {
-    let columns = [
-        Column::Reference,
-        Column::Fast,
-        Column::Mega,
-        Column::Des(QueueKind::Wheel),
-    ];
+    let columns = Column::ALL;
     let track = 24;
     assert!(!cells.is_empty());
     for spec in cells {
@@ -267,7 +262,6 @@ macro_rules! engines {
 
 engines! {
     reference { engine: Engine::Reference } late;
-    fast { engine: Engine::Fast } late;
     mega { engine: Engine::Mega } late;
     mega_two_shards { engine: Engine::Mega, shards: Some(2) } late;
     des_heap { runtime: Runtime::Des, queue: Some(QueueKind::Heap) } late;
@@ -276,7 +270,7 @@ engines! {
     des_checked { runtime: Runtime::DesChecked };
 }
 
-/// `spec`'s error on the fast engine when its schedule runs late by the
+/// `spec`'s error on the default (mega) engine when its schedule runs late by the
 /// fewest slots that make the run fail. The horizon blames only a
 /// broken bound: on time the run meets it, and one slot less late it
 /// completes with its max delay already past the bound (a packet before

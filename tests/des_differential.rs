@@ -1,7 +1,7 @@
 //! Differential-testing suite for the discrete-event runtime: in the
 //! slot-faithful configuration (fixed unit intra-cluster latency, fixed
 //! `T_c`, unconstrained uplinks, no churn) a DES run must reproduce the
-//! fast slot engine's [`RunResult`] **field for field** — arrivals, QoS,
+//! mega slot engine's [`RunResult`] **field for field** — arrivals, QoS,
 //! traffic stats, loss reports, traces — for every scheme family:
 //! multi-tree forests (both constructions), chained hypercubes, the
 //! baselines, and composed multi-cluster overlay sessions, clean and
@@ -26,7 +26,7 @@ use proptest::prelude::*;
 /// via the checked queue, the wheel agrees with the heap pop for pop).
 fn divergence(factory: impl FnMut() -> Box<dyn Scheme>, cfg: &SimConfig) -> Option<String> {
     agree(
-        &[Column::Des(QueueKind::Checked), Column::Fast],
+        &[Column::Des(QueueKind::Checked), Column::Mega],
         factory,
         cfg,
     )
@@ -213,7 +213,7 @@ fn regression_des_large_latency_agrees() {
 fn regression_des_unfittable_latency_agrees() {
     let des = [QueueKind::Heap, QueueKind::Wheel, QueueKind::Checked].map(Column::Des);
     let outcome = agree(
-        &[&[Column::Fast, Column::Mega], &des[..]].concat(),
+        &[&[Column::Mega], &des[..]].concat(),
         || {
             Box::new(
                 ClusterSession::new(

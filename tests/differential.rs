@@ -1,5 +1,5 @@
-//! Differential-testing suite: the fast and mega engines must produce
-//! results **bit-identical** to the reference engine for every scheme
+//! Differential-testing suite: the mega engine must produce results
+//! **bit-identical** to the reference engine for every scheme
 //! family — multi-tree forests (both constructions), chained hypercubes
 //! (special and arbitrary `N`, grouped splits), the baselines, and
 //! composed multi-cluster overlay sessions — across arbitrary
@@ -7,13 +7,13 @@
 //! plans. The mega engine's in-run sharding is additionally held to
 //! `--shards 1 ≡ --shards k` bit-determinism at every shard count.
 //!
-//! The oracle is [`agree`] over the fast, reference and mega
-//! [`Column`]s: it runs one fresh scheme instance per engine and
-//! compares the [`RunResult`]s field by field (arrivals, QoS, traffic
-//! stats, loss reports, traces). Two engines failing with
+//! The oracle is [`agree`] over the mega and reference [`Column`]s: it
+//! runs one fresh scheme instance per engine and compares the
+//! [`RunResult`]s field by field (arrivals, QoS, traffic stats, loss
+//! reports, traces). Two engines failing with
 //! identically-rendered errors also count as agreement.
 //!
-//! Shapes that once needed special care in the fast engine are pinned
+//! Shapes that once needed special care in the slot kernel are pinned
 //! as named regression tests at the bottom (ring-buffer growth under
 //! large latencies, holdings rows growing mid-run, link rows spilling
 //! past their inline receivers, loss_rate = 1.0, crashes from slot 0,
@@ -25,12 +25,7 @@ use proptest::prelude::*;
 
 /// Assertion-friendly wrapper: `None` = engines agree.
 fn divergence(factory: impl FnMut() -> Box<dyn Scheme>, cfg: &SimConfig) -> Option<String> {
-    agree(
-        &[Column::Fast, Column::Reference, Column::Mega],
-        factory,
-        cfg,
-    )
-    .err()
+    agree(&[Column::Mega, Column::Reference], factory, cfg).err()
 }
 
 /// Build the fault plan for a sampled case. `crash_sel` picks none /
@@ -145,7 +140,7 @@ proptest! {
     }
 
     /// Composed multi-cluster sessions: remote latencies exercise the
-    /// fast engine's ring-buffer arrival queue across send slots.
+    /// slot kernel's ring-buffer arrival queue across send slots.
     #[test]
     fn overlay_session_engines_agree(
         k in 1usize..4,
@@ -212,7 +207,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Named regression shapes: inputs that stress specific fast-engine
+// Named regression shapes: inputs that stress specific slot-kernel
 // mechanics, pinned so they run on every `cargo test`.
 
 /// Inter-cluster latency far beyond the ring buffer's initial window
@@ -510,7 +505,7 @@ fn spilled_rows_agree(name: &str, factory: fn() -> Box<dyn Scheme>) {
 /// A declared schedule whose ramp is its table clipped at packet 0 —
 /// every multi-tree (both constructions, all three stream modes) and
 /// the chain — replays from slot 0: mega's steady slots are all the
-/// run's slots, and the run still agrees with fast and the reference.
+/// run's slots, and the run still agrees with the reference.
 /// The horizons: to completion; the smallest fixed horizon that arms
 /// the lowering (its two verified periods end one slot before it); and
 /// a run that completes before them, inside what used to be the
@@ -558,7 +553,7 @@ fn clipped_ramps_hand_off_at_slot_0() {
 
 /// A scripted crowd changes its forest until its last event, so its
 /// ramp is not the settled table clipped at packet 0: it hands off at
-/// its declared warmup, past slot 0, and still equals fast.
+/// its declared warmup, past slot 0, and still equals the reference.
 #[test]
 fn a_scripted_crowd_hands_off_after_its_script() {
     let plan = ScenarioPlan::parse("step:40@10").unwrap();
@@ -568,7 +563,7 @@ fn a_scripted_crowd_hands_off_after_its_script() {
     };
     let warmup = make().schedule_period().unwrap().warmup;
     let cfg = SimConfig::lossy_regime(16, 300);
-    let want = FastSimulator::run(&mut make(), &cfg).unwrap();
+    let want = Simulator::run(&mut make(), &cfg).unwrap();
     let mut mega = MegaEngine::new();
     let got = mega.run(&mut make(), &cfg).unwrap();
     assert_eq!(diff_fields(&want, &got), Vec::<&str>::new());

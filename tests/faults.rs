@@ -292,7 +292,7 @@ fn fail_stop_that_never_triggers_equals_clean() {
     let cfg = SimConfig::with_faults(16, 4 * clean.slots_run + 32, plan);
     for engine in [
         Simulator::run as fn(&mut dyn Scheme, &SimConfig) -> _,
-        FastSimulator::run,
+        MegaSimulator::run,
     ] {
         let mut s = mk();
         let r = engine(&mut s, &cfg).unwrap();
@@ -330,11 +330,11 @@ fn fail_stop_silences_sends_and_receives() {
         let mut s = mk();
         Simulator::run(&mut s, &cfg).unwrap()
     };
-    let fast = {
+    let mega = {
         let mut s = mk();
-        FastSimulator::run(&mut s, &cfg).unwrap()
+        MegaSimulator::run(&mut s, &cfg).unwrap()
     };
-    assert_eq!(diff_fields(&reference, &fast), Vec::<&str>::new());
+    assert_eq!(diff_fields(&reference, &mega), Vec::<&str>::new());
 
     let loss = reference.loss.as_ref().unwrap();
     assert!(loss.stopped_receives > 0, "arrivals must be dropped");
@@ -392,8 +392,8 @@ fn propagation_split_attributes_each_originating_fault() {
     let mut c = mk();
     let mixed = Simulator::run(&mut c, &cfg).unwrap();
     let mut d = mk();
-    let mixed_fast = FastSimulator::run(&mut d, &cfg).unwrap();
-    assert_eq!(diff_fields(&mixed, &mixed_fast), Vec::<&str>::new());
+    let mixed_mega = MegaSimulator::run(&mut d, &cfg).unwrap();
+    assert_eq!(diff_fields(&mixed, &mixed_mega), Vec::<&str>::new());
     let mr = mixed.loss.as_ref().unwrap();
     assert!(mr.propagation_from_loss > 0, "loss should propagate too");
     assert!(mr.propagation_from_crash > 0, "the crash should propagate");

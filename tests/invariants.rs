@@ -6,7 +6,7 @@
 //! byte-identical in-process, across processes and across builds.
 
 use clustream::mc::{
-    bounds_for, check_genome, check_genome_fast, exhaustive, exhaustive_recovery, load_dir,
+    bounds_for, check_genome, check_genome_mega, exhaustive, exhaustive_recovery, load_dir,
     replay_dir, shrink, ConstructionChoice, CorpusEntry, Family, Genome, LatticeOptions, Sabotage,
 };
 use clustream::prelude::{thm2_worst_delay_bound, tree_height, Column};
@@ -24,7 +24,7 @@ fn seeded_bug() -> Genome {
 }
 
 fn delay_violating(g: &Genome) -> bool {
-    check_genome_fast(g).violates(Some("DelayBound"))
+    check_genome_mega(g).violates(Some("DelayBound"))
 }
 
 /// Theorem 2 and the buffer bound, as the registry encodes them: the

@@ -1,7 +1,7 @@
 //! Flash-crowd scenario differential suite: a [`ScenarioPlan`] compiled
 //! to scripted churn and replayed through [`DynamicMultiTree`] must
-//! produce **bit-identical** results on every engine — reference, fast,
-//! mega and the DES in slot-faithful mode, each a [`Column`] of
+//! produce **bit-identical** results on every engine — reference, mega
+//! and the DES in slot-faithful mode, each a [`Column`] of
 //! [`agree`]. The scheme applies its scripted joins and regional
 //! failures at the top of each `transmissions(slot)` call, which every
 //! engine invokes exactly once per slot in order, so growth mid-run is
@@ -22,18 +22,18 @@
 use clustream::prelude::*;
 use proptest::prelude::*;
 
-/// The slot engines' columns: fast, reference and mega.
-const SLOT: [Column; 3] = [Column::Fast, Column::Reference, Column::Mega];
+/// The slot engines' columns: mega and the reference.
+const SLOT: [Column; 2] = [Column::Mega, Column::Reference];
 
-/// The slot-faithful DES (heap queue) against the fast slot engine.
-const DES: [Column; 2] = [Column::Des(QueueKind::Heap), Column::Fast];
+/// The slot-faithful DES (heap queue) against the mega slot engine.
+const DES: [Column; 2] = [Column::Des(QueueKind::Heap), Column::Mega];
 
-/// Assertion-friendly wrapper: `None` = reference, fast and mega agree.
+/// Assertion-friendly wrapper: `None` = the reference and mega agree.
 fn divergence(factory: impl FnMut() -> Box<dyn Scheme>, cfg: &SimConfig) -> Option<String> {
     agree(&SLOT, factory, cfg).err()
 }
 
-/// Assertion-friendly wrapper: `None` = fast slot engine ≡ DES.
+/// Assertion-friendly wrapper: `None` = mega slot engine ≡ DES.
 fn des_divergence(factory: impl FnMut() -> Box<dyn Scheme>, cfg: &SimConfig) -> Option<String> {
     agree(&DES, factory, cfg).err()
 }
@@ -75,7 +75,7 @@ fn crowd_factory(n0: usize, d: usize, plan: ScenarioPlan) -> impl FnMut() -> Box
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Reference, fast and mega engines agree bit for bit on arbitrary
+    /// The reference and mega engines agree bit for bit on arbitrary
     /// flash-crowd replays, and the slot world agrees with the DES.
     #[test]
     fn flash_crowd_replays_are_engine_agnostic(
@@ -177,11 +177,12 @@ fn join_burst_larger_than_forest_is_engine_agnostic() {
     crowd.forest().validate().unwrap();
 }
 
-/// Mega against fast on one fresh crowd each: the same result field for
-/// field. Returns the slots mega replayed from its steady table.
+/// Mega against the reference on one fresh crowd each: the same result
+/// field for field. Returns the slots mega replayed from its steady
+/// table.
 fn mega_steady_slots(n0: usize, d: usize, plan: &ScenarioPlan, cfg: &SimConfig) -> u64 {
     let mut make = crowd_factory(n0, d, plan.clone());
-    let want = FastSimulator::run(make().as_mut(), cfg).unwrap();
+    let want = Simulator::run(make().as_mut(), cfg).unwrap();
     let mut mega = MegaEngine::new();
     let got = mega.run(make().as_mut(), cfg).unwrap();
     assert_eq!(diff_fields(&want, &got), Vec::<&str>::new(), "`{plan}`");
@@ -191,7 +192,7 @@ fn mega_steady_slots(n0: usize, d: usize, plan: &ScenarioPlan, cfg: &SimConfig) 
 /// Once the script is spent the crowd is a static multi-tree, so mega
 /// replays the rest of a long run from its steady table — under the
 /// zero-rate lossy regime, whose plan only reports, as under the strict
-/// one — and still equals the fast engine.
+/// one — and still equals the reference.
 #[test]
 fn settled_crowds_replay_on_the_steady_gears() {
     for spec in [

@@ -1,6 +1,6 @@
 //! Zero-cost-off oracle for the telemetry layer: attaching a recorder
 //! must never perturb a simulation. For every scheme family and every
-//! engine (reference slot simulator, fast and mega slot engines,
+//! engine (reference slot simulator, mega slot engine,
 //! slot-faithful DES on both the heap and timing-wheel event queues) the
 //! [`RunResult`] of an instrumented run is compared **field for field**
 //! against the bare run, and the recorder is checked to have actually
@@ -8,7 +8,7 @@
 //!
 //! And the other direction: what the recorder saw does not depend on
 //! which slot engine ran — the snapshot, wall-clock spans aside, is
-//! equal across reference, fast and mega, whichever gear mega took.
+//! equal across the reference and mega, whichever gear mega took.
 
 use clustream::prelude::*;
 use clustream::telemetry::names as tm;
@@ -99,19 +99,16 @@ fn snapshot_of(cfg: &SimConfig, run: impl FnOnce(&SimConfig)) -> MetricsSnapshot
     snap
 }
 
-/// Run `family` under `cfg` on reference, fast and mega; the three
+/// Run `family` under `cfg` on the reference and mega; the two
 /// snapshots must be equal. Returns the slots mega replayed from its
 /// steady table. A run that errors (a fixed horizon may end before the
-/// tracked window does) must error on all three, and what was recorded
+/// tracked window does) must error on both, and what was recorded
 /// up to there is compared all the same.
 fn snapshots_agree(family: usize, n: usize, d: usize, cfg: &SimConfig) -> u64 {
     let scheme = || scheme_for(family, n, d);
     let mut ok = Vec::new();
     let reference = snapshot_of(cfg, |c| {
         ok.push(Column::Reference.run(scheme().as_mut(), c).is_ok())
-    });
-    let fast = snapshot_of(cfg, |c| {
-        ok.push(Column::Fast.run(scheme().as_mut(), c).is_ok())
     });
     let mut steady = 0;
     let mega = snapshot_of(cfg, |c| {
@@ -122,8 +119,7 @@ fn snapshots_agree(family: usize, n: usize, d: usize, cfg: &SimConfig) -> u64 {
     let what = format!("family {family}, n {n}, d {d}, {cfg:?}");
     assert!(ok.iter().all(|&o| o == ok[0]), "{what}: {ok:?}");
     assert!(reference.counter(tm::ENGINE_SLOTS) > 0 || !ok[0], "{what}");
-    assert_eq!(reference, fast, "reference vs fast: {what}");
-    assert_eq!(fast, mega, "fast vs mega: {what}");
+    assert_eq!(reference, mega, "reference vs mega: {what}");
     steady
 }
 
@@ -231,7 +227,7 @@ fn recorder_never_perturbs_a_recorded_replay() {
 fn recorder_totals_agree_with_the_run_result() {
     let (recorder, tel) = MemoryRecorder::handle();
     let cfg = SimConfig::until_complete(16, 100_000).with_telemetry(tel);
-    let r = FastEngine::new()
+    let r = MegaEngine::new()
         .run(scheme_for(0, 30, 3).as_mut(), &cfg)
         .unwrap();
     let snap = recorder.snapshot();

@@ -23,16 +23,18 @@ fn verdict<T>(run: impl FnOnce() -> Result<T, CliError>) -> Option<String> {
 }
 
 /// The lattice: one flag fragment per axis value (N = 12, track 8,
-/// horizon 120 throughout).
-const AXES: [&[&str]; 7] = [
+/// horizon 120 throughout). An empty fragment leaves the default: the
+/// mega engine, the wheel queue.
+const AXES: [&[&str]; 8] = [
     &["--d 2", "--d 3"],
     &["--runtime slot", "--runtime des", "--runtime des-checked"],
     &[
+        "",
         "--engine reference",
-        "--engine fast",
         "--engine mega",
         "--engine checked",
     ],
+    &["", "--queue wheel", "--queue checked"],
     &[
         "--recovery off",
         "--recovery repair",
@@ -85,7 +87,7 @@ fn every_plan_the_rule_book_accepts_runs() {
     // The lattice is worth its name: both verdicts of the rule book and
     // the report path are all well populated.
     let rejected = cells - accepted;
-    assert_eq!(cells, 864);
+    assert_eq!(cells, 2592);
     assert!(
         accepted >= 100 && rejected >= 100 && rendered >= 40,
         "{accepted} accepted, {rejected} rejected, {rendered} rendered"
