@@ -25,7 +25,8 @@
 #                 checked against the reference; at N=10^6 (485 MiB,
 #                 6.6-9.1 s on a busy 2-core container) the mega report
 #                 equals its golden stdout too
-#   ci.sh full    quick + doc lint + differential oracles + CLI smoke
+#   ci.sh full    quick + doc lint + differential oracles + the N=10^5
+#                 closed-form checker of mega's per-node playback + CLI smoke
 #                 matrix + exhaustive invariant lattice + coverage-guided
 #                 explore smoke + 32-node kill-injection cluster smoke +
 #                 32-node partition-and-heal chaos run with live repair +
@@ -515,6 +516,11 @@ if [ "$TIER" = full ]; then
         env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline -q
     stage "differential oracle" cargo test -q --test differential --offline
     stage "slot/DES differential oracle" cargo test -q --test des_differential --offline
+    # Mega's per-node delay and buffer at N=10^5 against the multi-tree's
+    # closed-form schedule scored by the reference's own scorer (d 2 and
+    # 3, both constructions, 256 packets; the N=2000 case runs in `test`).
+    stage "scale checker (N=10^5, closed form = mega)" \
+        cargo test --release -q --test scale_checker --offline -- --ignored
     stage "DES smoke (des_plain golden, wheel and checked queue)" des_smoke
     stage "telemetry smoke (metrics-out + report)" telemetry_smoke
     stage "recovery fault-matrix smoke" recovery_smoke

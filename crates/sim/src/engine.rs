@@ -108,6 +108,59 @@ impl SimConfig {
     }
 }
 
+/// What one receiver's usable slots say about its playback.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RowScore {
+    /// `a = max_j (usable(j) − j)` over the packets that arrived, 0 if
+    /// none did.
+    pub playback_delay: u64,
+    /// Most packets held at once (received, not yet played) with
+    /// playback from `a`, over the packets that arrived.
+    pub max_buffer: usize,
+    /// Packets that never arrived.
+    pub missing: usize,
+    /// The first of them.
+    pub first_missing: Option<usize>,
+}
+
+/// Score one receiver: `usable[j]` is the slot packet `j` became usable
+/// from, `None` if it never arrived. Packet `j` is received in slot
+/// `usable − 1` and played in slot `a + j`; the buffer is counted after
+/// a slot's reception and before its playback (§2.3), so at slot `t` it
+/// holds the packets received by `t` less those played before it, and
+/// it peaks at a receive slot. This is the plain form — sort the receive
+/// slots, sweep them — of what [`ArrivalTable::analyze`] computes in
+/// place.
+pub fn score_row(usable: &[Option<u64>]) -> RowScore {
+    let arrived: Vec<(usize, u64)> = usable
+        .iter()
+        .enumerate()
+        .filter_map(|(j, u)| Some((j, (*u)?)))
+        .collect();
+    let delay = arrived
+        .iter()
+        .map(|&(j, u)| u.saturating_sub(j as u64))
+        .max()
+        .unwrap_or(0);
+    let mut recv: Vec<u64> = arrived.iter().map(|&(_, u)| u.saturating_sub(1)).collect();
+    recv.sort_unstable();
+    // Played before slot `t`: the arrived packets with index below `t − a`.
+    let played = |t: u64| arrived.partition_point(|&(j, _)| (j as u64) < t.saturating_sub(delay));
+    let mut max_buffer = 0;
+    for (i, &t) in recv.iter().enumerate() {
+        // The last of equal receive slots carries their rank.
+        if recv.get(i + 1) != Some(&t) {
+            max_buffer = max_buffer.max(i + 1 - played(t));
+        }
+    }
+    RowScore {
+        playback_delay: delay,
+        max_buffer,
+        missing: usable.len() - arrived.len(),
+        first_missing: usable.iter().position(Option::is_none),
+    }
+}
+
 /// Outcome of a simulation run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunResult {
@@ -437,21 +490,32 @@ impl Simulator {
             }
         }
 
-        // 6. Analyse playback per receiver. Fault-free runs fail hard on a
-        //    missing packet; faulty runs report losses instead.
+        // 6. Score playback per receiver from its usable slots, with the
+        //    reference's own sort-and-sweep rather than the arrival
+        //    table's analysis, which the other engines share. Fault-free
+        //    runs fail hard on a missing packet; faulty runs report
+        //    losses instead.
         let mut nodes = Vec::with_capacity(receivers.len());
+        let mut usable = Vec::new();
         for r in &receivers {
-            let (delay, buffer) = if cfg.faults.is_some() {
-                let pb = arrivals.analyze_lossy(*r);
-                if pb.missing > 0 {
-                    loss_report.missing.push((*r, pb.missing));
+            usable.clear();
+            usable.extend(
+                (0..cfg.track_packets)
+                    .map(|j| arrivals.usable_slot(*r, PacketId(j)).map(|s| s.t())),
+            );
+            let score = score_row(&usable);
+            if cfg.faults.is_some() {
+                if score.missing > 0 {
+                    loss_report.missing.push((*r, score.missing));
                     cfg.telemetry.counter(tm::ENGINE_HICCUPS, 1);
                 }
-                (pb.playback_delay, pb.max_buffer)
-            } else {
-                let pb = arrivals.analyze(*r)?;
-                (pb.playback_delay, pb.max_buffer)
-            };
+            } else if let Some(j) = score.first_missing {
+                return Err(CoreError::Hiccup {
+                    node: *r,
+                    packet: PacketId(j as u64),
+                });
+            }
+            let (delay, buffer) = (score.playback_delay, score.max_buffer);
             cfg.telemetry.observe(tm::ENGINE_PLAYBACK_DELAY, delay);
             cfg.telemetry
                 .observe(tm::ENGINE_BUFFER_OCCUPANCY, buffer as u64);

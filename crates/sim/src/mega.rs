@@ -107,14 +107,153 @@ impl ArrEntry {
         let s = t.checked_sub(self.latency as u64)?;
         sent.contains(&s).then(|| self.seq_at(base, s)).flatten()
     }
+}
 
-    /// The entry's first send at or after slot `from` that is not
-    /// clipped, as `(slot, seq)`.
-    fn first_send(&self, base: u64, p: u64, from: u64) -> (u64, u64) {
-        let at = base + self.j;
-        let from = from.max(at.saturating_sub(self.packet0));
-        let s = from + (at % p + p - from % p) % p;
-        (s, self.packet0 + s - at)
+/// Arithmetic on residues modulo a period `p`, already reduced, so that
+/// no step divides.
+#[derive(Clone, Copy)]
+struct Residues(u64);
+
+impl Residues {
+    /// `(a + b) mod p`.
+    fn add(self, a: u64, b: u64) -> u64 {
+        let s = a + b;
+        if s >= self.0 {
+            s - self.0
+        } else {
+            s
+        }
+    }
+
+    /// `(a − b) mod p`.
+    fn sub(self, a: u64, b: u64) -> u64 {
+        if a >= b {
+            a - b
+        } else {
+            a + self.0 - b
+        }
+    }
+}
+
+/// One entry's deliveries in seq space: the seqs of its class, `class +
+/// k·p` for `k ≥ 0`, seq `q` sent at slot `q + shift` and usable from
+/// slot `q + late`. Both offsets come with their residues mod `p`, so a
+/// slot bound turns into the first seq of the class past it with no
+/// division.
+#[derive(Clone, Copy)]
+struct Seqs {
+    class: u64,
+    shift: i128,
+    shift_res: u64,
+    late: i128,
+    late_res: u64,
+    m: Residues,
+}
+
+impl Seqs {
+    /// `e`'s seqs in a table whose send residue 0 is slot `base`,
+    /// `base_res` its residue.
+    #[inline]
+    fn new(e: &ArrEntry, base: u64, base_res: u64, m: Residues) -> Seqs {
+        let class = u64::from(e.class);
+        let at = base + e.j;
+        let l = u64::from(e.latency);
+        // `j` is a send residue, below `p`; a latency mostly is too.
+        let shift_res = m.sub(m.add(base_res, e.j), class);
+        let l_res = if l < m.0 { l } else { l % m.0 };
+        Seqs {
+            class,
+            shift: i128::from(at) - i128::from(e.packet0),
+            shift_res,
+            late: i128::from(at + l) - i128::from(e.packet0),
+            late_res: m.add(shift_res, l_res),
+            m,
+        }
+    }
+
+    /// The first seq of the class at or past `bound` and 0, `res` the
+    /// bound's residue.
+    #[inline]
+    fn first(&self, bound: i128, res: u64) -> u64 {
+        if bound <= self.class as i128 {
+            self.class
+        } else {
+            bound as u64 + self.m.sub(self.class, res)
+        }
+    }
+
+    /// The first seq sent at or after slot `s`, residue `s_res`: the
+    /// entry's first unclipped send from `s` on.
+    #[inline]
+    fn first_sent(&self, s: u64, s_res: u64) -> u64 {
+        self.first(
+            i128::from(s) - self.shift,
+            self.m.sub(s_res, self.shift_res),
+        )
+    }
+
+    /// The first seq usable from slot `t` or later, `t_res` its residue.
+    #[inline]
+    fn first_usable(&self, t: u64, t_res: u64) -> u64 {
+        self.first(i128::from(t) - self.late, self.m.sub(t_res, self.late_res))
+    }
+
+    /// The slot seq `q` is sent in.
+    fn sent(&self, q: u64) -> u64 {
+        (i128::from(q) + self.shift) as u64
+    }
+
+    /// The seq sent in slot `s`.
+    fn seq(&self, s: u64) -> u64 {
+        (i128::from(s) - self.shift) as u64
+    }
+
+    /// The slot seq `q` is usable from.
+    fn usable(&self, q: u64) -> u64 {
+        (i128::from(q) + self.late) as u64
+    }
+}
+
+/// The slot bounds of the analytic replay, with their residues mod the
+/// period: its table's send residue 0 (`base`), its hand-off (`t0`)
+/// and its first replayed slot (`blaze`).
+#[derive(Clone, Copy)]
+struct Replay {
+    m: Residues,
+    base: u64,
+    base_res: u64,
+    t0: u64,
+    t0_res: u64,
+    blaze: u64,
+    blaze_res: u64,
+}
+
+impl Replay {
+    /// Entry `e`'s seqs.
+    #[inline]
+    fn seqs(&self, e: &ArrEntry) -> Seqs {
+        Seqs::new(e, self.base, self.base_res, self.m)
+    }
+
+    /// The fresh point of the row `group` delivers to, where it is empty
+    /// for good before the replay: past every seq the node holds (each
+    /// cell written so far was a fresh insert; its holdings end at
+    /// `held_end`), and past each entry's first replayed seq — its first
+    /// unclipped send at or after `t0` and usable no earlier than
+    /// `blaze` — rounded down to a whole period (no seq of the entry's
+    /// class lies in between, so a row nothing reached before the replay
+    /// starts at 0); at most `track`. From there on a residue class of
+    /// the row fills only from its entry, at that entry's one lateness,
+    /// or never. It takes no division, so each pass works it out again
+    /// rather than keeping one per row.
+    #[inline]
+    fn fresh_point(&self, group: &[ArrEntry], held_end: u64, track: u64) -> usize {
+        let replayed = group.iter().map(|e| {
+            let s = self.seqs(e);
+            let first = s.first_sent(self.t0, self.t0_res);
+            first.max(s.first_usable(self.blaze, self.blaze_res)) - s.class
+        });
+        replayed.fold(held_end, u64::max).min(track) as usize
     }
 }
 
@@ -209,6 +348,26 @@ impl SteadyTables {
         self.by_arrival[at]
             .iter()
             .map(|&i| &self.entries[i as usize])
+    }
+
+    /// The deliveries grouped by receiver: `entries` is sorted by
+    /// `(receiver, class)`, so one group per row.
+    fn rows(&self) -> impl Iterator<Item = &[ArrEntry]> {
+        self.entries.chunk_by(|a, b| a.to == b.to)
+    }
+
+    /// The bounds of a replay that starts at `blaze_start`.
+    fn replay(&self, blaze_start: u64) -> Replay {
+        let p = self.period;
+        Replay {
+            m: Residues(p),
+            base: self.base,
+            base_res: self.base % p,
+            t0: self.hand_off,
+            t0_res: self.hand_off % p,
+            blaze: blaze_start,
+            blaze_res: blaze_start % p,
+        }
     }
 
     /// The residue of slot `t`: `t ≡ base + r (mod period)`. Send
@@ -709,7 +868,10 @@ impl MegaEngine {
                 .schedule_period()
                 .filter(|d| d.period >= 1)
                 .filter(|d| d.warmup.saturating_add(d.period.saturating_mul(2)) < cfg.max_slots)
-                .and_then(|d| self.lower(scheme, d, run.arrivals.n_ids()))
+                .and_then(|d| {
+                    let _span = cfg.telemetry.span(tm::ENGINE_LOWER);
+                    self.lower(scheme, d, run.arrivals.n_ids())
+                })
         } else {
             None
         };
@@ -720,8 +882,10 @@ impl MegaEngine {
         let stopped = self.kernel.run_slots(scheme, &mut run, hand_off)?;
         let Some(tbl) = tbl.filter(|_| !stopped) else {
             self.kernel.flush_ring(&mut run);
+            let _span = cfg.telemetry.span(tm::ENGINE_RESULT);
             return self.kernel.finish(scheme, run).map(Some);
         };
+        let replay = cfg.telemetry.span(tm::ENGINE_REPLAY);
         let ranges = shard_ranges(run.arrivals.n_ids(), self.shards, scheme.shard_boundaries());
         let end = if ranges.len() > 1 && run.trace.is_none() {
             self.steady_sharded(cfg, &tbl, &ranges, &mut run)
@@ -759,6 +923,8 @@ impl MegaEngine {
         // By value: the tables are dead weight once the flush is done, and
         // `finish` allocates the per-receiver report.
         drop(tbl);
+        drop(replay);
+        let _span = cfg.telemetry.span(tm::ENGINE_RESULT);
         self.kernel.finish(scheme, run).map(Some)
     }
 
@@ -997,30 +1163,13 @@ impl MegaEngine {
         let t0 = tbl.hand_off;
         let p = tbl.period;
         let pz = p as usize;
-
-        // The seq an entry's first send replayed below carries: its first
-        // unclipped send at or after `t0` and `blaze_start − L`.
-        let first_replayed = |e: &ArrEntry| {
-            let s_min = blaze_start.saturating_sub(e.latency as u64).max(t0);
-            e.first_send(tbl.base, p, s_min).1
-        };
-        // Where a row is empty for good before the replay: past every seq
-        // the node holds (each cell written so far was a fresh insert),
-        // and past each entry's first replayed seq rounded down to a
-        // whole period (no seq of the entry's class lies in between, so
-        // a row nothing reached before the replay starts at 0). From
-        // there on a residue class of the row fills only from its entry,
-        // at that entry's one lateness, or never.
+        let replay = tbl.replay(blaze_start);
+        let (m, t0_res) = (replay.m, replay.t0_res);
+        let seqs = |e: &ArrEntry| replay.seqs(e);
+        let rows = || tbl.rows();
         let held = &mut self.kernel.state.held;
-        let fresh_from = |held_end: u64, group: &[ArrEntry]| {
-            let replayed = group.iter().map(|e| {
-                let seq = first_replayed(e);
-                seq - seq % p
-            });
-            replayed.fold(held_end, u64::max).min(track as u64) as usize
-        };
-        // Entries sorted by `(receiver, class)`: one group per row.
-        let rows = || tbl.entries.chunk_by(|a, b| a.to == b.to);
+        let fresh =
+            |group: &[ArrEntry], held_end| replay.fresh_point(group, held_end, track as u64);
 
         // Exclusive end of applied arrival slots: stop slot + 1 when the
         // run completes in-horizon, else the horizon itself.
@@ -1036,20 +1185,23 @@ impl MegaEngine {
             // completes iff the still-needed cells the entries reach
             // inside the horizon are all `remaining` of them, and then
             // at the latest of each entry's last needed cell — exact, no
-            // simulation. Cells below the row's `fresh_from` are looked
+            // simulation. Cells below the row's fresh point are looked
             // at; those past it are all still needed, so they are
             // counted, not walked.
             let mut latest = blaze_start;
             let mut covered = 0u64;
-            for group in rows().filter(|g| is_receiver[g[0].to as usize]) {
+            for group in rows() {
                 let to = group[0].to as usize;
-                let fresh = fresh_from(held.end(to), group);
+                if !is_receiver[to] {
+                    continue;
+                }
+                let fresh = fresh(group, held.end(to));
+                let fresh_res = fresh as u64 % p;
                 for e in group {
-                    let first_send = tbl.base + e.j;
-                    let l = e.latency as u64;
-                    let seq_lo = e.first_send(tbl.base, p, t0).1.min(track as u64) as usize;
-                    let seq_end = (e.packet0 + cfg.max_slots).saturating_sub(first_send + l);
-                    let seq_end = seq_end.min(track as u64) as usize;
+                    let s = seqs(e);
+                    let seq_lo = s.first_sent(t0, t0_res).min(track as u64) as usize;
+                    let seq_end =
+                        (i128::from(cfg.max_slots) - s.late).clamp(0, track as i128) as usize;
                     let mut last = None;
                     for seq in (seq_lo..seq_end.min(fresh)).step_by(pz) {
                         if cells.is_empty(to, seq) {
@@ -1057,14 +1209,18 @@ impl MegaEngine {
                             last = Some(seq);
                         }
                     }
-                    let from = seq_lo + fresh.saturating_sub(seq_lo).next_multiple_of(pz);
+                    let from = if fresh > seq_lo {
+                        fresh + m.sub(s.class, fresh_res) as usize
+                    } else {
+                        seq_lo
+                    };
                     if from < seq_end {
                         let n = (seq_end - 1 - from) / pz + 1;
                         covered += n as u64;
                         last = Some(from + (n - 1) * pz);
                     }
                     if let Some(seq) = last {
-                        latest = latest.max(seq as u64 + first_send + l - e.packet0);
+                        latest = latest.max(s.usable(seq as u64));
                     }
                 }
             }
@@ -1075,43 +1231,53 @@ impl MegaEngine {
         }
 
         // The replay takes each row over whole: a row turns periodic when
-        // its head holds a whole period past `fresh_from`. Its class-`c`
-        // cells from there on all hold the entry's lateness until the
-        // entry's first seq usable no earlier than `arr_end`, so every
-        // cell past the head and before the first such seq of any class
-        // is implied. The head's cells from `fresh_from` on are seeded
-        // here, the row is marked, and the replay below writes none of
-        // the cells before the implied end; the cells past it it stores.
+        // its head holds a whole period past its fresh point. Its
+        // class-`c` cells from there on all hold the entry's lateness
+        // until the entry's first seq usable no earlier than `arr_end`,
+        // so every cell past the head and before the first such seq of
+        // any class is implied. The head's cells from the fresh point on
+        // are seeded here, the row is marked, and the replay below writes
+        // none of the cells before the implied end; the cells past it it
+        // stores.
         let h = cells.head_len();
-        // The first seq of `e`'s class at or after `from`, and the seqs
-        // of its class in `from..to`.
-        let next =
-            |e: &ArrEntry, from: usize| from + ((e.packet0 % p + p - from as u64 % p) % p) as usize;
-        let class = |e: &ArrEntry, from: usize, to: usize| (next(e, from)..to).step_by(pz);
-        let lateness =
-            |e: &ArrEntry| (tbl.base + e.j + e.latency as u64) as i128 - e.packet0 as i128;
+        let (h_res, arr_res) = (h as u64 % p, arr_end % p);
         for group in rows() {
             let to = group[0].to as usize;
-            let fresh = fresh_from(held.end(to), group);
+            let fresh = fresh(group, held.end(to));
             if fresh + pz > h {
                 continue;
             }
+            let fresh_res = fresh as u64 % p;
+            let first_fresh = |s: &Seqs| fresh + m.sub(s.class, fresh_res) as usize;
             let mut end = track;
             for e in group {
-                let cut = (arr_end as i128 - lateness(e)).clamp(fresh as i128, track as i128);
-                end = end.min(next(e, cut as usize));
+                let s = seqs(e);
+                let cut = i128::from(arr_end) - s.late;
+                if cut <= fresh as i128 {
+                    end = end.min(first_fresh(&s));
+                } else if cut < track as i128 {
+                    end = end.min(s.first_usable(arr_end, arr_res) as usize);
+                }
             }
             if end <= h {
                 continue;
             }
             for e in group {
-                let seeded = cells.fill(to, (next(e, fresh), h, pz), lateness(e));
+                let s = seqs(e);
+                let seeded = cells.fill(to, (first_fresh(&s), h, pz), s.late);
                 if is_receiver[to] {
                     *remaining -= seeded as u64;
                 }
             }
             if cells.mark_periodic(to, pz, end) && is_receiver[to] {
-                let implied: usize = group.iter().map(|e| class(e, h, end).len()).sum();
+                // Of the implied cells `h..end`, each class holds
+                // `⌊(end − h)/p⌋`, and one more when its first lies
+                // within the remainder.
+                let (full, rem) = ((end - h) / pz, (end - h) % pz);
+                let implied: usize = group
+                    .iter()
+                    .map(|e| full + usize::from((m.sub(u64::from(e.class), h_res) as usize) < rem))
+                    .sum();
                 *remaining -= implied as u64;
             }
         }
@@ -1143,7 +1309,7 @@ impl MegaEngine {
         let mut w_start = blaze_start;
         while w_start < arr_end {
             let w_end = arr_end.min(w_start.saturating_add(TALLY_WINDOW as u64));
-            let len = (w_end - w_start) as usize;
+            let (len, w_res) = ((w_end - w_start) as usize, w_start % p);
             // `n` usable slots from window offset `o` on, `p` apart.
             let mut tally_run = |o: usize, n: u64| {
                 tally[o] += 1;
@@ -1159,28 +1325,29 @@ impl MegaEngine {
                 let skip = if implied.is_empty() {
                     track..track
                 } else {
-                    fresh_from(held_end, group)..implied.end
+                    fresh(group, held_end)..implied.end
                 };
                 for e in group {
+                    let sq = seqs(e);
                     let l = e.latency as u64;
-                    let first_send = tbl.base + e.j;
-                    let usable = |seq: usize| seq as u64 + first_send + l - e.packet0;
                     // First replayed arrival slot ≥ w_start; earlier ones
                     // ran in the careful loop or an earlier window. Sends
                     // before `t0` went through the ring and are not the
-                    // table's to replay: `blaze_start − l` may lie up to a
+                    // table's to replay: `w_start − l` may lie up to a
                     // period below `t0` (the entry's last ramp send
                     // reserved `s′ + l − 1`, and the careful loop only
-                    // waits for the ring to drain), hence the clamp. Nor
-                    // are the clipped ones, before the entry's first
-                    // packet.
-                    let s_min = w_start.saturating_sub(l).max(t0);
-                    let (mut s, _) = e.first_send(tbl.base, p, s_min);
+                    // waits for the ring to drain), hence the bound at
+                    // `t0`. Nor are the clipped ones, before the entry's
+                    // first packet.
+                    let q = sq
+                        .first_sent(t0, t0_res)
+                        .max(sq.first_usable(w_start, w_res));
+                    let mut s = sq.sent(q);
                     let s_end = w_end.saturating_sub(l);
                     // Sends from here on carry seqs at or past the held end.
-                    let s_fresh = (held_end + first_send).saturating_sub(e.packet0);
+                    let s_fresh = (held_end as i128 + sq.shift).max(0) as u64;
                     while s < s_end.min(s_fresh) {
-                        let seq = e.packet0 + s - first_send;
+                        let seq = sq.seq(s);
                         if !held.insert(to, seq) {
                             *dup += 1;
                         } else {
@@ -1200,16 +1367,22 @@ impl MegaEngine {
                     }
                     let n = (s_end - 1 - s) / p + 1;
                     tally_run((s + l - w_start) as usize, n);
-                    let seq_lo = e.packet0 + s - first_send;
+                    let seq_lo = sq.seq(s);
                     let seq_end = seq_lo.saturating_add(n * p).min(track as u64) as usize;
                     let seq_lo = seq_lo.min(track as u64) as usize;
                     let stored = [
                         (seq_lo, skip.start.min(seq_end)),
                         (skip.end.max(seq_lo), seq_end),
                     ];
-                    for (lo, hi) in stored {
-                        for seq in class(e, lo, hi) {
-                            if cells.first(to, seq, usable(seq)) && is_receiver[to] {
+                    for (lo, hi) in stored.into_iter().filter(|(lo, hi)| lo < hi) {
+                        // `seq_lo` is of the class; the implied end is
+                        // rounded into it.
+                        let lo = match lo == seq_lo {
+                            true => lo,
+                            false => lo + m.sub(sq.class, lo as u64 % p) as usize,
+                        };
+                        for seq in (lo..hi).step_by(pz) {
+                            if cells.first(to, seq, sq.usable(seq as u64)) && is_receiver[to] {
                                 *remaining -= 1;
                             }
                         }
@@ -2636,6 +2809,68 @@ mod tests {
                 recorded,
             };
             proptest::prop_assert_eq!(lowering.compile().entries, want);
+        }
+
+        /// Every row's fresh point equals a slot-by-slot scan: each
+        /// entry's sends stepped one slot at a time from the later of the
+        /// hand-off and `blaze_start − L` to the first of its residue
+        /// whose packet is not below 0, that packet rounded down to a
+        /// whole period; the latest of those and the row's held end,
+        /// capped at the track.
+        #[test]
+        fn fresh_points_match_a_slot_by_slot_scan(
+            period in 1u64..6,
+            base in 0u64..20,
+            at_base in proptest::prelude::any::<bool>(),
+            blaze in 0u64..40,
+            track in 1u64..120,
+            picks in proptest::collection::vec(
+                ((0u32..12, 0u64..6), (0u64..6, 0u64..40), 1u32..9),
+                0..40,
+            ),
+            held in proptest::collection::vec(0u64..130, 13),
+        ) {
+            let mut recorded = vec![Vec::new(); period as usize];
+            for ((to, class), (j, k), latency) in picks {
+                recorded[(j % period) as usize].push(Transmission::remote(
+                    NodeId(0),
+                    NodeId(to + 1),
+                    PacketId(class % period + period * k),
+                    latency,
+                ));
+            }
+            let mut tbl = Lowering {
+                warmup: base,
+                period,
+                recorded,
+            }
+            .compile();
+            tbl.hand_off = if at_base { base } else { 0 };
+            let blaze_start = tbl.hand_off + blaze;
+            let want: Vec<u32> = tbl
+                .rows()
+                .map(|group| {
+                    let replayed = group.iter().map(|e| {
+                        let at = base + e.j;
+                        let mut s = blaze_start
+                            .saturating_sub(e.latency as u64)
+                            .max(tbl.hand_off);
+                        while s % period != at % period || e.packet0 + s < at {
+                            s += 1;
+                        }
+                        let seq = e.packet0 + s - at;
+                        seq - seq % period
+                    });
+                    let fresh = replayed.fold(held[group[0].to as usize], u64::max);
+                    fresh.min(track) as u32
+                })
+                .collect();
+            let replay = tbl.replay(blaze_start);
+            let got: Vec<u32> = tbl
+                .rows()
+                .map(|g| replay.fresh_point(g, held[g[0].to as usize], track) as u32)
+                .collect();
+            proptest::prop_assert_eq!(got, want);
         }
     }
 }

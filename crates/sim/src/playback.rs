@@ -32,9 +32,14 @@
 //! *periodic*: every tail cell up to an implied end is `cell(j) = cell(j −
 //! p)`, read back from the head and never stored, so its page is never
 //! touched. At N = 10⁵ and 256 tracked packets a run to completion so
-//! keeps 6.1 MiB of heads where every cell took 24.4 MiB. The analysis
-//! reads such a row through a window: its head, as many implied cells
-//! as a held packet spans, and its stored tail.
+//! keeps 6.1 MiB of heads where every cell took 24.4 MiB.
+//!
+//! The analysis reads a narrow row in place, in one fused pass: one scan
+//! of its bytes gives its delay, its misses and its smallest lateness,
+//! one walk over its cells counts arrivals per receive slot, and one
+//! branch-free sweep over the slots they span gives the buffer peak; no
+//! cell is copied. A periodic row is walked through a window: its head,
+//! as many implied cells as a held packet spans, and its stored tail.
 
 use clustream_core::{CoreError, NodeId, PacketId, Slot};
 use serde::{Deserialize, Serialize};
@@ -167,11 +172,10 @@ unsafe fn zeroed<T>(len: usize) -> Option<Vec<T>> {
 /// number of rows, so a per-receiver loop allocates once.
 #[derive(Default)]
 pub(crate) struct PlaybackScratch {
-    /// A narrow row's cells as the analysis reads them.
-    row: Vec<u8>,
-    /// Dense arm: arrivals per receive slot over the row's slot span.
-    counts: Vec<usize>,
-    /// Sparse arm: the row's receive slots, sorted.
+    /// Arrivals per receive slot over the row's slot span (a wide row's
+    /// dense arm, every narrow row).
+    counts: Vec<u32>,
+    /// A wide row's sparse arm: its receive slots, sorted.
     recv: Vec<u64>,
     /// Rows with gaps: `below[k]` = arrived packets with index `< k`.
     below: Vec<usize>,
@@ -226,42 +230,161 @@ impl<'a> NarrowRow<'a> {
             .copied()
     }
 
-    /// The row as the analysis reads it, into `buf`: what
-    /// [`NarrowRow::cells`] yields, but for whole periods cut out of the
-    /// implied cells once `a − λ + 1` of them are kept, `a` the row's
-    /// delay and `λ` its smallest lateness. No delay or buffer peak
-    /// moves (DESIGN.md §14.2). Returns where the cut sits in `buf` and
-    /// how many cells it took, a multiple of the period.
-    fn window(self, buf: &mut Vec<u8>) -> (usize, usize) {
+    /// The cells stored past the implied ones: the whole tail of a row
+    /// that is not periodic.
+    fn stored_tail(&self) -> &'a [u8] {
+        &self.tail[self.implied().0.end - self.head.len()..]
+    }
+
+    /// The row's bytes in one pass: its largest, its smallest arrived
+    /// and its misses, over the head and the stored tail — the implied
+    /// cells repeat the head's, so these hold every lateness of the row.
+    fn bytes(&self) -> RowBytes {
+        let mut b = RowBytes {
+            max: NEVER,
+            below: u8::MAX,
+            misses: 0,
+        };
+        for run in [self.head, self.stored_tail()] {
+            for &c in run {
+                b.max = b.max.max(c);
+                b.below = b.below.min(c.wrapping_sub(1));
+                b.misses += usize::from(c == NEVER);
+            }
+        }
+        b
+    }
+
+    /// How many implied cells the analysis skips, a multiple of the
+    /// period: all but `a − λ + 1` of them, `a` the row's delay and `λ`
+    /// its smallest lateness, rounded up to whole periods. No delay or
+    /// buffer peak moves (DESIGN.md §14.2).
+    fn cut(&self, b: &RowBytes) -> usize {
+        let (implied, p) = self.implied();
+        if implied.is_empty() || b.max == NEVER {
+            return 0;
+        }
+        let keep = usize::from(b.max.max(BIAS as u8 + 1) - b.below);
+        implied.len().saturating_sub(keep) / p * p
+    }
+
+    /// The row as the analysis reads it, in runs of cells: the head,
+    /// the implied cells less the `cut` ones (copies of the head's last
+    /// period), the stored tail.
+    fn window(self, cut: usize) -> impl Iterator<Item = &'a [u8]> {
         let h = self.head.len();
         let (implied, p) = self.implied();
-        let tail = &self.tail[implied.end - h..];
-        let keep = if implied.is_empty() {
-            0
-        } else {
-            // Implied cells repeat the head's: the head and the stored
-            // tail hold every lateness of the row. `below` is the
-            // smallest arrived cell less one, so that `a − below` is
-            // `a − λ + 1`; a miss wraps round to 255 and is never it.
-            let bytes = || self.head.iter().chain(tail);
-            match bytes().max() {
-                Some(&a) if a != NEVER => {
-                    let below = bytes().map(|c| c.wrapping_sub(1)).min().unwrap_or(0);
-                    usize::from(a.max(BIAS as u8 + 1) - below)
-                }
-                _ => 0,
-            }
-        };
-        let cut = implied.len().saturating_sub(keep) / p * p;
-        buf.clear();
-        buf.extend_from_slice(self.head);
-        while buf.len() < implied.end - cut {
-            let k = p.min(implied.end - cut - buf.len());
-            buf.extend_from_slice(&self.head[h - p..][..k]);
-        }
-        buf.extend_from_slice(tail);
-        (h + keep, cut)
+        let kept = implied.len() - cut;
+        let pattern = &self.head[h.saturating_sub(p)..];
+        std::iter::once(self.head)
+            .chain(std::iter::repeat_n(pattern, kept / p))
+            .chain([&pattern[..kept % p], self.stored_tail()])
     }
+
+    /// [`ArrivalTable::playback`] of the row: one pass over its bytes,
+    /// one over its window counting arrivals per receive slot, one
+    /// sweep over the slots those span.
+    fn playback(self, scratch: &mut PlaybackScratch) -> RowPlayback {
+        let h = self.head.len();
+        let (implied, p) = self.implied();
+        let b = self.bytes();
+        // Every byte is a lateness plus `BIAS + 1`, and never is 0.
+        let delay = u64::from(b.max).saturating_sub(BIAS + 1);
+        let (missing, first_missing) = if b.misses == 0 {
+            (0, None)
+        } else {
+            // Implied cells repeat the head's last period: a head
+            // without a miss leaves the first one in the stored tail.
+            let pattern = &self.head[h.saturating_sub(p)..];
+            let misses = |cells: &[u8]| cells.iter().filter(|&&c| c == NEVER).count();
+            let implied_misses =
+                implied.len() / p * misses(pattern) + misses(&pattern[..implied.len() % p]);
+            let first = match self.head.iter().position(|&c| c == NEVER) {
+                Some(j) => j,
+                None => implied.end + self.stored_tail().iter().position(|&c| c == NEVER).unwrap(),
+            };
+            (b.misses + implied_misses, Some(first))
+        };
+        let mut pb = RowPlayback {
+            delay,
+            max_buffer: 0,
+            missing,
+            first_missing,
+        };
+        if b.max == NEVER {
+            return pb;
+        }
+
+        // Cell `c` at index `i` of the window is received in slot `i + c
+        // − (BIAS + 2)`, counted at `i + c − min`, `min` the smallest
+        // arrived cell. A packet usable from slot 0 counts as received in
+        // slot −1, not 0: that moves no occupancy at a slot `t ≥ 0`, and
+        // the one at −1 is at most the one at 0.
+        let cut = self.cut(&b);
+        let len = self.head.len() + self.tail.len() - cut;
+        let min = usize::from(b.below) + 1;
+        let first = min as isize - (BIAS as isize + 2);
+        let PlaybackScratch { counts, below, .. } = scratch;
+        counts.clear();
+        counts.resize(len + usize::from(b.max) - min, 0);
+        below.clear();
+        let mut i = 0;
+        if b.misses == 0 {
+            for run in self.window(cut) {
+                for &c in run {
+                    counts[i + usize::from(c) - min] += 1;
+                    i += 1;
+                }
+            }
+            sweep(&mut pb, counts, first, |through| through.min(len));
+        } else {
+            below.push(0);
+            for run in self.window(cut) {
+                for &c in run {
+                    if c != NEVER {
+                        counts[i + usize::from(c) - min] += 1;
+                    }
+                    below.push(below[i] + usize::from(c != NEVER));
+                    i += 1;
+                }
+            }
+            sweep(&mut pb, counts, first, |through| below[through.min(len)]);
+        }
+        pb
+    }
+}
+
+/// What [`NarrowRow::bytes`] finds.
+struct RowBytes {
+    /// The largest byte: [`NEVER`] when nothing arrived.
+    max: u8,
+    /// The smallest arrived byte less one; a miss wraps round to 255 and
+    /// is never it.
+    below: u8,
+    /// Misses in the head and the stored tail.
+    misses: usize,
+}
+
+/// The buffer peak of a row whose arrivals per receive slot `first + k`
+/// are `counts[k]`, into `pb`, `played(k)` the arrived packets with
+/// index below `k`. Every slot of the span is visited: between two
+/// receive slots the arrived count stands still and the played one only
+/// grows, and before the first the buffer holds nothing, so the peak
+/// over all of them is the peak over the receive slots.
+#[inline]
+fn sweep(pb: &mut RowPlayback, counts: &[u32], first: isize, played: impl Fn(usize) -> usize) {
+    // Nothing is played before slot `a`: up to there the buffer holds
+    // every arrival.
+    let a = pb.delay as isize;
+    let (early, late) = counts.split_at((a - first).clamp(0, counts.len() as isize) as usize);
+    let mut arrived: usize = early.iter().map(|&n| n as usize).sum();
+    let mut peak = arrived;
+    let from = (first + early.len() as isize - a) as usize;
+    for (k, &n) in late.iter().enumerate() {
+        arrived += n as usize;
+        peak = peak.max(arrived - played(from + k));
+    }
+    pb.max_buffer = peak;
 }
 
 /// A cell as the analysis reads it, in either form of row.
@@ -771,33 +894,22 @@ impl ArrivalTable {
     /// Between two receive slots the first term stands still and the
     /// second only grows, so the maximum sits on a receive slot: the
     /// cost is per packet, whatever the horizon. `#{j : recv(j) ≤ t}` is
-    /// the rank of `t` among the receive slots — counted into an array
-    /// over the row's receive-slot span when that span is of the order
-    /// of the row (every periodic schedule's is), sorted otherwise (a
-    /// repaired or heavy-tailed straggler far from the rest).
+    /// the rank of `t` among the receive slots, counted into an array
+    /// over the row's receive-slot span.
     ///
-    /// A narrow row is read from a copy of its cells; a periodic row's
-    /// copy keeps a window of its implied cells ([`NarrowRow::window`]),
-    /// and the cut cells' misses are added back.
+    /// A narrow row is read in place, in one pass over its bytes (its
+    /// delay, its misses, its smallest lateness), one over its cells
+    /// counting arrivals per receive slot and one sweep over every slot
+    /// of their span, at most 253 more than the cells. A periodic row's
+    /// cells are read through a window of its implied ones
+    /// ([`NarrowRow::window`]); the cut cells' misses are counted from
+    /// the head. A wide row's span can be anything (a repaired or
+    /// heavy-tailed straggler far from the rest): it is counted when
+    /// that span is of the order of the row and sorted otherwise.
     fn playback(&self, node: NodeId, scratch: &mut PlaybackScratch) -> RowPlayback {
         match self.row(node.index()) {
             Row::Wide(row) => playback_of(row, scratch),
-            Row::Narrow(row) => {
-                let mut cells = std::mem::take(&mut scratch.row);
-                let (at, cut) = row.window(&mut cells);
-                let mut pb = playback_of(&cells, scratch);
-                scratch.row = cells;
-                if cut > 0 {
-                    // The cut cells repeat the head's last period: each
-                    // of their misses has an earlier copy, so the first
-                    // miss moves only if it lies past the cut.
-                    let (_, p) = row.implied();
-                    let pattern = &row.head[row.head.len() - p..];
-                    pb.missing += cut / p * pattern.iter().filter(|&&c| c == NEVER).count();
-                    pb.first_missing = pb.first_missing.map(|j| if j < at { j } else { j + cut });
-                }
-                pb
-            }
+            Row::Narrow(row) => row.playback(scratch),
         }
     }
 
@@ -844,15 +956,14 @@ fn complete<C: Cell>(row: &[C]) -> bool {
     row.iter().enumerate().all(|(j, c)| c.usable(j).is_some())
 }
 
-/// [`ArrivalTable::playback`] over one row.
-fn playback_of<C: Cell>(row: &[C], scratch: &mut PlaybackScratch) -> RowPlayback {
+/// [`ArrivalTable::playback`] over one wide row.
+fn playback_of(row: &[u64], scratch: &mut PlaybackScratch) -> RowPlayback {
     let PlaybackScratch {
         counts,
         recv,
         below,
-        ..
     } = scratch;
-    let delay = C::delay(row);
+    let delay = u64::delay(row);
     let mut missing = 0usize;
     let mut first_missing = None;
     let (mut lo, mut hi) = (u64::MAX, 0u64);
@@ -906,7 +1017,7 @@ fn playback_of<C: Cell>(row: &[C], scratch: &mut PlaybackScratch) -> RowPlayback
         let mut arrived = 0usize;
         for (i, &n) in counts.iter().enumerate() {
             if n > 0 {
-                arrived += n;
+                arrived += n as usize;
                 pb.max_buffer = pb
                     .max_buffer
                     .max(arrived.saturating_sub(played(lo + i as u64)));
@@ -1174,13 +1285,20 @@ mod tests {
         (written, periodic)
     }
 
+    /// The cells the analysis reads of `t`'s narrow row 0.
+    fn window_len(t: &ArrivalTable) -> usize {
+        let Row::Narrow(row) = t.row(0) else {
+            panic!("a wide row has no window")
+        };
+        row.window(row.cut(&row.bytes())).map(<[u8]>::len).sum()
+    }
+
     /// Both analyses of row 0 read the same on either twin, the periodic
-    /// one from a copy of fewer than 200 cells.
+    /// one through a window of fewer than 200 cells.
     fn assert_same_playback(written: &ArrivalTable, periodic: &ArrivalTable) {
-        let mut scratch = PlaybackScratch::default();
-        let got = periodic.analyze_with(NodeId(0), &mut scratch);
-        assert!(scratch.row.len() < 200, "read {} cells", scratch.row.len());
-        assert_eq!(got, written.analyze(NodeId(0)));
+        let read = window_len(periodic);
+        assert!(read < 200, "read {read} cells");
+        assert_eq!(periodic.analyze(NodeId(0)), written.analyze(NodeId(0)));
         assert_eq!(
             periodic.analyze_lossy(NodeId(0)),
             written.analyze_lossy(NodeId(0))
@@ -1509,6 +1627,83 @@ mod tests {
                     check(&t, &model)?;
                     prop_assert_eq!(&t, &w);
                 }
+            }
+
+            /// Rows of 1 to 300 cells, so across the head, each read by
+            /// the one pass as the model reads it: narrow as drawn or
+            /// widened by one late arrival, all misses, and periodic —
+            /// its implied run cut down to a window, too short for a cut,
+            /// or as the draw falls. Drawn arrivals include misses and
+            /// packets usable from slot 0.
+            #[test]
+            fn every_row_reads_as_the_model(
+                len in 1usize..=300,
+                mode in 0u8..6,
+                cells in proptest::collection::vec(arrival(), 300),
+                p in 1usize..=4,
+                j0 in 0usize..=HEAD - 4,
+                end_off in any::<usize>(),
+                pattern in proptest::collection::vec(arrival(), 4),
+            ) {
+                let calm = mode != 0 && mode != 5;
+                let periodic = mode >= 3;
+                let len = match mode {
+                    3 => HEAD + 20 + len % (300 - HEAD - 19),
+                    4 | 5 => HEAD + 1 + len % (300 - HEAD),
+                    _ => len,
+                };
+                let end = match mode {
+                    3 => len,
+                    4 => (HEAD + 1 + end_off % p).min(len),
+                    5 => HEAD + 1 + end_off % (len - HEAD),
+                    _ => 0,
+                };
+                let late = |j: usize| match mode {
+                    2 => None,
+                    _ if periodic && j >= j0 && j < end => lateness(pattern[(j - j0) % p], calm),
+                    _ if mode != 3 && cells[j].0 % 7 == 6 => Some(-(j as i64)),
+                    _ => lateness(cells[j], calm),
+                };
+                let mut model: Vec<Option<u64>> = (0..len).map(|j| usable(j, late(j))).collect();
+                if mode == 1 {
+                    let j = end_off % len;
+                    model[j] = usable(j, Some(300));
+                }
+
+                let node = NodeId(1);
+                let h = len.min(HEAD);
+                let mut t = ArrivalTable::new(2, len as u64);
+                t.allow_periodic();
+                let mut w = ArrivalTable::new(2, len as u64);
+                let record = |t: &mut ArrivalTable, j: usize| {
+                    if let Some(u) = model[j] {
+                        t.record(node, PacketId(j as u64), Slot(u));
+                    }
+                };
+                for j in 0..len {
+                    record(&mut w, j);
+                }
+                (0..h).for_each(|j| record(&mut t, j));
+                let implied = periodic
+                    && (HEAD..end).all(|j| {
+                        let l = |j: usize| model[j].map(|u| u as i64 - j as i64);
+                        l(j) == l(j - p)
+                    })
+                    && t.cells_mut().mark_periodic(1, p, end);
+                prop_assert!(implied || !calm || !periodic, "a calm row was not marked");
+                let stored = |j: &usize| !(implied && (HEAD..end).contains(j));
+                (h..len).filter(stored).for_each(|j| record(&mut t, j));
+                prop_assert!(mode != 1 || t.wide[1].is_some(), "a late arrival did not widen");
+                if let (true, Row::Narrow(row)) = (implied, t.row(1)) {
+                    let cut = row.cut(&row.bytes());
+                    match mode {
+                        3 => prop_assert!(cut > 0 || model.iter().all(Option::is_none)),
+                        4 => prop_assert_eq!(cut, 0),
+                        _ => {}
+                    }
+                }
+                check(&t, &model)?;
+                prop_assert_eq!(&t, &w);
             }
         }
     }

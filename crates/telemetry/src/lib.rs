@@ -45,6 +45,14 @@ pub mod names {
     // ----------------------------------------------------- slot engines
     /// Span: one full slot-engine run (reference or mega).
     pub const ENGINE_RUN: &str = "engine.run";
+    /// Span: mega's lowering of a declared period into its steady
+    /// tables, before the run.
+    pub const ENGINE_LOWER: &str = "engine.lower";
+    /// Span: mega's steady replay from the hand-off, with the flush of
+    /// the sends still in flight at its end.
+    pub const ENGINE_REPLAY: &str = "engine.replay";
+    /// Span: mega's end of a run, each receiver's playback scored.
+    pub const ENGINE_RESULT: &str = "engine.result";
     /// Counter: slots executed.
     pub const ENGINE_SLOTS: &str = "engine.slots";
     /// Counter: packet deliveries (validated receives).

@@ -70,6 +70,9 @@ fn script_parses_and_defines_both_tiers() {
         "grep -x 'deliveries  : 26862784'",
         "CI_STAGE_BUDGET_SECS",
         "target/ci-timings.json",
+        // The independent checker at scale: mega's per-node delay and
+        // buffer at N=10^5 against the closed-form schedule, in release.
+        "cargo test --release -q --test scale_checker --offline -- --ignored",
         // The model-checker stages: corpus replay guards every tier's
         // edit loop; the exhaustive lattice and the fixed-seed explore
         // smoke guard the merge gate.

@@ -96,6 +96,10 @@ fn snapshot_of(cfg: &SimConfig, run: impl FnOnce(&SimConfig)) -> MetricsSnapshot
     run(&cfg.clone().with_telemetry(tel));
     let mut snap = recorder.snapshot();
     assert!(snap.spans.remove(tm::ENGINE_RUN).is_some(), "run not timed");
+    // Mega times its phases too; the reference has none to time.
+    for phase in [tm::ENGINE_LOWER, tm::ENGINE_REPLAY, tm::ENGINE_RESULT] {
+        snap.spans.remove(phase);
+    }
     snap
 }
 
@@ -240,4 +244,36 @@ fn recorder_totals_agree_with_the_run_result() {
         snap.spans.contains_key(tm::ENGINE_RUN),
         "the whole run is timed under a span"
     );
+}
+
+/// Mega times its lowering, its replay and its result under spans of
+/// their own; the DES, whose strict tick ends through the same kernel
+/// result, records none of them. (The inertness proptest above covers
+/// every engine with these spans open.)
+#[test]
+fn mega_times_its_phases_and_the_des_does_not() {
+    let cfg = SimConfig::until_complete(64, 100_000);
+    let phases = [tm::ENGINE_LOWER, tm::ENGINE_REPLAY, tm::ENGINE_RESULT];
+    let (recorder, tel) = MemoryRecorder::handle();
+    let mut mega = MegaEngine::new();
+    mega.run(
+        scheme_for(0, 40, 3).as_mut(),
+        &cfg.clone().with_telemetry(tel),
+    )
+    .unwrap();
+    assert!(mega.steady_slots() > 0, "the steady gears never ran");
+    let snap = recorder.snapshot();
+    for phase in phases {
+        assert_eq!(snap.spans.get(phase).map(|s| s.count), Some(1), "{phase}");
+    }
+
+    let (recorder, tel) = MemoryRecorder::handle();
+    Column::Des(QueueKind::Wheel)
+        .run(scheme_for(0, 40, 3).as_mut(), &cfg.with_telemetry(tel))
+        .unwrap();
+    let snap = recorder.snapshot();
+    assert!(snap.spans.contains_key(tm::DES_RUN), "the DES run is timed");
+    for phase in phases {
+        assert!(!snap.spans.contains_key(phase), "the DES recorded {phase}");
+    }
 }
