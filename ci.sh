@@ -136,30 +136,31 @@ loc() {
 }
 
 des_smoke() {
-    # The small DES runs (des-checked, jittered, serialized) are
+    # The small DES runs (checked, jittered, serialized) are
     # tests/cli_golden cases, checked byte for byte by the test stage.
     # The ledger's des_plain command line (too slow for tests/cli_golden's
     # debug build): one event per delivery and per slot, every count of
-    # it pinned by the golden; the checked queue (the heap beside the
-    # wheel, pop for pop) prints the same but for the engine line.
+    # it pinned by the golden; under --check (the heap beside the wheel,
+    # pop for pop, and mega beside the DES, field for field) it prints the
+    # same but for the engine line.
     local golden=tests/cli_golden/des_plain_n20000.txt out=target/ci-des-plain
     local des_plain=(simulate --scheme multitree --n 20000 --d 3 --track 128
         --runtime des)
     target/release/clustream "${des_plain[@]}" --queue wheel >"$out-wheel.txt"
-    target/release/clustream "${des_plain[@]}" --queue checked >"$out-checked.txt"
+    target/release/clustream "${des_plain[@]}" --check >"$out-checked.txt"
     diff "$golden" "$out-wheel.txt"
     diff <(grep -v '^engine' "$golden") <(grep -v '^engine' "$out-checked.txt")
 }
 
 telemetry_smoke() {
     # The metrics pipeline end to end: instrumented run -> JSONL file ->
-    # offline report. First through the checked runtime, which doubles as
+    # offline report. First through a checked DES run, which doubles as
     # the zero-cost-off oracle (the recorded run must stay bit-identical
-    # to the bare engines); then through a recovery run, which populates
-    # the recovery.* series (recovery needs the plain des runtime).
+    # to the bare mega engine); then through a recovery run, which
+    # populates the recovery.* series.
     local out=target/ci-metrics.jsonl
     cargo run -q --release --offline -p clustream-cli --bin clustream -- \
-        simulate --scheme hypercube --n 25 --runtime des-checked \
+        simulate --scheme hypercube --n 25 --runtime des --check \
         --metrics-out "$out"
     cargo run -q --release --offline -p clustream-cli --bin clustream -- \
         report "$out"
@@ -173,14 +174,14 @@ telemetry_smoke() {
 
 recovery_smoke() {
     # Every recovery tier across a small churn/loss matrix through the
-    # real CLI — on the checked event queue, so the binary heap and the
-    # timing wheel run the whole fault matrix in lockstep (the first
-    # divergent pop panics).
+    # real CLI — under --check, so the binary heap and the timing wheel
+    # run the whole fault matrix in lockstep (the first divergent pop
+    # panics).
     local rec
     for rec in off repair repair+nack; do
         cargo run -q --release --offline -p clustream-cli --bin clustream -- \
             simulate --scheme multitree --n 30 --d 3 --track 32 --runtime des \
-            --queue checked \
+            --check \
             --recovery "$rec" --churn-leave 0.002 --churn-rejoin 0.001 \
             --churn-slots 160 --churn-seed 7
     done
@@ -190,18 +191,18 @@ recovery_smoke() {
     # the same order.
     cargo run -q --release --offline -p clustream-cli --bin clustream -- \
         simulate --scheme multitree --n 500 --d 3 --track 128 --runtime des \
-        --queue checked --latency jitter --jitter 0.5 --uplink serialized \
+        --check --latency jitter --jitter 0.5 --uplink serialized \
         --recovery repair+nack --churn-leave 0.0005 --churn-slots 200 --des-seed 7
     # The ledger's des_recovery command line itself, at N=2000 (too slow
     # for tests/cli_golden's debug build): its stdout is the committed
-    # golden, every count of it, and the checked queue prints the same
-    # but for the engine line.
+    # golden, every count of it, and under --check it prints the same but
+    # for the engine line.
     local golden=tests/cli_golden/des_recovery_n2000.txt out=target/ci-des-recovery
     local des_recovery=(simulate --scheme multitree --n 2000 --d 3 --track 128
         --runtime des --latency jitter --jitter 0.5 --uplink serialized
         --recovery repair+nack --churn-leave 0.0005 --churn-slots 200 --des-seed 7)
     target/release/clustream "${des_recovery[@]}" --queue wheel >"$out-wheel.txt"
-    target/release/clustream "${des_recovery[@]}" --queue checked >"$out-checked.txt"
+    target/release/clustream "${des_recovery[@]}" --check >"$out-checked.txt"
     diff "$golden" "$out-wheel.txt"
     diff <(grep -v '^engine' "$golden") <(grep -v '^engine' "$out-checked.txt")
 }
@@ -209,7 +210,7 @@ recovery_smoke() {
 recovery_off_regression() {
     # With recovery off the DES must stay bit-identical to the slot
     # engines (the recovery_off_regression case of tests/cli_golden runs
-    # the checked runtime, which enforces it field by field).
+    # the DES under --check, which enforces it field by field).
     cargo test -q --test recovery --offline
     cargo test -q --test faults --offline
 }
@@ -385,9 +386,9 @@ crowd_mega_smoke() {
     local crowd=(simulate --scheme multitree --n 2000 --d 3 --scenario step:1000@20 --track 96)
     local cut=(simulate --scheme multitree --n 2000 --d 3 --scenario step:1000@20 --track 256 --horizon 150)
     local long=(simulate --scheme multitree --n 2000 --d 3 --scenario step:1000@20 --track 1024)
-    target/release/clustream "${crowd[@]}" --engine checked >"$base-checked.txt"
+    target/release/clustream "${crowd[@]}" --check >"$base-checked.txt"
     diff <(grep -v '^engine' "$golden/crowd1000.txt") <(grep -v '^engine' "$base-checked.txt")
-    target/release/clustream "${cut[@]}" --engine checked >"$base-h150-checked.txt"
+    target/release/clustream "${cut[@]}" --check >"$base-h150-checked.txt"
     diff <(grep -v '^engine' "$golden/crowd_h150.txt") <(grep -v '^engine' "$base-h150-checked.txt")
     target/release/clustream "${long[@]}" >"$base-t1024.txt"
     diff "$golden/crowd_t1024.txt" "$base-t1024.txt"
@@ -466,12 +467,12 @@ mega_scale_smoke() {
         report "$base-mega.jsonl" | grep -x 'deliveries  : 26862784'
     # A chain plays node i i slots late, so at N=400 the rows past a
     # byte of lateness (~190) widen, and the steady gears write them:
-    # the checked engine holds mega to the reference field by field.
-    target/release/clustream simulate --scheme chain --n 400 --track 512 --engine checked >/dev/null
+    # --check holds mega to the reference field by field.
+    target/release/clustream simulate --scheme chain --n 400 --track 512 --check >/dev/null
     # Hypercube vertices at N=2000 send along ten dimensions, past the
-    # seven receivers a link row keeps inline: the checked engine holds
-    # the spilled rows' neighbor counts to the reference's link set.
-    target/release/clustream simulate --scheme hypercube --n 2000 --engine checked >/dev/null
+    # seven receivers a link row keeps inline: --check holds the spilled
+    # rows' neighbor counts to the reference's link set.
+    target/release/clustream simulate --scheme hypercube --n 2000 --check >/dev/null
     # N=10^6: one-byte arrival cells, periodic rows that store only
     # their 64-cell heads, and one 32-byte link row per sender keep it
     # at 485 MiB.
@@ -521,7 +522,7 @@ if [ "$TIER" = full ]; then
     # 3, both constructions, 256 packets; the N=2000 case runs in `test`).
     stage "scale checker (N=10^5, closed form = mega)" \
         cargo test --release -q --test scale_checker --offline -- --ignored
-    stage "DES smoke (des_plain golden, wheel and checked queue)" des_smoke
+    stage "DES smoke (des_plain golden, wheel and --check)" des_smoke
     stage "telemetry smoke (metrics-out + report)" telemetry_smoke
     stage "recovery fault-matrix smoke" recovery_smoke
     stage "recovery-off DES equivalence regression" recovery_off_regression

@@ -274,19 +274,21 @@ pub fn run_heterogeneity(plan: &RunPlan) -> Result<HeterogeneityReport, CliError
     })
 }
 
-/// Oracle closure for a crowd plan: the slot world (mega engine) and the
-/// DES must agree bit for bit on the replay. Returns the divergence
+/// Oracle closure for a crowd plan: the plan on the DES under `--check`,
+/// where the slot world (mega engine) and the DES (heap and wheel in
+/// lockstep) must agree bit for bit on the replay. Returns the divergence
 /// description on failure — `ext_flash_crowd --oracle` turns it into a
 /// nonzero exit, which is the CI quick-tier gate.
 pub fn flash_crowd_oracle(plan: &RunPlan) -> Result<(), String> {
     let checked = RunPlan {
-        runtime: Runtime::DesChecked,
+        runtime: Runtime::Des,
+        check: true,
         ..plan.clone()
     };
-    match checked.run(&Telemetry::disabled()) {
-        Ok(_) => Ok(()),
-        Err(e) => Err(e.to_string()),
-    }
+    checked
+        .run(&Telemetry::disabled())
+        .map(drop)
+        .map_err(|e| e.to_string())
 }
 
 #[cfg(test)]
@@ -324,7 +326,7 @@ mod tests {
         let plan = ScenarioPlan::parse("ramp:30@2+8").unwrap();
         let mega = crowd_plan(8, 3, plan, 12, 300);
         let reference = RunPlan {
-            engine: Engine::Reference,
+            engine: Some(Engine::Reference),
             ..mega.clone()
         };
         let (mega, reference) = (

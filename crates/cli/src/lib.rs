@@ -103,7 +103,7 @@ mod tests {
                 assert!(help.contains(line), "help lacks `{line}`");
             }
         }
-        assert_eq!(usage_flags(SIMULATE_USAGE).count(), 28);
+        assert_eq!(usage_flags(SIMULATE_USAGE).count(), 29);
         assert_eq!(usage_flags(net_cmd::CLUSTER_USAGE).count(), 14);
         assert!(help.contains("clustream report   <FILE.jsonl>"), "{help}");
     }

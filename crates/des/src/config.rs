@@ -13,8 +13,8 @@ use clustream_workloads::ChurnTrace;
 /// Every choice pops the identical `(time, class, seq)` event sequence,
 /// so the [`clustream_sim::RunResult`] is bit-identical across kinds.
 /// The wheel is the runtime's queue; the heap is its obviously correct
-/// counterpart, run beside it by `Checked` (the CLI offers `wheel` and
-/// `checked` only).
+/// counterpart, run beside it by `Checked` (the CLI offers `--queue wheel`
+/// only; `simulate --check` runs `Checked`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QueueKind {
     /// Binary min-heap ([`crate::HeapQueue`]): the original, obviously
@@ -30,7 +30,8 @@ pub enum QueueKind {
 }
 
 impl QueueKind {
-    /// CLI label (`--queue <label>`).
+    /// Stable label; the wheel's is its `--queue` value and names it in
+    /// `simulate`'s `engine` line.
     pub fn label(&self) -> &'static str {
         match self {
             QueueKind::Heap => "heap",

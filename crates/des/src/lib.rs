@@ -37,8 +37,8 @@
 //! [`clustream_sim::RunResult`], field for field, are the slot engines'.
 //! [`agree`] over a [`Column::Des`] and [`Column::Mega`] enforces
 //! this continuously (property-based suite in
-//! `tests/des_differential.rs`, smoke run in `ci.sh`, CLI runtime
-//! `des-checked`), which is what licenses trusting the *relaxed* results:
+//! `tests/des_differential.rs`, smoke run in `ci.sh`, `simulate --runtime
+//! des --check`), which is what licenses trusting the *relaxed* results:
 //! any delay/buffer inflation measured under jitter or contention is
 //! attributable to the network model, not to engine drift.
 

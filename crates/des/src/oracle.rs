@@ -5,10 +5,11 @@
 //! same [`RunResult`] **field for field**, or the identically-rendered
 //! error. A [`Column`] names one of them; [`agree`] runs a fresh scheme
 //! through each of a set of columns and diffs every outcome against the
-//! first, and [`disagreement`] is that diff for one pair. `--engine
-//! checked`, `--runtime des-checked`, the model checker (`clustream_mc`)
-//! and the differential suites (`tests/differential.rs`,
-//! `tests/des_differential.rs`) all go through these two functions.
+//! first, and [`disagreement`] is that diff for one pair. `simulate
+//! --check` (which diffs its reported column against the others it
+//! admits), the model checker (`clustream_mc`) and the differential
+//! suites (`tests/differential.rs`, `tests/des_differential.rs`) all go
+//! through these two functions.
 
 use crate::config::{DesConfig, QueueKind};
 use crate::engine::DesEngine;
@@ -146,10 +147,15 @@ mod tests {
         }
     }
 
-    /// The column sets the callers run: `--engine checked`, `--runtime
-    /// des-checked` on every queue, and the model checker's three.
+    /// The column sets the callers run: `simulate --check` on the slot
+    /// runtime (either engine first) and on a slot-faithful DES, the DES
+    /// beside mega on every queue, and the model checker's three.
     fn column_sets() -> Vec<Vec<Column>> {
-        let mut sets = vec![vec![Column::Mega, Column::Reference], Column::ALL.to_vec()];
+        let mut sets = vec![
+            vec![Column::Mega, Column::Reference],
+            vec![Column::Reference, Column::Mega],
+            Column::ALL.to_vec(),
+        ];
         for queue in [QueueKind::Heap, QueueKind::Wheel, QueueKind::Checked] {
             sets.push(vec![Column::Des(queue), Column::Mega]);
         }

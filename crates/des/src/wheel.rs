@@ -381,7 +381,7 @@ impl EventQueue for WheelQueue {
 
 /// Heap and wheel in lockstep: every push goes to both, every pop asserts
 /// both return the identical [`Event`]. The queue-level differential
-/// oracle — `--queue checked` on the CLI, and what the acceptance
+/// oracle — the DES half of `simulate --check`, and what the acceptance
 /// criterion "wheel is bit-identical to heap" means mechanically.
 #[derive(Debug, Default)]
 pub struct CheckedQueue {

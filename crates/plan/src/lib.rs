@@ -10,12 +10,14 @@
 //!   match; [`SchemeSpec::build`] is total (out-of-domain parameters are
 //!   a [`clustream_core::CoreError::InvalidConfig`], never an assert).
 //!   Its [`SchemeSpec::worst_delay_bound`] is the only family → theorem
-//!   match, and sizes every completing run's horizon
-//!   ([`DelayBound::completion_horizon`]).
+//!   match: it sizes every completing run's horizon
+//!   ([`DelayBound::completion_horizon`]) and holds each receiver of such
+//!   a run to the bound ([`DelayBound::check`]).
 //! * [`RunPlan`] is one `simulate` run as data: [`RunPlan::from_args`]
 //!   parses it, [`RunPlan::validate`] owns every cross-field rule,
 //!   [`RunPlan::sim_config`] / [`RunPlan::des_config`] lower it and
-//!   [`RunPlan::run`] dispatches it.
+//!   [`RunPlan::run`] dispatches it, beside every oracle column its
+//!   `--check` admits.
 //! * [`args`] is the `--key value` / `--switch` parser; a subcommand's
 //!   usage text is also the vocabulary (names and arities) its flags are
 //!   checked against.

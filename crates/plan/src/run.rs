@@ -5,8 +5,8 @@ use crate::args::{ArgMap, CliError, Usage};
 use crate::scheme::{DelayBound, Family, SchemeSpec, SCHEME_USAGE};
 use clustream_core::{CoreError, NodeId, PacketId, Scheme};
 use clustream_des::{
-    agree, CapacityClassPlan, Column, DesConfig, DesEngine, DesStats, LatencyModel, QueueKind,
-    UplinkModel,
+    disagreement, CapacityClassPlan, Column, DesConfig, DesEngine, DesStats, LatencyModel,
+    QueueKind, UplinkModel,
 };
 use clustream_recovery::{DynamicMultiTree, RecoveryConfig, RecoveryMode};
 use clustream_sim::{MegaSimulator, RunResult, SimConfig, Simulator};
@@ -25,9 +25,6 @@ pub enum Runtime {
     Slot,
     /// Discrete-event runtime with pluggable latency/uplink models.
     Des,
-    /// DES in the slot-faithful configuration, field-checked against the
-    /// mega slot engine.
-    DesChecked,
 }
 
 /// Which slot engine executes a [`Runtime::Slot`] run.
@@ -38,18 +35,16 @@ pub enum Engine {
     /// The default: the slot kernel with steady-state schedule lowering
     /// and optional in-run sharding (bit-identical results).
     Mega,
-    /// Mega and the reference together, with a field-by-field equality
-    /// check.
-    Checked,
 }
 
 /// `simulate`'s usage text, and so its flag vocabulary.
 pub const SIMULATE_USAGE: Usage = &[
     SCHEME_USAGE[0],
     SCHEME_USAGE[1],
-    "[--track <P>] [--runtime <slot|des|des-checked>] [--metrics-out <FILE.jsonl>]",
-    "[--engine <mega|reference|checked>] [--shards <K>]    (slot runtime; shards: mega)",
-    "[--queue <wheel|checked>]    (des and des-checked runtimes)",
+    "[--track <P>] [--runtime <slot|des>] [--metrics-out <FILE.jsonl>]",
+    "[--check]    (diff the run against every oracle it admits; one shard)",
+    "[--engine <mega|reference>] [--shards <K>]    (slot runtime; shards: mega)",
+    "[--queue <wheel>]    (des runtime; the default, kept for the benchmark's argv)",
     "[--latency <fixed|jitter|heavytail>] [--jitter <SLOTS>]    (des runtime)",
     "[--scale <S>] [--alpha <A>] [--cap <C>] [--des-seed <SEED>]",
     "[--uplink <unconstrained|serialized>] [--classes <NAME[:CAPACITY],…>]",
@@ -97,8 +92,11 @@ pub struct RunPlan {
     pub horizon: Option<u64>,
     /// Runtime model.
     pub runtime: Runtime,
-    /// Slot engine (mega unless `--engine` says otherwise).
-    pub engine: Engine,
+    /// Slot engine; `None` = not asked for (mega).
+    pub engine: Option<Engine>,
+    /// Run every oracle the plan admits beside it (`--check`; see
+    /// [`RunPlan::run`]).
+    pub check: bool,
     /// In-run shards of the mega engine; `None` = not asked for.
     pub shards: Option<usize>,
     /// DES event queue; `None` = not asked for (the wheel, unnamed in
@@ -126,6 +124,9 @@ pub struct RunPlan {
 /// `(engine label, result, DES counters)` of a finished run.
 pub type Outcome = (String, RunResult, Option<DesStats>);
 
+/// One column's raw outcome and, when the DES ran, its counters.
+type Ran = (Result<RunResult, CoreError>, Option<DesStats>);
+
 impl RunPlan {
     /// The default run of `scheme`: mega slot engine, fixed latency, no
     /// recovery, churn or scenario.
@@ -135,7 +136,8 @@ impl RunPlan {
             track,
             horizon: None,
             runtime: Runtime::Slot,
-            engine: Engine::Mega,
+            engine: None,
+            check: false,
             shards: None,
             queue: None,
             latency: LatencyModel::Fixed,
@@ -156,18 +158,10 @@ impl RunPlan {
         args.check_known(SIMULATE_USAGE)?;
         let scheme = SchemeSpec::from_args(args)?;
         let track = args.usize_or("track", 48)? as u64;
-        let runtimes = [
-            ("slot", Runtime::Slot),
-            ("des", Runtime::Des),
-            ("des-checked", Runtime::DesChecked),
-        ];
+        let runtimes = [("slot", Runtime::Slot), ("des", Runtime::Des)];
         let runtime = choice(args, "runtime", &runtimes)?.unwrap_or(Runtime::Slot);
-        let engines = [
-            ("reference", Engine::Reference),
-            ("mega", Engine::Mega),
-            ("checked", Engine::Checked),
-        ];
-        let engine = choice(args, "engine", &engines)?.unwrap_or(Engine::Mega);
+        let engines = [("reference", Engine::Reference), ("mega", Engine::Mega)];
+        let engine = choice(args, "engine", &engines)?;
         let shards = args.parsed("shards", "an integer")?;
         let latency = parse_latency(args)?;
         let uplinks = [
@@ -175,9 +169,13 @@ impl RunPlan {
             ("serialized", UplinkModel::Serialized),
         ];
         let uplink = choice(args, "uplink", &uplinks)?.unwrap_or(UplinkModel::Unconstrained);
-        let queues = [("wheel", QueueKind::Wheel), ("checked", QueueKind::Checked)];
-        let queue = choice(args, "queue", &queues)?;
-        let recovery = parse_recovery(args)?;
+        let queue = choice(args, "queue", &[("wheel", QueueKind::Wheel)])?;
+        let tiers = [
+            ("off", RecoveryConfig::default()),
+            ("repair", RecoveryConfig::repair()),
+            ("repair+nack", RecoveryConfig::repair_nack()),
+        ];
+        let recovery = choice(args, "recovery", &tiers)?.unwrap_or_default();
         let churn = parse_churn(args, scheme.n)?;
         let scenario = args
             .optional("scenario")
@@ -196,6 +194,7 @@ impl RunPlan {
             horizon,
             runtime,
             engine,
+            check: args.switch("check"),
             shards,
             queue,
             latency,
@@ -215,14 +214,19 @@ impl RunPlan {
     pub fn validate(&self) -> Result<(), CliError> {
         let usage = |msg: &str| Err(CliError::Usage(msg.into()));
         let multitree = self.scheme.family == Family::MultiTree;
-        let relaxed_net = self.relaxed_net();
         if self.shards == Some(0) {
             return usage("--shards must be at least 1");
         }
-        if self.shards.is_some() && self.engine != Engine::Mega {
+        if (self.engine.is_some() || self.shards.is_some()) && self.runtime == Runtime::Des {
+            return usage("--engine/--shards pick the slot engine; they need --runtime slot");
+        }
+        if self.shards.is_some() && self.engine == Some(Engine::Reference) {
             return usage(
                 "--shards partitions the mega engine's node range; it needs --engine mega",
             );
+        }
+        if self.shards.is_some() && self.check {
+            return usage("--check runs mega on one shard; drop --shards");
         }
         if self.scenario.is_some() && !multitree {
             return usage(
@@ -245,11 +249,9 @@ impl RunPlan {
             );
         }
         if self.queue.is_some() && self.runtime == Runtime::Slot {
-            return usage(
-                "--queue selects the DES event queue; it needs --runtime des or des-checked",
-            );
+            return usage("--queue selects the DES event queue; it needs --runtime des");
         }
-        if (self.recovery.mode.enabled() || self.churn.is_some()) && self.runtime != Runtime::Des {
+        if (self.recovery.mode.enabled() || self.churn.is_some()) && self.runtime == Runtime::Slot {
             return usage(
                 "--recovery/--churn-* need --runtime des (failure detection and churn are \
                  asynchronous processes)",
@@ -271,19 +273,15 @@ impl RunPlan {
             )));
         }
         match self.runtime {
-            Runtime::Slot if relaxed_net => usage(
+            Runtime::Slot if self.relaxed_net() => usage(
                 "--latency/--uplink models need --runtime des (the slot runtime is \
                  synchronous by construction)",
             ),
-            Runtime::DesChecked if relaxed_net || self.classes.is_some() => usage(
-                "--runtime des-checked verifies the slot-faithful configuration; drop \
-                 --latency/--uplink/--classes or use --runtime des",
-            ),
+            Runtime::Slot => Ok(()),
             Runtime::Des => self
                 .des_config_over(self.sim_config(), None)
                 .validate()
                 .map_err(CliError::Usage),
-            _ => Ok(()),
         }
     }
 
@@ -319,9 +317,8 @@ impl RunPlan {
     /// not cover) and for relaxed DES runs (latency or uplink models,
     /// capacity classes: Theorem 2 assumes unit-latency slots).
     fn delay_bound(&self) -> Option<DelayBound> {
-        let relaxed = self.relaxed_net() || self.classes.is_some() || self.recovery.mode.enabled();
         let own_horizon = self.horizon.is_some() || self.churn.is_some() || self.scenario.is_some();
-        (!relaxed && !own_horizon).then(|| self.scheme.worst_delay_bound())
+        (!self.relaxed() && !own_horizon).then(|| self.scheme.worst_delay_bound())
     }
 
     /// Whether a latency or uplink model relaxes the synchronous slot.
@@ -329,13 +326,10 @@ impl RunPlan {
         !self.latency.is_slot_exact() || self.uplink != UplinkModel::Unconstrained
     }
 
-    /// A run error, blamed on the broken bound when the run was sized by
-    /// one (see [`DelayBound::blame`]).
-    fn blame(&self, e: CoreError) -> CliError {
-        let Some(bound) = self.delay_bound() else {
-            return e.into();
-        };
-        bound.blame(e)
+    /// Whether the run leaves the paper's synchronous model: a relaxed
+    /// network, capacity classes or recovery.
+    fn relaxed(&self) -> bool {
+        self.relaxed_net() || self.classes.is_some() || self.recovery.mode.enabled()
     }
 
     /// The slot-engine configuration. A scenario runs in the
@@ -361,8 +355,42 @@ impl RunPlan {
             latency_seed: self.des_seed,
             churn,
             recovery: self.recovery,
-            queue: self.queue.unwrap_or_default(),
+            queue: self.des_queue(),
             ..DesConfig::slot_faithful(sim)
+        }
+    }
+
+    /// The event queue the DES drains: the wheel, or under `--check` the
+    /// heap popping beside it, pop for pop ([`QueueKind::Checked`]).
+    fn des_queue(&self) -> QueueKind {
+        self.check
+            .then_some(QueueKind::Checked)
+            .or(self.queue)
+            .unwrap_or_default()
+    }
+
+    /// The engine column this plan reports, and the only one that records
+    /// its telemetry.
+    fn column(&self) -> Column {
+        match (self.runtime, self.engine) {
+            (Runtime::Slot, Some(Engine::Reference)) => Column::Reference,
+            (Runtime::Slot, _) => Column::Mega,
+            (Runtime::Des, _) => Column::Des(self.des_queue()),
+        }
+    }
+
+    /// The columns `--check` diffs the reported one against, field for
+    /// field: the other slot engine, or mega beside a DES in strict mode
+    /// ([`DesConfig::is_slot_faithful`]; a scenario's dynamics live in the
+    /// scheme and keep it strict). A relaxed DES has no slot twin; its
+    /// oracle is the heap queue inside the run ([`RunPlan::des_queue`]).
+    fn oracles(&self) -> &'static [Column] {
+        match self.column() {
+            _ if !self.check => &[],
+            Column::Reference => &[Column::Mega],
+            Column::Mega => &[Column::Reference],
+            Column::Des(_) if !self.relaxed() && self.churn.is_none() => &[Column::Mega],
+            Column::Des(_) => &[],
         }
     }
 
@@ -376,21 +404,11 @@ impl RunPlan {
         }
     }
 
-    /// The `engine` line of the report.
+    /// The `engine` line of the report: the reported column, and under
+    /// `--check` what it was diffed against.
     pub fn label(&self) -> String {
-        let queue = match self.queue {
-            Some(q) => format!(", {} queue", q.label()),
-            None => String::new(),
-        };
-        match (self.runtime, self.engine) {
-            (Runtime::Slot, Engine::Reference) => "reference".into(),
-            (Runtime::Slot, Engine::Mega) => match self.shards {
-                Some(k) if k > 1 => format!("mega ({k} shards)"),
-                _ => "mega".into(),
-            },
-            (Runtime::Slot, Engine::Checked) => "checked (reference ≡ mega)".into(),
-            (Runtime::DesChecked, _) => format!("des-checked (slot ≡ des{queue})"),
-            (Runtime::Des, _) => {
+        match (self.column(), self.check) {
+            (Column::Des(_), _) => {
                 let latency = match self.latency {
                     LatencyModel::Fixed => "fixed latency".to_string(),
                     LatencyModel::UniformJitter { jitter } => format!("jitter ≤ {jitter} slots"),
@@ -403,73 +421,83 @@ impl RunPlan {
                     RecoveryMode::Repair => ", self-healing repair",
                     RecoveryMode::RepairNack => ", self-healing repair+nack",
                 };
-                format!("des ({latency}{heal}){queue}")
+                let queue = self
+                    .queue
+                    .map_or(String::new(), |q| format!(", {} queue", q.label()));
+                let check = match self.oracles() {
+                    _ if !self.check => "",
+                    [] => ", checked (heap ≡ wheel)",
+                    _ => ", checked (heap ≡ wheel ≡ mega)",
+                };
+                format!("des ({latency}{heal}){queue}{check}")
             }
+            (_, true) => "checked (reference ≡ mega)".into(),
+            (Column::Reference, false) => "reference".into(),
+            (Column::Mega, false) => match self.shards {
+                Some(k) if k > 1 => format!("mega ({k} shards)"),
+                _ => "mega".into(),
+            },
         }
     }
 
-    /// Build the scheme and run it: each scheme instance is built once
-    /// per engine that consumes one.
+    /// Build the scheme and run it on the reported column; under
+    /// `--check`, run a fresh instance on each oracle column too, without
+    /// telemetry, and demand the same outcome field for field
+    /// ([`disagreement`]: equal results, or identically rendered errors).
     pub fn run(&self, telemetry: &Telemetry) -> Result<Outcome, CliError> {
-        let mut scheme = self.build_scheme()?;
-        // The first column records the telemetry and is the one reported.
-        let (what, columns): (_, &[Column]) = match (self.runtime, self.engine) {
-            (Runtime::Slot, Engine::Checked) => {
-                ("differential check", &[Column::Mega, Column::Reference])
+        let ran = self.run_column(self.build_scheme()?.as_mut(), telemetry);
+        for &oracle in self.oracles() {
+            let other = oracle.run(self.build_scheme()?.as_mut(), &self.sim_config());
+            if let Some(d) = disagreement((self.column(), &ran.0), (oracle, &other)) {
+                return Err(CliError::Model(format!("differential check failed: {d}")));
             }
-            (Runtime::DesChecked, _) => (
-                "slot/DES differential check",
-                &[Column::Des(self.queue.unwrap_or_default()), Column::Mega],
-            ),
-            _ => return self.run_scheme(scheme.as_mut(), telemetry),
-        };
-        // The checked modes take one fresh instance per engine: the one
-        // built above first, then more from the same (valid) plan.
-        let cfg = self.sim_config().with_telemetry(telemetry.clone());
-        let mut built = Some(scheme);
-        let factory = || {
-            built.take().unwrap_or_else(|| {
-                self.build_scheme()
-                    .expect("this plan built a scheme a moment ago")
-            })
-        };
-        match agree(columns, factory, &cfg) {
-            Ok(r) => Ok((self.label(), r.map_err(|e| self.blame(e))?, None)),
-            Err(divergence) => Err(CliError::Model(format!("{what} failed: {divergence}"))),
         }
+        self.finish(ran)
     }
 
-    /// Run an already-built `scheme` on this plan's single engine, for
-    /// callers that read the scheme's state afterwards. The checked
-    /// modes compare fresh instances and go through [`RunPlan::run`].
+    /// Run an already-built `scheme` on the reported column, for callers
+    /// that read the scheme's state afterwards. A plan with oracle
+    /// columns compares fresh instances and goes through [`RunPlan::run`].
     pub fn run_scheme(
         &self,
         scheme: &mut dyn Scheme,
         telemetry: &Telemetry,
     ) -> Result<Outcome, CliError> {
+        if !self.oracles().is_empty() {
+            return Err(CliError::Usage(
+                "a checked run compares fresh scheme instances".into(),
+            ));
+        }
+        self.finish(self.run_column(scheme, telemetry))
+    }
+
+    /// Run `scheme` on the reported column, recording `telemetry`: its
+    /// outcome, and the event counters when the DES ran.
+    fn run_column(&self, scheme: &mut dyn Scheme, telemetry: &Telemetry) -> Ran {
         let cfg = self.sim_config().with_telemetry(telemetry.clone());
-        let mut des_stats = None;
-        let r = match (self.runtime, self.engine) {
-            (Runtime::Slot, Engine::Reference) => Simulator::run(scheme, &cfg),
-            (Runtime::Slot, Engine::Mega) => {
-                MegaSimulator::run_sharded(scheme, &cfg, self.shards.unwrap_or(1))
-            }
-            (Runtime::Des, _) => {
+        let shards = self.shards.unwrap_or(1);
+        match self.column() {
+            Column::Reference => (Simulator::run(scheme, &cfg), None),
+            Column::Mega => (MegaSimulator::run_sharded(scheme, &cfg, shards), None),
+            Column::Des(_) => {
                 let mut engine = DesEngine::new();
-                let des_cfg = self.des_config_over(cfg, self.churn.map(ChurnTrace::generate));
-                let r = engine.run(scheme, &des_cfg);
-                des_stats = Some(*engine.stats());
-                r
+                let des = self.des_config_over(cfg, self.churn.map(ChurnTrace::generate));
+                (engine.run(scheme, &des), Some(*engine.stats()))
             }
-            (Runtime::Slot, Engine::Checked) | (Runtime::DesChecked, _) => {
-                return Err(CliError::Usage(
-                    "a checked run compares fresh scheme instances; it cannot drive a \
-                     caller-built one"
-                        .into(),
-                ))
-            }
+        }
+    }
+
+    /// A finished run as the report takes it. A run its delay bound sizes
+    /// is held to the bound: an error is blamed on it
+    /// ([`DelayBound::blame`]), and so is any receiver that completed
+    /// past it ([`DelayBound::check`]).
+    fn finish(&self, (r, des_stats): Ran) -> Result<Outcome, CliError> {
+        let Some(bound) = self.delay_bound() else {
+            return Ok((self.label(), r?, des_stats));
         };
-        Ok((self.label(), r.map_err(|e| self.blame(e))?, des_stats))
+        let r = r.map_err(|e| bound.blame(e))?;
+        bound.check(&r.qos).map_err(CliError::Model)?;
+        Ok((self.label(), r, des_stats))
     }
 }
 
@@ -508,16 +536,6 @@ fn parse_latency(args: &ArgMap) -> Result<LatencyModel, CliError> {
     }
     model.validate().map_err(CliError::Usage)?;
     Ok(model)
-}
-
-/// `--recovery off|repair|repair+nack`.
-fn parse_recovery(args: &ArgMap) -> Result<RecoveryConfig, CliError> {
-    let tiers = [
-        ("off", RecoveryConfig::default()),
-        ("repair", RecoveryConfig::repair()),
-        ("repair+nack", RecoveryConfig::repair_nack()),
-    ];
-    Ok(choice(args, "recovery", &tiers)?.unwrap_or_default())
 }
 
 /// `--churn-leave/--churn-join/--churn-rejoin` (per-slot per-member
@@ -621,8 +639,16 @@ mod tests {
                 "--shards must be at least 1",
             ),
             (
+                format!("{chain} --runtime des --engine reference"),
+                "--engine/--shards pick the slot engine; they need --runtime slot",
+            ),
+            (
                 format!("{chain} --engine reference --shards 2"),
                 "--shards partitions the mega engine's node range; it needs --engine mega",
+            ),
+            (
+                format!("{chain} --check --shards 2"),
+                "--check runs mega on one shard; drop --shards",
             ),
             (
                 format!("{chain} --scenario step:4@1"),
@@ -644,15 +670,10 @@ mod tests {
             ),
             (
                 format!("{chain} --queue wheel"),
-                "--queue selects the DES event queue; it needs --runtime des or des-checked",
+                "--queue selects the DES event queue; it needs --runtime des",
             ),
             (
                 format!("{mt} --recovery repair"),
-                "--recovery/--churn-* need --runtime des (failure detection and churn are \
-                 asynchronous processes)",
-            ),
-            (
-                format!("{chain} --runtime des-checked --churn-slots 50"),
                 "--recovery/--churn-* need --runtime des (failure detection and churn are \
                  asynchronous processes)",
             ),
@@ -677,16 +698,6 @@ mod tests {
                  synchronous by construction)",
             ),
             (
-                format!("{chain} --runtime des-checked --uplink serialized"),
-                "--runtime des-checked verifies the slot-faithful configuration; drop \
-                 --latency/--uplink/--classes or use --runtime des",
-            ),
-            (
-                format!("{mt} --runtime des-checked --classes fiber"),
-                "--runtime des-checked verifies the slot-faithful configuration; drop \
-                 --latency/--uplink/--classes or use --runtime des",
-            ),
-            (
                 // Lives in `DesConfig::validate`; reached through this one.
                 format!("{mt} --runtime des --classes fiber"),
                 "--classes requires the serialized uplink model (--uplink serialized): \
@@ -707,16 +718,74 @@ mod tests {
         for engine in ["", " --engine mega"] {
             let plan = plan_of(&format!("--scheme chain --n 8{engine} --shards 2")).unwrap();
             plan.validate().unwrap();
-            assert_eq!(
-                (plan.engine, plan.label()),
-                (Engine::Mega, "mega (2 shards)".into())
-            );
+            assert_eq!(plan.column(), Column::Mega);
+            assert_eq!(plan.label(), "mega (2 shards)");
         }
-        for engine in ["reference", "checked"] {
-            let plan = plan_of(&format!(
-                "--scheme chain --n 8 --engine {engine} --shards 2"
-            ));
-            assert!(plan.unwrap().validate().is_err(), "{engine}");
+        for flags in ["--engine reference", "--check", "--runtime des"] {
+            let plan = plan_of(&format!("--scheme chain --n 8 {flags} --shards 2"));
+            assert!(plan.unwrap().validate().is_err(), "{flags}");
+        }
+    }
+
+    /// Every plan `--check` admits says in its `engine` line what it
+    /// compared: the slot engines, the DES's two queues and mega, or the
+    /// two queues alone where the DES has no slot twin.
+    #[test]
+    fn every_check_names_what_it_compared() {
+        let mt = "--scheme multitree --n 12 --d 3 --track 8";
+        let slot = "checked (reference ≡ mega)";
+        let strict = ", checked (heap ≡ wheel ≡ mega)";
+        let relaxed = ", checked (heap ≡ wheel)";
+        for (flags, label, oracles) in [
+            ("", slot.to_string(), &[Column::Reference][..]),
+            ("--engine mega", slot.into(), &[Column::Reference]),
+            ("--engine reference", slot.into(), &[Column::Mega]),
+            (
+                "--runtime des",
+                format!("des (fixed latency){strict}"),
+                &[Column::Mega],
+            ),
+            (
+                "--runtime des --queue wheel",
+                format!("des (fixed latency), wheel queue{strict}"),
+                &[Column::Mega],
+            ),
+            (
+                "--runtime des --scenario step:4@2",
+                format!("des (fixed latency){strict}"),
+                &[Column::Mega],
+            ),
+            (
+                "--runtime des --latency jitter",
+                format!("des (jitter ≤ 0.5 slots){relaxed}"),
+                &[],
+            ),
+            (
+                "--runtime des --uplink serialized --classes fiber",
+                format!("des (fixed latency){relaxed}"),
+                &[],
+            ),
+            (
+                "--runtime des --recovery repair",
+                format!("des (fixed latency, self-healing repair){relaxed}"),
+                &[],
+            ),
+            (
+                "--runtime des --churn-slots 40",
+                format!("des (fixed latency){relaxed}"),
+                &[],
+            ),
+        ] {
+            let unchecked = plan_of(&format!("{mt} {flags}")).unwrap();
+            let plan = plan_of(&format!("{mt} {flags} --check")).unwrap();
+            plan.validate().unwrap_or_else(|e| panic!("`{flags}`: {e}"));
+            assert_eq!(plan.label(), label, "`{flags}`");
+            assert_eq!(plan.oracles(), oracles, "`{flags}`");
+            assert!(unchecked.oracles().is_empty(), "`{flags}`");
+            if plan.runtime == Runtime::Des {
+                assert_eq!(plan.des_config().queue, QueueKind::Checked, "`{flags}`");
+                assert!(label.starts_with(&unchecked.label()), "`{flags}`");
+            }
         }
     }
 
@@ -772,7 +841,12 @@ mod tests {
         assert_eq!((bound.theorem, bound.slots), ("Theorem 2's h·d", 12));
         assert_eq!(covered.delay_bound(), Some(bound));
         assert_eq!(covered.horizon_slots(), 32 + 12);
-        for runtime in ["--engine mega", "--runtime des", "--runtime des-checked"] {
+        for runtime in [
+            "--engine mega",
+            "--check",
+            "--runtime des",
+            "--runtime des --check",
+        ] {
             let plan = plan_of(&format!("{mt} {runtime}")).unwrap();
             assert_eq!(plan.horizon_slots(), 44, "{runtime}");
         }
@@ -924,7 +998,7 @@ mod tests {
         /// `--churn-slots` of `u64::MAX` would abort right here).
         #[test]
         fn from_args_is_total_over_flag_soup(
-            picks in proptest::collection::vec((0usize..64, 0usize..64, any::<bool>()), 0..12),
+            picks in proptest::collection::vec((0usize..64, 0usize..64, 0u8..8), 0..12),
             anchor in any::<bool>(),
         ) {
             let keys = soup_keys();
@@ -935,16 +1009,19 @@ mod tests {
                 argv.extend(["--scheme", "multitree", "--n", "12"].map(str::to_string));
                 seen.extend(["scheme", "n"]);
             }
-            for (k, v, raw_number) in picks {
+            for (k, v, form) in picks {
                 let key = keys[k % keys.len()];
                 if seen.contains(&key) {
                     continue;
                 }
                 seen.push(key);
                 argv.push(format!("--{key}"));
-                argv.push(match raw_number {
-                    true => (v as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15).to_string(),
-                    false => SOUP_VALUES[v % SOUP_VALUES.len()].to_string(),
+                // One key in eight comes bare: a switch, or a valued flag
+                // missing its value.
+                argv.extend(match form {
+                    0 => None,
+                    1..=4 => Some(SOUP_VALUES[v % SOUP_VALUES.len()].to_string()),
+                    _ => Some((v as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15).to_string()),
                 });
             }
             let args = ArgMap::parse(&argv).expect("distinct --key value pairs");

@@ -4,7 +4,7 @@
 use crate::args::{ArgMap, CliError};
 use clustream_analysis::{grouped_worst_delay, thm2_worst_delay_bound};
 use clustream_baselines::{ChainScheme, SingleTreeScheme};
-use clustream_core::{CoreError, Scheme};
+use clustream_core::{CoreError, QosReport, Scheme};
 use clustream_hypercube::HypercubeStream;
 use clustream_multitree::{build_forest, Construction, MultiTreeScheme, StreamMode};
 use clustream_recovery::DynamicMultiTree;
@@ -101,6 +101,20 @@ impl DelayBound {
         CliError::Model(format!(
             "{node} breaks {theorem} = {bound} slots: {packet} is not usable by slot {usable}"
         ))
+    }
+
+    /// What a completed run the bound covers means node by node: the
+    /// first receiver whose playback delay exceeds the bound broke it,
+    /// and the message names that receiver in [`DelayBound::blame`]'s
+    /// words.
+    pub fn check(self, qos: &QosReport) -> Result<(), String> {
+        match qos.nodes.iter().find(|q| q.playback_delay > self.slots) {
+            Some(q) => Err(format!(
+                "{} breaks {} = {} slots: its playback delay is {} slots",
+                q.node, self.theorem, self.slots, q.playback_delay
+            )),
+            None => Ok(()),
+        }
     }
 }
 

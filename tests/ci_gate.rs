@@ -103,21 +103,21 @@ fn script_parses_and_defines_both_tiers() {
         // crowd1000 line runs checked against the reference and prints
         // its golden; the 1024-packet crowd meets its golden.
         "local crowd=(simulate --scheme multitree --n 2000 --d 3 --scenario step:1000@20 --track 96)",
-        "target/release/clustream \"${crowd[@]}\" --engine checked >\"$base-checked.txt\"",
+        "target/release/clustream \"${crowd[@]}\" --check >\"$base-checked.txt\"",
         "diff <(grep -v '^engine' \"$golden/crowd1000.txt\") <(grep -v '^engine' \"$base-checked.txt\")",
         "diff \"$golden/crowd_t1024.txt\" \"$base-t1024.txt\"",
         // The recovery fault matrix ends with the benchmark's
-        // des_recovery command line on the checked queue (heap and
-        // wheel in lockstep).
+        // des_recovery command line under --check (heap and wheel in
+        // lockstep).
         "--n 500 --d 3 --track 128 --runtime des",
-        "--queue checked --latency jitter --jitter 0.5 --uplink serialized",
+        "--check --latency jitter --jitter 0.5 --uplink serialized",
         "--recovery repair+nack --churn-leave 0.0005 --churn-slots 200 --des-seed 7",
         // …and the ledger's N=2000 des_recovery run in release: its
-        // stdout equals the committed golden, and the checked queue's
-        // (heap and wheel in lockstep) equals it but for the engine line.
+        // stdout equals the committed golden, and under --check (heap and
+        // wheel in lockstep) it equals it but for the engine line.
         "local golden=tests/cli_golden/des_recovery_n2000.txt out=target/ci-des-recovery",
         "target/release/clustream \"${des_recovery[@]}\" --queue wheel >\"$out-wheel.txt\"",
-        "target/release/clustream \"${des_recovery[@]}\" --queue checked >\"$out-checked.txt\"",
+        "target/release/clustream \"${des_recovery[@]}\" --check >\"$out-checked.txt\"",
         "diff \"$golden\" \"$out-wheel.txt\"",
         "diff <(grep -v '^engine' \"$golden\") <(grep -v '^engine' \"$out-checked.txt\")",
         // The CLI input boundary: a misspelt flag is rejected by name,
@@ -339,10 +339,10 @@ fn mega_scale_smoke_runs_in_scale_and_full_tiers() {
     // the widening path through the release CLI, mega against the
     // reference.
     for needle in [
-        "target/release/clustream simulate --scheme chain --n 400 --track 512 --engine checked >/dev/null",
+        "target/release/clustream simulate --scheme chain --n 400 --track 512 --check >/dev/null",
         // …and a hypercube whose ten-dimension link rows spill past the
-        // inline row, held to the reference by the checked engine.
-        "target/release/clustream simulate --scheme hypercube --n 2000 --engine checked >/dev/null",
+        // inline row, held to the reference under --check.
+        "target/release/clustream simulate --scheme hypercube --n 2000 --check >/dev/null",
     ] {
         assert!(body.contains(needle), "the mega smoke lost `{needle}`");
     }

@@ -184,10 +184,13 @@ fn on_time_completes_within_its_bound(plan: RunPlan) {
 
 /// One slot past the bound on the last packet still completes: the
 /// engines count an arrival in the horizon's last slot as usable at the
-/// horizon itself, so the excess shows only as the max delay.
+/// horizon itself. The excess shows in the receivers' playback delays,
+/// and the plan refuses the run for the first receiver past the bound.
 fn one_slot_late_completes_past_its_bound(plan: RunPlan) {
-    let r = run_late(&plan, 1).unwrap();
-    assert_eq!((r.slots_run, r.qos.max_delay()), (19, 7));
+    assert_eq!(
+        run_late(&plan, 1).unwrap_err(),
+        "model error: n12 breaks Theorem 2's h·d = 6 slots: its playback delay is 7 slots"
+    );
 }
 
 fn two_slots_late_breaks_theorem_2(plan: RunPlan) {
@@ -261,36 +264,35 @@ macro_rules! engines {
 }
 
 engines! {
-    reference { engine: Engine::Reference } late;
-    mega { engine: Engine::Mega } late;
-    mega_two_shards { engine: Engine::Mega, shards: Some(2) } late;
+    reference { engine: Some(Engine::Reference) } late;
+    mega { engine: Some(Engine::Mega) } late;
+    mega_two_shards { engine: Some(Engine::Mega), shards: Some(2) } late;
     des_heap { runtime: Runtime::Des, queue: Some(QueueKind::Heap) } late;
     des_wheel { runtime: Runtime::Des, queue: Some(QueueKind::Wheel) } late;
-    checked { engine: Engine::Checked };
-    des_checked { runtime: Runtime::DesChecked };
+    checked { check: true };
+    des_checked { runtime: Runtime::Des, check: true };
 }
 
-/// `spec`'s error on the default (mega) engine when its schedule runs late by the
-/// fewest slots that make the run fail. The horizon blames only a
-/// broken bound: on time the run meets it, and one slot less late it
-/// completes with its max delay already past the bound (a packet before
-/// the last ones can break the bound unseen by the horizon; the excess
-/// shows as the max delay).
-fn just_late_enough_to_break(spec: SchemeSpec) -> String {
+/// The fewest slots `spec`'s schedule must run late for its run on the
+/// default (mega) engine to fail, and the error. A run its bound sizes
+/// fails exactly when it breaks the bound: a lag adds to every delay, so
+/// that is the lag that takes the worst delay one past the bound, and
+/// the plan refuses the run node by node before the horizon cuts it.
+fn just_late_enough_to_break(spec: SchemeSpec) -> (u64, String) {
     let plan = RunPlan::new(spec, 13);
     let bound = spec.worst_delay_bound().slots;
-    let mut max_delay = run_late(&plan, 0).unwrap().qos.max_delay();
-    assert!(max_delay <= bound, "{spec:?}");
-    for lag in 1..=bound + 2 {
+    let on_time = run_late(&plan, 0).unwrap().qos.max_delay();
+    assert!(on_time <= bound, "{spec:?}");
+    for lag in 1..=bound + 1 {
         match run_late(&plan, lag) {
-            Ok(r) => max_delay = r.qos.max_delay(),
+            Ok(r) => assert!(r.qos.max_delay() <= bound, "{spec:?} late by {lag}"),
             Err(e) => {
-                assert!(max_delay > bound, "{spec:?} late by {lag}");
-                return e;
+                assert_eq!(lag, bound - on_time + 1, "{spec:?}");
+                return (lag, e);
             }
         }
     }
-    panic!("{spec:?} completes {} slots late", bound + 2)
+    panic!("{spec:?} completes {} slots late", bound + 1)
 }
 
 #[test]
@@ -301,8 +303,12 @@ fn a_late_prebuffered_multitree_breaks_theorem_2_plus_d() {
     };
     assert_eq!(
         just_late_enough_to_break(spec),
-        "model error: n12 breaks Theorem 2's h·d + d (prebuffered) = 9 slots: \
-         p12 is not usable by slot 21"
+        (
+            1,
+            "model error: n12 breaks Theorem 2's h·d + d (prebuffered) = 9 slots: \
+             its playback delay is 10 slots"
+                .to_string()
+        )
     );
 }
 
@@ -314,8 +320,12 @@ fn a_late_pipelined_multitree_breaks_theorem_2_plus_2d() {
     };
     assert_eq!(
         just_late_enough_to_break(spec),
-        "model error: n3 breaks Theorem 2's h·d + 2d (pipelined) = 12 slots: \
-         p11 is not usable by slot 23"
+        (
+            5,
+            "model error: n3 breaks Theorem 2's h·d + 2d (pipelined) = 12 slots: \
+             its playback delay is 13 slots"
+                .to_string()
+        )
     );
 }
 
@@ -324,8 +334,12 @@ fn a_late_hypercube_breaks_proposition_2() {
     let spec = SchemeSpec::new(Family::Hypercube, 15, 2);
     assert_eq!(
         just_late_enough_to_break(spec),
-        "model error: n8 breaks Proposition 2's chained-cube delay = 6 slots: \
-         p12 is not usable by slot 18"
+        (
+            2,
+            "model error: n8 breaks Proposition 2's chained-cube delay = 6 slots: \
+             its playback delay is 7 slots"
+                .to_string()
+        )
     );
 }
 
@@ -334,7 +348,11 @@ fn a_late_chain_breaks_n() {
     let spec = SchemeSpec::new(Family::Chain, 5, 1);
     assert_eq!(
         just_late_enough_to_break(spec),
-        "model error: n5 breaks the chain's N = 5 slots: p12 is not usable by slot 17"
+        (
+            1,
+            "model error: n5 breaks the chain's N = 5 slots: its playback delay is 6 slots"
+                .to_string()
+        )
     );
 }
 
@@ -343,7 +361,11 @@ fn a_late_single_tree_breaks_its_depth() {
     let spec = SchemeSpec::new(Family::SingleTree, 12, 3);
     assert_eq!(
         just_late_enough_to_break(spec),
-        "model error: n4 breaks the single tree's depth = 2 slots: p12 is not usable by slot 14"
+        (
+            1,
+            "model error: n4 breaks the single tree's depth = 2 slots: its playback delay is 3 slots"
+                .to_string()
+        )
     );
 }
 
