@@ -12,7 +12,8 @@
 #                 repro-corpus replay + loopback cluster smoke
 #                 + chaos-transport smoke (5% loss + a gray node), both
 #                 closed by the DES replay oracle + flash-crowd smoke
-#                 (10^3 joins, slot = DES oracle-closed) + crowd smoke
+#                 (`experiments ext_flash_crowd`: 10^3 joins, frontier
+#                 closed at h*d, slot = DES replay) + crowd smoke
 #                 (a settled step:1000@20 crowd on mega: checked against
 #                 the reference and equal to its goldens) (the edit loop)
 #   ci.sh scale   quick + the mega-engine scale smoke through the real
@@ -31,7 +32,8 @@
 #                 explore smoke + 32-node kill-injection cluster smoke +
 #                 32-node partition-and-heal chaos run with live repair +
 #                 mega scale smoke (N=10^5 and 10^6) + 10^5-join flash
-#                 crowd on mega + heterogeneity capacity-class sweep + the
+#                 crowd on mega (golden stdout) + heterogeneity
+#                 capacity-class sweep (`experiments ext_heterogeneity`) + the
 #                 reproduction record (bare `experiments`: every catalog
 #                 item's verdict) + the benchmark/ ledger harness build,
 #                 unit tests, one net_framepump correctness run and one
@@ -176,7 +178,7 @@ recovery_smoke() {
     # Every recovery tier across a small churn/loss matrix through the
     # real CLI — under --check, so the binary heap and the timing wheel
     # run the whole fault matrix in lockstep (the first divergent pop
-    # panics).
+    # fails the run).
     local rec
     for rec in off repair repair+nack; do
         cargo run -q --release --offline -p clustream-cli --bin clustream -- \
@@ -361,13 +363,12 @@ cluster_chaos_smoke() {
 }
 
 flash_crowd_smoke() {
-    # The flash-crowd scenario suite in the edit loop: grow a 100-node
+    # The flash-crowd catalog item in the edit loop: grow a 100-node
     # forest by 10^3 joins through the appendix add dynamics, score the
-    # QoE frontiers, and close the run against the DES (--oracle: slot
-    # engine and event world must replay the same plan bit for bit).
-    cargo run -q --release --offline -p clustream-bench --bin ext_flash_crowd -- \
-        --n0 100 --d 3 --joins 1000 --oracle \
-        --out target/ci-flash-crowd.json
+    # QoE frontiers, and replay the plan on the DES under --check (slot
+    # engine and event world must agree bit for bit). Its verdict fails
+    # the stage unless the frontier closes at h*d and the replay does.
+    cargo run -q --release --offline -p clustream-bench --bin experiments -- ext_flash_crowd
 }
 
 crowd_mega_smoke() {
@@ -396,25 +397,25 @@ crowd_mega_smoke() {
 
 flash_crowd_full() {
     # The acceptance-scale crowd: 10^5 joins within a few hundred slots
-    # on the mega engine, frontier tables plus the JSON QoE report. The
-    # default 256-slot tracked window outlasts the ramp (ends slot 210),
-    # so the interruption frontier must close at the paper's h*d bound.
-    # Past the ramp mega replays its steady table: about 5 s on a 2-core
-    # container (it took 13-14 s while the zero-rate loss plan kept the
-    # whole run in full mode).
-    cargo run -q --release --offline -p clustream-bench --bin ext_flash_crowd -- \
-        --n0 1000 --d 3 --joins 100000 \
-        --out target/ci-flash-crowd-100k.json
+    # on the mega engine, equal to its committed golden stdout. The
+    # 256-packet tracked window outlasts the ramp (ends slot 210), so
+    # the golden's QoE line reads P(interrupt) 0.0000 at the paper's h*d
+    # bound. Past the ramp mega replays its steady table: about 5 s on a
+    # 2-core container (it took 13-14 s while the zero-rate loss plan
+    # kept the whole run in full mode).
+    local out=target/ci-crowd-ramp100k.txt
+    target/release/clustream simulate --scheme multitree --n 1000 --d 3 \
+        --scenario ramp:100000@10+200 --track 256 --horizon 2000 >"$out"
+    diff tests/cli_golden/crowd_ramp100k.txt "$out"
 }
 
 heterogeneity_sweep() {
-    # The heterogeneity sweep through the serialized DES uplink gate:
-    # fiber baseline, zipf fiber/cable/mobile mix, and a mobile-heavy
-    # tail, with latency jitter (what makes class capacity bite),
-    # per-class QoE at the h*d budget, and the JSON report array.
-    cargo run -q --release --offline -p clustream-bench --bin ext_heterogeneity -- \
-        --n 400 --d 3 --jitter 0.75 \
-        --out target/ci-heterogeneity.json
+    # The heterogeneity catalog item through the serialized DES uplink
+    # gate: fiber baseline, zipf fiber/cable/mobile mix, and a
+    # mobile-heavy tail, with latency jitter (what makes class capacity
+    # bite) and per-class QoE at the h*d budget. Its verdict fails the
+    # stage unless only the mobile-heavy mix exceeds h*d.
+    cargo run -q --release --offline -p clustream-bench --bin experiments -- ext_heterogeneity
 }
 
 cluster_chaos_heal_smoke() {
@@ -530,7 +531,7 @@ if [ "$TIER" = full ]; then
     stage "model check (explore smoke, seed 7)" model_check_explore
     stage "cluster kill-injection smoke (32 nodes, tcp + replay oracle)" cluster_kill_smoke
     stage "cluster partition-and-heal smoke (32 nodes, tcp + live repair)" cluster_chaos_heal_smoke
-    stage "flash-crowd acceptance (10^5 joins, mega + QoE frontiers)" flash_crowd_full
+    stage "flash-crowd acceptance (10^5 joins, mega = golden)" flash_crowd_full
     stage "heterogeneity sweep (capacity classes + per-class QoE)" heterogeneity_sweep
     # Every display item of the paper at its one parameter set (Fig. 4,
     # Table 1, Thm 1-4, Prop 1-2, the extensions): a verdict that fails

@@ -9,12 +9,18 @@
 
 use crate::experiments as ex;
 use crate::render_table;
+use crate::scenarios::{
+    crowd_plan, run_flash_crowd, run_heterogeneity, FlashCrowdReport, HeterogeneityReport,
+};
 use clustream_analysis::tradeoff::{candidates, multitree_beats_hypercube_from, pareto_frontier};
 use clustream_analysis::{
     chained_avg_delay, chained_worst_delay, optimal_degree, thm2_worst_delay_bound,
 };
+use clustream_des::{CapacityClassPlan, LatencyModel, UplinkModel};
 use clustream_multitree::{greedy_forest, DelayProfile, MultiTreeScheme, StreamMode};
-use clustream_workloads::{geometric_grid, linear_grid, ChurnTraceConfig};
+use clustream_plan::{RunPlan, Runtime};
+use clustream_telemetry::Telemetry;
+use clustream_workloads::{geometric_grid, linear_grid, ChurnTraceConfig, ScenarioPlan};
 use std::fmt::Write;
 
 /// What running one catalog item produced.
@@ -76,6 +82,8 @@ pub fn catalog() -> Vec<Item> {
         ext_utilization,
         ext_jitter_sweep,
         ext_recovery_tiers,
+        ext_flash_crowd,
+        ext_heterogeneity,
         tradeoff_frontier,
         scale_sweep,
     ]
@@ -739,6 +747,186 @@ fn ext_recovery_tiers() -> Report {
     )
 }
 
+fn ext_flash_crowd() -> Report {
+    // The whole crowd arrives as a ramp over 200 slots from slot 10; the
+    // 256-packet window outlasts it, since joiners only receive packets
+    // sent after they arrive and a shorter window never closes the
+    // frontier.
+    let (n0, d, curve) = (100, 3, "ramp:1000@10+200");
+    let scenario = ScenarioPlan::parse(curve).expect("a valid join curve");
+    let plan = crowd_plan(n0, d, scenario, 256, 2_000);
+    let title = format!(
+        "ext-F — flash crowd: n0 = {n0}, d = {d}, scenario `{curve}`, engine {}\n\n",
+        plan.label()
+    );
+    let rep = match run_flash_crowd(&plan) {
+        Ok(rep) => rep,
+        Err(e) => return Report::checked(title, false, format!("flash-crowd run failed: {e}")),
+    };
+    // The same plan on the DES under --check: heap and wheel in lockstep,
+    // and mega beside them, bit for bit.
+    let replay = RunPlan {
+        runtime: Runtime::Des,
+        check: true,
+        ..plan
+    };
+    let diverged = replay.run(&Telemetry::disabled()).err();
+    crowd_report(title, &rep, diverged.map(|e| e.to_string()))
+}
+
+/// The flash crowd's rendering and verdict: the interruption frontier
+/// closes at the paper's `h·d` budget, and the DES replays the run
+/// (`diverged` says how it did not).
+fn crowd_report(title: String, rep: &FlashCrowdReport, diverged: Option<String>) -> Report {
+    // Every frontier table pins the paper's h·d budget as a grid row.
+    let delay = |d0: u64| match d0 == rep.bound_h_d {
+        true => format!("{d0} (= h·d)"),
+        false => d0.to_string(),
+    };
+    let buffering = render_table(
+        &rep.initial_buffering,
+        &[
+            ("delay d0", &|p| delay(p.initial_delay)),
+            ("P(interrupt)", &|p| {
+                format!("{:.4}", p.interruption_probability)
+            }),
+            ("stall slots", &|p| format!("{:.2}", p.mean_stall_slots)),
+            ("smoothness", &|p| format!("{:.4}", p.smoothness)),
+        ],
+    );
+    let frontier = render_table(
+        &rep.throughput_smoothness,
+        &[
+            ("policy", &|p| p.policy.label().to_string()),
+            ("delay d0", &|p| delay(p.initial_delay)),
+            ("throughput", &|p| format!("{:.4}", p.throughput)),
+            ("smoothness", &|p| format!("{:.4}", p.smoothness)),
+        ],
+    );
+    let replayed = diverged.is_none();
+    let replay = diverged.map_or("closed".into(), |e| format!("DIVERGED: {e}"));
+    let text = format!(
+        "{title}joins {} | final members {} | rebuilds {} | swaps {} | settled slot {} | \
+         measured max delay {} | h·d bound {}\n\n\
+         initial buffering vs. interruption (Wait policy):\n\n{buffering}\n\n\
+         throughput–smoothness frontier (both policies):\n\n{frontier}\n\n\
+         oracle: slot ≡ DES on the same plan ... {replay}\n",
+        rep.joins_applied,
+        rep.final_members,
+        rep.rebuilds,
+        rep.total_swaps,
+        rep.settled_slot,
+        rep.max_delay,
+        rep.bound_h_d,
+    );
+    let at_bound = rep
+        .initial_buffering
+        .iter()
+        .find(|p| p.initial_delay == rep.bound_h_d);
+    let at_bound = at_bound.map(|p| p.interruption_probability);
+    let closed = at_bound == Some(0.0);
+    Report::checked(
+        text,
+        closed && replayed,
+        format!(
+            "{} members after {} joins: P(interrupt) {} at d0 = h·d = {} (measured max delay \
+             {}); frontier closed at h·d: {closed}; slot ≡ DES replay: {replay}",
+            rep.final_members,
+            rep.joins_applied,
+            at_bound.map_or("missing".into(), |p| format!("{p:.4}")),
+            rep.bound_h_d,
+            rep.max_delay
+        ),
+    )
+}
+
+/// The heterogeneity sweep's class mixes, and whether each one's worst
+/// delay exceeds `h·d`: the homogeneous fiber baseline and the zipf mix
+/// stay within it, the mobile-heavy tail does not.
+const MIXES: [(&str, bool); 3] = [
+    ("fiber", false),
+    ("fiber,cable,mobile", false),
+    ("mobile,cable", true),
+];
+
+fn ext_heterogeneity() -> Report {
+    // Jitter is what makes class capacity bite: under fixed latency one
+    // send per slot fits even a mobile uplink on time; jitter bunches
+    // sends into bursts that only the fat classes absorb.
+    let (n, d, zipf, seed) = (400, 3, 1.0, 7);
+    let base = RunPlan {
+        runtime: Runtime::Des,
+        uplink: UplinkModel::Serialized,
+        latency: LatencyModel::UniformJitter { jitter: 0.75 },
+        des_seed: Some(1),
+        ..crowd_plan(n, d, ScenarioPlan::default(), 48, 4_000)
+    };
+    let title = format!(
+        "ext-G — heterogeneity: N = {n}, d = {d}, zipf s = {zipf}, seed {seed}, {}\n\n",
+        base.label()
+    );
+    let mut reports = Vec::new();
+    for (spec, _) in MIXES {
+        let classes = CapacityClassPlan::parse(spec).expect("a valid class mix");
+        let plan = RunPlan {
+            classes: Some(classes.with_zipf(zipf).seeded(seed)),
+            ..base.clone()
+        };
+        match run_heterogeneity(&plan) {
+            Ok(rep) => reports.push(rep),
+            Err(e) => {
+                let line = format!("heterogeneity run `{spec}` failed: {e}");
+                return Report::checked(title, false, line);
+            }
+        }
+    }
+    mixes_report(title, &reports)
+}
+
+/// The heterogeneity sweep's rendering and verdict: only the mixes
+/// [`MIXES`] expects to break `h·d` do.
+fn mixes_report(title: String, reports: &[HeterogeneityReport]) -> Report {
+    let rows: Vec<_> = reports
+        .iter()
+        .flat_map(|rep| rep.per_class.iter().map(move |(c, q)| (rep, c, q)))
+        .collect();
+    let table = render_table(
+        &rows,
+        &[
+            ("mix", &|(rep, _, _)| rep.classes.clone()),
+            ("class", &|(_, c, _)| c.name.clone()),
+            ("cap", &|(_, c, _)| c.capacity.to_string()),
+            ("nodes", &|(_, _, q)| q.nodes.to_string()),
+            ("P(interrupt) @ h·d", &|(_, _, q)| {
+                format!("{:.4}", q.interruption_probability)
+            }),
+            ("stall slots", &|(_, _, q)| {
+                format!("{:.2}", q.mean_stall_slots)
+            }),
+            ("smoothness", &|(_, _, q)| format!("{:.4}", q.smoothness)),
+        ],
+    );
+    let (mut text, mut delays) = (format!("{title}{table}\n"), Vec::new());
+    for r in reports {
+        let (mix, max, bound) = (&r.classes, r.max_delay, r.bound_h_d);
+        writeln!(text, "mix `{mix}`: max delay {max} (h·d bound {bound})").unwrap();
+        delays.push(format!("{mix} {max}/{bound}"));
+    }
+    text.push('\n');
+    let ok = reports.len() == MIXES.len()
+        && (reports.iter().zip(MIXES))
+            .all(|(rep, (_, beyond))| (rep.max_delay > rep.bound_h_d) == beyond);
+    Report::checked(
+        text,
+        ok,
+        format!(
+            "max delay / h·d per mix: {}; fiber and zipf mixes within h·d, only the \
+             mobile-heavy mix beyond: {ok}",
+            delays.join(", ")
+        ),
+    )
+}
+
 fn tradeoff_frontier() -> Report {
     let mut text = String::new();
     for n in [63usize, 250, 1000, 10_000, 100_000] {
@@ -815,6 +1003,7 @@ fn scale_sweep() -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clustream_workloads::{PlayPolicy, QoeSummary};
 
     fn run(items: &[Item]) -> Vec<(&'static str, Report)> {
         items.iter().map(|i| (i.id, (i.run)())).collect()
@@ -834,5 +1023,79 @@ mod tests {
         let (text, failed) = summarize(&run(&items));
         assert_eq!(failed, [items[1].id]);
         assert!(text.contains("FAIL sabotaged"), "{text}");
+    }
+
+    /// `report` judged under `id`: the ids the summary fails.
+    fn judged(id: &'static str, report: Report) -> Vec<&'static str> {
+        summarize(&[(id, report)]).1
+    }
+
+    fn wait_point(initial_delay: u64, interruption_probability: f64) -> QoeSummary {
+        QoeSummary {
+            policy: PlayPolicy::Wait,
+            initial_delay,
+            nodes: 10,
+            interrupted_nodes: (10.0 * interruption_probability) as u64,
+            interruption_probability,
+            mean_stall_slots: 0.0,
+            smoothness: 1.0,
+            throughput: 1.0,
+            total_played: 0,
+            total_skipped: 0,
+        }
+    }
+
+    #[test]
+    fn a_crowd_frontier_still_open_at_h_d_fails_the_summary() {
+        let mut rep = FlashCrowdReport {
+            joins_applied: 5,
+            final_members: 10,
+            rebuilds: 1,
+            total_swaps: 4,
+            settled_slot: 9,
+            bound_h_d: 6,
+            max_delay: 5,
+            initial_buffering: vec![wait_point(4, 0.5), wait_point(6, 0.0), wait_point(8, 0.0)],
+            throughput_smoothness: vec![],
+        };
+        let report = |rep: &FlashCrowdReport, oracle| crowd_report(String::new(), rep, oracle);
+        assert!(judged("ext_flash_crowd", report(&rep, None)).is_empty());
+        let diverged = report(&rep, Some("mega and des-checked diverge".into()));
+        assert_eq!(judged("ext_flash_crowd", diverged), ["ext_flash_crowd"]);
+
+        rep.initial_buffering[1] = wait_point(6, 0.1);
+        let open = report(&rep, None);
+        let (_, line) = open.verdict.as_ref().expect("a checked item");
+        assert!(
+            line.contains("P(interrupt) 0.1000 at d0 = h·d = 6"),
+            "{line}"
+        );
+        assert_eq!(judged("ext_flash_crowd", open), ["ext_flash_crowd"]);
+    }
+
+    #[test]
+    fn a_zipf_mix_beyond_h_d_fails_the_summary() {
+        let mix = |classes: &str, max_delay| HeterogeneityReport {
+            classes: classes.into(),
+            bound_h_d: 18,
+            max_delay,
+            per_class: vec![],
+        };
+        let mut reports = vec![mix("fiber:4", 17), mix("zipf", 17), mix("mobile", 19)];
+        let report = |reports: &[HeterogeneityReport]| mixes_report(String::new(), reports);
+        assert!(judged("ext_heterogeneity", report(&reports)).is_empty());
+
+        reports[1].max_delay = 19;
+        assert_eq!(
+            judged("ext_heterogeneity", report(&reports)),
+            ["ext_heterogeneity"]
+        );
+        // …and so does a mobile-heavy mix that no longer breaks h·d.
+        reports[1].max_delay = 17;
+        reports[2].max_delay = 18;
+        assert_eq!(
+            judged("ext_heterogeneity", report(&reports)),
+            ["ext_heterogeneity"]
+        );
     }
 }

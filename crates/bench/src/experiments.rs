@@ -14,7 +14,6 @@ use clustream_plan::{DelayBound, Family, RunPlan, Runtime, SchemeSpec};
 use clustream_recovery::{DynamicMultiTree, RecoveryConfig};
 use clustream_sim::{FaultPlan, MegaEngine, ResilienceMetrics, RunResult, SimConfig, Simulator};
 use clustream_workloads::{ChurnAction, ChurnTrace, ChurnTraceConfig};
-use serde::Serialize;
 
 /// Run `scheme` on the reference engine until `track` packets reached
 /// every receiver, on the completion horizon of its delay `bound`.
@@ -58,7 +57,7 @@ fn track_for(worst_delay_estimate: u64) -> u64 {
 
 /// One point of Figure 4: worst-case startup delay of the multi-tree
 /// scheme.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig4Point {
     pub d: usize,
     pub n: usize,
@@ -90,7 +89,7 @@ pub fn fig4(ns: &[usize], degrees: &[usize]) -> Vec<Fig4Point> {
 // ----------------------------------------------------------------- Table 1
 
 /// One measured row of Table 1 (plus the two baselines).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table1Row {
     pub scheme: String,
     pub n: usize,
@@ -177,7 +176,7 @@ pub fn table1(ns: &[usize]) -> Vec<Table1Row> {
 // --------------------------------------------------------------- Theorem 1
 
 /// Theorem 1 check: measured multi-cluster worst delay vs the bound.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Thm1Row {
     pub k: usize,
     pub t_c: u32,
@@ -232,7 +231,7 @@ pub fn thm1(
 // ---------------------------------------------------- Theorems 2 & 3, F(d)
 
 /// Theorem 2/3 check rows for complete populations.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Thm23Row {
     pub n: usize,
     pub d: usize,
@@ -275,7 +274,7 @@ pub fn thm2_thm3(max_h: u32) -> Vec<Thm23Row> {
 }
 
 /// §2.3 degree optimization: the exact-bound-optimal degree per N.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct OptDegreeRow {
     pub n: usize,
     pub optimal_d: usize,
@@ -302,7 +301,7 @@ pub fn opt_degree(ns: &[usize]) -> Vec<OptDegreeRow> {
 // ------------------------------------------------- Propositions 1 & 2, Thm 4
 
 /// Proposition 1 check for `N = 2^k − 1`.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Prop1Row {
     pub k: usize,
     pub n: usize,
@@ -333,7 +332,7 @@ pub fn prop1(ks: &[usize]) -> Vec<Prop1Row> {
 }
 
 /// Proposition 2 / Theorem 4 check for arbitrary `N`.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Prop2Row {
     pub n: usize,
     pub cubes: usize,
@@ -372,7 +371,7 @@ pub fn prop2_thm4(ns: &[usize]) -> Vec<Prop2Row> {
 
 /// ext-A: incomplete (ragged) populations — slack between measured delay
 /// and the complete-tree bound.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct IncompleteRow {
     pub n: usize,
     pub d: usize,
@@ -400,7 +399,7 @@ pub fn ext_incomplete(ns: &[usize], d: usize) -> Vec<IncompleteRow> {
 }
 
 /// ext-B: churn — eager vs lazy bookkeeping under one trace.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ChurnRow {
     pub variant: String,
     pub events: usize,
@@ -466,7 +465,7 @@ pub fn ext_churn(cfg: ChurnTraceConfig, d: usize) -> Vec<ChurnRow> {
 }
 
 /// Live-mode ablation: pre-recorded vs the two live variants.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct LiveModeRow {
     pub n: usize,
     pub d: usize,
@@ -504,7 +503,7 @@ pub fn ext_live_modes(ns: &[usize], d: usize) -> Vec<LiveModeRow> {
 }
 
 /// Construction ablation: structured vs greedy delay profiles.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ConstructionRow {
     pub n: usize,
     pub d: usize,
@@ -539,7 +538,7 @@ pub fn ext_constructions(ns: &[usize], d: usize) -> Vec<ConstructionRow> {
 // -------------------------------------------------- Upload utilization
 
 /// ext-G: per-scheme resource-contribution profile.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct UtilizationRow {
     pub scheme: String,
     pub n: usize,
@@ -581,7 +580,7 @@ pub fn ext_utilization(n: usize, d: usize, track: u64) -> Vec<UtilizationRow> {
 // ------------------------------------------------------ Fault injection
 
 /// ext-D: link-loss resilience of each scheme.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct LossRow {
     pub scheme: String,
     pub n: usize,
@@ -623,7 +622,7 @@ pub fn ext_loss(n: usize, d: usize, rates: &[f64], track: u64) -> Vec<LossRow> {
 }
 
 /// ext-E: blast radius of a single interior-node crash.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CrashRow {
     pub scheme: String,
     pub n: usize,
@@ -672,7 +671,7 @@ pub fn ext_crash(n: usize, d: usize, crash_slot: u64, track: u64) -> Vec<CrashRo
 // ------------------------------------------ Streaming through churn (ext)
 
 /// ext-F: one churn trace streamed *through* by the dynamic multi-tree.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ChurnThroughRow {
     pub seed: u64,
     pub events: usize,
@@ -849,7 +848,7 @@ pub fn scale_validated(n: usize) -> Vec<ScaleSimRow> {
 
 /// One jitter level of the DES sweep: observed playback QoS under
 /// uniform link jitter vs the synchronous Theorem 2 `h·d` bound.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct JitterRow {
     pub jitter_slots: f64,
     pub max_delay: u64,
@@ -879,7 +878,7 @@ pub fn ext_jitter_sweep(
 ) -> Vec<JitterRow> {
     let plan = RunPlan {
         runtime: Runtime::Des,
-        des_seed: seed,
+        des_seed: Some(seed),
         ..RunPlan::new(SchemeSpec::new(Family::MultiTree, n, d), track)
     };
     let make = || plan.scheme.build().expect("valid");

@@ -6,7 +6,8 @@
 //! DESIGN.md §5 for the index) — and the `experiments` binary runs it.
 //! `EXPERIMENTS.md` records the paper-vs-measured comparison.
 //! [`scenarios`] holds the flash-crowd and heterogeneity runs behind the
-//! two JSON-emitting `ext_*` binaries. Nothing here measures speed: that
+//! catalog's `ext_flash_crowd` and `ext_heterogeneity` items. Nothing
+//! here measures speed: that
 //! is `benchmark/`'s ledger. Sweeps run in parallel through
 //! `clustream_sim::sweep`.
 

@@ -85,9 +85,7 @@ pub fn simulate(args: &ArgMap) -> Result<String, CliError> {
         // the dynamics never empty the forest), its counts the report's.
         let mut crowd = plan.scheme.dynamic(Some(scenario))?;
         crowd.replay_script(r.slots_run);
-        let timelines = member_timelines(&r, &crowd, plan.track, |id| {
-            crowd.is_member(NodeId(id as u32))
-        });
+        let timelines = member_timelines(&r, &crowd, plan.track);
         let bound = clustream_analysis::thm2_worst_delay_bound(timelines.len(), plan.scheme.d);
         let q = summarize(&timelines, PlayPolicy::Wait, bound);
         let (joins, failures) = (crowd.joins_applied(), crowd.leaves_applied());

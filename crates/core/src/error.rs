@@ -63,6 +63,9 @@ pub enum CoreError {
     },
     /// Invalid configuration (e.g. `d < 2`, zero receivers).
     InvalidConfig(String),
+    /// The two event queues of a lockstep check (the DES half of
+    /// `simulate --check`) disagreed: where, and what each one held.
+    QueueDivergence(String),
 }
 
 impl fmt::Display for CoreError {
@@ -94,6 +97,12 @@ impl fmt::Display for CoreError {
                 "{node} hiccups: {packet} never arrives within the run's horizon"
             ),
             CoreError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
+            CoreError::QueueDivergence(what) => {
+                write!(
+                    f,
+                    "differential check failed: heap and wheel diverge {what}"
+                )
+            }
         }
     }
 }

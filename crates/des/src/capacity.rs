@@ -27,7 +27,6 @@
 use clustream_core::spec;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The valid class names, in the grammar's canonical order.
@@ -44,7 +43,7 @@ pub fn default_capacity(name: &str) -> Option<usize> {
 }
 
 /// One named capacity class.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CapacityClass {
     /// Class name (one of [`VALID_CLASSES`]).
     pub name: String,
@@ -54,7 +53,7 @@ pub struct CapacityClass {
 
 /// A full heterogeneity spec: which classes exist and how nodes are
 /// assigned to them.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CapacityClassPlan {
     /// Declared classes, most popular first (zipf rank order).
     pub classes: Vec<CapacityClass>,

@@ -24,8 +24,9 @@ pub enum QueueKind {
     /// batched same-tick drains, allocation-free hot loop. The default.
     #[default]
     Wheel,
-    /// Both in lockstep ([`crate::CheckedQueue`]), panicking on any pop
-    /// divergence: the queue-level differential oracle.
+    /// Both in lockstep ([`crate::CheckedQueue`]): the queue-level
+    /// differential oracle. A divergence ends the run with
+    /// [`clustream_core::CoreError::QueueDivergence`].
     Checked,
 }
 

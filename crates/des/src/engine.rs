@@ -740,6 +740,9 @@ impl DesEngine {
             }
         }
         self.stats.events_scheduled = q.total_pushed();
+        if let Some(what) = q.divergence() {
+            return Err(CoreError::QueueDivergence(what));
+        }
         if tel_on && rec_on {
             // End-of-run recovery totals, mirrored from the resilience
             // counters so a metrics file alone tells the recovery story.
@@ -845,6 +848,57 @@ mod tests {
                 assert_eq!(engine.stats(), heap_engine.stats(), "{queue:?}");
             }
         }
+    }
+
+    /// A wheel that pops its `nth` event one tick late.
+    struct LateWheel {
+        wheel: WheelQueue,
+        nth: u64,
+        popped: u64,
+    }
+
+    impl EventQueue for LateWheel {
+        fn push(&mut self, time: u64, kind: EventKind) -> u64 {
+            self.wheel.push(time, kind)
+        }
+        fn pop(&mut self) -> Option<crate::event::Event> {
+            self.popped += 1;
+            let mut e = self.wheel.pop()?;
+            e.time += u64::from(self.popped == self.nth);
+            Some(e)
+        }
+        fn cancel(&mut self, seq: u64) {
+            self.wheel.cancel(seq)
+        }
+        fn len(&self) -> usize {
+            self.wheel.len()
+        }
+        fn total_pushed(&self) -> u64 {
+            self.wheel.total_pushed()
+        }
+    }
+
+    #[test]
+    fn a_lockstep_divergence_is_an_error_not_a_panic() {
+        let cfg = DesConfig::slot_faithful(SimConfig::until_complete(16, 200));
+        let late = LateWheel {
+            wheel: WheelQueue::new(),
+            nth: 5,
+            popped: 0,
+        };
+        let pair = CheckedQueue::pair(HeapQueue::new(), late);
+        let err = DesEngine::new()
+            .run_with_queue(&mut Chain { n: 6 }, &cfg, pair)
+            .unwrap_err();
+        let CoreError::QueueDivergence(what) = &err else {
+            panic!("not a queue divergence: {err}");
+        };
+        assert!(what.starts_with("on pop 5: heap Some("), "{what}");
+        assert!(
+            err.to_string()
+                .starts_with("differential check failed: heap and wheel diverge on pop 5: "),
+            "{err}"
+        );
     }
 
     #[test]

@@ -47,8 +47,9 @@
 //! [`crate::WheelQueue`], a hierarchical timing wheel that pops the
 //! identical sequence an order of magnitude cheaper (see `wheel.rs` for
 //! the structure and the determinism argument). A third,
-//! [`crate::CheckedQueue`], drives both in lockstep and asserts identical
-//! pop order — the queue-level analogue of the engine differential oracle.
+//! [`crate::CheckedQueue`], drives both in lockstep and records the first
+//! pop where they differ — the queue-level analogue of the engine
+//! differential oracle.
 
 use clustream_core::{NodeId, PacketId, Transmission};
 use clustream_workloads::ResolvedChurnAction;
@@ -206,6 +207,12 @@ pub trait EventQueue {
 
     /// Total events ever scheduled (the DES throughput denominator).
     fn total_pushed(&self) -> u64;
+
+    /// The first disagreement of a lockstep pair ([`crate::CheckedQueue`]),
+    /// which ended its drain. A single queue has nothing to disagree with.
+    fn divergence(&self) -> Option<String> {
+        None
+    }
 }
 
 /// Min-heap of events with a monotonically increasing sequence counter:

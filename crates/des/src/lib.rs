@@ -16,7 +16,7 @@
 //!   min-heap, the reference), [`WheelQueue`] (hierarchical timing wheel
 //!   — O(1) pushes, recycled payload slots, batched same-tick drains — an
 //!   order of magnitude faster at scale), and [`CheckedQueue`] (both in
-//!   lockstep, asserting identical pops), selected by
+//!   lockstep, failing the run on the first pop they disagree on), selected by
 //!   [`config::QueueKind`] (the wheel by default).
 //! * **Latency models** ([`latency`]) — fixed (the paper's model),
 //!   uniform jitter, shifted-heavy-tail; seeded and reproducible.

@@ -72,10 +72,11 @@
 //!   them: after earlier same-class events, before any higher class.
 //!
 //! [`CheckedQueue`] turns this argument into a machine-checked one: it
-//! feeds every push to both implementations and asserts, pop by pop, that
+//! feeds every push to both implementations and checks, pop by pop, that
 //! they return the identical [`Event`].
 
 use crate::event::{Event, EventKind, EventQueue, HeapQueue, NUM_CLASSES};
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, HashSet};
 
 /// log2 of the bucket count per level.
@@ -379,14 +380,21 @@ impl EventQueue for WheelQueue {
     }
 }
 
-/// Heap and wheel in lockstep: every push goes to both, every pop asserts
-/// both return the identical [`Event`]. The queue-level differential
+/// Heap and wheel in lockstep: every push goes to both, every pop checks
+/// that both return the identical [`Event`]. The queue-level differential
 /// oracle — the DES half of `simulate --check`, and what the acceptance
 /// criterion "wheel is bit-identical to heap" means mechanically.
+///
+/// The first disagreement (a pop, a depth or a push count) is recorded,
+/// and the pair pops nothing more: the drain ends, and the engine turns
+/// [`EventQueue::divergence`] into its error. The pair is generic so a
+/// test can put a faulty queue beside the heap.
 #[derive(Debug, Default)]
-pub struct CheckedQueue {
-    heap: HeapQueue,
-    wheel: WheelQueue,
+pub struct CheckedQueue<A = HeapQueue, B = WheelQueue> {
+    heap: A,
+    wheel: B,
+    pops: u64,
+    divergence: OnceCell<String>,
 }
 
 impl CheckedQueue {
@@ -396,7 +404,24 @@ impl CheckedQueue {
     }
 }
 
-impl EventQueue for CheckedQueue {
+impl<A: EventQueue, B: EventQueue> CheckedQueue<A, B> {
+    /// `heap` and `wheel` in lockstep.
+    pub fn pair(heap: A, wheel: B) -> Self {
+        CheckedQueue {
+            heap,
+            wheel,
+            pops: 0,
+            divergence: OnceCell::new(),
+        }
+    }
+
+    /// Record `what` unless an earlier divergence already was.
+    fn diverge(&self, what: String) {
+        let _ = self.divergence.set(what);
+    }
+}
+
+impl<A: EventQueue, B: EventQueue> EventQueue for CheckedQueue<A, B> {
     fn push(&mut self, time: u64, kind: EventKind) -> u64 {
         let seq = self.heap.push(time, kind);
         let wheel_seq = self.wheel.push(time, kind);
@@ -405,12 +430,15 @@ impl EventQueue for CheckedQueue {
     }
 
     fn pop(&mut self) -> Option<Event> {
-        let h = self.heap.pop();
-        let w = self.wheel.pop();
-        assert_eq!(
-            h, w,
-            "queue lockstep divergence: heap and wheel disagree on the next event"
-        );
+        if self.divergence.get().is_some() {
+            return None;
+        }
+        let (h, w) = (self.heap.pop(), self.wheel.pop());
+        self.pops += 1;
+        if h != w {
+            self.diverge(format!("on pop {}: heap {h:?}, wheel {w:?}", self.pops));
+            return None;
+        }
         h
     }
 
@@ -421,14 +449,23 @@ impl EventQueue for CheckedQueue {
 
     fn len(&self) -> usize {
         let (h, w) = (self.heap.len(), self.wheel.len());
-        assert_eq!(h, w, "queue lockstep divergence: depths disagree");
+        if h != w {
+            self.diverge(format!("on depth: heap {h}, wheel {w}"));
+        }
         h
     }
 
     fn total_pushed(&self) -> u64 {
         let (h, w) = (self.heap.total_pushed(), self.wheel.total_pushed());
-        assert_eq!(h, w, "queue lockstep divergence: push counts disagree");
+        if h != w {
+            self.diverge(format!("on push count: heap {h}, wheel {w}"));
+        }
         h
+    }
+
+    fn divergence(&self) -> Option<String> {
+        self.total_pushed();
+        self.divergence.get().cloned()
     }
 }
 
@@ -457,6 +494,7 @@ mod tests {
             q.len();
             out.push(e);
         }
+        assert_eq!(q.divergence(), None);
         out
     }
 
@@ -698,6 +736,7 @@ mod tests {
         while q.pop().is_some() {
             popped += 1;
         }
+        assert_eq!(q.divergence(), None);
         assert_eq!(popped, survivors);
         assert!(q.is_empty());
         assert!(now >= 3 << (2 * LEVEL_BITS), "only reached tick {now}");
@@ -730,6 +769,7 @@ mod tests {
             }
         }
         while q.pop().is_some() {}
+        assert_eq!(q.divergence(), None);
         assert!(q.is_empty());
     }
 }

@@ -108,8 +108,8 @@ pub struct RunPlan {
     pub uplink: UplinkModel,
     /// DES per-node uplink capacity classes.
     pub classes: Option<CapacityClassPlan>,
-    /// Seed of the latency model's noise.
-    pub des_seed: u64,
+    /// Seed of the latency model's noise; `None` = not asked for (0).
+    pub des_seed: Option<u64>,
     /// DES recovery tier.
     pub recovery: RecoveryConfig,
     /// Parameters of the seeded churn trace the DES replays.
@@ -143,7 +143,7 @@ impl RunPlan {
             latency: LatencyModel::Fixed,
             uplink: UplinkModel::Unconstrained,
             classes: None,
-            des_seed: 0,
+            des_seed: None,
             recovery: RecoveryConfig::default(),
             churn: None,
             scenario: None,
@@ -183,15 +183,8 @@ impl RunPlan {
             .transpose()
             .map_err(CliError::Usage)?;
         let classes = parse_classes(args)?;
-        // Every valued flag given is parsed, whether or not the run reads
-        // it: `--horizon` bounds only the runs that never complete, and
-        // `--des-seed` seeds only the DES.
-        let horizon = args.parsed("horizon", "a non-negative integer")?;
-        let horizon = horizon.filter(|_| churn.is_some() || scenario.is_some());
-        let des_seed = args.u64_or("des-seed", 0)?;
-        let des_seed = if runtime == Runtime::Des { des_seed } else { 0 };
         Ok(RunPlan {
-            horizon,
+            horizon: args.parsed("horizon", "a non-negative integer")?,
             runtime,
             engine,
             check: args.switch("check"),
@@ -200,7 +193,7 @@ impl RunPlan {
             latency,
             uplink,
             classes,
-            des_seed,
+            des_seed: args.parsed("des-seed", "a non-negative integer")?,
             recovery,
             churn,
             scenario,
@@ -261,6 +254,20 @@ impl RunPlan {
             return usage(
                 "--recovery repair heals the appendix multi-tree dynamics; it requires \
                  --scheme multitree",
+            );
+        }
+        if self.horizon.is_some() && self.churn.is_none() && self.scenario.is_none() {
+            return usage(
+                "--horizon cuts runs that never complete; it needs churn or a scenario \
+                 (a plain run stops on its completion horizon)",
+            );
+        }
+        if self.des_seed.is_some()
+            && (self.runtime == Runtime::Slot || self.latency == LatencyModel::Fixed)
+        {
+            return usage(
+                "--des-seed seeds the DES latency noise; it needs --runtime des and \
+                 --latency jitter|heavytail",
             );
         }
         if self.churn.is_some() && self.scheme.n < 2 {
@@ -352,7 +359,7 @@ impl RunPlan {
             latency: self.latency,
             uplink: self.uplink,
             capacity_classes: self.classes.clone(),
-            latency_seed: self.des_seed,
+            latency_seed: self.des_seed.unwrap_or(0),
             churn,
             recovery: self.recovery,
             queue: self.des_queue(),
@@ -446,7 +453,9 @@ impl RunPlan {
     /// ([`disagreement`]: equal results, or identically rendered errors).
     pub fn run(&self, telemetry: &Telemetry) -> Result<Outcome, CliError> {
         let ran = self.run_column(self.build_scheme()?.as_mut(), telemetry);
-        for &oracle in self.oracles() {
+        // A lockstep queue divergence is the check's verdict already.
+        let diverged = matches!(ran.0, Err(CoreError::QueueDivergence(_)));
+        for &oracle in self.oracles().iter().filter(|_| !diverged) {
             let other = oracle.run(self.build_scheme()?.as_mut(), &self.sim_config());
             if let Some(d) = disagreement((self.column(), &ran.0), (oracle, &other)) {
                 return Err(CliError::Model(format!("differential check failed: {d}")));
@@ -503,7 +512,7 @@ impl RunPlan {
 
 /// `--latency fixed|jitter|heavytail` with `--jitter` (span, slots) or
 /// `--scale`/`--alpha`/`--cap`; the table holds the defaults. Each knob
-/// given is parsed, whichever model reads it.
+/// given is parsed first, and then refused unless the model reads it.
 fn parse_latency(args: &ArgMap) -> Result<LatencyModel, CliError> {
     let models = [
         ("fixed", LatencyModel::Fixed),
@@ -525,6 +534,7 @@ fn parse_latency(args: &ArgMap) -> Result<LatencyModel, CliError> {
         knob("alpha")?,
         knob("cap")?,
     ];
+    let heavy_knobs = scale_knob.or(alpha_knob).or(cap_knob);
     match &mut model {
         LatencyModel::Fixed => {}
         LatencyModel::UniformJitter { jitter } => *jitter = jitter_knob.unwrap_or(*jitter),
@@ -533,6 +543,14 @@ fn parse_latency(args: &ArgMap) -> Result<LatencyModel, CliError> {
             *alpha = alpha_knob.unwrap_or(*alpha);
             *cap = cap_knob.unwrap_or(*cap);
         }
+    }
+    if jitter_knob.is_some() && !matches!(model, LatencyModel::UniformJitter { .. }) {
+        let msg = "--jitter sets the span of --latency jitter; drop it or pick that model";
+        return Err(CliError::Usage(msg.into()));
+    }
+    if heavy_knobs.is_some() && !matches!(model, LatencyModel::HeavyTail { .. }) {
+        let msg = "--scale/--alpha/--cap shape --latency heavytail; drop them or pick that model";
+        return Err(CliError::Usage(msg.into()));
     }
     model.validate().map_err(CliError::Usage)?;
     Ok(model)
@@ -573,13 +591,21 @@ fn parse_churn(args: &ArgMap, n: usize) -> Result<Option<ChurnTraceConfig>, CliE
 
 /// `--classes NAME[:CAPACITY],…` — named per-node uplink capacity
 /// classes, with the `--classes-zipf` and `--classes-seed` knobs (parsed
-/// when given, with `--classes` or without).
+/// first when given, and refused without `--classes`).
 fn parse_classes(args: &ArgMap) -> Result<Option<CapacityClassPlan>, CliError> {
-    let zipf = args.f64_or("classes-zipf", 1.0)?;
-    let seed = args.u64_or("classes-seed", 0)?;
+    let zipf = args.parsed("classes-zipf", "a number")?;
+    let seed = args.parsed("classes-seed", "a non-negative integer")?;
     let Some(spec) = args.optional("classes") else {
-        return Ok(None);
+        return match zipf.is_some() || seed.is_some() {
+            true => Err(CliError::Usage(
+                "--classes-zipf/--classes-seed shape the --classes draw; drop them or give \
+                 --classes"
+                    .into(),
+            )),
+            false => Ok(None),
+        };
     };
+    let (zipf, seed) = (zipf.unwrap_or(1.0), seed.unwrap_or(0));
     let plan = CapacityClassPlan::parse(spec)
         .map_err(CliError::Usage)?
         .with_zipf(zipf)
@@ -589,19 +615,15 @@ fn parse_classes(args: &ArgMap) -> Result<Option<CapacityClassPlan>, CliError> {
 }
 
 /// Per-node arrival timelines of a finished crowd run, for the QoE
-/// frontiers: one per id of `crowd`'s id space that `survivor` keeps
-/// (QoE is a survivors' metric — the departed have no player to stall).
-/// Join slots come from `crowd`, whose id assignment is deterministic,
-/// so a fresh replica serves as well as the instance that ran.
-pub fn member_timelines(
-    r: &RunResult,
-    crowd: &DynamicMultiTree,
-    track: u64,
-    survivor: impl Fn(u64) -> bool,
-) -> Vec<NodeTimeline> {
+/// frontiers: one per current member of `crowd` (QoE is a survivors'
+/// metric — the departed have no player to stall). Join slots and
+/// membership come from `crowd`, whose id assignment is deterministic,
+/// so a replica brought to where the run ended serves as well as the
+/// instance that ran.
+pub fn member_timelines(r: &RunResult, crowd: &DynamicMultiTree, track: u64) -> Vec<NodeTimeline> {
     let join_slots = crowd.join_slots();
     (1..=crowd.num_receivers() as u64)
-        .filter(|&id| survivor(id))
+        .filter(|&id| crowd.is_member(NodeId(id as u32)))
         .map(|id| NodeTimeline {
             node: id,
             join_slot: join_slots.get(id as usize).copied().unwrap_or(0),
@@ -826,11 +848,12 @@ mod tests {
         let short = plan_of("--scheme multitree --n 12 --scenario step:6@50 --horizon 70").unwrap();
         assert_eq!(short.horizon_slots(), 70);
 
-        // Plain runs ignore --horizon, as they always have, and stop at
-        // the default 48 tracked packets plus the chain's bound N = 5.
-        let plain = plan_of("--scheme chain --n 5 --horizon 3").unwrap();
-        assert_eq!(plain.horizon, None);
+        // A plain run stops at the default 48 tracked packets plus the
+        // chain's bound N = 5, and refuses a --horizon it would not read.
+        let plain = plan_of("--scheme chain --n 5").unwrap();
         assert_eq!(plain.sim_config().max_slots, 53);
+        let cut = plan_of("--scheme chain --n 5 --horizon 3").unwrap();
+        assert!(cut.validate().is_err());
     }
 
     #[test]
@@ -892,10 +915,94 @@ mod tests {
                 );
             }
         }
-        // A well-formed value the run ignores is still accepted.
+        // A well-formed value the run would not read is refused too.
         for flag in ["horizon 120", "des-seed 7", "jitter 0.5", "classes-seed 3"] {
-            let plan = plan_of(&format!("{plain} --{flag}")).unwrap();
-            assert_eq!((plan.horizon, plan.des_seed), (None, 0), "--{flag}");
+            let flags = format!("{plain} --{flag}");
+            let refused = plan_of(&flags).and_then(|plan| plan.validate());
+            assert!(
+                matches!(refused, Err(CliError::Usage(_))),
+                "`{flags}`: {refused:?}"
+            );
+        }
+    }
+
+    /// One row per flag a run may not carry unread: the flag on a run
+    /// that ignores it is refused with the message, and the same flag on
+    /// a run that reads it passes.
+    #[test]
+    fn a_flag_the_run_never_reads_is_refused() {
+        let mt = "--scheme multitree --n 12 --d 3";
+        let horizon = "--horizon cuts runs that never complete; it needs churn or a scenario \
+                       (a plain run stops on its completion horizon)";
+        let seed = "--des-seed seeds the DES latency noise; it needs --runtime des and \
+                    --latency jitter|heavytail";
+        let jitter = "--jitter sets the span of --latency jitter; drop it or pick that model";
+        let tail = "--scale/--alpha/--cap shape --latency heavytail; drop them or pick that model";
+        let classes = "--classes-zipf/--classes-seed shape the --classes draw; drop them or give \
+                       --classes";
+        for (refused, read, message) in [
+            (
+                "--horizon 120",
+                "--horizon 120 --scenario step:4@2",
+                horizon,
+            ),
+            (
+                "--horizon 120 --runtime des --recovery repair",
+                "--horizon 120 --runtime des --churn-slots 40",
+                horizon,
+            ),
+            (
+                "--runtime des --des-seed 7",
+                "--runtime des --latency jitter --des-seed 7",
+                seed,
+            ),
+            (
+                "--latency heavytail --des-seed 7",
+                "--runtime des --latency heavytail --des-seed 7",
+                seed,
+            ),
+            (
+                "--runtime des --jitter 0.5",
+                "--runtime des --latency jitter --jitter 0.5",
+                jitter,
+            ),
+            (
+                "--runtime des --latency heavytail --jitter 0.5",
+                "--runtime des --latency jitter --jitter 0.5",
+                jitter,
+            ),
+            (
+                "--runtime des --scale 0.4",
+                "--runtime des --latency heavytail --scale 0.4",
+                tail,
+            ),
+            (
+                "--runtime des --alpha 1.8",
+                "--runtime des --latency heavytail --alpha 1.8",
+                tail,
+            ),
+            (
+                "--runtime des --latency jitter --cap 6",
+                "--runtime des --latency heavytail --cap 6",
+                tail,
+            ),
+            (
+                "--runtime des --classes-zipf 1.2",
+                "--runtime des --uplink serialized --classes fiber --classes-zipf 1.2",
+                classes,
+            ),
+            (
+                "--classes-seed 5",
+                "--runtime des --uplink serialized --classes fiber --classes-seed 5",
+                classes,
+            ),
+        ] {
+            let flags = format!("{mt} {refused}");
+            let got = plan_of(&flags).and_then(|plan| plan.validate());
+            assert_eq!(got, Err(CliError::Usage(message.into())), "`{flags}`");
+            let flags = format!("{mt} {read}");
+            let plan = plan_of(&flags).unwrap_or_else(|e| panic!("`{flags}`: {e}"));
+            plan.validate().unwrap_or_else(|e| panic!("`{flags}`: {e}"));
         }
     }
 

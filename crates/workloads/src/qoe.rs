@@ -22,10 +22,8 @@
 //! All metrics are pure functions of [`NodeTimeline`]s, so every engine
 //! (and hand computation in the tests) feeds the same math.
 
-use serde::{Deserialize, Serialize};
-
 /// When a node joined and when each packet became usable for it.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodeTimeline {
     /// External node id.
     pub node: u64,
@@ -37,7 +35,7 @@ pub struct NodeTimeline {
 }
 
 /// What the player does when the next packet has not arrived.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlayPolicy {
     /// Stall until the packet arrives (every received packet plays).
     Wait,
@@ -56,7 +54,7 @@ impl PlayPolicy {
 }
 
 /// Per-node playback outcome for one `(policy, initial_delay)` point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeQoe {
     /// External node id.
     pub node: u64,
@@ -166,7 +164,7 @@ pub fn play(tl: &NodeTimeline, policy: PlayPolicy, initial_delay: u64) -> NodeQo
 }
 
 /// Population-level QoE for one `(policy, initial_delay)` point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QoeSummary {
     /// Playback policy the point was evaluated under.
     pub policy: PlayPolicy,
@@ -346,15 +344,5 @@ mod tests {
             );
         }
         assert_eq!(*probs.last().unwrap(), 0.0);
-    }
-
-    #[test]
-    fn summary_json_round_trips() {
-        let t = tl(1, 0, vec![Some(1), Some(4)]);
-        let s = summarize(&[t], PlayPolicy::Skip, 2);
-        let json = serde_json::to_string(&s).unwrap();
-        let back: QoeSummary = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, s);
-        assert!(json.contains("\"policy\":\"Skip\""), "{json}");
     }
 }

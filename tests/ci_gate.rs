@@ -92,13 +92,16 @@ fn script_parses_and_defines_both_tiers() {
         "--chaos drop:0@0=0.05,gray:2@0=1",
         "--chaos partition:0/1@2+4,partition:0/2@4+4",
         "--repair",
-        // The scenario-suite stages: a 10^3-join flash crowd closed by
-        // the slot/DES oracle in every tier, and the 10^5-join crowd on
-        // the mega engine (the default) plus the capacity-class
-        // heterogeneity sweep in the merge gate.
-        "--joins 1000 --oracle",
-        "--n0 1000 --d 3 --joins 100000 \\\n",
-        "ext_heterogeneity",
+        // The scenario-suite stages: the 10^3-join flash-crowd catalog
+        // item (its verdict holds the slot/DES replay) in every tier, and
+        // the 10^5-join crowd on the mega engine (the default), equal to
+        // its golden, plus the capacity-class heterogeneity item in the
+        // merge gate.
+        "--bin experiments -- ext_flash_crowd\n",
+        "simulate --scheme multitree --n 1000 --d 3 \\\n        \
+         --scenario ramp:100000@10+200 --track 256 --horizon 2000 >\"$out\"",
+        "diff tests/cli_golden/crowd_ramp100k.txt \"$out\"",
+        "--bin experiments -- ext_heterogeneity\n",
         // …and the settled crowd on mega's steady gears: the ledger's
         // crowd1000 line runs checked against the reference and prints
         // its golden; the 1024-packet crowd meets its golden.
@@ -202,7 +205,7 @@ fn scenario_stages_sit_on_the_right_tiers() {
         .find("stage \"build (release)\"")
         .expect("ci.sh lost the release build stage");
     let crowd = text
-        .find("stage \"flash-crowd acceptance (10^5 joins, mega + QoE frontiers)\"")
+        .find("stage \"flash-crowd acceptance (10^5 joins, mega = golden)\"")
         .expect("ci.sh lost the 10^5-join flash-crowd stage");
     let hetero = text
         .find("stage \"heterogeneity sweep (capacity classes + per-class QoE)\"")

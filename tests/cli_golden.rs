@@ -48,5 +48,5 @@ fn every_recorded_error_is_reported_in_the_same_words() {
         assert_eq!(got, want, "{name}: `clustream {}`", argv.join(" "));
         checked += 1;
     }
-    assert_eq!(checked, 156, "errors.txt lost or gained a line");
+    assert_eq!(checked, 161, "errors.txt lost or gained a line");
 }

@@ -14,8 +14,8 @@
 //! model, not engine drift.
 //!
 //! Every case here runs the DES on [`QueueKind::Checked`] — the heap and
-//! timing-wheel event queues in lockstep, panicking on the first pop
-//! where they disagree — so the whole suite doubles as the wheel's
+//! timing-wheel event queues in lockstep, failing the run on the first
+//! pop where they disagree — so the whole suite doubles as the wheel's
 //! queue-equivalence harness without running each scheme twice.
 
 use clustream::prelude::*;

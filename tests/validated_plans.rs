@@ -25,9 +25,10 @@ fn verdict<T>(run: impl FnOnce() -> Result<T, CliError>) -> Option<String> {
     }
 }
 
-/// The lattice: one flag fragment per axis value (N = 12, track 8,
-/// horizon 120 throughout). An empty fragment leaves the default: the
-/// mega engine, the wheel queue, no check.
+/// The lattice: one flag fragment per axis value (N = 12, track 8, and
+/// horizon 120 on the churn and scenario cells, the runs that read it).
+/// An empty fragment leaves the default: the mega engine, the wheel
+/// queue, no check.
 const AXES: [&[&str]; 9] = [
     &["--d 2", "--d 3"],
     &["--runtime slot", "--runtime des"],
@@ -75,8 +76,12 @@ fn every_plan_the_rule_book_accepts_runs() {
             rest /= axis.len();
             pick
         });
+        let horizon = match (picks[6], picks[7]) {
+            ("", "") => "",
+            _ => "--horizon 120",
+        };
         let flags = format!(
-            "--scheme multitree --n 12 --track 8 --horizon 120 {}",
+            "--scheme multitree --n 12 --track 8 {} {horizon}",
             picks.join(" ")
         );
         let argv: Vec<String> = flags.split_whitespace().map(str::to_string).collect();
