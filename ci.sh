@@ -17,8 +17,8 @@
 #                 (a settled step:1000@20 crowd on mega: checked against
 #                 the reference and equal to its goldens) (the edit loop)
 #   ci.sh scale   quick + the mega-engine scale smoke through the real
-#                 CLI: at N=10^5 the mega report, sequential and
-#                 sharded, equals its committed golden stdout, with
+#                 CLI: at N=10^5 the mega report equals its
+#                 committed golden stdout, with
 #                 --metrics-out too, whose JSONL equals its committed
 #                 golden (spans aside); a chain whose rows outgrow a
 #                 byte of lateness runs checked against the reference;
@@ -27,7 +27,8 @@
 #                 6.6-9.1 s on a busy 2-core container) the mega report
 #                 equals its golden stdout too
 #   ci.sh full    quick + doc lint + differential oracles + the N=10^5
-#                 closed-form checker of mega's per-node playback + CLI smoke
+#                 and N=10^6 closed-form checker of mega's per-node
+#                 playback + CLI smoke
 #                 matrix + exhaustive invariant lattice + coverage-guided
 #                 explore smoke + 32-node kill-injection cluster smoke +
 #                 32-node partition-and-heal chaos run with live repair +
@@ -444,8 +445,7 @@ mega_scale_smoke() {
     # The scale-oriented mega engine at N=10^5 through the real CLI, on
     # the ledger's scale_multitree command line: the mega report is its
     # committed golden stdout (slots run, transmissions and every QoS
-    # line, recorded before mega was the default), and the 4-shard run
-    # prints the same but the engine label. Then the ledger's
+    # line, recorded before mega was the default). Then the ledger's
     # scale_observed command line: asking for --metrics-out changes
     # nothing mega prints but the `metrics` line, and what it records is
     # its committed golden (wall-clock spans aside; recorded from the
@@ -456,12 +456,8 @@ mega_scale_smoke() {
         --engine mega >"$base-mega.txt"
     cargo run -q --release --offline -p clustream-cli --bin clustream -- \
         simulate --scheme multitree --n 100000 --d 3 --track 256 \
-        --engine mega --shards 4 >"$base-mega-sharded.txt"
-    cargo run -q --release --offline -p clustream-cli --bin clustream -- \
-        simulate --scheme multitree --n 100000 --d 3 --track 256 \
         --engine mega --metrics-out "$base-mega.jsonl" >"$base-mega-observed.txt"
     diff "$golden/scale_n100000_mega.txt" "$base-mega.txt"
-    diff <(grep -v engine "$base-mega.txt") <(grep -v engine "$base-mega-sharded.txt")
     diff "$golden/scale_n100000_mega.txt" <(grep -v '^metrics' "$base-mega-observed.txt")
     diff "$golden/scale_n100000_metrics.jsonl" <(grep -v '"span"' "$base-mega.jsonl")
     cargo run -q --release --offline -p clustream-cli --bin clustream -- \
@@ -510,7 +506,7 @@ stage "flash-crowd smoke (10^3 joins, oracle-closed)" flash_crowd_smoke
 stage "crowd smoke (mega = reference = golden, step:1000@20)" crowd_mega_smoke
 
 if [ "$TIER" = scale ] || [ "$TIER" = full ]; then
-    stage "mega scale smoke (mega = sharded = golden)" mega_scale_smoke
+    stage "mega scale smoke (mega = golden)" mega_scale_smoke
 fi
 
 if [ "$TIER" = full ]; then
@@ -518,10 +514,11 @@ if [ "$TIER" = full ]; then
         env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline -q
     stage "differential oracle" cargo test -q --test differential --offline
     stage "slot/DES differential oracle" cargo test -q --test des_differential --offline
-    # Mega's per-node delay and buffer at N=10^5 against the multi-tree's
-    # closed-form schedule scored by the reference's own scorer (d 2 and
-    # 3, both constructions, 256 packets; the N=2000 case runs in `test`).
-    stage "scale checker (N=10^5, closed form = mega)" \
+    # Mega's per-node delay and buffer at N=10^5 and N=10^6 against the
+    # multi-tree's closed-form schedule scored by the reference's own
+    # scorer (d 2 and 3, both constructions, 256 packets; the N=2000 case
+    # runs in `test`).
+    stage "scale checker (N=10^5 and 10^6, closed form = mega)" \
         cargo test --release -q --test scale_checker --offline -- --ignored
     stage "DES smoke (des_plain golden, wheel and --check)" des_smoke
     stage "telemetry smoke (metrics-out + report)" telemetry_smoke
@@ -564,7 +561,7 @@ echo "artifacts:"
 for f in target/ci-timings.json target/ci-metrics.jsonl \
     target/ci-cluster-trace.json target/ci-cluster-chaos-trace.json \
     target/ci-cluster-kill-trace.json target/ci-cluster-chaos-heal-trace.json \
-    target/ci-scale-mega.txt target/ci-scale-mega-sharded.txt \
+    target/ci-scale-mega.txt \
     target/ci-scale-mega-observed.txt target/ci-scale-mega.jsonl target/ci-scale-mega-1m.txt \
     target/ci-des-recovery-wheel.txt target/ci-des-recovery-checked.txt \
     target/ci-crowd-checked.txt target/ci-crowd-t1024.txt; do

@@ -57,6 +57,11 @@ pub fn cluster(args: &ArgMap) -> Result<String, CliError> {
         ));
     }
     opts.slot_micros = args.u64_or("slot-us", 5_000)?;
+    if opts.slot_micros == 0 {
+        return Err(CliError::Usage(
+            "--slot-us must be at least 1: chaos delays last whole slots of it".into(),
+        ));
+    }
     opts.suspect_timeout_slots = args.u64_or("suspect-timeout-slots", 8)?;
     if let Some(spec) = args.optional("kill") {
         opts.kills = parse_kill_spec(spec).map_err(CliError::Usage)?;

@@ -211,15 +211,6 @@ pub trait Scheme {
         None
     }
 
-    /// Natural contiguous partition boundaries of the id space, for
-    /// engines that shard a run across workers: each entry is the first
-    /// id of a natural group (e.g. a cluster), ascending, excluding 0.
-    /// `None` (the default) means there is no natural structure and an
-    /// engine may cut the id space anywhere.
-    fn shard_boundaries(&self) -> Option<Vec<u32>> {
-        None
-    }
-
     /// Notify the scheme of a confirmed membership change at runtime.
     ///
     /// Self-healing schemes (see `clustream-recovery`) rewire their

@@ -21,7 +21,7 @@ use clustream_sim::{diff_fields, MegaSimulator, RunResult, SimConfig, Simulator}
 pub enum Column {
     /// The readable reference slot simulator.
     Reference,
-    /// The single-shard mega slot engine.
+    /// The mega slot engine.
     Mega,
     /// The DES in its slot-faithful configuration, on this event queue.
     Des(QueueKind),

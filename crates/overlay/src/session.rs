@@ -318,12 +318,6 @@ impl Scheme for ClusterSession {
         Some(SchedulePeriod { warmup, period })
     }
 
-    fn shard_boundaries(&self) -> Option<Vec<u32>> {
-        // The natural sharding of the paper's decomposition: one group per
-        // cluster `[S_i, S'_i, members…]`; the source rides with the first.
-        Some(self.clusters.iter().map(|c| c.s_i).collect())
-    }
-
     fn transmissions(&mut self, slot: Slot, view: &dyn StateView, out: &mut Vec<Transmission>) {
         let t = slot.t();
         let t_c = self.t_c;

@@ -33,7 +33,7 @@ pub enum Engine {
     /// The readable reference engine.
     Reference,
     /// The default: the slot kernel with steady-state schedule lowering
-    /// and optional in-run sharding (bit-identical results).
+    /// (bit-identical results).
     Mega,
 }
 
@@ -42,8 +42,8 @@ pub const SIMULATE_USAGE: Usage = &[
     SCHEME_USAGE[0],
     SCHEME_USAGE[1],
     "[--track <P>] [--runtime <slot|des>] [--metrics-out <FILE.jsonl>]",
-    "[--check]    (diff the run against every oracle it admits; one shard)",
-    "[--engine <mega|reference>] [--shards <K>]    (slot runtime; shards: mega)",
+    "[--check]    (diff the run against every oracle it admits)",
+    "[--engine <mega|reference>]    (slot runtime)",
     "[--queue <wheel>]    (des runtime; the default, kept for the benchmark's argv)",
     "[--latency <fixed|jitter|heavytail>] [--jitter <SLOTS>]    (des runtime)",
     "[--scale <S>] [--alpha <A>] [--cap <C>] [--des-seed <SEED>]",
@@ -97,8 +97,6 @@ pub struct RunPlan {
     /// Run every oracle the plan admits beside it (`--check`; see
     /// [`RunPlan::run`]).
     pub check: bool,
-    /// In-run shards of the mega engine; `None` = not asked for.
-    pub shards: Option<usize>,
     /// DES event queue; `None` = not asked for (the wheel, unnamed in
     /// the `engine` line).
     pub queue: Option<QueueKind>,
@@ -138,7 +136,6 @@ impl RunPlan {
             runtime: Runtime::Slot,
             engine: None,
             check: false,
-            shards: None,
             queue: None,
             latency: LatencyModel::Fixed,
             uplink: UplinkModel::Unconstrained,
@@ -162,7 +159,6 @@ impl RunPlan {
         let runtime = choice(args, "runtime", &runtimes)?.unwrap_or(Runtime::Slot);
         let engines = [("reference", Engine::Reference), ("mega", Engine::Mega)];
         let engine = choice(args, "engine", &engines)?;
-        let shards = args.parsed("shards", "an integer")?;
         let latency = parse_latency(args)?;
         let uplinks = [
             ("unconstrained", UplinkModel::Unconstrained),
@@ -188,7 +184,6 @@ impl RunPlan {
             runtime,
             engine,
             check: args.switch("check"),
-            shards,
             queue,
             latency,
             uplink,
@@ -207,19 +202,11 @@ impl RunPlan {
     pub fn validate(&self) -> Result<(), CliError> {
         let usage = |msg: &str| Err(CliError::Usage(msg.into()));
         let multitree = self.scheme.family == Family::MultiTree;
-        if self.shards == Some(0) {
-            return usage("--shards must be at least 1");
+        if self.track == 0 {
+            return usage("--track must be at least 1");
         }
-        if (self.engine.is_some() || self.shards.is_some()) && self.runtime == Runtime::Des {
-            return usage("--engine/--shards pick the slot engine; they need --runtime slot");
-        }
-        if self.shards.is_some() && self.engine == Some(Engine::Reference) {
-            return usage(
-                "--shards partitions the mega engine's node range; it needs --engine mega",
-            );
-        }
-        if self.shards.is_some() && self.check {
-            return usage("--check runs mega on one shard; drop --shards");
+        if self.engine.is_some() && self.runtime == Runtime::Des {
+            return usage("--engine picks the slot engine; it needs --runtime slot");
         }
         if self.scenario.is_some() && !multitree {
             return usage(
@@ -440,10 +427,7 @@ impl RunPlan {
             }
             (_, true) => "checked (reference ≡ mega)".into(),
             (Column::Reference, false) => "reference".into(),
-            (Column::Mega, false) => match self.shards {
-                Some(k) if k > 1 => format!("mega ({k} shards)"),
-                _ => "mega".into(),
-            },
+            (Column::Mega, false) => "mega".into(),
         }
     }
 
@@ -484,10 +468,9 @@ impl RunPlan {
     /// outcome, and the event counters when the DES ran.
     fn run_column(&self, scheme: &mut dyn Scheme, telemetry: &Telemetry) -> Ran {
         let cfg = self.sim_config().with_telemetry(telemetry.clone());
-        let shards = self.shards.unwrap_or(1);
         match self.column() {
             Column::Reference => (Simulator::run(scheme, &cfg), None),
-            Column::Mega => (MegaSimulator::run_sharded(scheme, &cfg, shards), None),
+            Column::Mega => (MegaSimulator::run(scheme, &cfg), None),
             Column::Des(_) => {
                 let mut engine = DesEngine::new();
                 let des = self.des_config_over(cfg, self.churn.map(ChurnTrace::generate));
@@ -656,21 +639,10 @@ mod tests {
         let mt = "--scheme multitree --n 12";
         let chain = "--scheme chain --n 8";
         for (flags, message) in [
-            (
-                format!("{mt} --engine mega --shards 0"),
-                "--shards must be at least 1",
-            ),
+            (format!("{mt} --track 0"), "--track must be at least 1"),
             (
                 format!("{chain} --runtime des --engine reference"),
-                "--engine/--shards pick the slot engine; they need --runtime slot",
-            ),
-            (
-                format!("{chain} --engine reference --shards 2"),
-                "--shards partitions the mega engine's node range; it needs --engine mega",
-            ),
-            (
-                format!("{chain} --check --shards 2"),
-                "--check runs mega on one shard; drop --shards",
+                "--engine picks the slot engine; it needs --runtime slot",
             ),
             (
                 format!("{chain} --scenario step:4@1"),
@@ -732,20 +704,6 @@ mod tests {
                 Err(CliError::Usage(message.to_string())),
                 "{flags}"
             );
-        }
-    }
-
-    #[test]
-    fn shards_need_the_mega_engine_which_is_the_default() {
-        for engine in ["", " --engine mega"] {
-            let plan = plan_of(&format!("--scheme chain --n 8{engine} --shards 2")).unwrap();
-            plan.validate().unwrap();
-            assert_eq!(plan.column(), Column::Mega);
-            assert_eq!(plan.label(), "mega (2 shards)");
-        }
-        for flags in ["--engine reference", "--check", "--runtime des"] {
-            let plan = plan_of(&format!("--scheme chain --n 8 {flags} --shards 2"));
-            assert!(plan.unwrap().validate().is_err(), "{flags}");
         }
     }
 
@@ -1010,7 +968,7 @@ mod tests {
     fn the_ledger_workloads_too_heavy_for_the_golden_test_still_parse() {
         // benchmark/src/workloads.rs: scale_multitree, scale_observed,
         // des_plain, des_recovery (cli_mix is replayed in full by
-        // tests/cli_golden.rs), and ci.sh's N = 10^5 sharded smoke.
+        // tests/cli_golden.rs).
         for flags in [
             "--scheme multitree --n 100000 --d 3 --track 256 --engine mega",
             "--scheme multitree --n 100000 --d 3 --track 256 --engine mega --metrics-out m.jsonl",
@@ -1018,7 +976,6 @@ mod tests {
             "--scheme multitree --n 2000 --d 3 --track 128 --runtime des --queue wheel \
              --latency jitter --jitter 0.5 --uplink serialized --recovery repair+nack \
              --churn-leave 0.0005 --churn-slots 200 --des-seed 7",
-            "--scheme multitree --n 100000 --d 3 --track 64 --engine mega --shards 4",
         ] {
             let plan = plan_of(flags).unwrap_or_else(|e| panic!("`{flags}`: {e}"));
             plan.validate().unwrap_or_else(|e| panic!("`{flags}`: {e}"));

@@ -23,11 +23,12 @@
 //! link rows, reusable arenas) is the one dense implementation, and
 //! two drivers run it: [`MegaEngine`] (module [`mega`]), the slot
 //! engine, runs the kernel's slot loop and adds precompiled
-//! steady-state transmission tables and in-run sharding for runs with
-//! 10^5–10^6 nodes, and `clustream_des`'s strict tick admits through it
-//! and turns each admitted transmission into a `Deliver` event. (Module
-//! [`fast`] is the bare loop, kept for the performance ledger and for
-//! tests.) All results are bit-identical; [`diff`]
+//! steady-state transmission tables for runs with 10^5–10^6 nodes (its
+//! in-run sharding is reached only through [`MegaEngine::with_shards`],
+//! by the performance ledger), and `clustream_des`'s strict tick admits
+//! through it and turns each admitted transmission into a `Deliver`
+//! event. (Module [`fast`] is the bare loop, kept for the performance
+//! ledger and for tests.) All results are bit-identical; [`diff`]
 //! names the fields on which two results differ, the differential
 //! oracle (`clustream_des`'s `Column` and `agree`) runs the engines
 //! side by side through it, and [`sweep`] farms experiment grids

@@ -1,12 +1,12 @@
-//! Scale-oriented execution mode: precompiled transmission tables and
-//! in-run sharding over the kernel's columnar holdings.
+//! Scale-oriented execution mode: precompiled transmission tables over
+//! the kernel's columnar holdings.
 //!
 //! [`MegaEngine`] is the production slot engine, built for runs with
 //! 10^5–10^6 nodes. It produces **bit-identical** [`RunResult`]s (and
 //! identical errors) to the reference [`crate::Simulator`] — the
 //! differential harness in [`crate::diff`] holds the engines to one
-//! contract — while restructuring the hot loop around two ideas. Both
-//! work on the slot kernel's one holdings store (module `kernel`):
+//! contract — while restructuring the hot loop as below. Each part
+//! works on the slot kernel's one holdings store (module `kernel`):
 //! `stride` words per node in one flat array, with per-node spill rows
 //! for sequence numbers past its memory budget, so a steady-state
 //! delivery is one word operation and range-sharded workers borrow
@@ -32,17 +32,25 @@
 //!    violation aborts the replay and re-runs the whole simulation in
 //!    full mode, so a wrong declaration that slips past verification
 //!    but trips a check degrades performance, never correctness.
-//! 2. **In-run sharding.** With `shards = k`, steady-state slots are
-//!    partitioned into `k` contiguous id ranges following
-//!    [`Scheme::shard_boundaries`] — for cluster sessions, exactly the
-//!    paper's clusters. Workers claim shards through the same
-//!    `ClaimCounter` work-claiming idiom as [`crate::sweep`];
-//!    traffic whose sender and receiver fall in one shard is applied by
-//!    that shard's worker, and the remainder — the backbone super-node
-//!    traffic — is applied by the coordinator in a sequential exchange
-//!    phase between barrier waits. Every write is either shard-local or
-//!    coordinator-sequential and every shared counter is additive, so
-//!    `shards = k` is bit-identical to `shards = 1` at any `k`.
+//! 2. **Two steady gears.** The careful loop replays the table slot by
+//!    slot with the residual checks. Once the ring is drained and the
+//!    table is statically self-feeding, an untraced run of a
+//!    collision-free table hands the rest to the analytic gear, which
+//!    streams each receiver's row entry by entry. Any other run,
+//!    including one whose table delivers a packet to one receiver from
+//!    two entries, stays in the careful loop to the end, which is exact
+//!    for it.
+//! 3. **In-run sharding, kept for the ledger only.** An arena built
+//!    with [`MegaEngine::with_shards`] at `k > 1` replays untraced
+//!    steady-state slots over `k` even id ranges: workers claim shards
+//!    through the `ClaimCounter` idiom of [`crate::sweep`], traffic
+//!    within a shard runs on its worker, and the coordinator applies
+//!    the cross-shard rest between barrier waits, so results are
+//!    bit-identical at any `k`. It is over 20 times slower than one
+//!    shard at N = 10⁵ on two cores, and nothing in the product reaches
+//!    it: the one caller outside tests is the benchmark ledger's
+//!    `sim.mega.run_shards2` row. The gear goes when the ledger retires
+//!    that row (ROADMAP 1B(c), 22(b)).
 //!
 //! Ramp slots before the hand-off, runs under a fault plan that can
 //! drop a transmission (anything but [`FaultPlan::reports_only`]), and
@@ -637,54 +645,12 @@ fn phase_count(a: u64, b: u64, base: u64, js: u64, p: u64) -> u64 {
     }
 }
 
-/// Contiguous id ranges for `shards` workers over `n_ids` ids,
-/// following the scheme's natural group boundaries when declared.
-fn shard_ranges(n_ids: usize, shards: usize, boundaries: Option<Vec<u32>>) -> Vec<(usize, usize)> {
-    if shards <= 1 || n_ids == 0 {
-        return vec![(0, n_ids)];
-    }
-    match boundaries {
-        None => {
-            let k = shards.min(n_ids);
-            (0..k)
-                .map(|s| (n_ids * s / k, n_ids * (s + 1) / k))
-                .filter(|(a, b)| a < b)
-                .collect()
-        }
-        Some(b) => {
-            // Group ends: each natural group is [cut_{i-1}, cut_i); the
-            // source id 0 rides with the first group. Pack consecutive
-            // groups into at most `shards` unions balanced by size.
-            let mut cuts: Vec<usize> = b
-                .into_iter()
-                .map(|x| x as usize)
-                .filter(|&x| x > 0 && x < n_ids)
-                .collect();
-            cuts.sort_unstable();
-            cuts.dedup();
-            cuts.push(n_ids);
-            let k = shards.min(cuts.len());
-            let mut ranges = Vec::with_capacity(k);
-            let (mut start, mut gi) = (0usize, 0usize);
-            for s in 0..k {
-                let target = n_ids * (s + 1) / k;
-                let mut end = start;
-                while gi < cuts.len() && (end < target || end == start) {
-                    end = cuts[gi];
-                    gi += 1;
-                }
-                if s == k - 1 {
-                    end = n_ids;
-                    gi = cuts.len();
-                }
-                if end > start {
-                    ranges.push((start, end));
-                }
-                start = end;
-            }
-            ranges
-        }
-    }
+/// `shards` contiguous id ranges of near-equal size over `n_ids` ids.
+fn shard_ranges(n_ids: usize, shards: usize) -> Vec<(usize, usize)> {
+    let k = shards.clamp(1, n_ids.max(1));
+    (0..k)
+        .map(|s| (n_ids * s / k, n_ids * (s + 1) / k))
+        .collect()
 }
 
 /// Apply one steady-state delivery to the sequential columnar state.
@@ -793,18 +759,14 @@ impl MegaEngine {
 
     /// A fresh arena replaying steady-state slots over `shards` id-range
     /// shards (clamped to at least 1). Results are bit-identical at
-    /// every shard count — sharding only changes how the work is split.
+    /// every shard count; only the benchmark ledger asks for more than
+    /// one (see the module docs).
     pub fn with_shards(shards: usize) -> MegaEngine {
         MegaEngine {
             shards: shards.max(1),
             kernel: Kernel::default(),
             steady_slots: 0,
         }
-    }
-
-    /// Shard count this engine was configured with.
-    pub fn shards(&self) -> usize {
-        self.shards
     }
 
     /// Slots of the most recent run executed from the precompiled table
@@ -886,7 +848,7 @@ impl MegaEngine {
             return self.kernel.finish(scheme, run).map(Some);
         };
         let replay = cfg.telemetry.span(tm::ENGINE_REPLAY);
-        let ranges = shard_ranges(run.arrivals.n_ids(), self.shards, scheme.shard_boundaries());
+        let ranges = shard_ranges(run.arrivals.n_ids(), self.shards);
         let end = if ranges.len() > 1 && run.trace.is_none() {
             self.steady_sharded(cfg, &tbl, &ranges, &mut run)
         } else {
@@ -1010,9 +972,12 @@ impl MegaEngine {
         // [`SteadyTables::feed_slack`]): the ring is drained, every
         // holding check provably passes, and — untraced — the send loop
         // has no observable effect beyond its counters, which
-        // `book_sends` accumulates in closed form for every gear.
+        // `book_sends` accumulates in closed form for every gear. A table
+        // that is not collision-free stays here to the end: which of two
+        // copies of a packet lands first depends on slot order, which
+        // this loop keeps.
         let check_free_from = match tbl.feed_slack {
-            Some(slack) if trace.is_none() => t0
+            Some(slack) if trace.is_none() && tbl.collision_free => t0
                 .saturating_add(slack)
                 .max(ring_live_until.saturating_add(1)),
             _ => u64::MAX,
@@ -1090,45 +1055,11 @@ impl MegaEngine {
         if t >= cfg.max_slots {
             return SteadyEnd::Done { send_end: t };
         }
-        if tbl.collision_free {
-            // Collision-free deliveries commute across slots: replay the
-            // pattern entry-outer in streaming order instead. The gear
-            // tallies the per-slot series itself, so whether a recorder
-            // is attached plays no part in the choice.
-            return self.steady_analytic(cfg, tbl, arrivals, remaining, is_receiver, slots_run, t);
-        }
-
-        // Blazing phase, slot-outer: the exact gear for a table that is
-        // not collision-free (two entries may deliver the same packet to
-        // one receiver, so which copy is first depends on slot order).
-        // The ring is empty and the holding checks are statically
-        // discharged, so each slot is just its deliveries plus the stop
-        // check (a stop breaks before the sends of its slot, exactly
-        // like the loop above).
-        while t < cfg.max_slots {
-            *slots_run = t + 1;
-            let mut slot_deliveries: u64 = 0;
-            for (to, seq) in tbl.arrivals_at(t) {
-                deliver_columnar(
-                    &mut self.kernel.state.held,
-                    &mut cells,
-                    &mut self.kernel.stats.duplicate_deliveries,
-                    remaining,
-                    is_receiver,
-                    track,
-                    t,
-                    to,
-                    seq,
-                    &mut slot_deliveries,
-                );
-            }
-            record_slot_deliveries(&cfg.telemetry, slot_deliveries);
-            if cfg.stop_when_complete && *remaining == 0 {
-                break;
-            }
-            t += 1;
-        }
-        SteadyEnd::Done { send_end: t }
+        // Collision-free deliveries commute across slots: replay the
+        // pattern entry-outer in streaming order instead. The gear
+        // tallies the per-slot series itself, so whether a recorder is
+        // attached plays no part in the choice.
+        self.steady_analytic(cfg, tbl, arrivals, remaining, is_receiver, slots_run, t)
     }
 
     /// Entry-outer blazing phase: once the careful loop has discharged
@@ -1689,19 +1620,9 @@ impl MegaEngine {
 pub struct MegaSimulator;
 
 impl MegaSimulator {
-    /// Run `scheme` under `cfg` on a fresh single-shard [`MegaEngine`].
+    /// Run `scheme` under `cfg` on a fresh [`MegaEngine`].
     pub fn run(scheme: &mut dyn Scheme, cfg: &SimConfig) -> Result<RunResult, CoreError> {
         MegaEngine::new().run(scheme, cfg)
-    }
-
-    /// Run `scheme` under `cfg` on a fresh [`MegaEngine`] with `shards`
-    /// in-run shards. Bit-identical to [`MegaSimulator::run`].
-    pub fn run_sharded(
-        scheme: &mut dyn Scheme,
-        cfg: &SimConfig,
-        shards: usize,
-    ) -> Result<RunResult, CoreError> {
-        MegaEngine::with_shards(shards).run(scheme, cfg)
     }
 }
 
@@ -1747,21 +1668,19 @@ mod tests {
     }
 
     #[test]
-    fn shard_ranges_split_and_boundaries() {
-        assert_eq!(shard_ranges(10, 1, None), vec![(0, 10)]);
-        assert_eq!(shard_ranges(10, 2, None), vec![(0, 5), (5, 10)]);
-        // Natural cluster boundaries are respected exactly.
-        let r = shard_ranges(22, 3, Some(vec![1, 8, 15]));
-        assert_eq!(r, vec![(0, 8), (8, 15), (15, 22)]);
-        // More shards than groups collapses to the group count.
-        let r = shard_ranges(22, 8, Some(vec![8, 15]));
-        assert_eq!(r, vec![(0, 8), (8, 15), (15, 22)]);
-        // Equal split always covers 0..n contiguously.
-        let r = shard_ranges(9, 4, None);
+    fn shard_ranges_split_evenly() {
+        assert_eq!(shard_ranges(10, 1), vec![(0, 10)]);
+        assert_eq!(shard_ranges(10, 2), vec![(0, 5), (5, 10)]);
+        assert_eq!(shard_ranges(0, 3), vec![(0, 0)]);
+        // More shards than ids collapses to one id each.
+        assert_eq!(shard_ranges(2, 5), vec![(0, 1), (1, 2)]);
+        // The split always covers 0..n contiguously.
+        let r = shard_ranges(9, 4);
         assert_eq!(r.first().unwrap().0, 0);
         assert_eq!(r.last().unwrap().1, 9);
         for w in r.windows(2) {
             assert_eq!(w[0].1, w[1].0);
+            assert!(w[0].0 < w[0].1);
         }
     }
 
@@ -2101,10 +2020,11 @@ mod tests {
     /// ≡ fast ≡ mega (one shard: the analytic gear's tally; two: the
     /// sharded loop) on a period-3, latency-5 table handing off at slot
     /// 0 and at a slot with ramp sends in flight (the `s_min` clamp),
-    /// on the period-1 chain
-    /// and on a delay line whose receiver holds a packet ahead of the
-    /// replay — to completion, to a horizon that ends mid-replay, and
-    /// over more steady slots than one tally window holds.
+    /// on the period-1 chain, on a delay line whose receiver holds a
+    /// packet ahead of the replay and on a table that is not
+    /// collision-free (the careful loop throughout) — to completion, to
+    /// a horizon that ends mid-replay, and over more steady slots than
+    /// one tally window holds.
     #[test]
     fn every_gear_records_the_slot_loops_series() {
         use clustream_telemetry::names as tm;
@@ -2129,7 +2049,13 @@ mod tests {
             })
         };
         let late: Build = || Box::new(LateHandOff(BURST));
-        let cases: [(Build, SimConfig); 10] = [
+        let twice: Build = || {
+            Box::new(Line {
+                twice: true,
+                ..Line::default()
+            })
+        };
+        let cases: [(Build, SimConfig); 12] = [
             (burst, SimConfig::until_complete(60, 400)),
             (late, SimConfig::until_complete(60, 400)),
             (burst, fixed(t0 + 20, 28)),
@@ -2145,6 +2071,10 @@ mod tests {
             // duplicate-checked deliveries and its closed-form ones.
             (ahead, SimConfig::until_complete(200, 400)),
             (ahead, fixed(long, 200)),
+            // Two entries deliver one packet to one row: the careful loop
+            // to the end.
+            (twice, SimConfig::until_complete(24, 200)),
+            (twice, fixed(long, 8)),
         ];
         for (scheme, cfg) in &cases {
             let want = snapshot_of(cfg, |c| {
@@ -2575,6 +2505,11 @@ mod tests {
         /// At every slot the source also sends node 3 packet `t + 1`,
         /// which the live stream has not produced yet.
         eager: bool,
+        /// From slot 10 on, node 3 takes every even packet twice, a slot
+        /// apart: at even slots the source sends it packet `t − 10`, at
+        /// odd slots node 2 sends it packet `t − 11`. Two entries share
+        /// its row and class, so the table is not collision-free.
+        twice: bool,
     }
 
     impl Scheme for Line {
@@ -2614,6 +2549,15 @@ mod tests {
             }
             if self.collide && t.is_multiple_of(2) && t >= 10 {
                 out.push(Transmission::local(SOURCE, NodeId(2), PacketId(t - 10)));
+            }
+            if self.twice && t >= 10 {
+                let from = if t.is_multiple_of(2) {
+                    SOURCE
+                } else {
+                    NodeId(2)
+                };
+                let packet = t - 10 - t % 2;
+                out.push(Transmission::local(from, NodeId(3), PacketId(packet)));
             }
             if let Some((from, packet)) = self.spur.filter(|_| t == 5) {
                 out.push(Transmission::local(
@@ -2662,6 +2606,34 @@ mod tests {
             "{res:?}"
         );
         assert_eq!(steady, 0);
+    }
+
+    #[test]
+    fn a_table_that_is_not_collision_free_stays_in_the_careful_loop() {
+        let twice = || Line {
+            twice: true,
+            ..Line::default()
+        };
+        let decl = twice().schedule_period().unwrap();
+        let tbl = MegaEngine::new().lower(&mut twice(), decl, 4).unwrap();
+        assert!(!tbl.collision_free);
+        assert_eq!(tbl.hand_off, 0);
+        let fixed = SimConfig {
+            max_slots: 80,
+            track_packets: 60,
+            ..SimConfig::default()
+        };
+        for cfg in [SimConfig::until_complete(24, 200), fixed] {
+            for cfg in [cfg.clone(), cfg.traced()] {
+                let want = crate::Simulator::run(&mut twice(), &cfg).unwrap();
+                let mut eng = MegaEngine::new();
+                let got = eng.run(&mut twice(), &cfg).unwrap();
+                assert_eq!(diff_fields(&want, &got), Vec::<&str>::new(), "{cfg:?}");
+                assert_eq!(want.trace, got.trace, "{cfg:?}");
+                assert_eq!(eng.steady_slots(), got.slots_run, "{cfg:?}");
+                assert!(got.duplicate_deliveries > 0, "{cfg:?}");
+            }
+        }
     }
 
     #[test]

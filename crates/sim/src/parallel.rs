@@ -21,11 +21,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 ///
 /// Each worker repeatedly [`claims`](ClaimCounter::claim) the next unit
 /// index until the pool is drained — the scheduling idiom behind both
-/// the sweep workers below and the mega engine's in-run shard rounds
-/// (`crate::mega`). Claiming is a single relaxed `fetch_add`; any
-/// ordering the caller needs between rounds comes from its own
-/// synchronisation (the sweep joins its threads, the mega engine sits
-/// between barrier waits).
+/// the sweep workers below and the rounds of mega's sharded gear
+/// (`crate::mega`), which only the performance ledger runs. Claiming is
+/// a single relaxed `fetch_add`; any ordering the caller needs between
+/// rounds comes from its own synchronisation (the sweep joins its
+/// threads, the mega engine sits between barrier waits).
 #[derive(Debug, Default)]
 pub(crate) struct ClaimCounter {
     next: AtomicUsize,
@@ -65,7 +65,7 @@ fn sweep_threads(n_cells: usize) -> usize {
 /// Run `run_cell` over every cell, in parallel, with deterministic
 /// input-order results.
 ///
-/// Each worker thread gets its own single-shard [`MegaEngine`] arena,
+/// Each worker thread gets its own [`MegaEngine`] arena,
 /// reused across all cells the worker claims, so the kernel's buffers
 /// are amortised over the whole sweep. `run_cell` receives the arena and a
 /// reference to the cell. A cell that panics re-raises its own panic

@@ -115,11 +115,7 @@ pub mod prelude {
         RunTrace, SchemeParams, Transport,
     };
     pub use clustream_overlay::{Backbone, ClusterSession, IntraScheme};
-    // The last two are aliases of `DynamicMultiTree`, kept until the
-    // frozen `benchmark/` stops naming them.
-    pub use clustream_recovery::{
-        DynamicMultiTree, FlashCrowdScheme, RecoveryConfig, RecoveryMode, SelfHealingMultiTree,
-    };
+    pub use clustream_recovery::{DynamicMultiTree, RecoveryConfig, RecoveryMode};
     pub use clustream_sim::{
         diff_fields, sweep, ArrivalTable, MegaEngine, MegaSimulator, RunResult, SimConfig,
         Simulator,

@@ -54,11 +54,10 @@ fn script_parses_and_defines_both_tiers() {
         "quick | full | scale)",
         "TIER=\"${1:-full}\"",
         "RUSTDOCFLAGS=\"-D warnings\"",
-        // The scale smoke: the mega-engine CLI runs (sequential and
-        // sharded) against the committed golden stdout — N=10^5 and
-        // N=10^6 in both tiers that run it — under the per-stage
-        // wall-clock budget with its machine-readable timing artifact.
-        "--engine mega --shards 4",
+        // The scale smoke: the mega-engine CLI runs against the
+        // committed golden stdout — N=10^5 and N=10^6 in both tiers that
+        // run it — under the per-stage wall-clock budget with its
+        // machine-readable timing artifact.
         "diff \"$golden/scale_n100000_mega.txt\" \"$base-mega.txt\"",
         "diff \"$golden/scale_n1000000_mega.txt\" \"$base-mega-1m.txt\"",
         // …and the observed run: --metrics-out moves no line of mega's
@@ -71,7 +70,9 @@ fn script_parses_and_defines_both_tiers() {
         "CI_STAGE_BUDGET_SECS",
         "target/ci-timings.json",
         // The independent checker at scale: mega's per-node delay and
-        // buffer at N=10^5 against the closed-form schedule, in release.
+        // buffer at N=10^5 and N=10^6 against the closed-form schedule,
+        // in release.
+        "stage \"scale checker (N=10^5 and 10^6, closed form = mega)\"",
         "cargo test --release -q --test scale_checker --offline -- --ignored",
         // The model-checker stages: corpus replay guards every tier's
         // edit loop; the exhaustive lattice and the fixed-seed explore

@@ -266,7 +266,6 @@ macro_rules! engines {
 engines! {
     reference { engine: Some(Engine::Reference) } late;
     mega { engine: Some(Engine::Mega) } late;
-    mega_two_shards { engine: Some(Engine::Mega), shards: Some(2) } late;
     des_heap { runtime: Runtime::Des, queue: Some(QueueKind::Heap) } late;
     des_wheel { runtime: Runtime::Des, queue: Some(QueueKind::Wheel) } late;
     checked { check: true };

@@ -4,8 +4,9 @@
 //! (special and arbitrary `N`, grouped splits), the baselines, and
 //! composed multi-cluster overlay sessions — across arbitrary
 //! populations, degrees, inter-cluster latencies, traces and fault
-//! plans. The mega engine's in-run sharding is additionally held to
-//! `--shards 1 ≡ --shards k` bit-determinism at every shard count.
+//! plans. The mega engine's in-run sharding, which only the performance
+//! ledger runs, is additionally held to bit-identity with one shard at
+//! every shard count through [`MegaEngine::with_shards`].
 //!
 //! The oracle is [`agree`] over the mega and reference [`Column`]s: it
 //! runs one fresh scheme instance per engine and compares the
@@ -163,8 +164,7 @@ proptest! {
     }
 
     /// In-run sharding is pure parallelism: a sharded mega run must be
-    /// bit-identical to the sequential (`--shards 1`) run at any shard
-    /// count, with or without natural group boundaries.
+    /// bit-identical to the one-shard run at any shard count.
     #[test]
     fn mega_shard_counts_are_bit_identical(
         n in 2usize..90,
@@ -175,15 +175,15 @@ proptest! {
         let cfg = SimConfig::until_complete(track, 100_000);
         let mut a = MultiTreeScheme::new(greedy_forest(n, d).unwrap(), StreamMode::PreRecorded);
         let mut b = MultiTreeScheme::new(greedy_forest(n, d).unwrap(), StreamMode::PreRecorded);
-        let seq = MegaSimulator::run_sharded(&mut a, &cfg, 1).unwrap();
-        let sh = MegaSimulator::run_sharded(&mut b, &cfg, shards).unwrap();
+        let seq = MegaEngine::with_shards(1).run(&mut a, &cfg).unwrap();
+        let sh = MegaEngine::with_shards(shards).run(&mut b, &cfg).unwrap();
         let diffs = diff_fields(&seq, &sh);
         prop_assert!(diffs.is_empty(), "shards={shards}: {diffs:?}");
     }
 
-    /// Sharded composed sessions: the declared cluster boundaries give
-    /// each shard whole clusters, leaving the super-node exchange as
-    /// the only cross-shard coupling — still bit-identical.
+    /// Sharded composed sessions: the even id ranges ignore cluster
+    /// boundaries, so the coordinator's exchange may carry backbone and
+    /// intra-cluster traffic alike — still bit-identical.
     #[test]
     fn mega_sharded_sessions_agree(
         k in 2usize..4,
@@ -200,7 +200,7 @@ proptest! {
         ).unwrap();
         let cfg = SimConfig::until_complete(12, 100_000);
         let seq = MegaSimulator::run(&mut mk(&sizes), &cfg).unwrap();
-        let sh = MegaSimulator::run_sharded(&mut mk(&sizes), &cfg, shards).unwrap();
+        let sh = MegaEngine::with_shards(shards).run(&mut mk(&sizes), &cfg).unwrap();
         let diffs = diff_fields(&seq, &sh);
         prop_assert!(diffs.is_empty(), "k={k} shards={shards}: {diffs:?}");
     }
@@ -322,11 +322,12 @@ fn regression_live_modes_engines_agree() {
     }
 }
 
-/// A packet crossing a shard boundary through the super-node exchange:
-/// in a sharded session each cluster is its own shard, so cluster
-/// `i > 0`'s head node receives every packet from the *previous*
-/// cluster's shard — coordinator work between barrier waits. Pin one
-/// such packet end to end: its arrival slot at every cluster head must
+/// A packet crossing a cluster boundary in a sharded run: cluster
+/// `i > 0`'s head node receives packet 0 over a backbone edge of latency
+/// `t_c`, and the even id ranges cut the session at other ids for each
+/// shard count, so the hop runs on a worker or in the coordinator's
+/// exchange between barrier waits depending on the count. Pin that
+/// packet end to end: its arrival slot at every cluster head must
 /// exist, be strictly later per hop (the `t_c` backbone latency), and
 /// agree with the reference engine at every shard count.
 #[test]
@@ -350,7 +351,9 @@ fn regression_cluster_boundary_packet_across_shard_exchange() {
     let cfg = SimConfig::until_complete(16, 100_000);
     let reference = Simulator::run(mk().as_mut(), &cfg).unwrap();
     for shards in [1usize, 2, 3, 5] {
-        let sharded = MegaSimulator::run_sharded(mk().as_mut(), &cfg, shards).unwrap();
+        let sharded = MegaEngine::with_shards(shards)
+            .run(mk().as_mut(), &cfg)
+            .unwrap();
         let diffs = diff_fields(&reference, &sharded);
         assert!(diffs.is_empty(), "shards={shards}: {diffs:?}");
         // Heads of clusters 1 and 2 are the first ids past each

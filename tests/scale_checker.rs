@@ -11,8 +11,8 @@
 //! within Theorem 2's `h·d`.
 //!
 //! Both constructions, `d ∈ {2, 3}`, 256 tracked packets (the ledger's
-//! `--track 256`): at `N = 2000` in the suite, at `N = 10⁵` as an
-//! ignored test that `ci.sh full` runs in release.
+//! `--track 256`): at `N = 2000` in the suite, at `N = 10⁵` and
+//! `N = 10⁶` as ignored tests that `ci.sh full` runs in release.
 
 use clustream::multitree::{Construction, MultiTreeScheme};
 use clustream::prelude::*;
@@ -84,4 +84,12 @@ fn mega_scores_every_node_as_the_closed_form_does_at_n_2000() {
 #[ignore]
 fn mega_scores_every_node_as_the_closed_form_does_at_n_100000() {
     check_all(100_000);
+}
+
+/// The size of `scale_n1000000_mega.txt`; release only, like the one
+/// above.
+#[test]
+#[ignore]
+fn mega_scores_every_node_as_the_closed_form_does_at_n_1000000() {
+    check_all(1_000_000);
 }
